@@ -365,7 +365,7 @@ fn splice_run(name: &'static str, splice: bool, repeats: u32, duration: SimTime)
             .map(|&m| tb.engine.node_ref::<Mux>(m).spliced)
             .sum::<u64>()
             - spliced0;
-        let mss = tb.yoda_cfg.mss as u64;
+        let mss = yoda_core::instance::MSS as u64;
         // Steady-state data packets: one request segment per completed
         // request plus the MSS-chunked response stream. Identical
         // formula in both legs, so the ns/packet ratio is meaningful.

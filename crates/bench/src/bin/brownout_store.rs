@@ -118,9 +118,9 @@ fn run(factor: f64, browse_secs: u64) -> Out {
     for &i in &tb.instances {
         let inst = tb.engine.node_ref::<YodaInstance>(i);
         out.degraded_entries += inst.degraded_entries;
-        out.wb_enqueued += inst.wb_enqueued;
-        out.wb_drained += inst.wb_drained;
-        out.wb_dropped += inst.wb_dropped;
+        out.wb_enqueued += inst.durability().wb_enqueued;
+        out.wb_drained += inst.durability().wb_drained;
+        out.wb_dropped += inst.durability().wb_dropped;
         out.shed_reads += inst.shed_reads;
         out.store_stats.absorb(inst.store_client());
     }

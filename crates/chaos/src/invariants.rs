@@ -66,18 +66,19 @@ pub fn check_invariants(
     // Every record that entered the write-behind buffer is either still
     // queued, replayed after a heal, or counted as dropped — and the
     // queue itself never exceeds its configured cap.
-    let wb_cap = tb.yoda_cfg.write_behind_cap;
+    let wb_cap = yoda_core::instance::WRITE_BEHIND_CAP;
     for (&id, addr) in tb.instances.iter().zip(&tb.instance_addrs) {
         let Some(inst) = tb.engine.try_node_ref::<YodaInstance>(id) else {
             continue;
         };
-        let queued = inst.write_behind_len() as u64;
-        let accounted = inst.wb_drained + inst.wb_dropped + queued;
-        if inst.wb_enqueued != accounted {
+        let dur = inst.durability();
+        let queued = dur.write_behind_len() as u64;
+        let accounted = dur.wb_drained + dur.wb_dropped + queued;
+        if dur.wb_enqueued != accounted {
             v.push(format!(
                 "instance {addr}: write-behind conservation broken — enqueued {} != \
                  accounted {} (drained {} + dropped {} + queued {queued})",
-                inst.wb_enqueued, accounted, inst.wb_drained, inst.wb_dropped
+                dur.wb_enqueued, accounted, dur.wb_drained, dur.wb_dropped
             ));
         }
         if queued as usize > wb_cap {
@@ -180,14 +181,14 @@ pub fn check_invariants(
         let Some(inst) = tb.engine.try_node_ref::<YodaInstance>(id) else {
             continue;
         };
-        if inst.is_degraded() {
+        if inst.durability().is_degraded() {
             v.push(format!(
                 "instance {addr} still in degraded mode after every store fault healed"
             ));
-        } else if inst.write_behind_len() != 0 {
+        } else if inst.durability().write_behind_len() != 0 {
             v.push(format!(
                 "instance {addr}: {} write-behind records never drained after heal",
-                inst.write_behind_len()
+                inst.durability().write_behind_len()
             ));
         }
     }

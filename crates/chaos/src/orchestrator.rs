@@ -320,7 +320,7 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
         if let Some(inst) = tb.engine.try_node_ref::<YodaInstance>(i) {
             report.splices_installed += inst.splices_installed;
             report.degraded_entries += inst.degraded_entries;
-            report.write_behind_dropped += inst.wb_dropped;
+            report.write_behind_dropped += inst.durability().wb_dropped;
             let sc = inst.store_client();
             report.store_hedges += sc.hedges;
             report.store_retries += sc.retries;

@@ -41,43 +41,31 @@ pub struct AutoscaleConfig {
     pub target_cpu: f64,
 }
 
-/// Controller tunables.
-#[derive(Debug, Clone)]
+/// Health-ping period (paper: 600 ms).
+const PING_INTERVAL: SimTime = SimTime::from_millis(600);
+/// Consecutive missed pings before an endpoint is declared dead.
+/// The paper declares death after a single 600 ms miss; one gray
+/// packet drop then kills a healthy node, so this demands 3.
+const MISS_THRESHOLD: u32 = 3;
+/// Consecutive missed pings before an *instance* is derated —
+/// removed from new-flow VIP maps while monitoring continues. Below
+/// `MISS_THRESHOLD`, so it acts as an early suspicion level.
+const DERATE_MISSES: u32 = 2;
+/// Pong-RTT EWMA above which an instance is derated (suspicion by
+/// slowness, not just silence: a browning node answers pings late).
+const SUSPECT_LATENCY: SimTime = SimTime::from_millis(10);
+/// Stats-poll period.
+const STATS_INTERVAL: SimTime = SimTime::from_secs(1);
+/// Extra delay between successive per-mux map updates (non-atomic
+/// update model).
+const MUX_STAGGER: SimTime = SimTime::from_millis(50);
+
+/// Controller tunables. Only the autoscaler has a second value in use
+/// (fig13); the monitor's periods and thresholds are constants above.
+#[derive(Debug, Clone, Default)]
 pub struct ControllerConfig {
-    /// Health-ping period (paper: 600 ms).
-    pub ping_interval: SimTime,
-    /// Consecutive missed pings before an endpoint is declared dead.
-    /// The paper declares death after a single 600 ms miss; one gray
-    /// packet drop then kills a healthy node, so the default demands 3.
-    pub miss_threshold: u32,
-    /// Consecutive missed pings before an *instance* is derated —
-    /// removed from new-flow VIP maps while monitoring continues. Must
-    /// be below `miss_threshold` to act as an early suspicion level.
-    pub derate_misses: u32,
-    /// Pong-RTT EWMA above which an instance is derated (suspicion by
-    /// slowness, not just silence: a browning node answers pings late).
-    pub suspect_latency: SimTime,
-    /// Stats-poll period.
-    pub stats_interval: SimTime,
-    /// Extra delay between successive per-mux map updates (non-atomic
-    /// update model).
-    pub mux_stagger: SimTime,
     /// Autoscaler; `None` disables it.
     pub autoscale: Option<AutoscaleConfig>,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            ping_interval: SimTime::from_millis(600),
-            miss_threshold: 3,
-            derate_misses: 2,
-            suspect_latency: SimTime::from_millis(10),
-            stats_interval: SimTime::from_secs(1),
-            mux_stagger: SimTime::from_millis(50),
-            autoscale: None,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -342,7 +330,7 @@ impl Controller {
                 version,
             };
             let pkt = msg.into_packet(self.me(), mux);
-            ctx.send_after(self.cfg.mux_stagger * i as u64, pkt);
+            ctx.send_after(MUX_STAGGER * i as u64, pkt);
         }
         for inst in state.instances {
             ctx.send(InstanceCtrl::RemoveVip { vip }.into_packet(self.me(), inst));
@@ -387,7 +375,7 @@ impl Controller {
                 version,
             };
             let pkt = msg.into_packet(self.me(), mux);
-            ctx.send_after(self.cfg.mux_stagger * i as u64, pkt);
+            ctx.send_after(MUX_STAGGER * i as u64, pkt);
         }
     }
 
@@ -469,7 +457,7 @@ impl Controller {
                 let version = state.version;
                 self.push_vip_map(ctx, vip.addr, instances, version);
             }
-            let settle = self.cfg.mux_stagger * self.muxes.len() as u64;
+            let settle = MUX_STAGGER * self.muxes.len() as u64;
             if let Some(router) = self.router {
                 let msg = CtrlMsg::SetMuxes {
                     muxes: self.muxes.clone(),
@@ -510,7 +498,6 @@ impl Controller {
         self.active.insert(addr, false);
         let me = self.me();
         let muxes = self.muxes.clone();
-        let stagger = self.cfg.mux_stagger;
         for (&vip, state) in self.vips.iter_mut() {
             if !state.instances.contains(&addr) {
                 continue;
@@ -525,7 +512,7 @@ impl Controller {
                     version: state.version,
                 };
                 let pkt = msg.into_packet(me, mux);
-                ctx.send_after(stagger * i as u64, pkt);
+                ctx.send_after(MUX_STAGGER * i as u64, pkt);
             }
         }
     }
@@ -662,18 +649,18 @@ impl Controller {
     fn ping_cycle(&mut self, ctx: &mut Ctx<'_>) {
         // First: account a miss for anything that did not answer the
         // previous ping. A single miss used to mean death — one gray
-        // packet drop killed a healthy node. Now `miss_threshold`
-        // consecutive misses mean death, with `derate_misses` as the
+        // packet drop killed a healthy node. Now `MISS_THRESHOLD`
+        // consecutive misses mean death, with `DERATE_MISSES` as the
         // earlier, reversible suspicion level for instances.
         let mut newly_failed = Vec::new();
         let mut newly_suspect = Vec::new();
         for m in &mut self.monitored {
             if m.awaiting && !m.failed {
                 m.misses += 1;
-                if m.misses >= self.cfg.miss_threshold {
+                if m.misses >= MISS_THRESHOLD {
                     m.failed = true;
                     newly_failed.push(m.ep);
-                } else if m.misses >= self.cfg.derate_misses && !m.derated {
+                } else if m.misses >= DERATE_MISSES && !m.derated {
                     m.derated = true;
                     newly_suspect.push(m.ep);
                 }
@@ -703,7 +690,7 @@ impl Controller {
             m.ping_sent = now;
             ctx.send(Packet::new(me, m.ep, PROTO_PING, Bytes::new()));
         }
-        ctx.set_timer(self.cfg.ping_interval, TimerToken::new(PING_KIND));
+        ctx.set_timer(PING_INTERVAL, TimerToken::new(PING_KIND));
     }
 
     fn stats_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -745,14 +732,14 @@ impl Controller {
                 ctx.send(InstanceCtrl::StatsRequest { seq }.into_packet(me, inst));
             }
         }
-        ctx.set_timer(self.cfg.stats_interval, TimerToken::new(STATS_KIND));
+        ctx.set_timer(STATS_INTERVAL, TimerToken::new(STATS_KIND));
     }
 }
 
 impl Node for Controller {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.cfg.ping_interval, TimerToken::new(PING_KIND));
-        ctx.set_timer(self.cfg.stats_interval, TimerToken::new(STATS_KIND));
+        ctx.set_timer(PING_INTERVAL, TimerToken::new(PING_KIND));
+        ctx.set_timer(STATS_INTERVAL, TimerToken::new(STATS_KIND));
         self.last_stats_at = ctx.now();
     }
 
@@ -765,7 +752,6 @@ impl Node for Controller {
                 // node that answers, but slowly, is suspected (derated)
                 // without ever missing a ping.
                 let now = ctx.now();
-                let suspect = self.cfg.suspect_latency;
                 let mut recovered = Vec::new();
                 let mut slow = Vec::new();
                 let mut healed = Vec::new();
@@ -786,10 +772,10 @@ impl Node for Controller {
                             m.failed = false;
                             m.derated = false;
                             recovered.push(m.ep);
-                        } else if !m.derated && m.ewma > suspect {
+                        } else if !m.derated && m.ewma > SUSPECT_LATENCY {
                             m.derated = true;
                             slow.push(m.ep);
-                        } else if m.derated && m.ewma <= suspect {
+                        } else if m.derated && m.ewma <= SUSPECT_LATENCY {
                             m.derated = false;
                             healed.push(m.ep);
                         } else if pkt.payload.first() == Some(&1) {
@@ -866,13 +852,12 @@ mod tests {
     }
 
     #[test]
-    fn default_matches_paper_600ms() {
-        let cfg = ControllerConfig::default();
-        assert_eq!(cfg.ping_interval, SimTime::from_millis(600));
+    fn monitor_constants_match_paper_600ms() {
+        assert_eq!(PING_INTERVAL, SimTime::from_millis(600));
         // Gray-failure hardening: death needs more than one missed ping,
         // and the derate level sits strictly below the death level.
-        assert_eq!(cfg.miss_threshold, 3);
-        assert!(cfg.derate_misses < cfg.miss_threshold);
+        assert_eq!(MISS_THRESHOLD, 3);
+        const { assert!(DERATE_MISSES < MISS_THRESHOLD) };
     }
 
     use yoda_netsim::{Engine, Topology, Zone};

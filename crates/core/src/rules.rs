@@ -501,24 +501,12 @@ impl RuleTable {
             .into_iter()
             .filter(|b| !ctx.dead.contains(b))
             .collect();
-        // Open-connection counts stand in for RIF until probes refine it.
-        let signals: BTreeMap<Endpoint, Signal> = ctx
-            .loads
-            .iter()
-            .map(|(b, l)| {
-                (
-                    *b,
-                    Signal {
-                        rif: (*l).max(0) as u32,
-                        latency_est: SimTime::ZERO,
-                        last_probe: ctx.now,
-                    },
-                )
-            })
-            .collect();
+        // Only the least-loaded arm reads signals; the rest pick from
+        // `live` alone.
+        let no_signals = BTreeMap::new();
         let input = PickInput {
             live: &live,
-            signals: &signals,
+            signals: &no_signals,
             now: ctx.now,
         };
         match action {
@@ -535,7 +523,29 @@ impl RuleTable {
                 }
                 WeightedSplit { weights: ws }.pick(&input, rng)
             }
-            Action::LeastLoaded(_) => LeastLoaded.pick(&input, rng),
+            Action::LeastLoaded(_) => {
+                // Open-connection counts stand in for RIF until probes
+                // refine it.
+                let signals: BTreeMap<Endpoint, Signal> = ctx
+                    .loads
+                    .iter()
+                    .map(|(b, l)| {
+                        (
+                            *b,
+                            Signal {
+                                rif: (*l).max(0) as u32,
+                                latency_est: SimTime::ZERO,
+                                last_probe: ctx.now,
+                            },
+                        )
+                    })
+                    .collect();
+                let input = PickInput {
+                    signals: &signals,
+                    ..input
+                };
+                LeastLoaded.pick(&input, rng)
+            }
             // Mirror is handled by select_full before apply() is reached;
             // treat a direct call as "first live target".
             Action::Mirror(_) => live.first().copied(),

@@ -2,11 +2,11 @@
 //!
 //! Prints every violation (with its taint path, when the violation is
 //! derived from the call graph) and exits non-zero if the tree is not
-//! clean. `--json` emits the machine-readable report instead; CI uploads
-//! it as an artifact and `scripts/check.sh` diffs the violation count
-//! against `results/tidy_baseline.json`. `--effects` dumps the
-//! per-function effect signatures (committed as
-//! `results/tidy_effects.json`, delta-gated the same way).
+//! clean. `--json` emits the machine-readable report instead (CI uploads
+//! it as an artifact; `results/tidy_baseline.json` is the committed,
+//! empty one). `--effects` dumps the per-function effect signatures
+//! (committed as `results/tidy_effects.json`; `scripts/check.sh` and CI
+//! require the fresh dump to be byte-identical).
 
 #![deny(warnings)]
 

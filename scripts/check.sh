@@ -6,56 +6,21 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release --workspace
+# The repo's benchmark is a package outside the workspace (BENCHMARK.json
+# runs it from source), so nothing above notices when a change to the
+# product crates breaks its build.
+cargo build --release --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
 
 echo "==> cargo test"
 cargo test -q --workspace
 
 echo "==> yoda-tidy"
-report="$(mktemp)"
-trap 'rm -f "$report"' EXIT
-tidy_ok=0
-cargo run -q -p yoda-tidy -- --json > "$report" || tidy_ok=$?
-
-# Violation-count delta against the committed baseline. One violation
-# object per line in the JSON, so grep -c counts them (grep exits 1 on
-# zero matches — not an error here).
-current=$(grep -c '"rule"' "$report" || true)
-baseline=0
-if [[ -f results/tidy_baseline.json ]]; then
-    baseline=$(grep -c '"rule"' results/tidy_baseline.json || true)
-fi
-delta=$((current - baseline))
-echo "tidy: ${current} violation(s); baseline ${baseline}; delta ${delta}"
-# Shard-safety categories get their own delta: these gate the sharded
-# multi-core engine, so a new one must be visible even when an unrelated
-# fix keeps the overall count flat.
-shard_current=$(grep -c '"rule": "shard-' "$report" || true)
-shard_baseline=0
-if [[ -f results/tidy_baseline.json ]]; then
-    shard_baseline=$(grep -c '"rule": "shard-' results/tidy_baseline.json || true)
-fi
-echo "tidy: shard-safety ${shard_current} violation(s); baseline ${shard_baseline}; delta $((shard_current - shard_baseline))"
-if (( shard_current > shard_baseline )); then
-    echo "tidy: new shard-unsafe construct(s) — the engine core must stay Send:"
-    grep '"rule": "shard-' "$report" || true
-    exit 1
-fi
-# Effect-discipline categories gate the same way: a handler reaching a
-# strict effect outside the sanctioned Ctx API breaks sharded replay, so
-# a new one must fail even when the overall count stays flat.
-effect_current=$(grep -c '"rule": "effect-' "$report" || true)
-effect_baseline=0
-if [[ -f results/tidy_baseline.json ]]; then
-    effect_baseline=$(grep -c '"rule": "effect-' results/tidy_baseline.json || true)
-fi
-echo "tidy: effect-discipline ${effect_current} violation(s); baseline ${effect_baseline}; delta $((effect_current - effect_baseline))"
-if (( effect_current > effect_baseline )); then
-    echo "tidy: new unsanctioned effect route(s) from a handler:"
-    grep '"rule": "effect-' "$report" || true
-    exit 1
-fi
-# Per-function effect signatures: report-only delta against the
-# committed dump, so a silently grown signature is visible in review.
+# One gate: the committed baseline (results/tidy_baseline.json) holds 0
+# violations in every category, and yoda-tidy itself exits non-zero on
+# any violation or allowlist error, naming file:line and the taint path.
+cargo run -q -p yoda-tidy
+# Per-function effect signatures: byte comparison against the committed
+# dump, so a silently grown signature is visible in review.
 effects_json="$(mktemp)"
 cargo run -q -p yoda-tidy -- --effects > "$effects_json"
 if [[ -f results/tidy_effects.json ]]; then
@@ -72,18 +37,6 @@ else
     echo "tidy: no committed results/tidy_effects.json — skipping signature delta"
 fi
 rm -f "$effects_json"
-if (( delta > 0 )); then
-    echo "tidy: ${delta} new violation(s) vs results/tidy_baseline.json:"
-    grep '"rule"' "$report" || true
-elif (( delta < 0 )); then
-    echo "tidy: $(( -delta )) violation(s) fixed — regenerate the baseline:"
-    echo "      cargo run -q -p yoda-tidy -- --json > results/tidy_baseline.json"
-fi
-if (( tidy_ok != 0 )); then
-    # Re-run in human mode so the failure output shows taint paths.
-    cargo run -q -p yoda-tidy || true
-    exit "$tidy_ok"
-fi
 
 echo "==> chaos repro hook (pinned seed)"
 # The full seeded matrix (20 survivable + 5 unconstrained plans) already
@@ -99,7 +52,7 @@ echo "==> bench_engine (smoke)"
 # gate. (Digest agreement is asserted inside the bench itself, across
 # its repeats.)
 bench_json="$(mktemp)"
-trap 'rm -f "$report" "$bench_json"' EXIT
+trap 'rm -f "$bench_json"' EXIT
 ./target/release/bench_engine --smoke > "$bench_json"
 if [[ -f BENCH_engine.json ]]; then
     for name in pingpong_mesh timer_churn trace_ring full_testbed; do
@@ -176,7 +129,7 @@ echo "==> figure byte-identity (spot check)"
 # measure host wall-clock and are excluded — they never reproduce
 # byte-for-byte.)
 fig_tmp="$(mktemp)"
-trap 'rm -f "$report" "$bench_json" "$fig_tmp"' EXIT
+trap 'rm -f "$bench_json" "$fig_tmp"' EXIT
 for fig in fig15_cost_reduction table1_website_impact; do
     ./target/release/"$fig" > "$fig_tmp"
     if ! cmp -s "$fig_tmp" "results/$fig.txt"; then

@@ -121,20 +121,21 @@ fn brownout_run(threads: usize) -> (BrownoutPrint, f64) {
         print.broken += bc.broken_flows;
         lat.merge(&bc.request_latencies);
     }
-    let wb_cap = tb.yoda_cfg.write_behind_cap as u64;
+    let wb_cap = yoda::core::instance::WRITE_BEHIND_CAP as u64;
     for &i in &tb.instances {
         let inst = tb.engine.node_ref::<YodaInstance>(i);
         print.degraded_entries += inst.degraded_entries;
-        print.wb_enqueued += inst.wb_enqueued;
-        print.wb_drained += inst.wb_drained;
-        print.wb_dropped += inst.wb_dropped;
-        let queued = inst.write_behind_len() as u64;
+        let dur = inst.durability();
+        print.wb_enqueued += dur.wb_enqueued;
+        print.wb_drained += dur.wb_drained;
+        print.wb_dropped += dur.wb_dropped;
+        let queued = dur.write_behind_len() as u64;
         print.wb_queued_end += queued;
         assert!(
             queued <= wb_cap,
             "write-behind queue {queued} over cap {wb_cap}"
         );
-        print.degraded_end += u64::from(inst.is_degraded());
+        print.degraded_end += u64::from(dur.is_degraded());
         print.shed_reads += inst.shed_reads;
         let sc = inst.store_client();
         print.store_timeouts += sc.timeouts;
