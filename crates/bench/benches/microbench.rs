@@ -10,14 +10,20 @@
 //! * `hash_ring` — K-replica selection in the TCPStore client.
 //! * `assign/*` — greedy assignment at trace scale and the exact B&B on a
 //!   small instance.
-//! * `tcp_transfer` — a full 100 KB in-memory socket-to-socket transfer.
+//! * `tcp_transfer` — a 442 KB object (the catalog's largest) moved
+//!   between two in-memory sockets with every data segment acknowledged
+//!   on its own, so ~300 ACKs each find most of the object still unacked:
+//!   the shape whose cost was quadratic while the send buffer was copied
+//!   per ACK. Also printed per payload byte.
 //!
 //! Run with `cargo bench -p yoda-bench`. Wall-clock timing lives only in
 //! this binary; simulation code must never read the host clock.
 
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
 
+use bytes::Bytes;
 use yoda_assign::{solve_greedy, AssignInput, GreedyConfig, VipSpec};
 use yoda_core::flowstate::FlowRecord;
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
@@ -27,8 +33,8 @@ use yoda_netsim::{Addr, Endpoint, SimTime};
 use yoda_tcp::{SeqNum, Segment, TcpConfig, TcpSocket};
 
 /// Times `f` over enough iterations to fill ~200 ms, after a short
-/// warmup, and prints mean ns/iter.
-fn bench(name: &str, mut f: impl FnMut()) {
+/// warmup, prints mean ns/iter and returns it.
+fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     // Warmup and calibration: estimate per-iter cost from 16 iterations.
     let t0 = Instant::now();
     for _ in 0..16 {
@@ -40,11 +46,9 @@ fn bench(name: &str, mut f: impl FnMut()) {
     for _ in 0..iters {
         f();
     }
-    let total = t1.elapsed().as_nanos();
-    println!(
-        "{name:32} {:>12.1} ns/iter   ({iters} iters)",
-        total as f64 / iters as f64
-    );
+    let mean = t1.elapsed().as_nanos() as f64 / iters as f64;
+    println!("{name:32} {mean:>12.1} ns/iter   ({iters} iters)");
+    mean
 }
 
 fn rule_table(n: usize) -> RuleTable {
@@ -163,7 +167,9 @@ fn bench_assign() {
 }
 
 fn bench_tcp_transfer() {
-    bench("tcp_transfer_100kb", || {
+    const OBJECT: usize = yoda_http::site::MAX_OBJECT_BYTES;
+    let object = Bytes::from(vec![7u8; OBJECT]);
+    let mean = bench("tcp_transfer_442kb", || {
         let cfg = TcpConfig::default();
         let a_ep = Endpoint::new(Addr::new(10, 0, 0, 1), 1000);
         let b_ep = Endpoint::new(Addr::new(10, 0, 0, 2), 80);
@@ -171,26 +177,24 @@ fn bench_tcp_transfer() {
         let (mut cl, syn) = TcpSocket::connect(cfg, a_ep, b_ep, SeqNum::new(1), t);
         let (mut sv, synack) =
             TcpSocket::accept(cfg, b_ep, a_ep, &syn, SeqNum::new(2), t).expect("syn");
-        let mut to_server = cl.on_segment(&synack, t);
-        to_server.extend(cl.send(&[7u8; 100_000], t));
-        loop {
-            let mut to_client = Vec::new();
-            for s in &to_server {
-                to_client.extend(sv.on_segment(s, t));
+        let mut to_server: VecDeque<Segment> = cl.on_segment(&synack, t).into();
+        to_server.extend(cl.send(object.clone(), t));
+        let mut delivered = 0;
+        // One segment at a time, its ACK straight back: the sender sees an
+        // ACK per segment while the rest of the object is still queued.
+        while let Some(seg) = to_server.pop_front() {
+            for ack in sv.on_segment(&seg, t) {
+                to_server.extend(cl.on_segment(&ack, t));
             }
-            if to_client.is_empty() {
-                break;
-            }
-            to_server.clear();
-            for s in &to_client {
-                to_server.extend(cl.on_segment(s, t));
-            }
-            if to_server.is_empty() {
-                break;
-            }
+            delivered += black_box(sv.take_data()).len();
         }
-        black_box(sv.take_data());
+        assert_eq!(delivered, OBJECT);
     });
+    println!(
+        "{:32} {:>12.3} ns/byte",
+        "  per payload byte",
+        mean / OBJECT as f64
+    );
 }
 
 fn main() {

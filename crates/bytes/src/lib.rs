@@ -29,7 +29,8 @@ pub struct Bytes {
     /// `None` for the empty buffer, so empty packets (pings, ACKs,
     /// probes — the bulk of simulated control traffic) never allocate a
     /// backing block and their clones and drops touch no atomics.
-    data: Option<Arc<[u8]>>,
+    /// The block is the written `Vec` itself: `freeze` moves it, no copy.
+    data: Option<Arc<Vec<u8>>>,
     /// View bounds into `data`. `u32` keeps the struct at 16 bytes —
     /// `Bytes` is embedded in every simulated packet and moved through
     /// the engine's event slab, so its footprint is hot. Simulated
@@ -54,15 +55,7 @@ impl Bytes {
 
     /// Copies `slice` into a fresh shared allocation (none when empty).
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        if slice.is_empty() {
-            return Bytes::new();
-        }
-        let data: Arc<[u8]> = Arc::from(slice);
-        Bytes {
-            start: 0,
-            end: data.len() as u32,
-            data: Some(data),
-        }
+        Bytes::from(slice.to_vec())
     }
 
     /// Number of bytes in the view.
@@ -244,11 +237,10 @@ impl From<Vec<u8>> for Bytes {
         if v.is_empty() {
             return Bytes::new();
         }
-        let data: Arc<[u8]> = Arc::from(v.into_boxed_slice());
         Bytes {
             start: 0,
-            end: data.len() as u32,
-            data: Some(data),
+            end: v.len() as u32,
+            data: Some(Arc::new(v)),
         }
     }
 }
@@ -344,11 +336,6 @@ impl BytesMut {
         let rest = self.data.split_off(at);
         let head = std::mem::replace(&mut self.data, rest);
         BytesMut { data: head }
-    }
-
-    /// Resizes the buffer, filling new space with `value`.
-    pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.data.resize(new_len, value);
     }
 
     /// Takes the entire buffer, leaving `self` empty.
@@ -530,6 +517,29 @@ mod tests {
         tail.try_mut().unwrap()[0] = 7;
         assert_eq!(tail, [7, 4]);
         assert!(Bytes::new().try_mut().is_none());
+    }
+
+    #[test]
+    fn freeze_shares_the_written_allocation() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 16);
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"header+payload");
+        let written = m.as_slice().as_ptr();
+        let mut frozen = m.freeze();
+        assert_eq!(frozen.as_slice().as_ptr(), written, "freeze must not copy");
+        let v = vec![5u8; 1000];
+        let p = v.as_ptr();
+        assert_eq!(
+            Bytes::from(v).as_slice().as_ptr(),
+            p,
+            "From<Vec> must not copy"
+        );
+        // Sole owner after freeze: patchable in place; not while a slice lives.
+        frozen.try_mut().expect("unique after freeze")[0] = b'H';
+        let tail = frozen.slice(7..);
+        assert!(frozen.try_mut().is_none());
+        drop(tail);
+        assert_eq!(frozen.try_mut().map(|b| b[0]), Some(b'H'));
     }
 
     #[test]

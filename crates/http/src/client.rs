@@ -13,11 +13,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use yoda_netsim::{Addr, Ctx, Endpoint, Histogram, Node, Packet, SimTime, TimerToken};
 use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
 
-use crate::message::{parse_response, HttpRequest};
+use crate::message::{parse_response_head, HttpRequest};
 use crate::site::{ObjectId, SiteCatalog};
 
 const TIMEOUT_KIND: u32 = 0xB01;
@@ -102,7 +102,11 @@ struct Fetch {
     process: usize,
     object: ObjectId,
     conn: ConnId,
+    /// Unparsed arrivals: a TLS certificate or an incomplete response head.
     buf: BytesMut,
+    /// Once the response head has arrived: its `Content-Length` and the
+    /// response bytes still to come, which are counted, not kept.
+    body: Option<(usize, usize)>,
     started: SimTime,
     /// When the HTTP request actually went out (after the handshake);
     /// the paper's "request completion time" measures from here.
@@ -111,6 +115,38 @@ struct Fetch {
     tls_awaiting_cert: bool,
     attempt: u32,
     last_progress: SimTime,
+}
+
+impl Fetch {
+    fn new(process: usize, object: ObjectId, conn: ConnId, now: SimTime) -> Self {
+        Fetch {
+            process,
+            object,
+            conn,
+            buf: BytesMut::new(),
+            body: None,
+            started: now,
+            request_sent_at: None,
+            tls_awaiting_cert: false,
+            attempt: 0,
+            last_progress: now,
+        }
+    }
+
+    /// Accounts for newly arrived response bytes. Returns the body length
+    /// once the whole response (head + `Content-Length` bytes) is in.
+    fn on_response_bytes(&mut self, data: &[u8]) -> Option<usize> {
+        let mut arrived = data.len();
+        if self.body.is_none() {
+            self.buf.extend_from_slice(data);
+            let (_, head_len, content_length) = parse_response_head(&self.buf)?;
+            self.body = Some((content_length, head_len + content_length));
+            arrived = std::mem::take(&mut self.buf).len();
+        }
+        let (content_length, missing) = self.body.as_mut()?;
+        *missing = missing.saturating_sub(arrived);
+        (*missing == 0).then_some(*content_length)
+    }
 }
 
 #[derive(Debug)]
@@ -150,6 +186,8 @@ pub struct BrowserClient {
     pub completed: u64,
     /// Successfully completed pages.
     pub pages_completed: u64,
+    /// Body bytes of completed fetches (counted past each response head).
+    pub body_bytes: u64,
     /// Every fetch attempt ever issued (retries issue a fresh fetch).
     /// Conservation invariant: `started_fetches == completed + timeouts +
     /// resets + session_resets + in_flight()` — no fetch ever vanishes
@@ -184,6 +222,7 @@ impl BrowserClient {
             broken_flows: 0,
             completed: 0,
             pages_completed: 0,
+            body_bytes: 0,
             started_fetches: 0,
             broken_ports: Vec::new(),
         }
@@ -280,15 +319,10 @@ impl BrowserClient {
         let id = self.next_fetch;
         self.next_fetch += 1;
         let fetch = Fetch {
-            process,
-            object,
-            conn,
-            buf: BytesMut::new(),
             started: carry_started.unwrap_or(ctx.now()),
-            request_sent_at: None,
             tls_awaiting_cert: self.cfg.tls,
             attempt,
-            last_progress: ctx.now(),
+            ..Fetch::new(process, object, conn, ctx.now())
         };
         self.fetches.insert(id, fetch);
         self.started_fetches += 1;
@@ -312,8 +346,7 @@ impl BrowserClient {
             req = req.with_header("Cookie", format!("session=p{}", fetch.process));
         }
         let conn = fetch.conn;
-        let bytes = req.encode();
-        self.stack.send(ctx, conn, &bytes);
+        self.stack.send(ctx, conn, req.encode());
         if let Some(f) = self.fetches.get_mut(&fetch_id) {
             f.request_sent_at.get_or_insert(ctx.now());
         }
@@ -378,10 +411,10 @@ impl BrowserClient {
             return;
         };
         if !data.is_empty() {
-            fetch.buf.extend_from_slice(&data);
             fetch.last_progress = ctx.now();
         }
         if fetch.tls_awaiting_cert {
+            fetch.buf.extend_from_slice(&data);
             // The certificate blob is "SSLCERT:<len10>\n" padded to len.
             if fetch.buf.len() < 19 || !fetch.buf.starts_with(b"SSLCERT:") {
                 return;
@@ -402,7 +435,8 @@ impl BrowserClient {
             self.send_request(ctx, fetch_id);
             return;
         }
-        if parse_response(&fetch.buf).is_some() {
+        if let Some(body_len) = fetch.on_response_bytes(&data) {
+            self.body_bytes += body_len as u64;
             self.finish_fetch(ctx, fetch_id, RequestOutcome::Ok);
         }
     }
@@ -415,7 +449,7 @@ impl BrowserClient {
             return;
         };
         let conn = fetch.conn;
-        self.stack.send(ctx, conn, TLS_HELLO);
+        self.stack.send(ctx, conn, Bytes::from_static(TLS_HELLO));
         ctx.set_timer(TLS_RETRY, TimerToken::new(TLS_RETRY_KIND).with_a(fetch_id));
     }
 }
@@ -494,7 +528,7 @@ impl Node for BrowserClient {
                 };
                 if let Some(fetch) = self.fetches.get(&token.a) {
                     let idle = ctx.now().saturating_sub(fetch.last_progress);
-                    if idle >= stall && !fetch.buf.is_empty() {
+                    if idle >= stall && (!fetch.buf.is_empty() || fetch.body.is_some()) {
                         // Mid-stream stall: the session is visibly broken.
                         self.finish_fetch(ctx, token.a, RequestOutcome::Stalled);
                     } else {
@@ -561,6 +595,8 @@ pub struct RateClient {
     pub fetch_latencies: Histogram,
     /// Completed requests.
     pub completed: u64,
+    /// Body bytes of completed requests (counted past each response head).
+    pub body_bytes: u64,
     /// Requests issued.
     pub issued: u64,
     /// Timed-out requests.
@@ -589,6 +625,7 @@ impl RateClient {
             latencies: Histogram::new(),
             fetch_latencies: Histogram::new(),
             completed: 0,
+            body_bytes: 0,
             issued: 0,
             timeouts: 0,
             resets: 0,
@@ -625,20 +662,8 @@ impl RateClient {
         let conn = self.stack.connect(ctx, local, self.cfg.target);
         let id = self.next_fetch;
         self.next_fetch += 1;
-        self.fetches.insert(
-            id,
-            Fetch {
-                process: 0,
-                object,
-                conn,
-                buf: BytesMut::new(),
-                started: ctx.now(),
-                request_sent_at: None,
-                tls_awaiting_cert: false,
-                attempt: 0,
-                last_progress: ctx.now(),
-            },
-        );
+        let fetch = Fetch::new(0, object, conn, ctx.now());
+        self.fetches.insert(id, fetch);
         self.by_conn.insert(conn, id);
         self.issued += 1;
         ctx.set_timer(self.cfg.timeout, TimerToken::new(TIMEOUT_KIND).with_a(id));
@@ -678,8 +703,8 @@ impl RateClient {
         let Some(fetch) = self.fetches.get_mut(&fetch_id) else {
             return;
         };
-        fetch.buf.extend_from_slice(&data);
-        if parse_response(&fetch.buf).is_some() {
+        if let Some(body_len) = fetch.on_response_bytes(&data) {
+            self.body_bytes += body_len as u64;
             self.finish(ctx, fetch_id, RequestOutcome::Ok);
         }
     }
@@ -704,7 +729,7 @@ impl Node for RateClient {
                         let req = HttpRequest::get(path)
                             .with_header("Host", self.cfg.host.clone())
                             .encode();
-                        self.stack.send(ctx, conn, &req);
+                        self.stack.send(ctx, conn, req);
                         if let Some(f) = self.fetches.get_mut(&fetch_id) {
                             f.request_sent_at.get_or_insert(ctx.now());
                         }

@@ -22,6 +22,8 @@ pub mod server;
 pub mod site;
 
 pub use client::{BrowserClient, BrowserConfig, RateClient, RateClientConfig, RequestOutcome};
-pub use message::{parse_request, parse_response, HttpRequest, HttpResponse};
+pub use message::{
+    parse_request, parse_response, parse_response_head, HttpRequest, HttpResponse,
+};
 pub use server::{OriginServer, ServerConfig};
 pub use site::{ObjectId, Page, Site, SiteCatalog, SiteConfig};

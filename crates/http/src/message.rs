@@ -155,8 +155,9 @@ impl HttpResponse {
         self
     }
 
-    /// Serializes to wire bytes (adds `Content-Length`).
-    pub fn encode(&self) -> Bytes {
+    /// Serializes everything before the body (adds `Content-Length`). The
+    /// wire form is this, then `self.body` — two chunks, no body copy.
+    pub fn encode_head(&self) -> Bytes {
         let reason = match self.status {
             200 => "OK",
             404 => "Not Found",
@@ -170,10 +171,7 @@ impl HttpResponse {
             s.push_str("\r\n");
         }
         s.push_str(&format!("Content-Length: {}\r\n\r\n", self.body.len()));
-        let mut out = Vec::with_capacity(s.len() + self.body.len());
-        out.extend_from_slice(s.as_bytes());
-        out.extend_from_slice(&self.body);
-        Bytes::from(out)
+        Bytes::from(s)
     }
 }
 
@@ -225,6 +223,14 @@ pub fn parse_request(buf: &[u8]) -> Option<(HttpRequest, usize)> {
 ///
 /// Returns `Some((response, bytes_consumed))` when complete.
 pub fn parse_response(buf: &[u8]) -> Option<(HttpResponse, usize)> {
+    let (mut resp, end, content_length) = parse_response_head(buf)?;
+    resp.body = Bytes::copy_from_slice(buf.get(end..end + content_length)?);
+    Some((resp, end + content_length))
+}
+
+/// Parses a complete response head into `(response with an empty body, head
+/// length, Content-Length)`: enough to count the body instead of buffering it.
+pub fn parse_response_head(buf: &[u8]) -> Option<(HttpResponse, usize, usize)> {
     let end = header_end(buf)?;
     let head = std::str::from_utf8(buf.get(..end - 4)?).ok()?;
     let mut lines = head.split("\r\n");
@@ -246,21 +252,25 @@ pub fn parse_response(buf: &[u8]) -> Option<(HttpResponse, usize)> {
             headers.push((n.to_string(), v.to_string()));
         }
     }
-    let body = buf.get(end..end + content_length)?;
     Some((
         HttpResponse {
             status,
             version,
             headers,
-            body: Bytes::copy_from_slice(body),
+            body: Bytes::new(),
         },
-        end + content_length,
+        end,
+        content_length,
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn wire(resp: &HttpResponse) -> Vec<u8> {
+        [&resp.encode_head()[..], &resp.body[..]].concat()
+    }
 
     #[test]
     fn request_roundtrip_with_headers() {
@@ -313,7 +323,7 @@ mod tests {
     fn response_roundtrip() {
         let resp = HttpResponse::ok(Bytes::from(vec![7u8; 46_000]))
             .with_header("Content-Type", "image/jpeg");
-        let enc = resp.encode();
+        let enc = wire(&resp);
         let (parsed, used) = parse_response(&enc).unwrap();
         assert_eq!(used, enc.len());
         assert_eq!(parsed.status, 200);
@@ -324,14 +334,27 @@ mod tests {
     #[test]
     fn response_waits_for_body() {
         let resp = HttpResponse::ok(Bytes::from_static(b"0123456789"));
-        let enc = resp.encode();
+        let enc = wire(&resp);
         assert!(parse_response(&enc[..enc.len() - 1]).is_none());
         assert!(parse_response(&enc).is_some());
     }
 
     #[test]
+    fn head_parses_before_the_body_arrives() {
+        let resp = HttpResponse::ok(Bytes::from(vec![1u8; 5000])).with_header("Server", "s");
+        let head = resp.encode_head();
+        let enc = wire(&resp);
+        assert_eq!(&enc[..head.len()], &head[..]);
+        assert!(parse_response_head(&head[..head.len() - 1]).is_none());
+        let (parsed, head_len, content_length) = parse_response_head(&head).unwrap();
+        assert_eq!((head_len, content_length), (head.len(), 5000));
+        assert_eq!((parsed.status, parsed.body.len()), (200, 0));
+        assert_eq!(parsed.headers, resp.headers);
+    }
+
+    #[test]
     fn not_found_encodes() {
-        let enc = HttpResponse::not_found().encode();
+        let enc = wire(&HttpResponse::not_found());
         let (parsed, _) = parse_response(&enc).unwrap();
         assert_eq!(parsed.status, 404);
     }

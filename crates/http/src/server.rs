@@ -44,7 +44,8 @@ impl Default for ServerConfig {
 
 struct PendingReply {
     conn: ConnId,
-    response: Bytes,
+    /// Encoded head and body, queued on the socket as two chunks.
+    response: [Bytes; 2],
     close_after: bool,
     arrived: SimTime,
 }
@@ -150,10 +151,8 @@ impl OriginServer {
         let response = match self.catalog.lookup(req.path()) {
             Some((_, obj)) => {
                 // Deterministic filler body of the object's size.
-                let mut body = BytesMut::with_capacity(obj.size);
-                body.resize(obj.size, b'x');
                 self.bytes_served += obj.size as u64;
-                let mut resp = HttpResponse::ok(body.freeze());
+                let mut resp = HttpResponse::ok(self.catalog.body(obj.size));
                 resp.version = req.version.clone();
                 resp.with_header("Server", "simhttpd/1.0")
             }
@@ -178,7 +177,7 @@ impl OriginServer {
             id,
             PendingReply {
                 conn,
-                response: response.encode(),
+                response: [response.encode_head(), response.body],
                 close_after,
                 arrived: ctx.now(),
             },
@@ -283,7 +282,7 @@ impl Node for OriginServer {
             REPLY_TIMER_KIND => {
                 if let Some(reply) = self.pending.remove(&token.a) {
                     self.record_latency(ctx.now().saturating_sub(reply.arrived));
-                    self.stack.send(ctx, reply.conn, &reply.response);
+                    self.stack.send_vectored(ctx, reply.conn, reply.response);
                     if reply.close_after {
                         self.stack.close(ctx, reply.conn);
                     }

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use bytes::Bytes;
 use yoda_netsim::rng::{Distribution, Rng};
 
 /// Identifies an object within a catalog.
@@ -89,6 +90,8 @@ pub struct Site {
 pub struct SiteCatalog {
     sites: Vec<Site>,
     by_path: HashMap<String, ObjectId>,
+    /// `MAX_OBJECT_BYTES` of filler; every object's body is a prefix of it.
+    filler: Bytes,
 }
 
 /// Fallback site for out-of-range indices: the total accessors on
@@ -165,7 +168,16 @@ impl SiteCatalog {
                 pages,
             });
         }
-        SiteCatalog { sites, by_path }
+        SiteCatalog {
+            sites,
+            by_path,
+            filler: Bytes::from(vec![b'x'; MAX_OBJECT_BYTES]),
+        }
+    }
+
+    /// An object body of `size` bytes: a view of the shared filler, no copy.
+    pub fn body(&self, size: usize) -> Bytes {
+        self.filler.slice(..size.min(self.filler.len()))
     }
 
     /// Number of sites.
@@ -320,6 +332,16 @@ mod tests {
         let b = catalog();
         assert_eq!(a.total_objects(), b.total_objects());
         assert_eq!(a.median_object_size(), b.median_object_size());
+    }
+
+    #[test]
+    fn bodies_share_the_filler() {
+        let c = catalog();
+        let (a, b) = (c.body(MAX_OBJECT_BYTES), c.body(1024));
+        assert_eq!((a.len(), b.len()), (MAX_OBJECT_BYTES, 1024));
+        assert_eq!(a.as_ptr(), b.as_ptr(), "views of one allocation");
+        assert!(b.iter().all(|&x| x == b'x'));
+        assert_eq!(c.body(usize::MAX).len(), MAX_OBJECT_BYTES);
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl ProxyInstance {
             Some(server_conn) => {
                 // Splice client → server.
                 self.spliced_chunks += 1;
-                self.stack.send(ctx, server_conn, &data);
+                self.stack.send(ctx, server_conn, data);
             }
             None => {
                 session.header.extend_from_slice(&data);
@@ -193,7 +193,7 @@ impl ProxyInstance {
         };
         // Forward the buffered request.
         let header = session.header.split().freeze();
-        self.stack.send(ctx, server_conn, &header);
+        self.stack.send(ctx, server_conn, header);
     }
 
     fn on_server_data(&mut self, ctx: &mut Ctx<'_>, server_conn: ConnId) {
@@ -210,7 +210,7 @@ impl ProxyInstance {
         };
         self.spliced_chunks += 1;
         let client_conn = session.client_conn;
-        self.stack.send(ctx, client_conn, &data);
+        self.stack.send(ctx, client_conn, data);
     }
 
     fn propagate_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, from_client: bool) {

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 pub mod segment;
+mod sendq;
 pub mod seq;
 pub mod socket;
 pub mod stack;

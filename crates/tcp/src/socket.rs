@@ -18,10 +18,11 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use yoda_netsim::{Endpoint, SimTime};
 
 use crate::segment::{Flags, Segment};
+use crate::sendq::SendQueue;
 use crate::seq::SeqNum;
 
 /// Tunables for a socket.
@@ -130,11 +131,9 @@ pub struct TcpSocket {
     iss: SeqNum,
     snd_una: SeqNum,
     snd_nxt: SeqNum,
-    /// Bytes in [data_base, data_base+unacked.len()): sent-but-unacked
-    /// followed by queued-unsent data. `data_base` is the seq of
-    /// `unacked[0]`.
-    unacked: BytesMut,
-    data_base: SeqNum,
+    /// Sent-but-unacked followed by queued-unsent data, as the chunks the
+    /// application queued. Once connected its first byte is `snd_una`.
+    unacked: SendQueue,
     fin_queued: bool,
     fin_sent: bool,
     peer_window: u32,
@@ -161,14 +160,14 @@ pub struct TcpSocket {
     // Receive side.
     irs: SeqNum,
     rcv_nxt: SeqNum,
-    assembled: BytesMut,
+    /// In-order payload slices not yet read by the application.
+    assembled: Vec<Bytes>,
     out_of_order: BTreeMap<u32, Bytes>,
     peer_fin: Option<SeqNum>,
     time_wait_deadline: Option<SimTime>,
 
     // Counters for experiments.
     retransmitted_segments: u64,
-    delivered_bytes: u64,
 }
 
 impl TcpSocket {
@@ -227,8 +226,7 @@ impl TcpSocket {
             iss,
             snd_una: iss,
             snd_nxt: iss,
-            unacked: BytesMut::new(),
-            data_base: iss + 1,
+            unacked: SendQueue::default(),
             fin_queued: false,
             fin_sent: false,
             peer_window: cfg.recv_window,
@@ -244,12 +242,11 @@ impl TcpSocket {
             recover: None,
             irs: SeqNum::new(0),
             rcv_nxt: SeqNum::new(0),
-            assembled: BytesMut::new(),
+            assembled: Vec::new(),
             out_of_order: BTreeMap::new(),
             peer_fin: None,
             time_wait_deadline: None,
             retransmitted_segments: 0,
-            delivered_bytes: 0,
         }
     }
 
@@ -295,11 +292,6 @@ impl TcpSocket {
         self.retransmitted_segments
     }
 
-    /// Total in-order payload bytes delivered to the application.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
     /// True once the peer's FIN has been fully received.
     pub fn peer_closed(&self) -> bool {
         self.peer_fin.map(|f| self.rcv_nxt.gt(f)).unwrap_or(false)
@@ -310,16 +302,35 @@ impl TcpSocket {
         self.unacked.len()
     }
 
-    /// Drains and returns data received in order.
-    pub fn take_data(&mut self) -> Bytes {
-        self.assembled.split().freeze()
+    /// True while in-order data waits for [`TcpSocket::take_data`].
+    pub fn has_unread(&self) -> bool {
+        !self.assembled.is_empty()
     }
 
-    /// Queues application data and returns any segments transmittable now.
+    /// Drains data received in order: one segment as a view, several joined.
+    pub fn take_data(&mut self) -> Bytes {
+        if self.assembled.len() > 1 {
+            return Bytes::from(std::mem::take(&mut self.assembled).concat());
+        }
+        self.assembled.pop().unwrap_or_default()
+    }
+
+    /// Queues application data (kept, not copied, until acknowledged) and
+    /// returns any segments transmittable now.
     ///
     /// Data queued after [`TcpSocket::close`] is discarded (the send side
     /// is shut).
-    pub fn send(&mut self, data: &[u8], now: SimTime) -> Vec<Segment> {
+    pub fn send(&mut self, data: Bytes, now: SimTime) -> Vec<Segment> {
+        self.send_vectored([data], now)
+    }
+
+    /// [`TcpSocket::send`] for chunks queued back to back (a message head
+    /// and its body): segments are cut as if they were one buffer.
+    pub fn send_vectored(
+        &mut self,
+        chunks: impl IntoIterator<Item = Bytes>,
+        now: SimTime,
+    ) -> Vec<Segment> {
         if self.fin_queued
             || matches!(
                 self.state,
@@ -334,7 +345,9 @@ impl TcpSocket {
         {
             return Vec::new();
         }
-        self.unacked.extend_from_slice(data);
+        for chunk in chunks {
+            self.unacked.push(chunk);
+        }
         self.transmit_window(now)
     }
 
@@ -427,14 +440,11 @@ impl TcpSocket {
             }
             return Vec::new();
         }
-        let off = (self.snd_una - self.data_base) as usize;
-        let len = inflight.min(self.cfg.mss);
-        let Some(window) = self.unacked.get(off..off + len) else {
+        let Some(chunk) = self.unacked.head(inflight.min(self.cfg.mss)) else {
             // Accounting drift between snd_una and the buffer; nothing
             // sane to retransmit, recover via ACK clocking instead.
             return Vec::new();
         };
-        let chunk = Bytes::copy_from_slice(window);
         vec![self.make_segment(self.snd_una, Flags::ACK, chunk)]
     }
 
@@ -465,18 +475,15 @@ impl TcpSocket {
             let inflight = self.inflight_bytes();
             let window = self.cwnd.min(self.peer_window);
             let budget = window.saturating_sub(inflight) as usize;
-            let sent_off = (self.snd_nxt - self.data_base) as usize;
-            let avail = self.unacked.len().saturating_sub(sent_off);
-            let len = budget.min(avail).min(self.cfg.mss);
+            let len = budget.min(self.unacked.unsent()).min(self.cfg.mss);
             if len == 0 {
                 break;
             }
-            let Some(window) = self.unacked.get(sent_off..sent_off + len) else {
+            let Some(chunk) = self.unacked.take_unsent(len) else {
                 break;
             };
-            let chunk = Bytes::copy_from_slice(window);
             let mut flags = Flags::ACK;
-            flags.psh = sent_off + len == self.unacked.len();
+            flags.psh = self.unacked.unsent() == 0;
             let seg = self.make_segment(self.snd_nxt, flags, chunk);
             if self.rtt_probe.is_none() {
                 self.rtt_probe = Some((seg.seq_end(), now));
@@ -485,18 +492,15 @@ impl TcpSocket {
             out.push(seg);
         }
         // Flush FIN once all data is out.
-        if self.fin_queued && !self.fin_sent {
-            let all_sent = (self.snd_nxt - self.data_base) as usize >= self.unacked.len();
-            if all_sent {
-                let fin = self.make_segment(self.snd_nxt, Flags::FIN_ACK, Bytes::new());
-                self.snd_nxt += 1;
-                self.fin_sent = true;
-                self.state = match self.state {
-                    SocketState::CloseWait => SocketState::LastAck,
-                    _ => SocketState::FinWait1,
-                };
-                out.push(fin);
-            }
+        if self.fin_queued && !self.fin_sent && self.unacked.unsent() == 0 {
+            let fin = self.make_segment(self.snd_nxt, Flags::FIN_ACK, Bytes::new());
+            self.snd_nxt += 1;
+            self.fin_sent = true;
+            self.state = match self.state {
+                SocketState::CloseWait => SocketState::LastAck,
+                _ => SocketState::FinWait1,
+            };
+            out.push(fin);
         }
         if !out.is_empty() && self.rtx_deadline.is_none() {
             self.rtx_deadline = Some(now + self.rto);
@@ -599,14 +603,10 @@ impl TcpSocket {
             return;
         }
         // Fresh ACK: drop acknowledged bytes from the send buffer. The
-        // buffer holds data only, so clamp by its length (SYN/FIN occupy
-        // sequence space but no buffer bytes).
+        // buffer holds data only and clamps to what it sent (our FIN
+        // occupies sequence space but no buffer bytes).
         let acked = ack - self.snd_una;
-        let drop = (ack - self.data_base).min(self.unacked.len() as u32);
-        if drop > 0 {
-            let _ = self.unacked.split_to(drop as usize);
-            self.data_base += drop;
-        }
+        self.unacked.ack(acked as usize);
         self.snd_una = ack;
         self.dup_acks = 0;
         self.retries = 0;
@@ -709,8 +709,7 @@ impl TcpSocket {
                 if skip < seg.payload.len() {
                     let fresh = seg.payload.slice(skip..);
                     self.rcv_nxt += fresh.len() as u32;
-                    self.delivered_bytes += fresh.len() as u64;
-                    self.assembled.extend_from_slice(&fresh);
+                    self.assembled.push(fresh);
                     self.drain_out_of_order();
                 }
             } else {
@@ -752,8 +751,7 @@ impl TcpSocket {
                 if skip < payload.len() {
                     let fresh = payload.slice(skip..);
                     self.rcv_nxt += fresh.len() as u32;
-                    self.delivered_bytes += fresh.len() as u64;
-                    self.assembled.extend_from_slice(&fresh);
+                    self.assembled.push(fresh);
                 }
             }
         }
@@ -839,7 +837,7 @@ mod tests {
     fn small_transfer_delivers_bytes() {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(1);
-        let segs = client.send(b"GET / HTTP/1.0\r\n\r\n", t);
+        let segs = client.send(Bytes::from_static(b"GET / HTTP/1.0\r\n\r\n"), t);
         assert!(!segs.is_empty());
         pump(&mut client, &mut server, segs, t);
         assert_eq!(&server.take_data()[..], b"GET / HTTP/1.0\r\n\r\n");
@@ -850,21 +848,20 @@ mod tests {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(1);
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let segs = client.send(&data, t);
+        let segs = client.send(Bytes::from(data.clone()), t);
         for s in &segs {
             assert!(s.payload.len() <= 1460);
         }
         pump(&mut client, &mut server, segs, t);
         assert_eq!(&server.take_data()[..], &data[..]);
-        assert_eq!(server.delivered_bytes(), 100_000);
     }
 
     #[test]
     fn out_of_order_reassembly() {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(1);
-        let segs = client.send(&[1u8; 1460], t);
-        let segs2 = client.send(&[2u8; 1460], t);
+        let segs = client.send(Bytes::from(vec![1u8; 1460]), t);
+        let segs2 = client.send(Bytes::from(vec![2u8; 1460]), t);
         // Deliver the second segment first.
         let dup_acks = deliver(&mut server, &segs2, t);
         // Out-of-order data elicits an ACK for the old rcv_nxt.
@@ -880,7 +877,7 @@ mod tests {
     fn retransmission_after_loss() {
         let (mut client, mut server) = handshake();
         let t0 = SimTime::from_millis(1);
-        let segs = client.send(b"hello", t0);
+        let segs = client.send(Bytes::from_static(b"hello"), t0);
         // Segments lost: nothing delivered. RTO fires at min_rto (300 ms).
         drop(segs);
         let deadline = client.next_deadline().expect("rtx armed");
@@ -954,9 +951,9 @@ mod tests {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(5);
         // Client sends request, server answers, both close.
-        let req = client.send(b"req", t);
+        let req = client.send(Bytes::from_static(b"req"), t);
         pump(&mut client, &mut server, req, t);
-        let resp = server.send(b"resp", t);
+        let resp = server.send(Bytes::from_static(b"resp"), t);
         pump(&mut server, &mut client, resp, t);
         assert_eq!(&client.take_data()[..], b"resp");
 
@@ -982,7 +979,7 @@ mod tests {
         let t = SimTime::from_millis(1);
         // Fill beyond the initial cwnd so data remains queued, then close.
         let big = vec![7u8; 30_000];
-        let segs = client.send(&big, t);
+        let segs = client.send(Bytes::from(big), t);
         let fin_now = client.close(t);
         // FIN must not have been emitted while data is still queued.
         assert!(fin_now.iter().all(|s| !s.flags.fin));
@@ -998,7 +995,7 @@ mod tests {
         let (mut client, _server) = handshake();
         let t = SimTime::from_millis(1);
         client.close(t);
-        assert!(client.send(b"late", t).is_empty());
+        assert!(client.send(Bytes::from_static(b"late"), t).is_empty());
     }
 
     #[test]
@@ -1007,7 +1004,7 @@ mod tests {
         let t = SimTime::from_millis(1);
         // Send 5 segments; drop the first, deliver the rest.
         let data = vec![9u8; 1460 * 5];
-        let segs = client.send(&data, t);
+        let segs = client.send(Bytes::from(data.clone()), t);
         assert_eq!(segs.len(), 5);
         let mut dup_acks = Vec::new();
         for s in &segs[1..] {
@@ -1030,14 +1027,230 @@ mod tests {
     fn rtt_estimation_updates_rto() {
         let (mut client, mut server) = handshake();
         let t0 = SimTime::from_millis(10);
-        let segs = client.send(b"x", t0);
+        let segs = client.send(Bytes::from_static(b"x"), t0);
         let acks = deliver(&mut server, &segs, t0 + SimTime::from_millis(100));
         deliver(&mut client, &acks, t0 + SimTime::from_millis(200));
         // SRTT ≈ 200 ms; RTO = srtt + 4*rttvar ≈ 600 ms, above min_rto.
-        let segs2 = client.send(b"y", SimTime::from_millis(300));
+        let segs2 = client.send(Bytes::from_static(b"y"), SimTime::from_millis(300));
         let _ = segs2;
         let dl = client.next_deadline().expect("armed");
         assert!(dl > SimTime::from_millis(300) + SimTime::from_millis(300));
+    }
+
+    /// An ACK as the peer of `handshake()`'s client would send it.
+    fn peer_ack(sock: &TcpSocket, ack: SeqNum) -> Segment {
+        Segment {
+            src_port: sock.remote().port,
+            dst_port: sock.local().port,
+            seq: sock.irs() + 1,
+            ack,
+            flags: Flags::ACK,
+            window: 1 << 20,
+            payload: Bytes::new(),
+        }
+    }
+
+    /// An established sender whose ISS sits `below_wrap` short of 2^32.
+    fn sender(below_wrap: u32) -> TcpSocket {
+        let cfg = TcpConfig::default();
+        let (c_ep, s_ep) = eps();
+        let iss = SeqNum::new(u32::MAX - below_wrap);
+        let (mut sock, syn) = TcpSocket::connect(cfg, c_ep, s_ep, iss, SimTime::ZERO);
+        let (_, synack) =
+            TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(77), SimTime::ZERO).unwrap();
+        sock.on_segment(&synack, SimTime::ZERO);
+        assert_eq!(sock.state(), SocketState::Established);
+        sock
+    }
+
+    /// The two senders of the differential test below plus the oracle: the
+    /// plain `Vec<u8>` of every byte written so far.
+    struct Differential {
+        seed: u64,
+        chunked: TcpSocket,
+        whole: TcpSocket,
+        stream: Vec<u8>,
+        /// Sequence number of `stream[0]`.
+        first_seq: SeqNum,
+        /// Stream offset just past the highest byte emitted so far.
+        sent_hi: u32,
+        fin_seen: bool,
+    }
+
+    impl Differential {
+        /// Applies one input to both senders and checks what they emit.
+        fn both(&mut self, input: impl Fn(&mut TcpSocket) -> Vec<Segment>) {
+            let (a, b) = (input(&mut self.chunked), input(&mut self.whole));
+            self.check(a, b);
+        }
+
+        fn check(&mut self, chunked: Vec<Segment>, whole: Vec<Segment>) {
+            let seed = self.seed;
+            assert_eq!(
+                chunked, whole,
+                "seed {seed}: differs from the contiguous sender"
+            );
+            for seg in &chunked {
+                let off = seg.seq - self.first_seq;
+                assert_eq!(
+                    &seg.payload[..],
+                    &self.stream[off as usize..][..seg.payload.len()],
+                    "seed {seed}: payload at stream offset {off}"
+                );
+                self.sent_hi = self.sent_hi.max(off + seg.payload.len() as u32);
+                self.fin_seen |= seg.flags.fin;
+            }
+        }
+    }
+
+    /// Differential test of the chunked send buffer. `chunked` is handed
+    /// every write cut into random chunks (1 B .. 600 KB); `whole` is handed
+    /// the same write as one buffer, which is all the old contiguous send
+    /// buffer ever saw. Both get identical ACKs (mid-chunk, on a chunk
+    /// boundary, duplicate, old, beyond `snd_nxt`), triple duplicate ACKs,
+    /// RTOs and a close behind queued data, with the ISS within 3 MSS of the
+    /// sequence wrap. Every segment `chunked` emits must equal `whole`'s,
+    /// and every payload must equal the plain `Vec<u8>` of all bytes
+    /// written, at the offset its sequence number names.
+    #[test]
+    fn chunked_send_buffer_matches_contiguous_oracle() {
+        use yoda_netsim::rng::Rng;
+        const MSS: u32 = 1460;
+        for seed in 0..24u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let below_wrap = rng.gen_range(0..3 * MSS);
+            let chunked = sender(below_wrap);
+            let mut d = Differential {
+                seed,
+                first_seq: chunked.iss() + 1,
+                chunked,
+                whole: sender(below_wrap),
+                stream: Vec::new(),
+                sent_hi: 0,
+                fin_seen: false,
+            };
+            let ack_to = |d: &Differential, to: u32| peer_ack(&d.chunked, d.first_seq + to);
+            let mut boundaries: Vec<u32> = Vec::new();
+            // Stream offset of the highest cumulative ACK fed so far.
+            let mut acked = 0u32;
+            let mut now = SimTime::from_millis(1);
+            for step in 0..400 {
+                now += SimTime::from_millis(7);
+                let closing = step >= 300;
+                match rng.gen_range(0..10u64) {
+                    0..=2 if !closing && d.stream.len() < 3_000_000 => {
+                        let len = match rng.gen_range(0..4u64) {
+                            0 => rng.gen_range(1..=MSS),
+                            1 => rng.gen_range(MSS..40 * MSS),
+                            _ => rng.gen_range(1..=600_000u32),
+                        } as usize;
+                        let at = d.stream.len();
+                        d.stream
+                            .extend((at..at + len).map(|i| (i * 31 % 251) as u8));
+                        let mut chunks = Vec::new();
+                        let mut cut_at = at;
+                        while cut_at < at + len {
+                            let cut = match rng.gen_range(0..3u64) {
+                                0 => rng.gen_range(1..=3u32),
+                                1 => rng.gen_range(1..=2 * MSS),
+                                _ => rng.gen_range(1..=600_000u32),
+                            } as usize;
+                            let end = (cut_at + cut).min(at + len);
+                            chunks.push(Bytes::copy_from_slice(&d.stream[cut_at..end]));
+                            boundaries.push(end as u32);
+                            cut_at = end;
+                        }
+                        let a = d.chunked.send_vectored(chunks, now);
+                        let b = d.whole.send(Bytes::copy_from_slice(&d.stream[at..]), now);
+                        d.check(a, b);
+                    }
+                    3..=6 => {
+                        let sent_hi = d.sent_hi;
+                        let on_boundary = boundaries
+                            .iter()
+                            .copied()
+                            .find(|&b| b > acked && b <= sent_hi);
+                        let to = match (rng.gen_range(0..6u64), on_boundary) {
+                            (0, _) => acked,                                        // duplicate
+                            (1, _) => acked.saturating_sub(rng.gen_range(1..=MSS)), // old
+                            (2, _) => sent_hi + 1 + rng.gen_range(1..=MSS),         // never sent
+                            (3, Some(b)) => b,
+                            _ if sent_hi > acked => rng.gen_range(acked + 1..=sent_hi),
+                            _ => acked,
+                        };
+                        let ack = ack_to(&d, to);
+                        d.both(|s| s.on_segment(&ack, now));
+                        if to <= sent_hi {
+                            acked = acked.max(to);
+                        }
+                    }
+                    7 => {
+                        // Triple duplicate ACK: fast retransmit of the head.
+                        let ack = ack_to(&d, acked);
+                        for _ in 0..3 {
+                            d.both(|s| s.on_segment(&ack, now));
+                        }
+                    }
+                    8 => {
+                        if let Some(deadline) = d.chunked.next_deadline() {
+                            assert_eq!(d.whole.next_deadline(), Some(deadline));
+                            now = now.max(deadline);
+                            d.both(|s| s.on_timer(now));
+                        }
+                    }
+                    _ if closing => d.both(|s| s.close(now)),
+                    _ => {}
+                }
+                assert_eq!(
+                    d.chunked.bytes_outstanding(),
+                    d.stream.len() - acked as usize
+                );
+            }
+            // Drain: acknowledge whatever is emitted until the FIN is out.
+            d.both(|s| s.close(now));
+            for _ in 0..10_000 {
+                if d.fin_seen && acked as usize == d.stream.len() {
+                    break;
+                }
+                now += SimTime::from_millis(7);
+                acked = d.sent_hi;
+                let ack = ack_to(&d, acked);
+                d.both(|s| s.on_segment(&ack, now));
+            }
+            assert!(d.fin_seen, "seed {seed}: FIN never followed the data");
+            assert_eq!(
+                d.sent_hi as usize,
+                d.stream.len(),
+                "seed {seed}: bytes never sent"
+            );
+            assert_eq!(d.chunked.bytes_outstanding(), 0);
+        }
+    }
+
+    #[test]
+    fn full_segments_are_views_of_the_callers_buffer() {
+        let mut sock = sender(5);
+        let object = Bytes::from(vec![3u8; 100_000]);
+        let span = object.as_ptr() as usize..object.as_ptr() as usize + object.len();
+        let mut now = SimTime::from_millis(1);
+        let mut segs = sock.send(object.clone(), now);
+        let (mut seen, mut full) = (0usize, 0);
+        while seen < object.len() {
+            assert!(!segs.is_empty(), "stalled at {seen}");
+            for seg in &segs {
+                seen += seg.payload.len();
+                if seg.payload.len() == 1460 {
+                    full += 1;
+                    assert!(
+                        span.contains(&(seg.payload.as_ptr() as usize)),
+                        "a full segment was copied out of the caller's allocation"
+                    );
+                }
+            }
+            now += SimTime::from_millis(1);
+            segs = sock.on_segment(&peer_ack(&sock, sock.iss() + 1 + seen as u32), now);
+        }
+        assert_eq!(full, 100_000 / 1460);
     }
 
     #[test]
@@ -1052,7 +1265,7 @@ mod tests {
         let (mut server, synack) =
             TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(80), t).unwrap();
         let mut from_client = client.on_segment(&synack, t);
-        from_client.extend(client.send(b"payload", t));
+        from_client.extend(client.send(Bytes::from_static(b"payload"), t));
         // Merge: deliver ACK then data (two segments is fine too).
         deliver(&mut server, &from_client, t);
         assert_eq!(server.state(), SocketState::Established);

@@ -8,6 +8,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use yoda_netsim::{Ctx, Endpoint, Packet, SimTime, TimerToken};
 
 use crate::segment::{Flags, Segment};
@@ -29,7 +30,7 @@ pub enum TcpEvent {
     Incoming(ConnId, Endpoint),
     /// The handshake completed.
     Connected(ConnId),
-    /// In-order data is available via [`TcpStack::recv`].
+    /// Unread in-order data is waiting in [`TcpStack::recv`].
     Data(ConnId),
     /// The peer closed its half of the connection.
     PeerClosed(ConnId),
@@ -73,6 +74,9 @@ pub struct TcpStack {
     rst_unknown: bool,
     conns: BTreeMap<ConnId, ConnSlot>,
     by_flow: BTreeMap<(Endpoint, Endpoint), ConnId>,
+    /// Terminal connections the last `on_packet`/`on_timer` reported: dropped
+    /// at the next, once the owner handled that (it may `abort` meanwhile).
+    reported_dead: Vec<ConnId>,
     listeners: Vec<Endpoint>,
     next_id: u64,
     next_ephemeral: u16,
@@ -86,6 +90,7 @@ impl TcpStack {
             rst_unknown: true,
             conns: BTreeMap::new(),
             by_flow: BTreeMap::new(),
+            reported_dead: Vec::new(),
             listeners: Vec::new(),
             next_id: 1,
             next_ephemeral: 33000,
@@ -168,21 +173,28 @@ impl TcpStack {
         id
     }
 
-    /// Queues data on a connection.
-    pub fn send(&mut self, ctx: &mut Ctx<'_>, id: ConnId, data: &[u8]) {
+    /// Queues data on a connection; the socket holds `data` until acked.
+    pub fn send(&mut self, ctx: &mut Ctx<'_>, id: ConnId, data: Bytes) {
+        self.send_vectored(ctx, id, [data]);
+    }
+
+    /// Queues chunks back to back (see [`TcpSocket::send_vectored`]).
+    pub fn send_vectored(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: ConnId,
+        chunks: impl IntoIterator<Item = Bytes>,
+    ) {
         let now = ctx.now();
         if let Some(slot) = self.conns.get_mut(&id) {
-            let segs = slot.sock.send(data, now);
-            let (local, remote) = (slot.sock.local(), slot.sock.remote());
-            for s in segs {
-                ctx.send(s.into_packet(local, remote));
-            }
+            let segs = slot.sock.send_vectored(chunks, now);
+            transmit(ctx, &slot.sock, segs);
             self.rearm(ctx, id);
         }
     }
 
     /// Drains received data from a connection.
-    pub fn recv(&mut self, id: ConnId) -> bytes::Bytes {
+    pub fn recv(&mut self, id: ConnId) -> Bytes {
         self.conns
             .get_mut(&id)
             .map(|s| s.sock.take_data())
@@ -194,10 +206,7 @@ impl TcpStack {
         let now = ctx.now();
         if let Some(slot) = self.conns.get_mut(&id) {
             let segs = slot.sock.close(now);
-            let (local, remote) = (slot.sock.local(), slot.sock.remote());
-            for s in segs {
-                ctx.send(s.into_packet(local, remote));
-            }
+            transmit(ctx, &slot.sock, segs);
             self.rearm(ctx, id);
         }
     }
@@ -206,8 +215,7 @@ impl TcpStack {
     pub fn abort(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
         if let Some(slot) = self.conns.get_mut(&id) {
             let rst = slot.sock.abort();
-            let (local, remote) = (slot.sock.local(), slot.sock.remote());
-            ctx.send(rst.into_packet(local, remote));
+            transmit(ctx, &slot.sock, vec![rst]);
         }
     }
 
@@ -219,6 +227,7 @@ impl TcpStack {
     /// Handles a TCP packet addressed to this node. Returns lifecycle/data
     /// events for the owner.
     pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Vec<TcpEvent> {
+        self.drop_reported_dead();
         let Some(seg) = Segment::from_packet(pkt) else {
             return Vec::new();
         };
@@ -250,7 +259,7 @@ impl TcpStack {
                         ack: seg.seq_end(),
                         flags: Flags::RST,
                         window: 0,
-                        payload: bytes::Bytes::new(),
+                        payload: Bytes::new(),
                     };
                     ctx.send(rst.into_packet(pkt.dst, pkt.src));
                 }
@@ -261,10 +270,7 @@ impl TcpStack {
             return events;
         };
         let out = slot.sock.on_segment(&seg, now);
-        let (local, remote) = (slot.sock.local(), slot.sock.remote());
-        for s in out {
-            ctx.send(s.into_packet(local, remote));
-        }
+        transmit(ctx, &slot.sock, out);
         self.emit_events(id, &mut events);
         self.rearm(ctx, id);
         events
@@ -274,6 +280,7 @@ impl TcpStack {
     /// kind equals [`TCP_TIMER_KIND`].
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Vec<TcpEvent> {
         debug_assert_eq!(token.kind, TCP_TIMER_KIND);
+        self.drop_reported_dead();
         let id = ConnId(token.a);
         let now = ctx.now();
         let mut events = Vec::new();
@@ -286,10 +293,7 @@ impl TcpStack {
             _ => return events,
         }
         let out = slot.sock.on_timer(now);
-        let (local, remote) = (slot.sock.local(), slot.sock.remote());
-        for s in out {
-            ctx.send(s.into_packet(local, remote));
-        }
+        transmit(ctx, &slot.sock, out);
         self.emit_events(id, &mut events);
         self.rearm(ctx, id);
         events
@@ -314,7 +318,7 @@ impl TcpStack {
             slot.reported_peer_closed = true;
             events.push(TcpEvent::PeerClosed(id));
         }
-        if slot.sock.delivered_bytes() > 0 {
+        if slot.sock.has_unread() {
             // Data event whenever there is unread data; the owner drains.
             events.push(TcpEvent::Data(id));
         }
@@ -322,6 +326,16 @@ impl TcpStack {
         if state.is_terminal() {
             let flow = (slot.sock.remote(), slot.sock.local());
             self.by_flow.remove(&flow);
+            // A socket reset in TIME-WAIT still owes that timer, a simulated event.
+            if slot.sock.next_deadline().is_none() {
+                self.reported_dead.push(id);
+            }
+        }
+    }
+
+    fn drop_reported_dead(&mut self) {
+        for id in self.reported_dead.drain(..) {
+            self.conns.remove(&id);
         }
     }
 
@@ -346,6 +360,13 @@ impl TcpStack {
     }
 }
 
+/// Puts the segments a socket emitted on the wire.
+fn transmit(ctx: &mut Ctx<'_>, sock: &TcpSocket, segs: Vec<Segment>) {
+    for s in segs {
+        ctx.send(s.into_packet(sock.local(), sock.remote()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +379,8 @@ mod tests {
         stack: TcpStack,
         listen: Endpoint,
         echoed: u64,
+        /// `Data` events that found nothing to read.
+        empty_reads: u64,
     }
     impl Node for EchoServer {
         fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
@@ -368,8 +391,9 @@ mod tests {
                 match ev {
                     TcpEvent::Data(id) => {
                         let data = self.stack.recv(id);
+                        self.empty_reads += data.is_empty() as u64;
                         self.echoed += data.len() as u64;
-                        self.stack.send(ctx, id, &data);
+                        self.stack.send(ctx, id, data);
                     }
                     TcpEvent::PeerClosed(id) => self.stack.close(ctx, id),
                     _ => {}
@@ -402,8 +426,7 @@ mod tests {
             for ev in self.stack.on_packet(ctx, &pkt) {
                 match ev {
                     TcpEvent::Connected(id) => {
-                        let blob = self.blob.clone();
-                        self.stack.send(ctx, id, &blob);
+                        self.stack.send(ctx, id, Bytes::from(self.blob.clone()));
                     }
                     TcpEvent::Data(id) => {
                         let data = self.stack.recv(id);
@@ -447,6 +470,7 @@ mod tests {
                 stack: TcpStack::new(TcpConfig::default()),
                 listen: server_ep,
                 echoed: 0,
+                empty_reads: 0,
             }),
         );
         let blob: Vec<u8> = (0..blob_len).map(|i| (i % 253) as u8).collect();
@@ -493,6 +517,135 @@ mod tests {
         assert_eq!(client.received, blob, "retransmissions recover all data");
     }
 
+    /// Client that runs connect → send → read the echo → close, `cycles`
+    /// times, one connection after the other.
+    struct CycleClient {
+        stack: TcpStack,
+        local: Addr,
+        server: Endpoint,
+        cycles: u32,
+        conn: Option<ConnId>,
+        received: usize,
+        empty_reads: u64,
+        /// Most slots the stack ever held beyond its non-terminal sockets.
+        peak_dead_slots: usize,
+    }
+    const CYCLE_BLOB: usize = 20_000;
+    impl CycleClient {
+        fn next_cycle(&mut self, ctx: &mut Ctx<'_>) {
+            let dead = self.stack.conns.len() - self.stack.active_conns();
+            self.peak_dead_slots = self.peak_dead_slots.max(dead);
+            if self.cycles > 0 {
+                self.cycles -= 1;
+                self.received = 0;
+                let local = Endpoint::new(self.local, self.stack.ephemeral_port());
+                self.conn = Some(self.stack.connect(ctx, local, self.server));
+            }
+        }
+    }
+    impl Node for CycleClient {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.next_cycle(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+            for ev in self.stack.on_packet(ctx, &pkt) {
+                match ev {
+                    TcpEvent::Connected(id) => {
+                        self.stack.send(ctx, id, Bytes::from(vec![9u8; CYCLE_BLOB]));
+                    }
+                    TcpEvent::Data(id) => {
+                        let data = self.stack.recv(id);
+                        self.empty_reads += data.is_empty() as u64;
+                        self.received += data.len();
+                        if self.received == CYCLE_BLOB && !data.is_empty() {
+                            self.stack.close(ctx, id);
+                        }
+                    }
+                    // First reported on entering TIME-WAIT.
+                    TcpEvent::Closed(id) if self.conn == Some(id) => {
+                        self.conn = None;
+                        self.next_cycle(ctx);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+            self.stack.on_timer(ctx, token);
+        }
+    }
+
+    fn run_cycles(cycles: u32) -> (Engine, yoda_netsim::NodeId, yoda_netsim::NodeId) {
+        let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_millis(1)));
+        let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+        let server = eng.add_node(
+            "server",
+            server_ep.addr,
+            Zone::Dc,
+            Box::new(EchoServer {
+                stack: TcpStack::new(TcpConfig::default()),
+                listen: server_ep,
+                echoed: 0,
+                empty_reads: 0,
+            }),
+        );
+        let client = eng.add_node(
+            "client",
+            Addr::new(10, 2, 0, 1),
+            Zone::Dc,
+            Box::new(CycleClient {
+                stack: TcpStack::new(TcpConfig::default()),
+                local: Addr::new(10, 2, 0, 1),
+                server: server_ep,
+                cycles,
+                conn: None,
+                received: 0,
+                empty_reads: 0,
+                peak_dead_slots: 0,
+            }),
+        );
+        eng.run_for(SimTime::from_secs(60));
+        (eng, server, client)
+    }
+
+    #[test]
+    fn finished_connections_leave_the_stack() {
+        // 300 cycles of ~10 ms against a 1 s TIME-WAIT: about a hundred
+        // sockets linger at any moment, never all three hundred.
+        let (eng, server, client) = run_cycles(300);
+        let c = eng.node_ref::<CycleClient>(client);
+        assert_eq!((c.cycles, c.conn), (0, None), "all cycles ran");
+        assert_eq!(
+            eng.node_ref::<EchoServer>(server).echoed,
+            300 * CYCLE_BLOB as u64
+        );
+        // A terminal socket outlives its report by one stack call at most.
+        assert!(
+            c.peak_dead_slots <= 1,
+            "dead slots piled up: {}",
+            c.peak_dead_slots
+        );
+        assert!(
+            c.stack.conns.len() <= 1,
+            "client kept {}",
+            c.stack.conns.len()
+        );
+        let s = &eng.node_ref::<EchoServer>(server).stack;
+        assert!(s.conns.len() <= 1, "server kept {}", s.conns.len());
+        assert!(c.stack.by_flow.is_empty() && s.by_flow.is_empty());
+    }
+
+    #[test]
+    fn data_event_only_with_unread_data() {
+        // Both ends drain on every `Data` event, and both keep receiving
+        // pure ACKs afterwards (for the echo, for the FINs): none of those
+        // may raise another `Data` event.
+        let (eng, server, client) = run_cycles(3);
+        assert_eq!(eng.node_ref::<CycleClient>(client).empty_reads, 0);
+        assert_eq!(eng.node_ref::<EchoServer>(server).empty_reads, 0);
+        assert_eq!(eng.node_ref::<CycleClient>(client).received, CYCLE_BLOB);
+    }
+
     #[test]
     fn unknown_flow_gets_rst() {
         // A data segment to a stack with no matching flow and no listener
@@ -510,7 +663,7 @@ mod tests {
                     ack: SeqNum::new(0),
                     flags: Flags::ACK,
                     window: 100,
-                    payload: bytes::Bytes::from_static(b"stray"),
+                    payload: Bytes::from_static(b"stray"),
                 };
                 let me = Endpoint::new(Addr::new(10, 2, 0, 1), 5555);
                 ctx.send(seg.into_packet(me, self.server));
@@ -534,6 +687,7 @@ mod tests {
                 stack: TcpStack::new(TcpConfig::default()),
                 listen: Endpoint::new(server_ep.addr, 81), // listening elsewhere
                 echoed: 0,
+                empty_reads: 0,
             }),
         );
         let probe = eng.add_node(

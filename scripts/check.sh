@@ -8,8 +8,13 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 # The repo's benchmark is a package outside the workspace (BENCHMARK.json
 # runs it from source), so nothing above notices when a change to the
-# product crates breaks its build.
-cargo build --release --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
+# product crates breaks its build — or its output checks: --smoke runs all
+# four workloads on short windows and exits non-zero unless the event
+# digests agree across passes and between the traced and untraced pass,
+# the backends served at least the bytes the clients completed, and the
+# open-loop clients issued exactly rate x window.
+echo "==> bench_e2e --smoke"
+cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml -- --smoke
 
 echo "==> cargo test"
 cargo test -q --workspace

@@ -34,7 +34,7 @@ impl KeepAliveClient {
             .with_header("Host", "service0.test")
             .encode();
         self.next_req += 1;
-        self.stack.send(ctx, conn, &req);
+        self.stack.send(ctx, conn, req);
     }
 }
 

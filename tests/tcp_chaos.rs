@@ -23,7 +23,7 @@ fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
     let (mut server, synack) =
         TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(77), now).expect("syn");
     let mut to_server: Vec<Segment> = client.on_segment(&synack, now);
-    to_server.extend(client.send(data, now));
+    to_server.extend(client.send(bytes::Bytes::copy_from_slice(data), now));
     let mut received = Vec::new();
     // Alternate delivery rounds with chaos until both sides go idle and
     // all data arrived (or a safety cap).

@@ -19,7 +19,7 @@ fn socket_transfer_across_seq_wrap() {
         TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(u32::MAX - 9), t).unwrap();
     let mut to_server = client.on_segment(&synack, t);
     let data: Vec<u8> = (0..100_000).map(|i| (i % 249) as u8).collect();
-    to_server.extend(client.send(&data, t));
+    to_server.extend(client.send(bytes::Bytes::from(data.clone()), t));
     loop {
         let mut to_client = Vec::new();
         for s in &to_server {
