@@ -7,6 +7,9 @@
 //! * `flow_codec` — encode/decode of the TCPStore flow-state records
 //!   (runs on every connection setup).
 //! * `seq_translate` — the per-packet tunneling-phase header rewrite.
+//! * `forward_hop_1460b` — one whole instance hop on a full-size segment:
+//!   decapsulate, decode, translate, re-encode, re-encapsulate, each
+//!   hop's output feeding the next as on the wire.
 //! * `hash_ring` — K-replica selection in the TCPStore client.
 //! * `assign/*` — greedy assignment at trace scale and the exact B&B on a
 //!   small instance.
@@ -29,7 +32,7 @@ use yoda_core::flowstate::FlowRecord;
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
 use yoda_netsim::rng::Rng;
-use yoda_netsim::{Addr, Endpoint, SimTime};
+use yoda_netsim::{Addr, Endpoint, Packet, SimTime};
 use yoda_tcp::{SeqNum, Segment, TcpConfig, TcpSocket};
 
 /// Times `f` over enough iterations to fill ~200 ms, after a short
@@ -110,6 +113,39 @@ fn bench_seq_translate() {
         out.src_port = 80;
         out.dst_port = 40000;
         black_box(out.encode());
+    });
+}
+
+fn bench_forward_hop() {
+    // What the tunneling instance does to every data packet (Figure 4),
+    // codec included: pop the IP-in-IP header, decode the segment,
+    // translate seq/ack/ports, write the segment header back, push the
+    // IP-in-IP header for the next hop. Loop-carried — the packet one hop
+    // emits is the packet the next one receives — so the buffer is the
+    // sender's throughout, as it is on the simulated wire.
+    let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
+    let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+    let (mux, inst) = (Addr::new(10, 0, 2, 1), Addr::new(10, 0, 0, 1));
+    let seg = Segment {
+        src_port: client.port,
+        dst_port: vip.port,
+        seq: SeqNum::new(1_000_000),
+        ack: SeqNum::new(2_000_000),
+        flags: yoda_tcp::Flags::ACK,
+        window: 65535,
+        payload: Bytes::from(vec![0u8; 1460]),
+    };
+    let delta = 0x55AA55AAu32;
+    let mut wire = Some(seg.into_packet(client, vip).encapsulate(mux, inst));
+    bench("forward_hop_1460b", || {
+        let inner = wire.take().and_then(Packet::decapsulate).expect("ipip");
+        let (src, dst) = (inner.src, inner.dst);
+        let mut seg = Segment::from_packet(inner).expect("tcp");
+        seg.seq = SeqNum::new(seg.seq.raw().wrapping_add(delta));
+        seg.ack = SeqNum::new(seg.ack.raw().wrapping_sub(delta));
+        seg.src_port = src.port;
+        seg.dst_port = dst.port;
+        wire = Some(black_box(seg.into_packet(src, dst).encapsulate(inst, mux)));
     });
 }
 
@@ -201,6 +237,7 @@ fn main() {
     bench_rule_lookup();
     bench_flow_codec();
     bench_seq_translate();
+    bench_forward_hop();
     bench_hash_ring();
     bench_assign();
     bench_tcp_transfer();

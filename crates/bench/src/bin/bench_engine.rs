@@ -497,7 +497,7 @@ impl Node for PumpClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let Some(seg) = Segment::from_packet(&pkt) else {
+        let Some(seg) = Segment::from_packet(pkt) else {
             return;
         };
         if seg.flags.syn && seg.flags.ack {
@@ -600,7 +600,7 @@ impl PumpBackend {
 impl Node for PumpBackend {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let vss = pkt.src;
-        let Some(seg) = Segment::from_packet(&pkt) else {
+        let Some(seg) = Segment::from_packet(pkt) else {
             return;
         };
         if seg.flags.syn && !seg.flags.ack {

@@ -11,6 +11,14 @@
 //! trait, no vectored IO, no `split`-and-unsplit tricks. If a new call
 //! site needs more surface, add it here rather than reaching for the
 //! registry crate.
+//!
+//! One thing it has that `bytes` does not: headroom. A [`Bytes`] view may
+//! start past the front of its allocation ([`Bytes::with_headroom`],
+//! [`Bytes::advance`]), and a sole owner may grow the view back over that
+//! room to write a header in place ([`Bytes::try_prepend`]) — how a packet
+//! crosses router, mux and instance in the buffer its sender wrote
+//! (DESIGN.md "Byte path"). [`put_be`] and [`add_be32`] are the
+//! panic-free writers for such headers.
 
 #![deny(warnings)]
 
@@ -127,6 +135,62 @@ impl Bytes {
         }
     }
 
+    /// Drops the first `n` bytes from the view without touching the
+    /// reference count (`split_to` minus the returned head). Decoders pop a
+    /// header this way; the bytes stay in the allocation, in front of the
+    /// view, where [`Bytes::try_prepend`] can write the next header.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > len`.
+    #[inline]
+    pub fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "advance out of bounds");
+        self.start += n as u32;
+    }
+
+    /// Copies `parts` back to back into a fresh allocation with `room`
+    /// spare bytes in front of the view — the copy a sender (or any hop
+    /// holding a shared or room-less buffer) pays once so that every later
+    /// hop can [`Bytes::try_prepend`] its header in place.
+    pub fn with_headroom(room: usize, parts: &[&[u8]]) -> Bytes {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let mut v = Vec::with_capacity(room + len);
+        v.resize(room, 0);
+        for part in parts {
+            v.extend_from_slice(part);
+        }
+        let mut b = Bytes::from(v);
+        b.start = room as u32;
+        b
+    }
+
+    /// Grows the view backwards over the `header.len()` bytes just in
+    /// front of it and writes `header` there — the skb/mbuf "push". Works
+    /// only when this handle is the *only* reference to the allocation
+    /// (nobody else can be looking at those bytes) and the room exists;
+    /// otherwise returns `false` and leaves `self` untouched, and the
+    /// caller takes its copy branch ([`Bytes::with_headroom`]).
+    #[must_use]
+    #[inline]
+    pub fn try_prepend(&mut self, header: &[u8]) -> bool {
+        let old = self.start as usize;
+        let Some(new) = old.checked_sub(header.len()) else {
+            return false;
+        };
+        let Some(room) = self
+            .data
+            .as_mut()
+            .and_then(Arc::get_mut)
+            .and_then(|buf| buf.get_mut(new..old))
+        else {
+            return false;
+        };
+        room.copy_from_slice(header);
+        self.start = new as u32;
+        true
+    }
+
     /// Mutable access to the viewed bytes when this handle is the *only*
     /// reference to the backing allocation; `None` when the buffer is
     /// shared (or empty). Lets hot paths patch a few header bytes of a
@@ -144,6 +208,26 @@ impl Bytes {
 #[inline]
 pub fn array_at<const N: usize>(b: &[u8], at: usize) -> Option<[u8; N]> {
     b.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
+/// Writes `v` over the bytes at `at`; no-op if out of bounds. Header
+/// writers size their buffers first (a fixed array, or a frame a decoder
+/// already validated), so the guard never fires in practice — it keeps
+/// the per-packet paths free of panicking slices.
+#[inline]
+pub fn put_be(h: &mut [u8], at: usize, v: &[u8]) {
+    if let Some(dst) = at.checked_add(v.len()).and_then(|end| h.get_mut(at..end)) {
+        dst.copy_from_slice(v);
+    }
+}
+
+/// Adds `add` (mod 2³²) to the big-endian `u32` at `at`, in place.
+#[inline]
+pub fn add_be32(h: &mut [u8], at: usize, add: u32) {
+    if let Some(cur) = array_at::<4>(h, at) {
+        let sum = u32::from_be_bytes(cur).wrapping_add(add);
+        put_be(h, at, &sum.to_be_bytes());
+    }
 }
 
 impl Deref for Bytes {
@@ -517,6 +601,51 @@ mod tests {
         tail.try_mut().unwrap()[0] = 7;
         assert_eq!(tail, [7, 4]);
         assert!(Bytes::new().try_mut().is_none());
+    }
+
+    #[test]
+    fn prepend_in_place_only_when_unique_with_room() {
+        let mut b = Bytes::with_headroom(4, &[b"ab", b"cd"]);
+        assert_eq!(b, b"abcd");
+        let body = b.as_slice().as_ptr();
+        // More than the room: refused, untouched.
+        assert!(!b.try_prepend(b"12345"));
+        assert_eq!(b, b"abcd");
+        // A live clone shares the allocation: refused, neither side moves.
+        let c = b.clone();
+        assert!(!b.try_prepend(b"hh"));
+        assert_eq!(b, b"abcd");
+        assert_eq!(c, b"abcd");
+        drop(c);
+        // Unique with room: the header lands just in front, the body stays put.
+        assert!(b.try_prepend(b"hh"));
+        assert_eq!(b, b"hhabcd");
+        assert_eq!(b.as_slice()[2..].as_ptr(), body);
+        // `advance` pops it again and frees exactly that room.
+        b.advance(2);
+        assert_eq!(b, b"abcd");
+        assert!(b.try_prepend(b"HHHH"));
+        assert_eq!(b, b"HHHHabcd");
+        assert!(!b.try_prepend(b"x"), "room exhausted");
+        // No allocation, no room; an empty view keeps its allocation.
+        assert!(!Bytes::new().try_prepend(b"x"));
+        b.advance(8);
+        assert!(b.is_empty());
+        assert!(b.try_prepend(b"abcd"));
+        assert_eq!(b, b"abcd");
+    }
+
+    #[test]
+    fn header_writers_never_panic() {
+        let mut h = [0u8; 6];
+        put_be(&mut h, 1, &[0xAA, 0xBB]);
+        put_be(&mut h, 5, &[1, 2]); // would overrun: no-op
+        put_be(&mut h, usize::MAX, &[1]);
+        assert_eq!(h, [0, 0xAA, 0xBB, 0, 0, 0]);
+        put_be(&mut h, 2, &0xFFFF_FFFFu32.to_be_bytes());
+        add_be32(&mut h, 2, 3); // wraps mod 2^32
+        add_be32(&mut h, 3, 1); // would overrun: no-op
+        assert_eq!(h, [0, 0xAA, 0, 0, 0, 2]);
     }
 
     #[test]

@@ -459,21 +459,30 @@ impl YodaInstance {
     // Data path
     // ------------------------------------------------------------------
 
+    /// One decapsulated packet. Consumes it: the decoded segment then owns
+    /// the buffer alone, so a tunneled segment is re-encoded over its old
+    /// header and re-encapsulated in the room the decapsulation freed —
+    /// the instance forwards without allocating or touching the payload.
     fn handle_inner(&mut self, ctx: &mut Ctx<'_>, inner: Packet) {
-        let Some(seg) = Segment::from_packet(&inner) else {
-            self.dropped_unknown += 1;
-            return;
-        };
+        let pair = (inner.src, inner.dst);
+        match Segment::from_packet(inner) {
+            Some(seg) => self.handle_segment(ctx, pair, seg),
+            None => self.dropped_unknown += 1,
+        }
+    }
+
+    /// `seg` travelling `pair.0 → pair.1`: fresh from the wire, or parked
+    /// by a recovery lookup and re-fed once the flow is rebuilt.
+    fn handle_segment(&mut self, ctx: &mut Ctx<'_>, pair: (Endpoint, Endpoint), seg: Segment) {
         let now = ctx.now();
         let env = self.env(now);
         let affinity = hash_pair(
             7,
-            inner.src.addr.as_u32() as u64,
-            ((inner.src.port as u64) << 16) | inner.dst.port as u64,
+            pair.0.addr.as_u32() as u64,
+            ((pair.0.port as u64) << 16) | pair.1.port as u64,
         );
         // Server-side packets resolve through the reverse map; client-side
         // flows are keyed (client, vip). One lookup in each map.
-        let pair = (inner.src, inner.dst);
         let reverse = self.rflows.get(&pair).copied();
         let key = reverse.unwrap_or(pair);
         let flow = self.flows.get_mut(&key);
@@ -500,7 +509,7 @@ impl YodaInstance {
                 self.new_connection(ctx, delay, pair, seg.seq);
             } else {
                 // Another instance's flow: the recovery path (Figure 5).
-                self.start_recovery(ctx, inner);
+                self.start_recovery(ctx, pair, seg);
             }
             return;
         };

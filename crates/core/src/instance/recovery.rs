@@ -3,7 +3,8 @@
 //! TCPStore is asked under both hypotheses (client side / server side of
 //! a flow), and a hit rebuilds the flow and re-feeds the parked packets.
 
-use yoda_netsim::{Ctx, Endpoint, Packet, SimTime};
+use yoda_netsim::{Ctx, Endpoint, SimTime};
+use yoda_tcp::Segment;
 use yoda_tcpstore::{StoreEvent, StoreOutcome};
 
 use super::durability::Waiter;
@@ -15,9 +16,9 @@ use crate::flowstate::{FlowRecord, SynRecord};
 /// packets are discarded.
 const RECOVERY_TTL: SimTime = SimTime::from_secs(5);
 
-/// Packets awaiting one `(src, dst)` pair's recovery lookup.
+/// Segments awaiting one `(src, dst)` pair's recovery lookup.
 pub(super) struct RecoverEntry {
-    buffered: Vec<Packet>,
+    buffered: Vec<Segment>,
     outstanding: u8,
     syn_hit: Option<SynRecord>,
     flow_hit: Option<FlowRecord>,
@@ -25,10 +26,14 @@ pub(super) struct RecoverEntry {
 }
 
 impl YodaInstance {
-    pub(super) fn start_recovery(&mut self, ctx: &mut Ctx<'_>, inner: Packet) {
-        let rk = (inner.src, inner.dst);
+    pub(super) fn start_recovery(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        rk: (Endpoint, Endpoint),
+        seg: Segment,
+    ) {
         if let Some(entry) = self.recovering.get_mut(&rk) {
-            entry.buffered.push(inner);
+            entry.buffered.push(seg);
             return;
         }
         if self.dur.is_degraded() {
@@ -52,7 +57,7 @@ impl YodaInstance {
             self.dur.read(ctx, key, Waiter::Recover(rk));
         }
         let entry = RecoverEntry {
-            buffered: vec![inner],
+            buffered: vec![seg],
             outstanding: 3,
             syn_hit: None,
             flow_hit: None,
@@ -132,8 +137,8 @@ impl YodaInstance {
         self.flows.insert(key, flow);
         self.apply(ctx, key);
         ctx.trace_note(note);
-        for pkt in entry.buffered {
-            self.handle_inner(ctx, pkt);
+        for seg in entry.buffered {
+            self.handle_segment(ctx, rk, seg);
         }
     }
 

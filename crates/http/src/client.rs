@@ -470,7 +470,7 @@ impl Node for BrowserClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        for ev in self.stack.on_packet(ctx, &pkt) {
+        for ev in self.stack.on_packet(ctx, pkt) {
             match ev {
                 TcpEvent::Connected(conn) => {
                     if let Some(&fetch_id) = self.by_conn.get(&conn) {
@@ -717,7 +717,7 @@ impl Node for RateClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        for ev in self.stack.on_packet(ctx, &pkt) {
+        for ev in self.stack.on_packet(ctx, pkt) {
             match ev {
                 TcpEvent::Connected(conn) => {
                     if let Some((&fetch_id, fetch)) = self

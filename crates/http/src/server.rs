@@ -250,7 +250,7 @@ impl Node for OriginServer {
             }
             return;
         }
-        for ev in self.stack.on_packet(ctx, &pkt) {
+        for ev in self.stack.on_packet(ctx, pkt) {
             match ev {
                 TcpEvent::Data(conn) => self.drain_conn(ctx, conn),
                 TcpEvent::PeerClosed(conn) => {

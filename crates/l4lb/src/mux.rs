@@ -15,8 +15,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::Bytes;
-use yoda_netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_IPIP};
+use bytes::{add_be32, put_be, Bytes};
+use yoda_netsim::{
+    Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, IPIP_HEADER_LEN, PROTO_CTRL,
+    PROTO_IPIP,
+};
 use yoda_tcp::{Flags, Segment, SEGMENT_HEADER_LEN};
 
 use crate::ctrl::CtrlMsg;
@@ -77,27 +80,12 @@ fn splice_wellformed(pkt: &Packet) -> bool {
     }
 }
 
-/// Writes `v` over the bytes at `at`; no-op if out of bounds (callers
-/// have already validated the frame, so the guard never fires in
-/// practice — it just keeps the hot path free of panicking slices).
-fn put_be(h: &mut [u8], at: usize, v: &[u8]) {
-    if let Some(dst) = h.get_mut(at..at + v.len()) {
-        dst.copy_from_slice(v);
-    }
-}
-
-/// Adds `add` (mod 2³²) to the big-endian `u32` at `at`, in place.
-fn add_be32(h: &mut [u8], at: usize, add: u32) {
-    if let Some(cur) = bytes::array_at::<4>(h, at) {
-        put_be(h, at, &u32::from_be_bytes(cur).wrapping_add(add).to_be_bytes());
-    }
-}
-
 /// Applies a splice entry to a well-formed TCP packet by patching the
 /// segment header fields in place — ports, seq, and (when the ACK flag is
 /// set) ack — without touching the payload bytes. When the buffer is
 /// uniquely owned (the common case: packets in flight are moved, not
-/// shared) this copies nothing; a shared buffer takes one defensive copy.
+/// shared) this copies nothing; a shared buffer takes one defensive copy,
+/// which keeps the encapsulation room in front like a sender's would.
 fn splice_rewrite(pkt: &mut Packet, e: &SpliceEntry, has_ack: bool) {
     fn patch(h: &mut [u8], e: &SpliceEntry, has_ack: bool) {
         put_be(h, 0, &e.new_src.port.to_be_bytes());
@@ -108,11 +96,13 @@ fn splice_rewrite(pkt: &mut Packet, e: &SpliceEntry, has_ack: bool) {
         }
     }
     match pkt.payload.try_mut() {
-        Some(buf) => patch(buf, e, has_ack),
+        Some(h) => patch(h, e, has_ack),
         None => {
-            let mut v = pkt.payload.to_vec();
-            patch(&mut v, e, has_ack);
-            pkt.payload = bytes::Bytes::from(v);
+            let mut own = Bytes::with_headroom(IPIP_HEADER_LEN, &[&pkt.payload]);
+            if let Some(h) = own.try_mut() {
+                patch(h, e, has_ack);
+            }
+            pkt.payload = own;
         }
     }
     pkt.src = e.new_src;
@@ -313,14 +303,13 @@ impl Node for Mux {
         match pkt.protocol {
             PROTO_IPIP => {
                 let outer_src = pkt.src.addr;
+                // The inner packet is the outer buffer with its header
+                // popped: the splice fast path patches it in place, and
+                // `steer` re-encapsulates over the header just read.
                 let Some(inner) = pkt.decapsulate() else {
                     self.dropped += 1;
                     return;
                 };
-                // The inner payload is a view into the outer buffer; drop
-                // the outer packet so the splice fast path can patch the
-                // bytes in place instead of copying.
-                drop(pkt);
                 if inner.src.addr.is_vip() && !inner.dst.addr.is_vip() {
                     // Outbound SNAT traffic tunneled from an instance.
                     self.snat_out(ctx, inner, outer_src);
@@ -543,7 +532,7 @@ mod tests {
         // Delivered packets are IPIP-encapsulated toward the instance.
         let sample = &t.eng.node_ref::<Sink>(t.inst1).received[0];
         assert_eq!(sample.protocol, PROTO_IPIP);
-        let inner = sample.decapsulate().unwrap();
+        let inner = sample.clone().decapsulate().unwrap();
         assert_eq!(inner.dst.addr, Addr::new(100, 0, 0, 1));
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).forwarded, 100);
         // The table learned one entry per flow — and the idle sweep returns
@@ -685,7 +674,7 @@ mod tests {
             assert_eq!(got[0].protocol, PROTO_TCP);
             assert_eq!(got[0].src, Endpoint::new(Addr::new(100, 0, 0, 1), 40_000));
             assert_eq!(got[0].dst, Endpoint::new(backend_addr, 80));
-            let seg = Segment::from_packet(&got[0]).unwrap();
+            let seg = Segment::from_packet(got[0].clone()).unwrap();
             assert_eq!(seg.seq, SeqNum::new(1_100));
             assert_eq!(seg.ack, SeqNum::new(5_000));
             assert_eq!(&seg.payload[..], b"steady-state body");
@@ -705,6 +694,51 @@ mod tests {
         t.eng.run_for(MUX_SWEEP_PERIOD);
         prod_sweep(&mut t);
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).flow_entries(), 0);
+    }
+
+    #[test]
+    fn splice_rewrite_copies_a_shared_buffer_and_keeps_the_room() {
+        let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
+        let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+        let entry = SpliceEntry {
+            new_src: Endpoint::new(vip.addr, client.port),
+            new_dst: Endpoint::new(Addr::new(10, 1, 0, 9), 8080),
+            seq_add: 100,
+            ack_add: 0u32.wrapping_sub(50),
+            last_seen: SimTime::ZERO,
+        };
+        let data = || {
+            Segment {
+                src_port: client.port,
+                dst_port: vip.port,
+                seq: SeqNum::new(u32::MAX - 9),
+                ack: SeqNum::new(5_050),
+                flags: Flags::ACK,
+                window: 65_535,
+                payload: Bytes::from_static(b"body"),
+            }
+            .into_packet(client, vip)
+        };
+        // Sole owner: patched where it lies.
+        let mut own = data();
+        let at = own.payload.as_ptr();
+        splice_rewrite(&mut own, &entry, true);
+        assert_eq!(own.payload.as_ptr(), at);
+        // A clone is alive (a duplicated delivery): same bytes out, from
+        // a copy; the clone still reads the original.
+        let mut shared = data();
+        let keep = shared.clone();
+        splice_rewrite(&mut shared, &entry, true);
+        assert_eq!(shared, own);
+        assert_eq!(keep, data());
+        let seg = Segment::from_packet(shared.clone()).unwrap();
+        assert_eq!((seg.src_port, seg.dst_port), (40_000, 8080));
+        assert_eq!((seg.seq, seg.ack), (SeqNum::new(90), SeqNum::new(5_000)));
+        drop((seg, keep));
+        // The copy has a sender's headroom: the next hop is in place again.
+        let body = shared.payload.as_ptr();
+        let outer = shared.encapsulate(Addr::new(10, 0, 2, 1), Addr::new(10, 0, 0, 1));
+        assert_eq!(outer.payload[IPIP_HEADER_LEN..].as_ptr(), body);
     }
 
     #[test]

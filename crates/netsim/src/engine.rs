@@ -1081,14 +1081,11 @@ impl Engine {
             .get_mut(entry.slot as usize)
             .and_then(Option::take);
         self.core.free_payloads.push(entry.slot);
-        match payload {
-            Some(f) => {
-                self.core.digest = fnv_fold(self.core.digest, entry.time);
-                self.core.digest = fnv_fold(self.core.digest, 3u64);
-                f(self);
-            }
-            // Unreachable: every heap entry owns its payload slot.
-            None => {}
+        // Always `Some`: every heap entry owns its payload slot.
+        if let Some(f) = payload {
+            self.core.digest = fnv_fold(self.core.digest, entry.time);
+            self.core.digest = fnv_fold(self.core.digest, 3u64);
+            f(self);
         }
         true
     }

@@ -61,7 +61,8 @@ pub use rng::Rng;
 pub use engine::{Ctx, Engine, NodeId};
 pub use node::{Node, TimerId, TimerToken};
 pub use packet::{
-    Packet, Protocol, PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC, PROTO_TCP,
+    Packet, Protocol, IPIP_HEADER_LEN, PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
+    PROTO_TCP,
 };
 pub use service::ServiceQueue;
 pub use stats::{Counter, Histogram};

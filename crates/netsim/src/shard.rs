@@ -795,7 +795,7 @@ fn migrate_out(eng: &mut Engine, guards: &mut [MutexGuard<'_, ShardWorker>]) {
             g.rngs.push(meta.rng.clone());
         }
     }
-    let mut wheel = std::mem::replace(&mut eng.core.wheel, TimerWheel::new());
+    let mut wheel = std::mem::take(&mut eng.core.wheel);
     eng.core.wheel.advance(now_us);
     eng.core.relocated.clear();
     let mut moved: Vec<Vec<Fired>> = (0..shards).map(|_| Vec::new()).collect();
@@ -852,7 +852,7 @@ fn migrate_in(eng: &mut Engine, guards: &mut [MutexGuard<'_, ShardWorker>]) {
     let mut pending: Vec<Fired> = Vec::new();
     for g in guards.iter_mut() {
         debug_assert!(g.mini.is_empty(), "mini wheel must be empty between windows");
-        let mut wheel = std::mem::replace(&mut g.wheel, TimerWheel::new());
+        let mut wheel = std::mem::take(&mut g.wheel);
         while let Some(f) = wheel.pop() {
             pending.push(f);
         }
@@ -909,7 +909,7 @@ fn replay_window(eng: &mut Engine, guards: &mut [MutexGuard<'_, ShardWorker>], w
                 continue;
             };
             let seq = resolve_seq(rec.key, &prov_map);
-            if best.map_or(true, |(t, q, _)| (rec.time, seq) < (t, q)) {
+            if best.is_none_or(|(t, q, _)| (rec.time, seq) < (t, q)) {
                 best = Some((rec.time, seq, s));
             }
         }

@@ -310,12 +310,12 @@ impl Node for ProxyInstance {
                     return;
                 };
                 let dst = inner.dst;
-                let events = self.stack.on_packet(ctx, &inner);
+                let events = self.stack.on_packet(ctx, inner);
                 self.dispatch(ctx, events, Some(dst));
             }
             yoda_netsim::PROTO_TCP => {
                 // Backend leg: direct TCP to our own address.
-                let events = self.stack.on_packet(ctx, &pkt);
+                let events = self.stack.on_packet(ctx, pkt);
                 self.dispatch(ctx, events, None);
             }
             PROTO_CTRL => {

@@ -7,8 +7,8 @@
 //! is what lets Yoda's flow-state records store and replay *actual packet
 //! headers*, as the paper's TCPStore does.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use yoda_netsim::{Endpoint, Packet, PROTO_TCP};
+use bytes::{put_be, Bytes};
+use yoda_netsim::{Endpoint, Packet, IPIP_HEADER_LEN, PROTO_TCP};
 
 use crate::seq::SeqNum;
 
@@ -128,7 +128,7 @@ impl std::fmt::Display for Flags {
 ///     window: 65535,
 ///     payload: Bytes::new(),
 /// };
-/// let decoded = Segment::decode(seg.encode()).unwrap();
+/// let decoded = Segment::decode(seg.clone().encode()).unwrap();
 /// assert_eq!(decoded, seg);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,34 +164,57 @@ impl Segment {
         self.seq + self.seq_len()
     }
 
-    /// Encodes the segment to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(SEGMENT_HEADER_LEN + self.payload.len());
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u32(self.seq.raw());
-        buf.put_u32(self.ack.raw());
-        buf.put_u8(self.flags.to_byte());
-        buf.put_u32(self.window);
-        buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+    /// Encodes the segment to bytes, consuming it.
+    ///
+    /// A segment decoded from a packet this node owns — the tunneling
+    /// instance's case — still has its old header (and the IP-in-IP header
+    /// in front of that) sitting before the payload in a buffer nobody
+    /// else references: the new header is written over the old one and
+    /// the payload never moves. Any other payload (a slice of a send
+    /// queue, a crafted segment, a shared buffer) is copied once into a
+    /// fresh buffer with [`IPIP_HEADER_LEN`] bytes of room in front, so
+    /// every hop downstream can encapsulate in place.
+    pub fn encode(self) -> Bytes {
+        let mut h = [0u8; SEGMENT_HEADER_LEN];
+        put_be(&mut h, 0, &self.src_port.to_be_bytes());
+        put_be(&mut h, 2, &self.dst_port.to_be_bytes());
+        put_be(&mut h, 4, &self.seq.raw().to_be_bytes());
+        put_be(&mut h, 8, &self.ack.raw().to_be_bytes());
+        put_be(&mut h, 12, &[self.flags.to_byte()]);
+        put_be(&mut h, 13, &self.window.to_be_bytes());
+        put_be(&mut h, 17, &(self.payload.len() as u32).to_be_bytes());
+        let mut buf = self.payload;
+        if !buf.try_prepend(&h) {
+            buf = Bytes::with_headroom(IPIP_HEADER_LEN, &[&h, &buf]);
+        }
+        buf
     }
 
-    /// Decodes a segment; `None` on truncation or length mismatch.
-    pub fn decode(b: Bytes) -> Option<Segment> {
+    /// Decodes a segment; `None` on truncation or length mismatch. The
+    /// payload is `b` with the header popped off the front (same
+    /// allocation, no reference-count traffic).
+    pub fn decode(mut b: Bytes) -> Option<Segment> {
         let len = u32::from_be_bytes(bytes::array_at::<4>(&b, 17)?) as usize;
         if b.len() != SEGMENT_HEADER_LEN + len {
             return None;
         }
+        let (src_port, dst_port) = (
+            u16::from_be_bytes(bytes::array_at::<2>(&b, 0)?),
+            u16::from_be_bytes(bytes::array_at::<2>(&b, 2)?),
+        );
+        let seq = SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(&b, 4)?));
+        let ack = SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(&b, 8)?));
+        let flags = Flags::from_byte(*b.get(12)?);
+        let window = u32::from_be_bytes(bytes::array_at::<4>(&b, 13)?);
+        b.advance(SEGMENT_HEADER_LEN);
         Some(Segment {
-            src_port: u16::from_be_bytes(bytes::array_at::<2>(&b, 0)?),
-            dst_port: u16::from_be_bytes(bytes::array_at::<2>(&b, 2)?),
-            seq: SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(&b, 4)?)),
-            ack: SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(&b, 8)?)),
-            flags: Flags::from_byte(*b.get(12)?),
-            window: u32::from_be_bytes(bytes::array_at::<4>(&b, 13)?),
-            payload: b.slice(SEGMENT_HEADER_LEN..),
+            src_port,
+            dst_port,
+            seq,
+            ack,
+            flags,
+            window,
+            payload: b,
         })
     }
 
@@ -205,13 +228,14 @@ impl Segment {
         Packet::new(src, dst, PROTO_TCP, self.encode())
     }
 
-    /// Extracts a segment from a TCP packet; `None` for other protocols or
-    /// malformed payloads.
-    pub fn from_packet(pkt: &Packet) -> Option<Segment> {
+    /// Extracts the segment of a TCP packet, consuming it (the segment's
+    /// payload is the packet's buffer, now owned by the segment alone);
+    /// `None` for other protocols or malformed payloads.
+    pub fn from_packet(pkt: Packet) -> Option<Segment> {
         if pkt.protocol != PROTO_TCP {
             return None;
         }
-        Segment::decode(pkt.payload.clone())
+        Segment::decode(pkt.payload)
     }
 
     /// Reads just the flag byte of a TCP packet without decoding the whole
@@ -264,7 +288,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let s = seg(Flags::SYN_ACK, b"hello");
-        assert_eq!(Segment::decode(s.encode()).unwrap(), s);
+        assert_eq!(Segment::decode(s.clone().encode()).unwrap(), s);
     }
 
     #[test]
@@ -291,14 +315,46 @@ mod tests {
         let src = Endpoint::new(Addr::new(1, 1, 1, 1), 1234);
         let dst = Endpoint::new(Addr::new(2, 2, 2, 2), 80);
         let pkt = s.clone().into_packet(src, dst);
-        assert_eq!(Segment::from_packet(&pkt).unwrap(), s);
+        assert_eq!(Segment::from_packet(pkt).unwrap(), s);
+    }
+
+    #[test]
+    fn rewrite_lands_on_the_old_header() {
+        // Encode (the sender's one copy), decode, translate, re-encode:
+        // the payload stays where the sender put it, and the buffer keeps
+        // one IP-in-IP header of room in front for the next encapsulation.
+        let src = Endpoint::new(Addr::new(1, 1, 1, 1), 1234);
+        let dst = Endpoint::new(Addr::new(2, 2, 2, 2), 80);
+        let pkt = seg(Flags::ACK, b"payload").into_packet(src, dst);
+        let at = pkt.payload[SEGMENT_HEADER_LEN..].as_ptr();
+        let mut s = Segment::from_packet(pkt).unwrap();
+        assert_eq!(s.payload.as_ptr(), at, "decode is a view");
+        s.seq = s.seq + 1000;
+        let out = s.clone();
+        drop(s);
+        let pkt = out.clone().into_packet(src, dst);
+        // `out` is still alive: shared, so that one was a copy ...
+        assert_ne!(pkt.payload[SEGMENT_HEADER_LEN..].as_ptr(), at);
+        drop(pkt);
+        // ... and once it is the only handle the rewrite is in place.
+        let pkt = out.into_packet(src, dst);
+        assert_eq!(pkt.payload[SEGMENT_HEADER_LEN..].as_ptr(), at);
+        let outer = pkt.encapsulate(src.addr, dst.addr);
+        assert_eq!(
+            outer.payload[IPIP_HEADER_LEN + SEGMENT_HEADER_LEN..].as_ptr(),
+            at,
+            "sender reserved the encapsulation room"
+        );
+        let back = Segment::from_packet(outer.decapsulate().unwrap()).unwrap();
+        assert_eq!(back.seq, SeqNum::new(1007));
+        assert_eq!(&back.payload[..], b"payload");
     }
 
     #[test]
     fn from_packet_rejects_non_tcp() {
         let src = Endpoint::new(Addr::new(1, 1, 1, 1), 0);
         let pkt = Packet::new(src, src, yoda_netsim::PROTO_PING, Bytes::new());
-        assert!(Segment::from_packet(&pkt).is_none());
+        assert!(Segment::from_packet(pkt).is_none());
     }
 
     #[test]

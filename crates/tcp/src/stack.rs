@@ -226,42 +226,42 @@ impl TcpStack {
 
     /// Handles a TCP packet addressed to this node. Returns lifecycle/data
     /// events for the owner.
-    pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Vec<TcpEvent> {
+    pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) -> Vec<TcpEvent> {
         self.drop_reported_dead();
+        let flow @ (src, dst) = (pkt.src, pkt.dst);
         let Some(seg) = Segment::from_packet(pkt) else {
             return Vec::new();
         };
-        let flow = (pkt.src, pkt.dst);
         let now = ctx.now();
         let mut events = Vec::new();
         let id = match self.by_flow.entry(flow) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(_) => {
                 // New flow: maybe a listener accepts it.
-                if seg.flags.syn && !seg.flags.ack && self.listeners.contains(&pkt.dst) {
+                if seg.flags.syn && !seg.flags.ack && self.listeners.contains(&dst) {
                     let iss = SeqNum::new(ctx.node_rng().next_u32());
                     if let Some((sock, synack)) =
-                        TcpSocket::accept(self.cfg, pkt.dst, pkt.src, &seg, iss, now)
+                        TcpSocket::accept(self.cfg, dst, src, &seg, iss, now)
                     {
                         let id = self.insert(sock);
                         self.by_flow.insert(flow, id);
-                        ctx.send(synack.into_packet(pkt.dst, pkt.src));
+                        ctx.send(synack.into_packet(dst, src));
                         self.rearm(ctx, id);
-                        events.push(TcpEvent::Incoming(id, pkt.src));
+                        events.push(TcpEvent::Incoming(id, src));
                         return events;
                     }
                 }
                 if self.rst_unknown && !seg.flags.rst {
                     let rst = Segment {
-                        src_port: pkt.dst.port,
-                        dst_port: pkt.src.port,
+                        src_port: dst.port,
+                        dst_port: src.port,
                         seq: seg.ack,
                         ack: seg.seq_end(),
                         flags: Flags::RST,
                         window: 0,
                         payload: Bytes::new(),
                     };
-                    ctx.send(rst.into_packet(pkt.dst, pkt.src));
+                    ctx.send(rst.into_packet(dst, src));
                 }
                 return events;
             }
@@ -387,7 +387,7 @@ mod tests {
             self.stack.listen(self.listen);
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-            for ev in self.stack.on_packet(ctx, &pkt) {
+            for ev in self.stack.on_packet(ctx, pkt) {
                 match ev {
                     TcpEvent::Data(id) => {
                         let data = self.stack.recv(id);
@@ -423,7 +423,7 @@ mod tests {
             self.conn = Some(id);
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-            for ev in self.stack.on_packet(ctx, &pkt) {
+            for ev in self.stack.on_packet(ctx, pkt) {
                 match ev {
                     TcpEvent::Connected(id) => {
                         self.stack.send(ctx, id, Bytes::from(self.blob.clone()));
@@ -548,7 +548,7 @@ mod tests {
             self.next_cycle(ctx);
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-            for ev in self.stack.on_packet(ctx, &pkt) {
+            for ev in self.stack.on_packet(ctx, pkt) {
                 match ev {
                     TcpEvent::Connected(id) => {
                         self.stack.send(ctx, id, Bytes::from(vec![9u8; CYCLE_BLOB]));
@@ -669,7 +669,7 @@ mod tests {
                 ctx.send(seg.into_packet(me, self.server));
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
-                if let Some(seg) = Segment::from_packet(&pkt) {
+                if let Some(seg) = Segment::from_packet(pkt) {
                     if seg.flags.rst {
                         self.got_rst = true;
                     }

@@ -76,7 +76,7 @@ impl StoreRequest {
 
     /// Parses a request; `None` on malformed input.
     pub fn decode(b: &Bytes) -> Option<StoreRequest> {
-        let op = StoreOp::from_byte(*b.get(0)?)?;
+        let op = StoreOp::from_byte(*b.first()?)?;
         let req_id = u64::from_be_bytes(bytes::array_at::<8>(b, 1)?);
         let key_len = u16::from_be_bytes(bytes::array_at::<2>(b, 9)?) as usize;
         let val_len = u32::from_be_bytes(bytes::array_at::<4>(b, 11)?) as usize;
@@ -127,7 +127,7 @@ impl StoreResponse {
 
     /// Parses a response; `None` on malformed input or a request byte.
     pub fn decode(b: &Bytes) -> Option<StoreResponse> {
-        let tag = *b.get(0)?;
+        let tag = *b.first()?;
         if tag & 0x80 == 0 {
             return None;
         }

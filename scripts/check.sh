@@ -19,6 +19,11 @@ cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/bench
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo clippy (data path)"
+# The crates a simulated packet crosses, warnings denied. The harness,
+# the solvers and yoda-tidy itself are not gated (yet).
+cargo clippy --offline -p bytes -p yoda-netsim -p yoda-tcp -p yoda-l4lb -p yoda-tcpstore -p yoda-balance -p yoda-http -p yoda-core -p yoda-proxy -- -D warnings
+
 echo "==> yoda-tidy"
 # One gate: the committed baseline (results/tidy_baseline.json) holds 0
 # violations in every category, and yoda-tidy itself exits non-zero on

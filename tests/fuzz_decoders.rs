@@ -57,7 +57,7 @@ fn decoders_survive_bit_flips() {
     // original sampled this space; exhaustive is both cheaper and total).
     for flip_byte in 0usize..64 {
         for flip_bit in 0u8..8 {
-            let mut enc = seg.encode().to_vec();
+            let mut enc = seg.clone().encode().to_vec();
             let idx = flip_byte % enc.len();
             enc[idx] ^= 1 << flip_bit;
             let _ = Segment::decode(Bytes::from(enc));

@@ -117,15 +117,15 @@ fn segment_roundtrip() {
             window: rng.next_u32(),
             payload: Bytes::from(payload),
         };
-        let decoded = Segment::decode(seg.encode());
+        let decoded = Segment::decode(seg.clone().encode());
         assert_eq!(decoded.as_ref(), Some(&seg));
         // Through IP-in-IP encapsulation as well.
         let src = Endpoint::new(Addr::new(1, 2, 3, 4), src_port);
         let dst = Endpoint::new(Addr::new(5, 6, 7, 8), dst_port);
-        let pkt = Packet::new(src, dst, PROTO_TCP, seg.encode());
+        let pkt = Packet::new(src, dst, PROTO_TCP, seg.clone().encode());
         let outer = pkt.encapsulate(Addr::new(9, 9, 9, 9), Addr::new(8, 8, 8, 8));
         let inner = outer.decapsulate().expect("decaps");
-        assert_eq!(Segment::from_packet(&inner), Some(seg));
+        assert_eq!(Segment::from_packet(inner), Some(seg));
     }
 }
 

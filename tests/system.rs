@@ -46,7 +46,7 @@ impl Node for KeepAliveClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        for ev in self.stack.on_packet(ctx, &pkt) {
+        for ev in self.stack.on_packet(ctx, pkt) {
             match ev {
                 TcpEvent::Connected(_) => self.send_next(ctx),
                 TcpEvent::Data(conn) => {
