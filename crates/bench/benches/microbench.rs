@@ -18,6 +18,11 @@
 //!   on its own, so ~300 ACKs each find most of the object still unacked:
 //!   the shape whose cost was quadratic while the send buffer was copied
 //!   per ACK. Also printed per payload byte.
+//! * `flow_lookup_hit/*`, `flow_lookup_miss/*`, `flow_insert_remove/*` —
+//!   the `FlowTable` every per-packet lookup goes through, keyed by
+//!   `(Endpoint, Endpoint)`, at 5,000 live flows (one mux) and 50,000 (the
+//!   whole tier on the open-loop workload). The same loops over a
+//!   `BTreeMap` are in EXPERIMENTS.md "Flow tables".
 //!
 //! Run with `cargo bench -p yoda-bench`. Wall-clock timing lives only in
 //! this binary; simulation code must never read the host clock.
@@ -32,7 +37,7 @@ use yoda_core::flowstate::FlowRecord;
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
 use yoda_netsim::rng::Rng;
-use yoda_netsim::{Addr, Endpoint, Packet, SimTime};
+use yoda_netsim::{Addr, Endpoint, FlowTable, Packet, SimTime};
 use yoda_tcp::{SeqNum, Segment, TcpConfig, TcpSocket};
 
 /// Times `f` over enough iterations to fill ~200 ms, after a short
@@ -233,6 +238,46 @@ fn bench_tcp_transfer() {
     );
 }
 
+/// `n` flows as the open-loop workload makes them: a handful of client
+/// hosts walking their ephemeral ports toward one VIP. `port_base` picks
+/// the window, so two calls give disjoint key sets over the same hosts.
+fn flow_keys(n: usize, port_base: u16) -> Vec<(Endpoint, Endpoint)> {
+    let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+    (0..n)
+        .map(|i| {
+            let host = Addr::new(172, 16, 0, 1 + (i % 8) as u8);
+            (Endpoint::new(host, port_base + (i / 8) as u16), vip)
+        })
+        .collect()
+}
+
+fn bench_flow_table() {
+    for &n in &[5_000usize, 50_000] {
+        let live = flow_keys(n, 33_000);
+        let absent = flow_keys(n, 53_000);
+        let mut table = FlowTable::new();
+        for (i, k) in live.iter().enumerate() {
+            table.insert(*k, i as u64);
+        }
+        let mut rng = Rng::seed_from_u64(1);
+        bench(&format!("flow_lookup_hit/{n}"), || {
+            let k = &live[rng.gen_range(0..n)];
+            black_box(table.get(black_box(k)));
+        });
+        bench(&format!("flow_lookup_miss/{n}"), || {
+            let k = &absent[rng.gen_range(0..n)];
+            black_box(table.get(black_box(k)));
+        });
+        // A connection's life at a full table: learned, then swept.
+        bench(&format!("flow_insert_remove/{n}"), || {
+            let k = absent[rng.gen_range(0..n)];
+            table.insert(k, 0);
+            black_box(table.remove(&k));
+        });
+        assert_eq!(table.len(), n);
+    }
+}
+
 fn main() {
     bench_rule_lookup();
     bench_flow_codec();
@@ -241,4 +286,5 @@ fn main() {
     bench_hash_ring();
     bench_assign();
     bench_tcp_transfer();
+    bench_flow_table();
 }

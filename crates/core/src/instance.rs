@@ -37,8 +37,8 @@ use bytes::Bytes;
 use yoda_balance::{ProbeConfig, Prober};
 use yoda_netsim::hash::hash_pair;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
-    PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
+    Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken,
+    PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
 };
 use yoda_tcp::{Segment, SeqNum};
 use yoda_tcpstore::{StoreClient, StoreClientConfig, StoreEvent, StoreOutcome};
@@ -151,9 +151,9 @@ pub struct YodaInstance {
     prober: Prober,
     dur: Durability,
     cpu: ServiceQueue,
-    flows: BTreeMap<FlowKey, Flow>,
+    flows: FlowTable<FlowKey, Flow>,
     /// (backend, vip-server-side) → client flow key.
-    rflows: BTreeMap<(Endpoint, Endpoint), FlowKey>,
+    rflows: FlowTable<(Endpoint, Endpoint), FlowKey>,
     /// (src, dst) of packets awaiting a recovery lookup.
     recovering: BTreeMap<(Endpoint, Endpoint), RecoverEntry>,
     /// The action buffer every transition writes into (reused: no
@@ -234,8 +234,8 @@ impl YodaInstance {
             dur: Durability::new(cfg.store.clone(), addr, store_servers),
             cpu: ServiceQueue::new(cfg.cores),
             cfg,
-            flows: BTreeMap::new(),
-            rflows: BTreeMap::new(),
+            flows: FlowTable::new(),
+            rflows: FlowTable::new(),
             recovering: BTreeMap::new(),
             actions: Vec::new(),
             requests: 0,
@@ -623,14 +623,9 @@ impl YodaInstance {
                     vcfg.rules.purge_backend(backend);
                 }
                 // Connections through a failed backend are terminated
-                // (§5.2).
-                let doomed: Vec<FlowKey> = self
-                    .flows
-                    .iter()
-                    .filter(|(_, f)| f.backend() == Some(backend))
-                    .map(|(k, _)| *k)
-                    .collect();
-                for key in doomed {
+                // (§5.2) — in key order: each retirement sends RSTs and
+                // store deletes, and the wire must not show table layout.
+                for key in self.flows.sorted_keys(|_, f| f.backend() == Some(backend)) {
                     self.retire(ctx, key, Exit::BackendDown);
                 }
             }
@@ -660,13 +655,12 @@ impl YodaInstance {
     /// entries and stale recovery lookups.
     fn gc(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let expired: Vec<(FlowKey, Exit)> = self
-            .flows
-            .iter()
-            .filter_map(|(k, f)| f.expired(now).map(|why| (*k, why)))
-            .collect();
-        for (key, why) in expired {
-            self.retire(ctx, key, why);
+        // In key order: a retirement can send, and the wire must not show
+        // table layout.
+        for key in self.flows.sorted_keys(|_, f| f.expired(now).is_some()) {
+            if let Some(why) = self.flows.get(&key).and_then(|f| f.expired(now)) {
+                self.retire(ctx, key, why);
+            }
         }
         self.expire_recoveries(now);
     }

@@ -7,10 +7,10 @@
 //! writes and reads and gets back, per store event, *whose* wait just
 //! ended; it never sees a flow.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
-use yoda_netsim::{Addr, Ctx, Endpoint, Packet, SimTime, TimerToken};
+use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Packet, SimTime, TimerToken};
 use yoda_tcpstore::{
     StoreClient, StoreClientConfig, StoreEvent, StoreOp, StoreOutcome, OP_TIMEOUT,
 };
@@ -72,7 +72,7 @@ pub(crate) enum Waiter {
 pub struct Durability {
     store: StoreClient,
     probe_key: Bytes,
-    waiting: BTreeMap<u64, Waiter>,
+    waiting: FlowTable<u64, Waiter>,
     next_tag: u64,
     /// Degraded mode (store brownout): SYN-ACKs no longer wait on store
     /// acks; writes buffer in `write_behind`.
@@ -100,7 +100,7 @@ impl Durability {
         Durability {
             store: StoreClient::new(cfg, Endpoint::new(addr, 9999), store_servers),
             probe_key: Bytes::from(format!("hprobe:{addr}")),
-            waiting: BTreeMap::new(),
+            waiting: FlowTable::new(),
             next_tag: 1,
             degraded: false,
             consec_write_timeouts: 0,

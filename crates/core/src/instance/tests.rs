@@ -673,6 +673,76 @@ fn every_exit_route_releases_the_flow() {
     assert!(r.inst().rflows.is_empty());
 }
 
+/// What the instance put on the wire since the trace was enabled: every
+/// packet it handed to the engine, in order (the reset segments have no
+/// route in this rig and are traced as drops, still in send order).
+fn wire_of(r: &Rig) -> Vec<(Endpoint, Endpoint, yoda_netsim::Protocol)> {
+    let names = r.eng.names();
+    r.eng
+        .trace()
+        .events()
+        .into_iter()
+        .filter(|ev| names.resolve(ev.node) == "inst")
+        .filter_map(|ev| Some((ev.src?, ev.dst?, ev.protocol?)))
+        .collect()
+}
+
+/// gc and `BackendDown` walk the whole flow table and retire what they
+/// find; a retirement can send RSTs and store deletes. Two instances
+/// holding the same flows, learned in opposite orders (so their tables
+/// are laid out differently), must put the same packets on the wire in
+/// the same order. Fails when `FlowTable::sorted_keys` stops sorting.
+#[test]
+fn table_walks_do_not_leak_insertion_order() {
+    const FLOWS: u16 = 300;
+    let client = |i: u16| Endpoint::new(t_client().addr, 40_000 + i);
+    let vss = |i: u16| Endpoint::new(t_vip().addr, 40_000 + i);
+    let run = |order: &mut dyn Iterator<Item = u16>| {
+        let order: Vec<u16> = order.collect();
+        let mut r = Rig::new(ONE_BACKEND);
+        // Each step for every flow, then time for the store to work
+        // through that step's writes.
+        let mut each = |step: &dyn Fn(&mut Rig, u16)| {
+            order.iter().for_each(|&i| step(&mut r, i));
+            r.run_ms(20);
+        };
+        each(&|r, i| r.inject(client(i), t_vip(), t_seg(Flags::SYN, C_ISN, 0, b"")));
+        each(&|r, i| r.inject(client(i), t_vip(), t_seg(Flags::ACK, C_ISN + 1, 0, REQ)));
+        each(&|r, i| r.inject(t_backend(1), vss(i), t_synack(S_ISN)));
+        // Every third tunnel closes both ways and starts draining.
+        each(&|r, i| {
+            if i % 3 == 0 {
+                let fin = C_ISN + 1 + REQ.len() as u32;
+                r.inject(client(i), t_vip(), t_seg(Flags::FIN_ACK, fin, 0, b""));
+                r.inject(
+                    t_backend(1),
+                    vss(i),
+                    t_seg(Flags::FIN_ACK, S_ISN + 1, 0, b""),
+                );
+            }
+        });
+        assert_eq!(r.inst().live_flows(), FLOWS as usize);
+        // gc, past the drain deadline of the closed third ...
+        r.eng.enable_trace(1 << 16);
+        r.run_ms(8_000);
+        let after_gc = (r.inst().live_flows(), r.inst().rflows.len(), r.load(1));
+        assert_eq!(after_gc, (200, 200, 200));
+        // ... then the backend fails under the rest.
+        r.ctrl(InstanceCtrl::BackendDown {
+            backend: t_backend(1),
+        });
+        r.run_ms(5);
+        r.assert_released(0);
+        wire_of(&r)
+    };
+    let wire = run(&mut (0..FLOWS));
+    let resets = wire
+        .iter()
+        .filter(|(_, dst, _)| dst.addr == t_client().addr);
+    assert_eq!(resets.count(), 200, "one RST per live client");
+    assert_eq!(run(&mut (0..FLOWS).rev()), wire);
+}
+
 #[test]
 fn config_defaults_match_calibration() {
     // A small-object (10 KB) request crosses the instance as ~20

@@ -10,11 +10,10 @@
 //!   (§7.1, §7.3): issues single-object fetches at a fixed rate,
 //!   recording per-request latencies.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use yoda_netsim::{Addr, Ctx, Endpoint, Histogram, Node, Packet, SimTime, TimerToken};
+use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, SimTime, TimerToken};
 use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
 
 use crate::message::{parse_response_head, HttpRequest};
@@ -166,8 +165,8 @@ pub struct BrowserClient {
     addr: Addr,
     catalog: Arc<SiteCatalog>,
     stack: TcpStack,
-    fetches: HashMap<u64, Fetch>,
-    by_conn: HashMap<ConnId, u64>,
+    fetches: FlowTable<u64, Fetch>,
+    by_conn: FlowTable<ConnId, u64>,
     processes: Vec<Process>,
     next_fetch: u64,
     /// Latency of each completed (or failed-at-timeout) object fetch, ms.
@@ -210,8 +209,8 @@ impl BrowserClient {
             addr,
             catalog,
             stack,
-            fetches: HashMap::new(),
-            by_conn: HashMap::new(),
+            fetches: FlowTable::new(),
+            by_conn: FlowTable::new(),
             processes: Vec::new(),
             next_fetch: 0,
             request_latencies: Histogram::new(),
@@ -585,8 +584,8 @@ pub struct RateClient {
     catalog: Arc<SiteCatalog>,
     stack: TcpStack,
     started_at: SimTime,
-    fetches: HashMap<u64, Fetch>,
-    by_conn: HashMap<ConnId, u64>,
+    fetches: FlowTable<u64, Fetch>,
+    by_conn: FlowTable<ConnId, u64>,
     next_fetch: u64,
     /// Completed request latencies (connection setup + fetch), ms.
     pub latencies: Histogram,
@@ -619,8 +618,8 @@ impl RateClient {
             catalog,
             stack,
             started_at: SimTime::ZERO,
-            fetches: HashMap::new(),
-            by_conn: HashMap::new(),
+            fetches: FlowTable::new(),
+            by_conn: FlowTable::new(),
             next_fetch: 0,
             latencies: Histogram::new(),
             fetch_latencies: Histogram::new(),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use yoda_balance::{ProbeReply, ProbeRequest};
-use yoda_netsim::{Ctx, Endpoint, Node, Packet, ServiceQueue, SimTime, TimerToken};
+use yoda_netsim::{Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken};
 use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
 
 use crate::message::{parse_request, HttpRequest, HttpResponse};
@@ -65,8 +65,8 @@ pub struct OriginServer {
     catalog: Arc<SiteCatalog>,
     stack: TcpStack,
     cpu: ServiceQueue,
-    buffers: std::collections::HashMap<ConnId, BytesMut>,
-    pending: std::collections::HashMap<u64, PendingReply>,
+    buffers: FlowTable<ConnId, BytesMut>,
+    pending: FlowTable<u64, PendingReply>,
     next_reply: u64,
     speed_factor: f64,
     latency_ewma: SimTime,
@@ -203,7 +203,9 @@ impl OriginServer {
         if data.is_empty() {
             return;
         }
-        self.buffers.entry(conn).or_default().extend_from_slice(&data);
+        self.buffers
+            .get_or_insert_with(conn, BytesMut::default)
+            .extend_from_slice(&data);
         // Keep-alive connections can carry several back-to-back requests.
         // Re-look the buffer up each round: handling a request may drop it.
         loop {
@@ -256,7 +258,7 @@ impl Node for OriginServer {
                 TcpEvent::PeerClosed(conn) => {
                     // Serve whatever is parsed, then close our side.
                     self.drain_conn(ctx, conn);
-                    let has_pending = self.pending.values().any(|p| p.conn == conn);
+                    let has_pending = self.pending.any(|_, p| p.conn == conn);
                     if !has_pending {
                         self.stack.close(ctx, conn);
                     }

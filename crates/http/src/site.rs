@@ -10,10 +10,9 @@
 //! embedded objects whose sizes follow a log-normal distribution clipped to
 //! [1 KB, 442 KB] and calibrated to a 46 KB median.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use yoda_netsim::rng::{Distribution, Rng};
+use yoda_netsim::FlowTable;
 
 /// Identifies an object within a catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,7 +88,7 @@ pub struct Site {
 #[derive(Debug, Clone)]
 pub struct SiteCatalog {
     sites: Vec<Site>,
-    by_path: HashMap<String, ObjectId>,
+    by_path: FlowTable<String, ObjectId>,
     /// `MAX_OBJECT_BYTES` of filler; every object's body is a prefix of it.
     filler: Bytes,
 }
@@ -120,7 +119,7 @@ impl SiteCatalog {
     pub fn generate(seed: u64, configs: &[SiteConfig]) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
         let mut sites = Vec::with_capacity(configs.len());
-        let mut by_path = HashMap::new();
+        let mut by_path = FlowTable::new();
         // Log-normal with median 46 KB: exp(N(ln 46K, sigma)). sigma chosen
         // so the clipped tail reaches ~442 KB but most mass is 10-150 KB.
         let mu = (MEDIAN_OBJECT_BYTES as f64).ln();

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::{add_be32, put_be, Bytes};
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, IPIP_HEADER_LEN, PROTO_CTRL,
+    Addr, Ctx, Endpoint, FlowTable, Node, Packet, SimTime, TimerToken, IPIP_HEADER_LEN, PROTO_CTRL,
     PROTO_IPIP,
 };
 use yoda_tcp::{Flags, Segment, SEGMENT_HEADER_LEN};
@@ -55,6 +55,30 @@ struct FlowEntry {
     last_seen: SimTime,
     /// Set once FIN/RST is observed; the sweep evicts past this deadline.
     drain_at: Option<SimTime>,
+}
+
+impl FlowEntry {
+    /// The entry a flow's first packet creates.
+    fn learned(inst: Addr, now: SimTime, flags: Option<Flags>) -> Self {
+        let mut e = FlowEntry {
+            inst,
+            last_seen: now,
+            drain_at: None,
+        };
+        e.touch(now, flags);
+        e
+    }
+
+    /// Refreshes the entry and tracks connection teardown: FIN/RST arms
+    /// the drain deadline, a fresh SYN on a reused 4-tuple clears it.
+    fn touch(&mut self, now: SimTime, flags: Option<Flags>) {
+        self.last_seen = now;
+        match flags {
+            Some(f) if f.fin || f.rst => self.drain_at = Some(now + FLOW_DRAIN_LINGER),
+            Some(f) if f.syn => self.drain_at = None,
+            _ => {}
+        }
+    }
 }
 
 /// A directional splice fast-path entry (installed by an instance via
@@ -113,9 +137,9 @@ fn splice_rewrite(pkt: &mut Packet, e: &SpliceEntry, has_ack: bool) {
 pub struct Mux {
     addr: Addr,
     vips: BTreeMap<Addr, VipEntry>,
-    flows: BTreeMap<FlowKey, FlowEntry>,
+    flows: FlowTable<FlowKey, FlowEntry>,
     /// Exact directional (src, dst) → rewrite rules for the fast path.
-    splices: BTreeMap<(Endpoint, Endpoint), SpliceEntry>,
+    splices: FlowTable<(Endpoint, Endpoint), SpliceEntry>,
     /// When the flow/splice tables were last swept.
     last_sweep: SimTime,
     /// Packets forwarded toward instances.
@@ -136,8 +160,8 @@ impl Mux {
         Mux {
             addr,
             vips: BTreeMap::new(),
-            flows: BTreeMap::new(),
-            splices: BTreeMap::new(),
+            flows: FlowTable::new(),
+            splices: FlowTable::new(),
             last_sweep: SimTime::ZERO,
             forwarded: 0,
             spliced: 0,
@@ -213,21 +237,33 @@ impl Mux {
             .get(&vip)
             .map(|e| e.instances.as_slice())
             .unwrap_or(&[]);
-        let chosen = match self.flows.get(&key) {
-            Some(e) if live.contains(&e.inst) => Some(e.inst),
-            Some(_) => {
-                // Instance failed or VIP re-assigned: pick a survivor. The
-                // new instance recovers the flow from TCPStore.
-                self.resteered += 1;
-                rendezvous_pick(inner.src, inner.dst, live)
+        // One probe finds the learned entry, re-steers it if its instance
+        // left the VIP, and refreshes it; only a flow's first packet pays
+        // a second one to insert.
+        let inst = match self.flows.get_mut(&key) {
+            Some(e) => {
+                if !live.contains(&e.inst) {
+                    // Instance failed or VIP re-assigned: pick a survivor. The
+                    // new instance recovers the flow from TCPStore.
+                    self.resteered += 1;
+                    let Some(inst) = rendezvous_pick(inner.src, inner.dst, live) else {
+                        self.dropped += 1;
+                        return;
+                    };
+                    e.inst = inst;
+                }
+                e.touch(now, flags);
+                e.inst
             }
-            None => rendezvous_pick(inner.src, inner.dst, live),
+            None => {
+                let Some(inst) = rendezvous_pick(inner.src, inner.dst, live) else {
+                    self.dropped += 1;
+                    return;
+                };
+                self.flows.insert(key, FlowEntry::learned(inst, now, flags));
+                inst
+            }
         };
-        let Some(inst) = chosen else {
-            self.dropped += 1;
-            return;
-        };
-        self.touch_flow(key, inst, now, flags);
         self.forwarded += 1;
         ctx.send(inner.encapsulate(self.addr, inst));
     }
@@ -236,39 +272,30 @@ impl Mux {
     /// reverse mapping and forward the inner packet onward natively.
     fn snat_out(&mut self, ctx: &mut Ctx<'_>, inner: Packet, from_instance: Addr) {
         let key = canonical_flow(inner.src, inner.dst);
-        self.touch_flow(key, from_instance, ctx.now(), Segment::peek_flags(&inner));
+        let (now, flags) = (ctx.now(), Segment::peek_flags(&inner));
+        let e = self
+            .flows
+            .get_or_insert_with(key, || FlowEntry::learned(from_instance, now, None));
+        e.inst = from_instance;
+        e.touch(now, flags);
         self.forwarded += 1;
         ctx.send(inner);
-    }
-
-    /// Refreshes a flow entry and tracks connection teardown: FIN/RST arms
-    /// the drain deadline, a fresh SYN on a reused 4-tuple clears it.
-    fn touch_flow(&mut self, key: FlowKey, inst: Addr, now: SimTime, flags: Option<Flags>) {
-        let e = self.flows.entry(key).or_insert(FlowEntry {
-            inst,
-            last_seen: now,
-            drain_at: None,
-        });
-        e.inst = inst;
-        e.last_seen = now;
-        match flags {
-            Some(f) if f.fin || f.rst => e.drain_at = Some(now + FLOW_DRAIN_LINGER),
-            Some(f) if f.syn => e.drain_at = None,
-            _ => {}
-        }
     }
 
     /// Drops drained and idle flow entries, plus their splice entries and
     /// any splice that idled out on its own.
     fn sweep(&mut self, now: SimTime) {
         // Flows whose only recent traffic rode the fast path must survive:
-        // splice hits refresh the splice entry, not the flow entry.
+        // splice hits refresh the splice entry, not the flow entry. (Both
+        // closures only fill sets, so table order cannot show.)
         let mut active: BTreeSet<FlowKey> = BTreeSet::new();
-        for (&(from, to), e) in &self.splices {
-            if now.saturating_sub(e.last_seen) < FLOW_IDLE_TIMEOUT {
+        self.splices.retain(|&(from, to), e| {
+            let live = now.saturating_sub(e.last_seen) < FLOW_IDLE_TIMEOUT;
+            if live {
                 active.insert(canonical_flow(from, to));
             }
-        }
+            live
+        });
         let mut dead: BTreeSet<FlowKey> = BTreeSet::new();
         self.flows.retain(|key, e| {
             let drained = e.drain_at.is_some_and(|d| now >= d);
@@ -280,10 +307,8 @@ impl Mux {
             }
             true
         });
-        self.splices.retain(|&(from, to), e| {
-            !dead.contains(&canonical_flow(from, to))
-                && now.saturating_sub(e.last_seen) < FLOW_IDLE_TIMEOUT
-        });
+        self.splices
+            .retain(|&(from, to), _| !dead.contains(&canonical_flow(from, to)));
     }
 }
 
@@ -694,6 +719,55 @@ mod tests {
         t.eng.run_for(MUX_SWEEP_PERIOD);
         prod_sweep(&mut t);
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).flow_entries(), 0);
+    }
+
+    #[test]
+    fn sweep_survivors_do_not_depend_on_insertion_order() {
+        // Same flows and splices, learned in opposite orders (so the two
+        // tables are laid out differently), swept at the same instant:
+        // the survivors must be the same set. A third of the flows have
+        // drained, a third idled out, a third stay. Of the 120 spliced
+        // ones, the idle flows are kept alive by a fresh splice, the
+        // drained ones take their fresh splice with them, and the live
+        // ones lose a splice that idled out.
+        let now = FLOW_IDLE_TIMEOUT + SimTime::from_secs(100);
+        let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+        let client =
+            |i: u16| Endpoint::new(Addr::new(172, 16, (i >> 8) as u8, i as u8), 33_000 + i);
+        let build = |order: &mut dyn Iterator<Item = u16>| {
+            let mut mux = Mux::new(Addr::new(10, 0, 2, 1));
+            for i in order {
+                let (last_seen, drain_at) = match i % 3 {
+                    0 => (now, Some(SimTime::from_secs(1))),
+                    1 => (SimTime::from_secs(50), None),
+                    _ => (now, None),
+                };
+                let entry = FlowEntry {
+                    inst: Addr::new(10, 0, 0, 1),
+                    last_seen,
+                    drain_at,
+                };
+                mux.flows.insert(canonical_flow(client(i), vip), entry);
+                if i % 50 == 1 || i % 50 == 2 {
+                    let entry = SpliceEntry {
+                        new_src: vip,
+                        new_dst: vip,
+                        seq_add: 0,
+                        ack_add: 0,
+                        last_seen: if i % 3 == 2 { SimTime::ZERO } else { now },
+                    };
+                    mux.splices.insert((client(i), vip), entry);
+                }
+            }
+            mux.sweep(now);
+            (
+                mux.flows.sorted_keys(|_, _| true),
+                mux.splices.sorted_keys(|_, _| true),
+            )
+        };
+        let (flows, splices) = build(&mut (0..3_000));
+        assert_eq!((flows.len(), splices.len()), (1_000 + 40, 40));
+        assert_eq!(build(&mut (0..3_000).rev()), (flows, splices));
     }
 
     #[test]

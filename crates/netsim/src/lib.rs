@@ -43,6 +43,7 @@
 pub mod addr;
 pub mod addrmap;
 pub mod engine;
+pub mod flowtable;
 pub mod hash;
 pub mod node;
 pub mod packet;
@@ -59,6 +60,7 @@ pub mod wheel;
 pub use addr::{Addr, Endpoint};
 pub use rng::Rng;
 pub use engine::{Ctx, Engine, NodeId};
+pub use flowtable::FlowTable;
 pub use node::{Node, TimerId, TimerToken};
 pub use packet::{
     Packet, Protocol, IPIP_HEADER_LEN, PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,

@@ -1,14 +1,14 @@
 //! The proxy instance node.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::BytesMut;
 use yoda_core::rules::{RuleTable, SelectCtx};
 use yoda_core::InstanceCtrl;
 use yoda_http::parse_request;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL, PROTO_IPIP,
-    PROTO_PING,
+    Addr, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
+    PROTO_IPIP, PROTO_PING,
 };
 use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
 
@@ -62,11 +62,11 @@ pub struct ProxyInstance {
     addr: Addr,
     cfg: ProxyConfig,
     stack: TcpStack,
-    vips: HashMap<Endpoint, RuleTable>,
+    vips: BTreeMap<Endpoint, RuleTable>,
     select_ctx: SelectCtx,
     cpu: ServiceQueue,
-    sessions: HashMap<ConnId, usize>,
-    by_server_conn: HashMap<ConnId, usize>,
+    sessions: FlowTable<ConnId, usize>,
+    by_server_conn: FlowTable<ConnId, usize>,
     table: Vec<Option<Session>>,
     /// Requests proxied (header parsed + backend connected).
     pub requests: u64,
@@ -89,11 +89,11 @@ impl ProxyInstance {
             addr,
             cfg: cfg.clone(),
             stack,
-            vips: HashMap::new(),
+            vips: BTreeMap::new(),
             select_ctx: SelectCtx::default(),
             cpu: ServiceQueue::new(cfg.cores),
-            sessions: HashMap::new(),
-            by_server_conn: HashMap::new(),
+            sessions: FlowTable::new(),
+            by_server_conn: FlowTable::new(),
             table: Vec::new(),
             requests: 0,
             active_sessions: 0,

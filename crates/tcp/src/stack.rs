@@ -5,11 +5,8 @@
 //! arrival. The stack handles demultiplexing by flow, listener sockets,
 //! timer (re)arming against the simulator clock, and ISN generation.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
-use yoda_netsim::{Ctx, Endpoint, Packet, SimTime, TimerToken};
+use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, TimerToken};
 
 use crate::segment::{Flags, Segment};
 use crate::seq::SeqNum;
@@ -72,8 +69,9 @@ struct ConnSlot {
 pub struct TcpStack {
     cfg: TcpConfig,
     rst_unknown: bool,
-    conns: BTreeMap<ConnId, ConnSlot>,
-    by_flow: BTreeMap<(Endpoint, Endpoint), ConnId>,
+    conns: FlowTable<ConnId, ConnSlot>,
+    /// (remote, local) → connection, for every non-terminal connection.
+    by_flow: FlowTable<(Endpoint, Endpoint), ConnId>,
     /// Terminal connections the last `on_packet`/`on_timer` reported: dropped
     /// at the next, once the owner handled that (it may `abort` meanwhile).
     reported_dead: Vec<ConnId>,
@@ -88,8 +86,8 @@ impl TcpStack {
         TcpStack {
             cfg,
             rst_unknown: true,
-            conns: BTreeMap::new(),
-            by_flow: BTreeMap::new(),
+            conns: FlowTable::new(),
+            by_flow: FlowTable::new(),
             reported_dead: Vec::new(),
             listeners: Vec::new(),
             next_id: 1,
@@ -125,14 +123,6 @@ impl TcpStack {
         p
     }
 
-    /// Number of live (non-terminal) connections.
-    pub fn active_conns(&self) -> usize {
-        self.conns
-            .values()
-            .filter(|c| !c.sock.state().is_terminal())
-            .count()
-    }
-
     /// Opens a connection from `local` to `remote`, sending the SYN.
     /// The ISN is drawn from the node's private RNG stream.
     pub fn connect(&mut self, ctx: &mut Ctx<'_>, local: Endpoint, remote: Endpoint) -> ConnId {
@@ -150,26 +140,23 @@ impl TcpStack {
         iss: SeqNum,
     ) -> ConnId {
         let (sock, syn) = TcpSocket::connect(self.cfg, local, remote, iss, ctx.now());
-        let id = self.insert(sock);
-        self.by_flow.insert((remote, local), id);
         ctx.send(syn.into_packet(local, remote));
-        self.rearm(ctx, id);
-        id
+        self.open(ctx, (remote, local), sock)
     }
 
-    fn insert(&mut self, sock: TcpSocket) -> ConnId {
+    /// Registers a fresh socket under `flow` and arms its first timer.
+    fn open(&mut self, ctx: &mut Ctx<'_>, flow: (Endpoint, Endpoint), sock: TcpSocket) -> ConnId {
         let id = ConnId(self.next_id);
         self.next_id += 1;
         let reported = sock.state();
-        self.conns.insert(
-            id,
-            ConnSlot {
-                sock,
-                reported,
-                reported_peer_closed: false,
-                armed_deadline: None,
-            },
-        );
+        let slot = self.conns.get_or_insert_with(id, || ConnSlot {
+            sock,
+            reported,
+            reported_peer_closed: false,
+            armed_deadline: None,
+        });
+        rearm(ctx, id, slot);
+        self.by_flow.insert(flow, id);
         id
     }
 
@@ -189,7 +176,7 @@ impl TcpStack {
         if let Some(slot) = self.conns.get_mut(&id) {
             let segs = slot.sock.send_vectored(chunks, now);
             transmit(ctx, &slot.sock, segs);
-            self.rearm(ctx, id);
+            rearm(ctx, id, slot);
         }
     }
 
@@ -207,7 +194,7 @@ impl TcpStack {
         if let Some(slot) = self.conns.get_mut(&id) {
             let segs = slot.sock.close(now);
             transmit(ctx, &slot.sock, segs);
-            self.rearm(ctx, id);
+            rearm(ctx, id, slot);
         }
     }
 
@@ -232,48 +219,32 @@ impl TcpStack {
         let Some(seg) = Segment::from_packet(pkt) else {
             return Vec::new();
         };
-        let now = ctx.now();
-        let mut events = Vec::new();
-        let id = match self.by_flow.entry(flow) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(_) => {
-                // New flow: maybe a listener accepts it.
-                if seg.flags.syn && !seg.flags.ack && self.listeners.contains(&dst) {
-                    let iss = SeqNum::new(ctx.node_rng().next_u32());
-                    if let Some((sock, synack)) =
-                        TcpSocket::accept(self.cfg, dst, src, &seg, iss, now)
-                    {
-                        let id = self.insert(sock);
-                        self.by_flow.insert(flow, id);
-                        ctx.send(synack.into_packet(dst, src));
-                        self.rearm(ctx, id);
-                        events.push(TcpEvent::Incoming(id, src));
-                        return events;
-                    }
-                }
-                if self.rst_unknown && !seg.flags.rst {
-                    let rst = Segment {
-                        src_port: dst.port,
-                        dst_port: src.port,
-                        seq: seg.ack,
-                        ack: seg.seq_end(),
-                        flags: Flags::RST,
-                        window: 0,
-                        payload: Bytes::new(),
-                    };
-                    ctx.send(rst.into_packet(dst, src));
-                }
-                return events;
+        if let Some(&id) = self.by_flow.get(&flow) {
+            return self.drive(ctx, id, |slot, now| Some(slot.sock.on_segment(&seg, now)));
+        }
+        // New flow: maybe a listener accepts it.
+        if seg.flags.syn && !seg.flags.ack && self.listeners.contains(&dst) {
+            let iss = SeqNum::new(ctx.node_rng().next_u32());
+            if let Some((sock, synack)) =
+                TcpSocket::accept(self.cfg, dst, src, &seg, iss, ctx.now())
+            {
+                ctx.send(synack.into_packet(dst, src));
+                return vec![TcpEvent::Incoming(self.open(ctx, flow, sock), src)];
             }
-        };
-        let Some(slot) = self.conns.get_mut(&id) else {
-            return events;
-        };
-        let out = slot.sock.on_segment(&seg, now);
-        transmit(ctx, &slot.sock, out);
-        self.emit_events(id, &mut events);
-        self.rearm(ctx, id);
-        events
+        }
+        if self.rst_unknown && !seg.flags.rst {
+            let rst = Segment {
+                src_port: dst.port,
+                dst_port: src.port,
+                seq: seg.ack,
+                ack: seg.seq_end(),
+                flags: Flags::RST,
+                window: 0,
+                payload: Bytes::new(),
+            };
+            ctx.send(rst.into_packet(dst, src));
+        }
+        Vec::new()
     }
 
     /// Handles a stack timer. Nodes must call this for timers whose token
@@ -281,56 +252,47 @@ impl TcpStack {
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Vec<TcpEvent> {
         debug_assert_eq!(token.kind, TCP_TIMER_KIND);
         self.drop_reported_dead();
-        let id = ConnId(token.a);
-        let now = ctx.now();
+        self.drive(ctx, ConnId(token.a), |slot, now| {
+            match slot.armed_deadline {
+                Some(d) if d <= now => {
+                    slot.armed_deadline = None;
+                    Some(slot.sock.on_timer(now))
+                }
+                // Stale timer (a newer one was armed): ignore.
+                _ => None,
+            }
+        })
+    }
+
+    /// Feeds one input to connection `id`'s socket and does everything
+    /// that follows — transmit what it emitted, report state edges, drop a
+    /// terminal connection from the flow index, re-arm the timer — on the
+    /// slot looked up once here. `input` returns `None` to do nothing.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: ConnId,
+        input: impl FnOnce(&mut ConnSlot, SimTime) -> Option<Vec<Segment>>,
+    ) -> Vec<TcpEvent> {
         let mut events = Vec::new();
         let Some(slot) = self.conns.get_mut(&id) else {
             return events;
         };
-        // Stale timer (a newer one was armed): ignore.
-        match slot.armed_deadline {
-            Some(d) if d <= now => slot.armed_deadline = None,
-            _ => return events,
-        }
-        let out = slot.sock.on_timer(now);
-        transmit(ctx, &slot.sock, out);
-        self.emit_events(id, &mut events);
-        self.rearm(ctx, id);
-        events
-    }
-
-    /// Emits edge-triggered events by comparing current vs. reported state.
-    fn emit_events(&mut self, id: ConnId, events: &mut Vec<TcpEvent>) {
-        let Some(slot) = self.conns.get_mut(&id) else {
-            return;
+        let Some(out) = input(slot, ctx.now()) else {
+            return events;
         };
-        let state = slot.sock.state();
-        if slot.reported != state {
-            match state {
-                SocketState::Established => events.push(TcpEvent::Connected(id)),
-                SocketState::Reset => events.push(TcpEvent::Reset(id)),
-                SocketState::Closed | SocketState::TimeWait => events.push(TcpEvent::Closed(id)),
-                _ => {}
-            }
-            slot.reported = state;
-        }
-        if slot.sock.peer_closed() && !slot.reported_peer_closed {
-            slot.reported_peer_closed = true;
-            events.push(TcpEvent::PeerClosed(id));
-        }
-        if slot.sock.has_unread() {
-            // Data event whenever there is unread data; the owner drains.
-            events.push(TcpEvent::Data(id));
-        }
-        // Garbage-collect terminal connections.
-        if state.is_terminal() {
-            let flow = (slot.sock.remote(), slot.sock.local());
-            self.by_flow.remove(&flow);
-            // A socket reset in TIME-WAIT still owes that timer, a simulated event.
-            if slot.sock.next_deadline().is_none() {
+        transmit(ctx, &slot.sock, out);
+        if report(id, slot, &mut events) {
+            let sock = &slot.sock;
+            self.by_flow.remove(&(sock.remote(), sock.local()));
+            // A socket reset in TIME-WAIT still owes that timer, a
+            // simulated event; its slot is collected when it fires.
+            if sock.next_deadline().is_none() {
                 self.reported_dead.push(id);
             }
         }
+        rearm(ctx, id, slot);
+        events
     }
 
     fn drop_reported_dead(&mut self) {
@@ -338,25 +300,46 @@ impl TcpStack {
             self.conns.remove(&id);
         }
     }
+}
 
-    /// Re-arms the node timer for a connection when its deadline moved
-    /// earlier (or was unarmed).
-    fn rearm(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
-        let Some(slot) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let Some(deadline) = slot.sock.next_deadline() else {
-            return;
-        };
-        let need = match slot.armed_deadline {
-            Some(armed) => deadline < armed,
-            None => true,
-        };
-        if need {
-            slot.armed_deadline = Some(deadline);
-            let delay = deadline.saturating_sub(ctx.now());
-            ctx.set_timer(delay, TimerToken::new(TCP_TIMER_KIND).with_a(id.0));
+/// Emits edge-triggered events by comparing current vs. reported state.
+/// Returns true once the socket is terminal.
+fn report(id: ConnId, slot: &mut ConnSlot, events: &mut Vec<TcpEvent>) -> bool {
+    let state = slot.sock.state();
+    if slot.reported != state {
+        match state {
+            SocketState::Established => events.push(TcpEvent::Connected(id)),
+            SocketState::Reset => events.push(TcpEvent::Reset(id)),
+            SocketState::Closed | SocketState::TimeWait => events.push(TcpEvent::Closed(id)),
+            _ => {}
         }
+        slot.reported = state;
+    }
+    if slot.sock.peer_closed() && !slot.reported_peer_closed {
+        slot.reported_peer_closed = true;
+        events.push(TcpEvent::PeerClosed(id));
+    }
+    if slot.sock.has_unread() {
+        // Data event whenever there is unread data; the owner drains.
+        events.push(TcpEvent::Data(id));
+    }
+    state.is_terminal()
+}
+
+/// Re-arms the node timer for a connection when its deadline moved
+/// earlier (or was unarmed).
+fn rearm(ctx: &mut Ctx<'_>, id: ConnId, slot: &mut ConnSlot) {
+    let Some(deadline) = slot.sock.next_deadline() else {
+        return;
+    };
+    let need = match slot.armed_deadline {
+        Some(armed) => deadline < armed,
+        None => true,
+    };
+    if need {
+        slot.armed_deadline = Some(deadline);
+        let delay = deadline.saturating_sub(ctx.now());
+        ctx.set_timer(delay, TimerToken::new(TCP_TIMER_KIND).with_a(id.0));
     }
 }
 
@@ -533,7 +516,8 @@ mod tests {
     const CYCLE_BLOB: usize = 20_000;
     impl CycleClient {
         fn next_cycle(&mut self, ctx: &mut Ctx<'_>) {
-            let dead = self.stack.conns.len() - self.stack.active_conns();
+            // `by_flow` indexes exactly the non-terminal sockets.
+            let dead = self.stack.conns.len() - self.stack.by_flow.len();
             self.peak_dead_slots = self.peak_dead_slots.max(dead);
             if self.cycles > 0 {
                 self.cycles -= 1;
@@ -633,6 +617,87 @@ mod tests {
         let s = &eng.node_ref::<EchoServer>(server).stack;
         assert!(s.conns.len() <= 1, "server kept {}", s.conns.len());
         assert!(c.stack.by_flow.is_empty() && s.by_flow.is_empty());
+    }
+
+    #[test]
+    fn one_lookup_per_table_carries_a_connection_from_syn_to_close() {
+        // Accept, handshake + data, peer FIN, our FIN acked — each a single
+        // `on_packet`, which finds the slot once (`drive`) and reports,
+        // collects and re-arms through that reference. The tables must end
+        // up exactly as the leak test above expects: flow index empty at
+        // the terminal report, slot gone one stack call later.
+        let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_millis(1)));
+        let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+        let server = eng.add_node(
+            "server",
+            server_ep.addr,
+            Zone::Dc,
+            Box::new(EchoServer {
+                stack: TcpStack::new(TcpConfig::default()),
+                listen: server_ep,
+                echoed: 0,
+                empty_reads: 0,
+            }),
+        );
+        eng.run_for(SimTime::from_millis(1));
+        let client = Endpoint::new(Addr::new(10, 2, 0, 1), 5555);
+        let seg = |flags, seq: u32, ack: u32, payload: &'static [u8]| Segment {
+            src_port: client.port,
+            dst_port: server_ep.port,
+            seq: SeqNum::new(seq),
+            ack: SeqNum::new(ack),
+            flags,
+            window: 65_535,
+            payload: Bytes::from_static(payload),
+        };
+        // Feeds one segment to the stack alone (not the echo logic) and
+        // returns its events with the sizes of (by_flow, conns) after.
+        let feed = |eng: &mut Engine, seg: Segment| {
+            let mut seen = (Vec::new(), 0, 0);
+            eng.with_node_ctx::<EchoServer>(server, |s, ctx| {
+                let events = s.stack.on_packet(ctx, seg.into_packet(client, server_ep));
+                seen = (events, s.stack.by_flow.len(), s.stack.conns.len());
+            });
+            seen
+        };
+
+        let (events, flows, conns) = feed(&mut eng, seg(Flags::SYN, 100, 0, b""));
+        let &[TcpEvent::Incoming(id, from)] = events.as_slice() else {
+            panic!("SYN to a listener: {events:?}");
+        };
+        assert_eq!((from, flows, conns), (client, 1, 1));
+        let iss = eng
+            .node_ref::<EchoServer>(server)
+            .stack
+            .socket(id)
+            .unwrap()
+            .iss()
+            .raw();
+
+        let (events, flows, conns) = feed(&mut eng, seg(Flags::ACK, 101, iss + 1, b"hello"));
+        assert_eq!(events, [TcpEvent::Connected(id), TcpEvent::Data(id)]);
+        assert_eq!((flows, conns), (1, 1));
+        assert_eq!(
+            &eng.node_mut::<EchoServer>(server).stack.recv(id)[..],
+            b"hello"
+        );
+
+        let (events, flows, conns) = feed(&mut eng, seg(Flags::FIN_ACK, 106, iss + 1, b""));
+        assert_eq!(events, [TcpEvent::PeerClosed(id)]);
+        assert_eq!((flows, conns), (1, 1));
+        eng.with_node_ctx::<EchoServer>(server, |s, ctx| s.stack.close(ctx, id));
+
+        // The ACK of our FIN: terminal. Off the flow index now; the slot
+        // outlives its report by exactly one stack call.
+        let (events, flows, conns) = feed(&mut eng, seg(Flags::ACK, 107, iss + 2, b""));
+        assert_eq!(events, [TcpEvent::Closed(id)]);
+        assert_eq!((flows, conns), (0, 1));
+        let (events, flows, conns) = feed(&mut eng, seg(Flags::ACK, 107, iss + 2, b""));
+        assert_eq!(
+            (events, flows, conns),
+            (vec![], 0, 0),
+            "stray ACK: RST, no state"
+        );
     }
 
     #[test]

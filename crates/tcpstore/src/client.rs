@@ -46,7 +46,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use yoda_netsim::{Addr, Ctx, Endpoint, Histogram, Packet, SimTime, TimerToken};
+use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Histogram, Packet, SimTime, TimerToken};
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 use crate::ring::HashRing;
@@ -214,11 +214,11 @@ pub struct StoreClient {
     cfg: StoreClientConfig,
     ring: HashRing,
     local: Endpoint,
-    pending: BTreeMap<u64, PendingOp>,
+    pending: FlowTable<u64, PendingOp>,
     /// Under-acked writes being repaired in the background, keyed by the
     /// original request id (so a late ack from the original send settles
     /// the repair).
-    repairs: BTreeMap<u64, Repair>,
+    repairs: FlowTable<u64, Repair>,
     next_req: u64,
     /// Per-replica health/traffic stats.
     replica_stats: BTreeMap<Addr, ReplicaStat>,
@@ -248,8 +248,8 @@ impl StoreClient {
             cfg,
             ring,
             local,
-            pending: BTreeMap::new(),
-            repairs: BTreeMap::new(),
+            pending: FlowTable::new(),
+            repairs: FlowTable::new(),
             next_req: 1,
             replica_stats: BTreeMap::new(),
             get_latency: Histogram::new(),

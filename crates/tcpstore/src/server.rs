@@ -5,10 +5,10 @@
 //! measured with the same windowed [`ServiceQueue`] model used everywhere,
 //! which is what the Figure 11 CPU-utilisation experiment reads.
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
-use yoda_netsim::{Ctx, Endpoint, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_RPC};
+use yoda_netsim::{
+    Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_RPC,
+};
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 
@@ -41,7 +41,7 @@ impl Default for StoreServerConfig {
 pub struct StoreServer {
     cfg: StoreServerConfig,
     addr: yoda_netsim::Addr,
-    data: BTreeMap<Bytes, Bytes>,
+    data: FlowTable<Bytes, Bytes>,
     cpu: ServiceQueue,
     /// Service-time multiplier (chaos `NodeSlowdown`): 1.0 = healthy.
     speed_factor: f64,
@@ -61,7 +61,7 @@ impl StoreServer {
         StoreServer {
             cfg,
             addr,
-            data: BTreeMap::new(),
+            data: FlowTable::new(),
             cpu: ServiceQueue::new(cfg.cores),
             speed_factor: 1.0,
             gets: 0,
@@ -239,7 +239,7 @@ mod tests {
         eng.run_for(SimTime::from_millis(100));
         let d = eng.node_ref::<Driver>(driver_id);
         assert_eq!(d.responses.len(), 4);
-        let by_id: BTreeMap<u64, &StoreResponse> =
+        let by_id: std::collections::BTreeMap<u64, &StoreResponse> =
             d.responses.iter().map(|r| (r.req_id, r)).collect();
         assert_eq!(by_id[&1].status, StoreStatus::Ok);
         assert_eq!(by_id[&2].status, StoreStatus::Ok);

@@ -58,7 +58,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::callgraph::{CallGraph, FnNode};
 use crate::lexer::LexedLine;
-use crate::{Taint, Violation, HOT_ROOT_NAMES, SIM_CRATES};
+use crate::{Taint, Violation, HASH_TABLE_FILES, HOT_ROOT_NAMES, SIM_CRATES};
 
 /// Effect bits. `u8` holds the whole lattice.
 pub const RNG_DRAW: u8 = 1;
@@ -451,9 +451,9 @@ fn line_seeds(rel: &str, code: &str) -> (u8, u8) {
     }
 
     // unordered-iter: violation-grade inside simulation crates (order
-    // leaks into event scheduling), informative elsewhere (http/proxy
-    // handlers use maps legitimately — iteration never feeds ordering).
-    if code.contains("HashMap") || code.contains("HashSet") {
+    // leaks into event scheduling), informative elsewhere. `FlowTable`'s
+    // own file is exempt: its API exposes no order to leak.
+    if (code.contains("HashMap") || code.contains("HashSet")) && !HASH_TABLE_FILES.contains(&rel) {
         if in_sim {
             strict |= UNORDERED_ITER;
         } else {

@@ -15,6 +15,10 @@ cargo build --release --workspace
 # open-loop clients issued exactly rate x window.
 echo "==> bench_e2e --smoke"
 cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml -- --smoke
+# Same reason for its own unit tests: `cargo test --workspace` below does
+# not reach a package outside the workspace.
+echo "==> bench_e2e unit tests"
+cargo test --release --offline --quiet --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
 
 echo "==> cargo test"
 cargo test -q --workspace

@@ -20,7 +20,7 @@ use yoda::l4lb::{EdgeRouter, Mux};
 use yoda::netsim::addrmap::AddrMap;
 use yoda::netsim::shard::{EpochBarrier, ShardMailbox, ShardWorker};
 use yoda::netsim::wheel::TimerWheel;
-use yoda::netsim::{Engine, NameId, Node, SymbolTable, TraceEvent, TraceSink};
+use yoda::netsim::{Endpoint, Engine, FlowTable, NameId, Node, SymbolTable, TraceEvent, TraceSink};
 use yoda::proxy::ProxyInstance;
 use yoda::tcpstore::StoreServer;
 
@@ -89,4 +89,14 @@ fn per_node_state_types_are_send() {
     assert_send::<RateClient>();
     assert_send::<StoreServer>();
     assert_send::<StoreWitness>();
+}
+
+/// The table every per-packet lookup goes through. Its hasher is a
+/// stateless value (no `RandomState`, nothing thread-bound), so a table
+/// is `Send` whenever its entries are — node state built on it migrates
+/// like any other.
+#[test]
+fn flow_tables_are_send() {
+    assert_send::<FlowTable<(Endpoint, Endpoint), u64>>();
+    assert_send::<FlowTable<u64, Box<dyn Node>>>();
 }
