@@ -2,7 +2,7 @@
 //! `yoda-netsim` discrete-event core, the quantity every figure binary is
 //! ultimately bottlenecked on.
 //!
-//! Three scenarios isolate the three hot paths:
+//! Five scenarios, from the isolated hot paths to the whole stack:
 //!
 //! * `pingpong_mesh`  — pure packet dispatch: N nodes bounce pings around
 //!   a ring, so every event is a heap pop + address route + node call.
@@ -10,6 +10,12 @@
 //!   staggered timers alive, cancelling half of them before they fire.
 //! * `trace_ring`     — the ping-pong mesh with tracing enabled, isolating
 //!   the per-event trace-record cost (node-name interning).
+//! * `dc_jitter_mesh` — the event queue under the full stack's mix: the
+//!   mesh on the testbed's datacenter link (250 µs + U[0, 50] µs, so
+//!   deadlines scatter instead of arriving in same-tick waves), with
+//!   ≈ 15 % of events timers armed 100 ms–30 s out that fire into
+//!   nothing and a few thousand of them pending — what `bench_e2e`'s
+//!   `api_open` asks of the engine, without the layers above it.
 //! * `full_testbed`   — the paper's testbed end to end (browsers, TCP,
 //!   muxes, Yoda instances with a prequal policy, stores, controller):
 //!   the realistic event mix, dominated by TCP segment handling rather
@@ -105,6 +111,36 @@ impl Node for Churner {
         }
         ctx.set_timer(self.period, TimerToken::new(0));
     }
+}
+
+/// One node of the jittered mesh: a [`Seeder`] that also arms a
+/// far-future timer on 3 of every 17 packets, so ≈ 15 % of steady-state
+/// events are timer fires (which do nothing, like the full stack's
+/// lazily re-checked deadlines).
+struct JitterSeeder {
+    seeder: Seeder,
+    packets: u64,
+}
+
+impl Node for JitterSeeder {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.seeder.on_start(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        self.packets += 1;
+        if self.packets % 17 < 3 {
+            let rng = ctx.node_rng();
+            // Mostly RTO-scale deadlines; 1 in 64 an idle-timeout-scale one.
+            let delay_us = if rng.gen_range(0..64u32) == 0 {
+                rng.gen_range(1_000_000..30_000_000u64)
+            } else {
+                rng.gen_range(100_000..200_000u64)
+            };
+            ctx.set_timer(SimTime::from_micros(delay_us), TimerToken::new(0));
+        }
+        self.seeder.on_packet(ctx, pkt);
+    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 fn mesh_addr(i: u32) -> Addr {
@@ -210,6 +246,26 @@ fn pingpong_mesh(nodes: u32, fanout: u32) -> Engine {
             .node_by_addr(mesh_addr(i))
             .expect("mesh node registered");
         eng.add_addr(id, Addr::new(100, 20, (i / 250) as u8, (i % 250 + 1) as u8));
+    }
+    eng
+}
+
+fn dc_jitter_mesh(nodes: u32, fanout: u32) -> Engine {
+    let mut eng = Engine::with_topology(7, Topology::azure_testbed());
+    for i in 0..nodes {
+        eng.add_node(
+            format!("jitter-{i}"),
+            mesh_addr(i),
+            Zone::Dc,
+            Box::new(JitterSeeder {
+                seeder: Seeder {
+                    index: i,
+                    ring: nodes,
+                    fanout,
+                },
+                packets: 0,
+            }),
+        );
     }
     eng
 }
@@ -905,6 +961,11 @@ fn main() {
     if wanted("trace_ring") {
         results.push(measure("trace_ring", 0, repeats, duration, || {
             trace_ring(512, 4)
+        }));
+    }
+    if wanted("dc_jitter_mesh") {
+        results.push(measure("dc_jitter_mesh", 0, repeats, duration, || {
+            dc_jitter_mesh(16, 4)
         }));
     }
     if wanted("full_testbed") {

@@ -43,7 +43,7 @@ use yoda_netsim::{
 use yoda_tcp::{Segment, SeqNum};
 use yoda_tcpstore::{StoreClient, StoreClientConfig, StoreEvent, StoreOutcome};
 
-use yoda_l4lb::CtrlMsg as MuxCtrl;
+use yoda_l4lb::{CtrlMsg as MuxCtrl, Steering};
 
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};
 use crate::rules::{RuleTable, SelectCtx};
@@ -145,7 +145,7 @@ impl Default for YodaConfig {
 pub struct YodaInstance {
     addr: Addr,
     cfg: YodaConfig,
-    muxes: Vec<Addr>,
+    muxes: Steering,
     vips: BTreeMap<Endpoint, VipConfig>,
     select_ctx: SelectCtx,
     prober: Prober,
@@ -227,7 +227,7 @@ impl YodaInstance {
     pub fn new(cfg: YodaConfig, addr: Addr, store_servers: &[Addr], muxes: Vec<Addr>) -> Self {
         YodaInstance {
             addr,
-            muxes,
+            muxes: Steering::new(muxes),
             vips: BTreeMap::new(),
             select_ctx: SelectCtx::default(),
             prober: Prober::new(cfg.probe),
@@ -339,8 +339,8 @@ impl YodaInstance {
 
     /// Picks the mux for a server-side flow (must agree with the edge
     /// router's choice so return traffic hits the same mux).
-    fn mux_for(&self, a: Endpoint, b: Endpoint) -> Option<Addr> {
-        yoda_l4lb::rendezvous_pick(a, b, &self.muxes)
+    fn mux_for(&mut self, a: Endpoint, b: Endpoint) -> Option<Addr> {
+        self.muxes.pick(a, b)
     }
 
     /// Sends a crafted segment from `src` to `dst`, after the modelled
@@ -632,7 +632,7 @@ impl YodaInstance {
             InstanceCtrl::BackendUp { backend } => {
                 self.select_ctx.dead.remove(&backend);
             }
-            InstanceCtrl::SetMuxes { muxes } => self.muxes = muxes,
+            InstanceCtrl::SetMuxes { muxes } => self.muxes.set(muxes),
             InstanceCtrl::StatsRequest { seq } => {
                 let per_vip: Vec<(Endpoint, u64)> = std::mem::take(&mut self.per_vip_window)
                     .into_iter()

@@ -101,10 +101,12 @@ pub(crate) struct EngineCore {
     /// (deterministic).
     payloads: Vec<Option<Control>>,
     free_payloads: Vec<u32>,
-    /// All pending timers; O(1) arm and cancel, pops in exact
-    /// `(deadline, seq)` order. Cancelled timers still pop (flagged) at
-    /// their deadline so the event digest is unchanged from the era when
-    /// they sat in the heap, and are reclaimed at that pop.
+    /// All pending timers and in-flight packets; O(1) arm and cancel,
+    /// pops in exact `(deadline, seq)` order. Its clock trails
+    /// `time` — it is never past the next event `step_bounded` will
+    /// process — so arms are never clamped. Cancelled timers still pop
+    /// (flagged) at their deadline so the event digest is unchanged from
+    /// the era when they sat in the heap, and are reclaimed at that pop.
     pub(crate) wheel: TimerWheel,
     pub(crate) meta: Vec<NodeMeta>,
     /// Node names, interned once at `add_node`; everything else carries
@@ -968,44 +970,29 @@ impl Engine {
     }
 
     /// Processes the globally next event — the `(time, seq)` minimum
-    /// across the packet/control heap and the timer wheel — unless its
-    /// time exceeds `limit_us`. Returns `false` without popping anything
-    /// when nothing (eligible) is pending, so a deadline-bounded run
-    /// makes exactly one peek and one pop per event on each structure.
+    /// across the control heap and the wheel — unless its time exceeds
+    /// `limit_us`; returns `false`, with nothing popped, when nothing
+    /// eligible is pending. One heap peek and one
+    /// [`TimerWheel::pop_before`] per event: the wheel is asked only for
+    /// an entry strictly below the heap top and at or below the limit,
+    /// so it never moves its clock past the time of the event processed
+    /// next (or past the limit), and no arm a handler makes is clamped.
     pub(crate) fn step_bounded(&mut self, limit_us: Option<u64>) -> bool {
         let heap_key = self
             .core
             .events
             .peek()
             .map(|&Reverse(e)| (e.time, e.seq));
-        let wheel_key = self.core.wheel.peek();
-        let (time_us, from_wheel) = match (heap_key, wheel_key) {
-            (None, None) => return false,
-            (Some((t, s)), Some(w)) => {
-                if w < (t, s) {
-                    (w.0, true)
-                } else {
-                    (t, false)
-                }
-            }
-            (Some((t, _)), None) => (t, false),
-            (None, Some(w)) => (w.0, true),
+        let within_limit = match limit_us {
+            Some(limit) => (limit.saturating_add(1), 0),
+            None => (u64::MAX, u64::MAX),
         };
-        if let Some(limit) = limit_us {
-            if time_us > limit {
-                return false;
-            }
-        }
-        debug_assert!(
-            time_us >= self.core.time.as_micros(),
-            "time went backwards"
-        );
-
-        if from_wheel {
-            let fired = match self.core.wheel.pop() {
-                Some(f) => f,
-                None => return false, // unreachable: peek said non-empty
-            };
+        let bound = heap_key.map_or(within_limit, |h| h.min(within_limit));
+        if let Some(fired) = self.core.wheel.pop_before(bound.0, bound.1) {
+            debug_assert!(
+                fired.time >= self.core.time.as_micros(),
+                "time went backwards"
+            );
             self.core.time = SimTime::from_micros(fired.time);
             self.core.events_processed += 1;
             match fired.item {
@@ -1067,12 +1054,19 @@ impl Engine {
             return true;
         }
 
+        // Nothing in the wheel precedes the heap top, so it is next —
+        // if it is within the limit.
+        if heap_key.is_none_or(|h| h >= within_limit) {
+            return false;
+        }
         let Some(Reverse(entry)) = self.core.events.pop() else {
             return false; // unreachable: peek said non-empty
         };
+        debug_assert!(entry.time >= self.core.time.as_micros(), "time went backwards");
         self.core.time = SimTime::from_micros(entry.time);
-        // Keep the wheel's clock in lock-step so later arms place
-        // relative to the right windows.
+        // Bring the wheel's clock along (everything pending is at or
+        // after this event), so the control's arms place at full
+        // resolution.
         self.core.wheel.advance(entry.time);
         self.core.events_processed += 1;
         let payload = self
@@ -1513,5 +1507,56 @@ mod tests {
             (eng.event_digest(), eng.packets_sent())
         };
         assert_eq!(run(), run());
+    }
+
+    /// Records the engine time of every delivery it sees.
+    #[derive(Default)]
+    struct Stamp {
+        seen: Vec<(SimTime, &'static str)>,
+    }
+    impl Node for Stamp {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _pkt: Packet) {
+            self.seen.push((ctx.now(), "packet"));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: TimerToken) {
+            if t.kind == 1 {
+                self.seen.push((ctx.now(), "timer"));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_delay_arms_after_run_until_fire_at_exactly_that_time() {
+        // `run_until(t)` bounds the wheel by (t + 1, 0). If the wheel let
+        // its clock reach a slot starting at t + 1 while looking for
+        // something to pop, a zero-delay timer or packet armed right
+        // after the run — at t — would be clamped to t + 1. So: park
+        // entries in the slots around t, at every level's slot width, and
+        // check for t just before, on and off those boundaries.
+        use crate::wheel::{L0_SLOTS, LEVEL_SHIFT};
+        let me = Addr::new(10, 0, 0, 1);
+        let widths = [L0_SLOTS as u64, 1 << LEVEL_SHIFT[1], 1 << LEVEL_SHIFT[2]];
+        for width in widths {
+            for t in [width - 1, width, width + 77, 3 * width - 1, 3 * width] {
+                let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::ZERO));
+                let id = eng.add_node("stamp", me, Zone::Dc, Box::new(Stamp::default()));
+                eng.with_node_ctx::<Stamp>(id, |_, ctx| {
+                    for later in [t + 1, t + 2, t + width, t + width + 1] {
+                        ctx.set_timer(SimTime::from_micros(later), TimerToken::new(0));
+                    }
+                });
+                let at = SimTime::from_micros(t);
+                eng.run_until(at);
+                eng.with_node_ctx::<Stamp>(id, |_, ctx| {
+                    ctx.set_timer(SimTime::ZERO, TimerToken::new(1));
+                    let ep = Endpoint::new(me, 0);
+                    ctx.send(Packet::new(ep, ep, PROTO_PING, Bytes::new()));
+                });
+                eng.run_until(at);
+                let seen = &eng.node_ref::<Stamp>(id).seen;
+                assert_eq!(seen, &[(at, "timer"), (at, "packet")], "t = {t}");
+                assert_eq!(eng.now(), at);
+            }
+        }
     }
 }

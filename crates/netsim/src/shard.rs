@@ -529,35 +529,21 @@ impl ShardWorker {
     fn run_window(&mut self, w_end: u64) {
         self.window_end = w_end;
         loop {
-            let wheel_key = self.wheel.peek();
-            let mini_key = self.mini.peek();
-            // At equal times the shard wheel wins: its entries carry
-            // pre-window seqs, which are all smaller than the seqs
-            // replay will assign to this window's mini arms.
-            let use_wheel = match (wheel_key, mini_key) {
-                (None, None) => break,
-                (Some((wt, _)), Some((mt, _))) => wt <= mt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            let next_time = if use_wheel {
-                wheel_key.map(|(t, _)| t)
-            } else {
-                mini_key.map(|(t, _)| t)
-            };
-            let Some(t) = next_time else { break };
-            if t >= w_end {
-                break;
-            }
-            if use_wheel {
-                let Some(fired) = self.wheel.pop() else { break };
+            let mini_time = self.mini.peek().map(|(t, _)| t);
+            // The shard wheel yields only entries below the window end,
+            // and wins at equal times: its entries carry pre-window
+            // seqs, which are all smaller than the seqs replay will
+            // assign to this window's mini arms.
+            let bound = mini_time.map_or(w_end, |t| t.saturating_add(1).min(w_end));
+            if let Some(fired) = self.wheel.pop_before(bound, 0) {
                 self.time = fired.time;
                 self.dispatch_wheel(fired);
-            } else {
-                let Some(fired) = self.mini.pop() else { break };
-                self.time = fired.time;
-                self.dispatch_mini(fired);
+                continue;
             }
+            let Some(fired) = self.mini.pop() else { break };
+            debug_assert!(fired.time < w_end, "mini arms only inside the window");
+            self.time = fired.time;
+            self.dispatch_mini(fired);
         }
         debug_assert!(self.mini.is_empty(), "mini wheel drained every window");
         // Safe: everything below w_end just popped, and replay only arms
@@ -1069,8 +1055,8 @@ fn coordinate(
     loop {
         let tc = eng.core.next_control_time();
         let mut next_ev = tc;
-        for g in guards.iter_mut() {
-            if let Some((t, _)) = g.wheel.peek() {
+        for g in guards.iter() {
+            if let Some(t) = g.wheel.next_deadline() {
                 next_ev = Some(next_ev.map_or(t, |n| n.min(t)));
             }
         }

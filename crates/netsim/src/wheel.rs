@@ -1,27 +1,55 @@
-//! Hierarchical timing wheel with O(1) arm and cancel.
+//! Hierarchical timing wheel with O(1) arm and cancel, and a read side
+//! that never scans.
 //!
 //! The engine used to route every timer *and every packet* through the
 //! global `BinaryHeap` and suppress timer cancellations with a side
 //! `BTreeSet` — O(log n) per operation plus allocation churn. This wheel
-//! delivers the same *exact* event order at O(1) amortized cost and now
+//! delivers the same *exact* event order at O(1) amortized cost and
 //! carries both event classes ([`WheelItem`]); only rare control
-//! closures remain in the heap:
+//! closures remain in the heap.
 //!
-//! * **L0** — 256 slots of 1 µs each: the current 256 µs window at full
-//!   resolution. All entries in one L0 slot share one deadline.
-//! * **L1–L5** — 64 slots each, covering windows of 2^14, 2^20, 2^26,
-//!   2^32, and 2^38 µs (≈16 ms, ≈1 s, ≈67 s, ≈71 min, ≈76 h). A slot
-//!   holds every pending entry in its time range.
-//! * **overflow** — the rare entry beyond ≈76 hours of simulated time.
+//! | level    | slots | slot width              | window                    |
+//! |----------|-------|-------------------------|---------------------------|
+//! | L0       | 4,096 | 1 µs                    | 2^12 µs ≈ 4.1 ms          |
+//! | L1       | 64    | 2^12 µs ≈ 4.1 ms        | 2^18 µs ≈ 262 ms          |
+//! | L2       | 64    | 2^18 µs ≈ 262 ms        | 2^24 µs ≈ 16.8 s          |
+//! | L3       | 64    | 2^24 µs ≈ 16.8 s        | 2^30 µs ≈ 17.9 min        |
+//! | L4       | 64    | 2^30 µs ≈ 17.9 min      | 2^36 µs ≈ 19.1 h          |
+//! | L5       | 64    | 2^36 µs ≈ 19.1 h        | 2^42 µs ≈ 50.9 days       |
+//! | overflow | list  | —                       | everything beyond L5      |
 //!
-//! An entry is placed by the highest-resolution level whose current
-//! window contains its deadline. When the clock crosses a slot boundary
-//! ([`TimerWheel::advance`]), the newly current slot of each affected
-//! level *cascades*: its entries re-place into finer levels. Because the
-//! wheel only ever advances to the deadline of the minimum pending entry
-//! (or to a quiet deadline with nothing pending before it), every slot
-//! skipped by an advance is provably empty, so cascades touch only one
-//! slot per level.
+//! (All of it is [`LEVEL_SHIFT`].) An entry is placed in the finest
+//! level whose *current window* — the aligned range of that width
+//! containing the wheel clock — contains its deadline. L0 is wide
+//! enough that a datacenter hop (250–300 µs) is armed straight into it
+//! and never moves again, and a WAN hop (64–65.5 ms) lands in L1 and
+//! moves once.
+//!
+//! # Entries pop only from the head of an L0 slot
+//!
+//! All entries in one L0 slot share one deadline and the list ascends in
+//! `seq`, so the head of the first occupied L0 slot is the global
+//! minimum: [`TimerWheel::pop_before`] reads two bitmap words and one
+//! slab entry. When L0 is empty the first occupied coarser slot holds
+//! the minimum *somewhere* in its list; instead of scanning for it the
+//! wheel moves its clock to that slot's start and *cascades* the slot
+//! ([`TimerWheel::advance`]): its entries re-place into finer levels,
+//! and the lookup starts over. Every entry is therefore touched once per
+//! level it descends and never searched for.
+//!
+//! **The clock never passes the bound.** `pop_before(t, s)` cascades a
+//! slot starting at `start` only when `(start, 0) < (t, s)`, and
+//! otherwise returns `None` with nothing moved. The engine passes the
+//! key of the next event it would process instead (the control-heap top,
+//! or one past its run limit), so after any call the wheel clock is at
+//! or before the time of the next event the engine handles — and an
+//! [`TimerWheel::arm`] made while handling it (deadline ≥ that time) is
+//! never clamped forward.
+//!
+//! Every slot skipped by a clock move is provably empty (the clock only
+//! moves to the deadline of a popped minimum, to the start of the first
+//! occupied slot, or to a quiet deadline with nothing pending before
+//! it), so a move cascades at most one slot per level.
 //!
 //! # Determinism
 //!
@@ -30,14 +58,9 @@
 //! and kept **ascending in `seq`**: [`TimerWheel::arm`] requires
 //! strictly increasing `seq` across calls (the engine allocates `seq`
 //! from one global counter at arm time, so this holds by construction),
-//! lists append at the tail, and cascades traverse head-to-tail, so
-//! re-placed entries stay ascending and always precede later direct
-//! arms. Within an L0 slot all deadlines are equal, so the head is the
-//! slot minimum and a packet wave of thousands of same-deadline entries
-//! pops O(1) each; coarser slots mix deadlines and are scanned (the
-//! first occupied slot of the finest occupied level contains the global
-//! minimum, so at most one list is scanned per lookup). Scans depend
-//! only on list membership, never on memory addresses.
+//! lists append at the tail, and cascades traverse head-to-tail and run
+//! coarse to fine, so re-placed entries stay ascending and always
+//! precede later direct arms. Nothing depends on memory addresses.
 //!
 //! Cancellation marks the slab entry in place; the entry still *pops* at
 //! its deadline — the engine folds every popped event into its digest
@@ -48,10 +71,11 @@
 //!
 //! # Panic freedom
 //!
-//! Slot-array indices are masked (`& 63`, `& 255`) and slab indices come
-//! only from the wheel's own lists, so indexing cannot go out of bounds;
-//! yoda-tidy waives its hot-path indexing rule for this module on that
-//! basis (see `MASKED_INDEX_FILES` in `crates/tidy`).
+//! Slot-array indices are masked (`L0_MASK`, `LK_MASK`, `WORD_MASK`)
+//! and slab indices come only from the wheel's own lists, so indexing
+//! cannot go out of bounds; yoda-tidy waives its hot-path indexing rule
+//! for this module on that basis (see `MASKED_INDEX_FILES` in
+//! `crates/tidy`).
 
 use crate::node::TimerToken;
 use crate::packet::Packet;
@@ -59,13 +83,37 @@ use crate::packet::Packet;
 /// Sentinel for "no entry" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Bit offset of each level's slot index within a deadline; level `k`
-/// (0-based, L1..L5) uses bits `SLOT_SHIFT[k] .. SLOT_SHIFT[k] + 6`.
-const SLOT_SHIFT: [u32; 5] = [8, 14, 20, 26, 32];
+/// Coarse levels L1..L5 (0-based `k` in the code).
+const LEVELS: usize = 5;
 
-/// A level's window is the deadline with these low bits masked off; an
-/// entry belongs to the finest level whose window contains it.
-const EPOCH_SHIFT: [u32; 5] = [14, 20, 26, 32, 38];
+/// The whole layout: L0's window is a deadline with the low
+/// `LEVEL_SHIFT[0]` bits masked off; coarse level `k` takes its slot
+/// index from bits `LEVEL_SHIFT[k] .. LEVEL_SHIFT[k + 1]` and its window
+/// masks off the low `LEVEL_SHIFT[k + 1]` bits. Deadlines outside L5's
+/// window wait in the overflow list.
+pub const LEVEL_SHIFT: [u32; LEVELS + 1] = [12, 18, 24, 30, 36, 42];
+
+/// One-microsecond slots in L0.
+pub const L0_SLOTS: usize = 1 << LEVEL_SHIFT[0];
+const L0_MASK: usize = L0_SLOTS - 1;
+/// L0 occupancy bitmap words (one summary bit each).
+const L0_WORDS: usize = L0_SLOTS / 64;
+const WORD_MASK: usize = L0_WORDS - 1;
+/// Slot-index mask of every coarse level (64 slots, one bitmap word).
+const LK_MASK: usize = 63;
+/// Deadlines differing from the clock above this bit are in overflow.
+const TOP_SHIFT: u32 = LEVEL_SHIFT[LEVELS];
+
+// One summary word covers L0's bitmap, and every coarse level has 64
+// slots; the bit arithmetic below assumes both.
+const _: () = {
+    assert!(L0_WORDS == 64);
+    let mut k = 0;
+    while k < LEVELS {
+        assert!(LEVEL_SHIFT[k + 1] - LEVEL_SHIFT[k] == 6);
+        k += 1;
+    }
+};
 
 /// What a wheel entry delivers when it pops.
 #[derive(Debug)]
@@ -141,38 +189,23 @@ pub struct Fired {
     pub cancelled: bool,
 }
 
-/// Which list a deadline belongs in at the current wheel time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Target {
-    /// L0 slot index.
-    L0(usize),
-    /// (level 0..5 for L1..L5, slot index).
-    Level(usize, usize),
-    Overflow,
-}
-
-/// Where the current minimum entry lives.
+/// One slot's intrusive list: slab indices of its first and last entry,
+/// side by side so an arm or a pop touches one cache line of the slot
+/// array.
 #[derive(Debug, Clone, Copy)]
-enum Loc {
-    /// L0 slot index.
-    L0(usize),
-    /// (level 0..5 for L1..L5, slot index).
-    Level(usize, usize),
-    Overflow,
+struct SlotList {
+    head: u32,
+    tail: u32,
 }
 
-/// The wheel. See the module docs for the level layout and the
-/// determinism contract.
+const EMPTY: SlotList = SlotList { head: NIL, tail: NIL };
+
+/// The wheel. See the module docs for the level layout, the
+/// pop-only-from-L0 rule and the determinism contract.
 pub struct TimerWheel {
     now: u64,
     /// Live entries (pending + cancelled-pending), packets included.
     len: usize,
-    /// Memoized [`TimerWheel::find_min`] result, so the engine's
-    /// peek-then-pop sequence walks the lists once per event. Cleared by
-    /// anything that can move entries or change the minimum (`arm`,
-    /// `pop`, `advance`); `cancel` keeps it — cancelled entries still
-    /// pop in place.
-    cached_min: Option<(u64, u64, u32, Loc)>,
     /// Live timer entries only (the engine's timer-backlog metric).
     timers: usize,
     /// Lower bound on the next acceptable `seq` (monotonicity contract).
@@ -181,12 +214,13 @@ pub struct TimerWheel {
     /// Head of the LIFO free list, threaded through `Entry::next` of dead
     /// slots (no side vector, no per-event capacity checks).
     free_head: u32,
-    l0_head: [u32; 256],
-    l0_tail: [u32; 256],
-    l0_bits: [u64; 4],
-    lk_head: [[u32; 64]; 5],
-    lk_tail: [[u32; 64]; 5],
-    lk_bits: [u64; 5],
+    l0: Box<[SlotList; L0_SLOTS]>,
+    /// Occupied L0 slots, and which words of that bitmap are nonzero.
+    l0_bits: [u64; L0_WORDS],
+    l0_summary: u64,
+    lk: [[SlotList; 64]; LEVELS],
+    lk_bits: [u64; LEVELS],
+    /// Entries beyond L5's window, in arm (= ascending `seq`) order.
     overflow: Vec<u32>,
 }
 
@@ -202,17 +236,15 @@ impl TimerWheel {
         TimerWheel {
             now: 0,
             len: 0,
-            cached_min: None,
             timers: 0,
             next_min_seq: 0,
             slab: Vec::new(),
             free_head: NIL,
-            l0_head: [NIL; 256],
-            l0_tail: [NIL; 256],
-            l0_bits: [0; 4],
-            lk_head: [[NIL; 64]; 5],
-            lk_tail: [[NIL; 64]; 5],
-            lk_bits: [0; 5],
+            l0: Box::new([EMPTY; L0_SLOTS]),
+            l0_bits: [0; L0_WORDS],
+            l0_summary: 0,
+            lk: [[EMPTY; 64]; LEVELS],
+            lk_bits: [0; LEVELS],
             overflow: Vec::new(),
         }
     }
@@ -271,45 +303,39 @@ impl TimerWheel {
         if matches!(item, WheelItem::Timer { .. }) {
             self.timers += 1;
         }
-        let entry = Entry {
-            deadline: deadline.max(self.now),
-            seq,
-            id: match_id,
-            fire_id,
-            item: Some(item),
-            next: NIL,
-            cancelled: false,
-            live: true,
-        };
-        let d = entry.deadline;
-        let slot = if self.free_head != NIL {
-            let s = self.free_head;
-            if let Some(e) = self.slab.get_mut(s as usize) {
+        let deadline = deadline.max(self.now);
+        let mut slot = self.free_head;
+        // `NIL` indexes nothing, so an empty free list takes the push arm.
+        match self.slab.get_mut(slot as usize) {
+            Some(e) => {
+                // Field by field: a recycled slot is written where it
+                // lies instead of being built elsewhere and copied over.
                 self.free_head = e.next;
-                *e = entry;
+                e.deadline = deadline;
+                e.seq = seq;
+                e.id = match_id;
+                e.fire_id = fire_id;
+                e.item = Some(item);
+                e.next = NIL;
+                e.cancelled = false;
+                e.live = true;
             }
-            s
-        } else {
-            self.slab.push(entry);
-            (self.slab.len() - 1) as u32
-        };
+            None => {
+                slot = self.slab.len() as u32;
+                self.slab.push(Entry {
+                    deadline,
+                    seq,
+                    id: match_id,
+                    fire_id,
+                    item: Some(item),
+                    next: NIL,
+                    cancelled: false,
+                    live: true,
+                });
+            }
+        }
         self.len += 1;
-        let target = self.target_for(d);
-        match target {
-            Target::L0(i) => self.splice_l0(i, slot, slot),
-            Target::Level(k, i) => self.splice_lk(k, i, slot, slot),
-            Target::Overflow => self.overflow.push(slot),
-        }
-        // Keep (don't blindly clear) the min memo: the common hot-path
-        // pattern is pop → deliver → arm-a-later-entry, and a memo that
-        // survives such arms lets the next peek skip find_min entirely.
-        // Only an entry that beats the memoized minimum invalidates it
-        // (seq is fresh, so ties are impossible).
-        if let Some((t, s, _, _)) = self.cached_min {
-            if (d, seq) < (t, s) {
-                self.cached_min = None;
-            }
-        }
+        self.place(slot, deadline);
         slot
     }
 
@@ -333,340 +359,208 @@ impl TimerWheel {
         }
     }
 
-    /// The `(time, seq)` of the next entry to pop, if any. The engine
-    /// compares this against its control heap to pick the global minimum
-    /// event.
-    pub fn peek(&mut self) -> Option<(u64, u64)> {
-        if self.len == 0 {
-            return None;
+    /// Removes and returns the minimum `(deadline, seq)` entry iff it is
+    /// strictly below `(bound_time, bound_seq)`, leaving the wheel clock
+    /// at its deadline. Otherwise returns `None` with the clock at or
+    /// before `bound_time` and every entry still pending — see "The clock
+    /// never passes the bound" in the module docs for what callers pass
+    /// and why.
+    pub fn pop_before(&mut self, bound_time: u64, bound_seq: u64) -> Option<Fired> {
+        loop {
+            if self.l0_summary != 0 {
+                return self.pop_l0_head(bound_time, bound_seq);
+            }
+            // L0 is empty, so everything pending is at or after `start`.
+            let start = self.first_coarse_start()?;
+            if (start, 0) >= (bound_time, bound_seq) {
+                return None;
+            }
+            debug_assert!(start > self.now, "occupied coarse slots lie ahead of the clock");
+            self.advance(start);
         }
-        if let Some((t, s, _, _)) = self.cached_min {
-            return Some((t, s));
-        }
-        self.cached_min = self.find_min();
-        self.cached_min.map(|(t, s, _, _)| (t, s))
     }
 
-    /// Removes and returns the minimum `(deadline, seq)` entry, advancing
-    /// the wheel clock to its deadline (cascading as needed).
+    /// Removes and returns the minimum `(deadline, seq)` entry, whatever
+    /// its time: [`TimerWheel::pop_before`] without a bound (the shard
+    /// migrations drain whole wheels with it).
     pub fn pop(&mut self) -> Option<Fired> {
-        let (_, _, slot, loc) = match self.cached_min.take() {
-            Some(m) => m,
-            None => self.find_min()?,
-        };
-        self.unlink(slot, loc);
-        let free_head = self.free_head;
-        let fired = match self.slab.get_mut(slot as usize) {
-            Some(e) => {
-                e.live = false;
-                e.next = free_head;
-                let item = e.item.take()?; // always Some: set at arm, taken once here
-                Fired {
-                    time: e.deadline,
-                    seq: e.seq,
-                    id: e.fire_id,
-                    match_id: e.id,
-                    item,
-                    cancelled: e.cancelled,
-                }
-            }
-            None => return None, // unreachable: find_min only yields live slots
-        };
-        self.free_head = slot;
-        self.len -= 1;
-        if matches!(fired.item, WheelItem::Timer { .. }) {
-            self.timers -= 1;
+        self.pop_before(u64::MAX, u64::MAX)
+    }
+
+    /// Deadline of the earliest pending entry, without moving anything.
+    /// Walks one coarse slot's list when L0 is empty, so it is for
+    /// once-per-window questions (the shard coordinator's), not for the
+    /// per-event path — that is [`TimerWheel::pop_before`].
+    pub fn next_deadline(&self) -> Option<u64> {
+        if self.l0_summary != 0 {
+            // An L0 slot's one deadline is its place in the current window.
+            let window = self.now >> LEVEL_SHIFT[0] << LEVEL_SHIFT[0];
+            return Some(window | self.first_l0() as u64);
         }
-        self.advance(fired.time);
-        if let Loc::L0(idx) = loc {
-            // The slot's new head is the next global minimum: all entries
-            // in an L0 slot share one deadline (fully determined by the
-            // slot index within the current window) and ascend in seq,
-            // and everything else pending is strictly later. An L0 pop
-            // never crosses a slot boundary, so the advance above cannot
-            // have cascaded anything into this slot. Seeding the memo
-            // here makes same-deadline packet waves skip find_min
-            // entirely.
-            let head = self.l0_head[idx & 255];
-            if head != NIL {
-                if let Some(e) = self.slab.get(head as usize) {
-                    self.cached_min = Some((e.deadline, e.seq, head, Loc::L0(idx)));
-                }
-            }
+        let Some(k) = (0..LEVELS).find(|&k| self.lk_bits[k] != 0) else {
+            return self.overflow_deadlines().min();
+        };
+        let mut cur = self.lk[k][self.lk_bits[k].trailing_zeros() as usize & LK_MASK].head;
+        let mut min = u64::MAX;
+        while let Some(e) = self.slab.get(cur as usize) {
+            min = min.min(e.deadline);
+            cur = e.next;
         }
-        Some(fired)
+        Some(min)
     }
 
     /// Advances the wheel clock to `to` (no-op when not in the future),
     /// cascading the newly current slot of every level whose boundary was
     /// crossed. The caller guarantees no pending entry has a deadline
-    /// before `to` — true both for [`TimerWheel::pop`] (the removed entry
-    /// was the minimum) and for the engine's quiet-deadline clock set
-    /// (everything earlier already popped) — which is what makes
-    /// single-slot cascades sufficient: skipped slots are empty.
+    /// before `to` — true for [`TimerWheel::pop_before`] (`to` is the
+    /// start of the first occupied slot) and for the engine's
+    /// quiet-deadline clock set (everything earlier already popped) —
+    /// which is what makes single-slot cascades sufficient: skipped slots
+    /// are empty.
     pub fn advance(&mut self, to: u64) {
         let old = self.now;
         if to <= old {
             return;
         }
         self.now = to;
-        self.cached_min = None;
         if self.len == 0 {
             // Nothing pending anywhere (cancelled entries count until
             // reclaimed), so every slot is empty and no cascade can move
             // anything. Control-only stretches take this path per event.
             return;
         }
-        if old >> 38 != to >> 38 && !self.overflow.is_empty() {
+        if old >> TOP_SHIFT != to >> TOP_SHIFT && !self.overflow.is_empty() {
             let of = std::mem::take(&mut self.overflow);
             for slot in of {
-                let epoch_matches = self
-                    .slab
-                    .get(slot as usize)
-                    .map(|e| e.deadline >> 38 == to >> 38)
-                    .unwrap_or(false);
-                if epoch_matches {
-                    self.place(slot);
-                } else {
-                    self.overflow.push(slot);
+                // Lands in a level if its epoch has come, else back in
+                // the overflow list — in the same order either way.
+                if let Some(d) = self.slab.get(slot as usize).map(|e| e.deadline) {
+                    self.place(slot, d);
                 }
             }
         }
         // Coarse to fine, so entries cascading out of L_{k} re-place into
         // an L_{k-1} slot before that slot itself cascades.
-        for k in (0..5).rev() {
-            if old >> SLOT_SHIFT[k] != to >> SLOT_SHIFT[k] {
-                self.cascade(k, ((to >> SLOT_SHIFT[k]) & 63) as usize);
+        for k in (0..LEVELS).rev() {
+            if old >> LEVEL_SHIFT[k] != to >> LEVEL_SHIFT[k] {
+                self.cascade(k, (to >> LEVEL_SHIFT[k]) as usize & LK_MASK);
             }
         }
     }
 
-    /// Which list owns deadline `d` at the current time: the finest level
-    /// whose current window contains it, or the overflow vector.
+    /// First occupied L0 slot (`l0_summary` must be nonzero). Bits below
+    /// `now & L0_MASK` are necessarily clear, so it is the earliest
+    /// pending 1 µs tick.
     #[inline]
-    fn target_for(&self, d: u64) -> Target {
-        let now = self.now;
-        if d >> 8 == now >> 8 {
-            return Target::L0((d & 255) as usize);
+    fn first_l0(&self) -> usize {
+        let w = self.l0_summary.trailing_zeros() as usize;
+        (w << 6) | self.l0_bits[w & WORD_MASK].trailing_zeros() as usize
+    }
+
+    /// Pops the head of the first occupied L0 slot — the global minimum:
+    /// all entries of a slot share one deadline and ascend in seq, and
+    /// everything in a later slot or a coarser level is strictly later —
+    /// unless it is at or past the bound.
+    #[inline]
+    fn pop_l0_head(&mut self, bound_time: u64, bound_seq: u64) -> Option<Fired> {
+        let idx = self.first_l0();
+        let list = &mut self.l0[idx & L0_MASK];
+        let slot = list.head;
+        let e = self.slab.get_mut(slot as usize)?;
+        if (e.deadline, e.seq) >= (bound_time, bound_seq) {
+            return None;
         }
-        for k in 0..5 {
-            if d >> EPOCH_SHIFT[k] == now >> EPOCH_SHIFT[k] {
-                return Target::Level(k, ((d >> SLOT_SHIFT[k]) & 63) as usize);
+        let item = e.item.take()?; // always Some: set at arm, taken once here
+        let fired = Fired {
+            time: e.deadline,
+            seq: e.seq,
+            id: e.fire_id,
+            match_id: e.id,
+            item,
+            cancelled: e.cancelled,
+        };
+        list.head = std::mem::replace(&mut e.next, self.free_head);
+        e.live = false;
+        self.free_head = slot;
+        if list.head == NIL {
+            list.tail = NIL;
+            let w = (idx >> 6) & WORD_MASK;
+            self.l0_bits[w] &= !(1u64 << (idx & 63));
+            if self.l0_bits[w] == 0 {
+                self.l0_summary &= !(1u64 << w);
             }
         }
-        Target::Overflow
+        self.len -= 1;
+        if matches!(fired.item, WheelItem::Timer { .. }) {
+            self.timers -= 1;
+        }
+        // Same L0 window as before, so no boundary of any level is
+        // crossed and nothing cascades.
+        self.now = fired.time;
+        Some(fired)
     }
 
-    /// Inserts a live slab entry into the level owning its deadline at
-    /// the current time.
-    fn place(&mut self, slot: u32) {
-        let d = match self.slab.get(slot as usize) {
-            Some(e) => e.deadline,
-            None => return, // unreachable: callers pass valid slots
+    /// Start time of the first occupied coarse slot — a lower bound on
+    /// every pending deadline when L0 is empty. Level k's window strictly
+    /// precedes level k+1's, within a level the first occupied slot is the
+    /// earliest range, and the overflow list is beyond every level.
+    fn first_coarse_start(&self) -> Option<u64> {
+        if let Some(k) = (0..LEVELS).find(|&k| self.lk_bits[k] != 0) {
+            let window = self.now >> LEVEL_SHIFT[k + 1] << LEVEL_SHIFT[k + 1];
+            let idx = self.lk_bits[k].trailing_zeros() as u64;
+            return Some(window | (idx << LEVEL_SHIFT[k]));
+        }
+        self.overflow_deadlines().min().map(|d| d >> TOP_SHIFT << TOP_SHIFT)
+    }
+
+    fn overflow_deadlines(&self) -> impl Iterator<Item = u64> + '_ {
+        let slab = &self.slab;
+        self.overflow.iter().filter_map(move |&s| slab.get(s as usize).map(|e| e.deadline))
+    }
+
+    /// Appends slab entry `slot` (deadline `d`, `next` already [`NIL`])
+    /// to the list owning `d` at the current time: the slot of the finest
+    /// level whose current window contains it, or the overflow list.
+    /// Appending at the tail keeps every list ascending in `seq` (see the
+    /// module docs).
+    #[inline]
+    fn place(&mut self, slot: u32, d: u64) {
+        let now = self.now;
+        let list = if d >> LEVEL_SHIFT[0] == now >> LEVEL_SHIFT[0] {
+            let idx = d as usize & L0_MASK;
+            self.l0_bits[(idx >> 6) & WORD_MASK] |= 1u64 << (idx & 63);
+            self.l0_summary |= 1u64 << (idx >> 6);
+            &mut self.l0[idx]
+        } else if let Some(k) =
+            (0..LEVELS).find(|&k| d >> LEVEL_SHIFT[k + 1] == now >> LEVEL_SHIFT[k + 1])
+        {
+            let idx = (d >> LEVEL_SHIFT[k]) as usize & LK_MASK;
+            self.lk_bits[k] |= 1u64 << idx;
+            &mut self.lk[k][idx]
+        } else {
+            return self.overflow.push(slot);
         };
-        match self.target_for(d) {
-            Target::L0(idx) => self.splice_l0(idx, slot, slot),
-            Target::Level(k, idx) => self.splice_lk(k, idx, slot, slot),
-            Target::Overflow => self.overflow.push(slot),
-        }
-    }
-
-    /// Appends the already-linked chain `head ..= chain_tail` at the tail
-    /// of L0 slot `idx`, preserving the ascending-`seq` list invariant
-    /// (see the module docs). A single entry is the `head == chain_tail`
-    /// case.
-    fn splice_l0(&mut self, idx: usize, head: u32, chain_tail: u32) {
-        if let Some(e) = self.slab.get_mut(chain_tail as usize) {
-            e.next = NIL;
-        }
-        let tail = self.l0_tail[idx & 255];
+        let tail = std::mem::replace(&mut list.tail, slot);
         if tail == NIL {
-            self.l0_head[idx & 255] = head;
+            list.head = slot;
         } else if let Some(t) = self.slab.get_mut(tail as usize) {
-            t.next = head;
+            t.next = slot;
         }
-        self.l0_tail[idx & 255] = chain_tail;
-        self.l0_bits[(idx >> 6) & 3] |= 1u64 << (idx & 63);
-    }
-
-    /// Appends the already-linked chain `head ..= chain_tail` at the tail
-    /// of level `k` slot `idx`.
-    fn splice_lk(&mut self, k: usize, idx: usize, head: u32, chain_tail: u32) {
-        if let Some(e) = self.slab.get_mut(chain_tail as usize) {
-            e.next = NIL;
-        }
-        let tail = self.lk_tail[k % 5][idx & 63];
-        if tail == NIL {
-            self.lk_head[k % 5][idx & 63] = head;
-        } else if let Some(t) = self.slab.get_mut(tail as usize) {
-            t.next = head;
-        }
-        self.lk_tail[k % 5][idx & 63] = chain_tail;
-        self.lk_bits[k % 5] |= 1u64 << (idx & 63);
     }
 
     /// Empties level `k` slot `idx`, re-placing its entries at the current
     /// time (they land in finer levels, or L0 — never back in the source:
     /// the slot is current, so its deadlines all fit a finer window).
     /// Traversal is head-to-tail, so ascending `seq` order carries over.
-    ///
-    /// Consecutive entries sharing a target — the common case by far,
-    /// since a burst of same-deadline packets cascades as one contiguous
-    /// run — are spliced as a whole chain in O(1): their `next` links are
-    /// already correct, so the only writes are at run boundaries.
     fn cascade(&mut self, k: usize, idx: usize) {
-        let mut cur = std::mem::replace(&mut self.lk_head[k % 5][idx & 63], NIL);
-        self.lk_tail[k % 5][idx & 63] = NIL;
-        self.lk_bits[k % 5] &= !(1u64 << (idx & 63));
-        while cur != NIL {
-            let Some(e) = self.slab.get(cur as usize) else {
-                break; // unreachable: lists only hold valid slots
-            };
-            let target = self.target_for(e.deadline);
-            let mut run_tail = cur;
-            let mut next = e.next;
-            while next != NIL {
-                let Some(n) = self.slab.get(next as usize) else {
-                    break; // unreachable as above
-                };
-                if self.target_for(n.deadline) != target {
-                    break;
-                }
-                run_tail = next;
-                next = n.next;
-            }
-            match target {
-                Target::L0(i) => self.splice_l0(i, cur, run_tail),
-                Target::Level(kk, i) => self.splice_lk(kk, i, cur, run_tail),
-                Target::Overflow => {
-                    // Unreachable from a current slot (targets are always
-                    // finer), but handle it by pushing entries one by one.
-                    let mut c = cur;
-                    loop {
-                        let nx = self.slab.get(c as usize).map(|e| e.next).unwrap_or(NIL);
-                        self.overflow.push(c);
-                        if c == run_tail {
-                            break;
-                        }
-                        c = nx;
-                    }
-                }
-            }
+        let list = std::mem::replace(&mut self.lk[k][idx & LK_MASK], EMPTY);
+        self.lk_bits[k] &= !(1u64 << (idx & LK_MASK));
+        let mut cur = list.head;
+        while let Some(e) = self.slab.get_mut(cur as usize) {
+            let next = std::mem::replace(&mut e.next, NIL);
+            let d = e.deadline;
+            self.place(cur, d);
             cur = next;
-        }
-    }
-
-    /// Locates the minimum `(deadline, seq)` entry: its key, slab slot,
-    /// and which list holds it.
-    fn find_min(&self) -> Option<(u64, u64, u32, Loc)> {
-        // L0 first: its entries all precede every coarser level. Bits
-        // below `now & 255` are necessarily clear, so the first set bit
-        // is the earliest pending 1 µs tick; within a slot all deadlines
-        // are equal and the list ascends in seq, so the head is the
-        // minimum — no scan.
-        for w in 0..4 {
-            let bits = self.l0_bits[w & 3];
-            if bits != 0 {
-                let idx = (w << 6) | bits.trailing_zeros() as usize;
-                let head = self.l0_head[idx & 255];
-                let e = self.slab.get(head as usize)?;
-                return Some((e.deadline, e.seq, head, Loc::L0(idx)));
-            }
-        }
-        // L1..L5 in order: level k's window strictly precedes level
-        // k+1's, and within a level the first occupied slot is the
-        // earliest range. Coarse slots mix deadlines, so scan.
-        for k in 0..5 {
-            let bits = self.lk_bits[k % 5];
-            if bits != 0 {
-                let idx = bits.trailing_zeros() as usize;
-                return self.scan_list(self.lk_head[k % 5][idx & 63], Loc::Level(k, idx));
-            }
-        }
-        // Overflow last: everything there is beyond every level.
-        let mut best: Option<(u64, u64, u32)> = None;
-        for &slot in &self.overflow {
-            if let Some(e) = self.slab.get(slot as usize) {
-                let key = (e.deadline, e.seq);
-                if best.map(|(t, s, _)| key < (t, s)).unwrap_or(true) {
-                    best = Some((e.deadline, e.seq, slot));
-                }
-            }
-        }
-        best.map(|(t, s, slot)| (t, s, slot, Loc::Overflow))
-    }
-
-    /// Minimum `(deadline, seq)` within one slot list. Lists ascend in
-    /// `seq`, so the first entry holding the minimum deadline is the
-    /// slot minimum.
-    fn scan_list(&self, head: u32, loc: Loc) -> Option<(u64, u64, u32, Loc)> {
-        let mut best: Option<(u64, u64, u32)> = None;
-        let mut cur = head;
-        while cur != NIL {
-            let Some(e) = self.slab.get(cur as usize) else {
-                break; // unreachable: lists only hold valid slots
-            };
-            let key = (e.deadline, e.seq);
-            if best.map(|(t, s, _)| key < (t, s)).unwrap_or(true) {
-                best = Some((e.deadline, e.seq, cur));
-            }
-            cur = e.next;
-        }
-        best.map(|(t, s, slot)| (t, s, slot, loc))
-    }
-
-    /// Removes `slot` from the list identified by `loc`.
-    fn unlink(&mut self, slot: u32, loc: Loc) {
-        match loc {
-            Loc::L0(idx) => {
-                let head = self.l0_head[idx & 255];
-                let (new_head, new_tail) = self.remove_from_list(head, self.l0_tail[idx & 255], slot);
-                self.l0_head[idx & 255] = new_head;
-                self.l0_tail[idx & 255] = new_tail;
-                if new_head == NIL {
-                    self.l0_bits[(idx >> 6) & 3] &= !(1u64 << (idx & 63));
-                }
-            }
-            Loc::Level(k, idx) => {
-                let head = self.lk_head[k % 5][idx & 63];
-                let (new_head, new_tail) = self.remove_from_list(head, self.lk_tail[k % 5][idx & 63], slot);
-                self.lk_head[k % 5][idx & 63] = new_head;
-                self.lk_tail[k % 5][idx & 63] = new_tail;
-                if new_head == NIL {
-                    self.lk_bits[k % 5] &= !(1u64 << (idx & 63));
-                }
-            }
-            Loc::Overflow => {
-                if let Some(pos) = self.overflow.iter().position(|&s| s == slot) {
-                    self.overflow.swap_remove(pos);
-                }
-            }
-        }
-    }
-
-    /// Unlinks `slot` from the singly-linked list starting at `head`
-    /// with tail `tail`, returning the new `(head, tail)`.
-    fn remove_from_list(&mut self, head: u32, tail: u32, slot: u32) -> (u32, u32) {
-        if head == slot {
-            let next = self.slab.get(head as usize).map(|e| e.next).unwrap_or(NIL);
-            let new_tail = if next == NIL { NIL } else { tail };
-            return (next, new_tail);
-        }
-        let mut prev = head;
-        loop {
-            let next = self.slab.get(prev as usize).map(|e| e.next).unwrap_or(NIL);
-            if next == NIL {
-                return (head, tail); // unreachable: slot is always in the list
-            }
-            if next == slot {
-                let after = self.slab.get(slot as usize).map(|e| e.next).unwrap_or(NIL);
-                if let Some(e) = self.slab.get_mut(prev as usize) {
-                    e.next = after;
-                }
-                let new_tail = if after == NIL { prev } else { tail };
-                return (head, new_tail);
-            }
-            prev = next;
         }
     }
 }
@@ -792,7 +686,7 @@ mod tests {
         // ordered them by seq; the wheel must too, even though the
         // cascaded entry joins the L0 slot list after the direct one.
         let mut h = Harness::new();
-        let d = (1 << 14) + 123; // beyond L1's first window from t=0
+        let d = (1 << LEVEL_SHIFT[1]) + 123; // beyond L1's first window from t=0
         h.arm(d); // seq 0, placed coarse
         h.arm(5); // seq 1, fires first and advances the clock near d
         h.arm(d); // seq 2... still far
@@ -805,23 +699,19 @@ mod tests {
 
     #[test]
     fn deep_hierarchy_and_overflow_cascade_fire_in_order() {
-        // One timer per level, plus one past the 2^38 µs horizon.
+        // One timer in L0, one just past the first window of each level
+        // (so one per coarse level, the last in the overflow list), and
+        // one deep in overflow that stays put across one epoch.
         let mut h = Harness::new();
-        let deadlines = [
-            200u64,            // L0
-            (1 << 8) + 7,      // L1 (once out of L0's window)
-            (1 << 14) + 3,     // L2-ish boundary
-            (1 << 20) + 9,     // ~1 s
-            (1 << 26) + 1,     // ~67 s
-            (1 << 32) + 5,     // ~71 min
-            (1 << 38) + 11,    // overflow: ~76 h
-            (3u64 << 38) + 2,  // deep overflow: stays put across one epoch
-        ];
+        let mut deadlines = vec![200u64, (3 << LEVEL_SHIFT[LEVELS]) + 2];
+        deadlines.extend(LEVEL_SHIFT.iter().map(|&shift| (1u64 << shift) + 7));
         for &d in &deadlines {
             h.arm(d);
         }
+        assert_eq!(h.wheel.lk_bits, [2; LEVELS], "slot 1 of every coarse level");
+        assert_eq!(h.wheel.overflow.len(), 2);
         let got: Vec<u64> = h.drain().iter().map(|&(t, _, _)| t).collect();
-        let mut want = deadlines.to_vec();
+        let mut want = deadlines.clone();
         want.sort_unstable();
         assert_eq!(got, want);
         assert!(h.wheel.is_empty());
@@ -844,7 +734,7 @@ mod tests {
         let mut h = Harness::new();
         h.wheel.advance(555);
         h.arm(555);
-        assert_eq!(h.wheel.peek(), Some((555, 0)));
+        assert_eq!(h.wheel.next_deadline(), Some(555));
         assert_eq!(h.drain(), vec![(555, 0, false)]);
     }
 
@@ -870,7 +760,7 @@ mod tests {
         // only the head (this test guards the order; the bench guards
         // the speed).
         let mut h = Harness::new();
-        let d = 1_000u64;
+        let d = L0_SLOTS as u64 + 1_000;
         for i in 0..2_048u32 {
             h.arm_packet(d, i);
         }
@@ -907,6 +797,46 @@ mod tests {
         assert_eq!((f.id, f.match_id), (id, id));
     }
 
+    #[test]
+    fn pop_before_refuses_at_the_bound_and_cascades_only_below_it() {
+        let mut h = Harness::new();
+        let start = L0_SLOTS as u64; // first L1 slot boundary
+        h.arm(start + 9); // seq 0, in L1 slot 1
+        // Bound at the slot start with seq 0: cascading would put the
+        // clock at the bound, so nothing may move.
+        assert!(h.wheel.pop_before(start, 0).is_none());
+        assert_eq!((h.wheel.now(), h.wheel.lk_bits[0]), (0, 2));
+        // Any bound above (start, 0) lets the slot cascade; the entry
+        // itself is still past the bound.
+        assert!(h.wheel.pop_before(start, 1).is_none());
+        assert_eq!((h.wheel.now(), h.wheel.lk_bits[0]), (start, 0));
+        assert!(h.wheel.pop_before(start + 9, 0).is_none(), "strictly below the bound");
+        assert_eq!(h.wheel.pop_before(start + 9, 1).map(|f| f.seq), Some(0));
+        assert_eq!(h.wheel.now(), start + 9);
+    }
+
+    #[test]
+    fn slab_stays_at_the_population_under_steady_churn() {
+        // 64 entries in flight, each pop arming a successor — datacenter
+        // hops, with every seventh a far timer: slots recycle LIFO, so
+        // the slab never grows past the population.
+        let mut h = Harness::new();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for i in 0..64 {
+            h.arm_packet(250 + i, 0);
+        }
+        for i in 0..200_000u64 {
+            let f = h.wheel.pop().expect("population is constant");
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if i % 7 == 0 {
+                h.arm(f.time + 100_000 + (x >> 40) % 100_000);
+            } else {
+                h.arm_packet(f.time + 250 + (x >> 40) % 51, 0);
+            }
+        }
+        assert_eq!((h.wheel.len(), h.wheel.slab.len()), (64, 64));
+    }
+
     /// Randomized (but seeded, in-test-only) differential check against a
     /// sorted reference: thousands of arms at scattered deadlines across
     /// every level must pop in exact (deadline, seq) order.
@@ -923,12 +853,8 @@ mod tests {
         let mut popped = 0u64;
         for round in 0..64 {
             for _ in 0..32 {
-                let spread = match round % 4 {
-                    0 => 1 << 9,
-                    1 => 1 << 15,
-                    2 => 1 << 21,
-                    _ => 1 << 33,
-                };
+                // Two windows of L0, L1, L2 and L4 in turn.
+                let spread = 2 << LEVEL_SHIFT[[0, 1, 2, 4][round % 4]];
                 let d = h.wheel.now() + 1 + next(spread);
                 let (seq, _) = h.arm(d);
                 expect.push((d, seq));

@@ -69,7 +69,7 @@ bench_json="$(mktemp)"
 trap 'rm -f "$bench_json"' EXIT
 ./target/release/bench_engine --smoke > "$bench_json"
 if [[ -f BENCH_engine.json ]]; then
-    for name in pingpong_mesh timer_churn trace_ring full_testbed; do
+    for name in pingpong_mesh timer_churn trace_ring dc_jitter_mesh full_testbed; do
         # Last single-threaded match is the "current" block; the sharded
         # sweep rows carry a "threads" field and are excluded here.
         committed=$(grep "\"name\": \"$name\"" BENCH_engine.json | grep -v '"threads"' | tail -1 \
@@ -135,23 +135,28 @@ awk -v d="$delta_pct" 'BEGIN {
     if (d > 1.0) { print "brownout: availability delta " d "% exceeds 1 point" ; exit 1 }
 }' || exit 1
 
-echo "==> figure byte-identity (spot check)"
+echo "==> figure byte-identity (all nine deterministic figures)"
 # Engine changes must be pure perf wins: regenerating a figure must
-# reproduce the committed bytes exactly. Full regeneration is
-# scripts/runall.sh (~15 min); this re-runs the fastest *deterministic*
-# figure binaries as a gate against behaviour drift. (fig6 and fig16
+# reproduce the committed bytes exactly, and a figure nobody re-ran must
+# not sit stale in results/ (five did, for several PRs, when this step
+# spot-checked two). Every simulation-driven binary of scripts/runall.sh
+# runs here, ~2 min in all, about half of it fig17. (fig6 and fig16
 # measure host wall-clock and are excluded — they never reproduce
 # byte-for-byte.)
 fig_tmp="$(mktemp)"
 trap 'rm -f "$bench_json" "$fig_tmp"' EXIT
-for fig in fig15_cost_reduction table1_website_impact; do
-    ./target/release/"$fig" > "$fig_tmp"
-    if ! cmp -s "$fig_tmp" "results/$fig.txt"; then
+for fig in table1_website_impact fig9_latency_breakdown fig10_tcpstore_latency \
+           "fig12_failure_recovery --timeline" fig13_scalability fig14_policy_update \
+           fig15_cost_reduction fig17_adaptive_tail ablation; do
+    read -r bin args <<< "$fig"
+    # shellcheck disable=SC2086  # $args is zero or one flag, split on purpose
+    ./target/release/"$bin" $args > "$fig_tmp"
+    if ! cmp -s "$fig_tmp" "results/$bin.txt"; then
         echo "figure drift: $fig output differs from committed results/" >&2
-        diff "results/$fig.txt" "$fig_tmp" | head -20 >&2 || true
+        diff "results/$bin.txt" "$fig_tmp" | head -20 >&2 || true
         exit 1
     fi
-    echo "$fig: byte-identical to committed results/"
+    echo "$bin: byte-identical to committed results/"
 done
 
 echo "==> all checks passed"
