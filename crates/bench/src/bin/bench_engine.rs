@@ -19,30 +19,19 @@
 //! * `full_testbed`   — the paper's testbed end to end (browsers, TCP,
 //!   muxes, Yoda instances with a prequal policy, stores, controller):
 //!   the realistic event mix, dominated by TCP segment handling rather
-//!   than raw dispatch. Runs in the sharded sweep too — per-node RNG
-//!   streams make its digest identical at every worker count.
+//!   than raw dispatch.
 //!
 //! The simulation content is fully deterministic (each scenario prints its
 //! `event_digest`, which must be identical across hosts and across engine
 //! refactors); only the wall-clock measurements vary. Results are written
 //! as JSON. With `--update <path>` the file's `"baseline"` block — the
 //! measurement recorded before the engine overhaul — is preserved and only
-//! `"current"` is replaced, so the repo carries its perf trajectory.
-//!
-//! A sharded sweep then re-runs `pingpong_mesh` and `timer_churn` through
-//! `Engine::run_for_sharded` at 1/2/4/8 workers (override with
-//! `--threads N`). Each sharded digest is asserted equal to the
-//! single-threaded digest measured in the same process — the bench aborts
-//! on any divergence, so the committed `"sharded"` rows are themselves
-//! determinism evidence — and in full mode both are additionally pinned
-//! to the digests committed in `BENCH_engine.json`. Per-row
-//! `events_per_sec_per_worker` is the scaling-efficiency numerator
-//! `scripts/check.sh` reports (on a single-core host the sweep still
-//! verifies digest identity; the efficiency numbers are only meaningful
-//! with real parallelism).
+//! `"current"` is replaced, so the repo carries its perf trajectory. In
+//! full mode every scenario's digest is additionally pinned to the one
+//! committed in `BENCH_engine.json`.
 //!
 //! ```text
-//! bench_engine [--smoke] [--only SCENARIO] [--threads N] [--update BENCH_engine.json]
+//! bench_engine [--smoke] [--only SCENARIO] [--update BENCH_engine.json]
 //! ```
 //!
 //! `--only` restricts the run to one scenario (exact name) — for
@@ -52,7 +41,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use bytes::Bytes;
-use yoda_bench::{arg_flag, arg_str, arg_usize};
+use yoda_bench::{arg_flag, arg_str};
 use yoda_core::instance::YodaConfig;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig, OriginServer};
@@ -147,18 +136,15 @@ fn mesh_addr(i: u32) -> Addr {
     Addr::new(10, 20, (i / 250) as u8, (i % 250 + 1) as u8)
 }
 
-/// Committed full-mode digests (see `BENCH_engine.json`): every run —
-/// single-threaded or sharded at any worker count — must land exactly
-/// here.
+/// Committed full-mode digests (see `BENCH_engine.json`): every full run
+/// must land exactly here.
 const PINGPONG_DIGEST_FULL: u64 = 0xb9f7_9de3_8943_a8cd;
 const CHURN_DIGEST_FULL: u64 = 0x9653_0dd7_2d5c_a05f;
+const JITTER_DIGEST_FULL: u64 = 0xe738_f2c8_7569_7e56;
 const TESTBED_DIGEST_FULL: u64 = 0x446b_d132_40f8_1607;
 
 struct Measurement {
     name: &'static str,
-    /// Worker count for the sharded executor; `0` means the plain
-    /// single-threaded `run_for` path.
-    threads: usize,
     events: u64,
     elapsed_ns: u128,
     digest: u64,
@@ -171,20 +157,13 @@ impl Measurement {
     fn ns_per_event(&self) -> f64 {
         self.elapsed_ns as f64 / self.events as f64
     }
-    /// Scaling-efficiency numerator: throughput normalised by worker
-    /// count. Flat across thread counts = perfect scaling.
-    fn per_worker(&self) -> f64 {
-        self.events_per_sec() / self.threads.max(1) as f64
-    }
 }
 
 /// Runs `build` + `run_for(duration)` `repeats` times, keeping the fastest
-/// wall-clock run. `threads > 0` drives the sharded executor instead. The
-/// digest must agree across repeats — a mismatch means the engine is
-/// nondeterministic and the numbers are garbage.
+/// wall-clock run. The digest must agree across repeats — a mismatch
+/// means the engine is nondeterministic and the numbers are garbage.
 fn measure(
     name: &'static str,
-    threads: usize,
     repeats: u32,
     duration: SimTime,
     build: impl Fn() -> Engine,
@@ -196,15 +175,10 @@ fn measure(
         eng.run_for(SimTime::from_millis(50));
         let base_events = eng.events_processed();
         let t0 = Instant::now();
-        if threads == 0 {
-            eng.run_for(duration);
-        } else {
-            eng.run_for_sharded(duration, threads);
-        }
+        eng.run_for(duration);
         let elapsed_ns = t0.elapsed().as_nanos().max(1);
         let m = Measurement {
             name,
-            threads,
             events: eng.events_processed() - base_events,
             elapsed_ns,
             digest: eng.event_digest(),
@@ -295,7 +269,7 @@ fn trace_ring(nodes: u32, fanout: u32) -> Engine {
 /// The realistic workload: a scaled-down paper testbed with browsers
 /// fetching through the full L4/L7 stack and a prequal policy installed
 /// at 100 ms (so the probe path is hot too). Returns the bare engine;
-/// `measure` drives it directly, single-threaded or sharded.
+/// `measure` drives it directly.
 fn full_testbed() -> Engine {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 0xBEEF,
@@ -389,7 +363,7 @@ fn splice_run(name: &'static str, splice: bool, repeats: u32, duration: SimTime)
             },
         );
         // Warmup: policy install, first handshakes, first splice installs.
-        tb.run_for(SimTime::from_millis(500));
+        tb.engine.run_for(SimTime::from_millis(500));
         let events0 = tb.engine.events_processed();
         let completed0 = tb
             .engine
@@ -406,7 +380,7 @@ fn splice_run(name: &'static str, splice: bool, repeats: u32, duration: SimTime)
             .map(|&m| tb.engine.node_ref::<Mux>(m).spliced)
             .sum();
         let t0 = Instant::now();
-        tb.run_for(duration);
+        tb.engine.run_for(duration);
         let elapsed_ns = t0.elapsed().as_nanos().max(1);
         let completed = tb.engine.node_ref::<BrowserClient>(browser).completed - completed0;
         let bytes_served: u64 = tb
@@ -761,7 +735,7 @@ fn splice_forward_run(
             Box::new(PumpClient::new(client_ep, vip, backend_ep, muxes, direct)),
         );
         // Warmup: handshake, flow storage, splice installation, pump spin-up.
-        tb.run_for(SimTime::from_millis(200));
+        tb.engine.run_for(SimTime::from_millis(200));
         let events0 = tb.engine.events_processed();
         let recv0 = tb.engine.node_ref::<PumpClient>(client).received
             + tb.engine.node_ref::<PumpBackend>(backend).received;
@@ -771,7 +745,7 @@ fn splice_forward_run(
             .map(|&m| tb.engine.node_ref::<Mux>(m).spliced)
             .sum();
         let t0 = Instant::now();
-        tb.run_for(duration);
+        tb.engine.run_for(duration);
         let elapsed_ns = t0.elapsed().as_nanos().max(1);
         let pc = tb.engine.node_ref::<PumpClient>(client);
         let pb = tb.engine.node_ref::<PumpBackend>(backend);
@@ -891,32 +865,6 @@ fn json_block(mode: &str, results: &[Measurement]) -> String {
     s
 }
 
-/// Renders the sharded sweep: one row per (scenario, worker count), with
-/// the per-worker throughput `scripts/check.sh` turns into a scaling-
-/// efficiency report.
-fn json_sharded_block(mode: &str, rows: &[Measurement]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "  {{");
-    let _ = writeln!(s, "    \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "    \"rows\": [");
-    for (i, m) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{\"name\": \"{}\", \"threads\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"events_per_sec_per_worker\": {:.0}, \"digest\": \"{:#018x}\"}}{comma}",
-            m.name,
-            m.threads,
-            m.events,
-            m.events_per_sec(),
-            m.per_worker(),
-            m.digest,
-        );
-    }
-    let _ = writeln!(s, "    ]");
-    let _ = write!(s, "  }}");
-    s
-}
-
 /// Extracts the `"baseline": { ... }` block (balanced braces) from a
 /// previously written report, so re-running the bench preserves the
 /// pre-overhaul measurement forever.
@@ -949,33 +897,30 @@ fn main() {
     let wanted = |name: &str| only.as_deref().is_none_or(|o| o == name);
     let mut results = Vec::new();
     if wanted("pingpong_mesh") {
-        results.push(measure("pingpong_mesh", 0, repeats, duration, || {
+        results.push(measure("pingpong_mesh", repeats, duration, || {
             pingpong_mesh(512, 4)
         }));
     }
     if wanted("timer_churn") {
-        results.push(measure("timer_churn", 0, repeats, duration, || {
+        results.push(measure("timer_churn", repeats, duration, || {
             timer_churn(64, 16)
         }));
     }
     if wanted("trace_ring") {
-        results.push(measure("trace_ring", 0, repeats, duration, || {
+        results.push(measure("trace_ring", repeats, duration, || {
             trace_ring(512, 4)
         }));
     }
     if wanted("dc_jitter_mesh") {
-        results.push(measure("dc_jitter_mesh", 0, repeats, duration, || {
+        results.push(measure("dc_jitter_mesh", repeats, duration, || {
             dc_jitter_mesh(16, 4)
         }));
     }
     if wanted("full_testbed") {
-        results.push(measure("full_testbed", 0, repeats, duration, full_testbed));
+        results.push(measure("full_testbed", repeats, duration, full_testbed));
     }
 
-    // Spliced-vs-tunneled forwarding comparison. Deliberately outside the
-    // sharded sweep (its digests are its own, not the committed testbed
-    // baselines) — the spliced-testbed shard-equivalence proof lives in
-    // tests/shard_determinism.rs instead.
+    // Spliced-vs-tunneled forwarding comparison.
     let mut splice_rows = Vec::new();
     if wanted("splice") {
         // Forwarding-tier micro-bench: the headline ns/packet comparison.
@@ -1027,6 +972,19 @@ fn main() {
     }
 
     for m in &results {
+        if !smoke {
+            let committed = match m.name {
+                "pingpong_mesh" | "trace_ring" => PINGPONG_DIGEST_FULL,
+                "timer_churn" => CHURN_DIGEST_FULL,
+                "dc_jitter_mesh" => JITTER_DIGEST_FULL,
+                _ => TESTBED_DIGEST_FULL,
+            };
+            assert_eq!(
+                m.digest, committed,
+                "{} diverged from the committed baseline digest",
+                m.name
+            );
+        }
         eprintln!(
             "{:16} {:>10} events  {:>12.0} events/s  {:>8.1} ns/event  digest {:#018x}",
             m.name,
@@ -1037,64 +995,8 @@ fn main() {
         );
     }
 
-    // Sharded sweep: same workloads through the multi-core executor, one
-    // row per worker count, digest-checked against the single-threaded
-    // run above.
-    let sweep: Vec<usize> = match arg_usize("threads", 0) {
-        0 => vec![1, 2, 4, 8],
-        n => vec![n],
-    };
-    let st_digest = |name: &str| results.iter().find(|m| m.name == name).map(|m| m.digest);
-    let mut sharded = Vec::new();
-    for &threads in &sweep {
-        if wanted("pingpong_mesh") {
-            sharded.push(measure("pingpong_mesh", threads, repeats, duration, || {
-                pingpong_mesh(512, 4)
-            }));
-        }
-        if wanted("timer_churn") {
-            sharded.push(measure("timer_churn", threads, repeats, duration, || {
-                timer_churn(64, 16)
-            }));
-        }
-        if wanted("full_testbed") {
-            sharded.push(measure("full_testbed", threads, repeats, duration, full_testbed));
-        }
-    }
-    for m in &sharded {
-        if let Some(expect) = st_digest(m.name) {
-            assert_eq!(
-                m.digest, expect,
-                "{} at {} workers diverged from the single-threaded digest",
-                m.name, m.threads
-            );
-        }
-        if !smoke {
-            let committed = match m.name {
-                "pingpong_mesh" => PINGPONG_DIGEST_FULL,
-                "timer_churn" => CHURN_DIGEST_FULL,
-                _ => TESTBED_DIGEST_FULL,
-            };
-            assert_eq!(
-                m.digest, committed,
-                "{} at {} workers diverged from the committed baseline digest",
-                m.name, m.threads
-            );
-        }
-        eprintln!(
-            "{:16} x{:<2} {:>10} events  {:>12.0} events/s  {:>12.0} ev/s/worker  digest {:#018x}",
-            m.name,
-            m.threads,
-            m.events,
-            m.events_per_sec(),
-            m.per_worker(),
-            m.digest,
-        );
-    }
-
     let mode = if smoke { "smoke" } else { "full" };
     let current = json_block(mode, &results);
-    let sharded_block = json_sharded_block(mode, &sharded);
     let splice_block = json_splice_block(mode, &splice_rows);
     let baseline = arg_str("update")
         .and_then(|path| std::fs::read_to_string(path).ok())
@@ -1102,7 +1004,7 @@ fn main() {
         .unwrap_or_else(|| current.clone());
 
     let report = format!(
-        "{{\n  \"bench\": \"bench_engine\",\n  \"schema\": 4,\n  \"baseline\":\n{baseline},\n  \"current\":\n{current},\n  \"sharded\":\n{sharded_block},\n  \"splice\":\n{splice_block}\n}}\n"
+        "{{\n  \"bench\": \"bench_engine\",\n  \"schema\": 5,\n  \"baseline\":\n{baseline},\n  \"current\":\n{current},\n  \"splice\":\n{splice_block}\n}}\n"
     );
     match arg_str("update") {
         Some(path) => {

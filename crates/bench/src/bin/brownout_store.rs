@@ -86,7 +86,7 @@ fn run(factor: f64, browse_secs: u64) -> Out {
         tb.slowdown_store_at(i, factor, at);
         tb.slowdown_store_at(i, 1.0, heal);
     }
-    tb.run_for(SimTime::from_secs(browse_secs));
+    tb.engine.run_for(SimTime::from_secs(browse_secs));
 
     let mut lat = Histogram::new();
     let mut out = Out {

@@ -15,11 +15,10 @@ pub type Row = (SimTime, Vec<f64>);
 /// A shared, periodically-appended series of `(time, values)` rows.
 ///
 /// Backed by `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>`: the sampling
-/// closures ride the engine's event queue, which requires `Send` (tidy's
-/// shard-safety rules flag `Rc`/`RefCell` captures). The mutex is never
-/// contended — the engine is single-threaded per shard — so the cost is
-/// an uncontended lock per sample, which is noise next to the sampling
-/// closure itself.
+/// closures ride the engine's event queue, and `Engine::schedule` requires
+/// `Send`. The mutex is never contended — one engine runs on one thread —
+/// so the cost is an uncontended lock per sample, which is noise next to
+/// the sampling closure itself.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     rows: Arc<Mutex<Vec<Row>>>,

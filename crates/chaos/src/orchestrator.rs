@@ -45,12 +45,6 @@ pub struct ChaosScenario {
     pub deadline: SimTime,
     /// Fault-plan budget.
     pub budget: PlanBudget,
-    /// Sharded-executor workers for the testbed run (`0` = classic
-    /// single-threaded). The stock browser/TCP handlers draw from
-    /// per-node RNG streams (`Ctx::node_rng`), so chaos runs shard at
-    /// any worker count with digests identical to single-threaded —
-    /// seed repro commands stay valid regardless of this knob.
-    pub threads: usize,
     /// Enable the mux fast-path flow splicing on the instances, so
     /// steady-state forwarding (and its revocation/failover machinery)
     /// is under fire too.
@@ -73,7 +67,6 @@ impl ChaosScenario {
             max_pages: None,
             deadline: SimTime::from_secs(45),
             budget: PlanBudget::survivable(),
-            threads: 0,
             splice: false,
         }
     }
@@ -93,7 +86,6 @@ impl ChaosScenario {
             max_pages: Some(1),
             deadline: SimTime::from_secs(100),
             budget: PlanBudget::unconstrained(),
-            threads: 0,
             splice: false,
         }
     }
@@ -228,7 +220,6 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
         num_muxes: sc.muxes,
         num_services: sc.services,
         pages_per_site: 12,
-        threads: sc.threads,
         yoda: YodaConfig {
             splice: sc.splice,
             ..YodaConfig::default()
@@ -271,7 +262,7 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     );
 
     apply_plan(&mut tb, plan, Some(witness));
-    tb.run_for(sc.deadline);
+    tb.engine.run_for(sc.deadline);
 
     let violations = check_invariants(&tb, plan, &browsers, witness, sc);
     let mut report = ChaosReport {
@@ -466,7 +457,7 @@ fn wan_override(
 /// pair at `at` and clears it at `end`. The apply closure schedules the
 /// clear closure itself, passing the override ids by value — message
 /// passing through the event queue, where a shared `Rc<RefCell<…>>` cell
-/// would make both closures non-`Send` (tidy: shard-nonsend-rc/cell).
+/// would make both closures non-`Send`, which `Engine::schedule` rejects.
 fn wan_override_dirs(
     tb: &mut Testbed,
     at: SimTime,

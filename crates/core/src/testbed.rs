@@ -50,13 +50,6 @@ pub struct TestbedConfig {
     pub backend: ServerConfig,
     /// Network topology.
     pub topology: Topology,
-    /// Worker threads for the sharded executor (`0` or `1` = classic
-    /// single-threaded execution). The stock testbed — browser think
-    /// times, TCP ISNs, instance probe picks — draws from per-node RNG
-    /// streams (`Ctx::node_rng`), which replay identically at every
-    /// worker count, so any scenario can run sharded with digests
-    /// bit-for-bit equal to the single-threaded reference.
-    pub threads: usize,
 }
 
 impl Default for TestbedConfig {
@@ -75,7 +68,6 @@ impl Default for TestbedConfig {
             store: StoreServerConfig::default(),
             backend: ServerConfig::default(),
             topology: Topology::azure_testbed(),
-            threads: 0,
         }
     }
 }
@@ -118,9 +110,6 @@ pub struct Testbed {
     pub store_cfg: StoreServerConfig,
     /// Backend configuration used (for backend restoration).
     pub backend_cfg: ServerConfig,
-    /// Sharded-executor worker count (`0`/`1` = single-threaded); see
-    /// [`TestbedConfig::threads`].
-    pub threads: usize,
     next_client_host: u8,
 }
 
@@ -264,7 +253,6 @@ impl Testbed {
             yoda_cfg: cfg.yoda,
             store_cfg: cfg.store,
             backend_cfg: cfg.backend,
-            threads: cfg.threads,
             next_client_host: 1,
         };
         // Install the default equal-split policy for every service via
@@ -274,20 +262,6 @@ impl Testbed {
             tb.set_policy(vip, &rules);
         }
         tb
-    }
-
-    /// Advances the simulation by `duration`, honouring the
-    /// [`TestbedConfig::threads`] knob: `0`/`1` runs the classic
-    /// single-threaded loop, anything higher the sharded multi-core
-    /// executor. Handler randomness comes from per-node streams, so the
-    /// digest, counters, and node state are bit-for-bit identical at
-    /// every worker count.
-    pub fn run_for(&mut self, duration: SimTime) {
-        if self.threads <= 1 {
-            self.engine.run_for(duration);
-        } else {
-            self.engine.run_for_sharded(duration, self.threads);
-        }
     }
 
     /// The default rule text for service `s`: equal-weight split across

@@ -26,11 +26,7 @@
 use crate::addr::Addr;
 
 /// Lookup-only `Addr → node index` table.
-///
-/// `Clone` so the sharded executor can hand workers an immutable snapshot
-/// for `Ctx::resolve`; bindings are insert-only, so a snapshot taken at an
-/// epoch barrier stays accurate for the whole window.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct AddrMap {
     /// `(addr << 32) | (node + 1)`, or `0` for an empty slot.
     slots: Vec<u64>,

@@ -94,14 +94,14 @@ impl TimerToken {
 ///
 /// Implementations must be deterministic: any randomness must come from
 /// the node's private stream, [`Ctx::node_rng`](crate::engine::Ctx::node_rng),
-/// so replays are exact at every worker count (the engine-global
-/// [`Ctx::rng`](crate::engine::Ctx::rng) is reserved for single-threaded
+/// so a node's draws do not depend on what other nodes draw (the
+/// engine-global [`Ctx::rng`](crate::engine::Ctx::rng) is reserved for
 /// scenario drivers).
 ///
-/// The `Send` supertrait is the compile-time half of the shard-safety
-/// story: the sharded multi-core engine moves node state between worker
-/// threads at epoch barriers, so node state must never hold `Rc`,
-/// `RefCell`-of-shared, raw pointers, or other thread-bound constructs.
+/// The `Send` supertrait makes [`Engine`](crate::engine::Engine) `Send`,
+/// so independent engines (one per seed) can run on separate threads:
+/// node state must never hold `Rc`, `RefCell`-of-shared, raw pointers, or
+/// other thread-bound constructs.
 pub trait Node: Any + Send {
     /// Invoked once when the simulation starts (or the node is restarted
     /// after a failure). Use it to arm periodic timers.

@@ -1,19 +1,18 @@
 //! Node-name interning.
 //!
 //! The engine attributes every trace event to a node by name. Cloning a
-//! `String` per event is too slow for the hot loop, and the previous
-//! `Rc<str>` sharing is not `Send` — a blocker for the sharded multi-core
-//! engine, where trace events cross epoch barriers between workers. A
-//! [`SymbolTable`] owned by the engine interns each name once and hands
-//! out copyable [`NameId`]s; events carry the 4-byte id and readers
-//! resolve it against the engine's table.
+//! `String` per event is too slow for the hot loop, and `Rc<str>`
+//! sharing is not `Send`, which would make the engine and every trace
+//! event thread-bound. A [`SymbolTable`] owned by the engine interns
+//! each name once and hands out copyable [`NameId`]s; events carry the
+//! 4-byte id and readers resolve it against the engine's table.
 
 use std::collections::BTreeMap;
 
 /// Interned name handle: an index into the owning [`SymbolTable`].
 ///
 /// Plain `u32` data — `Copy`, `Send`, `Sync` — so anything carrying one
-/// (trace events, node metadata) stays shard-safe. Only meaningful
+/// (trace events, node metadata) stays `Send`. Only meaningful
 /// against the table that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);
@@ -30,7 +29,7 @@ impl NameId {
 /// Deduplicating: interning the same string twice returns the same id.
 /// Entries are never removed, so a resolved `&str` stays valid as long
 /// as the table lives.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct SymbolTable {
     names: Vec<String>,
     // BTreeMap (not HashMap): iteration order never leaks into event

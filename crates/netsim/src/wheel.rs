@@ -145,19 +145,11 @@ struct Entry {
     deadline: u64,
     /// Global event sequence number — the tie-breaker at equal deadlines.
     seq: u64,
-    /// Cancellation-match id; lets [`TimerWheel::cancel`] reject a stale
-    /// handle whose slab slot has been recycled. Unused for packets.
-    ///
-    /// Under the single-threaded engine this IS the engine-wide timer id.
-    /// The sharded executor arms timers whose node-held handle carries a
-    /// worker-provisional id (the real id did not exist yet when the
-    /// handle was returned), so the match id and the digest id diverge —
-    /// see `fire_id`.
+    /// The engine-wide timer id: what the engine folds into its event
+    /// digest when the entry pops, and what lets [`TimerWheel::cancel`]
+    /// reject a stale handle whose slab slot has been recycled. Unused
+    /// for packets.
     id: u64,
-    /// The id reported when the entry pops — what the engine folds into
-    /// its event digest. Equal to `id` except for shard-armed timers,
-    /// where it is the real globally-sequenced timer id.
-    fire_id: u64,
     /// `None` only transiently, after the entry popped and before the
     /// slot is recycled.
     item: Option<WheelItem>,
@@ -177,11 +169,6 @@ pub struct Fired {
     pub seq: u64,
     /// Engine-wide timer id (0 for packets) — the digest-visible id.
     pub id: u64,
-    /// Cancellation-match id the entry was armed with (equal to `id`
-    /// except for shard-armed timers). The shard executor needs it when
-    /// migrating still-pending entries between wheels, so the node-held
-    /// handle keeps cancelling the re-armed entry.
-    pub match_id: u64,
     /// What fired.
     pub item: WheelItem,
     /// True when a timer was cancelled before its deadline; the engine
@@ -280,24 +267,6 @@ impl TimerWheel {
     /// engine satisfies this by construction (one global counter,
     /// allocated at arm time).
     pub fn arm(&mut self, deadline: u64, seq: u64, id: u64, item: WheelItem) -> u32 {
-        self.arm_with_ids(deadline, seq, id, id, item)
-    }
-
-    /// [`TimerWheel::arm`] with the cancellation-match id (`match_id`)
-    /// and the digest-visible id (`fire_id`) specified separately. The
-    /// sharded executor arms timers whose handle was issued with a
-    /// provisional id before the real globally-sequenced id existed:
-    /// cancellation must keep matching the handle, while the pop must
-    /// report the real id so event digests stay bit-identical to the
-    /// single-threaded engine.
-    pub fn arm_with_ids(
-        &mut self,
-        deadline: u64,
-        seq: u64,
-        match_id: u64,
-        fire_id: u64,
-        item: WheelItem,
-    ) -> u32 {
         debug_assert!(seq >= self.next_min_seq, "seq must be strictly increasing");
         self.next_min_seq = seq + 1;
         if matches!(item, WheelItem::Timer { .. }) {
@@ -313,8 +282,7 @@ impl TimerWheel {
                 self.free_head = e.next;
                 e.deadline = deadline;
                 e.seq = seq;
-                e.id = match_id;
-                e.fire_id = fire_id;
+                e.id = id;
                 e.item = Some(item);
                 e.next = NIL;
                 e.cancelled = false;
@@ -325,8 +293,7 @@ impl TimerWheel {
                 self.slab.push(Entry {
                     deadline,
                     seq,
-                    id: match_id,
-                    fire_id,
+                    id,
                     item: Some(item),
                     next: NIL,
                     cancelled: false,
@@ -381,32 +348,9 @@ impl TimerWheel {
     }
 
     /// Removes and returns the minimum `(deadline, seq)` entry, whatever
-    /// its time: [`TimerWheel::pop_before`] without a bound (the shard
-    /// migrations drain whole wheels with it).
+    /// its time: [`TimerWheel::pop_before`] without a bound.
     pub fn pop(&mut self) -> Option<Fired> {
         self.pop_before(u64::MAX, u64::MAX)
-    }
-
-    /// Deadline of the earliest pending entry, without moving anything.
-    /// Walks one coarse slot's list when L0 is empty, so it is for
-    /// once-per-window questions (the shard coordinator's), not for the
-    /// per-event path — that is [`TimerWheel::pop_before`].
-    pub fn next_deadline(&self) -> Option<u64> {
-        if self.l0_summary != 0 {
-            // An L0 slot's one deadline is its place in the current window.
-            let window = self.now >> LEVEL_SHIFT[0] << LEVEL_SHIFT[0];
-            return Some(window | self.first_l0() as u64);
-        }
-        let Some(k) = (0..LEVELS).find(|&k| self.lk_bits[k] != 0) else {
-            return self.overflow_deadlines().min();
-        };
-        let mut cur = self.lk[k][self.lk_bits[k].trailing_zeros() as usize & LK_MASK].head;
-        let mut min = u64::MAX;
-        while let Some(e) = self.slab.get(cur as usize) {
-            min = min.min(e.deadline);
-            cur = e.next;
-        }
-        Some(min)
     }
 
     /// Advances the wheel clock to `to` (no-op when not in the future),
@@ -474,8 +418,7 @@ impl TimerWheel {
         let fired = Fired {
             time: e.deadline,
             seq: e.seq,
-            id: e.fire_id,
-            match_id: e.id,
+            id: e.id,
             item,
             cancelled: e.cancelled,
         };
@@ -734,7 +677,6 @@ mod tests {
         let mut h = Harness::new();
         h.wheel.advance(555);
         h.arm(555);
-        assert_eq!(h.wheel.next_deadline(), Some(555));
         assert_eq!(h.drain(), vec![(555, 0, false)]);
     }
 
@@ -769,32 +711,6 @@ mod tests {
         for (i, &(t, s, _)) in got.iter().enumerate() {
             assert_eq!((t, s), (d, i as u64));
         }
-    }
-
-    #[test]
-    fn split_ids_cancel_by_match_id_and_fire_with_fire_id() {
-        // Shard-armed timer: the node's handle carries a provisional id
-        // (here 0x8000_0000_0000_0001) while the digest must see the real
-        // id (42). Cancellation goes by the handle id only.
-        let mut w = TimerWheel::new();
-        let prov = 0x8000_0000_0000_0001u64;
-        let slot = w.arm_with_ids(100, 0, prov, 42, titem());
-        assert!(!w.cancel(slot, 42), "fire id must not cancel");
-        let f = w.pop().expect("pending");
-        assert_eq!((f.id, f.match_id, f.cancelled), (42, prov, false));
-
-        let slot = w.arm_with_ids(200, 1, prov, 43, titem());
-        assert!(w.cancel(slot, prov), "handle id cancels");
-        let f = w.pop().expect("pending");
-        assert_eq!((f.id, f.match_id, f.cancelled), (43, prov, true));
-    }
-
-    #[test]
-    fn plain_arm_keeps_ids_equal() {
-        let mut h = Harness::new();
-        let (id, _) = h.arm(50);
-        let f = h.wheel.pop().expect("pending");
-        assert_eq!((f.id, f.match_id), (id, id));
     }
 
     #[test]

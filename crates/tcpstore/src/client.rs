@@ -625,7 +625,7 @@ impl StoreClient {
 
     /// Deterministic exponential backoff with seeded jitter: base × 2^round
     /// plus up to half of that again, drawn from the owning node's RNG
-    /// stream (per-node, so shard-safe and bit-for-bit reproducible).
+    /// stream (bit-for-bit reproducible, whatever other nodes draw).
     fn repair_backoff(&self, ctx: &mut Ctx<'_>, round: u32) -> SimTime {
         let base = RETRY_BACKOFF.as_micros() << round.min(16);
         let jitter = ctx.node_rng().gen_range(0..=base / 2);

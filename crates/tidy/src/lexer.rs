@@ -299,8 +299,8 @@ mod tests {
 
     #[test]
     fn generic_type_mentions_in_comments_and_strings_blanked() {
-        // The shard-safety rules pattern-match `Rc<`/`Cell<` on the code
-        // view; prose about the old design must not trip them.
+        // Rules pattern-match type names on the code view; prose about
+        // an old design must not trip them.
         let src = "// replaced Rc<RefCell<T>> with ids\nlet m = \"uses Rc<str> inside\";\nlet real: Rc<str> = x;\n";
         let lines = lex(src);
         assert!(!lines[0].code.contains("Rc<"), "comment blanked");

@@ -33,19 +33,6 @@
 //!   **determinism-\*** rule (defense in depth).
 //! * **seq-hygiene** — sequence-number arithmetic must go through
 //!   `SeqNum`'s wrapping helpers.
-//! * **shard-nonsend-\* / shard-taint-\*** — the shard-safety rules: no
-//!   `Rc`/`Weak`, `Cell`/`RefCell`/`UnsafeCell`, `static mut`,
-//!   `thread_local!`, or raw pointers in library code. The sharded
-//!   multi-core engine (ROADMAP #1) moves node state and queued closures
-//!   between worker threads, so every one of these is a latent data race
-//!   or a compile wall. A violation inside the hot closure upgrades from
-//!   the lexical `shard-nonsend-*` rule to `shard-taint-*` with the
-//!   taint path attached.
-//! * **shard-shared-mutable-escape** — a struct implementing `Node` must
-//!   own its state: any field that can alias state owned by another node
-//!   (`Rc`/`Arc`/`Weak`/`RefCell`/`Cell`/raw pointers) is flagged, `Arc`
-//!   included — shared *ownership* across nodes breaks deterministic
-//!   epoch-barrier merging even when the type is `Send`.
 //! * **effect-\*** — the interprocedural effect-signature pass (see
 //!   `effects`): every function gets a signature over a seven-effect
 //!   lattice (rng-draw, clock-read, seq-alloc, digest-fold,
@@ -314,7 +301,6 @@ pub fn analyze_full(
     for (rel, lines) in &lexed {
         check_determinism(rel, lines, &mut violations);
         check_seq_hygiene(rel, lines, &mut violations);
-        check_shard_safety(rel, lines, &mut violations);
         check_debug_prints(rel, lines, &mut violations);
         check_todo_tags(rel, lines, &mut violations);
         check_deny_warnings(rel, lines, &mut violations);
@@ -396,73 +382,6 @@ pub fn analyze_full(
         }
     }
 
-    // shard-taint: upgrade lexical shard-safety violations whose line
-    // sits inside the hot closure (Engine::step or node dispatch),
-    // attaching the root → … → fn taint path. A non-Send construct that
-    // only lives in cold setup code keeps the plain shard-nonsend rule.
-    for v in &mut violations {
-        let Some(shard_rule) = shard_rule_for(v.rule) else {
-            continue;
-        };
-        if let Some(idx) = graph.fn_at(&v.path, v.line) {
-            if hot.contains_key(&idx) {
-                v.rule = shard_rule;
-                v.taint = Some(Taint {
-                    kind: "hot",
-                    path: graph.path_to(&hot, idx),
-                });
-            }
-        }
-    }
-
-    // shard-shared-mutable-escape: a per-node struct must own its
-    // mutable state. Any field of a `Node`-implementing struct whose
-    // type can alias *mutable* state owned by another node is flagged —
-    // including `Arc<Mutex<…>>`-style types, which are `Send` but still
-    // shared mutation, the exact bug class that breaks deterministic
-    // epoch-barrier merging between shard workers (lock-acquisition
-    // order would depend on worker interleaving). A bare `Arc` of an
-    // immutable value (e.g. a shared site catalog) is permitted: aliased
-    // reads merge deterministically.
-    let node_types: std::collections::BTreeSet<&str> = parsed
-        .iter()
-        .flat_map(|(_, fns)| fns.iter())
-        .filter(|f| !f.is_test && f.trait_name.as_deref() == Some("Node"))
-        .filter_map(|f| f.self_ty.as_deref())
-        .collect();
-    for (rel, lines) in &lexed {
-        if !in_call_graph(rel) {
-            continue;
-        }
-        for s in parser::parse_structs(lines) {
-            if s.is_test || !node_types.contains(s.name.as_str()) {
-                continue;
-            }
-            for field in &s.fields {
-                // `Cell<` catches `RefCell<`/`UnsafeCell<` by substring.
-                const ALIASING: &[&str] = &["Rc<", "Weak<", "Cell<", "*mut", "*const"];
-                const INTERIOR_MUT: &[&str] = &["Mutex<", "RwLock<", "Atomic"];
-                let escapes = ALIASING.iter().any(|p| field.ty.contains(p))
-                    || (field.ty.contains("Arc<")
-                        && INTERIOR_MUT.iter().any(|p| field.ty.contains(p)));
-                if escapes {
-                    let content = lines
-                        .iter()
-                        .find(|l| l.number == field.line)
-                        .map(|l| l.raw.trim().to_string())
-                        .unwrap_or_else(|| format!("{}: {}", field.name, field.ty));
-                    violations.push(Violation {
-                        rule: "shard-shared-mutable-escape",
-                        path: rel.clone(),
-                        line: field.line,
-                        content,
-                        taint: None,
-                    });
-                }
-            }
-        }
-    }
-
     // effect-*: the interprocedural effect-signature pass — strict
     // effects reachable from a handler outside the sanctioned Ctx API,
     // plus the per-function signatures for the --effects dump.
@@ -523,18 +442,6 @@ fn sim_rule_for(rule: &str) -> Option<&'static str> {
     }
 }
 
-/// Maps a lexical shard-safety rule to its taint-path-carrying upgrade.
-fn shard_rule_for(rule: &str) -> Option<&'static str> {
-    match rule {
-        "shard-nonsend-rc" => Some("shard-taint-rc"),
-        "shard-nonsend-cell" => Some("shard-taint-cell"),
-        "shard-nonsend-static-mut" => Some("shard-taint-static-mut"),
-        "shard-nonsend-thread-local" => Some("shard-taint-thread-local"),
-        "shard-nonsend-raw-ptr" => Some("shard-taint-raw-ptr"),
-        _ => None,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Lexical rules
 // ---------------------------------------------------------------------------
@@ -567,49 +474,6 @@ fn check_determinism(rel: &str, lines: &[LexedLine], out: &mut Vec<Violation>) {
         }
         if in_sim_crate && (l.code.contains("HashMap") || l.code.contains("HashSet")) {
             push(out, "determinism-hash-collections", rel, l);
-        }
-    }
-}
-
-/// shard-nonsend-*: no thread-bound constructs in library code. Unlike
-/// the determinism rules, the bench harness is *not* exempt — its
-/// sampling closures ride the engine's event queue, which shard workers
-/// drain, so an `Rc`/`RefCell` capture there is exactly as unsafe as one
-/// in the engine. Only the tidy crate itself is excluded (it spells the
-/// patterns) along with `#[cfg(test)]` code, where the compiler's `Send`
-/// bounds on `Engine::schedule`/`Node` already police the boundary.
-fn check_shard_safety(rel: &str, lines: &[LexedLine], out: &mut Vec<Violation>) {
-    let lib_code =
-        rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"));
-    if !lib_code || rel.starts_with("crates/tidy/") {
-        return;
-    }
-    for l in lines {
-        if l.in_test {
-            continue;
-        }
-        // `Rc<`/`Rc::` never match `Arc<`/`Arc::` — case-sensitive, and
-        // the lowercase `rc` in `Arc` can't spell an uppercase `R`.
-        if ["Rc<", "Rc::", "Weak<", "Weak::", "use std::rc"]
-            .iter()
-            .any(|p| l.code.contains(p))
-        {
-            push(out, "shard-nonsend-rc", rel, l);
-        }
-        // `Cell<`/`Cell::` also match `RefCell`/`UnsafeCell`/`OnceCell`
-        // by substring — one rule for the whole interior-mutability
-        // family (none of them are `Sync`-shareable across shards).
-        if ["Cell<", "Cell::"].iter().any(|p| l.code.contains(p)) {
-            push(out, "shard-nonsend-cell", rel, l);
-        }
-        if l.code.contains("static mut ") {
-            push(out, "shard-nonsend-static-mut", rel, l);
-        }
-        if l.code.contains("thread_local!") {
-            push(out, "shard-nonsend-thread-local", rel, l);
-        }
-        if ["*mut ", "*const "].iter().any(|p| l.code.contains(p)) {
-            push(out, "shard-nonsend-raw-ptr", rel, l);
         }
     }
 }
@@ -1241,136 +1105,6 @@ mod tests {
             "impl Node for X {\n    fn on_packet(&mut self) { self.go(); }\n    fn go(&mut self) {}\n}\n#[cfg(test)]\nmod tests {\n    fn t() { z.unwrap(); }\n}\n",
         )]);
         assert!(v.iter().all(|v| v.rule != "panic-hotpath"), "{v:?}");
-    }
-
-    // -- shard-safety rules --------------------------------------------
-
-    #[test]
-    fn rc_in_cold_lib_code_keeps_lexical_rule() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "fn build_only() { let r = std::rc::Rc::new(1); let _ = r; }\n",
-        )]);
-        let hit: Vec<&Violation> = v.iter().filter(|v| v.rule == "shard-nonsend-rc").collect();
-        assert_eq!(hit.len(), 1, "{v:?}");
-        assert!(hit[0].taint.is_none(), "cold code carries no taint path");
-        assert!(v.iter().all(|v| v.rule != "shard-taint-rc"), "{v:?}");
-    }
-
-    #[test]
-    fn rc_in_hot_closure_upgrades_with_path() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "impl Node for X {\n    fn on_packet(&mut self) { helper(); }\n}\nfn helper() { let r = Rc::clone(&self.shared); let _ = r; }\n",
-        )]);
-        let hit: Vec<&Violation> = v.iter().filter(|v| v.rule == "shard-taint-rc").collect();
-        assert_eq!(hit.len(), 1, "{v:?}");
-        assert_eq!(hit[0].line, 4);
-        let taint = hit[0].taint.as_ref().expect("taint path attached");
-        assert_eq!(taint.kind, "hot");
-        assert_eq!(
-            taint.path,
-            vec!["crates/x/src/lib.rs::X::on_packet", "crates/x/src/lib.rs::helper"]
-        );
-    }
-
-    #[test]
-    fn bench_harness_is_not_exempt_from_shard_rules() {
-        // The determinism rules exempt the harness (it measures the
-        // host); the shard rules must not — its closures ride the
-        // engine's event queue.
-        let v = analyze_fixture(&[(
-            "crates/bench/src/sampler.rs",
-            "struct T { rows: Rc<RefCell<Vec<u32>>> }\n",
-        )]);
-        assert!(v.iter().any(|v| v.rule == "shard-nonsend-rc"), "{v:?}");
-        assert!(v.iter().any(|v| v.rule == "shard-nonsend-cell"), "{v:?}");
-    }
-
-    #[test]
-    fn arc_and_mutex_are_not_rc_or_cell() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "fn f() { let rows: Arc<Mutex<Vec<u32>>> = Default::default(); let _ = rows; }\n",
-        )]);
-        assert!(
-            v.iter().all(|v| !v.rule.starts_with("shard-")),
-            "Arc<Mutex<…>> is the sanctioned Send-safe idiom: {v:?}"
-        );
-    }
-
-    #[test]
-    fn turbofish_and_type_alias_cannot_dodge_detection() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "type Shared<T> = Rc<RefCell<T>>;\nfn f() { let s = Rc::<str>::from(\"x\"); let _ = s; }\n",
-        )]);
-        let rc_lines: Vec<usize> = v
-            .iter()
-            .filter(|v| v.rule == "shard-nonsend-rc")
-            .map(|v| v.line)
-            .collect();
-        assert_eq!(rc_lines, vec![1, 2], "alias definition and turbofish both hit: {v:?}");
-        assert!(
-            v.iter().any(|v| v.rule == "shard-nonsend-cell" && v.line == 1),
-            "RefCell inside the alias also hits: {v:?}"
-        );
-    }
-
-    #[test]
-    fn static_mut_thread_local_and_raw_ptr_flagged() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "static mut COUNTER: u32 = 0;\nthread_local! { static TLS: u32 = 0; }\nfn f(p: *mut u8, q: *const u8) {}\n",
-        )]);
-        assert!(v.iter().any(|v| v.rule == "shard-nonsend-static-mut" && v.line == 1), "{v:?}");
-        assert!(v.iter().any(|v| v.rule == "shard-nonsend-thread-local" && v.line == 2), "{v:?}");
-        assert!(v.iter().any(|v| v.rule == "shard-nonsend-raw-ptr" && v.line == 3), "{v:?}");
-    }
-
-    #[test]
-    fn test_code_and_comments_are_exempt_from_shard_rules() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "// the old Rc<RefCell<T>> design\nfn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let r = std::rc::Rc::new(1); let _ = r; }\n}\n",
-        )]);
-        assert!(
-            v.iter().all(|v| !v.rule.starts_with("shard-")),
-            "comments and #[cfg(test)] code are not library state: {v:?}"
-        );
-    }
-
-    #[test]
-    fn escape_rule_flags_aliasing_node_fields_only() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "struct X {\n    shared: Rc<Table>,\n    own: Vec<u32>,\n}\nstruct NotANode {\n    shared: Rc<Table>,\n}\nimpl Node for X {\n    fn on_packet(&mut self) {}\n}\n",
-        )]);
-        let hit: Vec<&Violation> = v
-            .iter()
-            .filter(|v| v.rule == "shard-shared-mutable-escape")
-            .collect();
-        assert_eq!(hit.len(), 1, "only the Node struct's field: {v:?}");
-        assert_eq!(hit[0].line, 2);
-        assert!(hit[0].content.contains("shared"), "{:?}", hit[0]);
-    }
-
-    #[test]
-    fn escape_rule_permits_immutable_arc_but_not_arc_mutex() {
-        let v = analyze_fixture(&[(
-            "crates/x/src/lib.rs",
-            "struct X {\n    catalog: Arc<SiteCatalog>,\n    stats: Arc<Mutex<Stats>>,\n}\nimpl Node for X {\n    fn on_packet(&mut self) {}\n}\n",
-        )]);
-        let lines: Vec<usize> = v
-            .iter()
-            .filter(|v| v.rule == "shard-shared-mutable-escape")
-            .map(|v| v.line)
-            .collect();
-        assert_eq!(
-            lines,
-            vec![3],
-            "shared reads merge deterministically, shared locks do not: {v:?}"
-        );
     }
 
     #[test]

@@ -74,32 +74,6 @@ pub struct FnItem {
     pub calls: Vec<Call>,
 }
 
-/// One field of a `struct` item.
-#[derive(Debug)]
-pub struct FieldItem {
-    /// Field name (tuple fields are named by position: `"0"`, `"1"`, …).
-    pub name: String,
-    /// The field's type, re-rendered from tokens (`Rc<RefCell<Vec<T>>>`);
-    /// whitespace-normalized, so substring checks like `"Rc<"` work
-    /// regardless of source formatting.
-    pub ty: String,
-    /// 1-based source line of the field.
-    pub line: usize,
-}
-
-/// One `struct` item found in a file.
-#[derive(Debug)]
-pub struct StructItem {
-    /// The struct's name.
-    pub name: String,
-    /// Its fields (empty for unit structs).
-    pub fields: Vec<FieldItem>,
-    /// Whether the item sits inside `#[cfg(test)]` code.
-    pub is_test: bool,
-    /// Line of the `struct` keyword.
-    pub line: usize,
-}
-
 // ---------------------------------------------------------------------------
 // Token scanning
 // ---------------------------------------------------------------------------
@@ -390,186 +364,6 @@ fn parse_fn_header(toks: &[SpannedTok], start: usize, stack: &[Frame]) -> (FnIte
     (item, false, j)
 }
 
-// ---------------------------------------------------------------------------
-// Struct parsing (for the shard-shared-mutable-escape rule)
-// ---------------------------------------------------------------------------
-
-/// Parses every `struct` item (with field names and re-rendered field
-/// types) out of one lexed file. Generic parameters and `where` clauses
-/// between the name and the body are skipped; tuple structs get
-/// positionally-named fields.
-pub fn parse_structs(lines: &[LexedLine]) -> Vec<StructItem> {
-    let toks = scan(lines);
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !matches!(&toks[i].tok, Tok::Ident(w) if w == "struct") {
-            i += 1;
-            continue;
-        }
-        let Some(Tok::Ident(name)) = toks.get(i + 1).map(|t| &t.tok) else {
-            i += 1;
-            continue;
-        };
-        let mut item = StructItem {
-            name: name.clone(),
-            fields: Vec::new(),
-            is_test: toks[i].in_test,
-            line: toks[i].line,
-        };
-        // Skip generics / `where` bounds to the body opener. `>` that is
-        // part of `->` (fn-trait bounds in a where clause) must not close
-        // an angle level.
-        let mut j = i + 2;
-        let mut angle = 0i32;
-        let mut prev_dash = false;
-        // A tuple struct's `(` comes directly after the name/generics; a
-        // `(` after `where` belongs to a bound like `Fn(u32) -> u32`.
-        let mut seen_where = false;
-        let opener = loop {
-            let Some(t) = toks.get(j) else { break None };
-            match &t.tok {
-                Tok::Punct('<') => angle += 1,
-                Tok::Punct('>') if !prev_dash => angle -= 1,
-                Tok::Ident(w) if w == "where" => seen_where = true,
-                Tok::Punct('{') if angle <= 0 => break Some('{'),
-                Tok::Punct('(') if angle <= 0 && !seen_where => break Some('('),
-                Tok::Punct(';') if angle <= 0 => break Some(';'),
-                _ => {}
-            }
-            prev_dash = matches!(&t.tok, Tok::Punct('-'));
-            j += 1;
-        };
-        match opener {
-            Some('{') => j = parse_named_fields(&toks, j + 1, &mut item.fields),
-            Some('(') => j = parse_tuple_fields(&toks, j + 1, &mut item.fields),
-            _ => {}
-        }
-        out.push(item);
-        i = j + 1;
-    }
-    out
-}
-
-/// Parses `name: Type,` fields from the token after the struct's `{` to
-/// its matching `}`; returns the index of that `}`.
-fn parse_named_fields(toks: &[SpannedTok], start: usize, out: &mut Vec<FieldItem>) -> usize {
-    let mut j = start;
-    let mut brace = 1i32;
-    while j < toks.len() && brace > 0 {
-        match &toks[j].tok {
-            Tok::Punct('{') => brace += 1,
-            Tok::Punct('}') => brace -= 1,
-            // A field is `ident :` at the struct's own depth, where the
-            // `:` is single (not a `::` path separator).
-            Tok::Ident(w) if brace == 1 && !is_keyword(w) => {
-                let colon = toks.get(j + 1).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                    && toks.get(j + 2).map(|t| &t.tok) != Some(&Tok::Punct(':'));
-                if colon {
-                    let (ty, next) = render_type(toks, j + 2);
-                    out.push(FieldItem {
-                        name: w.clone(),
-                        ty,
-                        line: toks[j].line,
-                    });
-                    j = next;
-                    continue;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j.min(toks.len().saturating_sub(1))
-}
-
-/// Parses tuple-struct fields from the token after the `(` to its
-/// matching `)`; returns the index of that `)`.
-fn parse_tuple_fields(toks: &[SpannedTok], start: usize, out: &mut Vec<FieldItem>) -> usize {
-    let mut j = start;
-    let mut index = 0usize;
-    while j < toks.len() {
-        if toks[j].tok == Tok::Punct(')') {
-            return j;
-        }
-        // `pub` visibility (with optional `(crate)` restriction) precedes
-        // the type; skip it rather than render it into the type string.
-        if matches!(&toks[j].tok, Tok::Ident(w) if w == "pub") {
-            j += 1;
-            if toks.get(j).map(|t| &t.tok) == Some(&Tok::Punct('(')) {
-                while j < toks.len() && toks[j].tok != Tok::Punct(')') {
-                    j += 1;
-                }
-                j += 1;
-            }
-            continue;
-        }
-        let (ty, next) = render_type(toks, j);
-        out.push(FieldItem {
-            name: index.to_string(),
-            ty,
-            line: toks[j].line,
-        });
-        index += 1;
-        j = if toks.get(next).map(|t| &t.tok) == Some(&Tok::Punct(',')) {
-            next + 1
-        } else {
-            next
-        };
-    }
-    j.min(toks.len().saturating_sub(1))
-}
-
-/// Renders the type starting at token `start` until a `,` at nesting
-/// depth zero or the closing `}`/`)` of the enclosing item. Tokens are
-/// concatenated with a space only between adjacent identifiers, so
-/// `Rc < RefCell < T > >` renders as `Rc<RefCell<T>>` no matter how the
-/// source was formatted. Returns the rendered type and the index of the
-/// terminator token.
-fn render_type(toks: &[SpannedTok], start: usize) -> (String, usize) {
-    let mut ty = String::new();
-    let mut angle = 0i32;
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    let mut prev_ident = false;
-    let mut prev_dash = false;
-    let mut j = start;
-    while j < toks.len() {
-        match &toks[j].tok {
-            Tok::Punct(',') if angle <= 0 && paren == 0 && bracket == 0 => break,
-            Tok::Punct('}') | Tok::Punct(')') if paren == 0 && bracket == 0 => break,
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') if !prev_dash => angle -= 1,
-            Tok::Punct('(') => paren += 1,
-            Tok::Punct(')') => paren -= 1,
-            Tok::Punct('[') => bracket += 1,
-            Tok::Punct(']') => bracket -= 1,
-            _ => {}
-        }
-        match &toks[j].tok {
-            Tok::Ident(w) => {
-                if prev_ident {
-                    ty.push(' ');
-                }
-                ty.push_str(w);
-                prev_ident = true;
-            }
-            // Drop a trailing comma before a closing `>` so multi-line
-            // generic lists normalize to the single-line spelling.
-            Tok::Punct(',') if toks.get(j + 1).map(|t| &t.tok) == Some(&Tok::Punct('>')) => {
-                prev_ident = false;
-            }
-            Tok::Punct(c) => {
-                ty.push(*c);
-                prev_ident = false;
-            }
-        }
-        prev_dash = matches!(&toks[j].tok, Tok::Punct('-'));
-        j += 1;
-    }
-    (ty, j)
-}
-
 /// Detects a call site (or a qualified function value) at token `i`.
 fn detect_call(toks: &[SpannedTok], i: usize) -> Option<Call> {
     let name = match &toks[i].tok {
@@ -745,84 +539,5 @@ mod tests {
             .calls
             .iter()
             .any(|c| c.name == "wire_len" && c.kind == CallKind::Qualified("Packet".into())));
-    }
-
-    // -- struct parsing ------------------------------------------------
-
-    fn structs(src: &str) -> Vec<StructItem> {
-        parse_structs(&lex(src))
-    }
-
-    #[test]
-    fn named_fields_with_nested_generics() {
-        let s = structs(
-            "struct Meta {\n    name: Rc<str>,\n    rows: Rc<RefCell<Vec<Row>>>,\n    zone: Zone,\n}\n",
-        );
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].name, "Meta");
-        let tys: Vec<&str> = s[0].fields.iter().map(|f| f.ty.as_str()).collect();
-        assert_eq!(tys, vec!["Rc<str>", "Rc<RefCell<Vec<Row>>>", "Zone"]);
-        assert_eq!(s[0].fields[1].line, 3);
-    }
-
-    #[test]
-    fn multiline_generic_type_is_normalized() {
-        // Formatting must not be able to dodge a substring check: the
-        // rendered type always reads `Rc<RefCell<T>>` however the source
-        // wraps it.
-        let s = structs("struct W {\n    inner: Rc<\n        RefCell<T>,\n    >,\n}\n");
-        assert_eq!(s[0].fields[0].ty, "Rc<RefCell<T>>");
-    }
-
-    #[test]
-    fn tuple_and_unit_structs() {
-        let s = structs("struct P(pub Rc<str>, u32);\nstruct U;\nstruct G<T>(T);\n");
-        assert_eq!(s.len(), 3);
-        assert_eq!(s[0].fields.len(), 2);
-        assert_eq!(s[0].fields[0].name, "0");
-        assert_eq!(s[0].fields[0].ty, "Rc<str>");
-        assert_eq!(s[0].fields[1].ty, "u32");
-        assert!(s[1].fields.is_empty());
-        assert_eq!(s[2].fields[0].ty, "T");
-    }
-
-    #[test]
-    fn generic_struct_with_where_clause() {
-        let s = structs(
-            "struct Holder<F>\nwhere\n    F: Fn(u32) -> u32,\n{\n    cb: F,\n    cell: Cell<u64>,\n}\n",
-        );
-        assert_eq!(s.len(), 1);
-        let tys: Vec<&str> = s[0].fields.iter().map(|f| f.ty.as_str()).collect();
-        assert_eq!(tys, vec!["F", "Cell<u64>"], "{s:?}");
-    }
-
-    #[test]
-    fn fn_pointer_field_parens_do_not_split_fields() {
-        let s = structs("struct C {\n    hook: fn(u32, u32) -> bool,\n    n: usize,\n}\n");
-        assert_eq!(s[0].fields.len(), 2);
-        assert_eq!(s[0].fields[0].ty, "fn(u32,u32)->bool");
-    }
-
-    #[test]
-    fn raw_pointer_and_reference_fields_render() {
-        let s = structs("struct R {\n    p: *mut u8,\n    q: *const Node,\n    r: &'static str,\n}\n");
-        let tys: Vec<&str> = s[0].fields.iter().map(|f| f.ty.as_str()).collect();
-        assert_eq!(tys, vec!["*mut u8", "*const Node", "&'static str"]);
-    }
-
-    #[test]
-    fn struct_in_test_code_is_marked() {
-        let s = structs("struct Prod { x: u32 }\n#[cfg(test)]\nmod tests {\n    struct T { y: Rc<str> }\n}\n");
-        assert!(!s[0].is_test);
-        assert!(s[1].is_test);
-    }
-
-    #[test]
-    fn struct_update_syntax_is_not_a_struct_item() {
-        // `..Default::default()` and expression-position braces must not
-        // confuse the scanner into inventing items.
-        let s = structs("fn f() { let x = Foo { a: 1, ..Default::default() }; }\nstruct Foo { a: u32 }\n");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].name, "Foo");
     }
 }

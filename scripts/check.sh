@@ -70,11 +70,10 @@ trap 'rm -f "$bench_json"' EXIT
 ./target/release/bench_engine --smoke > "$bench_json"
 if [[ -f BENCH_engine.json ]]; then
     for name in pingpong_mesh timer_churn trace_ring dc_jitter_mesh full_testbed; do
-        # Last single-threaded match is the "current" block; the sharded
-        # sweep rows carry a "threads" field and are excluded here.
-        committed=$(grep "\"name\": \"$name\"" BENCH_engine.json | grep -v '"threads"' | tail -1 \
+        # The last match is the "current" block.
+        committed=$(grep "\"name\": \"$name\"" BENCH_engine.json | tail -1 \
             | grep -o '"events_per_sec": [0-9]*' | grep -o '[0-9]*' || true)
-        now=$(grep "\"name\": \"$name\"" "$bench_json" | grep -v '"threads"' | tail -1 \
+        now=$(grep "\"name\": \"$name\"" "$bench_json" | tail -1 \
             | grep -o '"events_per_sec": [0-9]*' | grep -o '[0-9]*' || true)
         if [[ -n "$committed" && -n "$now" && "$committed" -gt 0 ]]; then
             awk -v n="$name" -v c="$committed" -v x="$now" 'BEGIN {
@@ -85,25 +84,6 @@ if [[ -f BENCH_engine.json ]]; then
 else
     echo "bench: no committed BENCH_engine.json — skipping delta"
 fi
-
-# Sharded scaling efficiency: events/s/worker at each thread count,
-# relative to the 1-worker row of the same scenario. Report-only — on a
-# single-core host efficiency collapses by construction; the load-bearing
-# property (sharded digest == single-threaded digest at every worker
-# count) is asserted *inside* bench_engine, which aborts on divergence.
-echo "==> sharded scaling (events/s per worker, vs 1-worker row)"
-grep '"threads":' "$bench_json" | { while read -r row; do
-    name=$(grep -o '"name": "[a-z_]*"' <<< "$row" | cut -d'"' -f4)
-    threads=$(grep -o '"threads": [0-9]*' <<< "$row" | grep -o '[0-9]*')
-    pw=$(grep -o '"events_per_sec_per_worker": [0-9]*' <<< "$row" | grep -o '[0-9]*$')
-    base=$(grep '"threads": 1,' "$bench_json" | grep "\"name\": \"$name\"" \
-        | grep -o '"events_per_sec_per_worker": [0-9]*' | grep -o '[0-9]*$' || true)
-    if [[ -n "$base" && "$base" -gt 0 ]]; then
-        awk -v n="$name" -v t="$threads" -v p="$pw" -v b="$base" 'BEGIN {
-            printf "scaling: %-14s x%-2d %12d ev/s/worker  (%5.1f%% of x1)\n",
-                   n, t, p, 100.0 * p / b }'
-    fi
-done; } || true
 
 # Splice fast path: forwarding-tier cost per data packet (raw ns/packet
 # minus the forward_direct calibration baseline), spliced vs tunneled.

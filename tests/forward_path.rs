@@ -555,7 +555,7 @@ fn run_ping_pong(yoda: YodaConfig) -> Identity {
         Zone::Dc,
         Box::new(Peer::new(client_ep, Some(vip), 5_000, 0x1000_0000)),
     );
-    tb.run_for(SimTime::from_millis(500));
+    tb.engine.run_for(SimTime::from_millis(500));
     let (c, b) = (
         tb.engine.node_ref::<Peer>(client),
         tb.engine.node_ref::<Peer>(backend),

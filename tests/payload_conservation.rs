@@ -27,7 +27,7 @@ fn served_equals_received(splice: bool) {
         },
         ..TestbedConfig::default()
     });
-    tb.run_for(SimTime::from_secs(1));
+    tb.engine.run_for(SimTime::from_secs(1));
     // Bounded work on both clients, so nothing is in flight at the end:
     // whole pages (1 KB – 442 KB objects) and an open-loop stream.
     let browser = tb.add_browser(
@@ -46,7 +46,7 @@ fn served_equals_received(splice: bool) {
             ..RateClientConfig::default()
         },
     );
-    tb.run_for(SimTime::from_secs(90));
+    tb.engine.run_for(SimTime::from_secs(90));
 
     let b = tb.engine.node_ref::<BrowserClient>(browser);
     let r = tb.engine.node_ref::<RateClient>(rate);

@@ -1,13 +1,12 @@
-//! Compile-time shard-safety witnesses.
+//! Compile-time `Send` witnesses.
 //!
-//! The sharded multi-core engine (ROADMAP #1) moves the engine core,
-//! queued control closures, and per-node state between worker threads at
-//! epoch barriers. That is only sound if those types are `Send`, and the
-//! property must not be able to regress silently: `yoda-tidy`'s
-//! shard-safety rules catch the constructs lexically, and these witnesses
-//! make the final composed guarantee a compile error to break — adding an
-//! `Rc` field anywhere inside `Engine` or a node type fails `cargo test`
-//! before any test runs.
+//! One engine runs on one thread; the parallelism that pays in this repo
+//! is across independent engines — one per seed or chaos plan — handed
+//! to separate threads. That needs a whole `Engine` (core, queued control
+//! closures, every node's state) to be `Send`, and the property must not
+//! be able to regress silently: these witnesses make it a compile error
+//! to break — adding an `Rc` field anywhere inside `Engine` or a node
+//! type fails `cargo test` before any test runs.
 //!
 //! The functions are deliberately empty: instantiating `assert_send::<T>`
 //! is the whole test. There is nothing to execute, so each `#[test]` body
@@ -18,7 +17,6 @@ use yoda::core::{Controller, YodaInstance};
 use yoda::http::{BrowserClient, OriginServer, RateClient};
 use yoda::l4lb::{EdgeRouter, Mux};
 use yoda::netsim::addrmap::AddrMap;
-use yoda::netsim::shard::{EpochBarrier, ShardMailbox, ShardWorker};
 use yoda::netsim::wheel::TimerWheel;
 use yoda::netsim::{Endpoint, Engine, FlowTable, NameId, Node, SymbolTable, TraceEvent, TraceSink};
 use yoda::proxy::ProxyInstance;
@@ -29,7 +27,7 @@ fn assert_sync<T: Sync>() {}
 
 /// The engine itself — event queue, timer wheel, address map, trace sink,
 /// symbol table, node slots, and every queued control closure — must be
-/// able to move onto a shard worker thread whole.
+/// able to move onto another thread whole.
 #[test]
 fn engine_and_internals_are_send() {
     assert_send::<Engine>();
@@ -39,9 +37,9 @@ fn engine_and_internals_are_send() {
     assert_send::<SymbolTable>();
 }
 
-/// Trace events cross epoch barriers between workers when shards merge
-/// their timelines; the interned name id is plain data, so the whole
-/// event is both `Send` and `Sync`.
+/// Trace events outlive the run that recorded them and are read from
+/// wherever the report is built; the interned name id is plain data, so
+/// the whole event is both `Send` and `Sync`.
 #[test]
 fn trace_events_are_send_and_sync() {
     assert_send::<TraceEvent>();
@@ -59,24 +57,9 @@ fn boxed_nodes_are_send() {
     assert_send::<Box<dyn Node>>();
 }
 
-/// The sharded executor's own moving parts. A `ShardWorker` (nodes,
-/// timer wheels, per-node RNG streams, effect log) is handed to a
-/// spawned scope thread, so it must be `Send`; the mailbox additionally
-/// crosses back to the coordinator for replay. The `EpochBarrier` is
-/// *shared* by reference between the coordinator and every worker
-/// simultaneously, so it needs the stronger `Sync`.
-#[test]
-fn shard_executor_types_are_send_and_sync() {
-    assert_send::<ShardWorker>();
-    assert_send::<ShardMailbox>();
-    assert_sync::<EpochBarrier>();
-    assert_send::<EpochBarrier>();
-}
-
 /// Every product node type: the paper's data plane (edge router, mux,
 /// L7 instances, backends) and control plane (controller, TCPStore,
-/// chaos witness). These are the states a shard worker owns and the
-/// epoch barrier migrates.
+/// chaos witness) — the states an engine owns and carries with it.
 #[test]
 fn per_node_state_types_are_send() {
     assert_send::<EdgeRouter>();
@@ -93,8 +76,7 @@ fn per_node_state_types_are_send() {
 
 /// The table every per-packet lookup goes through. Its hasher is a
 /// stateless value (no `RandomState`, nothing thread-bound), so a table
-/// is `Send` whenever its entries are — node state built on it migrates
-/// like any other.
+/// is `Send` whenever its entries are.
 #[test]
 fn flow_tables_are_send() {
     assert_send::<FlowTable<(Endpoint, Endpoint), u64>>();
