@@ -110,11 +110,6 @@ impl LinearProgram {
         self.rows.push((coeffs.to_vec(), cmp, rhs));
     }
 
-    /// Number of constraints so far.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Solves the program.
     pub fn solve(&self) -> Result<LpResult, LpError> {
         let m = self.rows.len();

@@ -46,18 +46,13 @@ impl Default for ProbeConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Outstanding {
-    backend: Endpoint,
-    sent_at: SimTime,
-}
-
 /// Probe bookkeeping: outstanding probes, quarantines, counters.
 #[derive(Debug)]
 pub struct Prober {
     /// Tunables (read by the owning node for timer periods).
     pub cfg: ProbeConfig,
-    outstanding: BTreeMap<u64, Outstanding>,
+    /// Probe tag → probed backend.
+    outstanding: BTreeMap<u64, Endpoint>,
     /// Quarantined backend → release time.
     quarantined: BTreeMap<Endpoint, SimTime>,
     next_tag: u64,
@@ -120,10 +115,10 @@ impl Prober {
     }
 
     /// Registers an outgoing probe to `backend`; returns its tag.
-    pub fn begin(&mut self, backend: Endpoint, now: SimTime) -> u64 {
+    pub fn begin(&mut self, backend: Endpoint) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
-        self.outstanding.insert(tag, Outstanding { backend, sent_at: now });
+        self.outstanding.insert(tag, backend);
         self.probes_sent += 1;
         tag
     }
@@ -132,29 +127,21 @@ impl Prober {
     /// backend (and clears any quarantine on it — an answering backend
     /// is alive). `None` for unknown or already-expired tags.
     pub fn on_reply(&mut self, tag: u64, _now: SimTime) -> Option<Endpoint> {
-        let out = self.outstanding.remove(&tag)?;
+        let backend = self.outstanding.remove(&tag)?;
         self.probes_answered += 1;
-        self.quarantined.remove(&out.backend);
-        Some(out.backend)
+        self.quarantined.remove(&backend);
+        Some(backend)
     }
 
     /// Handles a probe-timeout timer. If the probe is still outstanding,
     /// its backend is quarantined and returned; `None` when the reply
     /// already arrived.
     pub fn on_timeout(&mut self, tag: u64, now: SimTime) -> Option<Endpoint> {
-        let out = self.outstanding.remove(&tag)?;
+        let backend = self.outstanding.remove(&tag)?;
         self.probes_timed_out += 1;
         self.quarantines += 1;
-        self.quarantined.insert(out.backend, now + self.cfg.quarantine);
-        Some(out.backend)
-    }
-
-    /// Age of the oldest outstanding probe (diagnostics).
-    pub fn oldest_outstanding(&self, now: SimTime) -> Option<SimTime> {
-        self.outstanding
-            .values()
-            .map(|o| now.saturating_sub(o.sent_at))
-            .max()
+        self.quarantined.insert(backend, now + self.cfg.quarantine);
+        Some(backend)
     }
 }
 
@@ -205,7 +192,7 @@ mod tests {
     fn reply_clears_outstanding_and_quarantine() {
         let mut p = prober();
         let t0 = SimTime::ZERO;
-        let tag = p.begin(ep(1), t0);
+        let tag = p.begin(ep(1));
         assert_eq!(p.on_reply(tag, t0), Some(ep(1)));
         assert_eq!(p.on_reply(tag, t0), None, "tag consumed");
         assert_eq!(p.on_timeout(tag, t0), None, "reply beat the timeout");
@@ -217,7 +204,7 @@ mod tests {
     fn timeout_quarantines_and_lapses() {
         let mut p = prober();
         let t0 = SimTime::ZERO;
-        let tag = p.begin(ep(2), t0);
+        let tag = p.begin(ep(2));
         let t1 = t0 + p.cfg.timeout;
         assert_eq!(p.on_timeout(tag, t1), Some(ep(2)));
         assert!(p.is_quarantined(ep(2), t1));
@@ -233,11 +220,11 @@ mod tests {
     fn recovery_reply_ends_quarantine_early() {
         let mut p = prober();
         let t0 = SimTime::ZERO;
-        let tag = p.begin(ep(3), t0);
+        let tag = p.begin(ep(3));
         p.on_timeout(tag, t0 + p.cfg.timeout);
         assert!(p.is_quarantined(ep(3), t0 + p.cfg.timeout));
         // A later probe answered by the backend readmits it immediately.
-        let tag2 = p.begin(ep(3), t0 + p.cfg.quarantine);
+        let tag2 = p.begin(ep(3));
         assert_eq!(p.on_reply(tag2, t0 + p.cfg.quarantine), Some(ep(3)));
         assert!(!p.is_quarantined(ep(3), t0 + p.cfg.quarantine));
     }

@@ -184,7 +184,7 @@ fn bench_assign() {
         previous: None,
     };
     bench("assign_greedy_110_vips", || {
-        black_box(solve_greedy(&input.clone(), &GreedyConfig::default()));
+        let _ = black_box(solve_greedy(&input.clone(), &GreedyConfig::default()));
     });
     let small = AssignInput {
         vips: (0..4)
@@ -203,7 +203,7 @@ fn bench_assign() {
         previous: None,
     };
     bench("assign_exact_4x4", || {
-        black_box(yoda_assign::solve_exact(&small.clone(), 200));
+        let _ = black_box(yoda_assign::solve_exact(&small.clone(), 200));
     });
 }
 

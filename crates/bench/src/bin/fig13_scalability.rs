@@ -45,7 +45,6 @@ fn main() {
                 high_cpu: 0.70,
                 target_cpu: 0.55,
             }),
-            ..ControllerConfig::default()
         },
         ..TestbedConfig::default()
     });

@@ -13,12 +13,13 @@
 //! instance's own histograms — the same vantage the paper used.
 
 use yoda_bench::report::{f2, print_header, print_kv, Table};
+use yoda_bench::failover::LbKind;
 use yoda_bench::{arg_f64, arg_flag};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
 use yoda_http::{OriginServer, RateClient, RateClientConfig, ServerConfig, SiteCatalog, SiteConfig};
 use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
-use yoda_proxy::{ProxyInstance, ProxyTestbed, ProxyTestbedConfig};
+use yoda_proxy::ProxyInstance;
 
 /// Finds an object of roughly 10 KB in site 0 of a catalog.
 fn small_object(catalog: &SiteCatalog) -> String {
@@ -77,14 +78,19 @@ fn run_baseline(rate: f64, duration: SimTime) -> RunResult {
     }
 }
 
-fn run_yoda(rate: f64, duration: SimTime) -> RunResult {
-    let mut tb = Testbed::build(TestbedConfig {
+/// The one-instance, one-service testbed both LB runs share.
+fn one_instance_testbed(lb: LbKind, num_backends: usize) -> Testbed {
+    lb.testbed(TestbedConfig {
         seed: 9,
         num_instances: 1,
         num_services: 1,
-        num_backends: 4,
+        num_backends,
         ..TestbedConfig::default()
-    });
+    })
+}
+
+fn run_lb(lb: LbKind, rate: f64, duration: SimTime) -> RunResult {
+    let mut tb = one_instance_testbed(lb, 4);
     let path = small_object(&tb.catalog);
     let client = tb.add_rate_client(
         0,
@@ -96,15 +102,16 @@ fn run_yoda(rate: f64, duration: SimTime) -> RunResult {
         },
     );
     tb.engine.run_for(duration + SimTime::from_secs(5));
-    let inst = tb.instances[0];
-    let (storage_ms, connection_ms) = {
-        let i = tb.engine.node_mut::<YodaInstance>(inst);
-        let conn = i.conn_latency.median().unwrap_or(0.0);
-        let store_client = i.store_client_mut();
-        // Two sets per request (storage-a, storage-b), issued in
-        // parallel per replica: critical-path cost = 2 × median set.
-        let storage = 2.0 * store_client.set_latency.median().unwrap_or(0.0);
-        (storage, conn)
+    // Storage and connection components exist only on a Yoda instance.
+    let (storage_ms, connection_ms) = match tb.engine.try_node_mut::<YodaInstance>(tb.instances[0]) {
+        Some(i) => {
+            let conn = i.conn_latency.median().unwrap_or(0.0);
+            // Two sets per request (storage-a, storage-b), issued in
+            // parallel per replica: critical-path cost = 2 × median set.
+            let storage = 2.0 * i.store_client_mut().set_latency.median().unwrap_or(0.0);
+            (storage, conn)
+        }
+        None => (0.0, 0.0),
     };
     let c = tb.engine.node_mut::<RateClient>(client);
     RunResult {
@@ -114,30 +121,27 @@ fn run_yoda(rate: f64, duration: SimTime) -> RunResult {
     }
 }
 
-fn run_proxy(rate: f64, duration: SimTime) -> RunResult {
-    let mut tb = ProxyTestbed::build(ProxyTestbedConfig {
-        seed: 9,
-        num_instances: 1,
-        num_services: 1,
-        num_backends: 4,
-        ..ProxyTestbedConfig::default()
-    });
+/// CPU utilisation of the lone instance after `duration` at `rate`.
+fn cpu_at(lb: LbKind, rate: f64, duration: SimTime) -> f64 {
+    let mut tb = one_instance_testbed(lb, 8);
     let path = small_object(&tb.catalog);
-    let client = tb.add_rate_client(
-        0,
-        RateClientConfig {
-            rate_per_sec: rate,
-            object_path: Some(path),
-            duration: Some(duration),
-            ..RateClientConfig::default()
-        },
-    );
-    tb.engine.run_for(duration + SimTime::from_secs(5));
-    let c = tb.engine.node_mut::<RateClient>(client);
-    RunResult {
-        median_ms: c.fetch_latencies.median().unwrap_or(0.0),
-        storage_ms: 0.0,
-        connection_ms: 0.0,
+    // Spread the load over several client nodes to avoid port reuse.
+    for _ in 0..4 {
+        tb.add_rate_client(
+            0,
+            RateClientConfig {
+                rate_per_sec: rate / 4.0,
+                object_path: Some(path.clone()),
+                duration: Some(duration),
+                ..RateClientConfig::default()
+            },
+        );
+    }
+    tb.engine.run_for(duration);
+    let (inst, now) = (tb.instances[0], tb.engine.now());
+    match lb {
+        LbKind::Yoda => tb.engine.node_ref::<YodaInstance>(inst).cpu_utilization(now),
+        LbKind::Proxy => tb.engine.node_ref::<ProxyInstance>(inst).cpu_utilization(now),
     }
 }
 
@@ -147,62 +151,10 @@ fn cpu_sweep() {
     let duration = SimTime::from_secs(3);
     let mut t = Table::new(&["req/s", "Yoda CPU", "HAProxy CPU"]);
     for rate in [2_000.0, 5_000.0, 8_000.0, 10_000.0, 12_000.0] {
-        // Yoda.
-        let mut ytb = Testbed::build(TestbedConfig {
-            seed: 9,
-            num_instances: 1,
-            num_services: 1,
-            num_backends: 8,
-            ..TestbedConfig::default()
-        });
-        let path = small_object(&ytb.catalog);
-        // Spread the load over several client nodes to avoid port reuse.
-        for i in 0..4 {
-            ytb.add_rate_client(
-                0,
-                RateClientConfig {
-                    rate_per_sec: rate / 4.0,
-                    object_path: Some(path.clone()),
-                    duration: Some(duration),
-                    ..RateClientConfig::default()
-                },
-            );
-            let _ = i;
-        }
-        ytb.engine.run_for(duration);
-        let ycpu = {
-            let i = ytb.engine.node_ref::<YodaInstance>(ytb.instances[0]);
-            i.cpu_utilization(ytb.engine.now())
-        };
-        // HAProxy.
-        let mut ptb = ProxyTestbed::build(ProxyTestbedConfig {
-            seed: 9,
-            num_instances: 1,
-            num_services: 1,
-            num_backends: 8,
-            ..ProxyTestbedConfig::default()
-        });
-        let path = small_object(&ptb.catalog);
-        for _ in 0..4 {
-            ptb.add_rate_client(
-                0,
-                RateClientConfig {
-                    rate_per_sec: rate / 4.0,
-                    object_path: Some(path.clone()),
-                    duration: Some(duration),
-                    ..RateClientConfig::default()
-                },
-            );
-        }
-        ptb.engine.run_for(duration);
-        let pcpu = {
-            let i = ptb.engine.node_ref::<ProxyInstance>(ptb.instances[0]);
-            i.cpu_utilization(ptb.engine.now())
-        };
         t.row(&[
             format!("{rate:.0}"),
-            format!("{:.0}%", ycpu * 100.0),
-            format!("{:.0}%", pcpu * 100.0),
+            format!("{:.0}%", cpu_at(LbKind::Yoda, rate, duration) * 100.0),
+            format!("{:.0}%", cpu_at(LbKind::Proxy, rate, duration) * 100.0),
         ]);
     }
     t.print();
@@ -214,8 +166,8 @@ fn main() {
     let rate = arg_f64("rate", 400.0);
     let duration = SimTime::from_secs(arg_f64("secs", 10.0) as u64);
     let baseline = run_baseline(rate, duration);
-    let yoda = run_yoda(rate, duration);
-    let proxy = run_proxy(rate, duration);
+    let yoda = run_lb(LbKind::Yoda, rate, duration);
+    let proxy = run_lb(LbKind::Proxy, rate, duration);
 
     let mut t = Table::new(&["component", "Yoda (ms)", "HAProxy (ms)", "paper Yoda", "paper HAProxy"]);
     t.row(&[

@@ -10,7 +10,7 @@ use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::{Histogram, SimTime, TraceKind};
-use yoda_proxy::{ProxyTestbed, ProxyTestbedConfig};
+use yoda_proxy::ProxyConfig;
 
 use crate::storestats::StoreStatsSummary;
 
@@ -21,6 +21,16 @@ pub enum LbKind {
     Yoda,
     /// The HAProxy-style proxy baseline.
     Proxy,
+}
+
+impl LbKind {
+    /// Builds `cfg`'s testbed with this LB in the L7 slot.
+    pub fn testbed(self, cfg: TestbedConfig) -> Testbed {
+        match self {
+            LbKind::Yoda => Testbed::build(cfg),
+            LbKind::Proxy => yoda_proxy::testbed(cfg, ProxyConfig::default()),
+        }
+    }
 }
 
 /// Scenario parameters.
@@ -152,14 +162,6 @@ pub fn largest_object(catalog: &yoda_http::SiteCatalog, site: usize) -> String {
         .max_by_key(|o| o.size)
         .map(|o| o.path.clone())
         .expect("non-empty site")
-}
-
-/// Runs the scenario and gathers the outcome.
-pub fn run_failover(setup: &FailoverSetup) -> FailoverOutcome {
-    match setup.lb {
-        LbKind::Yoda => run_yoda(setup),
-        LbKind::Proxy => run_proxy(setup),
-    }
 }
 
 fn collect_browsers(
@@ -295,8 +297,9 @@ fn extract_timeline(engine: &yoda_netsim::Engine, around: SimTime) -> Vec<String
     lines
 }
 
-fn run_yoda(setup: &FailoverSetup) -> FailoverOutcome {
-    let mut tb = Testbed::build(TestbedConfig {
+/// Runs the scenario and gathers the outcome.
+pub fn run_failover(setup: &FailoverSetup) -> FailoverOutcome {
+    let mut tb = setup.lb.testbed(TestbedConfig {
         seed: setup.seed,
         num_instances: setup.num_instances,
         ..TestbedConfig::default()
@@ -317,46 +320,12 @@ fn run_yoda(setup: &FailoverSetup) -> FailoverOutcome {
     }
     tb.engine.run_for(setup.duration);
     let mut out = collect_browsers(&mut tb.engine, &ids);
-    out.recoveries = tb
-        .instances
-        .iter()
-        .filter(|&&i| tb.engine.is_alive(i))
-        .map(|&i| tb.engine.node_ref::<YodaInstance>(i).recoveries)
-        .sum();
-    for &i in &tb.instances {
-        if tb.engine.is_alive(i) {
-            out.store_stats
-                .absorb(tb.engine.node_ref::<YodaInstance>(i).store_client());
-        }
+    // Yoda-only numbers: a proxy instance has no TCPStore to recover from.
+    let live = tb.instances.iter().filter(|&&i| tb.engine.is_alive(i));
+    for y in live.filter_map(|&i| tb.engine.try_node_ref::<YodaInstance>(i)) {
+        out.recoveries += y.recoveries;
+        out.store_stats.absorb(y.store_client());
     }
-    if setup.timeline {
-        out.timeline = extract_timeline(&tb.engine, setup.fail_at);
-    }
-    out
-}
-
-fn run_proxy(setup: &FailoverSetup) -> FailoverOutcome {
-    let mut tb = ProxyTestbed::build(ProxyTestbedConfig {
-        seed: setup.seed,
-        num_instances: setup.num_instances,
-        ..ProxyTestbedConfig::default()
-    });
-    if setup.timeline {
-        tb.engine.enable_trace(4_000_000);
-    }
-    tb.engine.run_for(setup.warmup);
-    let ids: Vec<_> = (0..setup.browsers)
-        .map(|i| {
-            let site = i % tb.vips.len();
-            let cfg = browser_cfg(setup, &tb.catalog, site);
-            tb.add_browser(site, cfg)
-        })
-        .collect();
-    for &i in &setup.fail {
-        tb.fail_instance_at(i, setup.fail_at);
-    }
-    tb.engine.run_for(setup.duration);
-    let mut out = collect_browsers(&mut tb.engine, &ids);
     if setup.timeline {
         out.timeline = extract_timeline(&tb.engine, setup.fail_at);
     }

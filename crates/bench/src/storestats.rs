@@ -51,12 +51,11 @@ impl StoreStatsSummary {
                 quarantined_until: SimTime::ZERO,
             });
             let total = e.samples + s.samples;
-            if total > 0 {
-                // Sample-weighted merge keeps the column meaningful when
-                // clients saw the replica unevenly.
-                e.ewma = SimTime::from_micros(
-                    (e.ewma.as_micros() * e.samples + s.ewma.as_micros() * s.samples) / total,
-                );
+            // Sample-weighted merge keeps the column meaningful when
+            // clients saw the replica unevenly.
+            let weighted = e.ewma.as_micros() * e.samples + s.ewma.as_micros() * s.samples;
+            if let Some(mean) = weighted.checked_div(total) {
+                e.ewma = SimTime::from_micros(mean);
             }
             e.samples = total;
             e.timeouts += s.timeouts;

@@ -391,19 +391,6 @@ impl ChaosPlan {
         }
     }
 
-    /// The latest heal/restore instant (controller kills, which never
-    /// heal, count at their injection time).
-    pub fn last_heal(&self) -> SimTime {
-        self.faults
-            .iter()
-            .map(|f| match f.kind {
-                FaultKind::ControllerKill => f.at,
-                _ => f.end(),
-            })
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Multi-line rendering for failure output: paste the seed back into
     /// the harness and the identical schedule regenerates.
     pub fn render(&self) -> String {
@@ -606,10 +593,8 @@ fn admissible(existing: &[Fault], f: &Fault, shape: &PlanShape, budget: &PlanBud
             loss_pct,
             jitter_ms,
             ..
-        } => {
-            if loss_pct > budget.max_link_loss_pct || jitter_ms > budget.max_link_jitter_ms {
-                return false;
-            }
+        } if loss_pct > budget.max_link_loss_pct || jitter_ms > budget.max_link_jitter_ms => {
+            return false;
         }
         _ => {}
     }

@@ -864,18 +864,26 @@ mod tests {
 
     /// Answers pings, dropping the first `drop_first` and delaying each
     /// answer by `delay` (`fast_after`: answers promptly from that ping
-    /// count on). Silent forever when `dead` is set.
+    /// count on). Silent forever when `dead` is set. Keeps the backend
+    /// up/down verdicts the controller sends it.
     struct Ponger {
         seen: u32,
         drop_first: u32,
         dead: bool,
         delay: SimTime,
         fast_after: Option<u32>,
+        verdicts: Vec<InstanceCtrl>,
     }
 
     impl Node for Ponger {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
             if pkt.protocol != PROTO_PING {
+                if let Some(
+                    m @ (InstanceCtrl::BackendDown { .. } | InstanceCtrl::BackendUp { .. }),
+                ) = InstanceCtrl::decode(&pkt.payload)
+                {
+                    self.verdicts.push(m);
+                }
                 return;
             }
             self.seen += 1;
@@ -899,6 +907,7 @@ mod tests {
             dead,
             delay,
             fast_after,
+            verdicts: Vec::new(),
         }
     }
 
@@ -987,5 +996,38 @@ mod tests {
         assert!(!c.is_derated(iaddr));
         assert_eq!(c.vip_instances(vip), vec![iaddr]);
         assert_eq!(c.failures_detected, 0);
+    }
+
+    #[test]
+    fn removed_backend_is_down_for_good() {
+        // §5.2 administrative removal: every instance hears BackendDown,
+        // the backend is never pinged again, and a pong from it — it is
+        // healthy, the operator just took it out — does not re-admit it.
+        let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_micros(250)));
+        let caddr = Addr::new(10, 0, 4, 1);
+        let iaddr = Addr::new(10, 0, 0, 1);
+        let backend = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+        let mut c = Controller::new(ControllerConfig::default(), caddr);
+        c.register_instance(iaddr);
+        c.register_backend(backend);
+        let cid = eng.add_node("ctrl", caddr, Zone::Dc, Box::new(c));
+        let healthy = || Box::new(ponger(0, false, SimTime::ZERO, None));
+        let iid = eng.add_node("inst", iaddr, Zone::Dc, healthy());
+        let bid = eng.add_node("backend", backend.addr, Zone::Dc, healthy());
+        // Pings leave at 600 ms and 1200 ms; the removal lands while the
+        // second one is on the wire, so its pong reaches a controller that
+        // already holds the backend as removed.
+        eng.schedule(SimTime::from_micros(1_200_100), move |eng| {
+            eng.with_node_ctx::<Controller>(cid, |c, ctx| c.remove_backend(ctx, backend));
+        });
+        eng.run_for(SimTime::from_secs(6));
+        assert_eq!(
+            eng.node_ref::<Ponger>(iid).verdicts,
+            vec![InstanceCtrl::BackendDown { backend }],
+            "one BackendDown, and no BackendUp after the late pong"
+        );
+        assert_eq!(eng.node_ref::<Ponger>(bid).seen, 2, "pinged after removal");
+        let c = eng.node_ref::<Controller>(cid);
+        assert_eq!((c.failures_detected, c.recoveries_detected), (0, 0));
     }
 }

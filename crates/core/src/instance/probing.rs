@@ -32,7 +32,7 @@ impl YodaInstance {
             let targets = self.prober.sample(&cands, ctx.node_rng());
             let src = Endpoint::new(self.addr, PROBE_PORT);
             for b in targets {
-                let tag = self.prober.begin(b, now);
+                let tag = self.prober.begin(b);
                 ctx.send(Packet::new(
                     src,
                     b,

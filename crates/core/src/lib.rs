@@ -44,4 +44,4 @@ pub use ctrl::{InstanceCtrl, CTRL_PORT};
 pub use flowstate::{FlowRecord, SynRecord};
 pub use instance::{YodaConfig, YodaInstance};
 pub use rules::{Action, Matcher, Rule, RuleTable, SelectCtx};
-pub use testbed::{Testbed, TestbedConfig};
+pub use testbed::{Testbed, TestbedConfig, Tier};

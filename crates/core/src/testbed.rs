@@ -13,7 +13,7 @@ use yoda_http::{
     SiteCatalog, SiteConfig,
 };
 use yoda_l4lb::{EdgeRouter, Mux};
-use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
+use yoda_netsim::{Addr, Endpoint, Engine, Node, NodeId, SimTime, Topology, Zone};
 use yoda_tcpstore::{StoreServer, StoreServerConfig};
 
 use crate::controller::{Controller, ControllerConfig};
@@ -72,6 +72,31 @@ impl Default for TestbedConfig {
     }
 }
 
+/// Builds the L7 instance at an address, given the store and mux
+/// addresses (a tier with no use for them ignores them).
+pub type MakeInstance = dyn Fn(Addr, &[Addr], &[Addr]) -> Box<dyn Node> + Send + Sync;
+
+/// What fills the testbed's L7 slot: everything else — router, muxes,
+/// stores, backends, controller, clients — is the same for every tier.
+#[derive(Clone)]
+pub struct Tier {
+    /// Instance node-name prefix (`yoda`, `haproxy`).
+    pub prefix: &'static str,
+    /// Instance constructor, kept by the testbed to restore instances.
+    pub make: Arc<MakeInstance>,
+}
+
+/// `n` host addresses `a.b.c.1 ..= a.b.c.n`.
+///
+/// # Panics
+///
+/// Panics when `n > 254`: the host octet would wrap and the testbed would
+/// silently be smaller than its config says.
+fn addrs(n: usize, a: u8, b: u8, c: u8) -> Vec<Addr> {
+    assert!(n <= 254, "{n} nodes do not fit the /24 {a}.{b}.{c}.0 (at most 254)");
+    (1..=n as u8).map(|i| Addr::new(a, b, c, i)).collect()
+}
+
 /// A built testbed: the engine plus handles to every component.
 pub struct Testbed {
     /// The simulation engine.
@@ -104,8 +129,8 @@ pub struct Testbed {
     pub vips: Vec<Endpoint>,
     /// The shared website catalog (site *i* belongs to service *i*).
     pub catalog: Arc<SiteCatalog>,
-    /// Yoda instance configuration used (for spare restoration).
-    pub yoda_cfg: YodaConfig,
+    /// The L7 tier built (for instance restoration).
+    tier: Tier,
     /// Store server configuration used (for store restoration).
     pub store_cfg: StoreServerConfig,
     /// Backend configuration used (for backend restoration).
@@ -114,28 +139,44 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Assembles the testbed and installs the default policy: each VIP
-    /// splits traffic equally across its service's backends, on every
-    /// active instance (the paper's testbed assigns all four services to
-    /// all ten instances).
+    /// Assembles the paper's deployment: Yoda instances in the L7 slot,
+    /// and a controller that also health-checks the muxes. Only this
+    /// deployment monitors them: mux pings draw from the engine-global
+    /// link-jitter stream, so turning them on for another tier moves that
+    /// tier's committed figures.
     pub fn build(cfg: TestbedConfig) -> Testbed {
+        let yoda = cfg.yoda.clone();
+        let tier = Tier {
+            prefix: "yoda",
+            make: Arc::new(move |addr, stores, muxes| {
+                Box::new(YodaInstance::new(yoda.clone(), addr, stores, muxes.to_vec()))
+            }),
+        };
+        let mut tb = Testbed::build_with(cfg, tier);
+        tb.engine
+            .node_mut::<Controller>(tb.controller)
+            .monitor_muxes();
+        tb
+    }
+
+    /// Assembles the testbed around `tier` and installs the default
+    /// policy: each VIP splits traffic equally across its service's
+    /// backends, on every active instance (the paper's testbed assigns
+    /// all four services to all ten instances). `cfg.yoda` is read only
+    /// by the tier [`Testbed::build`] passes.
+    pub fn build_with(cfg: TestbedConfig, tier: Tier) -> Testbed {
         let mut engine = Engine::with_topology(cfg.seed, cfg.topology.clone());
 
-        // Addresses.
         let router_addr = Addr::new(10, 0, 3, 1);
         let controller_addr = Addr::new(10, 0, 4, 1);
-        let mux_addrs: Vec<Addr> = (1..=cfg.num_muxes as u8).map(|i| Addr::new(10, 0, 2, i)).collect();
-        let instance_addrs: Vec<Addr> =
-            (1..=cfg.num_instances as u8).map(|i| Addr::new(10, 0, 0, i)).collect();
-        let spare_addrs: Vec<Addr> = (1..=cfg.num_spares as u8)
-            .map(|i| Addr::new(10, 0, 5, i))
-            .collect();
-        let store_addrs: Vec<Addr> =
-            (1..=cfg.num_stores as u8).map(|i| Addr::new(10, 0, 1, i)).collect();
-        let backend_addrs: Vec<Addr> =
-            (1..=cfg.num_backends as u8).map(|i| Addr::new(10, 1, 0, i)).collect();
-        let vips: Vec<Endpoint> = (1..=cfg.num_services as u8)
-            .map(|i| Endpoint::new(Addr::new(100, 0, 0, i), 80))
+        let mux_addrs = addrs(cfg.num_muxes, 10, 0, 2);
+        let instance_addrs = addrs(cfg.num_instances, 10, 0, 0);
+        let spare_addrs = addrs(cfg.num_spares, 10, 0, 5);
+        let store_addrs = addrs(cfg.num_stores, 10, 0, 1);
+        let backend_addrs = addrs(cfg.num_backends, 10, 1, 0);
+        let vips: Vec<Endpoint> = addrs(cfg.num_services, 100, 0, 0)
+            .into_iter()
+            .map(|a| Endpoint::new(a, 80))
             .collect();
 
         // Catalog: one site per service.
@@ -178,23 +219,17 @@ impl Testbed {
             })
             .collect();
 
-        // Yoda instances (active + spare) — spares are full instances
+        // L7 instances (active + spare) — spares are full instances
         // with no VIPs installed yet.
-        let mk_instance = |addr: Addr| {
-            Box::new(YodaInstance::new(
-                cfg.yoda.clone(),
-                addr,
-                &store_addrs,
-                mux_addrs.clone(),
-            ))
-        };
+        let prefix = tier.prefix;
+        let mk_instance = |addr: Addr| (tier.make)(addr, &store_addrs, &mux_addrs);
         let instances: Vec<NodeId> = instance_addrs
             .iter()
-            .map(|&a| engine.add_node(format!("yoda-{a}"), a, Zone::Dc, mk_instance(a)))
+            .map(|&a| engine.add_node(format!("{prefix}-{a}"), a, Zone::Dc, mk_instance(a)))
             .collect();
         let spares: Vec<NodeId> = spare_addrs
             .iter()
-            .map(|&a| engine.add_node(format!("yoda-spare-{a}"), a, Zone::Dc, mk_instance(a)))
+            .map(|&a| engine.add_node(format!("{prefix}-spare-{a}"), a, Zone::Dc, mk_instance(a)))
             .collect();
 
         // Backends, split round-robin across services.
@@ -231,7 +266,6 @@ impl Testbed {
         for &s in &store_addrs {
             controller_node.register_store(s);
         }
-        controller_node.monitor_muxes();
         let controller = engine.add_node("controller", controller_addr, Zone::Dc, Box::new(controller_node));
 
         let mut tb = Testbed {
@@ -250,7 +284,7 @@ impl Testbed {
             service_backends,
             vips,
             catalog,
-            yoda_cfg: cfg.yoda,
+            tier,
             store_cfg: cfg.store,
             backend_cfg: cfg.backend,
             next_client_host: 1,
@@ -359,7 +393,7 @@ impl Testbed {
         Addr::new(172, 16, 1, host)
     }
 
-    /// Fails Yoda instance `i` at simulated time `at`.
+    /// Fails L7 instance `i` at simulated time `at`.
     pub fn fail_instance_at(&mut self, i: usize, at: SimTime) {
         let id = self.instances[i];
         self.engine.schedule(at, move |eng| eng.fail_node(id));
@@ -390,20 +424,17 @@ impl Testbed {
         self.engine.schedule(at, move |eng| eng.fail_node(id));
     }
 
-    /// Restarts Yoda instance `i` at `at` **with fresh state** (empty flow
+    /// Restarts L7 instance `i` at `at` **with fresh state** (empty flow
     /// table, no VIPs). The controller re-detects it via pings and
     /// reinstalls its rules and mux mappings.
     pub fn restore_instance_at(&mut self, i: usize, at: SimTime) {
         let id = self.instances[i];
         let addr = self.instance_addrs[i];
-        let cfg = self.yoda_cfg.clone();
+        let make = self.tier.make.clone();
         let store_addrs = self.store_addrs.clone();
         let mux_addrs = self.mux_addrs.clone();
         self.engine.schedule(at, move |eng| {
-            eng.restore_node(
-                id,
-                Box::new(YodaInstance::new(cfg, addr, &store_addrs, mux_addrs)),
-            );
+            eng.restore_node(id, make(addr, &store_addrs, &mux_addrs));
         });
     }
 
@@ -490,24 +521,6 @@ impl Testbed {
         self.engine
             .schedule(at, move |eng| eng.degrade_node_links(id, loss, jitter));
     }
-
-    /// Mean CPU utilisation across live active instances right now.
-    pub fn mean_instance_cpu(&self) -> f64 {
-        let now = self.engine.now();
-        let mut total = 0.0;
-        let mut n = 0;
-        for (&id, _) in self.instances.iter().zip(&self.instance_addrs) {
-            if self.engine.is_alive(id) {
-                total += self.engine.node_ref::<YodaInstance>(id).cpu_utilization(now);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -525,5 +538,24 @@ mod tests {
         // 30 backends over 4 services: 8/8/7/7.
         let sizes: Vec<usize> = tb.service_backends.iter().map(|s| s.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 30);
+    }
+
+    #[test]
+    fn a_subnet_holds_254_hosts() {
+        assert!(addrs(0, 10, 1, 0).is_empty());
+        let full = addrs(254, 10, 1, 0);
+        assert_eq!(full.len(), 254);
+        assert_eq!(full[0], Addr::new(10, 1, 0, 1));
+        assert_eq!(full[253], Addr::new(10, 1, 0, 254));
+    }
+
+    #[test]
+    #[should_panic(expected = "300 nodes do not fit")]
+    fn an_oversized_tier_is_refused_not_truncated() {
+        // `300 as u8` is 44: truncation would build 44 backends.
+        Testbed::build(TestbedConfig {
+            num_backends: 300,
+            ..TestbedConfig::default()
+        });
     }
 }

@@ -967,11 +967,6 @@ impl Engine {
     pub fn run_for_sharded(&mut self, d: SimTime, _workers: usize) {
         self.run_for(d)
     }
-
-    /// Runs until the event queue is completely drained.
-    pub fn run_to_quiescence(&mut self) {
-        while self.step() {}
-    }
 }
 
 #[cfg(test)]

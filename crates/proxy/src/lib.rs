@@ -19,7 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod instance;
-pub mod testbed;
+mod testbed;
 
 pub use instance::{ProxyConfig, ProxyInstance};
-pub use testbed::{ProxyTestbed, ProxyTestbedConfig};
+pub use testbed::{testbed, tier};

@@ -329,7 +329,7 @@ mod tests {
         let at = pkt.payload[SEGMENT_HEADER_LEN..].as_ptr();
         let mut s = Segment::from_packet(pkt).unwrap();
         assert_eq!(s.payload.as_ptr(), at, "decode is a view");
-        s.seq = s.seq + 1000;
+        s.seq += 1000;
         let out = s.clone();
         drop(s);
         let pkt = out.clone().into_packet(src, dst);

@@ -120,9 +120,9 @@ impl CallGraph {
         }
 
         g.edges = vec![Vec::new(); g.fns.len()];
-        for i in 0..g.fns.len() {
+        for (i, calls) in calls_of.iter().enumerate() {
             let mut targets = BTreeSet::new();
-            for call in &calls_of[i] {
+            for call in calls {
                 for t in g.resolve(i, call) {
                     if t != i {
                         targets.insert(t);

@@ -296,7 +296,7 @@ pub fn analyze_effects(
 
     // --- Violations: strict seeds inside reachable functions ---------
     let mut violations = Vec::new();
-    for (&i, _) in &parent {
+    for &i in parent.keys() {
         if strict[i] == 0 {
             continue;
         }

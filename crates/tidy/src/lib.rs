@@ -326,7 +326,7 @@ pub fn analyze_full(
     let sim = graph.reach(&sim_roots);
 
     // hot-taint: no panics or indexing anywhere in the hot closure.
-    for (&idx, _) in &hot {
+    for &idx in hot.keys() {
         let f = &graph.fns[idx];
         let Some(lines) = by_rel.get(f.file.as_str()) else {
             continue;

@@ -121,15 +121,13 @@ fn scan(lines: &[LexedLine]) -> Vec<SpannedTok> {
                 i += 1;
                 while i < chars.len() {
                     let d = chars[i];
-                    if d.is_alphanumeric() || d == '_' {
-                        i += 1;
-                    } else if d == '.'
-                        && chars.get(i + 1).is_some_and(|n| n.is_ascii_digit())
-                    {
-                        i += 1;
-                    } else {
+                    let in_literal = d.is_alphanumeric()
+                        || d == '_'
+                        || (d == '.' && chars.get(i + 1).is_some_and(|n| n.is_ascii_digit()));
+                    if !in_literal {
                         break;
                     }
+                    i += 1;
                 }
             } else {
                 toks.push(SpannedTok {

@@ -14,26 +14,25 @@ use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
-use yoda::proxy::{ProxyTestbed, ProxyTestbedConfig};
-
-fn browser_cfg(largest: String) -> BrowserConfig {
-    BrowserConfig {
-        processes: 20,
-        max_pages: Some(1),
-        fixed_object: Some(largest),
-        http_timeout: SimTime::from_secs(30),
-        ..BrowserConfig::default()
-    }
-}
+use yoda::proxy::ProxyConfig;
 
 fn main() {
-    println!("== Yoda: fail 2/6 instances mid-download ==");
-    {
-        let mut tb = Testbed::build(TestbedConfig {
+    for yoda in [true, false] {
+        if yoda {
+            println!("== Yoda: fail 2/6 instances mid-download ==");
+        } else {
+            println!("\n== HAProxy baseline: same failure ==");
+        }
+        let cfg = TestbedConfig {
             seed: 7,
             num_instances: 6,
             ..TestbedConfig::default()
-        });
+        };
+        let mut tb = if yoda {
+            Testbed::build(cfg)
+        } else {
+            yoda::proxy::testbed(cfg, ProxyConfig::default())
+        };
         let largest = tb
             .catalog
             .site(0)
@@ -43,46 +42,35 @@ fn main() {
             .map(|o| o.path.clone())
             .expect("objects");
         tb.engine.run_for(SimTime::from_secs(1)); // control plane warmup
-        let browser = tb.add_browser(0, browser_cfg(largest));
+        let browser = tb.add_browser(
+            0,
+            BrowserConfig {
+                processes: 20,
+                max_pages: Some(1),
+                fixed_object: Some(largest),
+                http_timeout: SimTime::from_secs(30),
+                ..BrowserConfig::default()
+            },
+        );
         tb.fail_instance_at(0, SimTime::from_millis(3000));
         tb.fail_instance_at(1, SimTime::from_millis(3000));
         tb.engine.run_for(SimTime::from_secs(60));
+        // Only Yoda instances have a TCPStore to recover flows from.
         let recovered: u64 = tb
             .instances
             .iter()
             .filter(|&&i| tb.engine.is_alive(i))
-            .map(|&i| tb.engine.node_ref::<YodaInstance>(i).recoveries)
+            .filter_map(|&i| tb.engine.try_node_ref::<YodaInstance>(i))
+            .map(|i| i.recoveries)
             .sum();
         let b = tb.engine.node_mut::<BrowserClient>(browser);
         println!("  downloads completed : {}/{}", b.completed, b.completed + b.broken_flows);
-        println!("  broken flows        : {}", b.broken_flows);
-        println!("  flows recovered via TCPStore: {recovered}");
-        println!("  max download time   : {:.1} s", b.request_latencies.max().unwrap_or(0.0) / 1000.0);
-    }
-
-    println!("\n== HAProxy baseline: same failure ==");
-    {
-        let mut tb = ProxyTestbed::build(ProxyTestbedConfig {
-            seed: 7,
-            num_instances: 6,
-            ..ProxyTestbedConfig::default()
-        });
-        let largest = tb
-            .catalog
-            .site(0)
-            .objects
-            .iter()
-            .max_by_key(|o| o.size)
-            .map(|o| o.path.clone())
-            .expect("objects");
-        tb.engine.run_for(SimTime::from_secs(1));
-        let browser = tb.add_browser(0, browser_cfg(largest));
-        tb.fail_instance_at(0, SimTime::from_millis(3000));
-        tb.fail_instance_at(1, SimTime::from_millis(3000));
-        tb.engine.run_for(SimTime::from_secs(60));
-        let b = tb.engine.node_mut::<BrowserClient>(browser);
-        println!("  downloads completed : {}/{}", b.completed, b.completed + b.broken_flows);
-        println!("  broken flows        : {} (hung until the 30 s HTTP timeout)", b.broken_flows);
+        if yoda {
+            println!("  broken flows        : {}", b.broken_flows);
+            println!("  flows recovered via TCPStore: {recovered}");
+        } else {
+            println!("  broken flows        : {} (hung until the 30 s HTTP timeout)", b.broken_flows);
+        }
         println!("  max download time   : {:.1} s", b.request_latencies.max().unwrap_or(0.0) / 1000.0);
     }
 }

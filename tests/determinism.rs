@@ -82,6 +82,45 @@ fn different_seed_different_event_trace() {
     assert_ne!(a.0, b.0, "digest failed to distinguish different seeds");
 }
 
+/// The one full-stack digest pinned in code (the golden below is a toy
+/// ring): browsers, TCP, muxes, Yoda instances with a prequal policy so
+/// the probe path runs too, stores and controller. A change that moves
+/// it changes what the simulator does, not how fast it does it.
+#[test]
+fn full_stack_matches_pinned_digest() {
+    let mut tb = Testbed::build(TestbedConfig {
+        seed: 0xBEEF,
+        num_instances: 3,
+        num_spares: 0,
+        num_stores: 2,
+        num_backends: 8,
+        num_muxes: 2,
+        num_services: 2,
+        pages_per_site: 8,
+        ..TestbedConfig::default()
+    });
+    let backends: Vec<String> = tb.service_backends[0].iter().map(|b| b.to_string()).collect();
+    let rules = format!("name=pq-0 priority=1 match * action=prequal {}", backends.join(" "));
+    tb.set_policy_at(tb.vips[0], &rules, SimTime::from_millis(100));
+    for service in 0..2 {
+        tb.add_browser(
+            service,
+            BrowserConfig {
+                processes: 2,
+                ..BrowserConfig::default()
+            },
+        );
+    }
+    tb.engine.run_for(SimTime::from_millis(50));
+    let setup_events = tb.engine.events_processed();
+    tb.engine.run_for(SimTime::from_secs(4));
+    assert_eq!(
+        (tb.engine.event_digest(), tb.engine.events_processed() - setup_events),
+        (0x446b_d132_40f8_1607, 23_768),
+        "full-stack event sequence diverged (digest, events after the 50 ms setup)"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Golden digest: pins the engine's event sequence across refactors
 // ---------------------------------------------------------------------------
