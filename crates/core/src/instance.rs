@@ -119,10 +119,12 @@ pub struct YodaConfig {
     /// Probe subsystem tunables (`action=prequal` rules; probing only
     /// runs while at least one installed rule is prequal).
     pub probe: ProbeConfig,
-    /// Mux fast path: once a flow enters tunneling, install splice entries
-    /// at its muxes so steady-state packets are translated and forwarded
-    /// below the instance (XLB-style flow splicing). Flows that still need
-    /// HTTP/1.1 inspection only splice the server leg.
+    /// Mux fast path: once a flow enters tunneling, hand its muxes what
+    /// the instance no longer needs to see — splice entries on both legs,
+    /// so steady-state packets are translated and forwarded below the
+    /// instance (XLB-style flow splicing). On flows that still need
+    /// HTTP/1.1 inspection the client leg carries only pure ACKs: every
+    /// request byte still reaches the instance.
     pub splice: bool,
 }
 

@@ -625,11 +625,10 @@ impl Flow {
         let Some(backend) = self.backend() else {
             return;
         };
-        if matches!(&self.phase, Phase::Tunneling(t) if t.spliced()) {
+        if let Phase::Tunneling(t) = &mut self.phase {
             // The client RST below is DSR and never crosses the muxes,
             // so their splice entries must be revoked explicitly.
-            io.unsplice(e.client, e.vip);
-            io.unsplice(backend, e.vss());
+            t.revoke_splices(e, io);
         }
         io.send_client(
             e,

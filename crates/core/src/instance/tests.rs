@@ -111,8 +111,14 @@ fn brief(a: &Action) -> String {
             let wait = if waiter.is_some() { " +wait" } else { "" };
             format!("{verb} {}{wait}", String::from_utf8_lossy(table))
         }
-        Action::Splice(MuxCtrl::SpliceInstall { from, to, .. }) => {
-            format!("splice+ {}>{}", who(*from), who(*to))
+        Action::Splice(MuxCtrl::SpliceInstall {
+            from,
+            to,
+            acks_only,
+            ..
+        }) => {
+            let acks = if *acks_only { " acks" } else { "" };
+            format!("splice+ {}>{}{acks}", who(*from), who(*to))
         }
         Action::Splice(MuxCtrl::SpliceRemove { from, to }) => {
             format!("splice- {}>{}", who(*from), who(*to))
@@ -298,15 +304,50 @@ fn every_phase_times_every_input() {
         "del rflow",
         "fwd vip>client len=5",
     ];
-    const SPLICED: &[&str] = &["A vss>b1 len=28", "count SpliceInstall", "splice+ b1>vss"];
+    const SPLICED: &[&str] = &[
+        "A vss>b1 len=28",
+        "count SpliceInstall",
+        "splice+ b1>vss",
+        "splice+ client>vip acks",
+    ];
     const SPLICED_BOTH: &[&str] = &[
         "A vss>b1 len=28",
         "count SpliceInstall",
         "splice+ b1>vss",
         "splice+ client>vip",
     ];
+    const RESPLICED: &[&str] = &[
+        "fwd vss>b1",
+        "count SpliceInstall",
+        "splice+ b1>vss",
+        "splice+ client>vip acks",
+    ];
+    const SPLICED_SWITCH: &[&str] = &[
+        "count BackendSwitch",
+        "count Request",
+        "splice- client>vip",
+        "splice- b1>vss",
+        "unmap b1",
+        "R vss>b1",
+        "map b2",
+        "S vss>b2",
+    ];
+    const SPLICED_SWITCHED: &[&str] = &[
+        "set flow",
+        "set rflow",
+        "del rflow",
+        "A vss>b2 len=28",
+        "count SpliceInstall",
+        "splice+ b2>vss",
+        "splice+ client>vip acks",
+    ];
     let no_inspect = Env {
         http11_inspect: false,
+        ..splice
+    };
+    // Past the re-install throttle of the install `tunneling(splice)` sent.
+    let splice_later = Env {
+        now: splice.now + SimTime::from_secs(1),
         ..splice
     };
     let one_ack_left = |env| {
@@ -367,7 +408,7 @@ fn every_phase_times_every_input() {
         case("next request, no route: keep tunneling", tunneling(env, &[]), env, In::Client(next_request('b')), None, ("Tunneling", "select>done", &["fwd vss>b1 len=28"])),
         case("next request, other backend: switch, data held", tunneling(env, &[]), env, In::Client(next_request('b')), pick(2, &[]), ("Tunneling", "select>done", SWITCH)),
         case("client data mid-switch: held", switching(env), env, In::Client(data(C_ISN + 57)), None, ("Tunneling", "done", &[])),
-        case("client ACK mid-switch: still forwarded", switching(env), env, In::Client(ack()), None, ("Tunneling", "done", &["fwd vss>b1"])),
+        case("client ACK mid-switch: dropped (the old backend was reset)", switching(env), env, In::Client(ack()), None, ("Tunneling", "done", &[])),
         case("new backend's SYN-ACK: switch completes", switching(env), env, from(2, t_synack(9_000)), None, ("Tunneling", "done", &["set flow", "set rflow", "del rflow", "A vss>b2 len=28"])),
         case("stale packet from the pre-switch backend: counted drop", switched(env), env, from(1, data(S_ISN + 1)), None, ("Tunneling", "done", &["count DroppedUnknown"])),
         case("racer SYN-ACK on the tunnel: gets the request", tunneling(env, &[2]), env, from(2, t_synack(7_000)), None, ("Tunneling", "done", &["A vss>b2 len=28"])),
@@ -375,8 +416,12 @@ fn every_phase_times_every_input() {
         case("racer answers first: it becomes the backend", raced, env, from(2, data(7_001)), None, ("Tunneling", "done", RACE_WON)),
         case("stray store ack on a tunnel: ignored", tunneling(env, &[]), env, flow_stored(), None, ("Tunneling", "stored:false", &[])),
         case("unasked selection on a tunnel: ignored", tunneling(env, &[]), env, In::Picked(pick(2, &[])), None, ("Tunneling", "done", &[])),
-        case("splice on: server leg handed to the mux", one_ack_left(splice), splice, flow_stored(), None, ("Tunneling", "stored:true", SPLICED)),
-        case("splice on, inspection off: both legs", one_ack_left(no_inspect), no_inspect, flow_stored(), None, ("Tunneling", "stored:true", SPLICED_BOTH)),
+        case("splice on: both legs, the inspected client leg acks-only", one_ack_left(splice), splice, flow_stored(), None, ("Tunneling", "stored:true", SPLICED)),
+        case("splice on, inspection off: both legs in full", one_ack_left(no_inspect), no_inspect, flow_stored(), None, ("Tunneling", "stored:true", SPLICED_BOTH)),
+        case("request bytes on the acks-only leg: no re-install", tunneling(splice, &[]), splice_later, In::Client(next_request('b')), pick(1, &[]), ("Tunneling", "select>done", &["fwd vss>b1 len=28"])),
+        case("pure ACK on a spliced flow: the mux lost it, re-install", tunneling(splice, &[]), splice_later, In::Client(ack()), None, ("Tunneling", "done", RESPLICED)),
+        case("switch on a spliced flow: both legs revoked", tunneling(splice, &[]), splice, In::Client(next_request('b')), pick(2, &[]), ("Tunneling", "select>done", SPLICED_SWITCH)),
+        case("switch completes on a spliced flow: both legs re-installed", switching(splice), splice, from(2, t_synack(9_000)), None, ("Tunneling", "done", SPLICED_SWITCHED)),
     ];
     let mut failures = Vec::new();
     for mut c in table {

@@ -16,10 +16,10 @@ use crate::flowstate::FlowRecord;
 /// How long a fully-closed flow's local entry lingers to forward final
 /// ACKs (its TCPStore records are deleted immediately).
 const DRAIN_LINGER: SimTime = SimTime::from_secs(2);
-/// Minimum gap between splice installs for one flow. A slow-path data
-/// packet on a leg the instance believes is spliced means the mux lost the
-/// entry (cold restart); the throttle keeps the re-install from repeating
-/// for every in-flight packet.
+/// Minimum gap between splice installs for one flow. A slow-path packet
+/// the mux should have carried, on a flow the instance believes is
+/// spliced, means the mux lost the entry (cold restart); the throttle
+/// keeps the re-install from repeating for every in-flight packet.
 const SPLICE_REINSTALL: SimTime = SimTime::from_millis(10);
 
 /// Tunneling-phase per-flow state (Figure 4's translation constants).
@@ -43,8 +43,9 @@ pub(super) struct Tunnel {
     pub inspect_next: SeqNum,
     /// Reassembly buffer for HTTP/1.1 request inspection.
     inspect_buf: BytesMut,
-    /// Next Y-space sequence number the client expects (tracks forwarded
-    /// response bytes; needed to splice a new backend in).
+    /// Next Y-space sequence number the client expects (the furthest of
+    /// forwarded response bytes and client acks; needed to splice a new
+    /// backend in).
     pub client_next: SeqNum,
     /// In-progress backend switch (§5.2): SYN sent to the new backend.
     switching: Option<Box<SwitchState>>,
@@ -55,12 +56,9 @@ pub(super) struct Tunnel {
     pub race_request: Option<Bytes>,
     /// Client ISN, kept while a race is live (for racer handshakes/RSTs).
     pub race_client_isn: SeqNum,
-    /// Mux fast path: a splice entry is believed installed for the
-    /// client (client→vip) leg.
-    splice_client: bool,
-    /// Mux fast path: a splice entry is believed installed for the
-    /// server (backend→vss) leg.
-    splice_server: bool,
+    /// Mux fast path: splice entries are believed installed for both legs
+    /// (the client leg acks-only while inspection is on).
+    spliced: bool,
     /// When splice installs were last sent (re-install throttle).
     splice_sent_at: SimTime,
 }
@@ -101,14 +99,9 @@ impl Tunnel {
             racing: Vec::new(),
             race_request: None,
             race_client_isn: SeqNum::new(0),
-            splice_client: false,
-            splice_server: false,
+            spliced: false,
             splice_sent_at: SimTime::ZERO,
         }
-    }
-
-    pub(super) fn spliced(&self) -> bool {
-        self.splice_client || self.splice_server
     }
 
     pub(super) fn on_client(&mut self, e: Ends, seg: Segment, io: &mut Io) -> Step {
@@ -119,6 +112,15 @@ impl Tunnel {
                 Some(_) => Step::Reopen(seg),
                 None => Step::Done,
             };
+        }
+        // The client's stream position, from the ack of every segment it
+        // sends (already in Y-space), before inspection can start a switch
+        // that holds the segment: with both legs spliced, the ack on the
+        // next request is the first the instance sees — enough, as acks
+        // are cumulative. (Unspliced this never passes the forwarded data:
+        // a client never acks beyond delivery.)
+        if seg.flags.ack && self.client_next.lt(seg.ack) {
+            self.client_next = seg.ack;
         }
         if io.env.http11_inspect && self.inspect_enabled && !seg.payload.is_empty() {
             if let Some((req, request_seq, request)) = self.inspect(&seg) {
@@ -188,42 +190,27 @@ impl Tunnel {
     /// towards the client it is the mirror image.
     fn forward(&mut self, dir: Dir, e: Ends, mut seg: Segment, io: &mut Io) -> Step {
         let to_backend = dir == Dir::ToBackend;
-        if to_backend && self.switching.is_some() && !seg.payload.is_empty() {
-            // Mid-switch: hold client data for the new backend (it will be
-            // forwarded on connect); still forward pure ACKs to the old
-            // backend for the in-flight response.
+        if to_backend && self.switching.is_some() {
+            // Mid-switch: client data is held for the new backend (the
+            // request goes out on connect), and pure ACKs are dropped too —
+            // the old backend was just reset, and its RST answering one
+            // would look like another instance's flow (a TCPStore recovery).
             return Step::Done;
         }
-        let (spliced, seq_add, ack_sub, src, dst) = if to_backend {
+        let (seq_add, ack_sub, src, dst) = if to_backend {
             self.client_fin |= seg.flags.fin;
-            // With the server leg spliced the instance never sees response
-            // data, so track the client's position from its acks instead
-            // (the ack field is already in Y-space). Equal to the
-            // data-based tracking when unspliced: the client never acks
-            // beyond delivery.
-            if io.env.splice && seg.flags.ack && self.client_next.lt(seg.ack) {
-                self.client_next = seg.ack;
-            }
-            (
-                self.splice_client,
-                self.c2s_off,
-                self.delta,
-                e.vss(),
-                self.backend,
-            )
+            (self.c2s_off, self.delta, e.vss(), self.backend)
         } else {
             self.server_fin |= seg.flags.fin;
-            (
-                self.splice_server,
-                self.delta,
-                self.c2s_off,
-                e.vip,
-                e.client,
-            )
+            (self.delta, self.c2s_off, e.vip, e.client)
         };
-        // A data packet on a leg believed spliced means the mux lost the
-        // entry (cold restart after a failure): re-install, throttled.
-        let reinstall = spliced
+        // A packet the mux should have carried, on a flow believed
+        // spliced, means the mux lost the entry (cold restart after a
+        // failure): re-install, throttled. Request bytes on the acks-only
+        // client leg are expected here.
+        let request_bytes = to_backend && self.inspect_enabled && !seg.payload.is_empty();
+        let reinstall = self.spliced
+            && !request_bytes
             && !seg.flags.fin
             && !seg.flags.rst
             && !self.client_fin
@@ -249,15 +236,9 @@ impl Tunnel {
             // FIN-ACK", §4.1). The local entry lingers briefly to forward
             // the final ACKs.
             self.drain_deadline = Some(io.env.now + DRAIN_LINGER);
-            if self.spliced() {
-                // The FIN legs already tore their own entries down at the
-                // mux; this covers the leg that never saw a FIN pass
-                // through.
-                self.splice_client = false;
-                self.splice_server = false;
-                io.unsplice(e.client, e.vip);
-                io.unsplice(self.backend, e.vss());
-            }
+            // The FIN legs already tore their own entries down at the mux;
+            // this covers the leg that never saw a FIN pass through.
+            self.revoke_splices(e, io);
             io.delete_records(e, self.backend);
         }
         io.out.push(Action::Send {
@@ -273,11 +254,12 @@ impl Tunnel {
         Step::Done
     }
 
-    /// Installs (or refreshes) the flow's splice entries. The server
-    /// (backend→vss) leg always splices; the client (client→vip) leg only
-    /// when HTTP/1.1 inspection is off — otherwise the instance must keep
-    /// seeing request bytes to re-run rule selection. No-op while a mirror
-    /// race or backend switch is in flight, or once teardown started.
+    /// Installs (or refreshes) the flow's splice entries on both legs: the
+    /// server (backend→vss) leg in full, the client (client→vip) leg
+    /// acks-only while HTTP/1.1 inspection is on — the instance must keep
+    /// seeing request bytes to re-run rule selection, but the ACK stream
+    /// is plain translation. No-op while a mirror race or backend switch
+    /// is in flight, or once teardown started.
     pub(super) fn install_splices(&mut self, e: Ends, io: &mut Io) {
         if !io.env.splice
             || !self.racing.is_empty()
@@ -288,8 +270,7 @@ impl Tunnel {
         {
             return;
         }
-        self.splice_server = true;
-        self.splice_client = !self.inspect_enabled;
+        self.spliced = true;
         self.splice_sent_at = io.env.now;
         io.count(Counter::SpliceInstall);
         io.out.push(Action::Splice(MuxCtrl::SpliceInstall {
@@ -299,16 +280,24 @@ impl Tunnel {
             new_dst: e.client,
             seq_add: self.delta,
             ack_add: self.c2s_off.wrapping_neg(),
+            acks_only: false,
         }));
-        if self.splice_client {
-            io.out.push(Action::Splice(MuxCtrl::SpliceInstall {
-                from: e.client,
-                to: e.vip,
-                new_src: e.vss(),
-                new_dst: self.backend,
-                seq_add: self.c2s_off,
-                ack_add: self.delta.wrapping_neg(),
-            }));
+        io.out.push(Action::Splice(MuxCtrl::SpliceInstall {
+            from: e.client,
+            to: e.vip,
+            new_src: e.vss(),
+            new_dst: self.backend,
+            seq_add: self.c2s_off,
+            ack_add: self.delta.wrapping_neg(),
+            acks_only: self.inspect_enabled,
+        }));
+    }
+
+    /// Pulls both legs back to the slow path, if they were spliced.
+    pub(super) fn revoke_splices(&mut self, e: Ends, io: &mut Io) {
+        if std::mem::take(&mut self.spliced) {
+            io.unsplice(e.client, e.vip);
+            io.unsplice(self.backend, e.vss());
         }
     }
 
@@ -348,11 +337,10 @@ impl Tunnel {
         let (request_seq, request) = request;
         io.count(Counter::BackendSwitch);
         io.count(Counter::Request);
-        if std::mem::take(&mut self.splice_server) {
-            // Pull the server-leg splice back before the new backend's
-            // bytes start flowing with a stale translation constant.
-            io.unsplice(self.backend, e.vss());
-        }
+        // Pull both legs back before the new backend's bytes start flowing
+        // with a stale translation constant; until the switch completes
+        // the instance drops client segments instead (see `forward`).
+        self.revoke_splices(e, io);
         io.out.push(Action::Unmap(self.backend));
         io.rst(e, self.backend, request_seq);
         // ISN = request_seq − 1, so the request bytes keep their
@@ -398,8 +386,7 @@ impl Tunnel {
         io.rehome_records(e, record, old_backend);
         // ACK the new backend's SYN-ACK and forward the buffered request.
         io.data(e, sw.new_backend, sw.request_seq, s2 + 1, sw.request);
-        // Re-splice the server leg with the fresh delta (client leg stays
-        // off: inspection must keep seeing request bytes).
+        // Re-splice both legs with the fresh delta.
         self.install_splices(e, io);
     }
 

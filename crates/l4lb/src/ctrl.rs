@@ -39,7 +39,7 @@ pub enum CtrlMsg {
     /// Install a directional splice fast-path entry on a mux: packets
     /// matching `(from, to)` are rewritten to `(new_src, new_dst)` with the
     /// Figure-4 seq/ack translation constants and forwarded directly,
-    /// bypassing the L7 instance.
+    /// bypassing the L7 instance (only the pure ACKs, if `acks_only`).
     SpliceInstall {
         /// Matched source endpoint (exact, directional).
         from: Endpoint,
@@ -53,6 +53,11 @@ pub enum CtrlMsg {
         seq_add: u32,
         /// Added to the acknowledgement number (wrapping), when ACK is set.
         ack_add: u32,
+        /// Carry only segments with no payload and no SYN; anything that
+        /// carries bytes takes the slow path and leaves the entry in place
+        /// (an HTTP/1.1-inspected client leg: the instance must still see
+        /// every request byte).
+        acks_only: bool,
     },
     /// Revoke a splice entry (instance needs the flow back on the slow
     /// path — e.g. HTTP/1.1 inspection or connection teardown).
@@ -112,6 +117,7 @@ impl CtrlMsg {
                 new_dst,
                 seq_add,
                 ack_add,
+                acks_only,
             } => {
                 buf.put_u8(4);
                 put_endpoint(&mut buf, *from);
@@ -120,6 +126,7 @@ impl CtrlMsg {
                 put_endpoint(&mut buf, *new_dst);
                 buf.put_u32(*seq_add);
                 buf.put_u32(*ack_add);
+                buf.put_u8(u8::from(*acks_only));
             }
             CtrlMsg::SpliceRemove { from, to } => {
                 buf.put_u8(5);
@@ -173,7 +180,7 @@ impl CtrlMsg {
                 Some(CtrlMsg::SetMuxes { muxes })
             }
             4 => {
-                if b.len() != 33 {
+                if b.len() != 34 {
                     return None;
                 }
                 Some(CtrlMsg::SpliceInstall {
@@ -183,6 +190,7 @@ impl CtrlMsg {
                     new_dst: endpoint_at(b, 19)?,
                     seq_add: u32::from_be_bytes(bytes::array_at::<4>(b, 25)?),
                     ack_add: u32::from_be_bytes(bytes::array_at::<4>(b, 29)?),
+                    acks_only: *b.get(33)? != 0,
                 })
             }
             5 => {
@@ -258,7 +266,7 @@ mod tests {
         assert!(CtrlMsg::decode(&Bytes::from(truncated)).is_none());
     }
 
-    fn splice_install() -> CtrlMsg {
+    fn splice_install(acks_only: bool) -> CtrlMsg {
         CtrlMsg::SpliceInstall {
             from: Endpoint::new(Addr::new(172, 16, 0, 1), 40_000),
             to: Endpoint::new(Addr::new(100, 0, 0, 1), 80),
@@ -266,13 +274,25 @@ mod tests {
             new_dst: Endpoint::new(Addr::new(10, 1, 0, 3), 80),
             seq_add: 0u32.wrapping_sub(12),
             ack_add: 0xdead_beef,
+            acks_only,
         }
     }
 
     #[test]
     fn splice_install_roundtrip() {
-        let msg = splice_install();
-        assert_eq!(CtrlMsg::decode(&msg.encode()).unwrap(), msg);
+        for acks_only in [false, true] {
+            let msg = splice_install(acks_only);
+            let enc = msg.encode();
+            assert_eq!((enc.len(), enc[33]), (34, u8::from(acks_only)));
+            assert_eq!(CtrlMsg::decode(&enc).unwrap(), msg);
+        }
+        // The flag is one byte: any non-zero value reads as acks-only.
+        let mut raw = splice_install(false).encode().to_vec();
+        raw[33] = 0x80;
+        assert_eq!(
+            CtrlMsg::decode(&Bytes::from(raw)),
+            Some(splice_install(true))
+        );
     }
 
     #[test]
@@ -288,7 +308,7 @@ mod tests {
     fn splice_malformed_rejected() {
         // Truncated and overlong payloads of both variants decode to None.
         for msg in [
-            splice_install(),
+            splice_install(true),
             CtrlMsg::SpliceRemove {
                 from: Endpoint::new(Addr::new(1, 2, 3, 4), 5),
                 to: Endpoint::new(Addr::new(6, 7, 8, 9), 10),

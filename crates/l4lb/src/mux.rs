@@ -90,6 +90,9 @@ struct SpliceEntry {
     new_dst: Endpoint,
     seq_add: u32,
     ack_add: u32,
+    /// Only pure ACKs ride the fast path; segments carrying bytes (or a
+    /// SYN) go to the instance and leave the entry in place.
+    acks_only: bool,
     last_seen: SimTime,
 }
 
@@ -213,19 +216,26 @@ impl Mux {
         let now = ctx.now();
         let flags = Segment::peek_flags(&inner);
         // Splice fast path: an exact directional match rewrites and
-        // forwards below the instance. FIN/RST tears the entry down and
-        // falls through to the slow path so the instance sees teardown.
+        // forwards below the instance. FIN/RST (or a malformed segment)
+        // tears the entry down and falls through to the slow path so the
+        // instance sees teardown; bytes on an acks-only entry fall through
+        // and keep it.
         if let Some(e) = self.splices.get_mut(&(inner.src, inner.dst)) {
             if flags.is_some_and(|f| !f.fin && !f.rst) && splice_wellformed(&inner) {
-                e.last_seen = now;
-                let entry = *e;
-                self.spliced += 1;
-                let mut pkt = inner;
-                splice_rewrite(&mut pkt, &entry, flags.is_some_and(|f| f.ack));
-                ctx.send(pkt);
-                return;
+                let carries =
+                    flags.is_some_and(|f| f.syn) || inner.payload.len() > SEGMENT_HEADER_LEN;
+                if !(e.acks_only && carries) {
+                    e.last_seen = now;
+                    let entry = *e;
+                    self.spliced += 1;
+                    let mut pkt = inner;
+                    splice_rewrite(&mut pkt, &entry, flags.is_some_and(|f| f.ack));
+                    ctx.send(pkt);
+                    return;
+                }
+            } else {
+                self.splices.remove(&(inner.src, inner.dst));
             }
-            self.splices.remove(&(inner.src, inner.dst));
         }
         let Some(vip) = Mux::vip_of(&inner) else {
             self.dropped += 1;
@@ -365,6 +375,7 @@ impl Node for Mux {
                             new_dst,
                             seq_add,
                             ack_add,
+                            acks_only,
                         } => {
                             self.splices.insert(
                                 (from, to),
@@ -373,6 +384,7 @@ impl Node for Mux {
                                     new_dst,
                                     seq_add,
                                     ack_add,
+                                    acks_only,
                                     last_seen: ctx.now(),
                                 },
                             );
@@ -451,6 +463,23 @@ mod tests {
             mux,
             inst1,
             inst2,
+        }
+    }
+
+    impl Ctx2 {
+        fn mux_addr(&self) -> Addr {
+            Addr::new(10, 0, 2, 1)
+        }
+        fn mux(&self) -> &Mux {
+            self.eng.node_ref::<Mux>(self.mux)
+        }
+        fn mux_mut(&mut self) -> &mut Mux {
+            self.eng.node_mut::<Mux>(self.mux)
+        }
+        /// Hands `pkt` to the mux now, as if it had just arrived.
+        fn deliver(&mut self, pkt: Packet) {
+            self.eng
+                .with_node_ctx::<Mux>(self.mux, |m, ctx| m.on_packet(ctx, pkt));
         }
     }
 
@@ -628,6 +657,7 @@ mod tests {
                         new_dst: backend,
                         seq_add: 100,
                         ack_add: 0u32.wrapping_sub(50),
+                        acks_only: false,
                     }
                     .into_packet(me, self.mux),
                 );
@@ -641,6 +671,7 @@ mod tests {
                         new_dst: backend,
                         seq_add: 0,
                         ack_add: 0,
+                        acks_only: false,
                     }
                     .into_packet(me, self.mux),
                 );
@@ -721,6 +752,72 @@ mod tests {
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).flow_entries(), 0);
     }
 
+    /// An acks-only entry (an HTTP/1.1-inspected client leg): pure ACKs
+    /// ride it, bytes and SYNs go to the instance and keep it, FIN, RST
+    /// and malformed segments tear it down on their way to the instance.
+    #[test]
+    fn acks_only_entry_carries_pure_acks_and_nothing_else() {
+        let mut t = setup();
+        let backend = t.eng.add_node(
+            "backend",
+            Addr::new(10, 1, 0, 9),
+            Zone::Dc,
+            Box::new(Sink { received: vec![] }),
+        );
+        let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
+        let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+        let install = CtrlMsg::SpliceInstall {
+            from: client,
+            to: vip,
+            new_src: Endpoint::new(vip.addr, client.port),
+            new_dst: Endpoint::new(Addr::new(10, 1, 0, 9), 80),
+            seq_add: 0,
+            ack_add: 0u32.wrapping_sub(50),
+            acks_only: true,
+        }
+        .into_packet(Endpoint::new(Addr::new(10, 0, 7, 1), 179), t.mux_addr());
+        let seg = |flags: Flags, payload: &'static [u8]| {
+            Segment {
+                src_port: client.port,
+                dst_port: vip.port,
+                seq: SeqNum::new(1_000),
+                ack: SeqNum::new(5_050),
+                flags,
+                window: 65_535,
+                payload: Bytes::from_static(payload),
+            }
+            .into_packet(client, vip)
+        };
+        let mut malformed = seg(Flags::ACK, b"");
+        malformed.payload = malformed.payload.slice(0..SEGMENT_HEADER_LEN - 1);
+        // (packet, fast path?, entry kept?)
+        let cases = [
+            (seg(Flags::ACK, b""), true, true),
+            (seg(Flags::ACK, b"GET /b HTTP/1.1\r\n\r\n"), false, true),
+            (seg(Flags::SYN, b""), false, true),
+            (seg(Flags::ACK, b""), true, true),
+            (seg(Flags::FIN_ACK, b""), false, false),
+            (seg(Flags::RST, b""), false, false),
+            (malformed, false, false),
+        ];
+        for (i, (pkt, fast, kept)) in cases.into_iter().enumerate() {
+            t.deliver(install.clone());
+            let before = (t.mux().spliced, t.mux().forwarded);
+            t.deliver(pkt.encapsulate(client.addr, t.mux_addr()));
+            let moved = (t.mux().spliced - before.0, t.mux().forwarded - before.1);
+            let want = if fast { (1, 0) } else { (0, 1) };
+            assert_eq!(moved, want, "case {i}: (spliced, forwarded)");
+            assert_eq!(t.mux().splice_entries(), usize::from(kept), "case {i}");
+            t.mux_mut().splices.remove(&(client, vip));
+        }
+        // The two pure ACKs reached the backend rewritten, nothing else did.
+        t.eng.run_for(SimTime::from_millis(1));
+        let got = &t.eng.node_ref::<Sink>(backend).received;
+        assert_eq!(got.len(), 2);
+        let seg = Segment::from_packet(got[0].clone()).unwrap();
+        assert_eq!((seg.ack, seg.payload.len()), (SeqNum::new(5_000), 0));
+    }
+
     #[test]
     fn sweep_survivors_do_not_depend_on_insertion_order() {
         // Same flows and splices, learned in opposite orders (so the two
@@ -754,6 +851,7 @@ mod tests {
                         new_dst: vip,
                         seq_add: 0,
                         ack_add: 0,
+                        acks_only: false,
                         last_seen: if i % 3 == 2 { SimTime::ZERO } else { now },
                     };
                     mux.splices.insert((client(i), vip), entry);
@@ -779,6 +877,7 @@ mod tests {
             new_dst: Endpoint::new(Addr::new(10, 1, 0, 9), 8080),
             seq_add: 100,
             ack_add: 0u32.wrapping_sub(50),
+            acks_only: false,
             last_seen: SimTime::ZERO,
         };
         let data = || {

@@ -13,10 +13,13 @@
 # Pair i runs both sides on seed SEED0+i with
 # `--workload W --seed S --seconds 15 --trace 0`; odd pairs run A first,
 # even pairs B first. Prints each pair's wall_req_per_s, then per-side
-# medians and quartiles of the three host-time metrics, B's wins, and
-# whether every run passed the benchmark's own output checks and every
-# sim_* value and the failed-request count were equal in every pair
-# (they must be, for a change that claims to move no event).
+# medians and quartiles of the three host-time metrics and of
+# sim_req_per_s, sim_p50_ms and sim_p99_ms, B's wins, and two verdicts:
+# whether every run passed the benchmark's own output checks (required:
+# the script exits non-zero otherwise),
+# and whether every sim_* value and the failed-request count were equal
+# in every pair (reported: they must be for a change that claims to move
+# no event, and will not be for one that moves sim_* on purpose).
 set -euo pipefail
 
 if [[ $# -ne 5 ]]; then
@@ -38,6 +41,7 @@ run() { "$1" --workload "$workload" --seed "$2" --seconds 15 --trace 0 2>/dev/nu
 
 rows="$(mktemp)"
 trap 'rm -f "$rows"' EXIT
+correct=yes
 sim_equal=yes
 printf '%-6s %-6s %14s %14s %8s\n' pair seed A_wall_req/s B_wall_req/s B/A
 for ((i = 0; i < pairs; i++)); do
@@ -48,16 +52,19 @@ for ((i = 0; i < pairs; i++)); do
         b="$(run "$b_bin" "$seed")"; a="$(run "$a_bin" "$seed")"
     fi
     for m in sim_p50_ms sim_p99_ms sim_req_per_s sim_ok_ratio; do
-        [[ "$(metric "$a" $m)" == "$(metric "$b" $m)" ]] || { sim_equal=no; echo "  seed $seed: $m differs" >&2; }
+        [[ "$(metric "$a" $m)" == "$(metric "$b" $m)" ]] || sim_equal=no
     done
     for side in "$a" "$b"; do
-        grep -q '"correct": true' <<< "$side" || { sim_equal=no; echo "  seed $seed: a run did not report \"correct\": true" >&2; }
+        grep -q '"correct": true' <<< "$side" || { correct=no; echo "  seed $seed: a run did not report \"correct\": true" >&2; }
     done
     fa="$(grep -o '"failed": [0-9]*' <<< "$a")"; fb="$(grep -o '"failed": [0-9]*' <<< "$b")"
-    [[ "$fa" == "$fb" ]] || { sim_equal=no; echo "  seed $seed: $fa vs $fb" >&2; }
+    [[ "$fa" == "$fb" ]] || sim_equal=no
     echo "$(metric "$a" wall_req_per_s) $(metric "$b" wall_req_per_s)" \
          "$(metric "$a" setup_s) $(metric "$b" setup_s)" \
-         "$(metric "$a" peak_rss_mb) $(metric "$b" peak_rss_mb) ${fa##* } ${fb##* }" >> "$rows"
+         "$(metric "$a" peak_rss_mb) $(metric "$b" peak_rss_mb) ${fa##* } ${fb##* }" \
+         "$(metric "$a" sim_req_per_s) $(metric "$b" sim_req_per_s)" \
+         "$(metric "$a" sim_p50_ms) $(metric "$b" sim_p50_ms)" \
+         "$(metric "$a" sim_p99_ms) $(metric "$b" sim_p99_ms)" >> "$rows"
     tail -1 "$rows" | awk -v p=$((i + 1)) -v s="$seed" \
         '{ printf "%-6d %-6d %14.1f %14.1f %8.3f\n", p, s, $1, $2, $2 / $1 }'
 done
@@ -79,5 +86,10 @@ echo "--- $workload, $pairs pairs, seeds $seed0..$((seed0 + pairs - 1))"
 summary 1 2 wall_req_per_s 1
 summary 3 4 setup_s 0
 summary 5 6 peak_rss_mb 0
+summary 9 10 sim_req_per_s 1
+summary 11 12 sim_p50_ms 0
+summary 13 14 sim_p99_ms 0
 awk '{ fa += $7; fb += $8 } END { printf "failed requests: A %d, B %d\n", fa, fb }' "$rows"
-echo "all runs correct, sim_* and failed counts equal in every pair: $sim_equal"
+echo "all runs correct: $correct"
+echo "sim_* and failed counts equal in every pair: $sim_equal"
+[[ "$correct" == yes ]]

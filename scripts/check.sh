@@ -60,6 +60,13 @@ chaos_out="$(CHAOS_SEED=7 cargo test --release -q --test chaos_matrix one_seed -
 grep -m1 "ChaosPlan { seed: 7" <<< "$chaos_out" \
     || { echo "chaos repro hook produced no plan output" >&2; exit 1; }
 
+echo "==> spliced flow, killed at every step"
+# Tier-1 runs the sweep at ~24 points of the flow's life; this runs every
+# step × {serving instance, client-leg mux, server-leg mux} (~16 K cases,
+# ~20 s) and prints, per victim, which steps needed an RTO.
+cargo test --release -q --test failure_matrix -- --ignored --nocapture \
+    | grep -E "kills needed an RTO|cases over"
+
 echo "==> bench_engine (smoke)"
 # Events/sec delta vs the committed BENCH_engine.json. Report-only:
 # wall-clock throughput is machine-dependent, so a delta here must never

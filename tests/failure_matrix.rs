@@ -6,9 +6,10 @@
 //! established flow is ever broken**.
 
 use yoda::core::testbed::{Testbed, TestbedConfig};
-use yoda::core::YodaInstance;
-use yoda::http::{BrowserClient, BrowserConfig};
-use yoda::netsim::SimTime;
+use yoda::core::{YodaConfig, YodaInstance};
+use yoda::http::{BrowserClient, BrowserConfig, OriginServer};
+use yoda::l4lb::rendezvous_pick;
+use yoda::netsim::{Addr, Endpoint, NodeId, SimTime, Zone};
 
 /// Runs one flow with an instance failure at `fail_ms` (absolute), and
 /// returns (completed, broken, recovered).
@@ -261,4 +262,230 @@ fn backend_failure_terminates_its_flows_quickly() {
     assert_eq!(b.pages_completed, 16);
     assert!(b.resets > 0, "mid-flight flows got reset notifications");
     assert!(b.request_latencies.max().unwrap_or(0.0) < 25_000.0);
+}
+
+// ----------------------------------------------------------------------
+// The spliced shape, failed at every step (ROADMAP item 1(i))
+// ----------------------------------------------------------------------
+
+/// Fetches the spliced-flow sweep plans.
+const SPLICED_FETCHES: u64 = 2;
+/// The in-DC browser's address (outside 10/8: the instance takes 10.x
+/// for backends).
+const SWEEP_CLIENT: Addr = Addr::new(172, 16, 1, 1);
+
+/// The `bulk_splice` shape on one connection at a time: an in-DC browser
+/// fetching the largest object with `splice` and HTTP/1.1 inspection on,
+/// so the server leg rides the mux in full and the client leg acks-only.
+/// The control plane has settled and the browser was just added: the
+/// next event starts it.
+fn spliced_bed() -> (Testbed, NodeId) {
+    let mut tb = Testbed::build(TestbedConfig {
+        seed: 13,
+        num_instances: 2,
+        num_stores: 3,
+        num_backends: 4,
+        num_muxes: 3,
+        num_services: 1,
+        pages_per_site: 10,
+        yoda: YodaConfig {
+            splice: true,
+            ..YodaConfig::default()
+        },
+        ..TestbedConfig::default()
+    });
+    tb.engine.run_for(SimTime::from_secs(1));
+    let site = tb.catalog.site(0);
+    let largest = site.objects.iter().max_by_key(|o| o.size).expect("objects");
+    let cfg = BrowserConfig {
+        processes: 1,
+        max_pages: Some(SPLICED_FETCHES),
+        fixed_object: Some(largest.path.clone()),
+        site: 0,
+        target: tb.vips[0],
+        host: "service0.test".to_string(),
+        http_timeout: SimTime::from_secs(30),
+        ..BrowserConfig::default()
+    };
+    let browser = BrowserClient::new(cfg, SWEEP_CLIENT, tb.catalog.clone());
+    let id = tb
+        .engine
+        .add_node("browser", SWEEP_CLIENT, Zone::Dc, Box::new(browser));
+    (tb, id)
+}
+
+/// Steps until the browser has finished every fetch, one way or the
+/// other (or two simulated minutes passed); returns the steps taken.
+/// Every bed starts at the same instant, so `engine.now()` afterwards is
+/// comparable across runs.
+fn run_out(tb: &mut Testbed, browser: NodeId) -> u64 {
+    let deadline = tb.engine.now() + SimTime::from_secs(120);
+    let mut steps = 0;
+    loop {
+        let b = tb.engine.node_ref::<BrowserClient>(browser);
+        if b.completed + b.broken_flows >= SPLICED_FETCHES || tb.engine.now() > deadline {
+            return steps;
+        }
+        assert!(tb.engine.step(), "the engine ran dry");
+        steps += 1;
+    }
+}
+
+/// Runs the sweep's reference flow once, traced: its length in events,
+/// its completion time, and its victims. Per fetch's connection those
+/// are the serving instance (`rendezvous_pick` over the instances, the
+/// mux's miss path), the client-leg mux and the server-leg mux
+/// (`rendezvous_pick` over the muxes, the router's and the instance's
+/// choice) — each node once, under the first role it plays.
+fn spliced_probe() -> (u64, SimTime, Vec<(&'static str, NodeId)>) {
+    let (mut tb, browser) = spliced_bed();
+    tb.engine.enable_trace(1 << 20);
+    let n = run_out(&mut tb, browser);
+    let b = tb.engine.node_ref::<BrowserClient>(browser);
+    assert_eq!((b.completed, b.broken_flows), (SPLICED_FETCHES, 0));
+    // Each fetch's (client, backend) pair, from the backend legs on the
+    // wire: (vip, client port) → backend.
+    let vip = tb.vips[0];
+    let mut flows: Vec<(Endpoint, Endpoint)> = Vec::new();
+    for ev in tb.engine.trace().events() {
+        let (Some(src), Some(dst)) = (ev.src, ev.dst) else {
+            continue;
+        };
+        let to_backend = src.addr == vip.addr && tb.service_backends[0].contains(&dst);
+        if to_backend && !flows.iter().any(|(c, _)| c.port == src.port) {
+            flows.push((Endpoint::new(SWEEP_CLIENT, src.port), dst));
+        }
+    }
+    assert_eq!(
+        flows.len() as u64,
+        SPLICED_FETCHES,
+        "one connection per fetch"
+    );
+    let pick = |a, b, among: &[Addr], ids: &[NodeId]| {
+        let winner = rendezvous_pick(a, b, among).expect("candidates");
+        ids[among
+            .iter()
+            .position(|&x| x == winner)
+            .expect("a candidate")]
+    };
+    let mut victims: Vec<(&'static str, NodeId)> = Vec::new();
+    for (client, backend) in flows {
+        let vss = Endpoint::new(vip.addr, client.port);
+        for victim in [
+            (
+                "serving instance",
+                pick(client, vip, &tb.instance_addrs, &tb.instances),
+            ),
+            (
+                "client-leg mux",
+                pick(client, vip, &tb.mux_addrs, &tb.muxes),
+            ),
+            (
+                "server-leg mux",
+                pick(backend, vss, &tb.mux_addrs, &tb.muxes),
+            ),
+        ] {
+            if !victims.iter().any(|v| v.1 == victim.1) {
+                victims.push(victim);
+            }
+        }
+    }
+    (n, tb.engine.now(), victims)
+}
+
+/// Fails `victim` after `k` steps of the reference flow and runs it out:
+/// every fetch completes, no flow breaks, and every byte the backends
+/// served reached the client exactly once. Returns how much later than
+/// the reference (`done`) the fetches completed.
+fn spliced_kill_at(k: u64, victim: NodeId, done: SimTime) -> SimTime {
+    let (mut tb, browser) = spliced_bed();
+    for _ in 0..k {
+        assert!(tb.engine.step(), "the engine ran dry");
+    }
+    tb.engine.fail_node(victim);
+    run_out(&mut tb, browser);
+    let b = tb.engine.node_ref::<BrowserClient>(browser);
+    let case = format!("{victim:?} killed after {k} steps");
+    assert_eq!(
+        (b.completed, b.broken_flows),
+        (SPLICED_FETCHES, 0),
+        "{case}"
+    );
+    let served: u64 = tb
+        .backends
+        .iter()
+        .map(|&id| tb.engine.node_ref::<OriginServer>(id).bytes_served)
+        .sum();
+    assert_eq!(b.body_bytes, served, "{case}: body bytes vs bytes served");
+    tb.engine.now().saturating_sub(done)
+}
+
+/// Kills every victim after each of `points(n)` steps, n being the
+/// reference flow's length. Prints, per victim, how many completions
+/// slipped by at least half the 300 ms minimum data RTO (a retransmission
+/// timeout had to fire) and every k, as runs of neighbouring sweep points
+/// that slipped by the same tenth of a second, then the case count.
+/// Returns the number of victims.
+fn spliced_sweep(points: impl Fn(u64) -> Vec<u64>) -> usize {
+    let (n, done, victims) = spliced_probe();
+    let ks = points(n);
+    let mut cases = 0;
+    for &(role, victim) in &victims {
+        // (first k, last k, lateness in tenths of a second)
+        let mut runs: Vec<(u64, u64, u64)> = Vec::new();
+        let mut rto = 0;
+        for &k in &ks {
+            let late = spliced_kill_at(k, victim, done);
+            let tenths = if late >= SimTime::from_millis(150) {
+                rto += 1;
+                (late.as_millis() + 50) / 100
+            } else {
+                0
+            };
+            match runs.last_mut() {
+                Some(run) if run.2 == tenths => run.1 = k,
+                _ => runs.push((k, k, tenths)),
+            }
+            cases += 1;
+        }
+        let by_k: Vec<String> = runs
+            .iter()
+            .map(|&(a, b, t)| {
+                let ks = if a == b {
+                    format!("{a}")
+                } else {
+                    format!("{a}-{b}")
+                };
+                match t {
+                    0 => format!("{ks} no RTO"),
+                    t => format!("{ks} +{}.{} s", t / 10, t % 10),
+                }
+            })
+            .collect();
+        let total = ks.len();
+        println!(
+            "{role} {victim:?}: {rto} of {total} kills needed an RTO; k: {}",
+            by_k.join(", ")
+        );
+    }
+    println!("{cases} cases over {n} events");
+    victims.len()
+}
+
+/// A serving instance, client-leg mux or server-leg mux may die at about
+/// two dozen evenly spaced steps of a spliced, inspected flow's life
+/// (ROADMAP 1(i); the shape "Splice coverage" waited on): no flow breaks
+/// and no byte is lost or duplicated. The every-step variant is below.
+#[test]
+fn spliced_flow_survives_a_kill_at_every_24th_of_its_life() {
+    let victims = spliced_sweep(|n| (0..24).map(|i| i * n / 24).collect());
+    assert_eq!(victims, 3, "instance, client-leg mux, server-leg mux");
+}
+
+/// Every step of the same flow, for every victim (`scripts/check.sh`
+/// runs it with `--ignored`).
+#[test]
+#[ignore = "the exhaustive sweep: run with --ignored (scripts/check.sh does)"]
+fn spliced_flow_survives_a_kill_at_every_step_of_its_life() {
+    spliced_sweep(|n| (0..n).collect());
 }

@@ -84,6 +84,7 @@ fn splice_ctrl_variants_reject_malformed() {
         new_dst: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(10, 1, 0, 7), 80),
         seq_add: 0xfeed_f00d,
         ack_add: 0x0bad_cafe,
+        acks_only: true,
     };
     let remove = CtrlMsg::SpliceRemove {
         from: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(10, 1, 0, 7), 80),
@@ -107,10 +108,12 @@ fn splice_ctrl_variants_reject_malformed() {
         }
     }
     // Tag-prefixed garbage: correct length, arbitrary bytes — must parse
-    // into *some* message or reject, never panic.
+    // into *some* message or reject, never panic. (The install body is 33
+    // bytes: four endpoints, two constants and the acks-only flag, which
+    // reads any non-zero byte as true.)
     let mut rng = Rng::seed_from_u64(0x5EED_5EED);
     for tag in [4u8, 5u8] {
-        let body_len = if tag == 4 { 32 } else { 12 };
+        let body_len = if tag == 4 { 33 } else { 12 };
         for _ in 0..256 {
             let mut raw = vec![tag];
             raw.extend((0..body_len).map(|_| rng.gen_range(0..=u8::MAX)));

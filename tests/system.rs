@@ -2,12 +2,13 @@
 //! policy updates mid-flow, and HTTP/1.1 backend switching on a single
 //! keep-alive connection (§5.2).
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use yoda::core::testbed::{Testbed, TestbedConfig};
-use yoda::core::YodaInstance;
+use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response, HttpRequest, OriginServer};
-use yoda::netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, Zone};
-use yoda::tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
+use yoda::l4lb::{rendezvous_pick, Mux};
+use yoda::netsim::{Addr, Ctx, Endpoint, Node, NodeId, Packet, SimTime, TimerToken, Zone};
+use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpConfig, TcpEvent, TcpStack};
 
 /// Client that sends two HTTP/1.1 requests for different content types on
 /// ONE connection, collecting both responses.
@@ -20,6 +21,10 @@ struct KeepAliveClient {
     buf: BytesMut,
     responses: Vec<usize>,
     next_req: usize,
+    /// Length of each request sent, and response bytes received: with the
+    /// ISNs, the client's stream position on both sides.
+    sent: Vec<u32>,
+    received: u32,
 }
 
 impl KeepAliveClient {
@@ -34,6 +39,7 @@ impl KeepAliveClient {
             .with_header("Host", "service0.test")
             .encode();
         self.next_req += 1;
+        self.sent.push(req.len() as u32);
         self.stack.send(ctx, conn, req);
     }
 }
@@ -51,6 +57,7 @@ impl Node for KeepAliveClient {
                 TcpEvent::Connected(_) => self.send_next(ctx),
                 TcpEvent::Data(conn) => {
                     let data = self.stack.recv(conn);
+                    self.received += data.len() as u32;
                     self.buf.extend_from_slice(&data);
                     while let Some((resp, used)) = parse_response(&self.buf) {
                         let _ = self.buf.split_to(used);
@@ -68,83 +75,210 @@ impl Node for KeepAliveClient {
     }
 }
 
+/// §5.2: "a single TCP connection can be reused for multiple requests,
+/// which may match different rules and hence need to be forwarded to
+/// different backend servers". Rules steer .jpg and .css to different
+/// backends; the client sends both over one connection.
+struct SwitchBed {
+    tb: Testbed,
+    client: NodeId,
+    sizes: Vec<usize>,
+    /// Engine steps taken since the client was added.
+    steps: u64,
+}
+
+impl SwitchBed {
+    fn new(splice: bool) -> SwitchBed {
+        let mut tb = Testbed::build(TestbedConfig {
+            seed: 21,
+            num_instances: 2,
+            num_stores: 2,
+            num_backends: 4,
+            num_muxes: 2,
+            num_services: 1,
+            pages_per_site: 20,
+            yoda: YodaConfig {
+                splice,
+                ..YodaConfig::default()
+            },
+            ..TestbedConfig::default()
+        });
+        let vip = tb.vips[0];
+        let b = tb.service_backends[0].clone();
+        // Find one jpg and one css object in site 0.
+        let site = tb.catalog.site(0);
+        let first = |ext| {
+            let o = site.objects.iter().find(|o| o.path.ends_with(ext));
+            o.expect("object exists").clone()
+        };
+        let (jpg, css) = (first(".jpg"), first(".css"));
+        let rules = format!(
+            "name=jpg priority=3 match url=*.jpg action=split {}=1\n\
+             name=css priority=3 match url=*.css action=split {}=1\n\
+             name=rest priority=1 match * action=split {}=1",
+            b[0], b[1], b[2]
+        );
+        tb.set_policy_at(vip, &rules, SimTime::from_millis(500));
+        tb.engine.run_for(SimTime::from_secs(1));
+
+        let addr = Addr::new(172, 16, 9, 1);
+        let client = tb.engine.add_node(
+            "keepalive-client",
+            addr,
+            Zone::External,
+            Box::new(KeepAliveClient {
+                stack: TcpStack::new(TcpConfig::default()),
+                addr,
+                target: vip,
+                paths: vec![jpg.path.clone(), css.path.clone()],
+                conn: None,
+                buf: BytesMut::new(),
+                responses: Vec::new(),
+                next_req: 0,
+                sent: Vec::new(),
+                received: 0,
+            }),
+        );
+        SwitchBed {
+            tb,
+            client,
+            sizes: vec![jpg.size, css.size],
+            steps: 0,
+        }
+    }
+
+    fn instances(&self) -> impl Iterator<Item = &YodaInstance> {
+        let eng = &self.tb.engine;
+        self.tb
+            .instances
+            .iter()
+            .map(|&i| eng.node_ref::<YodaInstance>(i))
+    }
+
+    fn client(&self) -> &KeepAliveClient {
+        self.tb.engine.node_ref::<KeepAliveClient>(self.client)
+    }
+
+    /// The client's connection: its local endpoint and ISNs.
+    fn conn(&self) -> (Endpoint, SeqNum, SeqNum) {
+        let c = self.client();
+        let sock = c.conn.and_then(|id| c.stack.socket(id)).expect("connected");
+        (sock.local(), sock.iss(), sock.irs())
+    }
+
+    /// The mux the client leg (client → VIP) hashes to.
+    fn client_mux(&self) -> (NodeId, Addr) {
+        let (local, ..) = self.conn();
+        let mux = rendezvous_pick(local, self.tb.vips[0], &self.tb.mux_addrs).expect("muxes");
+        let i = self.tb.mux_addrs.iter().position(|&a| a == mux);
+        (self.tb.muxes[i.expect("a mux of the testbed")], mux)
+    }
+
+    /// Steps the engine until `done` holds; returns the steps taken so far.
+    fn step_until(&mut self, done: impl Fn(&SwitchBed) -> bool) -> u64 {
+        while !done(self) {
+            assert!(self.tb.engine.step(), "the engine ran dry");
+            self.steps += 1;
+        }
+        self.steps
+    }
+
+    /// A copy of the last pure ACK the client sent before its second
+    /// request, arriving late at the client-leg mux (as the router would
+    /// hand it over).
+    fn replay_client_ack(&mut self) {
+        let (local, iss, irs) = self.conn();
+        let c = self.client();
+        let seg = Segment {
+            src_port: local.port,
+            dst_port: self.tb.vips[0].port,
+            seq: iss + 1 + c.sent[0],
+            ack: irs + 1 + c.received,
+            flags: Flags::ACK,
+            window: 65_535,
+            payload: Bytes::new(),
+        };
+        let (mux, mux_addr) = self.client_mux();
+        let outer = seg
+            .into_packet(local, self.tb.vips[0])
+            .encapsulate(local.addr, mux_addr);
+        self.tb
+            .engine
+            .with_node_ctx::<Mux>(mux, |m, ctx| m.on_packet(ctx, outer));
+    }
+
+    /// Both responses exact, one switch, and no failure anywhere means no
+    /// TCPStore recovery: no read, no drop of an unknown packet.
+    fn assert_switched_cleanly(&self) {
+        assert_eq!(
+            self.client().responses,
+            self.sizes,
+            "both responses arrive in order with correct bodies"
+        );
+        let sum = |f: &dyn Fn(&YodaInstance) -> u64| self.instances().map(f).sum::<u64>();
+        assert_eq!(sum(&|i| i.backend_switches), 1, "one content-based switch");
+        let gets = sum(&|i| i.store_client().get_latency.len() as u64);
+        let (unknown, recoveries) = (sum(&|i| i.dropped_unknown), sum(&|i| i.recoveries));
+        assert_eq!(
+            (gets, unknown, recoveries),
+            (0, 0, 0),
+            "(store gets, dropped_unknown, recoveries)"
+        );
+        // The jpg went to b[0], the css to b[1].
+        for b in &self.tb.backends[..2] {
+            assert_eq!(self.tb.engine.node_ref::<OriginServer>(*b).requests, 1);
+        }
+    }
+}
+
 #[test]
 fn http11_requests_switch_backends_mid_connection() {
-    // §5.2: "a single TCP connection can be reused for multiple requests,
-    // which may match different rules and hence need to be forwarded to
-    // different backend servers". Rules steer .jpg and .css to different
-    // backends; the client pipelines both over one connection.
-    let mut tb = Testbed::build(TestbedConfig {
-        seed: 21,
-        num_instances: 2,
-        num_stores: 2,
-        num_backends: 4,
-        num_muxes: 2,
-        num_services: 1,
-        pages_per_site: 20,
-        ..TestbedConfig::default()
-    });
-    let vip = tb.vips[0];
-    let b = tb.service_backends[0].clone();
-    // Find one jpg and one css object in site 0.
-    let site = tb.catalog.site(0);
-    let jpg = site
-        .objects
-        .iter()
-        .find(|o| o.path.ends_with(".jpg"))
-        .expect("jpg exists")
-        .clone();
-    let css = site
-        .objects
-        .iter()
-        .find(|o| o.path.ends_with(".css"))
-        .expect("css exists")
-        .clone();
-    let rules = format!(
-        "name=jpg priority=3 match url=*.jpg action=split {}=1\n\
-         name=css priority=3 match url=*.css action=split {}=1\n\
-         name=rest priority=1 match * action=split {}=1",
-        b[0], b[1], b[2]
-    );
-    tb.set_policy_at(vip, &rules, SimTime::from_millis(500));
-    tb.engine.run_for(SimTime::from_secs(1));
+    let mut s = SwitchBed::new(false);
+    s.tb.engine.run_for(SimTime::from_secs(30));
+    s.assert_switched_cleanly();
+}
 
-    let addr = Addr::new(172, 16, 9, 1);
-    let client = tb.engine.add_node(
-        "keepalive-client",
-        addr,
-        Zone::External,
-        Box::new(KeepAliveClient {
-            stack: TcpStack::new(TcpConfig::default()),
-            addr,
-            target: vip,
-            paths: vec![jpg.path.clone(), css.path.clone()],
-            conn: None,
-            buf: BytesMut::new(),
-            responses: Vec::new(),
-            next_req: 0,
-        }),
-    );
-    tb.engine.run_for(SimTime::from_secs(30));
+/// The same switch with splice on: both legs ride the mux (the client
+/// leg acks-only), so the instance sees the handshake, the two requests
+/// and the teardown, and almost nothing else.
+#[test]
+fn http11_switch_on_a_spliced_flow() {
+    let mut s = SwitchBed::new(true);
+    s.tb.engine.run_for(SimTime::from_secs(30));
+    s.assert_switched_cleanly();
+    let mux = |&m| s.tb.engine.node_ref::<Mux>(m);
+    let spliced: u64 = s.tb.muxes.iter().map(|m| mux(m).spliced).sum();
+    assert!(spliced > 0, "nothing rode the fast path");
+    let tunneled: u64 = s.instances().map(|i| i.tunneled_packets).sum();
+    assert!(tunneled <= 4, "the instance tunnelled {tunneled} packets");
+}
 
-    let c = tb.engine.node_ref::<KeepAliveClient>(client);
-    assert_eq!(
-        c.responses,
-        vec![jpg.size, css.size],
-        "both responses arrive in order with correct bodies"
-    );
-    // The instance performed a mid-connection backend switch.
-    let switches: u64 = tb
-        .instances
-        .iter()
-        .map(|&i| tb.engine.node_ref::<YodaInstance>(i).backend_switches)
-        .sum();
-    assert_eq!(switches, 1, "one content-based switch happened");
-    // The jpg went to b[0], the css to b[1].
-    let jpg_srv = tb.backends[0];
-    let css_srv = tb.backends[1];
-    assert_eq!(tb.engine.node_ref::<OriginServer>(jpg_srv).requests, 1);
-    assert_eq!(tb.engine.node_ref::<OriginServer>(css_srv).requests, 1);
+/// A client ACK that reaches its mux after the instance began the switch
+/// but ahead of the `SpliceRemove` rides the old entry to the old backend
+/// — translated exactly as the instance would have translated it, and
+/// ahead of the RST the instance sends that backend after its pipeline
+/// delay. It must not cost a recovery. Replayed at both ends of that
+/// window: the step that began the switch, and the last step before the
+/// mux drops the entry.
+#[test]
+fn http11_switch_ack_racing_the_splice_remove_costs_no_recovery() {
+    let mut probe = SwitchBed::new(true);
+    let begun = probe.step_until(|s| s.instances().map(|i| i.backend_switches).sum::<u64>() == 1);
+    let (mux, _) = probe.client_mux();
+    let entries = |s: &SwitchBed| s.tb.engine.node_ref::<Mux>(mux).splice_entries();
+    let spliced = |s: &SwitchBed| s.tb.engine.node_ref::<Mux>(mux).spliced;
+    let installed = entries(&probe);
+    assert!(installed > 0, "no client-leg entry to race");
+    let removed = probe.step_until(|s| entries(s) < installed);
+    for at in [begun, removed - 1] {
+        let mut s = SwitchBed::new(true);
+        s.step_until(|s| s.steps == at);
+        let before = spliced(&s);
+        s.replay_client_ack();
+        assert_eq!(spliced(&s), before + 1, "the ACK rode the old entry");
+        s.tb.engine.run_for(SimTime::from_secs(30));
+        s.assert_switched_cleanly();
+    }
 }
 
 #[test]
