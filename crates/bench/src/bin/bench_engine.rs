@@ -9,15 +9,17 @@
 //! * `pingpong_mesh`  — pure packet dispatch: N nodes bounce pings around
 //!   a ring, so every event is a heap pop + address route + node call.
 //! * `timer_churn`    — timer arm/cancel/fire: each node keeps a fan of
-//!   staggered timers alive, cancelling half of them before they fire.
+//!   staggered timers alive, cancelling half of them (which then never
+//!   pop) right after arming them.
 //! * `trace_ring`     — the ping-pong mesh with tracing enabled, isolating
 //!   the per-event trace-record cost (node-name interning).
 //! * `dc_jitter_mesh` — the event queue under the full stack's mix: the
 //!   mesh on the testbed's datacenter link (250 µs + U[0, 50] µs, so
 //!   deadlines scatter instead of arriving in same-tick waves), with
 //!   ≈ 15 % of events timers armed 100 ms–30 s out that fire into
-//!   nothing and a few thousand of them pending — what `bench_e2e`'s
-//!   `api_open` asks of the engine, without the layers above it.
+//!   nothing and a few thousand of them pending — the shape of
+//!   `bench_e2e`'s `api_open` before its dead timers were cancelled,
+//!   without the layers above it.
 //!
 //! The simulation content is fully deterministic (each scenario prints its
 //! `event_digest`, which must be identical across hosts and across engine
@@ -130,7 +132,7 @@ fn mesh_addr(i: u32) -> Addr {
 /// Committed full-mode digests (see `BENCH_engine.json`): every full run
 /// must land exactly here.
 const PINGPONG_DIGEST_FULL: u64 = 0xb9f7_9de3_8943_a8cd;
-const CHURN_DIGEST_FULL: u64 = 0x9653_0dd7_2d5c_a05f;
+const CHURN_DIGEST_FULL: u64 = 0x0503_8156_1d8d_bca6;
 const JITTER_DIGEST_FULL: u64 = 0xe738_f2c8_7569_7e56;
 
 struct Measurement {

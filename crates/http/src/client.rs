@@ -13,13 +13,16 @@
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, SimTime, TimerToken};
+use yoda_netsim::{
+    Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, SimTime, TimerId, TimerToken,
+};
 use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
 
 use crate::message::{parse_response_head, HttpRequest};
 use crate::site::{ObjectId, SiteCatalog};
 
-const TIMEOUT_KIND: u32 = 0xB01;
+/// Timer kind of a fetch's HTTP timeout (both clients).
+pub const TIMEOUT_KIND: u32 = 0xB01;
 const STALL_KIND: u32 = 0xB02;
 const TICK_KIND: u32 = 0xB03;
 const TLS_RETRY_KIND: u32 = 0xB04;
@@ -114,10 +117,14 @@ struct Fetch {
     tls_awaiting_cert: bool,
     attempt: u32,
     last_progress: SimTime,
+    /// The HTTP timeout, cancelled when the fetch ends first.
+    timeout: TimerId,
+    /// The pending stall check, if stall detection is on.
+    stall: Option<TimerId>,
 }
 
 impl Fetch {
-    fn new(process: usize, object: ObjectId, conn: ConnId, now: SimTime) -> Self {
+    fn new(process: usize, object: ObjectId, conn: ConnId, now: SimTime, timeout: TimerId) -> Self {
         Fetch {
             process,
             object,
@@ -129,6 +136,17 @@ impl Fetch {
             tls_awaiting_cert: false,
             attempt: 0,
             last_progress: now,
+            timeout,
+            stall: None,
+        }
+    }
+
+    /// Cancels the fetch's timers: it has ended, and they would fire
+    /// into nothing.
+    fn cancel_timers(&self, ctx: &mut Ctx<'_>) {
+        ctx.cancel_timer(self.timeout);
+        if let Some(stall) = self.stall {
+            ctx.cancel_timer(stall);
         }
     }
 
@@ -317,21 +335,26 @@ impl BrowserClient {
         let conn = self.stack.connect(ctx, local, self.cfg.target);
         let id = self.next_fetch;
         self.next_fetch += 1;
+        let timeout = ctx.set_timer(
+            self.cfg.http_timeout,
+            TimerToken::new(TIMEOUT_KIND).with_a(id),
+        );
+        let stall = self
+            .cfg
+            .stall_timeout
+            .map(|stall| ctx.set_timer(stall, TimerToken::new(STALL_KIND).with_a(id)));
         let fetch = Fetch {
             started: carry_started.unwrap_or(ctx.now()),
             tls_awaiting_cert: self.cfg.tls,
             attempt,
-            ..Fetch::new(process, object, conn, ctx.now())
+            stall,
+            ..Fetch::new(process, object, conn, ctx.now(), timeout)
         };
         self.fetches.insert(id, fetch);
         self.started_fetches += 1;
         self.by_conn.insert(conn, id);
         if let Some(p) = self.processes.get_mut(process) {
             p.active_fetch = Some(id);
-        }
-        ctx.set_timer(self.cfg.http_timeout, TimerToken::new(TIMEOUT_KIND).with_a(id));
-        if let Some(stall) = self.cfg.stall_timeout {
-            ctx.set_timer(stall, TimerToken::new(STALL_KIND).with_a(id));
         }
     }
 
@@ -355,6 +378,7 @@ impl BrowserClient {
         let Some(fetch) = self.fetches.remove(&fetch_id) else {
             return;
         };
+        fetch.cancel_timers(ctx);
         self.by_conn.remove(&fetch.conn);
         let process = fetch.process;
         match outcome {
@@ -525,14 +549,15 @@ impl Node for BrowserClient {
                 let Some(stall) = self.cfg.stall_timeout else {
                     return;
                 };
-                if let Some(fetch) = self.fetches.get(&token.a) {
+                if let Some(fetch) = self.fetches.get_mut(&token.a) {
                     let idle = ctx.now().saturating_sub(fetch.last_progress);
                     if idle >= stall && (!fetch.buf.is_empty() || fetch.body.is_some()) {
                         // Mid-stream stall: the session is visibly broken.
                         self.finish_fetch(ctx, token.a, RequestOutcome::Stalled);
                     } else {
                         // Still progressing (or not started): check again.
-                        ctx.set_timer(stall, TimerToken::new(STALL_KIND).with_a(token.a));
+                        let check = TimerToken::new(STALL_KIND).with_a(token.a);
+                        fetch.stall = Some(ctx.set_timer(stall, check));
                     }
                 }
             }
@@ -661,17 +686,18 @@ impl RateClient {
         let conn = self.stack.connect(ctx, local, self.cfg.target);
         let id = self.next_fetch;
         self.next_fetch += 1;
-        let fetch = Fetch::new(0, object, conn, ctx.now());
-        self.fetches.insert(id, fetch);
+        let timeout = ctx.set_timer(self.cfg.timeout, TimerToken::new(TIMEOUT_KIND).with_a(id));
+        self.fetches
+            .insert(id, Fetch::new(0, object, conn, ctx.now(), timeout));
         self.by_conn.insert(conn, id);
         self.issued += 1;
-        ctx.set_timer(self.cfg.timeout, TimerToken::new(TIMEOUT_KIND).with_a(id));
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, fetch_id: u64, outcome: RequestOutcome) {
         let Some(fetch) = self.fetches.remove(&fetch_id) else {
             return;
         };
+        fetch.cancel_timers(ctx);
         self.by_conn.remove(&fetch.conn);
         match outcome {
             RequestOutcome::Ok => {
@@ -899,6 +925,9 @@ mod tests {
         );
         assert_eq!(completed, issued, "all complete");
         assert_eq!(timeouts, 0);
+        // Done issuing at 2 s, done completing long before 10 s, and every
+        // fetch cancelled its 30 s timeout when it finished.
+        assert_eq!(eng.timer_backlog(), 0);
         let c = eng.node_mut::<RateClient>(id);
         assert!(
             c.latencies.median().expect("completed > 0") < 200.0,

@@ -21,7 +21,9 @@ pub mod message;
 pub mod server;
 pub mod site;
 
-pub use client::{BrowserClient, BrowserConfig, RateClient, RateClientConfig, RequestOutcome};
+pub use client::{
+    BrowserClient, BrowserConfig, RateClient, RateClientConfig, RequestOutcome, TIMEOUT_KIND,
+};
 pub use message::{
     parse_request, parse_response, parse_response_head, HttpRequest, HttpResponse,
 };

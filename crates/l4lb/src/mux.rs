@@ -29,7 +29,7 @@ use crate::{canonical_flow, rendezvous_pick};
 pub type FlowKey = (Endpoint, Endpoint);
 
 /// Minimum spacing between flow/splice table sweeps. Sweeps run
-/// opportunistically on packet arrival (never via a timer — see
+/// opportunistically on packet arrival, not on a timer (see
 /// `Mux::on_packet`), so an idle mux holds its tables until traffic
 /// returns.
 const MUX_SWEEP_PERIOD: SimTime = SimTime::from_secs(30);
@@ -325,11 +325,12 @@ impl Mux {
 impl Node for Mux {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         // Opportunistic table sweep, amortised over packet arrivals
-        // rather than a timer: arming a timer would consume a slot from
-        // the engine's global timer-id/sequence counters and shift the
-        // committed event digests of every pre-splice scenario. A mux
-        // that hears no packets sweeps nothing, which is fine — its
-        // tables only grow when packets arrive.
+        // rather than a timer. The sweep sends nothing and the tables
+        // only grow when packets arrive, so checking here costs one
+        // compare per packet and no event, where a periodic timer would
+        // be an event per mux per period for the whole run — mostly
+        // idle fires, on quiet muxes too. A mux that hears no packets
+        // sweeps nothing and holds no more than it already learned.
         let now = ctx.now();
         if now.saturating_sub(self.last_sweep) >= MUX_SWEEP_PERIOD {
             self.last_sweep = now;

@@ -99,9 +99,8 @@ struct EngineCore {
     /// All pending timers and in-flight packets; O(1) arm and cancel,
     /// pops in exact `(deadline, seq)` order. Its clock trails
     /// `time` — it is never past the next event `step_bounded` will
-    /// process — so arms are never clamped. Cancelled timers still pop
-    /// (flagged) at their deadline so the event digest is unchanged from
-    /// the era when they sat in the heap, and are reclaimed at that pop.
+    /// process — so arms are never clamped. A cancelled timer leaves the
+    /// wheel at once: it never pops, is no event and no digest input.
     wheel: TimerWheel,
     meta: Vec<NodeMeta>,
     /// Node names, interned once at `add_node`; everything else carries
@@ -394,10 +393,11 @@ impl Ctx<'_> {
         TimerId { id, slot }
     }
 
-    /// Cancels a previously armed timer in O(1). Cancelling an
-    /// already-fired timer is a no-op (and allocates no bookkeeping):
-    /// the wheel slot either holds this timer (marked in place) or has
-    /// been reclaimed (the stale handle is rejected by id).
+    /// Cancels a previously armed timer: it is removed from the wheel at
+    /// once and never fires, counts as no event and folds nothing into
+    /// the digest. Cancelling a timer that already fired (or was already
+    /// cancelled) is a no-op: its wheel slot is free or holds a newer
+    /// entry, and the stale handle is rejected by id.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.core.wheel.cancel(id.slot, id.id);
     }
@@ -442,6 +442,9 @@ impl Ctx<'_> {
 pub struct Engine {
     core: EngineCore,
     nodes: Vec<Option<Box<dyn Node>>>,
+    /// `(kind, fires, idle fires)` per [`TimerToken::kind`], ascending by
+    /// kind: see [`Engine::timer_census`].
+    census: Vec<(u32, u64, u64)>,
 }
 
 impl Engine {
@@ -476,6 +479,7 @@ impl Engine {
                 degraded_nodes: 0,
             },
             nodes: Vec::new(),
+            census: Vec::new(),
         }
     }
 
@@ -505,18 +509,27 @@ impl Engine {
     }
 
     /// Total events processed by [`Engine::step`] so far (packets, timers —
-    /// including suppressed ones — and control closures).
+    /// including those of dead or restarted nodes, which reach no handler
+    /// — and control closures). A cancelled timer is not an event.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
     }
 
-    /// Size of the engine's internal timer bookkeeping: timers armed but
-    /// not yet delivered, including cancelled ones whose wheel slot is
-    /// reclaimed when the suppressed deadline pops. A long-lived engine
-    /// whose nodes arm and cancel timers at a steady rate must show a
-    /// bounded backlog; the leak regression test pins that down.
+    /// Timers armed and neither fired nor cancelled yet. A cancelled
+    /// timer leaves the count at once, so a long-lived engine whose nodes
+    /// cancel what they no longer need holds only live deadlines.
     pub fn timer_backlog(&self) -> usize {
         self.core.wheel.timer_len()
+    }
+
+    /// Every timer kind delivered to a handler so far, ascending by
+    /// [`TimerToken::kind`]: `(kind, fires, idle fires)`. An idle fire
+    /// is one whose handler sent no packet and armed no timer (it left
+    /// the engine's sequence counter where it was) — a timer that, had
+    /// its owner cancelled it, would have changed nothing but the event
+    /// count. Always kept; reading it does not touch the digest.
+    pub fn timer_census(&self) -> &[(u32, u64, u64)] {
+        &self.census
     }
 
     /// Digest of every event processed so far (time, kind, and target).
@@ -865,21 +878,19 @@ impl Engine {
                     generation,
                     token,
                 } => {
-                    // Digest-fold BEFORE the cancellation/liveness
-                    // checks: suppressed timers still advance the clock
-                    // and count as events, exactly as when they
-                    // travelled through the heap.
+                    // Digest-fold BEFORE the liveness checks: timers of a
+                    // dead or restarted node still advance the clock and
+                    // count as events.
                     self.core.digest = fnv_fold(self.core.digest, fired.time);
                     self.core.digest = fnv_fold(self.core.digest, 2u64 ^ (fired.id << 8));
-                    if fired.cancelled {
-                        return true;
-                    }
                     let node = NodeId(node);
                     let meta = &self.core.meta[node.0];
                     if !meta.alive || meta.generation != generation {
                         return true;
                     }
+                    let seq = self.core.seq;
                     self.with_node(node, |n, ctx| n.on_timer(ctx, token));
+                    self.count_fire(token.kind, self.core.seq == seq);
                 }
                 WheelItem::Packet { pkt, dst } => {
                     self.core.digest = fnv_fold(self.core.digest, fired.time);
@@ -940,6 +951,21 @@ impl Engine {
             f(self);
         }
         true
+    }
+
+    /// Adds one fire of `kind` to the census.
+    fn count_fire(&mut self, kind: u32, idle: bool) {
+        let at = match self.census.binary_search_by_key(&kind, |&(k, _, _)| k) {
+            Ok(at) => at,
+            Err(at) => {
+                self.census.insert(at, (kind, 0, 0));
+                at
+            }
+        };
+        if let Some(row) = self.census.get_mut(at) {
+            row.1 += 1;
+            row.2 += idle as u64;
+        }
     }
 
     /// Runs until the event queue drains or the clock reaches `deadline`;
@@ -1110,15 +1136,66 @@ mod tests {
         assert_eq!(eng.node_ref::<Armer>(a).fires, 64, "no double fire");
     }
 
-    /// Cancelling a pending timer reclaims its bookkeeping once the
-    /// suppressed deadline passes.
+    /// Cancelling a pending timer frees its bookkeeping at once.
     #[test]
-    fn cancelled_pending_timer_is_reclaimed_at_deadline() {
+    fn cancelled_pending_timer_leaves_the_backlog_at_once() {
         let (mut eng, _, _) = two_node_engine(true);
-        eng.run_for(SimTime::from_millis(1));
-        assert!(eng.timer_backlog() > 0, "cancelled timer still pending");
+        eng.run_until(SimTime::ZERO);
+        assert_eq!(eng.timer_backlog(), 0, "armed and cancelled in on_start");
+    }
+
+    /// Arms two timers on start and cancels the first.
+    struct CancelFirst;
+    impl Node for CancelFirst {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let first = ctx.set_timer(SimTime::from_millis(5), TimerToken::new(1));
+            ctx.set_timer(SimTime::from_millis(7), TimerToken::new(2));
+            ctx.cancel_timer(first);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
+    }
+
+    #[test]
+    fn cancelled_timer_is_neither_an_event_nor_a_digest_input() {
+        let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::from_millis(1)));
+        eng.add_node(
+            "cancel-first",
+            Addr::new(10, 0, 0, 1),
+            Zone::Dc,
+            Box::new(CancelFirst),
+        );
         eng.run_for(SimTime::from_millis(10));
-        assert_eq!(eng.timer_backlog(), 0, "reclaimed after deadline passed");
+        // The `on_start` control at 0 µs, then timer id 1 at 7 ms; timer
+        // id 0 leaves no trace.
+        let want = [(0, 3), (7_000, 2 ^ (1 << 8))]
+            .iter()
+            .fold(FNV_OFFSET, |d, &(t, w)| fnv_fold(fnv_fold(d, t), w));
+        assert_eq!((eng.events_processed(), eng.event_digest()), (2, want));
+        assert_eq!(eng.timer_census(), &[(2, 1, 1)], "only kind 2 fired");
+    }
+
+    #[test]
+    fn census_tells_idle_fires_from_working_ones() {
+        // The pinger's timer sends nothing and arms nothing; a roller
+        // re-arms on every fire.
+        let (mut eng, _, _) = two_node_engine(false);
+        eng.run_for(SimTime::from_millis(10));
+        assert_eq!(eng.timer_census(), &[(1, 1, 1)]);
+        let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::from_millis(1)));
+        eng.add_node("roller", Addr::new(10, 8, 0, 1), Zone::Dc, roller(3, 0));
+        eng.add_node(
+            "cancel-first",
+            Addr::new(10, 8, 0, 2),
+            Zone::Dc,
+            Box::new(CancelFirst),
+        );
+        eng.run_for(SimTime::from_millis(10));
+        assert_eq!(
+            eng.timer_census(),
+            &[(1, 3, 0), (2, 1, 1)],
+            "ascending by kind"
+        );
     }
 
     #[test]

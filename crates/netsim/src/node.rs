@@ -14,9 +14,9 @@ use crate::packet::Packet;
 ///
 /// Carries the engine-wide timer id plus the timer wheel slab slot the
 /// timer occupies, so cancellation is O(1): the wheel checks that the
-/// slot still holds this id (a recycled slot holds a newer one) and
-/// marks it in place. Ordering and equality follow the globally unique
-/// `id` alone.
+/// slot still holds this id (a recycled slot holds a newer one, a fired
+/// or cancelled timer's slot holds nothing of it) and unlinks the entry.
+/// Ordering and equality follow the globally unique `id` alone.
 #[derive(Debug, Clone, Copy)]
 pub struct TimerId {
     pub(crate) id: u64,

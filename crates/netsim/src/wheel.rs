@@ -2,11 +2,10 @@
 //! that never scans.
 //!
 //! The engine used to route every timer *and every packet* through the
-//! global `BinaryHeap` and suppress timer cancellations with a side
-//! `BTreeSet` — O(log n) per operation plus allocation churn. This wheel
-//! delivers the same *exact* event order at O(1) amortized cost and
-//! carries both event classes ([`WheelItem`]); only rare control
-//! closures remain in the heap.
+//! global `BinaryHeap` — O(log n) per operation plus allocation churn.
+//! This wheel delivers the same *exact* event order at O(1) amortized
+//! cost and carries both event classes ([`WheelItem`]); only rare
+//! control closures remain in the heap.
 //!
 //! | level    | slots | slot width              | window                    |
 //! |----------|-------|-------------------------|---------------------------|
@@ -62,12 +61,16 @@
 //! coarse to fine, so re-placed entries stay ascending and always
 //! precede later direct arms. Nothing depends on memory addresses.
 //!
-//! Cancellation marks the slab entry in place; the entry still *pops* at
-//! its deadline — the engine folds every popped event into its digest
-//! before deciding whether to deliver it, and cancelled timers must keep
-//! contributing exactly as they did when they sat in the heap — but it
-//! pops with `cancelled: true` and the engine drops it. The slab slot is
-//! reclaimed at pop, so cancelled timers cannot leak.
+//! # Cancellation removes the entry
+//!
+//! Slot lists are doubly linked, so [`TimerWheel::cancel`] unlinks the
+//! entry from wherever it sits and frees its slab slot at once: a
+//! cancelled timer never pops, is never an event and folds nothing into
+//! the engine's digest. The list is found without a search: an entry
+//! always sits where [`TimerWheel::arm`] would place it at the current
+//! clock (a cascade re-places exactly the entries whose home moved), so
+//! its deadline and the clock name the list. The surviving entries keep
+//! their `(deadline, seq)` keys and their order.
 //!
 //! # Panic freedom
 //!
@@ -138,7 +141,7 @@ pub enum WheelItem {
     },
 }
 
-/// One pending (or cancelled-pending) entry.
+/// One slab entry: pending, or free (on the free list).
 #[derive(Debug)]
 struct Entry {
     /// Absolute deadline, µs.
@@ -150,14 +153,15 @@ struct Entry {
     /// reject a stale handle whose slab slot has been recycled. Unused
     /// for packets.
     id: u64,
-    /// `None` only transiently, after the entry popped and before the
-    /// slot is recycled.
+    /// `Some` exactly while the entry is pending.
     item: Option<WheelItem>,
-    /// Next entry in the same slot list (or [`NIL`]).
+    /// Next entry in the same slot list (or [`NIL`]); for a free entry,
+    /// the next free slot.
     next: u32,
-    cancelled: bool,
-    /// False once popped and returned to the free list.
-    live: bool,
+    /// Previous entry in the same slot list. Read only when the entry is
+    /// not its list's head (the head is recognised by the list's `head`
+    /// field), so a pop leaves its successor's `prev` stale.
+    prev: u32,
 }
 
 /// A popped entry, in exact `(time, seq)` event order.
@@ -171,9 +175,6 @@ pub struct Fired {
     pub id: u64,
     /// What fired.
     pub item: WheelItem,
-    /// True when a timer was cancelled before its deadline; the engine
-    /// accounts for the pop but must not deliver it.
-    pub cancelled: bool,
 }
 
 /// One slot's intrusive list: slab indices of its first and last entry,
@@ -187,13 +188,23 @@ struct SlotList {
 
 const EMPTY: SlotList = SlotList { head: NIL, tail: NIL };
 
+/// Where an entry with a given deadline lives at the current clock.
+#[derive(Debug, Clone, Copy)]
+enum Home {
+    /// L0 slot index.
+    L0(usize),
+    /// Coarse level `k`, slot index.
+    Coarse(usize, usize),
+    Overflow,
+}
+
 /// The wheel. See the module docs for the level layout, the
 /// pop-only-from-L0 rule and the determinism contract.
 pub struct TimerWheel {
     now: u64,
-    /// Live entries (pending + cancelled-pending), packets included.
+    /// Pending entries, packets included.
     len: usize,
-    /// Live timer entries only (the engine's timer-backlog metric).
+    /// Pending timer entries only (the engine's timer-backlog metric).
     timers: usize,
     /// Lower bound on the next acceptable `seq` (monotonicity contract).
     next_min_seq: u64,
@@ -236,8 +247,7 @@ impl TimerWheel {
         }
     }
 
-    /// Pending entries of both kinds, including cancelled timers not yet
-    /// reclaimed.
+    /// Pending entries of both kinds.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -247,8 +257,7 @@ impl TimerWheel {
         self.len == 0
     }
 
-    /// Pending timers only (cancelled-pending included), excluding
-    /// packets.
+    /// Pending timers only, excluding packets.
     pub fn timer_len(&self) -> usize {
         self.timers
     }
@@ -285,8 +294,6 @@ impl TimerWheel {
                 e.id = id;
                 e.item = Some(item);
                 e.next = NIL;
-                e.cancelled = false;
-                e.live = true;
             }
             None => {
                 slot = self.slab.len() as u32;
@@ -296,8 +303,7 @@ impl TimerWheel {
                     id,
                     item: Some(item),
                     next: NIL,
-                    cancelled: false,
-                    live: true,
+                    prev: NIL,
                 });
             }
         }
@@ -306,23 +312,67 @@ impl TimerWheel {
         slot
     }
 
-    /// Marks the timer in `slot` cancelled iff it is still pending and
-    /// its id matches (a recycled slot has a different id — or holds a
-    /// packet, whose `id` field is meaningless — so stale handles are
-    /// rejected). Returns whether anything was cancelled. O(1); the
-    /// entry is reclaimed when its deadline pops.
+    /// Removes the timer in `slot` iff it is still pending and its id
+    /// matches (a recycled slot has a different id — or holds a packet,
+    /// whose `id` field is meaningless — and a popped or cancelled one
+    /// holds nothing, so stale handles are rejected): unlinks it from its
+    /// list and frees the slab slot. Returns whether anything was
+    /// cancelled. O(1) unless the timer waits in the overflow list.
     pub fn cancel(&mut self, slot: u32, id: u64) -> bool {
-        match self.slab.get_mut(slot as usize) {
-            Some(e)
-                if e.live
-                    && e.id == id
-                    && !e.cancelled
-                    && matches!(e.item, Some(WheelItem::Timer { .. })) =>
-            {
-                e.cancelled = true;
-                true
+        let d = match self.slab.get_mut(slot as usize) {
+            Some(e) if e.id == id && matches!(e.item, Some(WheelItem::Timer { .. })) => {
+                e.item = None;
+                e.deadline
             }
-            _ => false,
+            _ => return false,
+        };
+        match self.home(d) {
+            Home::Overflow => {
+                let at = self.overflow.iter().position(|&s| s == slot);
+                debug_assert!(at.is_some(), "a timer beyond L5 waits in the overflow list");
+                if let Some(at) = at {
+                    self.overflow.remove(at);
+                }
+            }
+            home => self.unlink(slot, home),
+        }
+        if let Some(e) = self.slab.get_mut(slot as usize) {
+            e.next = self.free_head;
+            self.free_head = slot;
+        }
+        self.len -= 1;
+        self.timers -= 1;
+        true
+    }
+
+    /// Unlinks entry `slot` from its slot list `home` (a level, not the
+    /// overflow list), clearing the slot's bitmap bit if it empties.
+    fn unlink(&mut self, slot: u32, home: Home) {
+        let Some((prev, next)) = self.slab.get(slot as usize).map(|e| (e.prev, e.next)) else {
+            return;
+        };
+        let list = match home {
+            Home::L0(idx) => &mut self.l0[idx & L0_MASK],
+            Home::Coarse(k, idx) => &mut self.lk[k][idx & LK_MASK],
+            Home::Overflow => return,
+        };
+        let (is_head, is_tail) = (list.head == slot, list.tail == slot);
+        debug_assert!(
+            (is_head || prev != NIL) && (is_tail || next != NIL),
+            "an entry sits in the list its deadline and the clock name"
+        );
+        if is_head {
+            list.head = next;
+        } else if let Some(p) = self.slab.get_mut(prev as usize) {
+            p.next = next;
+        }
+        if is_tail {
+            list.tail = if is_head { NIL } else { prev };
+        } else if let Some(n) = self.slab.get_mut(next as usize) {
+            n.prev = prev;
+        }
+        if is_head && is_tail {
+            self.clear_bit(home);
         }
     }
 
@@ -368,9 +418,9 @@ impl TimerWheel {
         }
         self.now = to;
         if self.len == 0 {
-            // Nothing pending anywhere (cancelled entries count until
-            // reclaimed), so every slot is empty and no cascade can move
-            // anything. Control-only stretches take this path per event.
+            // Nothing pending anywhere, so every slot is empty and no
+            // cascade can move anything. Control-only stretches take this
+            // path per event.
             return;
         }
         if old >> TOP_SHIFT != to >> TOP_SHIFT && !self.overflow.is_empty() {
@@ -420,18 +470,12 @@ impl TimerWheel {
             seq: e.seq,
             id: e.id,
             item,
-            cancelled: e.cancelled,
         };
         list.head = std::mem::replace(&mut e.next, self.free_head);
-        e.live = false;
         self.free_head = slot;
         if list.head == NIL {
             list.tail = NIL;
-            let w = (idx >> 6) & WORD_MASK;
-            self.l0_bits[w] &= !(1u64 << (idx & 63));
-            if self.l0_bits[w] == 0 {
-                self.l0_summary &= !(1u64 << w);
-            }
+            self.clear_bit(Home::L0(idx));
         }
         self.len -= 1;
         if matches!(fired.item, WheelItem::Timer { .. }) {
@@ -461,33 +505,64 @@ impl TimerWheel {
         self.overflow.iter().filter_map(move |&s| slab.get(s as usize).map(|e| e.deadline))
     }
 
+    /// The list an entry with deadline `d` belongs in at the current
+    /// clock: the slot of the finest level whose current window contains
+    /// `d`, or the overflow list. A pending entry is always in its home:
+    /// [`TimerWheel::advance`] re-places exactly the entries whose home
+    /// moved.
+    #[inline]
+    fn home(&self, d: u64) -> Home {
+        let now = self.now;
+        if d >> LEVEL_SHIFT[0] == now >> LEVEL_SHIFT[0] {
+            return Home::L0(d as usize & L0_MASK);
+        }
+        match (0..LEVELS).find(|&k| d >> LEVEL_SHIFT[k + 1] == now >> LEVEL_SHIFT[k + 1]) {
+            Some(k) => Home::Coarse(k, (d >> LEVEL_SHIFT[k]) as usize & LK_MASK),
+            None => Home::Overflow,
+        }
+    }
+
+    /// Marks the slot list `home` empty in the occupancy bitmaps.
+    #[inline]
+    fn clear_bit(&mut self, home: Home) {
+        match home {
+            Home::L0(idx) => {
+                let w = (idx >> 6) & WORD_MASK;
+                self.l0_bits[w] &= !(1u64 << (idx & 63));
+                if self.l0_bits[w] == 0 {
+                    self.l0_summary &= !(1u64 << w);
+                }
+            }
+            Home::Coarse(k, idx) => self.lk_bits[k] &= !(1u64 << (idx & LK_MASK)),
+            Home::Overflow => {}
+        }
+    }
+
     /// Appends slab entry `slot` (deadline `d`, `next` already [`NIL`])
-    /// to the list owning `d` at the current time: the slot of the finest
-    /// level whose current window contains it, or the overflow list.
-    /// Appending at the tail keeps every list ascending in `seq` (see the
-    /// module docs).
+    /// to the tail of its home list, which keeps every list ascending in
+    /// `seq` (see the module docs).
     #[inline]
     fn place(&mut self, slot: u32, d: u64) {
-        let now = self.now;
-        let list = if d >> LEVEL_SHIFT[0] == now >> LEVEL_SHIFT[0] {
-            let idx = d as usize & L0_MASK;
-            self.l0_bits[(idx >> 6) & WORD_MASK] |= 1u64 << (idx & 63);
-            self.l0_summary |= 1u64 << (idx >> 6);
-            &mut self.l0[idx]
-        } else if let Some(k) =
-            (0..LEVELS).find(|&k| d >> LEVEL_SHIFT[k + 1] == now >> LEVEL_SHIFT[k + 1])
-        {
-            let idx = (d >> LEVEL_SHIFT[k]) as usize & LK_MASK;
-            self.lk_bits[k] |= 1u64 << idx;
-            &mut self.lk[k][idx]
-        } else {
-            return self.overflow.push(slot);
+        let list = match self.home(d) {
+            Home::L0(idx) => {
+                self.l0_bits[(idx >> 6) & WORD_MASK] |= 1u64 << (idx & 63);
+                self.l0_summary |= 1u64 << (idx >> 6);
+                &mut self.l0[idx]
+            }
+            Home::Coarse(k, idx) => {
+                self.lk_bits[k] |= 1u64 << idx;
+                &mut self.lk[k][idx]
+            }
+            Home::Overflow => return self.overflow.push(slot),
         };
         let tail = std::mem::replace(&mut list.tail, slot);
         if tail == NIL {
             list.head = slot;
         } else if let Some(t) = self.slab.get_mut(tail as usize) {
             t.next = slot;
+        }
+        if let Some(e) = self.slab.get_mut(slot as usize) {
+            e.prev = tail;
         }
     }
 
@@ -497,7 +572,7 @@ impl TimerWheel {
     /// Traversal is head-to-tail, so ascending `seq` order carries over.
     fn cascade(&mut self, k: usize, idx: usize) {
         let list = std::mem::replace(&mut self.lk[k][idx & LK_MASK], EMPTY);
-        self.lk_bits[k] &= !(1u64 << (idx & LK_MASK));
+        self.clear_bit(Home::Coarse(k, idx));
         let mut cur = list.head;
         while let Some(e) = self.slab.get_mut(cur as usize) {
             let next = std::mem::replace(&mut e.next, NIL);
@@ -556,11 +631,11 @@ mod tests {
             let slot = self.wheel.arm(deadline, seq, 0, WheelItem::Packet { pkt, dst });
             (seq, slot)
         }
-        /// Pops everything, returning (time, seq, cancelled) triples.
-        fn drain(&mut self) -> Vec<(u64, u64, bool)> {
+        /// Pops everything, returning (time, seq) pairs.
+        fn drain(&mut self) -> Vec<(u64, u64)> {
             let mut out = Vec::new();
             while let Some(f) = self.wheel.pop() {
-                out.push((f.time, f.seq, f.cancelled));
+                out.push((f.time, f.seq));
             }
             out
         }
@@ -573,23 +648,85 @@ mod tests {
         h.arm(100);
         h.arm(300);
         h.arm(100); // same tick as the second arm: seq breaks the tie
-        let order: Vec<(u64, u64)> = h.drain().iter().map(|&(t, s, _)| (t, s)).collect();
-        assert_eq!(order, vec![(100, 1), (100, 3), (300, 2), (500, 0)]);
+        assert_eq!(h.drain(), vec![(100, 1), (100, 3), (300, 2), (500, 0)]);
+    }
+
+    /// Arms `n` timers at deadline `d`, cancels the ones at `cut`
+    /// (indices into the arm order) and returns what pops.
+    fn cancel_from_one_list(d: u64, n: usize, cut: &[usize]) -> Vec<(u64, u64)> {
+        let mut h = Harness::new();
+        let handles: Vec<(u64, u32)> = (0..n).map(|_| h.arm(d)).collect();
+        for &i in cut {
+            let (id, slot) = handles[i];
+            assert!(h.wheel.cancel(slot, id), "cancel of pending timer {i}");
+        }
+        assert_eq!(h.wheel.timer_len(), n - cut.len());
+        h.drain()
     }
 
     #[test]
-    fn same_tick_pops_in_arm_order_under_interleaved_cancel() {
+    fn cancel_unlinks_head_middle_and_tail_of_an_l0_slot() {
+        let d = 777;
+        // Head, middle, tail, two neighbours, and every one of them: the
+        // survivors pop in seq order and the emptied slot leaves L0 dark.
+        assert_eq!(
+            cancel_from_one_list(d, 4, &[0]),
+            vec![(d, 1), (d, 2), (d, 3)]
+        );
+        assert_eq!(
+            cancel_from_one_list(d, 4, &[2]),
+            vec![(d, 0), (d, 1), (d, 3)]
+        );
+        assert_eq!(
+            cancel_from_one_list(d, 4, &[3]),
+            vec![(d, 0), (d, 1), (d, 2)]
+        );
+        assert_eq!(cancel_from_one_list(d, 4, &[1, 2]), vec![(d, 0), (d, 3)]);
+        assert_eq!(cancel_from_one_list(d, 3, &[2, 0, 1]), vec![]);
         let mut h = Harness::new();
-        let (_, s0) = h.arm(777);
-        let (_, _s1) = h.arm(777);
-        let (_, s2) = h.arm(777);
-        assert!(h.wheel.cancel(s0, 0));
-        assert!(h.wheel.cancel(s2, 2));
-        let got = h.drain();
-        // All three still pop at the deadline, in seq order, with the
-        // cancelled ones flagged: the engine's digest depends on it.
-        assert_eq!(got, vec![(777, 0, true), (777, 1, false), (777, 2, true)]);
-        assert_eq!(h.wheel.len(), 0, "cancelled entries reclaimed at pop");
+        let (id, slot) = h.arm(d);
+        assert!(h.wheel.cancel(slot, id));
+        assert_eq!((h.wheel.l0_summary, h.wheel.l0_bits[0]), (0, 0));
+        // The slot takes new arms after it emptied.
+        h.arm(d);
+        assert_eq!(h.drain(), vec![(d, 1)]);
+    }
+
+    #[test]
+    fn cancel_in_a_coarse_slot_then_cascade() {
+        // Three timers in L1 slot 1: the middle one is cancelled while
+        // the slot is coarse, the tail one after the cascade moved it to
+        // an L0 slot.
+        let d = L0_SLOTS as u64 + 40;
+        let mut h = Harness::new();
+        h.arm(d);
+        let (id1, s1) = h.arm(d + 1);
+        let (id2, s2) = h.arm(d + 2);
+        assert_eq!(h.wheel.lk_bits[0], 2);
+        assert!(h.wheel.cancel(s1, id1));
+        assert_eq!(h.wheel.lk_bits[0], 2, "the slot still holds two");
+        h.wheel.advance(L0_SLOTS as u64);
+        assert_eq!(h.wheel.lk_bits[0], 0, "cascaded into L0");
+        assert!(h.wheel.cancel(s2, id2));
+        assert_eq!(h.drain(), vec![(d, 0)]);
+        // A coarse slot emptied by cancel leaves no bit behind.
+        let (id, slot) = h.arm(d + (1 << LEVEL_SHIFT[1]));
+        assert_ne!(h.wheel.lk_bits, [0; LEVELS]);
+        assert!(h.wheel.cancel(slot, id));
+        assert_eq!(h.wheel.lk_bits, [0; LEVELS]);
+        assert!(h.wheel.pop().is_none() && h.wheel.is_empty());
+    }
+
+    #[test]
+    fn cancel_in_overflow_keeps_the_others_in_order() {
+        let far = 1u64 << LEVEL_SHIFT[LEVELS];
+        let mut h = Harness::new();
+        let handles: Vec<(u64, u32)> = (0..3).map(|i| h.arm(far + 10 * i)).collect();
+        assert_eq!(h.wheel.overflow.len(), 3);
+        let (id, slot) = handles[1];
+        assert!(h.wheel.cancel(slot, id));
+        assert_eq!(h.wheel.overflow.len(), 2);
+        assert_eq!(h.drain(), vec![(far, 0), (far + 20, 2)]);
     }
 
     #[test]
@@ -601,7 +738,13 @@ mod tests {
         let (_, slot1) = h.arm(20);
         assert_eq!(slot0, slot1, "slab slot recycled");
         assert!(!h.wheel.cancel(slot0, id0), "stale handle must not cancel");
-        assert_eq!(h.drain(), vec![(20, 1, false)]);
+        // Same for a slot recycled after a cancel.
+        let (id2, slot2) = h.arm(30);
+        assert!(h.wheel.cancel(slot2, id2));
+        let (_, slot3) = h.arm(40);
+        assert_eq!(slot2, slot3, "cancel freed the slot at once");
+        assert!(!h.wheel.cancel(slot2, id2), "stale handle must not cancel");
+        assert_eq!(h.drain(), vec![(20, 1), (40, 3)]);
     }
 
     #[test]
@@ -616,8 +759,7 @@ mod tests {
         assert!(!h.wheel.cancel(pslot, 0), "packets are never cancelled");
         let first = h.wheel.pop().expect("packet pending");
         assert!(matches!(first.item, WheelItem::Packet { dst: 42, .. }));
-        let order: Vec<(u64, u64)> = h.drain().iter().map(|&(t, s, _)| (t, s)).collect();
-        assert_eq!(order, vec![(300, 0), (300, 2)], "seq breaks the tie");
+        assert_eq!(h.drain(), vec![(300, 0), (300, 2)], "seq breaks the tie");
         assert_eq!(h.wheel.timer_len(), 0);
     }
 
@@ -637,7 +779,7 @@ mod tests {
         h.wheel.advance(d - 1); // cascade d's window into fine levels
         h.arm(d); // seq 3, placed directly in L0
         let got = h.drain();
-        assert_eq!(got, vec![(d, 0, false), (d, 2, false), (d, 3, false)]);
+        assert_eq!(got, vec![(d, 0), (d, 2), (d, 3)]);
     }
 
     #[test]
@@ -653,7 +795,7 @@ mod tests {
         }
         assert_eq!(h.wheel.lk_bits, [2; LEVELS], "slot 1 of every coarse level");
         assert_eq!(h.wheel.overflow.len(), 2);
-        let got: Vec<u64> = h.drain().iter().map(|&(t, _, _)| t).collect();
+        let got: Vec<u64> = h.drain().iter().map(|&(t, _)| t).collect();
         let mut want = deadlines.clone();
         want.sort_unstable();
         assert_eq!(got, want);
@@ -668,7 +810,7 @@ mod tests {
         h.wheel.advance(987_654_321);
         h.arm(987_654_321 + 40);
         h.arm(987_654_321 + 4);
-        let got: Vec<u64> = h.drain().iter().map(|&(t, _, _)| t).collect();
+        let got: Vec<u64> = h.drain().iter().map(|&(t, _)| t).collect();
         assert_eq!(got, vec![987_654_321 + 4, 987_654_321 + 40]);
     }
 
@@ -677,21 +819,23 @@ mod tests {
         let mut h = Harness::new();
         h.wheel.advance(555);
         h.arm(555);
-        assert_eq!(h.drain(), vec![(555, 0, false)]);
+        assert_eq!(h.drain(), vec![(555, 0)]);
     }
 
     #[test]
-    fn backlog_counts_cancelled_until_reclaimed() {
+    fn backlog_drops_at_cancel() {
         let mut h = Harness::new();
         let (id, slot) = h.arm(1_000);
         h.arm(2_000);
-        assert_eq!(h.wheel.len(), 2);
+        assert_eq!((h.wheel.len(), h.wheel.timer_len()), (2, 2));
         assert!(h.wheel.cancel(slot, id));
-        assert_eq!(h.wheel.len(), 2, "cancelled entry still pending");
-        assert_eq!(h.wheel.timer_len(), 2);
-        assert_eq!(h.wheel.pop().map(|f| f.cancelled), Some(true));
-        assert_eq!(h.wheel.len(), 1, "reclaimed at its deadline");
+        assert_eq!(
+            (h.wheel.len(), h.wheel.timer_len()),
+            (1, 1),
+            "gone at cancel"
+        );
         assert!(!h.wheel.cancel(slot, id), "double cancel rejected");
+        assert_eq!(h.drain(), vec![(2_000, 1)], "a cancelled timer never pops");
     }
 
     #[test]
@@ -708,7 +852,7 @@ mod tests {
         }
         let got = h.drain();
         assert_eq!(got.len(), 2_048);
-        for (i, &(t, s, _)) in got.iter().enumerate() {
+        for (i, &(t, s)) in got.iter().enumerate() {
             assert_eq!((t, s), (d, i as u64));
         }
     }
@@ -786,7 +930,6 @@ mod tests {
         }
         let rest = h.drain();
         expect.sort_unstable();
-        let rest_keys: Vec<(u64, u64)> = rest.iter().map(|&(t, s, _)| (t, s)).collect();
-        assert_eq!(rest_keys, expect);
+        assert_eq!(rest, expect);
     }
 }

@@ -6,7 +6,7 @@
 //! timer (re)arming against the simulator clock, and ISN generation.
 
 use bytes::Bytes;
-use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, TimerToken};
+use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, TimerId, TimerToken};
 
 use crate::segment::{Flags, Segment};
 use crate::seq::SeqNum;
@@ -56,7 +56,12 @@ struct ConnSlot {
     /// Last state reported to the owner, to generate edge-triggered events.
     reported: SocketState,
     reported_peer_closed: bool,
-    armed_deadline: Option<SimTime>,
+    /// The connection's one pending stack timer and its deadline. A
+    /// re-arm to an earlier deadline cancels the timer it supersedes; a
+    /// deadline that moved later or vanished is left to this timer, which
+    /// fires and re-checks (cancelling it would give the live deadline a
+    /// new place in the event order).
+    armed: Option<(SimTime, TimerId)>,
 }
 
 /// A collection of TCP connections owned by one node.
@@ -153,7 +158,7 @@ impl TcpStack {
             sock,
             reported,
             reported_peer_closed: false,
-            armed_deadline: None,
+            armed: None,
         });
         rearm(ctx, id, slot);
         self.by_flow.insert(flow, id);
@@ -253,12 +258,13 @@ impl TcpStack {
         debug_assert_eq!(token.kind, TCP_TIMER_KIND);
         self.drop_reported_dead();
         self.drive(ctx, ConnId(token.a), |slot, now| {
-            match slot.armed_deadline {
-                Some(d) if d <= now => {
-                    slot.armed_deadline = None;
+            match slot.armed {
+                Some((d, _)) if d <= now => {
+                    slot.armed = None;
                     Some(slot.sock.on_timer(now))
                 }
-                // Stale timer (a newer one was armed): ignore.
+                // Not due: cannot happen while every superseded timer is
+                // cancelled, and doing nothing is the safe reading.
                 _ => None,
             }
         })
@@ -266,8 +272,9 @@ impl TcpStack {
 
     /// Feeds one input to connection `id`'s socket and does everything
     /// that follows — transmit what it emitted, report state edges, drop a
-    /// terminal connection from the flow index, re-arm the timer — on the
-    /// slot looked up once here. `input` returns `None` to do nothing.
+    /// terminal connection from the flow index and cancel its timer, or
+    /// re-arm the timer of a live one — on the slot looked up once here.
+    /// `input` returns `None` to do nothing.
     fn drive(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -285,16 +292,21 @@ impl TcpStack {
         if report(id, slot, &mut events) {
             let sock = &slot.sock;
             self.by_flow.remove(&(sock.remote(), sock.local()));
-            // A socket reset in TIME-WAIT still owes that timer, a
-            // simulated event; its slot is collected when it fires.
-            if sock.next_deadline().is_none() {
-                self.reported_dead.push(id);
+            // Terminal: nothing is left to time. (A socket reset in
+            // TIME-WAIT still holds that deadline; its fire would only
+            // have collected the slot.)
+            if let Some((_, timer)) = slot.armed.take() {
+                ctx.cancel_timer(timer);
             }
+            self.reported_dead.push(id);
+            return events;
         }
         rearm(ctx, id, slot);
         events
     }
 
+    /// Drops the slots of connections reported terminal by the previous
+    /// stack call (their timers were cancelled at that report).
     fn drop_reported_dead(&mut self) {
         for id in self.reported_dead.drain(..) {
             self.conns.remove(&id);
@@ -326,21 +338,20 @@ fn report(id: ConnId, slot: &mut ConnSlot, events: &mut Vec<TcpEvent>) -> bool {
     state.is_terminal()
 }
 
-/// Re-arms the node timer for a connection when its deadline moved
-/// earlier (or was unarmed).
+/// Arms the node timer for a connection when its deadline moved earlier
+/// than the armed one (cancelling that one) or nothing is armed.
 fn rearm(ctx: &mut Ctx<'_>, id: ConnId, slot: &mut ConnSlot) {
     let Some(deadline) = slot.sock.next_deadline() else {
         return;
     };
-    let need = match slot.armed_deadline {
-        Some(armed) => deadline < armed,
-        None => true,
-    };
-    if need {
-        slot.armed_deadline = Some(deadline);
-        let delay = deadline.saturating_sub(ctx.now());
-        ctx.set_timer(delay, TimerToken::new(TCP_TIMER_KIND).with_a(id.0));
+    match slot.armed {
+        Some((armed, _)) if deadline >= armed => return,
+        Some((_, superseded)) => ctx.cancel_timer(superseded),
+        None => {}
     }
+    let delay = deadline.saturating_sub(ctx.now());
+    let timer = ctx.set_timer(delay, TimerToken::new(TCP_TIMER_KIND).with_a(id.0));
+    slot.armed = Some((deadline, timer));
 }
 
 /// Puts the segments a socket emitted on the wire.
@@ -625,7 +636,10 @@ mod tests {
         // `on_packet`, which finds the slot once (`drive`) and reports,
         // collects and re-arms through that reference. The tables must end
         // up exactly as the leak test above expects: flow index empty at
-        // the terminal report, slot gone one stack call later.
+        // the terminal report, slot gone one stack call later. And the
+        // connection holds at most one pending timer throughout: a re-arm
+        // to an earlier deadline cancels the one it supersedes, and the
+        // terminal report cancels the last.
         let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_millis(1)));
         let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
         let server = eng.add_node(
@@ -666,6 +680,7 @@ mod tests {
             panic!("SYN to a listener: {events:?}");
         };
         assert_eq!((from, flows, conns), (client, 1, 1));
+        assert_eq!(eng.timer_backlog(), 1, "the SYN-ACK's 3 s RTO");
         let iss = eng
             .node_ref::<EchoServer>(server)
             .stack
@@ -685,13 +700,22 @@ mod tests {
         let (events, flows, conns) = feed(&mut eng, seg(Flags::FIN_ACK, 106, iss + 1, b""));
         assert_eq!(events, [TcpEvent::PeerClosed(id)]);
         assert_eq!((flows, conns), (1, 1));
+        // The acked SYN-ACK left its RTO timer to fire and re-check.
+        assert_eq!(eng.timer_backlog(), 1);
         eng.with_node_ctx::<EchoServer>(server, |s, ctx| s.stack.close(ctx, id));
+        // Our FIN's 300 ms RTO supersedes that 3 s timer.
+        assert_eq!(eng.timer_backlog(), 1, "the superseded timer is cancelled");
 
         // The ACK of our FIN: terminal. Off the flow index now; the slot
         // outlives its report by exactly one stack call.
         let (events, flows, conns) = feed(&mut eng, seg(Flags::ACK, 107, iss + 2, b""));
         assert_eq!(events, [TcpEvent::Closed(id)]);
         assert_eq!((flows, conns), (0, 1));
+        assert_eq!(
+            eng.timer_backlog(),
+            0,
+            "a terminal connection times nothing"
+        );
         let (events, flows, conns) = feed(&mut eng, seg(Flags::ACK, 107, iss + 2, b""));
         assert_eq!(
             (events, flows, conns),

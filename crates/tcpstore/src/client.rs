@@ -46,7 +46,9 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Histogram, Packet, SimTime, TimerToken};
+use yoda_netsim::{
+    Addr, Ctx, Endpoint, FlowTable, Histogram, Packet, SimTime, TimerId, TimerToken,
+};
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 use crate::ring::HashRing;
@@ -187,7 +189,11 @@ struct PendingOp {
     contacted: usize,
     acks: usize,
     hit: Option<Bytes>,
-    done: bool,
+    /// The op deadline, cancelled when the op completes first.
+    deadline: TimerId,
+    /// The pending hedge trigger of a read, cancelled when the op ends or
+    /// has no replica left to hedge to.
+    hedge: Option<TimerId>,
 }
 
 impl PendingOp {
@@ -206,6 +212,9 @@ struct Repair {
     servers: Vec<Addr>,
     /// Rounds already sent.
     attempt: u32,
+    /// The next round's timer, cancelled when the repair settles or a
+    /// newer write to the key supersedes it.
+    retry: TimerId,
 }
 
 /// The client library: embed in a node, route RPC packets and timers
@@ -381,7 +390,11 @@ impl StoreClient {
         if is_write {
             // A newer write supersedes any pending repair of the same key:
             // re-sending the stale value after this would resurrect it.
-            self.repairs.retain(|_, r| r.key != key);
+            for id in self.repairs.sorted_keys(|_, r| r.key == key) {
+                if let Some(r) = self.repairs.remove(&id) {
+                    ctx.cancel_timer(r.retry);
+                }
+            }
         } else {
             // Reads steer around quarantined replicas (stable order within
             // each class keeps the preference deterministic). Writes always
@@ -407,33 +420,32 @@ impl StoreClient {
                 answered: false,
             })
             .collect();
+        for &server in replicas.iter().take(contact) {
+            self.send_to(ctx, server, req_id, op, &key, &value);
+        }
+        let hedge = match replicas.first() {
+            Some(&primary) if !is_write && replicas.len() > 1 => {
+                let delay = self.hedge_delay(primary);
+                Some(ctx.set_timer(delay, TimerToken::new(STORE_HEDGE_KIND).with_a(req_id)))
+            }
+            _ => None,
+        };
+        let deadline = ctx.set_timer(OP_TIMEOUT, TimerToken::new(STORE_TIMER_KIND).with_a(req_id));
         self.pending.insert(
             req_id,
             PendingOp {
                 tag,
                 op,
-                key: key.clone(),
-                value: value.clone(),
+                key,
+                value,
                 issued: now,
                 targets,
                 contacted: contact,
                 acks: 0,
                 hit: None,
-                done: false,
+                deadline,
+                hedge,
             },
-        );
-        for &server in replicas.iter().take(contact) {
-            self.send_to(ctx, server, req_id, op, &key, &value);
-        }
-        if !is_write && replicas.len() > 1 {
-            if let Some(&primary) = replicas.first() {
-                let delay = self.hedge_delay(primary);
-                ctx.set_timer(delay, TimerToken::new(STORE_HEDGE_KIND).with_a(req_id));
-            }
-        }
-        ctx.set_timer(
-            OP_TIMEOUT,
-            TimerToken::new(STORE_TIMER_KIND).with_a(req_id),
         );
     }
 
@@ -503,6 +515,7 @@ impl StoreClient {
             if let Some(rep) = self.repairs.get_mut(&resp.req_id) {
                 rep.servers.retain(|&s| s != from);
                 if rep.servers.is_empty() {
+                    ctx.cancel_timer(rep.retry);
                     self.repairs.remove(&resp.req_id);
                 }
                 self.replica_stats
@@ -517,20 +530,26 @@ impl StoreClient {
             // A miss on one replica must consult the other before the op
             // can conclude Miss — the value may have landed on only one
             // replica (an under-acked write). Fire it now rather than
-            // waiting for the hedge timer.
+            // waiting for the hedge timer, which has nothing left to do
+            // once every replica is contacted.
             self.contact_next(ctx, resp.req_id);
+            let pend = self.pending.get_mut(&resp.req_id);
+            let exhausted = pend.filter(|op| op.contacted == op.targets.len());
+            if let Some(hedge) = exhausted.and_then(|op| op.hedge.take()) {
+                ctx.cancel_timer(hedge);
+            }
             return Vec::new();
         }
         if !complete {
             return Vec::new();
         }
-        let Some(mut op) = self.pending.remove(&resp.req_id) else {
+        let Some(op) = self.pending.remove(&resp.req_id) else {
             return Vec::new();
         };
-        if op.done {
-            return Vec::new();
+        ctx.cancel_timer(op.deadline);
+        if let Some(hedge) = op.hedge {
+            ctx.cancel_timer(hedge);
         }
-        op.done = true;
         vec![self.finish(op, now)]
     }
 
@@ -579,11 +598,10 @@ impl StoreClient {
             self.stat(slow).hedges += 1;
         }
         // More replicas behind this one: chain another hedge trigger.
-        if let Some(pend) = self.pending.get(&req_id) {
-            if pend.contacted < pend.targets.len() {
-                let delay = self.hedge_delay(hedged);
-                ctx.set_timer(delay, TimerToken::new(STORE_HEDGE_KIND).with_a(req_id));
-            }
+        let delay = self.hedge_delay(hedged);
+        if let Some(pend) = self.pending.get_mut(&req_id) {
+            pend.hedge = (pend.contacted < pend.targets.len())
+                .then(|| ctx.set_timer(delay, TimerToken::new(STORE_HEDGE_KIND).with_a(req_id)));
         }
     }
 
@@ -591,6 +609,9 @@ impl StoreClient {
         let Some(op) = self.pending.remove(&req_id) else {
             return Vec::new();
         };
+        if let Some(hedge) = op.hedge {
+            ctx.cancel_timer(hedge);
+        }
         let now = ctx.now();
         // Charge the deadline to every contacted replica that sat silent.
         let silent: Vec<Addr> = op
@@ -607,6 +628,8 @@ impl StoreClient {
         // The caller's event is NOT delayed — it reports the acks observed
         // at the deadline, same as before repair existed.
         if !matches!(op.op, StoreOp::Get) && !silent.is_empty() {
+            let delay = self.repair_backoff(ctx, 0);
+            let retry = ctx.set_timer(delay, TimerToken::new(STORE_RETRY_KIND).with_a(req_id));
             self.repairs.insert(
                 req_id,
                 Repair {
@@ -615,10 +638,9 @@ impl StoreClient {
                     value: op.value.clone(),
                     servers: silent,
                     attempt: 0,
+                    retry,
                 },
             );
-            let delay = self.repair_backoff(ctx, 0);
-            ctx.set_timer(delay, TimerToken::new(STORE_RETRY_KIND).with_a(req_id));
         }
         vec![self.finish(op, now)]
     }
@@ -658,7 +680,10 @@ impl StoreClient {
             self.stat(server).retries += 1;
         }
         let delay = self.repair_backoff(ctx, attempt);
-        ctx.set_timer(delay, TimerToken::new(STORE_RETRY_KIND).with_a(req_id));
+        let retry = ctx.set_timer(delay, TimerToken::new(STORE_RETRY_KIND).with_a(req_id));
+        if let Some(rep) = self.repairs.get_mut(&req_id) {
+            rep.retry = retry;
+        }
     }
 
     fn finish(&mut self, op: PendingOp, now: SimTime) -> StoreEvent {
@@ -780,6 +805,20 @@ mod tests {
             .map(|&s| eng.node_ref::<StoreServer>(s).sets)
             .sum();
         assert_eq!(total_sets, 2);
+    }
+
+    #[test]
+    fn completed_ops_leave_no_timer_behind() {
+        let (mut eng, id, _) = build(2, 5);
+        eng.run_for(SimTime::from_millis(10));
+        assert_eq!(
+            eng.node_ref::<ClientNode>(id).events.len(),
+            4,
+            "all four ops done"
+        );
+        // Well inside the 100 ms op deadline: each op cancelled its
+        // deadline, and each read its hedge, when it completed.
+        assert_eq!(eng.timer_backlog(), 0);
     }
 
     #[test]

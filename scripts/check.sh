@@ -104,27 +104,9 @@ awk -v d="$delta_pct" 'BEGIN {
 }' || exit 1
 
 echo "==> figure byte-identity (all nine deterministic figures)"
-# Engine changes must be pure perf wins: regenerating a figure must
-# reproduce the committed bytes exactly, and a figure nobody re-ran must
-# not sit stale in results/ (five did, for several PRs, when this step
-# spot-checked two). Every simulation-driven binary of scripts/runall.sh
-# runs here, ~2 min in all, about half of it fig17. (fig6 and fig16
-# measure host wall-clock and are excluded — they never reproduce
-# byte-for-byte.)
-fig_tmp="$(mktemp)"
-trap 'rm -f "$bench_json" "$fig_tmp"' EXIT
-for fig in table1_website_impact fig9_latency_breakdown fig10_tcpstore_latency \
-           "fig12_failure_recovery --timeline" fig13_scalability fig14_policy_update \
-           fig15_cost_reduction fig17_adaptive_tail ablation; do
-    read -r bin args <<< "$fig"
-    # shellcheck disable=SC2086  # $args is zero or one flag, split on purpose
-    ./target/release/"$bin" $args > "$fig_tmp"
-    if ! cmp -s "$fig_tmp" "results/$bin.txt"; then
-        echo "figure drift: $fig output differs from committed results/" >&2
-        diff "results/$bin.txt" "$fig_tmp" | head -20 >&2 || true
-        exit 1
-    fi
-    echo "$bin: byte-identical to committed results/"
-done
+# Engine changes must be pure perf wins unless they say otherwise: every
+# simulation-driven figure must reproduce its committed bytes exactly
+# (CI runs the same script).
+scripts/figures.sh
 
 echo "==> all checks passed"

@@ -1,20 +1,20 @@
-//! `TimerWheel` against a `BinaryHeap<(time, seq)>` model.
+//! `TimerWheel` against a sorted-set model of `(time, seq)` keys.
 //!
 //! The wheel replaced the engine's heap for every timer and packet, and
 //! its read side is one call, `pop_before(bound)`, that may move the
 //! wheel clock and cascade slots even when it returns nothing. So the
 //! model checks three things on every operation: the wheel pops exactly
-//! what a heap would, in the same order with the same cancellation
-//! flags; it never moves its clock to or past the bound (the next thing
-//! the engine does is handle an event *at* the bound, and that event's
-//! arms must not be clamped forward); and its counts stay exact.
+//! what the model would, in the same order — a cancel drops the entry
+//! from the model at once, so a cancelled timer must never pop; it never
+//! moves its clock to or past the bound (the next thing the engine does
+//! is handle an event *at* the bound, and that event's arms must not be
+//! clamped forward); and its counts stay exact.
 //!
 //! Deadlines and bounds are drawn where the structure has edges — the
 //! width of a slot and of a window at every level, the overflow epoch,
 //! the start of the slot holding the current minimum — not uniformly.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use yoda::netsim::wheel::{Fired, TimerWheel, WheelItem, L0_SLOTS, LEVEL_SHIFT};
@@ -25,13 +25,14 @@ const EPOCH: u64 = 1 << LEVEL_SHIFT[LEVEL_SHIFT.len() - 1];
 
 struct Pending {
     timer: bool,
-    cancelled: bool,
+    deadline: u64,
 }
 
 /// The wheel, the model, and the engine-side state a caller keeps.
 struct Pair {
     wheel: TimerWheel,
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Every pending `(deadline, seq)`, in pop order.
+    queue: BTreeSet<(u64, u64)>,
     pending: BTreeMap<u64, Pending>,
     /// Every handle ever issued: (slab slot, id). Most go stale.
     handles: Vec<(u32, u64)>,
@@ -45,7 +46,7 @@ impl Pair {
     fn new() -> Self {
         Pair {
             wheel: TimerWheel::new(),
-            heap: BinaryHeap::new(),
+            queue: BTreeSet::new(),
             pending: BTreeMap::new(),
             handles: Vec::new(),
             time: 0,
@@ -71,8 +72,8 @@ impl Pair {
             }
         };
         let slot = self.wheel.arm(deadline, seq, seq, item);
-        self.heap.push(Reverse((deadline, seq)));
-        self.pending.insert(seq, Pending { timer, cancelled: false });
+        self.queue.insert((deadline, seq));
+        self.pending.insert(seq, Pending { timer, deadline });
         self.handles.push((slot, seq));
     }
 
@@ -83,9 +84,10 @@ impl Pair {
             return;
         }
         let (slot, id) = self.handles[rng.gen_range(0..self.handles.len())];
-        let want = match self.pending.get_mut(&id) {
-            Some(p) if p.timer && !p.cancelled => {
-                p.cancelled = true;
+        let want = match self.pending.get(&id) {
+            Some(p) if p.timer => {
+                self.queue.remove(&(p.deadline, id));
+                self.pending.remove(&id);
                 true
             }
             _ => false,
@@ -93,24 +95,29 @@ impl Pair {
         assert_eq!(self.wheel.cancel(slot, id), want, "cancel of id {id}");
     }
 
-    /// What a heap would answer to `pop_before(bound)`.
-    fn model_pop(&mut self, bound: (u64, u64)) -> Option<(u64, u64, bool)> {
-        let &Reverse(min) = self.heap.peek()?;
+    /// The earliest pending key.
+    fn min(&self) -> Option<(u64, u64)> {
+        self.queue.first().copied()
+    }
+
+    /// What the model answers to `pop_before(bound)`.
+    fn model_pop(&mut self, bound: (u64, u64)) -> Option<(u64, u64)> {
+        let min = self.min()?;
         if min >= bound {
             return None;
         }
-        self.heap.pop();
-        let p = self.pending.remove(&min.1).expect("pending entry");
-        Some((min.0, min.1, p.cancelled))
+        self.queue.pop_first();
+        self.pending.remove(&min.1).expect("pending entry");
+        Some(min)
     }
 
-    fn check_fired(&mut self, got: Option<Fired>, want: Option<(u64, u64, bool)>) {
+    fn check_fired(&mut self, got: Option<Fired>, want: Option<(u64, u64)>) {
         let got = got.map(|f| {
             assert_eq!(f.id, f.seq, "armed with id == seq");
-            (f.time, f.seq, f.cancelled)
+            (f.time, f.seq)
         });
         assert_eq!(got, want);
-        if let Some((t, _, _)) = want {
+        if let Some((t, _)) = want {
             assert!(t >= self.time, "popped into the past");
             self.time = t;
             assert_eq!(self.wheel.now(), t, "a pop leaves the clock at its deadline");
@@ -164,7 +171,7 @@ fn delay(rng: &mut Rng) -> u64 {
 /// minimum at some level — one of which is the first occupied coarse
 /// slot the wheel would have to cascade.
 fn bound(rng: &mut Rng, pair: &Pair) -> (u64, u64) {
-    let Some(&Reverse((d, s))) = pair.heap.peek() else {
+    let Some((d, s)) = pair.min() else {
         return (pair.time + rng.gen_range(0..L0), rng.gen_range(0..3u64));
     };
     let shift = LEVEL_SHIFT[rng.gen_range(0..LEVEL_SHIFT.len())];
@@ -214,7 +221,7 @@ fn step(rng: &mut Rng, pair: &mut Pair) {
         }
         // A quiet clock set, legal only up to the earliest deadline.
         90..=94 => {
-            let limit = pair.heap.peek().map_or(pair.time + delay(rng), |&Reverse((d, _))| {
+            let limit = pair.min().map_or(pair.time + delay(rng), |(d, _)| {
                 rng.gen_range(pair.time..=d)
             });
             pair.wheel.advance(limit);
