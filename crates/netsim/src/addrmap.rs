@@ -9,8 +9,8 @@
 //!   (splitmix64-style) of the address bits, never the ASLR-seeded
 //!   `RandomState` of `std`'s `HashMap`, and the public API is
 //!   lookup-only: there is no iteration order to leak into event
-//!   scheduling, which is what yoda-tidy's determinism rule guards
-//!   against.
+//!   scheduling, which is what the root `clippy.toml`'s `HashMap` ban
+//!   guards against.
 //! * **Panic-free** — every slot access is masked to the power-of-two
 //!   capacity (`slots[idx & mask]`), so indexing cannot go out of bounds;
 //!   yoda-tidy waives its hot-path indexing rule for this module on that

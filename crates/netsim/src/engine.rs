@@ -14,7 +14,7 @@ use std::collections::BinaryHeap;
 use crate::addr::Addr;
 // AddrMap (not Hash*): deterministic fixed-hash table with a lookup-only
 // API, so no iteration order exists to leak into event scheduling —
-// enforced by yoda-tidy's determinism rule.
+// the root `clippy.toml` bans `HashMap` here.
 use crate::addrmap::AddrMap;
 use crate::node::{Node, TimerId, TimerToken};
 use crate::packet::Packet;
@@ -338,20 +338,11 @@ impl Ctx<'_> {
         self.core.names.resolve(self.core.meta[self.node.0].name)
     }
 
-    /// The engine-global deterministic RNG — the stream the engine's own
-    /// link model draws from, so its draw order IS part of the
-    /// determinism contract. For scenario drivers only: handlers draw
-    /// from [`Ctx::node_rng`] instead, and the `yoda-tidy` effect pass
-    /// rejects `Ctx::rng` in any handler-reachable function.
-    pub fn rng(&mut self) -> &mut Rng {
-        &mut self.core.rng
-    }
-
     /// This node's private RNG stream, split from the engine seed by
-    /// [`NodeId`] at spawn. Unlike the engine-global [`Ctx::rng`] stream
-    /// it cannot observe what other nodes draw or how their events
-    /// interleave with this node's. This is the sanctioned randomness
-    /// source for `on_packet`/`on_timer`/`on_tick` code.
+    /// [`NodeId`] at spawn. It cannot observe what other nodes draw or
+    /// how their events interleave with this node's, and it is the only
+    /// randomness a handler can reach: the engine-global stream the link
+    /// model draws from is private to the engine.
     pub fn node_rng(&mut self) -> &mut Rng {
         &mut self.core.meta[self.node.0].rng
     }
@@ -536,8 +527,8 @@ impl Engine {
     ///
     /// Two engines driven by the same seed and scenario script must report
     /// the same digest after the same amount of simulated time; the
-    /// `determinism` integration test asserts exactly that, and yoda-tidy's
-    /// static rules exist to keep it true.
+    /// `determinism` integration test asserts exactly that, and the root
+    /// `clippy.toml`'s bans exist to keep it true.
     pub fn event_digest(&self) -> u64 {
         self.core.digest
     }

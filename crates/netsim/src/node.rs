@@ -95,8 +95,7 @@ impl TimerToken {
 /// Implementations must be deterministic: any randomness must come from
 /// the node's private stream, [`Ctx::node_rng`](crate::engine::Ctx::node_rng),
 /// so a node's draws do not depend on what other nodes draw (the
-/// engine-global [`Ctx::rng`](crate::engine::Ctx::rng) is reserved for
-/// scenario drivers).
+/// engine-global stream is the link model's, and private to the engine).
 ///
 /// The `Send` supertrait makes [`Engine`](crate::engine::Engine) `Send`,
 /// so independent engines (one per seed) can run on separate threads:

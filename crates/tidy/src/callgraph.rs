@@ -38,8 +38,6 @@ pub struct FnNode {
     pub name: String,
     /// Enclosing impl type, if any.
     pub self_ty: Option<String>,
-    /// Enclosing trait (impl or decl), if any.
-    pub trait_name: Option<String>,
     /// Whether the function takes `self`.
     pub has_self: bool,
     /// Body span (1-based, inclusive).
@@ -103,7 +101,6 @@ impl CallGraph {
                     crate_key: crate_key(rel),
                     name: f.name.clone(),
                     self_ty: f.self_ty.clone(),
-                    trait_name: f.trait_name.clone(),
                     has_self: f.has_self,
                     start_line: f.start_line,
                     end_line: f.end_line,

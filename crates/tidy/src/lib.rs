@@ -3,46 +3,37 @@
 //! Modeled on rustc's `tidy` tool, grown into a call-graph-aware
 //! analyzer: a zero-dependency scanner that walks the whole workspace,
 //! parses every `fn` item, assembles a conservative call graph, and
-//! propagates two taints along it. It runs two ways — `cargo run -p
+//! propagates a hot taint along it. It runs two ways — `cargo run -p
 //! yoda-tidy` for humans/CI (`--json` for machines), and as a `#[test]`
 //! (see `tests/gate.rs`) so `cargo test -q` fails on any new violation.
 //!
-//! # Taints
+//! The determinism rules (no hash order, wall clock, environment or host
+//! I/O in simulation code) are not here: the root `clippy.toml` holds
+//! them and clippy enforces them with resolved paths. Tidy only checks
+//! that the file keeps them (`clippy-config`).
 //!
-//! * **hot-taint** seeds at every packet/timer handler (any non-test
-//!   function named `on_packet`, `on_timer`, or `on_tick`, plus the
-//!   engine dispatch loop `Engine::step`) and flows through every
-//!   function transitively callable from one. Hot functions must not
-//!   `unwrap`/`expect`/`panic!` or index slices: a malformed or unlucky
-//!   packet must be dropped, never crash the data plane (PAPER.md §5–6).
-//! * **sim-taint** seeds at `Engine::step` and flows the same way; a
-//!   tainted function inside a simulation crate must not read wall
-//!   clocks, the environment, ambient RNGs, or iterate `HashMap`/
-//!   `HashSet` — figures must be a pure function of the seed.
+//! # Hot taint
 //!
-//! Every taint violation reports its *taint path* (root → … → offending
-//! function) so the fix target is obvious. The call graph is name-based
-//! and deliberately over-approximate; see `callgraph` for the heuristics
-//! and DESIGN.md "Static analysis" for the soundness caveats.
+//! It seeds at every packet/timer handler (any non-test function named
+//! `on_packet`, `on_timer`, or `on_tick`, plus the engine dispatch loop
+//! `Engine::step`) and flows through every function transitively
+//! callable from one. Hot functions must not `unwrap`/`expect`/`panic!`
+//! or index slices: a malformed or unlucky packet must be dropped, never
+//! crash the data plane (PAPER.md §5–6). Every violation reports its
+//! *taint path* (root → … → offending function) so the fix target is
+//! obvious. The call graph is name-based and deliberately
+//! over-approximate; see `callgraph` for the heuristics and DESIGN.md
+//! "Static analysis" for the soundness caveats.
 //!
 //! # Rule families
 //!
 //! * **panic-hotpath / panic-hotpath-index** — the hot-taint rules.
-//! * **sim-taint-\*** — the sim-taint rules; a determinism violation in
-//!   an unreached simulation-crate function still fires as the lexical
-//!   **determinism-\*** rule (defense in depth).
 //! * **seq-hygiene** — sequence-number arithmetic must go through
 //!   `SeqNum`'s wrapping helpers.
-//! * **effect-\*** — the interprocedural effect-signature pass (see
-//!   `effects`): every function gets a signature over a seven-effect
-//!   lattice (rng-draw, clock-read, seq-alloc, digest-fold,
-//!   engine-global-mut, unordered-iter, io-env), propagated to a
-//!   fixpoint along the call graph; a handler reaching a strict effect
-//!   outside the sanctioned `Ctx` API is a violation with a
-//!   `root → … → fn` taint path. `--effects` dumps the signatures.
 //! * **workspace-hygiene** — every crate denies warnings, library code
-//!   has no debug prints, TODOs carry an issue tag, and every manifest
-//!   dependency is an in-tree `path` dependency (hermetic build).
+//!   has no debug prints, TODOs carry an issue tag, every manifest
+//!   dependency is an in-tree `path` dependency (hermetic build), and the
+//!   clippy configuration keeps its determinism bans and its place.
 //!
 //! # Allowlist
 //!
@@ -56,7 +47,6 @@
 #![deny(warnings)]
 
 pub mod callgraph;
-pub mod effects;
 pub mod lexer;
 pub mod parser;
 
@@ -69,29 +59,15 @@ use callgraph::CallGraph;
 use lexer::{lex, LexedLine};
 use parser::parse_fns;
 
-/// Crates whose event handling feeds the deterministic simulation; map
-/// iteration order inside them can leak into event scheduling.
-pub(crate) const SIM_CRATES: &[&str] = &[
-    "crates/netsim/src/",
-    "crates/balance/src/",
-    "crates/tcp/src/",
-    "crates/core/src/",
-    "crates/tcpstore/src/",
-    "crates/l4lb/src/",
-    "crates/chaos/src/",
-    "crates/http/src/",
-    "crates/proxy/src/",
-];
-
 /// Function names that root the hot closure: the per-packet and
 /// per-timer handlers the engine dispatches into. (`on_tick` is listed
 /// for forward compatibility; the instance probe tick currently runs
 /// from `on_timer`.)
-pub(crate) const HOT_ROOT_NAMES: &[&str] = &["on_packet", "on_timer", "on_tick"];
+const HOT_ROOT_NAMES: &[&str] = &["on_packet", "on_timer", "on_tick"];
 
-/// The measurement harness: the one place allowed to read wall clocks,
-/// process args, and print (it measures the host, not the simulation).
-/// Its `Node` impls are excluded from the call graph and the taints.
+/// The measurement harness (it measures the host, not the simulation):
+/// it may print, and its `Node` impls are excluded from the call graph
+/// and the taint.
 const HARNESS_PREFIX: &str = "crates/bench/";
 
 /// Files exempt from `panic-hotpath-index`: the engine's open-addressing
@@ -99,26 +75,43 @@ const HARNESS_PREFIX: &str = "crates/bench/";
 /// and mask every slot index to the array bound (`slots[idx & mask]`,
 /// `head[slot & 63]`), so their index expressions cannot panic. The
 /// lexical check cannot see the mask, hence the file-level carve-out.
-/// Every other hot-taint rule (unwrap/expect/panic!) and the sim-taint
-/// determinism rules still apply to these files in full.
+/// Every other hot-taint rule (unwrap/expect/panic!) still applies to
+/// these files in full.
 const MASKED_INDEX_FILES: &[&str] = &[
     "crates/netsim/src/addrmap.rs",
     "crates/netsim/src/wheel.rs",
 ];
 
-/// The one simulation-crate file that may name `HashMap`: `FlowTable`
-/// wraps it behind a fixed hasher and an API with no iteration order, so
-/// naming the type there leaks nothing. Every other file — an alias
-/// declaration included — keeps the hash-collection rules, which is what
-/// stops `type T = HashMap<..>` in one file from laundering the type for
-/// the rest of the crate.
-pub(crate) const HASH_TABLE_FILES: &[&str] = &["crates/netsim/src/flowtable.rs"];
+/// What the root `clippy.toml` must ban: the determinism invariants
+/// (DESIGN.md "Determinism invariants") as resolved paths.
+const CLIPPY_BANNED: &[&str] = &[
+    "std::collections::HashMap",
+    "std::collections::HashSet",
+    "std::time::Instant",
+    "std::time::SystemTime",
+    "std::fs::File",
+    "std::env::var",
+    "std::env::var_os",
+    "std::env::vars",
+    "std::env::args",
+    "std::fs::read",
+    "std::fs::read_to_string",
+    "std::fs::write",
+    "std::io::stdin",
+];
 
-/// Taint evidence attached to a call-graph-derived violation.
+/// Where a `clippy.toml` may sit. Clippy reads the nearest one, so any
+/// other would lift the root's bans for its subtree; the two host tools
+/// carry an empty one on purpose.
+const CLIPPY_CONFIGS: &[&str] = &[
+    "clippy.toml",
+    "crates/bench/clippy.toml",
+    "crates/tidy/clippy.toml",
+];
+
+/// Hot-taint evidence attached to a call-graph-derived violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Taint {
-    /// `"hot"` or `"sim"`.
-    pub kind: &'static str,
     /// Labels from the taint root to the offending function.
     pub path: Vec<String>,
 }
@@ -126,7 +119,7 @@ pub struct Taint {
 /// One rule violation at a specific source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule identifier, e.g. `sim-taint-hash-collections`.
+    /// Rule identifier, e.g. `panic-hotpath`.
     pub rule: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -147,7 +140,7 @@ impl fmt::Display for Violation {
             self.path, self.line, self.rule, self.content
         )?;
         if let Some(t) = &self.taint {
-            write!(f, "\n      {} path: {}", t.kind, t.path.join(" -> "))?;
+            write!(f, "\n      hot path: {}", t.path.join(" -> "))?;
         }
         Ok(())
     }
@@ -162,8 +155,6 @@ pub struct Stats {
     pub functions: usize,
     /// Functions in the hot closure.
     pub hot_functions: usize,
-    /// Functions in the sim closure that live in simulation crates.
-    pub sim_functions: usize,
 }
 
 /// Outcome of a tidy run: surviving violations plus allowlist problems.
@@ -213,13 +204,18 @@ pub fn run(root: &Path) -> Report {
 
     let (mut violations, stats) = analyze(&sources);
 
-    for path in manifest_files(root) {
+    for path in toml_files(root, "Cargo.toml") {
         let rel = rel_path(root, &path);
         let Ok(source) = fs::read_to_string(&path) else {
             continue;
         };
         check_hermetic_manifest(&rel, &source, &mut violations);
     }
+    let clippy_configs: Vec<(String, String)> = toml_files(root, "clippy.toml")
+        .iter()
+        .map(|p| (rel_path(root, p), fs::read_to_string(p).unwrap_or_default()))
+        .collect();
+    check_clippy_configs(&clippy_configs, &mut violations);
 
     // Deterministic output order regardless of filesystem enumeration; a
     // line matching one rule several ways is still one violation.
@@ -259,37 +255,11 @@ pub fn run(root: &Path) -> Report {
     }
 }
 
-/// Runs only the effect-signature pass over the workspace rooted at
-/// `root` and returns its report — the `--effects` CLI mode. (The full
-/// analysis runs; violations and the allowlist are simply not
-/// consulted, so the dump is stable even on a dirty tree.)
-pub fn run_effects(root: &Path) -> effects::EffectsReport {
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for path in rust_files(root) {
-        let rel = rel_path(root, &path);
-        let Ok(text) = fs::read_to_string(&path) else {
-            continue;
-        };
-        sources.push((rel, text));
-    }
-    let (_, _, report) = analyze_full(&sources);
-    report
-}
-
-/// Runs the source-level analysis (everything except the manifest rule
-/// and the allowlist) over in-memory `(repo-relative-path, source)`
-/// pairs. Public so tests can drive the analyzer over fixture
-/// mini-workspaces without touching the disk.
+/// Runs the source-level analysis (everything except the manifest and
+/// clippy-config rules and the allowlist) over in-memory
+/// `(repo-relative-path, source)` pairs. Public so tests can drive the
+/// analyzer over fixture mini-workspaces without touching the disk.
 pub fn analyze(sources: &[(String, String)]) -> (Vec<Violation>, Stats) {
-    let (violations, stats, _) = analyze_full(sources);
-    (violations, stats)
-}
-
-/// [`analyze`], plus the per-function effect-signature report the
-/// `--effects` CLI mode dumps.
-pub fn analyze_full(
-    sources: &[(String, String)],
-) -> (Vec<Violation>, Stats, effects::EffectsReport) {
     let mut violations = Vec::new();
 
     let lexed: Vec<(String, Vec<LexedLine>)> = sources
@@ -299,7 +269,6 @@ pub fn analyze_full(
 
     // Lexical (per-file) rules.
     for (rel, lines) in &lexed {
-        check_determinism(rel, lines, &mut violations);
         check_seq_hygiene(rel, lines, &mut violations);
         check_debug_prints(rel, lines, &mut violations);
         check_todo_tags(rel, lines, &mut violations);
@@ -320,10 +289,7 @@ pub fn analyze_full(
         .map(|(rel, lines)| (rel.as_str(), lines.as_slice()))
         .collect();
 
-    let hot_roots = hot_roots(&graph);
-    let hot = graph.reach(&hot_roots);
-    let sim_roots = dispatch_roots(&graph);
-    let sim = graph.reach(&sim_roots);
+    let hot = graph.reach(&hot_roots(&graph));
 
     // hot-taint: no panics or indexing anywhere in the hot closure.
     for &idx in hot.keys() {
@@ -332,7 +298,6 @@ pub fn analyze_full(
             continue;
         };
         let taint = Taint {
-            kind: "hot",
             path: graph.path_to(&hot, idx),
         };
         for l in lines
@@ -361,47 +326,12 @@ pub fn analyze_full(
         }
     }
 
-    // sim-taint: upgrade lexical determinism violations whose line sits
-    // inside a sim-reachable function of a simulation crate, attaching
-    // the taint path. Unreached code keeps the plain determinism rule.
-    for v in &mut violations {
-        let Some(sim_rule) = sim_rule_for(v.rule) else {
-            continue;
-        };
-        if !SIM_CRATES.iter().any(|p| v.path.starts_with(p)) {
-            continue;
-        }
-        if let Some(idx) = graph.fn_at(&v.path, v.line) {
-            if sim.contains_key(&idx) {
-                v.rule = sim_rule;
-                v.taint = Some(Taint {
-                    kind: "sim",
-                    path: graph.path_to(&sim, idx),
-                });
-            }
-        }
-    }
-
-    // effect-*: the interprocedural effect-signature pass — strict
-    // effects reachable from a handler outside the sanctioned Ctx API,
-    // plus the per-function signatures for the --effects dump.
-    let (effect_violations, effects_report) = effects::analyze_effects(&graph, &by_rel);
-    violations.extend(effect_violations);
-
     let stats = Stats {
         files: sources.len(),
         functions: graph.fns.len(),
         hot_functions: hot.len(),
-        sim_functions: sim
-            .keys()
-            .filter(|&&i| {
-                SIM_CRATES
-                    .iter()
-                    .any(|p| graph.fns[i].file.starts_with(p))
-            })
-            .count(),
     };
-    (violations, stats, effects_report)
+    (violations, stats)
 }
 
 /// Whether a file's functions participate in the call graph.
@@ -411,72 +341,25 @@ fn in_call_graph(rel: &str) -> bool {
     lib_code && !rel.starts_with(HARNESS_PREFIX)
 }
 
-/// Seed set for the hot closure: every handler impl plus the dispatch
-/// loop itself (the engine is per-packet code too).
+/// Seed set for the hot closure: every handler impl plus the engine
+/// dispatch loop `Engine::step` (the engine is per-packet code too).
 fn hot_roots(graph: &CallGraph) -> Vec<usize> {
     let mut roots = Vec::new();
     for name in HOT_ROOT_NAMES {
         roots.extend(graph.find(name));
     }
-    roots.extend(dispatch_roots(graph));
+    roots.extend(
+        graph
+            .find("step")
+            .into_iter()
+            .filter(|&i| graph.fns[i].self_ty.as_deref() == Some("Engine")),
+    );
     roots
-}
-
-/// The engine dispatch loop: `Engine::step`.
-fn dispatch_roots(graph: &CallGraph) -> Vec<usize> {
-    graph
-        .find("step")
-        .into_iter()
-        .filter(|&i| graph.fns[i].self_ty.as_deref() == Some("Engine"))
-        .collect()
-}
-
-/// Maps a lexical determinism rule to its taint-path-carrying upgrade.
-fn sim_rule_for(rule: &str) -> Option<&'static str> {
-    match rule {
-        "determinism-wall-clock" => Some("sim-taint-wall-clock"),
-        "determinism-env-read" => Some("sim-taint-env-read"),
-        "determinism-ambient-rng" => Some("sim-taint-ambient-rng"),
-        "determinism-hash-collections" => Some("sim-taint-hash-collections"),
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Lexical rules
 // ---------------------------------------------------------------------------
-
-/// determinism-*: no wall clock, env reads, ambient RNG, registry rand, or
-/// hash-order collections in simulation code.
-fn check_determinism(rel: &str, lines: &[LexedLine], out: &mut Vec<Violation>) {
-    // The tidy CLI is host tooling like the bench harness: it reads
-    // process args and never touches the simulation.
-    let in_harness = rel.starts_with(HARNESS_PREFIX) || rel.starts_with("crates/tidy/");
-    let in_sim_crate =
-        SIM_CRATES.iter().any(|p| rel.starts_with(p)) && !HASH_TABLE_FILES.contains(&rel);
-    for l in lines {
-        if !in_harness {
-            for pat in ["Instant::now", "SystemTime", "UNIX_EPOCH"] {
-                if l.code.contains(pat) {
-                    push(out, "determinism-wall-clock", rel, l);
-                }
-            }
-            for pat in ["std::env::", "env::var(", "env::args(", "env::vars("] {
-                if l.code.contains(pat) {
-                    push(out, "determinism-env-read", rel, l);
-                }
-            }
-        }
-        for pat in ["thread_rng", "from_entropy", "rand::", "use rand"] {
-            if l.code.contains(pat) {
-                push(out, "determinism-ambient-rng", rel, l);
-            }
-        }
-        if in_sim_crate && (l.code.contains("HashMap") || l.code.contains("HashSet")) {
-            push(out, "determinism-hash-collections", rel, l);
-        }
-    }
-}
 
 /// Detects `expr[...]` indexing: a `[` immediately preceded by an
 /// identifier character or a closing bracket. Attributes (`#[...]`),
@@ -633,6 +516,38 @@ fn check_hermetic_manifest(rel: &str, source: &str, out: &mut Vec<Violation>) {
     }
 }
 
+/// clippy-config: the root `clippy.toml` bans every [`CLIPPY_BANNED`]
+/// path, and no `clippy.toml` outside [`CLIPPY_CONFIGS`] lifts the bans
+/// for its subtree. `configs` holds every `(rel, source)` in the tree.
+fn check_clippy_configs(configs: &[(String, String)], out: &mut Vec<Violation>) {
+    let mut flag = |path: &str, content: String| {
+        out.push(Violation {
+            rule: "clippy-config",
+            path: path.to_string(),
+            line: 1,
+            content,
+            taint: None,
+        })
+    };
+    let root = configs.iter().find(|(rel, _)| rel == "clippy.toml");
+    let root = root.map_or("", |(_, source)| source.as_str());
+    let entries: Vec<&str> = root
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .collect();
+    for banned in CLIPPY_BANNED {
+        let quoted = format!("\"{banned}\"");
+        if !entries.iter().any(|l| l.contains(&quoted)) {
+            flag("clippy.toml", format!("no longer bans `{banned}`"));
+        }
+    }
+    for (rel, _) in configs {
+        if !CLIPPY_CONFIGS.contains(&rel.as_str()) {
+            flag(rel, "lifts the root clippy.toml's bans".to_string());
+        }
+    }
+}
+
 fn push(out: &mut Vec<Violation>, rule: &'static str, rel: &str, l: &LexedLine) {
     out.push(Violation {
         rule,
@@ -669,24 +584,19 @@ fn push_taint(
 pub fn to_json(report: &Report) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"summary\": {{\"violations\": {}, \"allowlist_errors\": {}, \"files\": {}, \"functions\": {}, \"hot_functions\": {}, \"sim_functions\": {}}},\n",
+        "  \"summary\": {{\"violations\": {}, \"allowlist_errors\": {}, \"files\": {}, \"functions\": {}, \"hot_functions\": {}}},\n",
         report.violations.len(),
         report.allowlist_errors.len(),
         report.stats.files,
         report.stats.functions,
         report.stats.hot_functions,
-        report.stats.sim_functions,
     ));
     s.push_str("  \"violations\": [\n");
     for (i, v) in report.violations.iter().enumerate() {
         let taint = match &v.taint {
             Some(t) => {
                 let path: Vec<String> = t.path.iter().map(|p| json_str(p)).collect();
-                format!(
-                    ", \"taint\": {{\"kind\": {}, \"path\": [{}]}}",
-                    json_str(t.kind),
-                    path.join(", ")
-                )
+                format!(", \"taint\": {{\"path\": [{}]}}", path.join(", "))
             }
             None => String::new(),
         };
@@ -712,7 +622,7 @@ pub fn to_json(report: &Report) -> String {
     s
 }
 
-pub(crate) fn json_str(raw: &str) -> String {
+fn json_str(raw: &str) -> String {
     let mut s = String::with_capacity(raw.len() + 2);
     s.push('"');
     for c in raw.chars() {
@@ -797,10 +707,11 @@ fn rust_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-fn manifest_files(root: &Path) -> Vec<PathBuf> {
+/// Every file called `name` under the workspace, sorted.
+fn toml_files(root: &Path, name: &str) -> Vec<PathBuf> {
     let mut files = Vec::new();
     walk(root, &mut files, "toml");
-    files.retain(|p| p.file_name().is_some_and(|n| n == "Cargo.toml"));
+    files.retain(|p| p.file_name().is_some_and(|n| n == name));
     files.sort();
     files
 }
@@ -828,10 +739,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>, ext: &str) {
 mod tests {
     use super::*;
 
-    fn lines_of(src: &str) -> Vec<LexedLine> {
-        lex(src)
-    }
-
     /// Runs the full analyzer over an in-memory fixture workspace.
     fn analyze_fixture(files: &[(&str, &str)]) -> Vec<Violation> {
         let sources: Vec<(String, String)> = files
@@ -841,62 +748,6 @@ mod tests {
         let (mut v, _) = analyze(&sources);
         v.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
         v
-    }
-
-    #[test]
-    fn hashmap_flagged_only_in_sim_crates() {
-        let src = "use std::collections::HashMap;\n";
-        let mut v = Vec::new();
-        check_determinism("crates/netsim/src/engine.rs", &lines_of(src), &mut v);
-        assert_eq!(v.len(), 1, "sim crate flagged");
-        let mut v = Vec::new();
-        check_determinism("crates/http/src/server.rs", &lines_of(src), &mut v);
-        assert_eq!(v.len(), 1, "the HTTP endpoints are Node handlers too");
-        let mut v = Vec::new();
-        check_determinism("crates/assign/src/model.rs", &lines_of(src), &mut v);
-        assert!(v.is_empty(), "non-sim crate not flagged");
-    }
-
-    #[test]
-    fn hashmap_is_sanctioned_in_the_flow_table_file_only() {
-        // The wrapper itself may name the type, inside and outside fns ...
-        let table = "use std::collections::HashMap;\npub struct FlowTable<K, V> { map: HashMap<K, V, Fixed> }\nimpl<K, V> FlowTable<K, V> {\n    pub fn get(&self, k: &K) -> Option<&V> { self.map.get(k) }\n}\n";
-        // ... call sites name only the wrapper ...
-        let user = "use yoda_netsim::FlowTable;\nstruct Mux { flows: FlowTable<FlowKey, FlowEntry> }\nimpl Node for Mux {\n    fn on_packet(&mut self) { let _ = self.flows.get(&key); }\n}\n";
-        let v = analyze_fixture(&[
-            ("crates/netsim/src/flowtable.rs", table),
-            ("crates/l4lb/src/mux.rs", user),
-        ]);
-        assert!(
-            v.iter()
-                .all(|v| !v.rule.contains("hash-collections") && v.rule != "effect-unordered-iter"),
-            "FlowTable and its call sites are clean: {v:?}"
-        );
-        // ... and an alias declared outside any fn in another file, which
-        // would let every use site spell `Table` instead, is still caught
-        // at the declaration — in a Node-handler crate added late, too.
-        let alias =
-            "pub type Table<K, V> = std::collections::HashMap<K, V>;\nfn f(t: &Table<u8, u8>) {}\n";
-        for rel in ["crates/core/src/tables.rs", "crates/proxy/src/instance.rs"] {
-            let v = analyze_fixture(&[("crates/netsim/src/flowtable.rs", table), (rel, alias)]);
-            let hits: Vec<(&str, usize)> = v
-                .iter()
-                .filter(|v| v.rule == "determinism-hash-collections")
-                .map(|v| (v.path.as_str(), v.line))
-                .collect();
-            assert_eq!(hits, vec![(rel, 1)], "{v:?}");
-        }
-    }
-
-    #[test]
-    fn wall_clock_exempt_in_harness_only() {
-        let src = "let t = Instant::now();\n";
-        let mut v = Vec::new();
-        check_determinism("crates/bench/src/lib.rs", &lines_of(src), &mut v);
-        assert!(v.is_empty());
-        let mut v = Vec::new();
-        check_determinism("crates/tcp/src/socket.rs", &lines_of(src), &mut v);
-        assert_eq!(v.len(), 1);
     }
 
     #[test]
@@ -912,7 +763,7 @@ mod tests {
     fn seq_hygiene_catches_raw_math() {
         let src = "let s = x.raw() + 1;\nlet ok = a.wrapping_add(b.raw());\n";
         let mut v = Vec::new();
-        check_seq_hygiene("crates/tcp/src/seq.rs", &lines_of(src), &mut v);
+        check_seq_hygiene("crates/tcp/src/seq.rs", &lex(src), &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 1);
     }
@@ -921,7 +772,7 @@ mod tests {
     fn seq_hygiene_catches_cast_into_seq_space() {
         let src = "let isn = SeqNum::new(h as u32);\n";
         let mut v = Vec::new();
-        check_seq_hygiene("crates/core/src/isn.rs", &lines_of(src), &mut v);
+        check_seq_hygiene("crates/core/src/isn.rs", &lex(src), &mut v);
         assert_eq!(v.len(), 1);
     }
 
@@ -929,7 +780,7 @@ mod tests {
     fn todo_requires_issue_tag() {
         let src = "// TODO: later\n// TODO(#12): tracked\n";
         let mut v = Vec::new();
-        check_todo_tags("src/lib.rs", &lines_of(src), &mut v);
+        check_todo_tags("src/lib.rs", &lex(src), &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 1);
     }
@@ -947,13 +798,13 @@ mod tests {
     fn debug_prints_flagged_in_lib_code_only() {
         let src = "fn f() { println!(\"x\"); }\n";
         let mut v = Vec::new();
-        check_debug_prints("crates/http/src/server.rs", &lines_of(src), &mut v);
+        check_debug_prints("crates/http/src/server.rs", &lex(src), &mut v);
         assert_eq!(v.len(), 1);
         let mut v = Vec::new();
-        check_debug_prints("crates/bench/src/report.rs", &lines_of(src), &mut v);
+        check_debug_prints("crates/bench/src/report.rs", &lex(src), &mut v);
         assert!(v.is_empty());
         let mut v = Vec::new();
-        check_debug_prints("examples/quickstart.rs", &lines_of(src), &mut v);
+        check_debug_prints("examples/quickstart.rs", &lex(src), &mut v);
         assert!(v.is_empty());
     }
 
@@ -969,7 +820,6 @@ mod tests {
         assert_eq!(hit.len(), 1, "{v:?}");
         assert_eq!(hit[0].line, 5);
         let taint = hit[0].taint.as_ref().expect("taint path attached");
-        assert_eq!(taint.kind, "hot");
         assert_eq!(
             taint.path,
             vec![
@@ -1045,18 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_index_files_keep_the_determinism_rules() {
-        let v = analyze_fixture(&[(
-            "crates/netsim/src/wheel.rs",
-            "fn build() { let m = std::collections::HashMap::new(); let _ = m; }\n",
-        )]);
-        assert!(
-            v.iter().any(|v| v.rule == "determinism-hash-collections"),
-            "HashMap in an index-exempt sim file is still rejected: {v:?}"
-        );
-    }
-
-    #[test]
     fn dispatch_loop_is_a_hot_root() {
         let v = analyze_fixture(&[(
             "crates/netsim/src/engine.rs",
@@ -1078,27 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_taint_upgrades_reachable_determinism_violation() {
-        let v = analyze_fixture(&[(
-            "crates/tcp/src/stack.rs",
-            "impl Engine {\n    fn step(&mut self) { tick(); }\n}\nfn tick() { let m = HashMap::new(); }\nfn cold() { let m = HashSet::new(); }\n",
-        )]);
-        let tainted: Vec<&Violation> = v
-            .iter()
-            .filter(|v| v.rule == "sim-taint-hash-collections")
-            .collect();
-        let lexical: Vec<&Violation> = v
-            .iter()
-            .filter(|v| v.rule == "determinism-hash-collections")
-            .collect();
-        assert_eq!(tainted.len(), 1, "{v:?}");
-        assert_eq!(tainted[0].line, 4);
-        assert!(tainted[0].taint.is_some());
-        assert_eq!(lexical.len(), 1, "cold fn keeps lexical rule: {v:?}");
-        assert_eq!(lexical[0].line, 5);
-    }
-
-    #[test]
     fn test_code_inside_hot_file_is_skipped() {
         let v = analyze_fixture(&[(
             "crates/x/src/lib.rs",
@@ -1116,7 +933,6 @@ mod tests {
                 line: 3,
                 content: "y.unwrap() // \"quoted\"".into(),
                 taint: Some(Taint {
-                    kind: "hot",
                     path: vec!["a::b".into(), "c::d".into()],
                 }),
             }],
@@ -1125,15 +941,41 @@ mod tests {
                 files: 1,
                 functions: 2,
                 hot_functions: 1,
-                sim_functions: 0,
             },
         };
         let j = to_json(&report);
         assert!(j.contains("\"violations\": 1"), "{j}");
         assert!(j.contains("\\\"quoted\\\""), "escaped quotes: {j}");
-        assert!(j.contains("\"taint\": {\"kind\": \"hot\", \"path\": [\"a::b\", \"c::d\"]}"), "{j}");
+        assert!(
+            j.contains("\"taint\": {\"path\": [\"a::b\", \"c::d\"]}"),
+            "{j}"
+        );
         assert!(j.contains("\"allowlist_errors\": ["), "{j}");
         // Countable shape for scripts/check.sh.
         assert_eq!(j.matches("\"rule\":").count(), 1, "{j}");
+    }
+
+    #[test]
+    fn clippy_config_keeps_its_bans_and_its_place() {
+        let check = |configs: &[(&str, &str)]| {
+            let configs: Vec<(String, String)> = configs
+                .iter()
+                .map(|(r, s)| (r.to_string(), s.to_string()))
+                .collect();
+            let mut v = Vec::new();
+            check_clippy_configs(&configs, &mut v);
+            v
+        };
+        let root = include_str!("../../../clippy.toml");
+        let v = check(&[("clippy.toml", root), ("crates/tidy/clippy.toml", "")]);
+        assert!(v.is_empty(), "{v:?}");
+        // Dropping `std::fs::read` is caught though `read_to_string` stays.
+        let dropped = root.replace("\"std::fs::read\"", "\"std::fs::copy\"");
+        let v = check(&[("clippy.toml", &dropped)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].content, "no longer bans `std::fs::read`");
+        let v = check(&[("clippy.toml", root), ("crates/core/clippy.toml", "")]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].path, "crates/core/clippy.toml");
     }
 }

@@ -1,12 +1,10 @@
-//! CLI entry point: `cargo run -p yoda-tidy [-- --json | --effects]`.
+//! CLI entry point: `cargo run -p yoda-tidy [-- --json]`.
 //!
 //! Prints every violation (with its taint path, when the violation is
 //! derived from the call graph) and exits non-zero if the tree is not
 //! clean. `--json` emits the machine-readable report instead (CI uploads
 //! it as an artifact; `results/tidy_baseline.json` is the committed,
-//! empty one). `--effects` dumps the per-function effect signatures
-//! (committed as `results/tidy_effects.json`; `scripts/check.sh` and CI
-//! require the fresh dump to be byte-identical).
+//! empty one).
 
 #![deny(warnings)]
 
@@ -14,7 +12,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let json = std::env::args().any(|a| a == "--json");
-    let effects = std::env::args().any(|a| a == "--effects");
     let root = match yoda_tidy::workspace_root() {
         Ok(root) => root,
         Err(e) => {
@@ -22,11 +19,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if effects {
-        let report = yoda_tidy::run_effects(&root);
-        print!("{}", yoda_tidy::effects::to_json(&report));
-        return ExitCode::SUCCESS;
-    }
     let report = yoda_tidy::run(&root);
 
     if json {
@@ -47,11 +39,8 @@ fn main() -> ExitCode {
 
     if report.is_clean() {
         println!(
-            "tidy: workspace is clean ({} files, {} functions, {} hot, {} sim)",
-            report.stats.files,
-            report.stats.functions,
-            report.stats.hot_functions,
-            report.stats.sim_functions
+            "tidy: workspace is clean ({} files, {} functions, {} hot)",
+            report.stats.files, report.stats.functions, report.stats.hot_functions
         );
         ExitCode::SUCCESS
     } else {

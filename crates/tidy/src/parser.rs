@@ -59,8 +59,6 @@ pub struct FnItem {
     /// Type name of the enclosing `impl` block, if any (`impl Foo` or
     /// `impl Trait for Foo` both record `Foo`).
     pub self_ty: Option<String>,
-    /// Trait name when inside `impl Trait for Type` or a `trait` block.
-    pub trait_name: Option<String>,
     /// Whether the first parameter is (some form of) `self`.
     pub has_self: bool,
     /// Whether the item sits inside `#[cfg(test)]` code.
@@ -161,12 +159,9 @@ fn is_keyword(word: &str) -> bool {
 #[derive(Debug, Clone)]
 enum Frame {
     /// `impl Type { .. }` / `impl Trait for Type { .. }`.
-    Impl {
-        self_ty: Option<String>,
-        trait_name: Option<String>,
-    },
-    /// `trait Name { .. }`.
-    TraitDecl { name: String },
+    Impl { self_ty: Option<String> },
+    /// `trait Name { .. }`: its methods have no self type.
+    TraitDecl,
     /// A function body; index into the output `fns` vec.
     Fn(usize),
     /// Any other brace pair (struct, match arm, block expression, ...).
@@ -194,8 +189,8 @@ pub fn parse_fns(lines: &[LexedLine]) -> Vec<FnItem> {
                 // `trait Name ... {` — but only when followed by an ident
                 // (skips `impl Trait for ...` which is handled above and
                 // `dyn Trait`, where `trait` is not a leading keyword).
-                if let Some(Tok::Ident(name)) = toks.get(i + 1).map(|t| &t.tok) {
-                    pending = Some(Frame::TraitDecl { name: name.clone() });
+                if let Some(Tok::Ident(_)) = toks.get(i + 1).map(|t| &t.tok) {
+                    pending = Some(Frame::TraitDecl);
                 }
                 i += 1;
             }
@@ -280,36 +275,24 @@ fn parse_impl_header(toks: &[SpannedTok], start: usize) -> (Frame, usize) {
         }
         j += 1;
     }
-    let frame = if seen_for {
-        Frame::Impl {
-            trait_name: before_for.last().cloned(),
-            self_ty: after_for.last().cloned(),
-        }
-    } else {
-        Frame::Impl {
-            trait_name: None,
-            self_ty: before_for.last().cloned(),
-        }
-    };
-    (frame, j)
+    let self_ty = if seen_for { &after_for } else { &before_for };
+    let self_ty = self_ty.last().cloned();
+    (Frame::Impl { self_ty }, j)
 }
 
 /// Parses a `fn` header starting at the `fn` token. Returns the item,
 /// whether a body follows (`{` vs `;`), and the index to resume from (the
 /// `{`/`;` token itself, left for the main loop).
 fn parse_fn_header(toks: &[SpannedTok], start: usize, stack: &[Frame]) -> (FnItem, bool, usize) {
-    let (self_ty, trait_name) = stack
+    let self_ty = stack
         .iter()
         .rev()
         .find_map(|f| match f {
-            Frame::Impl {
-                self_ty,
-                trait_name,
-            } => Some((self_ty.clone(), trait_name.clone())),
-            Frame::TraitDecl { name } => Some((None, Some(name.clone()))),
+            Frame::Impl { self_ty } => Some(self_ty.clone()),
+            Frame::TraitDecl => Some(None),
             _ => None,
         })
-        .unwrap_or((None, None));
+        .flatten();
 
     let name = match toks.get(start + 1).map(|t| &t.tok) {
         Some(Tok::Ident(n)) => n.clone(),
@@ -319,7 +302,6 @@ fn parse_fn_header(toks: &[SpannedTok], start: usize, stack: &[Frame]) -> (FnIte
     let mut item = FnItem {
         name,
         self_ty,
-        trait_name,
         has_self: false,
         is_test: toks[start].in_test,
         start_line: toks[start].line,
@@ -452,11 +434,9 @@ mod tests {
         let fns = parse(src);
         assert_eq!(fns.len(), 2);
         assert_eq!(fns[0].self_ty.as_deref(), Some("Foo"));
-        assert_eq!(fns[0].trait_name, None);
         assert!(fns[0].has_self);
         assert_eq!(fns[0].calls[0].kind, CallKind::SelfMethod);
         assert_eq!(fns[1].self_ty.as_deref(), Some("Foo"));
-        assert_eq!(fns[1].trait_name.as_deref(), Some("Bar"));
         assert_eq!(fns[1].calls[0].kind, CallKind::Method);
     }
 
@@ -464,7 +444,6 @@ mod tests {
     fn generic_impl_header() {
         let src = "impl<'a, T: Clone> Picker for Weighted<'a, T> {\n    fn pick(&mut self) {}\n}\n";
         let fns = parse(src);
-        assert_eq!(fns[0].trait_name.as_deref(), Some("Picker"));
         assert_eq!(fns[0].self_ty.as_deref(), Some("Weighted"));
     }
 
@@ -473,7 +452,7 @@ mod tests {
         let src = "pub trait Node {\n    fn on_start(&mut self) {}\n    fn on_packet(&mut self, p: u32);\n}\n";
         let fns = parse(src);
         assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].trait_name.as_deref(), Some("Node"));
+        assert_eq!(fns[0].self_ty, None);
         assert_eq!(fns[1].name, "on_packet");
         assert_eq!(fns[1].end_line, fns[1].start_line, "bodyless decl");
     }

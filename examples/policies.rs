@@ -9,7 +9,7 @@
 //! cargo run --release --example policies
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use yoda_netsim::rng::Rng;
 use yoda::core::rules::{RuleTable, SelectCtx};
@@ -32,7 +32,7 @@ name=r-rest   priority=0 match *           action=leastload 10.1.0.1:80 10.1.0.2
     let mut rng = Rng::seed_from_u64(3);
 
     // 1. Weighted split: *.jpg goes 50/50 to D2/D3.
-    let mut counts: HashMap<Endpoint, u32> = HashMap::new();
+    let mut counts: BTreeMap<Endpoint, u32> = BTreeMap::new();
     for _ in 0..1000 {
         let pick = table
             .select(&HttpRequest::get("/img/cat.jpg"), &ctx, &mut rng)

@@ -15,6 +15,10 @@
 use yoda::chaos::{run_plan, run_seed, ChaosPlan, ChaosScenario, Fault, FaultKind};
 use yoda::netsim::SimTime;
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "CHAOS_*_SEEDS soak knobs scale seed counts in CI/local runs; each seed's plan is still a pure function of the seed"
+)]
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
@@ -56,12 +60,20 @@ fn unconstrained_seeds_degrade_gracefully() {
 /// default, unconstrained when `CHAOS_UNCONSTRAINED=1`).
 #[test]
 fn one_seed() {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "one-command failing-seed repro hook; the replayed run is fully determined by the seed"
+    )]
     let Ok(seed) = std::env::var("CHAOS_SEED") else {
         return;
     };
     let Ok(seed) = seed.parse::<u64>() else {
         panic!("CHAOS_SEED must be an integer");
     };
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "selects which preset the repro hook replays; does not affect determinism of the run itself"
+    )]
     let sc = if std::env::var("CHAOS_UNCONSTRAINED").is_ok() {
         ChaosScenario::unconstrained()
     } else {
