@@ -23,9 +23,12 @@
 //! reported against a combinatorial lower bound), and the [`alltoall`]
 //! baseline the paper compares against in Figure 16.
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "an offline planner over dense matrices the controller sizes itself; no packet or timer handler calls it"
+)]
 
 pub mod alltoall;
 pub mod bnb;

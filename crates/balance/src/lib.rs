@@ -28,7 +28,6 @@
 //! reads wall-clock time and keeps all state in ordered containers, so
 //! simulations using it stay bit-for-bit deterministic.
 
-#![deny(warnings)]
 #![forbid(unsafe_code)]
 
 pub mod picker;

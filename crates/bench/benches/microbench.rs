@@ -114,7 +114,7 @@ fn bench_seq_translate() {
     let delta = 0x55AA55AAu32;
     bench("seq_translate_packet", || {
         let mut out = seg.clone();
-        out.seq = SeqNum::new(out.seq.raw().wrapping_add(delta));
+        out.seq += delta;
         out.src_port = 80;
         out.dst_port = 40000;
         black_box(out.encode());
@@ -146,8 +146,8 @@ fn bench_forward_hop() {
         let inner = wire.take().and_then(Packet::decapsulate).expect("ipip");
         let (src, dst) = (inner.src, inner.dst);
         let mut seg = Segment::from_packet(inner).expect("tcp");
-        seg.seq = SeqNum::new(seg.seq.raw().wrapping_add(delta));
-        seg.ack = SeqNum::new(seg.ack.raw().wrapping_sub(delta));
+        seg.seq += delta;
+        seg.ack = seg.ack - delta;
         seg.src_port = src.port;
         seg.dst_port = dst.port;
         wire = Some(black_box(seg.into_packet(src, dst).encapsulate(inst, mux)));

@@ -5,8 +5,6 @@
 //! sampling hooks, and the comparative failover scenario used by both
 //! Table 1 and Figure 12.
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
 
 pub mod failover;

@@ -20,8 +20,6 @@
 //! (DESIGN.md "Byte path"). [`put_be`] and [`add_be32`] are the
 //! panic-free writers for such headers.
 
-#![deny(warnings)]
-
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -26,7 +26,6 @@
 //! rebuilds the identical schedule and `run_plan` the identical run
 //! (the report carries the engine's event digest to prove it).
 
-#![deny(warnings)]
 #![forbid(unsafe_code)]
 
 pub mod invariants;

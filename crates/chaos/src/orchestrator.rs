@@ -469,7 +469,7 @@ fn wan_override_dirs(
         let topo = eng.topology_mut();
         let mut ids = Vec::new();
         for (from, to) in dirs {
-            let spec = mk(*topo.link(from, to));
+            let spec = mk(topo.link(from, to));
             ids.push((from, to, topo.apply_override(from, to, spec)));
         }
         eng.schedule(end, move |eng| {

@@ -47,7 +47,7 @@ impl SynRecord {
         let mut buf = BytesMut::with_capacity(16);
         buf.put_slice(&self.client.to_bytes());
         buf.put_slice(&self.vip.to_bytes());
-        buf.put_u32(self.client_isn.raw());
+        buf.put_slice(&self.client_isn.to_be_bytes());
         buf.freeze()
     }
 
@@ -115,8 +115,8 @@ impl FlowRecord {
         buf.put_slice(&self.client.to_bytes());
         buf.put_slice(&self.vip.to_bytes());
         buf.put_slice(&self.backend.to_bytes());
-        buf.put_u32(self.client_isn.raw());
-        buf.put_u32(self.server_isn.raw());
+        buf.put_slice(&self.client_isn.to_be_bytes());
+        buf.put_slice(&self.server_isn.to_be_bytes());
         buf.freeze()
     }
 

@@ -218,9 +218,9 @@ impl Tunnel {
             && io.env.now.saturating_sub(self.splice_sent_at) >= SPLICE_REINSTALL;
         seg.src_port = src.port;
         seg.dst_port = dst.port;
-        seg.seq = SeqNum::new(seg.seq.raw().wrapping_add(seq_add));
+        seg.seq += seq_add;
         if seg.flags.ack {
-            seg.ack = SeqNum::new(seg.ack.raw().wrapping_sub(ack_sub));
+            seg.ack = seg.ack - ack_sub;
         }
         if !to_backend {
             // Track the next Y-space byte the client expects (for
@@ -319,7 +319,7 @@ impl Tunnel {
         let (req, used) = parse_request(&self.inspect_buf)?;
         // `inspect_next` is the end of the buffered data.
         let buffered = self.inspect_buf.len() as u32;
-        let request_seq = SeqNum::new(self.inspect_next.raw().wrapping_sub(buffered));
+        let request_seq = self.inspect_next - buffered;
         Some((req, request_seq, self.inspect_buf.split_to(used).freeze()))
     }
 
@@ -346,11 +346,7 @@ impl Tunnel {
         // ISN = request_seq − 1, so the request bytes keep their
         // client-space sequence numbers.
         io.out.push(Action::Map(new_backend));
-        io.syn(
-            e,
-            new_backend,
-            SeqNum::new(request_seq.raw().wrapping_sub(1)),
-        );
+        io.syn(e, new_backend, request_seq - 1);
         self.switching = Some(Box::new(SwitchState {
             new_backend,
             request_seq,
@@ -367,10 +363,7 @@ impl Tunnel {
         // New translation constant: the client expects the next response
         // byte at `client_next` (Y-space); the new server starts sending
         // at S₂+1.
-        self.delta = self
-            .client_next
-            .raw()
-            .wrapping_sub(s2.raw().wrapping_add(1));
+        self.delta = self.client_next.offset_from(s2 + 1);
         // Update TCPStore so recovery lands on the new backend. Recovery
         // rebuilds `delta` as `Y − server_isn` (no certificate shift:
         // inspection, hence switching, is off on SSL flows), so store
@@ -380,8 +373,8 @@ impl Tunnel {
             client: e.client,
             vip: e.vip,
             backend: sw.new_backend,
-            client_isn: SeqNum::new(sw.request_seq.raw().wrapping_sub(1)),
-            server_isn: SeqNum::new(e.yoda_isn().raw().wrapping_sub(self.delta)),
+            client_isn: sw.request_seq - 1,
+            server_isn: e.yoda_isn() - self.delta,
         };
         io.rehome_records(e, record, old_backend);
         // ACK the new backend's SYN-ACK and forward the buffered request.
@@ -443,7 +436,7 @@ impl Tunnel {
             // client_next == Y+1(+cert): no response bytes went out yet,
             // so the winner's stream splices in exactly there.
             self.backend = w;
-            self.delta = SeqNum::new(self.client_next.raw().wrapping_sub(1)).offset_from(w_isn);
+            self.delta = (self.client_next - 1).offset_from(w_isn);
             io.count(Counter::BackendSwitch);
         }
         // RST every loser in client sequence space and drop its mappings.

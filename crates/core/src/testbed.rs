@@ -239,7 +239,9 @@ impl Testbed {
             .enumerate()
             .map(|(i, &a)| {
                 let ep = Endpoint::new(a, 80);
-                service_backends[i % cfg.num_services].push(ep);
+                if let Some(sb) = service_backends.get_mut(i % cfg.num_services) {
+                    sb.push(ep);
+                }
                 engine.add_node(
                     format!("backend-{a}"),
                     a,
@@ -301,7 +303,7 @@ impl Testbed {
     /// The default rule text for service `s`: equal-weight split across
     /// its backends.
     pub fn equal_split_rules(&self, service: usize) -> String {
-        let backends: Vec<String> = self.service_backends[service]
+        let backends: Vec<String> = nth(&self.service_backends, service)
             .iter()
             .map(|b| format!("{b}=1"))
             .collect();
@@ -358,7 +360,7 @@ impl Testbed {
         let addr = self.next_client_addr();
         let cfg = BrowserConfig {
             site: service,
-            target: self.vips[service],
+            target: *nth(&self.vips, service),
             host: format!("service{service}.test"),
             ..cfg
         };
@@ -375,7 +377,7 @@ impl Testbed {
         let addr = self.next_client_addr();
         let cfg = RateClientConfig {
             site: service,
-            target: self.vips[service],
+            target: *nth(&self.vips, service),
             host: format!("service{service}.test"),
             ..cfg
         };
@@ -395,25 +397,25 @@ impl Testbed {
 
     /// Fails L7 instance `i` at simulated time `at`.
     pub fn fail_instance_at(&mut self, i: usize, at: SimTime) {
-        let id = self.instances[i];
+        let id = *nth(&self.instances, i);
         self.engine.schedule(at, move |eng| eng.fail_node(id));
     }
 
     /// Fails backend `i` at simulated time `at`.
     pub fn fail_backend_at(&mut self, i: usize, at: SimTime) {
-        let id = self.backends[i];
+        let id = *nth(&self.backends, i);
         self.engine.schedule(at, move |eng| eng.fail_node(id));
     }
 
     /// Fails store server `i` at simulated time `at`.
     pub fn fail_store_at(&mut self, i: usize, at: SimTime) {
-        let id = self.stores[i];
+        let id = *nth(&self.stores, i);
         self.engine.schedule(at, move |eng| eng.fail_node(id));
     }
 
     /// Fails mux `i` at simulated time `at`.
     pub fn fail_mux_at(&mut self, i: usize, at: SimTime) {
-        let id = self.muxes[i];
+        let id = *nth(&self.muxes, i);
         self.engine.schedule(at, move |eng| eng.fail_node(id));
     }
 
@@ -428,8 +430,8 @@ impl Testbed {
     /// table, no VIPs). The controller re-detects it via pings and
     /// reinstalls its rules and mux mappings.
     pub fn restore_instance_at(&mut self, i: usize, at: SimTime) {
-        let id = self.instances[i];
-        let addr = self.instance_addrs[i];
+        let id = *nth(&self.instances, i);
+        let addr = *nth(&self.instance_addrs, i);
         let make = self.tier.make.clone();
         let store_addrs = self.store_addrs.clone();
         let mux_addrs = self.mux_addrs.clone();
@@ -442,8 +444,8 @@ impl Testbed {
     /// survive on their other replica as long as fewer than the
     /// replication factor of stores are down at once.
     pub fn restore_store_at(&mut self, i: usize, at: SimTime) {
-        let id = self.stores[i];
-        let addr = self.store_addrs[i];
+        let id = *nth(&self.stores, i);
+        let addr = *nth(&self.store_addrs, i);
         let cfg = self.store_cfg;
         self.engine.schedule(at, move |eng| {
             eng.restore_node(id, Box::new(StoreServer::new(cfg, addr)));
@@ -454,8 +456,8 @@ impl Testbed {
     /// re-detects it and pushes the current VIP maps before re-adding it
     /// to the router's ECMP set.
     pub fn restore_mux_at(&mut self, i: usize, at: SimTime) {
-        let id = self.muxes[i];
-        let addr = self.mux_addrs[i];
+        let id = *nth(&self.muxes, i);
+        let addr = *nth(&self.mux_addrs, i);
         self.engine.schedule(at, move |eng| {
             eng.restore_node(id, Box::new(Mux::new(addr)));
         });
@@ -464,9 +466,10 @@ impl Testbed {
     /// Restarts backend `i` at `at`. The controller broadcasts
     /// `BackendUp` once it sees pongs again.
     pub fn restore_backend_at(&mut self, i: usize, at: SimTime) {
-        let id = self.backends[i];
+        let id = *nth(&self.backends, i);
         let service = i % self.service_backends.len();
-        let ep = self.service_backends[service][i / self.service_backends.len()];
+        let group = nth(&self.service_backends, service);
+        let ep = *nth(group, i / self.service_backends.len());
         let cfg = self.backend_cfg.clone();
         let catalog = self.catalog.clone();
         self.engine.schedule(at, move |eng| {
@@ -495,7 +498,7 @@ impl Testbed {
     /// `at` (gray failure: the store stays alive and answers pings, just
     /// slowly). Pass `1.0` to heal.
     pub fn slowdown_store_at(&mut self, i: usize, factor: f64, at: SimTime) {
-        let id = self.stores[i];
+        let id = *nth(&self.stores, i);
         self.engine.schedule(at, move |eng| {
             if let Some(s) = eng.try_node_mut::<StoreServer>(id) {
                 s.set_speed_factor(factor);
@@ -506,7 +509,7 @@ impl Testbed {
     /// Scales backend `i`'s service time by `factor` at `at`. Pass `1.0`
     /// to heal.
     pub fn slowdown_backend_at(&mut self, i: usize, factor: f64, at: SimTime) {
-        let id = self.backends[i];
+        let id = *nth(&self.backends, i);
         self.engine.schedule(at, move |eng| {
             if let Some(s) = eng.try_node_mut::<OriginServer>(id) {
                 s.set_speed_factor(factor);
@@ -521,6 +524,17 @@ impl Testbed {
         self.engine
             .schedule(at, move |eng| eng.degrade_node_links(id, loss, jitter));
     }
+}
+
+/// Entry `i` of one of the testbed's role lists (instances, muxes,
+/// stores, backends, services' VIPs and backends).
+#[track_caller]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "scenario scripts name nodes by their index in the lists their own TestbedConfig sized; out of range is a script bug, and no handler calls this"
+)]
+fn nth<T>(list: &[T], i: usize) -> &T {
+    &list[i]
 }
 
 #[cfg(test)]

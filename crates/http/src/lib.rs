@@ -12,8 +12,6 @@
 //!   embedded-object fetches, HTTP timeouts and retry policy (Fig. 12,
 //!   Table 1), and an open-loop rate client (Apache-bench style; Fig. 13).
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
 
 pub mod client;

@@ -146,7 +146,12 @@ impl SiteCatalog {
                     let normal = sample_normal(&mut rng);
                     let size = (mu + sigma * normal).exp() as usize;
                     let size = size.clamp(MIN_OBJECT_BYTES, MAX_OBJECT_BYTES);
-                    let ext = ["jpg", "css", "js", "png"][oi % 4];
+                    let ext = match oi % 4 {
+                        0 => "jpg",
+                        1 => "css",
+                        2 => "js",
+                        _ => "png",
+                    };
                     let id = ObjectId {
                         site: si,
                         object: objects.len(),
@@ -225,7 +230,8 @@ impl SiteCatalog {
         self.sites.get(id.site)?.objects.get(id.object)
     }
 
-    /// Median object size over the whole catalog (for sanity checks).
+    /// Median object size over the whole catalog (for sanity checks); 0
+    /// for an empty catalog.
     pub fn median_object_size(&self) -> usize {
         let mut sizes: Vec<usize> = self
             .sites
@@ -233,7 +239,7 @@ impl SiteCatalog {
             .flat_map(|s| s.objects.iter().map(|o| o.size))
             .collect();
         sizes.sort_unstable();
-        sizes[sizes.len() / 2]
+        sizes.get(sizes.len() / 2).copied().unwrap_or(0)
     }
 }
 

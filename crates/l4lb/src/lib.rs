@@ -18,8 +18,6 @@
 //! constraint exists precisely because of this, and the Figure 16(d)
 //! experiment measures it.
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
 
 pub mod ctrl;

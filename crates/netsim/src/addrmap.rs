@@ -13,8 +13,8 @@
 //!   guards against.
 //! * **Panic-free** — every slot access is masked to the power-of-two
 //!   capacity (`slots[idx & mask]`), so indexing cannot go out of bounds;
-//!   yoda-tidy waives its hot-path indexing rule for this module on that
-//!   basis.
+//!   the module's one `#![expect(clippy::indexing_slicing)]` rests on
+//!   that.
 //! * **No deletion** — the engine never unbinds an address (failed nodes
 //!   keep their addresses and drop packets at delivery), so tombstones
 //!   are unnecessary and probes terminate at the first empty slot.
@@ -22,6 +22,11 @@
 //! Each occupied slot packs `(addr, node + 1)` into one `u64`; `0` means
 //! empty, which is unambiguous because the node half of an occupied slot
 //! is always non-zero.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every slot index is masked to the power-of-two capacity"
+)]
 
 use crate::addr::Addr;
 

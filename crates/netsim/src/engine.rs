@@ -140,6 +140,24 @@ fn fnv_fold(digest: u64, word: u64) -> u64 {
 }
 
 impl EngineCore {
+    /// The metadata of node `id`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeId is allocated densely by add_node and never freed; meta[id.0] is total for any id the engine handed out"
+    )]
+    fn meta(&self, id: usize) -> &NodeMeta {
+        &self.meta[id]
+    }
+
+    /// The metadata of node `id`, mutably.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeId is allocated densely by add_node and never freed; meta[id.0] is total for any id the engine handed out"
+    )]
+    fn meta_mut(&mut self, id: usize) -> &mut NodeMeta {
+        &mut self.meta[id]
+    }
+
     /// Stores a control closure in the slab, returning its slot.
     fn alloc_payload(&mut self, payload: Control) -> u32 {
         match self.free_payloads.pop() {
@@ -175,7 +193,7 @@ impl EngineCore {
         }
         let ev = TraceEvent {
             time: self.time,
-            node: self.meta[node.0].name,
+            node: self.meta(node.0).name,
             kind,
             src: Some(pkt.src),
             dst: Some(pkt.dst),
@@ -189,7 +207,7 @@ impl EngineCore {
     /// duplication, counters, tracing, and arming the in-flight packet
     /// into the wheel.
     fn send_from(&mut self, from: NodeId, pkt: Packet, extra_delay: SimTime) {
-        let from_zone = self.meta[from.0].zone;
+        let from_zone = self.meta(from.0).zone;
         let to_id = match self.addr_map.get(pkt.dst.addr) {
             Some(id) => id,
             None => {
@@ -198,10 +216,10 @@ impl EngineCore {
                 return;
             }
         };
-        let to_zone = self.meta[to_id].zone;
+        let to_zone = self.meta(to_id).zone;
         self.packets_sent += 1;
         self.record_packet(from, TraceKind::PacketSent, &pkt, "");
-        if self.meta[from.0].cut_out {
+        if self.meta(from.0).cut_out {
             // Egress-partitioned sender: the packet never reaches the
             // wire, consuming no link randomness.
             self.packets_dropped += 1;
@@ -300,7 +318,7 @@ impl EngineCore {
         if self.degraded_nodes == 0 {
             return Some(at);
         }
-        let (a, b) = (&self.meta[from], &self.meta[to]);
+        let (a, b) = (self.meta(from), self.meta(to));
         let loss = a.degrade_loss.max(b.degrade_loss);
         let jitter = a.degrade_jitter.max(b.degrade_jitter);
         if loss > 0.0 && self.rng.gen_f64() < loss {
@@ -335,7 +353,7 @@ impl Ctx<'_> {
 
     /// This node's name.
     pub fn node_name(&self) -> &str {
-        self.core.names.resolve(self.core.meta[self.node.0].name)
+        self.core.names.resolve(self.core.meta(self.node.0).name)
     }
 
     /// This node's private RNG stream, split from the engine seed by
@@ -344,7 +362,7 @@ impl Ctx<'_> {
     /// randomness a handler can reach: the engine-global stream the link
     /// model draws from is private to the engine.
     pub fn node_rng(&mut self) -> &mut Rng {
-        &mut self.core.meta[self.node.0].rng
+        &mut self.core.meta_mut(self.node.0).rng
     }
 
     /// Sends a packet; it is routed by destination address through the
@@ -364,7 +382,7 @@ impl Ctx<'_> {
         let core = &mut *self.core;
         let id = core.next_timer_id;
         core.next_timer_id += 1;
-        let generation = core.meta[self.node.0].generation;
+        let generation = core.meta(self.node.0).generation;
         let at = core.time + delay;
         // Timers share the packet/control sequence counter so the
         // total event order is identical to scheduling them
@@ -407,7 +425,7 @@ impl Ctx<'_> {
         }
         let ev = TraceEvent {
             time: self.core.time,
-            node: self.core.meta[self.node.0].name,
+            node: self.core.meta(self.node.0).name,
             kind: TraceKind::Note,
             src: None,
             dst: None,
@@ -422,7 +440,7 @@ impl Ctx<'_> {
         self.core
             .addr_map
             .get(addr)
-            .filter(|&id| self.core.meta[id].alive)
+            .filter(|&id| self.core.meta(id).alive)
             .map(NodeId)
     }
 }
@@ -591,7 +609,7 @@ impl Engine {
     pub fn add_addr(&mut self, id: NodeId, addr: Addr) {
         let prev = self.core.addr_map.insert(addr, id.0);
         assert!(prev.is_none(), "address {addr} already in use");
-        self.core.meta[id.0].addrs.push(addr);
+        self.core.meta_mut(id.0).addrs.push(addr);
     }
 
     /// Looks up the node owning an address, if any.
@@ -601,7 +619,7 @@ impl Engine {
 
     /// The node's display name.
     pub fn node_name(&self, id: NodeId) -> &str {
-        self.core.names.resolve(self.core.meta[id.0].name)
+        self.core.names.resolve(self.core.meta(id.0).name)
     }
 
     /// The engine's name intern table; resolves the [`NameId`]s that
@@ -612,18 +630,18 @@ impl Engine {
 
     /// Whether the node is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.core.meta[id.0].alive
+        self.core.meta(id.0).alive
     }
 
     /// Kills a node: all packets to or from it are dropped and its armed
     /// timers are suppressed, mimicking a VM crash.
     pub fn fail_node(&mut self, id: NodeId) {
-        let meta = &mut self.core.meta[id.0];
+        let meta = self.core.meta_mut(id.0);
         meta.alive = false;
         if self.core.trace.is_enabled() {
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta[id.0].name,
+                node: self.core.meta(id.0).name,
                 kind: TraceKind::NodeFailed,
                 src: None,
                 dst: None,
@@ -641,7 +659,7 @@ impl Engine {
     /// packets already in flight), `cut_out` blocks egress. Passing both
     /// `false` is equivalent to [`Engine::heal_node`].
     pub fn partition_node_dirs(&mut self, id: NodeId, cut_in: bool, cut_out: bool) {
-        let meta = &mut self.core.meta[id.0];
+        let meta = self.core.meta_mut(id.0);
         meta.cut_in = cut_in;
         meta.cut_out = cut_out;
         if self.core.trace.is_enabled() {
@@ -653,7 +671,7 @@ impl Engine {
             };
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta[id.0].name,
+                node: self.core.meta(id.0).name,
                 kind: TraceKind::Note,
                 src: None,
                 dst: None,
@@ -676,7 +694,7 @@ impl Engine {
 
     /// Whether the node is partitioned in either direction.
     pub fn is_partitioned(&self, id: NodeId) -> bool {
-        let meta = &self.core.meta[id.0];
+        let meta = self.core.meta(id.0);
         meta.cut_in || meta.cut_out
     }
 
@@ -688,7 +706,7 @@ impl Engine {
     /// of each knob applies.
     pub fn degrade_node_links(&mut self, id: NodeId, loss: f64, jitter: SimTime) {
         let loss = loss.clamp(0.0, 1.0);
-        let meta = &mut self.core.meta[id.0];
+        let meta = self.core.meta_mut(id.0);
         let was = meta.degrade_loss > 0.0 || meta.degrade_jitter > SimTime::ZERO;
         let active = loss > 0.0 || jitter > SimTime::ZERO;
         meta.degrade_loss = loss;
@@ -706,7 +724,7 @@ impl Engine {
             };
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta[id.0].name,
+                node: self.core.meta(id.0).name,
                 kind: TraceKind::Note,
                 src: None,
                 dst: None,
@@ -719,7 +737,7 @@ impl Engine {
 
     /// Whether the node's links are currently degraded.
     pub fn is_link_degraded(&self, id: NodeId) -> bool {
-        let meta = &self.core.meta[id.0];
+        let meta = self.core.meta(id.0);
         meta.degrade_loss > 0.0 || meta.degrade_jitter > SimTime::ZERO
     }
 
@@ -727,14 +745,14 @@ impl Engine {
     /// replaced by `fresh`, its generation is bumped (old timers never
     /// fire), and `on_start` runs.
     pub fn restore_node(&mut self, id: NodeId, fresh: Box<dyn Node>) {
-        let meta = &mut self.core.meta[id.0];
+        let meta = self.core.meta_mut(id.0);
         meta.alive = true;
         meta.generation += 1;
-        self.nodes[id.0] = Some(fresh);
+        *self.slot(id) = Some(fresh);
         if self.core.trace.is_enabled() {
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta[id.0].name,
+                node: self.core.meta(id.0).name,
                 kind: TraceKind::NodeRestored,
                 src: None,
                 dst: None,
@@ -782,6 +800,10 @@ impl Engine {
     ///
     /// Panics if the node is absent or of a different concrete type; test
     /// and scenario code only. Hot paths use [`Engine::try_node_ref`].
+    #[expect(
+        clippy::expect_used,
+        reason = "scenario and test accessor, documented to panic; no handler calls it"
+    )]
     pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
         self.try_node_ref(id)
             .expect("node is absent or of a different concrete type")
@@ -793,6 +815,10 @@ impl Engine {
     ///
     /// Panics if the node is absent or of a different concrete type; test
     /// and scenario code only. Hot paths use [`Engine::try_node_mut`].
+    #[expect(
+        clippy::expect_used,
+        reason = "scenario and test accessor, documented to panic; no handler calls it"
+    )]
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
         self.try_node_mut(id)
             .expect("node is absent or of a different concrete type")
@@ -805,6 +831,10 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the node is of a different concrete type.
+    #[expect(
+        clippy::expect_used,
+        reason = "scenario-script entry point, documented to panic; no handler calls it"
+    )]
     pub fn with_node_ctx<T: Node>(&mut self, id: NodeId, f: impl FnOnce(&mut T, &mut Ctx<'_>)) {
         self.with_node(id, |node, ctx| {
             let t = (node.as_mut() as &mut dyn Any)
@@ -817,7 +847,7 @@ impl Engine {
     /// Runs `f` with the node taken out of its slot and a [`Ctx`] over the
     /// engine core, then puts the node back.
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut Box<dyn Node>, &mut Ctx<'_>)) {
-        let mut node = match self.nodes[id.0].take() {
+        let mut node = match self.slot(id).take() {
             Some(n) => n,
             // Node slot empty (programming error) — treat as dead.
             None => return,
@@ -829,7 +859,16 @@ impl Engine {
             };
             f(&mut node, &mut ctx);
         }
-        self.nodes[id.0] = Some(node);
+        *self.slot(id) = Some(node);
+    }
+
+    /// Node `id`'s slot.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "same dense NodeId indexing as meta; a slot is only None during its own node's dispatch"
+    )]
+    fn slot(&mut self, id: NodeId) -> &mut Option<Box<dyn Node>> {
+        &mut self.nodes[id.0]
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -875,7 +914,7 @@ impl Engine {
                     self.core.digest = fnv_fold(self.core.digest, fired.time);
                     self.core.digest = fnv_fold(self.core.digest, 2u64 ^ (fired.id << 8));
                     let node = NodeId(node);
-                    let meta = &self.core.meta[node.0];
+                    let meta = self.core.meta(node.0);
                     if !meta.alive || meta.generation != generation {
                         return true;
                     }
@@ -890,13 +929,13 @@ impl Engine {
                         1u64 ^ (pkt.dst.addr.as_u32() as u64) << 8,
                     );
                     let id = NodeId(dst as usize);
-                    if !self.core.meta[id.0].alive {
+                    if !self.core.meta(id.0).alive {
                         self.core.packets_dropped += 1;
                         self.core
                             .record_packet(id, TraceKind::PacketDropped, &pkt, "dead node");
                         return true;
                     }
-                    if self.core.meta[id.0].cut_in {
+                    if self.core.meta(id.0).cut_in {
                         // Ingress-partitioned: the node is running but
                         // cannot hear the network; in-flight packets die
                         // here too. Digest already folded above, so a
@@ -1348,7 +1387,7 @@ mod tests {
     #[test]
     fn duplicating_link_delivers_twice_and_traces() {
         let mut topo = Topology::uniform(SimTime::from_millis(1));
-        let mut dup = *topo.link(Zone::Dc, Zone::Dc);
+        let mut dup = topo.link(Zone::Dc, Zone::Dc);
         dup.duplicate = 1.0;
         topo.set_link(Zone::Dc, Zone::Dc, dup);
         let mut eng = Engine::with_topology(1, topo);
@@ -1388,7 +1427,7 @@ mod tests {
     fn duplication_runs_are_deterministic() {
         let run = || {
             let mut topo = Topology::uniform(SimTime::from_millis(1));
-            let mut dup = *topo.link(Zone::Dc, Zone::Dc);
+            let mut dup = topo.link(Zone::Dc, Zone::Dc);
             dup.duplicate = 0.5;
             dup.jitter = SimTime::from_micros(200);
             topo.set_link(Zone::Dc, Zone::Dc, dup);

@@ -36,8 +36,6 @@
 //! engine.run_for(SimTime::from_secs(1));
 //! ```
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
 
 pub mod addr;

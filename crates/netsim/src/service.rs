@@ -86,8 +86,7 @@ impl ServiceQueue {
             .iter()
             .enumerate()
             .min_by_key(|(_, c)| c.busy_until)
-            .map(|(i, _)| i)
-            .expect("at least one core");
+            .map_or(0, |(i, _)| i);
         self.submit(now, service, idx as u64)
     }
 

@@ -59,8 +59,7 @@ impl Histogram {
 
     fn sort(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+            self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -134,9 +133,10 @@ impl Histogram {
         self.sort();
         let len = self.samples.len();
         (1..=n)
-            .map(|i| {
+            .filter_map(|i| {
                 let idx = (i * len).div_ceil(n).clamp(1, len) - 1;
-                (self.samples[idx], (idx + 1) as f64 / len as f64)
+                let v = *self.samples.get(idx)?;
+                Some((v, (idx + 1) as f64 / len as f64))
             })
             .collect()
     }

@@ -131,13 +131,9 @@ impl Topology {
             duplicate: 0.0,
         };
         let local = LinkSpec::with_latency(SimTime::from_micros(5));
-        let mut links = [[dc; Zone::COUNT]; Zone::COUNT];
-        links[Zone::External.index()][Zone::Dc.index()] = wan;
-        links[Zone::Dc.index()][Zone::External.index()] = wan;
-        links[Zone::External.index()][Zone::External.index()] = wan;
-        links[Zone::Local.index()][Zone::Local.index()] = local;
         Topology {
-            links,
+            // Rows and columns in `Zone::index` order: External, Dc, Local.
+            links: [[wan, wan, dc], [wan, dc, dc], [dc, dc, local]],
             busy_until: [[SimTime::ZERO; Zone::COUNT]; Zone::COUNT],
             overrides: Default::default(),
             next_override: 0,
@@ -157,7 +153,13 @@ impl Topology {
 
     /// Overrides the directed link `from → to` (and only that direction).
     pub fn set_link(&mut self, from: Zone, to: Zone, spec: LinkSpec) {
-        self.links[from.index()][to.index()] = spec;
+        if let Some(link) = self
+            .links
+            .get_mut(from.index())
+            .and_then(|row| row.get_mut(to.index()))
+        {
+            *link = spec;
+        }
     }
 
     /// Overrides both directions of the `a ↔ b` link.
@@ -168,8 +170,14 @@ impl Topology {
 
     /// Returns the base link spec for a directed zone pair (ignoring any
     /// active overrides).
-    pub fn link(&self, from: Zone, to: Zone) -> &LinkSpec {
-        &self.links[from.index()][to.index()]
+    pub fn link(&self, from: Zone, to: Zone) -> LinkSpec {
+        // Zone::index() is always < Zone::COUNT; the fallback is a
+        // zero-latency reliable link and cannot actually be hit.
+        self.links
+            .get(from.index())
+            .and_then(|row| row.get(to.index()))
+            .copied()
+            .unwrap_or(LinkSpec::with_latency(SimTime::ZERO))
     }
 
     /// Pushes a time-windowed impairment onto the directed link
@@ -205,8 +213,6 @@ impl Topology {
     /// The spec currently in force for a directed pair: the newest active
     /// override, or the base link when none is active.
     pub fn effective(&self, from: Zone, to: Zone) -> LinkSpec {
-        // Zone::index() is always < Zone::COUNT; the fallback is a
-        // zero-latency reliable link and cannot actually be hit.
         match self
             .overrides
             .get(from.index())
@@ -214,12 +220,7 @@ impl Topology {
             .and_then(|stack| stack.last())
         {
             Some((_, spec)) => *spec,
-            None => self
-                .links
-                .get(from.index())
-                .and_then(|row| row.get(to.index()))
-                .copied()
-                .unwrap_or(LinkSpec::with_latency(SimTime::ZERO)),
+            None => self.link(from, to),
         }
     }
 

@@ -76,9 +76,13 @@
 //!
 //! Slot-array indices are masked (`L0_MASK`, `LK_MASK`, `WORD_MASK`)
 //! and slab indices come only from the wheel's own lists, so indexing
-//! cannot go out of bounds; yoda-tidy waives its hot-path indexing rule
-//! for this module on that basis (see `MASKED_INDEX_FILES` in
-//! `crates/tidy`).
+//! cannot go out of bounds: the module's one
+//! `#![expect(clippy::indexing_slicing)]` rests on that.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slot indices are masked to their array's power-of-two length and slab indices come only from the wheel's own lists"
+)]
 
 use crate::node::TimerToken;
 use crate::packet::Packet;

@@ -14,8 +14,6 @@
 //! matching flow and are silently dropped, so the client stalls until its
 //! HTTP timeout (Table 1, Figure 12).
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
 
 pub mod instance;

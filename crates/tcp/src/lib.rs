@@ -18,8 +18,6 @@
 //! in Ubuntu", §4.2) and a 300 ms minimum data RTO (the backend server in
 //! Figure 12(b) retransmits at +300 ms and +600 ms).
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
 
 pub mod segment;

@@ -178,8 +178,8 @@ impl Segment {
         let mut h = [0u8; SEGMENT_HEADER_LEN];
         put_be(&mut h, 0, &self.src_port.to_be_bytes());
         put_be(&mut h, 2, &self.dst_port.to_be_bytes());
-        put_be(&mut h, 4, &self.seq.raw().to_be_bytes());
-        put_be(&mut h, 8, &self.ack.raw().to_be_bytes());
+        put_be(&mut h, 4, &self.seq.to_be_bytes());
+        put_be(&mut h, 8, &self.ack.to_be_bytes());
         put_be(&mut h, 12, &[self.flags.to_byte()]);
         put_be(&mut h, 13, &self.window.to_be_bytes());
         put_be(&mut h, 17, &(self.payload.len() as u32).to_be_bytes());

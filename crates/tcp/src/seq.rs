@@ -5,7 +5,9 @@
 //! is built on exactly this arithmetic: a fixed offset `C − S` between the
 //! client-side and server-side sequence spaces is added/subtracted on every
 //! forwarded segment (paper Figure 4), and it must compose correctly across
-//! the wrap point.
+//! the wrap point. The `u32` inside is private and nothing returns it, so
+//! no code outside this module can do non-modular arithmetic on a
+//! sequence number: it goes through the operators below, or not at all.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
@@ -22,6 +24,7 @@ use core::ops::{Add, AddAssign, Sub};
 /// assert_eq!(after, SeqNum::new(1));
 /// assert!(near_wrap.lt(after));
 /// assert_eq!(after - near_wrap, 3);
+/// assert_eq!(after - 3, near_wrap);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SeqNum(u32);
@@ -32,9 +35,9 @@ impl SeqNum {
         SeqNum(v)
     }
 
-    /// The raw `u32` value.
-    pub const fn raw(self) -> u32 {
-        self.0
+    /// The wire form: big-endian, as in a TCP header.
+    pub const fn to_be_bytes(self) -> [u8; 4] {
+        self.0.to_be_bytes()
     }
 
     /// Modular "less than": true when `self` is before `other` on the
@@ -92,6 +95,15 @@ impl Add<u32> for SeqNum {
 impl AddAssign<u32> for SeqNum {
     fn add_assign(&mut self, rhs: u32) {
         self.0 = self.0.wrapping_add(rhs);
+    }
+}
+
+impl Sub<u32> for SeqNum {
+    type Output = SeqNum;
+
+    /// Steps back `rhs` on the circle.
+    fn sub(self, rhs: u32) -> SeqNum {
+        SeqNum(self.0.wrapping_sub(rhs))
     }
 }
 
@@ -166,5 +178,16 @@ mod tests {
         s += 2;
         assert_eq!(s, SeqNum::new(1));
         assert_eq!(SeqNum::new(u32::MAX) + 1, SeqNum::new(0));
+    }
+
+    #[test]
+    fn sub_wraps() {
+        assert_eq!(SeqNum::new(1) - 2, SeqNum::new(u32::MAX));
+        assert_eq!(SeqNum::new(0) - 1 + 1, SeqNum::new(0));
+    }
+
+    #[test]
+    fn wire_form_is_big_endian() {
+        assert_eq!(SeqNum::new(0x0102_0304).to_be_bytes(), [1, 2, 3, 4]);
     }
 }

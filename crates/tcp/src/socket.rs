@@ -162,6 +162,10 @@ pub struct TcpSocket {
     rcv_nxt: SeqNum,
     /// In-order payload slices not yet read by the application.
     assembled: Vec<Bytes>,
+    /// Future payload awaiting reassembly, keyed by its distance from
+    /// `irs`: the map's order is then sequence order even when the
+    /// queued segments straddle the 2³² wrap (for the connection's first
+    /// 4 GiB received, far beyond any flow the simulator runs).
     out_of_order: BTreeMap<u32, Bytes>,
     peer_fin: Option<SeqNum>,
     time_wait_deadline: Option<SimTime>,
@@ -435,7 +439,7 @@ impl TcpSocket {
         if inflight == 0 {
             if self.fin_sent && self.snd_una.lt(self.snd_nxt) {
                 // Only the FIN is outstanding; its seq is snd_nxt - 1.
-                let fin_seq = SeqNum::new(self.snd_nxt.raw().wrapping_sub(1));
+                let fin_seq = self.snd_nxt - 1;
                 return vec![self.make_segment(fin_seq, Flags::FIN_ACK, Bytes::new())];
             }
             return Vec::new();
@@ -715,7 +719,7 @@ impl TcpSocket {
             } else {
                 // Future data: stash for reassembly, send a duplicate ACK.
                 self.out_of_order
-                    .entry(seg.seq.raw())
+                    .entry(seg.seq - self.irs)
                     .or_insert_with(|| seg.payload.clone());
             }
         }
@@ -739,11 +743,11 @@ impl TcpSocket {
     }
 
     fn drain_out_of_order(&mut self) {
-        while let Some((seq_raw, payload)) = self.out_of_order.pop_first() {
-            let seq = SeqNum::new(seq_raw);
+        while let Some((offset, payload)) = self.out_of_order.pop_first() {
+            let seq = self.irs + offset;
             if self.rcv_nxt.lt(seq) {
                 // Still a gap before this chunk: put it back and stop.
-                self.out_of_order.insert(seq_raw, payload);
+                self.out_of_order.insert(offset, payload);
                 break;
             }
             if seq.le(self.rcv_nxt) {

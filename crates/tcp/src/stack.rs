@@ -655,11 +655,11 @@ mod tests {
         );
         eng.run_for(SimTime::from_millis(1));
         let client = Endpoint::new(Addr::new(10, 2, 0, 1), 5555);
-        let seg = |flags, seq: u32, ack: u32, payload: &'static [u8]| Segment {
+        let seg = |flags, seq: u32, ack: SeqNum, payload: &'static [u8]| Segment {
             src_port: client.port,
             dst_port: server_ep.port,
             seq: SeqNum::new(seq),
-            ack: SeqNum::new(ack),
+            ack,
             flags,
             window: 65_535,
             payload: Bytes::from_static(payload),
@@ -675,7 +675,7 @@ mod tests {
             seen
         };
 
-        let (events, flows, conns) = feed(&mut eng, seg(Flags::SYN, 100, 0, b""));
+        let (events, flows, conns) = feed(&mut eng, seg(Flags::SYN, 100, SeqNum::new(0), b""));
         let &[TcpEvent::Incoming(id, from)] = events.as_slice() else {
             panic!("SYN to a listener: {events:?}");
         };
@@ -686,8 +686,7 @@ mod tests {
             .stack
             .socket(id)
             .unwrap()
-            .iss()
-            .raw();
+            .iss();
 
         let (events, flows, conns) = feed(&mut eng, seg(Flags::ACK, 101, iss + 1, b"hello"));
         assert_eq!(events, [TcpEvent::Connected(id), TcpEvent::Data(id)]);

@@ -19,8 +19,6 @@
 //! ("flows finish quicker than the replication latency", §6); reads simply
 //! fall back to the surviving replicas.
 
-#![deny(warnings)]
-
 #![forbid(unsafe_code)]
 
 pub mod client;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate: build, test, tidy. Exits non-zero on the first
+# The full local gate: build, test, lint. Exits non-zero on the first
 # failure. Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,15 +25,11 @@ cargo test -q --workspace
 
 echo "==> cargo clippy"
 # Every package and target, warnings denied. The root clippy.toml's
-# disallowed types and methods are the determinism rules (DESIGN.md
-# "Determinism invariants"), so this is also the determinism gate.
+# disallowed types and methods are the determinism rules, and the root
+# Cargo.toml's [workspace.lints] the panic and print rules (DESIGN.md
+# "Determinism invariants", "Lints"), so this is the determinism and the
+# panic gate too; a stale #[expect] fails it as well.
 cargo clippy --offline --workspace --all-targets -- -D warnings
-
-echo "==> yoda-tidy"
-# One gate: the committed baseline (results/tidy_baseline.json) holds 0
-# violations in every category, and yoda-tidy itself exits non-zero on
-# any violation or allowlist error, naming file:line and the taint path.
-cargo run -q -p yoda-tidy
 
 echo "==> chaos repro hook (pinned seed)"
 # The full seeded matrix (20 survivable + 5 unconstrained plans) already

@@ -14,8 +14,6 @@
 //! * [`chaos`] — seeded fault-plan generation, orchestration, invariants
 //! * [`proxy`] — HAProxy-style baseline L7 proxy
 
-#![deny(warnings)]
-
 pub use yoda_assign as assign;
 pub use yoda_chaos as chaos;
 pub use yoda_core as core;

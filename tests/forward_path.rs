@@ -64,8 +64,8 @@ fn ref_segment_bytes(s: &Segment) -> Bytes {
     let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN + s.payload.len());
     buf.extend_from_slice(&s.src_port.to_be_bytes());
     buf.extend_from_slice(&s.dst_port.to_be_bytes());
-    buf.extend_from_slice(&s.seq.raw().to_be_bytes());
-    buf.extend_from_slice(&s.ack.raw().to_be_bytes());
+    buf.extend_from_slice(&s.seq.to_be_bytes());
+    buf.extend_from_slice(&s.ack.to_be_bytes());
     let f = s.flags;
     buf.push(
         f.syn as u8
@@ -122,9 +122,9 @@ fn rewrite(pkt: Packet, t: &Translate) -> Packet {
     let mut seg = Segment::from_packet(pkt).expect("a TCP packet the test built");
     seg.src_port = t.src.port;
     seg.dst_port = t.dst.port;
-    seg.seq = SeqNum::new(seg.seq.raw().wrapping_add(t.seq_add));
+    seg.seq += t.seq_add;
     if seg.flags.ack {
-        seg.ack = SeqNum::new(seg.ack.raw().wrapping_sub(t.ack_sub));
+        seg.ack = seg.ack - t.ack_sub;
     }
     seg.into_packet(t.src, t.dst)
 }

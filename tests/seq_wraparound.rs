@@ -96,7 +96,8 @@ fn long_transfer_stays_monotone_across_the_wrap() {
         assert_eq!(seq - prev, mss);
         prev = seq;
     }
-    assert!(seq.raw() < u32::MAX - 10 * mss, "walked through the wrap");
+    // (u32::MAX - 10 MSS) + 100 MSS, modulo 2³².
+    assert_eq!(seq, SeqNum::new(90 * mss - 1), "walked through the wrap");
 }
 
 #[test]
@@ -122,15 +123,16 @@ fn isn_arithmetic_across_the_boundary() {
     // Exhaustively scan client ports until the keyed hash emits ISNs in
     // the top and bottom 2²⁰ of the circle, then exercise both extremes.
     let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 443);
+    let zero = SeqNum::new(0);
     let mut high = None;
     let mut low = None;
     for port in 1024..u16::MAX {
         let client = Endpoint::new(Addr::new(172, 16, 3, 9), port);
         let isn = syn_ack_isn(client, vip);
-        if isn.raw() > u32::MAX - (1 << 20) {
+        if isn.in_range(zero - (1 << 20), zero) {
             high.get_or_insert(isn);
         }
-        if isn.raw() < (1 << 20) {
+        if isn.in_range(zero, zero + (1 << 20)) {
             low.get_or_insert(isn);
         }
         if high.is_some() && low.is_some() {
@@ -142,7 +144,7 @@ fn isn_arithmetic_across_the_boundary() {
         low.expect("an ISN near the bottom of sequence space"),
     );
     // SYN-ACK consumes one sequence number even at the very top.
-    assert_eq!((SeqNum::new(u32::MAX) + 1).raw(), 0);
+    assert_eq!(SeqNum::new(u32::MAX) + 1, zero);
     // A delta between a high and a low ISN translates both ways.
     let delta = low.offset_from(high);
     assert_eq!(high.translate(delta), low);
