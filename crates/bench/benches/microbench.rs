@@ -10,14 +10,19 @@
 //! * `forward_hop_1460b` — one whole instance hop on a full-size segment:
 //!   decapsulate, decode, translate, re-encode, re-encapsulate, each
 //!   hop's output feeding the next as on the wire.
-//! * `hash_ring` — K-replica selection in the TCPStore client.
+//! * `hash_ring` — K-replica selection in the TCPStore client, into the
+//!   buffer the client reuses.
+//! * `store_rpc_codec` — encode and decode of a 2-replica `set` request
+//!   for a flow record and of its response (every connection set-up
+//!   sends two of each per record).
 //! * `assign/*` — greedy assignment at trace scale and the exact B&B on a
 //!   small instance.
 //! * `tcp_transfer` — a 442 KB object (the catalog's largest) moved
 //!   between two in-memory sockets with every data segment acknowledged
 //!   on its own, so ~300 ACKs each find most of the object still unacked:
 //!   the shape whose cost was quadratic while the send buffer was copied
-//!   per ACK. Also printed per payload byte.
+//!   per ACK. The sockets emit into two reused out buffers, as inside a
+//!   `TcpStack`. Also printed per payload byte.
 //! * `flow_lookup_hit/*`, `flow_lookup_miss/*`, `flow_insert_remove/*` —
 //!   the `FlowTable` every per-packet lookup goes through, keyed by
 //!   `(Endpoint, Endpoint)`, at 5,000 live flows (one mux) and 50,000 (the
@@ -39,6 +44,7 @@ use yoda_http::HttpRequest;
 use yoda_netsim::rng::Rng;
 use yoda_netsim::{Addr, Endpoint, FlowTable, Packet, SimTime};
 use yoda_tcp::{SeqNum, Segment, TcpConfig, TcpSocket};
+use yoda_tcpstore::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 
 /// Times `f` over enough iterations to fill ~200 ms, after a short
 /// warmup, prints mean ns/iter and returns it.
@@ -157,11 +163,45 @@ fn bench_forward_hop() {
 fn bench_hash_ring() {
     let servers: Vec<Addr> = (1..=10).map(|i| Addr::new(10, 0, 1, i)).collect();
     let ring = yoda_tcpstore::HashRing::new(&servers, 64);
-    let mut i = 0u64;
+    let (mut i, mut replicas) = (0u64, Vec::new());
     bench("hash_ring_2_replicas", || {
         i += 1;
         let key = i.to_be_bytes();
-        black_box(ring.replicas(&key, 2));
+        ring.replicas(&key, 2, &mut replicas);
+        black_box(&replicas);
+    });
+}
+
+fn bench_store_rpc_codec() {
+    let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
+    let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+    let record = FlowRecord {
+        client,
+        vip,
+        backend: Endpoint::new(Addr::new(10, 1, 0, 3), 80),
+        client_isn: SeqNum::new(0xDEADBEEF),
+        server_isn: SeqNum::new(0x12345678),
+    };
+    let (key, value) = (FlowRecord::key(client, vip), record.encode());
+    let mut req_id = 0u64;
+    bench("store_rpc_codec", || {
+        req_id += 1;
+        let req = StoreRequest {
+            req_id,
+            op: StoreOp::Set,
+            key: key.clone(),
+            value: value.clone(),
+        };
+        let wire = black_box(req.encode());
+        let got = StoreRequest::decode(&wire).expect("request");
+        let resp = StoreResponse {
+            req_id: got.req_id,
+            op: got.op,
+            status: StoreStatus::Ok,
+            value: Bytes::new(),
+        };
+        let wire = black_box(resp.encode());
+        black_box(StoreResponse::decode(&wire).expect("response"));
     });
 }
 
@@ -218,15 +258,19 @@ fn bench_tcp_transfer() {
         let (mut cl, syn) = TcpSocket::connect(cfg, a_ep, b_ep, SeqNum::new(1), t);
         let (mut sv, synack) =
             TcpSocket::accept(cfg, b_ep, a_ep, &syn, SeqNum::new(2), t).expect("syn");
-        let mut to_server: VecDeque<Segment> = cl.on_segment(&synack, t).into();
-        to_server.extend(cl.send(object.clone(), t));
+        let (mut out, mut acks) = (Vec::new(), Vec::new());
+        cl.on_segment(&synack, t, &mut out);
+        cl.send(object.clone(), t, &mut out);
+        let mut to_server: VecDeque<Segment> = out.drain(..).collect();
         let mut delivered = 0;
         // One segment at a time, its ACK straight back: the sender sees an
         // ACK per segment while the rest of the object is still queued.
         while let Some(seg) = to_server.pop_front() {
-            for ack in sv.on_segment(&seg, t) {
-                to_server.extend(cl.on_segment(&ack, t));
+            sv.on_segment(&seg, t, &mut acks);
+            for ack in acks.drain(..) {
+                cl.on_segment(&ack, t, &mut out);
             }
+            to_server.extend(out.drain(..));
             delivered += black_box(sv.take_data()).len();
         }
         assert_eq!(delivered, OBJECT);
@@ -284,6 +328,7 @@ fn main() {
     bench_seq_translate();
     bench_forward_hop();
     bench_hash_ring();
+    bench_store_rpc_codec();
     bench_assign();
     bench_tcp_transfer();
     bench_flow_table();

@@ -3,9 +3,9 @@
 //! Yoda's build must succeed with no network access (DESIGN.md,
 //! "Determinism invariants"), so the workspace cannot pull `bytes` from a
 //! registry. This crate re-implements exactly the subset of the `bytes`
-//! 1.x API the workspace uses — [`Bytes`], [`BytesMut`], and the
-//! [`BufMut`] write trait — with the same semantics (cheap clones and
-//! zero-copy slicing via a shared, immutable backing buffer).
+//! 1.x API the workspace uses — [`Bytes`] and [`BytesMut`] — with the
+//! same semantics (cheap clones and zero-copy slicing via a shared,
+//! immutable backing buffer).
 //!
 //! It is intentionally *not* a drop-in for all of `bytes`: no `Buf` read
 //! trait, no vectored IO, no `split`-and-unsplit tricks. If a new call
@@ -19,6 +19,14 @@
 //! crosses router, mux and instance in the buffer its sender wrote
 //! (DESIGN.md "Byte path"). [`put_be`] and [`add_be32`] are the
 //! panic-free writers for such headers.
+//!
+//! Every buffer is one allocation: the reference counts and the bytes
+//! share a single `Arc<[u8]>` block. [`Bytes::with_headroom`] and
+//! [`Bytes::copy_from_slice`] write that block directly;
+//! `From<Vec<u8>>` and [`BytesMut::freeze`] copy the vector into one, so
+//! they belong on cold paths (set-up, tests, control messages).
+
+#![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -35,9 +43,10 @@ pub struct Bytes {
     /// `None` for the empty buffer, so empty packets (pings, ACKs,
     /// probes — the bulk of simulated control traffic) never allocate a
     /// backing block and their clones and drops touch no atomics.
-    /// The block is the written `Vec` itself: `freeze` moves it, no copy.
-    data: Option<Arc<Vec<u8>>>,
-    /// View bounds into `data`. `u32` keeps the struct at 16 bytes —
+    /// Otherwise one block holding the counts and the bytes: a fresh
+    /// buffer costs one `malloc`, and reading it one pointer hop.
+    data: Option<Arc<[u8]>>,
+    /// View bounds into `data`. `u32` keeps the struct at 24 bytes —
     /// `Bytes` is embedded in every simulated packet and moved through
     /// the engine's event slab, so its footprint is hot. Simulated
     /// buffers are bounded far below 4 GiB (the whole simulation would
@@ -59,9 +68,16 @@ impl Bytes {
         Bytes::copy_from_slice(slice)
     }
 
-    /// Copies `slice` into a fresh shared allocation (none when empty).
+    /// Copies `slice` into one fresh block (none when empty).
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Bytes::from(slice.to_vec())
+        if slice.is_empty() {
+            return Bytes::new();
+        }
+        Bytes {
+            start: 0,
+            end: slice.len() as u32,
+            data: Some(Arc::from(slice)),
+        }
     }
 
     /// Number of bytes in the view.
@@ -125,12 +141,10 @@ impl Bytes {
 
     /// The bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        match &self.data {
-            Some(data) => data
-                .get(self.start as usize..self.end as usize)
-                .unwrap_or(&[]),
-            None => &[],
-        }
+        self.data
+            .as_deref()
+            .and_then(|block| block.get(self.start as usize..self.end as usize))
+            .unwrap_or(&[])
     }
 
     /// Drops the first `n` bytes from the view without touching the
@@ -147,20 +161,43 @@ impl Bytes {
         self.start += n as u32;
     }
 
-    /// Copies `parts` back to back into a fresh allocation with `room`
+    /// Copies `parts` back to back into one exact-size block with `room`
     /// spare bytes in front of the view — the copy a sender (or any hop
     /// holding a shared or room-less buffer) pays once so that every later
-    /// hop can [`Bytes::try_prepend`] its header in place.
-    pub fn with_headroom(room: usize, parts: &[&[u8]]) -> Bytes {
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        let mut v = Vec::with_capacity(room + len);
-        v.resize(room, 0);
-        for part in parts {
-            v.extend_from_slice(part);
+    /// hop can [`Bytes::try_prepend`] its header in place. With no room it
+    /// is how a fixed-layout encoder writes a header array and its parts
+    /// at once. The parts are walked twice (to size the block, then to
+    /// fill it), hence the `Clone` bound; an array or a slice iterator
+    /// costs nothing to clone.
+    pub fn with_headroom<'a, P>(room: usize, parts: P) -> Bytes
+    where
+        P: IntoIterator<Item = &'a [u8]>,
+        P::IntoIter: Clone,
+    {
+        let parts = parts.into_iter();
+        let len: usize = parts.clone().map(<[u8]>::len).sum();
+        if room + len == 0 {
+            return Bytes::new();
         }
-        let mut b = Bytes::from(v);
-        b.start = room as u32;
-        b
+        // A `TrustedLen` iterator: the block is allocated once, at its
+        // final size, and zeroed in place.
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0, room + len).collect();
+        let mut rest = Arc::get_mut(&mut block)
+            .and_then(|b| b.get_mut(room..))
+            .unwrap_or_default();
+        for part in parts {
+            let Some((dst, tail)) = std::mem::take(&mut rest).split_at_mut_checked(part.len())
+            else {
+                break;
+            };
+            dst.copy_from_slice(part);
+            rest = tail;
+        }
+        Bytes {
+            data: Some(block),
+            start: room as u32,
+            end: (room + len) as u32,
+        }
     }
 
     /// Grows the view backwards over the `header.len()` bytes just in
@@ -314,16 +351,10 @@ impl PartialEq<&str> for Bytes {
     }
 }
 
+/// Copies the vector into one block (cold paths only: see the crate docs).
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        if v.is_empty() {
-            return Bytes::new();
-        }
-        Bytes {
-            start: 0,
-            end: v.len() as u32,
-            data: Some(Arc::new(v)),
-        }
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -351,9 +382,20 @@ impl From<BytesMut> for Bytes {
     }
 }
 
+/// Collects into one block: allocated once at its final size when the
+/// iterator's length is exact (a chain of ranges, repeats and byte
+/// slices), else gathered in a vector first and copied.
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
+        let block: Arc<[u8]> = iter.into_iter().collect();
+        if block.is_empty() {
+            return Bytes::new();
+        }
+        Bytes {
+            start: 0,
+            end: block.len() as u32,
+            data: Some(block),
+        }
     }
 }
 
@@ -438,7 +480,8 @@ impl BytesMut {
         }
     }
 
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
+    /// Converts the accumulated bytes into an immutable [`Bytes`], copying
+    /// them once into its block.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -492,44 +535,6 @@ impl Extend<u8> for BytesMut {
     }
 }
 
-/// Big-endian append-style writes, mirroring `bytes::BufMut`.
-pub trait BufMut {
-    /// Appends a raw slice.
-    fn put_slice(&mut self, slice: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a big-endian `u16`.
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, slice: &[u8]) {
-        self.data.extend_from_slice(slice);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, slice: &[u8]) {
-        self.extend_from_slice(slice);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,24 +551,6 @@ mod tests {
         let tail = c.split_off(1);
         assert_eq!(c, [3]);
         assert_eq!(tail, [4, 5]);
-    }
-
-    #[test]
-    fn bytes_mut_round_trip() {
-        let mut m = BytesMut::with_capacity(16);
-        m.put_u8(0xAB);
-        m.put_u16(0x0102);
-        m.put_u32(0x03040506);
-        m.put_u64(0x0708090A0B0C0D0E);
-        m.extend_from_slice(b"xy");
-        let frozen = m.freeze();
-        assert_eq!(
-            frozen,
-            [
-                0xAB, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0x0C,
-                0x0D, 0x0E, b'x', b'y'
-            ]
-        );
     }
 
     #[test]
@@ -603,7 +590,7 @@ mod tests {
 
     #[test]
     fn prepend_in_place_only_when_unique_with_room() {
-        let mut b = Bytes::with_headroom(4, &[b"ab", b"cd"]);
+        let mut b = Bytes::with_headroom(4, [&b"ab"[..], b"cd"]);
         assert_eq!(b, b"abcd");
         let body = b.as_slice().as_ptr();
         // More than the room: refused, untouched.
@@ -647,26 +634,45 @@ mod tests {
     }
 
     #[test]
-    fn freeze_shares_the_written_allocation() {
-        assert_eq!(std::mem::size_of::<Bytes>(), 16);
+    fn one_block_holds_room_and_view() {
+        // Two words of block pointer and length, two `u32` view bounds.
+        assert_eq!(std::mem::size_of::<Bytes>(), 24);
+        let mut b = Bytes::with_headroom(5, [&b"head"[..], b"", b"body"]);
+        assert_eq!(b, b"headbody");
+        let view = b.as_ptr();
+        // The room sits right in front of the view, in the same block:
+        // exactly `room` bytes of it, no more.
+        assert!(!b.try_prepend(b"123456"));
+        assert!(b.try_prepend(b"12345"));
+        assert_eq!(b, b"12345headbody");
+        assert_eq!(b.as_ptr().wrapping_add(5), view);
+        // Sole owner: patchable in place; not while a slice of it lives.
+        b.try_mut().unwrap()[0] = b'H';
+        let tail = b.slice(9..);
+        assert!(b.try_mut().is_none());
+        assert!(!b.try_prepend(b""), "shared");
+        drop(tail);
+        assert_eq!(b.try_mut().map(|v| v[0]), Some(b'H'));
+        // No room and no bytes: no block at all.
+        assert!(Bytes::with_headroom(0, [&b""[..]]).data.is_none());
+        assert_eq!(Bytes::with_headroom(3, []).len(), 0);
+    }
+
+    #[test]
+    fn freeze_and_from_vec_copy_by_value() {
         let mut m = BytesMut::with_capacity(64);
         m.extend_from_slice(b"header+payload");
-        let written = m.as_slice().as_ptr();
-        let mut frozen = m.freeze();
-        assert_eq!(frozen.as_slice().as_ptr(), written, "freeze must not copy");
+        let mut frozen = m.clone().freeze();
+        assert_eq!(frozen, m.as_slice());
         let v = vec![5u8; 1000];
-        let p = v.as_ptr();
-        assert_eq!(
-            Bytes::from(v).as_slice().as_ptr(),
-            p,
-            "From<Vec> must not copy"
-        );
-        // Sole owner after freeze: patchable in place; not while a slice lives.
-        frozen.try_mut().expect("unique after freeze")[0] = b'H';
-        let tail = frozen.slice(7..);
-        assert!(frozen.try_mut().is_none());
-        drop(tail);
-        assert_eq!(frozen.try_mut().map(|b| b[0]), Some(b'H'));
+        let from_vec = Bytes::from(v.clone());
+        assert_eq!(from_vec, v.as_slice());
+        assert_eq!(from_vec, Bytes::copy_from_slice(&v));
+        assert_eq!(Bytes::from(Vec::new()), Bytes::new());
+        // A frozen buffer is its block's sole owner.
+        frozen.try_mut().unwrap()[0] = b'H';
+        assert_eq!(frozen, b"Header+payload");
+        assert_eq!(m.as_slice(), b"header+payload");
     }
 
     #[test]

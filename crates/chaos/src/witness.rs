@@ -84,7 +84,7 @@ impl StoreWitness {
     }
 
     fn value(seq: u64) -> Bytes {
-        Bytes::from(seq.to_le_bytes().to_vec())
+        Bytes::copy_from_slice(&seq.to_le_bytes())
     }
 
     fn start_pair(&mut self, ctx: &mut Ctx<'_>) {
@@ -104,69 +104,63 @@ impl StoreWitness {
             .push(format!("[{:.3}s] {what} (pair {seq})", now.as_secs_f64()));
     }
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, events: Vec<StoreEvent>) {
-        for ev in events {
-            let Some(p) = self.pending else {
-                continue;
-            };
-            if ev.tag != p.seq {
-                continue;
-            }
-            if self.epoch != p.epoch0 {
-                // A store fault or heal intersected this pair: no verdict.
-                self.skipped += 1;
-                self.pending = None;
-                continue;
-            }
-            let now = ctx.now();
-            match p.phase {
-                Phase::Set => match ev.outcome {
-                    StoreOutcome::Done { acks } if acks >= 1 => {
-                        self.client.get(ctx, Self::key(p.seq), p.seq);
-                        self.pending = Some(Pending {
-                            phase: Phase::Get,
-                            ..p
-                        });
-                    }
-                    StoreOutcome::Done { .. } | StoreOutcome::TimedOut => {
-                        self.violation(
-                            now,
-                            "set got zero acks with stable store membership",
-                            p.seq,
-                        );
-                        self.pending = None;
-                    }
-                    _ => {
-                        self.pending = None;
-                    }
-                },
-                Phase::Get => {
-                    match ev.outcome {
-                        StoreOutcome::Value(v) => {
-                            if v == Self::value(p.seq) {
-                                self.checks += 1;
-                            } else {
-                                self.violation(
-                                    now,
-                                    "read-after-write returned a different value",
-                                    p.seq,
-                                );
-                            }
-                        }
-                        StoreOutcome::Miss => {
-                            self.violation(now, "read-after-write miss", p.seq);
-                        }
-                        StoreOutcome::TimedOut => {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Option<StoreEvent>) {
+        let (Some(ev), Some(p)) = (ev, self.pending) else {
+            return;
+        };
+        if ev.tag != p.seq {
+            return;
+        }
+        if self.epoch != p.epoch0 {
+            // A store fault or heal intersected this pair: no verdict.
+            self.skipped += 1;
+            self.pending = None;
+            return;
+        }
+        let now = ctx.now();
+        match p.phase {
+            Phase::Set => match ev.outcome {
+                StoreOutcome::Done { acks } if acks >= 1 => {
+                    self.client.get(ctx, Self::key(p.seq), p.seq);
+                    self.pending = Some(Pending {
+                        phase: Phase::Get,
+                        ..p
+                    });
+                }
+                StoreOutcome::Done { .. } | StoreOutcome::TimedOut => {
+                    self.violation(now, "set got zero acks with stable store membership", p.seq);
+                    self.pending = None;
+                }
+                _ => {
+                    self.pending = None;
+                }
+            },
+            Phase::Get => {
+                match ev.outcome {
+                    StoreOutcome::Value(v) => {
+                        if v == Self::value(p.seq) {
+                            self.checks += 1;
+                        } else {
                             self.violation(
                                 now,
-                                "read-after-write get timed out with stable store membership",
+                                "read-after-write returned a different value",
                                 p.seq,
                             );
                         }
-                        StoreOutcome::Done { .. } => {}
                     }
-                    self.pending = None;
+                    StoreOutcome::Miss => {
+                        self.violation(now, "read-after-write miss", p.seq);
+                    }
+                    StoreOutcome::TimedOut => {
+                        self.violation(
+                            now,
+                            "read-after-write get timed out with stable store membership",
+                            p.seq,
+                        );
+                    }
+                    StoreOutcome::Done { .. } => {}
                 }
+                self.pending = None;
             }
         }
     }
@@ -178,8 +172,8 @@ impl Node for StoreWitness {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let events = self.client.on_packet(ctx, &pkt);
-        self.handle(ctx, events);
+        let ev = self.client.on_packet(ctx, &pkt);
+        self.handle(ctx, ev);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
@@ -189,8 +183,8 @@ impl Node for StoreWitness {
             }
             ctx.set_timer(self.period, TimerToken::new(WITNESS_TICK_KIND));
         } else {
-            let events = self.client.on_timer(ctx, token);
-            self.handle(ctx, events);
+            let ev = self.client.on_timer(ctx, token);
+            self.handle(ctx, ev);
         }
     }
 }

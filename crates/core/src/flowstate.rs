@@ -16,8 +16,11 @@
 //! by flow keys; a reverse key indexed by the server-side flow lets an
 //! instance that receives a *server* packet for an unknown flow find the
 //! same record.
+//!
+//! Every key and record has a fixed layout and is written as one
+//! exact-size block (`Bytes::with_headroom` with no room).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use yoda_netsim::Endpoint;
 use yoda_tcp::SeqNum;
 
@@ -35,20 +38,19 @@ pub struct SynRecord {
 impl SynRecord {
     /// TCPStore key for this record's flow.
     pub fn key(client: Endpoint, vip: Endpoint) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_slice(b"syn:");
-        buf.put_slice(&client.to_bytes());
-        buf.put_slice(&vip.to_bytes());
-        buf.freeze()
+        Bytes::with_headroom(0, [&b"syn:"[..], &client.to_bytes(), &vip.to_bytes()])
     }
 
     /// Serializes the record.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_slice(&self.client.to_bytes());
-        buf.put_slice(&self.vip.to_bytes());
-        buf.put_slice(&self.client_isn.to_be_bytes());
-        buf.freeze()
+        Bytes::with_headroom(
+            0,
+            [
+                &self.client.to_bytes()[..],
+                &self.vip.to_bytes(),
+                &self.client_isn.to_be_bytes(),
+            ],
+        )
     }
 
     /// Parses a record; `None` on malformed bytes.
@@ -85,22 +87,15 @@ pub struct FlowRecord {
 impl FlowRecord {
     /// Primary key: indexed by the client-side flow.
     pub fn key(client: Endpoint, vip: Endpoint) -> Bytes {
-        let mut buf = BytesMut::with_capacity(17);
-        buf.put_slice(b"flow:");
-        buf.put_slice(&client.to_bytes());
-        buf.put_slice(&vip.to_bytes());
-        buf.freeze()
+        Bytes::with_headroom(0, [&b"flow:"[..], &client.to_bytes(), &vip.to_bytes()])
     }
 
     /// Reverse key: indexed by the server-side flow
     /// (backend → (VIP, client-port)), so server packets can find the
     /// record too.
     pub fn rkey(backend: Endpoint, vip_client_side: Endpoint) -> Bytes {
-        let mut buf = BytesMut::with_capacity(18);
-        buf.put_slice(b"rflow:");
-        buf.put_slice(&backend.to_bytes());
-        buf.put_slice(&vip_client_side.to_bytes());
-        buf.freeze()
+        let (backend, vip) = (backend.to_bytes(), vip_client_side.to_bytes());
+        Bytes::with_headroom(0, [&b"rflow:"[..], &backend, &vip])
     }
 
     /// The server-side VIP endpoint of this flow: (VIP addr, client port).
@@ -111,13 +106,16 @@ impl FlowRecord {
 
     /// Serializes the record.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(26);
-        buf.put_slice(&self.client.to_bytes());
-        buf.put_slice(&self.vip.to_bytes());
-        buf.put_slice(&self.backend.to_bytes());
-        buf.put_slice(&self.client_isn.to_be_bytes());
-        buf.put_slice(&self.server_isn.to_be_bytes());
-        buf.freeze()
+        Bytes::with_headroom(
+            0,
+            [
+                &self.client.to_bytes()[..],
+                &self.vip.to_bytes(),
+                &self.backend.to_bytes(),
+                &self.client_isn.to_be_bytes(),
+                &self.server_isn.to_be_bytes(),
+            ],
+        )
     }
 
     /// Parses a record; `None` on malformed bytes.

@@ -76,9 +76,9 @@ pub const SSL_HELLO: &[u8] = b"CLIENTHELLO\n";
 /// without storing anything (§5.2).
 pub fn make_cert(len: u32) -> Bytes {
     let len = len.max(19);
-    let mut v = format!("SSLCERT:{:010}\n", len).into_bytes();
-    v.resize(len as usize, b'c');
-    Bytes::from(v)
+    let head = format!("SSLCERT:{:010}\n", len);
+    let pad = std::iter::repeat_n(b'c', (len as usize).saturating_sub(head.len()));
+    head.bytes().chain(pad).collect()
 }
 
 /// Per-VIP configuration on an instance: the rule table plus SSL options.
@@ -557,20 +557,18 @@ impl YodaInstance {
     // Store completions
     // ------------------------------------------------------------------
 
-    fn store_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StoreEvent>) {
-        for ev in events {
-            let was_degraded = self.dur.is_degraded();
-            let waiter = self.dur.settle(ctx, &ev);
-            if !was_degraded && self.dur.is_degraded() {
-                self.degraded_entries += 1;
+    fn store_event(&mut self, ctx: &mut Ctx<'_>, ev: StoreEvent) {
+        let was_degraded = self.dur.is_degraded();
+        let waiter = self.dur.settle(ctx, &ev);
+        if !was_degraded && self.dur.is_degraded() {
+            self.degraded_entries += 1;
+        }
+        match waiter {
+            Some(Waiter::Recover(rk)) => self.recovery_event(ctx, rk, ev),
+            Some(w @ (Waiter::SynStored(key) | Waiter::FlowStored(key))) => {
+                self.flow_stored(ctx, key, w, &ev)
             }
-            match waiter {
-                Some(Waiter::Recover(rk)) => self.recovery_event(ctx, rk, ev),
-                Some(w @ (Waiter::SynStored(key) | Waiter::FlowStored(key))) => {
-                    self.flow_stored(ctx, key, w, &ev)
-                }
-                _ => {}
-            }
+            _ => {}
         }
     }
 
@@ -683,8 +681,9 @@ impl Node for YodaInstance {
                 }
             }
             PROTO_RPC => {
-                let events = self.dur.on_packet(ctx, &pkt);
-                self.store_events(ctx, events);
+                if let Some(ev) = self.dur.on_packet(ctx, &pkt) {
+                    self.store_event(ctx, ev);
+                }
             }
             PROTO_CTRL => self.handle_ctrl(ctx, &pkt),
             PROTO_PROBE => self.handle_probe_reply(ctx, &pkt),
@@ -695,7 +694,8 @@ impl Node for YodaInstance {
                 // restarts shorter than the miss threshold — a crash the
                 // ping stream alone can no longer see.
                 let fresh = if self.vips.is_empty() { 1u8 } else { 0u8 };
-                let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, Bytes::from(vec![fresh]));
+                let fresh = Bytes::copy_from_slice(&[fresh]);
+                let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, fresh);
                 ctx.send(reply);
             }
             _ => {}
@@ -705,8 +705,9 @@ impl Node for YodaInstance {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
         match token.kind {
             k if Durability::owns_timer_kind(k) => {
-                let events = self.dur.on_timer(ctx, token);
-                self.store_events(ctx, events);
+                if let Some(ev) = self.dur.on_timer(ctx, token) {
+                    self.store_event(ctx, ev);
+                }
             }
             GC_KIND => {
                 self.gc(ctx);

@@ -178,14 +178,14 @@ impl Durability {
         self.store.get(ctx, key, tag);
     }
 
-    pub(crate) fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Vec<StoreEvent> {
+    pub(crate) fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Option<StoreEvent> {
         self.store.on_packet(ctx, pkt)
     }
 
-    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Vec<StoreEvent> {
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Option<StoreEvent> {
         if token.kind == HEAL_PROBE_KIND {
             self.heal_probe(ctx);
-            return Vec::new();
+            return None;
         }
         self.store.on_timer(ctx, token)
     }

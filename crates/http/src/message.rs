@@ -5,6 +5,11 @@
 //! Yoda instances call [`parse_request`] on reassembled TCP payload bytes;
 //! the paper notes the HTTP header "typically fit\[s\] in the TCP initial
 //! window" but the parser handles splits across segments regardless.
+//!
+//! The encoders write a message head as one exact-size block from its
+//! parts (numbers are formatted on the stack), no intermediate `String`.
+
+use std::io::Write;
 
 use bytes::Bytes;
 
@@ -99,15 +104,17 @@ impl HttpRequest {
 
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut s = format!("{} {} {}\r\n", self.method, self.target, self.version);
-        for (n, v) in &self.headers {
-            s.push_str(n);
-            s.push_str(": ");
-            s.push_str(v);
-            s.push_str("\r\n");
-        }
-        s.push_str("\r\n");
-        Bytes::from(s)
+        let line = [
+            self.method.as_bytes(),
+            b" ",
+            self.target.as_bytes(),
+            b" ",
+            self.version.as_bytes(),
+            b"\r\n",
+        ];
+        let end = [&b"\r\n"[..]];
+        let lines = line.into_iter().chain(header_lines(&self.headers));
+        Bytes::with_headroom(0, lines.chain(end))
     }
 }
 
@@ -163,16 +170,40 @@ impl HttpResponse {
             404 => "Not Found",
             _ => "Status",
         };
-        let mut s = format!("{} {} {}\r\n", self.version, self.status, reason);
-        for (n, v) in &self.headers {
-            s.push_str(n);
-            s.push_str(": ");
-            s.push_str(v);
-            s.push_str("\r\n");
-        }
-        s.push_str(&format!("Content-Length: {}\r\n\r\n", self.body.len()));
-        Bytes::from(s)
+        let (mut status, mut length) = ([0u8; 5], [0u8; 20]);
+        let status = decimal(&mut status, self.status.into());
+        let length = decimal(&mut length, self.body.len() as u64);
+        let line = [
+            self.version.as_bytes(),
+            b" ",
+            status,
+            b" ",
+            reason.as_bytes(),
+            b"\r\n",
+        ];
+        let end = [&b"Content-Length: "[..], length, b"\r\n\r\n"];
+        let lines = line.into_iter().chain(header_lines(&self.headers));
+        Bytes::with_headroom(0, lines.chain(end))
     }
+}
+
+/// The wire parts of `headers`: `name: value\r\n` each.
+fn header_lines(headers: &[(String, String)]) -> impl Iterator<Item = &[u8]> + Clone {
+    headers
+        .iter()
+        .flat_map(|(n, v)| [n.as_bytes(), b": ", v.as_bytes(), b"\r\n"])
+}
+
+/// Formats `n` in decimal at the front of `buf` (20 bytes hold any
+/// `u64`) and returns the digits.
+fn decimal(buf: &mut [u8], n: u64) -> &[u8] {
+    let unused = {
+        let mut rest = &mut *buf;
+        let _ = write!(rest, "{n}");
+        rest.len()
+    };
+    let used = buf.len() - unused;
+    buf.get(..used).unwrap_or_default()
 }
 
 /// Finds the end of the header block (`\r\n\r\n`); returns the offset just
@@ -288,6 +319,37 @@ mod tests {
         assert_eq!(parsed.cookie("session"), Some("xyz"));
         assert_eq!(parsed.cookie("missing"), None);
         assert!(parsed.keep_alive());
+    }
+
+    #[test]
+    fn heads_match_the_formatted_text() {
+        let req = HttpRequest::get("/a?b=c")
+            .http11()
+            .with_header("Host", "h")
+            .with_header("X", "");
+        let want = "GET /a?b=c HTTP/1.1\r\nHost: h\r\nX: \r\n\r\n";
+        assert_eq!(req.encode(), want);
+        assert_eq!(HttpRequest::get("/").encode(), "GET / HTTP/1.0\r\n\r\n");
+        for (status, len) in [(200, 0), (404, 9), (503, 442_368), (65_535, 1 << 40)] {
+            let resp = HttpResponse {
+                status,
+                version: "HTTP/1.1".into(),
+                headers: vec![("Server".into(), "s".into())],
+                body: Bytes::new(),
+            };
+            let reason = match status {
+                200 => "OK",
+                404 => "Not Found",
+                _ => "Status",
+            };
+            let mut want = format!("HTTP/1.1 {status} {reason}\r\nServer: s\r\n");
+            want.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
+            assert_eq!(resp.encode_head(), want.as_str());
+            let mut digits = [0u8; 20];
+            assert_eq!(decimal(&mut digits, len), len.to_string().as_bytes());
+        }
+        let max = u64::MAX.to_string();
+        assert_eq!(decimal(&mut [0u8; 20], u64::MAX), max.as_bytes());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! asynchronous and can be staggered per mux — reproducing the paper's
 //! "changing the mapping on multiple L4 LB instances ... is not atomic".
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{put_be, Bytes};
 use yoda_netsim::{Addr, Endpoint, Packet, PROTO_CTRL};
 
 /// Port control messages are addressed to.
@@ -69,11 +69,6 @@ pub enum CtrlMsg {
     },
 }
 
-fn put_endpoint(buf: &mut BytesMut, ep: Endpoint) {
-    buf.put_u32(ep.addr.as_u32());
-    buf.put_u16(ep.port);
-}
-
 fn endpoint_at(b: &Bytes, off: usize) -> Option<Endpoint> {
     let addr = Addr::from_u32(u32::from_be_bytes(bytes::array_at::<4>(b, off)?));
     let port = u16::from_be_bytes(bytes::array_at::<2>(b, off + 4)?);
@@ -81,34 +76,38 @@ fn endpoint_at(b: &Bytes, off: usize) -> Option<Endpoint> {
 }
 
 impl CtrlMsg {
-    /// Serializes the message.
+    /// Serializes the message: a fixed header per variant (at most the
+    /// 34 bytes of `SpliceInstall`), then, for the two list variants, one
+    /// 4-byte word per address. The per-flow splice messages are one
+    /// exact-size block; a list costs one more, for its words.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        match self {
+        let (mut h, mut at) = ([0u8; 34], 0);
+        let mut put = |v: &[u8]| {
+            put_be(&mut h, at, v);
+            at += v.len();
+        };
+        let list: &[Addr] = match self {
             CtrlMsg::SetVipMap {
                 vip,
                 instances,
                 version,
             } => {
-                buf.put_u8(1);
-                buf.put_u32(vip.as_u32());
-                buf.put_u64(*version);
-                buf.put_u16(instances.len() as u16);
-                for i in instances {
-                    buf.put_u32(i.as_u32());
-                }
+                put(&[1]);
+                put(&vip.as_u32().to_be_bytes());
+                put(&version.to_be_bytes());
+                put(&(instances.len() as u16).to_be_bytes());
+                instances
             }
             CtrlMsg::RemoveVip { vip, version } => {
-                buf.put_u8(2);
-                buf.put_u32(vip.as_u32());
-                buf.put_u64(*version);
+                put(&[2]);
+                put(&vip.as_u32().to_be_bytes());
+                put(&version.to_be_bytes());
+                &[]
             }
             CtrlMsg::SetMuxes { muxes } => {
-                buf.put_u8(3);
-                buf.put_u16(muxes.len() as u16);
-                for m in muxes {
-                    buf.put_u32(m.as_u32());
-                }
+                put(&[3]);
+                put(&(muxes.len() as u16).to_be_bytes());
+                muxes
             }
             CtrlMsg::SpliceInstall {
                 from,
@@ -119,22 +118,25 @@ impl CtrlMsg {
                 ack_add,
                 acks_only,
             } => {
-                buf.put_u8(4);
-                put_endpoint(&mut buf, *from);
-                put_endpoint(&mut buf, *to);
-                put_endpoint(&mut buf, *new_src);
-                put_endpoint(&mut buf, *new_dst);
-                buf.put_u32(*seq_add);
-                buf.put_u32(*ack_add);
-                buf.put_u8(u8::from(*acks_only));
+                put(&[4]);
+                for ep in [from, to, new_src, new_dst] {
+                    put(&ep.to_bytes());
+                }
+                put(&seq_add.to_be_bytes());
+                put(&ack_add.to_be_bytes());
+                put(&[u8::from(*acks_only)]);
+                &[]
             }
             CtrlMsg::SpliceRemove { from, to } => {
-                buf.put_u8(5);
-                put_endpoint(&mut buf, *from);
-                put_endpoint(&mut buf, *to);
+                put(&[5]);
+                put(&from.to_bytes());
+                put(&to.to_bytes());
+                &[]
             }
-        }
-        buf.freeze()
+        };
+        let words: Vec<[u8; 4]> = list.iter().map(|a| a.as_u32().to_be_bytes()).collect();
+        let head = h.get(..at).unwrap_or_default();
+        Bytes::with_headroom(0, std::iter::once(head).chain(words.iter().map(|w| &w[..])))
     }
 
     /// Parses a message; `None` on malformed bytes.

@@ -125,7 +125,7 @@ fn splice_rewrite(pkt: &mut Packet, e: &SpliceEntry, has_ack: bool) {
     match pkt.payload.try_mut() {
         Some(h) => patch(h, e, has_ack),
         None => {
-            let mut own = Bytes::with_headroom(IPIP_HEADER_LEN, &[&pkt.payload]);
+            let mut own = Bytes::with_headroom(IPIP_HEADER_LEN, [pkt.payload.as_slice()]);
             if let Some(h) = own.try_mut() {
                 patch(h, e, has_ack);
             }
@@ -401,8 +401,8 @@ impl Node for Mux {
                 // maps installed, i.e. the mux restarted cold since the
                 // controller last pushed state to it.
                 let fresh = if self.vips.is_empty() { 1u8 } else { 0u8 };
-                let reply =
-                    Packet::new(pkt.dst, pkt.src, pkt.protocol, Bytes::from(vec![fresh]));
+                let fresh = Bytes::copy_from_slice(&[fresh]);
+                let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, fresh);
                 ctx.send(reply);
             }
             _ => {

@@ -127,7 +127,7 @@ impl Packet {
         bytes::put_be(&mut h, 13, &(self.payload.len() as u32).to_be_bytes());
         let mut payload = self.payload;
         if !payload.try_prepend(&h) {
-            payload = Bytes::with_headroom(0, &[&h, &payload]);
+            payload = Bytes::with_headroom(0, [&h[..], &payload]);
         }
         Packet {
             src: Endpoint::new(outer_src, 0),
@@ -210,7 +210,7 @@ mod tests {
         let body = b"segment bytes";
         let with_room = || {
             let mut p = sample();
-            p.payload = Bytes::with_headroom(IPIP_HEADER_LEN, &[body]);
+            p.payload = Bytes::with_headroom(IPIP_HEADER_LEN, [&body[..]]);
             p
         };
         let reference = sample_with(body).encapsulate(MUX, INST);
@@ -232,6 +232,14 @@ mod tests {
         assert_eq!(outer, reference);
         assert_ne!(outer.payload[IPIP_HEADER_LEN..].as_ptr(), keep.as_ptr());
         assert_eq!(keep, body);
+    }
+
+    #[test]
+    fn footprint_is_pinned() {
+        // Two 8-byte endpoints, the protocol byte and the 24-byte `Bytes`:
+        // every packet in flight and every wheel entry carries this much,
+        // so a change here should be a deliberate one.
+        assert_eq!(std::mem::size_of::<Packet>(), 48);
     }
 
     #[test]

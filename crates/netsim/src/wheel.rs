@@ -603,6 +603,17 @@ mod tests {
         }
     }
 
+    #[test]
+    fn entry_footprint_is_pinned() {
+        // An in-flight packet rides its slab entry inline, so the packet's
+        // size sets the entry's: deadline, seq and id, the item (the
+        // 48-byte `Packet` plus its destination, behind the tag) and the
+        // two list links. Every pending event costs this much; a change
+        // here should be a deliberate one.
+        assert_eq!(std::mem::size_of::<WheelItem>(), 56);
+        assert_eq!(std::mem::size_of::<Entry>(), 88);
+    }
+
     /// Arms with auto-incrementing seq/id starting at 0.
     struct Harness {
         wheel: TimerWheel,

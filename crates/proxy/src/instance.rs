@@ -10,7 +10,7 @@ use yoda_netsim::{
     Addr, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
     PROTO_IPIP, PROTO_PING,
 };
-use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
+use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpEvents, TcpStack};
 
 /// Proxy tunables. CPU calibration follows the paper's §7.1 HAProxy
 /// numbers: at the load where Yoda saturates (12K req/s) HAProxy sits at
@@ -252,7 +252,7 @@ impl ProxyInstance {
         }
     }
 
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, events: Vec<TcpEvent>, inner_dst: Option<Endpoint>) {
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, events: TcpEvents, inner_dst: Option<Endpoint>) {
         for ev in events {
             match ev {
                 TcpEvent::Incoming(conn, _from) => {

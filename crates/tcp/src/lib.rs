@@ -29,4 +29,4 @@ pub mod stack;
 pub use segment::{Flags, Segment, SEGMENT_HEADER_LEN};
 pub use seq::SeqNum;
 pub use socket::{SocketState, TcpConfig, TcpSocket};
-pub use stack::{ConnId, TcpEvent, TcpStack, TCP_TIMER_KIND};
+pub use stack::{ConnId, TcpEvent, TcpEvents, TcpStack, TCP_TIMER_KIND};

@@ -185,7 +185,7 @@ impl Segment {
         put_be(&mut h, 17, &(self.payload.len() as u32).to_be_bytes());
         let mut buf = self.payload;
         if !buf.try_prepend(&h) {
-            buf = Bytes::with_headroom(IPIP_HEADER_LEN, &[&h, &buf]);
+            buf = Bytes::with_headroom(IPIP_HEADER_LEN, [&h[..], &buf]);
         }
         buf
     }

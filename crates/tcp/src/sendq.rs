@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Sent-but-unacked bytes followed by queued-unsent bytes.
 #[derive(Debug, Clone, Default)]
@@ -48,12 +48,12 @@ impl SendQueue {
 
     /// The oldest `len` unacked bytes, for retransmission.
     pub(crate) fn head(&self, len: usize) -> Option<Bytes> {
-        front(&self.inflight, len)
+        front(&self.inflight, self.inflight_len, len)
     }
 
     /// The next `len` never-transmitted bytes, which become in flight.
     pub(crate) fn take_unsent(&mut self, len: usize) -> Option<Bytes> {
-        let segment = front(&self.unsent, len)?;
+        let segment = front(&self.unsent, self.unsent_len, len)?;
         drop_front(&mut self.unsent, len);
         self.unsent_len -= len;
         self.inflight_len += len;
@@ -62,22 +62,28 @@ impl SendQueue {
     }
 }
 
-/// The first `len` bytes of `q`, `None` if it holds fewer: a view of the
-/// front chunk when they lie inside it, else a gathered copy.
-fn front(q: &VecDeque<Bytes>, len: usize) -> Option<Bytes> {
+/// The first `len` bytes of `q`, which holds `held`; `None` if that is
+/// fewer. A view of the front chunk when they lie inside it, else one
+/// exact-size block gathered from the chunks they span.
+fn front(q: &VecDeque<Bytes>, held: usize, len: usize) -> Option<Bytes> {
     let first = q.front()?;
     if len <= first.len() {
         return Some(first.slice(..len));
     }
-    let mut out = BytesMut::with_capacity(len);
-    for chunk in q {
-        let take = (len - out.len()).min(chunk.len());
-        out.extend_from_slice(chunk.get(..take)?);
-        if out.len() == len {
-            return Some(out.freeze());
-        }
+    if len > held {
+        return None;
     }
-    None
+    // Each chunk's share of the `len` bytes; chunks are never empty, so
+    // the first empty share is where they end.
+    let parts = q
+        .iter()
+        .scan(len, |left, chunk| {
+            let take = (*left).min(chunk.len());
+            *left -= take;
+            chunk.get(..take)
+        })
+        .take_while(|part| !part.is_empty());
+    Some(Bytes::with_headroom(0, parts))
 }
 
 /// Removes the first `n` bytes of `q`.

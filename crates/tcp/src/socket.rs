@@ -14,7 +14,9 @@
 //! * FIN teardown with an abbreviated TIME-WAIT.
 //!
 //! The socket never performs IO: callers feed it segments and timer
-//! expirations and transmit whatever it returns.
+//! expirations, and transmit the segments it pushes onto the `out`
+//! buffer they pass in (one buffer, reused call after call, so emitting
+//! allocates nothing).
 
 use std::collections::BTreeMap;
 
@@ -113,10 +115,11 @@ impl SocketState {
 ///
 /// let (mut a, syn) = TcpSocket::connect(cfg, a_ep, b_ep, SeqNum::new(100), t);
 /// let (mut b, synack) = TcpSocket::accept(cfg, b_ep, a_ep, &syn, SeqNum::new(900), t).unwrap();
-/// let acks = a.on_segment(&synack, t);
+/// let (mut acks, mut replies) = (Vec::new(), Vec::new());
+/// a.on_segment(&synack, t, &mut acks);
 /// assert_eq!(a.state(), SocketState::Established);
 /// for s in &acks {
-///     b.on_segment(s, t);
+///     b.on_segment(s, t, &mut replies);
 /// }
 /// assert_eq!(b.state(), SocketState::Established);
 /// ```
@@ -311,21 +314,24 @@ impl TcpSocket {
         !self.assembled.is_empty()
     }
 
-    /// Drains data received in order: one segment as a view, several joined.
+    /// Drains data received in order: one segment as a view, several joined
+    /// into one block.
     pub fn take_data(&mut self) -> Bytes {
         if self.assembled.len() > 1 {
-            return Bytes::from(std::mem::take(&mut self.assembled).concat());
+            let joined = Bytes::with_headroom(0, self.assembled.iter().map(Bytes::as_slice));
+            self.assembled.clear();
+            return joined;
         }
         self.assembled.pop().unwrap_or_default()
     }
 
     /// Queues application data (kept, not copied, until acknowledged) and
-    /// returns any segments transmittable now.
+    /// pushes any segments transmittable now onto `out`.
     ///
     /// Data queued after [`TcpSocket::close`] is discarded (the send side
     /// is shut).
-    pub fn send(&mut self, data: Bytes, now: SimTime) -> Vec<Segment> {
-        self.send_vectored([data], now)
+    pub fn send(&mut self, data: Bytes, now: SimTime, out: &mut Vec<Segment>) {
+        self.send_vectored([data], now, out);
     }
 
     /// [`TcpSocket::send`] for chunks queued back to back (a message head
@@ -334,7 +340,8 @@ impl TcpSocket {
         &mut self,
         chunks: impl IntoIterator<Item = Bytes>,
         now: SimTime,
-    ) -> Vec<Segment> {
+        out: &mut Vec<Segment>,
+    ) {
         if self.fin_queued
             || matches!(
                 self.state,
@@ -347,22 +354,22 @@ impl TcpSocket {
                     | SocketState::Reset
             )
         {
-            return Vec::new();
+            return;
         }
         for chunk in chunks {
             self.unacked.push(chunk);
         }
-        self.transmit_window(now)
+        self.transmit_window(now, out);
     }
 
-    /// Initiates an orderly close; returns segments (possibly a FIN) to
-    /// transmit. The FIN waits behind any queued data.
-    pub fn close(&mut self, now: SimTime) -> Vec<Segment> {
+    /// Initiates an orderly close; pushes the segments (possibly a FIN) to
+    /// transmit onto `out`. The FIN waits behind any queued data.
+    pub fn close(&mut self, now: SimTime, out: &mut Vec<Segment>) {
         if self.fin_queued || self.state.is_terminal() {
-            return Vec::new();
+            return;
         }
         self.fin_queued = true;
-        self.transmit_window(now)
+        self.transmit_window(now, out);
     }
 
     /// Aborts the connection, returning the RST to transmit.
@@ -382,8 +389,9 @@ impl TcpSocket {
         }
     }
 
-    /// Handles timer expiry: retransmits, backs off, finishes TIME-WAIT.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<Segment> {
+    /// Handles timer expiry: retransmits (onto `out`), backs off, finishes
+    /// TIME-WAIT.
+    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<Segment>) {
         if let Some(tw) = self.time_wait_deadline {
             if now >= tw {
                 self.time_wait_deadline = None;
@@ -392,16 +400,14 @@ impl TcpSocket {
                 }
             }
         }
-        let deadline = match self.rtx_deadline {
-            Some(d) if now >= d => d,
-            _ => return Vec::new(),
-        };
-        let _ = deadline;
+        if self.rtx_deadline.is_none_or(|d| now < d) {
+            return;
+        }
         self.retries += 1;
         if self.retries > self.cfg.max_retries {
             self.state = SocketState::Reset;
             self.rtx_deadline = None;
-            return Vec::new();
+            return;
         }
         // Karn: outstanding RTT samples are invalid after a retransmission.
         self.rtt_probe = None;
@@ -416,40 +422,37 @@ impl TcpSocket {
         self.rtx_deadline = Some(now + self.rto);
         self.retransmitted_segments += 1;
         match self.state {
-            SocketState::SynSent => {
-                vec![self.make_segment(self.iss, Flags::SYN, Bytes::new())]
-            }
+            SocketState::SynSent => out.push(self.make_segment(self.iss, Flags::SYN, Bytes::new())),
             SocketState::SynReceived => {
-                vec![self.make_segment(self.iss, Flags::SYN_ACK, Bytes::new())]
+                out.push(self.make_segment(self.iss, Flags::SYN_ACK, Bytes::new()));
             }
             _ => {
                 // Everything in flight is presumed lost; fresh ACKs below
                 // this point drive go-back-N retransmission (see
                 // `process_ack`).
                 self.recover = Some(self.snd_nxt);
-                self.retransmit_head()
+                self.retransmit_head(out);
             }
         }
     }
 
-    /// Returns the first unacked chunk for retransmission (go-back-1 MSS;
+    /// Pushes the first unacked chunk for retransmission (go-back-1 MSS;
     /// the rest follows via normal ACK clocking).
-    fn retransmit_head(&mut self) -> Vec<Segment> {
+    fn retransmit_head(&mut self, out: &mut Vec<Segment>) {
         let inflight = self.inflight_bytes() as usize;
         if inflight == 0 {
             if self.fin_sent && self.snd_una.lt(self.snd_nxt) {
                 // Only the FIN is outstanding; its seq is snd_nxt - 1.
                 let fin_seq = self.snd_nxt - 1;
-                return vec![self.make_segment(fin_seq, Flags::FIN_ACK, Bytes::new())];
+                out.push(self.make_segment(fin_seq, Flags::FIN_ACK, Bytes::new()));
             }
-            return Vec::new();
+            return;
         }
-        let Some(chunk) = self.unacked.head(inflight.min(self.cfg.mss)) else {
-            // Accounting drift between snd_una and the buffer; nothing
-            // sane to retransmit, recover via ACK clocking instead.
-            return Vec::new();
-        };
-        vec![self.make_segment(self.snd_una, Flags::ACK, chunk)]
+        // `None`: accounting drift between snd_una and the buffer; nothing
+        // sane to retransmit, recover via ACK clocking instead.
+        if let Some(chunk) = self.unacked.head(inflight.min(self.cfg.mss)) {
+            out.push(self.make_segment(self.snd_una, Flags::ACK, chunk));
+        }
     }
 
     fn inflight_bytes(&self) -> u32 {
@@ -466,14 +469,14 @@ impl TcpSocket {
 
     /// Sends as much queued data as the congestion and peer windows allow;
     /// appends the FIN when everything is flushed and close was requested.
-    fn transmit_window(&mut self, now: SimTime) -> Vec<Segment> {
-        let mut out = Vec::new();
+    fn transmit_window(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+        let emitted = out.len();
         // Before the handshake completes, data waits in `unacked`.
         if !matches!(
             self.state,
             SocketState::Established | SocketState::CloseWait
         ) {
-            return out;
+            return;
         }
         loop {
             let inflight = self.inflight_bytes();
@@ -506,33 +509,33 @@ impl TcpSocket {
             };
             out.push(fin);
         }
-        if !out.is_empty() && self.rtx_deadline.is_none() {
+        if out.len() > emitted && self.rtx_deadline.is_none() {
             self.rtx_deadline = Some(now + self.rto);
         }
-        out
     }
 
-    /// Processes an incoming segment; returns segments to transmit.
-    pub fn on_segment(&mut self, seg: &Segment, now: SimTime) -> Vec<Segment> {
+    /// Processes an incoming segment; pushes the segments to transmit onto
+    /// `out`.
+    pub fn on_segment(&mut self, seg: &Segment, now: SimTime, out: &mut Vec<Segment>) {
         if self.state.is_terminal() {
-            return Vec::new();
+            return;
         }
         if seg.flags.rst {
             self.state = SocketState::Reset;
             self.rtx_deadline = None;
-            return Vec::new();
+            return;
         }
         match self.state {
-            SocketState::SynSent => self.on_segment_syn_sent(seg, now),
-            SocketState::SynReceived => self.on_segment_syn_received(seg, now),
-            _ => self.on_segment_connected(seg, now),
+            SocketState::SynSent => self.on_segment_syn_sent(seg, now, out),
+            SocketState::SynReceived => self.on_segment_syn_received(seg, now, out),
+            _ => self.on_segment_connected(seg, now, out),
         }
     }
 
-    fn on_segment_syn_sent(&mut self, seg: &Segment, now: SimTime) -> Vec<Segment> {
+    fn on_segment_syn_sent(&mut self, seg: &Segment, now: SimTime, out: &mut Vec<Segment>) {
         if !(seg.flags.syn && seg.flags.ack) || seg.ack != self.iss + 1 {
             // Not our SYN-ACK; ignore (simultaneous open unsupported).
-            return Vec::new();
+            return;
         }
         self.irs = seg.seq;
         self.rcv_nxt = seg.seq + 1;
@@ -542,15 +545,15 @@ impl TcpSocket {
         self.retries = 0;
         self.rto = self.cfg.min_rto;
         self.rtx_deadline = None;
-        let mut out = vec![self.make_segment(self.snd_nxt, Flags::ACK, Bytes::new())];
-        out.extend(self.transmit_window(now));
-        out
+        out.push(self.make_segment(self.snd_nxt, Flags::ACK, Bytes::new()));
+        self.transmit_window(now, out);
     }
 
-    fn on_segment_syn_received(&mut self, seg: &Segment, now: SimTime) -> Vec<Segment> {
+    fn on_segment_syn_received(&mut self, seg: &Segment, now: SimTime, out: &mut Vec<Segment>) {
         if seg.flags.syn && !seg.flags.ack {
             // Duplicate SYN (client retransmitted): resend SYN-ACK.
-            return vec![self.make_segment(self.iss, Flags::SYN_ACK, Bytes::new())];
+            out.push(self.make_segment(self.iss, Flags::SYN_ACK, Bytes::new()));
+            return;
         }
         if seg.flags.ack && seg.ack == self.iss + 1 {
             self.snd_una = seg.ack;
@@ -560,23 +563,19 @@ impl TcpSocket {
             self.rto = self.cfg.min_rto;
             self.rtx_deadline = None;
             // The ACK may carry data (and often does: the HTTP request).
-            let mut out = self.on_segment_connected(seg, now);
-            out.extend(self.transmit_window(now));
-            return out;
+            self.on_segment_connected(seg, now, out);
+            self.transmit_window(now, out);
         }
-        Vec::new()
     }
 
-    fn on_segment_connected(&mut self, seg: &Segment, now: SimTime) -> Vec<Segment> {
-        let mut out = Vec::new();
+    fn on_segment_connected(&mut self, seg: &Segment, now: SimTime, out: &mut Vec<Segment>) {
         if seg.flags.ack {
-            self.process_ack(seg, now, &mut out);
+            self.process_ack(seg, now, out);
         }
         if !seg.payload.is_empty() || seg.flags.fin {
-            self.process_data(seg, now, &mut out);
+            self.process_data(seg, now, out);
         }
-        out.extend(self.transmit_window(now));
-        out
+        self.transmit_window(now, out);
     }
 
     fn process_ack(&mut self, seg: &Segment, now: SimTime, out: &mut Vec<Segment>) {
@@ -596,7 +595,7 @@ impl TcpSocket {
                     self.cwnd = self.ssthresh + 3 * self.cfg.mss as u32;
                     self.retransmitted_segments += 1;
                     self.rtt_probe = None;
-                    out.extend(self.retransmit_head());
+                    self.retransmit_head(out);
                 }
             }
             self.peer_window = seg.window;
@@ -642,7 +641,7 @@ impl TcpSocket {
             if ack.lt(rec) {
                 self.retransmitted_segments += 1;
                 self.rtt_probe = None;
-                out.extend(self.retransmit_head());
+                self.retransmit_head(out);
             } else {
                 self.recover = None;
                 self.rto = self.estimated_rto();
@@ -772,6 +771,13 @@ mod tests {
     use super::*;
     use yoda_netsim::Addr;
 
+    /// What `f` pushes onto a fresh out buffer.
+    fn emit(f: impl FnOnce(&mut Vec<Segment>)) -> Vec<Segment> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
+    }
+
     fn eps() -> (Endpoint, Endpoint) {
         (
             Endpoint::new(Addr::new(172, 16, 0, 1), 40000),
@@ -787,10 +793,8 @@ mod tests {
         let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1000), t);
         let (mut server, synack) =
             TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(5000), t).unwrap();
-        let acks = client.on_segment(&synack, t);
-        for s in &acks {
-            server.on_segment(s, t);
-        }
+        let acks = emit(|o| client.on_segment(&synack, t, o));
+        deliver(&mut server, &acks, t);
         assert_eq!(client.state(), SocketState::Established);
         assert_eq!(server.state(), SocketState::Established);
         (client, server)
@@ -798,11 +802,7 @@ mod tests {
 
     /// Delivers `segs` to `to`, returning its replies.
     fn deliver(to: &mut TcpSocket, segs: &[Segment], t: SimTime) -> Vec<Segment> {
-        let mut out = Vec::new();
-        for s in segs {
-            out.extend(to.on_segment(s, t));
-        }
-        out
+        emit(|o| segs.iter().for_each(|s| to.on_segment(s, t, o)))
     }
 
     /// Fully exchanges segments until both sides go quiet.
@@ -841,7 +841,7 @@ mod tests {
     fn small_transfer_delivers_bytes() {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(1);
-        let segs = client.send(Bytes::from_static(b"GET / HTTP/1.0\r\n\r\n"), t);
+        let segs = emit(|o| client.send(Bytes::from_static(b"GET / HTTP/1.0\r\n\r\n"), t, o));
         assert!(!segs.is_empty());
         pump(&mut client, &mut server, segs, t);
         assert_eq!(&server.take_data()[..], b"GET / HTTP/1.0\r\n\r\n");
@@ -852,7 +852,7 @@ mod tests {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(1);
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let segs = client.send(Bytes::from(data.clone()), t);
+        let segs = emit(|o| client.send(Bytes::from(data.clone()), t, o));
         for s in &segs {
             assert!(s.payload.len() <= 1460);
         }
@@ -864,8 +864,8 @@ mod tests {
     fn out_of_order_reassembly() {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(1);
-        let segs = client.send(Bytes::from(vec![1u8; 1460]), t);
-        let segs2 = client.send(Bytes::from(vec![2u8; 1460]), t);
+        let segs = emit(|o| client.send(Bytes::from(vec![1u8; 1460]), t, o));
+        let segs2 = emit(|o| client.send(Bytes::from(vec![2u8; 1460]), t, o));
         // Deliver the second segment first.
         let dup_acks = deliver(&mut server, &segs2, t);
         // Out-of-order data elicits an ACK for the old rcv_nxt.
@@ -881,19 +881,19 @@ mod tests {
     fn retransmission_after_loss() {
         let (mut client, mut server) = handshake();
         let t0 = SimTime::from_millis(1);
-        let segs = client.send(Bytes::from_static(b"hello"), t0);
+        let segs = emit(|o| client.send(Bytes::from_static(b"hello"), t0, o));
         // Segments lost: nothing delivered. RTO fires at min_rto (300 ms).
         drop(segs);
         let deadline = client.next_deadline().expect("rtx armed");
         assert_eq!(deadline, t0 + SimTime::from_millis(300));
-        let rtx = client.on_timer(deadline);
+        let rtx = emit(|o| client.on_timer(deadline, o));
         assert_eq!(rtx.len(), 1);
         assert_eq!(&rtx[0].payload[..], b"hello");
         assert_eq!(client.retransmitted_segments(), 1);
         // Second loss backs off to 600 ms (paper Fig. 12b timeline).
         let d2 = client.next_deadline().unwrap();
         assert_eq!(d2, deadline + SimTime::from_millis(600));
-        let rtx2 = client.on_timer(d2);
+        let rtx2 = emit(|o| client.on_timer(d2, o));
         assert_eq!(&rtx2[0].payload[..], b"hello");
         // Delivery after retransmission still works.
         pump(&mut client, &mut server, rtx2, d2);
@@ -907,7 +907,7 @@ mod tests {
         let (mut client, _syn) =
             TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1), SimTime::ZERO);
         assert_eq!(client.next_deadline(), Some(SimTime::from_secs(3)));
-        let rtx = client.on_timer(SimTime::from_secs(3));
+        let rtx = emit(|o| client.on_timer(SimTime::from_secs(3), o));
         assert_eq!(rtx.len(), 1);
         assert!(rtx[0].flags.syn && !rtx[0].flags.ack);
     }
@@ -920,7 +920,7 @@ mod tests {
         let (_client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1), t);
         let (mut server, synack1) =
             TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(9), t).unwrap();
-        let reply = server.on_segment(&syn, t);
+        let reply = emit(|o| server.on_segment(&syn, t, o));
         assert_eq!(reply.len(), 1);
         assert_eq!(reply[0], synack1);
     }
@@ -936,7 +936,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..3 {
             now = client.next_deadline().unwrap_or(now + SimTime::from_secs(100));
-            client.on_timer(now);
+            client.on_timer(now, &mut Vec::new());
         }
         assert_eq!(client.state(), SocketState::Reset);
     }
@@ -945,7 +945,7 @@ mod tests {
     fn rst_kills_connection() {
         let (mut client, mut server) = handshake();
         let rst = client.abort();
-        server.on_segment(&rst, SimTime::from_millis(2));
+        server.on_segment(&rst, SimTime::from_millis(2), &mut Vec::new());
         assert_eq!(server.state(), SocketState::Reset);
         assert_eq!(client.state(), SocketState::Reset);
     }
@@ -955,20 +955,20 @@ mod tests {
         let (mut client, mut server) = handshake();
         let t = SimTime::from_millis(5);
         // Client sends request, server answers, both close.
-        let req = client.send(Bytes::from_static(b"req"), t);
+        let req = emit(|o| client.send(Bytes::from_static(b"req"), t, o));
         pump(&mut client, &mut server, req, t);
-        let resp = server.send(Bytes::from_static(b"resp"), t);
+        let resp = emit(|o| server.send(Bytes::from_static(b"resp"), t, o));
         pump(&mut server, &mut client, resp, t);
         assert_eq!(&client.take_data()[..], b"resp");
 
-        let fin = client.close(t);
+        let fin = emit(|o| client.close(t, o));
         assert_eq!(client.state(), SocketState::FinWait1);
         let back = deliver(&mut server, &fin, t);
         assert_eq!(server.state(), SocketState::CloseWait);
         let more = deliver(&mut client, &back, t);
         assert_eq!(client.state(), SocketState::FinWait2);
         deliver(&mut server, &more, t);
-        let server_fin = server.close(t);
+        let server_fin = emit(|o| server.close(t, o));
         assert_eq!(server.state(), SocketState::LastAck);
         let last_ack = deliver(&mut client, &server_fin, t);
         assert_eq!(client.state(), SocketState::TimeWait);
@@ -983,8 +983,8 @@ mod tests {
         let t = SimTime::from_millis(1);
         // Fill beyond the initial cwnd so data remains queued, then close.
         let big = vec![7u8; 30_000];
-        let segs = client.send(Bytes::from(big), t);
-        let fin_now = client.close(t);
+        let segs = emit(|o| client.send(Bytes::from(big), t, o));
+        let fin_now = emit(|o| client.close(t, o));
         // FIN must not have been emitted while data is still queued.
         assert!(fin_now.iter().all(|s| !s.flags.fin));
         assert!(segs.iter().all(|s| !s.flags.fin));
@@ -998,8 +998,8 @@ mod tests {
     fn send_after_close_discarded() {
         let (mut client, _server) = handshake();
         let t = SimTime::from_millis(1);
-        client.close(t);
-        assert!(client.send(Bytes::from_static(b"late"), t).is_empty());
+        client.close(t, &mut Vec::new());
+        assert!(emit(|o| client.send(Bytes::from_static(b"late"), t, o)).is_empty());
     }
 
     #[test]
@@ -1008,17 +1008,11 @@ mod tests {
         let t = SimTime::from_millis(1);
         // Send 5 segments; drop the first, deliver the rest.
         let data = vec![9u8; 1460 * 5];
-        let segs = client.send(Bytes::from(data.clone()), t);
+        let segs = emit(|o| client.send(Bytes::from(data.clone()), t, o));
         assert_eq!(segs.len(), 5);
-        let mut dup_acks = Vec::new();
-        for s in &segs[1..] {
-            dup_acks.extend(server.on_segment(s, t));
-        }
+        let dup_acks = deliver(&mut server, &segs[1..], t);
         assert!(dup_acks.len() >= 3);
-        let mut rtx = Vec::new();
-        for a in &dup_acks {
-            rtx.extend(client.on_segment(a, t));
-        }
+        let rtx = deliver(&mut client, &dup_acks, t);
         // The lost head was fast-retransmitted.
         assert!(rtx.iter().any(|s| s.seq == segs[0].seq));
         assert!(client.retransmitted_segments() >= 1);
@@ -1031,12 +1025,12 @@ mod tests {
     fn rtt_estimation_updates_rto() {
         let (mut client, mut server) = handshake();
         let t0 = SimTime::from_millis(10);
-        let segs = client.send(Bytes::from_static(b"x"), t0);
+        let segs = emit(|o| client.send(Bytes::from_static(b"x"), t0, o));
         let acks = deliver(&mut server, &segs, t0 + SimTime::from_millis(100));
         deliver(&mut client, &acks, t0 + SimTime::from_millis(200));
         // SRTT ≈ 200 ms; RTO = srtt + 4*rttvar ≈ 600 ms, above min_rto.
-        let segs2 = client.send(Bytes::from_static(b"y"), SimTime::from_millis(300));
-        let _ = segs2;
+        let y = Bytes::from_static(b"y");
+        client.send(y, SimTime::from_millis(300), &mut Vec::new());
         let dl = client.next_deadline().expect("armed");
         assert!(dl > SimTime::from_millis(300) + SimTime::from_millis(300));
     }
@@ -1062,7 +1056,7 @@ mod tests {
         let (mut sock, syn) = TcpSocket::connect(cfg, c_ep, s_ep, iss, SimTime::ZERO);
         let (_, synack) =
             TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(77), SimTime::ZERO).unwrap();
-        sock.on_segment(&synack, SimTime::ZERO);
+        sock.on_segment(&synack, SimTime::ZERO, &mut Vec::new());
         assert_eq!(sock.state(), SocketState::Established);
         sock
     }
@@ -1083,8 +1077,9 @@ mod tests {
 
     impl Differential {
         /// Applies one input to both senders and checks what they emit.
-        fn both(&mut self, input: impl Fn(&mut TcpSocket) -> Vec<Segment>) {
-            let (a, b) = (input(&mut self.chunked), input(&mut self.whole));
+        fn both(&mut self, input: impl Fn(&mut TcpSocket, &mut Vec<Segment>)) {
+            let a = emit(|o| input(&mut self.chunked, o));
+            let b = emit(|o| input(&mut self.whole, o));
             self.check(a, b);
         }
 
@@ -1164,8 +1159,9 @@ mod tests {
                             boundaries.push(end as u32);
                             cut_at = end;
                         }
-                        let a = d.chunked.send_vectored(chunks, now);
-                        let b = d.whole.send(Bytes::copy_from_slice(&d.stream[at..]), now);
+                        let a = emit(|o| d.chunked.send_vectored(chunks, now, o));
+                        let whole = Bytes::copy_from_slice(&d.stream[at..]);
+                        let b = emit(|o| d.whole.send(whole, now, o));
                         d.check(a, b);
                     }
                     3..=6 => {
@@ -1183,7 +1179,7 @@ mod tests {
                             _ => acked,
                         };
                         let ack = ack_to(&d, to);
-                        d.both(|s| s.on_segment(&ack, now));
+                        d.both(|s, o| s.on_segment(&ack, now, o));
                         if to <= sent_hi {
                             acked = acked.max(to);
                         }
@@ -1192,17 +1188,17 @@ mod tests {
                         // Triple duplicate ACK: fast retransmit of the head.
                         let ack = ack_to(&d, acked);
                         for _ in 0..3 {
-                            d.both(|s| s.on_segment(&ack, now));
+                            d.both(|s, o| s.on_segment(&ack, now, o));
                         }
                     }
                     8 => {
                         if let Some(deadline) = d.chunked.next_deadline() {
                             assert_eq!(d.whole.next_deadline(), Some(deadline));
                             now = now.max(deadline);
-                            d.both(|s| s.on_timer(now));
+                            d.both(|s, o| s.on_timer(now, o));
                         }
                     }
-                    _ if closing => d.both(|s| s.close(now)),
+                    _ if closing => d.both(|s, o| s.close(now, o)),
                     _ => {}
                 }
                 assert_eq!(
@@ -1211,7 +1207,7 @@ mod tests {
                 );
             }
             // Drain: acknowledge whatever is emitted until the FIN is out.
-            d.both(|s| s.close(now));
+            d.both(|s, o| s.close(now, o));
             for _ in 0..10_000 {
                 if d.fin_seen && acked as usize == d.stream.len() {
                     break;
@@ -1219,7 +1215,7 @@ mod tests {
                 now += SimTime::from_millis(7);
                 acked = d.sent_hi;
                 let ack = ack_to(&d, acked);
-                d.both(|s| s.on_segment(&ack, now));
+                d.both(|s, o| s.on_segment(&ack, now, o));
             }
             assert!(d.fin_seen, "seed {seed}: FIN never followed the data");
             assert_eq!(
@@ -1237,7 +1233,7 @@ mod tests {
         let object = Bytes::from(vec![3u8; 100_000]);
         let span = object.as_ptr() as usize..object.as_ptr() as usize + object.len();
         let mut now = SimTime::from_millis(1);
-        let mut segs = sock.send(object.clone(), now);
+        let mut segs = emit(|o| sock.send(object.clone(), now, o));
         let (mut seen, mut full) = (0usize, 0);
         while seen < object.len() {
             assert!(!segs.is_empty(), "stalled at {seen}");
@@ -1252,7 +1248,8 @@ mod tests {
                 }
             }
             now += SimTime::from_millis(1);
-            segs = sock.on_segment(&peer_ack(&sock, sock.iss() + 1 + seen as u32), now);
+            let ack = peer_ack(&sock, sock.iss() + 1 + seen as u32);
+            segs = emit(|o| sock.on_segment(&ack, now, o));
         }
         assert_eq!(full, 100_000 / 1460);
     }
@@ -1268,8 +1265,8 @@ mod tests {
         let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(50), t);
         let (mut server, synack) =
             TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(80), t).unwrap();
-        let mut from_client = client.on_segment(&synack, t);
-        from_client.extend(client.send(Bytes::from_static(b"payload"), t));
+        let mut from_client = emit(|o| client.on_segment(&synack, t, o));
+        client.send(Bytes::from_static(b"payload"), t, &mut from_client);
         // Merge: deliver ACK then data (two segments is fine too).
         deliver(&mut server, &from_client, t);
         assert_eq!(server.state(), SocketState::Established);

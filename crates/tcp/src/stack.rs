@@ -1,7 +1,7 @@
 //! [`TcpStack`]: many sockets inside one simulator node.
 //!
 //! A node embeds a `TcpStack`, forwards TCP packets and stack timers to it,
-//! and receives [`TcpEvent`]s describing connection lifecycle and data
+//! and receives [`TcpEvents`] describing connection lifecycle and data
 //! arrival. The stack handles demultiplexing by flow, listener sockets,
 //! timer (re)arming against the simulator clock, and ISN generation.
 
@@ -51,6 +51,32 @@ impl TcpEvent {
     }
 }
 
+/// The events of one [`TcpStack::on_packet`] or [`TcpStack::on_timer`]
+/// call, held inline: one call concerns one connection and reports at
+/// most one state edge, then `PeerClosed`, then `Data` — or a lone
+/// `Incoming`. Iterate it by value, in that order.
+#[derive(Debug, Default)]
+pub struct TcpEvents([Option<TcpEvent>; 3]);
+
+impl TcpEvents {
+    /// Appends `ev` to the first free slot. A fourth event would break
+    /// the shape above; debug builds assert it never comes.
+    fn push(&mut self, ev: TcpEvent) {
+        match self.0.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(ev),
+            None => debug_assert!(false, "a stack call reports at most three events"),
+        }
+    }
+}
+
+impl IntoIterator for TcpEvents {
+    type Item = TcpEvent;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<TcpEvent>, 3>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().flatten()
+    }
+}
+
 struct ConnSlot {
     sock: TcpSocket,
     /// Last state reported to the owner, to generate edge-triggered events.
@@ -80,6 +106,10 @@ pub struct TcpStack {
     /// Terminal connections the last `on_packet`/`on_timer` reported: dropped
     /// at the next, once the owner handled that (it may `abort` meanwhile).
     reported_dead: Vec<ConnId>,
+    /// The sockets' out buffer: every call hands it to the socket it
+    /// drives and drains it onto the wire, so emitting allocates only
+    /// the packets themselves.
+    out: Vec<Segment>,
     listeners: Vec<Endpoint>,
     next_id: u64,
     next_ephemeral: u16,
@@ -94,6 +124,7 @@ impl TcpStack {
             conns: FlowTable::new(),
             by_flow: FlowTable::new(),
             reported_dead: Vec::new(),
+            out: Vec::new(),
             listeners: Vec::new(),
             next_id: 1,
             next_ephemeral: 33000,
@@ -179,8 +210,8 @@ impl TcpStack {
     ) {
         let now = ctx.now();
         if let Some(slot) = self.conns.get_mut(&id) {
-            let segs = slot.sock.send_vectored(chunks, now);
-            transmit(ctx, &slot.sock, segs);
+            slot.sock.send_vectored(chunks, now, &mut self.out);
+            transmit(ctx, &slot.sock, &mut self.out);
             rearm(ctx, id, slot);
         }
     }
@@ -197,8 +228,8 @@ impl TcpStack {
     pub fn close(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
         let now = ctx.now();
         if let Some(slot) = self.conns.get_mut(&id) {
-            let segs = slot.sock.close(now);
-            transmit(ctx, &slot.sock, segs);
+            slot.sock.close(now, &mut self.out);
+            transmit(ctx, &slot.sock, &mut self.out);
             rearm(ctx, id, slot);
         }
     }
@@ -207,7 +238,7 @@ impl TcpStack {
     pub fn abort(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
         if let Some(slot) = self.conns.get_mut(&id) {
             let rst = slot.sock.abort();
-            transmit(ctx, &slot.sock, vec![rst]);
+            ctx.send(rst.into_packet(slot.sock.local(), slot.sock.remote()));
         }
     }
 
@@ -218,14 +249,17 @@ impl TcpStack {
 
     /// Handles a TCP packet addressed to this node. Returns lifecycle/data
     /// events for the owner.
-    pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) -> Vec<TcpEvent> {
+    pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) -> TcpEvents {
         self.drop_reported_dead();
         let flow @ (src, dst) = (pkt.src, pkt.dst);
         let Some(seg) = Segment::from_packet(pkt) else {
-            return Vec::new();
+            return TcpEvents::default();
         };
         if let Some(&id) = self.by_flow.get(&flow) {
-            return self.drive(ctx, id, |slot, now| Some(slot.sock.on_segment(&seg, now)));
+            return self.drive(ctx, id, |slot, now, out| {
+                slot.sock.on_segment(&seg, now, out);
+                true
+            });
         }
         // New flow: maybe a listener accepts it.
         if seg.flags.syn && !seg.flags.ack && self.listeners.contains(&dst) {
@@ -234,7 +268,9 @@ impl TcpStack {
                 TcpSocket::accept(self.cfg, dst, src, &seg, iss, ctx.now())
             {
                 ctx.send(synack.into_packet(dst, src));
-                return vec![TcpEvent::Incoming(self.open(ctx, flow, sock), src)];
+                let mut events = TcpEvents::default();
+                events.push(TcpEvent::Incoming(self.open(ctx, flow, sock), src));
+                return events;
             }
         }
         if self.rst_unknown && !seg.flags.rst {
@@ -249,23 +285,24 @@ impl TcpStack {
             };
             ctx.send(rst.into_packet(dst, src));
         }
-        Vec::new()
+        TcpEvents::default()
     }
 
     /// Handles a stack timer. Nodes must call this for timers whose token
     /// kind equals [`TCP_TIMER_KIND`].
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Vec<TcpEvent> {
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> TcpEvents {
         debug_assert_eq!(token.kind, TCP_TIMER_KIND);
         self.drop_reported_dead();
-        self.drive(ctx, ConnId(token.a), |slot, now| {
+        self.drive(ctx, ConnId(token.a), |slot, now, out| {
             match slot.armed {
                 Some((d, _)) if d <= now => {
                     slot.armed = None;
-                    Some(slot.sock.on_timer(now))
+                    slot.sock.on_timer(now, out);
+                    true
                 }
                 // Not due: cannot happen while every superseded timer is
                 // cancelled, and doing nothing is the safe reading.
-                _ => None,
+                _ => false,
             }
         })
     }
@@ -274,21 +311,22 @@ impl TcpStack {
     /// that follows — transmit what it emitted, report state edges, drop a
     /// terminal connection from the flow index and cancel its timer, or
     /// re-arm the timer of a live one — on the slot looked up once here.
-    /// `input` returns `None` to do nothing.
+    /// `input` pushes the socket's segments onto the out buffer and
+    /// returns `false` to do nothing.
     fn drive(
         &mut self,
         ctx: &mut Ctx<'_>,
         id: ConnId,
-        input: impl FnOnce(&mut ConnSlot, SimTime) -> Option<Vec<Segment>>,
-    ) -> Vec<TcpEvent> {
-        let mut events = Vec::new();
+        input: impl FnOnce(&mut ConnSlot, SimTime, &mut Vec<Segment>) -> bool,
+    ) -> TcpEvents {
+        let mut events = TcpEvents::default();
         let Some(slot) = self.conns.get_mut(&id) else {
             return events;
         };
-        let Some(out) = input(slot, ctx.now()) else {
+        if !input(slot, ctx.now(), &mut self.out) {
             return events;
-        };
-        transmit(ctx, &slot.sock, out);
+        }
+        transmit(ctx, &slot.sock, &mut self.out);
         if report(id, slot, &mut events) {
             let sock = &slot.sock;
             self.by_flow.remove(&(sock.remote(), sock.local()));
@@ -316,7 +354,7 @@ impl TcpStack {
 
 /// Emits edge-triggered events by comparing current vs. reported state.
 /// Returns true once the socket is terminal.
-fn report(id: ConnId, slot: &mut ConnSlot, events: &mut Vec<TcpEvent>) -> bool {
+fn report(id: ConnId, slot: &mut ConnSlot, events: &mut TcpEvents) -> bool {
     let state = slot.sock.state();
     if slot.reported != state {
         match state {
@@ -354,9 +392,10 @@ fn rearm(ctx: &mut Ctx<'_>, id: ConnId, slot: &mut ConnSlot) {
     slot.armed = Some((deadline, timer));
 }
 
-/// Puts the segments a socket emitted on the wire.
-fn transmit(ctx: &mut Ctx<'_>, sock: &TcpSocket, segs: Vec<Segment>) {
-    for s in segs {
+/// Puts the segments a socket emitted on the wire, leaving `out` empty
+/// (its capacity stays for the next call).
+fn transmit(ctx: &mut Ctx<'_>, sock: &TcpSocket, out: &mut Vec<Segment>) {
+    for s in out.drain(..) {
         ctx.send(s.into_packet(sock.local(), sock.remote()));
     }
 }
@@ -670,6 +709,7 @@ mod tests {
             let mut seen = (Vec::new(), 0, 0);
             eng.with_node_ctx::<EchoServer>(server, |s, ctx| {
                 let events = s.stack.on_packet(ctx, seg.into_packet(client, server_ep));
+                let events = events.into_iter().collect();
                 seen = (events, s.stack.by_flow.len(), s.stack.conns.len());
             });
             seen

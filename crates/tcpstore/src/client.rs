@@ -224,6 +224,9 @@ pub struct StoreClient {
     ring: HashRing,
     local: Endpoint,
     pending: FlowTable<u64, PendingOp>,
+    /// The ring's answer for the op being issued, in a buffer reused op
+    /// after op: a pending op's one allocation is its `targets`.
+    replica_buf: Vec<Addr>,
     /// Under-acked writes being repaired in the background, keyed by the
     /// original request id (so a late ack from the original send settles
     /// the repair).
@@ -258,6 +261,7 @@ impl StoreClient {
             ring,
             local,
             pending: FlowTable::new(),
+            replica_buf: Vec::new(),
             repairs: FlowTable::new(),
             next_req: 1,
             replica_stats: BTreeMap::new(),
@@ -385,7 +389,8 @@ impl StoreClient {
         let req_id = self.next_req;
         self.next_req += 1;
         let now = ctx.now();
-        let mut replicas = self.ring.replicas(&key, self.cfg.replicas);
+        self.ring
+            .replicas(&key, self.cfg.replicas, &mut self.replica_buf);
         let is_write = !matches!(op, StoreOp::Get);
         if is_write {
             // A newer write supersedes any pending repair of the same key:
@@ -395,37 +400,36 @@ impl StoreClient {
                     ctx.cancel_timer(r.retry);
                 }
             }
-        } else {
-            // Reads steer around quarantined replicas (stable order within
-            // each class keeps the preference deterministic). Writes always
-            // fan out to the full set — durability trumps latency.
-            let (healthy, suspect): (Vec<Addr>, Vec<Addr>) = replicas
+        }
+        // Reads steer around quarantined replicas: healthy ones first, then
+        // suspect ones, ring order within each class (which keeps the
+        // preference deterministic). Writes always fan out to the full set
+        // in ring order — durability trumps latency.
+        let mut targets = Vec::with_capacity(self.replica_buf.len());
+        for suspect in [false, true] {
+            let class = self
+                .replica_buf
                 .iter()
-                .partition(|&&s| !self.quarantined(s, now));
-            replicas = healthy;
-            replicas.extend(suspect);
+                .filter(|&&server| (!is_write && self.quarantined(server, now)) == suspect);
+            targets.extend(class.map(|&server| PendingTarget {
+                server,
+                sent_at: now,
+                answered: false,
+            }));
         }
         // Reads contact the preferred replica only and hedge later;
         // writes contact everyone in parallel (paper: max of the RTTs).
         let contact = if is_write {
-            replicas.len()
+            targets.len()
         } else {
-            replicas.len().min(1)
+            targets.len().min(1)
         };
-        let targets: Vec<PendingTarget> = replicas
-            .iter()
-            .map(|&server| PendingTarget {
-                server,
-                sent_at: now,
-                answered: false,
-            })
-            .collect();
-        for &server in replicas.iter().take(contact) {
-            self.send_to(ctx, server, req_id, op, &key, &value);
+        for t in targets.iter().take(contact) {
+            self.send_to(ctx, t.server, req_id, op, &key, &value);
         }
-        let hedge = match replicas.first() {
-            Some(&primary) if !is_write && replicas.len() > 1 => {
-                let delay = self.hedge_delay(primary);
+        let hedge = match targets.first() {
+            Some(primary) if !is_write && targets.len() > 1 => {
+                let delay = self.hedge_delay(primary.server);
                 Some(ctx.set_timer(delay, TimerToken::new(STORE_HEDGE_KIND).with_a(req_id)))
             }
             _ => None,
@@ -466,11 +470,9 @@ impl StoreClient {
         Some(server)
     }
 
-    /// Routes an RPC packet; returns completed operations.
-    pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Vec<StoreEvent> {
-        let Some(resp) = StoreResponse::decode(&pkt.payload) else {
-            return Vec::new();
-        };
+    /// Routes an RPC packet; returns the operation it completed, if any.
+    pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Option<StoreEvent> {
+        let resp = StoreResponse::decode(&pkt.payload)?;
         let now = ctx.now();
         let from = pkt.src.addr;
         // First pass under the pending borrow: settle the target and
@@ -488,7 +490,7 @@ impl StoreClient {
                 let Some(latency) = latency else {
                     // A duplicate or stray response; the op's accounting
                     // already settled this replica.
-                    return Vec::new();
+                    return None;
                 };
                 match resp.status {
                     StoreStatus::Ok => {
@@ -523,7 +525,7 @@ impl StoreClient {
                     .or_insert_with(ReplicaStat::new)
                     .misses_in_a_row = 0;
             }
-            return Vec::new();
+            return None;
         };
         self.replica_answered(from, latency);
         if miss_reply && !complete {
@@ -538,40 +540,30 @@ impl StoreClient {
             if let Some(hedge) = exhausted.and_then(|op| op.hedge.take()) {
                 ctx.cancel_timer(hedge);
             }
-            return Vec::new();
+            return None;
         }
         if !complete {
-            return Vec::new();
+            return None;
         }
-        let Some(op) = self.pending.remove(&resp.req_id) else {
-            return Vec::new();
-        };
+        let op = self.pending.remove(&resp.req_id)?;
         ctx.cancel_timer(op.deadline);
         if let Some(hedge) = op.hedge {
             ctx.cancel_timer(hedge);
         }
-        vec![self.finish(op, now)]
+        Some(self.finish(op, now))
     }
 
     /// Handles the client's timers: op deadlines, hedge triggers, and
-    /// repair rounds. Returns completed (timed-out or partially-acked)
-    /// operations.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Vec<StoreEvent> {
+    /// repair rounds. Returns the operation a deadline completed (timed
+    /// out or partially acked), if any.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Option<StoreEvent> {
         match token.kind {
-            STORE_TIMER_KIND => self.on_deadline(ctx, token.a),
-            STORE_HEDGE_KIND => {
-                self.on_hedge(ctx, token.a);
-                Vec::new()
-            }
-            STORE_RETRY_KIND => {
-                self.on_repair_round(ctx, token.a);
-                Vec::new()
-            }
-            _ => {
-                debug_assert!(false, "unexpected timer kind {:#x}", token.kind);
-                Vec::new()
-            }
+            STORE_TIMER_KIND => return self.on_deadline(ctx, token.a),
+            STORE_HEDGE_KIND => self.on_hedge(ctx, token.a),
+            STORE_RETRY_KIND => self.on_repair_round(ctx, token.a),
+            _ => debug_assert!(false, "unexpected timer kind {:#x}", token.kind),
         }
+        None
     }
 
     fn on_hedge(&mut self, ctx: &mut Ctx<'_>, req_id: u64) {
@@ -605,10 +597,8 @@ impl StoreClient {
         }
     }
 
-    fn on_deadline(&mut self, ctx: &mut Ctx<'_>, req_id: u64) -> Vec<StoreEvent> {
-        let Some(op) = self.pending.remove(&req_id) else {
-            return Vec::new();
-        };
+    fn on_deadline(&mut self, ctx: &mut Ctx<'_>, req_id: u64) -> Option<StoreEvent> {
+        let op = self.pending.remove(&req_id)?;
         if let Some(hedge) = op.hedge {
             ctx.cancel_timer(hedge);
         }
@@ -642,7 +632,7 @@ impl StoreClient {
                 },
             );
         }
-        vec![self.finish(op, now)]
+        Some(self.finish(op, now))
     }
 
     /// Deterministic exponential backoff with seeded jitter: base × 2^round
@@ -728,6 +718,13 @@ mod tests {
     use crate::server::{StoreServer, StoreServerConfig};
     use yoda_netsim::{Addr, Engine, Node, NodeId, Topology, Zone};
 
+    /// `key`'s two replicas, preferred first.
+    fn replicas_of(client: &StoreClient, key: &[u8]) -> Vec<Addr> {
+        let mut out = Vec::new();
+        client.ring().replicas(key, 2, &mut out);
+        out
+    }
+
     /// Node embedding a StoreClient and running a scripted sequence:
     /// set → get → delete → get.
     struct ClientNode {
@@ -740,8 +737,7 @@ mod tests {
                 .set(ctx, Bytes::from_static(b"flow:a"), Bytes::from_static(b"S1"), 1);
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-            let evs = self.client.on_packet(ctx, &pkt);
-            for ev in evs {
+            if let Some(ev) = self.client.on_packet(ctx, &pkt) {
                 match ev.tag {
                     1 => self.client.get(ctx, Bytes::from_static(b"flow:a"), 2),
                     2 => self.client.delete(ctx, Bytes::from_static(b"flow:a"), 3),
@@ -845,7 +841,7 @@ mod tests {
         // Kill the primary replica of "flow:a"; the get must fall back.
         let primary = {
             let node = eng.node_ref::<ClientNode>(id);
-            node.client.ring().replicas(b"flow:a", 2)[0]
+            replicas_of(&node.client, b"flow:a")[0]
         };
         let victim = *server_ids
             .iter()
@@ -878,7 +874,7 @@ mod tests {
         eng.run_for(SimTime::from_millis(20));
         let primary = {
             let node = eng.node_ref::<ClientNode>(id);
-            node.client.ring().replicas(b"flow:h", 2)[0]
+            replicas_of(&node.client, b"flow:h")[0]
         };
         let victim = *server_ids
             .iter()
@@ -951,7 +947,7 @@ mod tests {
         eng.run_for(SimTime::from_millis(5));
         let primary = {
             let node = eng.node_ref::<ClientNode>(id);
-            node.client.ring().replicas(b"flow:p", 2)[0]
+            replicas_of(&node.client, b"flow:p")[0]
         };
         let victim = *server_ids
             .iter()
@@ -1011,7 +1007,7 @@ mod tests {
         eng.run_for(SimTime::from_millis(5));
         let (primary, backup) = {
             let node = eng.node_ref::<ClientNode>(id);
-            let reps = node.client.ring().replicas(b"flow:q", 2);
+            let reps = replicas_of(&node.client, b"flow:q");
             (reps[0], reps[1])
         };
         let victim = *server_ids
@@ -1073,7 +1069,7 @@ mod tests {
         eng.run_for(SimTime::from_millis(5));
         let primary = {
             let node = eng.node_ref::<ClientNode>(id);
-            node.client.ring().replicas(b"flow:r", 2)[0]
+            replicas_of(&node.client, b"flow:r")[0]
         };
         let victim = *server_ids
             .iter()

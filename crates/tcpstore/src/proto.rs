@@ -6,7 +6,7 @@
 //! connections as datagram exchanges with the same one-round-trip cost
 //! (no per-op handshake, exactly like a pooled connection).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{put_be, Bytes};
 use yoda_netsim::{Endpoint, Packet, PROTO_RPC};
 
 /// Operation kind.
@@ -62,16 +62,15 @@ pub struct StoreRequest {
 }
 
 impl StoreRequest {
-    /// Serializes the request.
+    /// Serializes the request: a 15-byte header, the key, the value, in
+    /// one exact-size block.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(15 + self.key.len() + self.value.len());
-        buf.put_u8(self.op.to_byte());
-        buf.put_u64(self.req_id);
-        buf.put_u16(self.key.len() as u16);
-        buf.put_u32(self.value.len() as u32);
-        buf.put_slice(&self.key);
-        buf.put_slice(&self.value);
-        buf.freeze()
+        let mut h = [0u8; 15];
+        put_be(&mut h, 0, &[self.op.to_byte()]);
+        put_be(&mut h, 1, &self.req_id.to_be_bytes());
+        put_be(&mut h, 9, &(self.key.len() as u16).to_be_bytes());
+        put_be(&mut h, 11, &(self.value.len() as u32).to_be_bytes());
+        Bytes::with_headroom(0, [&h[..], &self.key, &self.value])
     }
 
     /// Parses a request; `None` on malformed input.
@@ -111,18 +110,19 @@ pub struct StoreResponse {
 }
 
 impl StoreResponse {
-    /// Serializes the response.
+    /// Serializes the response: a 14-byte header and the value, in one
+    /// exact-size block.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(14 + self.value.len());
-        buf.put_u8(self.op.to_byte() | 0x80);
-        buf.put_u64(self.req_id);
-        buf.put_u8(match self.status {
+        let status = match self.status {
             StoreStatus::Ok => 0,
             StoreStatus::Miss => 1,
-        });
-        buf.put_u32(self.value.len() as u32);
-        buf.put_slice(&self.value);
-        buf.freeze()
+        };
+        let mut h = [0u8; 14];
+        put_be(&mut h, 0, &[self.op.to_byte() | 0x80]);
+        put_be(&mut h, 1, &self.req_id.to_be_bytes());
+        put_be(&mut h, 9, &[status]);
+        put_be(&mut h, 10, &(self.value.len() as u32).to_be_bytes());
+        Bytes::with_headroom(0, [&h[..], &self.value])
     }
 
     /// Parses a response; `None` on malformed input or a request byte.

@@ -22,7 +22,8 @@ use yoda_netsim::Addr;
 ///
 /// let servers: Vec<Addr> = (1..=10).map(|i| Addr::new(10, 0, 1, i)).collect();
 /// let ring = HashRing::new(&servers, 100);
-/// let replicas = ring.replicas(b"flow:172.16.0.1:40000", 2);
+/// let mut replicas = Vec::new();
+/// ring.replicas(b"flow:172.16.0.1:40000", 2, &mut replicas);
 /// assert_eq!(replicas.len(), 2);
 /// assert_ne!(replicas[0], replicas[1]);
 /// ```
@@ -76,9 +77,10 @@ impl HashRing {
     }
 
     /// Selects `k` distinct replica servers for `key` using `k` seeded
-    /// hash functions. When `k > N` the result has N entries.
-    pub fn replicas(&self, key: &[u8], k: usize) -> Vec<Addr> {
-        let mut out: Vec<Addr> = Vec::with_capacity(k);
+    /// hash functions, into `out` (cleared first: the caller reuses one
+    /// buffer). When `k > N` the result has N entries.
+    pub fn replicas(&self, key: &[u8], k: usize, out: &mut Vec<Addr>) {
+        out.clear();
         let mut fn_idx = 0u64;
         // K hash functions; on collision with an already-chosen server,
         // walk the ring to the next point (bounded probing).
@@ -102,7 +104,6 @@ impl HashRing {
             }
             fn_idx += 1;
         }
-        out
     }
 
     /// The primary server for a key (first hash function).
@@ -115,6 +116,14 @@ impl HashRing {
 mod tests {
     use super::*;
 
+    /// The replica set as a fresh vector, filled through a buffer that
+    /// starts out stale (as a reused one does).
+    fn replica_set(ring: &HashRing, key: &[u8], k: usize) -> Vec<Addr> {
+        let mut out = vec![Addr::UNSPECIFIED; 7];
+        ring.replicas(key, k, &mut out);
+        out
+    }
+
     fn servers(n: u8) -> Vec<Addr> {
         (1..=n).map(|i| Addr::new(10, 0, 1, i)).collect()
     }
@@ -124,7 +133,7 @@ mod tests {
         let ring = HashRing::new(&servers(10), 64);
         for i in 0..500 {
             let key = format!("key-{i}");
-            let reps = ring.replicas(key.as_bytes(), 3);
+            let reps = replica_set(&ring, key.as_bytes(), 3);
             assert_eq!(reps.len(), 3);
             assert_ne!(reps[0], reps[1]);
             assert_ne!(reps[1], reps[2]);
@@ -135,7 +144,7 @@ mod tests {
     #[test]
     fn k_capped_by_server_count() {
         let ring = HashRing::new(&servers(2), 16);
-        let reps = ring.replicas(b"k", 5);
+        let reps = replica_set(&ring, b"k", 5);
         assert_eq!(reps.len(), 2);
     }
 
@@ -146,8 +155,8 @@ mod tests {
         for i in 0..100 {
             let key = format!("key-{i}");
             assert_eq!(
-                ring1.replicas(key.as_bytes(), 2),
-                ring2.replicas(key.as_bytes(), 2)
+                replica_set(&ring1, key.as_bytes(), 2),
+                replica_set(&ring2, key.as_bytes(), 2)
             );
         }
     }
@@ -210,7 +219,7 @@ mod tests {
         for k in [1usize, 2, 5] {
             for i in 0..50 {
                 let key = format!("key-{i}");
-                assert_eq!(ring.replicas(key.as_bytes(), k), vec![only]);
+                assert_eq!(replica_set(&ring, key.as_bytes(), k), vec![only]);
             }
         }
         assert_eq!(ring.primary(b"anything"), only);
@@ -223,7 +232,7 @@ mod tests {
         let ring = HashRing::new(&all, 32);
         for i in 0..200 {
             let key = format!("key-{i}");
-            let mut reps = ring.replicas(key.as_bytes(), 100);
+            let mut reps = replica_set(&ring, key.as_bytes(), 100);
             assert_eq!(reps.len(), 4);
             reps.sort();
             reps.dedup();
@@ -245,8 +254,8 @@ mod tests {
         let mut disrupted = 0;
         for i in 0..3000 {
             let key = format!("flow:{i}");
-            let before = ring_old.replicas(key.as_bytes(), 2);
-            let after = ring_new.replicas(key.as_bytes(), 2);
+            let before = replica_set(&ring_old, key.as_bytes(), 2);
+            let after = replica_set(&ring_new, key.as_bytes(), 2);
             if before != after {
                 assert!(
                     after.contains(&newcomer),

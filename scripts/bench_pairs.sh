@@ -14,7 +14,11 @@
 # `--workload W --seed S --seconds 15 --trace 0`; odd pairs run A first,
 # even pairs B first. Prints each pair's wall_req_per_s, then per-side
 # medians and quartiles of the three host-time metrics and of
-# sim_req_per_s, sim_p50_ms and sim_p99_ms, B's wins, and two verdicts:
+# sim_req_per_s, sim_p50_ms and sim_p99_ms, B's wins, a claim verdict per
+# metric — "gain shown" when B is better in at least 9 of every 10 pairs
+# (ties count for neither) and its median differs from A's by more than
+# A's q3 - q1, else "not shown": the rule a claimed gain must pass — and
+# two run verdicts:
 # whether every run passed the benchmark's own output checks (required:
 # the script exits non-zero otherwise),
 # and whether every sim_* value and the failed-request count were equal
@@ -78,9 +82,12 @@ summary() { # column-of-A column-of-B name higher-is-better
         { n++; a[n] = $ca; b[n] = $cb
           if (hib ? $cb > $ca : $cb < $ca) wins++; else if ($cb == $ca) ties++ }
         END { sorted(a, sa, n); sorted(b, sb, n)
+              gap = q(sb, n, .5) - q(sa, n, .5); if (gap < 0) gap = -gap
+              shown = 10 * wins >= 9 * n && gap > q(sa, n, .75) - q(sa, n, .25)
               printf "%-15s A median %10.3f  [q1 %10.3f  q3 %10.3f]\n", name, q(sa, n, .5), q(sa, n, .25), q(sa, n, .75)
-              printf "%-15s B median %10.3f  [q1 %10.3f  q3 %10.3f]  B/A %.3f  B better in %d of %d (ties %d)\n", "",
-                     q(sb, n, .5), q(sb, n, .25), q(sb, n, .75), q(sb, n, .5) / q(sa, n, .5), wins, n, ties }' "$rows"
+              printf "%-15s B median %10.3f  [q1 %10.3f  q3 %10.3f]  B/A %.3f  B better in %d of %d (ties %d)  %s\n", "",
+                     q(sb, n, .5), q(sb, n, .25), q(sb, n, .75), q(sb, n, .5) / q(sa, n, .5), wins, n, ties,
+                     shown ? "gain shown" : "not shown" }' "$rows"
 }
 echo "--- $workload, $pairs pairs, seeds $seed0..$((seed0 + pairs - 1))"
 summary 1 2 wall_req_per_s 1

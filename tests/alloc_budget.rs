@@ -1,0 +1,400 @@
+//! Allocation budgets of the byte path (DESIGN.md "Byte path"), counted
+//! by a global allocator that wraps `System` in this test binary only:
+//!
+//! * a segment a sender emits is one block, and the router, the mux
+//!   (tunnel and splice) and the engine add nothing on its way;
+//! * a TCP socket's segments cost one block each, data or pure ACK, and
+//!   `TcpStack::on_packet`/`on_timer` allocate nothing else: no segment
+//!   vector, no event vector;
+//! * a store request or response is encoded in one block, and a store
+//!   op's bookkeeping is one vector, its `targets`.
+//!
+//! The counter is a thread-local, so the tests of this binary, which
+//! `cargo test` runs on parallel threads, never see each other's
+//! allocations. Every measured step runs after a warm-up, once tables,
+//! the timer wheel's slab and reused buffers have reached their size.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use bytes::Bytes;
+use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
+use yoda::netsim::{
+    Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
+};
+use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpConfig, TcpEvent, TcpStack};
+use yoda::tcpstore::{
+    StoreClient, StoreClientConfig, StoreEvent, StoreOp, StoreRequest, StoreResponse, StoreServer,
+    StoreServerConfig, StoreStatus,
+};
+
+thread_local! {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) this thread made.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method hands its arguments unchanged to `System`, so each
+// upholds `GlobalAlloc`'s contract exactly as `System` does. The count is a
+// const-initialised thread-local `Cell` without a destructor: bumping it
+// allocates nothing and cannot re-enter the allocator, and `try_with`
+// skips it once the thread is tearing down.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` contract is passed on unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller's contract is passed on unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f`; returns the allocations this thread made in it, and its value.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Runs `f` on `eng`; returns its allocations and the packets it sent.
+fn allocations_and_packets(eng: &mut Engine, f: impl FnOnce(&mut Engine)) -> (u64, u64) {
+    let sent = eng.packets_sent();
+    let (allocs, ()) = allocations(|| f(eng));
+    (allocs, eng.packets_sent() - sent)
+}
+
+// ----------------------------------------------------------------------
+// The forwarding tier
+// ----------------------------------------------------------------------
+
+/// Holds the last packet it received, so a delivery only frees.
+struct Sink {
+    got: u64,
+    last: Option<Packet>,
+}
+
+impl Node for Sink {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
+        self.got += 1;
+        self.last = Some(pkt);
+    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
+}
+
+fn sink() -> Box<Sink> {
+    Box::new(Sink { got: 0, last: None })
+}
+
+/// A data segment as a TCP sender holds it: its payload is a view of a
+/// send-queue chunk that the queue keeps until acked, so encoding it
+/// copies into a fresh block with the encapsulation room in front.
+fn sender_segment(chunk: &Bytes, from: Endpoint, to: Endpoint) -> Segment {
+    Segment {
+        src_port: from.port,
+        dst_port: to.port,
+        seq: SeqNum::new(1),
+        ack: SeqNum::new(1),
+        flags: Flags::ACK,
+        window: 1 << 20,
+        payload: chunk.clone(),
+    }
+}
+
+#[test]
+fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
+    let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+    let (router_addr, mux_addr) = (Addr::new(10, 0, 3, 1), Addr::new(10, 0, 2, 1));
+    let (inst_addr, backend) = (
+        Addr::new(10, 0, 0, 1),
+        Endpoint::new(Addr::new(10, 1, 0, 1), 80),
+    );
+    let tunneled = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
+    let spliced = Endpoint::new(Addr::new(172, 16, 0, 1), 40_001);
+    let mut eng = Engine::with_topology(5, Topology::uniform(SimTime::from_micros(100)));
+    let client = eng.add_node("client", tunneled.addr, Zone::Dc, sink());
+    let router = eng.add_node(
+        "router",
+        router_addr,
+        Zone::Dc,
+        Box::new(EdgeRouter::new(router_addr, vec![mux_addr])),
+    );
+    eng.add_addr(router, vip.addr);
+    let mut mux = Mux::new(mux_addr);
+    mux.set_vip_map(vip.addr, vec![inst_addr], 1);
+    let mux = eng.add_node("mux", mux_addr, Zone::Dc, Box::new(mux));
+    let inst = eng.add_node("inst", inst_addr, Zone::Dc, sink());
+    let server = eng.add_node("backend", backend.addr, Zone::Dc, sink());
+    // The instance's splice of the second flow: client leg → backend.
+    let install = CtrlMsg::SpliceInstall {
+        from: spliced,
+        to: vip,
+        new_src: Endpoint::new(vip.addr, spliced.port),
+        new_dst: backend,
+        seq_add: 7,
+        ack_add: 9,
+        acks_only: false,
+    };
+    eng.with_node_ctx::<Mux>(mux, |m, ctx| {
+        m.on_packet(
+            ctx,
+            install.into_packet(Endpoint::new(inst_addr, 0), mux_addr),
+        );
+    });
+    let chunk = Bytes::from(vec![0x5A; 1460]);
+    // Sender → router → mux → (instance | backend), one packet, timed.
+    let trip = |eng: &mut Engine, from: Endpoint, encoded: Option<Packet>| {
+        allocations(|| {
+            let pkt =
+                encoded.unwrap_or_else(|| sender_segment(&chunk, from, vip).into_packet(from, vip));
+            eng.with_node_ctx::<Sink>(client, |_, ctx| ctx.send(pkt));
+            eng.run_for(SimTime::from_millis(1));
+        })
+        .0
+    };
+    for _ in 0..64 {
+        trip(&mut eng, tunneled, None);
+        trip(&mut eng, spliced, None);
+    }
+    let got = |eng: &Engine| {
+        (
+            eng.node_ref::<Sink>(inst).got,
+            eng.node_ref::<Sink>(server).got,
+        )
+    };
+    assert_eq!(got(&eng), (64, 64), "the warm-up went both ways");
+    for from in [tunneled, spliced] {
+        // The whole trip, encode included: the sender's block alone.
+        assert_eq!(trip(&mut eng, from, None), 1, "{from}: sender to receiver");
+        // Router, mux and engine on an encoded packet: nothing.
+        let pkt = sender_segment(&chunk, from, vip).into_packet(from, vip);
+        assert_eq!(trip(&mut eng, from, Some(pkt)), 0, "{from}: forwarding");
+    }
+    assert_eq!(got(&eng), (66, 66));
+    let last = eng.node_ref::<Sink>(server).last.clone().expect("spliced");
+    assert_eq!(last.src, Endpoint::new(vip.addr, spliced.port));
+    let seg = Segment::from_packet(last).expect("a segment");
+    assert_eq!((seg.seq, seg.payload), (SeqNum::new(8), chunk));
+}
+
+// ----------------------------------------------------------------------
+// TCP sockets and stacks
+// ----------------------------------------------------------------------
+
+/// Either end of a bulk transfer: drains and counts what arrives.
+struct Peer {
+    stack: TcpStack,
+    conn: Option<ConnId>,
+    received: usize,
+}
+
+impl Peer {
+    fn handle(&mut self, events: impl IntoIterator<Item = TcpEvent>) {
+        for ev in events {
+            match ev {
+                TcpEvent::Incoming(id, _) | TcpEvent::Connected(id) => self.conn = Some(id),
+                TcpEvent::Data(id) => self.received += self.stack.recv(id).len(),
+                _ => {}
+            }
+        }
+    }
+}
+
+impl Node for Peer {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        let events = self.stack.on_packet(ctx, pkt);
+        self.handle(events);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        let events = self.stack.on_timer(ctx, token);
+        self.handle(events);
+    }
+}
+
+fn peer() -> Box<Peer> {
+    Box::new(Peer {
+        stack: TcpStack::new(TcpConfig::default()),
+        conn: None,
+        received: 0,
+    })
+}
+
+/// Queues `data` on the client's connection: the segments the window
+/// lets out go on the wire at once.
+fn send(eng: &mut Engine, client: NodeId, data: &Bytes) {
+    eng.with_node_ctx::<Peer>(client, |p, ctx| {
+        let conn = p.conn.expect("connected");
+        p.stack.send(ctx, conn, data.clone());
+    });
+}
+
+#[test]
+fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
+    let mut eng = Engine::with_topology(11, Topology::uniform(SimTime::from_micros(200)));
+    let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+    let server = eng.add_node("server", server_ep.addr, Zone::Dc, peer());
+    eng.node_mut::<Peer>(server).stack.listen(server_ep);
+    let client = eng.add_node("client", Addr::new(10, 2, 0, 1), Zone::Dc, peer());
+    eng.with_node_ctx::<Peer>(client, |p, ctx| {
+        let local = Endpoint::new(Addr::new(10, 2, 0, 1), p.stack.ephemeral_port());
+        p.conn = Some(p.stack.connect(ctx, local, server_ep));
+    });
+    eng.run_for(SimTime::from_millis(5));
+    // Warm-up: bulk rounds larger than anything measured below, so the
+    // send queue's deques, the out buffer and the wheel are at size.
+    let bulk = Bytes::from(vec![1; 200 * 1460]);
+    for _ in 0..3 {
+        send(&mut eng, client, &bulk);
+        eng.run_for(SimTime::from_millis(200));
+    }
+    assert_eq!(eng.node_ref::<Peer>(server).received, 3 * bulk.len());
+
+    // `send`: one block per data segment it lets out.
+    let data = Bytes::from(vec![2; 8 * 1460]);
+    let (allocs, packets) = allocations_and_packets(&mut eng, |eng| send(eng, client, &data));
+    assert_eq!(packets, 8, "an open window lets all eight out");
+    assert_eq!(allocs, packets, "send: one block per segment");
+    // Both stacks' `on_packet`s, data in and pure ACKs back: one block per
+    // segment they emit, and not one allocation besides.
+    let (allocs, packets) =
+        allocations_and_packets(&mut eng, |eng| eng.run_for(SimTime::from_millis(50)));
+    assert!(packets >= 8, "the ACKs went back: {packets}");
+    assert_eq!(allocs, packets, "on_packet: one block per segment");
+    assert_eq!(
+        eng.node_ref::<Peer>(server).received,
+        3 * bulk.len() + data.len()
+    );
+
+    // `on_timer`: the server hears nothing, the client's RTO retransmits.
+    eng.partition_node(server);
+    let one = Bytes::from(vec![3; 1460]);
+    let (allocs, packets) = allocations_and_packets(&mut eng, |eng| send(eng, client, &one));
+    assert_eq!((allocs, packets), (1, 1));
+    let (allocs, packets) =
+        allocations_and_packets(&mut eng, |eng| eng.run_for(SimTime::from_secs(1)));
+    assert!(packets >= 1, "the RTO fired");
+    assert_eq!(allocs, packets, "on_timer: one block per retransmission");
+    eng.heal_node(server);
+    eng.run_for(SimTime::from_secs(5));
+    assert_eq!(
+        eng.node_ref::<Peer>(server).received,
+        3 * bulk.len() + data.len() + one.len()
+    );
+}
+
+// ----------------------------------------------------------------------
+// TCPStore
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_store_message_is_one_block() {
+    let req = StoreRequest {
+        req_id: 7,
+        op: StoreOp::Set,
+        key: Bytes::from_static(b"flow:abcdefghijkl"),
+        value: Bytes::from(vec![9; 26]),
+    };
+    let (allocs, wire) = allocations(|| req.encode());
+    assert_eq!(allocs, 1, "request encode");
+    let (allocs, back) = allocations(|| StoreRequest::decode(&wire));
+    assert_eq!((allocs, back.as_ref()), (0, Some(&req)), "request decode");
+    let resp = StoreResponse {
+        req_id: 7,
+        op: StoreOp::Get,
+        status: StoreStatus::Ok,
+        value: Bytes::from(vec![9; 26]),
+    };
+    let (allocs, wire) = allocations(|| resp.encode());
+    assert_eq!(allocs, 1, "response encode");
+    let (allocs, back) = allocations(|| StoreResponse::decode(&wire));
+    assert_eq!((allocs, back.as_ref()), (0, Some(&resp)), "response decode");
+}
+
+/// Embeds a store client; keeps the number of completed ops only.
+struct Requester {
+    client: StoreClient,
+    done: u64,
+}
+
+impl Requester {
+    fn settle(&mut self, ev: Option<StoreEvent>) {
+        self.done += ev.is_some() as u64;
+    }
+}
+
+impl Node for Requester {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        let ev = self.client.on_packet(ctx, &pkt);
+        self.settle(ev);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        let ev = self.client.on_timer(ctx, token);
+        self.settle(ev);
+    }
+}
+
+#[test]
+fn a_store_op_keeps_one_vector() {
+    let mut eng = Engine::with_topology(13, Topology::uniform(SimTime::from_micros(250)));
+    let servers: Vec<Addr> = (1..=4).map(|i| Addr::new(10, 0, 1, i)).collect();
+    for &s in &servers {
+        let node = StoreServer::new(StoreServerConfig::default(), s);
+        eng.add_node(format!("store-{s}"), s, Zone::Dc, Box::new(node));
+    }
+    let me = Endpoint::new(Addr::new(10, 0, 0, 9), 9999);
+    let client = StoreClient::new(StoreClientConfig::default(), me, &servers);
+    let requester = eng.add_node(
+        "requester",
+        me.addr,
+        Zone::Dc,
+        Box::new(Requester { client, done: 0 }),
+    );
+    let key = |i: u64| Bytes::copy_from_slice(format!("flow:{i:08}").as_bytes());
+    let value = Bytes::from(vec![7; 26]);
+    let op = |eng: &mut Engine, tag: u64, set: bool| {
+        let (k, v) = (key(tag % 16), value.clone());
+        allocations_and_packets(eng, |eng| {
+            eng.with_node_ctx::<Requester>(requester, |d, ctx| match set {
+                true => d.client.set(ctx, k, v, tag),
+                false => d.client.get(ctx, k, tag),
+            });
+        })
+    };
+    // Warm-up: every replica answered (its stats entry exists), tables
+    // and buffers at size — four ops in flight at a time, more than the
+    // two measured below.
+    for tag in 0..64 {
+        op(&mut eng, tag, tag % 2 == 0);
+        if tag % 4 == 3 {
+            eng.run_for(SimTime::from_millis(5));
+        }
+    }
+    assert_eq!(eng.node_ref::<Requester>(requester).done, 64);
+    // A set goes to both replicas, a get to the preferred one: one block
+    // per request, plus the op's `targets`.
+    let (allocs, packets) = op(&mut eng, 100, true);
+    assert_eq!((allocs, packets), (1 + 2, 2), "set");
+    let (allocs, packets) = op(&mut eng, 101, false);
+    assert_eq!((allocs, packets), (1 + 1, 1), "get");
+    eng.run_for(SimTime::from_millis(5));
+    assert_eq!(eng.node_ref::<Requester>(requester).done, 66);
+}

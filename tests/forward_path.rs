@@ -183,7 +183,7 @@ fn consuming_codec_matches_copying_codec() {
             // A view into the middle of somebody else's buffer: there is
             // room in front, but those bytes belong to `whole`.
             _ => {
-                let whole = Bytes::with_headroom(0, &[&[0xEE; 64], &reference.payload, b"tail"]);
+                let whole = Bytes::with_headroom(0, [&[0xEE; 64][..], &reference.payload, b"tail"]);
                 let view = whole.slice(64..64 + reference.payload.len());
                 retained.push((whole.clone(), whole.to_vec()));
                 Packet::new(src, dst, PROTO_TCP, view)

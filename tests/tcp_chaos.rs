@@ -22,8 +22,9 @@ fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
     let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(7), now);
     let (mut server, synack) =
         TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(77), now).expect("syn");
-    let mut to_server: Vec<Segment> = client.on_segment(&synack, now);
-    to_server.extend(client.send(bytes::Bytes::copy_from_slice(data), now));
+    let mut to_server: Vec<Segment> = Vec::new();
+    client.on_segment(&synack, now, &mut to_server);
+    client.send(bytes::Bytes::copy_from_slice(data), now, &mut to_server);
     let mut received = Vec::new();
     // Alternate delivery rounds with chaos until both sides go idle and
     // all data arrived (or a safety cap).
@@ -43,16 +44,16 @@ fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
             }
             if rng.gen_range(0..100u64) < 10 {
                 // Duplicate delivery.
-                to_client.extend(server.on_segment(&seg, now));
+                server.on_segment(&seg, now, &mut to_client);
             }
-            to_client.extend(server.on_segment(&seg, now));
+            server.on_segment(&seg, now, &mut to_client);
         }
         received.extend_from_slice(&server.take_data());
         for seg in to_client {
             if rng.gen_range(0..100u64) < loss_pct {
                 continue;
             }
-            to_server.extend(client.on_segment(&seg, now));
+            client.on_segment(&seg, now, &mut to_server);
         }
         if to_server.is_empty() {
             if received.len() >= data.len() {
@@ -63,7 +64,7 @@ fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
                 .next_deadline()
                 .unwrap_or(now + SimTime::from_secs(1))
                 .max(now + SimTime::from_millis(1));
-            to_server.extend(client.on_timer(now));
+            client.on_timer(now, &mut to_server);
             if to_server.is_empty() && client.state() == SocketState::Reset {
                 break;
             }

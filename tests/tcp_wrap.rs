@@ -17,20 +17,21 @@ fn socket_transfer_across_seq_wrap() {
     let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, iss, t);
     let (mut server, synack) =
         TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(u32::MAX - 9), t).unwrap();
-    let mut to_server = client.on_segment(&synack, t);
+    let mut to_server = Vec::new();
+    client.on_segment(&synack, t, &mut to_server);
     let data: Vec<u8> = (0..100_000).map(|i| (i % 249) as u8).collect();
-    to_server.extend(client.send(bytes::Bytes::from(data.clone()), t));
+    client.send(bytes::Bytes::from(data.clone()), t, &mut to_server);
     loop {
         let mut to_client = Vec::new();
         for s in &to_server {
-            to_client.extend(server.on_segment(s, t));
+            server.on_segment(s, t, &mut to_client);
         }
         if to_client.is_empty() {
             break;
         }
         to_server.clear();
         for s in &to_client {
-            to_server.extend(client.on_segment(s, t));
+            client.on_segment(s, t, &mut to_server);
         }
         if to_server.is_empty() {
             break;
@@ -51,14 +52,17 @@ fn out_of_order_segments_reassemble_across_seq_wrap() {
     let t = SimTime::ZERO;
     let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(u32::MAX - 2000), t);
     let (mut server, synack) = TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(7), t).unwrap();
-    for ack in client.on_segment(&synack, t) {
-        server.on_segment(&ack, t);
+    let (mut acks, mut replies) = (Vec::new(), Vec::new());
+    client.on_segment(&synack, t, &mut acks);
+    for ack in &acks {
+        server.on_segment(ack, t, &mut replies);
     }
     let data: Vec<u8> = (0..3 * cfg.mss).map(|i| (i % 251) as u8).collect();
-    let segs = client.send(bytes::Bytes::from(data.clone()), t);
+    let mut segs = Vec::new();
+    client.send(bytes::Bytes::from(data.clone()), t, &mut segs);
     assert_eq!(segs.len(), 3);
     for s in segs.iter().rev() {
-        server.on_segment(s, t);
+        server.on_segment(s, t, &mut replies);
     }
     let got = server.take_data();
     assert_eq!(
