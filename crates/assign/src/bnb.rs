@@ -203,12 +203,9 @@ fn most_fractional(input: &AssignInput, x: &[f64]) -> Option<usize> {
 /// Uses the greedy solution as the initial incumbent.
 pub fn solve_exact(input: &AssignInput, node_limit: usize) -> Result<ExactOutcome, AssignError> {
     // Incumbent from the greedy solver (upper bound).
-    let mut incumbent: Option<Assignment> = crate::greedy::solve_greedy(
-        input,
-        &crate::greedy::GreedyConfig::default(),
-    )
-    .ok()
-    .map(|o| o.assignment);
+    let mut incumbent: Option<Assignment> = crate::greedy::solve_greedy(input, None)
+        .ok()
+        .map(|o| o.assignment);
     let mut best_obj = incumbent
         .as_ref()
         .map(|a| a.num_instances() as f64)
@@ -337,7 +334,7 @@ mod tests {
             vec![vip(55.0, 10, 1), vip(50.0, 10, 1), vip(50.0, 10, 1), vip(45.0, 10, 1)],
             6,
         );
-        let greedy = crate::greedy::solve_greedy(&inp, &Default::default()).unwrap();
+        let greedy = crate::greedy::solve_greedy(&inp, None).unwrap();
         let exact = solve_exact(&inp, 2000).unwrap();
         assert!(exact.assignment.num_instances() <= greedy.assignment.num_instances());
         assert_eq!(exact.assignment.num_instances(), 2);

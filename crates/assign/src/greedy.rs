@@ -18,32 +18,12 @@
 
 use crate::model::{AssignError, AssignInput, Assignment, VipSpec};
 
-/// Greedy solver knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyConfig {
-    /// Rounds of drain-one-instance local search.
-    pub local_search_rounds: usize,
-    /// δ relaxation step when the migration budget is infeasible.
-    pub delta_step: f64,
-    /// Maximum δ relaxations before giving up.
-    pub max_delta_steps: usize,
-    /// Perturbs instance ordering when no migration limit is set,
-    /// emulating an unconstrained optimizer's solution churn between
-    /// rounds (the paper's YODA-no-limit migrates a median 44.9% of
-    /// connections precisely because nothing anchors the solution).
-    pub shuffle_seed: Option<u64>,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        GreedyConfig {
-            local_search_rounds: 200,
-            delta_step: 0.10,
-            max_delta_steps: 10,
-            shuffle_seed: None,
-        }
-    }
-}
+/// Rounds of drain-one-instance local search.
+const LOCAL_SEARCH_ROUNDS: usize = 200;
+/// δ relaxation step when the migration budget is infeasible (§8.2).
+const DELTA_STEP: f64 = 0.10;
+/// Maximum δ relaxations before giving up.
+const MAX_DELTA_STEPS: usize = 10;
 
 /// Result metadata alongside the assignment.
 #[derive(Debug, Clone)]
@@ -149,16 +129,24 @@ impl<'a> Fleet<'a> {
 
 /// Solves with the greedy + local-search strategy.
 ///
-/// Honours all Figure 7 constraints; relaxes δ in `delta_step` increments
-/// when the migration budget alone makes the input infeasible.
-pub fn solve_greedy(input: &AssignInput, cfg: &GreedyConfig) -> Result<GreedyOutcome, AssignError> {
+/// Honours all Figure 7 constraints; relaxes δ in +10% increments when the
+/// migration budget alone makes the input infeasible.
+///
+/// `shuffle_seed` perturbs instance ordering when no migration limit is
+/// set, emulating an unconstrained optimizer's solution churn between
+/// rounds (the paper's YODA-no-limit migrates a median 44.9% of
+/// connections precisely because nothing anchors the solution).
+pub fn solve_greedy(
+    input: &AssignInput,
+    shuffle_seed: Option<u64>,
+) -> Result<GreedyOutcome, AssignError> {
     let mut delta = input.migration_limit;
-    for step in 0..=cfg.max_delta_steps {
+    for step in 0..=MAX_DELTA_STEPS {
         let relaxed = AssignInput {
             migration_limit: delta,
             ..input.clone()
         };
-        match attempt(&relaxed, cfg) {
+        match attempt(&relaxed, shuffle_seed) {
             Ok(assignment) => {
                 let lb = input.lower_bound();
                 let used = assignment.num_instances();
@@ -169,9 +157,9 @@ pub fn solve_greedy(input: &AssignInput, cfg: &GreedyConfig) -> Result<GreedyOut
                 });
             }
             Err(AssignError::MigrationBudget { .. }) | Err(AssignError::Infeasible)
-                if delta.is_some() && step < cfg.max_delta_steps =>
+                if delta.is_some() && step < MAX_DELTA_STEPS =>
             {
-                delta = delta.map(|d| d + cfg.delta_step);
+                delta = delta.map(|d| d + DELTA_STEP);
             }
             Err(e) => return Err(e),
         }
@@ -179,7 +167,7 @@ pub fn solve_greedy(input: &AssignInput, cfg: &GreedyConfig) -> Result<GreedyOut
     Err(AssignError::Infeasible)
 }
 
-fn attempt(input: &AssignInput, cfg: &GreedyConfig) -> Result<Assignment, AssignError> {
+fn attempt(input: &AssignInput, shuffle_seed: Option<u64>) -> Result<Assignment, AssignError> {
     let mut fleet = Fleet::new(input);
     // Heaviest-first order.
     let mut order: Vec<usize> = (0..input.vips.len()).collect();
@@ -197,7 +185,7 @@ fn attempt(input: &AssignInput, cfg: &GreedyConfig) -> Result<Assignment, Assign
         //    seed-dependent half of the VIPs is re-placed from scratch,
         //    emulating an unconstrained optimizer's partial solution
         //    churn between rounds.
-        let sticky = match (input.migration_limit.is_some(), cfg.shuffle_seed) {
+        let sticky = match (input.migration_limit.is_some(), shuffle_seed) {
             (true, _) => true,
             (false, Some(seed)) => yoda_hash(seed ^ (v as u64).wrapping_mul(0xA5A5)).is_multiple_of(2),
             (false, None) => true,
@@ -218,7 +206,7 @@ fn attempt(input: &AssignInput, cfg: &GreedyConfig) -> Result<Assignment, Assign
         // 2. Fill remaining replicas: least-loaded open instance first,
         //    then the first closed instance.
         while chosen.len() < spec.replicas {
-            let candidate = best_candidate(&fleet, spec, v, &chosen, input, cfg);
+            let candidate = best_candidate(&fleet, spec, v, &chosen, input, shuffle_seed);
             match candidate {
                 Some(y) => {
                     fleet.place(spec, v, y);
@@ -231,7 +219,7 @@ fn attempt(input: &AssignInput, cfg: &GreedyConfig) -> Result<Assignment, Assign
         placement[v] = chosen;
     }
     let mut assignment = Assignment::new(placement);
-    local_search(input, &mut assignment, cfg);
+    local_search(input, &mut assignment);
     input.validate(&assignment)?;
     Ok(assignment)
 }
@@ -245,9 +233,9 @@ fn best_candidate(
     v: usize,
     exclude: &[usize],
     input: &AssignInput,
-    cfg: &GreedyConfig,
+    shuffle_seed: Option<u64>,
 ) -> Option<usize> {
-    if let Some(seed) = cfg.shuffle_seed {
+    if let Some(seed) = shuffle_seed {
         // First fit over a seed-shuffled order of the open instances.
         let mut order: Vec<usize> = (0..input.max_instances).filter(|&y| fleet.open[y]).collect();
         order.sort_by_key(|&y| {
@@ -286,8 +274,8 @@ fn yoda_hash(mut h: u64) -> u64 {
 }
 
 /// Tries to empty lightly-loaded instances by re-homing their replicas.
-fn local_search(input: &AssignInput, assignment: &mut Assignment, cfg: &GreedyConfig) {
-    for _ in 0..cfg.local_search_rounds {
+fn local_search(input: &AssignInput, assignment: &mut Assignment) {
+    for _ in 0..LOCAL_SEARCH_ROUNDS {
         let used = assignment.instances_used();
         if used.len() <= 1 {
             return;
@@ -374,7 +362,7 @@ mod tests {
             vip(40.0, 500, 1),
             vip(30.0, 500, 1),
         ]);
-        let out = solve_greedy(&input, &GreedyConfig::default()).unwrap();
+        let out = solve_greedy(&input, None).unwrap();
         assert!(input.validate(&out.assignment).is_ok());
         // 200 total load / 100 per instance = 2 needed.
         assert_eq!(out.assignment.num_instances(), 2);
@@ -388,14 +376,14 @@ mod tests {
             vip(1.0, 1500, 1),
             vip(1.0, 1500, 1),
         ]);
-        let out = solve_greedy(&input, &GreedyConfig::default()).unwrap();
+        let out = solve_greedy(&input, None).unwrap();
         assert_eq!(out.assignment.num_instances(), 3, "rules don't fit together");
     }
 
     #[test]
     fn replicas_spread_across_instances() {
         let input = base_input(vec![vip(90.0, 100, 3)]);
-        let out = solve_greedy(&input, &GreedyConfig::default()).unwrap();
+        let out = solve_greedy(&input, None).unwrap();
         assert_eq!(out.assignment.placement[0].len(), 3);
         assert_eq!(out.assignment.num_instances(), 3);
     }
@@ -409,7 +397,7 @@ mod tests {
             migration_limit: Some(0.1),
             ..base_input(vips)
         };
-        let out = solve_greedy(&input, &GreedyConfig::default()).unwrap();
+        let out = solve_greedy(&input, None).unwrap();
         // Zero migration achievable: must keep both VIPs in place.
         assert_eq!(
             prev.migrated_fraction(&out.assignment, &input.vips),
@@ -430,7 +418,7 @@ mod tests {
             migration_limit: Some(0.0),
             ..base_input(vips)
         };
-        let out = solve_greedy(&input, &GreedyConfig::default()).unwrap();
+        let out = solve_greedy(&input, None).unwrap();
         assert!(input.vips.len() == 2);
         assert!(out.effective_delta.unwrap() > 0.0);
         assert_eq!(out.assignment.num_instances(), 2);
@@ -443,7 +431,7 @@ mod tests {
             ..base_input(vec![vip(90.0, 100, 1), vip(90.0, 100, 1)])
         };
         assert!(matches!(
-            solve_greedy(&input, &GreedyConfig::default()),
+            solve_greedy(&input, None),
             Err(AssignError::Infeasible)
         ));
     }
@@ -458,7 +446,7 @@ mod tests {
             oversub: 0.5,
             connections: 80.0,
         }]);
-        let out = solve_greedy(&input, &GreedyConfig::default()).unwrap();
+        let out = solve_greedy(&input, None).unwrap();
         let loads = out.assignment.load_per_instance(&input.vips);
         for l in loads {
             assert!(l == 0.0 || (l - 80.0).abs() < 1e-9);
@@ -475,7 +463,7 @@ mod tests {
             max_instances: 200,
             ..base_input(vips)
         };
-        let out = solve_greedy(&input, &GreedyConfig::default()).unwrap();
+        let out = solve_greedy(&input, None).unwrap();
         assert!(input.validate(&out.assignment).is_ok());
         assert!(out.gap < 0.5, "gap {}", out.gap);
     }

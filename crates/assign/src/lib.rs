@@ -38,6 +38,6 @@ pub mod simplex;
 
 pub use alltoall::all_to_all;
 pub use bnb::solve_exact;
-pub use greedy::{solve_greedy, GreedyConfig};
+pub use greedy::solve_greedy;
 pub use model::{AssignError, AssignInput, Assignment, TransitionStats, VipSpec};
 pub use simplex::{LinearProgram, LpError, LpResult};

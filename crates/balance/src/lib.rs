@@ -6,18 +6,13 @@
 //! adaptive layer, modelled on Prequal (*Load is not what you should
 //! balance*, NSDI 2024):
 //!
-//! * [`Picker`] — the pluggable selection seam. Every policy (the three
-//!   static ones included, via the adapters in [`picker`]) reduces to
-//!   "given the live backend set, per-backend [`Signal`]s, the sim time
-//!   and a seeded RNG, pick one backend". `RuleTable::apply` in
-//!   `yoda-core` delegates through this trait instead of hard-coding
-//!   match arms.
 //! * [`ProbePool`] — a per-rule pool of recent probe results (RIF =
 //!   requests-in-flight, plus a latency estimate), with entries evicted
-//!   by staleness and by reuse count (Prequal §4).
-//! * [`HotCold`] — hot-cold lexicographic selection over the pool: avoid
-//!   backends whose RIF sits above the pool's quantile threshold, then
-//!   pick the lowest latency estimate among the cold ones.
+//!   by staleness and by reuse count (Prequal §4), and hot-cold
+//!   lexicographic selection over it: avoid backends whose RIF sits above
+//!   the pool's quantile threshold, then pick the lowest latency estimate
+//!   among the cold ones. `RuleTable::apply` in `yoda-core` runs it for
+//!   `action=prequal` rules, next to the three static policies.
 //! * [`Prober`] — the asynchronous probe driver: power-of-`d` sampling of
 //!   probe targets, outstanding-probe bookkeeping, and quarantine of
 //!   backends whose probes time out (failed nodes in `yoda-netsim` drop
@@ -30,12 +25,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod picker;
 pub mod pool;
 pub mod probe;
 pub mod prober;
 
-pub use picker::{HotCold, LeastLoaded, PickInput, Picker, Signal, StickyHash, WeightedSplit};
-pub use pool::{PoolConfig, PoolEntry, ProbePool};
+pub use pool::{PoolEntry, ProbePool, Signal};
 pub use probe::{ProbeReply, ProbeRequest, PROBE_PORT};
-pub use prober::{ProbeConfig, Prober};
+pub use prober::{Prober, PROBE_TIMEOUT};

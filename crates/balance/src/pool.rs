@@ -3,43 +3,40 @@
 //! A small bounded pool of the freshest probe results. Three eviction
 //! paths keep it honest:
 //!
-//! * **staleness** — entries older than [`PoolConfig::max_age`] are
-//!   dropped before every selection, so decisions never rest on signals
-//!   from a previous load regime;
-//! * **reuse** — an entry may justify at most [`PoolConfig::max_uses`]
-//!   selections before it is discarded (a probed RIF is invalidated by
-//!   the very requests it attracts);
+//! * **staleness** — entries older than `MAX_AGE` are dropped before
+//!   every selection, so decisions never rest on signals from a previous
+//!   load regime;
+//! * **reuse** — an entry may justify at most `MAX_USES` selections
+//!   before it is discarded (a probed RIF is invalidated by the very
+//!   requests it attracts);
 //! * **replacement** — when the pool is full, the *hottest* entry
 //!   (highest RIF, oldest on ties) makes room, keeping the pool biased
 //!   towards cold backends.
+//!
+//! The four bounds are Prequal's own values, not choices a deployment
+//! makes.
 
 use yoda_netsim::{Endpoint, SimTime};
 
-use crate::picker::Signal;
+/// Maximum entries held (Prequal uses a pool of 16).
+const CAPACITY: usize = 16;
+/// Entries older than this are evicted.
+const MAX_AGE: SimTime = SimTime::from_millis(200);
+/// Selections one entry may serve before eviction.
+const MAX_USES: u32 = 2;
+/// RIF quantile separating cold from hot (Prequal's Δ-quantile).
+const HOT_QUANTILE: f64 = 0.84;
 
-/// Probe-pool tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct PoolConfig {
-    /// Maximum entries held (Prequal uses a pool of 16).
-    pub capacity: usize,
-    /// Entries older than this are evicted.
-    pub max_age: SimTime,
-    /// Selections one entry may serve before eviction.
-    pub max_uses: u32,
-    /// RIF quantile separating cold from hot, in `(0, 1]` (Prequal's
-    /// Δ-quantile; 0.84 in the paper's configuration).
-    pub hot_quantile: f64,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            capacity: 16,
-            max_age: SimTime::from_millis(200),
-            max_uses: 2,
-            hot_quantile: 0.84,
-        }
-    }
+/// What a probe learned about one backend.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Signal {
+    /// Requests in flight at the backend.
+    pub rif: u32,
+    /// Latency estimate for a request sent now (the origin server's
+    /// service-latency EWMA, piggybacked on probe replies).
+    pub latency_est: SimTime,
+    /// When this signal was sampled.
+    pub last_probe: SimTime,
 }
 
 /// One pooled probe result.
@@ -54,21 +51,12 @@ pub struct PoolEntry {
 }
 
 /// A bounded pool of recent probe results for one rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProbePool {
-    cfg: PoolConfig,
     entries: Vec<PoolEntry>,
 }
 
 impl ProbePool {
-    /// An empty pool.
-    pub fn new(cfg: PoolConfig) -> Self {
-        ProbePool {
-            cfg,
-            entries: Vec::with_capacity(cfg.capacity),
-        }
-    }
-
     /// Number of pooled entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -89,7 +77,7 @@ impl ProbePool {
     /// RIF, oldest on ties) is evicted to make room.
     pub fn admit(&mut self, backend: Endpoint, sig: Signal) {
         self.entries.retain(|e| e.backend != backend);
-        if self.entries.len() >= self.cfg.capacity {
+        if self.entries.len() >= CAPACITY {
             if let Some(worst) = self
                 .entries
                 .iter()
@@ -109,9 +97,8 @@ impl ProbePool {
 
     /// Drops entries older than the staleness bound.
     pub fn evict_stale(&mut self, now: SimTime) {
-        let max_age = self.cfg.max_age;
         self.entries
-            .retain(|e| now.saturating_sub(e.sig.last_probe) <= max_age);
+            .retain(|e| now.saturating_sub(e.sig.last_probe) <= MAX_AGE);
     }
 
     /// Removes every entry for `backend` (death or quarantine).
@@ -123,7 +110,7 @@ impl ProbePool {
     /// `live`: compute the RIF value at the pool's hot quantile, restrict
     /// to entries at or below it (the cold set), and pick the lowest
     /// latency estimate (ties: lowest RIF, then backend order). The
-    /// chosen entry's reuse counter is charged; at `max_uses` it is
+    /// chosen entry's reuse counter is charged; at `MAX_USES` it is
     /// evicted. Returns `None` when no live entry is pooled.
     pub fn pick_hot_cold(&mut self, live: &[Endpoint]) -> Option<Endpoint> {
         let candidates: Vec<usize> = self
@@ -141,8 +128,7 @@ impl ProbePool {
             .filter_map(|&i| self.entries.get(i).map(|e| e.sig.rif))
             .collect();
         rifs.sort_unstable();
-        let q = self.cfg.hot_quantile.clamp(0.0, 1.0);
-        let rank = ((q * (rifs.len() - 1) as f64).floor() as usize).min(rifs.len() - 1);
+        let rank = ((HOT_QUANTILE * (rifs.len() - 1) as f64).floor() as usize).min(rifs.len() - 1);
         let threshold = rifs.get(rank).copied().unwrap_or(u32::MAX);
         let chosen = candidates
             .into_iter()
@@ -159,7 +145,7 @@ impl ProbePool {
         let entry = self.entries.get_mut(chosen)?;
         entry.uses += 1;
         let backend = entry.backend;
-        if entry.uses >= self.cfg.max_uses {
+        if entry.uses >= MAX_USES {
             self.entries.remove(chosen);
         }
         Some(backend)
@@ -185,7 +171,7 @@ mod tests {
 
     #[test]
     fn admit_replaces_same_backend() {
-        let mut p = ProbePool::new(PoolConfig::default());
+        let mut p = ProbePool::default();
         p.admit(ep(1), sig_at(3, 1, 0));
         p.admit(ep(1), sig_at(7, 1, 5));
         assert_eq!(p.len(), 1);
@@ -194,70 +180,63 @@ mod tests {
 
     #[test]
     fn full_pool_evicts_hottest() {
-        let cfg = PoolConfig {
-            capacity: 3,
-            ..PoolConfig::default()
-        };
-        let mut p = ProbePool::new(cfg);
-        p.admit(ep(1), sig_at(1, 1, 0));
-        p.admit(ep(2), sig_at(99, 1, 0)); // hottest
-        p.admit(ep(3), sig_at(2, 1, 0));
-        p.admit(ep(4), sig_at(3, 1, 0));
-        assert_eq!(p.len(), 3);
+        let mut p = ProbePool::default();
+        for d in 1..=CAPACITY as u8 {
+            let rif = if d == 2 { 99 } else { u32::from(d) }; // ep(2) hottest
+            p.admit(ep(d), sig_at(rif, 1, 0));
+        }
+        p.admit(ep(200), sig_at(3, 1, 0));
+        assert_eq!(p.len(), CAPACITY);
         assert!(p.entries().iter().all(|e| e.backend != ep(2)));
     }
 
     #[test]
     fn staleness_eviction() {
-        let mut p = ProbePool::new(PoolConfig {
-            max_age: SimTime::from_millis(100),
-            ..PoolConfig::default()
-        });
+        let mut p = ProbePool::default();
         p.admit(ep(1), sig_at(0, 1, 0));
         p.admit(ep(2), sig_at(0, 1, 150));
-        p.evict_stale(SimTime::from_millis(200));
+        p.evict_stale(MAX_AGE + SimTime::from_millis(1));
         assert_eq!(p.len(), 1);
         assert_eq!(p.entries()[0].backend, ep(2));
     }
 
     #[test]
     fn reuse_eviction() {
-        let mut p = ProbePool::new(PoolConfig {
-            max_uses: 2,
-            ..PoolConfig::default()
-        });
+        let mut p = ProbePool::default();
         p.admit(ep(1), sig_at(0, 1, 0));
         let live = [ep(1)];
+        for used in 1..MAX_USES {
+            assert_eq!(p.pick_hot_cold(&live), Some(ep(1)));
+            assert_eq!(p.len(), 1, "use {used} keeps the entry");
+        }
         assert_eq!(p.pick_hot_cold(&live), Some(ep(1)));
-        assert_eq!(p.len(), 1, "first use keeps the entry");
-        assert_eq!(p.pick_hot_cold(&live), Some(ep(1)));
-        assert!(p.is_empty(), "second use exhausts it");
+        assert!(p.is_empty(), "the last use exhausts it");
         assert_eq!(p.pick_hot_cold(&live), None);
     }
 
     #[test]
     fn hot_entries_avoided() {
-        let mut p = ProbePool::new(PoolConfig {
-            hot_quantile: 0.5,
-            max_uses: 100,
-            ..PoolConfig::default()
-        });
-        // Quantile 0.5 over {0, 1, 40, 50} → threshold is 1: the two hot
-        // backends must never be chosen while cold ones exist.
-        p.admit(ep(1), sig_at(40, 1, 0)); // hot, fastest latency
+        let mut p = ProbePool::default();
+        // The quantile over {0, 1, 40, 50} is 40: ep(4) is the one hot
+        // entry, and it is never chosen while a cold one is pooled, though
+        // its latency is the lowest. The cold ones go fastest first, each
+        // until its uses run out.
+        p.admit(ep(1), sig_at(40, 3, 0));
         p.admit(ep(2), sig_at(0, 9, 0));
         p.admit(ep(3), sig_at(1, 4, 0));
         p.admit(ep(4), sig_at(50, 1, 0)); // hot
         let live = [ep(1), ep(2), ep(3), ep(4)];
-        for _ in 0..10 {
-            let pick = p.pick_hot_cold(&live);
-            assert!(pick == Some(ep(2)) || pick == Some(ep(3)), "{pick:?}");
+        for cold in [ep(1), ep(3), ep(2)] {
+            for _ in 0..MAX_USES {
+                assert_eq!(p.pick_hot_cold(&live), Some(cold));
+            }
         }
+        assert_eq!(p.pick_hot_cold(&live), Some(ep(4)), "all that is left");
     }
 
     #[test]
     fn pick_ignores_dead_backends() {
-        let mut p = ProbePool::new(PoolConfig::default());
+        let mut p = ProbePool::default();
         p.admit(ep(1), sig_at(0, 1, 0));
         p.admit(ep(2), sig_at(0, 2, 0));
         assert_eq!(p.pick_hot_cold(&[ep(2)]), Some(ep(2)));

@@ -15,42 +15,17 @@ use std::collections::BTreeMap;
 use yoda_netsim::rng::Rng;
 use yoda_netsim::{Endpoint, SimTime};
 
-use crate::pool::PoolConfig;
-
-/// Probe subsystem tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeConfig {
-    /// Backends sampled per rule per probe tick (the `d` of
-    /// power-of-`d`).
-    pub d: usize,
-    /// Probe tick period.
-    pub period: SimTime,
-    /// A probe unanswered for this long quarantines its backend.
-    pub timeout: SimTime,
-    /// How long a quarantined backend is excluded from sampling and
-    /// selection before probing retries it.
-    pub quarantine: SimTime,
-    /// Pool tunables applied to every per-rule probe pool.
-    pub pool: PoolConfig,
-}
-
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig {
-            d: 3,
-            period: SimTime::from_millis(10),
-            timeout: SimTime::from_millis(50),
-            quarantine: SimTime::from_secs(1),
-            pool: PoolConfig::default(),
-        }
-    }
-}
+/// Backends sampled per rule per probe tick (the `d` of power-of-`d`).
+const D: usize = 3;
+/// A probe unanswered for this long quarantines its backend.
+pub const PROBE_TIMEOUT: SimTime = SimTime::from_millis(50);
+/// How long a quarantined backend is excluded from sampling and selection
+/// before probing retries it.
+const QUARANTINE: SimTime = SimTime::from_secs(1);
 
 /// Probe bookkeeping: outstanding probes, quarantines, counters.
 #[derive(Debug)]
 pub struct Prober {
-    /// Tunables (read by the owning node for timer periods).
-    pub cfg: ProbeConfig,
     /// Probe tag → probed backend.
     outstanding: BTreeMap<u64, Endpoint>,
     /// Quarantined backend → release time.
@@ -66,11 +41,9 @@ pub struct Prober {
     pub quarantines: u64,
 }
 
-impl Prober {
-    /// A fresh prober.
-    pub fn new(cfg: ProbeConfig) -> Self {
+impl Default for Prober {
+    fn default() -> Self {
         Prober {
-            cfg,
             outstanding: BTreeMap::new(),
             quarantined: BTreeMap::new(),
             next_tag: 1,
@@ -80,7 +53,9 @@ impl Prober {
             quarantines: 0,
         }
     }
+}
 
+impl Prober {
     /// True while `backend` is quarantined at `now`.
     pub fn is_quarantined(&self, backend: Endpoint, now: SimTime) -> bool {
         self.quarantined.get(&backend).map(|&until| now < until).unwrap_or(false)
@@ -100,12 +75,12 @@ impl Prober {
         self.quarantined.retain(|_, &mut until| now < until);
     }
 
-    /// Samples up to `cfg.d` distinct probe targets from `candidates`
+    /// Samples up to `D` distinct probe targets from `candidates`
     /// (power-of-`d` choices), via a partial Fisher–Yates shuffle on the
     /// engine's seeded RNG.
     pub fn sample(&self, candidates: &[Endpoint], rng: &mut Rng) -> Vec<Endpoint> {
         let mut pool: Vec<Endpoint> = candidates.to_vec();
-        let d = self.cfg.d.min(pool.len());
+        let d = D.min(pool.len());
         for i in 0..d {
             let j = i + rng.gen_range(0..(pool.len() - i) as u64) as usize;
             pool.swap(i, j);
@@ -140,7 +115,7 @@ impl Prober {
         let backend = self.outstanding.remove(&tag)?;
         self.probes_timed_out += 1;
         self.quarantines += 1;
-        self.quarantined.insert(backend, now + self.cfg.quarantine);
+        self.quarantined.insert(backend, now + QUARANTINE);
         Some(backend)
     }
 }
@@ -155,7 +130,7 @@ mod tests {
     }
 
     fn prober() -> Prober {
-        Prober::new(ProbeConfig::default())
+        Prober::default()
     }
 
     #[test]
@@ -205,12 +180,12 @@ mod tests {
         let mut p = prober();
         let t0 = SimTime::ZERO;
         let tag = p.begin(ep(2));
-        let t1 = t0 + p.cfg.timeout;
+        let t1 = t0 + PROBE_TIMEOUT;
         assert_eq!(p.on_timeout(tag, t1), Some(ep(2)));
         assert!(p.is_quarantined(ep(2), t1));
         assert_eq!(p.quarantined(t1), vec![ep(2)]);
         // Quarantine lapses after the configured duration.
-        let t2 = t1 + p.cfg.quarantine;
+        let t2 = t1 + QUARANTINE;
         assert!(!p.is_quarantined(ep(2), t2));
         p.release_expired(t2);
         assert!(p.quarantined(t2).is_empty());
@@ -221,11 +196,11 @@ mod tests {
         let mut p = prober();
         let t0 = SimTime::ZERO;
         let tag = p.begin(ep(3));
-        p.on_timeout(tag, t0 + p.cfg.timeout);
-        assert!(p.is_quarantined(ep(3), t0 + p.cfg.timeout));
+        p.on_timeout(tag, t0 + PROBE_TIMEOUT);
+        assert!(p.is_quarantined(ep(3), t0 + PROBE_TIMEOUT));
         // A later probe answered by the backend readmits it immediately.
         let tag2 = p.begin(ep(3));
-        assert_eq!(p.on_reply(tag2, t0 + p.cfg.quarantine), Some(ep(3)));
-        assert!(!p.is_quarantined(ep(3), t0 + p.cfg.quarantine));
+        assert_eq!(p.on_reply(tag2, t0 + QUARANTINE), Some(ep(3)));
+        assert!(!p.is_quarantined(ep(3), t0 + QUARANTINE));
     }
 }

@@ -37,13 +37,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use bytes::Bytes;
-use yoda_assign::{solve_greedy, AssignInput, GreedyConfig, VipSpec};
+use yoda_assign::{solve_greedy, AssignInput, VipSpec};
 use yoda_core::flowstate::FlowRecord;
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
 use yoda_netsim::rng::Rng;
 use yoda_netsim::{Addr, Endpoint, FlowTable, Packet, SimTime};
-use yoda_tcp::{SeqNum, Segment, TcpConfig, TcpSocket};
+use yoda_tcp::{SeqNum, Segment, TcpSocket};
 use yoda_tcpstore::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 
 /// Times `f` over enough iterations to fill ~200 ms, after a short
@@ -224,7 +224,7 @@ fn bench_assign() {
         previous: None,
     };
     bench("assign_greedy_110_vips", || {
-        let _ = black_box(solve_greedy(&input.clone(), &GreedyConfig::default()));
+        let _ = black_box(solve_greedy(&input.clone(), None));
     });
     let small = AssignInput {
         vips: (0..4)
@@ -251,13 +251,11 @@ fn bench_tcp_transfer() {
     const OBJECT: usize = yoda_http::site::MAX_OBJECT_BYTES;
     let object = Bytes::from(vec![7u8; OBJECT]);
     let mean = bench("tcp_transfer_442kb", || {
-        let cfg = TcpConfig::default();
         let a_ep = Endpoint::new(Addr::new(10, 0, 0, 1), 1000);
         let b_ep = Endpoint::new(Addr::new(10, 0, 0, 2), 80);
         let t = SimTime::ZERO;
-        let (mut cl, syn) = TcpSocket::connect(cfg, a_ep, b_ep, SeqNum::new(1), t);
-        let (mut sv, synack) =
-            TcpSocket::accept(cfg, b_ep, a_ep, &syn, SeqNum::new(2), t).expect("syn");
+        let (mut cl, syn) = TcpSocket::connect(a_ep, b_ep, SeqNum::new(1), t);
+        let (mut sv, synack) = TcpSocket::accept(b_ep, a_ep, &syn, SeqNum::new(2), t).expect("syn");
         let (mut out, mut acks) = (Vec::new(), Vec::new());
         cl.on_segment(&synack, t, &mut out);
         cl.send(object.clone(), t, &mut out);

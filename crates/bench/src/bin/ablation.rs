@@ -17,7 +17,7 @@ use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::SimTime;
-use yoda_tcpstore::{StoreClientConfig, StoreServer, StoreServerConfig};
+use yoda_tcpstore::{StoreServer, StoreServerConfig};
 
 struct Outcome {
     completed: u64,
@@ -45,15 +45,11 @@ fn run(
         pages_per_site: 15,
         yoda: YodaConfig {
             optimistic_synack: optimistic,
-            store: StoreClientConfig {
-                replicas,
-                ..StoreClientConfig::default()
-            },
+            store_replicas: replicas,
             ..YodaConfig::default()
         },
         store: StoreServerConfig {
             per_op_service: SimTime::from_micros(store_op_us),
-            ..StoreServerConfig::default()
         },
         ..TestbedConfig::default()
     });

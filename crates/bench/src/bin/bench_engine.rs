@@ -12,7 +12,8 @@
 //!   staggered timers alive, cancelling half of them (which then never
 //!   pop) right after arming them.
 //! * `trace_ring`     — the ping-pong mesh with tracing enabled, isolating
-//!   the per-event trace-record cost (node-name interning).
+//!   the per-event trace-record cost (one event per packet, carrying the
+//!   node's id).
 //! * `dc_jitter_mesh` — the event queue under the full stack's mix: the
 //!   mesh on the testbed's datacenter link (250 µs + U[0, 50] µs, so
 //!   deadlines scatter instead of arriving in same-tick waves), with

@@ -65,7 +65,6 @@ fn run(factor: f64, browse_secs: u64) -> Out {
         num_services: 2,
         store: StoreServerConfig {
             per_op_service: SimTime::from_millis(8),
-            ..StoreServerConfig::default()
         },
         ..TestbedConfig::default()
     });

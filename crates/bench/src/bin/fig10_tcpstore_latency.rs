@@ -16,9 +16,7 @@ use yoda_bench::arg_usize;
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
 };
-use yoda_tcpstore::{
-    StoreClient, StoreClientConfig, StoreEvent, StoreOp, StoreServer, StoreServerConfig,
-};
+use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreServer, StoreServerConfig};
 
 const TICK: u32 = 0xA1;
 
@@ -103,16 +101,12 @@ fn run(ops_per_server: f64, replicas: usize, num_servers: usize, secs: u64) -> R
     for d in 0..drivers {
         let addr = Addr::new(10, 0, 6, d + 1);
         let me = Endpoint::new(addr, 7000);
-        let cfg = StoreClientConfig {
-            replicas,
-            ..StoreClientConfig::default()
-        };
         driver_ids.push(eng.add_node(
             format!("driver-{d}"),
             addr,
             Zone::Dc,
             Box::new(Driver {
-                client: StoreClient::new(cfg, me, &servers),
+                client: StoreClient::new(replicas, me, &servers),
                 rate_per_sec: total_rate / drivers as f64,
                 duration,
                 started: SimTime::ZERO,

@@ -13,7 +13,7 @@
 
 use yoda_bench::report::{f1, print_header, print_kv, Table};
 use yoda_bench::{arg_f64, TimeSeries};
-use yoda_core::controller::{AutoscaleConfig, ControllerConfig};
+use yoda_core::controller::ControllerConfig;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{RateClient as HttpRateClient, RateClientConfig};
@@ -40,12 +40,7 @@ fn main() {
         num_services: 1,
         num_backends: 12,
         yoda,
-        controller: ControllerConfig {
-            autoscale: Some(AutoscaleConfig {
-                high_cpu: 0.70,
-                target_cpu: 0.55,
-            }),
-        },
+        controller: ControllerConfig { autoscale: true },
         ..TestbedConfig::default()
     });
     // ~10 KB objects, as in the paper's Apache-bench runs (and matching

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use yoda_assign::model::transition_stats;
-use yoda_assign::{all_to_all, solve_greedy, Assignment, GreedyConfig};
+use yoda_assign::{all_to_all, solve_greedy, Assignment};
 use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
 use yoda_bench::arg_usize;
 use yoda_netsim::Histogram;
@@ -88,14 +88,11 @@ fn main() {
                 migration_limit: delta,
                 ..base
             };
-            let greedy_cfg = GreedyConfig {
-                // No-limit: nothing anchors the optimizer round-to-round.
-                shuffle_seed: delta.is_none().then_some(bin as u64),
-                ..GreedyConfig::default()
-            };
+            // No-limit: nothing anchors the optimizer round-to-round.
+            let shuffle_seed = delta.is_none().then_some(bin as u64);
             let input = assign_input_for_bin(&trace, bin, &params, scheme.prev.clone());
             let t0 = Instant::now();
-            let out = solve_greedy(&input, &greedy_cfg).expect("feasible assignment");
+            let out = solve_greedy(&input, shuffle_seed).expect("feasible assignment");
             scheme.solve_ms.record(t0.elapsed().as_secs_f64() * 1000.0);
             let used = out.assignment.num_instances();
             scheme.instances.record(used as f64);

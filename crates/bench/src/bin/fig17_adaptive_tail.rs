@@ -24,7 +24,6 @@
 
 use std::collections::BTreeMap;
 
-use yoda_balance::ProbeConfig;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_bench::{arg_f64, arg_flag, arg_usize, TimeSeries};
 use yoda_core::testbed::{Testbed, TestbedConfig};
@@ -77,10 +76,7 @@ fn run_one(policy: &str, scenario: &AdaptiveScenario, load: BurstyLoad, run: Sim
             // Probe fast enough that the reuse-bounded pool keeps up
             // with ~1 050 picks/s per instance at burst peaks
             // (500 ticks/s × d=3 × max_uses=2 = 3 000 uses/s).
-            probe: ProbeConfig {
-                period: SimTime::from_millis(2),
-                ..ProbeConfig::default()
-            },
+            probe_period: SimTime::from_millis(2),
             ..YodaConfig::default()
         },
         ..TestbedConfig::default()

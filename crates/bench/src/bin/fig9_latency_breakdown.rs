@@ -49,7 +49,7 @@ fn run_baseline(rate: f64, duration: SimTime) -> RunResult {
         "backend",
         server_ep.addr,
         Zone::Dc,
-        Box::new(OriginServer::new(ServerConfig::default(), server_ep, catalog.clone())),
+        Box::new(OriginServer::new(ServerConfig, server_ep, catalog.clone())),
     );
     let path = small_object(&catalog);
     let addr = Addr::new(172, 16, 1, 1);

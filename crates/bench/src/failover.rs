@@ -10,7 +10,6 @@ use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::{Histogram, SimTime, TraceKind};
-use yoda_proxy::ProxyConfig;
 
 use crate::storestats::StoreStatsSummary;
 
@@ -28,7 +27,7 @@ impl LbKind {
     pub fn testbed(self, cfg: TestbedConfig) -> Testbed {
         match self {
             LbKind::Yoda => Testbed::build(cfg),
-            LbKind::Proxy => yoda_proxy::testbed(cfg, ProxyConfig::default()),
+            LbKind::Proxy => yoda_proxy::testbed(cfg),
         }
     }
 }
@@ -228,7 +227,7 @@ fn extract_timeline(engine: &yoda_netsim::Engine, around: SimTime) -> Vec<String
         }
         match ev.kind {
             TraceKind::NodeFailed => {
-                let node = engine.names().resolve(ev.node);
+                let node = engine.node_name(ev.node);
                 annotations.push((ev.time, format!("*** {node} FAILED")));
                 continue;
             }
@@ -237,14 +236,14 @@ fn extract_timeline(engine: &yoda_netsim::Engine, around: SimTime) -> Vec<String
                     .map(|p| ev.detail.contains(&format!(":{p}")))
                     .unwrap_or(false);
                 if relevant || ev.detail.contains("controller detected failure") {
-                    let node = engine.names().resolve(ev.node);
+                    let node = engine.node_name(ev.node);
                     annotations.push((ev.time, format!("*** {node}: {}", ev.detail)));
                 }
                 continue;
             }
             _ => {}
         }
-        if !engine.names().resolve(ev.node).starts_with("backend") {
+        if !engine.node_name(ev.node).starts_with("backend") {
             continue;
         }
         let flow_match = match client_port {

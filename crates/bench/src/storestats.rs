@@ -95,14 +95,13 @@ impl StoreStatsSummary {
 mod tests {
     use super::*;
     use yoda_netsim::Endpoint;
-    use yoda_tcpstore::StoreClientConfig;
 
     #[test]
     fn absorb_merges_counters_and_replicas() {
         let servers = [Addr::new(10, 0, 1, 1), Addr::new(10, 0, 1, 2)];
         let me = Endpoint::new(Addr::new(10, 0, 0, 1), 7000);
-        let mut a = StoreClient::new(StoreClientConfig::default(), me, &servers);
-        let mut b = StoreClient::new(StoreClientConfig::default(), me, &servers);
+        let mut a = StoreClient::new(2, me, &servers);
+        let mut b = StoreClient::new(2, me, &servers);
         a.timeouts = 2;
         a.hedges = 3;
         b.timeouts = 1;

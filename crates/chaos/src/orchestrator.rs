@@ -211,6 +211,11 @@ pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
 /// Builds the testbed, schedules the plan, runs to the deadline, and
 /// checks the invariants.
 pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
+    let yoda = YodaConfig {
+        splice: sc.splice,
+        ..YodaConfig::default()
+    };
+    let replicas = yoda.store_replicas;
     let mut tb = Testbed::build(TestbedConfig {
         seed: plan.seed,
         num_instances: sc.instances,
@@ -220,10 +225,7 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
         num_muxes: sc.muxes,
         num_services: sc.services,
         pages_per_site: 12,
-        yoda: YodaConfig {
-            splice: sc.splice,
-            ..YodaConfig::default()
-        },
+        yoda,
         ..TestbedConfig::default()
     });
 
@@ -258,7 +260,7 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
         "chaos-witness",
         witness_addr,
         Zone::Dc,
-        Box::new(StoreWitness::new(witness_addr, &tb.store_addrs)),
+        Box::new(StoreWitness::new(witness_addr, &tb.store_addrs, replicas)),
     );
 
     apply_plan(&mut tb, plan, Some(witness));

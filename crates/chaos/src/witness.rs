@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use yoda_netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken};
-use yoda_tcpstore::{StoreClient, StoreClientConfig, StoreEvent, StoreOutcome};
+use yoda_tcpstore::{StoreClient, StoreEvent, StoreOutcome};
 
 /// Timer discriminator for the witness's own pacing tick (distinct from
 /// the store client's `STORE_TIMER_KIND`).
@@ -55,14 +55,11 @@ pub struct StoreWitness {
 }
 
 impl StoreWitness {
-    /// A witness at `addr` talking to the given store servers.
-    pub fn new(addr: Addr, servers: &[Addr]) -> Self {
+    /// A witness at `addr` writing every key to `replicas` of the given
+    /// store servers (the deployment's replication factor).
+    pub fn new(addr: Addr, servers: &[Addr], replicas: usize) -> Self {
         StoreWitness {
-            client: StoreClient::new(
-                StoreClientConfig::default(),
-                Endpoint::new(addr, WITNESS_PORT),
-                servers,
-            ),
+            client: StoreClient::new(replicas, Endpoint::new(addr, WITNESS_PORT), servers),
             period: SimTime::from_millis(250),
             seq: 0,
             epoch: 0,

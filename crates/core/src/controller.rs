@@ -32,15 +32,6 @@ use crate::ctrl::{InstanceCtrl, CTRL_PORT};
 const PING_KIND: u32 = 0xC7_01;
 const STATS_KIND: u32 = 0xC7_02;
 
-/// Autoscaling policy (Figure 13).
-#[derive(Debug, Clone, Copy)]
-pub struct AutoscaleConfig {
-    /// Add instances when mean CPU exceeds this.
-    pub high_cpu: f64,
-    /// Size the fleet so mean CPU lands near this.
-    pub target_cpu: f64,
-}
-
 /// Health-ping period (paper: 600 ms).
 const PING_INTERVAL: SimTime = SimTime::from_millis(600);
 /// Consecutive missed pings before an endpoint is declared dead.
@@ -59,13 +50,19 @@ const STATS_INTERVAL: SimTime = SimTime::from_secs(1);
 /// Extra delay between successive per-mux map updates (non-atomic
 /// update model).
 const MUX_STAGGER: SimTime = SimTime::from_millis(50);
+/// Autoscaler (Figure 13): the mean instance CPU above which it adds
+/// instances.
+const HIGH_CPU: f64 = 0.70;
+/// Autoscaler: the mean CPU it sizes the grown fleet for.
+const TARGET_CPU: f64 = 0.55;
 
-/// Controller tunables. Only the autoscaler has a second value in use
-/// (fig13); the monitor's periods and thresholds are constants above.
+/// Controller settings. Only whether the autoscaler runs has a second
+/// value in use (fig13); its thresholds and the monitor's periods are
+/// constants above.
 #[derive(Debug, Clone, Default)]
 pub struct ControllerConfig {
-    /// Autoscaler; `None` disables it.
-    pub autoscale: Option<AutoscaleConfig>,
+    /// Run the autoscaler.
+    pub autoscale: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -709,15 +706,13 @@ impl Controller {
                     request_rate: if dt > 0.0 { reqs as f64 / dt } else { 0.0 },
                 };
                 self.cpu_history.push(sample);
-                if let Some(auto) = self.cfg.autoscale {
-                    if mean > auto.high_cpu && !self.spares.is_empty() {
-                        // Size so mean CPU falls to ~target.
-                        let active = replies.len() as f64;
-                        let want = (active * mean / auto.target_cpu).ceil() as usize;
-                        let add = want.saturating_sub(replies.len());
-                        if add > 0 {
-                            self.activate_spares(ctx, add);
-                        }
+                if self.cfg.autoscale && mean > HIGH_CPU && !self.spares.is_empty() {
+                    // Size so mean CPU falls to ~target.
+                    let active = replies.len() as f64;
+                    let want = (active * mean / TARGET_CPU).ceil() as usize;
+                    let add = want.saturating_sub(replies.len());
+                    if add > 0 {
+                        self.activate_spares(ctx, add);
                     }
                 }
             }

@@ -34,14 +34,17 @@ mod tunnel;
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use yoda_balance::{ProbeConfig, Prober};
+use yoda_balance::Prober;
 use yoda_netsim::hash::hash_pair;
 use yoda_netsim::{
     Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken,
     PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
 };
+/// MSS used when chunking the forwarded request and the certificate: the
+/// endpoints' own.
+pub use yoda_tcp::MSS;
 use yoda_tcp::{Segment, SeqNum};
-use yoda_tcpstore::{StoreClient, StoreClientConfig, StoreEvent, StoreOutcome};
+use yoda_tcpstore::{StoreClient, StoreEvent, StoreOutcome};
 
 use yoda_l4lb::{CtrlMsg as MuxCtrl, Steering};
 
@@ -64,8 +67,8 @@ const GC_PERIOD: SimTime = SimTime::from_secs(5);
 const PKT_LATENCY: SimTime = SimTime::from_micros(350);
 /// Packets whose core backlog exceeds this are dropped (overload).
 const OVERLOAD_BACKLOG: SimTime = SimTime::from_millis(250);
-/// MSS used when chunking the forwarded request and the certificate.
-pub const MSS: usize = 1460;
+/// CPU cores (the paper's instances are 8-core VMs, §7.1).
+const CORES: usize = 8;
 
 /// The fixed TLS ClientHello stand-in an SSL client sends first (§5.2).
 pub const SSL_HELLO: &[u8] = b"CLIENTHELLO\n";
@@ -97,18 +100,13 @@ pub struct VipConfig {
 /// saturates at ~12K req/s and ~110K pkt/s on an 8-core VM.
 #[derive(Debug, Clone)]
 pub struct YodaConfig {
-    /// CPU cores.
-    pub cores: usize,
     /// CPU time per forwarded packet.
     pub per_pkt_cpu: SimTime,
     /// Extra CPU time per new connection (header parse + rule scan).
     pub per_conn_cpu: SimTime,
-    /// Store client configuration (replicas).
-    pub store: StoreClientConfig,
-    /// Inspect tunneled client payloads for new HTTP/1.1 requests and
-    /// re-run rule selection (content-based switching mid-connection,
-    /// §5.2).
-    pub http11_inspect: bool,
+    /// TCPStore replication factor K: every flow record is written to K
+    /// store servers (paper evaluates K=2; K=1 is "default Memcached").
+    pub store_replicas: usize,
     /// ABLATION KNOB — violate the paper's write-before-commit principle:
     /// send the SYN-ACK immediately and persist storage-a asynchronously.
     /// Shaves the storage round-trip off connection setup but re-opens
@@ -116,9 +114,9 @@ pub struct YodaConfig {
     /// instance stores all the packets it ACKes ... so that no state is
     /// lost on failures").
     pub optimistic_synack: bool,
-    /// Probe subsystem tunables (`action=prequal` rules; probing only
-    /// runs while at least one installed rule is prequal).
-    pub probe: ProbeConfig,
+    /// Probe tick period (`action=prequal` rules; probing only runs
+    /// while at least one installed rule is prequal).
+    pub probe_period: SimTime,
     /// Mux fast path: once a flow enters tunneling, hand its muxes what
     /// the instance no longer needs to see — splice entries on both legs,
     /// so steady-state packets are translated and forwarded below the
@@ -131,13 +129,11 @@ pub struct YodaConfig {
 impl Default for YodaConfig {
     fn default() -> Self {
         YodaConfig {
-            cores: 8,
             per_pkt_cpu: SimTime::from_micros(16),
             per_conn_cpu: SimTime::from_micros(300),
-            store: StoreClientConfig::default(),
-            http11_inspect: true,
+            store_replicas: 2,
             optimistic_synack: false,
-            probe: ProbeConfig::default(),
+            probe_period: SimTime::from_millis(10),
             splice: false,
         }
     }
@@ -232,9 +228,9 @@ impl YodaInstance {
             muxes: Steering::new(muxes),
             vips: BTreeMap::new(),
             select_ctx: SelectCtx::default(),
-            prober: Prober::new(cfg.probe),
-            dur: Durability::new(cfg.store.clone(), addr, store_servers),
-            cpu: ServiceQueue::new(cfg.cores),
+            prober: Prober::default(),
+            dur: Durability::new(cfg.store_replicas, addr, store_servers),
+            cpu: ServiceQueue::new(CORES),
             cfg,
             flows: FlowTable::new(),
             rflows: FlowTable::new(),
@@ -268,8 +264,7 @@ impl YodaInstance {
     }
 
     /// Installs a VIP with full options (rules + SSL).
-    pub fn install_vip_cfg(&mut self, vip: Endpoint, mut cfg: VipConfig) {
-        cfg.rules.set_pool_config(self.cfg.probe.pool);
+    pub fn install_vip_cfg(&mut self, vip: Endpoint, cfg: VipConfig) {
         self.vips.insert(vip, cfg);
     }
 
@@ -329,7 +324,6 @@ impl YodaInstance {
             now,
             degraded: self.dur.is_degraded(),
             optimistic_synack: self.cfg.optimistic_synack,
-            http11_inspect: self.cfg.http11_inspect,
             splice: self.cfg.splice,
         }
     }
@@ -669,7 +663,7 @@ impl YodaInstance {
 impl Node for YodaInstance {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(GC_PERIOD, TimerToken::new(GC_KIND));
-        ctx.set_timer(self.cfg.probe.period, TimerToken::new(PROBE_TICK_KIND));
+        ctx.set_timer(self.cfg.probe_period, TimerToken::new(PROBE_TICK_KIND));
         self.cpu.reset_window(ctx.now());
     }
 

@@ -11,9 +11,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Packet, SimTime, TimerToken};
-use yoda_tcpstore::{
-    StoreClient, StoreClientConfig, StoreEvent, StoreOp, StoreOutcome, OP_TIMEOUT,
-};
+use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreOutcome, OP_TIMEOUT};
 
 use super::flow::FlowKey;
 
@@ -96,9 +94,9 @@ pub struct Durability {
 }
 
 impl Durability {
-    pub(crate) fn new(cfg: StoreClientConfig, addr: Addr, store_servers: &[Addr]) -> Self {
+    pub(crate) fn new(replicas: usize, addr: Addr, store_servers: &[Addr]) -> Self {
         Durability {
-            store: StoreClient::new(cfg, Endpoint::new(addr, 9999), store_servers),
+            store: StoreClient::new(replicas, Endpoint::new(addr, 9999), store_servers),
             probe_key: Bytes::from(format!("hprobe:{addr}")),
             waiting: FlowTable::new(),
             next_tag: 1,

@@ -40,8 +40,6 @@ pub(crate) struct Env {
     pub degraded: bool,
     /// `YodaConfig::optimistic_synack`.
     pub optimistic_synack: bool,
-    /// `YodaConfig::http11_inspect`.
-    pub http11_inspect: bool,
     /// `YodaConfig::splice`.
     pub splice: bool,
 }
@@ -663,7 +661,7 @@ impl Flow {
         // the connection until the race settles) and for SSL flows (the
         // hello offset would skew the spliced sequence spaces on a
         // switch).
-        t.inspect_enabled = io.env.http11_inspect && !is_racing && cert == 0;
+        t.inspect_enabled = !is_racing && cert == 0;
         t.inspect_next = record.client_isn + 1 + hello + header.len() as u32;
         t.client_next = e.yoda_isn() + 1 + cert;
         t.race_request = is_racing.then(|| header.clone());

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 
-use yoda_balance::{ProbeReply, ProbeRequest, Signal, PROBE_PORT};
+use yoda_balance::{ProbeReply, ProbeRequest, Signal, PROBE_PORT, PROBE_TIMEOUT};
 use yoda_netsim::{Ctx, Endpoint, Packet, TimerToken, PROTO_PROBE};
 
 use super::YodaInstance;
@@ -40,12 +40,12 @@ impl YodaInstance {
                     ProbeRequest { tag }.encode(),
                 ));
                 ctx.set_timer(
-                    self.cfg.probe.timeout,
+                    PROBE_TIMEOUT,
                     TimerToken::new(PROBE_TIMEOUT_KIND).with_a(tag),
                 );
             }
         }
-        ctx.set_timer(self.cfg.probe.period, TimerToken::new(PROBE_TICK_KIND));
+        ctx.set_timer(self.cfg.probe_period, TimerToken::new(PROBE_TICK_KIND));
     }
 
     /// A probe reply: feed the signal to every VIP's rule table.

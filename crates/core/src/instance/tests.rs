@@ -59,7 +59,6 @@ fn t_env() -> Env {
         now: SimTime::from_secs(1),
         degraded: false,
         optimistic_synack: false,
-        http11_inspect: true,
         splice: false,
     }
 }
@@ -310,11 +309,13 @@ fn every_phase_times_every_input() {
         "splice+ b1>vss",
         "splice+ client>vip acks",
     ];
-    const SPLICED_BOTH: &[&str] = &[
-        "A vss>b1 len=28",
+    const RACE_SETTLED_SPLICED: &[&str] = &[
+        "unmap b2",
+        "R vss>b2",
         "count SpliceInstall",
         "splice+ b1>vss",
         "splice+ client>vip",
+        "fwd vip>client len=5",
     ];
     const RESPLICED: &[&str] = &[
         "fwd vss>b1",
@@ -341,10 +342,6 @@ fn every_phase_times_every_input() {
         "splice+ b2>vss",
         "splice+ client>vip acks",
     ];
-    let no_inspect = Env {
-        http11_inspect: false,
-        ..splice
-    };
     // Past the re-install throttle of the install `tunneling(splice)` sent.
     let splice_later = Env {
         now: splice.now + SimTime::from_secs(1),
@@ -417,7 +414,7 @@ fn every_phase_times_every_input() {
         case("stray store ack on a tunnel: ignored", tunneling(env, &[]), env, flow_stored(), None, ("Tunneling", "stored:false", &[])),
         case("unasked selection on a tunnel: ignored", tunneling(env, &[]), env, In::Picked(pick(2, &[])), None, ("Tunneling", "done", &[])),
         case("splice on: both legs, the inspected client leg acks-only", one_ack_left(splice), splice, flow_stored(), None, ("Tunneling", "stored:true", SPLICED)),
-        case("splice on, inspection off: both legs in full", one_ack_left(no_inspect), no_inspect, flow_stored(), None, ("Tunneling", "stored:true", SPLICED_BOTH)),
+        case("splice on, mirror race settled (no inspection): both legs in full", tunneling(splice, &[2]), splice, from(1, data(S_ISN + 1)), None, ("Tunneling", "done", RACE_SETTLED_SPLICED)),
         case("request bytes on the acks-only leg: no re-install", tunneling(splice, &[]), splice_later, In::Client(next_request('b')), pick(1, &[]), ("Tunneling", "select>done", &["fwd vss>b1 len=28"])),
         case("pure ACK on a spliced flow: the mux lost it, re-install", tunneling(splice, &[]), splice_later, In::Client(ack()), None, ("Tunneling", "done", RESPLICED)),
         case("switch on a spliced flow: both legs revoked", tunneling(splice, &[]), splice, In::Client(next_request('b')), pick(2, &[]), ("Tunneling", "select>done", SPLICED_SWITCH)),
@@ -722,12 +719,11 @@ fn every_exit_route_releases_the_flow() {
 /// packet it handed to the engine, in order (the reset segments have no
 /// route in this rig and are traced as drops, still in send order).
 fn wire_of(r: &Rig) -> Vec<(Endpoint, Endpoint, yoda_netsim::Protocol)> {
-    let names = r.eng.names();
     r.eng
         .trace()
         .events()
         .into_iter()
-        .filter(|ev| names.resolve(ev.node) == "inst")
+        .filter(|ev| r.eng.node_name(ev.node) == "inst")
         .filter_map(|ev| Some((ev.src?, ev.dst?, ev.protocol?)))
         .collect()
 }
@@ -799,7 +795,7 @@ fn config_defaults_match_calibration() {
     // operating points).
     let cfg = YodaConfig::default();
     let per_req = cfg.per_pkt_cpu.as_secs_f64() * 20.0 + cfg.per_conn_cpu.as_secs_f64();
-    let saturation = cfg.cores as f64 / per_req;
+    let saturation = CORES as f64 / per_req;
     assert!(
         saturation > 11_000.0 && saturation < 14_500.0,
         "{saturation}"

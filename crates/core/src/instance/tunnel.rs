@@ -122,7 +122,7 @@ impl Tunnel {
         if seg.flags.ack && self.client_next.lt(seg.ack) {
             self.client_next = seg.ack;
         }
-        if io.env.http11_inspect && self.inspect_enabled && !seg.payload.is_empty() {
+        if self.inspect_enabled && !seg.payload.is_empty() {
             if let Some((req, request_seq, request)) = self.inspect(&seg) {
                 let resume = Resume::Reroute {
                     seg,

@@ -37,7 +37,7 @@ pub mod isn;
 pub mod rules;
 pub mod testbed;
 
-pub use controller::{AutoscaleConfig, Controller, ControllerConfig, CpuSample};
+pub use controller::{Controller, ControllerConfig, CpuSample};
 pub use ctrl::{InstanceCtrl, CTRL_PORT};
 pub use flowstate::{FlowRecord, SynRecord};
 pub use instance::{YodaConfig, YodaInstance};

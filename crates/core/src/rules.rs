@@ -15,10 +15,6 @@
 //! the paper, **prequal** selects via the `yoda-balance` probe pool
 //! (hot-cold lexicographic order over probed RIF and latency).
 //!
-//! Every action is applied through the pluggable [`Picker`] API from
-//! `yoda-balance`, so new selection policies slot in without touching the
-//! scan loop.
-//!
 //! Rules parse from / print to a one-line DSL so the controller can ship
 //! them to instances in control packets:
 //!
@@ -32,10 +28,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use yoda_balance::{
-    HotCold, LeastLoaded, PickInput, Picker, PoolConfig, ProbePool, Signal, StickyHash,
-    WeightedSplit,
-};
+use yoda_balance::{ProbePool, Signal};
 use yoda_netsim::rng::Rng;
 use yoda_http::HttpRequest;
 use yoda_netsim::{Addr, Endpoint, SimTime};
@@ -362,8 +355,6 @@ pub struct RuleTable {
     sticky: BTreeMap<String, Endpoint>,
     /// Per-prequal-rule probe pools, keyed by rule name (lazily created).
     pools: BTreeMap<String, ProbePool>,
-    /// Configuration applied to newly created pools.
-    pool_cfg: PoolConfig,
 }
 
 impl RuleTable {
@@ -452,138 +443,30 @@ impl RuleTable {
         ctx: &SelectCtx,
         rng: &mut Rng,
     ) -> Option<Selection> {
-        for i in 0..self.rules.len() {
-            let Some(rule) = self.rules.get(i) else {
-                break;
-            };
-            if !rule.matcher.matches(req) {
-                continue;
-            }
-            let name = rule.name.clone();
-            let action = rule.action.clone();
-            if let Action::Mirror(bs) = &action {
-                let live: Vec<Endpoint> = bs
-                    .iter()
-                    .filter(|b| !ctx.dead.contains(b))
-                    .copied()
-                    .collect();
-                if let Some((&primary, rest)) = live.split_first() {
+        let RuleTable {
+            rules,
+            sticky,
+            pools,
+        } = self;
+        for rule in rules.iter().filter(|r| r.matcher.matches(req)) {
+            if let Action::Mirror(bs) = &rule.action {
+                let mut live = bs.iter().filter(|b| !ctx.dead.contains(b)).copied();
+                if let Some(primary) = live.next() {
                     return Some(Selection {
                         primary,
-                        mirrors: rest.to_vec(),
+                        mirrors: live.collect(),
                     });
                 }
                 continue; // all mirror targets dead: fall through
             }
-            if let Some(pick) = self.apply(&name, &action, req, ctx, rng) {
+            if let Some(primary) = apply(rule, sticky, pools, req, ctx, rng) {
                 return Some(Selection {
-                    primary: pick,
+                    primary,
                     mirrors: Vec::new(),
                 });
             }
         }
         None
-    }
-
-    /// Applies one action by delegating to the matching [`Picker`] from
-    /// `yoda-balance`. The linear scan above decides *which* rule fires;
-    /// the picker decides *which backend* serves it.
-    fn apply(
-        &mut self,
-        rule_name: &str,
-        action: &Action,
-        req: &HttpRequest,
-        ctx: &SelectCtx,
-        rng: &mut Rng,
-    ) -> Option<Endpoint> {
-        let live: Vec<Endpoint> = action
-            .backends()
-            .into_iter()
-            .filter(|b| !ctx.dead.contains(b))
-            .collect();
-        // Only the least-loaded arm reads signals; the rest pick from
-        // `live` alone.
-        let no_signals = BTreeMap::new();
-        let input = PickInput {
-            live: &live,
-            signals: &no_signals,
-            now: ctx.now,
-        };
-        match action {
-            Action::Split(ws) => {
-                // All-negative weights = least-loaded convention (§5.1).
-                if !ws.is_empty() && ws.iter().all(|(_, w)| *w < 0.0) {
-                    return self.apply(
-                        rule_name,
-                        &Action::LeastLoaded(ws.iter().map(|(b, _)| *b).collect()),
-                        req,
-                        ctx,
-                        rng,
-                    );
-                }
-                WeightedSplit { weights: ws }.pick(&input, rng)
-            }
-            Action::LeastLoaded(_) => {
-                // Open-connection counts stand in for RIF until probes
-                // refine it.
-                let signals: BTreeMap<Endpoint, Signal> = ctx
-                    .loads
-                    .iter()
-                    .map(|(b, l)| {
-                        (
-                            *b,
-                            Signal {
-                                rif: (*l).max(0) as u32,
-                                latency_est: SimTime::ZERO,
-                                last_probe: ctx.now,
-                            },
-                        )
-                    })
-                    .collect();
-                let input = PickInput {
-                    signals: &signals,
-                    ..input
-                };
-                LeastLoaded.pick(&input, rng)
-            }
-            // Mirror is handled by select_full before apply() is reached;
-            // treat a direct call as "first live target".
-            Action::Mirror(_) => live.first().copied(),
-            Action::Sticky { cookie, .. } => {
-                let value = req.cookie(cookie)?.to_string();
-                if let Some(&b) = self.sticky.get(&value) {
-                    if !ctx.dead.contains(&b) {
-                        return Some(b);
-                    }
-                }
-                let key_hash = yoda_netsim::hash::hash_bytes(0xC00C1E, value.as_bytes());
-                let pick = StickyHash { key_hash }.pick(&input, rng)?;
-                self.sticky.insert(value, pick);
-                Some(pick)
-            }
-            Action::Prequal(_) => {
-                let cfg = self.pool_cfg;
-                let pool = self
-                    .pools
-                    .entry(rule_name.to_string())
-                    .or_insert_with(|| ProbePool::new(cfg));
-                HotCold { pool }.pick(&input, rng)
-            }
-        }
-    }
-
-    /// Replaces the configuration used for pools created after this call
-    /// (the instance pushes its `YodaConfig` probe settings here when a
-    /// VIP is installed, before any probe answers arrive).
-    pub fn set_pool_config(&mut self, cfg: PoolConfig) {
-        self.pool_cfg = cfg;
-    }
-
-    /// True when any rule uses the prequal action (drives probing).
-    pub fn has_prequal(&self) -> bool {
-        self.rules
-            .iter()
-            .any(|r| matches!(r.action, Action::Prequal(_)))
     }
 
     /// Union of backends reachable through prequal rules (the probe
@@ -599,13 +482,12 @@ impl RuleTable {
     /// Feeds one probe answer to every prequal rule pool that includes
     /// `backend`.
     pub fn on_probe(&mut self, backend: Endpoint, sig: Signal) {
-        let cfg = self.pool_cfg;
         for r in &self.rules {
             if let Action::Prequal(bs) = &r.action {
                 if bs.contains(&backend) {
                     self.pools
                         .entry(r.name.clone())
-                        .or_insert_with(|| ProbePool::new(cfg))
+                        .or_default()
                         .admit(backend, sig);
                 }
             }
@@ -623,6 +505,93 @@ impl RuleTable {
     pub fn pool(&self, rule_name: &str) -> Option<&ProbePool> {
         self.pools.get(rule_name)
     }
+}
+
+/// Picks a backend for one matched rule, each policy in place. The
+/// random draws are the policies' own, in their order: one `gen_f64` for
+/// a split with live weight, one `gen_range` for a prequal pick the pool
+/// cannot make.
+fn apply(
+    rule: &Rule,
+    sticky: &mut BTreeMap<String, Endpoint>,
+    pools: &mut BTreeMap<String, ProbePool>,
+    req: &HttpRequest,
+    ctx: &SelectCtx,
+    rng: &mut Rng,
+) -> Option<Endpoint> {
+    let alive = |b: &&Endpoint| !ctx.dead.contains(*b);
+    match &rule.action {
+        // All-negative weights = least-loaded convention (§5.1).
+        Action::Split(ws) if !ws.is_empty() && ws.iter().all(|(_, w)| *w < 0.0) => {
+            least_loaded(ws.iter().map(|(b, _)| b), ctx)
+        }
+        Action::Split(ws) => {
+            let live = || ws.iter().filter(|(b, w)| *w > 0.0 && alive(&b));
+            let total: f64 = live().map(|(_, w)| w).sum();
+            if total <= 0.0 {
+                return None;
+            }
+            let mut roll = rng.gen_f64() * total;
+            for (b, w) in live() {
+                roll -= w;
+                if roll <= 0.0 {
+                    return Some(*b);
+                }
+            }
+            live().next_back().map(|(b, _)| *b)
+        }
+        Action::LeastLoaded(bs) => least_loaded(bs.iter(), ctx),
+        // Mirror is handled by select_full; a direct call takes the first
+        // live target.
+        Action::Mirror(bs) => bs.iter().find(alive).copied(),
+        Action::Sticky { cookie, backends } => {
+            let value = req.cookie(cookie)?;
+            if let Some(&b) = sticky.get(value) {
+                if !ctx.dead.contains(&b) {
+                    return Some(b);
+                }
+            }
+            // A fresh session lands by a keyed hash over the live set.
+            let live = backends.iter().filter(alive).count();
+            let key_hash = yoda_netsim::hash::hash_bytes(0xC00C1E, value.as_bytes());
+            let pick = *backends
+                .iter()
+                .filter(alive)
+                .nth(key_hash as usize % live.max(1))?;
+            sticky.insert(value.to_string(), pick);
+            Some(pick)
+        }
+        // Prequal-style hot-cold selection over the rule's probe pool;
+        // while the pool holds no live entry (cold start, or a tier that
+        // never probes) a uniform-random live pick, never a refusal.
+        Action::Prequal(bs) => {
+            let live: Vec<Endpoint> = bs.iter().filter(alive).copied().collect();
+            if !pools.contains_key(&rule.name) {
+                pools.insert(rule.name.clone(), ProbePool::default());
+            }
+            let pool = pools.get_mut(&rule.name)?;
+            pool.evict_stale(ctx.now);
+            if let Some(b) = pool.pick_hot_cold(&live) {
+                return Some(b);
+            }
+            if live.is_empty() {
+                return None;
+            }
+            live.get(rng.gen_range(0..live.len() as u64) as usize)
+                .copied()
+        }
+    }
+}
+
+/// The live backend with the fewest open connections (first on ties).
+fn least_loaded<'a>(
+    backends: impl Iterator<Item = &'a Endpoint>,
+    ctx: &SelectCtx,
+) -> Option<Endpoint> {
+    backends
+        .filter(|b| !ctx.dead.contains(b))
+        .min_by_key(|b| ctx.loads.get(b).map_or(0, |l| (*l).max(0) as u32))
+        .copied()
 }
 
 #[cfg(test)]
@@ -684,6 +653,21 @@ mod tests {
         assert!((share3 - 0.75).abs() < 0.05, "share {share3}");
         // Non-matching request selects nothing.
         assert!(table.select(&req("/a.css"), &ctx, &mut rng).is_none());
+    }
+
+    #[test]
+    fn split_skips_dead_and_nonpositive_weights() {
+        // Not all weights are negative, so this is a split, not the
+        // least-loaded convention: the one positive weight is dead.
+        let mut table = RuleTable::from_rules(vec![Rule::parse(
+            "name=r priority=1 match * action=split 10.1.0.2:80=1 10.1.0.3:80=0 10.1.0.4:80=-1",
+        )
+        .unwrap()]);
+        let mut ctx = SelectCtx::default();
+        let mut rng = Rng::seed_from_u64(1);
+        assert_eq!(table.select(&req("/x"), &ctx, &mut rng), Some(ep(2)));
+        ctx.dead.insert(ep(2));
+        assert_eq!(table.select(&req("/x"), &ctx, &mut rng), None);
     }
 
     #[test]
@@ -808,7 +792,6 @@ mod tests {
             "name=pq priority=1 match * action=prequal 10.1.0.2:80 10.1.0.3:80 10.1.0.4:80",
         )
         .unwrap()]);
-        assert!(table.has_prequal());
         assert_eq!(table.prequal_backends().len(), 3);
         let ctx = SelectCtx::default();
         let mut rng = Rng::seed_from_u64(1);

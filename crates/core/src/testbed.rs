@@ -46,7 +46,7 @@ pub struct TestbedConfig {
     pub controller: ControllerConfig,
     /// Store server tuning.
     pub store: StoreServerConfig,
-    /// Backend tuning.
+    /// Backend settings: none (see [`ServerConfig`]).
     pub backend: ServerConfig,
     /// Network topology.
     pub topology: Topology,
@@ -66,7 +66,7 @@ impl Default for TestbedConfig {
             yoda: YodaConfig::default(),
             controller: ControllerConfig::default(),
             store: StoreServerConfig::default(),
-            backend: ServerConfig::default(),
+            backend: ServerConfig,
             topology: Topology::azure_testbed(),
         }
     }
@@ -133,8 +133,6 @@ pub struct Testbed {
     tier: Tier,
     /// Store server configuration used (for store restoration).
     pub store_cfg: StoreServerConfig,
-    /// Backend configuration used (for backend restoration).
-    pub backend_cfg: ServerConfig,
     next_client_host: u8,
 }
 
@@ -288,7 +286,6 @@ impl Testbed {
             catalog,
             tier,
             store_cfg: cfg.store,
-            backend_cfg: cfg.backend,
             next_client_host: 1,
         };
         // Install the default equal-split policy for every service via
@@ -470,10 +467,9 @@ impl Testbed {
         let service = i % self.service_backends.len();
         let group = nth(&self.service_backends, service);
         let ep = *nth(group, i / self.service_backends.len());
-        let cfg = self.backend_cfg.clone();
         let catalog = self.catalog.clone();
         self.engine.schedule(at, move |eng| {
-            eng.restore_node(id, Box::new(OriginServer::new(cfg, ep, catalog)));
+            eng.restore_node(id, Box::new(OriginServer::new(ServerConfig, ep, catalog)));
         });
     }
 

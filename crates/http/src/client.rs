@@ -16,7 +16,7 @@ use bytes::{Bytes, BytesMut};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, SimTime, TimerId, TimerToken,
 };
-use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
+use yoda_tcp::{ConnId, TcpEvent, TcpStack};
 
 use crate::message::{parse_response_head, HttpRequest};
 use crate::site::{ObjectId, SiteCatalog};
@@ -33,6 +33,9 @@ pub const TLS_HELLO: &[u8] = b"CLIENTHELLO\n";
 /// How long a TLS client waits for the certificate before re-sending its
 /// hello (drives certificate re-transmission across an LB failover).
 const TLS_RETRY: SimTime = SimTime::from_secs(3);
+/// The rate client's per-request timeout (the browser's default HTTP
+/// timeout, §7).
+const RATE_TIMEOUT: SimTime = SimTime::from_secs(30);
 
 /// Terminal outcome of one object fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +79,6 @@ pub struct BrowserConfig {
     pub tls: bool,
     /// Hostname for the `Host` header.
     pub host: String,
-    /// TCP tuning.
-    pub tcp: TcpConfig,
 }
 
 impl Default for BrowserConfig {
@@ -94,7 +95,6 @@ impl Default for BrowserConfig {
             fixed_object: None,
             tls: false,
             host: "mysite.test".to_string(),
-            tcp: TcpConfig::default(),
         }
     }
 }
@@ -217,8 +217,7 @@ pub struct BrowserClient {
 impl BrowserClient {
     /// Creates a browser bound to `addr`.
     pub fn new(cfg: BrowserConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
-        let tcp = cfg.tcp;
-        let mut stack = TcpStack::new(tcp);
+        let mut stack = TcpStack::new();
         stack.set_ephemeral_base(
             (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
         );
@@ -579,12 +578,8 @@ pub struct RateClientConfig {
     pub site: usize,
     /// Stop issuing after this long (`None` = run forever).
     pub duration: Option<SimTime>,
-    /// Per-request timeout.
-    pub timeout: SimTime,
     /// Hostname for the `Host` header.
     pub host: String,
-    /// TCP tuning.
-    pub tcp: TcpConfig,
 }
 
 impl Default for RateClientConfig {
@@ -595,9 +590,7 @@ impl Default for RateClientConfig {
             object_path: None,
             site: 0,
             duration: None,
-            timeout: SimTime::from_secs(30),
             host: "mysite.test".to_string(),
-            tcp: TcpConfig::default(),
         }
     }
 }
@@ -632,8 +625,7 @@ pub struct RateClient {
 impl RateClient {
     /// Creates a rate client bound to `addr`.
     pub fn new(cfg: RateClientConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
-        let tcp = cfg.tcp;
-        let mut stack = TcpStack::new(tcp);
+        let mut stack = TcpStack::new();
         stack.set_ephemeral_base(
             (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
         );
@@ -686,7 +678,7 @@ impl RateClient {
         let conn = self.stack.connect(ctx, local, self.cfg.target);
         let id = self.next_fetch;
         self.next_fetch += 1;
-        let timeout = ctx.set_timer(self.cfg.timeout, TimerToken::new(TIMEOUT_KIND).with_a(id));
+        let timeout = ctx.set_timer(RATE_TIMEOUT, TimerToken::new(TIMEOUT_KIND).with_a(id));
         self.fetches
             .insert(id, Fetch::new(0, object, conn, ctx.now(), timeout));
         self.by_conn.insert(conn, id);
@@ -828,11 +820,7 @@ mod tests {
             "origin",
             server_ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(
-                ServerConfig::default(),
-                server_ep,
-                catalog.clone(),
-            )),
+            Box::new(OriginServer::new(ServerConfig, server_ep, catalog.clone())),
         );
         let cfg = BrowserConfig {
             target: server_ep,
@@ -892,11 +880,7 @@ mod tests {
             "origin",
             server_ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(
-                ServerConfig::default(),
-                server_ep,
-                catalog.clone(),
-            )),
+            Box::new(OriginServer::new(ServerConfig, server_ep, catalog.clone())),
         );
         let addr = Addr::new(172, 16, 0, 2);
         let id = eng.add_node(
@@ -944,11 +928,7 @@ mod tests {
             "origin",
             server_ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(
-                ServerConfig::default(),
-                server_ep,
-                catalog.clone(),
-            )),
+            Box::new(OriginServer::new(ServerConfig, server_ep, catalog.clone())),
         );
         eng.fail_node(srv);
         let addr = Addr::new(172, 16, 0, 3);

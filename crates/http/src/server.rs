@@ -10,7 +10,7 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use yoda_balance::{ProbeReply, ProbeRequest};
 use yoda_netsim::{Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken};
-use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpStack};
+use yoda_tcp::{ConnId, TcpEvent, TcpStack};
 
 use crate::message::{parse_request, HttpRequest, HttpResponse};
 use crate::site::SiteCatalog;
@@ -18,29 +18,18 @@ use crate::site::SiteCatalog;
 /// Timer kind for deferred responses.
 const REPLY_TIMER_KIND: u32 = 0x5E4;
 
-/// Origin server tunables.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// CPU cores (paper backends: dual-core VMs).
-    pub cores: usize,
-    /// Fixed CPU time per request.
-    pub base_service: SimTime,
-    /// Additional CPU time per KiB of response body.
-    pub service_per_kib: SimTime,
-    /// TCP configuration for accepted connections.
-    pub tcp: TcpConfig,
-}
+/// CPU cores (paper backends: dual-core VMs).
+const CORES: usize = 2;
+/// Fixed CPU time per request.
+const BASE_SERVICE: SimTime = SimTime::from_micros(800);
+/// Additional CPU time per KiB of response body.
+const SERVICE_PER_KIB: SimTime = SimTime::from_micros(4);
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            cores: 2,
-            base_service: SimTime::from_micros(800),
-            service_per_kib: SimTime::from_micros(4),
-            tcp: TcpConfig::default(),
-        }
-    }
-}
+/// Origin server settings: none. The type stays only because the frozen
+/// `bench_e2e` benchmark passes `TestbedConfig::backend` to
+/// [`OriginServer::new`]; it goes when that benchmark is next revised.
+#[derive(Debug, Clone, Default)]
+pub struct ServerConfig;
 
 struct PendingReply {
     conn: ConnId,
@@ -60,7 +49,6 @@ const LATENCY_EWMA_ALPHA: f64 = 0.3;
 /// bytes served, and a resettable window counter (paper Fig. 14 plots the
 /// per-server traffic split over time).
 pub struct OriginServer {
-    cfg: ServerConfig,
     listen: Endpoint,
     catalog: Arc<SiteCatalog>,
     stack: TcpStack,
@@ -83,15 +71,12 @@ pub struct OriginServer {
 
 impl OriginServer {
     /// Creates a server listening on `listen`, serving `catalog`.
-    pub fn new(cfg: ServerConfig, listen: Endpoint, catalog: Arc<SiteCatalog>) -> Self {
-        let cores = cfg.cores;
-        let tcp = cfg.tcp;
+    pub fn new(_: ServerConfig, listen: Endpoint, catalog: Arc<SiteCatalog>) -> Self {
         OriginServer {
-            cfg,
             listen,
             catalog,
-            stack: TcpStack::new(tcp),
-            cpu: ServiceQueue::new(cores),
+            stack: TcpStack::new(),
+            cpu: ServiceQueue::new(CORES),
             buffers: Default::default(),
             pending: Default::default(),
             next_reply: 0,
@@ -163,9 +148,9 @@ impl OriginServer {
             }
         };
         let close_after = !req.keep_alive();
-        let base = self.cfg.base_service
+        let base = BASE_SERVICE
             + SimTime::from_micros(
-                self.cfg.service_per_kib.as_micros() * (response.body.len() as u64 / 1024),
+                SERVICE_PER_KIB.as_micros() * (response.body.len() as u64 / 1024),
             );
         let service =
             SimTime::from_micros((base.as_micros() as f64 * self.speed_factor) as u64);
@@ -310,7 +295,7 @@ mod tests {
     fn server_construction() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let srv = OriginServer::new(ServerConfig, ep, catalog);
         assert_eq!(srv.endpoint(), ep);
         assert_eq!(srv.requests, 0);
     }
@@ -319,7 +304,7 @@ mod tests {
     fn probe_reply_carries_rif_and_latency() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let mut srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let mut srv = OriginServer::new(ServerConfig, ep, catalog);
         srv.record_latency(SimTime::from_millis(4));
         let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::from_millis(1)));
 
@@ -345,7 +330,7 @@ mod tests {
     fn latency_ewma_blends_samples() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let mut srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let mut srv = OriginServer::new(ServerConfig, ep, catalog);
         srv.record_latency(SimTime::from_micros(1000));
         assert_eq!(srv.latency_ewma(), SimTime::from_micros(1000));
         srv.record_latency(SimTime::from_micros(2000));
@@ -357,7 +342,7 @@ mod tests {
     fn speed_factor_scales_service_time() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let mut srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let mut srv = OriginServer::new(ServerConfig, ep, catalog);
         srv.set_speed_factor(5.0);
         assert_eq!(srv.speed_factor, 5.0);
         srv.set_speed_factor(-1.0);
@@ -375,7 +360,7 @@ mod tests {
             "origin",
             ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(ServerConfig::default(), ep, catalog)),
+            Box::new(OriginServer::new(ServerConfig, ep, catalog)),
         );
         eng.run_for(SimTime::from_millis(10));
     }

@@ -19,7 +19,6 @@ use crate::addrmap::AddrMap;
 use crate::node::{Node, TimerId, TimerToken};
 use crate::packet::Packet;
 use crate::rng::Rng;
-use crate::symtab::{NameId, SymbolTable};
 use crate::time::SimTime;
 use crate::topology::{Topology, Zone};
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
@@ -29,9 +28,9 @@ use crate::wheel::{TimerWheel, WheelItem};
 pub struct NodeId(pub usize);
 
 struct NodeMeta {
-    /// Interned in the engine's [`SymbolTable`]: trace records carry the
-    /// 4-byte id instead of cloning the name.
-    name: NameId,
+    /// Display name. Trace records carry the [`NodeId`] and resolve it
+    /// here ([`Engine::node_name`]), so recording never clones it.
+    name: String,
     zone: Zone,
     alive: bool,
     /// Partitioned ingress: packets addressed to this node are dropped at
@@ -103,9 +102,6 @@ struct EngineCore {
     /// wheel at once: it never pops, is no event and no digest input.
     wheel: TimerWheel,
     meta: Vec<NodeMeta>,
-    /// Node names, interned once at `add_node`; everything else carries
-    /// [`NameId`]s.
-    names: SymbolTable,
     addr_map: AddrMap,
     rng: Rng,
     /// The seed the engine was built with; per-node streams are split
@@ -193,7 +189,7 @@ impl EngineCore {
         }
         let ev = TraceEvent {
             time: self.time,
-            node: self.meta(node.0).name,
+            node,
             kind,
             src: Some(pkt.src),
             dst: Some(pkt.dst),
@@ -353,7 +349,7 @@ impl Ctx<'_> {
 
     /// This node's name.
     pub fn node_name(&self) -> &str {
-        self.core.names.resolve(self.core.meta(self.node.0).name)
+        &self.core.meta(self.node.0).name
     }
 
     /// This node's private RNG stream, split from the engine seed by
@@ -411,12 +407,6 @@ impl Ctx<'_> {
         self.core.wheel.cancel(id.slot, id.id);
     }
 
-    /// Whether tracing is enabled; lets hot paths skip building
-    /// `trace_note` strings that would be thrown away.
-    pub fn trace_enabled(&self) -> bool {
-        self.core.trace.is_enabled()
-    }
-
     /// Records a free-form annotation in the trace (no-op when tracing is
     /// disabled).
     pub fn trace_note(&mut self, detail: impl Into<String>) {
@@ -425,7 +415,7 @@ impl Ctx<'_> {
         }
         let ev = TraceEvent {
             time: self.core.time,
-            node: self.core.meta(self.node.0).name,
+            node: self.node,
             kind: TraceKind::Note,
             src: None,
             dst: None,
@@ -474,7 +464,6 @@ impl Engine {
                 free_payloads: Vec::new(),
                 wheel: TimerWheel::new(),
                 meta: Vec::new(),
-                names: SymbolTable::new(),
                 addr_map: AddrMap::new(),
                 rng: Rng::seed_from_u64(seed),
                 seed,
@@ -572,14 +561,13 @@ impl Engine {
         let id = NodeId(self.nodes.len());
         let prev = self.core.addr_map.insert(addr, id.0);
         assert!(prev.is_none(), "address {addr} already in use");
-        let name = self.core.names.intern(&name.into());
         // Split a per-node stream off the engine seed. The `+ 1` salt
         // keeps node 0's stream distinct from the engine-global stream
         // (which is seeded from the raw seed).
         let mut mix = self.core.seed ^ (id.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let rng = Rng::seed_from_u64(crate::rng::splitmix64(&mut mix));
         self.core.meta.push(NodeMeta {
-            name,
+            name: name.into(),
             zone,
             alive: true,
             cut_in: false,
@@ -617,15 +605,10 @@ impl Engine {
         self.core.addr_map.get(addr).map(NodeId)
     }
 
-    /// The node's display name.
+    /// The node's display name; `"?"` for an id this engine never handed
+    /// out (rendering a trace must not be able to take down a run).
     pub fn node_name(&self, id: NodeId) -> &str {
-        self.core.names.resolve(self.core.meta(id.0).name)
-    }
-
-    /// The engine's name intern table; resolves the [`NameId`]s that
-    /// trace events carry.
-    pub fn names(&self) -> &SymbolTable {
-        &self.core.names
+        self.core.meta.get(id.0).map_or("?", |m| m.name.as_str())
     }
 
     /// Whether the node is currently alive.
@@ -641,7 +624,7 @@ impl Engine {
         if self.core.trace.is_enabled() {
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta(id.0).name,
+                node: id,
                 kind: TraceKind::NodeFailed,
                 src: None,
                 dst: None,
@@ -671,7 +654,7 @@ impl Engine {
             };
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta(id.0).name,
+                node: id,
                 kind: TraceKind::Note,
                 src: None,
                 dst: None,
@@ -724,7 +707,7 @@ impl Engine {
             };
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta(id.0).name,
+                node: id,
                 kind: TraceKind::Note,
                 src: None,
                 dst: None,
@@ -752,7 +735,7 @@ impl Engine {
         if self.core.trace.is_enabled() {
             let ev = TraceEvent {
                 time: self.core.time,
-                node: self.core.meta(id.0).name,
+                node: id,
                 kind: TraceKind::NodeRestored,
                 src: None,
                 dst: None,

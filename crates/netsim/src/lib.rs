@@ -48,7 +48,6 @@ pub mod packet;
 pub mod rng;
 pub mod service;
 pub mod stats;
-pub mod symtab;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -64,8 +63,7 @@ pub use packet::{
     PROTO_TCP,
 };
 pub use service::ServiceQueue;
-pub use stats::{Counter, Histogram};
-pub use symtab::{NameId, SymbolTable};
+pub use stats::Histogram;
 pub use time::SimTime;
 pub use topology::{LinkSpec, OverrideId, Topology, Zone};
 pub use trace::{TraceEvent, TraceKind, TraceSink};

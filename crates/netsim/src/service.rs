@@ -79,17 +79,6 @@ impl ServiceQueue {
         done
     }
 
-    /// Submits to the least-loaded core instead of an affinity-selected one.
-    pub fn submit_any(&mut self, now: SimTime, service: SimTime) -> SimTime {
-        let idx = self
-            .cores
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.busy_until)
-            .map_or(0, |(i, _)| i);
-        self.submit(now, service, idx as u64)
-    }
-
     /// Instantaneous queueing delay a job with `affinity` would see if
     /// submitted at `now` (0 when the core is idle).
     pub fn backlog(&self, now: SimTime, affinity: u64) -> SimTime {
@@ -161,15 +150,6 @@ mod tests {
         assert!((q.utilization(SimTime::from_micros(100)) - 0.5).abs() < 1e-9);
         q.reset_window(SimTime::from_micros(100));
         assert_eq!(q.utilization(SimTime::from_micros(200)), 0.0);
-    }
-
-    #[test]
-    fn submit_any_balances() {
-        let mut q = ServiceQueue::new(2);
-        let a = q.submit_any(SimTime::ZERO, SimTime::from_micros(10));
-        let b = q.submit_any(SimTime::ZERO, SimTime::from_micros(10));
-        assert_eq!(a, SimTime::from_micros(10));
-        assert_eq!(b, SimTime::from_micros(10));
     }
 
     #[test]

@@ -124,23 +124,6 @@ impl Histogram {
         idx as f64 / self.samples.len() as f64
     }
 
-    /// Dumps an `n`-point CDF as `(value, cumulative_fraction)` pairs,
-    /// suitable for plotting (paper Figure 12(a)).
-    pub fn cdf_points(&mut self, n: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        self.sort();
-        let len = self.samples.len();
-        (1..=n)
-            .filter_map(|i| {
-                let idx = (i * len).div_ceil(n).clamp(1, len) - 1;
-                let v = *self.samples.get(idx)?;
-                Some((v, (idx + 1) as f64 / len as f64))
-            })
-            .collect()
-    }
-
     /// Read-only access to the raw samples (unsorted order not guaranteed).
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -150,38 +133,6 @@ impl Histogram {
     pub fn merge(&mut self, other: &Histogram) {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;
-    }
-}
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use yoda_netsim::Counter;
-///
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
     }
 }
 
@@ -221,21 +172,6 @@ mod tests {
         assert_eq!(h.cdf_at(0.5), 0.0);
         assert_eq!(h.cdf_at(2.0), 0.5);
         assert_eq!(h.cdf_at(10.0), 1.0);
-    }
-
-    #[test]
-    fn cdf_points_monotone() {
-        let mut h = Histogram::new();
-        for v in 0..1000 {
-            h.record((v % 97) as f64);
-        }
-        let pts = h.cdf_points(20);
-        assert_eq!(pts.len(), 20);
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use std::fmt::Write as _;
 
 use crate::addr::Endpoint;
+use crate::engine::{Engine, NodeId};
 use crate::packet::Protocol;
-use crate::symtab::{NameId, SymbolTable};
 use crate::time::SimTime;
 
 /// What happened.
@@ -36,11 +36,10 @@ pub enum TraceKind {
 pub struct TraceEvent {
     /// When it happened.
     pub time: SimTime,
-    /// Node the event is attributed to, as an interned id into the
-    /// engine's [`SymbolTable`] — plain `Copy` data, so recording an
-    /// event never clones the name and the event stays `Send`. Resolve via
-    /// [`TraceEvent::render`] or `engine.names().resolve(ev.node)`.
-    pub node: NameId,
+    /// Node the event is attributed to — plain `Copy` data, so recording
+    /// an event never clones the name. Resolve via [`TraceEvent::render`]
+    /// or [`Engine::node_name`].
+    pub node: NodeId,
     /// Event class.
     pub kind: TraceKind,
     /// Packet source (if the event concerns a packet).
@@ -54,17 +53,15 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Formats the event as a tcpdump-like line, resolving the node id
-    /// against `names` (the table of the engine that recorded it). This
-    /// replaces the old `Display` impl, which cannot exist now that the
-    /// event carries an id instead of the name itself.
-    pub fn render(&self, names: &SymbolTable) -> String {
+    /// Formats the event as a tcpdump-like line, naming the node through
+    /// `engine` (the engine that recorded it).
+    pub fn render(&self, engine: &Engine) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
             "{:>12} {:16} {:?}",
             self.time.to_string(),
-            names.resolve(self.node),
+            engine.node_name(self.node),
             self.kind
         );
         if let (Some(s), Some(d)) = (self.src, self.dst) {
@@ -131,14 +128,6 @@ impl TraceSink {
         newer.iter().chain(older.iter()).collect()
     }
 
-    /// Returns events touching the given endpoint (as src or dst).
-    pub fn events_for(&self, ep: Endpoint) -> Vec<&TraceEvent> {
-        self.events()
-            .into_iter()
-            .filter(|e| e.src == Some(ep) || e.dst == Some(ep))
-            .collect()
-    }
-
     /// Clears all recorded events.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -150,11 +139,15 @@ impl TraceSink {
 mod tests {
     use super::*;
     use crate::addr::Addr;
+    use crate::node::{Node, TimerToken};
+    use crate::packet::Packet;
+    use crate::topology::Zone;
+    use crate::Ctx;
 
-    fn ev(t: u64, names: &mut SymbolTable, node: &str) -> TraceEvent {
+    fn ev(t: u64, node: NodeId) -> TraceEvent {
         TraceEvent {
             time: SimTime::from_micros(t),
-            node: names.intern(node),
+            node,
             kind: TraceKind::Note,
             src: None,
             dst: None,
@@ -165,50 +158,41 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let mut names = SymbolTable::new();
         let mut s = TraceSink::disabled();
-        s.record(ev(1, &mut names, "a"));
+        s.record(ev(1, NodeId(0)));
         assert!(s.events().is_empty());
     }
 
     #[test]
     fn ring_buffer_keeps_latest() {
-        let mut names = SymbolTable::new();
         let mut s = TraceSink::with_capacity(3);
         for i in 0..5 {
-            s.record(ev(i, &mut names, "n"));
+            s.record(ev(i, NodeId(0)));
         }
         let times: Vec<u64> = s.events().iter().map(|e| e.time.as_micros()).collect();
         assert_eq!(times, vec![2, 3, 4]);
     }
 
-    #[test]
-    fn filter_by_endpoint() {
-        let mut names = SymbolTable::new();
-        let mut s = TraceSink::with_capacity(10);
-        let ep = Endpoint::new(Addr::new(1, 2, 3, 4), 80);
-        let mut e = ev(1, &mut names, "n");
-        e.src = Some(ep);
-        s.record(e);
-        s.record(ev(2, &mut names, "n"));
-        assert_eq!(s.events_for(ep).len(), 1);
+    struct Idle;
+    impl Node for Idle {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: Packet) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: TimerToken) {}
     }
 
     #[test]
     fn render_contains_node_and_time() {
-        let mut names = SymbolTable::new();
-        let text = ev(1_500, &mut names, "mux-1").render(&names);
+        let mut eng = Engine::new(1);
+        let id = eng.add_node("mux-1", Addr::new(10, 0, 2, 1), Zone::Dc, Box::new(Idle));
+        let text = ev(1_500, id).render(&eng);
         assert!(text.contains("mux-1"));
         assert!(text.contains("1.500ms"));
     }
 
     #[test]
     fn render_survives_foreign_id() {
-        // An id resolved against the wrong (here: empty) table must not
-        // panic — trace rendering can't be able to take down a run.
-        let mut names = SymbolTable::new();
-        let e = ev(1, &mut names, "mux-1");
-        let empty = SymbolTable::new();
-        assert!(e.render(&empty).contains('?'));
+        // An id the engine never handed out must not panic — trace
+        // rendering can't be able to take down a run.
+        let eng = Engine::new(1);
+        assert!(ev(1, NodeId(7)).render(&eng).contains('?'));
     }
 }

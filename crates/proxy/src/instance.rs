@@ -10,38 +10,19 @@ use yoda_netsim::{
     Addr, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
     PROTO_IPIP, PROTO_PING,
 };
-use yoda_tcp::{ConnId, TcpConfig, TcpEvent, TcpEvents, TcpStack};
+use yoda_tcp::{ConnId, TcpEvent, TcpEvents, TcpStack};
 
-/// Proxy tunables. CPU calibration follows the paper's §7.1 HAProxy
-/// numbers: at the load where Yoda saturates (12K req/s) HAProxy sits at
-/// ~46% CPU, i.e. roughly 2.2× cheaper per request (kernel TCP splicing
-/// vs. user-space packet copying).
-#[derive(Debug, Clone)]
-pub struct ProxyConfig {
-    /// CPU cores.
-    pub cores: usize,
-    /// CPU time per spliced packet.
-    pub per_pkt_cpu: SimTime,
-    /// Extra CPU per new connection.
-    pub per_conn_cpu: SimTime,
-    /// Fixed forwarding latency per spliced chunk (kernel path: cheaper
-    /// than Yoda's user-space pipeline).
-    pub splice_latency: SimTime,
-    /// TCP configuration for both connection legs.
-    pub tcp: TcpConfig,
-}
+// CPU calibration follows the paper's §7.1 HAProxy numbers: at the load
+// where Yoda saturates (12K req/s) HAProxy sits at ~46% CPU, i.e. roughly
+// 2.2× cheaper per request (kernel TCP splicing vs. user-space packet
+// copying).
 
-impl Default for ProxyConfig {
-    fn default() -> Self {
-        ProxyConfig {
-            cores: 8,
-            per_pkt_cpu: SimTime::from_micros(32),
-            per_conn_cpu: SimTime::from_micros(170),
-            splice_latency: SimTime::from_micros(120),
-            tcp: TcpConfig::default(),
-        }
-    }
-}
+/// CPU cores.
+const CORES: usize = 8;
+/// CPU time per spliced packet.
+const PER_PKT_CPU: SimTime = SimTime::from_micros(32);
+/// Extra CPU per new connection.
+const PER_CONN_CPU: SimTime = SimTime::from_micros(170);
 
 /// Per-client-connection proxy state.
 struct Session {
@@ -60,7 +41,6 @@ struct Session {
 /// Keeps **all** flow state in local memory — the paper's Problem 1.
 pub struct ProxyInstance {
     addr: Addr,
-    cfg: ProxyConfig,
     stack: TcpStack,
     vips: BTreeMap<Endpoint, RuleTable>,
     select_ctx: SelectCtx,
@@ -78,8 +58,8 @@ pub struct ProxyInstance {
 
 impl ProxyInstance {
     /// Creates a proxy bound to `addr`.
-    pub fn new(cfg: ProxyConfig, addr: Addr) -> Self {
-        let mut stack = TcpStack::new(cfg.tcp);
+    pub fn new(addr: Addr) -> Self {
+        let mut stack = TcpStack::new();
         // An HAProxy instance that receives a packet for an unknown flow
         // (because the L4 LB re-steered a dead peer's traffic to it)
         // silently drops it: the flow hangs until the client's HTTP
@@ -87,11 +67,10 @@ impl ProxyInstance {
         stack.set_rst_unknown(false);
         ProxyInstance {
             addr,
-            cfg: cfg.clone(),
             stack,
             vips: BTreeMap::new(),
             select_ctx: SelectCtx::default(),
-            cpu: ServiceQueue::new(cfg.cores),
+            cpu: ServiceQueue::new(CORES),
             sessions: FlowTable::new(),
             by_server_conn: FlowTable::new(),
             table: Vec::new(),
@@ -118,7 +97,7 @@ impl ProxyInstance {
     }
 
     fn charge(&mut self, now: SimTime, conn: ConnId, extra: SimTime) {
-        self.cpu.submit(now, self.cfg.per_pkt_cpu + extra, conn.0);
+        self.cpu.submit(now, PER_PKT_CPU + extra, conn.0);
     }
 
     fn session_of_client(&mut self, conn: ConnId, vip: Endpoint) -> usize {
@@ -167,8 +146,7 @@ impl ProxyInstance {
                     return;
                 };
                 self.requests += 1;
-                let conn_cpu = self.cfg.per_conn_cpu;
-                self.charge(ctx.now(), conn, conn_cpu);
+                self.charge(ctx.now(), conn, PER_CONN_CPU);
                 let Some(session) = self.table.get_mut(idx).and_then(|s| s.as_mut()) else {
                     return;
                 };
@@ -364,7 +342,7 @@ mod tests {
 
     #[test]
     fn construction_and_vip_install() {
-        let mut p = ProxyInstance::new(ProxyConfig::default(), Addr::new(10, 0, 0, 1));
+        let mut p = ProxyInstance::new(Addr::new(10, 0, 0, 1));
         let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
         let rules =
             RuleTable::parse("name=r priority=1 match * action=split 10.1.0.1:80=1").unwrap();
@@ -378,10 +356,9 @@ mod tests {
         // §7.1: HAProxy uses ~2.2x less CPU than (Python) Yoda per
         // request. Yoda touches every packet (~20/request); the proxy's
         // kernel splicing is charged per data chunk (~5/request).
-        let p = ProxyConfig::default();
         let y = yoda_core::YodaConfig::default();
         let yoda_req = y.per_pkt_cpu.as_micros() as f64 * 20.0 + y.per_conn_cpu.as_micros() as f64;
-        let proxy_req = p.per_pkt_cpu.as_micros() as f64 * 5.0 + p.per_conn_cpu.as_micros() as f64;
+        let proxy_req = PER_PKT_CPU.as_micros() as f64 * 5.0 + PER_CONN_CPU.as_micros() as f64;
         let ratio = yoda_req / proxy_req;
         assert!(ratio > 1.6 && ratio < 2.6, "ratio {ratio}");
     }

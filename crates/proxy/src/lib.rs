@@ -19,5 +19,5 @@
 pub mod instance;
 mod testbed;
 
-pub use instance::{ProxyConfig, ProxyInstance};
+pub use instance::ProxyInstance;
 pub use testbed::{testbed, tier};

@@ -7,28 +7,26 @@ use std::sync::Arc;
 
 use yoda_core::testbed::{Testbed, TestbedConfig, Tier};
 
-use crate::instance::{ProxyConfig, ProxyInstance};
+use crate::instance::ProxyInstance;
 
 /// The proxy tier: instances keep all flow state locally, so the store
 /// and mux addresses go unused.
-pub fn tier(proxy: ProxyConfig) -> Tier {
+pub fn tier() -> Tier {
     Tier {
         prefix: "haproxy",
-        make: Arc::new(move |addr, _stores, _muxes| {
-            Box::new(ProxyInstance::new(proxy.clone(), addr))
-        }),
+        make: Arc::new(|addr, _stores, _muxes| Box::new(ProxyInstance::new(addr))),
     }
 }
 
 /// The baseline deployment: `cfg`'s shape with no store servers and no
 /// spares (`cfg.yoda` and `cfg.store` go unread).
-pub fn testbed(cfg: TestbedConfig, proxy: ProxyConfig) -> Testbed {
+pub fn testbed(cfg: TestbedConfig) -> Testbed {
     let cfg = TestbedConfig {
         num_stores: 0,
         num_spares: 0,
         ..cfg
     };
-    Testbed::build_with(cfg, tier(proxy))
+    Testbed::build_with(cfg, tier())
 }
 
 #[cfg(test)]
@@ -39,17 +37,14 @@ mod tests {
 
     #[test]
     fn proxy_serves_pages() {
-        let mut tb = testbed(
-            TestbedConfig {
-                num_instances: 3,
-                num_backends: 6,
-                num_muxes: 2,
-                num_services: 1,
-                pages_per_site: 10,
-                ..TestbedConfig::default()
-            },
-            ProxyConfig::default(),
-        );
+        let mut tb = testbed(TestbedConfig {
+            num_instances: 3,
+            num_backends: 6,
+            num_muxes: 2,
+            num_services: 1,
+            pages_per_site: 10,
+            ..TestbedConfig::default()
+        });
         let browser = tb.add_browser(
             0,
             BrowserConfig {
@@ -74,17 +69,14 @@ mod tests {
     fn proxy_failure_breaks_flows() {
         // The paper's Problem 1: kill a proxy mid-run; its flows hang and
         // (with no browser retry) time out.
-        let mut tb = testbed(
-            TestbedConfig {
-                num_instances: 2,
-                num_backends: 4,
-                num_muxes: 2,
-                num_services: 1,
-                pages_per_site: 10,
-                ..TestbedConfig::default()
-            },
-            ProxyConfig::default(),
-        );
+        let mut tb = testbed(TestbedConfig {
+            num_instances: 2,
+            num_backends: 4,
+            num_muxes: 2,
+            num_services: 1,
+            pages_per_site: 10,
+            ..TestbedConfig::default()
+        });
         let browser = tb.add_browser(
             0,
             BrowserConfig {

@@ -28,5 +28,5 @@ pub mod stack;
 
 pub use segment::{Flags, Segment, SEGMENT_HEADER_LEN};
 pub use seq::SeqNum;
-pub use socket::{SocketState, TcpConfig, TcpSocket};
+pub use socket::{SocketState, TcpSocket, MSS};
 pub use stack::{ConnId, TcpEvent, TcpEvents, TcpStack, TCP_TIMER_KIND};

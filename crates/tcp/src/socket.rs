@@ -27,42 +27,25 @@ use crate::segment::{Flags, Segment};
 use crate::sendq::SendQueue;
 use crate::seq::SeqNum;
 
-/// Tunables for a socket.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per segment).
-    pub mss: usize,
-    /// Initial congestion window, in segments (RFC 6928 uses 10).
-    pub initial_cwnd_segments: u32,
-    /// Receive window advertised to the peer, in bytes.
-    pub recv_window: u32,
-    /// Minimum (and initial) retransmission timeout for data.
-    pub min_rto: SimTime,
-    /// Maximum retransmission timeout after backoff.
-    pub max_rto: SimTime,
-    /// Initial retransmission timeout for SYN / SYN-ACK ("3 sec in
-    /// Ubuntu", paper §4.2).
-    pub syn_rto: SimTime,
-    /// Give up (reset) after this many consecutive retransmissions.
-    pub max_retries: u32,
-    /// How long to linger in TIME-WAIT (abbreviated; real stacks use 2MSL).
-    pub time_wait: SimTime,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: 1460,
-            initial_cwnd_segments: 10,
-            recv_window: 1 << 20,
-            min_rto: SimTime::from_millis(300),
-            max_rto: SimTime::from_secs(60),
-            syn_rto: SimTime::from_secs(3),
-            max_retries: 10,
-            time_wait: SimTime::from_secs(1),
-        }
-    }
-}
+/// Maximum segment size (payload bytes per segment): Ethernet's 1500-byte
+/// MTU less 40 bytes of IP and TCP headers.
+pub const MSS: usize = 1460;
+/// Initial congestion window, in segments (RFC 6928).
+const INITIAL_CWND_SEGMENTS: u32 = 10;
+/// Receive window advertised to the peer, in bytes.
+const RECV_WINDOW: u32 = 1 << 20;
+/// Minimum (and initial) retransmission timeout for data (the backend in
+/// paper Fig. 12(b) retransmits at +300 ms and +600 ms).
+const MIN_RTO: SimTime = SimTime::from_millis(300);
+/// Maximum retransmission timeout after backoff.
+const MAX_RTO: SimTime = SimTime::from_secs(60);
+/// Initial retransmission timeout for SYN / SYN-ACK ("3 sec in Ubuntu",
+/// paper §4.2).
+const SYN_RTO: SimTime = SimTime::from_secs(3);
+/// Give up (reset) after this many consecutive retransmissions.
+const MAX_RETRIES: u32 = 10;
+/// How long to linger in TIME-WAIT (abbreviated; real stacks use 2MSL).
+const TIME_WAIT: SimTime = SimTime::from_secs(1);
 
 /// Connection state (RFC 793 names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,15 +89,14 @@ impl SocketState {
 ///
 /// ```
 /// use yoda_netsim::{Addr, Endpoint, SimTime};
-/// use yoda_tcp::{TcpSocket, TcpConfig, SeqNum, SocketState};
+/// use yoda_tcp::{TcpSocket, SeqNum, SocketState};
 ///
-/// let cfg = TcpConfig::default();
 /// let a_ep = Endpoint::new(Addr::new(10, 0, 0, 1), 1000);
 /// let b_ep = Endpoint::new(Addr::new(10, 0, 0, 2), 80);
 /// let t = SimTime::ZERO;
 ///
-/// let (mut a, syn) = TcpSocket::connect(cfg, a_ep, b_ep, SeqNum::new(100), t);
-/// let (mut b, synack) = TcpSocket::accept(cfg, b_ep, a_ep, &syn, SeqNum::new(900), t).unwrap();
+/// let (mut a, syn) = TcpSocket::connect(a_ep, b_ep, SeqNum::new(100), t);
+/// let (mut b, synack) = TcpSocket::accept(b_ep, a_ep, &syn, SeqNum::new(900), t).unwrap();
 /// let (mut acks, mut replies) = (Vec::new(), Vec::new());
 /// a.on_segment(&synack, t, &mut acks);
 /// assert_eq!(a.state(), SocketState::Established);
@@ -125,7 +107,6 @@ impl SocketState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TcpSocket {
-    cfg: TcpConfig,
     state: SocketState,
     local: Endpoint,
     remote: Endpoint,
@@ -181,17 +162,16 @@ impl TcpSocket {
     /// Starts an active open: returns the socket in `SynSent` plus the SYN
     /// segment to transmit.
     pub fn connect(
-        cfg: TcpConfig,
         local: Endpoint,
         remote: Endpoint,
         iss: SeqNum,
         now: SimTime,
     ) -> (TcpSocket, Segment) {
-        let mut sock = TcpSocket::blank(cfg, local, remote, iss);
+        let mut sock = TcpSocket::blank(local, remote, iss);
         sock.state = SocketState::SynSent;
         sock.snd_nxt = iss + 1;
-        sock.rto = cfg.syn_rto;
-        sock.rtx_deadline = Some(now + cfg.syn_rto);
+        sock.rto = SYN_RTO;
+        sock.rtx_deadline = Some(now + SYN_RTO);
         let syn = sock.make_segment(iss, Flags::SYN, Bytes::new());
         (sock, syn)
     }
@@ -202,7 +182,6 @@ impl TcpSocket {
     ///
     /// Returns `None` when `syn` is not a pure SYN.
     pub fn accept(
-        cfg: TcpConfig,
         local: Endpoint,
         remote: Endpoint,
         syn: &Segment,
@@ -212,21 +191,20 @@ impl TcpSocket {
         if !syn.flags.syn || syn.flags.ack || syn.flags.rst {
             return None;
         }
-        let mut sock = TcpSocket::blank(cfg, local, remote, iss);
+        let mut sock = TcpSocket::blank(local, remote, iss);
         sock.state = SocketState::SynReceived;
         sock.snd_nxt = iss + 1;
         sock.irs = syn.seq;
         sock.rcv_nxt = syn.seq + 1;
         sock.peer_window = syn.window;
-        sock.rto = cfg.syn_rto;
-        sock.rtx_deadline = Some(now + cfg.syn_rto);
+        sock.rto = SYN_RTO;
+        sock.rtx_deadline = Some(now + SYN_RTO);
         let synack = sock.make_segment(iss, Flags::SYN_ACK, Bytes::new());
         Some((sock, synack))
     }
 
-    fn blank(cfg: TcpConfig, local: Endpoint, remote: Endpoint, iss: SeqNum) -> TcpSocket {
+    fn blank(local: Endpoint, remote: Endpoint, iss: SeqNum) -> TcpSocket {
         TcpSocket {
-            cfg,
             state: SocketState::Closed,
             local,
             remote,
@@ -236,13 +214,13 @@ impl TcpSocket {
             unacked: SendQueue::default(),
             fin_queued: false,
             fin_sent: false,
-            peer_window: cfg.recv_window,
-            cwnd: cfg.initial_cwnd_segments * cfg.mss as u32,
+            peer_window: RECV_WINDOW,
+            cwnd: INITIAL_CWND_SEGMENTS * MSS as u32,
             ssthresh: u32::MAX,
             dup_acks: 0,
             srtt: None,
             rttvar: SimTime::ZERO,
-            rto: cfg.min_rto,
+            rto: MIN_RTO,
             retries: 0,
             rtx_deadline: None,
             rtt_probe: None,
@@ -264,7 +242,7 @@ impl TcpSocket {
             seq,
             ack: if flags.ack { self.rcv_nxt } else { SeqNum::new(0) },
             flags,
-            window: self.cfg.recv_window,
+            window: RECV_WINDOW,
             payload,
         }
     }
@@ -404,7 +382,7 @@ impl TcpSocket {
             return;
         }
         self.retries += 1;
-        if self.retries > self.cfg.max_retries {
+        if self.retries > MAX_RETRIES {
             self.state = SocketState::Reset;
             self.rtx_deadline = None;
             return;
@@ -413,12 +391,10 @@ impl TcpSocket {
         self.rtt_probe = None;
         // Back off and collapse the window (RFC 5681 on RTO).
         let inflight = self.inflight_bytes();
-        self.ssthresh = (inflight / 2).max(2 * self.cfg.mss as u32);
-        self.cwnd = self.cfg.mss as u32;
+        self.ssthresh = (inflight / 2).max(2 * MSS as u32);
+        self.cwnd = MSS as u32;
         self.dup_acks = 0;
-        self.rto = SimTime::from_micros(
-            (self.rto.as_micros() * 2).min(self.cfg.max_rto.as_micros()),
-        );
+        self.rto = SimTime::from_micros((self.rto.as_micros() * 2).min(MAX_RTO.as_micros()));
         self.rtx_deadline = Some(now + self.rto);
         self.retransmitted_segments += 1;
         match self.state {
@@ -450,7 +426,7 @@ impl TcpSocket {
         }
         // `None`: accounting drift between snd_una and the buffer; nothing
         // sane to retransmit, recover via ACK clocking instead.
-        if let Some(chunk) = self.unacked.head(inflight.min(self.cfg.mss)) {
+        if let Some(chunk) = self.unacked.head(inflight.min(MSS)) {
             out.push(self.make_segment(self.snd_una, Flags::ACK, chunk));
         }
     }
@@ -482,7 +458,7 @@ impl TcpSocket {
             let inflight = self.inflight_bytes();
             let window = self.cwnd.min(self.peer_window);
             let budget = window.saturating_sub(inflight) as usize;
-            let len = budget.min(self.unacked.unsent()).min(self.cfg.mss);
+            let len = budget.min(self.unacked.unsent()).min(MSS);
             if len == 0 {
                 break;
             }
@@ -543,7 +519,7 @@ impl TcpSocket {
         self.peer_window = seg.window;
         self.state = SocketState::Established;
         self.retries = 0;
-        self.rto = self.cfg.min_rto;
+        self.rto = MIN_RTO;
         self.rtx_deadline = None;
         out.push(self.make_segment(self.snd_nxt, Flags::ACK, Bytes::new()));
         self.transmit_window(now, out);
@@ -560,7 +536,7 @@ impl TcpSocket {
             self.peer_window = seg.window;
             self.state = SocketState::Established;
             self.retries = 0;
-            self.rto = self.cfg.min_rto;
+            self.rto = MIN_RTO;
             self.rtx_deadline = None;
             // The ACK may carry data (and often does: the HTTP request).
             self.on_segment_connected(seg, now, out);
@@ -591,8 +567,8 @@ impl TcpSocket {
                 self.dup_acks += 1;
                 if self.dup_acks == 3 {
                     // Fast retransmit.
-                    self.ssthresh = (self.inflight_bytes() / 2).max(2 * self.cfg.mss as u32);
-                    self.cwnd = self.ssthresh + 3 * self.cfg.mss as u32;
+                    self.ssthresh = (self.inflight_bytes() / 2).max(2 * MSS as u32);
+                    self.cwnd = self.ssthresh + 3 * MSS as u32;
                     self.retransmitted_segments += 1;
                     self.rtt_probe = None;
                     self.retransmit_head(out);
@@ -623,7 +599,7 @@ impl TcpSocket {
             }
         }
         // Congestion window growth.
-        let mss = self.cfg.mss as u32;
+        let mss = MSS as u32;
         if self.cwnd < self.ssthresh {
             self.cwnd = self.cwnd.saturating_add(acked.min(mss));
         } else {
@@ -693,11 +669,9 @@ impl TcpSocket {
         match self.srtt {
             Some(srtt) => {
                 let rto_us = srtt.as_micros() + 4 * self.rttvar.as_micros();
-                SimTime::from_micros(
-                    rto_us.clamp(self.cfg.min_rto.as_micros(), self.cfg.max_rto.as_micros()),
-                )
+                SimTime::from_micros(rto_us.clamp(MIN_RTO.as_micros(), MAX_RTO.as_micros()))
             }
-            None => self.cfg.min_rto,
+            None => MIN_RTO,
         }
     }
 
@@ -761,7 +735,7 @@ impl TcpSocket {
     }
 
     fn enter_time_wait(&mut self, now: SimTime) {
-        self.time_wait_deadline = Some(now + self.cfg.time_wait);
+        self.time_wait_deadline = Some(now + TIME_WAIT);
         self.rtx_deadline = None;
     }
 }
@@ -787,12 +761,11 @@ mod tests {
 
     /// Drives two sockets to Established and returns them.
     fn handshake() -> (TcpSocket, TcpSocket) {
-        let cfg = TcpConfig::default();
         let (c_ep, s_ep) = eps();
         let t = SimTime::ZERO;
-        let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1000), t);
+        let (mut client, syn) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(1000), t);
         let (mut server, synack) =
-            TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(5000), t).unwrap();
+            TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(5000), t).unwrap();
         let acks = emit(|o| client.on_segment(&synack, t, o));
         deliver(&mut server, &acks, t);
         assert_eq!(client.state(), SocketState::Established);
@@ -822,7 +795,6 @@ mod tests {
 
     #[test]
     fn accept_rejects_non_syn() {
-        let cfg = TcpConfig::default();
         let (c_ep, s_ep) = eps();
         let not_syn = Segment {
             src_port: c_ep.port,
@@ -833,8 +805,7 @@ mod tests {
             window: 1000,
             payload: Bytes::new(),
         };
-        assert!(TcpSocket::accept(cfg, s_ep, c_ep, &not_syn, SeqNum::new(1), SimTime::ZERO)
-            .is_none());
+        assert!(TcpSocket::accept(s_ep, c_ep, &not_syn, SeqNum::new(1), SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -902,10 +873,8 @@ mod tests {
 
     #[test]
     fn syn_retransmit_uses_3s_timeout() {
-        let cfg = TcpConfig::default();
         let (c_ep, s_ep) = eps();
-        let (mut client, _syn) =
-            TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1), SimTime::ZERO);
+        let (mut client, _syn) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(1), SimTime::ZERO);
         assert_eq!(client.next_deadline(), Some(SimTime::from_secs(3)));
         let rtx = emit(|o| client.on_timer(SimTime::from_secs(3), o));
         assert_eq!(rtx.len(), 1);
@@ -914,12 +883,10 @@ mod tests {
 
     #[test]
     fn duplicate_syn_gets_synack_again() {
-        let cfg = TcpConfig::default();
         let (c_ep, s_ep) = eps();
         let t = SimTime::ZERO;
-        let (_client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1), t);
-        let (mut server, synack1) =
-            TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(9), t).unwrap();
+        let (_client, syn) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(1), t);
+        let (mut server, synack1) = TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(9), t).unwrap();
         let reply = emit(|o| server.on_segment(&syn, t, o));
         assert_eq!(reply.len(), 1);
         assert_eq!(reply[0], synack1);
@@ -927,15 +894,14 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_resets() {
-        let cfg = TcpConfig {
-            max_retries: 2,
-            ..TcpConfig::default()
-        };
         let (c_ep, s_ep) = eps();
-        let (mut client, _) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1), SimTime::ZERO);
+        let (mut client, _) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(1), SimTime::ZERO);
         let mut now = SimTime::ZERO;
-        for _ in 0..3 {
-            now = client.next_deadline().unwrap_or(now + SimTime::from_secs(100));
+        for _ in 0..=MAX_RETRIES {
+            assert_ne!(client.state(), SocketState::Reset);
+            now = client
+                .next_deadline()
+                .unwrap_or(now + SimTime::from_secs(100));
             client.on_timer(now, &mut Vec::new());
         }
         assert_eq!(client.state(), SocketState::Reset);
@@ -1050,12 +1016,11 @@ mod tests {
 
     /// An established sender whose ISS sits `below_wrap` short of 2^32.
     fn sender(below_wrap: u32) -> TcpSocket {
-        let cfg = TcpConfig::default();
         let (c_ep, s_ep) = eps();
         let iss = SeqNum::new(u32::MAX - below_wrap);
-        let (mut sock, syn) = TcpSocket::connect(cfg, c_ep, s_ep, iss, SimTime::ZERO);
+        let (mut sock, syn) = TcpSocket::connect(c_ep, s_ep, iss, SimTime::ZERO);
         let (_, synack) =
-            TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(77), SimTime::ZERO).unwrap();
+            TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(77), SimTime::ZERO).unwrap();
         sock.on_segment(&synack, SimTime::ZERO, &mut Vec::new());
         assert_eq!(sock.state(), SocketState::Established);
         sock
@@ -1114,7 +1079,7 @@ mod tests {
     #[test]
     fn chunked_send_buffer_matches_contiguous_oracle() {
         use yoda_netsim::rng::Rng;
-        const MSS: u32 = 1460;
+        const MSS: u32 = super::MSS as u32;
         for seed in 0..24u64 {
             let mut rng = Rng::seed_from_u64(seed);
             let below_wrap = rng.gen_range(0..3 * MSS);
@@ -1259,12 +1224,10 @@ mod tests {
         // The client's first data segment often rides right behind the
         // handshake ACK; Yoda depends on the server accepting data carried
         // on the ACK that completes the handshake.
-        let cfg = TcpConfig::default();
         let (c_ep, s_ep) = eps();
         let t = SimTime::ZERO;
-        let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(50), t);
-        let (mut server, synack) =
-            TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(80), t).unwrap();
+        let (mut client, syn) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(50), t);
+        let (mut server, synack) = TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(80), t).unwrap();
         let mut from_client = emit(|o| client.on_segment(&synack, t, o));
         client.send(Bytes::from_static(b"payload"), t, &mut from_client);
         // Merge: deliver ACK then data (two segments is fine too).

@@ -10,7 +10,7 @@ use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, TimerId, TimerToken
 
 use crate::segment::{Flags, Segment};
 use crate::seq::SeqNum;
-use crate::socket::{SocketState, TcpConfig, TcpSocket};
+use crate::socket::{SocketState, TcpSocket};
 
 /// Timer-token `kind` reserved by the stack. Nodes must route timers with
 /// this kind to [`TcpStack::on_timer`].
@@ -98,7 +98,6 @@ struct ConnSlot {
 /// behaviour), or are silently dropped otherwise (the behaviour of an L7
 /// proxy that lost its state — paper §7.2's HAProxy failure mode).
 pub struct TcpStack {
-    cfg: TcpConfig,
     rst_unknown: bool,
     conns: FlowTable<ConnId, ConnSlot>,
     /// (remote, local) → connection, for every non-terminal connection.
@@ -115,11 +114,16 @@ pub struct TcpStack {
     next_ephemeral: u16,
 }
 
+impl Default for TcpStack {
+    fn default() -> Self {
+        TcpStack::new()
+    }
+}
+
 impl TcpStack {
-    /// Creates a stack with the given socket configuration.
-    pub fn new(cfg: TcpConfig) -> Self {
+    /// Creates an empty stack that resets unknown flows.
+    pub fn new() -> Self {
         TcpStack {
-            cfg,
             rst_unknown: true,
             conns: FlowTable::new(),
             by_flow: FlowTable::new(),
@@ -175,7 +179,7 @@ impl TcpStack {
         remote: Endpoint,
         iss: SeqNum,
     ) -> ConnId {
-        let (sock, syn) = TcpSocket::connect(self.cfg, local, remote, iss, ctx.now());
+        let (sock, syn) = TcpSocket::connect(local, remote, iss, ctx.now());
         ctx.send(syn.into_packet(local, remote));
         self.open(ctx, (remote, local), sock)
     }
@@ -264,9 +268,7 @@ impl TcpStack {
         // New flow: maybe a listener accepts it.
         if seg.flags.syn && !seg.flags.ack && self.listeners.contains(&dst) {
             let iss = SeqNum::new(ctx.node_rng().next_u32());
-            if let Some((sock, synack)) =
-                TcpSocket::accept(self.cfg, dst, src, &seg, iss, ctx.now())
-            {
+            if let Some((sock, synack)) = TcpSocket::accept(dst, src, &seg, iss, ctx.now()) {
                 ctx.send(synack.into_packet(dst, src));
                 let mut events = TcpEvents::default();
                 events.push(TcpEvent::Incoming(self.open(ctx, flow, sock), src));
@@ -500,7 +502,7 @@ mod tests {
             server_ep.addr,
             Zone::Dc,
             Box::new(EchoServer {
-                stack: TcpStack::new(TcpConfig::default()),
+                stack: TcpStack::new(),
                 listen: server_ep,
                 echoed: 0,
                 empty_reads: 0,
@@ -512,7 +514,7 @@ mod tests {
             Addr::new(10, 2, 0, 1),
             Zone::Dc,
             Box::new(BlobClient {
-                stack: TcpStack::new(TcpConfig::default()),
+                stack: TcpStack::new(),
                 local: Addr::new(10, 2, 0, 1),
                 server: server_ep,
                 blob: blob.clone(),
@@ -617,7 +619,7 @@ mod tests {
             server_ep.addr,
             Zone::Dc,
             Box::new(EchoServer {
-                stack: TcpStack::new(TcpConfig::default()),
+                stack: TcpStack::new(),
                 listen: server_ep,
                 echoed: 0,
                 empty_reads: 0,
@@ -628,7 +630,7 @@ mod tests {
             Addr::new(10, 2, 0, 1),
             Zone::Dc,
             Box::new(CycleClient {
-                stack: TcpStack::new(TcpConfig::default()),
+                stack: TcpStack::new(),
                 local: Addr::new(10, 2, 0, 1),
                 server: server_ep,
                 cycles,
@@ -686,7 +688,7 @@ mod tests {
             server_ep.addr,
             Zone::Dc,
             Box::new(EchoServer {
-                stack: TcpStack::new(TcpConfig::default()),
+                stack: TcpStack::new(),
                 listen: server_ep,
                 echoed: 0,
                 empty_reads: 0,
@@ -812,7 +814,7 @@ mod tests {
             server_ep.addr,
             Zone::Dc,
             Box::new(EchoServer {
-                stack: TcpStack::new(TcpConfig::default()),
+                stack: TcpStack::new(),
                 listen: Endpoint::new(server_ep.addr, 81), // listening elsewhere
                 echoed: 0,
                 empty_reads: 0,
@@ -833,14 +835,14 @@ mod tests {
 
     #[test]
     fn drop_unknown_mode_sends_nothing() {
-        let mut stack = TcpStack::new(TcpConfig::default());
+        let mut stack = TcpStack::new();
         stack.set_rst_unknown(false);
         assert!(!stack.rst_unknown);
     }
 
     #[test]
     fn ephemeral_ports_wrap() {
-        let mut stack = TcpStack::new(TcpConfig::default());
+        let mut stack = TcpStack::new();
         let first = stack.ephemeral_port();
         assert_eq!(first, 33000);
         for _ in 0..(60999 - 33000) {

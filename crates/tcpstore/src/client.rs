@@ -50,7 +50,7 @@ use yoda_netsim::{
     Addr, Ctx, Endpoint, FlowTable, Histogram, Packet, SimTime, TimerId, TimerToken,
 };
 
-use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
+use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus, STORE_PORT};
 use crate::ring::HashRing;
 
 /// Timer-token kind reserved for store-client operation timeouts.
@@ -63,8 +63,6 @@ pub const STORE_RETRY_KIND: u32 = 0x570B;
 /// Per-operation timeout (covers dead servers). Also the yardstick a
 /// degraded instance's heal probe must beat to count as "fast".
 pub const OP_TIMEOUT: SimTime = SimTime::from_millis(100);
-/// Store server port.
-const SERVER_PORT: u16 = 11211;
 /// Floor of the adaptive hedge delay for reads.
 const HEDGE_MIN: SimTime = SimTime::from_millis(1);
 /// Ceiling of the adaptive hedge delay.
@@ -82,25 +80,8 @@ const SUSPECT_AFTER: u32 = 3;
 /// How long a quarantined replica is deprioritized for reads.
 const QUARANTINE: SimTime = SimTime::from_secs(1);
 
-/// Client configuration. Only what some caller sets to a second value
-/// is a field; every other tunable is a constant above.
-#[derive(Debug, Clone)]
-pub struct StoreClientConfig {
-    /// Replication factor K (paper evaluates K=2; K=1 is "default
-    /// Memcached").
-    pub replicas: usize,
-    /// Virtual nodes per server on the ring.
-    pub vnodes: usize,
-}
-
-impl Default for StoreClientConfig {
-    fn default() -> Self {
-        StoreClientConfig {
-            replicas: 2,
-            vnodes: 64,
-        }
-    }
-}
+/// Virtual nodes per server on the ring.
+const VNODES: usize = 64;
 
 /// Final outcome of an operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,7 +201,9 @@ struct Repair {
 /// The client library: embed in a node, route RPC packets and timers
 /// whose kind passes [`StoreClient::owns_timer_kind`] to it.
 pub struct StoreClient {
-    cfg: StoreClientConfig,
+    /// Replication factor K (paper evaluates K=2; K=1 is "default
+    /// Memcached").
+    replicas: usize,
     ring: HashRing,
     local: Endpoint,
     pending: FlowTable<u64, PendingOp>,
@@ -253,12 +236,12 @@ pub struct StoreClient {
 }
 
 impl StoreClient {
-    /// Creates a client for the given store servers, sending from `local`.
-    pub fn new(cfg: StoreClientConfig, local: Endpoint, servers: &[Addr]) -> Self {
-        let ring = HashRing::new(servers, cfg.vnodes);
+    /// Creates a client for the given store servers that writes every
+    /// key to `replicas` of them, sending from `local`.
+    pub fn new(replicas: usize, local: Endpoint, servers: &[Addr]) -> Self {
         StoreClient {
-            cfg,
-            ring,
+            replicas,
+            ring: HashRing::new(servers, VNODES),
             local,
             pending: FlowTable::new(),
             replica_buf: Vec::new(),
@@ -381,7 +364,7 @@ impl StoreClient {
             key: key.clone(),
             value: value.clone(),
         };
-        let dst = Endpoint::new(server, SERVER_PORT);
+        let dst = Endpoint::new(server, STORE_PORT);
         ctx.send(req.into_packet(self.local, dst));
     }
 
@@ -390,7 +373,7 @@ impl StoreClient {
         self.next_req += 1;
         let now = ctx.now();
         self.ring
-            .replicas(&key, self.cfg.replicas, &mut self.replica_buf);
+            .replicas(&key, self.replicas, &mut self.replica_buf);
         let is_write = !matches!(op, StoreOp::Get);
         if is_write {
             // A newer write supersedes any pending repair of the same key:
@@ -766,16 +749,12 @@ mod tests {
             ));
         }
         let me = Endpoint::new(Addr::new(10, 0, 0, 9), 7000);
-        let cfg = StoreClientConfig {
-            replicas,
-            ..StoreClientConfig::default()
-        };
         let id = eng.add_node(
             "client",
             me.addr,
             Zone::Dc,
             Box::new(ClientNode {
-                client: StoreClient::new(cfg, me, &servers),
+                client: StoreClient::new(replicas, me, &servers),
                 events: Vec::new(),
             }),
         );

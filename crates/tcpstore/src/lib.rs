@@ -27,8 +27,8 @@ pub mod ring;
 pub mod server;
 
 pub use client::{
-    ReplicaStat, StoreClient, StoreClientConfig, StoreEvent, StoreOutcome, OP_TIMEOUT,
-    STORE_HEDGE_KIND, STORE_RETRY_KIND, STORE_TIMER_KIND,
+    ReplicaStat, StoreClient, StoreEvent, StoreOutcome, OP_TIMEOUT, STORE_HEDGE_KIND,
+    STORE_RETRY_KIND, STORE_TIMER_KIND,
 };
 pub use proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 pub use ring::HashRing;

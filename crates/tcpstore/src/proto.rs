@@ -9,6 +9,9 @@
 use bytes::{put_be, Bytes};
 use yoda_netsim::{Endpoint, Packet, PROTO_RPC};
 
+/// The port every store server answers on (Memcached's).
+pub(crate) const STORE_PORT: u16 = 11211;
+
 /// Operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreOp {

@@ -10,29 +10,26 @@ use yoda_netsim::{
     Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_RPC,
 };
 
-use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
+use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus, STORE_PORT};
 
-/// Store server tunables.
+/// CPU cores.
+const CORES: usize = 4;
+
+/// Store server settings.
 ///
-/// Defaults are calibrated so one server saturates around the paper's
-/// ~80K ops/s per server envelope (§7.1): 4 cores × one op per
+/// The default is calibrated so one server saturates around the paper's
+/// ~80K ops/s per server envelope (§7.1): `CORES` (4) × one op per
 /// `per_op_service` (50 µs) ≈ 80K ops/s at 100%.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreServerConfig {
-    /// CPU cores.
-    pub cores: usize,
     /// CPU time consumed by one operation.
     pub per_op_service: SimTime,
-    /// Port the server answers on.
-    pub port: u16,
 }
 
 impl Default for StoreServerConfig {
     fn default() -> Self {
         StoreServerConfig {
-            cores: 4,
             per_op_service: SimTime::from_micros(50),
-            port: 11211,
         }
     }
 }
@@ -62,7 +59,7 @@ impl StoreServer {
             cfg,
             addr,
             data: FlowTable::new(),
-            cpu: ServiceQueue::new(cfg.cores),
+            cpu: ServiceQueue::new(CORES),
             speed_factor: 1.0,
             gets: 0,
             sets: 0,
@@ -153,7 +150,7 @@ impl Node for StoreServer {
             }
         }
         // CPU model: the reply leaves once a core has processed the op.
-        let affinity = ctx.node_rng().gen_range(0..self.cfg.cores as u64);
+        let affinity = ctx.node_rng().gen_range(0..CORES as u64);
         let service = SimTime::from_micros(
             (self.cfg.per_op_service.as_micros() as f64 * self.speed_factor) as u64,
         );
@@ -165,7 +162,7 @@ impl Node for StoreServer {
             status,
             value,
         };
-        let me = Endpoint::new(self.addr, self.cfg.port);
+        let me = Endpoint::new(self.addr, STORE_PORT);
         ctx.send_after(delay, resp.into_packet(me, pkt.src));
     }
 
@@ -225,7 +222,7 @@ mod tests {
             me.addr,
             Zone::Dc,
             Box::new(Driver {
-                target: Endpoint::new(store_addr, 11211),
+                target: Endpoint::new(store_addr, STORE_PORT),
                 script: vec![
                     req(1, StoreOp::Set, b"k", b"v1"),
                     req(2, StoreOp::Get, b"k", b""),
@@ -276,7 +273,7 @@ mod tests {
             me.addr,
             Zone::Dc,
             Box::new(Driver {
-                target: Endpoint::new(store_addr, 11211),
+                target: Endpoint::new(store_addr, STORE_PORT),
                 script,
                 responses: Vec::new(),
                 me,

@@ -69,12 +69,6 @@ impl AdaptiveScenario {
         }
     }
 
-    /// Adds a phase (builder style; later phases win on overlap).
-    pub fn with_phase(mut self, phase: SpeedPhase) -> Self {
-        self.phases.push(phase);
-        self
-    }
-
     /// The scripted phases.
     pub fn phases(&self) -> &[SpeedPhase] {
         &self.phases
@@ -120,16 +114,6 @@ pub struct BurstyLoad {
 }
 
 impl BurstyLoad {
-    /// A flat (non-bursty) load.
-    pub fn flat(rps: f64) -> Self {
-        BurstyLoad {
-            base_rps: rps,
-            burst_rps: rps,
-            period: SimTime::from_secs(1),
-            duty: 0.0,
-        }
-    }
-
     /// The request rate at `now`.
     pub fn rate_at(&self, now: SimTime) -> f64 {
         let period = self.period.as_micros().max(1);
@@ -201,19 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn later_phases_win_on_overlap() {
-        let s = AdaptiveScenario::one_slow(1, 2.0, SimTime::from_secs(10)).with_phase(SpeedPhase {
-            backend: 1,
-            from: SimTime::from_secs(4),
-            until: SimTime::from_secs(6),
-            factor: 8.0,
-        });
-        assert_eq!(s.factor_at(1, SimTime::from_secs(3)), 2.0);
-        assert_eq!(s.factor_at(1, SimTime::from_secs(5)), 8.0);
-        assert_eq!(s.factor_at(1, SimTime::from_secs(7)), 2.0);
-    }
-
-    #[test]
     fn bursty_square_wave() {
         let l = BurstyLoad {
             base_rps: 100.0,
@@ -236,13 +207,5 @@ mod tests {
                 SimTime::from_secs(5),
             ]
         );
-    }
-
-    #[test]
-    fn flat_load_never_changes() {
-        let l = BurstyLoad::flat(250.0);
-        for s in 0..10 {
-            assert_eq!(l.rate_at(SimTime::from_secs(s)), 250.0);
-        }
     }
 }

@@ -14,7 +14,6 @@ use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
-use yoda::proxy::ProxyConfig;
 
 fn main() {
     for yoda in [true, false] {
@@ -31,7 +30,7 @@ fn main() {
         let mut tb = if yoda {
             Testbed::build(cfg)
         } else {
-            yoda::proxy::testbed(cfg, ProxyConfig::default())
+            yoda::proxy::testbed(cfg)
         };
         let largest = tb
             .catalog

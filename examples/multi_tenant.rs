@@ -10,7 +10,7 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use yoda::assign::{solve_greedy, GreedyConfig};
+use yoda::assign::solve_greedy;
 use yoda::trace::{assign_input_for_bin, AssignParams, Trace, TraceConfig};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     let mut max_fleet = 0usize;
     for bin in 0..trace.bins() {
         let input = assign_input_for_bin(&trace, bin, &params, prev.clone());
-        let out = solve_greedy(&input, &GreedyConfig::default()).expect("feasible");
+        let out = solve_greedy(&input, None).expect("feasible");
         let used = out.assignment.num_instances();
         shared_inst_hours += used as f64 / 6.0; // 10-min bins
         max_fleet = max_fleet.max(used);

@@ -7,7 +7,10 @@
 //!   `TcpStack::on_packet`/`on_timer` allocate nothing else: no segment
 //!   vector, no event vector;
 //! * a store request or response is encoded in one block, and a store
-//!   op's bookkeeping is one vector, its `targets`.
+//!   op's bookkeeping is one vector, its `targets`;
+//! * picking a backend for a new connection (`RuleTable::select`) makes at
+//!   most one allocation, a live-backend list, on a split, a least-loaded
+//!   and a sticky-hit rule.
 //!
 //! The counter is a thread-local, so the tests of this binary, which
 //! `cargo test` runs on parallel threads, never see each other's
@@ -18,14 +21,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
+use yoda::core::rules::{RuleTable, SelectCtx};
+use yoda::http::HttpRequest;
 use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
 use yoda::netsim::{
-    Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
+    Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, Rng, SimTime, TimerToken, Topology, Zone,
 };
-use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpConfig, TcpEvent, TcpStack};
+use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpEvent, TcpStack};
 use yoda::tcpstore::{
-    StoreClient, StoreClientConfig, StoreEvent, StoreOp, StoreRequest, StoreResponse, StoreServer,
-    StoreServerConfig, StoreStatus,
+    StoreClient, StoreEvent, StoreOp, StoreRequest, StoreResponse, StoreServer, StoreServerConfig,
+    StoreStatus,
 };
 
 thread_local! {
@@ -232,7 +237,7 @@ impl Node for Peer {
 
 fn peer() -> Box<Peer> {
     Box::new(Peer {
-        stack: TcpStack::new(TcpConfig::default()),
+        stack: TcpStack::new(),
         conn: None,
         received: 0,
     })
@@ -361,7 +366,7 @@ fn a_store_op_keeps_one_vector() {
         eng.add_node(format!("store-{s}"), s, Zone::Dc, Box::new(node));
     }
     let me = Endpoint::new(Addr::new(10, 0, 0, 9), 9999);
-    let client = StoreClient::new(StoreClientConfig::default(), me, &servers);
+    let client = StoreClient::new(2, me, &servers);
     let requester = eng.add_node(
         "requester",
         me.addr,
@@ -397,4 +402,46 @@ fn a_store_op_keeps_one_vector() {
     assert_eq!((allocs, packets), (1 + 1, 1), "get");
     eng.run_for(SimTime::from_millis(5));
     assert_eq!(eng.node_ref::<Requester>(requester).done, 66);
+}
+
+// ----------------------------------------------------------------------
+// Rule selection
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_rule_selection_allocates_at_most_the_live_list() {
+    let backends = "10.1.0.1:80 10.1.0.2:80 10.1.0.3:80";
+    let mut ctx = SelectCtx::default();
+    ctx.dead.insert(Endpoint::new(Addr::new(10, 1, 0, 2), 80));
+    for (i, d) in (1..=3).enumerate() {
+        ctx.loads
+            .insert(Endpoint::new(Addr::new(10, 1, 0, d), 80), 5 - i as i64);
+    }
+    let mut rng = Rng::seed_from_u64(3);
+    let plain = HttpRequest::get("/a.jpg").with_header("Host", "mysite.test");
+    let with_cookie = plain.clone().with_header("Cookie", "session=alice");
+    for (rule, req) in [
+        (
+            "action=split 10.1.0.1:80=1 10.1.0.2:80=2 10.1.0.3:80=3".to_string(),
+            &plain,
+        ),
+        (format!("action=leastload {backends}"), &plain),
+        (format!("action=sticky session {backends}"), &with_cookie),
+    ] {
+        // `match *`: what is measured is the policy, not a matcher.
+        let text = format!("name=r priority=1 match * {rule}");
+        let mut table = RuleTable::parse(&text).expect("rule parses");
+        // The first pick of a session places it (a table insert); the
+        // measured one finds it.
+        let first = table.select(req, &ctx, &mut rng);
+        let (allocs, pick) = allocations(|| table.select(req, &ctx, &mut rng));
+        assert!(
+            pick.is_some() && !ctx.dead.contains(&pick.unwrap()),
+            "{rule}"
+        );
+        assert!(allocs <= 1, "{rule}: {allocs} allocations");
+        if rule.contains("sticky") {
+            assert_eq!(pick, first, "the session stuck");
+        }
+    }
 }

@@ -65,7 +65,6 @@ fn brownout_run() -> (BrownoutPrint, f64) {
         pages_per_site: 12,
         store: StoreServerConfig {
             per_op_service: SimTime::from_millis(8),
-            ..StoreServerConfig::default()
         },
         ..TestbedConfig::default()
     });

@@ -5,7 +5,7 @@
 //! dependencies and every failure replays from the fixed seed below.
 
 use bytes::Bytes;
-use yoda::assign::{solve_greedy, AssignInput, Assignment, GreedyConfig, VipSpec};
+use yoda::assign::{solve_greedy, AssignInput, Assignment, VipSpec};
 use yoda::core::flowstate::{FlowRecord, SynRecord};
 use yoda::core::isn::syn_ack_isn;
 use yoda::core::rules::glob_match;
@@ -231,7 +231,7 @@ fn greedy_output_always_valid() {
             migration_limit,
             previous: None,
         };
-        if let Ok(out) = solve_greedy(&input, &GreedyConfig::default()) {
+        if let Ok(out) = solve_greedy(&input, None) {
             assert!(input.validate(&out.assignment).is_ok());
             assert!(out.assignment.num_instances() >= input.lower_bound());
         }

@@ -18,7 +18,7 @@ use yoda::http::{BrowserClient, OriginServer, RateClient};
 use yoda::l4lb::{EdgeRouter, Mux};
 use yoda::netsim::addrmap::AddrMap;
 use yoda::netsim::wheel::TimerWheel;
-use yoda::netsim::{Endpoint, Engine, FlowTable, NameId, Node, SymbolTable, TraceEvent, TraceSink};
+use yoda::netsim::{Endpoint, Engine, FlowTable, Node, TraceEvent, TraceSink};
 use yoda::proxy::ProxyInstance;
 use yoda::tcpstore::StoreServer;
 
@@ -26,7 +26,7 @@ fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
 
 /// The engine itself — event queue, timer wheel, address map, trace sink,
-/// symbol table, node slots, and every queued control closure — must be
+/// node slots, and every queued control closure — must be
 /// able to move onto another thread whole.
 #[test]
 fn engine_and_internals_are_send() {
@@ -34,18 +34,15 @@ fn engine_and_internals_are_send() {
     assert_send::<TimerWheel>();
     assert_send::<AddrMap>();
     assert_send::<TraceSink>();
-    assert_send::<SymbolTable>();
 }
 
 /// Trace events outlive the run that recorded them and are read from
-/// wherever the report is built; the interned name id is plain data, so
-/// the whole event is both `Send` and `Sync`.
+/// wherever the report is built; the node id is plain data, so the whole
+/// event is both `Send` and `Sync`.
 #[test]
 fn trace_events_are_send_and_sync() {
     assert_send::<TraceEvent>();
     assert_sync::<TraceEvent>();
-    assert_send::<NameId>();
-    assert_sync::<NameId>();
 }
 
 /// `Node: Send` is a supertrait bound, so any boxed node — and therefore

@@ -8,7 +8,7 @@ use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response, HttpRequest, OriginServer};
 use yoda::l4lb::{rendezvous_pick, Mux};
 use yoda::netsim::{Addr, Ctx, Endpoint, Node, NodeId, Packet, SimTime, TimerToken, Zone};
-use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpConfig, TcpEvent, TcpStack};
+use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpEvent, TcpStack};
 
 /// Client that sends two HTTP/1.1 requests for different content types on
 /// ONE connection, collecting both responses.
@@ -127,7 +127,7 @@ impl SwitchBed {
             addr,
             Zone::External,
             Box::new(KeepAliveClient {
-                stack: TcpStack::new(TcpConfig::default()),
+                stack: TcpStack::new(),
                 addr,
                 target: vip,
                 paths: vec![jpg.path.clone(), css.path.clone()],

@@ -8,20 +8,19 @@
 
 use yoda::netsim::rng::Rng;
 use yoda::netsim::{Addr, Endpoint, SimTime};
-use yoda::tcp::{Segment, SeqNum, SocketState, TcpConfig, TcpSocket};
+use yoda::tcp::{Segment, SeqNum, SocketState, TcpSocket};
 
 /// Drives a client→server transfer where every in-flight segment batch is
 /// shuffled, possibly duplicated, and possibly dropped; lost data is
 /// recovered by firing the retransmission timers.
 fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
-    let cfg = TcpConfig::default();
     let c_ep = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
     let s_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
     let mut rng = Rng::seed_from_u64(seed);
     let mut now = SimTime::ZERO;
-    let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(7), now);
+    let (mut client, syn) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(7), now);
     let (mut server, synack) =
-        TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(77), now).expect("syn");
+        TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(77), now).expect("syn");
     let mut to_server: Vec<Segment> = Vec::new();
     client.on_segment(&synack, now, &mut to_server);
     client.send(bytes::Bytes::copy_from_slice(data), now, &mut to_server);

@@ -4,19 +4,18 @@
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::{Addr, Endpoint, SimTime};
-use yoda::tcp::{SeqNum, TcpConfig, TcpSocket};
+use yoda::tcp::{SeqNum, TcpSocket};
 
 #[test]
 fn socket_transfer_across_seq_wrap() {
     // ISN a few KB below the wrap point; a 100 KB transfer crosses it.
-    let cfg = TcpConfig::default();
     let c_ep = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
     let s_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
     let iss = SeqNum::new(u32::MAX - 4000);
     let t = SimTime::ZERO;
-    let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, iss, t);
+    let (mut client, syn) = TcpSocket::connect(c_ep, s_ep, iss, t);
     let (mut server, synack) =
-        TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(u32::MAX - 9), t).unwrap();
+        TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(u32::MAX - 9), t).unwrap();
     let mut to_server = Vec::new();
     client.on_segment(&synack, t, &mut to_server);
     let data: Vec<u8> = (0..100_000).map(|i| (i % 249) as u8).collect();
@@ -46,18 +45,17 @@ fn out_of_order_segments_reassemble_across_seq_wrap() {
     // straddles it and the third lies past it. Delivered 3, 2, 1, both
     // later ones wait in the reassembly queue, and the first must release
     // them in sequence order, not in numeric order of their raw numbers.
-    let cfg = TcpConfig::default();
     let c_ep = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
     let s_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
     let t = SimTime::ZERO;
-    let (mut client, syn) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(u32::MAX - 2000), t);
-    let (mut server, synack) = TcpSocket::accept(cfg, s_ep, c_ep, &syn, SeqNum::new(7), t).unwrap();
+    let (mut client, syn) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(u32::MAX - 2000), t);
+    let (mut server, synack) = TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(7), t).unwrap();
     let (mut acks, mut replies) = (Vec::new(), Vec::new());
     client.on_segment(&synack, t, &mut acks);
     for ack in &acks {
         server.on_segment(ack, t, &mut replies);
     }
-    let data: Vec<u8> = (0..3 * cfg.mss).map(|i| (i % 251) as u8).collect();
+    let data: Vec<u8> = (0..3 * yoda::tcp::MSS).map(|i| (i % 251) as u8).collect();
     let mut segs = Vec::new();
     client.send(bytes::Bytes::from(data.clone()), t, &mut segs);
     assert_eq!(segs.len(), 3);

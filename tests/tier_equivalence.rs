@@ -14,7 +14,6 @@ use yoda::core::instance::{YodaConfig, YodaInstance};
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
-use yoda::proxy::ProxyConfig;
 
 /// Per browser: `(pages_completed, completed, body_bytes, timeouts)`.
 /// `splice: None` puts the proxy in the L7 slot.
@@ -37,7 +36,7 @@ fn browse(splice: Option<bool>) -> Vec<(u64, u64, u64, u64)> {
     // node ids — hence the same per-node RNG streams — on every side.
     let mut tb = match splice {
         Some(_) => Testbed::build(cfg),
-        None => Testbed::build_with(cfg, yoda::proxy::tier(ProxyConfig::default())),
+        None => Testbed::build_with(cfg, yoda::proxy::tier()),
     };
     tb.engine.run_for(SimTime::from_secs(1));
     let browser = BrowserConfig {

@@ -32,15 +32,13 @@ fn healthy_open_loop_fires_no_dead_store_or_http_timer() {
         RateClientConfig {
             rate_per_sec: 200.0,
             duration: Some(SimTime::from_secs(2)),
-            // Short enough that a timeout left armed would fire inside
-            // the run.
-            timeout: SimTime::from_secs(6),
             ..RateClientConfig::default()
         },
     );
     // Long enough for every request to finish, a lost SYN included (its
-    // retransmission waits out the 3 s SYN RTO).
-    tb.engine.run_for(SimTime::from_secs(12));
+    // retransmission waits out the 3 s SYN RTO), and for the 30 s timeout
+    // of the last request to fire inside the run, had it been left armed.
+    tb.engine.run_for(SimTime::from_secs(34));
     let c = tb.engine.node_ref::<RateClient>(client);
     assert_eq!((c.completed, c.timeouts, c.resets), (c.issued, 0, 0));
     assert!(c.issued >= 399, "issued {}", c.issued);
