@@ -9,6 +9,10 @@
 //! * [`RateClient`] — the paper's open-loop Apache-bench-style client
 //!   (§7.1, §7.3): issues single-object fetches at a fixed rate,
 //!   recording per-request latencies.
+//!
+//! Each client keeps only its arrival process and its counters. Both run
+//! their fetches through one `Fetches` table, which owns the TCP stack and
+//! every connection's lifecycle (DESIGN.md "One fetch engine").
 
 use std::sync::Arc;
 
@@ -16,16 +20,18 @@ use bytes::{Bytes, BytesMut};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, SimTime, TimerId, TimerToken,
 };
-use yoda_tcp::{ConnId, TcpEvent, TcpStack};
+use yoda_tcp::{ConnId, TcpEvent, TcpEvents, TcpStack};
 
 use crate::message::{parse_response_head, HttpRequest};
 use crate::site::{ObjectId, SiteCatalog};
 
 /// Timer kind of a fetch's HTTP timeout (both clients).
 pub const TIMEOUT_KIND: u32 = 0xB01;
+/// Timer kind of a TLS fetch's hello retry, pending until the certificate
+/// is in or the fetch ends.
+pub const TLS_RETRY_KIND: u32 = 0xB04;
 const STALL_KIND: u32 = 0xB02;
 const TICK_KIND: u32 = 0xB03;
-const TLS_RETRY_KIND: u32 = 0xB04;
 
 /// The fixed ClientHello stand-in a TLS-mode browser sends before its
 /// HTTP request (must match the LB's expectation).
@@ -39,7 +45,7 @@ const RATE_TIMEOUT: SimTime = SimTime::from_secs(30);
 
 /// Terminal outcome of one object fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
+enum RequestOutcome {
     /// Response fully received.
     Ok,
     /// HTTP timeout expired (no/partial response).
@@ -99,7 +105,6 @@ impl Default for BrowserConfig {
     }
 }
 
-#[derive(Debug)]
 struct Fetch {
     process: usize,
     object: ObjectId,
@@ -113,41 +118,36 @@ struct Fetch {
     /// When the HTTP request actually went out (after the handshake);
     /// the paper's "request completion time" measures from here.
     request_sent_at: Option<SimTime>,
-    /// TLS mode: still waiting for the certificate.
-    tls_awaiting_cert: bool,
     attempt: u32,
     last_progress: SimTime,
     /// The HTTP timeout, cancelled when the fetch ends first.
     timeout: TimerId,
     /// The pending stall check, if stall detection is on.
     stall: Option<TimerId>,
+    /// TLS mode: the pending hello retry, present exactly while the hello
+    /// is out and the certificate not yet in.
+    hello_retry: Option<TimerId>,
 }
 
 impl Fetch {
-    fn new(process: usize, object: ObjectId, conn: ConnId, now: SimTime, timeout: TimerId) -> Self {
-        Fetch {
-            process,
-            object,
-            conn,
-            buf: BytesMut::new(),
-            body: None,
-            started: now,
-            request_sent_at: None,
-            tls_awaiting_cert: false,
-            attempt: 0,
-            last_progress: now,
-            timeout,
-            stall: None,
+    /// Buffers newly arrived certificate bytes. Returns true, and drops the
+    /// certificate from the buffer, once all of it is in.
+    fn on_cert_bytes(&mut self, data: &[u8]) -> bool {
+        self.buf.extend_from_slice(data);
+        // The certificate blob is "SSLCERT:<len10>\n" padded to len.
+        if self.buf.len() < 19 || !self.buf.starts_with(b"SSLCERT:") {
+            return false;
         }
-    }
-
-    /// Cancels the fetch's timers: it has ended, and they would fire
-    /// into nothing.
-    fn cancel_timers(&self, ctx: &mut Ctx<'_>) {
-        ctx.cancel_timer(self.timeout);
-        if let Some(stall) = self.stall {
-            ctx.cancel_timer(stall);
-        }
+        let len = self
+            .buf
+            .get(8..18)
+            .and_then(|d| std::str::from_utf8(d).ok())
+            .and_then(|d| d.parse::<usize>().ok());
+        let Some(len) = len.filter(|&len| self.buf.len() >= len) else {
+            return false; // Certificate still arriving.
+        };
+        let _ = self.buf.split_to(len);
+        true
     }
 
     /// Accounts for newly arrived response bytes. Returns the body length
@@ -164,15 +164,225 @@ impl Fetch {
         *missing = missing.saturating_sub(arrived);
         (*missing == 0).then_some(*content_length)
     }
+
+    /// The `Content-Length` of the response, once its head has arrived.
+    fn body_len(&self) -> u64 {
+        self.body.map_or(0, |(len, _)| len as u64)
+    }
 }
 
-#[derive(Debug)]
+/// What a [`Fetches`] call hands back: the fetch it ended, if any.
+type Ended = Option<(Fetch, RequestOutcome)>;
+
+/// One client's fetches and the TCP stack they run on: connect → (TLS
+/// hello → certificate) → request → response head → body count, under the
+/// HTTP timeout, the stall check and the hello retry.
+///
+/// A stack call concerns one connection, so each call here ends at most
+/// one fetch and hands it back; the client acts on it after the call.
+/// Ending a fetch cancels its timers, then closes its connection after a
+/// response or aborts it after any failure, so a client's next `connect`
+/// always follows those, in that order.
+struct Fetches {
+    addr: Addr,
+    catalog: Arc<SiteCatalog>,
+    target: Endpoint,
+    host: String,
+    http_timeout: SimTime,
+    stall_timeout: Option<SimTime>,
+    tls: bool,
+    session_cookie: bool,
+    stack: TcpStack,
+    table: FlowTable<u64, Fetch>,
+    by_conn: FlowTable<ConnId, u64>,
+    next_id: u64,
+}
+
+impl Fetches {
+    /// Plain-HTTP fetches from `addr` to `target` under the rate client's
+    /// timeout, with no cookie and no stall check.
+    fn new(addr: Addr, catalog: Arc<SiteCatalog>, target: Endpoint, host: String) -> Self {
+        let mut stack = TcpStack::new();
+        stack.set_ephemeral_base(
+            (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
+        );
+        Fetches {
+            addr,
+            catalog,
+            target,
+            host,
+            http_timeout: RATE_TIMEOUT,
+            stall_timeout: None,
+            tls: false,
+            session_cookie: false,
+            stack,
+            table: FlowTable::new(),
+            by_conn: FlowTable::new(),
+            next_id: 0,
+        }
+    }
+
+    /// Opens a connection for `object` and arms the fetch's timeout (and
+    /// stall check). Its latency counts from `started`.
+    fn start(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        process: usize,
+        object: ObjectId,
+        attempt: u32,
+        started: SimTime,
+    ) {
+        let local = Endpoint::new(self.addr, self.stack.ephemeral_port());
+        let conn = self.stack.connect(ctx, local, self.target);
+        let id = self.next_id;
+        self.next_id += 1;
+        let timeout = ctx.set_timer(self.http_timeout, TimerToken::new(TIMEOUT_KIND).with_a(id));
+        let stall = self
+            .stall_timeout
+            .map(|stall| ctx.set_timer(stall, TimerToken::new(STALL_KIND).with_a(id)));
+        let fetch = Fetch {
+            process,
+            object,
+            conn,
+            buf: BytesMut::new(),
+            body: None,
+            started,
+            request_sent_at: None,
+            attempt,
+            last_progress: ctx.now(),
+            timeout,
+            stall,
+            hello_retry: None,
+        };
+        self.table.insert(id, fetch);
+        self.by_conn.insert(conn, id);
+    }
+
+    /// Handles a packet; returns the fetch it ended, if any.
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) -> Ended {
+        let events = self.stack.on_packet(ctx, pkt);
+        self.on_events(ctx, events)
+    }
+
+    /// Handles a stack or fetch timer; returns the fetch it ended, if any.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Ended {
+        match token.kind {
+            yoda_tcp::TCP_TIMER_KIND => {
+                let events = self.stack.on_timer(ctx, token);
+                self.on_events(ctx, events)
+            }
+            TIMEOUT_KIND => self.end(ctx, token.a, RequestOutcome::TimedOut),
+            TLS_RETRY_KIND => {
+                self.send_hello(ctx, token.a);
+                None
+            }
+            STALL_KIND => self.check_stall(ctx, token.a),
+            _ => None,
+        }
+    }
+
+    /// Dispatches one stack call's events. They concern one connection, so
+    /// once one of them ends its fetch the rest find no fetch to act on.
+    fn on_events(&mut self, ctx: &mut Ctx<'_>, events: TcpEvents) -> Ended {
+        let mut ended = None;
+        for ev in events {
+            let Some(&id) = self.by_conn.get(&ev.conn()) else {
+                continue;
+            };
+            match ev {
+                TcpEvent::Connected(_) if self.tls => self.send_hello(ctx, id),
+                TcpEvent::Connected(_) => self.send_request(ctx, id),
+                TcpEvent::Data(conn) => ended = self.on_data(ctx, conn, id),
+                TcpEvent::Reset(_) => ended = self.end(ctx, id, RequestOutcome::Reset),
+                _ => {}
+            }
+        }
+        ended
+    }
+
+    /// TLS mode: sends the ClientHello and arms the hello retry (a
+    /// failed-over LB instance learns to resend the certificate from the
+    /// retried hello).
+    fn send_hello(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+        let Some(fetch) = self.table.get_mut(&id) else {
+            return;
+        };
+        self.stack
+            .send(ctx, fetch.conn, Bytes::from_static(TLS_HELLO));
+        let retry = TimerToken::new(TLS_RETRY_KIND).with_a(id);
+        fetch.hello_retry = Some(ctx.set_timer(TLS_RETRY, retry));
+    }
+
+    fn send_request(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+        let Some(fetch) = self.table.get_mut(&id) else {
+            return;
+        };
+        let path = self.catalog.path_of(fetch.object).to_string();
+        let mut req = HttpRequest::get(path).with_header("Host", self.host.clone());
+        if self.session_cookie {
+            req = req.with_header("Cookie", format!("session=p{}", fetch.process));
+        }
+        self.stack.send(ctx, fetch.conn, req.encode());
+        fetch.request_sent_at.get_or_insert(ctx.now());
+    }
+
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, id: u64) -> Ended {
+        let data = self.stack.recv(conn);
+        let fetch = self.table.get_mut(&id)?;
+        if !data.is_empty() {
+            fetch.last_progress = ctx.now();
+        }
+        if let Some(retry) = fetch.hello_retry {
+            if fetch.on_cert_bytes(&data) {
+                fetch.hello_retry = None;
+                ctx.cancel_timer(retry);
+                self.send_request(ctx, id);
+            }
+            return None;
+        }
+        fetch.on_response_bytes(&data)?;
+        self.end(ctx, id, RequestOutcome::Ok)
+    }
+
+    /// Ends a fetch whose response stopped mid-stream for the stall
+    /// timeout, or checks it again one stall timeout later.
+    fn check_stall(&mut self, ctx: &mut Ctx<'_>, id: u64) -> Ended {
+        let stall = self.stall_timeout?;
+        let fetch = self.table.get_mut(&id)?;
+        let idle = ctx.now().saturating_sub(fetch.last_progress);
+        if idle >= stall && (!fetch.buf.is_empty() || fetch.body.is_some()) {
+            // Mid-stream stall: the session is visibly broken.
+            return self.end(ctx, id, RequestOutcome::Stalled);
+        }
+        // Still progressing (or not started): check again.
+        fetch.stall = Some(ctx.set_timer(stall, TimerToken::new(STALL_KIND).with_a(id)));
+        None
+    }
+
+    /// Ends a fetch: cancels its timers, closes its connection after a
+    /// response or aborts it after any failure, and hands it back.
+    fn end(&mut self, ctx: &mut Ctx<'_>, id: u64, outcome: RequestOutcome) -> Ended {
+        let fetch = self.table.remove(&id)?;
+        // The fetch's timers would fire into nothing now.
+        ctx.cancel_timer(fetch.timeout);
+        for timer in [fetch.stall, fetch.hello_retry].into_iter().flatten() {
+            ctx.cancel_timer(timer);
+        }
+        self.by_conn.remove(&fetch.conn);
+        if outcome == RequestOutcome::Ok {
+            self.stack.close(ctx, fetch.conn);
+        } else {
+            self.stack.abort(ctx, fetch.conn);
+        }
+        Some((fetch, outcome))
+    }
+}
+
 struct Process {
-    /// Objects still to fetch for the current page (front = next).
+    /// Objects still to fetch for the current page (last = next).
     queue: Vec<ObjectId>,
     page_started: SimTime,
     pages_done: u64,
-    active_fetch: Option<u64>,
 }
 
 /// Closed-loop browser emulator node.
@@ -180,13 +390,8 @@ struct Process {
 /// Metrics are public fields read by scenario harnesses after the run.
 pub struct BrowserClient {
     cfg: BrowserConfig,
-    addr: Addr,
-    catalog: Arc<SiteCatalog>,
-    stack: TcpStack,
-    fetches: FlowTable<u64, Fetch>,
-    by_conn: FlowTable<ConnId, u64>,
+    fetches: Fetches,
     processes: Vec<Process>,
-    next_fetch: u64,
     /// Latency of each completed (or failed-at-timeout) object fetch, ms.
     pub request_latencies: Histogram,
     /// Latency of each completed page (HTML + all objects), ms.
@@ -210,26 +415,22 @@ pub struct BrowserClient {
     /// resets + session_resets + in_flight()` — no fetch ever vanishes
     /// unaccounted. The chaos harness asserts this after every run.
     pub started_fetches: u64,
-    /// Local ports of fetches that ended broken (for debugging traces).
-    pub broken_ports: Vec<u16>,
 }
 
 impl BrowserClient {
     /// Creates a browser bound to `addr`.
     pub fn new(cfg: BrowserConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
-        let mut stack = TcpStack::new();
-        stack.set_ephemeral_base(
-            (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
-        );
+        let fetches = Fetches {
+            http_timeout: cfg.http_timeout,
+            stall_timeout: cfg.stall_timeout,
+            tls: cfg.tls,
+            session_cookie: cfg.session_cookie,
+            ..Fetches::new(addr, catalog, cfg.target, cfg.host.clone())
+        };
         BrowserClient {
             cfg,
-            addr,
-            catalog,
-            stack,
-            fetches: FlowTable::new(),
-            by_conn: FlowTable::new(),
+            fetches,
             processes: Vec::new(),
-            next_fetch: 0,
             request_latencies: Histogram::new(),
             page_latencies: Histogram::new(),
             timeouts: 0,
@@ -240,239 +441,97 @@ impl BrowserClient {
             pages_completed: 0,
             body_bytes: 0,
             started_fetches: 0,
-            broken_ports: Vec::new(),
         }
     }
 
     /// Object fetches currently in flight (issued, not yet resolved).
     pub fn in_flight(&self) -> usize {
-        self.fetches.len()
-    }
-
-    /// Fraction of fetches that ended broken (never completed).
-    pub fn broken_fraction(&self) -> f64 {
-        let total = self.completed + self.broken_flows;
-        if total == 0 {
-            return 0.0;
-        }
-        self.broken_flows as f64 / total as f64
+        self.fetches.table.len()
     }
 
     fn start_page(&mut self, ctx: &mut Ctx<'_>, process: usize) {
-        self.start_page_inner(ctx, process);
-    }
-
-    fn start_page_inner(&mut self, ctx: &mut Ctx<'_>, process: usize) {
+        let catalog = &self.fetches.catalog;
         let queue = if let Some(path) = &self.cfg.fixed_object {
-            match self.catalog.lookup(path) {
-                Some((id, _)) => vec![id],
-                None => Vec::new(),
-            }
+            catalog
+                .lookup(path)
+                .map(|(id, _)| vec![id])
+                .unwrap_or_default()
         } else {
-            let site = self.catalog.site(self.cfg.site);
+            let site = catalog.site(self.cfg.site);
             let page_idx = ctx.node_rng().gen_range(0..site.pages.len());
-            let page = self.catalog.page(self.cfg.site, page_idx);
+            let page = catalog.page(self.cfg.site, page_idx);
             let mut q = vec![page.html];
             q.extend(page.embedded.iter().copied());
             q.reverse(); // pop from the back
             q
         };
-        let now = ctx.now();
         let Some(p) = self.processes.get_mut(process) else {
             return;
         };
         if queue.is_empty() {
             // Misconfigured fixed object: idle this process rather than
             // spinning through empty "pages".
-            p.active_fetch = None;
             return;
         }
         p.queue = queue;
-        p.page_started = now;
-        self.next_object(ctx, process, 0, None);
+        p.page_started = ctx.now();
+        self.next_object(ctx, process);
     }
 
-    /// Starts the next object fetch for a process. `carry_started`
-    /// preserves the original request time across browser retries so a
-    /// retried fetch's latency includes the timeout the user sat through
-    /// (paper Fig. 12: HAProxy-retry latencies exceed 30 s).
-    fn next_object(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        process: usize,
-        attempt: u32,
-        carry_started: Option<SimTime>,
-    ) {
-        let queued = self
-            .processes
-            .get(process)
-            .and_then(|p| p.queue.last().copied());
-        let Some(object) = queued else {
-            // Page complete.
-            let Some(p) = self.processes.get_mut(process) else {
-                return;
-            };
-            let started = p.page_started;
-            p.pages_done += 1;
-            let pages_done = p.pages_done;
-            self.page_latencies
-                .record_time_ms(ctx.now().saturating_sub(started));
-            self.pages_completed += 1;
-            if let Some(max) = self.cfg.max_pages {
-                if pages_done >= max {
-                    if let Some(p) = self.processes.get_mut(process) {
-                        p.active_fetch = None;
-                    }
-                    return;
-                }
-            }
-            self.start_page_inner(ctx, process);
+    /// Starts the next object fetch for a process, or completes its page.
+    fn next_object(&mut self, ctx: &mut Ctx<'_>, process: usize) {
+        let Some(p) = self.processes.get_mut(process) else {
             return;
         };
-        let port = self.stack.ephemeral_port();
-        let local = Endpoint::new(self.addr, port);
-        let conn = self.stack.connect(ctx, local, self.cfg.target);
-        let id = self.next_fetch;
-        self.next_fetch += 1;
-        let timeout = ctx.set_timer(
-            self.cfg.http_timeout,
-            TimerToken::new(TIMEOUT_KIND).with_a(id),
-        );
-        let stall = self
-            .cfg
-            .stall_timeout
-            .map(|stall| ctx.set_timer(stall, TimerToken::new(STALL_KIND).with_a(id)));
-        let fetch = Fetch {
-            started: carry_started.unwrap_or(ctx.now()),
-            tls_awaiting_cert: self.cfg.tls,
-            attempt,
-            stall,
-            ..Fetch::new(process, object, conn, ctx.now(), timeout)
-        };
-        self.fetches.insert(id, fetch);
-        self.started_fetches += 1;
-        self.by_conn.insert(conn, id);
-        if let Some(p) = self.processes.get_mut(process) {
-            p.active_fetch = Some(id);
+        if let Some(&object) = p.queue.last() {
+            self.fetches.start(ctx, process, object, 0, ctx.now());
+            self.started_fetches += 1;
+            return;
         }
+        p.pages_done += 1;
+        self.page_latencies
+            .record_time_ms(ctx.now().saturating_sub(p.page_started));
+        self.pages_completed += 1;
+        if self.cfg.max_pages.is_some_and(|max| p.pages_done >= max) {
+            return;
+        }
+        self.start_page(ctx, process);
     }
 
-    fn send_request(&mut self, ctx: &mut Ctx<'_>, fetch_id: u64) {
-        let Some(fetch) = self.fetches.get(&fetch_id) else {
-            return;
-        };
-        let path = self.catalog.path_of(fetch.object).to_string();
-        let mut req = HttpRequest::get(path).with_header("Host", self.cfg.host.clone());
-        if self.cfg.session_cookie {
-            req = req.with_header("Cookie", format!("session=p{}", fetch.process));
-        }
-        let conn = fetch.conn;
-        self.stack.send(ctx, conn, req.encode());
-        if let Some(f) = self.fetches.get_mut(&fetch_id) {
-            f.request_sent_at.get_or_insert(ctx.now());
-        }
-    }
-
-    fn finish_fetch(&mut self, ctx: &mut Ctx<'_>, fetch_id: u64, outcome: RequestOutcome) {
-        let Some(fetch) = self.fetches.remove(&fetch_id) else {
-            return;
-        };
-        fetch.cancel_timers(ctx);
-        self.by_conn.remove(&fetch.conn);
-        let process = fetch.process;
+    /// Accounts for an ended fetch, then retries it or moves its process
+    /// on.
+    fn on_ended(&mut self, ctx: &mut Ctx<'_>, fetch: Fetch, outcome: RequestOutcome) {
         match outcome {
             RequestOutcome::Ok => {
                 self.completed += 1;
-                self.request_latencies
-                    .record_time_ms(ctx.now().saturating_sub(fetch.started));
-                self.stack.close(ctx, fetch.conn);
-                if let Some(p) = self.processes.get_mut(process) {
-                    p.queue.pop();
-                }
-                self.next_object(ctx, process, 0, None);
+                self.body_bytes += fetch.body_len();
             }
-            RequestOutcome::TimedOut | RequestOutcome::Reset | RequestOutcome::Stalled => {
-                match outcome {
-                    RequestOutcome::TimedOut => self.timeouts += 1,
-                    RequestOutcome::Reset => self.resets += 1,
-                    RequestOutcome::Stalled => {
-                        self.session_resets += 1;
-                    }
-                    // Excluded by the outer match arm.
-                    RequestOutcome::Ok => {}
-                }
-                self.stack.abort(ctx, fetch.conn);
-                if fetch.attempt < self.cfg.retries {
-                    // Browser retry: reissue the same object, keeping the
-                    // original start time for latency accounting.
-                    self.next_object(ctx, process, fetch.attempt + 1, Some(fetch.started));
-                } else {
-                    // Broken flow: record at the timeout value and move on
-                    // (the user gave up on this object).
-                    self.broken_flows += 1;
-                    if let Some(sock) = self.stack.socket(fetch.conn) {
-                        self.broken_ports.push(sock.local().port);
-                    }
-                    self.request_latencies
-                        .record_time_ms(ctx.now().saturating_sub(fetch.started));
-                    if let Some(p) = self.processes.get_mut(process) {
-                        p.queue.pop();
-                    }
-                    self.next_object(ctx, process, 0, None);
-                }
-            }
+            RequestOutcome::TimedOut => self.timeouts += 1,
+            RequestOutcome::Reset => self.resets += 1,
+            RequestOutcome::Stalled => self.session_resets += 1,
         }
-    }
-
-    fn on_conn_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        let Some(&fetch_id) = self.by_conn.get(&conn) else {
-            return;
-        };
-        let data = self.stack.recv(conn);
-        let Some(fetch) = self.fetches.get_mut(&fetch_id) else {
-            return;
-        };
-        if !data.is_empty() {
-            fetch.last_progress = ctx.now();
-        }
-        if fetch.tls_awaiting_cert {
-            fetch.buf.extend_from_slice(&data);
-            // The certificate blob is "SSLCERT:<len10>\n" padded to len.
-            if fetch.buf.len() < 19 || !fetch.buf.starts_with(b"SSLCERT:") {
+        if outcome != RequestOutcome::Ok {
+            if fetch.attempt < self.cfg.retries {
+                // Browser retry: reissue the same object, keeping the
+                // original start time so its latency includes the timeout
+                // the user sat through (paper Fig. 12: HAProxy-retry
+                // latencies exceed 30 s).
+                let (process, object) = (fetch.process, fetch.object);
+                self.fetches
+                    .start(ctx, process, object, fetch.attempt + 1, fetch.started);
+                self.started_fetches += 1;
                 return;
             }
-            let Some(len) = fetch
-                .buf
-                .get(8..18)
-                .and_then(|d| std::str::from_utf8(d).ok())
-                .and_then(|d| d.parse::<usize>().ok())
-            else {
-                return;
-            };
-            if fetch.buf.len() < len {
-                return; // Certificate still arriving.
-            }
-            let _ = fetch.buf.split_to(len);
-            fetch.tls_awaiting_cert = false;
-            self.send_request(ctx, fetch_id);
-            return;
+            // Broken flow: record at the timeout value and move on (the
+            // user gave up on this object).
+            self.broken_flows += 1;
         }
-        if let Some(body_len) = fetch.on_response_bytes(&data) {
-            self.body_bytes += body_len as u64;
-            self.finish_fetch(ctx, fetch_id, RequestOutcome::Ok);
+        self.request_latencies
+            .record_time_ms(ctx.now().saturating_sub(fetch.started));
+        if let Some(p) = self.processes.get_mut(fetch.process) {
+            p.queue.pop();
         }
-    }
-
-    /// TLS mode: sends the ClientHello and arms the handshake-retry timer
-    /// (a failed-over LB instance learns to resend the certificate from
-    /// the retried hello).
-    fn send_hello(&mut self, ctx: &mut Ctx<'_>, fetch_id: u64) {
-        let Some(fetch) = self.fetches.get(&fetch_id) else {
-            return;
-        };
-        let conn = fetch.conn;
-        self.stack.send(ctx, conn, Bytes::from_static(TLS_HELLO));
-        ctx.set_timer(TLS_RETRY, TimerToken::new(TLS_RETRY_KIND).with_a(fetch_id));
+        self.next_object(ctx, fetch.process);
     }
 }
 
@@ -483,7 +542,6 @@ impl Node for BrowserClient {
                 queue: Vec::new(),
                 page_started: ctx.now(),
                 pages_done: 0,
-                active_fetch: None,
             })
             .collect();
         for p in 0..self.cfg.processes {
@@ -492,75 +550,14 @@ impl Node for BrowserClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        for ev in self.stack.on_packet(ctx, pkt) {
-            match ev {
-                TcpEvent::Connected(conn) => {
-                    if let Some(&fetch_id) = self.by_conn.get(&conn) {
-                        if self.cfg.tls {
-                            self.send_hello(ctx, fetch_id);
-                        } else {
-                            self.send_request(ctx, fetch_id);
-                        }
-                    }
-                }
-                TcpEvent::Data(conn) => self.on_conn_data(ctx, conn),
-                TcpEvent::Reset(conn) => {
-                    if let Some(&fetch_id) = self.by_conn.get(&conn) {
-                        self.finish_fetch(ctx, fetch_id, RequestOutcome::Reset);
-                    }
-                }
-                _ => {}
-            }
+        if let Some((fetch, outcome)) = self.fetches.on_packet(ctx, pkt) {
+            self.on_ended(ctx, fetch, outcome);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        match token.kind {
-            yoda_tcp::TCP_TIMER_KIND => {
-                let events = self.stack.on_timer(ctx, token);
-                for ev in events {
-                    match ev {
-                        TcpEvent::Data(conn) => self.on_conn_data(ctx, conn),
-                        TcpEvent::Reset(conn) => {
-                            if let Some(&fetch_id) = self.by_conn.get(&conn) {
-                                self.finish_fetch(ctx, fetch_id, RequestOutcome::Reset);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            TIMEOUT_KIND
-                if self.fetches.contains_key(&token.a) => {
-                    self.finish_fetch(ctx, token.a, RequestOutcome::TimedOut);
-                }
-            TLS_RETRY_KIND => {
-                let retry = self
-                    .fetches
-                    .get(&token.a)
-                    .map(|f| f.tls_awaiting_cert)
-                    .unwrap_or(false);
-                if retry {
-                    self.send_hello(ctx, token.a);
-                }
-            }
-            STALL_KIND => {
-                let Some(stall) = self.cfg.stall_timeout else {
-                    return;
-                };
-                if let Some(fetch) = self.fetches.get_mut(&token.a) {
-                    let idle = ctx.now().saturating_sub(fetch.last_progress);
-                    if idle >= stall && (!fetch.buf.is_empty() || fetch.body.is_some()) {
-                        // Mid-stream stall: the session is visibly broken.
-                        self.finish_fetch(ctx, token.a, RequestOutcome::Stalled);
-                    } else {
-                        // Still progressing (or not started): check again.
-                        let check = TimerToken::new(STALL_KIND).with_a(token.a);
-                        fetch.stall = Some(ctx.set_timer(stall, check));
-                    }
-                }
-            }
-            _ => {}
+        if let Some((fetch, outcome)) = self.fetches.on_timer(ctx, token) {
+            self.on_ended(ctx, fetch, outcome);
         }
     }
 }
@@ -598,13 +595,8 @@ impl Default for RateClientConfig {
 /// Open-loop Apache-bench-style load generator node.
 pub struct RateClient {
     cfg: RateClientConfig,
-    addr: Addr,
-    catalog: Arc<SiteCatalog>,
-    stack: TcpStack,
+    fetches: Fetches,
     started_at: SimTime,
-    fetches: FlowTable<u64, Fetch>,
-    by_conn: FlowTable<ConnId, u64>,
-    next_fetch: u64,
     /// Completed request latencies (connection setup + fetch), ms.
     pub latencies: Histogram,
     /// Request→response latencies (excluding the client handshake) — the
@@ -625,19 +617,11 @@ pub struct RateClient {
 impl RateClient {
     /// Creates a rate client bound to `addr`.
     pub fn new(cfg: RateClientConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
-        let mut stack = TcpStack::new();
-        stack.set_ephemeral_base(
-            (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
-        );
+        let fetches = Fetches::new(addr, catalog, cfg.target, cfg.host.clone());
         RateClient {
             cfg,
-            addr,
-            catalog,
-            stack,
+            fetches,
             started_at: SimTime::ZERO,
-            fetches: FlowTable::new(),
-            by_conn: FlowTable::new(),
-            next_fetch: 0,
             latencies: Histogram::new(),
             fetch_latencies: Histogram::new(),
             completed: 0,
@@ -659,13 +643,14 @@ impl RateClient {
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
+        let catalog = &self.fetches.catalog;
         let object = match &self.cfg.object_path {
-            Some(p) => match self.catalog.lookup(p) {
+            Some(p) => match catalog.lookup(p) {
                 Some((id, _)) => id,
                 None => return,
             },
             None => {
-                let site = self.catalog.site(self.cfg.site);
+                let site = catalog.site(self.cfg.site);
                 let oi = ctx.node_rng().gen_range(0..site.objects.len());
                 ObjectId {
                     site: self.cfg.site,
@@ -673,56 +658,24 @@ impl RateClient {
                 }
             }
         };
-        let port = self.stack.ephemeral_port();
-        let local = Endpoint::new(self.addr, port);
-        let conn = self.stack.connect(ctx, local, self.cfg.target);
-        let id = self.next_fetch;
-        self.next_fetch += 1;
-        let timeout = ctx.set_timer(RATE_TIMEOUT, TimerToken::new(TIMEOUT_KIND).with_a(id));
-        self.fetches
-            .insert(id, Fetch::new(0, object, conn, ctx.now(), timeout));
-        self.by_conn.insert(conn, id);
+        self.fetches.start(ctx, 0, object, 0, ctx.now());
         self.issued += 1;
     }
 
-    fn finish(&mut self, ctx: &mut Ctx<'_>, fetch_id: u64, outcome: RequestOutcome) {
-        let Some(fetch) = self.fetches.remove(&fetch_id) else {
-            return;
-        };
-        fetch.cancel_timers(ctx);
-        self.by_conn.remove(&fetch.conn);
+    fn on_ended(&mut self, ctx: &mut Ctx<'_>, fetch: Fetch, outcome: RequestOutcome) {
         match outcome {
             RequestOutcome::Ok => {
                 self.completed += 1;
+                self.body_bytes += fetch.body_len();
                 self.latencies
                     .record_time_ms(ctx.now().saturating_sub(fetch.started));
                 if let Some(at) = fetch.request_sent_at {
                     self.fetch_latencies
                         .record_time_ms(ctx.now().saturating_sub(at));
                 }
-                self.stack.close(ctx, fetch.conn);
             }
-            RequestOutcome::TimedOut => {
-                self.timeouts += 1;
-                self.stack.abort(ctx, fetch.conn);
-            }
-            RequestOutcome::Reset | RequestOutcome::Stalled => {
-                self.resets += 1;
-            }
-        }
-    }
-
-    fn on_conn_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        let Some(&fetch_id) = self.by_conn.get(&conn) else {
-            return;
-        };
-        let data = self.stack.recv(conn);
-        let Some(fetch) = self.fetches.get_mut(&fetch_id) else {
-            return;
-        };
-        if let Some(body_len) = fetch.on_response_bytes(&data) {
-            self.body_bytes += body_len as u64;
-            self.finish(ctx, fetch_id, RequestOutcome::Ok);
+            RequestOutcome::TimedOut => self.timeouts += 1,
+            RequestOutcome::Reset | RequestOutcome::Stalled => self.resets += 1,
         }
     }
 }
@@ -734,67 +687,22 @@ impl Node for RateClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        for ev in self.stack.on_packet(ctx, pkt) {
-            match ev {
-                TcpEvent::Connected(conn) => {
-                    if let Some((&fetch_id, fetch)) = self
-                        .by_conn
-                        .get(&conn)
-                        .and_then(|id| Some(id).zip(self.fetches.get(id)))
-                    {
-                        let path = self.catalog.path_of(fetch.object).to_string();
-                        let req = HttpRequest::get(path)
-                            .with_header("Host", self.cfg.host.clone())
-                            .encode();
-                        self.stack.send(ctx, conn, req);
-                        if let Some(f) = self.fetches.get_mut(&fetch_id) {
-                            f.request_sent_at.get_or_insert(ctx.now());
-                        }
-                    }
-                }
-                TcpEvent::Data(conn) => self.on_conn_data(ctx, conn),
-                TcpEvent::Reset(conn) => {
-                    if let Some(&fetch_id) = self.by_conn.get(&conn) {
-                        self.finish(ctx, fetch_id, RequestOutcome::Reset);
-                    }
-                }
-                _ => {}
-            }
+        if let Some((fetch, outcome)) = self.fetches.on_packet(ctx, pkt) {
+            self.on_ended(ctx, fetch, outcome);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        match token.kind {
-            yoda_tcp::TCP_TIMER_KIND => {
-                let events = self.stack.on_timer(ctx, token);
-                for ev in events {
-                    match ev {
-                        TcpEvent::Data(conn) => self.on_conn_data(ctx, conn),
-                        TcpEvent::Reset(conn) => {
-                            if let Some(&fetch_id) = self.by_conn.get(&conn) {
-                                self.finish(ctx, fetch_id, RequestOutcome::Reset);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+        if token.kind != TICK_KIND {
+            if let Some((fetch, outcome)) = self.fetches.on_timer(ctx, token) {
+                self.on_ended(ctx, fetch, outcome);
             }
-            TICK_KIND => {
-                let elapsed = ctx.now().saturating_sub(self.started_at);
-                let running = match self.cfg.duration {
-                    Some(d) => elapsed < d,
-                    None => true,
-                };
-                if running {
-                    self.issue(ctx);
-                    ctx.set_timer(self.tick_interval(), TimerToken::new(TICK_KIND));
-                }
-            }
-            TIMEOUT_KIND
-                if self.fetches.contains_key(&token.a) => {
-                    self.finish(ctx, token.a, RequestOutcome::TimedOut);
-                }
-            _ => {}
+            return;
+        }
+        let elapsed = ctx.now().saturating_sub(self.started_at);
+        if self.cfg.duration.is_none_or(|d| elapsed < d) {
+            self.issue(ctx);
+            ctx.set_timer(self.tick_interval(), TimerToken::new(TICK_KIND));
         }
     }
 }
@@ -806,24 +714,31 @@ mod tests {
     use crate::site::SiteConfig;
     use yoda_netsim::{Engine, NodeId, Topology, Zone};
 
-    fn direct_setup(browser_cfg: BrowserConfig) -> (Engine, NodeId) {
-        let catalog = Arc::new(SiteCatalog::generate(
+    const SERVER: Endpoint = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+
+    fn catalog(pages: usize) -> Arc<SiteCatalog> {
+        Arc::new(SiteCatalog::generate(
             5,
             &[SiteConfig {
-                pages: 50,
+                pages,
                 ..SiteConfig::default()
             }],
-        ));
-        let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+        ))
+    }
+
+    /// An origin at `SERVER` and a browser fetching from it; returns the
+    /// engine, the origin and the browser.
+    fn direct_setup(browser_cfg: BrowserConfig) -> (Engine, NodeId, NodeId) {
+        let catalog = catalog(50);
         let mut eng = Engine::with_topology(9, Topology::uniform(SimTime::from_millis(2)));
-        eng.add_node(
+        let origin = eng.add_node(
             "origin",
-            server_ep.addr,
+            SERVER.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(ServerConfig, server_ep, catalog.clone())),
+            Box::new(OriginServer::new(ServerConfig, SERVER, catalog.clone())),
         );
         let cfg = BrowserConfig {
-            target: server_ep,
+            target: SERVER,
             ..browser_cfg
         };
         let client_addr = Addr::new(172, 16, 0, 1);
@@ -833,12 +748,19 @@ mod tests {
             Zone::Dc,
             Box::new(BrowserClient::new(cfg, client_addr, catalog)),
         );
-        (eng, id)
+        (eng, origin, id)
+    }
+
+    /// No fetch vanishes: every one started has ended in a counter or is
+    /// still in flight.
+    fn assert_conserved(b: &BrowserClient) {
+        let ended = b.completed + b.timeouts + b.resets + b.session_resets;
+        assert_eq!(b.started_fetches, ended + b.in_flight() as u64);
     }
 
     #[test]
     fn browser_fetches_pages_directly() {
-        let (mut eng, id) = direct_setup(BrowserConfig {
+        let (mut eng, _, id) = direct_setup(BrowserConfig {
             processes: 4,
             max_pages: Some(3),
             ..BrowserConfig::default()
@@ -850,11 +772,12 @@ mod tests {
         assert_eq!(b.timeouts, 0);
         assert!(b.completed > 12, "html + embedded objects each fetched");
         assert!(b.request_latencies.len() as u64 == b.completed);
+        assert_conserved(b);
     }
 
     #[test]
     fn browser_with_sessions_sets_cookie() {
-        let (mut eng, id) = direct_setup(BrowserConfig {
+        let (mut eng, _, id) = direct_setup(BrowserConfig {
             processes: 1,
             max_pages: Some(1),
             session_cookie: true,
@@ -866,21 +789,42 @@ mod tests {
     }
 
     #[test]
+    fn stalled_stream_is_a_session_reset() {
+        let site = catalog(50);
+        let largest = site.site(0).objects.iter().max_by_key(|o| o.size).unwrap();
+        let (mut eng, origin, id) = direct_setup(BrowserConfig {
+            processes: 1,
+            max_pages: Some(1),
+            stall_timeout: Some(SimTime::from_secs(2)),
+            fixed_object: Some(largest.path.clone()),
+            ..BrowserConfig::default()
+        });
+        // Kill the origin once the response head is in and the body is
+        // still arriving: the stream stops mid-response.
+        let mid_body = |eng: &Engine| {
+            let b = eng.node_ref::<BrowserClient>(id);
+            b.fetches.table.get(&0).is_some_and(|f| f.body.is_some())
+        };
+        while !mid_body(&eng) {
+            assert!(eng.step(), "the response head never arrived");
+        }
+        eng.fail_node(origin);
+        eng.run_for(SimTime::from_secs(10));
+        let b = eng.node_ref::<BrowserClient>(id);
+        assert_eq!((b.session_resets, b.broken_flows), (1, 1));
+        assert_eq!((b.completed, b.timeouts, b.resets), (0, 0, 0));
+        assert_conserved(b);
+    }
+
+    #[test]
     fn rate_client_hits_target_rate() {
-        let catalog = Arc::new(SiteCatalog::generate(
-            5,
-            &[SiteConfig {
-                pages: 30,
-                ..SiteConfig::default()
-            }],
-        ));
-        let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+        let catalog = catalog(30);
         let mut eng = Engine::with_topology(9, Topology::uniform(SimTime::from_millis(1)));
         eng.add_node(
             "origin",
-            server_ep.addr,
+            SERVER.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(ServerConfig, server_ep, catalog.clone())),
+            Box::new(OriginServer::new(ServerConfig, SERVER, catalog.clone())),
         );
         let addr = Addr::new(172, 16, 0, 2);
         let id = eng.add_node(
@@ -890,7 +834,7 @@ mod tests {
             Box::new(RateClient::new(
                 RateClientConfig {
                     rate_per_sec: 200.0,
-                    target: server_ep,
+                    target: SERVER,
                     duration: Some(SimTime::from_secs(2)),
                     ..RateClientConfig::default()
                 },
@@ -922,13 +866,12 @@ mod tests {
     #[test]
     fn browser_timeout_fires_when_server_dead() {
         let catalog = Arc::new(SiteCatalog::generate(5, &[SiteConfig::default()]));
-        let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
         let mut eng = Engine::with_topology(9, Topology::uniform(SimTime::from_millis(1)));
         let srv = eng.add_node(
             "origin",
-            server_ep.addr,
+            SERVER.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(ServerConfig, server_ep, catalog.clone())),
+            Box::new(OriginServer::new(ServerConfig, SERVER, catalog.clone())),
         );
         eng.fail_node(srv);
         let addr = Addr::new(172, 16, 0, 3);
@@ -941,7 +884,7 @@ mod tests {
                     processes: 1,
                     max_pages: Some(1),
                     http_timeout: SimTime::from_secs(5),
-                    target: server_ep,
+                    target: SERVER,
                     ..BrowserConfig::default()
                 },
                 addr,
@@ -953,5 +896,70 @@ mod tests {
         assert!(b.timeouts >= 1, "dead server must time out");
         assert!(b.broken_flows >= 1);
         assert_eq!(b.completed, 0);
+        assert_conserved(b);
+    }
+
+    #[test]
+    fn a_retried_fetch_keeps_its_start_time() {
+        let (mut eng, origin, id) = direct_setup(BrowserConfig {
+            processes: 1,
+            max_pages: Some(1),
+            fixed_object: Some(catalog(50).site(0).objects[0].path.clone()),
+            http_timeout: SimTime::from_secs(5),
+            retries: 1,
+            ..BrowserConfig::default()
+        });
+        eng.fail_node(origin);
+        eng.run_for(SimTime::from_secs(20));
+        let b = eng.node_ref::<BrowserClient>(id);
+        assert_eq!((b.started_fetches, b.timeouts, b.broken_flows), (2, 2, 1));
+        // One latency, taken when the retry gave up: both timeouts long.
+        let latencies = b.request_latencies.samples();
+        assert_eq!(latencies.len(), 1);
+        assert!(latencies[0] >= 10_000.0, "latency {latencies:?} ms");
+        assert_conserved(b);
+    }
+
+    #[test]
+    fn a_syn_to_a_closed_port_is_a_reset_on_both_clients() {
+        let catalog = catalog(30);
+        let closed = Endpoint::new(SERVER.addr, 81);
+        let mut eng = Engine::with_topology(9, Topology::uniform(SimTime::from_millis(1)));
+        eng.add_node(
+            "origin",
+            SERVER.addr,
+            Zone::Dc,
+            Box::new(OriginServer::new(ServerConfig, SERVER, catalog.clone())),
+        );
+        let browser_cfg = BrowserConfig {
+            processes: 2,
+            max_pages: Some(1),
+            target: closed,
+            ..BrowserConfig::default()
+        };
+        let rate_cfg = RateClientConfig {
+            rate_per_sec: 10.0,
+            target: closed,
+            duration: Some(SimTime::from_secs(1)),
+            ..RateClientConfig::default()
+        };
+        let (b_addr, r_addr) = (Addr::new(172, 16, 0, 4), Addr::new(172, 16, 0, 5));
+        let browser = BrowserClient::new(browser_cfg, b_addr, catalog.clone());
+        let browser = eng.add_node("browser", b_addr, Zone::Dc, Box::new(browser));
+        let rate = RateClient::new(rate_cfg, r_addr, catalog);
+        let rate = eng.add_node("rate", r_addr, Zone::Dc, Box::new(rate));
+        eng.run_for(SimTime::from_secs(5));
+
+        let b = eng.node_ref::<BrowserClient>(browser);
+        assert!(b.started_fetches >= 2);
+        assert_eq!((b.resets, b.broken_flows), (b.started_fetches, b.resets));
+        assert_eq!((b.completed, b.timeouts, b.pages_completed), (0, 0, 2));
+        assert_conserved(b);
+        let r = eng.node_ref::<RateClient>(rate);
+        assert!(r.issued >= 9, "issued {}", r.issued);
+        assert_eq!((r.resets, r.completed, r.timeouts), (r.issued, 0, 0));
+        assert_eq!(r.fetches.table.len(), 0);
+        // Every timeout was cancelled with its fetch.
+        assert_eq!(eng.timer_backlog(), 0);
     }
 }

@@ -20,7 +20,7 @@ pub mod server;
 pub mod site;
 
 pub use client::{
-    BrowserClient, BrowserConfig, RateClient, RateClientConfig, RequestOutcome, TIMEOUT_KIND,
+    BrowserClient, BrowserConfig, RateClient, RateClientConfig, TIMEOUT_KIND, TLS_RETRY_KIND,
 };
 pub use message::{
     parse_request, parse_response, parse_response_head, HttpRequest, HttpResponse,

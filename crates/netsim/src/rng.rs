@@ -116,33 +116,126 @@ pub trait SampleRange<T> {
     fn sample(self, rng: &mut Rng) -> T;
 }
 
-macro_rules! impl_int_range {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for Range<$t> {
-            #[inline]
-            fn sample(self, rng: &mut Rng) -> $t {
-                assert!(self.start < self.end, "gen_range: empty range");
-                let span = (self.end as i128 - self.start as i128) as u64;
-                (self.start as i128 + rng.bounded_u64(span) as i128) as $t
-            }
-        }
-        impl SampleRange<$t> for RangeInclusive<$t> {
-            #[inline]
-            fn sample(self, rng: &mut Rng) -> $t {
-                let (lo, hi) = self.into_inner();
-                assert!(lo <= hi, "gen_range: empty range");
-                let span = (hi as i128 - lo as i128) as u128 + 1;
-                if span > u64::MAX as u128 {
-                    // Full-width range: every bit pattern is valid.
-                    return rng.next_u64() as $t;
-                }
-                (lo as i128 + rng.bounded_u64(span as u64) as i128) as $t
-            }
-        }
-    )*};
+/// A uniform draw from `lo..hi`, computed in `i128` so that no sampled
+/// integer type overflows.
+#[inline]
+fn sample_below(rng: &mut Rng, lo: i128, hi: i128) -> i128 {
+    assert!(lo < hi, "gen_range: empty range");
+    lo + rng.bounded_u64((hi - lo) as u64) as i128
 }
 
-impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+/// A uniform draw from `lo..=hi`, computed in `i128`.
+#[inline]
+fn sample_through(rng: &mut Rng, lo: i128, hi: i128) -> i128 {
+    assert!(lo <= hi, "gen_range: empty range");
+    let span = (hi - lo) as u128 + 1;
+    if span > u64::MAX as u128 {
+        // Full-width range: every bit pattern is valid.
+        return rng.next_u64() as i128;
+    }
+    lo + rng.bounded_u64(span as u64) as i128
+}
+
+// One pair of plain impls per integer type the workspace samples (a
+// `macro_rules!` body would hide its code from clippy's panic lints).
+
+impl SampleRange<u8> for Range<u8> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u8 {
+        sample_below(rng, self.start as i128, self.end as i128) as u8
+    }
+}
+
+impl SampleRange<u8> for RangeInclusive<u8> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u8 {
+        sample_through(rng, *self.start() as i128, *self.end() as i128) as u8
+    }
+}
+
+impl SampleRange<u16> for Range<u16> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u16 {
+        sample_below(rng, self.start as i128, self.end as i128) as u16
+    }
+}
+
+impl SampleRange<u16> for RangeInclusive<u16> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u16 {
+        sample_through(rng, *self.start() as i128, *self.end() as i128) as u16
+    }
+}
+
+impl SampleRange<u32> for Range<u32> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u32 {
+        sample_below(rng, self.start as i128, self.end as i128) as u32
+    }
+}
+
+impl SampleRange<u32> for RangeInclusive<u32> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u32 {
+        sample_through(rng, *self.start() as i128, *self.end() as i128) as u32
+    }
+}
+
+impl SampleRange<u64> for Range<u64> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u64 {
+        sample_below(rng, self.start as i128, self.end as i128) as u64
+    }
+}
+
+impl SampleRange<u64> for RangeInclusive<u64> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> u64 {
+        sample_through(rng, *self.start() as i128, *self.end() as i128) as u64
+    }
+}
+
+impl SampleRange<usize> for Range<usize> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> usize {
+        sample_below(rng, self.start as i128, self.end as i128) as usize
+    }
+}
+
+impl SampleRange<usize> for RangeInclusive<usize> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> usize {
+        sample_through(rng, *self.start() as i128, *self.end() as i128) as usize
+    }
+}
+
+impl SampleRange<i32> for Range<i32> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> i32 {
+        sample_below(rng, self.start as i128, self.end as i128) as i32
+    }
+}
+
+impl SampleRange<i32> for RangeInclusive<i32> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> i32 {
+        sample_through(rng, *self.start() as i128, *self.end() as i128) as i32
+    }
+}
+
+impl SampleRange<i64> for Range<i64> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> i64 {
+        sample_below(rng, self.start as i128, self.end as i128) as i64
+    }
+}
+
+impl SampleRange<i64> for RangeInclusive<i64> {
+    #[inline]
+    fn sample(self, rng: &mut Rng) -> i64 {
+        sample_through(rng, *self.start() as i128, *self.end() as i128) as i64
+    }
+}
 
 impl SampleRange<f64> for Range<f64> {
     #[inline]

@@ -1,6 +1,7 @@
 //! The compiler holds the repository's rules (DESIGN.md "Lints"); this
 //! test keeps their configuration from drifting: clippy.toml's bans and
-//! placement, the workspace lints on every product package, no registry.
+//! placement, the workspace lints on every product package, no macro
+//! (clippy's panic lints skip macro bodies), no registry.
 
 use std::path::Path;
 
@@ -28,16 +29,16 @@ fn table<'a>(toml: &'a str, header: &str) -> Vec<&'a str> {
     body.filter(|l| !l.starts_with('#')).collect()
 }
 
-/// Every file called `name` under `rel`, sorted, skipping build output and
-/// dot-dirs.
-fn find(rel: &str, name: &str) -> Vec<String> {
+/// Every file under `rel` whose name ends with `suffix`, sorted, skipping
+/// build output and dot-dirs.
+fn find(rel: &str, suffix: &str) -> Vec<String> {
     let (dir, mut out) = (Path::new(env!("CARGO_MANIFEST_DIR")).join(rel), Vec::new());
     for entry in dir.read_dir().expect("readable directory").flatten() {
         let file = entry.file_name().to_string_lossy().into_owned();
         let child = format!("{rel}/{file}").trim_start_matches('/').to_string();
         if entry.path().is_dir() && file != "target" && !file.starts_with('.') {
-            out.extend(find(&child, name));
-        } else if file == name {
+            out.extend(find(&child, suffix));
+        } else if file.ends_with(suffix) {
             out.push(child);
         }
     }
@@ -72,6 +73,15 @@ fn lint_configuration_holds() {
         if !m.starts_with("crates/bench/") {
             assert_eq!(table(&read(&m), "[lints]"), ["workspace = true"], "{m}");
         }
+    }
+    for src in find("crates", ".rs") {
+        let code = read(&src);
+        let mut lines = code.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let defines_macro = lines.any(|l| l.contains("macro_rules!"));
+        assert!(
+            src.starts_with("crates/bench/") || !defines_macro,
+            "{src} defines a macro, whose body clippy's panic lints skip"
+        );
     }
     for lock in ["Cargo.lock", "crates/bench/src/bin/bench_e2e/Cargo.lock"] {
         let registry = read(lock).lines().any(|l| l.starts_with("source ="));
