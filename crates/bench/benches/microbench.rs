@@ -21,8 +21,10 @@
 //!   between two in-memory sockets with every data segment acknowledged
 //!   on its own, so ~300 ACKs each find most of the object still unacked:
 //!   the shape whose cost was quadratic while the send buffer was copied
-//!   per ACK. The sockets emit into two reused out buffers, as inside a
-//!   `TcpStack`. Also printed per payload byte.
+//!   per ACK. As inside a `TcpStack`, the sockets emit into two reused out
+//!   buffers, every segment crosses the wire codec (`into_packet`, then
+//!   `from_packet`), and the receiver reads into one reused vector. Also
+//!   printed per payload byte.
 //! * `flow_lookup_hit/*`, `flow_lookup_miss/*`, `flow_insert_remove/*` —
 //!   the `FlowTable` every per-packet lookup goes through, keyed by
 //!   `(Endpoint, Endpoint)`, at 5,000 live flows (one mux) and 50,000 (the
@@ -256,7 +258,8 @@ fn bench_tcp_transfer() {
         let t = SimTime::ZERO;
         let (mut cl, syn) = TcpSocket::connect(a_ep, b_ep, SeqNum::new(1), t);
         let (mut sv, synack) = TcpSocket::accept(b_ep, a_ep, &syn, SeqNum::new(2), t).expect("syn");
-        let (mut out, mut acks) = (Vec::new(), Vec::new());
+        let (mut out, mut acks, mut rx) = (Vec::new(), Vec::new(), Vec::new());
+        let wire = |seg: Segment, from, to| Segment::from_packet(seg.into_packet(from, to));
         cl.on_segment(&synack, t, &mut out);
         cl.send(object.clone(), t, &mut out);
         let mut to_server: VecDeque<Segment> = out.drain(..).collect();
@@ -264,12 +267,14 @@ fn bench_tcp_transfer() {
         // One segment at a time, its ACK straight back: the sender sees an
         // ACK per segment while the rest of the object is still queued.
         while let Some(seg) = to_server.pop_front() {
-            sv.on_segment(&seg, t, &mut acks);
+            sv.on_segment(&wire(seg, a_ep, b_ep).expect("tcp"), t, &mut acks);
             for ack in acks.drain(..) {
-                cl.on_segment(&ack, t, &mut out);
+                cl.on_segment(&wire(ack, b_ep, a_ep).expect("tcp"), t, &mut out);
             }
             to_server.extend(out.drain(..));
-            delivered += black_box(sv.take_data()).len();
+            sv.take_data(&mut rx);
+            delivered += black_box(&rx).iter().map(Bytes::len).sum::<usize>();
+            rx.clear();
         }
         assert_eq!(delivered, OBJECT);
     });

@@ -105,6 +105,14 @@ impl Default for BrowserConfig {
     }
 }
 
+/// What a fetch's newly arrived bytes completed.
+enum Completed {
+    /// The TLS certificate: the hello retry it leaves pending is handed
+    /// back for cancelling.
+    Certificate(TimerId),
+    Response,
+}
+
 struct Fetch {
     process: usize,
     object: ObjectId,
@@ -152,6 +160,8 @@ impl Fetch {
 
     /// Accounts for newly arrived response bytes. Returns the body length
     /// once the whole response (head + `Content-Length` bytes) is in.
+    /// Bytes fed in pieces count as fed at once: the head is parsed the
+    /// first time the buffer holds all of it.
     fn on_response_bytes(&mut self, data: &[u8]) -> Option<usize> {
         let mut arrived = data.len();
         if self.body.is_none() {
@@ -163,6 +173,23 @@ impl Fetch {
         let (content_length, missing) = self.body.as_mut()?;
         *missing = missing.saturating_sub(arrived);
         (*missing == 0).then_some(*content_length)
+    }
+
+    /// Takes a read's slices: certificate bytes while the hello is out
+    /// (whatever follows the certificate waits in `buf`), else response
+    /// bytes. Returns what they completed, if anything.
+    fn on_slices(&mut self, slices: &[Bytes]) -> Option<Completed> {
+        let mut slices = slices.iter();
+        let Some(retry) = self.hello_retry else {
+            let done = slices.any(|s| self.on_response_bytes(s).is_some());
+            return done.then_some(Completed::Response);
+        };
+        if !slices.any(|s| self.on_cert_bytes(s)) {
+            return None;
+        }
+        slices.for_each(|s| self.buf.extend_from_slice(s));
+        self.hello_retry = None;
+        Some(Completed::Certificate(retry))
     }
 
     /// The `Content-Length` of the response, once its head has arrived.
@@ -193,6 +220,8 @@ struct Fetches {
     tls: bool,
     session_cookie: bool,
     stack: TcpStack,
+    /// What the stack hands over on `Data`: kept, cleared after each read.
+    rx: Vec<Bytes>,
     table: FlowTable<u64, Fetch>,
     by_conn: FlowTable<ConnId, u64>,
     next_id: u64,
@@ -216,6 +245,7 @@ impl Fetches {
             tls: false,
             session_cookie: false,
             stack,
+            rx: Vec::new(),
             table: FlowTable::new(),
             by_conn: FlowTable::new(),
             next_id: 0,
@@ -327,21 +357,22 @@ impl Fetches {
     }
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, id: u64) -> Ended {
-        let data = self.stack.recv(conn);
-        let fetch = self.table.get_mut(&id)?;
-        if !data.is_empty() {
-            fetch.last_progress = ctx.now();
-        }
-        if let Some(retry) = fetch.hello_retry {
-            if fetch.on_cert_bytes(&data) {
-                fetch.hello_retry = None;
+        self.stack.recv(conn, &mut self.rx);
+        let completed = self.table.get_mut(&id).and_then(|fetch| {
+            if !self.rx.is_empty() {
+                fetch.last_progress = ctx.now();
+            }
+            fetch.on_slices(&self.rx)
+        });
+        self.rx.clear();
+        match completed? {
+            Completed::Certificate(retry) => {
                 ctx.cancel_timer(retry);
                 self.send_request(ctx, id);
+                None
             }
-            return None;
+            Completed::Response => self.end(ctx, id, RequestOutcome::Ok),
         }
-        fetch.on_response_bytes(&data)?;
-        self.end(ctx, id, RequestOutcome::Ok)
     }
 
     /// Ends a fetch whose response stopped mid-stream for the stall

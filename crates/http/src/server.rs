@@ -52,6 +52,8 @@ pub struct OriginServer {
     listen: Endpoint,
     catalog: Arc<SiteCatalog>,
     stack: TcpStack,
+    /// What the stack hands over on `Data`: kept, drained after each read.
+    rx: Vec<Bytes>,
     cpu: ServiceQueue,
     buffers: FlowTable<ConnId, BytesMut>,
     pending: FlowTable<u64, PendingReply>,
@@ -76,6 +78,7 @@ impl OriginServer {
             listen,
             catalog,
             stack: TcpStack::new(),
+            rx: Vec::new(),
             cpu: ServiceQueue::new(CORES),
             buffers: Default::default(),
             pending: Default::default(),
@@ -184,13 +187,14 @@ impl OriginServer {
     }
 
     fn drain_conn(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        let data = self.stack.recv(conn);
-        if data.is_empty() {
+        self.stack.recv(conn, &mut self.rx);
+        if self.rx.is_empty() {
             return;
         }
-        self.buffers
-            .get_or_insert_with(conn, BytesMut::default)
-            .extend_from_slice(&data);
+        let buf = self.buffers.get_or_insert_with(conn, BytesMut::default);
+        for data in self.rx.drain(..) {
+            buf.extend_from_slice(&data);
+        }
         // Keep-alive connections can carry several back-to-back requests.
         // Re-look the buffer up each round: handling a request may drop it.
         loop {

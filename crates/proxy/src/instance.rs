@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use yoda_core::rules::{RuleTable, SelectCtx};
 use yoda_core::InstanceCtrl;
 use yoda_http::parse_request;
@@ -42,6 +42,8 @@ struct Session {
 pub struct ProxyInstance {
     addr: Addr,
     stack: TcpStack,
+    /// What the stack hands over on `Data`: kept, drained after each read.
+    rx: Vec<Bytes>,
     vips: BTreeMap<Endpoint, RuleTable>,
     select_ctx: SelectCtx,
     cpu: ServiceQueue,
@@ -68,6 +70,7 @@ impl ProxyInstance {
         ProxyInstance {
             addr,
             stack,
+            rx: Vec::new(),
             vips: BTreeMap::new(),
             select_ctx: SelectCtx::default(),
             cpu: ServiceQueue::new(CORES),
@@ -119,23 +122,27 @@ impl ProxyInstance {
     }
 
     fn on_client_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, vip: Endpoint) {
-        let data = self.stack.recv(conn);
-        if data.is_empty() {
+        self.stack.recv(conn, &mut self.rx);
+        if self.rx.is_empty() {
             return;
         }
         self.charge(ctx.now(), conn, SimTime::ZERO);
         let idx = self.session_of_client(conn, vip);
         let Some(session) = self.table.get_mut(idx).and_then(|s| s.as_mut()) else {
+            self.rx.clear();
             return;
         };
         match session.server_conn {
             Some(server_conn) => {
-                // Splice client → server.
+                // Splice client → server: the received slices, as they are.
                 self.spliced_chunks += 1;
-                self.stack.send(ctx, server_conn, data);
+                self.stack
+                    .send_vectored(ctx, server_conn, self.rx.drain(..));
             }
             None => {
-                session.header.extend_from_slice(&data);
+                for data in self.rx.drain(..) {
+                    session.header.extend_from_slice(&data);
+                }
                 let Some((req, _)) = parse_request(&session.header) else {
                     return;
                 };
@@ -175,20 +182,22 @@ impl ProxyInstance {
     }
 
     fn on_server_data(&mut self, ctx: &mut Ctx<'_>, server_conn: ConnId) {
-        let data = self.stack.recv(server_conn);
-        if data.is_empty() {
+        self.stack.recv(server_conn, &mut self.rx);
+        if self.rx.is_empty() {
             return;
         }
         self.charge(ctx.now(), server_conn, SimTime::ZERO);
-        let Some(&idx) = self.by_server_conn.get(&server_conn) else {
-            return;
-        };
-        let Some(session) = self.table.get(idx).and_then(|s| s.as_ref()) else {
-            return;
-        };
-        self.spliced_chunks += 1;
-        let client_conn = session.client_conn;
-        self.stack.send(ctx, client_conn, data);
+        let client_conn = self
+            .by_server_conn
+            .get(&server_conn)
+            .and_then(|&idx| self.table.get(idx)?.as_ref())
+            .map(|session| session.client_conn);
+        if let Some(client_conn) = client_conn {
+            self.spliced_chunks += 1;
+            self.stack
+                .send_vectored(ctx, client_conn, self.rx.drain(..));
+        }
+        self.rx.clear();
     }
 
     fn propagate_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, from_client: bool) {

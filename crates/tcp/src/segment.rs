@@ -166,12 +166,13 @@ impl Segment {
 
     /// Encodes the segment to bytes, consuming it.
     ///
-    /// A segment decoded from a packet this node owns — the tunneling
-    /// instance's case — still has its old header (and the IP-in-IP header
-    /// in front of that) sitting before the payload in a buffer nobody
-    /// else references: the new header is written over the old one and
-    /// the payload never moves. Any other payload (a slice of a send
-    /// queue, a crafted segment, a shared buffer) is copied once into a
+    /// A segment a socket emitted was cut into a block of its own with
+    /// room for both headers in front, and a segment decoded from a packet
+    /// this node owns — the tunneling instance's case — still has its old
+    /// header (and the IP-in-IP header in front of that) sitting before
+    /// the payload in a buffer nobody else references: either way the
+    /// header is written in place and the payload never moves. Any other
+    /// payload (a crafted segment, a shared buffer) is copied once into a
     /// fresh buffer with [`IPIP_HEADER_LEN`] bytes of room in front, so
     /// every hop downstream can encapsulate in place.
     pub fn encode(self) -> Bytes {

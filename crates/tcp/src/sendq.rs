@@ -1,10 +1,13 @@
-//! The send buffer: queues of the application's own `Bytes` chunks.
+//! The send buffer: the application's own `Bytes` chunks, the acked
+//! offset into the first one, a cursor to the first unsent byte, and the
+//! in-flight and unsent lengths.
 //!
-//! Queueing moves a handle, a segment cut inside one chunk is a slice of
-//! it, and an ACK pops or trims the oldest slice: constant work per byte,
-//! however much is in flight. Callers cut segments over the buffer as one
-//! byte stream, never at chunk edges, so the same bytes give the same
-//! segments however chunked; only a segment straddling two chunks is copied.
+//! Nothing is kept per segment. Queueing moves a handle, cutting a segment
+//! moves a cursor and lends out the slices it covers, and an ACK moves the
+//! acked offset and pops only chunks it has fully passed: constant work
+//! per segment, however much is in flight. Callers cut segments over the
+//! buffer as one byte stream, never at chunk edges, so the same bytes give
+//! the same segments however chunked.
 
 use std::collections::VecDeque;
 
@@ -13,142 +16,182 @@ use bytes::Bytes;
 /// Sent-but-unacked bytes followed by queued-unsent bytes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SendQueue {
-    /// Transmitted and unacked: the segments as cut, oldest first.
-    inflight: VecDeque<Bytes>,
-    /// Never transmitted: the chunks as queued.
-    unsent: VecDeque<Bytes>,
-    inflight_len: usize,
-    unsent_len: usize,
+    /// Every chunk still holding an unacked byte, oldest first; none empty.
+    chunks: VecDeque<Bytes>,
+    /// Acked bytes still at the front of the first chunk.
+    acked: usize,
+    /// Transmitted-and-unacked bytes, from `acked` on.
+    inflight: usize,
+    /// Never-transmitted bytes, from `next` on.
+    unsent: usize,
+    /// The first unsent byte: a chunk index and an offset inside that
+    /// chunk, or `(chunks.len(), 0)` once every byte has been sent.
+    next: (usize, usize),
 }
 
 impl SendQueue {
     /// Total bytes held (unacked + unsent).
     pub(crate) fn len(&self) -> usize {
-        self.inflight_len + self.unsent_len
+        self.inflight + self.unsent
     }
 
     /// Bytes never transmitted yet.
     pub(crate) fn unsent(&self) -> usize {
-        self.unsent_len
+        self.unsent
     }
 
     pub(crate) fn push(&mut self, chunk: Bytes) {
         if !chunk.is_empty() {
-            self.unsent_len += chunk.len();
-            self.unsent.push_back(chunk);
+            self.unsent += chunk.len();
+            self.chunks.push_back(chunk);
         }
     }
 
     /// Releases the oldest `n` bytes, clamped to what was transmitted.
     pub(crate) fn ack(&mut self, n: usize) {
-        let n = n.min(self.inflight_len);
-        self.inflight_len -= n;
-        drop_front(&mut self.inflight, n);
-    }
-
-    /// The oldest `len` unacked bytes, for retransmission.
-    pub(crate) fn head(&self, len: usize) -> Option<Bytes> {
-        front(&self.inflight, self.inflight_len, len)
-    }
-
-    /// The next `len` never-transmitted bytes, which become in flight.
-    pub(crate) fn take_unsent(&mut self, len: usize) -> Option<Bytes> {
-        let segment = front(&self.unsent, self.unsent_len, len)?;
-        drop_front(&mut self.unsent, len);
-        self.unsent_len -= len;
-        self.inflight_len += len;
-        self.inflight.push_back(segment.clone());
-        Some(segment)
-    }
-}
-
-/// The first `len` bytes of `q`, which holds `held`; `None` if that is
-/// fewer. A view of the front chunk when they lie inside it, else one
-/// exact-size block gathered from the chunks they span.
-fn front(q: &VecDeque<Bytes>, held: usize, len: usize) -> Option<Bytes> {
-    let first = q.front()?;
-    if len <= first.len() {
-        return Some(first.slice(..len));
-    }
-    if len > held {
-        return None;
-    }
-    // Each chunk's share of the `len` bytes; chunks are never empty, so
-    // the first empty share is where they end.
-    let parts = q
-        .iter()
-        .scan(len, |left, chunk| {
-            let take = (*left).min(chunk.len());
-            *left -= take;
-            chunk.get(..take)
-        })
-        .take_while(|part| !part.is_empty());
-    Some(Bytes::with_headroom(0, parts))
-}
-
-/// Removes the first `n` bytes of `q`.
-fn drop_front(q: &mut VecDeque<Bytes>, mut n: usize) {
-    while n > 0 {
-        let Some(first) = q.front_mut() else {
-            return;
-        };
-        if n < first.len() {
-            let _ = first.split_to(n);
-            return;
+        let n = n.min(self.inflight);
+        self.inflight -= n;
+        self.acked += n;
+        // A fully acked chunk was fully sent, so `next` lies past it.
+        while let Some(front) = self.chunks.front() {
+            if self.acked < front.len() {
+                break;
+            }
+            self.acked -= front.len();
+            self.chunks.pop_front();
+            self.next.0 -= 1;
         }
-        n -= first.len();
-        q.pop_front();
     }
+
+    /// The oldest `len` unacked bytes, for retransmission; `None` if fewer
+    /// are in flight.
+    pub(crate) fn head(&self, len: usize) -> Option<impl Iterator<Item = &[u8]> + Clone> {
+        (len <= self.inflight).then(|| parts(&self.chunks, (0, self.acked), len))
+    }
+
+    /// The next `len` never-transmitted bytes, which become in flight;
+    /// `None` if fewer are queued.
+    pub(crate) fn take_unsent(
+        &mut self,
+        len: usize,
+    ) -> Option<impl Iterator<Item = &[u8]> + Clone> {
+        if len > self.unsent {
+            return None;
+        }
+        let at = self.next;
+        let (mut chunk, mut offset, mut left) = (at.0, at.1, len);
+        while let Some(c) = self.chunks.get(chunk) {
+            let rest = c.len() - offset;
+            if left < rest {
+                offset += left;
+                break;
+            }
+            left -= rest;
+            (chunk, offset) = (chunk + 1, 0);
+        }
+        self.next = (chunk, offset);
+        self.unsent -= len;
+        self.inflight += len;
+        Some(parts(&self.chunks, at, len))
+    }
+}
+
+/// The `len` bytes of `chunks` from chunk `at.0`, offset `at.1`, on: a
+/// borrowed slice of each chunk they span.
+fn parts(
+    chunks: &VecDeque<Bytes>,
+    (chunk, mut skip): (usize, usize),
+    len: usize,
+) -> impl Iterator<Item = &[u8]> + Clone {
+    chunks
+        .range(chunk.min(chunks.len())..)
+        .scan(len, move |left, c| {
+            if *left == 0 {
+                return None;
+            }
+            let part = c.get(std::mem::take(&mut skip)..)?;
+            let part = part.get(..part.len().min(*left))?;
+            *left -= part.len();
+            Some(part)
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yoda_netsim::rng::Rng;
 
-    fn queue(chunks: &[&'static [u8]]) -> SendQueue {
-        let mut q = SendQueue::default();
-        for c in chunks {
-            q.push(Bytes::from_static(c));
+    /// Model test against the plain `Vec<u8>` of the stream: random
+    /// chunks (empty ones included), interleaved cuts, retransmitted heads
+    /// and acks — mid-chunk, on a chunk edge, and beyond what is in flight,
+    /// which clamps. Every range handed out must hold the stream's bytes
+    /// at its offset, and `len()`/`unsent()` must match after every step.
+    #[test]
+    fn matches_the_plain_stream() {
+        let mut partial_ack_heads_over_an_edge = 0;
+        for seed in 0..64u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut q = SendQueue::default();
+            let mut stream: Vec<u8> = Vec::new();
+            // Chunk edges as stream offsets, and the offsets of the first
+            // unacked and the first unsent byte.
+            let (mut edges, mut acked, mut sent) = (Vec::new(), 0usize, 0usize);
+            for step in 0..400 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.gen_range(0..8u64) {
+                    0 | 1 => {
+                        let len = match rng.gen_range(0..4u64) {
+                            0 => 0,
+                            1 => rng.gen_range(1..=3usize),
+                            _ => rng.gen_range(1..=4000usize),
+                        };
+                        let at = stream.len();
+                        stream.extend((at..at + len).map(|i| (i * 7 % 251) as u8));
+                        q.push(Bytes::copy_from_slice(&stream[at..]));
+                        edges.push(stream.len());
+                    }
+                    2..=4 => {
+                        let len = rng.gen_range(0..=1460usize);
+                        let got = q.take_unsent(len).map(|p| Bytes::with_headroom(0, p));
+                        if sent + len > stream.len() {
+                            assert_eq!(got, None, "{ctx}: cut beyond the queue");
+                        } else {
+                            let want = &stream[sent..sent + len];
+                            assert_eq!(got.as_deref(), Some(want), "{ctx}: cut at {sent}");
+                            sent += len;
+                        }
+                    }
+                    5 => {
+                        let len = rng.gen_range(0..=1460usize);
+                        let got = q.head(len).map(|p| Bytes::with_headroom(0, p));
+                        if acked + len > sent {
+                            assert_eq!(got, None, "{ctx}: head beyond what is in flight");
+                        } else {
+                            let want = &stream[acked..acked + len];
+                            assert_eq!(got.as_deref(), Some(want), "{ctx}: head at {acked}");
+                            let spans_edge = edges.iter().any(|&e| e > acked && e < acked + len);
+                            partial_ack_heads_over_an_edge +=
+                                (spans_edge && !edges.contains(&acked)) as u32;
+                        }
+                    }
+                    _ => {
+                        let edge = edges.iter().copied().find(|&e| e > acked && e <= sent);
+                        let to = match (rng.gen_range(0..4u64), edge) {
+                            (0, Some(e)) => e,
+                            (1, _) => sent + rng.gen_range(1..=100usize),
+                            _ => rng.gen_range(acked..=sent),
+                        };
+                        q.ack(to - acked);
+                        acked = to.min(sent);
+                    }
+                }
+                assert_eq!(q.len(), stream.len() - acked, "{ctx}: len");
+                assert_eq!(q.unsent(), stream.len() - sent, "{ctx}: unsent");
+            }
         }
-        q
-    }
-
-    #[test]
-    fn reads_slice_inside_a_chunk_and_gather_across() {
-        let mut q = queue(&[b"abcd", b"", b"efgh", b"ij"]);
-        assert_eq!((q.len(), q.unsent()), (10, 10));
-        assert_eq!(q.take_unsent(3).unwrap(), "abc");
-        assert_eq!(q.take_unsent(3).unwrap(), "def", "straddles two chunks");
-        assert_eq!(q.take_unsent(4).unwrap(), "ghij", "ends on the last byte");
-        assert_eq!(q.unsent(), 0);
-        assert!(q.take_unsent(1).is_none());
-        assert_eq!(q.head(10).unwrap(), "abcdefghij");
-        assert!(q.head(11).is_none());
-    }
-
-    #[test]
-    fn ack_trims_mid_chunk_on_boundary_and_clamps() {
-        let mut q = queue(&[b"abcd", b"efgh", b"ij"]);
-        q.take_unsent(6).unwrap();
-        q.ack(2); // mid-chunk
-        assert_eq!(q.head(4).unwrap(), "cdef");
-        q.ack(2); // exactly to a chunk boundary: first chunk gone
-        assert_eq!(q.head(2).unwrap(), "ef");
-        q.ack(100); // clamped to the 2 bytes still in flight
-        assert_eq!((q.len(), q.unsent()), (4, 4));
-        assert_eq!(q.take_unsent(4).unwrap(), "ghij");
-        q.ack(4);
-        assert_eq!((q.len(), q.inflight.len(), q.unsent.len()), (0, 0, 0));
-    }
-
-    #[test]
-    fn segment_inside_a_chunk_shares_its_allocation() {
-        let chunk = Bytes::from(vec![7u8; 100]);
-        let base = chunk.as_ptr() as usize;
-        let mut q = SendQueue::default();
-        q.push(chunk);
-        q.take_unsent(10).unwrap();
-        let seg = q.take_unsent(40).unwrap();
-        assert_eq!(seg.as_ptr() as usize, base + 10);
+        assert!(
+            partial_ack_heads_over_an_edge > 0,
+            "no retransmitted head spanned a chunk edge after a mid-chunk ack"
+        );
     }
 }

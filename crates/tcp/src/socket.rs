@@ -21,9 +21,9 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use yoda_netsim::{Endpoint, SimTime};
+use yoda_netsim::{Endpoint, SimTime, IPIP_HEADER_LEN};
 
-use crate::segment::{Flags, Segment};
+use crate::segment::{Flags, Segment, SEGMENT_HEADER_LEN};
 use crate::sendq::SendQueue;
 use crate::seq::SeqNum;
 
@@ -46,6 +46,10 @@ const SYN_RTO: SimTime = SimTime::from_secs(3);
 const MAX_RETRIES: u32 = 10;
 /// How long to linger in TIME-WAIT (abbreviated; real stacks use 2MSL).
 const TIME_WAIT: SimTime = SimTime::from_secs(1);
+/// Room a data segment's block keeps in front of its payload: the segment
+/// header `Segment::encode` writes there, then the IP-in-IP header a
+/// forwarding hop does.
+const WIRE_ROOM: usize = IPIP_HEADER_LEN + SEGMENT_HEADER_LEN;
 
 /// Connection state (RFC 793 names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,15 +296,16 @@ impl TcpSocket {
         !self.assembled.is_empty()
     }
 
-    /// Drains data received in order: one segment as a view, several joined
-    /// into one block.
-    pub fn take_data(&mut self) -> Bytes {
-        if self.assembled.len() > 1 {
-            let joined = Bytes::with_headroom(0, self.assembled.iter().map(Bytes::as_slice));
-            self.assembled.clear();
-            return joined;
+    /// Appends the data received in order to `into`, as the views of the
+    /// arrived segments it lies in, and drains it. An empty `into` trades
+    /// vectors with the socket instead, so a caller that clears and keeps
+    /// one vector never makes either side allocate.
+    pub fn take_data(&mut self, into: &mut Vec<Bytes>) {
+        if into.is_empty() {
+            std::mem::swap(into, &mut self.assembled);
+        } else {
+            into.append(&mut self.assembled);
         }
-        self.assembled.pop().unwrap_or_default()
     }
 
     /// Queues application data (kept, not copied, until acknowledged) and
@@ -412,7 +417,7 @@ impl TcpSocket {
         }
     }
 
-    /// Pushes the first unacked chunk for retransmission (go-back-1 MSS;
+    /// Pushes the first unacked MSS for retransmission (go-back-1 MSS;
     /// the rest follows via normal ACK clocking).
     fn retransmit_head(&mut self, out: &mut Vec<Segment>) {
         let inflight = self.inflight_bytes() as usize;
@@ -426,8 +431,9 @@ impl TcpSocket {
         }
         // `None`: accounting drift between snd_una and the buffer; nothing
         // sane to retransmit, recover via ACK clocking instead.
-        if let Some(chunk) = self.unacked.head(inflight.min(MSS)) {
-            out.push(self.make_segment(self.snd_una, Flags::ACK, chunk));
+        if let Some(parts) = self.unacked.head(inflight.min(MSS)) {
+            let payload = Bytes::with_headroom(WIRE_ROOM, parts);
+            out.push(self.make_segment(self.snd_una, Flags::ACK, payload));
         }
     }
 
@@ -462,12 +468,15 @@ impl TcpSocket {
             if len == 0 {
                 break;
             }
-            let Some(chunk) = self.unacked.take_unsent(len) else {
+            // The segment's one copy: its bytes go straight from the
+            // queued chunks into the block that goes on the wire.
+            let Some(parts) = self.unacked.take_unsent(len) else {
                 break;
             };
+            let payload = Bytes::with_headroom(WIRE_ROOM, parts);
             let mut flags = Flags::ACK;
             flags.psh = self.unacked.unsent() == 0;
-            let seg = self.make_segment(self.snd_nxt, flags, chunk);
+            let seg = self.make_segment(self.snd_nxt, flags, payload);
             if self.rtt_probe.is_none() {
                 self.rtt_probe = Some((seg.seq_end(), now));
             }
@@ -773,6 +782,13 @@ mod tests {
         (client, server)
     }
 
+    /// Everything `sock` received in order and not yet read.
+    fn read(sock: &mut TcpSocket) -> Vec<u8> {
+        let mut got = Vec::new();
+        sock.take_data(&mut got);
+        got.concat()
+    }
+
     /// Delivers `segs` to `to`, returning its replies.
     fn deliver(to: &mut TcpSocket, segs: &[Segment], t: SimTime) -> Vec<Segment> {
         emit(|o| segs.iter().for_each(|s| to.on_segment(s, t, o)))
@@ -815,7 +831,7 @@ mod tests {
         let segs = emit(|o| client.send(Bytes::from_static(b"GET / HTTP/1.0\r\n\r\n"), t, o));
         assert!(!segs.is_empty());
         pump(&mut client, &mut server, segs, t);
-        assert_eq!(&server.take_data()[..], b"GET / HTTP/1.0\r\n\r\n");
+        assert_eq!(read(&mut server), b"GET / HTTP/1.0\r\n\r\n");
     }
 
     #[test]
@@ -828,7 +844,7 @@ mod tests {
             assert!(s.payload.len() <= 1460);
         }
         pump(&mut client, &mut server, segs, t);
-        assert_eq!(&server.take_data()[..], &data[..]);
+        assert_eq!(read(&mut server), data);
     }
 
     #[test]
@@ -842,7 +858,7 @@ mod tests {
         // Out-of-order data elicits an ACK for the old rcv_nxt.
         assert!(dup_acks.iter().all(|s| s.flags.ack));
         deliver(&mut server, &segs, t);
-        let got = server.take_data();
+        let got = read(&mut server);
         assert_eq!(got.len(), 2920);
         assert_eq!(got[0], 1);
         assert_eq!(got[2919], 2);
@@ -868,7 +884,7 @@ mod tests {
         assert_eq!(&rtx2[0].payload[..], b"hello");
         // Delivery after retransmission still works.
         pump(&mut client, &mut server, rtx2, d2);
-        assert_eq!(&server.take_data()[..], b"hello");
+        assert_eq!(read(&mut server), b"hello");
     }
 
     #[test]
@@ -925,7 +941,7 @@ mod tests {
         pump(&mut client, &mut server, req, t);
         let resp = emit(|o| server.send(Bytes::from_static(b"resp"), t, o));
         pump(&mut server, &mut client, resp, t);
-        assert_eq!(&client.take_data()[..], b"resp");
+        assert_eq!(read(&mut client), b"resp");
 
         let fin = emit(|o| client.close(t, o));
         assert_eq!(client.state(), SocketState::FinWait1);
@@ -955,7 +971,7 @@ mod tests {
         assert!(fin_now.iter().all(|s| !s.flags.fin));
         assert!(segs.iter().all(|s| !s.flags.fin));
         pump(&mut client, &mut server, segs, t);
-        assert_eq!(server.take_data().len(), 30_000);
+        assert_eq!(read(&mut server).len(), 30_000);
         // After everything is acked the FIN flows and teardown progresses.
         assert!(client.state() == SocketState::FinWait1 || client.state() == SocketState::FinWait2);
     }
@@ -984,7 +1000,7 @@ mod tests {
         assert!(client.retransmitted_segments() >= 1);
         // Deliver it; the server reassembles everything.
         pump(&mut client, &mut server, rtx, t);
-        assert_eq!(server.take_data().len(), 1460 * 5);
+        assert_eq!(read(&mut server).len(), 1460 * 5);
     }
 
     #[test]
@@ -1193,22 +1209,29 @@ mod tests {
     }
 
     #[test]
-    fn full_segments_are_views_of_the_callers_buffer() {
+    fn emitted_segments_encode_in_place() {
+        // A segment's payload is the one copy of its bytes, cut straight
+        // from the queued chunks into a block with room for the headers:
+        // encoding writes the segment header in front of it, and the
+        // packet's bytes start exactly that header's length earlier.
         let mut sock = sender(5);
-        let object = Bytes::from(vec![3u8; 100_000]);
-        let span = object.as_ptr() as usize..object.as_ptr() as usize + object.len();
+        let object: Bytes = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let mut now = SimTime::from_millis(1);
         let mut segs = emit(|o| sock.send(object.clone(), now, o));
         let (mut seen, mut full) = (0usize, 0);
         while seen < object.len() {
             assert!(!segs.is_empty(), "stalled at {seen}");
-            for seg in &segs {
+            for seg in segs.drain(..) {
+                assert_eq!(&seg.payload[..], &object[seen..][..seg.payload.len()]);
                 seen += seg.payload.len();
-                if seg.payload.len() == 1460 {
+                if seg.payload.len() == MSS {
                     full += 1;
-                    assert!(
-                        span.contains(&(seg.payload.as_ptr() as usize)),
-                        "a full segment was copied out of the caller's allocation"
+                    let payload = seg.payload.as_ptr();
+                    let pkt = seg.into_packet(sock.local(), sock.remote());
+                    assert_eq!(
+                        pkt.payload.as_ptr().wrapping_add(SEGMENT_HEADER_LEN),
+                        payload,
+                        "encoding a full segment copied it"
                     );
                 }
             }
@@ -1216,7 +1239,7 @@ mod tests {
             let ack = peer_ack(&sock, sock.iss() + 1 + seen as u32);
             segs = emit(|o| sock.on_segment(&ack, now, o));
         }
-        assert_eq!(full, 100_000 / 1460);
+        assert_eq!(full, 100_000 / MSS);
     }
 
     #[test]
@@ -1233,6 +1256,6 @@ mod tests {
         // Merge: deliver ACK then data (two segments is fine too).
         deliver(&mut server, &from_client, t);
         assert_eq!(server.state(), SocketState::Established);
-        assert_eq!(&server.take_data()[..], b"payload");
+        assert_eq!(read(&mut server), b"payload");
     }
 }

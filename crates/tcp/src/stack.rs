@@ -220,12 +220,13 @@ impl TcpStack {
         }
     }
 
-    /// Drains received data from a connection.
-    pub fn recv(&mut self, id: ConnId) -> Bytes {
-        self.conns
-            .get_mut(&id)
-            .map(|s| s.sock.take_data())
-            .unwrap_or_default()
+    /// Drains a connection's received data onto `into`, as the slices of
+    /// the segments it arrived in (see [`TcpSocket::take_data`]: a caller
+    /// that clears and keeps one vector makes this allocate nothing).
+    pub fn recv(&mut self, id: ConnId, into: &mut Vec<Bytes>) {
+        if let Some(slot) = self.conns.get_mut(&id) {
+            slot.sock.take_data(into);
+        }
     }
 
     /// Closes the send side of a connection.
@@ -413,6 +414,7 @@ mod tests {
     struct EchoServer {
         stack: TcpStack,
         listen: Endpoint,
+        rx: Vec<Bytes>,
         echoed: u64,
         /// `Data` events that found nothing to read.
         empty_reads: u64,
@@ -425,10 +427,10 @@ mod tests {
             for ev in self.stack.on_packet(ctx, pkt) {
                 match ev {
                     TcpEvent::Data(id) => {
-                        let data = self.stack.recv(id);
-                        self.empty_reads += data.is_empty() as u64;
-                        self.echoed += data.len() as u64;
-                        self.stack.send(ctx, id, data);
+                        self.stack.recv(id, &mut self.rx);
+                        self.empty_reads += self.rx.is_empty() as u64;
+                        self.echoed += self.rx.iter().map(|d| d.len() as u64).sum::<u64>();
+                        self.stack.send_vectored(ctx, id, self.rx.drain(..));
                     }
                     TcpEvent::PeerClosed(id) => self.stack.close(ctx, id),
                     _ => {}
@@ -464,8 +466,9 @@ mod tests {
                         self.stack.send(ctx, id, Bytes::from(self.blob.clone()));
                     }
                     TcpEvent::Data(id) => {
-                        let data = self.stack.recv(id);
-                        self.received.extend_from_slice(&data);
+                        let mut data = Vec::new();
+                        self.stack.recv(id, &mut data);
+                        self.received.extend(data.iter().flat_map(|d| d.iter()));
                         if self.received.len() >= self.blob.len() {
                             self.stack.close(ctx, id);
                             self.done_at.get_or_insert(ctx.now());
@@ -504,6 +507,7 @@ mod tests {
             Box::new(EchoServer {
                 stack: TcpStack::new(),
                 listen: server_ep,
+                rx: Vec::new(),
                 echoed: 0,
                 empty_reads: 0,
             }),
@@ -590,9 +594,10 @@ mod tests {
                         self.stack.send(ctx, id, Bytes::from(vec![9u8; CYCLE_BLOB]));
                     }
                     TcpEvent::Data(id) => {
-                        let data = self.stack.recv(id);
+                        let mut data = Vec::new();
+                        self.stack.recv(id, &mut data);
                         self.empty_reads += data.is_empty() as u64;
-                        self.received += data.len();
+                        self.received += data.iter().map(Bytes::len).sum::<usize>();
                         if self.received == CYCLE_BLOB && !data.is_empty() {
                             self.stack.close(ctx, id);
                         }
@@ -621,6 +626,7 @@ mod tests {
             Box::new(EchoServer {
                 stack: TcpStack::new(),
                 listen: server_ep,
+                rx: Vec::new(),
                 echoed: 0,
                 empty_reads: 0,
             }),
@@ -690,6 +696,7 @@ mod tests {
             Box::new(EchoServer {
                 stack: TcpStack::new(),
                 listen: server_ep,
+                rx: Vec::new(),
                 echoed: 0,
                 empty_reads: 0,
             }),
@@ -733,10 +740,9 @@ mod tests {
         let (events, flows, conns) = feed(&mut eng, seg(Flags::ACK, 101, iss + 1, b"hello"));
         assert_eq!(events, [TcpEvent::Connected(id), TcpEvent::Data(id)]);
         assert_eq!((flows, conns), (1, 1));
-        assert_eq!(
-            &eng.node_mut::<EchoServer>(server).stack.recv(id)[..],
-            b"hello"
-        );
+        let mut data = Vec::new();
+        eng.node_mut::<EchoServer>(server).stack.recv(id, &mut data);
+        assert_eq!(data, [Bytes::from_static(b"hello")]);
 
         let (events, flows, conns) = feed(&mut eng, seg(Flags::FIN_ACK, 106, iss + 1, b""));
         assert_eq!(events, [TcpEvent::PeerClosed(id)]);
@@ -816,6 +822,7 @@ mod tests {
             Box::new(EchoServer {
                 stack: TcpStack::new(),
                 listen: Endpoint::new(server_ep.addr, 81), // listening elsewhere
+                rx: Vec::new(),
                 echoed: 0,
                 empty_reads: 0,
             }),

@@ -6,6 +6,8 @@
 //! * a TCP socket's segments cost one block each, data or pure ACK, and
 //!   `TcpStack::on_packet`/`on_timer` allocate nothing else: no segment
 //!   vector, no event vector;
+//! * `TcpStack::recv` hands out pending segments as they arrived,
+//!   allocating nothing, however many are pending;
 //! * a store request or response is encoded in one block, and a store
 //!   op's bookkeeping is one vector, its `targets`;
 //! * picking a backend for a new connection (`RuleTable::select`) makes at
@@ -110,9 +112,10 @@ fn sink() -> Box<Sink> {
     Box::new(Sink { got: 0, last: None })
 }
 
-/// A data segment as a TCP sender holds it: its payload is a view of a
-/// send-queue chunk that the queue keeps until acked, so encoding it
-/// copies into a fresh block with the encapsulation room in front.
+/// A data segment whose payload is a view of the caller's chunk, which
+/// the caller keeps: encoding copies it into a fresh block with the
+/// encapsulation room in front — the one block a sender pays per segment
+/// (a socket pays it when it cuts the segment, and encodes in place).
 fn sender_segment(chunk: &Bytes, from: Endpoint, to: Endpoint) -> Segment {
     Segment {
         src_port: from.port,
@@ -205,10 +208,13 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
 // TCP sockets and stacks
 // ----------------------------------------------------------------------
 
-/// Either end of a bulk transfer: drains and counts what arrives.
+/// Either end of a bulk transfer: drains and counts what arrives, into
+/// one kept vector, unless told to leave it pending.
 struct Peer {
     stack: TcpStack,
     conn: Option<ConnId>,
+    rx: Vec<Bytes>,
+    hold: bool,
     received: usize,
 }
 
@@ -217,7 +223,11 @@ impl Peer {
         for ev in events {
             match ev {
                 TcpEvent::Incoming(id, _) | TcpEvent::Connected(id) => self.conn = Some(id),
-                TcpEvent::Data(id) => self.received += self.stack.recv(id).len(),
+                TcpEvent::Data(id) if !self.hold => {
+                    self.stack.recv(id, &mut self.rx);
+                    self.received += self.rx.iter().map(Bytes::len).sum::<usize>();
+                    self.rx.clear();
+                }
                 _ => {}
             }
         }
@@ -239,8 +249,26 @@ fn peer() -> Box<Peer> {
     Box::new(Peer {
         stack: TcpStack::new(),
         conn: None,
+        rx: Vec::new(),
+        hold: false,
         received: 0,
     })
+}
+
+/// A client and a listening server peer, connected; returns the engine,
+/// the client and the server.
+fn connected_peers(seed: u64) -> (Engine, NodeId, NodeId) {
+    let mut eng = Engine::with_topology(seed, Topology::uniform(SimTime::from_micros(200)));
+    let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+    let server = eng.add_node("server", server_ep.addr, Zone::Dc, peer());
+    eng.node_mut::<Peer>(server).stack.listen(server_ep);
+    let client = eng.add_node("client", Addr::new(10, 2, 0, 1), Zone::Dc, peer());
+    eng.with_node_ctx::<Peer>(client, |p, ctx| {
+        let local = Endpoint::new(Addr::new(10, 2, 0, 1), p.stack.ephemeral_port());
+        p.conn = Some(p.stack.connect(ctx, local, server_ep));
+    });
+    eng.run_for(SimTime::from_millis(5));
+    (eng, client, server)
 }
 
 /// Queues `data` on the client's connection: the segments the window
@@ -254,18 +282,10 @@ fn send(eng: &mut Engine, client: NodeId, data: &Bytes) {
 
 #[test]
 fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
-    let mut eng = Engine::with_topology(11, Topology::uniform(SimTime::from_micros(200)));
-    let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-    let server = eng.add_node("server", server_ep.addr, Zone::Dc, peer());
-    eng.node_mut::<Peer>(server).stack.listen(server_ep);
-    let client = eng.add_node("client", Addr::new(10, 2, 0, 1), Zone::Dc, peer());
-    eng.with_node_ctx::<Peer>(client, |p, ctx| {
-        let local = Endpoint::new(Addr::new(10, 2, 0, 1), p.stack.ephemeral_port());
-        p.conn = Some(p.stack.connect(ctx, local, server_ep));
-    });
-    eng.run_for(SimTime::from_millis(5));
+    let (mut eng, client, server) = connected_peers(11);
     // Warm-up: bulk rounds larger than anything measured below, so the
-    // send queue's deques, the out buffer and the wheel are at size.
+    // send queue's deque, the receive vectors, the out buffer and the
+    // wheel are at size.
     let bulk = Bytes::from(vec![1; 200 * 1460]);
     for _ in 0..3 {
         send(&mut eng, client, &bulk);
@@ -304,6 +324,29 @@ fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
         eng.node_ref::<Peer>(server).received,
         3 * bulk.len() + data.len() + one.len()
     );
+}
+
+#[test]
+fn a_stack_read_of_pending_segments_allocates_nothing() {
+    let (mut eng, client, server) = connected_peers(17);
+    eng.node_mut::<Peer>(server).hold = true;
+    let data: Bytes = (0..8 * 1460u32).map(|i| (i % 251) as u8).collect();
+    send(&mut eng, client, &data);
+    eng.run_for(SimTime::from_millis(50));
+    let p = eng.node_mut::<Peer>(server);
+    let conn = p.conn.expect("accepted");
+    let mut rx = Vec::new();
+    let (allocs, ()) = allocations(|| p.stack.recv(conn, &mut rx));
+    assert_eq!(rx.len(), 8, "one slice per pending segment");
+    assert_eq!(allocs, 0, "recv joined what was pending");
+    assert_eq!(rx.concat(), &data[..]);
+    // A vector that already holds slices gets the next ones appended.
+    send(&mut eng, client, &data.slice(..1460));
+    eng.run_for(SimTime::from_millis(50));
+    let p = eng.node_mut::<Peer>(server);
+    p.stack.recv(conn, &mut rx);
+    assert_eq!(rx.len(), 9);
+    assert_eq!(rx.concat(), [&data[..], &data[..1460]].concat());
 }
 
 // ----------------------------------------------------------------------

@@ -56,9 +56,12 @@ impl Node for KeepAliveClient {
             match ev {
                 TcpEvent::Connected(_) => self.send_next(ctx),
                 TcpEvent::Data(conn) => {
-                    let data = self.stack.recv(conn);
-                    self.received += data.len() as u32;
-                    self.buf.extend_from_slice(&data);
+                    let mut data = Vec::new();
+                    self.stack.recv(conn, &mut data);
+                    for slice in data {
+                        self.received += slice.len() as u32;
+                        self.buf.extend_from_slice(&slice);
+                    }
                     while let Some((resp, used)) = parse_response(&self.buf) {
                         let _ = self.buf.split_to(used);
                         self.responses.push(resp.body.len());

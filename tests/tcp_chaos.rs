@@ -1,14 +1,45 @@
 //! Adversarial-delivery property tests for the TCP state machine: under
 //! random segment reordering, duplication, and bounded loss (with timer-
 //! driven retransmission), the receiver always reassembles exactly the
-//! bytes that were sent.
+//! bytes that were sent. Safety is checked after every round, not only at
+//! the end: every segment the sender emits carries the stream's bytes at
+//! its sequence offset (so a retransmitted byte equals the original), and
+//! what the receiver has handed out is a prefix of the stream.
 //!
 //! Runs on the in-tree deterministic PRNG with fixed seeds — every run
 //! exercises the same case set, so failures always reproduce.
 
+use bytes::Bytes;
 use yoda::netsim::rng::Rng;
 use yoda::netsim::{Addr, Endpoint, SimTime};
 use yoda::tcp::{Segment, SeqNum, SocketState, TcpSocket};
+
+/// `data` cut into chunks of 1 B to 3 KB, queued back to back, so segments
+/// and retransmissions span chunk edges. Drawn from a stream of its own:
+/// the delivery chaos of a seed is the same however the data is cut.
+fn chunked(data: &[u8], seed: u64) -> Vec<Bytes> {
+    let mut rng = Rng::seed_from_u64(seed ^ 0xC4_0A5C);
+    let mut chunks = Vec::new();
+    let mut rest = data;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(rng.gen_range(1..=3000usize).min(rest.len()));
+        chunks.push(Bytes::copy_from_slice(chunk));
+        rest = tail;
+    }
+    chunks
+}
+
+/// Panics unless `seg`'s payload is the stream's bytes at its offset from
+/// `first`, the sequence number of the stream's first byte.
+fn assert_carries_stream(seg: &Segment, first: SeqNum, data: &[u8], case: &str) {
+    let off = (seg.seq - first) as usize;
+    let want = data.get(off..off + seg.payload.len());
+    assert_eq!(
+        want,
+        Some(&seg.payload[..]),
+        "{case}: segment at stream offset {off} does not carry the sent bytes"
+    );
+}
 
 /// Drives a client→server transfer where every in-flight segment batch is
 /// shuffled, possibly duplicated, and possibly dropped; lost data is
@@ -18,18 +49,24 @@ fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
     let s_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
     let mut rng = Rng::seed_from_u64(seed);
     let mut now = SimTime::ZERO;
-    let (mut client, syn) = TcpSocket::connect(c_ep, s_ep, SeqNum::new(7), now);
+    let iss = SeqNum::new(7);
+    let (mut client, syn) = TcpSocket::connect(c_ep, s_ep, iss, now);
     let (mut server, synack) =
         TcpSocket::accept(s_ep, c_ep, &syn, SeqNum::new(77), now).expect("syn");
     let mut to_server: Vec<Segment> = Vec::new();
     client.on_segment(&synack, now, &mut to_server);
-    client.send(bytes::Bytes::copy_from_slice(data), now, &mut to_server);
-    let mut received = Vec::new();
+    client.send_vectored(chunked(data, seed), now, &mut to_server);
+    let (mut received, mut slices) = (Vec::new(), Vec::new());
     // Alternate delivery rounds with chaos until both sides go idle and
     // all data arrived (or a safety cap).
     for round in 0..10_000 {
-        // Impair the client->server batch.
+        let case = format!("seed {seed:#x} round {round}");
+        // Impair the client->server batch, once each of its segments is
+        // known to carry the right bytes.
         let mut batch = std::mem::take(&mut to_server);
+        for seg in &batch {
+            assert_carries_stream(seg, iss + 1, data, &case);
+        }
         if batch.len() > 1 {
             for i in (1..batch.len()).rev() {
                 let j = rng.gen_range(0..=i);
@@ -47,7 +84,14 @@ fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
             }
             server.on_segment(&seg, now, &mut to_client);
         }
-        received.extend_from_slice(&server.take_data());
+        server.take_data(&mut slices);
+        for slice in slices.drain(..) {
+            received.extend_from_slice(&slice);
+        }
+        assert!(
+            data.starts_with(&received),
+            "{case}: delivered bytes are not a prefix of the sent stream"
+        );
         for seg in to_client {
             if rng.gen_range(0..100u64) < loss_pct {
                 continue;
@@ -68,7 +112,9 @@ fn chaotic_transfer(data: &[u8], seed: u64, loss_pct: u64) -> Vec<u8> {
                 break;
             }
         }
-        let _ = round;
+    }
+    for seg in &to_server {
+        assert_carries_stream(seg, iss + 1, data, &format!("seed {seed:#x} last round"));
     }
     received
 }
