@@ -35,5 +35,5 @@ pub mod witness;
 
 pub use invariants::check_invariants;
 pub use orchestrator::{apply_plan, run_plan, run_seed, ChaosReport, ChaosScenario};
-pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget, PlanBudget, PlanShape};
+pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget, PlanBudget};
 pub use witness::{StoreWitness, WITNESS_TICK_KIND};

@@ -15,26 +15,20 @@ use yoda_l4lb::Mux;
 use yoda_netsim::{Addr, LinkSpec, NodeId, SimTime, Zone};
 
 use crate::invariants::check_invariants;
-use crate::plan::{ChaosPlan, FaultKind, GrayTarget, PlanBudget, PlanShape};
+use crate::plan::{
+    ChaosPlan, FaultKind, GrayTarget, PlanBudget, BACKENDS, INSTANCES, MUXES, SERVICES, STORES,
+};
 use crate::witness::StoreWitness;
 
-/// Scenario knobs: testbed shape, client workload, run length, and the
-/// generation budget.
+/// Concurrent fetch processes per browser.
+const BROWSER_PROCESSES: usize = 2;
+
+/// Scenario knobs: client workload, run length, and the generation
+/// budget. The testbed shape is the plan module's constants: one VIP and
+/// one browser per service, and service 0 runs the prequal policy so the
+/// probe subsystem is exercised.
 #[derive(Debug, Clone)]
 pub struct ChaosScenario {
-    /// Active Yoda instances.
-    pub instances: usize,
-    /// TCPStore servers.
-    pub stores: usize,
-    /// L4 muxes.
-    pub muxes: usize,
-    /// Backend servers.
-    pub backends: usize,
-    /// Online services (one VIP + one browser each; service 0 runs the
-    /// prequal policy so the probe subsystem is exercised).
-    pub services: usize,
-    /// Concurrent fetch processes per browser.
-    pub browser_processes: usize,
     /// Browser retries per object.
     pub retries: u32,
     /// Browser HTTP timeout.
@@ -56,12 +50,6 @@ impl ChaosScenario {
     /// floors enforced — zero broken flows expected.
     pub fn survivable() -> Self {
         ChaosScenario {
-            instances: 3,
-            stores: 3,
-            muxes: 2,
-            backends: 4,
-            services: 2,
-            browser_processes: 2,
             retries: 2,
             http_timeout: SimTime::from_secs(10),
             max_pages: None,
@@ -75,29 +63,12 @@ impl ChaosScenario {
     /// lifted — every fetch must still resolve in bounded time.
     pub fn unconstrained() -> Self {
         ChaosScenario {
-            instances: 3,
-            stores: 3,
-            muxes: 2,
-            backends: 4,
-            services: 2,
-            browser_processes: 2,
             retries: 0,
             http_timeout: SimTime::from_secs(5),
             max_pages: Some(1),
             deadline: SimTime::from_secs(100),
             budget: PlanBudget::unconstrained(),
             splice: false,
-        }
-    }
-
-    /// The plan shape this scenario's testbed presents.
-    pub fn shape(&self) -> PlanShape {
-        PlanShape {
-            instances: self.instances,
-            stores: self.stores,
-            muxes: self.muxes,
-            backends: self.backends,
-            services: self.services,
         }
     }
 }
@@ -204,7 +175,7 @@ impl ChaosReport {
 
 /// Generates the plan for `seed` under the scenario's budget and runs it.
 pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
-    let plan = ChaosPlan::generate(seed, &sc.shape(), &sc.budget);
+    let plan = ChaosPlan::generate(seed, &sc.budget);
     run_plan(&plan, sc)
 }
 
@@ -218,12 +189,12 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     let replicas = yoda.store_replicas;
     let mut tb = Testbed::build(TestbedConfig {
         seed: plan.seed,
-        num_instances: sc.instances,
+        num_instances: INSTANCES,
         num_spares: 0,
-        num_stores: sc.stores,
-        num_backends: sc.backends,
-        num_muxes: sc.muxes,
-        num_services: sc.services,
+        num_stores: STORES,
+        num_backends: BACKENDS,
+        num_muxes: MUXES,
+        num_services: SERVICES,
         pages_per_site: 12,
         yoda,
         ..TestbedConfig::default()
@@ -245,13 +216,13 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     }
 
     let browser_cfg = BrowserConfig {
-        processes: sc.browser_processes,
+        processes: BROWSER_PROCESSES,
         retries: sc.retries,
         http_timeout: sc.http_timeout,
         max_pages: sc.max_pages,
         ..BrowserConfig::default()
     };
-    let browsers: Vec<NodeId> = (0..sc.services)
+    let browsers: Vec<NodeId> = (0..SERVICES)
         .map(|s| tb.add_browser(s, browser_cfg.clone()))
         .collect();
 

@@ -1,8 +1,9 @@
 //! Seeded fault-plan generation (FoundationDB-style simulation chaos).
 //!
-//! A [`ChaosPlan`] is a pure function of `(seed, shape, budget)`: the same
-//! three inputs always produce the identical fault schedule, so a failing
-//! run reproduces bit-for-bit from the seed printed by the test harness.
+//! A [`ChaosPlan`] is a pure function of `(seed, budget)` for the one
+//! testbed shape below: the same inputs always produce the identical
+//! fault schedule, so a failing run reproduces bit-for-bit from the seed
+//! printed by the test harness.
 //! Plans come in two flavours, selected by the budget:
 //!
 //! * **survivable** — the generator enforces the availability
@@ -27,6 +28,25 @@ use yoda_netsim::SimTime;
 /// on the same instant (scheduling order would then depend on plan
 /// order, not time).
 const TARGET_GAP: SimTime = SimTime::from_millis(1);
+
+/// Active Yoda instances in the chaos testbed.
+pub const INSTANCES: usize = 3;
+/// TCPStore servers in the chaos testbed.
+pub const STORES: usize = 3;
+/// L4 muxes in the chaos testbed.
+pub const MUXES: usize = 2;
+/// Backend servers in the chaos testbed (backend `i` serves service
+/// `i % SERVICES`).
+pub const BACKENDS: usize = 4;
+/// Online services in the chaos testbed.
+pub const SERVICES: usize = 2;
+/// Minimum fault duration.
+const MIN_DURATION: SimTime = SimTime::from_secs(1);
+
+/// Backends belonging to service `s`.
+fn backends_of_service(s: usize) -> usize {
+    (0..BACKENDS).filter(|b| b % SERVICES == s).count()
+}
 
 /// One injectable fault. Component targets are indices into the
 /// testbed's component vectors (`instances[i]`, `stores[i]`, …).
@@ -219,31 +239,6 @@ impl Fault {
     }
 }
 
-/// How many of each component the target testbed has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanShape {
-    /// Active Yoda instances.
-    pub instances: usize,
-    /// TCPStore servers.
-    pub stores: usize,
-    /// L4 muxes.
-    pub muxes: usize,
-    /// Backend servers (backend `i` serves service `i % services`).
-    pub backends: usize,
-    /// Online services.
-    pub services: usize,
-}
-
-impl PlanShape {
-    /// Backends belonging to service `s`.
-    fn backends_of_service(&self, s: usize) -> usize {
-        if self.services == 0 {
-            return 0;
-        }
-        (0..self.backends).filter(|b| b % self.services == s).count()
-    }
-}
-
 /// Generation budget: how many faults, and which availability
 /// preconditions the schedule must respect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,12 +270,8 @@ pub struct PlanBudget {
     pub max_client_visible: usize,
     /// Whether the controller may be killed (permanently).
     pub allow_controller_kill: bool,
-    /// Whether full WAN blackholes may be injected.
-    pub allow_wan_partition: bool,
     /// Fault injection window (start times fall inside it).
     pub window: (SimTime, SimTime),
-    /// Minimum fault duration.
-    pub min_duration: SimTime,
     /// Maximum fault duration.
     pub max_duration: SimTime,
     /// Ceiling on WAN-partition duration (kept far below the browser
@@ -315,9 +306,7 @@ impl PlanBudget {
             min_live_backends_per_service: 1,
             max_client_visible: 2,
             allow_controller_kill: false,
-            allow_wan_partition: true,
             window: (SimTime::from_secs(2), SimTime::from_secs(20)),
-            min_duration: SimTime::from_secs(1),
             max_duration: SimTime::from_secs(6),
             max_wan_partition: SimTime::from_secs(2),
             max_slowdown_factor: 10,
@@ -340,9 +329,7 @@ impl PlanBudget {
             min_live_backends_per_service: 0,
             max_client_visible: usize::MAX,
             allow_controller_kill: true,
-            allow_wan_partition: true,
             window: (SimTime::from_secs(2), SimTime::from_secs(30)),
-            min_duration: SimTime::from_secs(1),
             max_duration: SimTime::from_secs(8),
             max_wan_partition: SimTime::from_secs(5),
             max_slowdown_factor: u32::MAX,
@@ -370,7 +357,7 @@ impl ChaosPlan {
     /// keep it only when the budget still admits it next to everything
     /// already accepted. Attempts are bounded, so adversarial budgets
     /// terminate with fewer faults instead of looping.
-    pub fn generate(seed: u64, shape: &PlanShape, budget: &PlanBudget) -> ChaosPlan {
+    pub fn generate(seed: u64, budget: &PlanBudget) -> ChaosPlan {
         let mut rng = Rng::seed_from_u64(seed ^ 0xC4A0_5EED_0B57_AC1E);
         let mut faults: Vec<Fault> = Vec::new();
         let max_attempts = budget.faults * 64 + 64;
@@ -378,8 +365,8 @@ impl ChaosPlan {
             if faults.len() >= budget.faults {
                 break;
             }
-            let f = draw(&mut rng, shape, budget);
-            if admissible(&faults, &f, shape, budget) {
+            let f = draw(&mut rng, budget);
+            if admissible(&faults, &f, budget) {
                 faults.push(f);
             }
         }
@@ -421,30 +408,26 @@ impl fmt::Display for ChaosPlan {
 }
 
 /// Draws one candidate fault from the weighted kind table.
-fn draw(rng: &mut Rng, shape: &PlanShape, budget: &PlanBudget) -> Fault {
+fn draw(rng: &mut Rng, budget: &PlanBudget) -> Fault {
     // Class table: each tag repeated by weight. Built the same way every
     // call, so the draw sequence is a pure function of the RNG stream.
     let mut classes: Vec<u8> = Vec::new();
-    let mut push = |tag: u8, weight: usize, enabled: bool| {
-        if enabled {
-            for _ in 0..weight {
-                classes.push(tag);
-            }
-        }
-    };
-    push(0, 3, shape.instances > 0); // instance crash
-    push(1, 2, shape.instances > 0); // instance partition
-    push(2, 2, shape.stores > 0); // store crash
-    push(3, 2, shape.stores > 0); // store partition
-    push(4, 2, shape.muxes > 0); // mux crash
-    push(5, 2, shape.backends > 0); // backend crash
-    push(6, 1, budget.allow_controller_kill);
-    push(7, 2, true); // WAN loss burst
-    push(8, 2, true); // WAN latency spike
-    push(9, 1, budget.allow_wan_partition);
-    push(10, 2, shape.stores > 0 || shape.backends > 0); // node slowdown (gray)
-    push(11, 2, shape.instances + shape.stores + shape.muxes > 0); // link degrade (gray)
-    push(12, 2, shape.instances > 0 || shape.stores > 0); // asymmetric partition (gray)
+    let mut push = |tag: u8, weight: usize| classes.extend(std::iter::repeat_n(tag, weight));
+    push(0, 3); // instance crash
+    push(1, 2); // instance partition
+    push(2, 2); // store crash
+    push(3, 2); // store partition
+    push(4, 2); // mux crash
+    push(5, 2); // backend crash
+    if budget.allow_controller_kill {
+        push(6, 1);
+    }
+    push(7, 2); // WAN loss burst
+    push(8, 2); // WAN latency spike
+    push(9, 1); // WAN partition
+    push(10, 2); // node slowdown (gray)
+    push(11, 2); // link degrade (gray)
+    push(12, 2); // asymmetric partition (gray)
     let class = classes
         .get(rng.gen_range(0..classes.len().max(1) as u64) as usize)
         .copied()
@@ -452,31 +435,28 @@ fn draw(rng: &mut Rng, shape: &PlanShape, budget: &PlanBudget) -> Fault {
 
     let span = budget.window.1.saturating_sub(budget.window.0).as_micros();
     let at = budget.window.0 + SimTime::from_micros(rng.gen_range(0..=span));
-    let dur_span = budget
-        .max_duration
-        .saturating_sub(budget.min_duration)
-        .as_micros();
-    let mut duration = budget.min_duration + SimTime::from_micros(rng.gen_range(0..=dur_span));
+    let dur_span = budget.max_duration.saturating_sub(MIN_DURATION).as_micros();
+    let mut duration = MIN_DURATION + SimTime::from_micros(rng.gen_range(0..=dur_span));
 
     let pick = |rng: &mut Rng, n: usize| rng.gen_range(0..n.max(1) as u64) as usize;
     let kind = match class {
         0 => FaultKind::InstanceCrash {
-            i: pick(rng, shape.instances),
+            i: pick(rng, INSTANCES),
         },
         1 => FaultKind::InstancePartition {
-            i: pick(rng, shape.instances),
+            i: pick(rng, INSTANCES),
         },
         2 => FaultKind::StoreCrash {
-            i: pick(rng, shape.stores),
+            i: pick(rng, STORES),
         },
         3 => FaultKind::StorePartition {
-            i: pick(rng, shape.stores),
+            i: pick(rng, STORES),
         },
         4 => FaultKind::MuxCrash {
-            i: pick(rng, shape.muxes),
+            i: pick(rng, MUXES),
         },
         5 => FaultKind::BackendCrash {
-            i: pick(rng, shape.backends),
+            i: pick(rng, BACKENDS),
         },
         6 => {
             duration = SimTime::ZERO;
@@ -506,11 +486,10 @@ fn draw(rng: &mut Rng, shape: &PlanShape, budget: &PlanBudget) -> Fault {
             // Stores are the preferred brownout victims (the paper's
             // store tier is the availability-critical dependency);
             // backends take the remaining third.
-            let node = if shape.stores > 0 && (shape.backends == 0 || rng.gen_range(0..3u64) < 2)
-            {
-                GrayTarget::Store(pick(rng, shape.stores))
+            let node = if rng.gen_range(0..3u64) < 2 {
+                GrayTarget::Store(pick(rng, STORES))
             } else {
-                GrayTarget::Backend(pick(rng, shape.backends))
+                GrayTarget::Backend(pick(rng, BACKENDS))
             };
             // Drawn past the survivable cap on purpose: rejection
             // sampling trims survivable plans to ≤10×, unconstrained
@@ -522,10 +501,9 @@ fn draw(rng: &mut Rng, shape: &PlanShape, budget: &PlanBudget) -> Fault {
         }
         11 => {
             let node = match rng.gen_range(0..3u64) {
-                0 if shape.instances > 0 => GrayTarget::Instance(pick(rng, shape.instances)),
-                1 if shape.muxes > 0 => GrayTarget::Mux(pick(rng, shape.muxes)),
-                _ if shape.stores > 0 => GrayTarget::Store(pick(rng, shape.stores)),
-                _ => GrayTarget::Instance(pick(rng, shape.instances)),
+                0 => GrayTarget::Instance(pick(rng, INSTANCES)),
+                1 => GrayTarget::Mux(pick(rng, MUXES)),
+                _ => GrayTarget::Store(pick(rng, STORES)),
             };
             FaultKind::LinkDegrade {
                 node,
@@ -534,11 +512,10 @@ fn draw(rng: &mut Rng, shape: &PlanShape, budget: &PlanBudget) -> Fault {
             }
         }
         12 => {
-            let node = if shape.instances > 0 && (shape.stores == 0 || rng.gen_range(0..2u64) == 0)
-            {
-                GrayTarget::Instance(pick(rng, shape.instances))
+            let node = if rng.gen_range(0..2u64) == 0 {
+                GrayTarget::Instance(pick(rng, INSTANCES))
             } else {
-                GrayTarget::Store(pick(rng, shape.stores))
+                GrayTarget::Store(pick(rng, STORES))
             };
             FaultKind::AsymmetricPartition {
                 node,
@@ -553,7 +530,7 @@ fn draw(rng: &mut Rng, shape: &PlanShape, budget: &PlanBudget) -> Fault {
 }
 
 /// Whether `f` can join `existing` without violating the budget.
-fn admissible(existing: &[Fault], f: &Fault, shape: &PlanShape, budget: &PlanBudget) -> bool {
+fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
     // At most one controller kill per plan, ever.
     if f.kind == FaultKind::ControllerKill
         && existing.iter().any(|e| e.kind == FaultKind::ControllerKill)
@@ -617,7 +594,7 @@ fn admissible(existing: &[Fault], f: &Fault, shape: &PlanShape, budget: &PlanBud
             .count()
     };
     let instances_down = count(|t| matches!(t, Target::Instance(_)));
-    if shape.instances < budget.min_live_instances + instances_down {
+    if INSTANCES < budget.min_live_instances + instances_down {
         return false;
     }
     let stores_down = count(|t| matches!(t, Target::Store(_)));
@@ -625,17 +602,17 @@ fn admissible(existing: &[Fault], f: &Fault, shape: &PlanShape, budget: &PlanBud
         return false;
     }
     let muxes_down = count(|t| matches!(t, Target::Mux(_)));
-    if shape.muxes < budget.min_live_muxes + muxes_down {
+    if MUXES < budget.min_live_muxes + muxes_down {
         return false;
     }
-    for s in 0..shape.services {
+    for s in 0..SERVICES {
         let down = overlapping
             .iter()
             .map(|e| e.kind.target())
             .chain([f.kind.target()])
-            .filter(|tg| matches!(tg, Target::Backend(b) if b % shape.services == s))
+            .filter(|tg| matches!(tg, Target::Backend(b) if b % SERVICES == s))
             .count();
-        if shape.backends_of_service(s) < budget.min_live_backends_per_service + down {
+        if backends_of_service(s) < budget.min_live_backends_per_service + down {
             return false;
         }
     }
@@ -650,43 +627,30 @@ fn admissible(existing: &[Fault], f: &Fault, shape: &PlanShape, budget: &PlanBud
 mod tests {
     use super::*;
 
-    fn shape() -> PlanShape {
-        PlanShape {
-            instances: 3,
-            stores: 3,
-            muxes: 2,
-            backends: 4,
-            services: 2,
-        }
-    }
-
     #[test]
     fn generation_is_deterministic() {
-        let s = shape();
         for seed in 0..32 {
-            let a = ChaosPlan::generate(seed, &s, &PlanBudget::survivable());
-            let b = ChaosPlan::generate(seed, &s, &PlanBudget::survivable());
+            let a = ChaosPlan::generate(seed, &PlanBudget::survivable());
+            let b = ChaosPlan::generate(seed, &PlanBudget::survivable());
             assert_eq!(a, b, "seed {seed} regenerated differently");
-            let c = ChaosPlan::generate(seed, &s, &PlanBudget::unconstrained());
-            let d = ChaosPlan::generate(seed, &s, &PlanBudget::unconstrained());
+            let c = ChaosPlan::generate(seed, &PlanBudget::unconstrained());
+            let d = ChaosPlan::generate(seed, &PlanBudget::unconstrained());
             assert_eq!(c, d);
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let s = shape();
-        let a = ChaosPlan::generate(1, &s, &PlanBudget::survivable());
-        let b = ChaosPlan::generate(2, &s, &PlanBudget::survivable());
+        let a = ChaosPlan::generate(1, &PlanBudget::survivable());
+        let b = ChaosPlan::generate(2, &PlanBudget::survivable());
         assert_ne!(a.faults, b.faults);
     }
 
     #[test]
     fn plans_are_sorted_and_inside_the_window() {
-        let s = shape();
         let budget = PlanBudget::survivable();
         for seed in 0..64 {
-            let plan = ChaosPlan::generate(seed, &s, &budget);
+            let plan = ChaosPlan::generate(seed, &budget);
             assert!(!plan.faults.is_empty(), "seed {seed} produced no faults");
             for w in plan.faults.windows(2) {
                 assert!(w[0].at <= w[1].at);
@@ -701,10 +665,9 @@ mod tests {
     /// boundary (the generator's own accounting is not trusted here).
     #[test]
     fn survivable_plans_respect_floors() {
-        let s = shape();
         let budget = PlanBudget::survivable();
         for seed in 0..64 {
-            let plan = ChaosPlan::generate(seed, &s, &budget);
+            let plan = ChaosPlan::generate(seed, &budget);
             assert!(plan.survivable);
             for f in &plan.faults {
                 assert_ne!(f.kind, FaultKind::ControllerKill);
@@ -718,11 +681,11 @@ mod tests {
                         .count()
                 };
                 let inst = live(&|t| matches!(t, Target::Instance(_)));
-                assert!(s.instances - inst >= budget.min_live_instances, "seed {seed}");
+                assert!(INSTANCES - inst >= budget.min_live_instances, "seed {seed}");
                 let stores = live(&|t| matches!(t, Target::Store(_)));
                 assert!(stores <= budget.max_stores_impaired, "seed {seed}");
                 let muxes = live(&|t| matches!(t, Target::Mux(_)));
-                assert!(s.muxes - muxes >= budget.min_live_muxes, "seed {seed}");
+                assert!(MUXES - muxes >= budget.min_live_muxes, "seed {seed}");
                 assert!(live(&|t| t == Target::Wan) <= 1, "seed {seed}: WAN overlap");
                 if let FaultKind::WanPartition { .. } = f.kind {
                     assert!(f.duration <= budget.max_wan_partition, "seed {seed}");
@@ -746,11 +709,10 @@ mod tests {
     /// factor, slowness budget (factor × seconds), link loss, and jitter.
     #[test]
     fn survivable_gray_faults_respect_intensity_caps() {
-        let s = shape();
         let budget = PlanBudget::survivable();
         let mut saw_gray = false;
         for seed in 0..256 {
-            let plan = ChaosPlan::generate(seed, &s, &budget);
+            let plan = ChaosPlan::generate(seed, &budget);
             for f in &plan.faults {
                 match f.kind {
                     FaultKind::NodeSlowdown { factor, .. } => {
@@ -784,9 +746,8 @@ mod tests {
     /// (the generator draws up to 20×; survivable trims to ≤10×).
     #[test]
     fn unconstrained_plans_draw_harsher_gray_faults() {
-        let s = shape();
         let hit = (0..256).any(|seed| {
-            ChaosPlan::generate(seed, &s, &PlanBudget::unconstrained())
+            ChaosPlan::generate(seed, &PlanBudget::unconstrained())
                 .faults
                 .iter()
                 .any(|f| matches!(f.kind, FaultKind::NodeSlowdown { factor, .. } if factor > 10))
@@ -796,9 +757,8 @@ mod tests {
 
     #[test]
     fn unconstrained_plans_eventually_kill_the_controller() {
-        let s = shape();
         let hit = (0..32).any(|seed| {
-            ChaosPlan::generate(seed, &s, &PlanBudget::unconstrained())
+            ChaosPlan::generate(seed, &PlanBudget::unconstrained())
                 .faults
                 .iter()
                 .any(|f| f.kind == FaultKind::ControllerKill)
@@ -808,7 +768,7 @@ mod tests {
 
     #[test]
     fn render_names_the_seed() {
-        let plan = ChaosPlan::generate(7, &shape(), &PlanBudget::survivable());
+        let plan = ChaosPlan::generate(7, &PlanBudget::survivable());
         let text = plan.render();
         assert!(text.contains("seed: 7"));
         assert!(text.lines().count() == plan.faults.len() + 1);

@@ -4,14 +4,17 @@
 //!
 //! * **User interface** — converts operator policies (rule DSL) into rule
 //!   installs on the instances serving each VIP.
-//! * **Assignment engine** — computes VIP→instance assignment (delegated
-//!   to `yoda-assign`; the testbed experiments use explicit assignments).
+//! * **Assignment engine** — computes VIP→instance assignment. The
+//!   testbed experiments pass explicit assignments to
+//!   [`Controller::add_vip`]; the controller computes none itself.
 //! * **Assignment updater** — pushes VIP→instance mappings to the L4
 //!   muxes. Updates are sent per mux with a stagger, reproducing the
 //!   non-atomicity that §4.5's transient constraint exists for.
 //! * **Monitor** — "gathers health information by pinging the YODA
 //!   instances, Memcached servers, and backend servers every 600ms, and
-//!   hence detects failure with at most 600ms delay."
+//!   hence detects failure with at most 600ms delay." Every monitored
+//!   endpoint is one [`Member`] carrying its [`Role`]; failure and
+//!   recovery dispatch on that role.
 //!
 //! The controller also implements the Figure 13 autoscaler: when the mean
 //! instance CPU crosses a threshold it activates spare instances, installs
@@ -23,9 +26,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use yoda_l4lb::CtrlMsg;
-use yoda_netsim::{
-    Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_PING,
-};
+use yoda_netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_PING};
 
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};
 
@@ -65,9 +66,27 @@ pub struct ControllerConfig {
     pub autoscale: bool,
 }
 
+/// What a monitored endpoint is, which decides how the controller reacts
+/// to its failure and recovery (§6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A Yoda instance. `serving`: in the VIP rotation (not failed,
+    /// derated or idle). `spare`: registered idle and not yet activated
+    /// by the autoscaler.
+    Instance { serving: bool, spare: bool },
+    /// A backend server: its death and return are told to the instances.
+    Backend,
+    /// A TCPStore server: the replicated client library copes on its own.
+    Store,
+    /// An L4 mux: its death and return reshape the ECMP set.
+    Mux,
+}
+
+/// One monitored endpoint, in registration order.
 #[derive(Debug, Clone)]
-struct Monitored {
+struct Member {
     ep: Endpoint,
+    role: Role,
     awaiting: bool,
     failed: bool,
     /// Administratively removed: never pinged again and never considered
@@ -85,10 +104,11 @@ struct Monitored {
     derated: bool,
 }
 
-impl Monitored {
-    fn new(ep: Endpoint) -> Self {
-        Monitored {
+impl Member {
+    fn new(ep: Endpoint, role: Role) -> Self {
+        Member {
             ep,
+            role,
             awaiting: false,
             failed: false,
             removed: false,
@@ -97,6 +117,10 @@ impl Monitored {
             ewma: SimTime::ZERO,
             derated: false,
         }
+    }
+
+    fn is_serving(&self) -> bool {
+        matches!(self.role, Role::Instance { serving: true, .. })
     }
 }
 
@@ -129,16 +153,15 @@ pub struct CpuSample {
 pub struct Controller {
     addr: Addr,
     cfg: ControllerConfig,
-    muxes: Vec<Addr>,
     /// Every registered mux in registration order, failed ones included;
-    /// `muxes` is always this list filtered by liveness, so a recovered
-    /// mux rejoins ECMP at its original (deterministic) position.
+    /// the live ECMP set is this list minus the mux members marked
+    /// failed, so a recovered mux rejoins at its original (deterministic)
+    /// position.
     all_muxes: Vec<Addr>,
     router: Option<Addr>,
-    instances: Vec<Addr>,
-    active: BTreeMap<Addr, bool>,
-    spares: Vec<Addr>,
-    monitored: Vec<Monitored>,
+    /// Every monitored endpoint in registration order (pings and
+    /// broadcasts walk it in this order).
+    members: Vec<Member>,
     vips: BTreeMap<Endpoint, VipState>,
     next_version: u64,
     next_stats_seq: u64,
@@ -168,13 +191,9 @@ impl Controller {
         Controller {
             addr,
             cfg,
-            muxes: Vec::new(),
             all_muxes: Vec::new(),
             router: None,
-            instances: Vec::new(),
-            active: BTreeMap::new(),
-            spares: Vec::new(),
-            monitored: Vec::new(),
+            members: Vec::new(),
             vips: BTreeMap::new(),
             next_version: 1,
             next_stats_seq: 1,
@@ -197,34 +216,37 @@ impl Controller {
     /// Registers the L4 layer.
     pub fn set_l4(&mut self, router: Addr, muxes: Vec<Addr>) {
         self.router = Some(router);
-        self.all_muxes = muxes.clone();
-        self.muxes = muxes;
+        self.all_muxes = muxes;
     }
 
     /// Registers an active Yoda instance (monitored and serving).
     pub fn register_instance(&mut self, addr: Addr) {
-        self.instances.push(addr);
-        self.active.insert(addr, true);
-        self.monitored.push(Monitored::new(Endpoint::new(addr, 0)));
+        let role = Role::Instance {
+            serving: true,
+            spare: false,
+        };
+        self.members.push(Member::new(Endpoint::new(addr, 0), role));
     }
 
     /// Registers a spare instance (monitored, idle until the autoscaler
     /// activates it).
     pub fn register_spare(&mut self, addr: Addr) {
-        self.instances.push(addr);
-        self.active.insert(addr, false);
-        self.spares.push(addr);
-        self.monitored.push(Monitored::new(Endpoint::new(addr, 0)));
+        let role = Role::Instance {
+            serving: false,
+            spare: true,
+        };
+        self.members.push(Member::new(Endpoint::new(addr, 0), role));
     }
 
     /// Registers a backend server for health monitoring.
     pub fn register_backend(&mut self, ep: Endpoint) {
-        self.monitored.push(Monitored::new(ep));
+        self.members.push(Member::new(ep, Role::Backend));
     }
 
     /// Registers a TCPStore server for health monitoring.
     pub fn register_store(&mut self, addr: Addr) {
-        self.monitored.push(Monitored::new(Endpoint::new(addr, 0)));
+        self.members
+            .push(Member::new(Endpoint::new(addr, 0), Role::Store));
     }
 
     /// Enables health monitoring of the L4 muxes themselves (the L4 LB
@@ -232,8 +254,9 @@ impl Controller {
     /// the shrunken mux set to the router and to the instances' SNAT
     /// egress lists).
     pub fn monitor_muxes(&mut self) {
-        for &m in &self.all_muxes.clone() {
-            self.monitored.push(Monitored::new(Endpoint::new(m, 0)));
+        for &m in &self.all_muxes {
+            self.members
+                .push(Member::new(Endpoint::new(m, 0), Role::Mux));
         }
     }
 
@@ -244,21 +267,49 @@ impl Controller {
 
     /// Whether `addr` is currently suspected (derated) by the monitor.
     pub fn is_derated(&self, addr: Addr) -> bool {
-        self.monitored.iter().any(|m| m.ep.addr == addr && m.derated)
+        self.members.iter().any(|m| m.ep.addr == addr && m.derated)
     }
 
     /// Currently-active instances.
     pub fn active_instances(&self) -> Vec<Addr> {
-        self.instances
+        self.members
             .iter()
-            .copied()
-            .filter(|a| self.active.get(a).copied().unwrap_or(false))
+            .filter(|m| m.is_serving())
+            .map(|m| m.ep.addr)
             .collect()
+    }
+
+    /// The live ECMP set: every registered mux not declared dead.
+    fn live_muxes(&self) -> Vec<Addr> {
+        let mut live = self.all_muxes.clone();
+        for m in self
+            .members
+            .iter()
+            .filter(|m| m.role == Role::Mux && m.failed)
+        {
+            live.retain(|&a| a != m.ep.addr);
+        }
+        live
+    }
+
+    /// Marks the instance at `addr` as in or out of the serving rotation.
+    fn set_serving(&mut self, addr: Addr, on: bool) {
+        for m in self.members.iter_mut().filter(|m| m.ep.addr == addr) {
+            if let Role::Instance { serving, .. } = &mut m.role {
+                *serving = on;
+            }
+        }
     }
 
     /// Adds (or replaces) a VIP: installs rules on `instances` and maps
     /// the VIP on every mux (§5.2 "VIP addition").
-    pub fn add_vip(&mut self, ctx: &mut Ctx<'_>, vip: Endpoint, rules_text: &str, instances: Vec<Addr>) {
+    pub fn add_vip(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        vip: Endpoint,
+        rules_text: &str,
+        instances: Vec<Addr>,
+    ) {
         self.add_vip_ssl(ctx, vip, rules_text, instances, None);
     }
 
@@ -273,27 +324,18 @@ impl Controller {
         instances: Vec<Addr>,
         ssl_cert_len: Option<u32>,
     ) {
-        let version = self.next_version;
-        self.next_version += 1;
-        for &inst in &instances {
-            let msg = InstanceCtrl::InstallVip {
-                vip,
-                rules_text: rules_text.to_string(),
-                ssl_cert_len,
-            };
-            ctx.send(msg.into_packet(self.me(), inst));
+        let state = VipState {
+            rules_text: rules_text.to_string(),
+            instances: instances.clone(),
+            assigned: instances.clone(),
+            version: 0,
+            ssl_cert_len,
+        };
+        self.vips.insert(vip, state);
+        for inst in instances {
+            self.install(ctx, vip, inst);
         }
-        self.push_vip_map(ctx, vip.addr, instances.clone(), version);
-        self.vips.insert(
-            vip,
-            VipState {
-                rules_text: rules_text.to_string(),
-                instances: instances.clone(),
-                assigned: instances,
-                version,
-                ssl_cert_len,
-            },
-        );
+        self.remap(ctx, vip);
     }
 
     /// The rule text currently installed for each VIP — the controller's
@@ -321,7 +363,7 @@ impl Controller {
         };
         let version = self.next_version;
         self.next_version += 1;
-        for (i, &mux) in self.muxes.iter().enumerate() {
+        for (i, mux) in self.live_muxes().into_iter().enumerate() {
             let msg = CtrlMsg::RemoveVip {
                 vip: vip.addr,
                 version,
@@ -337,179 +379,164 @@ impl Controller {
     /// Updates a VIP's policy (rules) without touching placement; new
     /// rules apply to new connections only (§5.2).
     pub fn update_policy(&mut self, ctx: &mut Ctx<'_>, vip: Endpoint, rules_text: &str) {
-        let me = self.me();
         let Some(state) = self.vips.get_mut(&vip) else {
             return;
         };
         state.rules_text = rules_text.to_string();
-        for &inst in &state.instances {
-            let msg = InstanceCtrl::InstallVip {
-                vip,
-                rules_text: rules_text.to_string(),
-                ssl_cert_len: state.ssl_cert_len,
-            };
-            ctx.send(msg.into_packet(me, inst));
+        for inst in state.instances.clone() {
+            self.install(ctx, vip, inst);
         }
     }
 
     /// Marks a backend as administratively removed (treated as failure,
     /// §5.2 "Backend server failure").
     pub fn remove_backend(&mut self, ctx: &mut Ctx<'_>, backend: Endpoint) {
-        self.broadcast_backend_down(ctx, backend);
-        if let Some(m) = self.monitored.iter_mut().find(|m| m.ep == backend) {
+        self.tell_serving(ctx, &InstanceCtrl::BackendDown { backend });
+        if let Some(m) = self.members.iter_mut().find(|m| m.ep == backend) {
             m.failed = true;
             m.removed = true;
         }
     }
 
-    fn push_vip_map(&self, ctx: &mut Ctx<'_>, vip: Addr, instances: Vec<Addr>, version: u64) {
-        // Non-atomic: each mux hears the update a stagger later than the
-        // previous one.
-        for (i, &mux) in self.muxes.iter().enumerate() {
-            let msg = CtrlMsg::SetVipMap {
+    /// Sends `vip`'s rules to `inst`.
+    fn install(&self, ctx: &mut Ctx<'_>, vip: Endpoint, inst: Addr) {
+        if let Some(state) = self.vips.get(&vip) {
+            let msg = InstanceCtrl::InstallVip {
                 vip,
-                instances: instances.clone(),
-                version,
+                rules_text: state.rules_text.clone(),
+                ssl_cert_len: state.ssl_cert_len,
             };
-            let pkt = msg.into_packet(self.me(), mux);
-            ctx.send_after(MUX_STAGGER * i as u64, pkt);
+            ctx.send(msg.into_packet(self.me(), inst));
         }
     }
 
-    fn broadcast_backend_down(&self, ctx: &mut Ctx<'_>, backend: Endpoint) {
-        for &inst in &self.instances {
-            if self.active.get(&inst).copied().unwrap_or(false) {
-                let msg = InstanceCtrl::BackendDown { backend };
-                ctx.send(msg.into_packet(self.me(), inst));
+    /// Bumps `vip`'s version and sends its instance list to every live
+    /// mux. Non-atomic: each mux hears the update a stagger later than
+    /// the previous one.
+    fn remap(&mut self, ctx: &mut Ctx<'_>, vip: Endpoint) {
+        let me = self.me();
+        let muxes = self.live_muxes();
+        let Some(state) = self.vips.get_mut(&vip) else {
+            return;
+        };
+        state.version = self.next_version;
+        self.next_version += 1;
+        for (i, mux) in muxes.into_iter().enumerate() {
+            let msg = CtrlMsg::SetVipMap {
+                vip: vip.addr,
+                instances: state.instances.clone(),
+                version: state.version,
+            };
+            ctx.send_after(MUX_STAGGER * i as u64, msg.into_packet(me, mux));
+        }
+    }
+
+    /// Sends the live mux set, `delay` from now, to the router and to
+    /// every registered instance (spares included: SNAT egress lists).
+    fn announce_muxes(&self, ctx: &mut Ctx<'_>, delay: SimTime) {
+        let muxes = self.live_muxes();
+        let me = self.me();
+        if let Some(router) = self.router {
+            let msg = CtrlMsg::SetMuxes {
+                muxes: muxes.clone(),
+            };
+            ctx.send_after(delay, msg.into_packet(me, router));
+        }
+        for m in &self.members {
+            if let Role::Instance { .. } = m.role {
+                let msg = InstanceCtrl::SetMuxes {
+                    muxes: muxes.clone(),
+                };
+                ctx.send_after(delay, msg.into_packet(me, m.ep.addr));
             }
         }
     }
 
-    /// Handles a detected failure of any monitored endpoint.
-    fn on_failure(&mut self, ctx: &mut Ctx<'_>, ep: Endpoint) {
+    /// Sends `msg` to every serving instance.
+    fn tell_serving(&self, ctx: &mut Ctx<'_>, msg: &InstanceCtrl) {
+        for m in self.members.iter().filter(|m| m.is_serving()) {
+            ctx.send(msg.clone().into_packet(self.me(), m.ep.addr));
+        }
+    }
+
+    /// Declares member `i` dead and reacts by its role.
+    fn on_failure(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let Some(m) = self.members.get_mut(i) else {
+            return;
+        };
+        m.failed = true;
+        let (ep, role) = (m.ep, m.role);
         self.failures_detected += 1;
         self.failure_times.push((ctx.now(), ep));
-        ctx.trace_note(format!("controller detected failure of {ep}"));
-        let addr = ep.addr;
-        if self.muxes.contains(&addr) {
+        ctx.trace_note(format_args!("controller detected failure of {ep}"));
+        match role {
             // A mux died: shrink the ECMP set at the router and update
             // every instance's SNAT egress list. Flows pinned to the dead
             // mux re-hash; any that land on a different instance recover
             // via TCPStore.
-            self.muxes.retain(|&m| m != addr);
-            let me = self.me();
-            if let Some(router) = self.router {
-                let msg = CtrlMsg::SetMuxes {
-                    muxes: self.muxes.clone(),
-                };
-                ctx.send(msg.into_packet(me, router));
-            }
-            for &inst in &self.instances {
-                let msg = InstanceCtrl::SetMuxes {
-                    muxes: self.muxes.clone(),
-                };
-                ctx.send(msg.into_packet(me, inst));
-            }
-            return;
-        }
-        if self.active.get(&addr).copied().unwrap_or(false) {
+            Role::Mux => self.announce_muxes(ctx, SimTime::ZERO),
             // A Yoda instance died: remove it from every VIP mapping so
             // the muxes re-steer its flows to the survivors (§4.2).
-            self.remove_instance_from_maps(ctx, addr);
-        } else if ep.port == 80 {
+            Role::Instance { serving: true, .. } => self.remove_instance_from_maps(ctx, ep.addr),
+            Role::Instance { serving: false, .. } => {}
             // A backend died: instances must terminate its flows.
-            self.broadcast_backend_down(ctx, ep);
+            Role::Backend => self.tell_serving(ctx, &InstanceCtrl::BackendDown { backend: ep }),
+            // Store-server failure needs no action: the replicated client
+            // library falls back to surviving replicas (§6).
+            Role::Store => {}
         }
-        // Store-server failure needs no action: the replicated client
-        // library falls back to surviving replicas (§6).
     }
 
-    /// Handles a previously failed endpoint answering pings again:
-    /// re-admits the component to the serving rotation. The mirror image
-    /// of [`Controller::on_failure`].
-    fn on_recovery(&mut self, ctx: &mut Ctx<'_>, ep: Endpoint) {
+    /// Handles member `i` answering pings again after a death verdict (or
+    /// answering fresh while believed provisioned): re-admits the
+    /// component to the serving rotation. The mirror image of
+    /// [`Controller::on_failure`].
+    fn on_recovery(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let Some(&Member { ep, role, .. }) = self.members.get(i) else {
+            return;
+        };
         self.recoveries_detected += 1;
-        ctx.trace_note(format!("controller detected recovery of {ep}"));
-        let addr = ep.addr;
-        let me = self.me();
-        if self.all_muxes.contains(&addr) {
-            // A mux rejoined ECMP at its original position. It restarted
-            // cold, so push every VIP map (version-bumped, staggered as
-            // usual) before the router update widens ECMP onto it —
-            // otherwise it would blackhole re-hashed flows.
-            self.muxes = self
-                .all_muxes
-                .iter()
-                .copied()
-                .filter(|m| *m == addr || self.muxes.contains(m))
-                .collect();
-            let vips: Vec<Endpoint> = self.vips.keys().copied().collect();
-            for vip in vips {
-                let Some(state) = self.vips.get_mut(&vip) else {
-                    continue;
-                };
-                state.version = self.next_version;
-                self.next_version += 1;
-                let instances = state.instances.clone();
-                let version = state.version;
-                self.push_vip_map(ctx, vip.addr, instances, version);
+        ctx.trace_note(format_args!("controller detected recovery of {ep}"));
+        match role {
+            Role::Mux => {
+                // A mux rejoined ECMP at its original position. It
+                // restarted cold, so push every VIP map (version-bumped,
+                // staggered as usual) before the router update widens
+                // ECMP onto it — otherwise it would blackhole re-hashed
+                // flows.
+                let vips: Vec<Endpoint> = self.vips.keys().copied().collect();
+                for vip in vips {
+                    self.remap(ctx, vip);
+                }
+                let settle = MUX_STAGGER * self.live_muxes().len() as u64;
+                self.announce_muxes(ctx, settle);
             }
-            let settle = MUX_STAGGER * self.muxes.len() as u64;
-            if let Some(router) = self.router {
-                let msg = CtrlMsg::SetMuxes {
-                    muxes: self.muxes.clone(),
-                };
-                ctx.send_after(settle, msg.into_packet(me, router));
+            Role::Instance { .. } => {
+                self.readmit_instance(ctx, ep.addr);
             }
-            for &inst in &self.instances {
-                let msg = InstanceCtrl::SetMuxes {
-                    muxes: self.muxes.clone(),
-                };
-                ctx.send_after(settle, msg.into_packet(me, inst));
-            }
-            return;
-        }
-        if self.active.contains_key(&addr) {
-            self.readmit_instance(ctx, addr);
-            return;
-        }
-        if ep.port == 80 {
             // A backend came back: lift the death sentence on every
             // active instance so its flows can be balanced onto it again
             // (probe pools re-admit it after fresh probe rounds).
-            for &inst in &self.instances {
-                if self.active.get(&inst).copied().unwrap_or(false) {
-                    let msg = InstanceCtrl::BackendUp { backend: ep };
-                    ctx.send(msg.into_packet(me, inst));
-                }
-            }
+            Role::Backend => self.tell_serving(ctx, &InstanceCtrl::BackendUp { backend: ep }),
+            // Store-server recovery needs no action: the client library's
+            // hash ring still includes it and will reach it again.
+            Role::Store => {}
         }
-        // Store-server recovery needs no action: the client library's
-        // hash ring still includes it and will reach it again.
     }
 
     /// Pulls an instance out of every VIP map (death or suspicion): the
     /// muxes re-steer its *new* flows to the survivors (§4.2); existing
     /// flows stay pinned by mux flow tables.
     fn remove_instance_from_maps(&mut self, ctx: &mut Ctx<'_>, addr: Addr) {
-        self.active.insert(addr, false);
-        let me = self.me();
-        let muxes = self.muxes.clone();
-        for (&vip, state) in self.vips.iter_mut() {
-            if !state.instances.contains(&addr) {
+        self.set_serving(addr, false);
+        let vips: Vec<Endpoint> = self.vips.keys().copied().collect();
+        for vip in vips {
+            let Some(state) = self.vips.get_mut(&vip) else {
                 continue;
-            }
-            state.instances.retain(|&i| i != addr);
-            state.version = self.next_version;
-            self.next_version += 1;
-            for (i, &mux) in muxes.iter().enumerate() {
-                let msg = CtrlMsg::SetVipMap {
-                    vip: vip.addr,
-                    instances: state.instances.clone(),
-                    version: state.version,
-                };
-                let pkt = msg.into_packet(me, mux);
-                ctx.send_after(MUX_STAGGER * i as u64, pkt);
+            };
+            if state.instances.contains(&addr) {
+                state.instances.retain(|&i| i != addr);
+                self.remap(ctx, vip);
             }
         }
     }
@@ -518,127 +545,110 @@ impl Controller {
     /// death verdict, or a lifted derate). Returns whether the instance
     /// was actually re-admitted (spares that never served stay idle).
     fn readmit_instance(&mut self, ctx: &mut Ctx<'_>, addr: Addr) -> bool {
-        // A Yoda instance rejoined. Spares that never served stay
-        // idle; anything that appears in a VIP's intended assignment
-        // is re-installed and re-mapped. The instance may have
-        // restarted with empty state: give it the current mux set,
-        // then its rules, then add it back to the mux maps.
+        // Spares that never served stay idle; anything that appears in a
+        // VIP's intended assignment is re-installed and re-mapped. The
+        // instance may have restarted with empty state: give it the
+        // current mux set, then its rules, then add it back to the mux
+        // maps.
+        if !self.vips.values().any(|s| s.assigned.contains(&addr)) {
+            return false;
+        }
+        self.set_serving(addr, true);
         let me = self.me();
-        {
-            let was_serving = self.vips.values().any(|s| s.assigned.contains(&addr));
-            if !was_serving {
-                return false;
-            }
-            self.active.insert(addr, true);
-            let msg = InstanceCtrl::SetMuxes {
-                muxes: self.muxes.clone(),
-            };
-            ctx.send(msg.into_packet(me, addr));
-            // The instance restarted with an empty dead-backend set; any
-            // backend that is still down must be re-declared dead or the
-            // fresh rule tables would split traffic onto it.
-            let dead: Vec<Endpoint> = self
-                .monitored
-                .iter()
-                .filter(|m| m.failed && !m.removed && m.ep.port == 80)
-                .map(|m| m.ep)
-                .collect();
-            for backend in dead {
-                ctx.send(InstanceCtrl::BackendDown { backend }.into_packet(me, addr));
-            }
-            let vips: Vec<Endpoint> = self.vips.keys().copied().collect();
-            for vip in vips {
-                let serving: Vec<Addr> = match self.vips.get(&vip) {
-                    Some(s) if s.assigned.contains(&addr) => s
-                        .assigned
-                        .iter()
-                        .copied()
-                        .filter(|a| {
-                            *a == addr || s.instances.contains(a)
-                        })
-                        .collect(),
-                    _ => continue,
-                };
-                let Some(state) = self.vips.get_mut(&vip) else {
-                    continue;
-                };
-                let msg = InstanceCtrl::InstallVip {
-                    vip,
-                    rules_text: state.rules_text.clone(),
-                    ssl_cert_len: state.ssl_cert_len,
-                };
+        let muxes = self.live_muxes();
+        ctx.send(InstanceCtrl::SetMuxes { muxes }.into_packet(me, addr));
+        // The instance restarted with an empty dead-backend set; any
+        // backend that is still down must be re-declared dead or the
+        // fresh rule tables would split traffic onto it.
+        for m in &self.members {
+            if m.role == Role::Backend && m.failed && !m.removed {
+                let msg = InstanceCtrl::BackendDown { backend: m.ep };
                 ctx.send(msg.into_packet(me, addr));
-                // Rebuilt from `assigned` order so the post-recovery list
-                // is deterministic and position-stable.
-                state.instances = serving;
-                state.version = self.next_version;
-                self.next_version += 1;
-                let instances = state.instances.clone();
-                let version = state.version;
-                self.push_vip_map(ctx, vip.addr, instances, version);
             }
+        }
+        let vips: Vec<Endpoint> = self.vips.keys().copied().collect();
+        for vip in vips {
+            let Some(state) = self.vips.get_mut(&vip) else {
+                continue;
+            };
+            if !state.assigned.contains(&addr) {
+                continue;
+            }
+            // Rebuilt from `assigned` order so the post-recovery list is
+            // deterministic and position-stable.
+            let serving = state
+                .assigned
+                .iter()
+                .copied()
+                .filter(|a| *a == addr || state.instances.contains(a))
+                .collect();
+            state.instances = serving;
+            self.install(ctx, vip, addr);
+            self.remap(ctx, vip);
         }
         true
     }
 
-    /// Suspicion level 1: derates an instance — pulled from new-flow
-    /// maps (reversibly) while pings continue. A browning node stops
-    /// receiving new flows *before* the miss threshold would declare it
-    /// dead; flows it already carries keep forwarding.
-    fn derate_instance(&mut self, ctx: &mut Ctx<'_>, addr: Addr) {
-        if !self.active.get(&addr).copied().unwrap_or(false) {
-            return; // Not a serving instance: nothing to derate.
+    /// Suspicion: derates member `i` if it is a serving instance — pulled
+    /// from new-flow maps (reversibly) while pings continue, so a
+    /// browning node stops receiving new flows *before* the miss
+    /// threshold would declare it dead; flows it already carries keep
+    /// forwarding. With `derated == false`, lifts a derate once the
+    /// instance answers promptly again.
+    fn set_derated(&mut self, ctx: &mut Ctx<'_>, i: usize, derated: bool) {
+        let Some(&Member { ep, role, .. }) = self.members.get(i) else {
+            return;
+        };
+        let Role::Instance { serving, .. } = role else {
+            return; // Not an instance: nothing to derate.
+        };
+        if serving != derated {
+            return; // Already out of (derate) or in (lift) the rotation.
         }
-        self.derates += 1;
-        ctx.trace_note(format!("controller derated suspect instance {addr}"));
-        self.remove_instance_from_maps(ctx, addr);
-    }
-
-    /// Lifts a derate once the instance answers promptly again.
-    fn underate_instance(&mut self, ctx: &mut Ctx<'_>, addr: Addr) {
-        if self.active.get(&addr).copied().unwrap_or(true) {
-            return; // Not an instance, or already serving.
-        }
-        if self.readmit_instance(ctx, addr) {
+        let addr = ep.addr;
+        if derated {
+            self.derates += 1;
+            ctx.trace_note(format_args!("controller derated suspect instance {addr}"));
+            self.remove_instance_from_maps(ctx, addr);
+        } else if self.readmit_instance(ctx, addr) {
             self.underates += 1;
-            ctx.trace_note(format!("controller re-admitted instance {addr}"));
+            ctx.trace_note(format_args!("controller re-admitted instance {addr}"));
         }
     }
 
-    /// Activates `n` spare instances: install every VIP's rules, then add
-    /// them to the mux mappings.
+    /// Activates `n` spare instances, most recently registered first:
+    /// install every VIP's rules, then add them to the mux mappings.
     pub fn activate_spares(&mut self, ctx: &mut Ctx<'_>, n: usize) -> usize {
-        let me = self.me();
         let mut activated = 0;
-        for _ in 0..n {
-            let Some(spare) = self.spares.pop() else {
+        while activated < n {
+            let Some(m) = self
+                .members
+                .iter_mut()
+                .rev()
+                .find(|m| matches!(m.role, Role::Instance { spare: true, .. }))
+            else {
                 break;
             };
-            self.active.insert(spare, true);
+            m.role = Role::Instance {
+                serving: true,
+                spare: false,
+            };
+            let spare = m.ep.addr;
             self.instances_added += 1;
             activated += 1;
             let vips: Vec<Endpoint> = self.vips.keys().copied().collect();
             for vip in vips {
+                self.install(ctx, vip, spare);
                 let Some(state) = self.vips.get_mut(&vip) else {
                     continue;
                 };
-                let msg = InstanceCtrl::InstallVip {
-                    vip,
-                    rules_text: state.rules_text.clone(),
-                    ssl_cert_len: state.ssl_cert_len,
-                };
-                ctx.send(msg.into_packet(me, spare));
                 state.instances.push(spare);
                 if !state.assigned.contains(&spare) {
                     state.assigned.push(spare);
                 }
-                state.version = self.next_version;
-                self.next_version += 1;
-                let instances = state.instances.clone();
-                let version = state.version;
-                self.push_vip_map(ctx, vip.addr, instances, version);
+                self.remap(ctx, vip);
             }
-            ctx.trace_note(format!("autoscaler activated instance {spare}"));
+            ctx.trace_note(format_args!("autoscaler activated instance {spare}"));
         }
         activated
     }
@@ -651,23 +661,25 @@ impl Controller {
         // earlier, reversible suspicion level for instances.
         let mut newly_failed = Vec::new();
         let mut newly_suspect = Vec::new();
-        for m in &mut self.monitored {
+        for (i, m) in self.members.iter_mut().enumerate() {
             if m.awaiting && !m.failed {
                 m.misses += 1;
                 if m.misses >= MISS_THRESHOLD {
-                    m.failed = true;
-                    newly_failed.push(m.ep);
+                    newly_failed.push(i);
                 } else if m.misses >= DERATE_MISSES && !m.derated {
                     m.derated = true;
-                    newly_suspect.push(m.ep);
+                    newly_suspect.push(i);
                 }
             }
         }
-        for ep in newly_failed {
-            self.on_failure(ctx, ep);
+        // `on_failure` marks each death as it handles it, so the live mux
+        // set a reaction sends sees the muxes handled before it dead and
+        // the rest still alive.
+        for i in newly_failed {
+            self.on_failure(ctx, i);
         }
-        for ep in newly_suspect {
-            self.derate_instance(ctx, ep.addr);
+        for i in newly_suspect {
+            self.set_derated(ctx, i, true);
         }
         // Then: ping everyone still managed — including endpoints already
         // declared failed. A failed endpoint that answers again (restarted
@@ -677,7 +689,7 @@ impl Controller {
         // endpoints are the exception: operator decisions stick.
         let me = Endpoint::new(self.addr, 0);
         let now = ctx.now();
-        for m in &mut self.monitored {
+        for m in &mut self.members {
             if m.removed {
                 continue;
             }
@@ -695,8 +707,7 @@ impl Controller {
         let prev_seq = self.next_stats_seq.wrapping_sub(1);
         if let Some(replies) = self.cpu_replies.remove(&prev_seq) {
             if !replies.is_empty() {
-                let mean =
-                    replies.iter().map(|(_, c, _)| c).sum::<f64>() / replies.len() as f64;
+                let mean = replies.iter().map(|(_, c, _)| c).sum::<f64>() / replies.len() as f64;
                 let reqs: u64 = replies.iter().map(|(_, _, r)| r).sum();
                 let dt = ctx.now().saturating_sub(self.last_stats_at).as_secs_f64();
                 let sample = CpuSample {
@@ -706,14 +717,11 @@ impl Controller {
                     request_rate: if dt > 0.0 { reqs as f64 / dt } else { 0.0 },
                 };
                 self.cpu_history.push(sample);
-                if self.cfg.autoscale && mean > HIGH_CPU && !self.spares.is_empty() {
+                if self.cfg.autoscale && mean > HIGH_CPU {
                     // Size so mean CPU falls to ~target.
                     let active = replies.len() as f64;
                     let want = (active * mean / TARGET_CPU).ceil() as usize;
-                    let add = want.saturating_sub(replies.len());
-                    if add > 0 {
-                        self.activate_spares(ctx, add);
-                    }
+                    self.activate_spares(ctx, want.saturating_sub(replies.len()));
                 }
             }
         }
@@ -721,12 +729,7 @@ impl Controller {
         let seq = self.next_stats_seq;
         self.next_stats_seq += 1;
         self.cpu_replies.insert(seq, Vec::new());
-        let me = self.me();
-        for &inst in &self.instances {
-            if self.active.get(&inst).copied().unwrap_or(false) {
-                ctx.send(InstanceCtrl::StatsRequest { seq }.into_packet(me, inst));
-            }
-        }
+        self.tell_serving(ctx, &InstanceCtrl::StatsRequest { seq });
         ctx.set_timer(STATS_INTERVAL, TimerToken::new(STATS_KIND));
     }
 }
@@ -750,29 +753,26 @@ impl Node for Controller {
                 let mut recovered = Vec::new();
                 let mut slow = Vec::new();
                 let mut healed = Vec::new();
-                for m in &mut self.monitored {
-                    if m.ep.addr == pkt.src.addr && (m.ep.port == 0 || m.ep.port == pkt.src.port)
-                    {
+                for (i, m) in self.members.iter_mut().enumerate() {
+                    if m.ep.addr == pkt.src.addr && (m.ep.port == 0 || m.ep.port == pkt.src.port) {
                         m.awaiting = false;
                         m.misses = 0;
                         let rtt = now.saturating_sub(m.ping_sent);
                         m.ewma = if m.ewma == SimTime::ZERO {
                             rtt
                         } else {
-                            SimTime::from_micros(
-                                (m.ewma.as_micros() * 4 + rtt.as_micros()) / 5,
-                            )
+                            SimTime::from_micros((m.ewma.as_micros() * 4 + rtt.as_micros()) / 5)
                         };
                         if m.failed && !m.removed {
                             m.failed = false;
                             m.derated = false;
-                            recovered.push(m.ep);
+                            recovered.push(i);
                         } else if !m.derated && m.ewma > SUSPECT_LATENCY {
                             m.derated = true;
-                            slow.push(m.ep);
+                            slow.push(i);
                         } else if m.derated && m.ewma <= SUSPECT_LATENCY {
                             m.derated = false;
-                            healed.push(m.ep);
+                            healed.push(i);
                         } else if pkt.payload.first() == Some(&1) {
                             // Freshness byte: the component answers pings
                             // but holds no config — it restarted inside
@@ -781,25 +781,23 @@ impl Node for Controller {
                             // believes it is provisioned, re-push state
                             // through the normal recovery path.
                             let addr = m.ep.addr;
-                            let believed_serving = self
-                                .vips
-                                .values()
-                                .any(|s| s.instances.contains(&addr))
-                                || (self.muxes.contains(&addr) && !self.vips.is_empty());
+                            let believed_serving =
+                                self.vips.values().any(|s| s.instances.contains(&addr))
+                                    || (m.role == Role::Mux && !self.vips.is_empty());
                             if believed_serving {
-                                recovered.push(m.ep);
+                                recovered.push(i);
                             }
                         }
                     }
                 }
-                for ep in recovered {
-                    self.on_recovery(ctx, ep);
+                for i in recovered {
+                    self.on_recovery(ctx, i);
                 }
-                for ep in slow {
-                    self.derate_instance(ctx, ep.addr);
+                for i in slow {
+                    self.set_derated(ctx, i, true);
                 }
-                for ep in healed {
-                    self.underate_instance(ctx, ep.addr);
+                for i in healed {
+                    self.set_derated(ctx, i, false);
                 }
             }
             PROTO_CTRL => {
@@ -842,8 +840,12 @@ mod tests {
         c.register_backend(Endpoint::new(Addr::new(10, 1, 0, 1), 80));
         c.register_store(Addr::new(10, 0, 1, 1));
         assert_eq!(c.active_instances().len(), 2);
-        assert_eq!(c.monitored.len(), 5);
-        assert_eq!(c.spares.len(), 1);
+        assert_eq!(c.members.len(), 5);
+        let spares = c
+            .members
+            .iter()
+            .filter(|m| matches!(m.role, Role::Instance { spare: true, .. }));
+        assert_eq!(spares.count(), 1);
     }
 
     #[test]
@@ -855,7 +857,7 @@ mod tests {
         const { assert!(DERATE_MISSES < MISS_THRESHOLD) };
     }
 
-    use yoda_netsim::{Engine, Topology, Zone};
+    use yoda_netsim::{Engine, NodeId, Topology, Zone};
 
     /// Answers pings, dropping the first `drop_first` and delaying each
     /// answer by `delay` (`fast_after`: answers promptly from that ping
@@ -925,7 +927,10 @@ mod tests {
         );
         eng.run_for(SimTime::from_secs(6));
         let c = eng.node_ref::<Controller>(cid);
-        assert_eq!(c.failures_detected, 0, "one lost pong killed a healthy instance");
+        assert_eq!(
+            c.failures_detected, 0,
+            "one lost pong killed a healthy instance"
+        );
         assert_eq!(c.derates, 0);
     }
 
@@ -982,12 +987,18 @@ mod tests {
             let c = eng.node_ref::<Controller>(cid);
             assert!(c.derates >= 1, "slow pongs should derate");
             assert!(c.is_derated(iaddr));
-            assert!(c.vip_instances(vip).is_empty(), "derated instance still mapped");
+            assert!(
+                c.vip_instances(vip).is_empty(),
+                "derated instance still mapped"
+            );
             assert_eq!(c.failures_detected, 0, "slowness is not death");
         }
         eng.run_for(SimTime::from_secs(10));
         let c = eng.node_ref::<Controller>(cid);
-        assert!(c.underates >= 1, "healthy-again instance should be re-admitted");
+        assert!(
+            c.underates >= 1,
+            "healthy-again instance should be re-admitted"
+        );
         assert!(!c.is_derated(iaddr));
         assert_eq!(c.vip_instances(vip), vec![iaddr]);
         assert_eq!(c.failures_detected, 0);
@@ -1024,5 +1035,84 @@ mod tests {
         assert_eq!(eng.node_ref::<Ponger>(bid).seen, 2, "pinged after removal");
         let c = eng.node_ref::<Controller>(cid);
         assert_eq!((c.failures_detected, c.recoveries_detected), (0, 0));
+    }
+
+    /// A controller with one instance and one backend on port 8080 — not
+    /// the port the backends of the testbeds listen on — each answered by
+    /// a [`Ponger`]. Returns the engine, the controller and instance node
+    /// ids, and the backend.
+    fn backend_8080_rig(backend: Ponger) -> (Engine, NodeId, NodeId, Endpoint) {
+        let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_micros(250)));
+        let caddr = Addr::new(10, 0, 4, 1);
+        let iaddr = Addr::new(10, 0, 0, 1);
+        let bep = Endpoint::new(Addr::new(10, 1, 0, 1), 8080);
+        let mut c = Controller::new(ControllerConfig::default(), caddr);
+        c.register_instance(iaddr);
+        c.register_backend(bep);
+        let cid = eng.add_node("ctrl", caddr, Zone::Dc, Box::new(c));
+        let iid = eng.add_node(
+            "inst",
+            iaddr,
+            Zone::Dc,
+            Box::new(ponger(0, false, SimTime::ZERO, None)),
+        );
+        eng.add_node("backend", bep.addr, Zone::Dc, Box::new(backend));
+        (eng, cid, iid, bep)
+    }
+
+    #[test]
+    fn backend_on_any_port_is_declared_down() {
+        let (mut eng, cid, iid, backend) = backend_8080_rig(ponger(0, true, SimTime::ZERO, None));
+        eng.run_for(SimTime::from_secs(6));
+        assert_eq!(eng.node_ref::<Controller>(cid).failures_detected, 1);
+        assert_eq!(
+            eng.node_ref::<Ponger>(iid).verdicts,
+            vec![InstanceCtrl::BackendDown { backend }]
+        );
+    }
+
+    #[test]
+    fn backend_on_any_port_is_declared_up_again() {
+        // Pings 1–4 (0.6–2.4 s) go unanswered: the third miss, counted at
+        // 2.4 s, is the death verdict; the pong to ping 5 is the return.
+        let (mut eng, cid, iid, backend) = backend_8080_rig(ponger(4, false, SimTime::ZERO, None));
+        eng.run_for(SimTime::from_secs(6));
+        assert_eq!(eng.node_ref::<Controller>(cid).recoveries_detected, 1);
+        assert_eq!(
+            eng.node_ref::<Ponger>(iid).verdicts,
+            vec![
+                InstanceCtrl::BackendDown { backend },
+                InstanceCtrl::BackendUp { backend }
+            ]
+        );
+    }
+
+    #[test]
+    fn readmitted_instance_hears_of_a_backend_still_down() {
+        // The backend dies for good (declared at 2.4 s while the instance
+        // serves); the instance goes silent from 2.5 s to 4.5 s, is
+        // declared dead at 4.8 s and answers that same ping. It restarts
+        // with an empty dead-backend set, so it must hear the verdict again.
+        let (mut eng, cid, iid, backend) = backend_8080_rig(ponger(0, true, SimTime::ZERO, None));
+        let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+        let iaddr = Addr::new(10, 0, 0, 1);
+        eng.with_node_ctx::<Controller>(cid, |c, ctx| {
+            c.add_vip(ctx, vip, "default pool=a", vec![iaddr]);
+        });
+        eng.schedule(SimTime::from_millis(2500), move |eng| {
+            eng.node_mut::<Ponger>(iid).dead = true
+        });
+        eng.schedule(SimTime::from_millis(4500), move |eng| {
+            eng.node_mut::<Ponger>(iid).dead = false
+        });
+        eng.run_for(SimTime::from_secs(6));
+        let c = eng.node_ref::<Controller>(cid);
+        assert_eq!((c.failures_detected, c.recoveries_detected), (2, 1));
+        assert_eq!(c.vip_instances(vip), vec![iaddr]);
+        let down = InstanceCtrl::BackendDown { backend };
+        assert_eq!(
+            eng.node_ref::<Ponger>(iid).verdicts,
+            vec![down.clone(), down]
+        );
     }
 }

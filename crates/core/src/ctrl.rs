@@ -66,23 +66,6 @@ pub enum InstanceCtrl {
     },
 }
 
-fn parse_endpoint(s: &str) -> Option<Endpoint> {
-    let (addr, port) = s.rsplit_once(':')?;
-    let port: u16 = port.parse().ok()?;
-    Some(Endpoint::new(parse_addr(addr)?, port))
-}
-
-fn parse_addr(s: &str) -> Option<Addr> {
-    let o: Vec<u8> = s
-        .split('.')
-        .map(|x| x.parse().ok())
-        .collect::<Option<Vec<u8>>>()?;
-    let [a, b, c, d] = o.as_slice() else {
-        return None;
-    };
-    Some(Addr::new(*a, *b, *c, *d))
-}
-
 impl InstanceCtrl {
     /// Serializes to the wire text.
     pub fn encode(&self) -> Bytes {
@@ -129,7 +112,7 @@ impl InstanceCtrl {
         let mut parts = first.split(' ');
         match parts.next()? {
             "install-vip" => {
-                let vip = parse_endpoint(parts.next()?)?;
+                let vip = parts.next()?.parse().ok()?;
                 let ssl_cert_len = match parts.next() {
                     Some(tok) => Some(tok.strip_prefix("ssl=")?.parse().ok()?),
                     None => None,
@@ -143,16 +126,19 @@ impl InstanceCtrl {
                 })
             }
             "remove-vip" => Some(InstanceCtrl::RemoveVip {
-                vip: parse_endpoint(parts.next()?)?,
+                vip: parts.next()?.parse().ok()?,
             }),
             "backend-down" => Some(InstanceCtrl::BackendDown {
-                backend: parse_endpoint(parts.next()?)?,
+                backend: parts.next()?.parse().ok()?,
             }),
             "backend-up" => Some(InstanceCtrl::BackendUp {
-                backend: parse_endpoint(parts.next()?)?,
+                backend: parts.next()?.parse().ok()?,
             }),
             "set-muxes" => {
-                let muxes = parts.map(parse_addr).collect::<Option<Vec<Addr>>>()?;
+                let muxes = parts
+                    .map(str::parse)
+                    .collect::<Result<Vec<Addr>, _>>()
+                    .ok()?;
                 Some(InstanceCtrl::SetMuxes { muxes })
             }
             "stats-request" => Some(InstanceCtrl::StatsRequest {
@@ -168,7 +154,7 @@ impl InstanceCtrl {
                         continue;
                     }
                     let (ep, n) = line.split_once(' ')?;
-                    per_vip_requests.push((parse_endpoint(ep)?, n.parse().ok()?));
+                    per_vip_requests.push((ep.parse().ok()?, n.parse().ok()?));
                 }
                 Some(InstanceCtrl::StatsReply {
                     seq,

@@ -406,7 +406,6 @@ impl YodaInstance {
                 Action::Unmap(backend) => {
                     self.rflows.remove(&(backend, vss));
                 }
-                Action::Note(note) => ctx.trace_note(note),
                 Action::ConnLatency(d) => self.conn_latency.record_time_ms(d),
                 Action::Count(Counter::Request) => {
                     self.requests += 1;

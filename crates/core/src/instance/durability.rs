@@ -252,7 +252,7 @@ impl Durability {
         self.consec_write_timeouts += 1;
         if !self.degraded && self.consec_write_timeouts >= DEGRADED_AFTER {
             self.degraded = true;
-            ctx.trace_note(format!(
+            ctx.trace_note(format_args!(
                 "entering degraded mode after {} consecutive store-write timeouts",
                 self.consec_write_timeouts
             ));
@@ -269,7 +269,7 @@ impl Durability {
     /// [`WB_DRAIN_WINDOW`]).
     fn heal(&mut self, ctx: &mut Ctx<'_>) {
         self.degraded = false;
-        ctx.trace_note(format!(
+        ctx.trace_note(format_args!(
             "store healed: draining {} write-behind records",
             self.write_behind.len()
         ));

@@ -66,7 +66,6 @@ pub(crate) enum Action {
     Map(Endpoint),
     /// Drop that route.
     Unmap(Endpoint),
-    Note(String),
     Count(Counter),
     /// Backend-connection establishment latency (SYN → SYN-ACK).
     ConnLatency(SimTime),
@@ -489,8 +488,6 @@ impl Flow {
                     return Step::Exit(Exit::NoRoute);
                 };
                 io.count(Counter::Request);
-                let note = format!("select {}->{} backend={backend}", e.client, e.vip);
-                io.out.push(Action::Note(note));
                 // Backend connection from (VIP, client-port), ISN = client
                 // ISN. A mirror action (§5.2) opens a racing connection to
                 // every target; all use the same VIP-side endpoint (their
@@ -541,8 +538,6 @@ impl Flow {
                 };
                 let latency = io.env.now.saturating_sub(c.syn_sent_at);
                 io.out.push(Action::ConnLatency(latency));
-                let note = format!("storing flow {}->{}", e.client, e.vip);
-                io.out.push(Action::Note(note));
                 // storage-b: primary + reverse keys, in parallel. Under a
                 // brownout they go to the write-behind buffer and the
                 // tunnel commits immediately — forwarding must not stall

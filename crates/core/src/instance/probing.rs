@@ -71,7 +71,7 @@ impl YodaInstance {
     /// signals, so selection stops routing to a silently-failed node.
     pub(super) fn probe_timeout(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if let Some(backend) = self.prober.on_timeout(tag, ctx.now()) {
-            ctx.trace_note(format!("probe timeout: quarantine {backend}"));
+            ctx.trace_note(format_args!("probe timeout: quarantine {backend}"));
             for vcfg in self.vips.values_mut() {
                 vcfg.rules.purge_backend(backend);
             }

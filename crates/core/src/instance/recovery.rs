@@ -43,12 +43,15 @@ impl YodaInstance {
             // store heals.
             self.shed_reads += 1;
             self.dropped_unknown += 1;
-            ctx.trace_note(format!("degraded: shed recovery lookup {}->{}", rk.0, rk.1));
+            ctx.trace_note(format_args!(
+                "degraded: shed recovery lookup {}->{}",
+                rk.0, rk.1
+            ));
             return;
         }
         // Two hypotheses, looked up in parallel: this is the client side
         // of a flow (flow:/syn: keys) or the server side (rflow: key).
-        ctx.trace_note(format!("recovery lookup for {}->{}", rk.0, rk.1));
+        ctx.trace_note(format_args!("recovery lookup for {}->{}", rk.0, rk.1));
         for key in [
             FlowRecord::key(rk.0, rk.1),
             SynRecord::key(rk.0, rk.1),
@@ -90,7 +93,9 @@ impl YodaInstance {
             return;
         };
         let (env, delay) = (self.env(ctx.now()), SimTime::ZERO);
-        let (key, flow, note) = if let Some(rec) = entry.flow_hit {
+        // `from`: the backend of a recovered established flow; `None` for
+        // a connection-phase one.
+        let (key, flow, from) = if let Some(rec) = entry.flow_hit {
             let key = (rec.client, rec.vip);
             if self.flows.contains_key(&key) {
                 // This instance already owns live state for the flow — the
@@ -100,7 +105,7 @@ impl YodaInstance {
                 // table). Recovery exists for flows orphaned by a *dead*
                 // instance; installing the stale record here would clobber
                 // the live state, so drop the trigger packet instead.
-                ctx.trace_note(format!(
+                ctx.trace_note(format_args!(
                     "ignored stale recovery for {}->{} (flow is live)",
                     key.0, key.1
                 ));
@@ -108,23 +113,15 @@ impl YodaInstance {
             }
             let (cert_len, out) = (self.cert_len(rec.vip), &mut self.actions);
             let flow = Flow::recover(rec, cert_len, &mut Io { env, delay, out });
-            let note = format!(
-                "recovered flow {}->{} backend {} from TCPStore",
-                key.0, key.1, rec.backend
-            );
-            (key, flow, note)
+            (key, flow, Some(rec.backend))
         } else if let Some(syn) = entry.syn_hit {
             let key = (syn.client, syn.vip);
             let flow = Flow::recover_syn(syn, self.cert_len(syn.vip), env.now);
-            let note = format!(
-                "recovered connection-phase flow {}->{} from TCPStore",
-                key.0, key.1
-            );
-            (key, flow, note)
+            (key, flow, None)
         } else {
             // Total miss: not ours, drop everything buffered.
             self.dropped_unknown += entry.buffered.len() as u64;
-            ctx.trace_note(format!(
+            ctx.trace_note(format_args!(
                 "recovery MISS for {}->{} ({} pkts dropped)",
                 rk.0,
                 rk.1,
@@ -136,7 +133,16 @@ impl YodaInstance {
         move_load(&mut self.select_ctx.loads, None, flow.load_backend());
         self.flows.insert(key, flow);
         self.apply(ctx, key);
-        ctx.trace_note(note);
+        match from {
+            Some(backend) => ctx.trace_note(format_args!(
+                "recovered flow {}->{} backend {backend} from TCPStore",
+                key.0, key.1
+            )),
+            None => ctx.trace_note(format_args!(
+                "recovered connection-phase flow {}->{} from TCPStore",
+                key.0, key.1
+            )),
+        }
         for seg in entry.buffered {
             self.handle_segment(ctx, rk, seg);
         }

@@ -125,7 +125,6 @@ fn brief(a: &Action) -> String {
         Action::Splice(other) => format!("{other:?}"),
         Action::Map(b) => format!("map {}", who(*b)),
         Action::Unmap(b) => format!("unmap {}", who(*b)),
-        Action::Note(_) => "note".to_string(),
         Action::Count(c) => format!("count {c:?}"),
         Action::ConnLatency(_) => "connlat".to_string(),
     }
@@ -371,8 +370,8 @@ fn every_phase_times_every_input() {
         case("SYN retransmit: SYN-ACK again", await_header(env), env, In::Client(syn()), None, ("AwaitHeader", "done", &["SA vip>client"])),
         case("partial header: ACK it", await_header(env), env, In::Client(t_seg(Flags::ACK, C_ISN + 1, 0, b"GET /a HT")), None, ("AwaitHeader", "done", &["A vip>client"])),
         case("bare ACK: nothing", await_header(env), env, In::Client(ack()), None, ("AwaitHeader", "done", &[])),
-        case("header complete, one backend", await_header(env), env, In::Client(request()), pick(1, &[]), ("Connecting", "select>done", &["count Request", "note", "map b1", "S vss>b1"])),
-        case("header complete, mirror rule", await_header(env), env, In::Client(request()), pick(1, &[2]), ("Connecting", "select>done", &["count Request", "note", "map b1", "S vss>b1", "map b2", "S vss>b2"])),
+        case("header complete, one backend", await_header(env), env, In::Client(request()), pick(1, &[]), ("Connecting", "select>done", &["count Request", "map b1", "S vss>b1"])),
+        case("header complete, mirror rule", await_header(env), env, In::Client(request()), pick(1, &[2]), ("Connecting", "select>done", &["count Request", "map b1", "S vss>b1", "map b2", "S vss>b2"])),
         case("header complete, no route", await_header(env), env, In::Client(request()), None, ("AwaitHeader", "select>exit:NoRoute", &[])),
         case("server packet in AwaitHeader: ignored", await_header(env), env, from(1, t_synack(S_ISN)), None, ("AwaitHeader", "done", &[])),
         case("stray store ack in AwaitHeader: ignored", await_header(env), env, syn_stored(), None, ("AwaitHeader", "stored:false", &[])),
@@ -380,8 +379,8 @@ fn every_phase_times_every_input() {
         case("header retransmit: re-kick the SYN", connecting(env, &[]), env, In::Client(request()), None, ("Connecting", "done", &["S vss>b1"])),
         case("non-SYN-ACK from the backend: ignored", connecting(env, &[]), env, from(1, data(S_ISN + 1)), None, ("Connecting", "done", &[])),
         case("SYN-ACK for another handshake: ignored", connecting(env, &[]), env, from(1, t_seg(Flags::SYN_ACK, S_ISN, 77, b"")), None, ("Connecting", "done", &[])),
-        case("SYN-ACK: storage-b, ACK withheld", connecting(env, &[]), env, from(1, t_synack(S_ISN)), None, ("StoringFlow", "done", &["connlat", "note", "set flow +wait", "set rflow +wait"])),
-        case("SYN-ACK while degraded: tunnel at once", connecting(degraded, &[]), degraded, from(1, t_synack(S_ISN)), None, ("Tunneling", "done", &["connlat", "note", "set flow", "set rflow", "A vss>b1 len=28"])),
+        case("SYN-ACK: storage-b, ACK withheld", connecting(env, &[]), env, from(1, t_synack(S_ISN)), None, ("StoringFlow", "done", &["connlat", "set flow +wait", "set rflow +wait"])),
+        case("SYN-ACK while degraded: tunnel at once", connecting(degraded, &[]), degraded, from(1, t_synack(S_ISN)), None, ("Tunneling", "done", &["connlat", "set flow", "set rflow", "A vss>b1 len=28"])),
         case("stray store ack in Connecting: ignored", connecting(env, &[]), env, flow_stored(), None, ("Connecting", "stored:false", &[])),
         case("unasked selection in Connecting: ignored", connecting(env, &[]), env, In::Picked(pick(2, &[])), None, ("Connecting", "done", &[])),
         // --- StoringFlow.

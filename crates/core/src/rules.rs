@@ -31,7 +31,7 @@ use std::fmt;
 use yoda_balance::{ProbePool, Signal};
 use yoda_netsim::rng::Rng;
 use yoda_http::HttpRequest;
-use yoda_netsim::{Addr, Endpoint, SimTime};
+use yoda_netsim::{Endpoint, SimTime};
 
 /// Glob matching with `*` (any run) and `?` (any one char).
 pub fn glob_match(pattern: &str, text: &str) -> bool {
@@ -171,19 +171,6 @@ pub struct Rule {
     pub action: Action,
 }
 
-fn parse_endpoint(s: &str) -> Option<Endpoint> {
-    let (addr, port) = s.rsplit_once(':')?;
-    let port: u16 = port.parse().ok()?;
-    let octets: Vec<u8> = addr
-        .split('.')
-        .map(|o| o.parse().ok())
-        .collect::<Option<Vec<u8>>>()?;
-    let [a, b, c, d] = octets.as_slice() else {
-        return None;
-    };
-    Some(Endpoint::new(Addr::new(*a, *b, *c, *d), port))
-}
-
 impl Rule {
     /// Parses the one-line DSL; `None` on malformed input.
     pub fn parse(line: &str) -> Option<Rule> {
@@ -225,14 +212,14 @@ impl Rule {
                         let mut ws = Vec::new();
                         for t in tokens.by_ref() {
                             let (ep, w) = t.split_once('=')?;
-                            ws.push((parse_endpoint(ep)?, w.parse().ok()?));
+                            ws.push((ep.parse().ok()?, w.parse().ok()?));
                         }
                         action = Some(Action::Split(ws));
                     }
                     "leastload" => {
                         let mut bs = Vec::new();
                         for t in tokens.by_ref() {
-                            bs.push(parse_endpoint(t)?);
+                            bs.push(t.parse().ok()?);
                         }
                         action = Some(Action::LeastLoaded(bs));
                     }
@@ -240,21 +227,21 @@ impl Rule {
                         let cookie = tokens.next()?.to_string();
                         let mut bs = Vec::new();
                         for t in tokens.by_ref() {
-                            bs.push(parse_endpoint(t)?);
+                            bs.push(t.parse().ok()?);
                         }
                         action = Some(Action::Sticky { cookie, backends: bs });
                     }
                     "mirror" => {
                         let mut bs = Vec::new();
                         for t in tokens.by_ref() {
-                            bs.push(parse_endpoint(t)?);
+                            bs.push(t.parse().ok()?);
                         }
                         action = Some(Action::Mirror(bs));
                     }
                     "prequal" => {
                         let mut bs = Vec::new();
                         for t in tokens.by_ref() {
-                            bs.push(parse_endpoint(t)?);
+                            bs.push(t.parse().ok()?);
                         }
                         action = Some(Action::Prequal(bs));
                     }
@@ -597,6 +584,7 @@ fn least_loaded<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yoda_netsim::Addr;
 
     fn ep(d: u8) -> Endpoint {
         Endpoint::new(Addr::new(10, 1, 0, d), 80)

@@ -10,6 +10,7 @@
 
 use core::fmt;
 use core::hash::{Hash, Hasher};
+use core::str::FromStr;
 
 /// A 32-bit IPv4-style address.
 ///
@@ -64,6 +65,31 @@ impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let o = self.octets();
         write!(f, "{}.{}.{}.{}", o[0], o[1], o[2], o[3])
+    }
+}
+
+/// Malformed text given to [`Addr`]'s or [`Endpoint`]'s `FromStr`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AddrParseError;
+
+/// Parses the dotted quad [`Display`](fmt::Display) writes.
+impl FromStr for Addr {
+    type Err = AddrParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let mut parts = s.split('.');
+        let mut octets = [0u8; 4];
+        for o in &mut octets {
+            *o = parts
+                .next()
+                .and_then(|p| p.parse().ok())
+                .ok_or(AddrParseError)?;
+        }
+        if parts.next().is_some() {
+            return Err(AddrParseError);
+        }
+        let [a, b, c, d] = octets;
+        Ok(Addr::new(a, b, c, d))
     }
 }
 
@@ -122,6 +148,17 @@ impl fmt::Display for Endpoint {
     }
 }
 
+/// Parses the `addr:port` form [`Display`](fmt::Display) writes.
+impl FromStr for Endpoint {
+    type Err = AddrParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let (addr, port) = s.rsplit_once(':').ok_or(AddrParseError)?;
+        let port = port.parse().map_err(|_| AddrParseError)?;
+        Ok(Endpoint::new(addr.parse()?, port))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,5 +189,31 @@ mod tests {
         let b = Endpoint::new(Addr::new(1, 0, 0, 1), 81);
         let c = Endpoint::new(Addr::new(1, 0, 0, 2), 1);
         assert!(a < b && b < c);
+    }
+
+    #[test]
+    fn text_roundtrip_and_malformed_text() {
+        let ep = Endpoint::new(Addr::new(10, 1, 0, 255), 8080);
+        assert_eq!(ep.to_string().parse(), Ok(ep));
+        assert_eq!(ep.addr.to_string().parse(), Ok(ep.addr));
+        for bad in [
+            "",
+            "10.1.0",
+            "10.1.0.1.2",
+            "10.1.0.256",
+            "10..0.1",
+            "a.b.c.d",
+        ] {
+            assert_eq!(bad.parse::<Addr>(), Err(AddrParseError), "{bad:?}");
+        }
+        for bad in [
+            "10.1.0.1",
+            "10.1.0.1:",
+            "10.1.0.1:65536",
+            "10.1.0:80",
+            ":80",
+        ] {
+            assert_eq!(bad.parse::<Endpoint>(), Err(AddrParseError), "{bad:?}");
+        }
     }
 }

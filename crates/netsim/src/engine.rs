@@ -10,6 +10,7 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use crate::addr::Addr;
 // AddrMap (not Hash*): deterministic fixed-hash table with a lookup-only
@@ -184,19 +185,30 @@ impl EngineCore {
     }
 
     fn record_packet(&mut self, node: NodeId, kind: TraceKind, pkt: &Packet, detail: &str) {
+        self.trace_event(node, kind, Some(pkt), detail);
+    }
+
+    /// Records one trace event at the current time; `detail` is
+    /// formatted only when tracing is on.
+    fn trace_event(
+        &mut self,
+        node: NodeId,
+        kind: TraceKind,
+        pkt: Option<&Packet>,
+        detail: impl fmt::Display,
+    ) {
         if !self.trace.is_enabled() {
             return;
         }
-        let ev = TraceEvent {
+        self.trace.record(TraceEvent {
             time: self.time,
             node,
             kind,
-            src: Some(pkt.src),
-            dst: Some(pkt.dst),
-            protocol: Some(pkt.protocol),
+            src: pkt.map(|p| p.src),
+            dst: pkt.map(|p| p.dst),
+            protocol: pkt.map(|p| p.protocol),
             detail: detail.to_string(),
-        };
-        self.trace.record(ev);
+        });
     }
 
     /// The send path: routing, egress partition, link model (RNG),
@@ -407,22 +419,11 @@ impl Ctx<'_> {
         self.core.wheel.cancel(id.slot, id.id);
     }
 
-    /// Records a free-form annotation in the trace (no-op when tracing is
-    /// disabled).
-    pub fn trace_note(&mut self, detail: impl Into<String>) {
-        if !self.core.trace.is_enabled() {
-            return;
-        }
-        let ev = TraceEvent {
-            time: self.core.time,
-            node: self.node,
-            kind: TraceKind::Note,
-            src: None,
-            dst: None,
-            protocol: None,
-            detail: detail.into(),
-        };
-        self.core.trace.record(ev);
+    /// Records a free-form annotation in the trace; the arguments are
+    /// formatted only when tracing is on.
+    pub fn trace_note(&mut self, detail: fmt::Arguments<'_>) {
+        self.core
+            .trace_event(self.node, TraceKind::Note, None, detail);
     }
 
     /// Looks up which node currently owns an address (if any, and alive).
@@ -621,18 +622,7 @@ impl Engine {
     pub fn fail_node(&mut self, id: NodeId) {
         let meta = self.core.meta_mut(id.0);
         meta.alive = false;
-        if self.core.trace.is_enabled() {
-            let ev = TraceEvent {
-                time: self.core.time,
-                node: id,
-                kind: TraceKind::NodeFailed,
-                src: None,
-                dst: None,
-                protocol: None,
-                detail: String::new(),
-            };
-            self.core.trace.record(ev);
-        }
+        self.core.trace_event(id, TraceKind::NodeFailed, None, "");
     }
 
     /// Partitions a node from the network without killing it: packets to
@@ -645,24 +635,13 @@ impl Engine {
         let meta = self.core.meta_mut(id.0);
         meta.cut_in = cut_in;
         meta.cut_out = cut_out;
-        if self.core.trace.is_enabled() {
-            let detail = match (cut_in, cut_out) {
-                (true, true) => "partitioned",
-                (true, false) => "partitioned (ingress)",
-                (false, true) => "partitioned (egress)",
-                (false, false) => "healed",
-            };
-            let ev = TraceEvent {
-                time: self.core.time,
-                node: id,
-                kind: TraceKind::Note,
-                src: None,
-                dst: None,
-                protocol: None,
-                detail: detail.to_string(),
-            };
-            self.core.trace.record(ev);
-        }
+        let detail = match (cut_in, cut_out) {
+            (true, true) => "partitioned",
+            (true, false) => "partitioned (ingress)",
+            (false, true) => "partitioned (egress)",
+            (false, false) => "healed",
+        };
+        self.core.trace_event(id, TraceKind::Note, None, detail);
     }
 
     /// Fully partitions a node (both directions).
@@ -699,22 +678,16 @@ impl Engine {
             (true, false) => self.core.degraded_nodes -= 1,
             _ => {}
         }
-        if self.core.trace.is_enabled() {
-            let detail = if active {
-                format!("link degrade loss={loss:.2} jitter={jitter}")
-            } else {
-                "link degrade cleared".to_string()
-            };
-            let ev = TraceEvent {
-                time: self.core.time,
-                node: id,
-                kind: TraceKind::Note,
-                src: None,
-                dst: None,
-                protocol: None,
-                detail,
-            };
-            self.core.trace.record(ev);
+        if active {
+            self.core.trace_event(
+                id,
+                TraceKind::Note,
+                None,
+                format_args!("link degrade loss={loss:.2} jitter={jitter}"),
+            );
+        } else {
+            self.core
+                .trace_event(id, TraceKind::Note, None, "link degrade cleared");
         }
     }
 
@@ -732,18 +705,7 @@ impl Engine {
         meta.alive = true;
         meta.generation += 1;
         *self.slot(id) = Some(fresh);
-        if self.core.trace.is_enabled() {
-            let ev = TraceEvent {
-                time: self.core.time,
-                node: id,
-                kind: TraceKind::NodeRestored,
-                src: None,
-                dst: None,
-                protocol: None,
-                detail: String::new(),
-            };
-            self.core.trace.record(ev);
-        }
+        self.core.trace_event(id, TraceKind::NodeRestored, None, "");
         self.core.push(
             self.core.time,
             Box::new(move |eng: &mut Engine| {

@@ -16,33 +16,10 @@ use crate::packet::Packet;
 /// timer occupies, so cancellation is O(1): the wheel checks that the
 /// slot still holds this id (a recycled slot holds a newer one, a fired
 /// or cancelled timer's slot holds nothing of it) and unlinks the entry.
-/// Ordering and equality follow the globally unique `id` alone.
 #[derive(Debug, Clone, Copy)]
 pub struct TimerId {
     pub(crate) id: u64,
     pub(crate) slot: u32,
-}
-
-impl PartialEq for TimerId {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-impl Eq for TimerId {}
-impl PartialOrd for TimerId {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerId {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.id.cmp(&other.id)
-    }
-}
-impl std::hash::Hash for TimerId {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
-    }
 }
 
 /// Application-defined timer payload.
@@ -112,27 +89,6 @@ pub trait Node: Any + Send {
     /// Invoked when a timer armed via [`Ctx::set_timer`](crate::engine::Ctx::set_timer)
     /// fires. Cancelled timers and timers armed before a crash never fire.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken);
-
-    /// Upcasts to [`Any`] for scenario harnesses to read node-local stats.
-    fn as_any(&self) -> &dyn Any
-    where
-        Self: Sized,
-    {
-        self
-    }
-}
-
-/// Helper that downcasts a boxed node to a concrete type.
-///
-/// Used by scenario harnesses to read statistics out of nodes after (or
-/// during) a run.
-pub fn downcast_ref<T: Node>(node: &dyn Any) -> Option<&T> {
-    node.downcast_ref::<T>()
-}
-
-/// Mutable variant of [`downcast_ref`].
-pub fn downcast_mut<T: Node>(node: &mut dyn Any) -> Option<&mut T> {
-    node.downcast_mut::<T>()
 }
 
 #[cfg(test)]

@@ -173,7 +173,7 @@ fn gray_fault_seeds_keep_every_flow_alive() {
         if ran >= n {
             break;
         }
-        let plan = ChaosPlan::generate(seed, &sc.shape(), &sc.budget);
+        let plan = ChaosPlan::generate(seed, &sc.budget);
         if !plan.faults.iter().any(|f| is_gray(f.kind)) {
             continue;
         }
