@@ -149,7 +149,10 @@ pub struct YodaInstance {
     prober: Prober,
     dur: Durability,
     cpu: ServiceQueue,
-    flows: FlowTable<FlowKey, Flow>,
+    /// Live flows. Each is boxed: the table's buckets hold a key and a
+    /// pointer, so its capacity (which follows the peak) costs 24 bytes a
+    /// bucket rather than a whole flow.
+    flows: FlowTable<FlowKey, Box<Flow>>,
     /// (backend, vip-server-side) → client flow key.
     rflows: FlowTable<(Endpoint, Endpoint), FlowKey>,
     /// (src, dst) of packets awaiting a recovery lookup.
@@ -542,7 +545,7 @@ impl YodaInstance {
         let (env, cert_len) = (self.env(ctx.now()), self.cert_len(key.1));
         let out = &mut self.actions;
         let flow = Flow::open(key, cert_len, isn, &mut Io { env, delay, out });
-        self.flows.insert(key, flow);
+        self.flows.insert(key, Box::new(flow));
         self.apply(ctx, key);
     }
 

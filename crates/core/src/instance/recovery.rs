@@ -131,7 +131,7 @@ impl YodaInstance {
         };
         self.recoveries += 1;
         move_load(&mut self.select_ctx.loads, None, flow.load_backend());
-        self.flows.insert(key, flow);
+        self.flows.insert(key, Box::new(flow));
         self.apply(ctx, key);
         match from {
             Some(backend) => ctx.trace_note(format_args!(

@@ -157,7 +157,7 @@ impl OriginServer {
             );
         let service =
             SimTime::from_micros((base.as_micros() as f64 * self.speed_factor) as u64);
-        let done = self.cpu.submit(ctx.now(), service, conn.0);
+        let done = self.cpu.submit(ctx.now(), service, conn.serial());
         let delay = done.saturating_sub(ctx.now());
         let id = self.next_reply;
         self.next_reply += 1;

@@ -12,7 +12,6 @@
 
 use bytes::Bytes;
 use yoda_netsim::rng::{Distribution, Rng};
-use yoda_netsim::FlowTable;
 
 /// Identifies an object within a catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +72,7 @@ pub struct Site {
     pub pages: Vec<Page>,
 }
 
-/// A set of sites with path-indexed lookup.
+/// A set of sites, resolving request paths to objects.
 ///
 /// # Examples
 ///
@@ -88,7 +87,6 @@ pub struct Site {
 #[derive(Debug, Clone)]
 pub struct SiteCatalog {
     sites: Vec<Site>,
-    by_path: FlowTable<String, ObjectId>,
     /// `MAX_OBJECT_BYTES` of filler; every object's body is a prefix of it.
     filler: Bytes,
 }
@@ -119,7 +117,6 @@ impl SiteCatalog {
     pub fn generate(seed: u64, configs: &[SiteConfig]) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
         let mut sites = Vec::with_capacity(configs.len());
-        let mut by_path = FlowTable::new();
         // Log-normal with median 46 KB: exp(N(ln 46K, sigma)). sigma chosen
         // so the clipped tail reaches ~442 KB but most mass is 10-150 KB.
         let mu = (MEDIAN_OBJECT_BYTES as f64).ln();
@@ -135,7 +132,6 @@ impl SiteCatalog {
                     object: objects.len(),
                 };
                 let html_path = format!("/s{si}/page{pi}/index.html");
-                by_path.insert(html_path.clone(), html_id);
                 objects.push(Object {
                     path: html_path,
                     size: html_size,
@@ -157,7 +153,6 @@ impl SiteCatalog {
                         object: objects.len(),
                     };
                     let path = format!("/s{si}/page{pi}/obj{oi}.{ext}");
-                    by_path.insert(path.clone(), id);
                     objects.push(Object { path, size });
                     embedded.push(id);
                 }
@@ -174,7 +169,6 @@ impl SiteCatalog {
         }
         SiteCatalog {
             sites,
-            by_path,
             filler: Bytes::from(vec![b'x'; MAX_OBJECT_BYTES]),
         }
     }
@@ -209,11 +203,28 @@ impl SiteCatalog {
         s.pages.get(page % s.pages.len()).unwrap_or(&EMPTY_PAGE)
     }
 
-    /// Resolves a URL path to an object.
+    /// Resolves a URL path to an object. The path is parsed, not looked
+    /// up: `/s{site}/page{page}/index.html` names a page's HTML and
+    /// `/s{site}/page{page}/obj{k}.{ext}` its `k`-th embedded object, and
+    /// the answer stands only if that object's path is exactly `path` —
+    /// the one object, if any, whose path it is.
     pub fn lookup(&self, path: &str) -> Option<(ObjectId, &Object)> {
-        let id = *self.by_path.get(path)?;
-        let obj = self.sites.get(id.site)?.objects.get(id.object)?;
-        Some((id, obj))
+        let (site, rest) = path.strip_prefix("/s")?.split_once("/page")?;
+        let (page, leaf) = rest.split_once('/')?;
+        let page = self
+            .sites
+            .get(site.parse::<usize>().ok()?)?
+            .pages
+            .get(page.parse::<usize>().ok()?)?;
+        let id = match leaf {
+            "index.html" => page.html,
+            _ => {
+                let (k, _ext) = leaf.strip_prefix("obj")?.split_once('.')?;
+                *page.embedded.get(k.parse::<usize>().ok()?)?
+            }
+        };
+        let obj = self.object(id)?;
+        (obj.path == path).then_some((id, obj))
     }
 
     /// The URL path of an object; `""` for a dangling id.
@@ -329,6 +340,39 @@ mod tests {
         assert_eq!(id, page.html);
         assert_eq!(obj.path, html_path);
         assert!(c.lookup("/nonexistent").is_none());
+    }
+
+    #[test]
+    fn lookup_answers_exactly_the_generated_paths() {
+        let c = catalog();
+        for site in 0..c.num_sites() {
+            for (object, o) in c.site(site).objects.iter().enumerate() {
+                let (id, found) = c.lookup(&o.path).unwrap();
+                assert_eq!(
+                    (id, found.path.as_str()),
+                    (ObjectId { site, object }, o.path.as_str())
+                );
+            }
+        }
+        let html = c.path_of(c.page(0, 3).html).to_string();
+        let emb = c.path_of(c.page(0, 3).embedded[1]).to_string();
+        assert_eq!(emb, "/s0/page3/obj1.css");
+        for near in [
+            "/s0/page3/obj1.jpg",
+            "/s00/page3/obj1.css",
+            "/s0/page3/obj+1.css",
+            "/s0/page3/obj99.css",
+            "/s0/page300/index.html",
+            "/s2/page3/index.html",
+            "/s0/page3/index.htm",
+            "/s0/page3/index.html/",
+            "s0/page3/index.html",
+            "/s0/page3",
+            "",
+        ] {
+            assert!(c.lookup(near).is_none(), "{near}");
+        }
+        assert!(c.lookup(&html).is_some());
     }
 
     #[test]

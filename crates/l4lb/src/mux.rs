@@ -47,14 +47,20 @@ struct VipEntry {
     version: u64,
 }
 
-/// A learned flow-table entry: the owning instance plus the liveness
-/// bookkeeping the sweep needs to evict it again.
+/// A learned flow-table entry: the owning instance and the deadline past
+/// which the sweep may evict it — 16 bytes a flow.
+///
+/// FIN/RST starts draining and sets the deadline to the end of the
+/// linger; a fresh SYN on a reused 4-tuple stops draining; any other
+/// packet pushes the idle deadline out, but not while draining. A drain
+/// deadline (the last FIN/RST plus the linger) always comes before the
+/// idle one (the last packet plus the idle timeout), so one deadline
+/// serves both rules.
 #[derive(Debug, Clone, Copy)]
 struct FlowEntry {
     inst: Addr,
-    last_seen: SimTime,
-    /// Set once FIN/RST is observed; the sweep evicts past this deadline.
-    drain_at: Option<SimTime>,
+    draining: bool,
+    expires: SimTime,
 }
 
 impl FlowEntry {
@@ -62,20 +68,25 @@ impl FlowEntry {
     fn learned(inst: Addr, now: SimTime, flags: Option<Flags>) -> Self {
         let mut e = FlowEntry {
             inst,
-            last_seen: now,
-            drain_at: None,
+            draining: false,
+            expires: now + FLOW_IDLE_TIMEOUT,
         };
         e.touch(now, flags);
         e
     }
 
-    /// Refreshes the entry and tracks connection teardown: FIN/RST arms
-    /// the drain deadline, a fresh SYN on a reused 4-tuple clears it.
+    /// Refreshes the entry and tracks connection teardown.
     fn touch(&mut self, now: SimTime, flags: Option<Flags>) {
-        self.last_seen = now;
         match flags {
-            Some(f) if f.fin || f.rst => self.drain_at = Some(now + FLOW_DRAIN_LINGER),
-            Some(f) if f.syn => self.drain_at = None,
+            Some(f) if f.fin || f.rst => {
+                self.draining = true;
+                self.expires = now + FLOW_DRAIN_LINGER;
+            }
+            Some(f) if f.syn => {
+                self.draining = false;
+                self.expires = now + FLOW_IDLE_TIMEOUT;
+            }
+            _ if !self.draining => self.expires = now + FLOW_IDLE_TIMEOUT,
             _ => {}
         }
     }
@@ -308,10 +319,8 @@ impl Mux {
         });
         let mut dead: BTreeSet<FlowKey> = BTreeSet::new();
         self.flows.retain(|key, e| {
-            let drained = e.drain_at.is_some_and(|d| now >= d);
-            let idle = !active.contains(key)
-                && now.saturating_sub(e.last_seen) >= FLOW_IDLE_TIMEOUT;
-            if drained || idle {
+            // Drained, or idle with no splice traffic either.
+            if now >= e.expires && (e.draining || !active.contains(key)) {
                 dead.insert(*key);
                 return false;
             }
@@ -526,8 +535,8 @@ mod tests {
             key,
             FlowEntry {
                 inst: first,
-                last_seen: SimTime::ZERO,
-                drain_at: None,
+                draining: false,
+                expires: FLOW_IDLE_TIMEOUT,
             },
         );
         assert!(mux.vip_map(vip).unwrap().contains(&first));
@@ -820,6 +829,30 @@ mod tests {
     }
 
     #[test]
+    fn a_flow_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<FlowEntry>(), 16);
+    }
+
+    #[test]
+    fn teardown_drains_and_a_fresh_syn_revives() {
+        let inst = Addr::new(10, 0, 0, 1);
+        let at = SimTime::from_secs;
+        let mut e = FlowEntry::learned(inst, at(1), Some(Flags::SYN));
+        assert_eq!((e.draining, e.expires), (false, at(1) + FLOW_IDLE_TIMEOUT));
+        e.touch(at(2), Some(Flags::ACK));
+        assert_eq!(e.expires, at(2) + FLOW_IDLE_TIMEOUT);
+        e.touch(at(3), Some(Flags::FIN_ACK));
+        assert_eq!((e.draining, e.expires), (true, at(3) + FLOW_DRAIN_LINGER));
+        // A retransmitted ACK does not stretch the linger; a second FIN does.
+        e.touch(at(4), Some(Flags::ACK));
+        assert_eq!(e.expires, at(3) + FLOW_DRAIN_LINGER);
+        e.touch(at(5), Some(Flags::FIN_ACK));
+        assert_eq!(e.expires, at(5) + FLOW_DRAIN_LINGER);
+        e.touch(at(6), Some(Flags::SYN));
+        assert_eq!((e.draining, e.expires), (false, at(6) + FLOW_IDLE_TIMEOUT));
+    }
+
+    #[test]
     fn sweep_survivors_do_not_depend_on_insertion_order() {
         // Same flows and splices, learned in opposite orders (so the two
         // tables are laid out differently), swept at the same instant:
@@ -835,15 +868,15 @@ mod tests {
         let build = |order: &mut dyn Iterator<Item = u16>| {
             let mut mux = Mux::new(Addr::new(10, 0, 2, 1));
             for i in order {
-                let (last_seen, drain_at) = match i % 3 {
-                    0 => (now, Some(SimTime::from_secs(1))),
-                    1 => (SimTime::from_secs(50), None),
-                    _ => (now, None),
+                let (draining, expires) = match i % 3 {
+                    0 => (true, SimTime::from_secs(1)),
+                    1 => (false, SimTime::from_secs(50) + FLOW_IDLE_TIMEOUT),
+                    _ => (false, now + FLOW_IDLE_TIMEOUT),
                 };
                 let entry = FlowEntry {
                     inst: Addr::new(10, 0, 0, 1),
-                    last_seen,
-                    drain_at,
+                    draining,
+                    expires,
                 };
                 mux.flows.insert(canonical_flow(client(i), vip), entry);
                 if i % 50 == 1 || i % 50 == 2 {

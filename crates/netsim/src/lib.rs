@@ -47,6 +47,7 @@ pub mod node;
 pub mod packet;
 pub mod rng;
 pub mod service;
+pub mod slab;
 pub mod stats;
 pub mod time;
 pub mod topology;
@@ -63,6 +64,7 @@ pub use packet::{
     PROTO_TCP,
 };
 pub use service::ServiceQueue;
+pub use slab::{Slab, SlabKey};
 pub use stats::Histogram;
 pub use time::SimTime;
 pub use topology::{LinkSpec, OverrideId, Topology, Zone};

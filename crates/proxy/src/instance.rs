@@ -100,7 +100,7 @@ impl ProxyInstance {
     }
 
     fn charge(&mut self, now: SimTime, conn: ConnId, extra: SimTime) {
-        self.cpu.submit(now, PER_PKT_CPU + extra, conn.0);
+        self.cpu.submit(now, PER_PKT_CPU + extra, conn.serial());
     }
 
     fn session_of_client(&mut self, conn: ConnId, vip: Endpoint) -> usize {

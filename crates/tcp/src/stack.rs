@@ -6,7 +6,7 @@
 //! timer (re)arming against the simulator clock, and ISN generation.
 
 use bytes::Bytes;
-use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, TimerId, TimerToken};
+use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, Slab, SlabKey, TimerId, TimerToken};
 
 use crate::segment::{Flags, Segment};
 use crate::seq::SeqNum;
@@ -16,9 +16,19 @@ use crate::socket::{SocketState, TcpSocket};
 /// this kind to [`TcpStack::on_timer`].
 pub const TCP_TIMER_KIND: u32 = 0x7C9;
 
-/// Handle to a connection within a stack.
+/// Handle to a connection within a stack: its slot in the stack's socket
+/// slab and its open serial. Handles order by serial, i.e. by open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ConnId(pub u64);
+pub struct ConnId(SlabKey);
+
+impl ConnId {
+    /// How many connections the stack had opened, this one included: 1
+    /// for its first. Stable whatever slot the connection occupies, so it
+    /// is what a simulated resource keyed by connection hashes.
+    pub fn serial(self) -> u64 {
+        u64::from(self.0.serial())
+    }
+}
 
 /// What happened on a connection during packet/timer processing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +109,8 @@ struct ConnSlot {
 /// proxy that lost its state — paper §7.2's HAProxy failure mode).
 pub struct TcpStack {
     rst_unknown: bool,
-    conns: FlowTable<ConnId, ConnSlot>,
+    /// Every socket, indexed by its [`ConnId`].
+    conns: Slab<ConnSlot>,
     /// (remote, local) → connection, for every non-terminal connection.
     by_flow: FlowTable<(Endpoint, Endpoint), ConnId>,
     /// Terminal connections the last `on_packet`/`on_timer` reported: dropped
@@ -110,7 +121,6 @@ pub struct TcpStack {
     /// the packets themselves.
     out: Vec<Segment>,
     listeners: Vec<Endpoint>,
-    next_id: u64,
     next_ephemeral: u16,
 }
 
@@ -125,12 +135,11 @@ impl TcpStack {
     pub fn new() -> Self {
         TcpStack {
             rst_unknown: true,
-            conns: FlowTable::new(),
+            conns: Slab::new(),
             by_flow: FlowTable::new(),
             reported_dead: Vec::new(),
             out: Vec::new(),
             listeners: Vec::new(),
-            next_id: 1,
             next_ephemeral: 33000,
         }
     }
@@ -185,17 +194,18 @@ impl TcpStack {
     }
 
     /// Registers a fresh socket under `flow` and arms its first timer.
+    /// The slab counts inserts, and the stack inserts once per open, so
+    /// the key's serial is the open count.
     fn open(&mut self, ctx: &mut Ctx<'_>, flow: (Endpoint, Endpoint), sock: TcpSocket) -> ConnId {
-        let id = ConnId(self.next_id);
-        self.next_id += 1;
-        let reported = sock.state();
-        let slot = self.conns.get_or_insert_with(id, || ConnSlot {
+        let id = ConnId(self.conns.insert(ConnSlot {
+            reported: sock.state(),
             sock,
-            reported,
             reported_peer_closed: false,
             armed: None,
-        });
-        rearm(ctx, id, slot);
+        }));
+        if let Some(slot) = self.conns.get_mut(id.0) {
+            rearm(ctx, id, slot);
+        }
         self.by_flow.insert(flow, id);
         id
     }
@@ -213,7 +223,7 @@ impl TcpStack {
         chunks: impl IntoIterator<Item = Bytes>,
     ) {
         let now = ctx.now();
-        if let Some(slot) = self.conns.get_mut(&id) {
+        if let Some(slot) = self.conns.get_mut(id.0) {
             slot.sock.send_vectored(chunks, now, &mut self.out);
             transmit(ctx, &slot.sock, &mut self.out);
             rearm(ctx, id, slot);
@@ -224,7 +234,7 @@ impl TcpStack {
     /// the segments it arrived in (see [`TcpSocket::take_data`]: a caller
     /// that clears and keeps one vector makes this allocate nothing).
     pub fn recv(&mut self, id: ConnId, into: &mut Vec<Bytes>) {
-        if let Some(slot) = self.conns.get_mut(&id) {
+        if let Some(slot) = self.conns.get_mut(id.0) {
             slot.sock.take_data(into);
         }
     }
@@ -232,7 +242,7 @@ impl TcpStack {
     /// Closes the send side of a connection.
     pub fn close(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
         let now = ctx.now();
-        if let Some(slot) = self.conns.get_mut(&id) {
+        if let Some(slot) = self.conns.get_mut(id.0) {
             slot.sock.close(now, &mut self.out);
             transmit(ctx, &slot.sock, &mut self.out);
             rearm(ctx, id, slot);
@@ -241,7 +251,7 @@ impl TcpStack {
 
     /// Aborts a connection with a RST.
     pub fn abort(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
-        if let Some(slot) = self.conns.get_mut(&id) {
+        if let Some(slot) = self.conns.get_mut(id.0) {
             let rst = slot.sock.abort();
             ctx.send(rst.into_packet(slot.sock.local(), slot.sock.remote()));
         }
@@ -249,7 +259,7 @@ impl TcpStack {
 
     /// Immutable access to a connection's socket.
     pub fn socket(&self, id: ConnId) -> Option<&TcpSocket> {
-        self.conns.get(&id).map(|s| &s.sock)
+        self.conns.get(id.0).map(|s| &s.sock)
     }
 
     /// Handles a TCP packet addressed to this node. Returns lifecycle/data
@@ -296,7 +306,8 @@ impl TcpStack {
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> TcpEvents {
         debug_assert_eq!(token.kind, TCP_TIMER_KIND);
         self.drop_reported_dead();
-        self.drive(ctx, ConnId(token.a), |slot, now, out| {
+        let id = ConnId(SlabKey::from_bits(token.a));
+        self.drive(ctx, id, |slot, now, out| {
             match slot.armed {
                 Some((d, _)) if d <= now => {
                     slot.armed = None;
@@ -323,7 +334,7 @@ impl TcpStack {
         input: impl FnOnce(&mut ConnSlot, SimTime, &mut Vec<Segment>) -> bool,
     ) -> TcpEvents {
         let mut events = TcpEvents::default();
-        let Some(slot) = self.conns.get_mut(&id) else {
+        let Some(slot) = self.conns.get_mut(id.0) else {
             return events;
         };
         if !input(slot, ctx.now(), &mut self.out) {
@@ -350,7 +361,7 @@ impl TcpStack {
     /// stack call (their timers were cancelled at that report).
     fn drop_reported_dead(&mut self) {
         for id in self.reported_dead.drain(..) {
-            self.conns.remove(&id);
+            self.conns.remove(id.0);
         }
     }
 }
@@ -391,7 +402,8 @@ fn rearm(ctx: &mut Ctx<'_>, id: ConnId, slot: &mut ConnSlot) {
         None => {}
     }
     let delay = deadline.saturating_sub(ctx.now());
-    let timer = ctx.set_timer(delay, TimerToken::new(TCP_TIMER_KIND).with_a(id.0));
+    let token = TimerToken::new(TCP_TIMER_KIND).with_a(id.0.to_bits());
+    let timer = ctx.set_timer(delay, token);
     slot.armed = Some((deadline, timer));
 }
 
@@ -860,8 +872,9 @@ mod tests {
 
     #[test]
     fn event_conn_accessor() {
-        let ev = TcpEvent::Connected(ConnId(9));
-        assert_eq!(ev.conn(), ConnId(9));
+        let id = ConnId(Slab::new().insert(()));
+        let ev = TcpEvent::Connected(id);
+        assert_eq!((ev.conn(), id.serial()), (id, 1));
         let _: &dyn Any = &ev;
     }
 }

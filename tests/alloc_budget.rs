@@ -14,7 +14,15 @@
 //!   most one allocation, a live-backend list, on a split, a least-loaded
 //!   and a sticky-hit rule.
 //!
-//! The counter is a thread-local, so the tests of this binary, which
+//! The allocator also keeps the bytes this thread holds, which pins what
+//! per-connection and set-up state costs to keep:
+//!
+//! * a connection held open by a `TcpStack` pair costs its two sockets in
+//!   the stacks' slabs, its two flow-index entries and little more;
+//! * the website catalog in the benchmark's shape holds its objects, its
+//!   pages and the shared filler body, and no path index.
+//!
+//! The counters are thread-locals, so the tests of this binary, which
 //! `cargo test` runs on parallel threads, never see each other's
 //! allocations. Every measured step runs after a warm-up, once tables,
 //! the timer wheel's slab and reused buffers have reached their size.
@@ -24,7 +32,8 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use yoda::core::rules::{RuleTable, SelectCtx};
-use yoda::http::HttpRequest;
+use yoda::http::site::MAX_OBJECT_BYTES;
+use yoda::http::{HttpRequest, SiteCatalog, SiteConfig};
 use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
 use yoda::netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, Rng, SimTime, TimerToken, Topology, Zone,
@@ -38,36 +47,45 @@ use yoda::tcpstore::{
 thread_local! {
     /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) this thread made.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation call that changes the thread's holding by `delta`.
+fn count(delta: i64) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|b| b.set(b.get() + delta));
 }
 
 struct Counting;
 
 // SAFETY: every method hands its arguments unchanged to `System`, so each
-// upholds `GlobalAlloc`'s contract exactly as `System` does. The count is a
-// const-initialised thread-local `Cell` without a destructor: bumping it
+// upholds `GlobalAlloc`'s contract exactly as `System` does. The counts are
+// const-initialised thread-local `Cell`s without a destructor: bumping them
 // allocates nothing and cannot re-enter the allocator, and `try_with`
-// skips it once the thread is tearing down.
+// skips them once the thread is tearing down.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size() as i64);
         // SAFETY: the caller's `layout` contract is passed on unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`; the caller's contract is passed on unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|b| b.set(b.get() - layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -81,6 +99,14 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Runs `f`; returns the bytes this thread holds after it minus before
+/// it (what `f` built and kept), and its value.
+fn bytes_held<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (LIVE.with(Cell::get) - before, out)
 }
 
 /// Runs `f` on `eng`; returns its allocations and the packets it sent.
@@ -216,13 +242,19 @@ struct Peer {
     rx: Vec<Bytes>,
     hold: bool,
     received: usize,
+    /// Connections whose handshake completed here.
+    established: usize,
 }
 
 impl Peer {
     fn handle(&mut self, events: impl IntoIterator<Item = TcpEvent>) {
         for ev in events {
             match ev {
-                TcpEvent::Incoming(id, _) | TcpEvent::Connected(id) => self.conn = Some(id),
+                TcpEvent::Incoming(id, _) => self.conn = Some(id),
+                TcpEvent::Connected(id) => {
+                    self.conn = Some(id);
+                    self.established += 1;
+                }
                 TcpEvent::Data(id) if !self.hold => {
                     self.stack.recv(id, &mut self.rx);
                     self.received += self.rx.iter().map(Bytes::len).sum::<usize>();
@@ -252,6 +284,7 @@ fn peer() -> Box<Peer> {
         rx: Vec::new(),
         hold: false,
         received: 0,
+        established: 0,
     })
 }
 
@@ -347,6 +380,89 @@ fn a_stack_read_of_pending_segments_allocates_nothing() {
     p.stack.recv(conn, &mut rx);
     assert_eq!(rx.len(), 9);
     assert_eq!(rx.concat(), [&data[..], &data[..1460]].concat());
+}
+
+/// Connections a pair of peers opens in one go.
+const HELD: usize = 2_000;
+
+/// Adds a client and a listening server peer on the `n`-th address pair;
+/// returns the client, the server, the client's address and the server's
+/// listening endpoint.
+fn peers(eng: &mut Engine, n: u8) -> (NodeId, NodeId, Addr, Endpoint) {
+    let server_ep = Endpoint::new(Addr::new(10, 1, n, 1), 80);
+    let server = eng.add_node("server", server_ep.addr, Zone::Dc, peer());
+    eng.node_mut::<Peer>(server).stack.listen(server_ep);
+    let client_addr = Addr::new(10, 2, n, 1);
+    let client = eng.add_node("client", client_addr, Zone::Dc, peer());
+    (client, server, client_addr, server_ep)
+}
+
+/// Opens `HELD` connections from `client` (at `addr`) to `server_ep` and
+/// runs until every handshake is done and every handshake timer fired.
+fn open_held(eng: &mut Engine, (client, _, addr, server_ep): (NodeId, NodeId, Addr, Endpoint)) {
+    eng.with_node_ctx::<Peer>(client, |p, ctx| {
+        for _ in 0..HELD {
+            let local = Endpoint::new(addr, p.stack.ephemeral_port());
+            p.stack.connect(ctx, local, server_ep);
+        }
+    });
+    eng.run_for(SimTime::from_secs(4));
+}
+
+#[test]
+fn a_held_connection_costs_its_two_sockets_and_little_more() {
+    let mut eng = Engine::with_topology(23, Topology::uniform(SimTime::from_micros(200)));
+    let warm = peers(&mut eng, 0);
+    let pair = peers(&mut eng, 1);
+    // Warm-up on another pair: the engine's wheel and packet buffers
+    // reach the size `HELD` handshakes need, so what is measured below
+    // is what the measured pair's stacks keep.
+    open_held(&mut eng, warm);
+    let (held, ()) = bytes_held(|| open_held(&mut eng, pair));
+    for node in [warm.0, warm.1, pair.0, pair.1] {
+        assert_eq!(eng.node_ref::<Peer>(node).established, HELD);
+    }
+    assert_eq!(eng.timer_backlog(), 0, "idle connections time nothing");
+    // About 800 bytes: both sockets (a `TcpSocket` and its stack
+    // bookkeeping, 344 bytes in a page of its stack's slab) and both
+    // flow-index entries. Sockets held in the buckets of a hash table
+    // sized to its peak cost about 1,500.
+    let per_conn = held / HELD as i64;
+    assert!(per_conn <= 1_000, "{per_conn} bytes held per connection");
+}
+
+// ----------------------------------------------------------------------
+// Set-up state
+// ----------------------------------------------------------------------
+
+#[test]
+fn the_benchmark_catalog_holds_its_objects_and_no_path_index() {
+    // The benchmark's shape: four services of 240 pages, 4–12 embedded
+    // objects a page.
+    let cfgs: Vec<SiteConfig> = (0..4)
+        .map(|s| SiteConfig {
+            pages: 240,
+            embedded_per_page: (4, 12),
+            host: format!("service{s}.test"),
+        })
+        .collect();
+    let (held, catalog) = bytes_held(|| SiteCatalog::generate(42, &cfgs));
+    let objects = catalog.total_objects();
+    assert!((8_000..10_000).contains(&objects), "{objects} objects");
+    // The 442 KB filler body, then about 106 bytes an object: its
+    // 32-byte `Object` (path and size) in a vector up to twice the size
+    // it needs, its path's bytes and its 16-byte id in a page. A path
+    // index adds about 100 more.
+    let budget = MAX_OBJECT_BYTES as i64 + 128 * objects as i64;
+    assert!(
+        held <= budget,
+        "catalog holds {held} bytes, budget {budget}"
+    );
+    let (path, page) = (
+        catalog.path_of(catalog.page(3, 239).html),
+        catalog.page(3, 239),
+    );
+    assert_eq!(catalog.lookup(path).map(|(id, _)| id), Some(page.html));
 }
 
 // ----------------------------------------------------------------------

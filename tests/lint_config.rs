@@ -69,6 +69,14 @@ fn lint_configuration_holds() {
         let denied = lints.contains(&line.as_str());
         assert!(denied, "[workspace.lints] lacks `{line}`");
     }
+    // Tests keep `dev`'s debug assertions and overflow checks, however
+    // optimised (`tests_keep_debug_assertions_and_overflow_checks`).
+    for header in ["[profile.dev]", "[profile.test]"] {
+        for line in table(&root, header) {
+            let off = line.starts_with("debug-assertions") || line.starts_with("overflow-checks");
+            assert!(!off, "{header} sets `{line}`");
+        }
+    }
     for m in find("crates", "Cargo.toml") {
         if !m.starts_with("crates/bench/") {
             assert_eq!(table(&read(&m), "[lints]"), ["workspace = true"], "{m}");
@@ -87,4 +95,19 @@ fn lint_configuration_holds() {
         let registry = read(lock).lines().any(|l| l.starts_with("source ="));
         assert!(!registry, "{lock} names a registry source");
     }
+}
+
+/// The root manifest optimises the test profile, which inherits the dev
+/// profile's debug assertions and overflow checks; a later profile edit
+/// must not drop either silently (`lint_configuration_holds` also rejects
+/// a manifest that turns either off). `cargo test --release` builds tests
+/// with the release profile, which has neither, so there this is skipped.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "release-profile test build")]
+fn tests_keep_debug_assertions_and_overflow_checks() {
+    let debug = std::hint::black_box(cfg!(debug_assertions));
+    assert!(debug, "tests built without debug assertions");
+    let max = std::hint::black_box(u32::MAX);
+    let wrapped = std::panic::catch_unwind(|| max + 1).is_ok();
+    assert!(!wrapped, "a u32 overflow wrapped: overflow checks are off");
 }

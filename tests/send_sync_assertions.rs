@@ -18,7 +18,7 @@ use yoda::http::{BrowserClient, OriginServer, RateClient};
 use yoda::l4lb::{EdgeRouter, Mux};
 use yoda::netsim::addrmap::AddrMap;
 use yoda::netsim::wheel::TimerWheel;
-use yoda::netsim::{Endpoint, Engine, FlowTable, Node, TraceEvent, TraceSink};
+use yoda::netsim::{Endpoint, Engine, FlowTable, Node, Slab, TraceEvent, TraceSink};
 use yoda::proxy::ProxyInstance;
 use yoda::tcpstore::StoreServer;
 
@@ -78,4 +78,13 @@ fn per_node_state_types_are_send() {
 fn flow_tables_are_send() {
     assert_send::<FlowTable<(Endpoint, Endpoint), u64>>();
     assert_send::<FlowTable<u64, Box<dyn Node>>>();
+}
+
+/// The slab a stack keeps its sockets in holds plain values in plain
+/// vectors: `Send` and `Sync` exactly when its values are.
+#[test]
+fn slabs_are_send_and_sync() {
+    assert_send::<Slab<Box<dyn Node>>>();
+    assert_send::<Slab<u64>>();
+    assert_sync::<Slab<u64>>();
 }
