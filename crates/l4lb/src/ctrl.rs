@@ -210,7 +210,12 @@ impl CtrlMsg {
 
     /// Wraps the message in a control packet from `src` to node `dst`.
     pub fn into_packet(self, src: Endpoint, dst: Addr) -> Packet {
-        Packet::new(src, Endpoint::new(dst, CTRL_PORT), PROTO_CTRL, self.encode())
+        Packet::new(
+            src,
+            Endpoint::new(dst, CTRL_PORT),
+            PROTO_CTRL,
+            self.encode(),
+        )
     }
 }
 

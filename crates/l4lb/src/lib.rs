@@ -185,13 +185,24 @@ mod tests {
                     Addr::new(172, 16 + (i % 3) as u8, (i >> 8) as u8, i as u8),
                     33_000 + rng.gen_range(0..2_000u32) as u16,
                 );
-                (client, Endpoint::new(Addr::new(100, 0, 0, 1 + (i % 2) as u8), 80))
+                (
+                    client,
+                    Endpoint::new(Addr::new(100, 0, 0, 1 + (i % 2) as u8), 80),
+                )
             })
             .collect();
         let pool = |n: u8| -> Vec<Addr> { (1..=n).map(|i| Addr::new(10, 0, 2, i)).collect() };
         let mut steering = Steering::new(pool(10));
         // Grow, shrink, empty, the same list again, a reordered list.
-        let mut lists = vec![pool(10), pool(10), pool(9), pool(1), Vec::new(), pool(3), pool(3)];
+        let mut lists = vec![
+            pool(10),
+            pool(10),
+            pool(9),
+            pool(1),
+            Vec::new(),
+            pool(3),
+            pool(3),
+        ];
         lists.extend((0..14).map(|_| pool(rng.gen_range(0..=12u32) as u8)));
         lists.push(pool(10).into_iter().rev().collect());
         assert!(lists.len() > 20);
@@ -201,7 +212,11 @@ mod tests {
             for round in 0..2 {
                 for &(a, b) in &flows {
                     // Alternate directions between and within rounds.
-                    let (x, y) = if (a.port as usize + round).is_multiple_of(2) { (a, b) } else { (b, a) };
+                    let (x, y) = if (a.port as usize + round).is_multiple_of(2) {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
                     assert_eq!(steering.pick(x, y), rendezvous_pick(x, y, &list));
                 }
             }

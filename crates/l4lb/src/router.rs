@@ -137,13 +137,24 @@ mod tests {
         eng.add_addr(router, vip);
         let sink_ids: Vec<_> = mux_addrs
             .iter()
-            .map(|&m| eng.add_node(format!("mux-{m}"), m, Zone::Dc, Box::new(Sink { received: vec![] })))
+            .map(|&m| {
+                eng.add_node(
+                    format!("mux-{m}"),
+                    m,
+                    Zone::Dc,
+                    Box::new(Sink { received: vec![] }),
+                )
+            })
             .collect();
         eng.add_node(
             "blast",
             Addr::new(172, 16, 0, 1),
             Zone::Dc,
-            Box::new(Blast { vip, count: 300, waves: 1 }),
+            Box::new(Blast {
+                vip,
+                count: 300,
+                waves: 1,
+            }),
         );
         eng.run_for(SimTime::from_millis(10));
         let counts: Vec<usize> = sink_ids
@@ -181,16 +192,32 @@ mod tests {
         eng.add_addr(router, vip);
         let sinks: Vec<_> = all
             .iter()
-            .map(|&m| eng.add_node(format!("mux-{m}"), m, Zone::Dc, Box::new(Sink { received: vec![] })))
+            .map(|&m| {
+                eng.add_node(
+                    format!("mux-{m}"),
+                    m,
+                    Zone::Dc,
+                    Box::new(Sink { received: vec![] }),
+                )
+            })
             .collect();
         eng.add_node(
             "blast",
             Addr::new(172, 16, 0, 1),
             Zone::Dc,
-            Box::new(Blast { vip, count: 2_000, waves: 4 }),
+            Box::new(Blast {
+                vip,
+                count: 2_000,
+                waves: 4,
+            }),
         );
-        let ctrl = CtrlMsg::SetMuxes { muxes: kept.clone() }
-            .into_packet(Endpoint::new(Addr::new(10, 0, 0, 1), crate::CTRL_PORT), router_addr);
+        let ctrl = CtrlMsg::SetMuxes {
+            muxes: kept.clone(),
+        }
+        .into_packet(
+            Endpoint::new(Addr::new(10, 0, 0, 1), crate::CTRL_PORT),
+            router_addr,
+        );
         eng.schedule(SimTime::from_micros(1_500), move |eng| {
             eng.with_node_ctx::<EdgeRouter>(router, |r, ctx| r.on_packet(ctx, ctrl));
         });
@@ -201,18 +228,39 @@ mod tests {
         let mut want = vec![0usize; all.len()];
         let (mut moved, mut stayed) = (0, 0);
         for i in 0..2_000u16 {
-            let (a, b) = (Endpoint::new(Addr::new(172, 16, 0, 1), 1000 + i), Endpoint::new(vip, 80));
+            let (a, b) = (
+                Endpoint::new(Addr::new(172, 16, 0, 1), 1000 + i),
+                Endpoint::new(vip, 80),
+            );
             let before = rendezvous_pick(a, b, &all).unwrap();
             let after = rendezvous_pick(a, b, &kept).unwrap();
-            assert_eq!(before == removed, before != after, "only the removed mux's flows move");
-            if before == removed { moved += 1 } else { stayed += 1 }
+            assert_eq!(
+                before == removed,
+                before != after,
+                "only the removed mux's flows move"
+            );
+            if before == removed {
+                moved += 1
+            } else {
+                stayed += 1
+            }
             want[all.iter().position(|&m| m == before).unwrap()] += 2;
             want[all.iter().position(|&m| m == after).unwrap()] += 2;
         }
-        assert!(moved > 100 && stayed > 1_500, "{moved} moved, {stayed} stayed");
-        let got: Vec<usize> = sinks.iter().map(|&s| eng.node_ref::<Sink>(s).received.len()).collect();
+        assert!(
+            moved > 100 && stayed > 1_500,
+            "{moved} moved, {stayed} stayed"
+        );
+        let got: Vec<usize> = sinks
+            .iter()
+            .map(|&s| eng.node_ref::<Sink>(s).received.len())
+            .collect();
         assert_eq!(got, want);
-        assert_eq!(got[4], 2 * moved, "nothing reaches the removed mux after SetMuxes");
+        assert_eq!(
+            got[4],
+            2 * moved,
+            "nothing reaches the removed mux after SetMuxes"
+        );
     }
 
     #[test]
@@ -242,7 +290,11 @@ mod tests {
             "blast",
             Addr::new(172, 16, 0, 1),
             Zone::Dc,
-            Box::new(Blast { vip, count: 5, waves: 1 }),
+            Box::new(Blast {
+                vip,
+                count: 5,
+                waves: 1,
+            }),
         );
         eng.run_for(SimTime::from_millis(10));
         assert_eq!(eng.node_ref::<EdgeRouter>(router).dropped, 5);

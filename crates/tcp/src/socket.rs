@@ -244,7 +244,11 @@ impl TcpSocket {
             src_port: self.local.port,
             dst_port: self.remote.port,
             seq,
-            ack: if flags.ack { self.rcv_nxt } else { SeqNum::new(0) },
+            ack: if flags.ack {
+                self.rcv_nxt
+            } else {
+                SeqNum::new(0)
+            },
             flags,
             window: RECV_WINDOW,
             payload,
