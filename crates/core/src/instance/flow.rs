@@ -259,16 +259,6 @@ impl Io<'_> {
     }
 }
 
-/// What an SSL VIP adds to each leg (§5.2): the certificate bytes exist
-/// only on the server→client leg, the ClientHello bytes only on the
-/// other. Both are 0 for plain-HTTP VIPs.
-fn ssl_shifts(cert_len: Option<u32>) -> (u32, u32) {
-    match cert_len {
-        Some(cert) if cert > 0 => (cert, SSL_HELLO.len() as u32),
-        _ => (0, 0),
-    }
-}
-
 /// `data` in MSS-sized chunks, each with its sequence number from `base`.
 fn chunked(data: &Bytes, base: SeqNum) -> impl Iterator<Item = (SeqNum, Bytes)> + '_ {
     (0..data.len()).step_by(MSS).map(move |offset| {
@@ -408,9 +398,7 @@ impl Flow {
     pub(crate) fn recover(rec: FlowRecord, cert_len: Option<u32>, io: &mut Io) -> Flow {
         let (client, vip) = (rec.client, rec.vip);
         let ends = Ends { client, vip };
-        let (cert, hello) = ssl_shifts(cert_len);
-        let delta = (ends.yoda_isn() + cert).offset_from(rec.server_isn);
-        let mut tunnel = Tunnel::new(rec.backend, delta, hello);
+        let mut tunnel = Tunnel::new(ends, rec, cert_len.unwrap_or(0));
         io.out.push(Action::Map(rec.backend));
         tunnel.install_splices(ends, io);
         let phase = Phase::Tunneling(tunnel);
@@ -644,11 +632,8 @@ impl Flow {
             return;
         };
         let (record, header) = (s.record, std::mem::take(&mut s.header));
-        // SSL VIPs: the client leg additionally carries the hello and the
-        // certificate, shifting both constants.
-        let (cert, hello) = ssl_shifts(self.cert_len);
-        let delta = (e.yoda_isn() + cert).offset_from(record.server_isn);
-        let mut t = Tunnel::new(record.backend, delta, hello);
+        let cert = self.cert_len.unwrap_or(0);
+        let mut t = Tunnel::new(e, record, cert);
         let isn_of = |b| s.racer_isns.iter().find(|(r, _)| *r == b).map(|(_, i)| *i);
         t.racing = s.racing.iter().map(|&b| (b, isn_of(b))).collect();
         let is_racing = !t.racing.is_empty();
@@ -657,10 +642,8 @@ impl Flow {
         // hello offset would skew the spliced sequence spaces on a
         // switch).
         t.inspect_enabled = !is_racing && cert == 0;
-        t.inspect_next = record.client_isn + 1 + hello + header.len() as u32;
-        t.client_next = e.yoda_isn() + 1 + cert;
+        t.inspect_next += header.len() as u32;
         t.race_request = is_racing.then(|| header.clone());
-        t.race_client_isn = record.client_isn;
         // ACK the backend's SYN-ACK and forward the buffered HTTP request
         // in client sequence space; racers whose handshakes already
         // completed get it now too (the rest when their SYN-ACK lands).

@@ -8,9 +8,10 @@ use bytes::{Bytes, BytesMut};
 use yoda_http::{parse_request, HttpRequest};
 use yoda_l4lb::CtrlMsg as MuxCtrl;
 use yoda_netsim::{Endpoint, SimTime};
-use yoda_tcp::{Segment, SeqNum};
+use yoda_tcp::{Segment, SeqNum, Translation};
 
 use super::flow::{Action, Counter, Ends, Io, Resume, Step};
+use super::SSL_HELLO;
 use crate::flowstate::FlowRecord;
 
 /// How long a fully-closed flow's local entry lingers to forward final
@@ -26,12 +27,13 @@ const SPLICE_REINSTALL: SimTime = SimTime::from_millis(10);
 #[derive(Debug)]
 pub(super) struct Tunnel {
     pub backend: Endpoint,
-    /// `(Y + cert_len) − S`: added to server sequence numbers, subtracted
-    /// from client ack numbers (cert_len is 0 for plain-HTTP VIPs).
+    /// Server→client sequence-space offset: added to the backend's
+    /// sequence numbers, subtracted from the client's ack numbers.
     delta: u32,
-    /// Client→server sequence-space offset (−hello_len for SSL VIPs, 0
-    /// otherwise): the ClientHello bytes exist only on the client leg.
-    c2s_off: u32,
+    /// Certificate length of an SSL VIP (§5.2), 0 for plain HTTP: the
+    /// certificate bytes exist only on the server→client leg, and the
+    /// ClientHello bytes only on the other.
+    cert: u32,
     client_fin: bool,
     server_fin: bool,
     /// Set once both FINs passed; entry is dropped after the linger.
@@ -81,27 +83,33 @@ enum Dir {
 }
 
 impl Tunnel {
-    /// A bare tunnel, as recovery rebuilds it: no inspection (the stream
-    /// position is unknown), no race, nothing spliced yet.
-    pub(super) fn new(backend: Endpoint, delta: u32, hello: u32) -> Self {
-        Tunnel {
-            backend,
-            delta,
-            c2s_off: hello.wrapping_neg(),
+    /// The tunnel a stored record describes, as storage-b commits it and
+    /// recovery rebuilds it: the backend's stream continues the client's
+    /// right after the SYN-ACK and the certificate, so
+    /// `delta = (Y + cert) − server_isn`, and [`Self::record`] is the
+    /// inverse. No inspection (the stream position is unknown), no race,
+    /// nothing spliced yet.
+    pub(super) fn new(e: Ends, rec: FlowRecord, cert: u32) -> Self {
+        let mut t = Tunnel {
+            backend: rec.backend,
+            delta: 0,
+            cert,
             client_fin: false,
             server_fin: false,
             drain_deadline: None,
             inspect_enabled: false,
-            inspect_next: SeqNum::new(0),
+            inspect_next: rec.client_isn + 1 + hello_len(cert),
             inspect_buf: BytesMut::new(),
-            client_next: SeqNum::new(0),
+            client_next: Tunnel::start(e, cert),
             switching: None,
             racing: Vec::new(),
             race_request: None,
-            race_client_isn: SeqNum::new(0),
+            race_client_isn: rec.client_isn,
             spliced: false,
             splice_sent_at: SimTime::ZERO,
-        }
+        };
+        t.rehome(rec.backend, rec.server_isn);
+        t
     }
 
     pub(super) fn on_client(&mut self, e: Ends, seg: Segment, io: &mut Io) -> Step {
@@ -183,11 +191,53 @@ impl Tunnel {
     // Translation (Figure 4)
     // ------------------------------------------------------------------
 
-    /// Translates one segment across the tunnel. Towards the backend the
-    /// client's sequence space is shared with the backend connection
-    /// (shifted by the SSL hello bytes when present) and the ack field —
-    /// which references server data in Y-space — translates by −delta;
-    /// towards the client it is the mirror image.
+    /// The first Y-space byte after the SYN-ACK and the certificate: where
+    /// the backend's stream starts on the client leg.
+    fn start(e: Ends, cert: u32) -> SeqNum {
+        e.yoda_isn() + 1 + cert
+    }
+
+    /// Moves the tunnel onto `backend`, whose stream (ISN `isn`) continues
+    /// the client's at `client_next`.
+    fn rehome(&mut self, backend: Endpoint, isn: SeqNum) {
+        self.backend = backend;
+        self.delta = (self.client_next - 1).offset_from(isn);
+    }
+
+    /// The record recovery rebuilds this tunnel from: the inverse of
+    /// [`Self::new`].
+    fn record(&self, e: Ends, client_isn: SeqNum) -> FlowRecord {
+        FlowRecord {
+            client: e.client,
+            vip: e.vip,
+            backend: self.backend,
+            client_isn,
+            server_isn: e.yoda_isn() + self.cert - self.delta,
+        }
+    }
+
+    /// Figure 4 for one direction: where a tunneled segment goes and its
+    /// two constants. The instance forwards through it and the mux splice
+    /// entry is this same value, so the two paths cannot disagree.
+    fn leg(&self, e: Ends, dir: Dir) -> Translation {
+        let hello = hello_len(self.cert);
+        match dir {
+            Dir::ToBackend => Translation {
+                src: e.vss(),
+                dst: self.backend,
+                seq_add: hello.wrapping_neg(),
+                ack_add: self.delta.wrapping_neg(),
+            },
+            Dir::ToClient => Translation {
+                src: e.vip,
+                dst: e.client,
+                seq_add: self.delta,
+                ack_add: hello,
+            },
+        }
+    }
+
+    /// Translates one segment across the tunnel by [`Self::leg`].
     fn forward(&mut self, dir: Dir, e: Ends, mut seg: Segment, io: &mut Io) -> Step {
         let to_backend = dir == Dir::ToBackend;
         if to_backend && self.switching.is_some() {
@@ -197,13 +247,11 @@ impl Tunnel {
             // would look like another instance's flow (a TCPStore recovery).
             return Step::Done;
         }
-        let (seq_add, ack_sub, src, dst) = if to_backend {
+        if to_backend {
             self.client_fin |= seg.flags.fin;
-            (self.c2s_off, self.delta, e.vss(), self.backend)
         } else {
             self.server_fin |= seg.flags.fin;
-            (self.delta, self.c2s_off, e.vip, e.client)
-        };
+        }
         // A packet the mux should have carried, on a flow believed
         // spliced, means the mux lost the entry (cold restart after a
         // failure): re-install, throttled. Request bytes on the acks-only
@@ -216,12 +264,8 @@ impl Tunnel {
             && !self.client_fin
             && !self.server_fin
             && io.env.now.saturating_sub(self.splice_sent_at) >= SPLICE_REINSTALL;
-        seg.src_port = src.port;
-        seg.dst_port = dst.port;
-        seg.seq += seq_add;
-        if seg.flags.ack {
-            seg.ack = seg.ack - ack_sub;
-        }
+        let leg = self.leg(e, dir);
+        leg.apply(&mut seg);
         if !to_backend {
             // Track the next Y-space byte the client expects (for
             // switches).
@@ -244,8 +288,8 @@ impl Tunnel {
         io.out.push(Action::Send {
             delay: io.delay,
             seg,
-            src,
-            dst,
+            src: leg.src,
+            dst: leg.dst,
             tunneled: true,
         });
         if reinstall {
@@ -276,19 +320,13 @@ impl Tunnel {
         io.out.push(Action::Splice(MuxCtrl::SpliceInstall {
             from: self.backend,
             to: e.vss(),
-            new_src: e.vip,
-            new_dst: e.client,
-            seq_add: self.delta,
-            ack_add: self.c2s_off.wrapping_neg(),
+            xlate: self.leg(e, Dir::ToClient),
             acks_only: false,
         }));
         io.out.push(Action::Splice(MuxCtrl::SpliceInstall {
             from: e.client,
             to: e.vip,
-            new_src: e.vss(),
-            new_dst: self.backend,
-            seq_add: self.c2s_off,
-            ack_add: self.delta.wrapping_neg(),
+            xlate: self.leg(e, Dir::ToBackend),
             acks_only: self.inspect_enabled,
         }));
     }
@@ -359,24 +397,12 @@ impl Tunnel {
         let Some(sw) = self.switching.take() else {
             return;
         };
-        let old_backend = std::mem::replace(&mut self.backend, sw.new_backend);
-        // New translation constant: the client expects the next response
-        // byte at `client_next` (Y-space); the new server starts sending
-        // at S₂+1.
-        self.delta = self.client_next.offset_from(s2 + 1);
-        // Update TCPStore so recovery lands on the new backend. Recovery
-        // rebuilds `delta` as `Y − server_isn` (no certificate shift:
-        // inspection, hence switching, is off on SSL flows), so store
-        // server_isn = Y − delta to make that identity hold for the *new*
-        // delta.
-        let record = FlowRecord {
-            client: e.client,
-            vip: e.vip,
-            backend: sw.new_backend,
-            client_isn: sw.request_seq - 1,
-            server_isn: e.yoda_isn() - self.delta,
-        };
-        io.rehome_records(e, record, old_backend);
+        let old_backend = self.backend;
+        // The client expects the next response byte at `client_next`
+        // (Y-space); the new server starts sending at S₂+1.
+        self.rehome(sw.new_backend, s2);
+        // Update TCPStore so recovery lands on the new backend.
+        io.rehome_records(e, self.record(e, sw.request_seq - 1), old_backend);
         // ACK the new backend's SYN-ACK and forward the buffered request.
         io.data(e, sw.new_backend, sw.request_seq, s2 + 1, sw.request);
         // Re-splice both legs with the fresh delta.
@@ -408,10 +434,11 @@ impl Tunnel {
             return Step::Done; // Pure ACKs from racers carry no decision.
         }
         // First response data from a racer. It wins only if the stored
-        // backend has not already started the response (and its handshake
-        // is known); otherwise the stored backend won and the racer is
-        // cut loose.
-        let winner = slot.1.filter(|_| self.client_next == e.yoda_isn() + 1);
+        // backend has not already started the response — the tunnel is
+        // still where it began — and its handshake is known; otherwise the
+        // stored backend won and the racer is cut loose.
+        let unanswered = self.client_next == Tunnel::start(e, self.cert);
+        let winner = slot.1.filter(|_| unanswered);
         self.settle_race(e, winner.map(|isn| (racer, isn)), io);
         if winner.is_none() {
             return Step::Done;
@@ -433,10 +460,9 @@ impl Tunnel {
         if let Some((w, w_isn)) = winner {
             losers.push(old_backend);
             losers.retain(|&b| b != w);
-            // client_next == Y+1(+cert): no response bytes went out yet,
-            // so the winner's stream splices in exactly there.
-            self.backend = w;
-            self.delta = (self.client_next - 1).offset_from(w_isn);
+            // No response bytes went out yet, so the winner's stream
+            // splices in where the tunnel began.
+            self.rehome(w, w_isn);
             io.count(Counter::BackendSwitch);
         }
         // RST every loser in client sequence space and drop its mappings.
@@ -444,18 +470,15 @@ impl Tunnel {
             io.out.push(Action::Unmap(loser));
             io.rst(e, loser, client_isn + 1 + request_len);
         }
-        if let Some((w, w_isn)) = winner {
-            // Recovery rebuilds delta as Y − server_isn; the winner's
-            // real ISN is exactly what makes that identity hold.
-            let record = FlowRecord {
-                client: e.client,
-                vip: e.vip,
-                backend: w,
-                client_isn,
-                server_isn: w_isn,
-            };
-            io.rehome_records(e, record, old_backend);
+        if winner.is_some() {
+            // The stored record names the winner and its real ISN.
+            io.rehome_records(e, self.record(e, client_isn), old_backend);
         }
         self.install_splices(e, io);
     }
+}
+
+/// The ClientHello bytes an SSL VIP's client leg carries (§5.2).
+fn hello_len(cert: u32) -> u32 {
+    u32::from(cert > 0) * SSL_HELLO.len() as u32
 }

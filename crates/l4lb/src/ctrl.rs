@@ -8,6 +8,7 @@
 
 use bytes::{put_be, Bytes};
 use yoda_netsim::{Addr, Endpoint, Packet, PROTO_CTRL};
+use yoda_tcp::Translation;
 
 /// Port control messages are addressed to.
 pub const CTRL_PORT: u16 = 179;
@@ -37,22 +38,16 @@ pub enum CtrlMsg {
         muxes: Vec<Addr>,
     },
     /// Install a directional splice fast-path entry on a mux: packets
-    /// matching `(from, to)` are rewritten to `(new_src, new_dst)` with the
-    /// Figure-4 seq/ack translation constants and forwarded directly,
+    /// matching `(from, to)` are rewritten by `xlate` (Figure 4, the
+    /// instance's own translation of that leg) and forwarded directly,
     /// bypassing the L7 instance (only the pure ACKs, if `acks_only`).
     SpliceInstall {
         /// Matched source endpoint (exact, directional).
         from: Endpoint,
         /// Matched destination endpoint (exact, directional).
         to: Endpoint,
-        /// Rewritten source endpoint.
-        new_src: Endpoint,
-        /// Rewritten destination endpoint.
-        new_dst: Endpoint,
-        /// Added to the sequence number (wrapping).
-        seq_add: u32,
-        /// Added to the acknowledgement number (wrapping), when ACK is set.
-        ack_add: u32,
+        /// The rewrite: new endpoints and the seq/ack constants.
+        xlate: Translation,
         /// Carry only segments with no payload and no SYN; anything that
         /// carries bytes takes the slow path and leaves the entry in place
         /// (an HTTP/1.1-inspected client leg: the instance must still see
@@ -112,18 +107,15 @@ impl CtrlMsg {
             CtrlMsg::SpliceInstall {
                 from,
                 to,
-                new_src,
-                new_dst,
-                seq_add,
-                ack_add,
+                xlate,
                 acks_only,
             } => {
                 put(&[4]);
-                for ep in [from, to, new_src, new_dst] {
+                for ep in [from, to, &xlate.src, &xlate.dst] {
                     put(&ep.to_bytes());
                 }
-                put(&seq_add.to_be_bytes());
-                put(&ack_add.to_be_bytes());
+                put(&xlate.seq_add.to_be_bytes());
+                put(&xlate.ack_add.to_be_bytes());
                 put(&[u8::from(*acks_only)]);
                 &[]
             }
@@ -188,10 +180,12 @@ impl CtrlMsg {
                 Some(CtrlMsg::SpliceInstall {
                     from: endpoint_at(b, 1)?,
                     to: endpoint_at(b, 7)?,
-                    new_src: endpoint_at(b, 13)?,
-                    new_dst: endpoint_at(b, 19)?,
-                    seq_add: u32::from_be_bytes(bytes::array_at::<4>(b, 25)?),
-                    ack_add: u32::from_be_bytes(bytes::array_at::<4>(b, 29)?),
+                    xlate: Translation {
+                        src: endpoint_at(b, 13)?,
+                        dst: endpoint_at(b, 19)?,
+                        seq_add: u32::from_be_bytes(bytes::array_at::<4>(b, 25)?),
+                        ack_add: u32::from_be_bytes(bytes::array_at::<4>(b, 29)?),
+                    },
                     acks_only: *b.get(33)? != 0,
                 })
             }
@@ -277,10 +271,12 @@ mod tests {
         CtrlMsg::SpliceInstall {
             from: Endpoint::new(Addr::new(172, 16, 0, 1), 40_000),
             to: Endpoint::new(Addr::new(100, 0, 0, 1), 80),
-            new_src: Endpoint::new(Addr::new(100, 0, 0, 1), 40_000),
-            new_dst: Endpoint::new(Addr::new(10, 1, 0, 3), 80),
-            seq_add: 0u32.wrapping_sub(12),
-            ack_add: 0xdead_beef,
+            xlate: Translation {
+                src: Endpoint::new(Addr::new(100, 0, 0, 1), 40_000),
+                dst: Endpoint::new(Addr::new(10, 1, 0, 3), 80),
+                seq_add: 0u32.wrapping_sub(12),
+                ack_add: 0xdead_beef,
+            },
             acks_only,
         }
     }

@@ -15,12 +15,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::{add_be32, put_be, Bytes};
+use bytes::Bytes;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, FlowTable, Node, Packet, SimTime, TimerToken, IPIP_HEADER_LEN, PROTO_CTRL,
-    PROTO_IPIP,
+    Addr, Ctx, Endpoint, FlowTable, Node, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_IPIP,
 };
-use yoda_tcp::{Flags, Segment, SEGMENT_HEADER_LEN};
+use yoda_tcp::{Flags, Segment, Translation};
 
 use crate::ctrl::CtrlMsg;
 use crate::{canonical_flow, rendezvous_pick};
@@ -93,58 +92,15 @@ impl FlowEntry {
 }
 
 /// A directional splice fast-path entry (installed by an instance via
-/// [`CtrlMsg::SpliceInstall`]): matched packets are rewritten and forwarded
-/// without touching the instance.
+/// [`CtrlMsg::SpliceInstall`]): matched packets are rewritten by the
+/// instance's own [`Translation`] and forwarded without touching it.
 #[derive(Debug, Clone, Copy)]
 struct SpliceEntry {
-    new_src: Endpoint,
-    new_dst: Endpoint,
-    seq_add: u32,
-    ack_add: u32,
+    xlate: Translation,
     /// Only pure ACKs ride the fast path; segments carrying bytes (or a
     /// SYN) go to the instance and leave the entry in place.
     acks_only: bool,
     last_seen: SimTime,
-}
-
-/// Cheap structural check before the in-place rewrite: the payload must
-/// hold exactly one segment (header plus its declared payload length) —
-/// the same framing invariant [`Segment::decode`] enforces. Malformed
-/// packets skip the fast path and take the slow path unchanged.
-fn splice_wellformed(pkt: &Packet) -> bool {
-    match bytes::array_at::<4>(&pkt.payload, 17) {
-        Some(len) => pkt.payload.len() == SEGMENT_HEADER_LEN + u32::from_be_bytes(len) as usize,
-        None => false,
-    }
-}
-
-/// Applies a splice entry to a well-formed TCP packet by patching the
-/// segment header fields in place — ports, seq, and (when the ACK flag is
-/// set) ack — without touching the payload bytes. When the buffer is
-/// uniquely owned (the common case: packets in flight are moved, not
-/// shared) this copies nothing; a shared buffer takes one defensive copy,
-/// which keeps the encapsulation room in front like a sender's would.
-fn splice_rewrite(pkt: &mut Packet, e: &SpliceEntry, has_ack: bool) {
-    fn patch(h: &mut [u8], e: &SpliceEntry, has_ack: bool) {
-        put_be(h, 0, &e.new_src.port.to_be_bytes());
-        put_be(h, 2, &e.new_dst.port.to_be_bytes());
-        add_be32(h, 4, e.seq_add);
-        if has_ack {
-            add_be32(h, 8, e.ack_add);
-        }
-    }
-    match pkt.payload.try_mut() {
-        Some(h) => patch(h, e, has_ack),
-        None => {
-            let mut own = Bytes::with_headroom(IPIP_HEADER_LEN, [pkt.payload.as_slice()]);
-            if let Some(h) = own.try_mut() {
-                patch(h, e, has_ack);
-            }
-            pkt.payload = own;
-        }
-    }
-    pkt.src = e.new_src;
-    pkt.dst = e.new_dst;
 }
 
 /// One L4 mux node.
@@ -223,29 +179,28 @@ impl Mux {
         }
     }
 
-    fn steer(&mut self, ctx: &mut Ctx<'_>, inner: Packet) {
+    fn steer(&mut self, ctx: &mut Ctx<'_>, mut inner: Packet) {
         let now = ctx.now();
-        let flags = Segment::peek_flags(&inner);
+        let peek = Segment::peek(&inner);
+        let flags = peek.map(|(f, _)| f);
         // Splice fast path: an exact directional match rewrites and
         // forwards below the instance. FIN/RST (or a malformed segment)
         // tears the entry down and falls through to the slow path so the
         // instance sees teardown; bytes on an acks-only entry fall through
         // and keep it.
         if let Some(e) = self.splices.get_mut(&(inner.src, inner.dst)) {
-            if flags.is_some_and(|f| !f.fin && !f.rst) && splice_wellformed(&inner) {
-                let carries =
-                    flags.is_some_and(|f| f.syn) || inner.payload.len() > SEGMENT_HEADER_LEN;
-                if !(e.acks_only && carries) {
-                    e.last_seen = now;
-                    let entry = *e;
-                    self.spliced += 1;
-                    let mut pkt = inner;
-                    splice_rewrite(&mut pkt, &entry, flags.is_some_and(|f| f.ack));
-                    ctx.send(pkt);
-                    return;
+            match peek {
+                Some((f, len)) if !f.fin && !f.rst => {
+                    if !(e.acks_only && (f.syn || len > 0)) && e.xlate.apply_in_place(&mut inner) {
+                        e.last_seen = now;
+                        self.spliced += 1;
+                        ctx.send(inner);
+                        return;
+                    }
                 }
-            } else {
-                self.splices.remove(&(inner.src, inner.dst));
+                _ => {
+                    self.splices.remove(&(inner.src, inner.dst));
+                }
             }
         }
         let Some(vip) = Mux::vip_of(&inner) else {
@@ -293,7 +248,7 @@ impl Mux {
     /// reverse mapping and forward the inner packet onward natively.
     fn snat_out(&mut self, ctx: &mut Ctx<'_>, inner: Packet, from_instance: Addr) {
         let key = canonical_flow(inner.src, inner.dst);
-        let (now, flags) = (ctx.now(), Segment::peek_flags(&inner));
+        let (now, flags) = (ctx.now(), Segment::peek(&inner).map(|(f, _)| f));
         let e = self
             .flows
             .get_or_insert_with(key, || FlowEntry::learned(from_instance, now, None));
@@ -381,23 +336,16 @@ impl Node for Mux {
                         CtrlMsg::SpliceInstall {
                             from,
                             to,
-                            new_src,
-                            new_dst,
-                            seq_add,
-                            ack_add,
+                            xlate,
                             acks_only,
                         } => {
-                            self.splices.insert(
-                                (from, to),
-                                SpliceEntry {
-                                    new_src,
-                                    new_dst,
-                                    seq_add,
-                                    ack_add,
-                                    acks_only,
-                                    last_seen: ctx.now(),
-                                },
-                            );
+                            let last_seen = ctx.now();
+                            let entry = SpliceEntry {
+                                xlate,
+                                acks_only,
+                                last_seen,
+                            };
+                            self.splices.insert((from, to), entry);
                         }
                         CtrlMsg::SpliceRemove { from, to } => {
                             self.splices.remove(&(from, to));
@@ -523,28 +471,33 @@ mod tests {
     fn flow_affinity_and_failover() {
         let mut t = setup();
         let vip = Addr::new(100, 0, 0, 1);
-        // Drive the mux handler directly (unit level).
-        let mux = t.eng.node_mut::<Mux>(t.mux);
-        let p = vip_pkt(40_000);
-        let key = canonical_flow(p.src, p.dst);
-        let live = mux.vip_map(vip).unwrap().to_vec();
-        let first = rendezvous_pick(p.src, p.dst, &live).unwrap();
-        // Install then re-check affinity through the public steer path by
-        // simulating its decision logic.
-        mux.flows.insert(
-            key,
-            FlowEntry {
-                inst: first,
-                draining: false,
-                expires: FLOW_IDLE_TIMEOUT,
-            },
-        );
-        assert!(mux.vip_map(vip).unwrap().contains(&first));
-        // Remove the chosen instance: the mux must re-steer to survivor.
-        let survivor: Vec<Addr> = live.iter().copied().filter(|&a| a != first).collect();
-        mux.set_vip_map(vip, survivor.clone(), 2);
-        assert_eq!(mux.vip_map(vip).unwrap(), survivor.as_slice());
-        let _ = (t.inst1, t.inst2);
+        let got = |t: &Ctx2, id| t.eng.node_ref::<Sink>(id).received.len();
+        let send = |t: &mut Ctx2| {
+            let outer = vip_pkt(40_000).encapsulate(Addr::new(172, 16, 0, 1), t.mux_addr());
+            t.deliver(outer);
+            t.eng.run_for(SimTime::from_millis(1));
+        };
+        // The flow pins to one instance.
+        for _ in 0..3 {
+            send(&mut t);
+        }
+        let (a, b, b_addr) = match (got(&t, t.inst1), got(&t, t.inst2)) {
+            (3, 0) => (t.inst1, t.inst2, Addr::new(10, 0, 0, 2)),
+            (0, 3) => (t.inst2, t.inst1, Addr::new(10, 0, 0, 1)),
+            other => panic!("flow split across instances: {other:?}"),
+        };
+        assert_eq!((t.mux().forwarded, t.mux().resteered), (3, 0));
+        // Its instance leaves the VIP: the next packets land on the
+        // survivor, re-steered once and pinned there.
+        t.mux_mut().set_vip_map(vip, vec![b_addr], 2);
+        send(&mut t);
+        send(&mut t);
+        assert_eq!((got(&t, a), got(&t, b)), (3, 2));
+        assert_eq!(t.mux().resteered, 1);
+        // No instance left: the packet is dropped.
+        t.mux_mut().set_vip_map(vip, vec![], 3);
+        send(&mut t);
+        assert_eq!((got(&t, a), got(&t, b), t.mux().dropped), (3, 2, 1));
     }
 
     #[test]
@@ -663,10 +616,12 @@ mod tests {
                     CtrlMsg::SpliceInstall {
                         from: client,
                         to: vip,
-                        new_src: vss,
-                        new_dst: backend,
-                        seq_add: 100,
-                        ack_add: 0u32.wrapping_sub(50),
+                        xlate: Translation {
+                            src: vss,
+                            dst: backend,
+                            seq_add: 100,
+                            ack_add: 0u32.wrapping_sub(50),
+                        },
                         acks_only: false,
                     }
                     .into_packet(me, self.mux),
@@ -677,10 +632,12 @@ mod tests {
                     CtrlMsg::SpliceInstall {
                         from: other,
                         to: vip,
-                        new_src: vss,
-                        new_dst: backend,
-                        seq_add: 0,
-                        ack_add: 0,
+                        xlate: Translation {
+                            src: vss,
+                            dst: backend,
+                            seq_add: 0,
+                            ack_add: 0,
+                        },
                         acks_only: false,
                     }
                     .into_packet(me, self.mux),
@@ -779,10 +736,12 @@ mod tests {
         let install = CtrlMsg::SpliceInstall {
             from: client,
             to: vip,
-            new_src: Endpoint::new(vip.addr, client.port),
-            new_dst: Endpoint::new(Addr::new(10, 1, 0, 9), 80),
-            seq_add: 0,
-            ack_add: 0u32.wrapping_sub(50),
+            xlate: Translation {
+                src: Endpoint::new(vip.addr, client.port),
+                dst: Endpoint::new(Addr::new(10, 1, 0, 9), 80),
+                seq_add: 0,
+                ack_add: 0u32.wrapping_sub(50),
+            },
             acks_only: true,
         }
         .into_packet(Endpoint::new(Addr::new(10, 0, 7, 1), 179), t.mux_addr());
@@ -799,7 +758,7 @@ mod tests {
             .into_packet(client, vip)
         };
         let mut malformed = seg(Flags::ACK, b"");
-        malformed.payload = malformed.payload.slice(0..SEGMENT_HEADER_LEN - 1);
+        malformed.payload = malformed.payload.slice(1..);
         // (packet, fast path?, entry kept?)
         let cases = [
             (seg(Flags::ACK, b""), true, true),
@@ -829,8 +788,9 @@ mod tests {
     }
 
     #[test]
-    fn a_flow_entry_is_sixteen_bytes() {
+    fn a_flow_entry_is_sixteen_bytes_and_a_splice_entry_forty() {
         assert_eq!(std::mem::size_of::<FlowEntry>(), 16);
+        assert_eq!(std::mem::size_of::<SpliceEntry>(), 40);
     }
 
     #[test]
@@ -881,10 +841,12 @@ mod tests {
                 mux.flows.insert(canonical_flow(client(i), vip), entry);
                 if i % 50 == 1 || i % 50 == 2 {
                     let entry = SpliceEntry {
-                        new_src: vip,
-                        new_dst: vip,
-                        seq_add: 0,
-                        ack_add: 0,
+                        xlate: Translation {
+                            src: vip,
+                            dst: vip,
+                            seq_add: 0,
+                            ack_add: 0,
+                        },
                         acks_only: false,
                         last_seen: if i % 3 == 2 { SimTime::ZERO } else { now },
                     };
@@ -900,52 +862,6 @@ mod tests {
         let (flows, splices) = build(&mut (0..3_000));
         assert_eq!((flows.len(), splices.len()), (1_000 + 40, 40));
         assert_eq!(build(&mut (0..3_000).rev()), (flows, splices));
-    }
-
-    #[test]
-    fn splice_rewrite_copies_a_shared_buffer_and_keeps_the_room() {
-        let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
-        let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
-        let entry = SpliceEntry {
-            new_src: Endpoint::new(vip.addr, client.port),
-            new_dst: Endpoint::new(Addr::new(10, 1, 0, 9), 8080),
-            seq_add: 100,
-            ack_add: 0u32.wrapping_sub(50),
-            acks_only: false,
-            last_seen: SimTime::ZERO,
-        };
-        let data = || {
-            Segment {
-                src_port: client.port,
-                dst_port: vip.port,
-                seq: SeqNum::new(u32::MAX - 9),
-                ack: SeqNum::new(5_050),
-                flags: Flags::ACK,
-                window: 65_535,
-                payload: Bytes::from_static(b"body"),
-            }
-            .into_packet(client, vip)
-        };
-        // Sole owner: patched where it lies.
-        let mut own = data();
-        let at = own.payload.as_ptr();
-        splice_rewrite(&mut own, &entry, true);
-        assert_eq!(own.payload.as_ptr(), at);
-        // A clone is alive (a duplicated delivery): same bytes out, from
-        // a copy; the clone still reads the original.
-        let mut shared = data();
-        let keep = shared.clone();
-        splice_rewrite(&mut shared, &entry, true);
-        assert_eq!(shared, own);
-        assert_eq!(keep, data());
-        let seg = Segment::from_packet(shared.clone()).unwrap();
-        assert_eq!((seg.src_port, seg.dst_port), (40_000, 8080));
-        assert_eq!((seg.seq, seg.ack), (SeqNum::new(90), SeqNum::new(5_000)));
-        drop((seg, keep));
-        // The copy has a sender's headroom: the next hop is in place again.
-        let body = shared.payload.as_ptr();
-        let outer = shared.encapsulate(Addr::new(10, 0, 2, 1), Addr::new(10, 0, 0, 1));
-        assert_eq!(outer.payload[IPIP_HEADER_LEN..].as_ptr(), body);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * [`SeqNum`] — RFC 793 modulo-2³² sequence arithmetic, the foundation of
 //!   Yoda's tunneling-phase sequence translation (paper Figure 4),
-//! * [`Segment`] — the TCP segment with an explicit wire format,
+//! * [`Segment`] — the TCP segment with an explicit wire format, and
+//!   [`Translation`], Figure 4's rewrite of one, decoded or on the wire,
 //! * [`TcpSocket`] — a sans-IO endpoint state machine (handshake,
 //!   retransmission with exponential backoff, reassembly, slow start,
 //!   FIN teardown) used by clients, backend servers, and the HAProxy-style
@@ -26,7 +27,7 @@ pub mod seq;
 pub mod socket;
 pub mod stack;
 
-pub use segment::{Flags, Segment, SEGMENT_HEADER_LEN};
+pub use segment::{Flags, Segment, Translation, SEGMENT_HEADER_LEN};
 pub use seq::SeqNum;
 pub use socket::{SocketState, TcpSocket, MSS};
 pub use stack::{ConnId, TcpEvent, TcpEvents, TcpStack, TCP_TIMER_KIND};

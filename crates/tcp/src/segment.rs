@@ -5,9 +5,11 @@
 //! simplified fixed 21-byte header (no options) followed by the payload;
 //! keeping an explicit byte encoding (rather than passing structs around)
 //! is what lets Yoda's flow-state records store and replay *actual packet
-//! headers*, as the paper's TCPStore does.
+//! headers*, as the paper's TCPStore does. This module is the only one
+//! that knows the header layout: the instance's tunnel and the mux's
+//! splice fast path both rewrite segments through [`Translation`].
 
-use bytes::{put_be, Bytes};
+use bytes::{add_be32, put_be, Bytes};
 use yoda_netsim::{Endpoint, Packet, IPIP_HEADER_LEN, PROTO_TCP};
 
 use crate::seq::SeqNum;
@@ -195,10 +197,7 @@ impl Segment {
     /// payload is `b` with the header popped off the front (same
     /// allocation, no reference-count traffic).
     pub fn decode(mut b: Bytes) -> Option<Segment> {
-        let len = u32::from_be_bytes(bytes::array_at::<4>(&b, 17)?) as usize;
-        if b.len() != SEGMENT_HEADER_LEN + len {
-            return None;
-        }
+        framed_len(&b)?;
         let (src_port, dst_port) = (
             u16::from_be_bytes(bytes::array_at::<2>(&b, 0)?),
             u16::from_be_bytes(bytes::array_at::<2>(&b, 2)?),
@@ -239,14 +238,12 @@ impl Segment {
         Segment::decode(pkt.payload)
     }
 
-    /// Reads just the flag byte of a TCP packet without decoding the whole
-    /// segment (the mux fast path classifies FIN/RST this way); `None` for
-    /// other protocols or payloads too short to hold a header.
-    pub fn peek_flags(pkt: &Packet) -> Option<Flags> {
-        if pkt.protocol != PROTO_TCP || pkt.payload.len() < SEGMENT_HEADER_LEN {
-            return None;
-        }
-        Some(Flags::from_byte(*pkt.payload.get(12)?))
+    /// Reads the flags and the payload length of a TCP packet without
+    /// decoding the segment (the mux classifies packets this way); `None`
+    /// for other protocols and for payloads [`Segment::decode`] rejects.
+    pub fn peek(pkt: &Packet) -> Option<(Flags, usize)> {
+        let len = framed_len(&pkt.payload).filter(|_| pkt.protocol == PROTO_TCP)?;
+        Some((Flags::from_byte(*pkt.payload.get(12)?), len))
     }
 
     /// Short human-readable summary for traces, tcpdump-style.
@@ -258,6 +255,69 @@ impl Segment {
             self.ack,
             self.payload.len()
         )
+    }
+}
+
+/// The payload length `b`'s header declares, if `b` holds exactly that
+/// header and that many bytes: the framing check every reader applies.
+fn framed_len(b: &[u8]) -> Option<usize> {
+    let len = u32::from_be_bytes(bytes::array_at::<4>(b, 17)?) as usize;
+    (b.len() == SEGMENT_HEADER_LEN + len).then_some(len)
+}
+
+/// One direction of a tunneled connection (paper Figure 4): segments
+/// leave from `src` to `dst`, with `seq_add` added to the sequence number
+/// and `ack_add` to the acknowledgement number (when ACK is set), both
+/// modulo 2³². The instance applies it to decoded segments, the mux to
+/// packets on the wire; both get it from the same [`Translation`] value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Translation {
+    /// Rewritten source endpoint.
+    pub src: Endpoint,
+    /// Rewritten destination endpoint.
+    pub dst: Endpoint,
+    /// Added to the sequence number.
+    pub seq_add: u32,
+    /// Added to the acknowledgement number, when the ACK flag is set.
+    pub ack_add: u32,
+}
+
+impl Translation {
+    /// Translates a decoded segment (the instance's tunnel); the caller
+    /// sends it from `self.src` to `self.dst`.
+    pub fn apply(&self, seg: &mut Segment) {
+        seg.src_port = self.src.port;
+        seg.dst_port = self.dst.port;
+        seg.seq += self.seq_add;
+        if seg.flags.ack {
+            seg.ack += self.ack_add;
+        }
+    }
+
+    /// Translates a TCP packet by patching its header where it lies, and
+    /// readdresses it (the mux's splice fast path). A uniquely owned buffer
+    /// is written in place; a shared one is copied once, with
+    /// [`IPIP_HEADER_LEN`] bytes of room in front like a sender's, so the
+    /// next hop encapsulates in place again. Returns `false`, leaving the
+    /// packet untouched, unless it is TCP holding exactly one segment.
+    pub fn apply_in_place(&self, pkt: &mut Packet) -> bool {
+        let Some((flags, _)) = Segment::peek(pkt) else {
+            return false;
+        };
+        if pkt.payload.try_mut().is_none() {
+            pkt.payload = Bytes::with_headroom(IPIP_HEADER_LEN, [pkt.payload.as_slice()]);
+        }
+        if let Some(h) = pkt.payload.try_mut() {
+            put_be(h, 0, &self.src.port.to_be_bytes());
+            put_be(h, 2, &self.dst.port.to_be_bytes());
+            add_be32(h, 4, self.seq_add);
+            if flags.ack {
+                add_be32(h, 8, self.ack_add);
+            }
+        }
+        pkt.src = self.src;
+        pkt.dst = self.dst;
+        true
     }
 }
 
@@ -359,15 +419,19 @@ mod tests {
     }
 
     #[test]
-    fn peek_flags_matches_decode() {
+    fn peek_matches_decode() {
         let src = Endpoint::new(Addr::new(1, 1, 1, 1), 1234);
         let dst = Endpoint::new(Addr::new(2, 2, 2, 2), 80);
         let pkt = seg(Flags::FIN_ACK, b"tail").into_packet(src, dst);
-        assert_eq!(Segment::peek_flags(&pkt).unwrap(), Flags::FIN_ACK);
+        assert_eq!(Segment::peek(&pkt), Some((Flags::FIN_ACK, 4)));
         let short = Packet::new(src, dst, PROTO_TCP, Bytes::from_static(b"x"));
-        assert!(Segment::peek_flags(&short).is_none());
+        assert!(Segment::peek(&short).is_none());
+        let mut long = pkt.payload.to_vec();
+        long.push(0);
+        let long = Packet::new(src, dst, PROTO_TCP, Bytes::from(long));
+        assert!(Segment::peek(&long).is_none());
         let ping = Packet::new(src, dst, yoda_netsim::PROTO_PING, Bytes::new());
-        assert!(Segment::peek_flags(&ping).is_none());
+        assert!(Segment::peek(&ping).is_none());
     }
 
     #[test]

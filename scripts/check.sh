@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --check (ratcheted packages)"
+# rustfmt is enforced package by package: a package joins this list once
+# it is formatted, and none leaves it.
+cargo fmt --check -p bytes -p yoda-tcp -p yoda-l4lb
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 # The repo's benchmark is a package outside the workspace (BENCHMARK.json

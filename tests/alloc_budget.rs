@@ -38,7 +38,7 @@ use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
 use yoda::netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, Rng, SimTime, TimerToken, Topology, Zone,
 };
-use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpEvent, TcpStack};
+use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpEvent, TcpStack, Translation};
 use yoda::tcpstore::{
     StoreClient, StoreEvent, StoreOp, StoreRequest, StoreResponse, StoreServer, StoreServerConfig,
     StoreStatus,
@@ -182,10 +182,12 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
     let install = CtrlMsg::SpliceInstall {
         from: spliced,
         to: vip,
-        new_src: Endpoint::new(vip.addr, spliced.port),
-        new_dst: backend,
-        seq_add: 7,
-        ack_add: 9,
+        xlate: Translation {
+            src: Endpoint::new(vip.addr, spliced.port),
+            dst: backend,
+            seq_add: 7,
+            ack_add: 9,
+        },
         acks_only: false,
     };
     eng.with_node_ctx::<Mux>(mux, |m, ctx| {

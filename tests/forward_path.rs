@@ -8,7 +8,10 @@
 //! * a seeded differential test of the consuming codec against the old
 //!   copy-based one (kept here, in the test, only): same bytes out for
 //!   unique, shared and room-less buffers, and a retained clone never
-//!   sees a mutation;
+//!   sees a mutation. Figure 4's rewrite runs on both product paths —
+//!   the instance's decode / `Translation::apply` / encode and the mux's
+//!   `Translation::apply_in_place` — against one reference rewrite, and
+//!   both reject truncated and overlong segments untouched;
 //! * link duplication in front of router → mux → instance: both copies
 //!   share one buffer on arrival and both come out byte-identical;
 //! * pointer identity through the real testbed: the payload address the
@@ -25,7 +28,7 @@ use yoda::netsim::{
     Addr, Ctx, Endpoint, Engine, LinkSpec, Node, Packet, Rng, SimTime, TimerToken, Topology, Zone,
     IPIP_HEADER_LEN, PROTO_IPIP, PROTO_TCP,
 };
-use yoda::tcp::{Flags, Segment, SeqNum, SEGMENT_HEADER_LEN};
+use yoda::tcp::{Flags, Segment, SeqNum, Translation, SEGMENT_HEADER_LEN};
 
 // ----------------------------------------------------------------------
 // The reference: the copy-based codec the product code used to have.
@@ -80,18 +83,22 @@ fn ref_segment_bytes(s: &Segment) -> Bytes {
     Bytes::from(buf)
 }
 
+fn be32(b: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes(b[at..at + 4].try_into().unwrap())
+}
+
 /// Figure 4 on the reference side: parse the 21-byte header out of a copy,
 /// translate, serialise afresh.
-fn ref_rewrite(pkt: &Packet, t: &Translate) -> Packet {
+fn ref_rewrite(pkt: &Packet, t: &Translation) -> Packet {
     let b = &pkt.payload;
-    let be32 = |at: usize| u32::from_be_bytes(b[at..at + 4].try_into().unwrap());
+    let be32 = |at: usize| be32(b, at);
     let flags = b[12];
     let seg = Segment {
         src_port: t.src.port,
         dst_port: t.dst.port,
         seq: SeqNum::new(be32(4).wrapping_add(t.seq_add)),
         ack: SeqNum::new(if flags & 2 != 0 {
-            be32(8).wrapping_sub(t.ack_sub)
+            be32(8).wrapping_add(t.ack_add)
         } else {
             be32(8)
         }),
@@ -108,33 +115,19 @@ fn ref_rewrite(pkt: &Packet, t: &Translate) -> Packet {
     Packet::new(t.src, t.dst, PROTO_TCP, ref_segment_bytes(&seg))
 }
 
-/// What `Tunnel::forward` does to a segment, as data.
-struct Translate {
-    src: Endpoint,
-    dst: Endpoint,
-    seq_add: u32,
-    ack_sub: u32,
-}
-
-/// The product side of [`ref_rewrite`]: consuming decode, translate,
-/// consuming encode.
-fn rewrite(pkt: Packet, t: &Translate) -> Packet {
-    let mut seg = Segment::from_packet(pkt).expect("a TCP packet the test built");
-    seg.src_port = t.src.port;
-    seg.dst_port = t.dst.port;
-    seg.seq += t.seq_add;
-    if seg.flags.ack {
-        seg.ack = seg.ack - t.ack_sub;
-    }
-    seg.into_packet(t.src, t.dst)
+/// The instance's side of [`ref_rewrite`] (its tunnel): consuming
+/// decode, translate, consuming encode. `None` where decode rejects.
+fn tunnel_rewrite(pkt: Packet, t: &Translation) -> Option<Packet> {
+    let mut seg = Segment::from_packet(pkt)?;
+    t.apply(&mut seg);
+    Some(seg.into_packet(t.src, t.dst))
 }
 
 fn rand_endpoint(rng: &mut Rng) -> Endpoint {
     Endpoint::new(Addr::from_u32(rng.next_u32()), rng.gen_range(0..=u16::MAX))
 }
 
-fn rand_segment(rng: &mut Rng, src: Endpoint, dst: Endpoint) -> Segment {
-    let bits: u8 = rng.gen_range(0u8..32);
+fn rand_segment(rng: &mut Rng, src: Endpoint, dst: Endpoint, bits: u8) -> Segment {
     let len = match rng.gen_range(0u8..4) {
         0 => 0,
         1 => rng.gen_range(1..40usize),
@@ -157,21 +150,38 @@ fn rand_segment(rng: &mut Rng, src: Endpoint, dst: Endpoint) -> Segment {
     }
 }
 
+fn rand_translation(rng: &mut Rng) -> Translation {
+    Translation {
+        src: rand_endpoint(rng),
+        dst: rand_endpoint(rng),
+        seq_add: rng.next_u32(),
+        ack_add: rng.next_u32(),
+    }
+}
+
 /// 12 000 seeded chains of encapsulate / decapsulate / segment rewrite,
-/// the product codec against the reference one. Buffers start in each of
-/// the three shapes that matter — sender-shaped (unique, one header of
-/// room), room-less (hand-built) and shared (a clone is alive) — and
-/// clones are taken and dropped along the way. After every step the two
-/// packets must be equal field for field and byte for byte, and every
-/// clone ever retained must still read what it read when it was taken.
+/// the product codec against the reference one, each rewrite on one of the
+/// two product paths at random. Segments carry all 32 flag combinations
+/// and random seq/ack values and constants, so about half the additions
+/// wrap 2³². Buffers start in each of the three shapes that matter —
+/// sender-shaped (unique, one header of room), room-less (hand-built) and
+/// shared (a clone is alive) — and clones are taken and dropped along the
+/// way. After every step the two packets must be equal field for field
+/// and byte for byte, and every clone ever retained must still read what
+/// it read when it was taken. A rewrite stays in place exactly when no
+/// clone shares the buffer, and the copy it makes otherwise has room for
+/// the next encapsulation. Each case ends with its segment cut short and
+/// run long, which both product paths must refuse without a write.
 #[test]
 fn consuming_codec_matches_copying_codec() {
     const CASES: u64 = 12_000;
     let (mut in_place, mut copied, mut copied_under_clone) = (0u64, 0u64, 0u64);
+    // Rewrites per product path, and those whose seq / ack addition wrapped.
+    let (mut by_path, mut wrapped, mut room_checked) = ([0u64; 2], [0u64; 2], 0u64);
     for case in 0..CASES {
         let mut rng = Rng::seed_from_u64(0xF0_4A4D ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (src, dst) = (rand_endpoint(&mut rng), rand_endpoint(&mut rng));
-        let seg = rand_segment(&mut rng, src, dst);
+        let seg = rand_segment(&mut rng, src, dst, (case % 32) as u8);
         let mut reference = Packet::new(src, dst, PROTO_TCP, ref_segment_bytes(&seg));
         // (clone, what it read when it was taken)
         let mut retained: Vec<(Bytes, Vec<u8>)> = Vec::new();
@@ -190,6 +200,9 @@ fn consuming_codec_matches_copying_codec() {
             }
         };
         let mut depth = 0usize;
+        // The last step was a rewrite that copied: the next encapsulation
+        // must find room in front.
+        let mut fresh_copy = false;
         for _ in 0..rng.gen_range(1..10usize) {
             if rng.gen_range(0u8..4) == 0 {
                 retained.push((pkt.payload.clone(), pkt.payload.to_vec()));
@@ -215,7 +228,12 @@ fn consuming_codec_matches_copying_codec() {
                     reference = ref_encapsulate(&reference, a, b);
                     pkt = pkt.encapsulate(a, b);
                     depth += 1;
-                    pkt.payload.as_ptr() as usize + IPIP_HEADER_LEN != body
+                    let moved = pkt.payload.as_ptr() as usize + IPIP_HEADER_LEN != body;
+                    if std::mem::take(&mut fresh_copy) && !shared {
+                        assert!(!moved, "case {case}: a rewrite's copy kept no room");
+                        room_checked += 1;
+                    }
+                    moved
                 }
                 1 if depth > 0 => {
                     reference = ref_decapsulate(&reference);
@@ -225,15 +243,25 @@ fn consuming_codec_matches_copying_codec() {
                     continue;
                 }
                 _ if depth == 0 => {
-                    let t = Translate {
-                        src: rand_endpoint(&mut rng),
-                        dst: rand_endpoint(&mut rng),
-                        seq_add: rng.next_u32(),
-                        ack_sub: rng.next_u32(),
-                    };
+                    let t = rand_translation(&mut rng);
+                    let path = rng.gen_range(0..2usize);
+                    let (h, has_ack) = (&reference.payload, reference.payload[12] & 2 != 0);
+                    wrapped[0] += u64::from(be32(h, 4).checked_add(t.seq_add).is_none());
+                    wrapped[1] += u64::from(has_ack && be32(h, 8).checked_add(t.ack_add).is_none());
                     reference = ref_rewrite(&reference, &t);
-                    pkt = rewrite(pkt, &t);
-                    pkt.payload.as_ptr() as usize != body
+                    if path == 0 {
+                        pkt = tunnel_rewrite(pkt, &t).expect("framed");
+                    } else {
+                        assert!(t.apply_in_place(&mut pkt), "case {case}: framed");
+                    }
+                    by_path[path] += 1;
+                    let moved = pkt.payload.as_ptr() as usize != body;
+                    assert_eq!(
+                        moved, shared,
+                        "case {case}: path {path} in place iff unshared"
+                    );
+                    fresh_copy = moved;
+                    moved
                 }
                 _ => continue,
             };
@@ -260,6 +288,21 @@ fn consuming_codec_matches_copying_codec() {
         }
         assert_eq!(pkt, reference, "case {case}");
         assert!(Segment::from_packet(pkt).is_some());
+        // Cut short or run long, the segment is refused by both product
+        // paths, and the mux's leaves the packet as it was.
+        let framed = &reference.payload;
+        let mut long = framed.to_vec();
+        long.extend_from_slice(&[0xAA; 3][..rng.gen_range(1..=3usize)]);
+        let cut = framed.slice(0..rng.gen_range(0..framed.len()));
+        for payload in [cut, Bytes::from(long)] {
+            let t = rand_translation(&mut rng);
+            let mut bad = Packet::new(reference.src, reference.dst, PROTO_TCP, payload);
+            assert!(tunnel_rewrite(bad.clone(), &t).is_none(), "case {case}");
+            let before = (bad.src, bad.dst, bad.payload.as_ptr(), bad.payload.to_vec());
+            assert!(!t.apply_in_place(&mut bad), "case {case}");
+            let after = (bad.src, bad.dst, bad.payload.as_ptr(), bad.payload.to_vec());
+            assert_eq!(after, before, "case {case}: a misframed packet was touched");
+        }
         for (clone, snapshot) in &retained {
             assert_eq!(
                 &clone[..],
@@ -269,6 +312,15 @@ fn consuming_codec_matches_copying_codec() {
         }
     }
     // Every branch was really exercised.
+    assert!(
+        by_path.iter().all(|&n| n > 4_000),
+        "rewrites per path {by_path:?}"
+    );
+    assert!(
+        wrapped.iter().all(|&n| n > 1_000),
+        "wrapped seq / ack {wrapped:?}"
+    );
+    assert!(room_checked > 100, "copies re-encapsulated {room_checked}");
     assert!(in_place > 5_000, "in place {in_place}");
     assert!(copied > 1_000, "copied (no room) {copied}");
     assert!(

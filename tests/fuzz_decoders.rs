@@ -11,7 +11,7 @@ use yoda::core::InstanceCtrl;
 use yoda::l4lb::CtrlMsg;
 use yoda::netsim::rng::Rng;
 use yoda::netsim::Packet;
-use yoda::tcp::Segment;
+use yoda::tcp::{Segment, Translation};
 use yoda::tcpstore::{StoreRequest, StoreResponse};
 use yoda::trace::Trace;
 
@@ -80,10 +80,12 @@ fn splice_ctrl_variants_reject_malformed() {
     let install = CtrlMsg::SpliceInstall {
         from: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(172, 16, 0, 9), 40_001),
         to: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(100, 0, 0, 1), 80),
-        new_src: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(100, 0, 0, 1), 40_001),
-        new_dst: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(10, 1, 0, 7), 80),
-        seq_add: 0xfeed_f00d,
-        ack_add: 0x0bad_cafe,
+        xlate: Translation {
+            src: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(100, 0, 0, 1), 40_001),
+            dst: yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(10, 1, 0, 7), 80),
+            seq_add: 0xfeed_f00d,
+            ack_add: 0x0bad_cafe,
+        },
         acks_only: true,
     };
     let remove = CtrlMsg::SpliceRemove {

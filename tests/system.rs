@@ -422,53 +422,78 @@ fn deterministic_replay() {
 fn mirror_action_races_backends_and_serves_one_response() {
     // §5.2 "Sending the same request to multiple servers": the request
     // fans out to every mirror target; the first response wins and the
-    // others are cut loose with RSTs.
-    let mut tb = Testbed::build(TestbedConfig {
-        seed: 31,
-        num_instances: 2,
-        num_stores: 2,
-        num_backends: 3,
-        num_muxes: 2,
-        num_services: 1,
-        pages_per_site: 10,
-        ..TestbedConfig::default()
-    });
-    let vip = tb.vips[0];
-    let b = tb.service_backends[0].clone();
-    let rules = format!(
-        "name=mirror priority=2 match * action=mirror {} {} {}",
-        b[0], b[1], b[2]
-    );
-    tb.set_policy_at(vip, &rules, SimTime::from_millis(500));
-    tb.engine.run_for(SimTime::from_secs(1));
-    let obj = tb
-        .catalog
-        .site(0)
-        .objects
-        .iter()
-        .min_by_key(|o| (o.size as i64 - 10 * 1024).abs())
-        .map(|o| o.path.clone())
-        .expect("objects");
-    let browser = tb.add_browser(
-        0,
-        yoda::http::BrowserConfig {
-            processes: 1,
-            max_pages: Some(3),
-            fixed_object: Some(obj.clone()),
-            ..yoda::http::BrowserConfig::default()
-        },
-    );
-    tb.engine.run_for(SimTime::from_secs(60));
-    let bn = tb.engine.node_ref::<yoda::http::BrowserClient>(browser);
-    assert_eq!(bn.completed, 3, "each fetch served exactly once");
-    assert_eq!(bn.broken_flows, 0);
-    assert_eq!(bn.resets, 0, "the client never sees the losers");
-    // Every backend received each mirrored request.
-    let total_served: u64 = tb.backends[..3]
-        .iter()
-        .map(|&id| tb.engine.node_ref::<OriginServer>(id).requests)
-        .sum();
-    assert_eq!(total_served, 9, "3 fetches x 3 mirror targets");
+    // others are cut loose with RSTs. Plain HTTP over three mirrors: every
+    // backend gets every request. SSL over two, one of them 200× slow: the
+    // fast one must be able to win even when the slow one is the stored
+    // backend — the tunnel starts after the certificate, and that is
+    // where a racer's stream splices in.
+    for ssl in [false, true] {
+        let mut tb = Testbed::build(TestbedConfig {
+            seed: 31,
+            num_instances: 2,
+            num_stores: 2,
+            num_backends: 3,
+            num_muxes: 2,
+            num_services: 1,
+            pages_per_site: 10,
+            ..TestbedConfig::default()
+        });
+        let vip = tb.vips[0];
+        let (mirrors, fetches) = if ssl { (2, 4) } else { (3, 3) };
+        let targets: Vec<String> = tb.service_backends[0][..mirrors]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let rules = format!(
+            "name=mirror priority=2 match * action=mirror {}",
+            targets.join(" ")
+        );
+        if ssl {
+            tb.set_ssl_policy_at(vip, &rules, 3000, SimTime::from_millis(500));
+            tb.slowdown_backend_at(0, 200.0, SimTime::ZERO);
+        } else {
+            tb.set_policy_at(vip, &rules, SimTime::from_millis(500));
+        }
+        tb.engine.run_for(SimTime::from_secs(1));
+        let obj = tb
+            .catalog
+            .site(0)
+            .objects
+            .iter()
+            .min_by_key(|o| (o.size as i64 - 10 * 1024).abs())
+            .map(|o| o.path.clone())
+            .expect("objects");
+        let browser = tb.add_browser(
+            0,
+            yoda::http::BrowserConfig {
+                processes: 1,
+                max_pages: Some(fetches),
+                fixed_object: Some(obj),
+                tls: ssl,
+                ..yoda::http::BrowserConfig::default()
+            },
+        );
+        tb.engine.run_for(SimTime::from_secs(60));
+        let bn = tb.engine.node_ref::<yoda::http::BrowserClient>(browser);
+        assert_eq!(bn.completed, fetches, "ssl={ssl}: each fetch served once");
+        assert_eq!(bn.broken_flows, 0, "ssl={ssl}");
+        assert_eq!(bn.resets, 0, "ssl={ssl}: the client never sees the losers");
+        let switches: u64 = tb
+            .instances
+            .iter()
+            .map(|&id| tb.engine.node_ref::<YodaInstance>(id).backend_switches)
+            .sum();
+        if ssl {
+            assert!(switches > 0, "a racer never beat the slow stored backend");
+        } else {
+            // Every backend received each mirrored request.
+            let total_served: u64 = tb.backends[..3]
+                .iter()
+                .map(|&id| tb.engine.node_ref::<OriginServer>(id).requests)
+                .sum();
+            assert_eq!(total_served, 9, "3 fetches x 3 mirror targets");
+        }
+    }
 }
 
 #[test]
