@@ -22,8 +22,6 @@ pub mod site;
 pub use client::{
     BrowserClient, BrowserConfig, RateClient, RateClientConfig, TIMEOUT_KIND, TLS_RETRY_KIND,
 };
-pub use message::{
-    parse_request, parse_response, parse_response_head, HttpRequest, HttpResponse,
-};
+pub use message::{parse_request, parse_response, parse_response_head, HttpRequest, HttpResponse};
 pub use server::{OriginServer, ServerConfig};
 pub use site::{ObjectId, Page, Site, SiteCatalog, SiteConfig};

@@ -358,7 +358,9 @@ mod tests {
         assert!(!req.keep_alive());
         let ka = HttpRequest::get("/").with_header("Connection", "keep-alive");
         assert!(ka.keep_alive());
-        let cl = HttpRequest::get("/").http11().with_header("Connection", "close");
+        let cl = HttpRequest::get("/")
+            .http11()
+            .with_header("Connection", "close");
         assert!(!cl.keep_alive());
     }
 

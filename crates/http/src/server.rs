@@ -155,8 +155,7 @@ impl OriginServer {
             + SimTime::from_micros(
                 SERVICE_PER_KIB.as_micros() * (response.body.len() as u64 / 1024),
             );
-        let service =
-            SimTime::from_micros((base.as_micros() as f64 * self.speed_factor) as u64);
+        let service = SimTime::from_micros((base.as_micros() as f64 * self.speed_factor) as u64);
         let done = self.cpu.submit(ctx.now(), service, conn.serial());
         let delay = done.saturating_sub(ctx.now());
         let id = self.next_reply;

@@ -264,13 +264,16 @@ impl EngineCore {
                 // Only consulted (and only consuming RNG) when the
                 // effective `duplicate` knob is nonzero, so topologies
                 // without it replay identically.
-                let dup_pkt = if self.topology.roll_duplicate(from_zone, to_zone, &mut self.rng)
+                let dup_pkt = if self
+                    .topology
+                    .roll_duplicate(from_zone, to_zone, &mut self.rng)
                 {
                     Some(pkt.clone())
                 } else {
                     None
                 };
-                self.wheel.arm(at.as_micros(), seq, 0, WheelItem::Packet { pkt, dst });
+                self.wheel
+                    .arm(at.as_micros(), seq, 0, WheelItem::Packet { pkt, dst });
                 if let Some(copy) = dup_pkt {
                     // Second, independent trip through the link model
                     // (own jitter/loss/queue rolls). Armed after the
@@ -338,7 +341,6 @@ impl EngineCore {
         }
         Some(at)
     }
-
 }
 
 /// The world a [`Node`] sees while handling an event: every effect
@@ -830,11 +832,7 @@ impl Engine {
     /// so it never moves its clock past the time of the event processed
     /// next (or past the limit), and no arm a handler makes is clamped.
     fn step_bounded(&mut self, limit_us: Option<u64>) -> bool {
-        let heap_key = self
-            .core
-            .events
-            .peek()
-            .map(|&Reverse(e)| (e.time, e.seq));
+        let heap_key = self.core.events.peek().map(|&Reverse(e)| (e.time, e.seq));
         let within_limit = match limit_us {
             Some(limit) => (limit.saturating_add(1), 0),
             None => (u64::MAX, u64::MAX),
@@ -869,10 +867,8 @@ impl Engine {
                 }
                 WheelItem::Packet { pkt, dst } => {
                     self.core.digest = fnv_fold(self.core.digest, fired.time);
-                    self.core.digest = fnv_fold(
-                        self.core.digest,
-                        1u64 ^ (pkt.dst.addr.as_u32() as u64) << 8,
-                    );
+                    self.core.digest =
+                        fnv_fold(self.core.digest, 1u64 ^ (pkt.dst.addr.as_u32() as u64) << 8);
                     let id = NodeId(dst as usize);
                     if !self.core.meta(id.0).alive {
                         self.core.packets_dropped += 1;
@@ -906,7 +902,10 @@ impl Engine {
         let Some(Reverse(entry)) = self.core.events.pop() else {
             return false; // unreachable: peek said non-empty
         };
-        debug_assert!(entry.time >= self.core.time.as_micros(), "time went backwards");
+        debug_assert!(
+            entry.time >= self.core.time.as_micros(),
+            "time went backwards"
+        );
         self.core.time = SimTime::from_micros(entry.time);
         // Bring the wheel's clock along (everything pending is at or
         // after this event), so the control's arms place at full
@@ -1443,7 +1442,9 @@ mod tests {
             })
             .collect();
         eng.run_for(SimTime::from_millis(100));
-        ids.iter().map(|&id| eng.node_ref::<Roller>(id).log.clone()).collect()
+        ids.iter()
+            .map(|&id| eng.node_ref::<Roller>(id).log.clone())
+            .collect()
     }
 
     #[test]
@@ -1463,8 +1464,16 @@ mod tests {
     fn node_rng_streams_are_split_by_seed_and_node() {
         let a = roller_logs(0xF00D, &[(3, 2), (3, 2)]);
         assert_ne!(a[0], a[1], "two nodes of one engine share no stream");
-        assert_eq!(a, roller_logs(0xF00D, &[(3, 2), (3, 2)]), "same seed, same streams");
-        assert_ne!(a[0], roller_logs(0xBEEF, &[(3, 2), (3, 2)])[0], "another seed, another stream");
+        assert_eq!(
+            a,
+            roller_logs(0xF00D, &[(3, 2), (3, 2)]),
+            "same seed, same streams"
+        );
+        assert_ne!(
+            a[0],
+            roller_logs(0xBEEF, &[(3, 2), (3, 2)])[0],
+            "another seed, another stream"
+        );
     }
 
     #[test]

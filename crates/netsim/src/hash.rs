@@ -102,7 +102,11 @@ mod tests {
         seeds.extend((0..200).map(|_| rng.next_u64()));
         for &seed in &seeds {
             for &w in &words {
-                assert_eq!(hash_u32(seed, w), hash_pair(seed, w as u64, 0), "{seed:#x} {w:#x}");
+                assert_eq!(
+                    hash_u32(seed, w),
+                    hash_pair(seed, w as u64, 0),
+                    "{seed:#x} {w:#x}"
+                );
             }
         }
     }

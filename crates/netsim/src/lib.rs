@@ -55,7 +55,6 @@ pub mod trace;
 pub mod wheel;
 
 pub use addr::{Addr, Endpoint};
-pub use rng::Rng;
 pub use engine::{Ctx, Engine, NodeId};
 pub use flowtable::FlowTable;
 pub use node::{Node, TimerId, TimerToken};
@@ -63,6 +62,7 @@ pub use packet::{
     Packet, Protocol, IPIP_HEADER_LEN, PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
     PROTO_TCP,
 };
+pub use rng::Rng;
 pub use service::ServiceQueue;
 pub use slab::{Slab, SlabKey};
 pub use stats::Histogram;

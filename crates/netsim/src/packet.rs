@@ -262,9 +262,6 @@ mod tests {
             .clone()
             .encapsulate(Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2));
         let outer = mid.encapsulate(Addr::new(3, 3, 3, 3), Addr::new(4, 4, 4, 4));
-        assert_eq!(
-            outer.decapsulate().unwrap().decapsulate().unwrap(),
-            inner
-        );
+        assert_eq!(outer.decapsulate().unwrap().decapsulate().unwrap(), inner);
     }
 }

@@ -77,7 +77,9 @@ impl Histogram {
         }
         self.sort();
         let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        self.samples.get(rank.clamp(1, self.samples.len()) - 1).copied()
+        self.samples
+            .get(rank.clamp(1, self.samples.len()) - 1)
+            .copied()
     }
 
     /// Median (P50), or `None` when empty.

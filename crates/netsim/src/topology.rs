@@ -293,7 +293,9 @@ mod tests {
     #[test]
     fn azure_wan_is_slower_than_dc() {
         let topo = Topology::azure_testbed();
-        assert!(topo.link(Zone::External, Zone::Dc).latency > topo.link(Zone::Dc, Zone::Dc).latency);
+        assert!(
+            topo.link(Zone::External, Zone::Dc).latency > topo.link(Zone::Dc, Zone::Dc).latency
+        );
     }
 
     #[test]

@@ -190,7 +190,10 @@ struct SlotList {
     tail: u32,
 }
 
-const EMPTY: SlotList = SlotList { head: NIL, tail: NIL };
+const EMPTY: SlotList = SlotList {
+    head: NIL,
+    tail: NIL,
+};
 
 /// Where an entry with a given deadline lives at the current clock.
 #[derive(Debug, Clone, Copy)]
@@ -396,7 +399,10 @@ impl TimerWheel {
             if (start, 0) >= (bound_time, bound_seq) {
                 return None;
             }
-            debug_assert!(start > self.now, "occupied coarse slots lie ahead of the clock");
+            debug_assert!(
+                start > self.now,
+                "occupied coarse slots lie ahead of the clock"
+            );
             self.advance(start);
         }
     }
@@ -501,12 +507,16 @@ impl TimerWheel {
             let idx = self.lk_bits[k].trailing_zeros() as u64;
             return Some(window | (idx << LEVEL_SHIFT[k]));
         }
-        self.overflow_deadlines().min().map(|d| d >> TOP_SHIFT << TOP_SHIFT)
+        self.overflow_deadlines()
+            .min()
+            .map(|d| d >> TOP_SHIFT << TOP_SHIFT)
     }
 
     fn overflow_deadlines(&self) -> impl Iterator<Item = u64> + '_ {
         let slab = &self.slab;
-        self.overflow.iter().filter_map(move |&s| slab.get(s as usize).map(|e| e.deadline))
+        self.overflow
+            .iter()
+            .filter_map(move |&s| slab.get(s as usize).map(|e| e.deadline))
     }
 
     /// The list an entry with deadline `d` belongs in at the current
@@ -643,7 +653,9 @@ mod tests {
                 crate::packet::PROTO_PING,
                 bytes::Bytes::new(),
             );
-            let slot = self.wheel.arm(deadline, seq, 0, WheelItem::Packet { pkt, dst });
+            let slot = self
+                .wheel
+                .arm(deadline, seq, 0, WheelItem::Packet { pkt, dst });
             (seq, slot)
         }
         /// Pops everything, returning (time, seq) pairs.
@@ -877,15 +889,18 @@ mod tests {
         let mut h = Harness::new();
         let start = L0_SLOTS as u64; // first L1 slot boundary
         h.arm(start + 9); // seq 0, in L1 slot 1
-        // Bound at the slot start with seq 0: cascading would put the
-        // clock at the bound, so nothing may move.
+                          // Bound at the slot start with seq 0: cascading would put the
+                          // clock at the bound, so nothing may move.
         assert!(h.wheel.pop_before(start, 0).is_none());
         assert_eq!((h.wheel.now(), h.wheel.lk_bits[0]), (0, 2));
         // Any bound above (start, 0) lets the slot cascade; the entry
         // itself is still past the bound.
         assert!(h.wheel.pop_before(start, 1).is_none());
         assert_eq!((h.wheel.now(), h.wheel.lk_bits[0]), (start, 0));
-        assert!(h.wheel.pop_before(start + 9, 0).is_none(), "strictly below the bound");
+        assert!(
+            h.wheel.pop_before(start + 9, 0).is_none(),
+            "strictly below the bound"
+        );
         assert_eq!(h.wheel.pop_before(start + 9, 1).map(|f| f.seq), Some(0));
         assert_eq!(h.wheel.now(), start + 9);
     }
@@ -902,7 +917,9 @@ mod tests {
         }
         for i in 0..200_000u64 {
             let f = h.wheel.pop().expect("population is constant");
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             if i % 7 == 0 {
                 h.arm(f.time + 100_000 + (x >> 40) % 100_000);
             } else {
@@ -922,7 +939,9 @@ mod tests {
         // Simple LCG so the test needs no RNG dependency.
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         let mut next = |m: u64| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (x >> 16) % m
         };
         let mut popped = 0u64;
