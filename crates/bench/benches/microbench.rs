@@ -120,12 +120,14 @@ fn bench_seq_translate() {
         payload: bytes::Bytes::from(vec![0u8; 1460]),
     };
     let delta = 0x55AA55AAu32;
+    let src = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+    let dst = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
     bench("seq_translate_packet", || {
         let mut out = seg.clone();
         out.seq += delta;
         out.src_port = 80;
         out.dst_port = 40000;
-        black_box(out.encode());
+        black_box(out.into_packet(src, dst));
     });
 }
 

@@ -88,6 +88,8 @@ pub struct Site {
 pub struct SiteCatalog {
     sites: Vec<Site>,
     /// `MAX_OBJECT_BYTES` of filler; every object's body is a prefix of it.
+    /// Byte `i` is `i % 251` ([`filler_byte`]), so a byte that arrives
+    /// shifted, duplicated or dropped changes what a receiver reads.
     filler: Bytes,
 }
 
@@ -111,6 +113,12 @@ pub const MEDIAN_OBJECT_BYTES: usize = 46 * 1024;
 pub const MIN_OBJECT_BYTES: usize = 1024;
 /// Largest object size from the paper (442 KB).
 pub const MAX_OBJECT_BYTES: usize = 442 * 1024;
+
+/// Byte `i` of every object body: `i % 251`. The period is prime, so no
+/// shift shorter than it reads the same bytes.
+pub fn filler_byte(i: usize) -> u8 {
+    (i % 251) as u8
+}
 
 impl SiteCatalog {
     /// Synthesizes a catalog of sites, deterministically from `seed`.
@@ -169,7 +177,7 @@ impl SiteCatalog {
         }
         SiteCatalog {
             sites,
-            filler: Bytes::from(vec![b'x'; MAX_OBJECT_BYTES]),
+            filler: (0..MAX_OBJECT_BYTES).map(filler_byte).collect(),
         }
     }
 
@@ -389,7 +397,7 @@ mod tests {
         let (a, b) = (c.body(MAX_OBJECT_BYTES), c.body(1024));
         assert_eq!((a.len(), b.len()), (MAX_OBJECT_BYTES, 1024));
         assert_eq!(a.as_ptr(), b.as_ptr(), "views of one allocation");
-        assert!(b.iter().all(|&x| x == b'x'));
+        assert!(a.iter().enumerate().all(|(i, &x)| x == filler_byte(i)));
         assert_eq!(c.body(usize::MAX).len(), MAX_OBJECT_BYTES);
     }
 

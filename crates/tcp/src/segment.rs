@@ -1,13 +1,14 @@
 //! TCP segments and their wire format.
 //!
-//! Segments ride inside [`Packet`] payloads with
-//! protocol `PROTO_TCP`. The wire format is a
-//! simplified fixed 21-byte header (no options) followed by the payload;
-//! keeping an explicit byte encoding (rather than passing structs around)
-//! is what lets Yoda's flow-state records store and replay *actual packet
-//! headers*, as the paper's TCPStore does. This module is the only one
-//! that knows the header layout: the instance's tunnel and the mux's
-//! splice fast path both rewrite segments through [`Translation`].
+//! Segments ride in [`Packet`]s with protocol `PROTO_TCP`, in one shape:
+//! the packet's `payload` is exactly the simplified fixed 21-byte header
+//! (no options), and its `body` is the segment's data — a view of the
+//! sender's buffer, never copied on the way. Keeping an explicit byte
+//! encoding (rather than passing structs around) is what lets Yoda's
+//! flow-state records store and replay *actual packet headers*, as the
+//! paper's TCPStore does. This module is the only one that knows the
+//! header layout: the instance's tunnel and the mux's splice fast path
+//! both rewrite segments through [`Translation`].
 
 use bytes::{add_be32, put_be, Bytes};
 use yoda_netsim::{Endpoint, Packet, IPIP_HEADER_LEN, PROTO_TCP};
@@ -119,6 +120,7 @@ impl std::fmt::Display for Flags {
 ///
 /// ```
 /// use yoda_tcp::{Segment, Flags, SeqNum};
+/// use yoda_netsim::{Addr, Endpoint};
 /// use bytes::Bytes;
 ///
 /// let seg = Segment {
@@ -130,8 +132,10 @@ impl std::fmt::Display for Flags {
 ///     window: 65535,
 ///     payload: Bytes::new(),
 /// };
-/// let decoded = Segment::decode(seg.clone().encode()).unwrap();
-/// assert_eq!(decoded, seg);
+/// let src = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
+/// let dst = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+/// let pkt = seg.clone().into_packet(src, dst);
+/// assert_eq!(Segment::from_packet(pkt), Some(seg));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
@@ -166,18 +170,8 @@ impl Segment {
         self.seq + self.seq_len()
     }
 
-    /// Encodes the segment to bytes, consuming it.
-    ///
-    /// A segment a socket emitted was cut into a block of its own with
-    /// room for both headers in front, and a segment decoded from a packet
-    /// this node owns — the tunneling instance's case — still has its old
-    /// header (and the IP-in-IP header in front of that) sitting before
-    /// the payload in a buffer nobody else references: either way the
-    /// header is written in place and the payload never moves. Any other
-    /// payload (a crafted segment, a shared buffer) is copied once into a
-    /// fresh buffer with [`IPIP_HEADER_LEN`] bytes of room in front, so
-    /// every hop downstream can encapsulate in place.
-    pub fn encode(self) -> Bytes {
+    /// The header's wire form.
+    fn header(&self) -> [u8; SEGMENT_HEADER_LEN] {
         let mut h = [0u8; SEGMENT_HEADER_LEN];
         put_be(&mut h, 0, &self.src_port.to_be_bytes());
         put_be(&mut h, 2, &self.dst_port.to_be_bytes());
@@ -186,64 +180,58 @@ impl Segment {
         put_be(&mut h, 12, &[self.flags.to_byte()]);
         put_be(&mut h, 13, &self.window.to_be_bytes());
         put_be(&mut h, 17, &(self.payload.len() as u32).to_be_bytes());
-        let mut buf = self.payload;
-        if !buf.try_prepend(&h) {
-            buf = Bytes::with_headroom(IPIP_HEADER_LEN, [&h[..], &buf]);
-        }
-        buf
+        h
     }
 
-    /// Decodes a segment; `None` on truncation or length mismatch. The
-    /// payload is `b` with the header popped off the front (same
-    /// allocation, no reference-count traffic).
-    pub fn decode(mut b: Bytes) -> Option<Segment> {
-        framed_len(&b)?;
-        let (src_port, dst_port) = (
-            u16::from_be_bytes(bytes::array_at::<2>(&b, 0)?),
-            u16::from_be_bytes(bytes::array_at::<2>(&b, 2)?),
-        );
-        let seq = SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(&b, 4)?));
-        let ack = SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(&b, 8)?));
-        let flags = Flags::from_byte(*b.get(12)?);
-        let window = u32::from_be_bytes(bytes::array_at::<4>(&b, 13)?);
-        b.advance(SEGMENT_HEADER_LEN);
-        Some(Segment {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            payload: b,
-        })
-    }
-
-    /// Wraps this segment in a network packet from `src` to `dst`.
+    /// Wraps this segment in a network packet from `src` to `dst`: the
+    /// header goes into a block of its own, with [`IPIP_HEADER_LEN`] bytes
+    /// of room in front so every hop downstream can encapsulate in place,
+    /// and the data rides as the packet's body, the same view the segment
+    /// held (a slice of the sender's chunk) — no data byte is copied.
     ///
     /// The endpoint ports override the segment's ports (they must agree;
     /// debug builds assert it).
     pub fn into_packet(self, src: Endpoint, dst: Endpoint) -> Packet {
         debug_assert_eq!(self.src_port, src.port, "src port mismatch");
         debug_assert_eq!(self.dst_port, dst.port, "dst port mismatch");
-        Packet::new(src, dst, PROTO_TCP, self.encode())
-    }
-
-    /// Extracts the segment of a TCP packet, consuming it (the segment's
-    /// payload is the packet's buffer, now owned by the segment alone);
-    /// `None` for other protocols or malformed payloads.
-    pub fn from_packet(pkt: Packet) -> Option<Segment> {
-        if pkt.protocol != PROTO_TCP {
-            return None;
+        let header = Bytes::with_headroom(IPIP_HEADER_LEN, [&self.header()[..]]);
+        Packet {
+            src,
+            dst,
+            protocol: PROTO_TCP,
+            payload: header,
+            body: self.payload,
         }
-        Segment::decode(pkt.payload)
     }
 
-    /// Reads the flags and the payload length of a TCP packet without
-    /// decoding the segment (the mux classifies packets this way); `None`
-    /// for other protocols and for payloads [`Segment::decode`] rejects.
+    /// Extracts the segment of a TCP packet, consuming it: the segment's
+    /// data is the packet's body, and its header block is dropped. `None`
+    /// for other protocols and for packets [`Segment::peek`] rejects.
+    pub fn from_packet(pkt: Packet) -> Option<Segment> {
+        let (flags, _) = Segment::peek(&pkt)?;
+        let h = &pkt.payload;
+        Some(Segment {
+            src_port: u16::from_be_bytes(bytes::array_at::<2>(h, 0)?),
+            dst_port: u16::from_be_bytes(bytes::array_at::<2>(h, 2)?),
+            seq: SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(h, 4)?)),
+            ack: SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(h, 8)?)),
+            flags,
+            window: u32::from_be_bytes(bytes::array_at::<4>(h, 13)?),
+            payload: pkt.body,
+        })
+    }
+
+    /// Reads the flags and the data length of a TCP packet without
+    /// decoding the segment (the mux classifies packets this way). `None`
+    /// for other protocols and for any packet not in the one wire shape:
+    /// a payload of exactly the header, and a body of exactly the length
+    /// it declares.
     pub fn peek(pkt: &Packet) -> Option<(Flags, usize)> {
-        let len = framed_len(&pkt.payload).filter(|_| pkt.protocol == PROTO_TCP)?;
-        Some((Flags::from_byte(*pkt.payload.get(12)?), len))
+        let h = &pkt.payload;
+        let len = u32::from_be_bytes(bytes::array_at::<4>(h, 17)?) as usize;
+        let framed =
+            pkt.protocol == PROTO_TCP && h.len() == SEGMENT_HEADER_LEN && pkt.body.len() == len;
+        framed.then_some((Flags::from_byte(*h.get(12)?), len))
     }
 
     /// Short human-readable summary for traces, tcpdump-style.
@@ -256,13 +244,6 @@ impl Segment {
             self.payload.len()
         )
     }
-}
-
-/// The payload length `b`'s header declares, if `b` holds exactly that
-/// header and that many bytes: the framing check every reader applies.
-fn framed_len(b: &[u8]) -> Option<usize> {
-    let len = u32::from_be_bytes(bytes::array_at::<4>(b, 17)?) as usize;
-    (b.len() == SEGMENT_HEADER_LEN + len).then_some(len)
 }
 
 /// One direction of a tunneled connection (paper Figure 4): segments
@@ -295,11 +276,12 @@ impl Translation {
     }
 
     /// Translates a TCP packet by patching its header where it lies, and
-    /// readdresses it (the mux's splice fast path). A uniquely owned buffer
-    /// is written in place; a shared one is copied once, with
-    /// [`IPIP_HEADER_LEN`] bytes of room in front like a sender's, so the
-    /// next hop encapsulates in place again. Returns `false`, leaving the
-    /// packet untouched, unless it is TCP holding exactly one segment.
+    /// readdresses it (the mux's splice fast path). A uniquely owned header
+    /// block is written in place; a shared one is copied once — its 21
+    /// bytes, with [`IPIP_HEADER_LEN`] bytes of room in front like a
+    /// sender's, so the next hop encapsulates in place again. The body is
+    /// never touched. Returns `false`, leaving the packet untouched, unless
+    /// it is TCP holding exactly one segment.
     pub fn apply_in_place(&self, pkt: &mut Packet) -> bool {
         let Some((flags, _)) = Segment::peek(pkt) else {
             return false;
@@ -338,6 +320,9 @@ mod tests {
         }
     }
 
+    const SRC: Endpoint = Endpoint::new(Addr::new(1, 1, 1, 1), 1234);
+    const DST: Endpoint = Endpoint::new(Addr::new(2, 2, 2, 2), 80);
+
     #[test]
     fn flags_roundtrip_all_combinations() {
         for bits in 0..32u8 {
@@ -347,19 +332,39 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let s = seg(Flags::SYN_ACK, b"hello");
-        assert_eq!(Segment::decode(s.clone().encode()).unwrap(), s);
+    fn packet_roundtrip() {
+        for s in [seg(Flags::SYN_ACK, b""), seg(Flags::ACK, b"data")] {
+            let pkt = s.clone().into_packet(SRC, DST);
+            assert_eq!(pkt.payload.len(), SEGMENT_HEADER_LEN, "the header alone");
+            assert_eq!(pkt.body, s.payload);
+            assert_eq!(Segment::from_packet(pkt).unwrap(), s);
+        }
     }
 
     #[test]
-    fn decode_rejects_bad_lengths() {
-        let enc = seg(Flags::ACK, b"abc").encode();
-        assert!(Segment::decode(enc.slice(0..10)).is_none());
-        assert!(Segment::decode(enc.slice(0..enc.len() - 1)).is_none());
-        let mut extended = enc.to_vec();
-        extended.push(0);
-        assert!(Segment::decode(Bytes::from(extended)).is_none());
+    fn from_packet_rejects_every_other_shape() {
+        let good = seg(Flags::ACK, b"abc").into_packet(SRC, DST);
+        let with = |payload: &[u8], body: &[u8]| {
+            let mut p = good.clone();
+            (p.payload, p.body) = (
+                Bytes::copy_from_slice(payload),
+                Bytes::copy_from_slice(body),
+            );
+            p
+        };
+        let (h, b) = (&good.payload[..], &good.body[..]);
+        let whole = [h, b].concat();
+        for bad in [
+            with(&h[..10], b),
+            with(h, &b[..2]),
+            with(h, b"abcd"),
+            // Data after the header, in the payload: the contiguous shape.
+            with(&whole, b""),
+            with(&whole[..22], &whole[22..]),
+        ] {
+            assert!(Segment::peek(&bad).is_none(), "{bad:?}");
+            assert!(Segment::from_packet(bad).is_none());
+        }
     }
 
     #[test]
@@ -371,44 +376,53 @@ mod tests {
     }
 
     #[test]
-    fn packet_roundtrip() {
-        let s = seg(Flags::ACK, b"data");
-        let src = Endpoint::new(Addr::new(1, 1, 1, 1), 1234);
-        let dst = Endpoint::new(Addr::new(2, 2, 2, 2), 80);
-        let pkt = s.clone().into_packet(src, dst);
-        assert_eq!(Segment::from_packet(pkt).unwrap(), s);
+    fn data_rides_as_the_senders_view() {
+        // The segment's data is the sender's chunk at every step: into the
+        // packet, through an encapsulation and back, out of the packet,
+        // translated and into the next packet. Only header blocks are
+        // made, each with room for the next hop's encapsulation.
+        let chunk = Bytes::from_static(b"..payload..");
+        let at = chunk.slice(2..9);
+        let mut s = seg(Flags::ACK, b"");
+        s.payload = at.clone();
+        let pkt = s.into_packet(SRC, DST);
+        assert_eq!(pkt.body.as_ptr(), at.as_ptr());
+        let header = pkt.payload.as_ptr();
+        let outer = pkt.encapsulate(SRC.addr, DST.addr);
+        assert_eq!(
+            outer.payload[IPIP_HEADER_LEN..].as_ptr(),
+            header,
+            "sender reserved the encapsulation room"
+        );
+        let mut back = Segment::from_packet(outer.decapsulate().unwrap()).unwrap();
+        assert_eq!(back.payload.as_ptr(), at.as_ptr(), "decode is a view");
+        back.seq += 1000;
+        let pkt = back.into_packet(SRC, DST);
+        assert_eq!(pkt.body.as_ptr(), at.as_ptr());
+        let back = Segment::from_packet(pkt).unwrap();
+        assert_eq!(back.seq, SeqNum::new(1007));
+        assert_eq!(&back.payload[..], b"payload");
     }
 
     #[test]
-    fn rewrite_lands_on_the_old_header() {
-        // Encode (the sender's one copy), decode, translate, re-encode:
-        // the payload stays where the sender put it, and the buffer keeps
-        // one IP-in-IP header of room in front for the next encapsulation.
-        let src = Endpoint::new(Addr::new(1, 1, 1, 1), 1234);
-        let dst = Endpoint::new(Addr::new(2, 2, 2, 2), 80);
-        let pkt = seg(Flags::ACK, b"payload").into_packet(src, dst);
-        let at = pkt.payload[SEGMENT_HEADER_LEN..].as_ptr();
-        let mut s = Segment::from_packet(pkt).unwrap();
-        assert_eq!(s.payload.as_ptr(), at, "decode is a view");
-        s.seq += 1000;
-        let out = s.clone();
-        drop(s);
-        let pkt = out.clone().into_packet(src, dst);
-        // `out` is still alive: shared, so that one was a copy ...
-        assert_ne!(pkt.payload[SEGMENT_HEADER_LEN..].as_ptr(), at);
-        drop(pkt);
-        // ... and once it is the only handle the rewrite is in place.
-        let pkt = out.into_packet(src, dst);
-        assert_eq!(pkt.payload[SEGMENT_HEADER_LEN..].as_ptr(), at);
-        let outer = pkt.encapsulate(src.addr, dst.addr);
-        assert_eq!(
-            outer.payload[IPIP_HEADER_LEN + SEGMENT_HEADER_LEN..].as_ptr(),
-            at,
-            "sender reserved the encapsulation room"
-        );
-        let back = Segment::from_packet(outer.decapsulate().unwrap()).unwrap();
-        assert_eq!(back.seq, SeqNum::new(1007));
-        assert_eq!(&back.payload[..], b"payload");
+    fn apply_in_place_copies_a_shared_header_alone() {
+        let t = Translation {
+            src: Endpoint::new(Addr::new(3, 3, 3, 3), 80),
+            dst: Endpoint::new(Addr::new(4, 4, 4, 4), 4321),
+            seq_add: 10,
+            ack_add: 20,
+        };
+        let mut pkt = seg(Flags::ACK, b"body").into_packet(SRC, DST);
+        let (header, body) = (pkt.payload.as_ptr(), pkt.body.as_ptr());
+        assert!(t.apply_in_place(&mut pkt));
+        assert_eq!((pkt.payload.as_ptr(), pkt.body.as_ptr()), (header, body));
+        let keep = pkt.clone();
+        assert!(t.apply_in_place(&mut pkt));
+        assert_ne!(pkt.payload.as_ptr(), header, "shared: the header copied");
+        assert_eq!(pkt.body.as_ptr(), body, "... and the body not");
+        let s = Segment::from_packet(pkt).unwrap();
+        assert_eq!((s.seq, s.ack), (SeqNum::new(27), SeqNum::new(49)));
+        assert_eq!(Segment::from_packet(keep).unwrap().seq, SeqNum::new(17));
     }
 
     #[test]
@@ -420,17 +434,15 @@ mod tests {
 
     #[test]
     fn peek_matches_decode() {
-        let src = Endpoint::new(Addr::new(1, 1, 1, 1), 1234);
-        let dst = Endpoint::new(Addr::new(2, 2, 2, 2), 80);
-        let pkt = seg(Flags::FIN_ACK, b"tail").into_packet(src, dst);
+        let pkt = seg(Flags::FIN_ACK, b"tail").into_packet(SRC, DST);
         assert_eq!(Segment::peek(&pkt), Some((Flags::FIN_ACK, 4)));
-        let short = Packet::new(src, dst, PROTO_TCP, Bytes::from_static(b"x"));
+        let short = Packet::new(SRC, DST, PROTO_TCP, Bytes::from_static(b"x"));
         assert!(Segment::peek(&short).is_none());
-        let mut long = pkt.payload.to_vec();
-        long.push(0);
-        let long = Packet::new(src, dst, PROTO_TCP, Bytes::from(long));
+        let mut long = pkt.clone();
+        long.body = Bytes::from_static(b"tails");
         assert!(Segment::peek(&long).is_none());
-        let ping = Packet::new(src, dst, yoda_netsim::PROTO_PING, Bytes::new());
+        let mut ping = pkt;
+        ping.protocol = yoda_netsim::PROTO_PING;
         assert!(Segment::peek(&ping).is_none());
     }
 

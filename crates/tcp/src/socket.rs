@@ -21,9 +21,9 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use yoda_netsim::{Endpoint, SimTime, IPIP_HEADER_LEN};
+use yoda_netsim::{Endpoint, SimTime};
 
-use crate::segment::{Flags, Segment, SEGMENT_HEADER_LEN};
+use crate::segment::{Flags, Segment};
 use crate::sendq::SendQueue;
 use crate::seq::SeqNum;
 
@@ -46,10 +46,6 @@ const SYN_RTO: SimTime = SimTime::from_secs(3);
 const MAX_RETRIES: u32 = 10;
 /// How long to linger in TIME-WAIT (abbreviated; real stacks use 2MSL).
 const TIME_WAIT: SimTime = SimTime::from_secs(1);
-/// Room a data segment's block keeps in front of its payload: the segment
-/// header `Segment::encode` writes there, then the IP-in-IP header a
-/// forwarding hop does.
-const WIRE_ROOM: usize = IPIP_HEADER_LEN + SEGMENT_HEADER_LEN;
 
 /// Connection state (RFC 793 names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -435,8 +431,7 @@ impl TcpSocket {
         }
         // `None`: accounting drift between snd_una and the buffer; nothing
         // sane to retransmit, recover via ACK clocking instead.
-        if let Some(parts) = self.unacked.head(inflight.min(MSS)) {
-            let payload = Bytes::with_headroom(WIRE_ROOM, parts);
+        if let Some(payload) = self.unacked.head(inflight.min(MSS)) {
             out.push(self.make_segment(self.snd_una, Flags::ACK, payload));
         }
     }
@@ -472,12 +467,11 @@ impl TcpSocket {
             if len == 0 {
                 break;
             }
-            // The segment's one copy: its bytes go straight from the
-            // queued chunks into the block that goes on the wire.
-            let Some(parts) = self.unacked.take_unsent(len) else {
+            // A view of the queued chunk the cut lies in; copied only
+            // when it spans chunks.
+            let Some(payload) = self.unacked.take_unsent(len) else {
                 break;
             };
-            let payload = Bytes::with_headroom(WIRE_ROOM, parts);
             let mut flags = Flags::ACK;
             flags.psh = self.unacked.unsent() == 0;
             let seg = self.make_segment(self.snd_nxt, flags, payload);
@@ -1213,37 +1207,36 @@ mod tests {
     }
 
     #[test]
-    fn emitted_segments_encode_in_place() {
-        // A segment's payload is the one copy of its bytes, cut straight
-        // from the queued chunks into a block with room for the headers:
-        // encoding writes the segment header in front of it, and the
-        // packet's bytes start exactly that header's length earlier.
+    fn emitted_segments_are_views_of_the_queued_chunk() {
+        // A segment cut inside one queued chunk is a view of that chunk,
+        // and its packet carries the same view as its body: no data byte
+        // is copied, retransmissions included.
         let mut sock = sender(5);
         let object: Bytes = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let at = |seen: usize| object.as_ptr().wrapping_add(seen);
         let mut now = SimTime::from_millis(1);
         let mut segs = emit(|o| sock.send(object.clone(), now, o));
-        let (mut seen, mut full) = (0usize, 0);
+        let mut seen = 0usize;
         while seen < object.len() {
             assert!(!segs.is_empty(), "stalled at {seen}");
             for seg in segs.drain(..) {
                 assert_eq!(&seg.payload[..], &object[seen..][..seg.payload.len()]);
-                seen += seg.payload.len();
-                if seg.payload.len() == MSS {
-                    full += 1;
-                    let payload = seg.payload.as_ptr();
-                    let pkt = seg.into_packet(sock.local(), sock.remote());
-                    assert_eq!(
-                        pkt.payload.as_ptr().wrapping_add(SEGMENT_HEADER_LEN),
-                        payload,
-                        "encoding a full segment copied it"
-                    );
-                }
+                assert_eq!(seg.payload.as_ptr(), at(seen), "cutting copied a segment");
+                let pkt = seg.into_packet(sock.local(), sock.remote());
+                assert_eq!(pkt.payload.len(), crate::SEGMENT_HEADER_LEN);
+                assert_eq!(pkt.body.as_ptr(), at(seen), "encoding copied a segment");
+                seen += pkt.body.len();
             }
             now += SimTime::from_millis(1);
             let ack = peer_ack(&sock, sock.iss() + 1 + seen as u32);
             segs = emit(|o| sock.on_segment(&ack, now, o));
         }
-        assert_eq!(full, 100_000 / MSS);
+        // An RTO retransmits the oldest unacked bytes: a view as well.
+        let mut sock = sender(6);
+        let sent = emit(|o| sock.send(object.clone(), now, o));
+        assert!(sent.len() > 1);
+        let rtx = emit(|o| sock.on_timer(now + SimTime::from_secs(5), o));
+        assert_eq!(rtx.first().map(|s| s.payload.as_ptr()), Some(at(0)));
     }
 
     #[test]

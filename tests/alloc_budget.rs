@@ -1,11 +1,21 @@
 //! Allocation budgets of the byte path (DESIGN.md "Byte path"), counted
-//! by a global allocator that wraps `System` in this test binary only:
+//! by a global allocator that wraps `System` in this test binary only.
+//! No data byte is copied on the way: a segment's data is a view of its
+//! sender's chunk, and what a segment costs is its header block — the
+//! 21-byte TCP header with 17 bytes of room for an IP-in-IP header, a
+//! [`HEADER_BLOCK`]-byte allocation:
 //!
-//! * a segment a sender emits is one block, and the router, the mux
-//!   (tunnel and splice) and the engine add nothing on its way;
-//! * a TCP socket's segments cost one block each, data or pure ACK, and
-//!   `TcpStack::on_packet`/`on_timer` allocate nothing else: no segment
-//!   vector, no event vector;
+//! * a segment a sender emits is one header block, and the router, the
+//!   mux (tunnel and splice) and the engine add nothing on its way; a
+//!   link-duplicated packet, whose two copies share that block, costs the
+//!   router one more header block and no data;
+//! * the instance tunnels a segment for one header block (it re-encodes
+//!   the translated header) and nothing else;
+//! * a TCP socket's segments cost one header block each, data or pure
+//!   ACK, and `TcpStack::on_packet`/`on_timer` allocate nothing else: no
+//!   segment vector, no event vector;
+//! * moving a mebibyte through a connected `TcpStack` pair allocates
+//!   under 128 KiB in all: the header blocks, and no copy of the data;
 //! * `TcpStack::recv` hands out pending segments as they arrived,
 //!   allocating nothing, however many are pending;
 //! * a store request or response is encoded in one block, and a store
@@ -30,8 +40,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use yoda::core::rules::{RuleTable, SelectCtx};
+use yoda::core::testbed::{Testbed, TestbedConfig, Tier};
+use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::site::MAX_OBJECT_BYTES;
 use yoda::http::{HttpRequest, SiteCatalog, SiteConfig};
 use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
@@ -47,13 +61,22 @@ use yoda::tcpstore::{
 thread_local! {
     /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) this thread made.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc`'s growth only).
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread allocated minus bytes it freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
+/// What one header block asks the allocator for: a 38-byte `Bytes` block
+/// (the 21-byte TCP header and 17 bytes of room in front, or a copied
+/// header with the IP-in-IP header in front) behind its two 8-byte
+/// reference counts, rounded up to the 8-byte alignment.
+const HEADER_BLOCK: u64 = 56;
+
 /// Counts one allocation call that changes the thread's holding by `delta`.
 fn count(delta: i64) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED.try_with(|n| n.set(n.get() + delta.max(0) as u64));
     let _ = LIVE.try_with(|b| b.set(b.get() + delta));
 }
 
@@ -96,9 +119,17 @@ static COUNTING: Counting = Counting;
 
 /// Runs `f`; returns the allocations this thread made in it, and its value.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
+    let ((allocs, _), out) = allocated(f);
+    (allocs, out)
+}
+
+/// Runs `f`; returns the allocations this thread made in it and the bytes
+/// they asked for, and its value.
+fn allocated<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let before = (ALLOCS.with(Cell::get), ALLOCATED.with(Cell::get));
     let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
+    let after = (ALLOCS.with(Cell::get), ALLOCATED.with(Cell::get));
+    ((after.0 - before.0, after.1 - before.1), out)
 }
 
 /// Runs `f`; returns the bytes this thread holds after it minus before
@@ -139,9 +170,8 @@ fn sink() -> Box<Sink> {
 }
 
 /// A data segment whose payload is a view of the caller's chunk, which
-/// the caller keeps: encoding copies it into a fresh block with the
-/// encapsulation room in front — the one block a sender pays per segment
-/// (a socket pays it when it cuts the segment, and encodes in place).
+/// the caller keeps: it stays a view all the way, and the one block the
+/// sender pays for is the header's.
 fn sender_segment(chunk: &Bytes, from: Endpoint, to: Endpoint) -> Segment {
     Segment {
         src_port: from.port,
@@ -197,9 +227,10 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
         );
     });
     let chunk = Bytes::from(vec![0x5A; 1460]);
-    // Sender → router → mux → (instance | backend), one packet, timed.
+    // Sender → router → mux → (instance | backend), one packet, timed:
+    // the allocations on the way and the bytes they asked for.
     let trip = |eng: &mut Engine, from: Endpoint, encoded: Option<Packet>| {
-        allocations(|| {
+        allocated(|| {
             let pkt =
                 encoded.unwrap_or_else(|| sender_segment(&chunk, from, vip).into_packet(from, vip));
             eng.with_node_ctx::<Sink>(client, |_, ctx| ctx.send(pkt));
@@ -219,17 +250,123 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
     };
     assert_eq!(got(&eng), (64, 64), "the warm-up went both ways");
     for from in [tunneled, spliced] {
-        // The whole trip, encode included: the sender's block alone.
-        assert_eq!(trip(&mut eng, from, None), 1, "{from}: sender to receiver");
+        // The whole trip, encode included: the sender's header block alone.
+        let want = (1, HEADER_BLOCK);
+        assert_eq!(
+            trip(&mut eng, from, None),
+            want,
+            "{from}: sender to receiver"
+        );
         // Router, mux and engine on an encoded packet: nothing.
         let pkt = sender_segment(&chunk, from, vip).into_packet(from, vip);
-        assert_eq!(trip(&mut eng, from, Some(pkt)), 0, "{from}: forwarding");
+        assert_eq!(
+            trip(&mut eng, from, Some(pkt)),
+            (0, 0),
+            "{from}: forwarding"
+        );
+        // A shared packet, as link duplication delivers it (the other
+        // copy still in flight): the router copies its header, once, and
+        // every hop after that writes in place again.
+        let pkt = sender_segment(&chunk, from, vip).into_packet(from, vip);
+        let twin = pkt.clone();
+        assert_eq!(trip(&mut eng, from, Some(pkt)), want, "{from}: shared");
+        drop(twin);
     }
-    assert_eq!(got(&eng), (66, 66));
+    assert_eq!(got(&eng), (67, 67));
     let last = eng.node_ref::<Sink>(server).last.clone().expect("spliced");
     assert_eq!(last.src, Endpoint::new(vip.addr, spliced.port));
+    assert_eq!(
+        last.body.as_ptr(),
+        chunk.as_ptr(),
+        "the sender's chunk, not a copy"
+    );
     let seg = Segment::from_packet(last).expect("a segment");
     assert_eq!((seg.seq, seg.payload), (SeqNum::new(8), chunk));
+
+    // The instance's tunnel, in a testbed, on its largest response: every
+    // data segment it forwards costs it its translated header's block.
+    let calls = tunneled_through_the_instance();
+    let data: Vec<(u64, u64)> = calls
+        .iter()
+        .filter(|&&(len, _)| len > 0)
+        .map(|&(_, cost)| cost)
+        .collect();
+    assert!(data.len() > 200, "{} data segments tunneled", data.len());
+    // The first carries the request: the instance parses it, picks a
+    // backend and writes flow state, which costs more.
+    let steady = &data[1..];
+    let other: Vec<_> = steady.iter().filter(|&&c| c != (1, HEADER_BLOCK)).collect();
+    assert!(
+        other.is_empty(),
+        "tunneled segments not at one header block: {other:?}"
+    );
+}
+
+/// A Yoda instance whose packet handler is metered: per call, the data
+/// length of the packet it got and the allocations the call made, with
+/// the bytes they asked for.
+struct Metered {
+    inner: YodaInstance,
+    calls: Vec<(usize, (u64, u64))>,
+}
+
+impl Node for Metered {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        let len = pkt.body.len();
+        let (cost, ()) = allocated(|| self.inner.on_packet(ctx, pkt));
+        self.calls.push((len, cost));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        self.inner.on_timer(ctx, token);
+    }
+}
+
+/// Fetches the largest object of a one-instance testbed whose instance is
+/// [`Metered`]; returns its calls.
+fn tunneled_through_the_instance() -> Vec<(usize, (u64, u64))> {
+    let tier = Tier {
+        prefix: "yoda",
+        make: Arc::new(|addr, stores, muxes| {
+            let inner = YodaInstance::new(YodaConfig::default(), addr, stores, muxes.to_vec());
+            let calls = Vec::new();
+            Box::new(Metered { inner, calls })
+        }),
+    };
+    let mut tb = Testbed::build_with(
+        TestbedConfig {
+            seed: 3,
+            num_instances: 1,
+            num_stores: 2,
+            num_backends: 1,
+            num_muxes: 1,
+            num_services: 1,
+            pages_per_site: 4,
+            ..TestbedConfig::default()
+        },
+        tier,
+    );
+    tb.engine.run_for(SimTime::from_secs(1));
+    let (vip, site) = (tb.vips[0], tb.catalog.site(0));
+    let largest = site.objects.iter().max_by_key(|o| o.size).expect("objects");
+    let (size, path, host) = (largest.size, largest.path.clone(), site.host.clone());
+    let me = Addr::new(172, 16, 0, 1);
+    let client = tb.engine.add_node("client", me, Zone::External, peer());
+    tb.engine.with_node_ctx::<Peer>(client, |p, ctx| {
+        let local = Endpoint::new(me, p.stack.ephemeral_port());
+        p.conn = Some(p.stack.connect(ctx, local, vip));
+    });
+    tb.engine.run_for(SimTime::from_secs(1));
+    let get = HttpRequest::get(path).with_header("Host", host).encode();
+    send(&mut tb.engine, client, &get);
+    tb.engine.run_for(SimTime::from_secs(10));
+    assert!(
+        tb.engine.node_ref::<Peer>(client).received > size,
+        "the body arrived"
+    );
+    std::mem::take(&mut tb.engine.node_mut::<Metered>(tb.instances[0]).calls)
 }
 
 // ----------------------------------------------------------------------
@@ -328,13 +465,13 @@ fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
     }
     assert_eq!(eng.node_ref::<Peer>(server).received, 3 * bulk.len());
 
-    // `send`: one block per data segment it lets out.
+    // `send`: one header block per data segment it lets out.
     let data = Bytes::from(vec![2; 8 * 1460]);
     let (allocs, packets) = allocations_and_packets(&mut eng, |eng| send(eng, client, &data));
     assert_eq!(packets, 8, "an open window lets all eight out");
     assert_eq!(allocs, packets, "send: one block per segment");
-    // Both stacks' `on_packet`s, data in and pure ACKs back: one block per
-    // segment they emit, and not one allocation besides.
+    // Both stacks' `on_packet`s, data in and pure ACKs back: one header
+    // block per segment they emit, and not one allocation besides.
     let (allocs, packets) =
         allocations_and_packets(&mut eng, |eng| eng.run_for(SimTime::from_millis(50)));
     assert!(packets >= 8, "the ACKs went back: {packets}");
@@ -358,6 +495,34 @@ fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
     assert_eq!(
         eng.node_ref::<Peer>(server).received,
         3 * bulk.len() + data.len() + one.len()
+    );
+}
+
+#[test]
+fn a_mebibyte_through_a_stack_pair_copies_no_data() {
+    let (mut eng, client, server) = connected_peers(19);
+    // Warm-up, as above, at the measured size: buffers, vectors and the
+    // wheel grown to what a mebibyte in flight needs.
+    let bulk = Bytes::from(vec![1; 1 << 20]);
+    for _ in 0..3 {
+        send(&mut eng, client, &bulk);
+        eng.run_for(SimTime::from_secs(2));
+    }
+    let data: Bytes = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    let ((allocs, bytes), ()) = allocated(|| {
+        send(&mut eng, client, &data);
+        eng.run_for(SimTime::from_secs(2));
+    });
+    assert_eq!(
+        eng.node_ref::<Peer>(server).received,
+        3 * bulk.len() + data.len()
+    );
+    // About 720 data segments and their ACKs, a header block each: some
+    // 60 KiB. A copy of every data segment costs 1.1 MiB.
+    assert!(
+        bytes < 128 * 1024,
+        "{bytes} bytes in {allocs} allocations to move {} bytes",
+        data.len()
     );
 }
 

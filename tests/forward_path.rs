@@ -1,20 +1,22 @@
 //! The forwarding tier's buffer discipline (DESIGN.md "Byte path"): a
-//! packet's bytes are written once, by the sending TCP endpoint, and every
-//! hop after that — router, mux, instance — rewrites headers in place, in
-//! the room the sender reserved and each decapsulation frees again.
+//! segment's data is never copied — it rides every hop as the packet's
+//! `body`, the view of the sender's buffer — and its header is written
+//! once, by the sending TCP endpoint, into a block that every hop after
+//! that — router, mux, instance — rewrites in place, in the room the
+//! sender reserved and each decapsulation frees again.
 //!
 //! Three angles:
 //!
-//! * a seeded differential test of the consuming codec against the old
+//! * a seeded differential test of the consuming codec against a
 //!   copy-based one (kept here, in the test, only): same bytes out for
-//!   unique, shared and room-less buffers, and a retained clone never
-//!   sees a mutation. Figure 4's rewrite runs on both product paths —
-//!   the instance's decode / `Translation::apply` / encode and the mux's
-//!   `Translation::apply_in_place` — against one reference rewrite, and
-//!   both reject truncated and overlong segments untouched;
+//!   unique, shared and room-less header blocks, the body never moves,
+//!   and a retained clone never sees a mutation. Figure 4's rewrite runs
+//!   on both product paths — the instance's decode / `Translation::apply`
+//!   / encode and the mux's `Translation::apply_in_place` — against one
+//!   reference rewrite, and both reject misframed segments untouched;
 //! * link duplication in front of router → mux → instance: both copies
-//!   share one buffer on arrival and both come out byte-identical;
-//! * pointer identity through the real testbed: the payload address the
+//!   share one body on arrival and both come out byte-identical;
+//! * pointer identity through the real testbed: the data address the
 //!   receiving endpoint sees is the address the sender's packet had, on
 //!   the tunnel, SNAT and splice paths.
 
@@ -31,8 +33,8 @@ use yoda::netsim::{
 use yoda::tcp::{Flags, Segment, SeqNum, Translation, SEGMENT_HEADER_LEN};
 
 // ----------------------------------------------------------------------
-// The reference: the copy-based codec the product code used to have.
-// Every call serialises into a fresh, exactly-sized buffer.
+// The reference: a copy-based codec. Every call serialises into fresh,
+// exactly-sized buffers; the body is copied too.
 // ----------------------------------------------------------------------
 
 fn ref_encapsulate(inner: &Packet, outer_src: Addr, outer_dst: Addr) -> Packet {
@@ -40,31 +42,37 @@ fn ref_encapsulate(inner: &Packet, outer_src: Addr, outer_dst: Addr) -> Packet {
     buf.extend_from_slice(&inner.src.to_bytes());
     buf.extend_from_slice(&inner.dst.to_bytes());
     buf.push(inner.protocol);
-    buf.extend_from_slice(&(inner.payload.len() as u32).to_be_bytes());
+    let len = inner.payload.len() + inner.body.len();
+    buf.extend_from_slice(&(len as u32).to_be_bytes());
     buf.extend_from_slice(&inner.payload);
-    Packet::new(
+    let mut outer = Packet::new(
         Endpoint::new(outer_src, 0),
         Endpoint::new(outer_dst, 0),
         PROTO_IPIP,
         Bytes::from(buf),
-    )
+    );
+    outer.body = Bytes::copy_from_slice(&inner.body);
+    outer
 }
 
 fn ref_decapsulate(outer: &Packet) -> Packet {
     assert_eq!(outer.protocol, PROTO_IPIP);
     let b = &outer.payload;
     let len = u32::from_be_bytes(b[13..17].try_into().unwrap()) as usize;
-    assert_eq!(b.len(), IPIP_HEADER_LEN + len);
-    Packet::new(
+    assert_eq!(b.len() + outer.body.len(), IPIP_HEADER_LEN + len);
+    let mut inner = Packet::new(
         Endpoint::from_bytes(b[0..6].try_into().unwrap()),
         Endpoint::from_bytes(b[6..12].try_into().unwrap()),
         b[12],
         Bytes::copy_from_slice(&b[IPIP_HEADER_LEN..]),
-    )
+    );
+    inner.body = Bytes::copy_from_slice(&outer.body);
+    inner
 }
 
-fn ref_segment_bytes(s: &Segment) -> Bytes {
-    let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN + s.payload.len());
+/// The 21 header bytes of `s`.
+fn ref_header(s: &Segment) -> Bytes {
+    let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN);
     buf.extend_from_slice(&s.src_port.to_be_bytes());
     buf.extend_from_slice(&s.dst_port.to_be_bytes());
     buf.extend_from_slice(&s.seq.to_be_bytes());
@@ -79,8 +87,14 @@ fn ref_segment_bytes(s: &Segment) -> Bytes {
     );
     buf.extend_from_slice(&s.window.to_be_bytes());
     buf.extend_from_slice(&(s.payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&s.payload);
     Bytes::from(buf)
+}
+
+/// `s` on the wire from `src` to `dst`: its header, then its data.
+fn ref_packet(s: &Segment, src: Endpoint, dst: Endpoint) -> Packet {
+    let mut pkt = Packet::new(src, dst, PROTO_TCP, ref_header(s));
+    pkt.body = Bytes::copy_from_slice(&s.payload);
+    pkt
 }
 
 fn be32(b: &[u8], at: usize) -> u32 {
@@ -91,6 +105,7 @@ fn be32(b: &[u8], at: usize) -> u32 {
 /// translate, serialise afresh.
 fn ref_rewrite(pkt: &Packet, t: &Translation) -> Packet {
     let b = &pkt.payload;
+    assert_eq!(b.len(), SEGMENT_HEADER_LEN);
     let be32 = |at: usize| be32(b, at);
     let flags = b[12];
     let seg = Segment {
@@ -110,9 +125,9 @@ fn ref_rewrite(pkt: &Packet, t: &Translation) -> Packet {
             psh: flags & 16 != 0,
         },
         window: be32(13),
-        payload: Bytes::copy_from_slice(&b[SEGMENT_HEADER_LEN..]),
+        payload: Bytes::copy_from_slice(&pkt.body),
     };
-    Packet::new(t.src, t.dst, PROTO_TCP, ref_segment_bytes(&seg))
+    ref_packet(&seg, t.src, t.dst)
 }
 
 /// The instance's side of [`ref_rewrite`] (its tunnel): consuming
@@ -163,15 +178,17 @@ fn rand_translation(rng: &mut Rng) -> Translation {
 /// the product codec against the reference one, each rewrite on one of the
 /// two product paths at random. Segments carry all 32 flag combinations
 /// and random seq/ack values and constants, so about half the additions
-/// wrap 2³². Buffers start in each of the three shapes that matter —
-/// sender-shaped (unique, one header of room), room-less (hand-built) and
-/// shared (a clone is alive) — and clones are taken and dropped along the
-/// way. After every step the two packets must be equal field for field
-/// and byte for byte, and every clone ever retained must still read what
-/// it read when it was taken. A rewrite stays in place exactly when no
-/// clone shares the buffer, and the copy it makes otherwise has room for
-/// the next encapsulation. Each case ends with its segment cut short and
-/// run long, which both product paths must refuse without a write.
+/// wrap 2³². Header blocks start in each of the three shapes that matter
+/// — sender-shaped (unique, one header of room), room-less (hand-built)
+/// and shared (a clone is alive) — and clones are taken and dropped along
+/// the way. After every step the two packets must be equal field for field
+/// and byte for byte, the body must be the one the segment started with,
+/// and every clone ever retained must still read what it read when it was
+/// taken. The mux's rewrite stays in place exactly when no clone shares
+/// the header block, the tunnel's always writes a fresh one, and every
+/// fresh block has room for the next encapsulation. Each case ends with its segment cut short, run long and
+/// in the contiguous shape (data after the header, in the payload), which
+/// both product paths must refuse without a write.
 #[test]
 fn consuming_codec_matches_copying_codec() {
     const CASES: u64 = 12_000;
@@ -182,21 +199,28 @@ fn consuming_codec_matches_copying_codec() {
         let mut rng = Rng::seed_from_u64(0xF0_4A4D ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (src, dst) = (rand_endpoint(&mut rng), rand_endpoint(&mut rng));
         let seg = rand_segment(&mut rng, src, dst, (case % 32) as u8);
-        let mut reference = Packet::new(src, dst, PROTO_TCP, ref_segment_bytes(&seg));
-        // (clone, what it read when it was taken)
-        let mut retained: Vec<(Bytes, Vec<u8>)> = Vec::new();
+        let mut reference = ref_packet(&seg, src, dst);
+        // (clone, what it read when it was taken): the body is one of them.
+        let mut retained: Vec<(Bytes, Vec<u8>)> = vec![(seg.payload.clone(), seg.payload.to_vec())];
+        let data = seg.payload.as_ptr();
         let mut pkt = match rng.gen_range(0u8..3) {
-            // What a TCP stack emits: its own buffer, room in front.
+            // What a TCP stack emits: its own header block, room in front.
             0 => seg.into_packet(src, dst),
             // Hand-built: unique but no room anywhere.
-            1 => Packet::new(src, dst, PROTO_TCP, Bytes::from(reference.payload.to_vec())),
+            1 => Packet {
+                payload: Bytes::from(reference.payload.to_vec()),
+                ..seg.into_packet(src, dst)
+            },
             // A view into the middle of somebody else's buffer: there is
             // room in front, but those bytes belong to `whole`.
             _ => {
                 let whole = Bytes::with_headroom(0, [&[0xEE; 64][..], &reference.payload, b"tail"]);
                 let view = whole.slice(64..64 + reference.payload.len());
                 retained.push((whole.clone(), whole.to_vec()));
-                Packet::new(src, dst, PROTO_TCP, view)
+                Packet {
+                    payload: view,
+                    ..seg.into_packet(src, dst)
+                }
             }
         };
         let mut depth = 0usize;
@@ -207,8 +231,8 @@ fn consuming_codec_matches_copying_codec() {
             if rng.gen_range(0u8..4) == 0 {
                 retained.push((pkt.payload.clone(), pkt.payload.to_vec()));
             }
-            if rng.gen_range(0u8..4) == 0 && !retained.is_empty() {
-                retained.swap_remove(rng.gen_range(0..retained.len()));
+            if rng.gen_range(0u8..4) == 0 && retained.len() > 1 {
+                retained.swap_remove(rng.gen_range(1..retained.len()));
             }
             let body = pkt.payload.as_ptr() as usize;
             // Does a retained clone share the packet's current buffer? A
@@ -249,15 +273,21 @@ fn consuming_codec_matches_copying_codec() {
                     wrapped[0] += u64::from(be32(h, 4).checked_add(t.seq_add).is_none());
                     wrapped[1] += u64::from(has_ack && be32(h, 8).checked_add(t.ack_add).is_none());
                     reference = ref_rewrite(&reference, &t);
+                    // Held across the tunnel's rewrite, so its fresh block
+                    // cannot land at the old one's address.
+                    let _old = (path == 0).then(|| pkt.payload.clone());
                     if path == 0 {
                         pkt = tunnel_rewrite(pkt, &t).expect("framed");
                     } else {
                         assert!(t.apply_in_place(&mut pkt), "case {case}: framed");
                     }
                     by_path[path] += 1;
+                    // The tunnel re-encodes into a fresh header block; the
+                    // mux patches in place unless the block is shared.
                     let moved = pkt.payload.as_ptr() as usize != body;
                     assert_eq!(
-                        moved, shared,
+                        moved,
+                        path == 0 || shared,
                         "case {case}: path {path} in place iff unshared"
                     );
                     fresh_copy = moved;
@@ -272,6 +302,10 @@ fn consuming_codec_matches_copying_codec() {
                 (true, false) => copied += 1,
             }
             assert_eq!(pkt, reference, "case {case}");
+            assert!(
+                pkt.body.is_empty() || pkt.body.as_ptr() == data,
+                "case {case}: the body moved"
+            );
             for (clone, snapshot) in &retained {
                 assert_eq!(
                     &clone[..],
@@ -288,19 +322,36 @@ fn consuming_codec_matches_copying_codec() {
         }
         assert_eq!(pkt, reference, "case {case}");
         assert!(Segment::from_packet(pkt).is_some());
-        // Cut short or run long, the segment is refused by both product
-        // paths, and the mux's leaves the packet as it was.
-        let framed = &reference.payload;
-        let mut long = framed.to_vec();
-        long.extend_from_slice(&[0xAA; 3][..rng.gen_range(1..=3usize)]);
-        let cut = framed.slice(0..rng.gen_range(0..framed.len()));
-        for payload in [cut, Bytes::from(long)] {
+        // Cut short, run long or contiguous, the segment is refused by
+        // both product paths, and the mux's leaves the packet as it was.
+        let (h, body) = (&reference.payload, &reference.body);
+        let with = |payload: Bytes, body: Bytes| Packet {
+            payload,
+            body,
+            ..reference.clone()
+        };
+        let tail = Bytes::copy_from_slice(&[0xAA; 3][..rng.gen_range(1..=3usize)]);
+        let mut bad = vec![
+            with(h.slice(0..rng.gen_range(0..h.len())), body.clone()),
+            with(h.clone(), Bytes::from([&body[..], &tail].concat())),
+        ];
+        if !body.is_empty() {
+            bad.push(with(
+                Bytes::from([&h[..], &body[..]].concat()),
+                Bytes::new(),
+            ));
+            bad.push(with(h.clone(), body.slice(..rng.gen_range(0..body.len()))));
+            bad.push(with(
+                Bytes::from([&h[..], &body[..1]].concat()),
+                body.slice(1..),
+            ));
+        }
+        for mut bad in bad {
             let t = rand_translation(&mut rng);
-            let mut bad = Packet::new(reference.src, reference.dst, PROTO_TCP, payload);
             assert!(tunnel_rewrite(bad.clone(), &t).is_none(), "case {case}");
-            let before = (bad.src, bad.dst, bad.payload.as_ptr(), bad.payload.to_vec());
+            let before = (bad.clone(), bad.payload.as_ptr());
             assert!(!t.apply_in_place(&mut bad), "case {case}");
-            let after = (bad.src, bad.dst, bad.payload.as_ptr(), bad.payload.to_vec());
+            let after = (bad.clone(), bad.payload.as_ptr());
             assert_eq!(after, before, "case {case}: a misframed packet was touched");
         }
         for (clone, snapshot) in &retained {
@@ -424,24 +475,22 @@ fn duplicated_packets_both_arrive_intact() {
         2 * N,
         "both copies of every packet arrive"
     );
-    let mut per_tag: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut per_tag: BTreeMap<u32, Vec<*const u8>> = BTreeMap::new();
     for outer in got {
         let inner = outer.clone().decapsulate().expect("mux encapsulated");
-        let tag = u32::from_be_bytes(inner.payload[SEGMENT_HEADER_LEN..][..4].try_into().unwrap());
-        let original = Packet::new(
-            client,
-            vip,
-            PROTO_TCP,
-            ref_segment_bytes(&tagged_segment(client, vip, tag, 1460)),
-        );
+        assert_eq!(inner.payload.len(), SEGMENT_HEADER_LEN);
+        let tag = u32::from_be_bytes(inner.body[..4].try_into().unwrap());
+        let original = ref_packet(&tagged_segment(client, vip, tag, 1460), client, vip);
         assert_eq!(
             outer,
             &ref_encapsulate(&original, mux_addr, inst_addr),
             "tag {tag}"
         );
-        *per_tag.entry(tag).or_default() += 1;
+        per_tag.entry(tag).or_default().push(outer.body.as_ptr());
     }
-    assert!(per_tag.len() as u32 == N && per_tag.values().all(|&n| n == 2));
+    // Two copies of every packet, over one body.
+    assert!(per_tag.len() as u32 == N);
+    assert!(per_tag.values().all(|at| at.len() == 2 && at[0] == at[1]));
 }
 
 // ----------------------------------------------------------------------
@@ -453,8 +502,8 @@ const ROUNDS: u32 = 48;
 const SYN_RETRY: u32 = 0x5E7;
 
 /// A raw endpoint: the handshake by hand, then a ping-pong of tagged
-/// full-size segments. It records where the payload of every tagged
-/// segment it emitted lived (`sent`) and where the payload of every
+/// full-size segments. It records where the data of every tagged
+/// segment it emitted lived (`sent`) and where the data of every
 /// tagged segment it received lives (`seen`). It keeps no handle on
 /// anything it sent — a retained clone would (correctly) force a copy.
 struct Peer {
@@ -504,8 +553,7 @@ impl Peer {
         (seg.seq, seg.ack) = (self.next_seq, ack);
         self.next_seq = seg.seq_end();
         let pkt = seg.into_packet(self.me, to);
-        self.sent
-            .insert(tag, pkt.payload.as_ptr() as usize + SEGMENT_HEADER_LEN);
+        self.sent.insert(tag, pkt.body.as_ptr() as usize);
         ctx.send(pkt);
     }
 }

@@ -1,5 +1,11 @@
 //! Decoder robustness: every wire-format parser in the workspace must
 //! reject (not panic on) arbitrary garbage, truncations, and bit flips.
+//! The packet decoders (`Segment::peek`/`from_packet`,
+//! `Translation::apply_in_place`, `Packet::decapsulate`) take the bytes
+//! split at every point between a packet's `payload` and its `body`, and
+//! must accept exactly the one wire shape: a TCP segment's header alone in
+//! the payload and its data in the body, an IP-in-IP header in front of
+//! whatever the inner packet holds.
 //!
 //! Runs on the in-tree deterministic PRNG — every run fuzzes the same
 //! inputs, so a failure here always reproduces.
@@ -10,10 +16,94 @@ use yoda::core::rules::{Rule, RuleTable};
 use yoda::core::InstanceCtrl;
 use yoda::l4lb::CtrlMsg;
 use yoda::netsim::rng::Rng;
-use yoda::netsim::Packet;
-use yoda::tcp::{Segment, Translation};
+use yoda::netsim::{
+    Addr, Endpoint, Packet, Protocol, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_PING, PROTO_TCP,
+};
+use yoda::tcp::{Segment, Translation, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::{StoreRequest, StoreResponse};
 use yoda::trace::Trace;
+
+const SRC: Endpoint = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
+const DST: Endpoint = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+
+/// `wire` split into a packet's payload (its first `at` bytes) and body.
+fn split(protocol: Protocol, wire: &[u8], at: usize) -> Packet {
+    let mut pkt = Packet::new(SRC, DST, protocol, Bytes::copy_from_slice(&wire[..at]));
+    pkt.body = Bytes::copy_from_slice(&wire[at..]);
+    pkt
+}
+
+fn be32(b: &[u8], at: usize) -> Option<usize> {
+    Some(u32::from_be_bytes(b.get(at..at + 4)?.try_into().ok()?) as usize)
+}
+
+/// The reference framing of a TCP packet: the header alone in the
+/// payload, and a body of the length it declares.
+fn is_segment(pkt: &Packet) -> bool {
+    pkt.protocol == PROTO_TCP
+        && pkt.payload.len() == SEGMENT_HEADER_LEN
+        && be32(&pkt.payload, 17) == Some(pkt.body.len())
+}
+
+/// The reference framing of an IP-in-IP packet: the inner header in the
+/// payload, declaring the rest of the payload and the body.
+fn is_ipip(pkt: &Packet) -> bool {
+    pkt.protocol == PROTO_IPIP
+        && pkt.payload.len() >= IPIP_HEADER_LEN
+        && be32(&pkt.payload, 13) == Some(pkt.payload.len() + pkt.body.len() - IPIP_HEADER_LEN)
+}
+
+/// Runs every packet decoder on `pkt`: none may panic, and each accepts
+/// exactly what the reference framing accepts. A segment that decodes
+/// re-encodes to itself, and `apply_in_place` rewrites it as `apply`
+/// does, body untouched; one that does not is left as it was. Returns
+/// whether the segment decoders accepted.
+fn check_packet_decoders(pkt: &Packet, t: &Translation) -> bool {
+    let seg = Segment::from_packet(pkt.clone());
+    assert_eq!(seg.is_some(), is_segment(pkt), "from_packet {pkt:?}");
+    assert_eq!(
+        Segment::peek(pkt).is_some(),
+        is_segment(pkt),
+        "peek {pkt:?}"
+    );
+    let mut patched = pkt.clone();
+    let accepted = t.apply_in_place(&mut patched);
+    assert_eq!(accepted, is_segment(pkt), "apply_in_place {pkt:?}");
+    match seg {
+        Some(mut seg) => {
+            // Flag bits the header does not define are not kept.
+            let ends = (
+                Endpoint::new(pkt.src.addr, seg.src_port),
+                Endpoint::new(pkt.dst.addr, seg.dst_port),
+            );
+            let again = seg.clone().into_packet(ends.0, ends.1);
+            assert_eq!(again.body, pkt.body);
+            assert_eq!(Segment::from_packet(again).as_ref(), Some(&seg));
+            assert_eq!(patched.body.as_ptr(), pkt.body.as_ptr(), "the body moved");
+            t.apply(&mut seg);
+            assert_eq!((patched.src, patched.dst), (t.src, t.dst));
+            assert_eq!(Segment::from_packet(patched), Some(seg));
+        }
+        None => assert_eq!(&patched, pkt),
+    }
+    let inner = pkt.clone().decapsulate();
+    assert_eq!(inner.is_some(), is_ipip(pkt), "decapsulate {pkt:?}");
+    if let Some(inner) = inner {
+        check_packet_decoders(&inner, t);
+    }
+    accepted
+}
+
+fn translation(rng: &mut Rng) -> Translation {
+    let mut ep = || Endpoint::new(Addr::from_u32(rng.next_u32()), rng.gen_range(0..=u16::MAX));
+    let (src, dst) = (ep(), ep());
+    Translation {
+        src,
+        dst,
+        seq_add: rng.next_u32(),
+        ack_add: rng.next_u32(),
+    }
+}
 
 /// No decoder panics on arbitrary byte strings.
 #[test]
@@ -22,9 +112,12 @@ fn decoders_never_panic_on_garbage() {
     for _ in 0..512 {
         let len = rng.gen_range(0..600usize);
         let raw: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect();
+        let t = translation(&mut rng);
+        for protocol in [PROTO_TCP, PROTO_IPIP, PROTO_PING] {
+            let at = rng.gen_range(0..=len);
+            check_packet_decoders(&split(protocol, &raw, at), &t);
+        }
         let b = Bytes::from(raw);
-        let _ = Segment::decode(b.clone());
-        let _ = Packet::decode(b.clone());
         let _ = StoreRequest::decode(&b);
         let _ = StoreResponse::decode(&b);
         let _ = CtrlMsg::decode(&b);
@@ -36,6 +129,9 @@ fn decoders_never_panic_on_garbage() {
 
 /// Bit-flipped valid messages either still decode or are rejected —
 /// never a panic, and length fields cannot cause out-of-bounds reads.
+/// Segments are flipped in their wire bytes, bare and encapsulated, and
+/// split between payload and body at every point: only the canonical
+/// split of an intact length field decodes.
 #[test]
 fn decoders_survive_bit_flips() {
     let seg = Segment {
@@ -53,14 +149,44 @@ fn decoders_survive_bit_flips() {
         key: Bytes::from_static(b"flow:x"),
         value: Bytes::from_static(b"value-bytes"),
     };
+    let pkt = seg.clone().into_packet(SRC, DST);
+    let bare = [&pkt.payload[..], &pkt.body[..]].concat();
+    let outer = pkt.encapsulate(SRC.addr, DST.addr);
+    let wrapped = [&outer.payload[..], &outer.body[..]].concat();
+    let mut rng = Rng::seed_from_u64(0xF11B);
+    let t = translation(&mut rng);
+    // Every split of the intact segment: the canonical one alone decodes,
+    // to the segment, bare and inside its encapsulation.
+    for (protocol, wire, canonical) in [
+        (PROTO_TCP, &bare, SEGMENT_HEADER_LEN),
+        (PROTO_IPIP, &wrapped, IPIP_HEADER_LEN + SEGMENT_HEADER_LEN),
+    ] {
+        for at in 0..=wire.len() {
+            let pkt = split(protocol, wire, at);
+            check_packet_decoders(&pkt, &t);
+            let inner = match protocol {
+                PROTO_IPIP => pkt.decapsulate(),
+                _ => Some(pkt),
+            };
+            let decoded = inner.and_then(Segment::from_packet);
+            assert_eq!(decoded.is_some(), at == canonical, "split at {at}");
+            assert!(decoded.is_none_or(|d| d == seg));
+        }
+    }
     // Exhaustive single-bit flips over the first 64 bytes (the proptest
     // original sampled this space; exhaustive is both cheaper and total).
+    let mut accepted = 0;
     for flip_byte in 0usize..64 {
         for flip_bit in 0u8..8 {
-            let mut enc = seg.clone().encode().to_vec();
-            let idx = flip_byte % enc.len();
-            enc[idx] ^= 1 << flip_bit;
-            let _ = Segment::decode(Bytes::from(enc));
+            for (protocol, wire) in [(PROTO_TCP, &bare), (PROTO_IPIP, &wrapped)] {
+                let mut enc = wire.clone();
+                let idx = flip_byte % enc.len();
+                enc[idx] ^= 1 << flip_bit;
+                let at = rng.gen_range(0..=enc.len());
+                check_packet_decoders(&split(protocol, &enc, at), &t);
+                let canonical = enc.len() - seg.payload.len();
+                accepted += check_packet_decoders(&split(protocol, &enc, canonical), &t) as u32;
+            }
 
             let mut enc = req.encode().to_vec();
             let idx = flip_byte % enc.len();
@@ -68,6 +194,8 @@ fn decoders_survive_bit_flips() {
             let _ = StoreRequest::decode(&Bytes::from(enc));
         }
     }
+    // A flip outside the length field leaves the bare segment framed.
+    assert!(accepted > 300, "{accepted} flipped segments decoded");
 }
 
 /// The splice-install/revoke control variants specifically: truncations,

@@ -11,7 +11,7 @@ use yoda::core::isn::syn_ack_isn;
 use yoda::core::rules::glob_match;
 use yoda::netsim::rng::Rng;
 use yoda::netsim::{Addr, Endpoint, Histogram, Packet, PROTO_TCP};
-use yoda::tcp::{Flags, Segment, SeqNum};
+use yoda::tcp::{Flags, Segment, SeqNum, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::HashRing;
 use yoda::trace::{Trace, TraceConfig};
 
@@ -91,7 +91,10 @@ fn flow_record_roundtrip() {
     }
 }
 
-/// TCP segments round-trip, including through packet encapsulation.
+/// TCP segments round-trip through their packet, including through
+/// encapsulation, and the packet's bytes re-split between payload and
+/// body at a random point decode only at the canonical split (the header
+/// alone in the payload).
 #[test]
 fn segment_roundtrip() {
     let mut rng = rng_for("segment_roundtrip");
@@ -117,12 +120,22 @@ fn segment_roundtrip() {
             window: rng.next_u32(),
             payload: Bytes::from(payload),
         };
-        let decoded = Segment::decode(seg.clone().encode());
-        assert_eq!(decoded.as_ref(), Some(&seg));
-        // Through IP-in-IP encapsulation as well.
         let src = Endpoint::new(Addr::new(1, 2, 3, 4), src_port);
         let dst = Endpoint::new(Addr::new(5, 6, 7, 8), dst_port);
-        let pkt = Packet::new(src, dst, PROTO_TCP, seg.clone().encode());
+        let pkt = seg.clone().into_packet(src, dst);
+        assert_eq!(Segment::from_packet(pkt.clone()).as_ref(), Some(&seg));
+        // Re-split.
+        let wire = [&pkt.payload[..], &pkt.body[..]].concat();
+        let at = match rng.gen_range(0u8..3) {
+            0 => SEGMENT_HEADER_LEN,
+            _ => rng.gen_range(0..=wire.len()),
+        };
+        let mut resplit = Packet::new(src, dst, PROTO_TCP, Bytes::copy_from_slice(&wire[..at]));
+        resplit.body = Bytes::copy_from_slice(&wire[at..]);
+        let decoded = Segment::from_packet(resplit);
+        assert_eq!(decoded.is_some(), at == SEGMENT_HEADER_LEN, "split at {at}");
+        assert!(decoded.is_none_or(|d| d == seg));
+        // Through IP-in-IP encapsulation as well.
         let outer = pkt.encapsulate(Addr::new(9, 9, 9, 9), Addr::new(8, 8, 8, 8));
         let inner = outer.decapsulate().expect("decaps");
         assert_eq!(Segment::from_packet(inner), Some(seg));

@@ -4,11 +4,12 @@
 //! baseline (which terminates TCP and never translates a sequence number),
 //! Yoda tunnelling every packet, or Yoda with mux splicing on.
 //!
-//! This is the count-level half of the Yoda-vs-proxy oracle (ROADMAP item
-//! 1(ii)). The byte-*content* half needs a position-dependent catalog
-//! filler — today every body byte is `b'x'`, so a shifted or duplicated
-//! byte is invisible — and a body checksum in the clients; it is left to
-//! that item.
+//! This is the count-level half of the Yoda-vs-proxy oracle. The
+//! byte-*content* half is `tests/byte_content.rs`: the catalog filler is
+//! position-dependent, and a raw client compares every body byte it
+//! receives through each tier with the catalog's. A body checksum in the
+//! browsers, so that this test compares content too, is still open
+//! (ROADMAP item 3(ii)).
 
 use yoda::core::instance::{YodaConfig, YodaInstance};
 use yoda::core::testbed::{Testbed, TestbedConfig};
