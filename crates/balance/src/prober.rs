@@ -58,7 +58,10 @@ impl Default for Prober {
 impl Prober {
     /// True while `backend` is quarantined at `now`.
     pub fn is_quarantined(&self, backend: Endpoint, now: SimTime) -> bool {
-        self.quarantined.get(&backend).map(|&until| now < until).unwrap_or(false)
+        self.quarantined
+            .get(&backend)
+            .map(|&until| now < until)
+            .unwrap_or(false)
     }
 
     /// Currently quarantined backends.

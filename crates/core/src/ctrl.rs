@@ -169,7 +169,12 @@ impl InstanceCtrl {
 
     /// Wraps the message in a control packet.
     pub fn into_packet(self, src: Endpoint, dst: Addr) -> Packet {
-        Packet::new(src, Endpoint::new(dst, CTRL_PORT), PROTO_CTRL, self.encode())
+        Packet::new(
+            src,
+            Endpoint::new(dst, CTRL_PORT),
+            PROTO_CTRL,
+            self.encode(),
+        )
     }
 }
 
@@ -188,8 +193,7 @@ mod tests {
         let backend = Endpoint::new(Addr::new(10, 1, 0, 2), 80);
         roundtrip(InstanceCtrl::InstallVip {
             vip,
-            rules_text: "name=r priority=1 match url=*.jpg action=split 10.1.0.2:80=1"
-                .to_string(),
+            rules_text: "name=r priority=1 match url=*.jpg action=split 10.1.0.2:80=1".to_string(),
             ssl_cert_len: None,
         });
         roundtrip(InstanceCtrl::InstallVip {

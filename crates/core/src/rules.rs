@@ -29,8 +29,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use yoda_balance::{ProbePool, Signal};
-use yoda_netsim::rng::Rng;
 use yoda_http::HttpRequest;
+use yoda_netsim::rng::Rng;
 use yoda_netsim::{Endpoint, SimTime};
 
 /// Glob matching with `*` (any run) and `?` (any one char).
@@ -229,7 +229,10 @@ impl Rule {
                         for t in tokens.by_ref() {
                             bs.push(t.parse().ok()?);
                         }
-                        action = Some(Action::Sticky { cookie, backends: bs });
+                        action = Some(Action::Sticky {
+                            cookie,
+                            backends: bs,
+                        });
                     }
                     "mirror" => {
                         let mut bs = Vec::new();
@@ -383,9 +386,7 @@ impl RuleTable {
 
     /// Inserts a rule in priority position.
     pub fn insert(&mut self, rule: Rule) {
-        let pos = self
-            .rules
-            .partition_point(|r| r.priority >= rule.priority);
+        let pos = self.rules.partition_point(|r| r.priority >= rule.priority);
         self.rules.insert(pos, rule);
     }
 

@@ -93,7 +93,10 @@ pub struct Tier {
 /// Panics when `n > 254`: the host octet would wrap and the testbed would
 /// silently be smaller than its config says.
 fn addrs(n: usize, a: u8, b: u8, c: u8) -> Vec<Addr> {
-    assert!(n <= 254, "{n} nodes do not fit the /24 {a}.{b}.{c}.0 (at most 254)");
+    assert!(
+        n <= 254,
+        "{n} nodes do not fit the /24 {a}.{b}.{c}.0 (at most 254)"
+    );
     (1..=n as u8).map(|i| Addr::new(a, b, c, i)).collect()
 }
 
@@ -147,7 +150,12 @@ impl Testbed {
         let tier = Tier {
             prefix: "yoda",
             make: Arc::new(move |addr, stores, muxes| {
-                Box::new(YodaInstance::new(yoda.clone(), addr, stores, muxes.to_vec()))
+                Box::new(YodaInstance::new(
+                    yoda.clone(),
+                    addr,
+                    stores,
+                    muxes.to_vec(),
+                ))
             }),
         };
         let mut tb = Testbed::build_with(cfg, tier);
@@ -266,7 +274,12 @@ impl Testbed {
         for &s in &store_addrs {
             controller_node.register_store(s);
         }
-        let controller = engine.add_node("controller", controller_addr, Zone::Dc, Box::new(controller_node));
+        let controller = engine.add_node(
+            "controller",
+            controller_addr,
+            Zone::Dc,
+            Box::new(controller_node),
+        );
 
         let mut tb = Testbed {
             engine,

@@ -141,8 +141,14 @@ fn instance_failure_is_transparent_to_clients() {
         .map(|&i| tb.engine.node_ref::<YodaInstance>(i).recoveries)
         .sum();
     let b = tb.engine.node_ref::<BrowserClient>(browser);
-    assert_eq!(b.pages_completed, 32, "every page completed despite failures");
-    assert_eq!(b.broken_flows, 0, "no flow broken (paper: Yoda-noretry breaks none)");
+    assert_eq!(
+        b.pages_completed, 32,
+        "every page completed despite failures"
+    );
+    assert_eq!(
+        b.broken_flows, 0,
+        "no flow broken (paper: Yoda-noretry breaks none)"
+    );
     assert_eq!(b.timeouts, 0);
     assert!(
         recovered > 0,

@@ -302,7 +302,9 @@ impl StoreClient {
     }
 
     fn stat(&mut self, server: Addr) -> &mut ReplicaStat {
-        self.replica_stats.entry(server).or_insert_with(ReplicaStat::new)
+        self.replica_stats
+            .entry(server)
+            .or_insert_with(ReplicaStat::new)
     }
 
     /// Folds a response latency into the replica's EWMA and clears its
@@ -352,12 +354,18 @@ impl StoreClient {
             .map(|s| s.ewma.as_micros())
             .unwrap_or(0);
         let scaled = (ewma as f64 * HEDGE_MULT) as u64;
-        SimTime::from_micros(scaled)
-            .max(HEDGE_MIN)
-            .min(HEDGE_MAX)
+        SimTime::from_micros(scaled).max(HEDGE_MIN).min(HEDGE_MAX)
     }
 
-    fn send_to(&self, ctx: &mut Ctx<'_>, server: Addr, req_id: u64, op: StoreOp, key: &Bytes, value: &Bytes) {
+    fn send_to(
+        &self,
+        ctx: &mut Ctx<'_>,
+        server: Addr,
+        req_id: u64,
+        op: StoreOp,
+        key: &Bytes,
+        value: &Bytes,
+    ) {
         let req = StoreRequest {
             req_id,
             op,
@@ -716,8 +724,12 @@ mod tests {
     }
     impl Node for ClientNode {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.client
-                .set(ctx, Bytes::from_static(b"flow:a"), Bytes::from_static(b"S1"), 1);
+            self.client.set(
+                ctx,
+                Bytes::from_static(b"flow:a"),
+                Bytes::from_static(b"S1"),
+                1,
+            );
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
             if let Some(ev) = self.client.on_packet(ctx, &pkt) {
@@ -837,7 +849,10 @@ mod tests {
             .iter()
             .find(|e| e.tag == 2)
             .expect("get completed");
-        assert_eq!(get_ev.outcome, StoreOutcome::Value(Bytes::from_static(b"S1")));
+        assert_eq!(
+            get_ev.outcome,
+            StoreOutcome::Value(Bytes::from_static(b"S1"))
+        );
     }
 
     #[test]
@@ -846,8 +861,12 @@ mod tests {
         // Seed a key the scripted lifecycle never touches.
         eng.schedule(SimTime::from_millis(10), move |eng| {
             eng.with_node_ctx::<ClientNode>(id, |n, ctx| {
-                n.client
-                    .set(ctx, Bytes::from_static(b"flow:h"), Bytes::from_static(b"H1"), 50);
+                n.client.set(
+                    ctx,
+                    Bytes::from_static(b"flow:h"),
+                    Bytes::from_static(b"H1"),
+                    50,
+                );
             });
         });
         eng.run_for(SimTime::from_millis(20));
@@ -935,16 +954,24 @@ mod tests {
         eng.partition_node(victim);
         eng.schedule(SimTime::from_millis(10), move |eng| {
             eng.with_node_ctx::<ClientNode>(id, |n, ctx| {
-                n.client
-                    .set(ctx, Bytes::from_static(b"flow:p"), Bytes::from_static(b"P1"), 10);
+                n.client.set(
+                    ctx,
+                    Bytes::from_static(b"flow:p"),
+                    Bytes::from_static(b"P1"),
+                    10,
+                );
             });
         });
         eng.run_for(SimTime::from_millis(200));
         eng.heal_node(victim);
         eng.schedule(SimTime::from_millis(10), move |eng| {
             eng.with_node_ctx::<ClientNode>(id, |n, ctx| {
-                n.client
-                    .set(ctx, Bytes::from_static(b"flow:p"), Bytes::from_static(b"P2"), 11);
+                n.client.set(
+                    ctx,
+                    Bytes::from_static(b"flow:p"),
+                    Bytes::from_static(b"P2"),
+                    11,
+                );
             });
         });
         eng.run_for(SimTime::from_secs(1));
@@ -971,7 +998,10 @@ mod tests {
         assert!(after.latency < SimTime::from_millis(10));
         // Reads see the healed write — the superseding rule guarantees the
         // background repair of P1 can never overwrite P2.
-        assert_eq!(ev(12).outcome, StoreOutcome::Value(Bytes::from_static(b"P2")));
+        assert_eq!(
+            ev(12).outcome,
+            StoreOutcome::Value(Bytes::from_static(b"P2"))
+        );
         // The partition never counted as a timeout: a replica answered
         // every op.
         assert_eq!(node.client.timeouts, 0);
@@ -1059,8 +1089,12 @@ mod tests {
         eng.partition_node(victim);
         eng.schedule(SimTime::from_millis(10), move |eng| {
             eng.with_node_ctx::<ClientNode>(id, |n, ctx| {
-                n.client
-                    .set(ctx, Bytes::from_static(b"flow:r"), Bytes::from_static(b"R1"), 40);
+                n.client.set(
+                    ctx,
+                    Bytes::from_static(b"flow:r"),
+                    Bytes::from_static(b"R1"),
+                    40,
+                );
             });
         });
         // Heal right after the op deadline (10 ms + 100 ms), before the

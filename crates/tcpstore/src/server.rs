@@ -169,7 +169,6 @@ impl Node for StoreServer {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
