@@ -136,8 +136,8 @@ fn bench_forward_hop() {
     // codec included: pop the IP-in-IP header, decode the segment,
     // translate seq/ack/ports, write the segment header back, push the
     // IP-in-IP header for the next hop. Loop-carried — the packet one hop
-    // emits is the packet the next one receives — so the buffer is the
-    // sender's throughout, as it is on the simulated wire.
+    // emits is the packet the next one receives — so the data is the
+    // sender's view throughout, as it is on the simulated wire.
     let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
     let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
     let (mux, inst) = (Addr::new(10, 0, 2, 1), Addr::new(10, 0, 0, 1));
@@ -151,7 +151,7 @@ fn bench_forward_hop() {
         payload: Bytes::from(vec![0u8; 1460]),
     };
     let delta = 0x55AA55AAu32;
-    let mut wire = Some(seg.into_packet(client, vip).encapsulate(mux, inst));
+    let mut wire = seg.into_packet(client, vip).encapsulate(mux, inst);
     bench("forward_hop_1460b", || {
         let inner = wire.take().and_then(Packet::decapsulate).expect("ipip");
         let (src, dst) = (inner.src, inner.dst);
@@ -160,7 +160,7 @@ fn bench_forward_hop() {
         seg.ack = seg.ack - delta;
         seg.src_port = src.port;
         seg.dst_port = dst.port;
-        wire = Some(black_box(seg.into_packet(src, dst).encapsulate(inst, mux)));
+        wire = black_box(seg.into_packet(src, dst).encapsulate(inst, mux));
     });
 }
 

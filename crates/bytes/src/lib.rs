@@ -12,16 +12,13 @@
 //! site needs more surface, add it here rather than reaching for the
 //! registry crate.
 //!
-//! One thing it has that `bytes` does not: headroom. A [`Bytes`] view may
-//! start past the front of its allocation ([`Bytes::with_headroom`],
-//! [`Bytes::advance`]), and a sole owner may grow the view back over that
-//! room to write a header in place ([`Bytes::try_prepend`]) — how a packet
-//! crosses router, mux and instance in the buffer its sender wrote
-//! (DESIGN.md "Byte path"). [`put_be`] and [`add_be32`] are the
-//! panic-free writers for such headers.
+//! A [`Bytes`] is never written after construction: the headers a hop
+//! rewrites ride by value in the packet, outside any buffer (DESIGN.md
+//! "Byte path"). [`array_at`], [`put_be`] and [`add_be32`] are the
+//! panic-free readers and writers for such headers.
 //!
 //! Every buffer is one allocation: the reference counts and the bytes
-//! share a single `Arc<[u8]>` block. [`Bytes::with_headroom`] and
+//! share a single `Arc<[u8]>` block. [`Bytes::concat`] and
 //! [`Bytes::copy_from_slice`] write that block directly;
 //! `From<Vec<u8>>` and [`BytesMut::freeze`] copy the vector into one, so
 //! they belong on cold paths (set-up, tests, control messages).
@@ -147,44 +144,25 @@ impl Bytes {
             .unwrap_or(&[])
     }
 
-    /// Drops the first `n` bytes from the view without touching the
-    /// reference count (`split_to` minus the returned head). Decoders pop a
-    /// header this way; the bytes stay in the allocation, in front of the
-    /// view, where [`Bytes::try_prepend`] can write the next header.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len`.
-    #[inline]
-    pub fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance out of bounds");
-        self.start += n as u32;
-    }
-
-    /// Copies `parts` back to back into one exact-size block with `room`
-    /// spare bytes in front of the view — the copy a sender (or any hop
-    /// holding a shared or room-less buffer) pays once so that every later
-    /// hop can [`Bytes::try_prepend`] its header in place. With no room it
-    /// is how a fixed-layout encoder writes a header array and its parts
-    /// at once. The parts are walked twice (to size the block, then to
-    /// fill it), hence the `Clone` bound; an array or a slice iterator
-    /// costs nothing to clone.
-    pub fn with_headroom<'a, P>(room: usize, parts: P) -> Bytes
+    /// Copies `parts` back to back into one exact-size block — how a
+    /// fixed-layout encoder writes a header array and its parts at once.
+    /// The parts are walked twice (to size the block, then to fill it),
+    /// hence the `Clone` bound; an array or a slice iterator costs nothing
+    /// to clone.
+    pub fn concat<'a, P>(parts: P) -> Bytes
     where
         P: IntoIterator<Item = &'a [u8]>,
         P::IntoIter: Clone,
     {
         let parts = parts.into_iter();
         let len: usize = parts.clone().map(<[u8]>::len).sum();
-        if room + len == 0 {
+        if len == 0 {
             return Bytes::new();
         }
         // A `TrustedLen` iterator: the block is allocated once, at its
         // final size, and zeroed in place.
-        let mut block: Arc<[u8]> = std::iter::repeat_n(0, room + len).collect();
-        let mut rest = Arc::get_mut(&mut block)
-            .and_then(|b| b.get_mut(room..))
-            .unwrap_or_default();
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        let mut rest = Arc::get_mut(&mut block).unwrap_or_default();
         for part in parts {
             let Some((dst, tail)) = std::mem::take(&mut rest).split_at_mut_checked(part.len())
             else {
@@ -195,45 +173,9 @@ impl Bytes {
         }
         Bytes {
             data: Some(block),
-            start: room as u32,
-            end: (room + len) as u32,
+            start: 0,
+            end: len as u32,
         }
-    }
-
-    /// Grows the view backwards over the `header.len()` bytes just in
-    /// front of it and writes `header` there — the skb/mbuf "push". Works
-    /// only when this handle is the *only* reference to the allocation
-    /// (nobody else can be looking at those bytes) and the room exists;
-    /// otherwise returns `false` and leaves `self` untouched, and the
-    /// caller takes its copy branch ([`Bytes::with_headroom`]).
-    #[must_use]
-    #[inline]
-    pub fn try_prepend(&mut self, header: &[u8]) -> bool {
-        let old = self.start as usize;
-        let Some(new) = old.checked_sub(header.len()) else {
-            return false;
-        };
-        let Some(room) = self
-            .data
-            .as_mut()
-            .and_then(Arc::get_mut)
-            .and_then(|buf| buf.get_mut(new..old))
-        else {
-            return false;
-        };
-        room.copy_from_slice(header);
-        self.start = new as u32;
-        true
-    }
-
-    /// Mutable access to the viewed bytes when this handle is the *only*
-    /// reference to the backing allocation; `None` when the buffer is
-    /// shared (or empty). Lets hot paths patch a few header bytes of a
-    /// packet they own without copying the payload — the caller falls
-    /// back to a copy when sharing makes in-place mutation unsound.
-    pub fn try_mut(&mut self) -> Option<&mut [u8]> {
-        let (start, end) = (self.start as usize, self.end as usize);
-        Arc::get_mut(self.data.as_mut()?)?.get_mut(start..end)
     }
 }
 
@@ -572,55 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn try_mut_only_when_unique() {
-        let mut b = Bytes::from(vec![1u8, 2, 3, 4]);
-        b.try_mut().unwrap()[0] = 9;
-        assert_eq!(b, [9, 2, 3, 4]);
-        // A live clone shares the allocation: no mutable access.
-        let c = b.clone();
-        assert!(b.try_mut().is_none());
-        drop(c);
-        // Unique again; a sub-slice patches within its own view.
-        let mut tail = b.slice(2..);
-        drop(b);
-        tail.try_mut().unwrap()[0] = 7;
-        assert_eq!(tail, [7, 4]);
-        assert!(Bytes::new().try_mut().is_none());
-    }
-
-    #[test]
-    fn prepend_in_place_only_when_unique_with_room() {
-        let mut b = Bytes::with_headroom(4, [&b"ab"[..], b"cd"]);
-        assert_eq!(b, b"abcd");
-        let body = b.as_slice().as_ptr();
-        // More than the room: refused, untouched.
-        assert!(!b.try_prepend(b"12345"));
-        assert_eq!(b, b"abcd");
-        // A live clone shares the allocation: refused, neither side moves.
-        let c = b.clone();
-        assert!(!b.try_prepend(b"hh"));
-        assert_eq!(b, b"abcd");
-        assert_eq!(c, b"abcd");
-        drop(c);
-        // Unique with room: the header lands just in front, the body stays put.
-        assert!(b.try_prepend(b"hh"));
-        assert_eq!(b, b"hhabcd");
-        assert_eq!(b.as_slice()[2..].as_ptr(), body);
-        // `advance` pops it again and frees exactly that room.
-        b.advance(2);
-        assert_eq!(b, b"abcd");
-        assert!(b.try_prepend(b"HHHH"));
-        assert_eq!(b, b"HHHHabcd");
-        assert!(!b.try_prepend(b"x"), "room exhausted");
-        // No allocation, no room; an empty view keeps its allocation.
-        assert!(!Bytes::new().try_prepend(b"x"));
-        b.advance(8);
-        assert!(b.is_empty());
-        assert!(b.try_prepend(b"abcd"));
-        assert_eq!(b, b"abcd");
-    }
-
-    #[test]
     fn header_writers_never_panic() {
         let mut h = [0u8; 6];
         put_be(&mut h, 1, &[0xAA, 0xBB]);
@@ -634,45 +527,28 @@ mod tests {
     }
 
     #[test]
-    fn one_block_holds_room_and_view() {
+    fn concat_fills_one_exact_block() {
         // Two words of block pointer and length, two `u32` view bounds.
         assert_eq!(std::mem::size_of::<Bytes>(), 24);
-        let mut b = Bytes::with_headroom(5, [&b"head"[..], b"", b"body"]);
+        let b = Bytes::concat([&b"head"[..], b"", b"body"]);
         assert_eq!(b, b"headbody");
-        let view = b.as_ptr();
-        // The room sits right in front of the view, in the same block:
-        // exactly `room` bytes of it, no more.
-        assert!(!b.try_prepend(b"123456"));
-        assert!(b.try_prepend(b"12345"));
-        assert_eq!(b, b"12345headbody");
-        assert_eq!(b.as_ptr().wrapping_add(5), view);
-        // Sole owner: patchable in place; not while a slice of it lives.
-        b.try_mut().unwrap()[0] = b'H';
-        let tail = b.slice(9..);
-        assert!(b.try_mut().is_none());
-        assert!(!b.try_prepend(b""), "shared");
-        drop(tail);
-        assert_eq!(b.try_mut().map(|v| v[0]), Some(b'H'));
-        // No room and no bytes: no block at all.
-        assert!(Bytes::with_headroom(0, [&b""[..]]).data.is_none());
-        assert_eq!(Bytes::with_headroom(3, []).len(), 0);
+        assert_eq!(b.data.as_deref().map(<[u8]>::len), Some(8));
+        // No bytes: no block at all.
+        assert!(Bytes::concat([&b""[..]]).data.is_none());
+        assert!(Bytes::concat([]).data.is_none());
     }
 
     #[test]
     fn freeze_and_from_vec_copy_by_value() {
         let mut m = BytesMut::with_capacity(64);
         m.extend_from_slice(b"header+payload");
-        let mut frozen = m.clone().freeze();
+        let frozen = m.clone().freeze();
         assert_eq!(frozen, m.as_slice());
         let v = vec![5u8; 1000];
         let from_vec = Bytes::from(v.clone());
         assert_eq!(from_vec, v.as_slice());
         assert_eq!(from_vec, Bytes::copy_from_slice(&v));
         assert_eq!(Bytes::from(Vec::new()), Bytes::new());
-        // A frozen buffer is its block's sole owner.
-        frozen.try_mut().unwrap()[0] = b'H';
-        assert_eq!(frozen, b"Header+payload");
-        assert_eq!(m.as_slice(), b"header+payload");
     }
 
     #[test]

@@ -773,7 +773,7 @@ impl Node for Controller {
                         } else if m.derated && m.ewma <= SUSPECT_LATENCY {
                             m.derated = false;
                             healed.push(i);
-                        } else if pkt.payload.first() == Some(&1) {
+                        } else if pkt.message().and_then(|m| m.first()) == Some(&1) {
                             // Freshness byte: the component answers pings
                             // but holds no config — it restarted inside
                             // the miss threshold, a crash the ping stream
@@ -806,7 +806,7 @@ impl Node for Controller {
                     cpu_milli,
                     flows: _,
                     per_vip_requests,
-                }) = InstanceCtrl::decode(&pkt.payload)
+                }) = pkt.message().and_then(InstanceCtrl::decode)
                 {
                     if let Some(bucket) = self.cpu_replies.get_mut(&seq) {
                         let reqs: u64 = per_vip_requests.iter().map(|(_, r)| r).sum();
@@ -877,7 +877,7 @@ mod tests {
             if pkt.protocol != PROTO_PING {
                 if let Some(
                     m @ (InstanceCtrl::BackendDown { .. } | InstanceCtrl::BackendUp { .. }),
-                ) = InstanceCtrl::decode(&pkt.payload)
+                ) = pkt.message().and_then(InstanceCtrl::decode)
                 {
                     self.verdicts.push(m);
                 }
@@ -891,7 +891,7 @@ mod tests {
                 Some(n) if self.seen > n => SimTime::ZERO,
                 _ => self.delay,
             };
-            let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, pkt.payload.clone());
+            let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, pkt.body);
             ctx.send_after(delay, reply);
         }
         fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}

@@ -18,7 +18,7 @@
 //! same record.
 //!
 //! Every key and record has a fixed layout and is written as one
-//! exact-size block (`Bytes::with_headroom` with no room).
+//! exact-size block (`Bytes::concat`).
 
 use bytes::Bytes;
 use yoda_netsim::Endpoint;
@@ -38,19 +38,16 @@ pub struct SynRecord {
 impl SynRecord {
     /// TCPStore key for this record's flow.
     pub fn key(client: Endpoint, vip: Endpoint) -> Bytes {
-        Bytes::with_headroom(0, [&b"syn:"[..], &client.to_bytes(), &vip.to_bytes()])
+        Bytes::concat([&b"syn:"[..], &client.to_bytes(), &vip.to_bytes()])
     }
 
     /// Serializes the record.
     pub fn encode(&self) -> Bytes {
-        Bytes::with_headroom(
-            0,
-            [
-                &self.client.to_bytes()[..],
-                &self.vip.to_bytes(),
-                &self.client_isn.to_be_bytes(),
-            ],
-        )
+        Bytes::concat([
+            &self.client.to_bytes()[..],
+            &self.vip.to_bytes(),
+            &self.client_isn.to_be_bytes(),
+        ])
     }
 
     /// Parses a record; `None` on malformed bytes.
@@ -87,7 +84,7 @@ pub struct FlowRecord {
 impl FlowRecord {
     /// Primary key: indexed by the client-side flow.
     pub fn key(client: Endpoint, vip: Endpoint) -> Bytes {
-        Bytes::with_headroom(0, [&b"flow:"[..], &client.to_bytes(), &vip.to_bytes()])
+        Bytes::concat([&b"flow:"[..], &client.to_bytes(), &vip.to_bytes()])
     }
 
     /// Reverse key: indexed by the server-side flow
@@ -95,7 +92,7 @@ impl FlowRecord {
     /// record too.
     pub fn rkey(backend: Endpoint, vip_client_side: Endpoint) -> Bytes {
         let (backend, vip) = (backend.to_bytes(), vip_client_side.to_bytes());
-        Bytes::with_headroom(0, [&b"rflow:"[..], &backend, &vip])
+        Bytes::concat([&b"rflow:"[..], &backend, &vip])
     }
 
     /// The server-side VIP endpoint of this flow: (VIP addr, client port).
@@ -106,16 +103,13 @@ impl FlowRecord {
 
     /// Serializes the record.
     pub fn encode(&self) -> Bytes {
-        Bytes::with_headroom(
-            0,
-            [
-                &self.client.to_bytes()[..],
-                &self.vip.to_bytes(),
-                &self.backend.to_bytes(),
-                &self.client_isn.to_be_bytes(),
-                &self.server_isn.to_be_bytes(),
-            ],
-        )
+        Bytes::concat([
+            &self.client.to_bytes()[..],
+            &self.vip.to_bytes(),
+            &self.backend.to_bytes(),
+            &self.client_isn.to_be_bytes(),
+            &self.server_isn.to_be_bytes(),
+        ])
     }
 
     /// Parses a record; `None` on malformed bytes.

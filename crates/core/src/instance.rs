@@ -356,8 +356,10 @@ impl YodaInstance {
         let pkt = seg.into_packet(src, dst);
         if src.addr.is_vip() && !dst.addr.is_vip() && dst.port != 0 && self.is_backendish(dst) {
             if let Some(mux) = self.mux_for(src, dst) {
-                let outer = pkt.encapsulate(self.addr, mux);
-                ctx.send_after(delay, outer);
+                // A fresh segment always has room for the IP-in-IP header.
+                if let Some(outer) = pkt.encapsulate(self.addr, mux) {
+                    ctx.send_after(delay, outer);
+                }
                 return;
             }
         }
@@ -457,10 +459,10 @@ impl YodaInstance {
     // Data path
     // ------------------------------------------------------------------
 
-    /// One decapsulated packet. Consumes it: the decoded segment then owns
-    /// the buffer alone, so a tunneled segment is re-encoded over its old
-    /// header and re-encapsulated in the room the decapsulation freed —
-    /// the instance forwards without allocating or touching the payload.
+    /// One decapsulated packet. Consumes it: the decoded segment keeps the
+    /// packet's body as its data, and a tunneled segment's translated
+    /// header is written into the head of the packet it leaves in — the
+    /// instance forwards without allocating or touching the data.
     fn handle_inner(&mut self, ctx: &mut Ctx<'_>, inner: Packet) {
         let pair = (inner.src, inner.dst);
         match Segment::from_packet(inner) {
@@ -593,7 +595,7 @@ impl YodaInstance {
     // ------------------------------------------------------------------
 
     fn handle_ctrl(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Some(msg) = InstanceCtrl::decode(&pkt.payload) else {
+        let Some(msg) = pkt.message().and_then(InstanceCtrl::decode) else {
             return;
         };
         match msg {

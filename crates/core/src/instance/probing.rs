@@ -50,7 +50,7 @@ impl YodaInstance {
 
     /// A probe reply: feed the signal to every VIP's rule table.
     pub(super) fn handle_probe_reply(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Some(reply) = ProbeReply::decode(&pkt.payload) else {
+        let Some(reply) = pkt.message().and_then(|m| ProbeReply::decode(m)) else {
             return;
         };
         let now = ctx.now();

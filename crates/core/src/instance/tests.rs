@@ -533,7 +533,8 @@ impl Rig {
     fn inject(&mut self, src: Endpoint, dst: Endpoint, mut seg: Segment) {
         (seg.src_port, seg.dst_port) = (src.port, dst.port);
         let inner = seg.into_packet(src, dst);
-        self.deliver(inner.encapsulate(Addr::new(10, 0, 2, 1), Addr::new(10, 0, 0, 1)));
+        let outer = inner.encapsulate(Addr::new(10, 0, 2, 1), Addr::new(10, 0, 0, 1));
+        self.deliver(outer.expect("a fresh segment has room"));
     }
 
     fn client_sends(&mut self, seg: Segment) {

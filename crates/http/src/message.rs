@@ -114,7 +114,7 @@ impl HttpRequest {
         ];
         let end = [&b"\r\n"[..]];
         let lines = line.into_iter().chain(header_lines(&self.headers));
-        Bytes::with_headroom(0, lines.chain(end))
+        Bytes::concat(lines.chain(end))
     }
 }
 
@@ -183,7 +183,7 @@ impl HttpResponse {
         ];
         let end = [&b"Content-Length: "[..], length, b"\r\n\r\n"];
         let lines = line.into_iter().chain(header_lines(&self.headers));
-        Bytes::with_headroom(0, lines.chain(end))
+        Bytes::concat(lines.chain(end))
     }
 }
 

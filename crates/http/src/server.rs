@@ -217,14 +217,14 @@ impl Node for OriginServer {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if pkt.protocol == yoda_netsim::PROTO_PING {
             // Health-monitor ping (paper §6): echo it back.
-            let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, pkt.payload.clone());
+            let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, pkt.body);
             ctx.send(reply);
             return;
         }
         if pkt.protocol == yoda_netsim::PROTO_PROBE {
             // Load probe (Prequal-style): answer with requests-in-flight
             // and the recent-latency estimate, piggybacked in one datagram.
-            if let Some(req) = ProbeRequest::decode(&pkt.payload) {
+            if let Some(req) = pkt.message().and_then(|m| ProbeRequest::decode(m)) {
                 self.probes_answered += 1;
                 let reply = ProbeReply {
                     tag: req.tag,

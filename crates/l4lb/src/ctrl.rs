@@ -128,7 +128,7 @@ impl CtrlMsg {
         };
         let words: Vec<[u8; 4]> = list.iter().map(|a| a.as_u32().to_be_bytes()).collect();
         let head = h.get(..at).unwrap_or_default();
-        Bytes::with_headroom(0, std::iter::once(head).chain(words.iter().map(|w| &w[..])))
+        Bytes::concat(std::iter::once(head).chain(words.iter().map(|w| &w[..])))
     }
 
     /// Parses a message; `None` on malformed bytes.

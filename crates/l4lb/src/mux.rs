@@ -118,7 +118,9 @@ pub struct Mux {
     pub spliced: u64,
     /// Flows whose instance disappeared and were re-steered.
     pub resteered: u64,
-    /// Packets dropped for lack of any live instance.
+    /// Packets dropped for lack of any live instance, or malformed: an
+    /// IP-in-IP packet that does not decapsulate, or a packet with no room
+    /// for the IP-in-IP header (one encapsulated already).
     pub dropped: u64,
     /// Mapping updates applied.
     pub updates_applied: u64,
@@ -240,8 +242,13 @@ impl Mux {
                 inst
             }
         };
-        self.forwarded += 1;
-        ctx.send(inner.encapsulate(self.addr, inst));
+        match inner.encapsulate(self.addr, inst) {
+            Some(outer) => {
+                self.forwarded += 1;
+                ctx.send(outer);
+            }
+            None => self.dropped += 1,
+        }
     }
 
     /// Handles an instance-originated packet (SNAT path): learn the
@@ -303,9 +310,10 @@ impl Node for Mux {
         match pkt.protocol {
             PROTO_IPIP => {
                 let outer_src = pkt.src.addr;
-                // The inner packet is the outer buffer with its header
-                // popped: the splice fast path patches it in place, and
-                // `steer` re-encapsulates over the header just read.
+                // The inner packet is the outer one with its IP-in-IP
+                // header dropped from the head: the splice fast path
+                // patches the head, and `steer` re-encapsulates into the
+                // room the header left.
                 let Some(inner) = pkt.decapsulate() else {
                     self.dropped += 1;
                     return;
@@ -319,7 +327,7 @@ impl Node for Mux {
                 }
             }
             PROTO_CTRL => {
-                if let Some(msg) = CtrlMsg::decode(&pkt.payload) {
+                if let Some(msg) = pkt.message().and_then(CtrlMsg::decode) {
                     match msg {
                         CtrlMsg::SetVipMap {
                             vip,
@@ -473,7 +481,9 @@ mod tests {
         let vip = Addr::new(100, 0, 0, 1);
         let got = |t: &Ctx2, id| t.eng.node_ref::<Sink>(id).received.len();
         let send = |t: &mut Ctx2| {
-            let outer = vip_pkt(40_000).encapsulate(Addr::new(172, 16, 0, 1), t.mux_addr());
+            let outer = vip_pkt(40_000)
+                .encapsulate(Addr::new(172, 16, 0, 1), t.mux_addr())
+                .unwrap();
             t.deliver(outer);
             t.eng.run_for(SimTime::from_millis(1));
         };
@@ -523,7 +533,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 for i in 0..self.count {
                     let pkt = vip_pkt(40_000 + i);
-                    let outer = pkt.encapsulate(Addr::new(172, 16, 0, 1), self.mux);
+                    let outer = pkt.encapsulate(Addr::new(172, 16, 0, 1), self.mux).unwrap();
                     ctx.send(outer);
                 }
             }
@@ -573,7 +583,9 @@ mod tests {
         }
         impl Node for OneShot {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let outer = vip_pkt(1).encapsulate(Addr::new(172, 16, 0, 1), self.mux);
+                let outer = vip_pkt(1)
+                    .encapsulate(Addr::new(172, 16, 0, 1), self.mux)
+                    .unwrap();
                 ctx.send(outer);
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
@@ -662,7 +674,7 @@ mod tests {
                 .into_packet(client, vip);
                 ctx.send_after(
                     SimTime::from_millis(1),
-                    data.encapsulate(client.addr, self.mux),
+                    data.encapsulate(client.addr, self.mux).unwrap(),
                 );
                 let fin = Segment {
                     src_port: client.port,
@@ -676,7 +688,7 @@ mod tests {
                 .into_packet(client, vip);
                 ctx.send_after(
                     SimTime::from_millis(2),
-                    fin.encapsulate(client.addr, self.mux),
+                    fin.encapsulate(client.addr, self.mux).unwrap(),
                 );
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
@@ -758,7 +770,7 @@ mod tests {
             .into_packet(client, vip)
         };
         let mut malformed = seg(Flags::ACK, b"");
-        malformed.payload = malformed.payload.slice(1..);
+        malformed.head.advance(1);
         // (packet, fast path?, entry kept?)
         let cases = [
             (seg(Flags::ACK, b""), true, true),
@@ -772,7 +784,7 @@ mod tests {
         for (i, (pkt, fast, kept)) in cases.into_iter().enumerate() {
             t.deliver(install.clone());
             let before = (t.mux().spliced, t.mux().forwarded);
-            t.deliver(pkt.encapsulate(client.addr, t.mux_addr()));
+            t.deliver(pkt.encapsulate(client.addr, t.mux_addr()).unwrap());
             let moved = (t.mux().spliced - before.0, t.mux().forwarded - before.1);
             let want = if fast { (1, 0) } else { (0, 1) };
             assert_eq!(moved, want, "case {i}: (spliced, forwarded)");

@@ -23,7 +23,8 @@ pub struct EdgeRouter {
     muxes: Steering,
     /// Packets relayed to muxes.
     pub relayed: u64,
-    /// Packets dropped because no mux is configured.
+    /// Packets dropped because no mux is configured, or because a packet
+    /// has no room for the IP-in-IP header (one encapsulated already).
     pub dropped: u64,
 }
 
@@ -56,17 +57,20 @@ impl EdgeRouter {
 impl Node for EdgeRouter {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if pkt.protocol == PROTO_CTRL {
-            if let Some(CtrlMsg::SetMuxes { muxes }) = CtrlMsg::decode(&pkt.payload) {
+            if let Some(CtrlMsg::SetMuxes { muxes }) = pkt.message().and_then(CtrlMsg::decode) {
                 self.muxes.set(muxes);
             }
             return;
         }
         // ECMP on the canonical connection key: both directions pick the
         // same mux.
-        match self.muxes.pick(pkt.src, pkt.dst) {
-            Some(mux) => {
+        match self
+            .muxes
+            .pick(pkt.src, pkt.dst)
+            .and_then(|mux| pkt.encapsulate(self.addr, mux))
+        {
+            Some(outer) => {
                 self.relayed += 1;
-                let outer = pkt.encapsulate(self.addr, mux);
                 ctx.send(outer);
             }
             None => self.dropped += 1,

@@ -24,7 +24,7 @@
 //! struct Echo;
 //! impl Node for Echo {
 //!     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-//!         let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, pkt.payload.clone());
+//!         let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, pkt.body.clone());
 //!         ctx.send(reply);
 //!     }
 //!     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
@@ -59,8 +59,8 @@ pub use engine::{Ctx, Engine, NodeId};
 pub use flowtable::FlowTable;
 pub use node::{Node, TimerId, TimerToken};
 pub use packet::{
-    Packet, Protocol, IPIP_HEADER_LEN, PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
-    PROTO_TCP,
+    Head, Packet, Protocol, HEAD_CAP, IPIP_HEADER_LEN, PROTO_CTRL, PROTO_IPIP, PROTO_PING,
+    PROTO_PROBE, PROTO_RPC, PROTO_TCP,
 };
 pub use rng::Rng;
 pub use service::ServiceQueue;

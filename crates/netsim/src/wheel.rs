@@ -617,11 +617,11 @@ mod tests {
     fn entry_footprint_is_pinned() {
         // An in-flight packet rides its slab entry inline, so the packet's
         // size sets the entry's: deadline, seq and id, the item (the
-        // 72-byte `Packet` plus its destination, behind the tag) and the
+        // 80-byte `Packet` plus its destination, behind the tag) and the
         // two list links. Every pending event costs this much; a change
         // here should be a deliberate one.
-        assert_eq!(std::mem::size_of::<WheelItem>(), 80);
-        assert_eq!(std::mem::size_of::<Entry>(), 112);
+        assert_eq!(std::mem::size_of::<WheelItem>(), 88);
+        assert_eq!(std::mem::size_of::<Entry>(), 120);
     }
 
     /// Arms with auto-incrementing seq/id starting at 0.

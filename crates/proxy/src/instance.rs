@@ -306,7 +306,7 @@ impl Node for ProxyInstance {
                 self.dispatch(ctx, events, None);
             }
             PROTO_CTRL => {
-                if let Some(msg) = InstanceCtrl::decode(&pkt.payload) {
+                if let Some(msg) = pkt.message().and_then(InstanceCtrl::decode) {
                     match msg {
                         InstanceCtrl::InstallVip {
                             vip, rules_text, ..
@@ -330,7 +330,7 @@ impl Node for ProxyInstance {
                 }
             }
             PROTO_PING => {
-                let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, pkt.payload.clone());
+                let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, pkt.body);
                 ctx.send(reply);
             }
             _ => {}

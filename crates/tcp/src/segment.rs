@@ -1,17 +1,17 @@
 //! TCP segments and their wire format.
 //!
 //! Segments ride in [`Packet`]s with protocol `PROTO_TCP`, in one shape:
-//! the packet's `payload` is exactly the simplified fixed 21-byte header
-//! (no options), and its `body` is the segment's data — a view of the
-//! sender's buffer, never copied on the way. Keeping an explicit byte
-//! encoding (rather than passing structs around) is what lets Yoda's
-//! flow-state records store and replay *actual packet headers*, as the
-//! paper's TCPStore does. This module is the only one that knows the
+//! the packet's `head` is exactly the simplified fixed 21-byte header (no
+//! options), held by value in the packet, and its `body` is the segment's
+//! data — a view of the sender's buffer, never copied on the way. Keeping
+//! an explicit byte encoding (rather than passing structs around) is what
+//! lets Yoda's flow-state records store and replay *actual packet
+//! headers*, as the paper's TCPStore does. This module is the only one that knows the
 //! header layout: the instance's tunnel and the mux's splice fast path
 //! both rewrite segments through [`Translation`].
 
 use bytes::{add_be32, put_be, Bytes};
-use yoda_netsim::{Endpoint, Packet, IPIP_HEADER_LEN, PROTO_TCP};
+use yoda_netsim::{Endpoint, Head, Packet, PROTO_TCP};
 
 use crate::seq::SeqNum;
 
@@ -184,32 +184,31 @@ impl Segment {
     }
 
     /// Wraps this segment in a network packet from `src` to `dst`: the
-    /// header goes into a block of its own, with [`IPIP_HEADER_LEN`] bytes
-    /// of room in front so every hop downstream can encapsulate in place,
-    /// and the data rides as the packet's body, the same view the segment
-    /// held (a slice of the sender's chunk) — no data byte is copied.
+    /// header is written into the packet's head, with room in front for
+    /// one IP-in-IP header, and the data rides as the packet's body, the
+    /// same view the segment held (a slice of the sender's chunk).
+    /// Nothing is allocated and no data byte is copied.
     ///
     /// The endpoint ports override the segment's ports (they must agree;
     /// debug builds assert it).
     pub fn into_packet(self, src: Endpoint, dst: Endpoint) -> Packet {
         debug_assert_eq!(self.src_port, src.port, "src port mismatch");
         debug_assert_eq!(self.dst_port, dst.port, "dst port mismatch");
-        let header = Bytes::with_headroom(IPIP_HEADER_LEN, [&self.header()[..]]);
         Packet {
             src,
             dst,
             protocol: PROTO_TCP,
-            payload: header,
+            head: Head::from_array(self.header()),
             body: self.payload,
         }
     }
 
     /// Extracts the segment of a TCP packet, consuming it: the segment's
-    /// data is the packet's body, and its header block is dropped. `None`
-    /// for other protocols and for packets [`Segment::peek`] rejects.
+    /// data is the packet's body. `None` for other protocols and for
+    /// packets [`Segment::peek`] rejects.
     pub fn from_packet(pkt: Packet) -> Option<Segment> {
         let (flags, _) = Segment::peek(&pkt)?;
-        let h = &pkt.payload;
+        let h = &pkt.head;
         Some(Segment {
             src_port: u16::from_be_bytes(bytes::array_at::<2>(h, 0)?),
             dst_port: u16::from_be_bytes(bytes::array_at::<2>(h, 2)?),
@@ -224,10 +223,10 @@ impl Segment {
     /// Reads the flags and the data length of a TCP packet without
     /// decoding the segment (the mux classifies packets this way). `None`
     /// for other protocols and for any packet not in the one wire shape:
-    /// a payload of exactly the header, and a body of exactly the length
-    /// it declares.
+    /// a head of exactly the header, and a body of exactly the length it
+    /// declares.
     pub fn peek(pkt: &Packet) -> Option<(Flags, usize)> {
-        let h = &pkt.payload;
+        let h = &pkt.head;
         let len = u32::from_be_bytes(bytes::array_at::<4>(h, 17)?) as usize;
         let framed =
             pkt.protocol == PROTO_TCP && h.len() == SEGMENT_HEADER_LEN && pkt.body.len() == len;
@@ -275,27 +274,21 @@ impl Translation {
         }
     }
 
-    /// Translates a TCP packet by patching its header where it lies, and
-    /// readdresses it (the mux's splice fast path). A uniquely owned header
-    /// block is written in place; a shared one is copied once — its 21
-    /// bytes, with [`IPIP_HEADER_LEN`] bytes of room in front like a
-    /// sender's, so the next hop encapsulates in place again. The body is
+    /// Translates a TCP packet by patching the header in its head, and
+    /// readdresses it (the mux's splice fast path). The head is the
+    /// packet's own, so nothing is copied or allocated, and the body is
     /// never touched. Returns `false`, leaving the packet untouched, unless
     /// it is TCP holding exactly one segment.
     pub fn apply_in_place(&self, pkt: &mut Packet) -> bool {
         let Some((flags, _)) = Segment::peek(pkt) else {
             return false;
         };
-        if pkt.payload.try_mut().is_none() {
-            pkt.payload = Bytes::with_headroom(IPIP_HEADER_LEN, [pkt.payload.as_slice()]);
-        }
-        if let Some(h) = pkt.payload.try_mut() {
-            put_be(h, 0, &self.src.port.to_be_bytes());
-            put_be(h, 2, &self.dst.port.to_be_bytes());
-            add_be32(h, 4, self.seq_add);
-            if flags.ack {
-                add_be32(h, 8, self.ack_add);
-            }
+        let h = &mut pkt.head[..];
+        put_be(h, 0, &self.src.port.to_be_bytes());
+        put_be(h, 2, &self.dst.port.to_be_bytes());
+        add_be32(h, 4, self.seq_add);
+        if flags.ack {
+            add_be32(h, 8, self.ack_add);
         }
         pkt.src = self.src;
         pkt.dst = self.dst;
@@ -335,7 +328,8 @@ mod tests {
     fn packet_roundtrip() {
         for s in [seg(Flags::SYN_ACK, b""), seg(Flags::ACK, b"data")] {
             let pkt = s.clone().into_packet(SRC, DST);
-            assert_eq!(pkt.payload.len(), SEGMENT_HEADER_LEN, "the header alone");
+            assert_eq!(pkt.head.len(), SEGMENT_HEADER_LEN, "the header alone");
+            assert_eq!(pkt.head.room(), yoda_netsim::IPIP_HEADER_LEN);
             assert_eq!(pkt.body, s.payload);
             assert_eq!(Segment::from_packet(pkt).unwrap(), s);
         }
@@ -344,23 +338,24 @@ mod tests {
     #[test]
     fn from_packet_rejects_every_other_shape() {
         let good = seg(Flags::ACK, b"abc").into_packet(SRC, DST);
-        let with = |payload: &[u8], body: &[u8]| {
+        let with = |head: &[u8], body: &[u8]| {
             let mut p = good.clone();
-            (p.payload, p.body) = (
-                Bytes::copy_from_slice(payload),
-                Bytes::copy_from_slice(body),
-            );
+            p.head = Head::new();
+            assert!(p.head.push(head));
+            p.body = Bytes::copy_from_slice(body);
             p
         };
-        let (h, b) = (&good.payload[..], &good.body[..]);
+        let (h, b) = (&good.head[..], &good.body[..]);
         let whole = [h, b].concat();
         for bad in [
             with(&h[..10], b),
             with(h, &b[..2]),
             with(h, b"abcd"),
-            // Data after the header, in the payload: the contiguous shape.
+            // Data after the header, in the head: the contiguous shape.
             with(&whole, b""),
             with(&whole[..22], &whole[22..]),
+            // The header in the body: the message shape.
+            with(b"", &whole),
         ] {
             assert!(Segment::peek(&bad).is_none(), "{bad:?}");
             assert!(Segment::from_packet(bad).is_none());
@@ -379,21 +374,15 @@ mod tests {
     fn data_rides_as_the_senders_view() {
         // The segment's data is the sender's chunk at every step: into the
         // packet, through an encapsulation and back, out of the packet,
-        // translated and into the next packet. Only header blocks are
-        // made, each with room for the next hop's encapsulation.
+        // translated and into the next packet.
         let chunk = Bytes::from_static(b"..payload..");
         let at = chunk.slice(2..9);
         let mut s = seg(Flags::ACK, b"");
         s.payload = at.clone();
         let pkt = s.into_packet(SRC, DST);
         assert_eq!(pkt.body.as_ptr(), at.as_ptr());
-        let header = pkt.payload.as_ptr();
-        let outer = pkt.encapsulate(SRC.addr, DST.addr);
-        assert_eq!(
-            outer.payload[IPIP_HEADER_LEN..].as_ptr(),
-            header,
-            "sender reserved the encapsulation room"
-        );
+        let outer = pkt.encapsulate(SRC.addr, DST.addr).unwrap();
+        assert_eq!(outer.body.as_ptr(), at.as_ptr());
         let mut back = Segment::from_packet(outer.decapsulate().unwrap()).unwrap();
         assert_eq!(back.payload.as_ptr(), at.as_ptr(), "decode is a view");
         back.seq += 1000;
@@ -405,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_in_place_copies_a_shared_header_alone() {
+    fn apply_in_place_rewrites_one_clone_alone() {
         let t = Translation {
             src: Endpoint::new(Addr::new(3, 3, 3, 3), 80),
             dst: Endpoint::new(Addr::new(4, 4, 4, 4), 4321),
@@ -413,13 +402,11 @@ mod tests {
             ack_add: 20,
         };
         let mut pkt = seg(Flags::ACK, b"body").into_packet(SRC, DST);
-        let (header, body) = (pkt.payload.as_ptr(), pkt.body.as_ptr());
+        let body = pkt.body.as_ptr();
         assert!(t.apply_in_place(&mut pkt));
-        assert_eq!((pkt.payload.as_ptr(), pkt.body.as_ptr()), (header, body));
         let keep = pkt.clone();
         assert!(t.apply_in_place(&mut pkt));
-        assert_ne!(pkt.payload.as_ptr(), header, "shared: the header copied");
-        assert_eq!(pkt.body.as_ptr(), body, "... and the body not");
+        assert_eq!(pkt.body.as_ptr(), body, "the body is never touched");
         let s = Segment::from_packet(pkt).unwrap();
         assert_eq!((s.seq, s.ack), (SeqNum::new(27), SeqNum::new(49)));
         assert_eq!(Segment::from_packet(keep).unwrap().seq, SeqNum::new(17));

@@ -104,7 +104,7 @@ fn cut(chunks: &VecDeque<Bytes>, at @ (chunk, skip): (usize, usize), len: usize)
     match chunks.get(chunk) {
         _ if len == 0 => Bytes::new(),
         Some(c) if skip + len <= c.len() => c.slice(skip..skip + len),
-        _ => Bytes::with_headroom(0, parts(chunks, at, len)),
+        _ => Bytes::concat(parts(chunks, at, len)),
     }
 }
 

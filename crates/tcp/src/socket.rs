@@ -1223,7 +1223,7 @@ mod tests {
                 assert_eq!(&seg.payload[..], &object[seen..][..seg.payload.len()]);
                 assert_eq!(seg.payload.as_ptr(), at(seen), "cutting copied a segment");
                 let pkt = seg.into_packet(sock.local(), sock.remote());
-                assert_eq!(pkt.payload.len(), crate::SEGMENT_HEADER_LEN);
+                assert_eq!(pkt.head.len(), crate::SEGMENT_HEADER_LEN);
                 assert_eq!(pkt.body.as_ptr(), at(seen), "encoding copied a segment");
                 seen += pkt.body.len();
             }

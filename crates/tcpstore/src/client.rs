@@ -463,7 +463,7 @@ impl StoreClient {
 
     /// Routes an RPC packet; returns the operation it completed, if any.
     pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Option<StoreEvent> {
-        let resp = StoreResponse::decode(&pkt.payload)?;
+        let resp = pkt.message().and_then(StoreResponse::decode)?;
         let now = ctx.now();
         let from = pkt.src.addr;
         // First pass under the pending borrow: settle the target and

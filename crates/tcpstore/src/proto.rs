@@ -73,7 +73,7 @@ impl StoreRequest {
         put_be(&mut h, 1, &self.req_id.to_be_bytes());
         put_be(&mut h, 9, &(self.key.len() as u16).to_be_bytes());
         put_be(&mut h, 11, &(self.value.len() as u32).to_be_bytes());
-        Bytes::with_headroom(0, [&h[..], &self.key, &self.value])
+        Bytes::concat([&h[..], &self.key, &self.value])
     }
 
     /// Parses a request; `None` on malformed input.
@@ -125,7 +125,7 @@ impl StoreResponse {
         put_be(&mut h, 1, &self.req_id.to_be_bytes());
         put_be(&mut h, 9, &[status]);
         put_be(&mut h, 10, &(self.value.len() as u32).to_be_bytes());
-        Bytes::with_headroom(0, [&h[..], &self.value])
+        Bytes::concat([&h[..], &self.value])
     }
 
     /// Parses a response; `None` on malformed input or a request byte.

@@ -105,14 +105,14 @@ impl Node for StoreServer {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if pkt.protocol == yoda_netsim::PROTO_PING {
             // Health-monitor ping (paper §6): echo it back.
-            let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, pkt.payload.clone());
+            let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, pkt.body);
             ctx.send(reply);
             return;
         }
         if pkt.protocol != PROTO_RPC {
             return;
         }
-        let Some(req) = StoreRequest::decode(&pkt.payload) else {
+        let Some(req) = pkt.message().and_then(StoreRequest::decode) else {
             return;
         };
         let status;
@@ -189,7 +189,7 @@ mod tests {
             }
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
-            if let Some(resp) = StoreResponse::decode(&pkt.payload) {
+            if let Some(resp) = pkt.message().and_then(StoreResponse::decode) {
                 self.responses.push(resp);
             }
         }

@@ -1,21 +1,20 @@
 //! Allocation budgets of the byte path (DESIGN.md "Byte path"), counted
 //! by a global allocator that wraps `System` in this test binary only.
-//! No data byte is copied on the way: a segment's data is a view of its
-//! sender's chunk, and what a segment costs is its header block — the
-//! 21-byte TCP header with 17 bytes of room for an IP-in-IP header, a
-//! [`HEADER_BLOCK`]-byte allocation:
+//! A segment allocates nothing on its way: its data is a view of its
+//! sender's chunk, and its header rides by value in the packet's head,
+//! where every hop reads and rewrites it:
 //!
-//! * a segment a sender emits is one header block, and the router, the
-//!   mux (tunnel and splice) and the engine add nothing on its way; a
-//!   link-duplicated packet, whose two copies share that block, costs the
-//!   router one more header block and no data;
-//! * the instance tunnels a segment for one header block (it re-encodes
-//!   the translated header) and nothing else;
-//! * a TCP socket's segments cost one header block each, data or pure
-//!   ACK, and `TcpStack::on_packet`/`on_timer` allocate nothing else: no
+//! * a segment a sender emits, and the router, the mux (tunnel and
+//!   splice) and the engine on its way, allocate nothing, a
+//!   link-duplicated packet included;
+//! * the instance tunnels a data segment without allocating: it decodes,
+//!   translates and re-encodes the header in the packet;
+//! * a TCP socket's segments, data or pure ACK, cost nothing, and
+//!   `TcpStack::on_packet`/`on_timer` allocate nothing either: no
 //!   segment vector, no event vector;
 //! * moving a mebibyte through a connected `TcpStack` pair allocates
-//!   under 128 KiB in all: the header blocks, and no copy of the data;
+//!   under 1 KiB in all (nothing, measured): no copy of the data, and no
+//!   header;
 //! * `TcpStack::recv` hands out pending segments as they arrived,
 //!   allocating nothing, however many are pending;
 //! * a store request or response is encoded in one block, and a store
@@ -51,6 +50,7 @@ use yoda::http::{HttpRequest, SiteCatalog, SiteConfig};
 use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
 use yoda::netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, Rng, SimTime, TimerToken, Topology, Zone,
+    PROTO_IPIP,
 };
 use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpEvent, TcpStack, Translation};
 use yoda::tcpstore::{
@@ -66,12 +66,6 @@ thread_local! {
     /// Bytes this thread allocated minus bytes it freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
 }
-
-/// What one header block asks the allocator for: a 38-byte `Bytes` block
-/// (the 21-byte TCP header and 17 bytes of room in front, or a copied
-/// header with the IP-in-IP header in front) behind its two 8-byte
-/// reference counts, rounded up to the 8-byte alignment.
-const HEADER_BLOCK: u64 = 56;
 
 /// Counts one allocation call that changes the thread's holding by `delta`.
 fn count(delta: i64) {
@@ -170,8 +164,7 @@ fn sink() -> Box<Sink> {
 }
 
 /// A data segment whose payload is a view of the caller's chunk, which
-/// the caller keeps: it stays a view all the way, and the one block the
-/// sender pays for is the header's.
+/// the caller keeps: it stays a view all the way.
 fn sender_segment(chunk: &Bytes, from: Endpoint, to: Endpoint) -> Segment {
     Segment {
         src_port: from.port,
@@ -185,7 +178,7 @@ fn sender_segment(chunk: &Bytes, from: Endpoint, to: Endpoint) -> Segment {
 }
 
 #[test]
-fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
+fn a_forwarded_segment_allocates_nothing() {
     let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
     let (router_addr, mux_addr) = (Addr::new(10, 0, 3, 1), Addr::new(10, 0, 2, 1));
     let (inst_addr, backend) = (
@@ -250,11 +243,10 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
     };
     assert_eq!(got(&eng), (64, 64), "the warm-up went both ways");
     for from in [tunneled, spliced] {
-        // The whole trip, encode included: the sender's header block alone.
-        let want = (1, HEADER_BLOCK);
+        // The whole trip, encode included: nothing.
         assert_eq!(
             trip(&mut eng, from, None),
-            want,
+            (0, 0),
             "{from}: sender to receiver"
         );
         // Router, mux and engine on an encoded packet: nothing.
@@ -264,13 +256,17 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
             (0, 0),
             "{from}: forwarding"
         );
-        // A shared packet, as link duplication delivers it (the other
-        // copy still in flight): the router copies its header, once, and
-        // every hop after that writes in place again.
+        // A cloned packet, as link duplication delivers it (the other
+        // copy still in flight): each copy owns its head, so the hops
+        // rewrite this one and copy nothing.
         let pkt = sender_segment(&chunk, from, vip).into_packet(from, vip);
         let twin = pkt.clone();
-        assert_eq!(trip(&mut eng, from, Some(pkt)), want, "{from}: shared");
-        drop(twin);
+        assert_eq!(trip(&mut eng, from, Some(pkt)), (0, 0), "{from}: cloned");
+        assert_eq!(
+            Segment::from_packet(twin).map(|s| s.seq),
+            Some(SeqNum::new(1)),
+            "{from}: the twin is as it was sent"
+        );
     }
     assert_eq!(got(&eng), (67, 67));
     let last = eng.node_ref::<Sink>(server).last.clone().expect("spliced");
@@ -283,8 +279,8 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
     let seg = Segment::from_packet(last).expect("a segment");
     assert_eq!((seg.seq, seg.payload), (SeqNum::new(8), chunk));
 
-    // The instance's tunnel, in a testbed, on its largest response: every
-    // data segment it forwards costs it its translated header's block.
+    // The instance's tunnel, in a testbed, on its largest response: no
+    // data segment it forwards costs it an allocation.
     let calls = tunneled_through_the_instance();
     let data: Vec<(u64, u64)> = calls
         .iter()
@@ -295,16 +291,16 @@ fn a_forwarded_segment_costs_its_senders_block_and_nothing_more() {
     // The first carries the request: the instance parses it, picks a
     // backend and writes flow state, which costs more.
     let steady = &data[1..];
-    let other: Vec<_> = steady.iter().filter(|&&c| c != (1, HEADER_BLOCK)).collect();
+    let other: Vec<_> = steady.iter().filter(|&&c| c != (0, 0)).collect();
     assert!(
         other.is_empty(),
-        "tunneled segments not at one header block: {other:?}"
+        "tunneled segments that allocated: {other:?}"
     );
 }
 
 /// A Yoda instance whose packet handler is metered: per call, the data
-/// length of the packet it got and the allocations the call made, with
-/// the bytes they asked for.
+/// length of the tunneled segment it got (0 for any other packet) and the
+/// allocations the call made, with the bytes they asked for.
 struct Metered {
     inner: YodaInstance,
     calls: Vec<(usize, (u64, u64))>,
@@ -315,7 +311,11 @@ impl Node for Metered {
         self.inner.on_start(ctx);
     }
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let len = pkt.body.len();
+        let len = if pkt.protocol == PROTO_IPIP {
+            pkt.body.len()
+        } else {
+            0
+        };
         let (cost, ()) = allocated(|| self.inner.on_packet(ctx, pkt));
         self.calls.push((len, cost));
     }
@@ -453,7 +453,7 @@ fn send(eng: &mut Engine, client: NodeId, data: &Bytes) {
 }
 
 #[test]
-fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
+fn a_tcp_segment_and_a_stack_call_allocate_nothing() {
     let (mut eng, client, server) = connected_peers(11);
     // Warm-up: bulk rounds larger than anything measured below, so the
     // send queue's deque, the receive vectors, the out buffer and the
@@ -465,17 +465,17 @@ fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
     }
     assert_eq!(eng.node_ref::<Peer>(server).received, 3 * bulk.len());
 
-    // `send`: one header block per data segment it lets out.
+    // `send`: eight data segments, each a view of the chunk.
     let data = Bytes::from(vec![2; 8 * 1460]);
     let (allocs, packets) = allocations_and_packets(&mut eng, |eng| send(eng, client, &data));
     assert_eq!(packets, 8, "an open window lets all eight out");
-    assert_eq!(allocs, packets, "send: one block per segment");
-    // Both stacks' `on_packet`s, data in and pure ACKs back: one header
-    // block per segment they emit, and not one allocation besides.
+    assert_eq!(allocs, 0, "send");
+    // Both stacks' `on_packet`s, data in and pure ACKs back: not one
+    // allocation.
     let (allocs, packets) =
         allocations_and_packets(&mut eng, |eng| eng.run_for(SimTime::from_millis(50)));
     assert!(packets >= 8, "the ACKs went back: {packets}");
-    assert_eq!(allocs, packets, "on_packet: one block per segment");
+    assert_eq!(allocs, 0, "on_packet");
     assert_eq!(
         eng.node_ref::<Peer>(server).received,
         3 * bulk.len() + data.len()
@@ -485,11 +485,11 @@ fn a_tcp_segment_costs_one_block_and_a_stack_call_nothing_else() {
     eng.partition_node(server);
     let one = Bytes::from(vec![3; 1460]);
     let (allocs, packets) = allocations_and_packets(&mut eng, |eng| send(eng, client, &one));
-    assert_eq!((allocs, packets), (1, 1));
+    assert_eq!((allocs, packets), (0, 1));
     let (allocs, packets) =
         allocations_and_packets(&mut eng, |eng| eng.run_for(SimTime::from_secs(1)));
     assert!(packets >= 1, "the RTO fired");
-    assert_eq!(allocs, packets, "on_timer: one block per retransmission");
+    assert_eq!(allocs, 0, "on_timer");
     eng.heal_node(server);
     eng.run_for(SimTime::from_secs(5));
     assert_eq!(
@@ -517,10 +517,12 @@ fn a_mebibyte_through_a_stack_pair_copies_no_data() {
         eng.node_ref::<Peer>(server).received,
         3 * bulk.len() + data.len()
     );
-    // About 720 data segments and their ACKs, a header block each: some
-    // 60 KiB. A copy of every data segment costs 1.1 MiB.
+    // About 720 data segments and their ACKs: 0 bytes in 0 allocations
+    // (a copy of every data segment costs 1.1 MiB). The 1 KiB margin is
+    // under one 8-byte block a segment, so any per-segment allocation
+    // fails it.
     assert!(
-        bytes < 128 * 1024,
+        bytes < 1024,
         "{bytes} bytes in {allocs} allocations to move {} bytes",
         data.len()
     );

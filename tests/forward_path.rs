@@ -1,16 +1,16 @@
-//! The forwarding tier's buffer discipline (DESIGN.md "Byte path"): a
+//! The forwarding tier's byte discipline (DESIGN.md "Byte path"): a
 //! segment's data is never copied — it rides every hop as the packet's
-//! `body`, the view of the sender's buffer — and its header is written
-//! once, by the sending TCP endpoint, into a block that every hop after
-//! that — router, mux, instance — rewrites in place, in the room the
-//! sender reserved and each decapsulation frees again.
+//! `body`, the view of the sender's buffer — and its header rides by
+//! value in the packet's `head`, which every hop — router, mux, instance
+//! — reads and rewrites in the packet it owns, writing an IP-in-IP header
+//! into the room in front of it and dropping it again.
 //!
 //! Three angles:
 //!
 //! * a seeded differential test of the consuming codec against a
-//!   copy-based one (kept here, in the test, only): same bytes out for
-//!   unique, shared and room-less header blocks, the body never moves,
-//!   and a retained clone never sees a mutation. Figure 4's rewrite runs
+//!   copy-based one (kept here, in the test, only): same bytes out, the
+//!   body never moves, a second encapsulation is refused, and rewriting
+//!   one clone of a packet never changes another. Figure 4's rewrite runs
 //!   on both product paths — the instance's decode / `Translation::apply`
 //!   / encode and the mux's `Translation::apply_in_place` — against one
 //!   reference rewrite, and both reject misframed segments untouched;
@@ -26,52 +26,65 @@ use bytes::Bytes;
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::l4lb::{EdgeRouter, Mux};
+use yoda::netsim::wheel::WheelItem;
 use yoda::netsim::{
-    Addr, Ctx, Endpoint, Engine, LinkSpec, Node, Packet, Rng, SimTime, TimerToken, Topology, Zone,
-    IPIP_HEADER_LEN, PROTO_IPIP, PROTO_TCP,
+    Addr, Ctx, Endpoint, Engine, Head, LinkSpec, Node, Packet, Rng, SimTime, TimerToken, Topology,
+    Zone, HEAD_CAP, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_TCP,
 };
 use yoda::tcp::{Flags, Segment, SeqNum, Translation, SEGMENT_HEADER_LEN};
 
 // ----------------------------------------------------------------------
-// The reference: a copy-based codec. Every call serialises into fresh,
-// exactly-sized buffers; the body is copied too.
+// The reference: a copy-based codec. Every call serialises into fresh
+// buffers; the body is copied too.
 // ----------------------------------------------------------------------
 
+/// A head holding `bytes`, built byte by byte.
+fn head_of(bytes: &[u8]) -> Head {
+    let mut h = Head::new();
+    assert!(h.push(bytes), "{} bytes fit a head", bytes.len());
+    h
+}
+
+/// A packet's bytes on the wire: its head, then its body.
+fn wire(pkt: &Packet) -> Vec<u8> {
+    [&pkt.head[..], &pkt.body[..]].concat()
+}
+
 fn ref_encapsulate(inner: &Packet, outer_src: Addr, outer_dst: Addr) -> Packet {
-    let mut buf = Vec::with_capacity(IPIP_HEADER_LEN + inner.payload.len());
+    let mut buf = Vec::with_capacity(IPIP_HEADER_LEN + inner.head.len());
     buf.extend_from_slice(&inner.src.to_bytes());
     buf.extend_from_slice(&inner.dst.to_bytes());
     buf.push(inner.protocol);
-    let len = inner.payload.len() + inner.body.len();
+    let len = inner.head.len() + inner.body.len();
     buf.extend_from_slice(&(len as u32).to_be_bytes());
-    buf.extend_from_slice(&inner.payload);
+    buf.extend_from_slice(&inner.head);
     let mut outer = Packet::new(
         Endpoint::new(outer_src, 0),
         Endpoint::new(outer_dst, 0),
         PROTO_IPIP,
-        Bytes::from(buf),
+        Bytes::copy_from_slice(&inner.body),
     );
-    outer.body = Bytes::copy_from_slice(&inner.body);
+    outer.head = head_of(&buf);
     outer
 }
 
 fn ref_decapsulate(outer: &Packet) -> Packet {
     assert_eq!(outer.protocol, PROTO_IPIP);
-    let b = &outer.payload;
+    let b = &outer.head;
     let len = u32::from_be_bytes(b[13..17].try_into().unwrap()) as usize;
     assert_eq!(b.len() + outer.body.len(), IPIP_HEADER_LEN + len);
     let mut inner = Packet::new(
         Endpoint::from_bytes(b[0..6].try_into().unwrap()),
         Endpoint::from_bytes(b[6..12].try_into().unwrap()),
         b[12],
-        Bytes::copy_from_slice(&b[IPIP_HEADER_LEN..]),
+        Bytes::copy_from_slice(&outer.body),
     );
-    inner.body = Bytes::copy_from_slice(&outer.body);
+    inner.head = head_of(&b[IPIP_HEADER_LEN..]);
     inner
 }
 
 /// The 21 header bytes of `s`.
-fn ref_header(s: &Segment) -> Bytes {
+fn ref_header(s: &Segment) -> Vec<u8> {
     let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN);
     buf.extend_from_slice(&s.src_port.to_be_bytes());
     buf.extend_from_slice(&s.dst_port.to_be_bytes());
@@ -87,13 +100,13 @@ fn ref_header(s: &Segment) -> Bytes {
     );
     buf.extend_from_slice(&s.window.to_be_bytes());
     buf.extend_from_slice(&(s.payload.len() as u32).to_be_bytes());
-    Bytes::from(buf)
+    buf
 }
 
 /// `s` on the wire from `src` to `dst`: its header, then its data.
 fn ref_packet(s: &Segment, src: Endpoint, dst: Endpoint) -> Packet {
-    let mut pkt = Packet::new(src, dst, PROTO_TCP, ref_header(s));
-    pkt.body = Bytes::copy_from_slice(&s.payload);
+    let mut pkt = Packet::new(src, dst, PROTO_TCP, Bytes::copy_from_slice(&s.payload));
+    pkt.head = head_of(&ref_header(s));
     pkt
 }
 
@@ -104,7 +117,7 @@ fn be32(b: &[u8], at: usize) -> u32 {
 /// Figure 4 on the reference side: parse the 21-byte header out of a copy,
 /// translate, serialise afresh.
 fn ref_rewrite(pkt: &Packet, t: &Translation) -> Packet {
-    let b = &pkt.payload;
+    let b = &pkt.head;
     assert_eq!(b.len(), SEGMENT_HEADER_LEN);
     let be32 = |at: usize| be32(b, at);
     let flags = b[12];
@@ -178,140 +191,93 @@ fn rand_translation(rng: &mut Rng) -> Translation {
 /// the product codec against the reference one, each rewrite on one of the
 /// two product paths at random. Segments carry all 32 flag combinations
 /// and random seq/ack values and constants, so about half the additions
-/// wrap 2³². Header blocks start in each of the three shapes that matter
-/// — sender-shaped (unique, one header of room), room-less (hand-built)
-/// and shared (a clone is alive) — and clones are taken and dropped along
-/// the way. After every step the two packets must be equal field for field
-/// and byte for byte, the body must be the one the segment started with,
-/// and every clone ever retained must still read what it read when it was
-/// taken. The mux's rewrite stays in place exactly when no clone shares
-/// the header block, the tunnel's always writes a fresh one, and every
-/// fresh block has room for the next encapsulation. Each case ends with its segment cut short, run long and
-/// in the contiguous shape (data after the header, in the payload), which
-/// both product paths must refuse without a write.
+/// wrap 2³². A packet starts as a sender emits it or with a head built
+/// byte by byte, and clones of it are taken and dropped along the way.
+/// After every step the two packets must be equal field for field and
+/// byte for byte, the body must be the one the segment started with, and
+/// every clone ever retained must still read what it read when it was
+/// taken: rewriting one clone never changes another. A second
+/// encapsulation of an encapsulated segment is refused (`None`), never
+/// truncated. Each case ends with its segment cut short, run long, moved
+/// into the body and (where it fits) in the contiguous shape (data after
+/// the header, in the head), which both product paths must refuse
+/// without a write.
 #[test]
 fn consuming_codec_matches_copying_codec() {
     const CASES: u64 = 12_000;
-    let (mut in_place, mut copied, mut copied_under_clone) = (0u64, 0u64, 0u64);
     // Rewrites per product path, and those whose seq / ack addition wrapped.
-    let (mut by_path, mut wrapped, mut room_checked) = ([0u64; 2], [0u64; 2], 0u64);
+    let (mut by_path, mut wrapped) = ([0u64; 2], [0u64; 2]);
+    let (mut steps, mut refused, mut clones_checked) = (0u64, 0u64, 0u64);
     for case in 0..CASES {
         let mut rng = Rng::seed_from_u64(0xF0_4A4D ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (src, dst) = (rand_endpoint(&mut rng), rand_endpoint(&mut rng));
         let seg = rand_segment(&mut rng, src, dst, (case % 32) as u8);
         let mut reference = ref_packet(&seg, src, dst);
-        // (clone, what it read when it was taken): the body is one of them.
-        let mut retained: Vec<(Bytes, Vec<u8>)> = vec![(seg.payload.clone(), seg.payload.to_vec())];
         let data = seg.payload.as_ptr();
-        let mut pkt = match rng.gen_range(0u8..3) {
-            // What a TCP stack emits: its own header block, room in front.
-            0 => seg.into_packet(src, dst),
-            // Hand-built: unique but no room anywhere.
-            1 => Packet {
-                payload: Bytes::from(reference.payload.to_vec()),
-                ..seg.into_packet(src, dst)
-            },
-            // A view into the middle of somebody else's buffer: there is
-            // room in front, but those bytes belong to `whole`.
-            _ => {
-                let whole = Bytes::with_headroom(0, [&[0xEE; 64][..], &reference.payload, b"tail"]);
-                let view = whole.slice(64..64 + reference.payload.len());
-                retained.push((whole.clone(), whole.to_vec()));
-                Packet {
-                    payload: view,
-                    ..seg.into_packet(src, dst)
-                }
-            }
-        };
+        let mut pkt = seg.into_packet(src, dst);
+        if rng.gen_range(0u8..2) == 0 {
+            pkt.head = head_of(&reference.head);
+        }
+        // (clone, its wire bytes when it was taken).
+        let mut retained: Vec<(Packet, Vec<u8>)> = Vec::new();
         let mut depth = 0usize;
-        // The last step was a rewrite that copied: the next encapsulation
-        // must find room in front.
-        let mut fresh_copy = false;
         for _ in 0..rng.gen_range(1..10usize) {
-            if rng.gen_range(0u8..4) == 0 {
-                retained.push((pkt.payload.clone(), pkt.payload.to_vec()));
+            if rng.gen_range(0u8..3) == 0 {
+                retained.push((pkt.clone(), wire(&pkt)));
             }
-            if rng.gen_range(0u8..4) == 0 && retained.len() > 1 {
-                retained.swap_remove(rng.gen_range(1..retained.len()));
+            if rng.gen_range(0u8..4) == 0 && !retained.is_empty() {
+                retained.swap_remove(rng.gen_range(0..retained.len()));
             }
-            let body = pkt.payload.as_ptr() as usize;
-            // Does a retained clone share the packet's current buffer? A
-            // live clone pins its allocation, so no other buffer can sit
-            // at these addresses; and the packet's view only ever narrows
-            // inside what the clone saw until a copy moves it elsewhere.
-            let shared = retained.iter().any(|(c, _)| {
-                let lo = c.as_ptr() as usize;
-                (lo..lo + c.len()).contains(&body)
-            });
-            let moved = match rng.gen_range(0u8..3) {
+            match rng.gen_range(0u8..3) {
                 0 => {
                     let (a, b) = (
                         Addr::from_u32(rng.next_u32()),
                         Addr::from_u32(rng.next_u32()),
                     );
-                    reference = ref_encapsulate(&reference, a, b);
-                    pkt = pkt.encapsulate(a, b);
-                    depth += 1;
-                    let moved = pkt.payload.as_ptr() as usize + IPIP_HEADER_LEN != body;
-                    if std::mem::take(&mut fresh_copy) && !shared {
-                        assert!(!moved, "case {case}: a rewrite's copy kept no room");
-                        room_checked += 1;
+                    if depth > 0 {
+                        // 21 + 17 + 17 header bytes do not fit a head.
+                        assert_eq!(
+                            pkt.head.room(),
+                            HEAD_CAP - IPIP_HEADER_LEN - SEGMENT_HEADER_LEN
+                        );
+                        assert_eq!(pkt.clone().encapsulate(a, b), None, "case {case}");
+                        refused += 1;
+                        continue;
                     }
-                    moved
+                    reference = ref_encapsulate(&reference, a, b);
+                    pkt = pkt.encapsulate(a, b).expect("room for one");
+                    depth += 1;
                 }
                 1 if depth > 0 => {
                     reference = ref_decapsulate(&reference);
                     pkt = pkt.decapsulate().expect("exactly framed");
                     depth -= 1;
-                    assert_eq!(pkt.payload.as_ptr() as usize, body + IPIP_HEADER_LEN);
-                    continue;
                 }
                 _ if depth == 0 => {
                     let t = rand_translation(&mut rng);
                     let path = rng.gen_range(0..2usize);
-                    let (h, has_ack) = (&reference.payload, reference.payload[12] & 2 != 0);
+                    let (h, has_ack) = (&reference.head, reference.head[12] & 2 != 0);
                     wrapped[0] += u64::from(be32(h, 4).checked_add(t.seq_add).is_none());
                     wrapped[1] += u64::from(has_ack && be32(h, 8).checked_add(t.ack_add).is_none());
                     reference = ref_rewrite(&reference, &t);
-                    // Held across the tunnel's rewrite, so its fresh block
-                    // cannot land at the old one's address.
-                    let _old = (path == 0).then(|| pkt.payload.clone());
                     if path == 0 {
                         pkt = tunnel_rewrite(pkt, &t).expect("framed");
                     } else {
                         assert!(t.apply_in_place(&mut pkt), "case {case}: framed");
                     }
                     by_path[path] += 1;
-                    // The tunnel re-encodes into a fresh header block; the
-                    // mux patches in place unless the block is shared.
-                    let moved = pkt.payload.as_ptr() as usize != body;
-                    assert_eq!(
-                        moved,
-                        path == 0 || shared,
-                        "case {case}: path {path} in place iff unshared"
-                    );
-                    fresh_copy = moved;
-                    moved
                 }
                 _ => continue,
-            };
-            match (moved, shared) {
-                (false, true) => panic!("case {case}: wrote in place under a live clone"),
-                (false, false) => in_place += 1,
-                (true, true) => copied_under_clone += 1,
-                (true, false) => copied += 1,
             }
+            steps += 1;
             assert_eq!(pkt, reference, "case {case}");
             assert!(
                 pkt.body.is_empty() || pkt.body.as_ptr() == data,
                 "case {case}: the body moved"
             );
             for (clone, snapshot) in &retained {
-                assert_eq!(
-                    &clone[..],
-                    &snapshot[..],
-                    "case {case}: a clone saw a write"
-                );
+                assert_eq!(&wire(clone), snapshot, "case {case}: a clone saw a write");
+                clones_checked += 1;
             }
         }
         // Unwind to the segment: it still decodes to what the reference says.
@@ -322,44 +288,35 @@ fn consuming_codec_matches_copying_codec() {
         }
         assert_eq!(pkt, reference, "case {case}");
         assert!(Segment::from_packet(pkt).is_some());
-        // Cut short, run long or contiguous, the segment is refused by
-        // both product paths, and the mux's leaves the packet as it was.
-        let (h, body) = (&reference.payload, &reference.body);
-        let with = |payload: Bytes, body: Bytes| Packet {
-            payload,
+        // Cut short, run long, in the body or contiguous, the segment is
+        // refused by both product paths, and the mux's leaves the packet
+        // as it was.
+        let (h, body) = (&reference.head[..], &reference.body);
+        let with = |head: &[u8], body: Bytes| Packet {
+            head: head_of(head),
             body,
             ..reference.clone()
         };
         let tail = Bytes::copy_from_slice(&[0xAA; 3][..rng.gen_range(1..=3usize)]);
+        let whole = wire(&reference);
         let mut bad = vec![
-            with(h.slice(0..rng.gen_range(0..h.len())), body.clone()),
-            with(h.clone(), Bytes::from([&body[..], &tail].concat())),
+            with(&h[..rng.gen_range(0..h.len())], body.clone()),
+            with(h, Bytes::from([&body[..], &tail].concat())),
+            with(&[], Bytes::from(whole.clone())),
         ];
         if !body.is_empty() {
-            bad.push(with(
-                Bytes::from([&h[..], &body[..]].concat()),
-                Bytes::new(),
-            ));
-            bad.push(with(h.clone(), body.slice(..rng.gen_range(0..body.len()))));
-            bad.push(with(
-                Bytes::from([&h[..], &body[..1]].concat()),
-                body.slice(1..),
-            ));
+            bad.push(with(h, body.slice(..rng.gen_range(0..body.len()))));
+            bad.push(with(&whole[..h.len() + 1], body.slice(1..)));
+        }
+        if !body.is_empty() && whole.len() <= HEAD_CAP {
+            bad.push(with(&whole, Bytes::new()));
         }
         for mut bad in bad {
             let t = rand_translation(&mut rng);
             assert!(tunnel_rewrite(bad.clone(), &t).is_none(), "case {case}");
-            let before = (bad.clone(), bad.payload.as_ptr());
+            let before = bad.clone();
             assert!(!t.apply_in_place(&mut bad), "case {case}");
-            let after = (bad.clone(), bad.payload.as_ptr());
-            assert_eq!(after, before, "case {case}: a misframed packet was touched");
-        }
-        for (clone, snapshot) in &retained {
-            assert_eq!(
-                &clone[..],
-                &snapshot[..],
-                "case {case}: a clone saw a write"
-            );
+            assert_eq!(bad, before, "case {case}: a misframed packet was touched");
         }
     }
     // Every branch was really exercised.
@@ -371,13 +328,59 @@ fn consuming_codec_matches_copying_codec() {
         wrapped.iter().all(|&n| n > 1_000),
         "wrapped seq / ack {wrapped:?}"
     );
-    assert!(room_checked > 100, "copies re-encapsulated {room_checked}");
-    assert!(in_place > 5_000, "in place {in_place}");
-    assert!(copied > 1_000, "copied (no room) {copied}");
-    assert!(
-        copied_under_clone > 1_000,
-        "copied (shared) {copied_under_clone}"
+    assert!(steps > 30_000, "steps {steps}");
+    assert!(refused > 1_000, "second encapsulations refused {refused}");
+    assert!(clones_checked > 10_000, "clones checked {clones_checked}");
+}
+
+/// A segment encapsulated once has no room for a second IP-in-IP header:
+/// the router refuses to wrap one again and counts it as a drop, and
+/// nothing truncated goes on the wire.
+#[test]
+fn a_segment_encapsulated_twice_is_refused() {
+    let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
+    let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+    let (router_addr, mux_addr) = (Addr::new(10, 0, 3, 1), Addr::new(10, 0, 2, 1));
+    let once = tagged_segment(client, vip, 1, 100)
+        .into_packet(client, vip)
+        .encapsulate(client.addr, vip.addr)
+        .expect("room for one");
+    assert_eq!(once.head.room(), 0);
+    assert_eq!(once.clone().encapsulate(router_addr, mux_addr), None);
+    let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_micros(100)));
+    let router = eng.add_node(
+        "router",
+        router_addr,
+        Zone::Dc,
+        Box::new(EdgeRouter::new(router_addr, vec![mux_addr])),
     );
+    eng.add_addr(router, vip.addr);
+    let mux = eng.add_node(
+        "mux",
+        mux_addr,
+        Zone::Dc,
+        Box::new(Sink { received: vec![] }),
+    );
+    let from = eng.add_node(
+        "client",
+        client.addr,
+        Zone::External,
+        Box::new(Sink { received: vec![] }),
+    );
+    eng.with_node_ctx::<Sink>(from, |_, ctx| ctx.send(once));
+    eng.run_for(SimTime::from_millis(1));
+    let r = eng.node_ref::<EdgeRouter>(router);
+    assert_eq!((r.relayed, r.dropped), (0, 1));
+    assert!(eng.node_ref::<Sink>(mux).received.is_empty());
+}
+
+/// What a packet in flight costs the engine: the packet, and a wheel
+/// item around it (whose slab entry adds a fixed 32 bytes of deadline,
+/// sequence number, id and list links).
+#[test]
+fn in_flight_footprint_is_bounded() {
+    assert!(std::mem::size_of::<Packet>() <= 80);
+    assert!(std::mem::size_of::<WheelItem>() <= 88);
 }
 
 // ----------------------------------------------------------------------
@@ -478,7 +481,7 @@ fn duplicated_packets_both_arrive_intact() {
     let mut per_tag: BTreeMap<u32, Vec<*const u8>> = BTreeMap::new();
     for outer in got {
         let inner = outer.clone().decapsulate().expect("mux encapsulated");
-        assert_eq!(inner.payload.len(), SEGMENT_HEADER_LEN);
+        assert_eq!(inner.head.len(), SEGMENT_HEADER_LEN);
         let tag = u32::from_be_bytes(inner.body[..4].try_into().unwrap());
         let original = ref_packet(&tagged_segment(client, vip, tag, 1460), client, vip);
         assert_eq!(

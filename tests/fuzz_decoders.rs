@@ -1,14 +1,18 @@
 //! Decoder robustness: every wire-format parser in the workspace must
 //! reject (not panic on) arbitrary garbage, truncations, and bit flips.
 //! The packet decoders (`Segment::peek`/`from_packet`,
-//! `Translation::apply_in_place`, `Packet::decapsulate`) take the bytes
-//! split at every point between a packet's `payload` and its `body`, and
-//! must accept exactly the one wire shape: a TCP segment's header alone in
-//! the payload and its data in the body, an IP-in-IP header in front of
-//! whatever the inner packet holds.
+//! `Translation::apply_in_place`, `Packet::decapsulate`, and every
+//! message decoder behind `Packet::message`) take the bytes split at every
+//! point a head can hold (0..=`HEAD_CAP` bytes) between a packet's `head`
+//! and its `body`, and must accept exactly the one wire shape of each
+//! protocol: a TCP segment's header alone in the head and its data in the
+//! body, an IP-in-IP header at the front of the head in front of whatever
+//! the inner packet holds, and a message entirely in the body.
 //!
 //! Runs on the in-tree deterministic PRNG — every run fuzzes the same
 //! inputs, so a failure here always reproduces.
+
+use std::fmt::Debug;
 
 use bytes::Bytes;
 use yoda::core::flowstate::{FlowRecord, SynRecord};
@@ -17,40 +21,70 @@ use yoda::core::InstanceCtrl;
 use yoda::l4lb::CtrlMsg;
 use yoda::netsim::rng::Rng;
 use yoda::netsim::{
-    Addr, Endpoint, Packet, Protocol, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_PING, PROTO_TCP,
+    Addr, Endpoint, Head, Packet, Protocol, HEAD_CAP, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_PING,
+    PROTO_RPC, PROTO_TCP,
 };
 use yoda::tcp::{Segment, Translation, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::{StoreRequest, StoreResponse};
 use yoda::trace::Trace;
+use yoda_balance::{ProbeReply, ProbeRequest};
 
 const SRC: Endpoint = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
 const DST: Endpoint = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
 
-/// `wire` split into a packet's payload (its first `at` bytes) and body.
+/// `wire` split into a packet's head (its first `at` bytes, at most
+/// [`HEAD_CAP`]) and body.
 fn split(protocol: Protocol, wire: &[u8], at: usize) -> Packet {
-    let mut pkt = Packet::new(SRC, DST, protocol, Bytes::copy_from_slice(&wire[..at]));
-    pkt.body = Bytes::copy_from_slice(&wire[at..]);
+    let at = at.min(HEAD_CAP).min(wire.len());
+    let mut pkt = Packet::new(SRC, DST, protocol, Bytes::copy_from_slice(&wire[at..]));
+    pkt.head = Head::new();
+    assert!(pkt.head.push(&wire[..at]));
     pkt
+}
+
+/// Every head length a packet of `wire` can have.
+fn splits(wire: &[u8]) -> std::ops::RangeInclusive<usize> {
+    0..=wire.len().min(HEAD_CAP)
 }
 
 fn be32(b: &[u8], at: usize) -> Option<usize> {
     Some(u32::from_be_bytes(b.get(at..at + 4)?.try_into().ok()?) as usize)
 }
 
-/// The reference framing of a TCP packet: the header alone in the
-/// payload, and a body of the length it declares.
+/// The reference framing of a TCP packet: the header alone in the head,
+/// and a body of the length it declares.
 fn is_segment(pkt: &Packet) -> bool {
     pkt.protocol == PROTO_TCP
-        && pkt.payload.len() == SEGMENT_HEADER_LEN
-        && be32(&pkt.payload, 17) == Some(pkt.body.len())
+        && pkt.head.len() == SEGMENT_HEADER_LEN
+        && be32(&pkt.head, 17) == Some(pkt.body.len())
 }
 
-/// The reference framing of an IP-in-IP packet: the inner header in the
-/// payload, declaring the rest of the payload and the body.
+/// The reference framing of an IP-in-IP packet: the inner header at the
+/// front of the head, declaring the rest of the head and the body.
 fn is_ipip(pkt: &Packet) -> bool {
     pkt.protocol == PROTO_IPIP
-        && pkt.payload.len() >= IPIP_HEADER_LEN
-        && be32(&pkt.payload, 13) == Some(pkt.payload.len() + pkt.body.len() - IPIP_HEADER_LEN)
+        && pkt.head.len() >= IPIP_HEADER_LEN
+        && be32(&pkt.head, 13) == Some(pkt.head.len() + pkt.body.len() - IPIP_HEADER_LEN)
+}
+
+/// Runs every message decoder on `pkt` through [`Packet::message`]: none
+/// may panic, and each accepts only a message entirely in the body —
+/// exactly what it accepts of the whole wire bytes, when the head is
+/// empty, and nothing otherwise.
+fn check_message_decoders(pkt: &Packet) {
+    let whole = Bytes::from([&pkt.head[..], &pkt.body[..]].concat());
+    let canonical = pkt.head.is_empty();
+    assert_eq!(pkt.message().is_some(), canonical, "message {pkt:?}");
+    fn same<T: PartialEq + Debug>(pkt: &Packet, whole: &Bytes, decode: fn(&Bytes) -> Option<T>) {
+        let want = decode(whole).filter(|_| pkt.head.is_empty());
+        assert_eq!(pkt.message().and_then(decode), want, "{pkt:?}");
+    }
+    same(pkt, &whole, StoreRequest::decode);
+    same(pkt, &whole, StoreResponse::decode);
+    same(pkt, &whole, CtrlMsg::decode);
+    same(pkt, &whole, InstanceCtrl::decode);
+    same(pkt, &whole, |m| ProbeRequest::decode(m));
+    same(pkt, &whole, |m| ProbeReply::decode(m));
 }
 
 /// Runs every packet decoder on `pkt`: none may panic, and each accepts
@@ -80,6 +114,8 @@ fn check_packet_decoders(pkt: &Packet, t: &Translation) -> bool {
             assert_eq!(again.body, pkt.body);
             assert_eq!(Segment::from_packet(again).as_ref(), Some(&seg));
             assert_eq!(patched.body.as_ptr(), pkt.body.as_ptr(), "the body moved");
+            // The patch is the patched packet's own: `pkt` is as it was.
+            assert_eq!(Segment::peek(pkt), Segment::peek(&patched));
             t.apply(&mut seg);
             assert_eq!((patched.src, patched.dst), (t.src, t.dst));
             assert_eq!(Segment::from_packet(patched), Some(seg));
@@ -113,9 +149,10 @@ fn decoders_never_panic_on_garbage() {
         let len = rng.gen_range(0..600usize);
         let raw: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect();
         let t = translation(&mut rng);
-        for protocol in [PROTO_TCP, PROTO_IPIP, PROTO_PING] {
-            let at = rng.gen_range(0..=len);
+        for protocol in [PROTO_TCP, PROTO_IPIP, PROTO_PING, PROTO_RPC] {
+            let at = rng.gen_range(splits(&raw));
             check_packet_decoders(&split(protocol, &raw, at), &t);
+            check_message_decoders(&split(protocol, &raw, at));
         }
         let b = Bytes::from(raw);
         let _ = StoreRequest::decode(&b);
@@ -130,8 +167,9 @@ fn decoders_never_panic_on_garbage() {
 /// Bit-flipped valid messages either still decode or are rejected —
 /// never a panic, and length fields cannot cause out-of-bounds reads.
 /// Segments are flipped in their wire bytes, bare and encapsulated, and
-/// split between payload and body at every point: only the canonical
-/// split of an intact length field decodes.
+/// split between head and body at every point a head can hold: only the
+/// canonical split of an intact length field decodes. Messages are
+/// flipped and split the same way: only an empty head decodes.
 #[test]
 fn decoders_survive_bit_flips() {
     let seg = Segment {
@@ -150,9 +188,9 @@ fn decoders_survive_bit_flips() {
         value: Bytes::from_static(b"value-bytes"),
     };
     let pkt = seg.clone().into_packet(SRC, DST);
-    let bare = [&pkt.payload[..], &pkt.body[..]].concat();
-    let outer = pkt.encapsulate(SRC.addr, DST.addr);
-    let wrapped = [&outer.payload[..], &outer.body[..]].concat();
+    let bare = [&pkt.head[..], &pkt.body[..]].concat();
+    let outer = pkt.encapsulate(SRC.addr, DST.addr).unwrap();
+    let wrapped = [&outer.head[..], &outer.body[..]].concat();
     let mut rng = Rng::seed_from_u64(0xF11B);
     let t = translation(&mut rng);
     // Every split of the intact segment: the canonical one alone decodes,
@@ -161,7 +199,7 @@ fn decoders_survive_bit_flips() {
         (PROTO_TCP, &bare, SEGMENT_HEADER_LEN),
         (PROTO_IPIP, &wrapped, IPIP_HEADER_LEN + SEGMENT_HEADER_LEN),
     ] {
-        for at in 0..=wire.len() {
+        for at in splits(wire) {
             let pkt = split(protocol, wire, at);
             check_packet_decoders(&pkt, &t);
             let inner = match protocol {
@@ -182,7 +220,7 @@ fn decoders_survive_bit_flips() {
                 let mut enc = wire.clone();
                 let idx = flip_byte % enc.len();
                 enc[idx] ^= 1 << flip_bit;
-                let at = rng.gen_range(0..=enc.len());
+                let at = rng.gen_range(splits(&enc));
                 check_packet_decoders(&split(protocol, &enc, at), &t);
                 let canonical = enc.len() - seg.payload.len();
                 accepted += check_packet_decoders(&split(protocol, &enc, canonical), &t) as u32;
@@ -191,7 +229,9 @@ fn decoders_survive_bit_flips() {
             let mut enc = req.encode().to_vec();
             let idx = flip_byte % enc.len();
             enc[idx] ^= 1 << flip_bit;
-            let _ = StoreRequest::decode(&Bytes::from(enc));
+            for at in [0, rng.gen_range(splits(&enc))] {
+                check_message_decoders(&split(PROTO_RPC, &enc, at));
+            }
         }
     }
     // A flip outside the length field leaves the bare segment framed.

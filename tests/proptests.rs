@@ -10,7 +10,7 @@ use yoda::core::flowstate::{FlowRecord, SynRecord};
 use yoda::core::isn::syn_ack_isn;
 use yoda::core::rules::glob_match;
 use yoda::netsim::rng::Rng;
-use yoda::netsim::{Addr, Endpoint, Histogram, Packet, PROTO_TCP};
+use yoda::netsim::{Addr, Endpoint, Histogram, Packet, HEAD_CAP, PROTO_TCP};
 use yoda::tcp::{Flags, Segment, SeqNum, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::HashRing;
 use yoda::trace::{Trace, TraceConfig};
@@ -92,9 +92,9 @@ fn flow_record_roundtrip() {
 }
 
 /// TCP segments round-trip through their packet, including through
-/// encapsulation, and the packet's bytes re-split between payload and
-/// body at a random point decode only at the canonical split (the header
-/// alone in the payload).
+/// encapsulation, and the packet's bytes re-split between head and body
+/// at a random head length decode only at the canonical split (the header
+/// alone in the head).
 #[test]
 fn segment_roundtrip() {
     let mut rng = rng_for("segment_roundtrip");
@@ -124,19 +124,26 @@ fn segment_roundtrip() {
         let dst = Endpoint::new(Addr::new(5, 6, 7, 8), dst_port);
         let pkt = seg.clone().into_packet(src, dst);
         assert_eq!(Segment::from_packet(pkt.clone()).as_ref(), Some(&seg));
-        // Re-split.
-        let wire = [&pkt.payload[..], &pkt.body[..]].concat();
+        // Re-split at any head length.
+        let wire = [&pkt.head[..], &pkt.body[..]].concat();
         let at = match rng.gen_range(0u8..3) {
             0 => SEGMENT_HEADER_LEN,
-            _ => rng.gen_range(0..=wire.len()),
+            _ => rng.gen_range(0..=wire.len().min(HEAD_CAP)),
         };
-        let mut resplit = Packet::new(src, dst, PROTO_TCP, Bytes::copy_from_slice(&wire[..at]));
-        resplit.body = Bytes::copy_from_slice(&wire[at..]);
+        let mut resplit = Packet::new(src, dst, PROTO_TCP, Bytes::copy_from_slice(&wire[at..]));
+        assert!(resplit.head.push(&wire[..at]));
         let decoded = Segment::from_packet(resplit);
         assert_eq!(decoded.is_some(), at == SEGMENT_HEADER_LEN, "split at {at}");
         assert!(decoded.is_none_or(|d| d == seg));
-        // Through IP-in-IP encapsulation as well.
-        let outer = pkt.encapsulate(Addr::new(9, 9, 9, 9), Addr::new(8, 8, 8, 8));
+        // Through IP-in-IP encapsulation as well, once: there is no room
+        // for a second.
+        let outer = pkt
+            .encapsulate(Addr::new(9, 9, 9, 9), Addr::new(8, 8, 8, 8))
+            .expect("room for one");
+        assert_eq!(
+            outer.clone().encapsulate(Addr::new(7, 7, 7, 7), src.addr),
+            None
+        );
         let inner = outer.decapsulate().expect("decaps");
         assert_eq!(Segment::from_packet(inner), Some(seg));
     }

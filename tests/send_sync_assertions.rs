@@ -18,7 +18,7 @@ use yoda::http::{BrowserClient, OriginServer, RateClient};
 use yoda::l4lb::{EdgeRouter, Mux};
 use yoda::netsim::addrmap::AddrMap;
 use yoda::netsim::wheel::TimerWheel;
-use yoda::netsim::{Endpoint, Engine, FlowTable, Node, Slab, TraceEvent, TraceSink};
+use yoda::netsim::{Endpoint, Engine, FlowTable, Head, Node, Packet, Slab, TraceEvent, TraceSink};
 use yoda::proxy::ProxyInstance;
 use yoda::tcpstore::StoreServer;
 
@@ -87,4 +87,14 @@ fn slabs_are_send_and_sync() {
     assert_send::<Slab<Box<dyn Node>>>();
     assert_send::<Slab<u64>>();
     assert_sync::<Slab<u64>>();
+}
+
+/// A packet crosses the engine by value: its inline head is plain bytes
+/// and its body a shared immutable view, so both are `Send` and `Sync`.
+#[test]
+fn packets_and_heads_are_send_and_sync() {
+    assert_send::<Head>();
+    assert_sync::<Head>();
+    assert_send::<Packet>();
+    assert_sync::<Packet>();
 }

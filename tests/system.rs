@@ -204,7 +204,8 @@ impl SwitchBed {
         let (mux, mux_addr) = self.client_mux();
         let outer = seg
             .into_packet(local, self.tb.vips[0])
-            .encapsulate(local.addr, mux_addr);
+            .encapsulate(local.addr, mux_addr)
+            .expect("a fresh segment has room");
         self.tb
             .engine
             .with_node_ctx::<Mux>(mux, |m, ctx| m.on_packet(ctx, outer));
