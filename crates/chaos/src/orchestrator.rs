@@ -6,7 +6,6 @@
 //! bump the [`StoreWitness`] epoch at both boundaries so read-after-write
 //! verdicts never span a membership change.
 
-
 use yoda_core::controller::Controller;
 use yoda_core::instance::{YodaConfig, YodaInstance};
 use yoda_core::testbed::{Testbed, TestbedConfig};

@@ -204,9 +204,7 @@ impl FaultKind {
     /// client byte path itself, which no LB logic can mask.
     fn client_visible(self) -> bool {
         match self {
-            FaultKind::LinkDegrade { node, .. } => {
-                !matches!(node, GrayTarget::Store(_))
-            }
+            FaultKind::LinkDegrade { node, .. } => !matches!(node, GrayTarget::Store(_)),
             FaultKind::NodeSlowdown { node, .. } => matches!(node, GrayTarget::Backend(_)),
             FaultKind::AsymmetricPartition { .. } => false,
             _ => matches!(self.target(), Target::Wan | Target::Backend(_)),
@@ -560,8 +558,7 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
             if factor > budget.max_slowdown_factor {
                 return false;
             }
-            let factor_secs = u64::from(factor).saturating_mul(f.duration.as_micros())
-                / 1_000_000;
+            let factor_secs = u64::from(factor).saturating_mul(f.duration.as_micros()) / 1_000_000;
             if factor_secs > budget.max_slowdown_factor_secs {
                 return false;
             }
@@ -718,8 +715,7 @@ mod tests {
                     FaultKind::NodeSlowdown { factor, .. } => {
                         saw_gray = true;
                         assert!(factor <= budget.max_slowdown_factor, "seed {seed}");
-                        let factor_secs =
-                            u64::from(factor) * f.duration.as_micros() / 1_000_000;
+                        let factor_secs = u64::from(factor) * f.duration.as_micros() / 1_000_000;
                         assert!(
                             factor_secs <= budget.max_slowdown_factor_secs,
                             "seed {seed}: slowness budget {factor_secs}"

@@ -87,8 +87,7 @@ impl StoreWitness {
     fn start_pair(&mut self, ctx: &mut Ctx<'_>) {
         self.seq += 1;
         let seq = self.seq;
-        self.client
-            .set(ctx, Self::key(seq), Self::value(seq), seq);
+        self.client.set(ctx, Self::key(seq), Self::value(seq), seq);
         self.pending = Some(Pending {
             seq,
             phase: Phase::Set,

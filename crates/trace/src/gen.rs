@@ -128,7 +128,10 @@ impl Trace {
                 traffic.push(val.max(0.1));
             }
             // Connections ≈ traffic × mean flow duration (~1 s).
-            let connections = traffic.iter().map(|t| t * rng.gen_range(0.8..1.4)).collect();
+            let connections = traffic
+                .iter()
+                .map(|t| t * rng.gen_range(0.8..1.4))
+                .collect();
             vips.push(VipTrace {
                 vip_id: v,
                 rules: rules_raw[v].round() as u64,
@@ -239,7 +242,11 @@ mod tests {
         let t = small();
         assert!(t.vips.len() >= 100, "100+ VIPs");
         assert_eq!(t.bins(), 144, "24h of 10-min bins");
-        assert!(t.total_rules() >= 50_000, "50K+ rules, got {}", t.total_rules());
+        assert!(
+            t.total_rules() >= 50_000,
+            "50K+ rules, got {}",
+            t.total_rules()
+        );
     }
 
     #[test]

@@ -88,11 +88,7 @@ impl AdaptiveScenario {
     /// deduplicated and sorted — the moments a harness must reapply
     /// factors to the simulated servers.
     pub fn edges(&self) -> Vec<SimTime> {
-        let mut edges: Vec<SimTime> = self
-            .phases
-            .iter()
-            .flat_map(|p| [p.from, p.until])
-            .collect();
+        let mut edges: Vec<SimTime> = self.phases.iter().flat_map(|p| [p.from, p.until]).collect();
         edges.sort_unstable();
         edges.dedup();
         edges
