@@ -59,7 +59,10 @@ pub enum InstanceCtrl {
         seq: u64,
         /// CPU utilisation ×1000 over the last window.
         cpu_milli: u32,
-        /// Live flows on the instance.
+        /// Flows the instance tracks ([`YodaInstance::live_flows`]): drained
+        /// tunnels still lingering are counted too.
+        ///
+        /// [`YodaInstance::live_flows`]: crate::YodaInstance::live_flows
         flows: u64,
         /// Requests seen per VIP since the last stats request.
         per_vip_requests: Vec<(Endpoint, u64)>,

@@ -53,7 +53,7 @@ use crate::rules::{RuleTable, SelectCtx};
 
 use durability::Waiter;
 pub use durability::{Durability, WRITE_BEHIND_CAP};
-use flow::{Action, Counter, Env, Exit, Flow, FlowKey, Io, Step};
+use flow::{Action, Counter, Ends, Env, Exit, Flow, FlowKey, Io, Slot, Step};
 use probing::{PROBE_TICK_KIND, PROBE_TIMEOUT_KIND};
 use recovery::RecoverEntry;
 
@@ -149,10 +149,11 @@ pub struct YodaInstance {
     prober: Prober,
     dur: Durability,
     cpu: ServiceQueue,
-    /// Live flows. Each is boxed: the table's buckets hold a key and a
-    /// pointer, so its capacity (which follows the peak) costs 24 bytes a
-    /// bucket rather than a whole flow.
-    flows: FlowTable<FlowKey, Box<Flow>>,
+    /// Flows, live or drained. A live flow is boxed, so the table's
+    /// buckets, whose capacity follows the peak, hold a pointer rather
+    /// than a whole flow; a drained tunnel that can only translate is
+    /// kept inline as its 24-byte tombstone, and its box is freed.
+    flows: FlowTable<FlowKey, Slot>,
     /// (backend, vip-server-side) → client flow key.
     rflows: FlowTable<(Endpoint, Endpoint), FlowKey>,
     /// (src, dst) of packets awaiting a recovery lookup.
@@ -291,7 +292,9 @@ impl YodaInstance {
         self.vips.remove(&vip);
     }
 
-    /// Live flows currently tracked.
+    /// Flows currently tracked: every flow from its SYN until it is
+    /// retired, drained tunnels lingering to forward their final ACKs
+    /// included.
     pub fn live_flows(&self) -> usize {
         self.flows.len()
     }
@@ -428,10 +431,10 @@ impl YodaInstance {
     /// The one way a flow leaves the table. Always gives the flow's
     /// open-connection count back; what else is released depends on why.
     fn retire(&mut self, ctx: &mut Ctx<'_>, key: FlowKey, why: Exit) {
-        let Some(mut flow) = self.flows.remove(&key) else {
+        let Some(mut slot) = self.flows.remove(&key) else {
             return;
         };
-        move_load(&mut self.select_ctx.loads, flow.load_backend(), None);
+        move_load(&mut self.select_ctx.loads, slot.load_backend(), None);
         match why {
             Exit::NoRoute => self.dropped_unknown += 1,
             // A flow that dies in the connection phase leaves its reverse
@@ -441,14 +444,14 @@ impl YodaInstance {
             // into a three-read recovery lookup.
             Exit::StoreTimeout | Exit::Stuck => {}
             Exit::PortReuse | Exit::Drained | Exit::BackendDown => {
-                if let Some(backend) = flow.backend() {
+                if let Some(backend) = slot.backend() {
                     let vss = Endpoint::new(key.1.addr, key.0.port);
                     self.rflows.remove(&(backend, vss));
                 }
                 if why == Exit::BackendDown {
                     let (env, delay) = (self.env(ctx.now()), SimTime::ZERO);
                     let out = &mut self.actions;
-                    flow.reset(&mut Io { env, delay, out });
+                    slot.reset(key, &mut Io { env, delay, out });
                     self.apply(ctx, key);
                 }
             }
@@ -485,9 +488,9 @@ impl YodaInstance {
         // flows are keyed (client, vip). One lookup in each map.
         let reverse = self.rflows.get(&pair).copied();
         let key = reverse.unwrap_or(pair);
-        let flow = self.flows.get_mut(&key);
+        let slot = self.flows.get_mut(&key);
         // Only a fresh SYN to a VIP service endpoint costs connection CPU.
-        let fresh = flow.is_none()
+        let fresh = slot.is_none()
             && reverse.is_none()
             && (seg.flags.syn && !seg.flags.ack)
             && self.vips.contains_key(&pair.1);
@@ -500,7 +503,7 @@ impl YodaInstance {
             self.dropped_overload += 1;
             return;
         };
-        let Some(flow) = flow else {
+        let Some(slot) = slot else {
             if reverse.is_some() {
                 // The reverse mapping of a flow that is gone (see `retire`).
                 self.rflows.remove(&pair);
@@ -515,23 +518,37 @@ impl YodaInstance {
         };
         let out = &mut self.actions;
         let mut io = Io { env, delay, out };
-        let held = flow.load_backend();
-        let mut step = match reverse {
-            Some(_) => flow.on_server(pair.0, seg, &mut io),
-            None => flow.on_client(seg, &mut io),
+        let step = match slot {
+            Slot::Drained(d) => match reverse {
+                Some(_) => d.on_server(Ends::of(key), pair.0, seg, &mut io),
+                None => d.on_client(Ends::of(key), seg, &mut io),
+            },
+            Slot::Live(flow) => {
+                let held = flow.load_backend();
+                let mut step = match reverse {
+                    Some(_) => flow.on_server(pair.0, seg, &mut io),
+                    None => flow.on_client(seg, &mut io),
+                };
+                if let Step::Select(req, resume) = step {
+                    // Rule selection needs the rule tables and the node
+                    // RNG, so it happens here and is fed back to the flow
+                    // as an input.
+                    self.select_ctx.now = now;
+                    let choice = self
+                        .vips
+                        .get_mut(&key.1)
+                        .and_then(|v| v.rules.select_full(&req, &self.select_ctx, ctx.node_rng()))
+                        .map(|s| (s.primary, s.mirrors));
+                    step = flow.on_selected(choice, resume, &mut io);
+                }
+                move_load(&mut self.select_ctx.loads, held, flow.load_backend());
+                if let Some(tombstone) = flow.drained() {
+                    // Nothing but translation is left: keep only that.
+                    *slot = Slot::Drained(tombstone);
+                }
+                step
+            }
         };
-        if let Step::Select(req, resume) = step {
-            // Rule selection needs the rule tables and the node RNG, so it
-            // happens here and is fed back to the flow as an input.
-            self.select_ctx.now = now;
-            let choice = self
-                .vips
-                .get_mut(&key.1)
-                .and_then(|v| v.rules.select_full(&req, &self.select_ctx, ctx.node_rng()))
-                .map(|s| (s.primary, s.mirrors));
-            step = flow.on_selected(choice, resume, &mut io);
-        }
-        move_load(&mut self.select_ctx.loads, held, flow.load_backend());
         self.apply(ctx, key);
         match step {
             Step::Exit(why) => self.retire(ctx, key, why),
@@ -547,7 +564,7 @@ impl YodaInstance {
         let (env, cert_len) = (self.env(ctx.now()), self.cert_len(key.1));
         let out = &mut self.actions;
         let flow = Flow::open(key, cert_len, isn, &mut Io { env, delay, out });
-        self.flows.insert(key, Box::new(flow));
+        self.flows.insert(key, Slot::Live(Box::new(flow)));
         self.apply(ctx, key);
     }
 
@@ -579,8 +596,8 @@ impl YodaInstance {
         }
         let (env, delay, out) = (self.env(ctx.now()), SimTime::ZERO, &mut self.actions);
         let flow_done = match self.flows.get_mut(&key) {
-            Some(flow) => flow.on_stored(waiter, &mut Io { env, delay, out }),
-            None => false,
+            Some(Slot::Live(flow)) => flow.on_stored(waiter, &mut Io { env, delay, out }),
+            Some(Slot::Drained(_)) | None => false,
         };
         // Critical-path storage latency: storage-a, then storage-b once
         // both of its sets have landed.

@@ -2,7 +2,9 @@
 //!
 //! One [`Flow`] is one client connection's life on this instance:
 //! storage-a → SYN-ACK → header → backend connect → storage-b → tunnel
-//! (→ HTTP/1.1 backend switch, mirror race) → drain. Every transition
+//! (→ HTTP/1.1 backend switch, mirror race) → drain; a drained tunnel
+//! that can only translate shrinks to a [`Drained`] tombstone, and the
+//! flow table holds either in a [`Slot`]. Every transition
 //! takes the flow, one input and an [`Io`] — a read-only [`Env`] plus the
 //! [`Action`] buffer it appends to, in the order things must happen. The
 //! module (with `tunnel`, its steady-state half) knows nothing of the
@@ -18,7 +20,7 @@ use yoda_netsim::{Endpoint, SimTime};
 use yoda_tcp::{Flags, Segment, SeqNum};
 
 use super::durability::{Waiter, WriteOp};
-use super::tunnel::Tunnel;
+use super::tunnel::{Drained, Tunnel};
 use super::{make_cert, MSS, SSL_HELLO};
 use crate::flowstate::{FlowRecord, SynRecord};
 use crate::isn::syn_ack_isn;
@@ -134,6 +136,11 @@ pub(super) struct Ends {
 }
 
 impl Ends {
+    /// The ends of the flow keyed `(client, vip)`.
+    pub(super) fn of((client, vip): FlowKey) -> Ends {
+        Ends { client, vip }
+    }
+
     /// The server-side VIP endpoint: (VIP addr, client port). Yoda reuses
     /// the client's port on the backend connection.
     pub(super) fn vss(self) -> Endpoint {
@@ -232,6 +239,19 @@ impl Io<'_> {
         self.out.push(Action::Write(op, None));
     }
 
+    /// Tells the client the connection is gone (a RST from the VIP) and
+    /// deletes the flow's TCPStore records.
+    fn reset_client(&mut self, e: Ends, backend: Endpoint) {
+        self.send_client(
+            e,
+            e.yoda_isn() + 1,
+            SeqNum::new(0),
+            Flags::RST,
+            Bytes::new(),
+        );
+        self.delete_records(e, backend);
+    }
+
     /// Deletes all three TCPStore records of the flow.
     pub(super) fn delete_records(&mut self, e: Ends, backend: Endpoint) {
         self.fire(WriteOp::Delete(SynRecord::key(e.client, e.vip)));
@@ -327,9 +347,8 @@ pub(crate) struct Flow {
 
 impl Flow {
     fn at(key: FlowKey, cert_len: Option<u32>, now: SimTime, phase: Phase) -> Flow {
-        let (client, vip) = key;
         Flow {
-            ends: Ends { client, vip },
+            ends: Ends::of(key),
             cert_len,
             created: now,
             phase,
@@ -421,6 +440,15 @@ impl Flow {
         match &self.phase {
             Phase::Tunneling(t) if t.drain_deadline.is_some() => None,
             _ => self.backend(),
+        }
+    }
+
+    /// The tombstone to keep instead of the flow, once it is a drained
+    /// tunnel that can only translate ([`Tunnel::drained`]).
+    pub(crate) fn drained(&self) -> Option<Drained> {
+        match &self.phase {
+            Phase::Tunneling(t) => t.drained(),
+            _ => None,
         }
     }
 
@@ -611,14 +639,7 @@ impl Flow {
             // so their splice entries must be revoked explicitly.
             t.revoke_splices(e, io);
         }
-        io.send_client(
-            e,
-            e.yoda_isn() + 1,
-            SeqNum::new(0),
-            Flags::RST,
-            Bytes::new(),
-        );
-        io.delete_records(e, backend);
+        io.reset_client(e, backend);
     }
 
     /// Figure 3 step 3 — completes storage-b: ACK the backend, forward
@@ -659,6 +680,49 @@ impl Flow {
         // settled races install later).
         t.install_splices(e, io);
         self.phase = Phase::Tunneling(t);
+    }
+}
+
+/// What the flow table holds for one key: a flow in progress, or the
+/// tombstone of a drained tunnel. The shell looks up, retires and gc's
+/// either through the same few questions.
+#[derive(Debug)]
+pub(crate) enum Slot {
+    Live(Box<Flow>),
+    Drained(Drained),
+}
+
+impl Slot {
+    /// [`Flow::backend`].
+    pub(crate) fn backend(&self) -> Option<Endpoint> {
+        match self {
+            Slot::Live(f) => f.backend(),
+            Slot::Drained(d) => Some(d.backend),
+        }
+    }
+
+    /// [`Flow::load_backend`]: a tombstone holds no count.
+    pub(crate) fn load_backend(&self) -> Option<Endpoint> {
+        match self {
+            Slot::Live(f) => f.load_backend(),
+            Slot::Drained(_) => None,
+        }
+    }
+
+    /// [`Flow::expired`].
+    pub(crate) fn expired(&self, now: SimTime) -> Option<Exit> {
+        match self {
+            Slot::Live(f) => f.expired(now),
+            Slot::Drained(d) => (now >= d.deadline).then_some(Exit::Drained),
+        }
+    }
+
+    /// [`Flow::reset`]; a tombstone has no splice left to revoke.
+    pub(crate) fn reset(&mut self, key: FlowKey, io: &mut Io) {
+        match self {
+            Slot::Live(f) => f.reset(io),
+            Slot::Drained(d) => io.reset_client(Ends::of(key), d.backend),
+        }
     }
 }
 

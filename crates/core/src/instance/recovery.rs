@@ -8,7 +8,7 @@ use yoda_tcp::Segment;
 use yoda_tcpstore::{StoreEvent, StoreOutcome};
 
 use super::durability::Waiter;
-use super::flow::{Flow, Io};
+use super::flow::{Flow, Io, Slot};
 use super::{move_load, YodaInstance};
 use crate::flowstate::{FlowRecord, SynRecord};
 
@@ -131,7 +131,7 @@ impl YodaInstance {
         };
         self.recoveries += 1;
         move_load(&mut self.select_ctx.loads, None, flow.load_backend());
-        self.flows.insert(key, Box::new(flow));
+        self.flows.insert(key, Slot::Live(Box::new(flow)));
         self.apply(ctx, key);
         match from {
             Some(backend) => ctx.trace_note(format_args!(

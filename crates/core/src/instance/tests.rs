@@ -12,7 +12,8 @@ use yoda_tcp::Flags;
 use yoda_tcpstore::{StoreServer, StoreServerConfig};
 
 use super::durability::{Waiter, WriteOp};
-use super::flow::{Io, Resume};
+use super::flow::{Ends, Io, Resume};
+use super::tunnel::Drained;
 use super::*;
 
 const C_ISN: u32 = 1_000;
@@ -496,6 +497,167 @@ fn per_phase_backend_load_and_expiry() {
     assert_eq!(drained(env).expired(at(2)), Some(Exit::Drained));
 }
 
+/// One packet into a drained flow or into its tombstone: from the client
+/// (`from = None`) or from a backend. Returns the step, as its `Debug`
+/// text, and every action in full.
+fn one_packet(
+    target: Result<&mut Flow, &Drained>,
+    from: Option<Endpoint>,
+    seg: Segment,
+) -> (String, Vec<Action>) {
+    let mut out = Vec::new();
+    let env = Env {
+        now: t_env().now + SimTime::from_millis(500),
+        ..t_env()
+    };
+    let delay = SimTime::from_micros(366);
+    let mut io = Io {
+        env,
+        delay,
+        out: &mut out,
+    };
+    let e = Ends::of(t_key());
+    let step = match (target, from) {
+        (Ok(f), None) => f.on_client(seg, &mut io),
+        (Ok(f), Some(b)) => f.on_server(b, seg, &mut io),
+        (Err(d), None) => d.on_client(e, seg, &mut io),
+        (Err(d), Some(b)) => d.on_server(e, b, seg, &mut io),
+    };
+    (format!("{step:?}"), out)
+}
+
+/// A drained tunnel and its tombstone are the same machine: for every
+/// input a drained tunnel accepts, the same step and the same actions,
+/// whole segments compared.
+#[test]
+fn a_tombstone_answers_like_the_drained_tunnel() {
+    let env = t_env();
+    let fin = C_ISN + 1 + REQ.len() as u32;
+    // Drained after a switch to b2: b1 is a stale backend.
+    let switched_drained = || {
+        let mut f = switched(env);
+        quiet(
+            &mut f,
+            env,
+            In::Client(t_seg(Flags::FIN_ACK, fin + 28, 0, b"")),
+            None,
+        );
+        quiet(
+            &mut f,
+            env,
+            In::Server(t_backend(2), t_seg(Flags::FIN_ACK, 9_001, 0, b"")),
+            None,
+        );
+        f
+    };
+    let (client, b1, b2) = (None, Some(t_backend(1)), Some(t_backend(2)));
+    #[rustfmt::skip]
+    let cases = [
+        ("client ACK", drained(env), client, t_seg(Flags::ACK, fin + 1, S_ISN + 2, b"")),
+        ("client FIN again", drained(env), client, t_seg(Flags::FIN_ACK, fin, S_ISN + 1, b"")),
+        ("retransmitted request", drained(env), client, t_seg(Flags::ACK, C_ISN + 1, S_ISN + 1, REQ)),
+        ("bare SYN: port reuse", drained(env), client, t_seg(Flags::SYN, 90_000, 0, b"")),
+        ("backend ACK", drained(env), b1, t_seg(Flags::ACK, S_ISN + 2, fin + 1, b"")),
+        ("backend FIN again", drained(env), b1, t_seg(Flags::FIN_ACK, S_ISN + 1, fin + 1, b"")),
+        ("backend data retransmit", drained(env), b1, t_seg(Flags::ACK, S_ISN + 1, fin, b"hello")),
+        ("a backend not the flow's", drained(env), b2, t_seg(Flags::ACK, S_ISN + 2, fin + 1, b"")),
+        ("stale backend after a switch", switched_drained(), b1, t_seg(Flags::ACK, S_ISN + 1, 0, b"hello")),
+        ("client ACK after a switch", switched_drained(), client, t_seg(Flags::ACK, fin + 29, 9_002, b"")),
+    ];
+    for (name, mut flow, from, seg) in cases {
+        let Some(tomb) = flow.drained() else {
+            panic!("{name}: not quiescent");
+        };
+        let want = one_packet(Ok(&mut flow), from, seg.clone());
+        assert_eq!(one_packet(Err(&tomb), from, seg), want, "{name}");
+        assert!(want != ("Done".into(), vec![]), "{name}: nothing happened");
+    }
+    // The inputs that are not packets: backend death, the count, gc.
+    for flow in [drained(env), switched_drained()] {
+        let Some(tomb) = flow.drained() else {
+            panic!("not quiescent");
+        };
+        let (mut live, mut dead) = (Slot::Live(Box::new(flow)), Slot::Drained(tomb));
+        let reset = |slot: &mut Slot| {
+            let (mut out, delay) = (Vec::new(), SimTime::ZERO);
+            let mut io = Io {
+                env,
+                delay,
+                out: &mut out,
+            };
+            slot.reset(t_key(), &mut io);
+            out
+        };
+        let actions = reset(&mut live);
+        let teardown = ["R vip>client", "del syn", "del flow", "del rflow"];
+        assert_eq!(actions.iter().map(brief).collect::<Vec<_>>(), teardown);
+        assert_eq!(reset(&mut dead), actions);
+        assert_eq!(dead.backend(), live.backend());
+        assert_eq!((dead.load_backend(), live.load_backend()), (None, None));
+        for secs in [1, 2, 3] {
+            let at = env.now + SimTime::from_secs(secs);
+            assert_eq!(dead.expired(at), live.expired(at), "gc at +{secs} s");
+        }
+    }
+}
+
+/// A drained tunnel that can still do more than translate keeps its whole
+/// flow: request bytes may still arrive behind the client's FIN, or a
+/// mirror race is still live.
+#[test]
+fn a_drained_tunnel_with_work_left_stays_live() {
+    let env = t_env();
+    let fin_seq = C_ISN + 1 + REQ.len() as u32;
+    let server_fin = || In::Server(t_backend(1), t_seg(Flags::FIN_ACK, S_ISN + 1, 0, b""));
+    // The client's FIN overtook five request bytes: inspection has not
+    // read up to it.
+    let mut gap = tunneling(env, &[]);
+    quiet(
+        &mut gap,
+        env,
+        In::Client(t_seg(Flags::FIN_ACK, fin_seq + 5, 0, b"")),
+        None,
+    );
+    quiet(&mut gap, env, server_fin(), None);
+    assert_eq!(
+        gap.expired(env.now + SimTime::from_secs(2)),
+        Some(Exit::Drained)
+    );
+    assert_eq!(gap.drained(), None);
+    // Both FINs passed while a mirror still races the stored backend.
+    let mut raced = tunneling(env, &[2]);
+    quiet(
+        &mut raced,
+        env,
+        In::Client(t_seg(Flags::FIN_ACK, fin_seq, 0, b"")),
+        None,
+    );
+    quiet(&mut raced, env, server_fin(), None);
+    assert_eq!(
+        raced.expired(env.now + SimTime::from_secs(2)),
+        Some(Exit::Drained)
+    );
+    assert_eq!(raced.drained(), None);
+    // Once the race settles, only translation is left.
+    quiet(
+        &mut raced,
+        env,
+        In::Server(t_backend(1), t_seg(Flags::ACK, S_ISN + 2, 0, b"x")),
+        None,
+    );
+    assert!(raced.drained().is_some());
+    // A still-open tunnel is never a tombstone.
+    assert_eq!(tunneling(env, &[]).drained(), None);
+}
+
+/// The flow table's value: a pointer to a live flow, or a tombstone
+/// inline. Pinned like the mux's `FlowEntry` (`l4lb/src/mux.rs`).
+#[test]
+fn a_tombstone_is_24_bytes_and_a_slot_32() {
+    assert_eq!(std::mem::size_of::<Drained>(), 24);
+    assert!(std::mem::size_of::<Slot>() <= 32);
+}
+
 // ----------------------------------------------------------------------
 // The shell: one instance, one store, hand-injected packets
 // ----------------------------------------------------------------------
@@ -688,11 +850,13 @@ fn every_exit_route_releases_the_flow() {
         assert!(r.inst().rflows.is_empty());
     }
 
-    // gc of a drained tunnel.
+    // gc of a drained tunnel, kept as its tombstone until then.
     let mut r = Rig::new(ONE_BACKEND);
     r.tunnel();
     r.close_both_ways(1, S_ISN + 1);
     r.assert_released(1);
+    let slot = r.inst().flows.get(&t_key());
+    assert!(matches!(slot, Some(Slot::Drained(_))), "{slot:?}");
     r.run_ms(8_000);
     r.assert_released(0);
     assert!(r.inst().rflows.is_empty());

@@ -1,8 +1,9 @@
 //! The tunneling phase of a flow (paper §4.1 Figure 4, §5.2): sequence
 //! translation in both directions, the FIN/drain bookkeeping, the mux
-//! splice hand-off, HTTP/1.1 backend switches and mirror races. The
-//! steady-state half of the `flow` state machine — same rules: one
-//! input, effects into the [`Io`] buffer, nothing else touched.
+//! splice hand-off, HTTP/1.1 backend switches and mirror races, and the
+//! [`Drained`] tombstone a closed tunnel shrinks to. The steady-state
+//! half of the `flow` state machine — same rules: one input, effects
+//! into the [`Io`] buffer, nothing else touched.
 
 use bytes::{Bytes, BytesMut};
 use yoda_http::{parse_request, HttpRequest};
@@ -34,7 +35,8 @@ pub(super) struct Tunnel {
     /// certificate bytes exist only on the server→client leg, and the
     /// ClientHello bytes only on the other.
     cert: u32,
-    client_fin: bool,
+    /// The C-space sequence number of the client's FIN, once it passed.
+    client_fin: Option<SeqNum>,
     server_fin: bool,
     /// Set once both FINs passed; entry is dropped after the linger.
     pub drain_deadline: Option<SimTime>,
@@ -94,7 +96,7 @@ impl Tunnel {
             backend: rec.backend,
             delta: 0,
             cert,
-            client_fin: false,
+            client_fin: None,
             server_fin: false,
             drain_deadline: None,
             inspect_enabled: false,
@@ -216,29 +218,32 @@ impl Tunnel {
         }
     }
 
-    /// Figure 4 for one direction: where a tunneled segment goes and its
-    /// two constants. The instance forwards through it and the mux splice
-    /// entry is this same value, so the two paths cannot disagree.
+    /// Figure 4 for one direction, by [`leg`].
     fn leg(&self, e: Ends, dir: Dir) -> Translation {
-        let hello = hello_len(self.cert);
-        match dir {
-            Dir::ToBackend => Translation {
-                src: e.vss(),
-                dst: self.backend,
-                seq_add: hello.wrapping_neg(),
-                ack_add: self.delta.wrapping_neg(),
-            },
-            Dir::ToClient => Translation {
-                src: e.vip,
-                dst: e.client,
-                seq_add: self.delta,
-                ack_add: hello,
-            },
-        }
+        leg(e, dir, self.backend, self.delta, self.cert)
+    }
+
+    /// What is left of the tunnel once it can only translate: both FINs
+    /// have passed, no backend switch or mirror race is in flight, and no
+    /// fresh request bytes can still reach inspection (it is off, or its
+    /// buffer is empty and it has read up to the client's FIN). Splices
+    /// need no check: draining revoked them and none is installed after.
+    pub(super) fn drained(&self) -> Option<Drained> {
+        let deadline = self.drain_deadline?;
+        let inspected = !self.inspect_enabled
+            || (self.inspect_buf.is_empty()
+                && self.client_fin.is_some_and(|fin| fin.le(self.inspect_next)));
+        let quiescent = self.switching.is_none() && self.racing.is_empty() && inspected;
+        quiescent.then_some(Drained {
+            backend: self.backend,
+            delta: self.delta,
+            cert: self.cert,
+            deadline,
+        })
     }
 
     /// Translates one segment across the tunnel by [`Self::leg`].
-    fn forward(&mut self, dir: Dir, e: Ends, mut seg: Segment, io: &mut Io) -> Step {
+    fn forward(&mut self, dir: Dir, e: Ends, seg: Segment, io: &mut Io) -> Step {
         let to_backend = dir == Dir::ToBackend;
         if to_backend && self.switching.is_some() {
             // Mid-switch: client data is held for the new backend (the
@@ -247,10 +252,10 @@ impl Tunnel {
             // would look like another instance's flow (a TCPStore recovery).
             return Step::Done;
         }
-        if to_backend {
-            self.client_fin |= seg.flags.fin;
-        } else {
+        if !to_backend {
             self.server_fin |= seg.flags.fin;
+        } else if seg.flags.fin && self.client_fin.is_none() {
+            self.client_fin = Some(seg.seq + seg.payload.len() as u32);
         }
         // A packet the mux should have carried, on a flow believed
         // spliced, means the mux lost the entry (cold restart after a
@@ -261,20 +266,19 @@ impl Tunnel {
             && !request_bytes
             && !seg.flags.fin
             && !seg.flags.rst
-            && !self.client_fin
+            && self.client_fin.is_none()
             && !self.server_fin
             && io.env.now.saturating_sub(self.splice_sent_at) >= SPLICE_REINSTALL;
         let leg = self.leg(e, dir);
-        leg.apply(&mut seg);
         if !to_backend {
             // Track the next Y-space byte the client expects (for
             // switches).
-            let end = seg.seq + seg.payload.len() as u32;
+            let end = seg.seq + leg.seq_add + seg.payload.len() as u32;
             if self.client_next.lt(end) {
                 self.client_next = end;
             }
         }
-        if self.client_fin && self.server_fin && self.drain_deadline.is_none() {
+        if self.client_fin.is_some() && self.server_fin && self.drain_deadline.is_none() {
             // Both FINs passed: delete the flow's TCPStore records ("the
             // flow state ... is removed when the instance receives
             // FIN-ACK", §4.1). The local entry lingers briefly to forward
@@ -285,13 +289,7 @@ impl Tunnel {
             self.revoke_splices(e, io);
             io.delete_records(e, self.backend);
         }
-        io.out.push(Action::Send {
-            delay: io.delay,
-            seg,
-            src: leg.src,
-            dst: leg.dst,
-            tunneled: true,
-        });
+        pass(leg, seg, io);
         if reinstall {
             self.install_splices(e, io);
         }
@@ -309,7 +307,7 @@ impl Tunnel {
             || !self.racing.is_empty()
             || self.switching.is_some()
             || self.drain_deadline.is_some()
-            || self.client_fin
+            || self.client_fin.is_some()
             || self.server_fin
         {
             return;
@@ -476,6 +474,75 @@ impl Tunnel {
         }
         self.install_splices(e, io);
     }
+}
+
+/// A fully-closed tunnel that can only translate (see
+/// [`Tunnel::drained`]): the flow table keeps this, unboxed, in place of
+/// the whole flow until the linger runs out. It forwards the final ACKs
+/// through the same [`leg`] and answers every other input as the drained
+/// [`Tunnel`] it replaces would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Drained {
+    pub backend: Endpoint,
+    delta: u32,
+    cert: u32,
+    /// When gc retires it ([`super::flow::Exit::Drained`]).
+    pub deadline: SimTime,
+}
+
+impl Drained {
+    pub(super) fn on_client(&self, e: Ends, seg: Segment, io: &mut Io) -> Step {
+        if seg.flags.syn && !seg.flags.ack {
+            return Step::Reopen(seg); // Port reuse.
+        }
+        let leg = leg(e, Dir::ToBackend, self.backend, self.delta, self.cert);
+        pass(leg, seg, io);
+        Step::Done
+    }
+
+    pub(super) fn on_server(&self, e: Ends, from: Endpoint, seg: Segment, io: &mut Io) -> Step {
+        if from == self.backend {
+            let leg = leg(e, Dir::ToClient, self.backend, self.delta, self.cert);
+            pass(leg, seg, io);
+        } else {
+            io.count(Counter::DroppedUnknown);
+        }
+        Step::Done
+    }
+}
+
+/// Figure 4 for one direction: where a tunneled segment goes and its two
+/// constants. The instance forwards through it — from a [`Tunnel`] or its
+/// [`Drained`] tombstone — and the mux splice entry is this same value,
+/// so the paths cannot disagree.
+fn leg(e: Ends, dir: Dir, backend: Endpoint, delta: u32, cert: u32) -> Translation {
+    let hello = hello_len(cert);
+    match dir {
+        Dir::ToBackend => Translation {
+            src: e.vss(),
+            dst: backend,
+            seq_add: hello.wrapping_neg(),
+            ack_add: delta.wrapping_neg(),
+        },
+        Dir::ToClient => Translation {
+            src: e.vip,
+            dst: e.client,
+            seq_add: delta,
+            ack_add: hello,
+        },
+    }
+}
+
+/// Sends `seg` on across the tunnel, translated by `leg`.
+fn pass(leg: Translation, mut seg: Segment, io: &mut Io) {
+    leg.apply(&mut seg);
+    io.out.push(Action::Send {
+        delay: io.delay,
+        seg,
+        src: leg.src,
+        dst: leg.dst,
+        tunneled: true,
+    });
 }
 
 /// The ClientHello bytes an SSL VIP's client leg carries (§5.2).

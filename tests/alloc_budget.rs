@@ -600,6 +600,89 @@ fn a_held_connection_costs_its_two_sockets_and_little_more() {
     assert!(per_conn <= 1_000, "{per_conn} bytes held per connection");
 }
 
+/// Flows the measured instance opens and drains: about what each of
+/// `api_open`'s ten instances holds at its t = 10 s sweep.
+const DRAINED: u16 = 1_500;
+
+/// Opens `DRAINED` flows through the instance at `inst` and closes each
+/// both ways, all inside the linger: SYN, request, the backend's SYN-ACK,
+/// its FIN, the client's FIN, each step for every flow and then time for
+/// the store to work through that step's writes.
+fn open_and_drain(eng: &mut Engine, (node, inst): (NodeId, Addr)) {
+    const C_ISN: u32 = 1_000;
+    const REQ: &[u8] = b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n";
+    let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
+    let backend = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
+    let client = |i: u16| Endpoint::new(Addr::new(172, 16, 0, 9), 40_000 + i);
+    let vss = |i: u16| Endpoint::new(vip.addr, 40_000 + i);
+    let fin = C_ISN + 1 + REQ.len() as u32;
+    let packet = |step, i| match step {
+        0 => (client(i), vip, Flags::SYN, C_ISN, 0, &b""[..]),
+        1 => (client(i), vip, Flags::ACK, C_ISN + 1, 0, REQ),
+        2 => (backend, vss(i), Flags::SYN_ACK, 5_000, C_ISN + 1, &b""[..]),
+        3 => (backend, vss(i), Flags::FIN_ACK, 5_001, fin, &b""[..]),
+        _ => (client(i), vip, Flags::FIN_ACK, fin, 0, &b""[..]),
+    };
+    for step in 0..5 {
+        for i in 0..DRAINED {
+            let (src, dst, flags, seq, ack, payload) = packet(step, i);
+            let seg = Segment {
+                src_port: src.port,
+                dst_port: dst.port,
+                seq: SeqNum::new(seq),
+                ack: SeqNum::new(ack),
+                flags,
+                window: 65_535,
+                payload: Bytes::from_static(payload),
+            };
+            let pkt = seg
+                .into_packet(src, dst)
+                .encapsulate(Addr::new(10, 0, 2, 1), inst);
+            let pkt = pkt.expect("a fresh segment has room");
+            eng.with_node_ctx::<YodaInstance>(node, |y, ctx| y.on_packet(ctx, pkt));
+        }
+        eng.run_for(SimTime::from_millis(200));
+    }
+}
+
+/// What a flow that has closed both ways holds while it lingers to
+/// forward its final ACKs, beyond its slots in the instance's tables:
+/// the bytes gc gives back when it retires it (the tables keep their
+/// capacity, and every store delete went out at the drain). While the
+/// table kept every flow boxed until gc retired it, that was the whole
+/// `Flow`: 176 bytes a drained flow, measured. A drained flow that can
+/// only translate is a 24-byte tombstone inline in its 32-byte slot
+/// (both sizes pinned in `yoda-core`), and its box is freed at the drain:
+/// 0 bytes, measured. The bound allows a tombstone's worth.
+#[test]
+fn a_drained_flow_keeps_a_tombstone_not_a_flow() {
+    let mut eng = Engine::with_topology(29, Topology::uniform(SimTime::from_micros(250)));
+    let store = Addr::new(10, 0, 1, 1);
+    let server = StoreServer::new(StoreServerConfig::default(), store);
+    eng.add_node("store", store, Zone::Dc, Box::new(server));
+    let addr = Addr::new(10, 0, 0, 1);
+    let cfg = YodaConfig {
+        store_replicas: 1,
+        ..YodaConfig::default()
+    };
+    let mut inst = YodaInstance::new(cfg, addr, &[store], vec![]);
+    let rules = RuleTable::parse("name=r priority=1 match * action=split 10.1.0.1:80=1");
+    inst.install_vip(
+        Endpoint::new(Addr::new(100, 0, 0, 1), 80),
+        rules.expect("rules"),
+    );
+    let node = eng.add_node("inst", addr, Zone::Dc, Box::new(inst));
+    open_and_drain(&mut eng, (node, addr));
+    let inst = eng.node_ref::<YodaInstance>(node);
+    assert_eq!(inst.live_flows(), DRAINED as usize, "all lingering");
+    assert_eq!(inst.tunneled_packets, 2 * DRAINED as u64, "both FINs");
+    // Past the linger and the next gc.
+    let (held, ()) = bytes_held(|| eng.run_for(SimTime::from_secs(8)));
+    assert_eq!(eng.node_ref::<YodaInstance>(node).live_flows(), 0);
+    let per_flow = -held / i64::from(DRAINED);
+    assert!(per_flow <= 32, "{per_flow} bytes held per drained flow");
+}
+
 // ----------------------------------------------------------------------
 // Set-up state
 // ----------------------------------------------------------------------
