@@ -293,7 +293,12 @@ mod tests {
     fn exact_matches_obvious_optimum() {
         // 60+40 and 50+50 pack into two full instances.
         let inp = input(
-            vec![vip(60.0, 10, 1), vip(40.0, 10, 1), vip(50.0, 10, 1), vip(50.0, 10, 1)],
+            vec![
+                vip(60.0, 10, 1),
+                vip(40.0, 10, 1),
+                vip(50.0, 10, 1),
+                vip(50.0, 10, 1),
+            ],
             4,
         );
         let out = solve_exact(&inp, 1000).unwrap();
@@ -306,7 +311,10 @@ mod tests {
     fn integrality_gap_case() {
         // Three VIPs of 60: LP bound 1.8, but 60+60 > 100 forces one per
         // instance → integral optimum 3.
-        let inp = input(vec![vip(60.0, 10, 1), vip(60.0, 10, 1), vip(60.0, 10, 1)], 4);
+        let inp = input(
+            vec![vip(60.0, 10, 1), vip(60.0, 10, 1), vip(60.0, 10, 1)],
+            4,
+        );
         let out = solve_exact(&inp, 1000).unwrap();
         assert!(out.proven_optimal);
         assert_eq!(out.assignment.num_instances(), 3);
@@ -331,7 +339,12 @@ mod tests {
         // 50+50); FFD: 55+45=100? 55,50 → 105 no → [55,45],[50,50] FFD
         // finds it too. Keep the assertion ≤ regardless.
         let inp = input(
-            vec![vip(55.0, 10, 1), vip(50.0, 10, 1), vip(50.0, 10, 1), vip(45.0, 10, 1)],
+            vec![
+                vip(55.0, 10, 1),
+                vip(50.0, 10, 1),
+                vip(50.0, 10, 1),
+                vip(45.0, 10, 1),
+            ],
             6,
         );
         let greedy = crate::greedy::solve_greedy(&inp, None).unwrap();

@@ -124,7 +124,6 @@ impl<'a> Fleet<'a> {
             self.new_only[y] += spec.load_per_replica();
         }
     }
-
 }
 
 /// Solves with the greedy + local-search strategy.
@@ -187,7 +186,9 @@ fn attempt(input: &AssignInput, shuffle_seed: Option<u64>) -> Result<Assignment,
         //    churn between rounds.
         let sticky = match (input.migration_limit.is_some(), shuffle_seed) {
             (true, _) => true,
-            (false, Some(seed)) => yoda_hash(seed ^ (v as u64).wrapping_mul(0xA5A5)).is_multiple_of(2),
+            (false, Some(seed)) => {
+                yoda_hash(seed ^ (v as u64).wrapping_mul(0xA5A5)).is_multiple_of(2)
+            }
             (false, None) => true,
         };
         if let (Some(prev), true) = (&input.previous, sticky) {
@@ -237,7 +238,9 @@ fn best_candidate(
 ) -> Option<usize> {
     if let Some(seed) = shuffle_seed {
         // First fit over a seed-shuffled order of the open instances.
-        let mut order: Vec<usize> = (0..input.max_instances).filter(|&y| fleet.open[y]).collect();
+        let mut order: Vec<usize> = (0..input.max_instances)
+            .filter(|&y| fleet.open[y])
+            .collect();
         order.sort_by_key(|&y| {
             yoda_hash(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (y as u64).wrapping_mul(0xD6E8))
         });
@@ -261,7 +264,8 @@ fn best_candidate(
             return Some(y);
         }
     }
-    (0..input.max_instances).find(|&y| !fleet.open[y] && !exclude.contains(&y) && fleet.fits(spec, v, y))
+    (0..input.max_instances)
+        .find(|&y| !fleet.open[y] && !exclude.contains(&y) && fleet.fits(spec, v, y))
 }
 
 /// splitmix64 finalizer for deterministic shuffling.
@@ -284,11 +288,7 @@ fn local_search(input: &AssignInput, assignment: &mut Assignment) {
         // Candidate to drain: least-loaded used instance.
         let &victim = used
             .iter()
-            .min_by(|&&a, &&b| {
-                loads[a]
-                    .partial_cmp(&loads[b])
-                    .expect("finite loads")
-            })
+            .min_by(|&&a, &&b| loads[a].partial_cmp(&loads[b]).expect("finite loads"))
             .expect("non-empty");
         // Try to move every replica off the victim.
         let mut trial = assignment.clone();
@@ -377,7 +377,11 @@ mod tests {
             vip(1.0, 1500, 1),
         ]);
         let out = solve_greedy(&input, None).unwrap();
-        assert_eq!(out.assignment.num_instances(), 3, "rules don't fit together");
+        assert_eq!(
+            out.assignment.num_instances(),
+            3,
+            "rules don't fit together"
+        );
     }
 
     #[test]
@@ -457,7 +461,13 @@ mod tests {
     fn scales_to_trace_size() {
         // 120 VIPs with assorted requirements solve quickly and validate.
         let vips: Vec<VipSpec> = (0..120)
-            .map(|i| vip(5.0 + (i % 17) as f64 * 3.0, 50 + (i % 9) as u64 * 100, 1 + i % 3))
+            .map(|i| {
+                vip(
+                    5.0 + (i % 17) as f64 * 3.0,
+                    50 + (i % 9) as u64 * 100,
+                    1 + i % 3,
+                )
+            })
             .collect();
         let input = AssignInput {
             max_instances: 200,

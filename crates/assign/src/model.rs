@@ -301,7 +301,10 @@ impl fmt::Display for AssignError {
                 write!(f, "instance {instance}: {rules} rules over capacity")
             }
             AssignError::TransientOverload { instance, load } => {
-                write!(f, "instance {instance}: transient load {load:.1} over capacity")
+                write!(
+                    f,
+                    "instance {instance}: transient load {load:.1} over capacity"
+                )
             }
             AssignError::MigrationBudget { fraction, limit } => {
                 write!(f, "migrated {fraction:.3} of connections > δ={limit:.3}")
@@ -330,7 +333,10 @@ impl AssignInput {
         // Eq. 1: traffic capacity with failure headroom.
         for (y, load) in assignment.load_per_instance(&self.vips).iter().enumerate() {
             if *load > self.traffic_capacity * (1.0 + 1e-9) {
-                return Err(AssignError::TrafficCapacity { instance: y, load: *load });
+                return Err(AssignError::TrafficCapacity {
+                    instance: y,
+                    load: *load,
+                });
             }
         }
         // Eq. 2: rule capacity.
@@ -358,7 +364,10 @@ impl AssignInput {
                         .map(|(_, s)| s.load_per_replica())
                         .sum();
                     if old_only <= self.traffic_capacity * (1.0 + 1e-9) {
-                        return Err(AssignError::TransientOverload { instance: y, load: t });
+                        return Err(AssignError::TransientOverload {
+                            instance: y,
+                            load: t,
+                        });
                     }
                 }
             }
@@ -383,11 +392,7 @@ impl AssignInput {
             .map(|v| v.load_per_replica() * v.replicas as f64)
             .sum();
         let traffic_lb = (total_load / self.traffic_capacity).ceil() as usize;
-        let total_rules: u64 = self
-            .vips
-            .iter()
-            .map(|v| v.rules * v.replicas as u64)
-            .sum();
+        let total_rules: u64 = self.vips.iter().map(|v| v.rules * v.replicas as u64).sum();
         let rule_lb = total_rules.div_ceil(self.rule_capacity) as usize;
         let replica_lb = self.vips.iter().map(|v| v.replicas).max().unwrap_or(0);
         traffic_lb.max(rule_lb).max(replica_lb).max(1)
@@ -448,7 +453,11 @@ mod tests {
         let a = Assignment::new(vec![vec![0]]);
         assert!(matches!(
             inp.validate(&a),
-            Err(AssignError::ReplicaCount { vip: 0, got: 1, want: 2 })
+            Err(AssignError::ReplicaCount {
+                vip: 0,
+                got: 1,
+                want: 2
+            })
         ));
     }
 

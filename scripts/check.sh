@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check (ratcheted packages)"
 # rustfmt is enforced package by package: a package joins this list once
 # it is formatted, and none leaves it.
-cargo fmt --check -p bytes -p yoda-tcp -p yoda-l4lb -p yoda-netsim -p yoda-http -p yoda-proxy -p yoda-core -p yoda-tcpstore -p yoda-balance -p yoda-chaos -p yoda-trace
+cargo fmt --check -p bytes -p yoda-tcp -p yoda-l4lb -p yoda-netsim -p yoda-http -p yoda-proxy -p yoda-core -p yoda-tcpstore -p yoda-balance -p yoda-chaos -p yoda-trace -p yoda-assign
 
 echo "==> cargo build --release"
 cargo build --release --workspace
