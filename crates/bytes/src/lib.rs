@@ -24,6 +24,8 @@
 //! they belong on cold paths (set-up, tests, control messages).
 
 #![forbid(unsafe_code)]
+// Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
+#![deny(clippy::missing_inline_in_public_items)]
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -54,6 +56,7 @@ pub struct Bytes {
 
 impl Bytes {
     /// An empty buffer (no allocation).
+    #[inline]
     pub fn new() -> Self {
         Bytes::default()
     }
@@ -61,11 +64,13 @@ impl Bytes {
     /// Wraps a static slice. (The name mirrors `bytes::Bytes::from_static`;
     /// this implementation copies once into a shared allocation, trading
     /// the copy for a much simpler representation.)
+    #[inline]
     pub fn from_static(slice: &'static [u8]) -> Self {
         Bytes::copy_from_slice(slice)
     }
 
     /// Copies `slice` into one fresh block (none when empty).
+    #[inline]
     pub fn copy_from_slice(slice: &[u8]) -> Self {
         if slice.is_empty() {
             return Bytes::new();
@@ -78,11 +83,13 @@ impl Bytes {
     }
 
     /// Number of bytes in the view.
+    #[inline]
     pub fn len(&self) -> usize {
         (self.end - self.start) as usize
     }
 
     /// Whether the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -93,6 +100,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or inverted.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let len = self.len();
         let begin = match range.start_bound() {
@@ -118,6 +126,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if `at > len`.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> Bytes {
         let head = self.slice(..at);
         self.start += at as u32;
@@ -130,6 +139,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if `at > len`.
+    #[inline]
     pub fn split_off(&mut self, at: usize) -> Bytes {
         let tail = self.slice(at..);
         self.end = self.start + at as u32;
@@ -137,6 +147,7 @@ impl Bytes {
     }
 
     /// The bytes as a plain slice.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         self.data
             .as_deref()
@@ -149,6 +160,7 @@ impl Bytes {
     /// The parts are walked twice (to size the block, then to fill it),
     /// hence the `Clone` bound; an array or a slice iterator costs nothing
     /// to clone.
+    #[inline]
     pub fn concat<'a, P>(parts: P) -> Bytes
     where
         P: IntoIterator<Item = &'a [u8]>,
@@ -209,24 +221,28 @@ pub fn add_be32(h: &mut [u8], at: usize, add: u32) {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Bytes {
+    #[inline]
     fn borrow(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl fmt::Debug for Bytes {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
         for &b in self.as_slice() {
@@ -239,6 +255,7 @@ impl fmt::Debug for Bytes {
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -246,48 +263,57 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl PartialOrd for Bytes {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Bytes {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.as_slice().cmp(other.as_slice())
     }
 }
 
 impl Hash for Bytes {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state);
     }
 }
 
 impl PartialEq<[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
     }
 }
 impl PartialEq<&[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &&[u8]) -> bool {
         self.as_slice() == *other
     }
 }
 impl<const N: usize> PartialEq<[u8; N]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8; N]) -> bool {
         self.as_slice() == other
     }
 }
 impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
+    #[inline]
     fn eq(&self, other: &&[u8; N]) -> bool {
         self.as_slice() == *other
     }
 }
 impl PartialEq<str> for Bytes {
+    #[inline]
     fn eq(&self, other: &str) -> bool {
         self.as_slice() == other.as_bytes()
     }
 }
 impl PartialEq<&str> for Bytes {
+    #[inline]
     fn eq(&self, other: &&str) -> bool {
         self.as_slice() == other.as_bytes()
     }
@@ -295,30 +321,35 @@ impl PartialEq<&str> for Bytes {
 
 /// Copies the vector into one block (cold paths only: see the crate docs).
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         Bytes::copy_from_slice(&v)
     }
 }
 
 impl From<String> for Bytes {
+    #[inline]
     fn from(s: String) -> Self {
         Bytes::from(s.into_bytes())
     }
 }
 
 impl From<&'static str> for Bytes {
+    #[inline]
     fn from(s: &'static str) -> Self {
         Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
 impl From<&'static [u8]> for Bytes {
+    #[inline]
     fn from(s: &'static [u8]) -> Self {
         Bytes::copy_from_slice(s)
     }
 }
 
 impl From<BytesMut> for Bytes {
+    #[inline]
     fn from(m: BytesMut) -> Self {
         m.freeze()
     }
@@ -328,6 +359,7 @@ impl From<BytesMut> for Bytes {
 /// iterator's length is exact (a chain of ranges, repeats and byte
 /// slices), else gathered in a vector first and copied.
 impl FromIterator<u8> for Bytes {
+    #[inline]
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
         let block: Arc<[u8]> = iter.into_iter().collect();
         if block.is_empty() {
@@ -344,6 +376,7 @@ impl FromIterator<u8> for Bytes {
 impl<'a> IntoIterator for &'a Bytes {
     type Item = &'a u8;
     type IntoIter = std::slice::Iter<'a, u8>;
+    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.as_slice().iter()
     }
@@ -357,11 +390,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// An empty buffer.
+    #[inline]
     pub fn new() -> Self {
         BytesMut::default()
     }
 
     /// An empty buffer with `cap` bytes pre-allocated.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(cap),
@@ -369,26 +404,31 @@ impl BytesMut {
     }
 
     /// Number of bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
     /// Ensures space for `additional` more bytes.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
     }
 
     /// Appends a slice.
+    #[inline]
     pub fn extend_from_slice(&mut self, slice: &[u8]) {
         self.data.extend_from_slice(slice);
     }
 
     /// Removes all bytes.
+    #[inline]
     pub fn clear(&mut self) {
         self.data.clear();
     }
@@ -398,6 +438,7 @@ impl BytesMut {
     /// # Panics
     ///
     /// Panics if `at > len`.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> BytesMut {
         let rest = self.data.split_off(at);
         let head = std::mem::replace(&mut self.data, rest);
@@ -405,6 +446,7 @@ impl BytesMut {
     }
 
     /// Takes the entire buffer, leaving `self` empty.
+    #[inline]
     pub fn split(&mut self) -> BytesMut {
         BytesMut {
             data: std::mem::take(&mut self.data),
@@ -416,6 +458,7 @@ impl BytesMut {
     /// # Panics
     ///
     /// Panics if `at > len`.
+    #[inline]
     pub fn split_off(&mut self, at: usize) -> BytesMut {
         BytesMut {
             data: self.data.split_off(at),
@@ -424,11 +467,13 @@ impl BytesMut {
 
     /// Converts the accumulated bytes into an immutable [`Bytes`], copying
     /// them once into its block.
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
 
     /// The bytes as a plain slice.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data
     }
@@ -436,42 +481,49 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.data
     }
 }
 
 impl fmt::Debug for BytesMut {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BytesMut({:?})", Bytes::copy_from_slice(&self.data))
     }
 }
 
 impl From<Vec<u8>> for BytesMut {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         BytesMut { data: v }
     }
 }
 
 impl From<&[u8]> for BytesMut {
+    #[inline]
     fn from(s: &[u8]) -> Self {
         BytesMut { data: s.to_vec() }
     }
 }
 
 impl Extend<u8> for BytesMut {
+    #[inline]
     fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
         self.data.extend(iter);
     }

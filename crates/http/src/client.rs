@@ -623,6 +623,9 @@ impl Default for RateClientConfig {
     }
 }
 
+/// The lowest rate a [`RateClient`] issues at: one request per 1,000 s.
+const MIN_RATE_PER_SEC: f64 = 0.001;
+
 /// Open-loop Apache-bench-style load generator node.
 pub struct RateClient {
     cfg: RateClientConfig,
@@ -646,8 +649,10 @@ pub struct RateClient {
 }
 
 impl RateClient {
-    /// Creates a rate client bound to `addr`.
-    pub fn new(cfg: RateClientConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
+    /// Creates a rate client bound to `addr`. A rate below one request
+    /// per 1,000 s (zero, say) issues at that rate, as with `set_rate`.
+    pub fn new(mut cfg: RateClientConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
+        cfg.rate_per_sec = cfg.rate_per_sec.max(MIN_RATE_PER_SEC);
         let fetches = Fetches::new(addr, catalog, cfg.target, cfg.host.clone());
         RateClient {
             cfg,
@@ -666,11 +671,14 @@ impl RateClient {
     /// Changes the request rate; takes effect at the next tick, which
     /// lets scenarios drive bursty (square-wave) load.
     pub fn set_rate(&mut self, rate_per_sec: f64) {
-        self.cfg.rate_per_sec = rate_per_sec.max(0.001);
+        self.cfg.rate_per_sec = rate_per_sec.max(MIN_RATE_PER_SEC);
     }
 
+    /// The gap between requests, never below the clock's 1 µs: above
+    /// 2 M/s it would round to zero and re-arm the tick at the same
+    /// instant forever. Up to 2 M/s the clamp changes nothing.
     fn tick_interval(&self) -> SimTime {
-        SimTime::from_secs_f64(1.0 / self.cfg.rate_per_sec)
+        SimTime::from_secs_f64(1.0 / self.cfg.rate_per_sec).max(SimTime::from_micros(1))
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {

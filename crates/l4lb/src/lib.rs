@@ -33,6 +33,8 @@ use yoda_netsim::{Addr, Endpoint};
 
 /// Canonical, direction-insensitive key for a connection: both directions
 /// of a flow (and every ECMP/mux decision about it) hash identically.
+#[deny(clippy::missing_inline_in_public_items)]
+#[inline]
 pub fn canonical_flow(a: Endpoint, b: Endpoint) -> (Endpoint, Endpoint) {
     if a <= b {
         (a, b)
@@ -42,6 +44,7 @@ pub fn canonical_flow(a: Endpoint, b: Endpoint) -> (Endpoint, Endpoint) {
 }
 
 /// An endpoint's 48 bits as one word (address above port).
+#[inline]
 fn endpoint_word(e: Endpoint) -> u64 {
     ((e.addr.as_u32() as u64) << 16) | e.port as u64
 }
@@ -51,6 +54,8 @@ fn endpoint_word(e: Endpoint) -> u64 {
 /// only remaps the flows that hashed to it.
 ///
 /// Returns `None` when `candidates` is empty.
+#[deny(clippy::missing_inline_in_public_items)]
+#[inline]
 pub fn rendezvous_pick(a: Endpoint, b: Endpoint, candidates: &[Addr]) -> Option<Addr> {
     let (lo, hi) = canonical_flow(a, b);
     let key = hash_pair(0xECA7, endpoint_word(lo), endpoint_word(hi));
@@ -77,8 +82,12 @@ pub struct Steering {
     memo: Vec<Option<(Endpoint, Endpoint, Addr)>>,
 }
 
+// The router and the instance's SNAT egress steer every packet through
+// these: they inline across crates (DESIGN.md "Cross-crate inlining").
+#[deny(clippy::missing_inline_in_public_items)]
 impl Steering {
     /// Steers across `candidates`.
+    #[inline]
     pub fn new(candidates: Vec<Addr>) -> Self {
         Steering {
             candidates,
@@ -87,18 +96,21 @@ impl Steering {
     }
 
     /// The current candidate list.
+    #[inline]
     pub fn candidates(&self) -> &[Addr] {
         &self.candidates
     }
 
     /// Replaces the candidate list and forgets every pick made from the
     /// old one.
+    #[inline]
     pub fn set(&mut self, candidates: Vec<Addr>) {
         self.candidates = candidates;
         self.memo.fill(None);
     }
 
     /// `rendezvous_pick(a, b, self.candidates())`, remembered per flow.
+    #[inline]
     pub fn pick(&mut self, a: Endpoint, b: Endpoint) -> Option<Addr> {
         let (lo, hi) = canonical_flow(a, b);
         let mixed = (endpoint_word(lo) ^ endpoint_word(hi).rotate_left(32))

@@ -8,6 +8,9 @@
 //! * `100.x.y.z`  — virtual IPs (VIPs)
 //! * `172.16.x.y` — external clients
 
+// Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
+#![deny(clippy::missing_inline_in_public_items)]
+
 use core::fmt;
 use core::hash::{Hash, Hasher};
 use core::str::FromStr;
@@ -31,21 +34,25 @@ impl Addr {
     pub const UNSPECIFIED: Addr = Addr(0);
 
     /// Builds an address from dotted-quad octets.
+    #[inline]
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Addr(((a as u32) << 24) | ((b as u32) << 16) | ((c as u32) << 8) | d as u32)
     }
 
     /// Builds an address from its raw `u32` form.
+    #[inline]
     pub const fn from_u32(v: u32) -> Self {
         Addr(v)
     }
 
     /// Returns the raw `u32` form.
+    #[inline]
     pub const fn as_u32(self) -> u32 {
         self.0
     }
 
     /// Returns the four octets.
+    #[inline]
     pub const fn octets(self) -> [u8; 4] {
         [
             (self.0 >> 24) as u8,
@@ -56,12 +63,14 @@ impl Addr {
     }
 
     /// Returns true for addresses in the VIP range (`100.0.0.0/8`).
+    #[inline]
     pub const fn is_vip(self) -> bool {
         (self.0 >> 24) == 100
     }
 }
 
 impl fmt::Display for Addr {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let o = self.octets();
         write!(f, "{}.{}.{}.{}", o[0], o[1], o[2], o[3])
@@ -76,6 +85,7 @@ pub struct AddrParseError;
 impl FromStr for Addr {
     type Err = AddrParseError;
 
+    #[inline]
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut parts = s.split('.');
         let mut octets = [0u8; 4];
@@ -113,11 +123,13 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// Creates an endpoint.
+    #[inline]
     pub const fn new(addr: Addr, port: u16) -> Self {
         Endpoint { addr, port }
     }
 
     /// Encodes the endpoint to 6 bytes (network byte order).
+    #[inline]
     pub fn to_bytes(self) -> [u8; 6] {
         let [a0, a1, a2, a3] = self.addr.as_u32().to_be_bytes();
         let [p0, p1] = self.port.to_be_bytes();
@@ -125,6 +137,7 @@ impl Endpoint {
     }
 
     /// Decodes an endpoint from 6 bytes produced by [`Endpoint::to_bytes`].
+    #[inline]
     pub fn from_bytes(b: &[u8; 6]) -> Self {
         let [a0, a1, a2, a3, p0, p1] = *b;
         let addr = Addr::from_u32(u32::from_be_bytes([a0, a1, a2, a3]));
@@ -143,6 +156,7 @@ impl Hash for Endpoint {
 }
 
 impl fmt::Display for Endpoint {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.addr, self.port)
     }
@@ -152,6 +166,7 @@ impl fmt::Display for Endpoint {
 impl FromStr for Endpoint {
     type Err = AddrParseError;
 
+    #[inline]
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let (addr, port) = s.rsplit_once(':').ok_or(AddrParseError)?;
         let port = port.parse().map_err(|_| AddrParseError)?;

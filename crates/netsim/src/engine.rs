@@ -350,18 +350,24 @@ pub struct Ctx<'a> {
     node: NodeId,
 }
 
+// Handlers call these per packet from other crates: they inline across
+// them (DESIGN.md "Cross-crate inlining"); `Engine`'s methods do not.
+#[deny(clippy::missing_inline_in_public_items)]
 impl Ctx<'_> {
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.core.time
     }
 
     /// This node's id.
+    #[inline]
     pub fn node_id(&self) -> NodeId {
         self.node
     }
 
     /// This node's name.
+    #[inline]
     pub fn node_name(&self) -> &str {
         &self.core.meta(self.node.0).name
     }
@@ -371,23 +377,27 @@ impl Ctx<'_> {
     /// how their events interleave with this node's, and it is the only
     /// randomness a handler can reach: the engine-global stream the link
     /// model draws from is private to the engine.
+    #[inline]
     pub fn node_rng(&mut self) -> &mut Rng {
         &mut self.core.meta_mut(self.node.0).rng
     }
 
     /// Sends a packet; it is routed by destination address through the
     /// topology's latency/bandwidth model.
+    #[inline]
     pub fn send(&mut self, pkt: Packet) {
         self.core.send_from(self.node, pkt, SimTime::ZERO);
     }
 
     /// Sends a packet after an additional local delay (models local
     /// processing/CPU time before the packet leaves the NIC).
+    #[inline]
     pub fn send_after(&mut self, delay: SimTime, pkt: Packet) {
         self.core.send_from(self.node, pkt, delay);
     }
 
     /// Arms a one-shot timer `delay` from now.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimTime, token: TimerToken) -> TimerId {
         let core = &mut *self.core;
         let id = core.next_timer_id;
@@ -417,18 +427,21 @@ impl Ctx<'_> {
     /// the digest. Cancelling a timer that already fired (or was already
     /// cancelled) is a no-op: its wheel slot is free or holds a newer
     /// entry, and the stale handle is rejected by id.
+    #[inline]
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.core.wheel.cancel(id.slot, id.id);
     }
 
     /// Records a free-form annotation in the trace; the arguments are
     /// formatted only when tracing is on.
+    #[inline]
     pub fn trace_note(&mut self, detail: fmt::Arguments<'_>) {
         self.core
             .trace_event(self.node, TraceKind::Note, None, detail);
     }
 
     /// Looks up which node currently owns an address (if any, and alive).
+    #[inline]
     pub fn resolve(&self, addr: Addr) -> Option<NodeId> {
         self.core
             .addr_map

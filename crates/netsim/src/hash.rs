@@ -7,6 +7,9 @@
 //! `std`'s `DefaultHasher` is avoided because its output may change across
 //! Rust releases.
 
+// Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
+#![deny(clippy::missing_inline_in_public_items)]
+
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// The seeded FNV-1a starting state.
@@ -37,6 +40,7 @@ fn finish(mut h: u64) -> u64 {
 /// assert_ne!(a, b, "seeds give independent hash functions");
 /// assert_eq!(a, hash_bytes(0, b"flow"), "stable across calls");
 /// ```
+#[inline]
 pub fn hash_bytes(seed: u64, data: &[u8]) -> u64 {
     let mut h = start(seed);
     for &b in data {
@@ -47,6 +51,7 @@ pub fn hash_bytes(seed: u64, data: &[u8]) -> u64 {
 }
 
 /// Hashes two u64 operands (convenience over [`hash_bytes`]).
+#[inline]
 pub fn hash_pair(seed: u64, a: u64, b: u64) -> u64 {
     let mut buf = [0u8; 16];
     let words = a.to_be_bytes().into_iter().chain(b.to_be_bytes());
@@ -62,6 +67,7 @@ pub fn hash_pair(seed: u64, a: u64, b: u64) -> u64 {
 /// after it fold into the constants P⁴ and P⁸. This is the per-candidate
 /// weight of the L4 rendezvous pick, computed for every candidate on
 /// every steered packet.
+#[inline]
 pub fn hash_u32(seed: u64, word: u32) -> u64 {
     const P4: u64 = FNV_PRIME.wrapping_pow(4);
     const P8: u64 = FNV_PRIME.wrapping_pow(8);

@@ -21,6 +21,9 @@
 //! inner packet's header is written into the room in front of its head,
 //! and its body passes through as the outer body.
 
+// Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
+#![deny(clippy::missing_inline_in_public_items)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -73,6 +76,7 @@ pub struct Head {
 
 impl Head {
     /// An empty head: all room.
+    #[inline]
     pub const fn new() -> Head {
         Head {
             buf: [0; HEAD_CAP],
@@ -82,6 +86,7 @@ impl Head {
 
     /// A head holding exactly `bytes`, with the rest of [`HEAD_CAP`] as
     /// room; an array longer than [`HEAD_CAP`] does not compile.
+    #[inline]
     pub fn from_array<const N: usize>(bytes: [u8; N]) -> Head {
         const { assert!(N <= HEAD_CAP, "a head holds at most HEAD_CAP bytes") };
         let mut head = Head::new();
@@ -90,6 +95,7 @@ impl Head {
     }
 
     /// Free bytes in front of the head.
+    #[inline]
     pub fn room(&self) -> usize {
         self.start as usize
     }
@@ -98,6 +104,7 @@ impl Head {
     /// over them. `false`, and the head untouched, when the room is
     /// shorter than `bytes`.
     #[must_use]
+    #[inline]
     pub fn push(&mut self, bytes: &[u8]) -> bool {
         let Some(start) = self.room().checked_sub(bytes.len()) else {
             return false;
@@ -109,12 +116,14 @@ impl Head {
 
     /// Drops the first `n` bytes (all of them, if there are fewer), which
     /// become room again.
+    #[inline]
     pub fn advance(&mut self, n: usize) {
         self.start = self.room().saturating_add(n).min(HEAD_CAP) as u8;
     }
 }
 
 impl Default for Head {
+    #[inline]
     fn default() -> Head {
         Head::new()
     }
@@ -122,12 +131,14 @@ impl Default for Head {
 
 impl Deref for Head {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.buf.get(self.room()..).unwrap_or_default()
     }
 }
 
 impl DerefMut for Head {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         let start = self.room();
         self.buf.get_mut(start..).unwrap_or_default()
@@ -135,6 +146,7 @@ impl DerefMut for Head {
 }
 
 impl PartialEq for Head {
+    #[inline]
     fn eq(&self, other: &Head) -> bool {
         self[..] == other[..]
     }
@@ -142,6 +154,7 @@ impl PartialEq for Head {
 impl Eq for Head {}
 
 impl fmt::Debug for Head {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Head({:?})", &self[..])
     }
@@ -183,6 +196,7 @@ pub struct Packet {
 
 impl Packet {
     /// Creates a message packet: an empty head, and `body`.
+    #[inline]
     pub fn new(src: Endpoint, dst: Endpoint, protocol: Protocol, body: Bytes) -> Self {
         Packet {
             src,
@@ -195,6 +209,7 @@ impl Packet {
 
     /// Total bytes this packet occupies on the wire (head, body and
     /// headers).
+    #[inline]
     pub fn wire_len(&self) -> usize {
         self.head.len() + self.body.len() + HEADER_OVERHEAD
     }
@@ -203,6 +218,7 @@ impl Packet {
     /// the head is empty (the one shape [`Packet::new`] builds). `None`
     /// for any other shape, so a message decoder never sees a split
     /// message.
+    #[inline]
     pub fn message(&self) -> Option<&Bytes> {
         self.head.is_empty().then_some(&self.body)
     }
@@ -216,6 +232,7 @@ impl Packet {
     /// `None` when the head has less than [`IPIP_HEADER_LEN`] bytes of
     /// room: a TCP segment encapsulated once already, which no forwarding
     /// path nests again. A message, whose head is empty, nests twice.
+    #[inline]
     pub fn encapsulate(mut self, outer_src: Addr, outer_dst: Addr) -> Option<Packet> {
         let inner_len = self.head.len() + self.body.len();
         let mut h = [0u8; IPIP_HEADER_LEN];
@@ -241,6 +258,7 @@ impl Packet {
     /// Returns `None` if this packet is not [`PROTO_IPIP`], its head does
     /// not hold the whole header, or its bytes are shorter or longer than
     /// the header says.
+    #[inline]
     pub fn decapsulate(mut self) -> Option<Packet> {
         if self.protocol != PROTO_IPIP {
             return None;
@@ -259,6 +277,7 @@ impl Packet {
     }
 
     /// The flow key of this packet: the (src, dst) endpoint pair.
+    #[inline]
     pub fn flow(&self) -> (Endpoint, Endpoint) {
         (self.src, self.dst)
     }

@@ -4,6 +4,9 @@
 //! Integer time avoids floating-point drift and makes event ordering exact,
 //! which is a prerequisite for deterministic replay.
 
+// Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
+#![deny(clippy::missing_inline_in_public_items)]
+
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
@@ -35,16 +38,19 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from whole microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us)
     }
 
     /// Creates a time from whole milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000)
     }
 
     /// Creates a time from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000)
     }
@@ -55,37 +61,44 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
         SimTime((s * 1e6).round() as u64)
     }
 
     /// Returns the value in microseconds.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Returns the value in whole milliseconds (truncating).
+    #[inline]
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000
     }
 
     /// Returns the value in fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Saturating subtraction: returns `self - other` or zero.
+    #[inline]
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
     /// Checked subtraction.
+    #[inline]
     pub fn checked_sub(self, other: SimTime) -> Option<SimTime> {
         self.0.checked_sub(other.0).map(SimTime)
     }
 
     /// Returns the minimum of two times.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         if self <= other {
             self
@@ -95,6 +108,7 @@ impl SimTime {
     }
 
     /// Returns the maximum of two times.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
@@ -107,6 +121,7 @@ impl SimTime {
 impl core::ops::Mul<u64> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn mul(self, factor: u64) -> SimTime {
         SimTime(self.0 * factor)
     }
@@ -115,12 +130,14 @@ impl core::ops::Mul<u64> for SimTime {
 impl Add for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         self.0 += rhs.0;
     }
@@ -133,6 +150,7 @@ impl Sub for SimTime {
     /// on it, and a release run, which no packet may crash, saturates
     /// at zero. Use [`SimTime::saturating_sub`] when the ordering is not
     /// guaranteed.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         debug_assert!(rhs <= self, "SimTime subtraction underflow");
         self.saturating_sub(rhs)
@@ -140,6 +158,7 @@ impl Sub for SimTime {
 }
 
 impl fmt::Display for SimTime {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000 {
             write!(f, "{:.3}s", self.as_secs_f64())

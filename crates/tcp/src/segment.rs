@@ -10,6 +10,9 @@
 //! header layout: the instance's tunnel and the mux's splice fast path
 //! both rewrite segments through [`Translation`].
 
+// Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
+#![deny(clippy::missing_inline_in_public_items)]
+
 use bytes::{add_be32, put_be, Bytes};
 use yoda_netsim::{Endpoint, Head, Packet, PROTO_TCP};
 
@@ -72,6 +75,7 @@ impl Flags {
         psh: false,
     };
 
+    #[inline]
     fn to_byte(self) -> u8 {
         (self.syn as u8)
             | ((self.ack as u8) << 1)
@@ -80,6 +84,7 @@ impl Flags {
             | ((self.psh as u8) << 4)
     }
 
+    #[inline]
     fn from_byte(b: u8) -> Flags {
         Flags {
             syn: b & 1 != 0,
@@ -92,6 +97,7 @@ impl Flags {
 }
 
 impl std::fmt::Display for Flags {
+    #[inline]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut parts = Vec::new();
         if self.syn {
@@ -161,16 +167,19 @@ pub const SEGMENT_HEADER_LEN: usize = 21;
 
 impl Segment {
     /// Sequence-space length: payload bytes plus one for SYN and FIN.
+    #[inline]
     pub fn seq_len(&self) -> u32 {
         self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
     }
 
     /// The sequence number just past this segment.
+    #[inline]
     pub fn seq_end(&self) -> SeqNum {
         self.seq + self.seq_len()
     }
 
     /// The header's wire form.
+    #[inline]
     fn header(&self) -> [u8; SEGMENT_HEADER_LEN] {
         let mut h = [0u8; SEGMENT_HEADER_LEN];
         put_be(&mut h, 0, &self.src_port.to_be_bytes());
@@ -191,6 +200,7 @@ impl Segment {
     ///
     /// The endpoint ports override the segment's ports (they must agree;
     /// debug builds assert it).
+    #[inline]
     pub fn into_packet(self, src: Endpoint, dst: Endpoint) -> Packet {
         debug_assert_eq!(self.src_port, src.port, "src port mismatch");
         debug_assert_eq!(self.dst_port, dst.port, "dst port mismatch");
@@ -206,6 +216,7 @@ impl Segment {
     /// Extracts the segment of a TCP packet, consuming it: the segment's
     /// data is the packet's body. `None` for other protocols and for
     /// packets [`Segment::peek`] rejects.
+    #[inline]
     pub fn from_packet(pkt: Packet) -> Option<Segment> {
         let (flags, _) = Segment::peek(&pkt)?;
         let h = &pkt.head;
@@ -225,6 +236,7 @@ impl Segment {
     /// for other protocols and for any packet not in the one wire shape:
     /// a head of exactly the header, and a body of exactly the length it
     /// declares.
+    #[inline]
     pub fn peek(pkt: &Packet) -> Option<(Flags, usize)> {
         let h = &pkt.head;
         let len = u32::from_be_bytes(bytes::array_at::<4>(h, 17)?) as usize;
@@ -234,6 +246,7 @@ impl Segment {
     }
 
     /// Short human-readable summary for traces, tcpdump-style.
+    #[inline]
     pub fn summary(&self) -> String {
         format!(
             "{} seq={} ack={} len={}",
@@ -265,6 +278,7 @@ pub struct Translation {
 impl Translation {
     /// Translates a decoded segment (the instance's tunnel); the caller
     /// sends it from `self.src` to `self.dst`.
+    #[inline]
     pub fn apply(&self, seg: &mut Segment) {
         seg.src_port = self.src.port;
         seg.dst_port = self.dst.port;
@@ -279,6 +293,7 @@ impl Translation {
     /// packet's own, so nothing is copied or allocated, and the body is
     /// never touched. Returns `false`, leaving the packet untouched, unless
     /// it is TCP holding exactly one segment.
+    #[inline]
     pub fn apply_in_place(&self, pkt: &mut Packet) -> bool {
         let Some((flags, _)) = Segment::peek(pkt) else {
             return false;

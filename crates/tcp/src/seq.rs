@@ -9,6 +9,9 @@
 //! no code outside this module can do non-modular arithmetic on a
 //! sequence number: it goes through the operators below, or not at all.
 
+// Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
+#![deny(clippy::missing_inline_in_public_items)]
+
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
@@ -31,11 +34,13 @@ pub struct SeqNum(u32);
 
 impl SeqNum {
     /// Wraps a raw `u32` as a sequence number.
+    #[inline]
     pub const fn new(v: u32) -> Self {
         SeqNum(v)
     }
 
     /// The wire form: big-endian, as in a TCP header.
+    #[inline]
     pub const fn to_be_bytes(self) -> [u8; 4] {
         self.0.to_be_bytes()
     }
@@ -45,27 +50,32 @@ impl SeqNum {
     /// 2³¹ apart are unordered (RFC 1982's undefined case): comparing
     /// them is false in *both* directions, keeping `lt` asymmetric
     /// instead of claiming each precedes the other.
+    #[inline]
     pub fn lt(self, other: SeqNum) -> bool {
         let forward = other.0.wrapping_sub(self.0);
         forward != 0 && forward < 1 << 31
     }
 
     /// Modular "less than or equal".
+    #[inline]
     pub fn le(self, other: SeqNum) -> bool {
         self == other || self.lt(other)
     }
 
     /// Modular "greater than".
+    #[inline]
     pub fn gt(self, other: SeqNum) -> bool {
         other.lt(self)
     }
 
     /// Modular "greater than or equal".
+    #[inline]
     pub fn ge(self, other: SeqNum) -> bool {
         other.le(self)
     }
 
     /// True when `self ∈ [lo, hi)` on the circle.
+    #[inline]
     pub fn in_range(self, lo: SeqNum, hi: SeqNum) -> bool {
         lo.le(self) && self.lt(hi)
     }
@@ -74,11 +84,13 @@ impl SeqNum {
     /// into `self`-space: `translate = x + self.offset_from(from)`.
     ///
     /// This is Yoda's `C − S` (client ISN minus server ISN).
+    #[inline]
     pub fn offset_from(self, from: SeqNum) -> u32 {
         self.0.wrapping_sub(from.0)
     }
 
     /// Applies a translation offset produced by [`SeqNum::offset_from`].
+    #[inline]
     pub fn translate(self, offset: u32) -> SeqNum {
         SeqNum(self.0.wrapping_add(offset))
     }
@@ -87,12 +99,14 @@ impl SeqNum {
 impl Add<u32> for SeqNum {
     type Output = SeqNum;
 
+    #[inline]
     fn add(self, rhs: u32) -> SeqNum {
         SeqNum(self.0.wrapping_add(rhs))
     }
 }
 
 impl AddAssign<u32> for SeqNum {
+    #[inline]
     fn add_assign(&mut self, rhs: u32) {
         self.0 = self.0.wrapping_add(rhs);
     }
@@ -102,6 +116,7 @@ impl Sub<u32> for SeqNum {
     type Output = SeqNum;
 
     /// Steps back `rhs` on the circle.
+    #[inline]
     fn sub(self, rhs: u32) -> SeqNum {
         SeqNum(self.0.wrapping_sub(rhs))
     }
@@ -111,18 +126,21 @@ impl Sub for SeqNum {
     type Output = u32;
 
     /// Distance from `rhs` forward to `self` on the circle.
+    #[inline]
     fn sub(self, rhs: SeqNum) -> u32 {
         self.0.wrapping_sub(rhs.0)
     }
 }
 
 impl fmt::Display for SeqNum {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
     }
 }
 
 impl From<u32> for SeqNum {
+    #[inline]
     fn from(v: u32) -> Self {
         SeqNum(v)
     }

@@ -1,7 +1,8 @@
 //! The compiler holds the repository's rules (DESIGN.md "Lints"); this
 //! test keeps their configuration from drifting: clippy.toml's bans and
 //! placement, the workspace lints on every product package, no macro
-//! (clippy's panic lints skip macro bodies), no registry.
+//! (clippy's panic lints skip macro bodies), no registry, and the inline
+//! ratchet on the per-packet vocabulary.
 
 use std::path::Path;
 
@@ -94,6 +95,104 @@ fn lint_configuration_holds() {
     for lock in ["Cargo.lock", "crates/bench/src/bin/bench_e2e/Cargo.lock"] {
         let registry = read(lock).lines().any(|l| l.starts_with("source ="));
         assert!(!registry, "{lock} names a registry source");
+    }
+}
+
+/// The lint that holds the per-packet vocabulary inlined across crates
+/// (DESIGN.md "Cross-crate inlining").
+const INLINE_LINT: &str = "clippy::missing_inline_in_public_items";
+/// Modules under a module-wide deny of [`INLINE_LINT`].
+const INLINED_MODULES: [&str; 7] = [
+    "crates/bytes/src/lib.rs",
+    "crates/netsim/src/packet.rs",
+    "crates/netsim/src/addr.rs",
+    "crates/netsim/src/time.rs",
+    "crates/netsim/src/hash.rs",
+    "crates/tcp/src/seq.rs",
+    "crates/tcp/src/segment.rs",
+];
+/// Items under an item-level deny of [`INLINE_LINT`], by file and the
+/// start of the line that opens them.
+const INLINED_ITEMS: [(&str, &str); 4] = [
+    ("crates/netsim/src/engine.rs", "impl Ctx<'_> {"),
+    ("crates/l4lb/src/lib.rs", "pub fn canonical_flow("),
+    ("crates/l4lb/src/lib.rs", "pub fn rendezvous_pick("),
+    ("crates/l4lb/src/lib.rs", "impl Steering {"),
+];
+/// Private helpers those items call, which the lint does not see.
+const INLINED_HELPERS: [(&str, &str); 1] = [("crates/l4lb/src/lib.rs", "fn endpoint_word(")];
+
+/// Whether the attribute and comment lines right above `lines[at]`
+/// include one that starts with `attr`.
+fn has_attr(lines: &[&str], at: usize, attr: &str) -> bool {
+    let above = lines[..at].iter().rev().map(|l| l.trim_start());
+    let mut attrs = above.take_while(|l| l.starts_with("#[") || l.starts_with("//"));
+    attrs.any(|l| l.starts_with(attr))
+}
+
+/// Asserts that every function opened in `lines[range]` is `#[inline]`.
+fn assert_inlined(file: &str, lines: &[&str], range: std::ops::Range<usize>) {
+    for at in range {
+        let l = lines[at].trim_start();
+        let l = l.strip_prefix("pub ").unwrap_or(l);
+        let l = l.strip_prefix("const ").unwrap_or(l);
+        if l.starts_with("fn ") {
+            let line = at + 1;
+            assert!(
+                has_attr(lines, at, "#[inline]"),
+                "{file}:{line} is not #[inline]"
+            );
+        }
+    }
+}
+
+/// The line index at which `lines` opens `item`.
+fn opening(file: &str, lines: &[&str], item: &str) -> usize {
+    let at = lines.iter().position(|l| l.starts_with(item));
+    at.unwrap_or_else(|| panic!("{file} lost `{item}`"))
+}
+
+/// The per-packet vocabulary keeps its ratchet: each listed module and
+/// item still denies [`INLINE_LINT`], so `cargo clippy -D warnings` fails
+/// on a public function that loses its `#[inline]`, and every function in
+/// them, private helpers included, is `#[inline]` outside the tests.
+#[test]
+fn per_packet_vocabulary_stays_inlined() {
+    let module_deny = format!("#![deny({INLINE_LINT})]");
+    for file in INLINED_MODULES {
+        let code = read(file);
+        let lines: Vec<&str> = code.lines().collect();
+        assert!(
+            lines.contains(&module_deny.as_str()),
+            "{file} lacks `{module_deny}`"
+        );
+        let tests = lines.iter().position(|l| l.starts_with("#[cfg(test)]"));
+        assert_inlined(file, &lines, 0..tests.unwrap_or(lines.len()));
+    }
+    let item_deny = format!("#[deny({INLINE_LINT})]");
+    for (file, item) in INLINED_ITEMS {
+        let code = read(file);
+        let lines: Vec<&str> = code.lines().collect();
+        let at = opening(file, &lines, item);
+        assert!(
+            has_attr(&lines, at, &item_deny),
+            "{file}: `{item}` lacks `{item_deny}`"
+        );
+        let end = if item.starts_with("impl") {
+            at + lines[at..]
+                .iter()
+                .position(|l| *l == "}")
+                .expect("a closed impl")
+        } else {
+            at + 1
+        };
+        assert_inlined(file, &lines, at..end);
+    }
+    for (file, helper) in INLINED_HELPERS {
+        let code = read(file);
+        let lines: Vec<&str> = code.lines().collect();
+        let at = opening(file, &lines, helper);
+        assert_inlined(file, &lines, at..at + 1);
     }
 }
 
