@@ -45,7 +45,7 @@ use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
 use yoda_netsim::rng::Rng;
 use yoda_netsim::{Addr, Endpoint, FlowTable, Packet, SimTime};
-use yoda_tcp::{SeqNum, Segment, TcpSocket};
+use yoda_tcp::{Segment, SeqNum, TcpSocket};
 use yoda_tcpstore::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 
 /// Times `f` over enough iterations to fill ~200 ms, after a short

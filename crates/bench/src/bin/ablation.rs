@@ -137,7 +137,12 @@ fn main() {
         for fail_ms in [1066u64, 1070, 1075, 1080, 1150] {
             let out = run(optimistic, 2, Some(fail_ms), false, slow_store_us, None);
             t.row(&[
-                if optimistic { "optimistic" } else { "store-first" }.to_string(),
+                if optimistic {
+                    "optimistic"
+                } else {
+                    "store-first"
+                }
+                .to_string(),
                 fail_ms.to_string(),
                 out.completed.to_string(),
                 out.broken.to_string(),
@@ -155,14 +160,24 @@ fn main() {
     // (every store server dead before the flows start) and then kill an
     // instance mid-flight.
     println!();
-    let mut t = Table::new(&["ordering", "completed", "broken after SYN-ACK", "refused (no SYN-ACK)"]);
+    let mut t = Table::new(&[
+        "ordering",
+        "completed",
+        "broken after SYN-ACK",
+        "refused (no SYN-ACK)",
+    ]);
     for optimistic in [false, true] {
         let out = run(optimistic, 2, Some(2_000), false, 50, Some(900));
         // With no store, store-first withholds the SYN-ACK: the client
         // is never promised a connection (fail-closed). Optimistic mode
         // acknowledges connections whose state it can never durably back.
         t.row(&[
-            if optimistic { "optimistic" } else { "store-first" }.to_string(),
+            if optimistic {
+                "optimistic"
+            } else {
+                "store-first"
+            }
+            .to_string(),
             out.completed.to_string(),
             if optimistic {
                 out.broken.to_string()
@@ -197,7 +212,10 @@ fn main() {
     );
 
     println!();
-    print_header("Ablation B", "TCPStore replication factor K under store+instance failures");
+    print_header(
+        "Ablation B",
+        "TCPStore replication factor K under store+instance failures",
+    );
     let mut t = Table::new(&["K", "completed", "broken", "timeouts", "store ops/server"]);
     for k in [1usize, 2, 3] {
         let out = run(false, k, Some(2_000), true, 50, None);

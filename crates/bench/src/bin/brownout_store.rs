@@ -14,7 +14,7 @@
 //! ≥99% with bounded p99 — against a baseline where SYN-ACKs block on
 //! store acks and the whole handshake path inherits the brownout.
 
-use yoda_bench::report::{f2, print_header, print_kv, pct};
+use yoda_bench::report::{f2, pct, print_header, print_kv};
 use yoda_bench::storestats::StoreStatsSummary;
 use yoda_bench::{arg_f64, arg_usize};
 use yoda_core::instance::YodaInstance;
@@ -75,7 +75,9 @@ fn run(factor: f64, browse_secs: u64) -> Out {
         http_timeout: SimTime::from_secs(10),
         ..BrowserConfig::default()
     };
-    let ids: Vec<_> = (0..2).map(|s| tb.add_browser(s, browser_cfg.clone())).collect();
+    let ids: Vec<_> = (0..2)
+        .map(|s| tb.add_browser(s, browser_cfg.clone()))
+        .collect();
     // Brownout window: the WHOLE store tier browns out shortly after the
     // browsers ramp, heals well before the deadline so the write-behind
     // queues drain on camera.
@@ -140,9 +142,15 @@ fn main() {
     let brown = run(factor, secs);
 
     print_kv("healthy: success", pct(healthy.success()));
-    print_kv("healthy: p50/p99 (ms)", format!("{} / {}", f2(healthy.p50_ms), f2(healthy.p99_ms)));
+    print_kv(
+        "healthy: p50/p99 (ms)",
+        format!("{} / {}", f2(healthy.p50_ms), f2(healthy.p99_ms)),
+    );
     print_kv("brownout: success", pct(brown.success()));
-    print_kv("brownout: p50/p99 (ms)", format!("{} / {}", f2(brown.p50_ms), f2(brown.p99_ms)));
+    print_kv(
+        "brownout: p50/p99 (ms)",
+        format!("{} / {}", f2(brown.p50_ms), f2(brown.p99_ms)),
+    );
     print_kv(
         "availability delta (healthy - brownout)",
         pct(healthy.success() - brown.success()),

@@ -11,8 +11,8 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_bench::arg_usize;
+use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
 };
@@ -33,7 +33,10 @@ struct Driver {
 impl Node for Driver {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.started = ctx.now();
-        ctx.set_timer(SimTime::from_secs_f64(1.0 / self.rate_per_sec), TimerToken::new(TICK));
+        ctx.set_timer(
+            SimTime::from_secs_f64(1.0 / self.rate_per_sec),
+            TimerToken::new(TICK),
+        );
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
@@ -47,22 +50,21 @@ impl Node for Driver {
                 let evs = self.client.on_timer(ctx, token);
                 self.events.extend(evs);
             }
-            TICK
-                if ctx.now().saturating_sub(self.started) < self.duration => {
-                    let key = Bytes::from(format!("flow:{}", self.seq % 5_000));
-                    match self.seq % 3 {
-                        0 => self
-                            .client
-                            .set(ctx, key, Bytes::from_static(&[7u8; 26]), self.seq),
-                        1 => self.client.get(ctx, key, self.seq),
-                        _ => self.client.delete(ctx, key, self.seq),
-                    }
-                    self.seq += 1;
-                    ctx.set_timer(
-                        SimTime::from_secs_f64(1.0 / self.rate_per_sec),
-                        TimerToken::new(TICK),
-                    );
+            TICK if ctx.now().saturating_sub(self.started) < self.duration => {
+                let key = Bytes::from(format!("flow:{}", self.seq % 5_000));
+                match self.seq % 3 {
+                    0 => self
+                        .client
+                        .set(ctx, key, Bytes::from_static(&[7u8; 26]), self.seq),
+                    1 => self.client.get(ctx, key, self.seq),
+                    _ => self.client.delete(ctx, key, self.seq),
                 }
+                self.seq += 1;
+                ctx.set_timer(
+                    SimTime::from_secs_f64(1.0 / self.rate_per_sec),
+                    TimerToken::new(TICK),
+                );
+            }
             _ => {}
         }
     }
@@ -77,7 +79,9 @@ struct RunOut {
 
 fn run(ops_per_server: f64, replicas: usize, num_servers: usize, secs: u64) -> RunOut {
     let mut eng = Engine::with_topology(10, Topology::azure_testbed());
-    let servers: Vec<Addr> = (1..=num_servers as u8).map(|i| Addr::new(10, 0, 1, i)).collect();
+    let servers: Vec<Addr> = (1..=num_servers as u8)
+        .map(|i| Addr::new(10, 0, 1, i))
+        .collect();
     let server_ids: Vec<NodeId> = servers
         .iter()
         .map(|&s| {
@@ -189,7 +193,10 @@ fn main() {
     }
     lat_table.print();
     if let Some(oh) = overhead_at_low {
-        print_kv("set-latency overhead of K=2 at low load", format!("{:.0}%", oh * 100.0));
+        print_kv(
+            "set-latency overhead of K=2 at low load",
+            format!("{:.0}%", oh * 100.0),
+        );
     }
     print_kv(
         "paper (Fig 10)",

@@ -107,7 +107,9 @@ fn main() {
     println!();
     println!("(a) request-latency CDF points (fraction of requests <= x ms):");
     let mut cdf_table = Table::new(&["x (ms)", "Yoda-noretry", "HAProxy-noretry", "HAProxy-retry"]);
-    for x in [300.0, 600.0, 1_000.0, 2_000.0, 3_000.0, 5_000.0, 29_999.0, 31_000.0, 35_000.0] {
+    for x in [
+        300.0, 600.0, 1_000.0, 2_000.0, 3_000.0, 5_000.0, 29_999.0, 31_000.0, 35_000.0,
+    ] {
         let mut f = |name: &str| -> String {
             let (_, out) = cdf_sets
                 .iter_mut()

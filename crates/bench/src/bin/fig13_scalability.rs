@@ -20,7 +20,10 @@ use yoda_http::{RateClient as HttpRateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 
 fn main() {
-    print_header("Figure 13", "Scalability: autoscaler adds instances under load");
+    print_header(
+        "Figure 13",
+        "Scalability: autoscaler adds instances under load",
+    );
     let scale = arg_f64("scale", 0.1);
     let base_rate = 5_000.0 * scale; // per-instance offered load, phase 1
     let cpu_scale = 1.0 / scale;
@@ -157,7 +160,10 @@ fn main() {
         completed += c.completed;
         issued += c.issued;
     }
-    print_kv("requests issued / completed", format!("{issued} / {completed}"));
+    print_kv(
+        "requests issued / completed",
+        format!("{issued} / {completed}"),
+    );
     print_kv("requests timed out", timeouts);
     print_kv("requests reset", resets);
     print_kv(

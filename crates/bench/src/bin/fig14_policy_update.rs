@@ -33,13 +33,22 @@ fn main() {
     assert!(b.len() >= 4);
 
     // Policies over time. Srv-4 (index 3) is the replacement VM.
-    let p0 = format!("name=r priority=1 match * action=split {}=1 {}=1 {}=1", b[0], b[1], b[2]);
+    let p0 = format!(
+        "name=r priority=1 match * action=split {}=1 {}=1 {}=1",
+        b[0], b[1], b[2]
+    );
     let p1 = format!(
         "name=r priority=1 match * action=split {}=1 {}=1 {}=1 {}=1",
         b[0], b[1], b[2], b[3]
     );
-    let p2 = format!("name=r priority=1 match * action=split {}=1 {}=1 {}=1", b[1], b[2], b[3]);
-    let p3 = format!("name=r priority=1 match * action=split {}=1 {}=1 {}=2", b[1], b[2], b[3]);
+    let p2 = format!(
+        "name=r priority=1 match * action=split {}=1 {}=1 {}=1",
+        b[1], b[2], b[3]
+    );
+    let p3 = format!(
+        "name=r priority=1 match * action=split {}=1 {}=1 {}=2",
+        b[1], b[2], b[3]
+    );
     // The build-time default policy (equal across all 4) is installed at
     // t=0; apply the experiment's initial 3-way policy after it settles
     // (in-flight control packets can reorder under jitter).

@@ -6,8 +6,8 @@
 //! dedicated (peak-provisioned) HAProxy deployment over-provisions
 //! relative to Yoda-as-a-service (which bills average usage).
 
-use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_bench::arg_usize;
+use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_trace::{Trace, TraceConfig};
 
 fn main() {
@@ -30,11 +30,7 @@ fn main() {
     // decreasing traffic).
     for (i, v) in trace.vips.iter().enumerate() {
         if i % 10 == 0 || i == trace.vips.len() - 1 {
-            table.row(&[
-                i.to_string(),
-                f2(v.mean_traffic()),
-                f2(ratios[i]),
-            ]);
+            table.row(&[i.to_string(), f2(v.mean_traffic()), f2(ratios[i])]);
         }
     }
     table.print();
@@ -43,6 +39,9 @@ fn main() {
     let max = ratios.iter().copied().fold(0.0f64, f64::max);
     print_kv("min max/avg ratio (measured)", f2(min));
     print_kv("max max/avg ratio (measured)", f2(max));
-    print_kv("mean max/avg ratio = cost reduction (measured)", f2(trace.mean_max_avg_ratio()));
+    print_kv(
+        "mean max/avg ratio = cost reduction (measured)",
+        f2(trace.mean_max_avg_ratio()),
+    );
     print_kv("paper", "1.07x - 50.3x, average 3.7x");
 }

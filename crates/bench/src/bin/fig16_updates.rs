@@ -18,8 +18,8 @@ use std::time::Instant;
 
 use yoda_assign::model::transition_stats;
 use yoda_assign::{all_to_all, solve_greedy, Assignment};
-use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
 use yoda_bench::arg_usize;
+use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
 use yoda_netsim::Histogram;
 use yoda_trace::{assign_input_for_bin, AssignParams, Trace, TraceConfig};
 
@@ -57,7 +57,10 @@ fn median_nonzero(values: &[u64]) -> f64 {
 }
 
 fn main() {
-    print_header("Figure 16", "VIP assignment update study (24h trace, 10-min rounds)");
+    print_header(
+        "Figure 16",
+        "VIP assignment update study (24h trace, 10-min rounds)",
+    );
     let bins = arg_usize("bins", 144);
     let num_vips = arg_usize("vips", 110);
     let trace = Trace::generate(&TraceConfig {
@@ -69,7 +72,10 @@ fn main() {
     print_kv("rounds", bins);
     print_kv("rule capacity R_y (5ms target per Fig. 6)", "2000 rules");
     print_kv("replicas n_v", "4 x t_v / T_y (4x redundancy)");
-    print_kv("migration budget (YODA-limit)", "10% (+10% steps when infeasible)");
+    print_kv(
+        "migration budget (YODA-limit)",
+        "10% (+10% steps when infeasible)",
+    );
 
     let base = AssignParams::default();
     let mut limit = SchemeState::new();
@@ -97,9 +103,12 @@ fn main() {
             let used = out.assignment.num_instances();
             scheme.instances.record(used as f64);
             let rules = out.assignment.rules_per_instance(&input.vips);
-            scheme.rules_ratio.record(median_nonzero(&rules) / a2a_rules);
+            scheme
+                .rules_ratio
+                .record(median_nonzero(&rules) / a2a_rules);
             if let Some(prev) = &scheme.prev {
-                let stats = transition_stats(prev, &out.assignment, &input.vips, base.traffic_capacity);
+                let stats =
+                    transition_stats(prev, &out.assignment, &input.vips, base.traffic_capacity);
                 scheme.overload.record(stats.overloaded_fraction);
                 scheme.migrated.record(stats.migrated_fraction);
             }
@@ -122,7 +131,10 @@ fn main() {
         ]);
     }
     t.print();
-    print_kv("paper", "0.5% - 3.7% of all-to-all (median 1%), ~100x fewer rules");
+    print_kv(
+        "paper",
+        "0.5% - 3.7% of all-to-all (median 1%), ~100x fewer rules",
+    );
 
     println!();
     println!("(c) number of instances:");
@@ -161,7 +173,10 @@ fn main() {
         pct(limit.overload.max().unwrap_or(0.0)),
     ]);
     t.print();
-    print_kv("paper", "no-limit 0-20.4% (median 5.3%); limit ~0 (only already-overloaded)");
+    print_kv(
+        "paper",
+        "no-limit 0-20.4% (median 5.3%); limit ~0 (only already-overloaded)",
+    );
 
     println!();
     println!("(e) fraction of connections migrated per update:");
@@ -177,11 +192,19 @@ fn main() {
         pct(limit.migrated.max().unwrap_or(0.0)),
     ]);
     t.print();
-    print_kv("paper", "no-limit 2.7-95% (median 44.9%); limit 0-29.8% (median 8.3%)");
-    print_kv("max effective delta after relaxation", pct(limit.effective_delta_max));
+    print_kv(
+        "paper",
+        "no-limit 2.7-95% (median 44.9%); limit 0-29.8% (median 8.3%)",
+    );
+    print_kv(
+        "max effective delta after relaxation",
+        pct(limit.effective_delta_max),
+    );
 
     println!();
-    println!("assignment solve time per round (this solver; paper/CPLEX: 1.5-21.5s, median 3.92s):");
+    println!(
+        "assignment solve time per round (this solver; paper/CPLEX: 1.5-21.5s, median 3.92s):"
+    );
     let mut t = Table::new(&["scheme", "median (ms)", "max (ms)"]);
     t.row(&[
         "YODA-no-limit".to_string(),

@@ -48,7 +48,10 @@ struct RunOutcome {
 }
 
 fn policy_rules(name: &str, tb: &Testbed) -> String {
-    let backends: Vec<String> = tb.service_backends[0].iter().map(|b| b.to_string()).collect();
+    let backends: Vec<String> = tb.service_backends[0]
+        .iter()
+        .map(|b| b.to_string())
+        .collect();
     match name {
         "roundrobin" => tb.equal_split_rules(0),
         "leastload" => format!(
@@ -63,7 +66,12 @@ fn policy_rules(name: &str, tb: &Testbed) -> String {
     }
 }
 
-fn run_one(policy: &str, scenario: &AdaptiveScenario, load: BurstyLoad, run: SimTime) -> RunOutcome {
+fn run_one(
+    policy: &str,
+    scenario: &AdaptiveScenario,
+    load: BurstyLoad,
+    run: SimTime,
+) -> RunOutcome {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 17,
         num_instances: 4,
@@ -138,7 +146,8 @@ fn run_one(policy: &str, scenario: &AdaptiveScenario, load: BurstyLoad, run: Sim
         tb.engine.schedule(edge, move |eng| {
             let now = eng.now();
             for (i, &id) in ids.iter().enumerate() {
-                eng.node_mut::<OriginServer>(id).set_speed_factor(sc.factor_at(i, now));
+                eng.node_mut::<OriginServer>(id)
+                    .set_speed_factor(sc.factor_at(i, now));
             }
         });
     }

@@ -19,11 +19,11 @@
 
 use std::time::Instant;
 
-use yoda_netsim::rng::Rng;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_bench::{arg_usize, report};
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
+use yoda_netsim::rng::Rng;
 use yoda_netsim::Histogram;
 
 /// Builds a table of `n` rules, each matching a distinct URL pattern.
@@ -31,9 +31,7 @@ fn build_table(n: usize) -> RuleTable {
     let mut rules = Vec::with_capacity(n);
     for i in 0..n {
         let backend = format!("10.1.{}.{}:80", (i / 250) % 250, i % 250 + 1);
-        let line = format!(
-            "name=r{i} priority=1 match url=/obj{i}/* action=split {backend}=1"
-        );
+        let line = format!("name=r{i} priority=1 match url=/obj{i}/* action=split {backend}=1");
         rules.push(Rule::parse(&line).expect("valid rule"));
     }
     RuleTable::from_rules(rules)

@@ -12,12 +12,14 @@
 //! rate). Storage and backend-connection components come from the Yoda
 //! instance's own histograms — the same vantage the paper used.
 
-use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_bench::failover::LbKind;
+use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_bench::{arg_f64, arg_flag};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
-use yoda_http::{OriginServer, RateClient, RateClientConfig, ServerConfig, SiteCatalog, SiteConfig};
+use yoda_http::{
+    OriginServer, RateClient, RateClientConfig, ServerConfig, SiteCatalog, SiteConfig,
+};
 use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
 use yoda_proxy::ProxyInstance;
 
@@ -39,10 +41,7 @@ struct RunResult {
 
 fn run_baseline(rate: f64, duration: SimTime) -> RunResult {
     // Clients straight to one backend: Internet + server time only.
-    let catalog = std::sync::Arc::new(SiteCatalog::generate(
-        9,
-        &[SiteConfig::default()],
-    ));
+    let catalog = std::sync::Arc::new(SiteCatalog::generate(9, &[SiteConfig::default()]));
     let mut eng = Engine::with_topology(9, Topology::azure_testbed());
     let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
     eng.add_node(
@@ -103,7 +102,8 @@ fn run_lb(lb: LbKind, rate: f64, duration: SimTime) -> RunResult {
     );
     tb.engine.run_for(duration + SimTime::from_secs(5));
     // Storage and connection components exist only on a Yoda instance.
-    let (storage_ms, connection_ms) = match tb.engine.try_node_mut::<YodaInstance>(tb.instances[0]) {
+    let (storage_ms, connection_ms) = match tb.engine.try_node_mut::<YodaInstance>(tb.instances[0])
+    {
         Some(i) => {
             let conn = i.conn_latency.median().unwrap_or(0.0);
             // Two sets per request (storage-a, storage-b), issued in
@@ -140,14 +140,23 @@ fn cpu_at(lb: LbKind, rate: f64, duration: SimTime) -> f64 {
     tb.engine.run_for(duration);
     let (inst, now) = (tb.instances[0], tb.engine.now());
     match lb {
-        LbKind::Yoda => tb.engine.node_ref::<YodaInstance>(inst).cpu_utilization(now),
-        LbKind::Proxy => tb.engine.node_ref::<ProxyInstance>(inst).cpu_utilization(now),
+        LbKind::Yoda => tb
+            .engine
+            .node_ref::<YodaInstance>(inst)
+            .cpu_utilization(now),
+        LbKind::Proxy => tb
+            .engine
+            .node_ref::<ProxyInstance>(inst)
+            .cpu_utilization(now),
     }
 }
 
 fn cpu_sweep() {
     println!();
-    print_header("§7.1 CPU", "Instance CPU utilisation vs request rate (small objects)");
+    print_header(
+        "§7.1 CPU",
+        "Instance CPU utilisation vs request rate (small objects)",
+    );
     let duration = SimTime::from_secs(3);
     let mut t = Table::new(&["req/s", "Yoda CPU", "HAProxy CPU"]);
     for rate in [2_000.0, 5_000.0, 8_000.0, 10_000.0, 12_000.0] {
@@ -158,18 +167,30 @@ fn cpu_sweep() {
         ]);
     }
     t.print();
-    print_kv("paper", "Yoda saturates at 12K req/s; HAProxy is at 46% there (~2.2x cheaper)");
+    print_kv(
+        "paper",
+        "Yoda saturates at 12K req/s; HAProxy is at 46% there (~2.2x cheaper)",
+    );
 }
 
 fn main() {
-    print_header("Figure 9", "Latency breakdown, request->response (10 KB objects, WAN clients)");
+    print_header(
+        "Figure 9",
+        "Latency breakdown, request->response (10 KB objects, WAN clients)",
+    );
     let rate = arg_f64("rate", 400.0);
     let duration = SimTime::from_secs(arg_f64("secs", 10.0) as u64);
     let baseline = run_baseline(rate, duration);
     let yoda = run_lb(LbKind::Yoda, rate, duration);
     let proxy = run_lb(LbKind::Proxy, rate, duration);
 
-    let mut t = Table::new(&["component", "Yoda (ms)", "HAProxy (ms)", "paper Yoda", "paper HAProxy"]);
+    let mut t = Table::new(&[
+        "component",
+        "Yoda (ms)",
+        "HAProxy (ms)",
+        "paper Yoda",
+        "paper HAProxy",
+    ]);
     t.row(&[
         "end-to-end median".into(),
         f2(yoda.median_ms),

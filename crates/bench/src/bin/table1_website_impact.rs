@@ -21,12 +21,30 @@ struct SiteProfile {
 }
 
 const SITES: &[SiteProfile] = &[
-    SiteProfile { name: "nytimes", streaming: false },
-    SiteProfile { name: "reddit", streaming: false },
-    SiteProfile { name: "stanford", streaming: false },
-    SiteProfile { name: "vimeo", streaming: true },
-    SiteProfile { name: "soundcloud", streaming: true },
-    SiteProfile { name: "email service", streaming: true },
+    SiteProfile {
+        name: "nytimes",
+        streaming: false,
+    },
+    SiteProfile {
+        name: "reddit",
+        streaming: false,
+    },
+    SiteProfile {
+        name: "stanford",
+        streaming: false,
+    },
+    SiteProfile {
+        name: "vimeo",
+        streaming: true,
+    },
+    SiteProfile {
+        name: "soundcloud",
+        streaming: true,
+    },
+    SiteProfile {
+        name: "email service",
+        streaming: true,
+    },
 ];
 
 fn impact(lb: LbKind, streaming: bool, seed: u64) -> String {
@@ -34,7 +52,7 @@ fn impact(lb: LbKind, streaming: bool, seed: u64) -> String {
         seed,
         lb,
         num_instances: 4,
-        fail: vec![0, 1, 2, 3],  // break every in-flight connection
+        fail: vec![0, 1, 2, 3], // break every in-flight connection
         fail_at: SimTime::from_millis(2500),
         browsers: 1,
         processes: 8,
@@ -84,7 +102,12 @@ fn main() {
         let yoda = impact(LbKind::Yoda, site.streaming, 100 + i as u64);
         table.row(&[
             site.name.to_string(),
-            if site.streaming { "streaming session" } else { "page load" }.to_string(),
+            if site.streaming {
+                "streaming session"
+            } else {
+                "page load"
+            }
+            .to_string(),
             proxy,
             yoda,
         ]);

@@ -135,7 +135,11 @@ impl FailoverOutcome {
     }
 }
 
-fn browser_cfg(setup: &FailoverSetup, catalog: &yoda_http::SiteCatalog, site: usize) -> BrowserConfig {
+fn browser_cfg(
+    setup: &FailoverSetup,
+    catalog: &yoda_http::SiteCatalog,
+    site: usize,
+) -> BrowserConfig {
     let fixed_object = if setup.use_largest_object {
         Some(largest_object(catalog, site))
     } else {
@@ -199,8 +203,7 @@ fn extract_timeline(engine: &yoda_netsim::Engine, around: SimTime) -> Vec<String
     // Find the first recovery note after the failure to identify a flow.
     let mut client_port: Option<u16> = None;
     for ev in trace.events() {
-        if ev.kind == TraceKind::Note && ev.detail.contains("recovered flow") && ev.time >= around
-        {
+        if ev.kind == TraceKind::Note && ev.detail.contains("recovered flow") && ev.time >= around {
             // Format: "recovered flow a.b.c.d:PORT->vip ...".
             if let Some(rest) = ev.detail.strip_prefix("recovered flow ") {
                 if let Some(ep) = rest.split("->").next() {

@@ -46,7 +46,9 @@ impl TimeSeries {
             let sample = sample.clone();
             engine.schedule(t, move |eng| {
                 let values = sample(eng);
-                rows.lock().expect("sampler poisoned").push((eng.now(), values));
+                rows.lock()
+                    .expect("sampler poisoned")
+                    .push((eng.now(), values));
             });
             t += period;
         }
