@@ -98,10 +98,16 @@ fn main() {
         );
         tb.engine.run_for(SimTime::from_secs(60));
         let bn = tb.engine.node_ref::<BrowserClient>(browser);
-        println!("  fetches completed   : {} (exactly one response each)", bn.completed);
+        println!(
+            "  fetches completed   : {} (exactly one response each)",
+            bn.completed
+        );
         for (i, &id) in tb.backends.iter().enumerate() {
             let srv = tb.engine.node_ref::<OriginServer>(id);
-            println!("  backend {i} served   : {} requests (all mirrored)", srv.requests);
+            println!(
+                "  backend {i} served   : {} requests (all mirrored)",
+                srv.requests
+            );
         }
     }
 }

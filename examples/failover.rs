@@ -63,13 +63,23 @@ fn main() {
             .map(|i| i.recoveries)
             .sum();
         let b = tb.engine.node_mut::<BrowserClient>(browser);
-        println!("  downloads completed : {}/{}", b.completed, b.completed + b.broken_flows);
+        println!(
+            "  downloads completed : {}/{}",
+            b.completed,
+            b.completed + b.broken_flows
+        );
         if yoda {
             println!("  broken flows        : {}", b.broken_flows);
             println!("  flows recovered via TCPStore: {recovered}");
         } else {
-            println!("  broken flows        : {} (hung until the 30 s HTTP timeout)", b.broken_flows);
+            println!(
+                "  broken flows        : {} (hung until the 30 s HTTP timeout)",
+                b.broken_flows
+            );
         }
-        println!("  max download time   : {:.1} s", b.request_latencies.max().unwrap_or(0.0) / 1000.0);
+        println!(
+            "  max download time   : {:.1} s",
+            b.request_latencies.max().unwrap_or(0.0) / 1000.0
+        );
     }
 }

@@ -49,7 +49,9 @@ fn main() {
     let shared_avg = shared_inst_hours / 24.0;
 
     println!("\nper-tenant peak provisioning : {per_tenant_cost:.0} instance(s) all day");
-    println!("shared Yoda fleet            : {shared_avg:.1} instances on average (peak {max_fleet})");
+    println!(
+        "shared Yoda fleet            : {shared_avg:.1} instances on average (peak {max_fleet})"
+    );
     println!(
         "cost reduction               : {:.1}x",
         per_tenant_cost / shared_avg

@@ -11,10 +11,10 @@
 
 use std::collections::BTreeMap;
 
-use yoda_netsim::rng::Rng;
 use yoda::core::rules::{RuleTable, SelectCtx};
 use yoda::http::HttpRequest;
 use yoda::netsim::{Addr, Endpoint};
+use yoda_netsim::rng::Rng;
 
 fn main() {
     // The paper's Table 3, expressed in this crate's DSL. D1..D4 are
@@ -59,10 +59,14 @@ name=r-rest   priority=0 match *           action=leastload 10.1.0.1:80 10.1.0.2
     assert_eq!(first, again);
 
     // 4. Least-loaded: everything else goes to the emptiest backend.
-    ctx.loads.insert(Endpoint::new(Addr::new(10, 1, 0, 1), 80), 12);
-    ctx.loads.insert(Endpoint::new(Addr::new(10, 1, 0, 2), 80), 3);
-    ctx.loads.insert(Endpoint::new(Addr::new(10, 1, 0, 3), 80), 9);
-    ctx.loads.insert(Endpoint::new(Addr::new(10, 1, 0, 4), 80), 5);
+    ctx.loads
+        .insert(Endpoint::new(Addr::new(10, 1, 0, 1), 80), 12);
+    ctx.loads
+        .insert(Endpoint::new(Addr::new(10, 1, 0, 2), 80), 3);
+    ctx.loads
+        .insert(Endpoint::new(Addr::new(10, 1, 0, 3), 80), 9);
+    ctx.loads
+        .insert(Endpoint::new(Addr::new(10, 1, 0, 4), 80), 5);
     let pick = table
         .select(&HttpRequest::get("/api/data"), &ctx, &mut rng)
         .expect("matches");

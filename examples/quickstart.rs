@@ -27,7 +27,10 @@ fn main() {
         pages_per_site: 25,
         ..TestbedConfig::default()
     });
-    println!("VIPs: {:?}", tb.vips.iter().map(|v| v.to_string()).collect::<Vec<_>>());
+    println!(
+        "VIPs: {:?}",
+        tb.vips.iter().map(|v| v.to_string()).collect::<Vec<_>>()
+    );
 
     // A browser with 4 parallel fetch processes, 3 pages each.
     let browser = tb.add_browser(
@@ -45,8 +48,14 @@ fn main() {
     println!("pages completed : {}", b.pages_completed);
     println!("objects fetched : {}", b.completed);
     println!("broken flows    : {}", b.broken_flows);
-    println!("median page load: {:.0} ms", b.page_latencies.median().unwrap_or(0.0));
-    println!("median object   : {:.0} ms", b.request_latencies.median().unwrap_or(0.0));
+    println!(
+        "median page load: {:.0} ms",
+        b.page_latencies.median().unwrap_or(0.0)
+    );
+    println!(
+        "median object   : {:.0} ms",
+        b.request_latencies.median().unwrap_or(0.0)
+    );
 
     println!("\nper-instance activity:");
     for (&id, addr) in tb.instances.iter().zip(&tb.instance_addrs) {

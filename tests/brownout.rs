@@ -170,14 +170,29 @@ fn all_stores_10x_slow_keeps_serving() {
     assert_eq!(print.broken, 0, "brownout broke flows\n{print:#?}");
     // The run must actually exercise the gray machinery, not coast on an
     // over-provisioned store tier.
-    assert!(print.store_timeouts > 0, "no store op timed out\n{print:#?}");
+    assert!(
+        print.store_timeouts > 0,
+        "no store op timed out\n{print:#?}"
+    );
     assert!(print.store_retries > 0, "no write was retried\n{print:#?}");
-    assert!(print.degraded_entries > 0, "degraded mode never engaged\n{print:#?}");
-    assert!(print.wb_enqueued > 0, "nothing was written behind\n{print:#?}");
+    assert!(
+        print.degraded_entries > 0,
+        "degraded mode never engaged\n{print:#?}"
+    );
+    assert!(
+        print.wb_enqueued > 0,
+        "nothing was written behind\n{print:#?}"
+    );
     // Brownout heal ⇒ write-behind drains: by run end (9 s after the
     // heal) every instance is re-armed and its buffer replayed.
-    assert_eq!(print.degraded_end, 0, "instance still degraded at end\n{print:#?}");
-    assert_eq!(print.wb_queued_end, 0, "write-behind never drained\n{print:#?}");
+    assert_eq!(
+        print.degraded_end, 0,
+        "instance still degraded at end\n{print:#?}"
+    );
+    assert_eq!(
+        print.wb_queued_end, 0,
+        "write-behind never drained\n{print:#?}"
+    );
 }
 
 /// Hedged and retried store traffic is bit-for-bit reproducible: two

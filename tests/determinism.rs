@@ -101,8 +101,14 @@ fn full_stack_matches_pinned_digest() {
         pages_per_site: 8,
         ..TestbedConfig::default()
     });
-    let backends: Vec<String> = tb.service_backends[0].iter().map(|b| b.to_string()).collect();
-    let rules = format!("name=pq-0 priority=1 match * action=prequal {}", backends.join(" "));
+    let backends: Vec<String> = tb.service_backends[0]
+        .iter()
+        .map(|b| b.to_string())
+        .collect();
+    let rules = format!(
+        "name=pq-0 priority=1 match * action=prequal {}",
+        backends.join(" ")
+    );
     tb.set_policy_at(tb.vips[0], &rules, SimTime::from_millis(100));
     for service in 0..2 {
         tb.add_browser(
@@ -117,7 +123,10 @@ fn full_stack_matches_pinned_digest() {
     let setup_events = tb.engine.events_processed();
     tb.engine.run_for(SimTime::from_secs(4));
     assert_eq!(
-        (tb.engine.event_digest(), tb.engine.events_processed() - setup_events),
+        (
+            tb.engine.event_digest(),
+            tb.engine.events_processed() - setup_events
+        ),
         (0x3c07_e32f_2357_1930, 23_598),
         "full-stack event sequence diverged (digest, events after the 50 ms setup)"
     );
@@ -178,15 +187,19 @@ mod golden {
             }
             self.hops_left -= 1;
             let offset = 1 + (ctx.node_rng().gen_range(0..3) as u32);
-            let pkt = Packet::new(self.me(), self.peer(offset), PROTO_PING, bytes::Bytes::new());
+            let pkt = Packet::new(
+                self.me(),
+                self.peer(offset),
+                PROTO_PING,
+                bytes::Bytes::new(),
+            );
             ctx.send(pkt);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
             self.fires += 1;
             if token.kind == 1 && self.fires < 8 {
                 ctx.set_timer(SimTime::from_millis(2), TimerToken::new(1));
-                let pkt =
-                    Packet::new(self.me(), self.peer(2), PROTO_PING, bytes::Bytes::new());
+                let pkt = Packet::new(self.me(), self.peer(2), PROTO_PING, bytes::Bytes::new());
                 ctx.send(pkt);
             }
         }
@@ -225,8 +238,7 @@ mod golden {
         });
         eng.schedule(SimTime::from_millis(21), move |eng| {
             eng.with_node_ctx::<Mixer>(victim, |node, ctx| {
-                let pkt =
-                    Packet::new(node.me(), node.peer(1), PROTO_PING, bytes::Bytes::new());
+                let pkt = Packet::new(node.me(), node.peer(1), PROTO_PING, bytes::Bytes::new());
                 ctx.send(pkt);
             });
         });

@@ -381,7 +381,10 @@ fn policy_update_does_not_move_existing_flows() {
     assert_eq!(bn.broken_flows, 0);
     // Only the original backend served anything.
     assert!(tb.engine.node_ref::<OriginServer>(tb.backends[0]).requests == 1);
-    assert_eq!(tb.engine.node_ref::<OriginServer>(tb.backends[1]).requests, 0);
+    assert_eq!(
+        tb.engine.node_ref::<OriginServer>(tb.backends[1]).requests,
+        0
+    );
 }
 
 #[test]

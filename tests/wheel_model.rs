@@ -55,7 +55,10 @@ impl Pair {
     }
 
     fn arm(&mut self, deadline: u64, timer: bool) {
-        assert!(self.wheel.now() <= self.time, "wheel clock ahead of the engine");
+        assert!(
+            self.wheel.now() <= self.time,
+            "wheel clock ahead of the engine"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         let item = if timer {
@@ -120,7 +123,11 @@ impl Pair {
         if let Some((t, _)) = want {
             assert!(t >= self.time, "popped into the past");
             self.time = t;
-            assert_eq!(self.wheel.now(), t, "a pop leaves the clock at its deadline");
+            assert_eq!(
+                self.wheel.now(),
+                t,
+                "a pop leaves the clock at its deadline"
+            );
         }
     }
 
@@ -179,7 +186,10 @@ fn bound(rng: &mut Rng, pair: &Pair) -> (u64, u64) {
     match rng.gen_range(0..12u32) {
         0 => (start, 0),
         1 => (start, 1 + rng.gen_range(0..pair.next_seq + 1)),
-        2 => (start.saturating_sub(1).max(pair.time), rng.gen_range(0..2u64)),
+        2 => (
+            start.saturating_sub(1).max(pair.time),
+            rng.gen_range(0..2u64),
+        ),
         3 => (start + 1, 0),
         4 => (rng.gen_range(start..=d), 0),
         5 => (d, s),
@@ -187,7 +197,10 @@ fn bound(rng: &mut Rng, pair: &Pair) -> (u64, u64) {
         7 => (d, 0),
         8 => (d + 1, 0),
         9 => (d + rng.gen_range(0..2u64 << shift), rng.gen_range(0..2u64)),
-        10 => (rng.gen_range(pair.time..=d), rng.gen_range(0..pair.next_seq + 1)),
+        10 => (
+            rng.gen_range(pair.time..=d),
+            rng.gen_range(0..pair.next_seq + 1),
+        ),
         _ => (u64::MAX, u64::MAX),
     }
 }
@@ -207,7 +220,11 @@ fn step(rng: &mut Rng, pair: &mut Pair) {
                 // end of a run at `limit`. Either way the clock moves
                 // there, with or without telling the wheel, and an arm
                 // at that very time must pop at that time.
-                let at = if b.1 == 0 && b.0 > 0 && rng.gen_range(0..2u32) == 0 { b.0 - 1 } else { b.0 };
+                let at = if b.1 == 0 && b.0 > 0 && rng.gen_range(0..2u32) == 0 {
+                    b.0 - 1
+                } else {
+                    b.0
+                };
                 if at >= pair.time {
                     pair.time = at;
                     if rng.gen_range(0..2u32) == 0 {
@@ -276,7 +293,10 @@ fn an_arm_at_the_bound_after_a_refusal_is_not_clamped() {
         assert!(pair.wheel.now() < start);
         pair.time = start - 1;
         pair.arm(start - 1, false);
-        assert!(pair.pop_before((start, 0)), "the arm at the limit pops within the limit");
+        assert!(
+            pair.pop_before((start, 0)),
+            "the arm at the limit pops within the limit"
+        );
         assert_eq!(pair.time, start - 1);
         // With a control at (start, seq > 0) next, the slot may cascade —
         // the clock stops at `start` — but nothing pops.
