@@ -9,7 +9,7 @@
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
 use yoda_http::{BrowserClient, BrowserConfig};
-use yoda_netsim::{Histogram, SimTime, TraceKind};
+use yoda_netsim::{Endpoint, Fate, Histogram, Note, SimTime, What};
 
 use crate::storestats::StoreStatsSummary;
 
@@ -197,24 +197,20 @@ fn collect_browsers(
 }
 
 /// Extracts the Figure 12(b)-style timeline: backend-side packets of the
-/// first recovered flow, plus failure/recovery annotations.
+/// first established flow recovered at or after the failure, plus the
+/// failure and the notes that name the flow's client port.
 fn extract_timeline(engine: &yoda_netsim::Engine, around: SimTime) -> Vec<String> {
     let trace = engine.trace();
-    // Find the first recovery note after the failure to identify a flow.
-    let mut client_port: Option<u16> = None;
-    for ev in trace.events() {
-        if ev.kind == TraceKind::Note && ev.detail.contains("recovered flow") && ev.time >= around {
-            // Format: "recovered flow a.b.c.d:PORT->vip ...".
-            if let Some(rest) = ev.detail.strip_prefix("recovered flow ") {
-                if let Some(ep) = rest.split("->").next() {
-                    if let Some((_, port)) = ep.rsplit_once(':') {
-                        client_port = port.parse().ok();
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    // The flow's VSS endpoint (VIP address, client port): the source the
+    // instance gives the flow's backend leg.
+    let vss = trace.events().find_map(|ev| match ev.what {
+        What::Note(Note::Recovered {
+            client,
+            vip,
+            backend: Some(_),
+        }) if ev.time >= around => Some(Endpoint::new(vip.addr, client.port)),
+        _ => None,
+    });
     let lo = around.saturating_sub(SimTime::from_millis(500));
     let hi = around + SimTime::from_secs(3);
     // Bucket the chosen flow's backend-side packets into 100 ms windows
@@ -224,74 +220,50 @@ fn extract_timeline(engine: &yoda_netsim::Engine, around: SimTime) -> Vec<String
     let mut sent = [0u32; 36];
     let mut received = [0u32; 36];
     let mut annotations: Vec<(SimTime, String)> = Vec::new();
-    for ev in trace.events() {
-        if ev.time < lo || ev.time > hi {
-            continue;
-        }
-        match ev.kind {
-            TraceKind::NodeFailed => {
-                let node = engine.node_name(ev.node);
+    for ev in trace.events().filter(|ev| (lo..=hi).contains(&ev.time)) {
+        let node = engine.node_name(ev.node);
+        let (src, dst, fate) = match ev.what {
+            What::NodeFailed => {
                 annotations.push((ev.time, format!("*** {node} FAILED")));
                 continue;
             }
-            TraceKind::Note => {
-                let relevant = client_port
-                    .map(|p| ev.detail.contains(&format!(":{p}")))
-                    .unwrap_or(false);
-                if relevant || ev.detail.contains("controller detected failure") {
-                    let node = engine.node_name(ev.node);
-                    annotations.push((ev.time, format!("*** {node}: {}", ev.detail)));
+            What::Note(note) => {
+                let names_flow = |vss: Endpoint| note.endpoints().any(|ep| ep.port == vss.port);
+                if matches!(note, Note::FailureDetected { .. }) || vss.is_some_and(names_flow) {
+                    annotations.push((ev.time, format!("*** {node}: {note}")));
                 }
                 continue;
             }
-            _ => {}
-        }
-        if !engine.node_name(ev.node).starts_with("backend") {
-            continue;
-        }
-        let flow_match = match client_port {
-            Some(p) => {
-                ev.src.map(|e| e.port == p).unwrap_or(false)
-                    || ev.dst.map(|e| e.port == p).unwrap_or(false)
-            }
-            None => true,
+            What::Packet { src, dst, fate, .. } => (src, dst, fate),
+            _ => continue,
         };
-        if !flow_match {
+        if !node.starts_with("backend") || vss.is_some_and(|vss| src != vss && dst != vss) {
             continue;
         }
         let bucket = ((ev.time - lo).as_millis() / 100) as usize;
         if bucket < 36 {
-            match ev.kind {
-                TraceKind::PacketSent => sent[bucket] += 1,
-                TraceKind::PacketDelivered => received[bucket] += 1,
+            match fate {
+                Fate::Sent => sent[bucket] += 1,
+                Fate::Delivered => received[bucket] += 1,
                 _ => {}
             }
         }
     }
-    let mut lines = Vec::new();
-    lines.push(format!(
-        "flow client-port={:?}; per-100ms window at the backend:",
-        client_port
-    ));
-    lines.push("t-rel(ms)  srv-sent  srv-rcvd".to_string());
-    let mut ann_iter = annotations.into_iter().peekable();
+    let rel = |t: SimTime| t.as_micros() as f64 / 1000.0 - around.as_micros() as f64 / 1000.0;
+    let client_port = vss.map(|vss| vss.port);
+    let mut lines = vec![
+        format!("flow client-port={client_port:?}; per-100ms window at the backend:"),
+        "t-rel(ms)  srv-sent  srv-rcvd".to_string(),
+    ];
+    let mut annotations = annotations.into_iter().peekable();
     for b in 0..36 {
         let t = lo + SimTime::from_millis(100 * b as u64);
-        while let Some((at, _)) = ann_iter.peek() {
-            if *at <= t {
-                let (at, text) = ann_iter.next().expect("peeked");
-                lines.push(format!(
-                    "  [{:+.0} ms] {}",
-                    at.as_micros() as f64 / 1000.0 - around.as_micros() as f64 / 1000.0,
-                    text
-                ));
-            } else {
-                break;
-            }
+        while let Some((at, text)) = annotations.next_if(|(at, _)| *at <= t) {
+            lines.push(format!("  [{:+.0} ms] {text}", rel(at)));
         }
         lines.push(format!(
             "{:>+9.0}  {:>8}  {:>8}",
-            t.as_micros() as f64 / 1000.0 - around.as_micros() as f64 / 1000.0,
+            rel(t),
             sent[b],
             received[b]
         ));

@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use yoda_l4lb::CtrlMsg;
+use yoda_netsim::Note;
 use yoda_netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_PING};
 
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};
@@ -468,7 +469,7 @@ impl Controller {
         let (ep, role) = (m.ep, m.role);
         self.failures_detected += 1;
         self.failure_times.push((ctx.now(), ep));
-        ctx.trace_note(format_args!("controller detected failure of {ep}"));
+        ctx.trace(Note::FailureDetected { member: ep });
         match role {
             // A mux died: shrink the ECMP set at the router and update
             // every instance's SNAT egress list. Flows pinned to the dead
@@ -496,7 +497,7 @@ impl Controller {
             return;
         };
         self.recoveries_detected += 1;
-        ctx.trace_note(format_args!("controller detected recovery of {ep}"));
+        ctx.trace(Note::RecoveryDetected { member: ep });
         match role {
             Role::Mux => {
                 // A mux rejoined ECMP at its original position. It
@@ -608,11 +609,11 @@ impl Controller {
         let addr = ep.addr;
         if derated {
             self.derates += 1;
-            ctx.trace_note(format_args!("controller derated suspect instance {addr}"));
+            ctx.trace(Note::Derated { instance: addr });
             self.remove_instance_from_maps(ctx, addr);
         } else if self.readmit_instance(ctx, addr) {
             self.underates += 1;
-            ctx.trace_note(format_args!("controller re-admitted instance {addr}"));
+            ctx.trace(Note::Readmitted { instance: addr });
         }
     }
 
@@ -648,7 +649,7 @@ impl Controller {
                 }
                 self.remap(ctx, vip);
             }
-            ctx.trace_note(format_args!("autoscaler activated instance {spare}"));
+            ctx.trace(Note::SpareActivated { instance: spare });
         }
         activated
     }

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Packet, SimTime, TimerToken};
+use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Note, Packet, SimTime, TimerToken};
 use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreOutcome, OP_TIMEOUT};
 
 use super::flow::FlowKey;
@@ -252,10 +252,8 @@ impl Durability {
         self.consec_write_timeouts += 1;
         if !self.degraded && self.consec_write_timeouts >= DEGRADED_AFTER {
             self.degraded = true;
-            ctx.trace_note(format_args!(
-                "entering degraded mode after {} consecutive store-write timeouts",
-                self.consec_write_timeouts
-            ));
+            let timeouts = self.consec_write_timeouts;
+            ctx.trace(Note::Degraded { timeouts });
             if !self.heal_probe_armed {
                 self.heal_probe_armed = true;
                 ctx.set_timer(HEAL_PROBE_INTERVAL, TimerToken::new(HEAL_PROBE_KIND));
@@ -269,10 +267,8 @@ impl Durability {
     /// [`WB_DRAIN_WINDOW`]).
     fn heal(&mut self, ctx: &mut Ctx<'_>) {
         self.degraded = false;
-        ctx.trace_note(format_args!(
-            "store healed: draining {} write-behind records",
-            self.write_behind.len()
-        ));
+        let write_behind = self.write_behind.len();
+        ctx.trace(Note::StoreHealed { write_behind });
         self.drain_step(ctx);
     }
 

@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use yoda_balance::{ProbeReply, ProbeRequest, Signal, PROBE_PORT, PROBE_TIMEOUT};
-use yoda_netsim::{Ctx, Endpoint, Packet, TimerToken, PROTO_PROBE};
+use yoda_netsim::{Ctx, Endpoint, Note, Packet, TimerToken, PROTO_PROBE};
 
 use super::YodaInstance;
 
@@ -71,7 +71,7 @@ impl YodaInstance {
     /// signals, so selection stops routing to a silently-failed node.
     pub(super) fn probe_timeout(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if let Some(backend) = self.prober.on_timeout(tag, ctx.now()) {
-            ctx.trace_note(format_args!("probe timeout: quarantine {backend}"));
+            ctx.trace(Note::ProbeQuarantine { backend });
             for vcfg in self.vips.values_mut() {
                 vcfg.rules.purge_backend(backend);
             }

@@ -3,7 +3,7 @@
 //! TCPStore is asked under both hypotheses (client side / server side of
 //! a flow), and a hit rebuilds the flow and re-feeds the parked packets.
 
-use yoda_netsim::{Ctx, Endpoint, SimTime};
+use yoda_netsim::{Ctx, Endpoint, Note, SimTime};
 use yoda_tcp::Segment;
 use yoda_tcpstore::{StoreEvent, StoreOutcome};
 
@@ -36,6 +36,7 @@ impl YodaInstance {
             entry.buffered.push(seg);
             return;
         }
+        let (src, dst) = rk;
         if self.dur.is_degraded() {
             // Store brownout: a recovery read would only add load to the
             // browning servers and stall for the full op timeout. Shed
@@ -43,19 +44,16 @@ impl YodaInstance {
             // store heals.
             self.shed_reads += 1;
             self.dropped_unknown += 1;
-            ctx.trace_note(format_args!(
-                "degraded: shed recovery lookup {}->{}",
-                rk.0, rk.1
-            ));
+            ctx.trace(Note::RecoveryShed { src, dst });
             return;
         }
         // Two hypotheses, looked up in parallel: this is the client side
         // of a flow (flow:/syn: keys) or the server side (rflow: key).
-        ctx.trace_note(format_args!("recovery lookup for {}->{}", rk.0, rk.1));
+        ctx.trace(Note::RecoveryLookup { src, dst });
         for key in [
-            FlowRecord::key(rk.0, rk.1),
-            SynRecord::key(rk.0, rk.1),
-            FlowRecord::rkey(rk.0, rk.1),
+            FlowRecord::key(src, dst),
+            SynRecord::key(src, dst),
+            FlowRecord::rkey(src, dst),
         ] {
             self.dur.read(ctx, key, Waiter::Recover(rk));
         }
@@ -93,11 +91,11 @@ impl YodaInstance {
             return;
         };
         let (env, delay) = (self.env(ctx.now()), SimTime::ZERO);
-        // `from`: the backend of a recovered established flow; `None` for
-        // a connection-phase one.
-        let (key, flow, from) = if let Some(rec) = entry.flow_hit {
-            let key = (rec.client, rec.vip);
-            if self.flows.contains_key(&key) {
+        // `backend`: that of a recovered established flow; `None` for a
+        // connection-phase one.
+        let (key, flow, backend) = if let Some(rec) = entry.flow_hit {
+            let (client, vip) = (rec.client, rec.vip);
+            if self.flows.contains_key(&(client, vip)) {
                 // This instance already owns live state for the flow — the
                 // store record is stale relative to local memory (e.g. a
                 // mid-connection backend switch is in flight and a residual
@@ -105,44 +103,33 @@ impl YodaInstance {
                 // table). Recovery exists for flows orphaned by a *dead*
                 // instance; installing the stale record here would clobber
                 // the live state, so drop the trigger packet instead.
-                ctx.trace_note(format_args!(
-                    "ignored stale recovery for {}->{} (flow is live)",
-                    key.0, key.1
-                ));
+                ctx.trace(Note::StaleRecovery { client, vip });
                 return;
             }
             let (cert_len, out) = (self.cert_len(rec.vip), &mut self.actions);
             let flow = Flow::recover(rec, cert_len, &mut Io { env, delay, out });
-            (key, flow, Some(rec.backend))
+            ((client, vip), flow, Some(rec.backend))
         } else if let Some(syn) = entry.syn_hit {
             let key = (syn.client, syn.vip);
             let flow = Flow::recover_syn(syn, self.cert_len(syn.vip), env.now);
             (key, flow, None)
         } else {
             // Total miss: not ours, drop everything buffered.
-            self.dropped_unknown += entry.buffered.len() as u64;
-            ctx.trace_note(format_args!(
-                "recovery MISS for {}->{} ({} pkts dropped)",
-                rk.0,
-                rk.1,
-                entry.buffered.len()
-            ));
+            let ((src, dst), dropped) = (rk, entry.buffered.len());
+            self.dropped_unknown += dropped as u64;
+            ctx.trace(Note::RecoveryMiss { src, dst, dropped });
             return;
         };
         self.recoveries += 1;
         move_load(&mut self.select_ctx.loads, None, flow.load_backend());
         self.flows.insert(key, Slot::Live(Box::new(flow)));
         self.apply(ctx, key);
-        match from {
-            Some(backend) => ctx.trace_note(format_args!(
-                "recovered flow {}->{} backend {backend} from TCPStore",
-                key.0, key.1
-            )),
-            None => ctx.trace_note(format_args!(
-                "recovered connection-phase flow {}->{} from TCPStore",
-                key.0, key.1
-            )),
-        }
+        let (client, vip) = key;
+        ctx.trace(Note::Recovered {
+            client,
+            vip,
+            backend,
+        });
         for seg in entry.buffered {
             self.handle_segment(ctx, rk, seg);
         }

@@ -7,7 +7,7 @@
 // The whole file is test-only (`#[cfg(test)] mod tests;` in the parent);
 // the marker here says so to tools that read files one at a time.
 #[cfg(test)]
-use yoda_netsim::{Engine, NodeId, Topology, Zone};
+use yoda_netsim::{DropCause, Engine, Fate, NodeId, Topology, What, Zone};
 use yoda_tcp::Flags;
 use yoda_tcpstore::{StoreServer, StoreServerConfig};
 
@@ -880,15 +880,25 @@ fn every_exit_route_releases_the_flow() {
 }
 
 /// What the instance put on the wire since the trace was enabled: every
-/// packet it handed to the engine, in order (the reset segments have no
-/// route in this rig and are traced as drops, still in send order).
+/// packet it handed to the engine, in order. A routed packet is traced
+/// once as sent (a later loss is a second event for the same packet);
+/// the reset segments have no route in this rig and are traced only as
+/// no-route drops, still in send order. Packets delivered *to* the
+/// instance are attributed to it too, and are not its wire.
 fn wire_of(r: &Rig) -> Vec<(Endpoint, Endpoint, yoda_netsim::Protocol)> {
     r.eng
         .trace()
         .events()
-        .into_iter()
         .filter(|ev| r.eng.node_name(ev.node) == "inst")
-        .filter_map(|ev| Some((ev.src?, ev.dst?, ev.protocol?)))
+        .filter_map(|ev| match ev.what {
+            What::Packet {
+                src,
+                dst,
+                protocol,
+                fate: Fate::Sent | Fate::Dropped(DropCause::NoRoute),
+            } => Some((src, dst, protocol)),
+            _ => None,
+        })
         .collect()
 }
 

@@ -10,7 +10,6 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 use crate::addr::Addr;
 // AddrMap (not Hash*): deterministic fixed-hash table with a lookup-only
@@ -22,7 +21,7 @@ use crate::packet::Packet;
 use crate::rng::Rng;
 use crate::time::SimTime;
 use crate::topology::{Topology, Zone};
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
+use crate::trace::{DropCause, Fate, Note, TraceEvent, TraceSink, What};
 use crate::wheel::{TimerWheel, WheelItem};
 /// Index of a node within the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -184,31 +183,33 @@ impl EngineCore {
         }));
     }
 
-    fn record_packet(&mut self, node: NodeId, kind: TraceKind, pkt: &Packet, detail: &str) {
-        self.trace_event(node, kind, Some(pkt), detail);
+    /// Traces a packet event; the packet is read only when tracing is on.
+    #[inline]
+    fn record_packet(&mut self, node: NodeId, pkt: &Packet, fate: Fate) {
+        if self.trace.is_enabled() {
+            let (src, dst, protocol) = (pkt.src, pkt.dst, pkt.protocol);
+            self.trace_event(
+                node,
+                What::Packet {
+                    src,
+                    dst,
+                    protocol,
+                    fate,
+                },
+            );
+        }
     }
 
-    /// Records one trace event at the current time; `detail` is
-    /// formatted only when tracing is on.
-    fn trace_event(
-        &mut self,
-        node: NodeId,
-        kind: TraceKind,
-        pkt: Option<&Packet>,
-        detail: impl fmt::Display,
-    ) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        self.trace.record(TraceEvent {
-            time: self.time,
-            node,
-            kind,
-            src: pkt.map(|p| p.src),
-            dst: pkt.map(|p| p.dst),
-            protocol: pkt.map(|p| p.protocol),
-            detail: detail.to_string(),
-        });
+    /// Counts a dropped packet and traces why.
+    fn drop_packet(&mut self, node: NodeId, pkt: &Packet, cause: DropCause) {
+        self.packets_dropped += 1;
+        self.record_packet(node, pkt, Fate::Dropped(cause));
+    }
+
+    /// Records one trace event at the current time.
+    fn trace_event(&mut self, node: NodeId, what: What) {
+        let time = self.time;
+        self.trace.record(TraceEvent { time, node, what });
     }
 
     /// The send path: routing, egress partition, link model (RNG),
@@ -218,21 +219,15 @@ impl EngineCore {
         let from_zone = self.meta(from.0).zone;
         let to_id = match self.addr_map.get(pkt.dst.addr) {
             Some(id) => id,
-            None => {
-                self.packets_dropped += 1;
-                self.record_packet(from, TraceKind::PacketDropped, &pkt, "no route");
-                return;
-            }
+            None => return self.drop_packet(from, &pkt, DropCause::NoRoute),
         };
         let to_zone = self.meta(to_id).zone;
         self.packets_sent += 1;
-        self.record_packet(from, TraceKind::PacketSent, &pkt, "");
+        self.record_packet(from, &pkt, Fate::Sent);
         if self.meta(from.0).cut_out {
             // Egress-partitioned sender: the packet never reaches the
             // wire, consuming no link randomness.
-            self.packets_dropped += 1;
-            self.record_packet(from, TraceKind::PacketDropped, &pkt, "partitioned");
-            return;
+            return self.drop_packet(from, &pkt, DropCause::Partitioned);
         }
         let now = self.time + extra_delay;
         let wire = pkt.wire_len();
@@ -243,11 +238,7 @@ impl EngineCore {
             Some(at) => {
                 let at = match self.degrade_delivery(from.0, to_id, at) {
                     Some(at) => at,
-                    None => {
-                        self.packets_dropped += 1;
-                        self.record_packet(from, TraceKind::PacketDropped, &pkt, "link degrade");
-                        return;
-                    }
+                    None => return self.drop_packet(from, &pkt, DropCause::LinkDegrade),
                 };
                 // Packets ride the timing wheel, stored inline in the
                 // wheel's slab: O(1) amortized arm/pop versus the heap's
@@ -286,7 +277,7 @@ impl EngineCore {
                         match self.degrade_delivery(from.0, to_id, at2) {
                             Some(at2) => {
                                 self.packets_sent += 1;
-                                self.record_packet(from, TraceKind::PacketDuplicated, &copy, "");
+                                self.record_packet(from, &copy, Fate::Duplicated);
                                 let seq2 = self.seq;
                                 self.seq += 1;
                                 self.wheel.arm(
@@ -296,23 +287,12 @@ impl EngineCore {
                                     WheelItem::Packet { pkt: copy, dst },
                                 );
                             }
-                            None => {
-                                self.packets_dropped += 1;
-                                self.record_packet(
-                                    from,
-                                    TraceKind::PacketDropped,
-                                    &copy,
-                                    "link degrade",
-                                );
-                            }
+                            None => self.drop_packet(from, &copy, DropCause::LinkDegrade),
                         }
                     }
                 }
             }
-            None => {
-                self.packets_dropped += 1;
-                self.record_packet(from, TraceKind::PacketDropped, &pkt, "link loss");
-            }
+            None => self.drop_packet(from, &pkt, DropCause::LinkLoss),
         }
     }
 
@@ -432,12 +412,10 @@ impl Ctx<'_> {
         self.core.wheel.cancel(id.slot, id.id);
     }
 
-    /// Records a free-form annotation in the trace; the arguments are
-    /// formatted only when tracing is on.
+    /// Records this node's annotation in the trace.
     #[inline]
-    pub fn trace_note(&mut self, detail: fmt::Arguments<'_>) {
-        self.core
-            .trace_event(self.node, TraceKind::Note, None, detail);
+    pub fn trace(&mut self, note: Note) {
+        self.core.trace_event(self.node, What::Note(note));
     }
 
     /// Looks up which node currently owns an address (if any, and alive).
@@ -484,7 +462,7 @@ impl Engine {
                 rng: Rng::seed_from_u64(seed),
                 seed,
                 topology,
-                trace: TraceSink::disabled(),
+                trace: TraceSink::default(),
                 next_timer_id: 0,
                 packets_sent: 0,
                 packets_dropped: 0,
@@ -637,7 +615,7 @@ impl Engine {
     pub fn fail_node(&mut self, id: NodeId) {
         let meta = self.core.meta_mut(id.0);
         meta.alive = false;
-        self.core.trace_event(id, TraceKind::NodeFailed, None, "");
+        self.core.trace_event(id, What::NodeFailed);
     }
 
     /// Partitions a node from the network without killing it: packets to
@@ -650,13 +628,8 @@ impl Engine {
         let meta = self.core.meta_mut(id.0);
         meta.cut_in = cut_in;
         meta.cut_out = cut_out;
-        let detail = match (cut_in, cut_out) {
-            (true, true) => "partitioned",
-            (true, false) => "partitioned (ingress)",
-            (false, true) => "partitioned (egress)",
-            (false, false) => "healed",
-        };
-        self.core.trace_event(id, TraceKind::Note, None, detail);
+        self.core
+            .trace_event(id, What::Partition { cut_in, cut_out });
     }
 
     /// Fully partitions a node (both directions).
@@ -693,17 +666,8 @@ impl Engine {
             (true, false) => self.core.degraded_nodes -= 1,
             _ => {}
         }
-        if active {
-            self.core.trace_event(
-                id,
-                TraceKind::Note,
-                None,
-                format_args!("link degrade loss={loss:.2} jitter={jitter}"),
-            );
-        } else {
-            self.core
-                .trace_event(id, TraceKind::Note, None, "link degrade cleared");
-        }
+        self.core
+            .trace_event(id, What::LinkDegrade { loss, jitter });
     }
 
     /// Whether the node's links are currently degraded.
@@ -720,7 +684,7 @@ impl Engine {
         meta.alive = true;
         meta.generation += 1;
         *self.slot(id) = Some(fresh);
-        self.core.trace_event(id, TraceKind::NodeRestored, None, "");
+        self.core.trace_event(id, What::NodeRestored);
         self.core.push(
             self.core.time,
             Box::new(move |eng: &mut Engine| {
@@ -884,9 +848,7 @@ impl Engine {
                         fnv_fold(self.core.digest, 1u64 ^ (pkt.dst.addr.as_u32() as u64) << 8);
                     let id = NodeId(dst as usize);
                     if !self.core.meta(id.0).alive {
-                        self.core.packets_dropped += 1;
-                        self.core
-                            .record_packet(id, TraceKind::PacketDropped, &pkt, "dead node");
+                        self.core.drop_packet(id, &pkt, DropCause::DeadNode);
                         return true;
                     }
                     if self.core.meta(id.0).cut_in {
@@ -894,13 +856,10 @@ impl Engine {
                         // cannot hear the network; in-flight packets die
                         // here too. Digest already folded above, so a
                         // partition never reorders surviving events.
-                        self.core.packets_dropped += 1;
-                        self.core
-                            .record_packet(id, TraceKind::PacketDropped, &pkt, "partitioned");
+                        self.core.drop_packet(id, &pkt, DropCause::Partitioned);
                         return true;
                     }
-                    self.core
-                        .record_packet(id, TraceKind::PacketDelivered, &pkt, "");
+                    self.core.record_packet(id, &pkt, Fate::Delivered);
                     self.with_node(id, |node, ctx| node.on_packet(ctx, pkt));
                 }
             }
@@ -1374,8 +1333,15 @@ mod tests {
         let dups = eng
             .trace()
             .events()
-            .iter()
-            .filter(|e| e.kind == TraceKind::PacketDuplicated)
+            .filter(|e| {
+                matches!(
+                    e.what,
+                    What::Packet {
+                        fate: Fate::Duplicated,
+                        ..
+                    }
+                )
+            })
             .count();
         assert!(dups >= 3, "expected duplication trace events, got {dups}");
     }

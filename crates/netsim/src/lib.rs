@@ -68,4 +68,4 @@ pub use slab::{Slab, SlabKey};
 pub use stats::Histogram;
 pub use time::SimTime;
 pub use topology::{LinkSpec, OverrideId, Topology, Zone};
-pub use trace::{TraceEvent, TraceKind, TraceSink};
+pub use trace::{DropCause, Fate, Note, TraceEvent, TraceSink, What};

@@ -21,7 +21,9 @@
 //!   op's bookkeeping is one vector, its `targets`;
 //! * picking a backend for a new connection (`RuleTable::select`) makes at
 //!   most one allocation, a live-backend list, on a split, a least-loaded
-//!   and a sticky-hit rule.
+//!   and a sticky-hit rule;
+//! * an enabled trace records a dropped packet and a node's note without
+//!   allocating: an event is typed data, not text.
 //!
 //! The allocator also keeps the bytes this thread holds, which pins what
 //! per-connection and set-up state costs to keep:
@@ -49,8 +51,8 @@ use yoda::http::site::MAX_OBJECT_BYTES;
 use yoda::http::{HttpRequest, SiteCatalog, SiteConfig};
 use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
 use yoda::netsim::{
-    Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, Rng, SimTime, TimerToken, Topology, Zone,
-    PROTO_IPIP,
+    Addr, Ctx, DropCause, Endpoint, Engine, Fate, Node, NodeId, Note, Packet, Rng, SimTime,
+    TimerToken, Topology, TraceEvent, What, Zone, PROTO_IPIP, PROTO_TCP,
 };
 use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpEvent, TcpStack, Translation};
 use yoda::tcpstore::{
@@ -855,4 +857,49 @@ fn a_rule_selection_allocates_at_most_the_live_list() {
             assert_eq!(pick, first, "the session stuck");
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Tracing
+// ----------------------------------------------------------------------
+
+/// An enabled trace records an event as plain `Copy` data into its ring,
+/// which `enable_trace` sized up front: a dropped packet and a node's note
+/// allocate nothing (each built a `String` of text before events were
+/// typed), and an event stays no larger than the 72 bytes it was then.
+#[test]
+fn a_traced_drop_and_note_allocate_nothing() {
+    assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+    let from = Endpoint::new(Addr::new(10, 0, 0, 1), 40_000);
+    let nowhere = Endpoint::new(Addr::new(10, 9, 9, 9), 80);
+    let mut eng = Engine::new(1);
+    let node = eng.add_node("node", from.addr, Zone::Dc, sink());
+    eng.enable_trace(1 << 10);
+    let note = Note::RecoveryLookup {
+        src: from,
+        dst: nowhere,
+    };
+    let record = |eng: &mut Engine| {
+        let pkt = Packet::new(from, nowhere, PROTO_TCP, Bytes::new());
+        allocations(|| {
+            eng.with_node_ctx::<Sink>(node, |_, ctx| {
+                ctx.send(pkt);
+                ctx.trace(note);
+            })
+        })
+        .0
+    };
+    for _ in 0..8 {
+        record(&mut eng);
+    }
+    assert_eq!(record(&mut eng), 0, "a no-route drop and a note");
+    let last: Vec<What> = eng.trace().events().map(|ev| ev.what).collect();
+    let dropped = What::Packet {
+        src: from,
+        dst: nowhere,
+        protocol: PROTO_TCP,
+        fate: Fate::Dropped(DropCause::NoRoute),
+    };
+    assert_eq!(last.len(), 18, "both were recorded, each time");
+    assert_eq!(last[16..], [dropped, What::Note(note)]);
 }

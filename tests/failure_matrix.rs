@@ -9,7 +9,7 @@ use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{BrowserClient, BrowserConfig, OriginServer};
 use yoda::l4lb::rendezvous_pick;
-use yoda::netsim::{Addr, Endpoint, NodeId, SimTime, Zone};
+use yoda::netsim::{Addr, Endpoint, NodeId, SimTime, What, Zone};
 
 /// Runs one flow with an instance failure at `fail_ms` (absolute), and
 /// returns (completed, broken, recovered).
@@ -348,7 +348,7 @@ fn spliced_probe() -> (u64, SimTime, Vec<(&'static str, NodeId)>) {
     let vip = tb.vips[0];
     let mut flows: Vec<(Endpoint, Endpoint)> = Vec::new();
     for ev in tb.engine.trace().events() {
-        let (Some(src), Some(dst)) = (ev.src, ev.dst) else {
+        let What::Packet { src, dst, .. } = ev.what else {
             continue;
         };
         let to_backend = src.addr == vip.addr && tb.service_backends[0].contains(&dst);
