@@ -220,7 +220,7 @@ fn extract_timeline(engine: &yoda_netsim::Engine, around: SimTime) -> Vec<String
     let mut sent = [0u32; 36];
     let mut received = [0u32; 36];
     let mut annotations: Vec<(SimTime, String)> = Vec::new();
-    for ev in trace.events().filter(|ev| (lo..=hi).contains(&ev.time)) {
+    for ev in trace.events().filter(|ev| lo <= ev.time && ev.time <= hi) {
         let node = engine.node_name(ev.node);
         let (src, dst, fate) = match ev.what {
             What::NodeFailed => {

@@ -1347,6 +1347,21 @@ mod tests {
     }
 
     #[test]
+    fn node_name_survives_a_foreign_id() {
+        // An id the engine never handed out must not panic: naming the
+        // nodes of a trace can't be able to take down a run.
+        let mut eng = Engine::new(1);
+        let id = eng.add_node(
+            "pinger",
+            Addr::new(10, 0, 0, 1),
+            Zone::Dc,
+            Box::new(Ponger { received: 0 }),
+        );
+        assert_eq!(eng.node_name(id), "pinger");
+        assert_eq!(eng.node_name(NodeId(7)), "?");
+    }
+
+    #[test]
     fn duplication_runs_are_deterministic() {
         let run = || {
             let mut topo = Topology::uniform(SimTime::from_millis(1));

@@ -865,8 +865,7 @@ fn a_rule_selection_allocates_at_most_the_live_list() {
 
 /// An enabled trace records an event as plain `Copy` data into its ring,
 /// which `enable_trace` sized up front: a dropped packet and a node's note
-/// allocate nothing (each built a `String` of text before events were
-/// typed), and an event stays no larger than the 72 bytes it was then.
+/// allocate nothing, and an event is 48 bytes, no text.
 #[test]
 fn a_traced_drop_and_note_allocate_nothing() {
     assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
