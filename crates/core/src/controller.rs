@@ -26,8 +26,9 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use yoda_l4lb::CtrlMsg;
-use yoda_netsim::Note;
-use yoda_netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_PING};
+use yoda_netsim::{
+    Addr, Ctx, Endpoint, Node, Note, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_PING,
+};
 
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};
 
