@@ -97,13 +97,27 @@ impl YodaInstance {
             let (client, vip) = (rec.client, rec.vip);
             if self.flows.contains_key(&(client, vip)) {
                 // This instance already owns live state for the flow — the
-                // store record is stale relative to local memory (e.g. a
-                // mid-connection backend switch is in flight and a residual
-                // packet from the severed old backend missed the rflow
-                // table). Recovery exists for flows orphaned by a *dead*
-                // instance; installing the stale record here would clobber
-                // the live state, so drop the trigger packet instead.
-                ctx.trace(Note::StaleRecovery { client, vip });
+                // store record is stale relative to local memory: the
+                // flow's other leg won a lookup of its own while this one
+                // was in flight, or a mid-connection backend switch is in
+                // flight and a residual packet from the severed old
+                // backend missed the rflow table. Installing the record
+                // would clobber the live state. Parked packets that now
+                // resolve to a live flow go to it; the rest are dropped.
+                let key = self.rflows.get(&rk).copied().unwrap_or(rk);
+                let (resolves, parked) = (self.flows.contains_key(&key), entry.buffered);
+                let dropped = if resolves { 0 } else { parked.len() };
+                self.dropped_unknown += dropped as u64;
+                ctx.trace(Note::StaleRecovery {
+                    client,
+                    vip,
+                    dropped,
+                });
+                if resolves {
+                    for seg in parked {
+                        self.handle_segment(ctx, rk, seg);
+                    }
+                }
                 return;
             }
             let (cert_len, out) = (self.cert_len(rec.vip), &mut self.actions);

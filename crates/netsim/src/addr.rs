@@ -26,7 +26,7 @@ use core::str::FromStr;
 /// assert_eq!(format!("{a}"), "10.0.0.7");
 /// assert_eq!(Addr::from_u32(a.as_u32()), a);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u32);
 
 impl Addr {

@@ -103,8 +103,14 @@ pub enum Note {
     RecoveryShed { src: Endpoint, dst: Endpoint },
     /// An instance asked TCPStore about a flow it has never seen.
     RecoveryLookup { src: Endpoint, dst: Endpoint },
-    /// A lookup found a flow the instance already holds live; ignored.
-    StaleRecovery { client: Endpoint, vip: Endpoint },
+    /// A lookup found a flow the instance already holds live; its record
+    /// is ignored, and parked packets that resolve to no live flow are
+    /// dropped.
+    StaleRecovery {
+        client: Endpoint,
+        vip: Endpoint,
+        dropped: usize,
+    },
     /// TCPStore knew nothing of the flow; its parked packets were dropped.
     RecoveryMiss {
         src: Endpoint,
@@ -144,7 +150,7 @@ impl Note {
         let named = match *self {
             RecoveryShed { src, dst } | RecoveryLookup { src, dst } => [Some(src), Some(dst), None],
             RecoveryMiss { src, dst, .. } => [Some(src), Some(dst), None],
-            StaleRecovery { client, vip } => [Some(client), Some(vip), None],
+            StaleRecovery { client, vip, .. } => [Some(client), Some(vip), None],
             Recovered {
                 client,
                 vip,
@@ -165,9 +171,14 @@ impl fmt::Display for Note {
         match self {
             RecoveryShed { src, dst } => write!(f, "degraded: shed recovery lookup {src}->{dst}"),
             RecoveryLookup { src, dst } => write!(f, "recovery lookup for {src}->{dst}"),
-            StaleRecovery { client: c, vip: v } => {
-                write!(f, "ignored stale recovery for {c}->{v} (flow is live)")
-            }
+            StaleRecovery {
+                client: c,
+                vip: v,
+                dropped,
+            } => write!(
+                f,
+                "ignored stale recovery for {c}->{v} (flow is live, {dropped} pkts dropped)"
+            ),
             RecoveryMiss { src, dst, dropped } => {
                 write!(f, "recovery MISS for {src}->{dst} ({dropped} pkts dropped)")
             }

@@ -51,6 +51,13 @@ echo "==> spliced flow, killed at every step"
 cargo test --release -q --test failure_matrix -- --ignored --nocapture \
     | grep -E "kills needed an RTO|cases over"
 
+echo "==> controller model, two verdicts deeper"
+# Tier-1 checks every sequence of up to K monitor verdicts against the
+# model (tests/controller_model.rs); this runs K + 2 and prints the
+# count of distinct states it reached.
+cargo test --release -q --test controller_model -- --ignored --nocapture \
+    | grep "controller model:"
+
 echo "==> bench_engine (smoke)"
 # Events/sec delta vs the committed BENCH_engine.json. Report-only:
 # wall-clock throughput is machine-dependent, so a delta here must never

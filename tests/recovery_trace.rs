@@ -13,9 +13,10 @@
 //! The bed also forces the one race that reaches the stale-recovery
 //! path: the flow's other leg reaches the survivor while the first
 //! leg's lookup is in flight. Both lookups hit; the second finds the
-//! flow live and is ignored, so a recovery emitted there would break
-//! the first two invariants. The same bed and seed without a kill
-//! looks nothing up and recovers nothing.
+//! flow live, so its record is ignored (a recovery emitted there would
+//! break the first two invariants) and its parked segment, which now
+//! resolves to the live flow, is fed to it: none is dropped. The same
+//! bed and seed without a kill looks nothing up and recovers nothing.
 //!
 //! Per instance, one flow may be recovered once, not once per flow
 //! overall: where a flow's two legs are steered to two survivors, each
@@ -180,6 +181,14 @@ fn each_recovery_is_one_traced_event_of_a_flow_the_killed_instance_carried() {
     }
     let stale = notes(&tb, |n| matches!(n, Note::StaleRecovery { .. }));
     assert!(!stale.is_empty(), "the race reached the stale path");
+    for (_, note) in stale {
+        // The raced segment resolves to the flow the first lookup
+        // rebuilt, so it is fed to it, not dropped.
+        assert!(
+            matches!(note, Note::StaleRecovery { dropped: 0, .. }),
+            "{note}"
+        );
+    }
 }
 
 #[test]
