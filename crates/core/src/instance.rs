@@ -411,9 +411,7 @@ impl YodaInstance {
                 Action::Map(backend) => {
                     self.rflows.insert((backend, vss), key);
                 }
-                Action::Unmap(backend) => {
-                    self.rflows.remove(&(backend, vss));
-                }
+                Action::Unmap(backend) => self.unmap(backend, key),
                 Action::ConnLatency(d) => self.conn_latency.record_time_ms(d),
                 Action::Count(Counter::Request) => {
                     self.requests += 1;
@@ -445,8 +443,7 @@ impl YodaInstance {
             Exit::StoreTimeout | Exit::Stuck => {}
             Exit::PortReuse | Exit::Drained | Exit::BackendDown => {
                 if let Some(backend) = slot.backend() {
-                    let vss = Endpoint::new(key.1.addr, key.0.port);
-                    self.rflows.remove(&(backend, vss));
+                    self.unmap(backend, key);
                 }
                 if why == Exit::BackendDown {
                     let (env, delay) = (self.env(ctx.now()), SimTime::ZERO);
@@ -455,6 +452,18 @@ impl YodaInstance {
                     self.apply(ctx, key);
                 }
             }
+        }
+    }
+
+    /// Drops flow `key`'s reverse mapping from `backend`, if it still
+    /// names `key`. The instance's side of the backend connection is the
+    /// VIP and the client's port, so two clients on one source port share
+    /// it: a newer flow may have re-mapped it, and is not this flow's to
+    /// drop.
+    fn unmap(&mut self, backend: Endpoint, key: FlowKey) {
+        let pair = (backend, Endpoint::new(key.1.addr, key.0.port));
+        if self.rflows.get(&pair) == Some(&key) {
+            self.rflows.remove(&pair);
         }
     }
 

@@ -11,7 +11,10 @@
 //!   records once more;
 //! * after linger and gc the flow is gone, and so is its reverse mapping:
 //!   a late backend packet is another instance's flow to the instance,
-//!   so it asks TCPStore (three reads) rather than hitting a stale entry.
+//!   so it asks TCPStore (three reads) rather than hitting a stale entry;
+//! * but a reverse mapping that a second client on the same source port
+//!   took over while the flow lingered stays, and keeps carrying that
+//!   client's flow.
 //!
 //! One instance, one store and two recording endpoints; the test crafts
 //! every client and backend segment and injects it as a mux would.
@@ -138,14 +141,19 @@ impl Rig {
     /// SYN with ISN `isn`, request, backend handshake: the flow tunnels and
     /// its request has reached the backend. Returns the SYN-ACK's ISN.
     fn handshake(&mut self, isn: u32) -> u32 {
-        self.client_sends(seg(Flags::SYN, isn, 0, b""));
-        let (_, _, syn_ack) = self.last(self.client);
+        self.handshake_from(client(), self.client, isn)
+    }
+
+    /// [`Rig::handshake`] from the client at `from`, recorded by `node`.
+    fn handshake_from(&mut self, from: Endpoint, node: NodeId, isn: u32) -> u32 {
+        self.inject(from, vip(), seg(Flags::SYN, isn, 0, b""));
+        let (_, _, syn_ack) = self.last(node);
         assert_eq!(
             (syn_ack.flags, syn_ack.ack),
             (Flags::SYN_ACK, SeqNum::new(isn + 1))
         );
         let y = syn_ack.seq - SeqNum::new(0);
-        self.client_sends(seg(Flags::ACK, isn + 1, y + 1, REQ));
+        self.inject(from, vip(), seg(Flags::ACK, isn + 1, y + 1, REQ));
         let (_, to, syn) = self.last(self.backend);
         assert_eq!(
             (to, syn.flags, syn.seq),
@@ -256,4 +264,34 @@ fn after_linger_and_gc_the_flow_and_its_reverse_mapping_are_gone() {
     assert_eq!(r.store().gets - gets, 3, "a recovery lookup, not a mapping");
     assert_eq!(r.inst().dropped_unknown - dropped, 1, "and a miss");
     assert_eq!(r.inst().live_flows(), 0);
+}
+
+#[test]
+fn retiring_a_drained_flow_leaves_a_newer_flows_mapping_on_its_port() {
+    // A second client on the same source port shares the instance's side
+    // of the backend connection (the VIP and that port). Its flow takes
+    // the backend while the first one lingers and re-maps that side; the
+    // first flow's retirement must not drop the mapping, or the second
+    // flow's backend packets would take the recovery path.
+    let mut r = Rig::drained();
+    let other = Endpoint::new(Addr::new(172, 16, 0, 10), client().port);
+    let node = r.eng.add_node(
+        "other",
+        other.addr,
+        Zone::External,
+        Box::<Recorder>::default(),
+    );
+    let isn = 70_000;
+    let y = r.handshake_from(other, node, isn);
+    assert_eq!(r.inst().live_flows(), 2);
+    // Past the first flow's linger and the next gc.
+    r.eng.run_for(SimTime::from_secs(8));
+    assert_eq!(r.inst().live_flows(), 1, "only the newer flow is left");
+    let (gets, dropped) = (r.store().gets, r.inst().dropped_unknown);
+    r.backend_sends(seg(Flags::ACK, S_ISN + 1, isn + 1 + REQ.len() as u32, RESP));
+    let (from, to, data) = r.last(node);
+    assert_eq!((from, to, &data.payload[..]), (vip(), other, RESP));
+    assert_eq!(data.seq, SeqNum::new(y + 1));
+    assert_eq!(r.store().gets - gets, 0, "no recovery lookup");
+    assert_eq!(r.inst().dropped_unknown, dropped);
 }
