@@ -69,6 +69,10 @@ struct Member {
     ep: Endpoint,
     role: Role,
     health: Health,
+    /// For an instance believed failed: the backends whose `BackendUp`
+    /// it missed. It may come back holding its old dead set (a healed
+    /// partition), so it hears them when it recovers.
+    missed_ups: Vec<Endpoint>,
 }
 
 #[derive(Debug, Clone)]
@@ -141,8 +145,13 @@ pub struct Fleet {
 
 impl Fleet {
     pub(super) fn register(&mut self, ep: Endpoint, role: Role) {
-        let health = Health::Up;
-        self.members.push(Member { ep, role, health });
+        let (health, missed_ups) = (Health::Up, Vec::new());
+        self.members.push(Member {
+            ep,
+            role,
+            health,
+            missed_ups,
+        });
     }
 
     /// Every member's endpoint, health and whether it is an instance (the
@@ -376,17 +385,39 @@ impl Fleet {
 
     /// Sends a backend verdict to every instance not believed failed: a
     /// derated instance still carries flows, and a spare must know the
-    /// dead set before the autoscaler puts it in rotation.
-    fn verdict(&self, out: &mut Vec<Out>, msg: InstanceCtrl) {
-        for m in &self.members {
-            if matches!(m.role, Role::Instance(_)) && m.health.alive() {
-                send(out, m.ep.addr, msg.clone());
+    /// dead set before the autoscaler puts it in rotation. An instance
+    /// believed failed keeps a `BackendUp` it misses for its recovery.
+    fn verdict(&mut self, out: &mut Vec<Out>, msg: InstanceCtrl) {
+        for m in &mut self.members {
+            if !matches!(m.role, Role::Instance(_)) {
+                continue;
+            }
+            match msg {
+                _ if m.health.alive() => send(out, m.ep.addr, msg.clone()),
+                BackendUp { backend } if !m.missed_ups.contains(&backend) => {
+                    m.missed_ups.push(backend);
+                }
+                _ => {}
             }
         }
     }
 
-    /// Sends `inst` a `BackendDown` for every backend believed dead.
-    fn tell_dead(&self, out: &mut Vec<Out>, inst: Addr) {
+    /// Sends a recovered `inst` what it may lack: a `BackendUp` for each
+    /// backend that came back while it was believed failed and is still
+    /// up (it may have kept its dead set), then a `BackendDown` for every
+    /// backend believed dead (it may have restarted empty).
+    fn tell_dead(&mut self, out: &mut Vec<Out>, inst: Addr) {
+        let instance = |m: &&mut Member| m.ep.addr == inst && matches!(m.role, Role::Instance(_));
+        let missed = match self.members.iter_mut().find(instance) {
+            Some(m) => std::mem::take(&mut m.missed_ups),
+            None => Vec::new(),
+        };
+        for backend in missed {
+            let up = |m: &Member| m.ep == backend && m.role == Role::Backend && m.health.alive();
+            if self.members.iter().any(up) {
+                send(out, inst, BackendUp { backend });
+            }
+        }
         for m in &self.members {
             if m.role == Role::Backend && m.health == Health::Failed {
                 send(out, inst, BackendDown { backend: m.ep });

@@ -8,8 +8,10 @@
 //! derated), dedups states on
 //! a hash of the fleet and the model (no version counters), and folds
 //! each message into the model: each mux's VIP map, applied by version,
-//! and each instance's set of backends it holds dead. A member that
-//! fails is assumed to restart empty. After every verdict:
+//! and each instance's set of backends it holds dead. The search runs
+//! twice, once under each reading of a death verdict: the member
+//! restarted empty, or it kept its state (a partition that healed).
+//! After every verdict:
 //!
 //! * each instance not believed failed holds exactly the true down set;
 //! * each live mux maps each VIP to exactly its assigned instances in
@@ -72,6 +74,9 @@ const MEMBERS: [(Kind, Addr); 8] = [
 /// The fleet and, beside it, what its messages did and what is true.
 #[derive(Clone)]
 struct World {
+    /// A member declared failed keeps its maps and its dead set, rather
+    /// than restarting with nothing.
+    keeps_state: bool,
     fleet: Fleet,
     /// The truth the verdicts so far imply, per member.
     health: [Health; 8],
@@ -84,7 +89,7 @@ struct World {
 }
 
 impl World {
-    fn new() -> World {
+    fn new(keeps_state: bool) -> World {
         // Registered through a controller, as a testbed does.
         let mut c = Controller::new(ControllerConfig::default(), Addr::new(10, 0, 4, 1));
         c.set_l4(ROUTER, MUXES.to_vec());
@@ -94,6 +99,7 @@ impl World {
         c.register_store(STORE);
         c.monitor_muxes();
         let mut w = World {
+            keeps_state,
             fleet: c.fleet().clone(),
             health: [Health::Up; 8],
             maps: BTreeMap::new(),
@@ -142,8 +148,7 @@ impl World {
         };
         self.health[i] = health;
         let (kind, addr) = MEMBERS[i];
-        if health == Health::Failed {
-            // It may restart with nothing.
+        if health == Health::Failed && !self.keeps_state {
             self.maps.retain(|&(mux, _), _| mux != addr);
             self.down.remove(&addr);
         }
@@ -241,7 +246,10 @@ impl World {
         Ok(())
     }
 
-    /// A hash of the fleet and the model, version counters left out.
+    /// A hash of the fleet and the model, version counters left out (and
+    /// the `BackendUp`s the fleet keeps for an instance believed failed:
+    /// two states of one key differ in them only by backends the
+    /// instance does not hold dead).
     fn key(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.fleet
@@ -250,7 +258,8 @@ impl World {
         self.fleet.active_instances().hash(&mut h);
         self.health.hash(&mut h);
         self.maps.iter().for_each(|(k, (_, m))| (k, m).hash(&mut h));
-        self.down.iter().for_each(|d| d.hash(&mut h));
+        let held = self.down.iter().filter(|(_, dead)| !dead.is_empty());
+        held.for_each(|d| d.hash(&mut h));
         h.finish()
     }
 }
@@ -261,8 +270,8 @@ fn names(eps: &BTreeSet<Endpoint>) -> Vec<String> {
 
 /// Replays `seq` from the bed, skipping verdicts not enabled where they
 /// fall; the first violation, if any.
-fn replay(seq: &[Event]) -> Result<(), String> {
-    let mut w = World::new();
+fn replay(keeps_state: bool, seq: &[Event]) -> Result<(), String> {
+    let mut w = World::new(keeps_state);
     for ev in seq {
         if w.is_enabled(ev) {
             w.step(ev)?;
@@ -288,8 +297,8 @@ fn shrink(mut seq: Vec<Event>, fails: impl Fn(&[Event]) -> bool) -> Vec<Event> {
 
 /// Every verdict sequence up to `k` long, breadth first. Returns the
 /// count of distinct states, or the shrunk failing sequence and why.
-fn explore(k: usize) -> Result<usize, (Vec<Event>, String)> {
-    let start = World::new();
+fn explore(k: usize, keeps_state: bool) -> Result<usize, (Vec<Event>, String)> {
+    let start = World::new(keeps_state);
     let mut seen = BTreeSet::from([start.key()]);
     let mut frontier = vec![(start, Vec::new())];
     for _ in 0..k {
@@ -299,8 +308,8 @@ fn explore(k: usize) -> Result<usize, (Vec<Event>, String)> {
                 let (mut w, mut path) = (w.clone(), path.clone());
                 path.push(ev.clone());
                 if let Err(why) = w.step(&ev) {
-                    let seq = shrink(path, |s| replay(s).is_err());
-                    let why = replay(&seq).err().unwrap_or(why);
+                    let seq = shrink(path, |s| replay(keeps_state, s).is_err());
+                    let why = replay(keeps_state, &seq).err().unwrap_or(why);
                     return Err((seq, why));
                 }
                 if seen.insert(w.key()) {
@@ -313,9 +322,18 @@ fn explore(k: usize) -> Result<usize, (Vec<Event>, String)> {
     Ok(seen.len())
 }
 
-fn run(k: usize) {
-    match explore(k) {
-        Ok(states) => println!("controller model: k = {k}, {states} distinct states"),
+fn run(k: usize, keeps_state: bool) {
+    let failed = if keeps_state {
+        "keeps its state"
+    } else {
+        "restarts empty"
+    };
+    match explore(k, keeps_state) {
+        Ok(states) => {
+            println!(
+                "controller model: a failed member {failed}, k = {k}, {states} distinct states"
+            );
+        }
         Err((seq, why)) => {
             let named: Vec<String> = seq
                 .iter()
@@ -331,20 +349,26 @@ fn run(k: usize) {
                     format!("{ev:?} = {kind:?} {addr}")
                 })
                 .collect();
-            panic!("violated after {named:#?}: {why}");
+            panic!("a failed member {failed}: violated after {named:#?}: {why}");
         }
     }
 }
 
 #[test]
 fn every_verdict_sequence_keeps_the_fleet_consistent() {
-    run(K);
+    run(K, false);
+}
+
+#[test]
+fn every_verdict_sequence_keeps_the_fleet_consistent_when_a_failed_member_keeps_its_state() {
+    run(K, true);
 }
 
 #[test]
 #[ignore = "deeper sweep; scripts/check.sh runs it"]
 fn every_verdict_sequence_keeps_the_fleet_consistent_deeper() {
-    run(K + 2);
+    run(K + 2, false);
+    run(K + 2, true);
 }
 
 #[test]
