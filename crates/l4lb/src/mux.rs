@@ -27,15 +27,14 @@ use crate::{canonical_flow, rendezvous_pick};
 /// Canonical connection key used by the flow table.
 pub type FlowKey = (Endpoint, Endpoint);
 
-/// Minimum spacing between flow/splice table sweeps. Sweeps run
-/// opportunistically on packet arrival, not on a timer (see
-/// `Mux::on_packet`), so an idle mux holds its tables until traffic
-/// returns.
-const MUX_SWEEP_PERIOD: SimTime = SimTime::from_secs(30);
-
-/// How long a flow entry lingers after FIN/RST before the sweep drops it
-/// (covers retransmitted teardown segments).
-const FLOW_DRAIN_LINGER: SimTime = SimTime::from_secs(10);
+/// How long a flow entry lingers after the last packet of a flow that
+/// sent FIN or RST before the sweep drops it (covers retransmitted
+/// teardown segments). The instance's own `DRAIN_LINGER`, and twice the
+/// TCP model's TIME-WAIT: no endpoint keeps the connection longer. It is
+/// also the spacing of the sweeps, which run opportunistically on packet
+/// arrival, not on a timer (see `Mux::on_packet`), so an idle mux holds
+/// its tables until traffic returns.
+const FLOW_DRAIN_LINGER: SimTime = SimTime::from_secs(2);
 
 /// Entries (flow or splice) idle longer than this are dropped by the sweep.
 const FLOW_IDLE_TIMEOUT: SimTime = SimTime::from_secs(600);
@@ -49,12 +48,10 @@ struct VipEntry {
 /// A learned flow-table entry: the owning instance and the deadline past
 /// which the sweep may evict it — 16 bytes a flow.
 ///
-/// FIN/RST starts draining and sets the deadline to the end of the
-/// linger; a fresh SYN on a reused 4-tuple stops draining; any other
-/// packet pushes the idle deadline out, but not while draining. A drain
-/// deadline (the last FIN/RST plus the linger) always comes before the
-/// idle one (the last packet plus the idle timeout), so one deadline
-/// serves both rules.
+/// FIN/RST starts draining, and a fresh SYN on a reused 4-tuple stops
+/// it. Every packet pushes the deadline out: to the end of the linger
+/// while draining, else to the end of the idle timeout. A half-closed
+/// flow whose other side keeps sending keeps its entry.
 #[derive(Debug, Clone, Copy)]
 struct FlowEntry {
     inst: Addr,
@@ -77,17 +74,16 @@ impl FlowEntry {
     /// Refreshes the entry and tracks connection teardown.
     fn touch(&mut self, now: SimTime, flags: Option<Flags>) {
         match flags {
-            Some(f) if f.fin || f.rst => {
-                self.draining = true;
-                self.expires = now + FLOW_DRAIN_LINGER;
-            }
-            Some(f) if f.syn => {
-                self.draining = false;
-                self.expires = now + FLOW_IDLE_TIMEOUT;
-            }
-            _ if !self.draining => self.expires = now + FLOW_IDLE_TIMEOUT,
+            Some(f) if f.fin || f.rst => self.draining = true,
+            Some(f) if f.syn => self.draining = false,
             _ => {}
         }
+        let keep = if self.draining {
+            FLOW_DRAIN_LINGER
+        } else {
+            FLOW_IDLE_TIMEOUT
+        };
+        self.expires = now + keep;
     }
 }
 
@@ -301,9 +297,11 @@ impl Node for Mux {
         // compare per packet and no event, where a periodic timer would
         // be an event per mux per period for the whole run — mostly
         // idle fires, on quiet muxes too. A mux that hears no packets
-        // sweeps nothing and holds no more than it already learned.
+        // sweeps nothing and holds no more than it already learned. Once
+        // per linger: a drained entry goes one linger plus at most one
+        // sweep after its flow's last packet.
         let now = ctx.now();
-        if now.saturating_sub(self.last_sweep) >= MUX_SWEEP_PERIOD {
+        if now.saturating_sub(self.last_sweep) >= FLOW_DRAIN_LINGER {
             self.last_sweep = now;
             self.sweep(now);
         }
@@ -565,7 +563,7 @@ mod tests {
         // The table learned one entry per flow — and the idle sweep returns
         // it to baseline once the flows go quiet past the idle timeout.
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).flow_entries(), 100);
-        t.eng.run_for(FLOW_IDLE_TIMEOUT + MUX_SWEEP_PERIOD);
+        t.eng.run_for(FLOW_IDLE_TIMEOUT + FLOW_DRAIN_LINGER);
         prod_sweep(&mut t);
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).flow_entries(), 0);
     }
@@ -726,7 +724,7 @@ mod tests {
         // The FIN armed the drain deadline; the sweep returns the flow
         // table to baseline.
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).flow_entries(), 1);
-        t.eng.run_for(MUX_SWEEP_PERIOD);
+        t.eng.run_for(FLOW_DRAIN_LINGER * 2);
         prod_sweep(&mut t);
         assert_eq!(t.eng.node_ref::<Mux>(t.mux).flow_entries(), 0);
     }
@@ -815,13 +813,16 @@ mod tests {
         assert_eq!(e.expires, at(2) + FLOW_IDLE_TIMEOUT);
         e.touch(at(3), Some(Flags::FIN_ACK));
         assert_eq!((e.draining, e.expires), (true, at(3) + FLOW_DRAIN_LINGER));
-        // A retransmitted ACK does not stretch the linger; a second FIN does.
+        // While draining, every packet restarts the linger: an ACK (the
+        // other side of a half-closed flow still sending) as a second FIN.
         e.touch(at(4), Some(Flags::ACK));
-        assert_eq!(e.expires, at(3) + FLOW_DRAIN_LINGER);
+        assert_eq!((e.draining, e.expires), (true, at(4) + FLOW_DRAIN_LINGER));
         e.touch(at(5), Some(Flags::FIN_ACK));
         assert_eq!(e.expires, at(5) + FLOW_DRAIN_LINGER);
-        e.touch(at(6), Some(Flags::SYN));
-        assert_eq!((e.draining, e.expires), (false, at(6) + FLOW_IDLE_TIMEOUT));
+        e.touch(at(6), None);
+        assert_eq!((e.draining, e.expires), (true, at(6) + FLOW_DRAIN_LINGER));
+        e.touch(at(7), Some(Flags::SYN));
+        assert_eq!((e.draining, e.expires), (false, at(7) + FLOW_IDLE_TIMEOUT));
     }
 
     #[test]

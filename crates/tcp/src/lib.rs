@@ -30,4 +30,4 @@ pub mod stack;
 pub use segment::{Flags, Segment, Translation, SEGMENT_HEADER_LEN};
 pub use seq::SeqNum;
 pub use socket::{SocketState, TcpSocket, MSS};
-pub use stack::{ConnId, TcpEvent, TcpEvents, TcpStack, TCP_TIMER_KIND};
+pub use stack::{ConnId, ConnSlot, TcpEvent, TcpEvents, TcpStack, TCP_TIMER_KIND};

@@ -10,7 +10,7 @@ use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, Slab, SlabKey, Time
 
 use crate::segment::{Flags, Segment};
 use crate::seq::SeqNum;
-use crate::socket::{SocketState, TcpSocket};
+use crate::socket::{SocketState, TcpSocket, TimeWait};
 
 /// Timer-token `kind` reserved by the stack. Nodes must route timers with
 /// this kind to [`TcpStack::on_timer`].
@@ -87,8 +87,11 @@ impl IntoIterator for TcpEvents {
     }
 }
 
-struct ConnSlot {
-    sock: TcpSocket,
+/// A connection's entry in its stack's slab: its socket, or what is left
+/// of it in TIME-WAIT, and the stack's bookkeeping — 80 bytes. Public
+/// only so its size can be pinned.
+pub struct ConnSlot {
+    conn: Conn,
     /// Last state reported to the owner, to generate edge-triggered events.
     reported: SocketState,
     reported_peer_closed: bool,
@@ -98,6 +101,69 @@ struct ConnSlot {
     /// fires and re-checks (cancelling it would give the live deadline a
     /// new place in the event order).
     armed: Option<(SimTime, TimerId)>,
+}
+
+/// A connection: its boxed socket, or its 40-byte tombstone once it is in
+/// TIME-WAIT with nothing unread, unacked or out of order (the socket's
+/// block and buffers are freed then). The tombstone answers every input
+/// as the socket would (see [`TimeWait`]).
+#[derive(Debug)]
+enum Conn {
+    Open(Box<TcpSocket>),
+    TimeWait(TimeWait),
+}
+
+impl Conn {
+    fn state(&self) -> SocketState {
+        match self {
+            Conn::Open(sock) => sock.state(),
+            Conn::TimeWait(tw) => tw.state(),
+        }
+    }
+
+    fn ends(&self) -> (Endpoint, Endpoint) {
+        match self {
+            Conn::Open(sock) => (sock.local(), sock.remote()),
+            Conn::TimeWait(tw) => (tw.local(), tw.remote()),
+        }
+    }
+
+    fn on_segment(&mut self, seg: &Segment, now: SimTime, out: &mut Vec<Segment>) {
+        match self {
+            Conn::Open(sock) => sock.on_segment(seg, now, out),
+            Conn::TimeWait(tw) => tw.on_segment(seg, out),
+        }
+    }
+
+    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+        match self {
+            Conn::Open(sock) => sock.on_timer(now, out),
+            Conn::TimeWait(tw) => tw.on_timer(now),
+        }
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        match self {
+            Conn::Open(sock) => sock.next_deadline(),
+            Conn::TimeWait(tw) => Some(tw.next_deadline()),
+        }
+    }
+
+    /// The socket, while the connection has one.
+    fn socket(&mut self) -> Option<&mut TcpSocket> {
+        match self {
+            Conn::Open(sock) => Some(sock),
+            Conn::TimeWait(_) => None,
+        }
+    }
+
+    /// Replaces a socket that has only TIME-WAIT left to do by its
+    /// tombstone.
+    fn settle(&mut self) {
+        if let Some(tw) = self.socket().and_then(|sock| sock.time_wait()) {
+            *self = Conn::TimeWait(tw);
+        }
+    }
 }
 
 /// A collection of TCP connections owned by one node.
@@ -199,7 +265,7 @@ impl TcpStack {
     fn open(&mut self, ctx: &mut Ctx<'_>, flow: (Endpoint, Endpoint), sock: TcpSocket) -> ConnId {
         let id = ConnId(self.conns.insert(ConnSlot {
             reported: sock.state(),
-            sock,
+            conn: Conn::Open(Box::new(sock)),
             reported_peer_closed: false,
             armed: None,
         }));
@@ -224,8 +290,10 @@ impl TcpStack {
     ) {
         let now = ctx.now();
         if let Some(slot) = self.conns.get_mut(id.0) {
-            slot.sock.send_vectored(chunks, now, &mut self.out);
-            transmit(ctx, &slot.sock, &mut self.out);
+            if let Some(sock) = slot.conn.socket() {
+                sock.send_vectored(chunks, now, &mut self.out);
+            }
+            transmit(ctx, &slot.conn, &mut self.out);
             rearm(ctx, id, slot);
         }
     }
@@ -235,7 +303,11 @@ impl TcpStack {
     /// that clears and keeps one vector makes this allocate nothing).
     pub fn recv(&mut self, id: ConnId, into: &mut Vec<Bytes>) {
         if let Some(slot) = self.conns.get_mut(id.0) {
-            slot.sock.take_data(into);
+            if let Some(sock) = slot.conn.socket() {
+                sock.take_data(into);
+            }
+            // The last read of a socket in TIME-WAIT leaves it nothing.
+            slot.conn.settle();
         }
     }
 
@@ -243,8 +315,10 @@ impl TcpStack {
     pub fn close(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
         let now = ctx.now();
         if let Some(slot) = self.conns.get_mut(id.0) {
-            slot.sock.close(now, &mut self.out);
-            transmit(ctx, &slot.sock, &mut self.out);
+            if let Some(sock) = slot.conn.socket() {
+                sock.close(now, &mut self.out);
+            }
+            transmit(ctx, &slot.conn, &mut self.out);
             rearm(ctx, id, slot);
         }
     }
@@ -252,14 +326,22 @@ impl TcpStack {
     /// Aborts a connection with a RST.
     pub fn abort(&mut self, ctx: &mut Ctx<'_>, id: ConnId) {
         if let Some(slot) = self.conns.get_mut(id.0) {
-            let rst = slot.sock.abort();
-            ctx.send(rst.into_packet(slot.sock.local(), slot.sock.remote()));
+            let rst = match &mut slot.conn {
+                Conn::Open(sock) => sock.abort(),
+                Conn::TimeWait(tw) => tw.abort(),
+            };
+            let (local, remote) = slot.conn.ends();
+            ctx.send(rst.into_packet(local, remote));
         }
     }
 
-    /// Immutable access to a connection's socket.
+    /// Immutable access to a connection's socket: `None` once the
+    /// connection is a TIME-WAIT tombstone, whose socket is freed.
     pub fn socket(&self, id: ConnId) -> Option<&TcpSocket> {
-        self.conns.get(id.0).map(|s| &s.sock)
+        match self.conns.get(id.0).map(|s| &s.conn) {
+            Some(Conn::Open(sock)) => Some(sock),
+            _ => None,
+        }
     }
 
     /// Handles a TCP packet addressed to this node. Returns lifecycle/data
@@ -272,7 +354,7 @@ impl TcpStack {
         };
         if let Some(&id) = self.by_flow.get(&flow) {
             return self.drive(ctx, id, |slot, now, out| {
-                slot.sock.on_segment(&seg, now, out);
+                slot.conn.on_segment(&seg, now, out);
                 true
             });
         }
@@ -311,7 +393,7 @@ impl TcpStack {
             match slot.armed {
                 Some((d, _)) if d <= now => {
                     slot.armed = None;
-                    slot.sock.on_timer(now, out);
+                    slot.conn.on_timer(now, out);
                     true
                 }
                 // Not due: cannot happen while every superseded timer is
@@ -324,7 +406,8 @@ impl TcpStack {
     /// Feeds one input to connection `id`'s socket and does everything
     /// that follows — transmit what it emitted, report state edges, drop a
     /// terminal connection from the flow index and cancel its timer, or
-    /// re-arm the timer of a live one — on the slot looked up once here.
+    /// settle a live one into its tombstone once only TIME-WAIT is left
+    /// and re-arm its timer — on the slot looked up once here.
     /// `input` pushes the socket's segments onto the out buffer and
     /// returns `false` to do nothing.
     fn drive(
@@ -340,10 +423,10 @@ impl TcpStack {
         if !input(slot, ctx.now(), &mut self.out) {
             return events;
         }
-        transmit(ctx, &slot.sock, &mut self.out);
+        transmit(ctx, &slot.conn, &mut self.out);
         if report(id, slot, &mut events) {
-            let sock = &slot.sock;
-            self.by_flow.remove(&(sock.remote(), sock.local()));
+            let (local, remote) = slot.conn.ends();
+            self.by_flow.remove(&(remote, local));
             // Terminal: nothing is left to time. (A socket reset in
             // TIME-WAIT still holds that deadline; its fire would only
             // have collected the slot.)
@@ -353,6 +436,7 @@ impl TcpStack {
             self.reported_dead.push(id);
             return events;
         }
+        slot.conn.settle();
         rearm(ctx, id, slot);
         events
     }
@@ -369,7 +453,7 @@ impl TcpStack {
 /// Emits edge-triggered events by comparing current vs. reported state.
 /// Returns true once the socket is terminal.
 fn report(id: ConnId, slot: &mut ConnSlot, events: &mut TcpEvents) -> bool {
-    let state = slot.sock.state();
+    let state = slot.conn.state();
     if slot.reported != state {
         match state {
             SocketState::Established => events.push(TcpEvent::Connected(id)),
@@ -379,11 +463,15 @@ fn report(id: ConnId, slot: &mut ConnSlot, events: &mut TcpEvents) -> bool {
         }
         slot.reported = state;
     }
-    if slot.sock.peer_closed() && !slot.reported_peer_closed {
+    let Conn::Open(sock) = &slot.conn else {
+        // A tombstone: the peer's FIN was reported, nothing is unread.
+        return state.is_terminal();
+    };
+    if sock.peer_closed() && !slot.reported_peer_closed {
         slot.reported_peer_closed = true;
         events.push(TcpEvent::PeerClosed(id));
     }
-    if slot.sock.has_unread() {
+    if sock.has_unread() {
         // Data event whenever there is unread data; the owner drains.
         events.push(TcpEvent::Data(id));
     }
@@ -393,7 +481,7 @@ fn report(id: ConnId, slot: &mut ConnSlot, events: &mut TcpEvents) -> bool {
 /// Arms the node timer for a connection when its deadline moved earlier
 /// than the armed one (cancelling that one) or nothing is armed.
 fn rearm(ctx: &mut Ctx<'_>, id: ConnId, slot: &mut ConnSlot) {
-    let Some(deadline) = slot.sock.next_deadline() else {
+    let Some(deadline) = slot.conn.next_deadline() else {
         return;
     };
     match slot.armed {
@@ -407,11 +495,12 @@ fn rearm(ctx: &mut Ctx<'_>, id: ConnId, slot: &mut ConnSlot) {
     slot.armed = Some((deadline, timer));
 }
 
-/// Puts the segments a socket emitted on the wire, leaving `out` empty
-/// (its capacity stays for the next call).
-fn transmit(ctx: &mut Ctx<'_>, sock: &TcpSocket, out: &mut Vec<Segment>) {
+/// Puts the segments a connection emitted on the wire, leaving `out`
+/// empty (its capacity stays for the next call).
+fn transmit(ctx: &mut Ctx<'_>, conn: &Conn, out: &mut Vec<Segment>) {
+    let (local, remote) = conn.ends();
     for s in out.drain(..) {
-        ctx.send(s.into_packet(sock.local(), sock.remote()));
+        ctx.send(s.into_packet(local, remote));
     }
 }
 
