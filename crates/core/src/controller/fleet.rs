@@ -145,12 +145,11 @@ pub struct Fleet {
 
 impl Fleet {
     pub(super) fn register(&mut self, ep: Endpoint, role: Role) {
-        let (health, missed_ups) = (Health::Up, Vec::new());
         self.members.push(Member {
             ep,
             role,
-            health,
-            missed_ups,
+            health: Health::Up,
+            missed_ups: Vec::new(),
         });
     }
 

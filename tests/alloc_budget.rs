@@ -598,7 +598,7 @@ fn a_held_connection_costs_its_two_sockets_and_little_more() {
         assert_eq!(eng.node_ref::<Peer>(node).established, HELD);
     }
     assert_eq!(eng.timer_backlog(), 0, "idle connections time nothing");
-    // About 880 bytes: both sockets (a boxed `TcpSocket` and its 80-byte
+    // About 870 bytes: both sockets (a boxed `TcpSocket` and its 80-byte
     // slot in a page of its stack's slab; 344 bytes inline in the slot
     // before TIME-WAIT tombstones) and both flow-index entries. Sockets
     // held in the buckets of a hash table sized to its peak cost about

@@ -123,13 +123,15 @@ impl Pair {
         };
         let (stack, socket) = p.settle(vec![syn], false);
         assert_eq!(stack, socket);
-        p.segment(seg(Flags::SYN_ACK, PEER_ISS, ISS + 1, b""));
+        let (stack, socket) = p.segment(seg(Flags::SYN_ACK, PEER_ISS, ISS + 1, b""));
+        assert_eq!(stack, socket);
         let (stack, socket) = p.both(
             |sock, now, out| sock.close(now, out),
             |s, ctx, id| s.close(ctx, id),
         );
         assert_eq!(stack, socket);
-        p.segment(seg(Flags::ACK, PEER_ISS + 1, ISS + 2, b""));
+        let (stack, socket) = p.segment(seg(Flags::ACK, PEER_ISS + 1, ISS + 2, b""));
+        assert_eq!(stack, socket);
         let (stack, socket) = p.segment(seg(Flags::FIN_ACK, PEER_ISS + 1, ISS + 2, b""));
         assert_eq!(stack, socket);
         assert_eq!(stack.1, ["closed", "peer closed"]);
