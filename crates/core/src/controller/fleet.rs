@@ -404,7 +404,7 @@ impl Fleet {
     /// Sends a recovered `inst` what it may lack: a `BackendUp` for each
     /// backend that came back while it was believed failed and is still
     /// up (it may have kept its dead set), then a `BackendDown` for every
-    /// backend believed dead (it may have restarted empty).
+    /// backend believed dead or removed (it may have restarted empty).
     fn tell_dead(&mut self, out: &mut Vec<Out>, inst: Addr) {
         let instance = |m: &&mut Member| m.ep.addr == inst && matches!(m.role, Role::Instance(_));
         let missed = match self.members.iter_mut().find(instance) {
@@ -418,7 +418,7 @@ impl Fleet {
             }
         }
         for m in &self.members {
-            if m.role == Role::Backend && m.health == Health::Failed {
+            if m.role == Role::Backend && !m.health.alive() {
                 send(out, inst, BackendDown { backend: m.ep });
             }
         }

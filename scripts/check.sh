@@ -44,12 +44,24 @@ chaos_out="$(CHAOS_SEED=7 cargo test --release -q --test chaos_matrix one_seed -
 grep -m1 "ChaosPlan { seed: 7" <<< "$chaos_out" \
     || { echo "chaos repro hook produced no plan output" >&2; exit 1; }
 
-echo "==> spliced flow, killed at every step"
-# Tier-1 runs the sweep at ~24 points of the flow's life; this runs every
-# step × {serving instance, client-leg mux, server-leg mux} (~16 K cases,
-# ~20 s) and prints, per victim, which steps needed an RTO.
+echo "==> every flow shape, failed at every step"
+# Tier-1 runs the failure sweep at 24 steps of each shape's life; this
+# runs every step of the three shapes under each of the six faults
+# (89,346 cases, ~90 s on 2 cores) and compares its summary — per
+# (shape, fault): cases, cases that finished at least one minimum RTO
+# late and by how much, cases that recovered a flow from TCPStore — with
+# the committed results/failure_sweep.txt, byte for byte.
+sweep_out="$(mktemp)"
 cargo test --release -q --test failure_matrix -- --ignored --nocapture \
-    | grep -E "kills needed an RTO|cases over"
+    | sed -n 's/^.*sweep: //p' > "$sweep_out"
+if ! cmp -s "$sweep_out" results/failure_sweep.txt; then
+    echo "failure sweep drift: summary differs from results/failure_sweep.txt" >&2
+    diff results/failure_sweep.txt "$sweep_out" >&2 || true
+    rm -f "$sweep_out"
+    exit 1
+fi
+rm -f "$sweep_out"
+echo "failure sweep: byte-identical to results/failure_sweep.txt"
 
 echo "==> controller model, two verdicts deeper"
 # Tier-1 checks every sequence of up to K monitor verdicts against the

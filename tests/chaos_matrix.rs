@@ -12,8 +12,7 @@
 //! Seed counts scale up via `CHAOS_SURVIVABLE_SEEDS` /
 //! `CHAOS_UNCONSTRAINED_SEEDS` for longer local or CI soak runs.
 
-use yoda::chaos::{run_plan, run_seed, ChaosPlan, ChaosScenario, Fault, FaultKind};
-use yoda::netsim::SimTime;
+use yoda::chaos::{run_seed, ChaosPlan, ChaosReport, ChaosScenario, FaultKind};
 
 #[allow(
     clippy::disallowed_methods,
@@ -26,7 +25,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn assert_seed_ok(seed: u64, sc: &ChaosScenario) {
+fn assert_seed_ok(seed: u64, sc: &ChaosScenario) -> ChaosReport {
     let report = run_seed(seed, sc);
     assert!(
         report.ok(),
@@ -34,6 +33,7 @@ fn assert_seed_ok(seed: u64, sc: &ChaosScenario) {
          bit-for-bit from the seed alone\n{}",
         report.render()
     );
+    report
 }
 
 #[test]
@@ -84,66 +84,34 @@ fn one_seed() {
     assert!(report.ok(), "seed {seed} failed\n{}", report.render());
 }
 
-/// Runs a single hand-built fault against the survivable testbed with
-/// the mux fast path on, and checks both the availability invariants and
-/// that the fast path actually carried traffic (so the kill really hit
-/// flows with splices installed mid-transfer).
-fn assert_splice_survives(kind: FaultKind) {
-    let mut sc = ChaosScenario::survivable();
-    sc.splice = true;
-    let plan = ChaosPlan {
-        seed: 0,
-        survivable: true,
-        faults: vec![Fault {
-            at: SimTime::from_secs(10),
-            duration: SimTime::from_secs(8),
-            kind,
-        }],
-    };
-    let report = run_plan(&plan, &sc);
-    assert!(
-        report.ok(),
-        "splice chaos run violated invariants\n{}",
-        report.render()
-    );
-    assert!(
-        report.spliced > 0,
-        "no packet took the mux fast path\n{}",
-        report.render()
-    );
-    assert!(
-        report.splices_installed > 0,
-        "instances never installed a splice\n{}",
-        report.render()
-    );
-}
-
-/// Mux death with splices installed: entries die with the mux, traffic
-/// re-steers to the surviving mux's slow path, and instances re-install
-/// — no client-visible byte lost or duplicated (browser conservation).
-#[test]
-fn splice_survives_mux_kill_mid_transfer() {
-    assert_splice_survives(FaultKind::MuxCrash { i: 0 });
-}
-
-/// Instance death with splices installed: the recovering instance
-/// rebuilds flow state from TCPStore records and re-splices.
-#[test]
-fn splice_survives_instance_kill_mid_transfer() {
-    assert_splice_survives(FaultKind::InstanceCrash { i: 0 });
-}
-
 /// The full seeded survivable matrix also holds with the fast path on
 /// (a smaller slice than the default matrix — the faults are the same
-/// generator, just replayed over spliced steady-state forwarding).
+/// generator, just replayed over spliced steady-state forwarding). Every
+/// run carries traffic on the fast path, and the slice's plans crash both
+/// an instance and a mux.
 #[test]
 fn survivable_seeds_hold_with_splicing() {
     let n = env_u64("CHAOS_SPLICE_SEEDS", 5);
     let mut sc = ChaosScenario::survivable();
     sc.splice = true;
+    let (mut instance, mut mux) = (false, false);
     for seed in 500..500 + n {
-        assert_seed_ok(seed, &sc);
+        let report = assert_seed_ok(seed, &sc);
+        let spliced = report.spliced > 0 && report.splices_installed > 0;
+        assert!(
+            spliced,
+            "seed {seed}: no splice carried traffic\n{}",
+            report.render()
+        );
+        for f in &report.plan.faults {
+            instance |= matches!(f.kind, FaultKind::InstanceCrash { .. });
+            mux |= matches!(f.kind, FaultKind::MuxCrash { .. });
+        }
     }
+    assert!(
+        instance && mux,
+        "no instance crash ({instance}) or mux crash ({mux})"
+    );
 }
 
 /// Gray-fault matrix: the first `CHAOS_GRAY_SEEDS` (default 20)

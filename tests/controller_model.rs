@@ -5,7 +5,7 @@
 //! 8080, 1 store and 2 muxes, two VIPs assigned to both serving
 //! instances. A breadth-first search drives a [`Fleet`] with every
 //! enabled fail, recover, derate and readmit verdict (only instances are
-//! derated), dedups states on
+//! derated) and every operator removal of a backend, dedups states on
 //! a hash of the fleet and the model (no version counters), and folds
 //! each message into the model: each mux's VIP map, applied by version,
 //! and each instance's set of backends it holds dead. The search runs
@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::thread;
 
 use yoda::core::controller::{Controller, ControllerConfig, Event, Fleet, Health, Msg, Out};
 use yoda::core::InstanceCtrl;
@@ -116,13 +117,18 @@ impl World {
         w
     }
 
-    /// The verdicts the monitor can give from here: a live member can
+    /// The verdicts the monitor can give from here — a live member can
     /// fail, an instance that is up be derated, a failed member recover,
-    /// a derated instance be re-admitted.
+    /// a derated instance be re-admitted — and the operator's removal of
+    /// a backend not yet removed.
     fn enabled(&self) -> Vec<Event> {
         let mut evs = Vec::new();
         for (i, h) in self.health.iter().enumerate() {
             let instance = matches!(MEMBERS[i].0, Kind::Instance | Kind::Spare);
+            let backend = BACKENDS.iter().find(|b| b.addr == MEMBERS[i].1);
+            if let Some(&b) = backend.filter(|_| *h != Health::Removed) {
+                evs.push(Event::RemoveBackend(b));
+            }
             match h {
                 Health::Up if instance => evs.extend([Event::Failed(i), Event::Derated(i)]),
                 Health::Up => evs.push(Event::Failed(i)),
@@ -138,12 +144,15 @@ impl World {
         self.enabled().contains(ev)
     }
 
-    /// Applies one verdict to the fleet and the model, then checks.
+    /// Applies one verdict or removal to the fleet and the model, then
+    /// checks.
     fn step(&mut self, ev: &Event) -> Result<(), String> {
+        let member = |b: Endpoint| MEMBERS.iter().position(|m| m.1 == b.addr);
         let (i, health) = match *ev {
             Event::Failed(i) => (i, Health::Failed),
             Event::Derated(i) => (i, Health::Derated),
             Event::Recovered(i) | Event::Readmitted(i) => (i, Health::Up),
+            Event::RemoveBackend(b) => (member(b).expect("a backend"), Health::Removed),
             _ => return Err(format!("{ev:?} is no verdict")),
         };
         self.health[i] = health;
@@ -220,7 +229,7 @@ impl World {
         let dead: BTreeSet<Endpoint> = BACKENDS
             .iter()
             .zip(truth(Kind::Backend))
-            .filter(|(_, (_, h))| *h == Health::Failed)
+            .filter(|(_, (_, h))| !h.alive())
             .map(|(&b, _)| b)
             .collect();
         let rotation: Vec<Addr> = truth(Kind::Instance)
@@ -295,25 +304,61 @@ fn shrink(mut seq: Vec<Event>, fails: impl Fn(&[Event]) -> bool) -> Vec<Event> {
     seq
 }
 
-/// Every verdict sequence up to `k` long, breadth first. Returns the
-/// count of distinct states, or the shrunk failing sequence and why.
-fn explore(k: usize, keeps_state: bool) -> Result<usize, (Vec<Event>, String)> {
+/// A state of the search and the sequence that reached it.
+type Reached = (World, Vec<Event>);
+/// A failing sequence and why it fails.
+type Failure = (Vec<Event>, String);
+
+/// The states one event past `chunk`, in order, each new to `seen` and to
+/// the chunk's earlier ones; or the first sequence that fails, and why.
+fn expand(chunk: &[Reached], seen: &BTreeSet<u64>) -> Result<Vec<(u64, Reached)>, Failure> {
+    let (mut mine, mut out) = (BTreeSet::new(), Vec::new());
+    for (w, path) in chunk {
+        for ev in w.enabled() {
+            let (mut w, mut path) = (w.clone(), path.clone());
+            path.push(ev.clone());
+            if let Err(why) = w.step(&ev) {
+                return Err((path, why));
+            }
+            let key = w.key();
+            if !seen.contains(&key) && mine.insert(key) {
+                out.push((key, (w, path)));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Every verdict sequence up to `k` long, breadth first, each level
+/// expanded in contiguous chunks on up to `available_parallelism()`
+/// scoped threads and merged in order (so the states, and the first
+/// failure, are the sequential search's). Returns the count of distinct
+/// states, or the shrunk failing sequence and why.
+fn explore(k: usize, keeps_state: bool) -> Result<usize, Failure> {
     let start = World::new(keeps_state);
     let mut seen = BTreeSet::from([start.key()]);
     let mut frontier = vec![(start, Vec::new())];
+    let workers = thread::available_parallelism().map_or(1, |n| n.get());
     for _ in 0..k {
+        let size = frontier.len().div_ceil(workers).max(1);
+        let chunks: Vec<_> = thread::scope(|s| {
+            let seen = &seen;
+            let spawn = |chunk| s.spawn(move || expand(chunk, seen));
+            let handles: Vec<_> = frontier.chunks(size).map(spawn).collect();
+            let join = |h: thread::ScopedJoinHandle<'_, _>| h.join();
+            handles.into_iter().map(join).collect()
+        });
         let mut next = Vec::new();
-        for (w, path) in &frontier {
-            for ev in w.enabled() {
-                let (mut w, mut path) = (w.clone(), path.clone());
-                path.push(ev.clone());
-                if let Err(why) = w.step(&ev) {
+        for chunk in chunks {
+            match chunk.unwrap_or_else(|e| std::panic::resume_unwind(e)) {
+                Ok(reached) => {
+                    let new = reached.into_iter().filter(|(key, _)| seen.insert(*key));
+                    next.extend(new.map(|(_, r)| r));
+                }
+                Err((path, why)) => {
                     let seq = shrink(path, |s| replay(keeps_state, s).is_err());
                     let why = replay(keeps_state, &seq).err().unwrap_or(why);
                     return Err((seq, why));
-                }
-                if seen.insert(w.key()) {
-                    next.push((w, path));
                 }
             }
         }
@@ -338,6 +383,9 @@ fn run(k: usize, keeps_state: bool) {
             let named: Vec<String> = seq
                 .iter()
                 .map(|ev| {
+                    if let Event::RemoveBackend(b) = ev {
+                        return format!("RemoveBackend({b})");
+                    }
                     let (Event::Failed(i)
                     | Event::Recovered(i)
                     | Event::Derated(i)
