@@ -19,14 +19,16 @@
 //! [`SynRecord`] re-enters the connection phase from the retransmitted
 //! header, and a total miss drops the packet.
 //!
-//! Three pieces: `flow` is the per-flow state machine (pure: flow + input
+//! Four pieces: `flow` is the per-flow state machine (pure: flow + input
 //! → actions), [`Durability`] is everything store-facing (client, pending
-//! completions, degraded mode, write-behind), and this file is the `Node`
-//! shell that looks a packet's flow up once, runs the transition, applies
-//! its actions in order, and retires flows through the one exit, `retire`.
+//! completions, degraded mode, write-behind), [`FlowIndex`] holds the
+//! flows and their backend routes, and this file is the `Node` shell that
+//! finds a packet's flow once, runs the transition, applies its actions in
+//! order, and retires flows through the one exit, `retire`.
 
 mod durability;
 mod flow;
+mod index;
 mod probing;
 mod recovery;
 mod tunnel;
@@ -37,8 +39,8 @@ use bytes::Bytes;
 use yoda_balance::Prober;
 use yoda_netsim::hash::hash_pair;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken,
-    PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
+    Addr, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
+    PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
 };
 /// MSS used when chunking the forwarded request and the certificate: the
 /// endpoints' own.
@@ -53,7 +55,8 @@ use crate::rules::{RuleTable, SelectCtx};
 
 use durability::Waiter;
 pub use durability::{Durability, WRITE_BEHIND_CAP};
-use flow::{Action, Counter, Ends, Env, Exit, Flow, FlowKey, Io, Slot, Step};
+use flow::{Action, Counter, Ends, Env, Exit, Flow, Io, Slot, Step};
+pub use index::{FlowIndex, FlowKey, Found, Leg, Pair};
 use probing::{PROBE_TICK_KIND, PROBE_TIMEOUT_KIND};
 use recovery::RecoverEntry;
 
@@ -149,15 +152,13 @@ pub struct YodaInstance {
     prober: Prober,
     dur: Durability,
     cpu: ServiceQueue,
-    /// Flows, live or drained. A live flow is boxed, so the table's
+    /// Flows and their routes. A live flow is boxed, so the table's
     /// buckets, whose capacity follows the peak, hold a pointer rather
     /// than a whole flow; a drained tunnel that can only translate is
     /// kept inline as its 24-byte tombstone, and its box is freed.
-    flows: FlowTable<FlowKey, Slot>,
-    /// (backend, vip-server-side) → client flow key.
-    rflows: FlowTable<(Endpoint, Endpoint), FlowKey>,
-    /// (src, dst) of packets awaiting a recovery lookup.
-    recovering: BTreeMap<(Endpoint, Endpoint), RecoverEntry>,
+    index: FlowIndex<Slot>,
+    /// Packets awaiting a recovery lookup, by pair.
+    recovering: BTreeMap<Pair, RecoverEntry>,
     /// The action buffer every transition writes into (reused: no
     /// per-packet allocation in steady state).
     actions: Vec<Action>,
@@ -236,8 +237,7 @@ impl YodaInstance {
             dur: Durability::new(cfg.store_replicas, addr, store_servers),
             cpu: ServiceQueue::new(CORES),
             cfg,
-            flows: FlowTable::new(),
-            rflows: FlowTable::new(),
+            index: FlowIndex::default(),
             recovering: BTreeMap::new(),
             actions: Vec::new(),
             requests: 0,
@@ -296,7 +296,7 @@ impl YodaInstance {
     /// retired, drained tunnels lingering to forward their final ACKs
     /// included.
     pub fn live_flows(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
 
     /// CPU utilisation since the last window reset.
@@ -339,15 +339,11 @@ impl YodaInstance {
         self.vips.get(&vip).and_then(|v| v.ssl_cert_len)
     }
 
-    /// Picks the mux for a server-side flow (must agree with the edge
-    /// router's choice so return traffic hits the same mux).
-    fn mux_for(&mut self, a: Endpoint, b: Endpoint) -> Option<Addr> {
-        self.muxes.pick(a, b)
-    }
-
     /// Sends a crafted segment from `src` to `dst`, after the modelled
-    /// processing delay. Server-bound VIP-sourced packets tunnel through a
-    /// mux (SNAT path); everything else goes natively (DSR to clients).
+    /// processing delay. VIP-sourced packets to a backend (DC address
+    /// space, 10.x) tunnel through the mux the edge router picks for the
+    /// flow, so return traffic hits the same mux (SNAT path); everything
+    /// else goes natively (DSR to clients).
     fn emit(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -357,8 +353,9 @@ impl YodaInstance {
         dst: Endpoint,
     ) {
         let pkt = seg.into_packet(src, dst);
-        if src.addr.is_vip() && !dst.addr.is_vip() && dst.port != 0 && self.is_backendish(dst) {
-            if let Some(mux) = self.mux_for(src, dst) {
+        let backend = matches!(dst.addr.octets(), [10, ..]);
+        if src.addr.is_vip() && !dst.addr.is_vip() && dst.port != 0 && backend {
+            if let Some(mux) = self.muxes.pick(src, dst) {
                 // A fresh segment always has room for the IP-in-IP header.
                 if let Some(outer) = pkt.encapsulate(self.addr, mux) {
                     ctx.send_after(delay, outer);
@@ -369,17 +366,10 @@ impl YodaInstance {
         ctx.send_after(delay, pkt);
     }
 
-    /// Heuristic: server-bound packets go via mux; client-bound go direct.
-    /// Backends live in DC address space (10.x), clients outside it.
-    fn is_backendish(&self, ep: Endpoint) -> bool {
-        matches!(ep.addr.octets(), [10, ..])
-    }
-
     /// Applies the buffered actions of one transition of flow `key`, in
     /// the order the flow emitted them — sends, store ops and trace notes
     /// reach the engine exactly as the transition sequenced them.
     fn apply(&mut self, ctx: &mut Ctx<'_>, key: FlowKey) {
-        let vss = Endpoint::new(key.1.addr, key.0.port);
         let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
             match action {
@@ -403,15 +393,13 @@ impl YodaInstance {
                     else {
                         continue;
                     };
-                    if let Some(mux) = self.mux_for(from, to) {
+                    if let Some(mux) = self.muxes.pick(from, to) {
                         let me = Endpoint::new(self.addr, yoda_l4lb::CTRL_PORT);
                         ctx.send(msg.into_packet(me, mux));
                     }
                 }
-                Action::Map(backend) => {
-                    self.rflows.insert((backend, vss), key);
-                }
-                Action::Unmap(backend) => self.unmap(backend, key),
+                Action::Map(backend) => self.index.map(key, backend),
+                Action::Unmap(backend) => self.index.unmap(key, backend),
                 Action::ConnLatency(d) => self.conn_latency.record_time_ms(d),
                 Action::Count(Counter::Request) => {
                     self.requests += 1;
@@ -426,44 +414,23 @@ impl YodaInstance {
         self.actions = actions;
     }
 
-    /// The one way a flow leaves the table. Always gives the flow's
+    /// The one way a flow leaves the index. Always gives the flow's
     /// open-connection count back; what else is released depends on why.
     fn retire(&mut self, ctx: &mut Ctx<'_>, key: FlowKey, why: Exit) {
-        let Some(mut slot) = self.flows.remove(&key) else {
+        let orphan_routes = matches!(why, Exit::StoreTimeout | Exit::Stuck);
+        let Some(mut slot) = self.index.retire(key, orphan_routes) else {
             return;
         };
         move_load(&mut self.select_ctx.loads, slot.load_backend(), None);
         match why {
             Exit::NoRoute => self.dropped_unknown += 1,
-            // A flow that dies in the connection phase leaves its reverse
-            // mappings (primary and mirrors) behind; `handle_inner` drops
-            // each lazily, as a counted drop, when a late backend packet
-            // hits it. Removing them here instead would turn that packet
-            // into a three-read recovery lookup.
-            Exit::StoreTimeout | Exit::Stuck => {}
-            Exit::PortReuse | Exit::Drained | Exit::BackendDown => {
-                if let Some(backend) = slot.backend() {
-                    self.unmap(backend, key);
-                }
-                if why == Exit::BackendDown {
-                    let (env, delay) = (self.env(ctx.now()), SimTime::ZERO);
-                    let out = &mut self.actions;
-                    slot.reset(key, &mut Io { env, delay, out });
-                    self.apply(ctx, key);
-                }
+            Exit::BackendDown => {
+                let (env, delay) = (self.env(ctx.now()), SimTime::ZERO);
+                let out = &mut self.actions;
+                slot.reset(key, &mut Io { env, delay, out });
+                self.apply(ctx, key);
             }
-        }
-    }
-
-    /// Drops flow `key`'s reverse mapping from `backend`, if it still
-    /// names `key`. The instance's side of the backend connection is the
-    /// VIP and the client's port, so two clients on one source port share
-    /// it: a newer flow may have re-mapped it, and is not this flow's to
-    /// drop.
-    fn unmap(&mut self, backend: Endpoint, key: FlowKey) {
-        let pair = (backend, Endpoint::new(key.1.addr, key.0.port));
-        if self.rflows.get(&pair) == Some(&key) {
-            self.rflows.remove(&pair);
+            Exit::PortReuse | Exit::StoreTimeout | Exit::Drained | Exit::Stuck => {}
         }
     }
 
@@ -485,7 +452,7 @@ impl YodaInstance {
 
     /// `seg` travelling `pair.0 → pair.1`: fresh from the wire, or parked
     /// by a recovery lookup and re-fed once the flow is rebuilt.
-    fn handle_segment(&mut self, ctx: &mut Ctx<'_>, pair: (Endpoint, Endpoint), seg: Segment) {
+    fn handle_segment(&mut self, ctx: &mut Ctx<'_>, pair: Pair, seg: Segment) {
         let now = ctx.now();
         let env = self.env(now);
         let affinity = hash_pair(
@@ -493,14 +460,9 @@ impl YodaInstance {
             pair.0.addr.as_u32() as u64,
             ((pair.0.port as u64) << 16) | pair.1.port as u64,
         );
-        // Server-side packets resolve through the reverse map; client-side
-        // flows are keyed (client, vip). One lookup in each map.
-        let reverse = self.rflows.get(&pair).copied();
-        let key = reverse.unwrap_or(pair);
-        let slot = self.flows.get_mut(&key);
+        let found = self.index.find(pair);
         // Only a fresh SYN to a VIP service endpoint costs connection CPU.
-        let fresh = slot.is_none()
-            && reverse.is_none()
+        let fresh = matches!(found, Found::Unknown)
             && (seg.flags.syn && !seg.flags.ack)
             && self.vips.contains_key(&pair.1);
         let extra = if fresh {
@@ -512,31 +474,28 @@ impl YodaInstance {
             self.dropped_overload += 1;
             return;
         };
-        let Some(slot) = slot else {
-            if reverse.is_some() {
-                // The reverse mapping of a flow that is gone (see `retire`).
-                self.rflows.remove(&pair);
+        let (key, slot, server) = match found {
+            Found::Client(key, slot) => (key, slot, false),
+            Found::Server(key, slot) => (key, slot, true),
+            Found::Orphan => {
                 self.dropped_unknown += 1;
-            } else if fresh {
-                self.new_connection(ctx, delay, pair, seg.seq);
-            } else {
-                // Another instance's flow: the recovery path (Figure 5).
-                self.start_recovery(ctx, pair, seg);
+                return;
             }
-            return;
+            Found::Unknown if fresh => return self.new_connection(ctx, delay, pair, seg.seq),
+            // Another instance's flow: the recovery path (Figure 5).
+            Found::Unknown => return self.start_recovery(ctx, pair, seg),
         };
         let out = &mut self.actions;
         let mut io = Io { env, delay, out };
         let step = match slot {
-            Slot::Drained(d) => match reverse {
-                Some(_) => d.on_server(Ends::of(key), pair.0, seg, &mut io),
-                None => d.on_client(Ends::of(key), seg, &mut io),
-            },
+            Slot::Drained(d) if server => d.on_server(Ends::of(key), pair.0, seg, &mut io),
+            Slot::Drained(d) => d.on_client(Ends::of(key), seg, &mut io),
             Slot::Live(flow) => {
                 let held = flow.load_backend();
-                let mut step = match reverse {
-                    Some(_) => flow.on_server(pair.0, seg, &mut io),
-                    None => flow.on_client(seg, &mut io),
+                let mut step = if server {
+                    flow.on_server(pair.0, seg, &mut io)
+                } else {
+                    flow.on_client(seg, &mut io)
                 };
                 if let Step::Select(req, resume) = step {
                     // Rule selection needs the rule tables and the node
@@ -573,7 +532,7 @@ impl YodaInstance {
         let (env, cert_len) = (self.env(ctx.now()), self.cert_len(key.1));
         let out = &mut self.actions;
         let flow = Flow::open(key, cert_len, isn, &mut Io { env, delay, out });
-        self.flows.insert(key, Slot::Live(Box::new(flow)));
+        self.index.open(key, Slot::Live(Box::new(flow)));
         self.apply(ctx, key);
     }
 
@@ -604,7 +563,7 @@ impl YodaInstance {
             return self.retire(ctx, key, Exit::StoreTimeout);
         }
         let (env, delay, out) = (self.env(ctx.now()), SimTime::ZERO, &mut self.actions);
-        let flow_done = match self.flows.get_mut(&key) {
+        let flow_done = match self.index.get_mut(&key) {
             Some(Slot::Live(flow)) => flow.on_stored(waiter, &mut Io { env, delay, out }),
             Some(Slot::Drained(_)) | None => false,
         };
@@ -649,7 +608,7 @@ impl YodaInstance {
                 // Connections through a failed backend are terminated
                 // (§5.2) — in key order: each retirement sends RSTs and
                 // store deletes, and the wire must not show table layout.
-                for key in self.flows.sorted_keys(|_, f| f.backend() == Some(backend)) {
+                for key in self.index.keys_where(|f| f.backend() == Some(backend)) {
                     self.retire(ctx, key, Exit::BackendDown);
                 }
             }
@@ -664,7 +623,7 @@ impl YodaInstance {
                 let reply = InstanceCtrl::StatsReply {
                     seq,
                     cpu_milli: (self.cpu_utilization(ctx.now()) * 1000.0) as u32,
-                    flows: self.flows.len() as u64,
+                    flows: self.index.len() as u64,
                     per_vip_requests: per_vip,
                 };
                 self.reset_cpu_window(ctx.now());
@@ -675,18 +634,15 @@ impl YodaInstance {
         }
     }
 
-    /// Periodic cleanup of drained tunnels, stuck connection-phase
-    /// entries and stale recovery lookups.
+    /// Periodic cleanup of drained tunnels and stuck connection-phase
+    /// entries.
     fn gc(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        // In key order: a retirement can send, and the wire must not show
-        // table layout.
-        for key in self.flows.sorted_keys(|_, f| f.expired(now).is_some()) {
-            if let Some(why) = self.flows.get(&key).and_then(|f| f.expired(now)) {
+        for key in self.index.keys_where(|f| f.expired(now).is_some()) {
+            if let Some(why) = self.index.get_mut(&key).and_then(|f| f.expired(now)) {
                 self.retire(ctx, key, why);
             }
         }
-        self.expire_recoveries(now);
     }
 }
 

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Note, Packet, SimTime, TimerToken};
 use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreOutcome, OP_TIMEOUT};
 
-use super::flow::FlowKey;
+use super::index::{FlowKey, Pair};
 
 /// Heal-probe timer while the instance is in degraded mode.
 const HEAL_PROBE_KIND: u32 = 0x6D;
@@ -58,8 +58,8 @@ pub(crate) enum Waiter {
     SynStored(FlowKey),
     /// One of the two storage-b sets of this flow.
     FlowStored(FlowKey),
-    /// One of the three recovery reads for this `(src, dst)` pair.
-    Recover(FlowKey),
+    /// One of the three recovery reads for this pair.
+    Recover(Pair),
     HealProbe,
     /// A write-behind record replayed after a heal; completion pulls the
     /// next record into the drain window.

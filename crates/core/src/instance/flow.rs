@@ -20,6 +20,7 @@ use yoda_netsim::{Endpoint, SimTime};
 use yoda_tcp::{Flags, Segment, SeqNum};
 
 use super::durability::{Waiter, WriteOp};
+use super::index::{FlowKey, Leg};
 use super::tunnel::{Drained, Tunnel};
 use super::{make_cert, MSS, SSL_HELLO};
 use crate::flowstate::{FlowRecord, SynRecord};
@@ -30,9 +31,6 @@ use crate::isn::syn_ack_isn;
 const CONNECT_TTL: SimTime = SimTime::from_secs(60);
 /// Window advertised on every crafted segment.
 const WINDOW: u32 = 1 << 20;
-
-/// `(client, vip)`: the key a flow is known by everywhere.
-pub(crate) type FlowKey = (Endpoint, Endpoint);
 
 /// What a transition may read besides the flow and its input.
 #[derive(Debug, Clone, Copy)]
@@ -692,15 +690,16 @@ pub(crate) enum Slot {
     Drained(Drained),
 }
 
-impl Slot {
-    /// [`Flow::backend`].
-    pub(crate) fn backend(&self) -> Option<Endpoint> {
+impl Leg for Slot {
+    fn backend(&self) -> Option<Endpoint> {
         match self {
             Slot::Live(f) => f.backend(),
             Slot::Drained(d) => Some(d.backend),
         }
     }
+}
 
+impl Slot {
     /// [`Flow::load_backend`]: a tombstone holds no count.
     pub(crate) fn load_backend(&self) -> Option<Endpoint> {
         match self {

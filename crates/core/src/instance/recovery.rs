@@ -3,35 +3,27 @@
 //! TCPStore is asked under both hypotheses (client side / server side of
 //! a flow), and a hit rebuilds the flow and re-feeds the parked packets.
 
-use yoda_netsim::{Ctx, Endpoint, Note, SimTime};
+use yoda_netsim::{Ctx, Note, SimTime};
 use yoda_tcp::Segment;
 use yoda_tcpstore::{StoreEvent, StoreOutcome};
 
 use super::durability::Waiter;
 use super::flow::{Flow, Io, Slot};
-use super::{move_load, YodaInstance};
+use super::{move_load, Found, Pair, YodaInstance};
 use crate::flowstate::{FlowRecord, SynRecord};
 
-/// How long a recovery lookup may stay outstanding before its buffered
-/// packets are discarded.
-const RECOVERY_TTL: SimTime = SimTime::from_secs(5);
-
-/// Segments awaiting one `(src, dst)` pair's recovery lookup.
+/// Segments awaiting one pair's recovery lookup. Each of its three reads
+/// completes exactly once, by the store client's op deadline at the
+/// latest, so the entry leaves `recovering` within that deadline.
 pub(super) struct RecoverEntry {
     buffered: Vec<Segment>,
     outstanding: u8,
     syn_hit: Option<SynRecord>,
     flow_hit: Option<FlowRecord>,
-    created: SimTime,
 }
 
 impl YodaInstance {
-    pub(super) fn start_recovery(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        rk: (Endpoint, Endpoint),
-        seg: Segment,
-    ) {
+    pub(super) fn start_recovery(&mut self, ctx: &mut Ctx<'_>, rk: Pair, seg: Segment) {
         if let Some(entry) = self.recovering.get_mut(&rk) {
             entry.buffered.push(seg);
             return;
@@ -62,17 +54,11 @@ impl YodaInstance {
             outstanding: 3,
             syn_hit: None,
             flow_hit: None,
-            created: ctx.now(),
         };
         self.recovering.insert(rk, entry);
     }
 
-    pub(super) fn recovery_event(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        rk: (Endpoint, Endpoint),
-        ev: StoreEvent,
-    ) {
+    pub(super) fn recovery_event(&mut self, ctx: &mut Ctx<'_>, rk: Pair, ev: StoreEvent) {
         let Some(entry) = self.recovering.get_mut(&rk) else {
             return;
         };
@@ -95,18 +81,14 @@ impl YodaInstance {
         // connection-phase one.
         let (key, flow, backend) = if let Some(rec) = entry.flow_hit {
             let (client, vip) = (rec.client, rec.vip);
-            if self.flows.contains_key(&(client, vip)) {
-                // This instance already owns live state for the flow — the
-                // store record is stale relative to local memory: the
-                // flow's other leg won a lookup of its own while this one
-                // was in flight, or a mid-connection backend switch is in
-                // flight and a residual packet from the severed old
-                // backend missed the rflow table. Installing the record
-                // would clobber the live state. Parked packets that now
-                // resolve to a live flow go to it; the rest are dropped.
-                let key = self.rflows.get(&rk).copied().unwrap_or(rk);
-                let (resolves, parked) = (self.flows.contains_key(&key), entry.buffered);
-                let dropped = if resolves { 0 } else { parked.len() };
+            if self.index.get_mut(&(client, vip)).is_some() {
+                // The record is stale: the flow's other leg won a lookup of
+                // its own meanwhile, or a residual packet of a backend cut
+                // off by a switch found no route. Installing it would
+                // clobber the live flow. Parked packets that now find a
+                // flow go to it; the rest are dropped.
+                let resolves = !matches!(self.index.find(rk), Found::Orphan | Found::Unknown);
+                let dropped = if resolves { 0 } else { entry.buffered.len() };
                 self.dropped_unknown += dropped as u64;
                 ctx.trace(Note::StaleRecovery {
                     client,
@@ -114,7 +96,7 @@ impl YodaInstance {
                     dropped,
                 });
                 if resolves {
-                    for seg in parked {
+                    for seg in entry.buffered {
                         self.handle_segment(ctx, rk, seg);
                     }
                 }
@@ -136,7 +118,7 @@ impl YodaInstance {
         };
         self.recoveries += 1;
         move_load(&mut self.select_ctx.loads, None, flow.load_backend());
-        self.flows.insert(key, Slot::Live(Box::new(flow)));
+        self.index.open(key, Slot::Live(Box::new(flow)));
         self.apply(ctx, key);
         let (client, vip) = key;
         ctx.trace(Note::Recovered {
@@ -147,11 +129,5 @@ impl YodaInstance {
         for seg in entry.buffered {
             self.handle_segment(ctx, rk, seg);
         }
-    }
-
-    /// gc: discards lookups (and their parked packets) past the TTL.
-    pub(super) fn expire_recoveries(&mut self, now: SimTime) {
-        self.recovering
-            .retain(|_, e| now.saturating_sub(e.created) < RECOVERY_TTL);
     }
 }

@@ -70,6 +70,13 @@ echo "==> controller model, two verdicts deeper"
 cargo test --release -q --test controller_model -- --ignored --nocapture \
     | grep "controller model:"
 
+echo "==> flow index model, longer"
+# Tier-1 drives the instance's FlowIndex through 64 seeded sequences of
+# 300 ops against a BTreeMap model (tests/flow_index_model.rs); this runs
+# 50 times as many sequences and prints the op count it reached.
+cargo test --release -q --test flow_index_model -- --ignored --nocapture \
+    | grep "flow index model:"
+
 echo "==> bench_engine (smoke)"
 # Events/sec delta vs the committed BENCH_engine.json. Report-only:
 # wall-clock throughput is machine-dependent, so a delta here must never

@@ -8,7 +8,11 @@
 //! * every recovered flow was carried by the killed instance before the
 //!   kill: it sent that flow's client packets (`vip -> client`). What is
 //!   delivered to an instance comes IP-in-IP from a mux, so its
-//!   addressing names the mux, not the flow.
+//!   addressing names the mux, not the flow;
+//! * every lookup it started ended, in a `Recovered`, `RecoveryMiss` or
+//!   `StaleRecovery` note, and the last one started more than the store
+//!   client's `OP_TIMEOUT` before the run's end: each of a lookup's reads
+//!   completes by that deadline, so no lookup is left for a sweep by age.
 //!
 //! The bed also forces the one race that reaches the stale-recovery
 //! path: the flow's other leg reaches the survivor while the first
@@ -27,6 +31,7 @@ use yoda::core::YodaInstance;
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::{Endpoint, Fate, Node, NodeId, Note, SimTime, TraceEvent, What, PROTO_TCP};
 use yoda::tcp::{Flags, Segment, SeqNum};
+use yoda::tcpstore::client::OP_TIMEOUT;
 
 const KILL: SimTime = SimTime::from_millis(1_300);
 const END: SimTime = SimTime::from_secs(20);
@@ -178,6 +183,27 @@ fn each_recovery_is_one_traced_event_of_a_flow_the_killed_instance_carried() {
     };
     for &(_, flow) in &recovered {
         assert!(carried(flow), "{flow:?} was not the killed instance's");
+    }
+    for &survivor in tb.instances.iter().filter(|&&i| i != killed) {
+        let count = |pick: fn(&Note) -> bool| {
+            let mine = notes(&tb, pick).into_iter();
+            mine.filter(|(node, _)| *node == survivor).count()
+        };
+        let looked_up = count(|n| matches!(n, Note::RecoveryLookup { .. }));
+        let ended = count(|n| {
+            matches!(
+                n,
+                Note::Recovered { .. } | Note::RecoveryMiss { .. } | Note::StaleRecovery { .. }
+            )
+        });
+        assert_eq!(looked_up, ended, "every lookup ends");
+        let last = trace
+            .events()
+            .filter(|ev| ev.node == survivor)
+            .filter(|ev| matches!(ev.what, What::Note(Note::RecoveryLookup { .. })))
+            .map(|ev| ev.time)
+            .max();
+        assert!(last.is_some_and(|t| t + OP_TIMEOUT < END), "{last:?}");
     }
     let stale = notes(&tb, |n| matches!(n, Note::StaleRecovery { .. }));
     assert!(!stale.is_empty(), "the race reached the stale path");
