@@ -543,9 +543,7 @@ impl YodaInstance {
     fn store_event(&mut self, ctx: &mut Ctx<'_>, ev: StoreEvent) {
         let was_degraded = self.dur.is_degraded();
         let waiter = self.dur.settle(ctx, &ev);
-        if !was_degraded && self.dur.is_degraded() {
-            self.degraded_entries += 1;
-        }
+        self.degraded_entries += u64::from(!was_degraded && self.dur.is_degraded());
         match waiter {
             Some(Waiter::Recover(rk)) => self.recovery_event(ctx, rk, ev),
             Some(w @ (Waiter::SynStored(key) | Waiter::FlowStored(key))) => {
@@ -639,7 +637,7 @@ impl YodaInstance {
     fn gc(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         for key in self.index.keys_where(|f| f.expired(now).is_some()) {
-            if let Some(why) = self.index.get_mut(&key).and_then(|f| f.expired(now)) {
+            if let Some(why) = self.index.get(&key).and_then(|f| f.expired(now)) {
                 self.retire(ctx, key, why);
             }
         }
@@ -673,10 +671,8 @@ impl Node for YodaInstance {
                 // last provisioned it). Lets the controller catch silent
                 // restarts shorter than the miss threshold — a crash the
                 // ping stream alone can no longer see.
-                let fresh = if self.vips.is_empty() { 1u8 } else { 0u8 };
-                let fresh = Bytes::copy_from_slice(&[fresh]);
-                let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, fresh);
-                ctx.send(reply);
+                let fresh = Bytes::copy_from_slice(&[u8::from(self.vips.is_empty())]);
+                ctx.send(Packet::new(pkt.dst, pkt.src, PROTO_PING, fresh));
             }
             _ => {}
         }

@@ -73,6 +73,14 @@ impl<S: Leg> FlowIndex<S> {
         self.routes.get(pair).copied()
     }
 
+    pub fn routes_len(&self) -> usize {
+        self.routes.len()
+    }
+
+    pub fn get(&self, key: &FlowKey) -> Option<&S> {
+        self.flows.get(key)
+    }
+
     pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut S> {
         self.flows.get_mut(key)
     }
@@ -94,11 +102,10 @@ impl<S: Leg> FlowIndex<S> {
         }
     }
 
-    /// Removes flow `key` and its backend's route, or, with
-    /// `orphan_routes`, no route: a flow that dies in the connection phase
-    /// leaves its routes (primary and mirrors) for `find` to drop when a
-    /// late backend packet hits one. Dropping them here would make that
-    /// packet a recovery lookup.
+    /// Removes flow `key` and, unless `orphan_routes`, its backend's route:
+    /// a flow that dies in the connection phase leaves its routes (primary
+    /// and mirrors) for `find` to drop when a late backend packet hits
+    /// one, which would otherwise become a recovery lookup.
     pub fn retire(&mut self, key: FlowKey, orphan_routes: bool) -> Option<S> {
         let slot = self.flows.remove(&key)?;
         if let Some(backend) = slot.backend().filter(|_| !orphan_routes) {

@@ -81,7 +81,7 @@ impl YodaInstance {
         // connection-phase one.
         let (key, flow, backend) = if let Some(rec) = entry.flow_hit {
             let (client, vip) = (rec.client, rec.vip);
-            if self.index.get_mut(&(client, vip)).is_some() {
+            if self.index.get(&(client, vip)).is_some() {
                 // The record is stale: the flow's other leg won a lookup of
                 // its own meanwhile, or a residual packet of a backend cut
                 // off by a switch found no route. Installing it would

@@ -323,16 +323,20 @@ fn step(index: &mut FlowIndex<Fake>, model: &mut Model, op: Op) -> Result<(), St
 }
 
 /// The whole index against the model.
-fn check(index: &mut FlowIndex<Fake>, model: &Model) -> Result<(), String> {
-    let len = (index.len(), index.is_empty());
-    if len != (model.flows.len(), model.flows.is_empty()) {
+fn check(index: &FlowIndex<Fake>, model: &Model) -> Result<(), String> {
+    let len = (index.len(), index.is_empty(), index.routes_len());
+    let want = (
+        model.flows.len(),
+        model.flows.is_empty(),
+        model.routes.len(),
+    );
+    if len != want {
         return Err(format!(
-            "len, is_empty = {len:?}; model holds {}",
-            model.flows.len()
+            "len, is_empty, routes_len = {len:?}; model {want:?}"
         ));
     }
     for key in keys() {
-        let (got, want) = (index.get_mut(&key).copied(), model.flows.get(&key).copied());
+        let (got, want) = (index.get(&key).copied(), model.flows.get(&key).copied());
         if got != want {
             return Err(format!("slot {} is {got:?}, model {want:?}", show(key)));
         }
