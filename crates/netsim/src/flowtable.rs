@@ -1,7 +1,7 @@
 //! Deterministic hashed flow table.
 //!
 //! The data path is "find this packet's state, then act": the mux's flow
-//! table, the instance's `flows`/`rflows`, the TCP stack's flow index,
+//! table, the instance's flows and routes (`FlowIndex`), the TCP stack's flow index,
 //! the store's key space. Each is consulted on every packet or
 //! store op, so an ordered map's O(log n) pointer chase (55K live flows on
 //! the open-loop workload) is the single largest per-packet cost that is
