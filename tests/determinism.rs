@@ -10,6 +10,7 @@
 //! clock, environment, host I/O) and `Ctx` offers handlers no RNG but
 //! their own node's stream; this test catches the unknown ones.
 
+use yoda::chaos::{run_seed, ChaosScenario, FaultKind};
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
@@ -129,6 +130,34 @@ fn full_stack_matches_pinned_digest() {
         ),
         (0x3c07_e32f_2357_1930, 23_598),
         "full-stack event sequence diverged (digest, events after the 50 ms setup)"
+    );
+}
+
+/// One chaos run pinned in code: survivable seed 2006 draws a WAN fault
+/// and a `LinkDegrade`, so its sends go through a link override and a
+/// degraded endpoint as well as the base hop. The pin holds the link
+/// model's draw order (DESIGN.md "Link model").
+#[test]
+fn chaos_seed_2006_matches_pinned_digest() {
+    let report = run_seed(2006, &ChaosScenario::survivable());
+    let draws = |f: fn(&FaultKind) -> bool| report.plan.faults.iter().any(|x| f(&x.kind));
+    assert!(
+        draws(|k| matches!(k, FaultKind::LinkDegrade { .. }))
+            && draws(|k| {
+                matches!(
+                    k,
+                    FaultKind::WanLossBurst { .. }
+                        | FaultKind::WanLatencySpike { .. }
+                        | FaultKind::WanPartition { .. }
+                )
+            }),
+        "seed 2006 no longer draws both impairment paths\n{}",
+        report.plan
+    );
+    assert_eq!(
+        (report.digest, report.events),
+        (0xfa6b_c24d_4fb3_6922, 197_634),
+        "chaos seed 2006 event sequence diverged (digest, events)"
     );
 }
 
