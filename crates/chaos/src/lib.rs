@@ -7,14 +7,14 @@
 //! crate turns that claim into a repeatable, FoundationDB-style
 //! simulation-chaos harness:
 //!
-//! * [`plan`] — a [`ChaosPlan`](plan::ChaosPlan) is a deterministic
+//! * [`plan`] — a [`ChaosPlan`] is a deterministic
 //!   function of a single seed plus a budget. *Survivable* budgets keep
 //!   the schedule inside the availability preconditions; *unconstrained*
 //!   budgets deliberately violate them to test graceful degradation.
 //! * [`orchestrator`] — maps each fault onto the testbed's injection
 //!   helpers (crash/restart, partition/heal) or onto time-windowed
 //!   topology overrides (loss bursts, latency spikes, WAN blackholes),
-//!   runs the scenario, and collects a [`ChaosReport`](orchestrator::ChaosReport).
+//!   runs the scenario, and collects a [`ChaosReport`].
 //! * [`witness`] — an in-DC node that continuously verifies TCPStore
 //!   read-after-write on surviving replicas, with epoch guards so
 //!   verdicts never span a store-membership change.

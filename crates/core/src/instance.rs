@@ -15,9 +15,11 @@
 //!   control to the client and server".
 //!
 //! Failure recovery (Figure 5): a packet for an unknown flow triggers a
-//! TCPStore lookup; a full [`FlowRecord`] re-creates the tunnel, a bare
-//! [`SynRecord`] re-enters the connection phase from the retransmitted
-//! header, and a total miss drops the packet.
+//! TCPStore lookup; a full [`FlowRecord`](crate::flowstate::FlowRecord)
+//! re-creates the tunnel, a bare
+//! [`SynRecord`](crate::flowstate::SynRecord) re-enters the connection
+//! phase from the retransmitted header, and a total miss drops the
+//! packet.
 //!
 //! Four pieces: `flow` is the per-flow state machine (pure: flow + input
 //! → actions), [`Durability`] is everything store-facing (client, pending

@@ -28,6 +28,12 @@ cargo test --release --offline --quiet --manifest-path crates/bench/src/bin/benc
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo doc"
+# The workspace lints deny warnings, rustdoc's broken and redundant
+# intra-doc links included, so a deleted item cannot leave a dangling
+# doc link behind.
+cargo doc --offline --no-deps --workspace
+
 echo "==> cargo clippy"
 # Every package and target, warnings denied. The root clippy.toml's
 # disallowed types and methods are the determinism rules, and the root
