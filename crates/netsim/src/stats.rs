@@ -87,14 +87,6 @@ impl Histogram {
         self.percentile(50.0)
     }
 
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-    }
-
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<f64> {
         if self.samples.is_empty() {
@@ -160,7 +152,6 @@ mod tests {
         h.record(7.5);
         assert_eq!(h.median(), Some(7.5));
         assert_eq!(h.percentile(99.0), Some(7.5));
-        assert_eq!(h.mean(), Some(7.5));
         assert_eq!(h.min(), Some(7.5));
         assert_eq!(h.max(), Some(7.5));
     }
@@ -184,7 +175,7 @@ mod tests {
         b.record(3.0);
         a.merge(&b);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.mean(), Some(2.0));
+        assert_eq!((a.min(), a.max()), (Some(1.0), Some(3.0)));
     }
 
     #[test]
@@ -199,7 +190,6 @@ mod tests {
         let mut h = Histogram::new();
         assert_eq!(h.percentile(50.0), None);
         assert_eq!(h.median(), None);
-        assert_eq!(h.mean(), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
     }

@@ -1,4 +1,4 @@
-//! Trace synthesis and CSV (de)serialization.
+//! Trace synthesis.
 
 use yoda_netsim::rng::Rng;
 
@@ -178,55 +178,6 @@ impl Trace {
         let r = self.max_avg_ratios();
         r.iter().sum::<f64>() / r.len() as f64
     }
-
-    /// Serializes to CSV: `vip_id,rules,traffic0,traffic1,...`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# bin_secs={}\n", self.bin_secs));
-        for v in &self.vips {
-            out.push_str(&format!("{},{}", v.vip_id, v.rules));
-            for (t, c) in v.traffic.iter().zip(&v.connections) {
-                out.push_str(&format!(",{t:.3}:{c:.3}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the CSV produced by [`Trace::to_csv`].
-    ///
-    /// Returns `None` on malformed input.
-    pub fn from_csv(s: &str) -> Option<Trace> {
-        let mut lines = s.lines();
-        let header = lines.next()?;
-        let bin_secs: u64 = header.strip_prefix("# bin_secs=")?.parse().ok()?;
-        let mut vips = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split(',');
-            let vip_id: usize = parts.next()?.parse().ok()?;
-            let rules: u64 = parts.next()?.parse().ok()?;
-            let mut traffic = Vec::new();
-            let mut connections = Vec::new();
-            for cell in parts {
-                let (t, c) = cell.split_once(':')?;
-                traffic.push(t.parse().ok()?);
-                connections.push(c.parse().ok()?);
-            }
-            if traffic.is_empty() {
-                return None;
-            }
-            vips.push(VipTrace {
-                vip_id,
-                rules,
-                traffic,
-                connections,
-            });
-        }
-        Some(Trace { vips, bin_secs })
-    }
 }
 
 #[cfg(test)]
@@ -283,34 +234,6 @@ mod tests {
             ..TraceConfig::default()
         });
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let t = Trace::generate(&TraceConfig {
-            num_vips: 7,
-            bins: 10,
-            ..TraceConfig::default()
-        });
-        let csv = t.to_csv();
-        let parsed = Trace::from_csv(&csv).expect("parses");
-        assert_eq!(parsed.vips.len(), 7);
-        assert_eq!(parsed.bin_secs, t.bin_secs);
-        for (a, b) in t.vips.iter().zip(&parsed.vips) {
-            assert_eq!(a.vip_id, b.vip_id);
-            assert_eq!(a.rules, b.rules);
-            assert_eq!(a.traffic.len(), b.traffic.len());
-            for (x, y) in a.traffic.iter().zip(&b.traffic) {
-                assert!((x - y).abs() < 0.01);
-            }
-        }
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        assert!(Trace::from_csv("").is_none());
-        assert!(Trace::from_csv("# bin_secs=600\nnot,a,line\n").is_none());
-        assert!(Trace::from_csv("no header\n1,2,3:4\n").is_none());
     }
 
     #[test]

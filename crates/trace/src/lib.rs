@@ -17,10 +17,9 @@
 //!   3.7× (the paper's headline cost-reduction figure),
 //! * rule counts summing past 50K, heavier for bigger tenants.
 //!
-//! The trace serializes to a simple CSV so experiments can be re-run on a
-//! fixed artifact, and converts per-bin into
-//! [`AssignInput`]s for the Figure 16 update
-//! study.
+//! The trace is a pure function of its [`TraceConfig`] (seed included),
+//! so an experiment re-runs on the identical trace; it converts per-bin
+//! into [`AssignInput`]s for the Figure 16 update study.
 
 #![forbid(unsafe_code)]
 #![expect(

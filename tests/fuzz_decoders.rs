@@ -26,7 +26,6 @@ use yoda::netsim::{
 };
 use yoda::tcp::{Segment, Translation, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::{StoreRequest, StoreResponse};
-use yoda::trace::Trace;
 use yoda_balance::{ProbeReply, ProbeRequest};
 
 const SRC: Endpoint = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
@@ -299,7 +298,7 @@ fn splice_ctrl_variants_reject_malformed() {
     }
 }
 
-/// Rule/DSL and trace parsers reject arbitrary text without panicking.
+/// Rule/DSL parsers reject arbitrary text without panicking.
 #[test]
 fn text_parsers_never_panic() {
     let mut rng = Rng::seed_from_u64(0x7E47);
@@ -316,6 +315,5 @@ fn text_parsers_never_panic() {
             .collect();
         let _ = Rule::parse(&text);
         let _ = RuleTable::parse(&text);
-        let _ = Trace::from_csv(&text);
     }
 }

@@ -13,7 +13,6 @@ use yoda::netsim::rng::Rng;
 use yoda::netsim::{Addr, Endpoint, Histogram, Packet, HEAD_CAP, PROTO_TCP};
 use yoda::tcp::{Flags, Segment, SeqNum, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::HashRing;
-use yoda::trace::{Trace, TraceConfig};
 
 const CASES: usize = 256;
 
@@ -298,26 +297,6 @@ fn histogram_percentiles_monotone() {
             assert!(v >= lo && v <= hi);
             assert!(v >= prev);
             prev = v;
-        }
-    }
-}
-
-/// Trace CSV round-trips its structure for arbitrary sizes.
-#[test]
-fn trace_csv_roundtrip() {
-    let mut rng = rng_for("trace_csv_roundtrip");
-    for _ in 0..16 {
-        let t = Trace::generate(&TraceConfig {
-            num_vips: rng.gen_range(1..20usize),
-            bins: rng.gen_range(1..30usize),
-            seed: rng.next_u64(),
-            ..TraceConfig::default()
-        });
-        let parsed = Trace::from_csv(&t.to_csv()).expect("parses");
-        assert_eq!(parsed.vips.len(), t.vips.len());
-        for (a, b) in t.vips.iter().zip(&parsed.vips) {
-            assert_eq!(a.rules, b.rules);
-            assert_eq!(a.traffic.len(), b.traffic.len());
         }
     }
 }
