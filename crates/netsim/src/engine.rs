@@ -20,7 +20,7 @@ use crate::node::{Node, TimerId, TimerToken};
 use crate::packet::Packet;
 use crate::rng::Rng;
 use crate::time::SimTime;
-use crate::topology::{Topology, Zone};
+use crate::topology::{LinkSpec, Topology, Zone};
 use crate::trace::{DropCause, Fate, Note, TraceEvent, TraceSink, What};
 use crate::wheel::{TimerWheel, WheelItem};
 /// Index of a node within the engine.
@@ -212,9 +212,9 @@ impl EngineCore {
         self.trace.record(TraceEvent { time, node, what });
     }
 
-    /// The send path: routing, egress partition, link model (RNG),
-    /// duplication, counters, tracing, and arming the in-flight packet
-    /// into the wheel.
+    /// The send path: routing, egress partition, the hop's link (one
+    /// [`LinkSpec`] read per send), gray degrade, duplication, counters,
+    /// tracing, and arming the in-flight packet into the wheel.
     fn send_from(&mut self, from: NodeId, pkt: Packet, extra_delay: SimTime) {
         let from_zone = self.meta(from.0).zone;
         let to_id = match self.addr_map.get(pkt.dst.addr) {
@@ -230,96 +230,68 @@ impl EngineCore {
             return self.drop_packet(from, &pkt, DropCause::Partitioned);
         }
         let now = self.time + extra_delay;
-        let wire = pkt.wire_len();
-        match self
-            .topology
-            .delivery_time(now, from_zone, to_zone, wire, &mut self.rng)
-        {
+        let link = self.topology.effective(from_zone, to_zone);
+        let Some(at) = link.deliver(now, &mut self.rng) else {
+            return self.drop_packet(from, &pkt, DropCause::LinkLoss);
+        };
+        let Some(at) = self.degrade_delivery(from.0, to_id, at) else {
+            return self.drop_packet(from, &pkt, DropCause::LinkDegrade);
+        };
+        // `dst` is resolved here; address bindings are insert-only and
+        // nodes are never removed, so it cannot go stale (liveness is
+        // still checked at delivery).
+        let dst = to_id as u32;
+        // Roll duplication before the primary arm consumes `pkt`.
+        let copy = link.duplicates(&mut self.rng).then(|| pkt.clone());
+        self.arm_packet(at, pkt, dst);
+        let Some(copy) = copy else { return };
+        // Second, independent trip through the link. A copy the link
+        // loses is not counted: it never existed on the wire.
+        let Some(at) = link.deliver(now, &mut self.rng) else {
+            return;
+        };
+        match self.degrade_delivery(from.0, to_id, at) {
             Some(at) => {
-                let at = match self.degrade_delivery(from.0, to_id, at) {
-                    Some(at) => at,
-                    None => return self.drop_packet(from, &pkt, DropCause::LinkDegrade),
-                };
-                // Packets ride the timing wheel, stored inline in the
-                // wheel's slab: O(1) amortized arm/pop versus the heap's
-                // O(log n), one slab write instead of payload + key. The
-                // shared seq counter keeps the global (time, seq) order —
-                // and therefore the digest — identical to the heap era.
-                // `dst` is resolved here; address bindings are
-                // insert-only and nodes are never removed, so it cannot
-                // go stale (liveness is still checked at delivery).
-                let seq = self.seq;
-                self.seq += 1;
-                let dst = to_id as u32;
-                // Roll duplication before the primary arm consumes `pkt`.
-                // Only consulted (and only consuming RNG) when the
-                // effective `duplicate` knob is nonzero, so topologies
-                // without it replay identically.
-                let dup_pkt = if self
-                    .topology
-                    .roll_duplicate(from_zone, to_zone, &mut self.rng)
-                {
-                    Some(pkt.clone())
-                } else {
-                    None
-                };
-                self.wheel
-                    .arm(at.as_micros(), seq, 0, WheelItem::Packet { pkt, dst });
-                if let Some(copy) = dup_pkt {
-                    // Second, independent trip through the link model
-                    // (own jitter/loss/queue rolls). Armed after the
-                    // primary: the wheel requires strictly increasing seq
-                    // at arm time.
-                    if let Some(at2) =
-                        self.topology
-                            .delivery_time(now, from_zone, to_zone, wire, &mut self.rng)
-                    {
-                        match self.degrade_delivery(from.0, to_id, at2) {
-                            Some(at2) => {
-                                self.packets_sent += 1;
-                                self.record_packet(from, &copy, Fate::Duplicated);
-                                let seq2 = self.seq;
-                                self.seq += 1;
-                                self.wheel.arm(
-                                    at2.as_micros(),
-                                    seq2,
-                                    0,
-                                    WheelItem::Packet { pkt: copy, dst },
-                                );
-                            }
-                            None => self.drop_packet(from, &copy, DropCause::LinkDegrade),
-                        }
-                    }
-                }
+                self.packets_sent += 1;
+                self.record_packet(from, &copy, Fate::Duplicated);
+                self.arm_packet(at, copy, dst);
             }
-            None => self.drop_packet(from, &pkt, DropCause::LinkLoss),
+            None => self.drop_packet(from, &copy, DropCause::LinkDegrade),
         }
     }
 
+    /// Arms an in-flight packet into the timing wheel, stored inline in
+    /// the wheel's slab. The shared seq counter keeps the global
+    /// `(time, seq)` order with heap events; the wheel requires strictly
+    /// increasing seq at arm time, so a duplicate is armed after its
+    /// primary.
+    fn arm_packet(&mut self, at: SimTime, pkt: Packet, dst: u32) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.wheel
+            .arm(at.as_micros(), seq, 0, WheelItem::Packet { pkt, dst });
+    }
+
     /// Applies gray link degradation (chaos `LinkDegrade`) to a routed
-    /// delivery: when either endpoint of the hop is degraded, the packet
-    /// is dropped with the hop's effective loss probability or delayed by
-    /// a uniform draw of extra jitter. Returns `None` when the packet is
-    /// lost. RNG is consumed only while at least one node in the engine
-    /// is degraded AND this hop touches it, so scenarios without the
-    /// fault replay identically to the pre-degrade era. Jitter only ever
-    /// ADDS to the base link latency.
+    /// delivery: when either endpoint of the hop is degraded, the hop's
+    /// endpoint link (no latency, the worse loss and jitter of the two
+    /// ends) takes the packet through [`LinkSpec::deliver`] from `at`.
+    /// Returns `None` when the packet is lost. RNG is consumed only while
+    /// at least one node in the engine is degraded AND this hop touches
+    /// it, so scenarios without the fault replay identically to the
+    /// pre-degrade era. Jitter only ever ADDS to the base link latency.
     #[inline]
     fn degrade_delivery(&mut self, from: usize, to: usize, at: SimTime) -> Option<SimTime> {
         if self.degraded_nodes == 0 {
             return Some(at);
         }
         let (a, b) = (self.meta(from), self.meta(to));
-        let loss = a.degrade_loss.max(b.degrade_loss);
-        let jitter = a.degrade_jitter.max(b.degrade_jitter);
-        if loss > 0.0 && self.rng.gen_f64() < loss {
-            return None;
-        }
-        if jitter > SimTime::ZERO {
-            let extra = self.rng.gen_range(0..=jitter.as_micros());
-            return Some(at + SimTime::from_micros(extra));
-        }
-        Some(at)
+        let endpoint = LinkSpec {
+            jitter: a.degrade_jitter.max(b.degrade_jitter),
+            loss: a.degrade_loss.max(b.degrade_loss),
+            ..LinkSpec::with_latency(SimTime::ZERO)
+        };
+        endpoint.deliver(at, &mut self.rng)
     }
 }
 
@@ -363,7 +335,7 @@ impl Ctx<'_> {
     }
 
     /// Sends a packet; it is routed by destination address through the
-    /// topology's latency/bandwidth model.
+    /// topology's latency/jitter/loss model.
     #[inline]
     pub fn send(&mut self, pkt: Packet) {
         self.core.send_from(self.node, pkt, SimTime::ZERO);
@@ -1502,6 +1474,63 @@ mod tests {
                 self.seen.push((ctx.now(), "timer"));
             }
         }
+    }
+
+    #[test]
+    fn a_degraded_endpoint_on_an_overridden_hop_draws_link_then_endpoint() {
+        // One send draws link loss, link jitter, endpoint loss, endpoint
+        // jitter, in that order, from the engine stream; a replay of that
+        // order on the seed must give every arrival time and the drops.
+        let (seed, sends) = (0x11_4B, 64);
+        let mut eng = Engine::with_topology(seed, Topology::uniform(SimTime::from_millis(1)));
+        let (me, peer) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        let a = eng.add_node("sender", me, Zone::Dc, Box::new(Stamp::default()));
+        let b = eng.add_node("sink", peer, Zone::Dc, Box::new(Stamp::default()));
+        let link = LinkSpec {
+            latency: SimTime::from_millis(2),
+            jitter: SimTime::from_micros(300),
+            loss: 0.25,
+            duplicate: 0.0,
+        };
+        eng.topology_mut().apply_override(Zone::Dc, Zone::Dc, link);
+        eng.degrade_node_links(b, 0.2, SimTime::from_micros(500));
+        eng.with_node_ctx::<Stamp>(a, |_, ctx| {
+            for _ in 0..sends {
+                let pkt = Packet::new(
+                    Endpoint::new(me, 0),
+                    Endpoint::new(peer, 0),
+                    PROTO_PING,
+                    Bytes::new(),
+                );
+                ctx.send(pkt);
+            }
+        });
+        eng.run_for(SimTime::from_millis(10));
+
+        let mut rng = Rng::seed_from_u64(seed);
+        let (mut want, mut link_lost, mut endpoint_lost) = (Vec::new(), 0, 0);
+        for _ in 0..sends {
+            if rng.gen_f64() < 0.25 {
+                link_lost += 1;
+                continue;
+            }
+            let link_jitter = rng.gen_range(0..=300u64);
+            if rng.gen_f64() < 0.2 {
+                endpoint_lost += 1;
+                continue;
+            }
+            let endpoint_jitter = rng.gen_range(0..=500u64);
+            want.push(SimTime::from_micros(2_000 + link_jitter + endpoint_jitter));
+        }
+        assert!(
+            link_lost > 0 && endpoint_lost > 0,
+            "the seed must lose at both stages"
+        );
+        let mut got: Vec<SimTime> = eng.node_ref::<Stamp>(b).seen.iter().map(|s| s.0).collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+        assert_eq!(eng.packets_dropped(), link_lost + endpoint_lost);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `yoda-netsim` is the substrate every other crate in this workspace runs
 //! on. It replaces the paper's 60-VM Windows Azure testbed with a
 //! deterministic simulation: nodes exchange [`Packet`]s over links with
-//! configurable latency and bandwidth, set timers, and can be failed and
+//! configurable latency, jitter and loss, set timers, and can be failed and
 //! restored at arbitrary simulated times.
 //!
 //! Design goals:

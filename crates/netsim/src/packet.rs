@@ -48,10 +48,6 @@ pub const PROTO_CTRL: Protocol = 42;
 /// IANA's "use for experimentation" number.
 pub const PROTO_PROBE: Protocol = 253;
 
-/// Fixed per-packet header overhead, in bytes, charged by the link model
-/// (IP 20 + simulated L2 framing 18).
-pub const HEADER_OVERHEAD: usize = 38;
-
 /// Size of the inner-packet header [`Packet::encapsulate`] writes in front
 /// of the head: src (6) + dst (6) + protocol (1) + head and body length
 /// (4).
@@ -171,10 +167,8 @@ impl fmt::Debug for Head {
 /// let src = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
 /// let dst = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
 /// let mut pkt = Packet::new(src, dst, PROTO_RPC, Bytes::from_static(b"hi"));
-/// assert_eq!(pkt.wire_len(), 2 + 38);
 /// assert_eq!(pkt.message().map(|m| &m[..]), Some(&b"hi"[..]));
 /// pkt.head = Head::from_array(*b"hdr");
-/// assert_eq!(pkt.wire_len(), 3 + 2 + 38);
 /// assert_eq!(pkt.message(), None, "a message rides in the body alone");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,13 +199,6 @@ impl Packet {
             head: Head::new(),
             body,
         }
-    }
-
-    /// Total bytes this packet occupies on the wire (head, body and
-    /// headers).
-    #[inline]
-    pub fn wire_len(&self) -> usize {
-        self.head.len() + self.body.len() + HEADER_OVERHEAD
     }
 
     /// The message a packet of a message protocol carries: its body, when
@@ -377,7 +364,6 @@ mod tests {
         assert_eq!(outer.dst.addr, INST);
         assert_eq!(outer.head.len(), IPIP_HEADER_LEN + inner.head.len());
         assert_eq!(&outer.head[IPIP_HEADER_LEN..], &inner.head[..]);
-        assert_eq!(outer.wire_len(), IPIP_HEADER_LEN + inner.wire_len());
         // The declared length counts head and body.
         let declared = u32::from_be_bytes(bytes::array_at::<4>(&outer.head, 13).unwrap());
         assert_eq!(declared as usize, inner.head.len() + inner.body.len());
@@ -426,12 +412,6 @@ mod tests {
     #[test]
     fn decap_requires_ipip() {
         assert!(sample().decapsulate().is_none());
-    }
-
-    #[test]
-    fn wire_len_includes_overhead() {
-        let p = sample();
-        assert_eq!(p.wire_len(), p.head.len() + p.body.len() + HEADER_OVERHEAD);
     }
 
     #[test]

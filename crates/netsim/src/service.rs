@@ -36,7 +36,7 @@ pub struct ServiceQueue {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct CoreState {
-    busy_until: SimTime,
+    free_at: SimTime,
 }
 
 impl ServiceQueue {
@@ -70,9 +70,9 @@ impl ServiceQueue {
             // Unreachable: the constructor guarantees at least one core.
             return now + service;
         };
-        let start = now.max(core.busy_until);
+        let start = now.max(core.free_at);
         let done = start + service;
-        core.busy_until = done;
+        core.free_at = done;
         self.window_busy += service;
         self.total_busy += service;
         self.jobs += 1;
@@ -85,7 +85,7 @@ impl ServiceQueue {
         let idx = (affinity % self.cores.len().max(1) as u64) as usize;
         self.cores
             .get(idx)
-            .map_or(SimTime::ZERO, |c| c.busy_until.saturating_sub(now))
+            .map_or(SimTime::ZERO, |c| c.free_at.saturating_sub(now))
     }
 
     /// Utilisation since the last [`ServiceQueue::reset_window`] call, in

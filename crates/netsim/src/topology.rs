@@ -1,10 +1,12 @@
 //! Link and latency model.
 //!
 //! Nodes are placed in [`Zone`]s; a [`Topology`] maps ordered zone pairs to
-//! a [`LinkSpec`] (one-way propagation latency, jitter, bandwidth). This is
-//! deliberately coarse: Yoda's mechanisms depend on *relative* timing
-//! (intra-DC microseconds vs. WAN ~65 ms one-way, 600 ms failure detection,
-//! 300 ms retransmission timers), not on switch-level fidelity.
+//! a [`LinkSpec`] (one-way propagation latency, jitter, loss, duplication)
+//! and stacks time-windowed overrides on top. [`LinkSpec::deliver`] is the
+//! one rule that turns a spec into a packet's fate. This is deliberately
+//! coarse: Yoda's mechanisms depend on *relative* timing (intra-DC
+//! microseconds vs. WAN ~65 ms one-way, 600 ms failure detection, 300 ms
+//! retransmission timers), not on link capacity or switch-level fidelity.
 //!
 //! Defaults reproduce the paper's testbed: clients on a university campus
 //! reaching a Windows Azure datacenter over a WAN path with ~133 ms
@@ -20,18 +22,15 @@ pub enum Zone {
     External,
     /// Inside the datacenter (muxes, LB instances, stores, backends).
     Dc,
-    /// Same-host loopback (controller collocated with a component).
-    Local,
 }
 
 impl Zone {
-    const COUNT: usize = 3;
+    const COUNT: usize = 2;
 
     fn index(self) -> usize {
         match self {
             Zone::External => 0,
             Zone::Dc => 1,
-            Zone::Local => 2,
         }
     }
 }
@@ -43,8 +42,6 @@ pub struct LinkSpec {
     pub latency: SimTime,
     /// Uniform jitter added on top of `latency` (0..=jitter).
     pub jitter: SimTime,
-    /// Link bandwidth in bytes per second; `None` means unconstrained.
-    pub bandwidth_bps: Option<u64>,
     /// Independent drop probability applied per packet (0.0 = reliable).
     ///
     /// `loss >= 1.0` is a deterministic blackhole: the packet is dropped
@@ -53,7 +50,7 @@ pub struct LinkSpec {
     pub loss: f64,
     /// Independent duplication probability applied per delivered packet
     /// (0.0 = never). A duplicated packet takes a second, independent
-    /// trip through the link model (own jitter/loss/queueing roll).
+    /// trip through [`LinkSpec::deliver`] (own loss and jitter rolls).
     pub duplicate: f64,
 }
 
@@ -63,7 +60,6 @@ impl LinkSpec {
         LinkSpec {
             latency,
             jitter: SimTime::ZERO,
-            bandwidth_bps: None,
             loss: 0.0,
             duplicate: 0.0,
         }
@@ -72,12 +68,31 @@ impl LinkSpec {
     /// A link that deterministically drops everything (partition).
     pub fn blackhole() -> Self {
         LinkSpec {
-            latency: SimTime::ZERO,
-            jitter: SimTime::ZERO,
-            bandwidth_bps: None,
             loss: 1.0,
-            duplicate: 0.0,
+            ..LinkSpec::with_latency(SimTime::ZERO)
         }
+    }
+
+    /// The arrival time of a packet sent at `now`, or `None` when it is
+    /// lost. The draws are the determinism contract: `loss >= 1.0` drops
+    /// without a roll, then one loss roll if `loss > 0`, then one jitter
+    /// roll if `jitter > 0`.
+    pub fn deliver(&self, now: SimTime, rng: &mut Rng) -> Option<SimTime> {
+        if self.loss >= 1.0 || (self.loss > 0.0 && rng.gen_f64() < self.loss) {
+            return None;
+        }
+        let jitter = if self.jitter > SimTime::ZERO {
+            SimTime::from_micros(rng.gen_range(0..=self.jitter.as_micros()))
+        } else {
+            SimTime::ZERO
+        };
+        Some(now + self.latency + jitter)
+    }
+
+    /// Whether a delivered packet is sent twice. Rolls only when
+    /// `duplicate > 0`, so links without the knob draw nothing.
+    pub(crate) fn duplicates(&self, rng: &mut Rng) -> bool {
+        self.duplicate > 0.0 && rng.gen_f64() < self.duplicate
     }
 }
 
@@ -87,7 +102,7 @@ impl LinkSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverrideId(u32);
 
-/// The zone-pair latency/bandwidth matrix.
+/// The zone-pair link table and its override stacks.
 ///
 /// # Examples
 ///
@@ -100,9 +115,6 @@ pub struct OverrideId(u32);
 #[derive(Debug, Clone)]
 pub struct Topology {
     links: [[LinkSpec; Zone::COUNT]; Zone::COUNT],
-    /// Serialization state per directed zone pair: the time the link is
-    /// busy until (models FIFO queueing at the bottleneck).
-    busy_until: [[SimTime; Zone::COUNT]; Zone::COUNT],
     /// Stacked time-windowed impairments per directed zone pair. The most
     /// recently applied override wins wholesale (no field merging);
     /// clearing one reveals whatever is below it, down to the base spec.
@@ -113,28 +125,20 @@ pub struct Topology {
 impl Topology {
     /// Topology matching the paper's testbed: campus clients ↔ Azure DC
     /// with ~65 ms one-way WAN latency (133 ms baseline request latency
-    /// once server processing is added), 250 µs intra-DC one-way latency,
-    /// and 5 µs loopback.
+    /// once server processing is added) and 250 µs intra-DC one-way
+    /// latency.
     pub fn azure_testbed() -> Self {
         let wan = LinkSpec {
-            latency: SimTime::from_micros(64_000),
             jitter: SimTime::from_micros(1_500),
-            bandwidth_bps: None,
-            loss: 0.0,
-            duplicate: 0.0,
+            ..LinkSpec::with_latency(SimTime::from_micros(64_000))
         };
         let dc = LinkSpec {
-            latency: SimTime::from_micros(250),
             jitter: SimTime::from_micros(50),
-            bandwidth_bps: None,
-            loss: 0.0,
-            duplicate: 0.0,
+            ..LinkSpec::with_latency(SimTime::from_micros(250))
         };
-        let local = LinkSpec::with_latency(SimTime::from_micros(5));
         Topology {
-            // Rows and columns in `Zone::index` order: External, Dc, Local.
-            links: [[wan, wan, dc], [wan, dc, dc], [dc, dc, local]],
-            busy_until: [[SimTime::ZERO; Zone::COUNT]; Zone::COUNT],
+            // Rows and columns in `Zone::index` order: External, Dc.
+            links: [[wan, wan], [wan, dc]],
             overrides: Default::default(),
             next_override: 0,
         }
@@ -145,7 +149,6 @@ impl Topology {
     pub fn uniform(latency: SimTime) -> Self {
         Topology {
             links: [[LinkSpec::with_latency(latency); Zone::COUNT]; Zone::COUNT],
-            busy_until: [[SimTime::ZERO; Zone::COUNT]; Zone::COUNT],
             overrides: Default::default(),
             next_override: 0,
         }
@@ -160,12 +163,6 @@ impl Topology {
         {
             *link = spec;
         }
-    }
-
-    /// Overrides both directions of the `a ↔ b` link.
-    pub fn set_link_bidir(&mut self, a: Zone, b: Zone, spec: LinkSpec) {
-        self.set_link(a, b, spec);
-        self.set_link(b, a, spec);
     }
 
     /// Returns the base link spec for a directed zone pair (ignoring any
@@ -223,71 +220,27 @@ impl Topology {
             None => self.link(from, to),
         }
     }
-
-    /// Rolls the effective duplication probability for a directed pair.
-    /// Consumes randomness only when the knob is nonzero, so topologies
-    /// with `duplicate == 0.0` replay bit-identical RNG streams.
-    pub(crate) fn roll_duplicate(&self, from: Zone, to: Zone, rng: &mut Rng) -> bool {
-        let d = self.effective(from, to).duplicate;
-        d > 0.0 && rng.gen_f64() < d
-    }
-
-    /// Computes the delivery time of a packet of `wire_len` bytes sent at
-    /// `now` from `from` to `to`, advancing the link's queue occupancy.
-    ///
-    /// Returns `None` if the packet is lost.
-    pub fn delivery_time(
-        &mut self,
-        now: SimTime,
-        from: Zone,
-        to: Zone,
-        wire_len: usize,
-        rng: &mut Rng,
-    ) -> Option<SimTime> {
-        let spec = self.effective(from, to);
-        if spec.loss >= 1.0 {
-            // Deterministic blackhole (partition): no RNG consumed, so
-            // surviving traffic replays identically while the partition
-            // is open.
-            return None;
-        }
-        if spec.loss > 0.0 && rng.gen_f64() < spec.loss {
-            return None;
-        }
-        let jitter = if spec.jitter > SimTime::ZERO {
-            SimTime::from_micros(rng.gen_range(0..=spec.jitter.as_micros()))
-        } else {
-            SimTime::ZERO
-        };
-        let busy_slot = self
-            .busy_until
-            .get_mut(from.index())
-            .and_then(|row| row.get_mut(to.index()));
-        let start = match (spec.bandwidth_bps, busy_slot) {
-            (Some(bps), Some(busy)) => {
-                let start = now.max(*busy);
-                let tx_us = (wire_len as u64 * 1_000_000).div_ceil(bps);
-                *busy = start + SimTime::from_micros(tx_us);
-                *busy
-            }
-            _ => now,
-        };
-        Some(start + spec.latency + jitter)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn lossy(loss: f64) -> LinkSpec {
+        LinkSpec {
+            loss,
+            ..LinkSpec::with_latency(SimTime::from_millis(1))
+        }
+    }
+
     #[test]
     fn uniform_latency_applies() {
-        let mut topo = Topology::uniform(SimTime::from_millis(10));
+        let topo = Topology::uniform(SimTime::from_millis(10));
         let mut rng = Rng::seed_from_u64(1);
         let t = topo
-            .delivery_time(SimTime::ZERO, Zone::Dc, Zone::Dc, 100, &mut rng)
-            .unwrap();
-        assert_eq!(t, SimTime::from_millis(10));
+            .effective(Zone::Dc, Zone::Dc)
+            .deliver(SimTime::ZERO, &mut rng);
+        assert_eq!(t, Some(SimTime::from_millis(10)));
     }
 
     #[test]
@@ -299,92 +252,58 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_serializes_back_to_back_packets() {
-        let mut topo = Topology::uniform(SimTime::from_millis(1));
-        topo.set_link(
-            Zone::Dc,
-            Zone::Dc,
-            LinkSpec {
-                latency: SimTime::from_millis(1),
-                jitter: SimTime::ZERO,
-                bandwidth_bps: Some(1_000_000), // 1 MB/s => 1000 B takes 1 ms
-                loss: 0.0,
-                duplicate: 0.0,
-            },
-        );
+    fn a_blackhole_drops_without_a_roll() {
         let mut rng = Rng::seed_from_u64(1);
-        let t1 = topo
-            .delivery_time(SimTime::ZERO, Zone::Dc, Zone::Dc, 1000, &mut rng)
-            .unwrap();
-        let t2 = topo
-            .delivery_time(SimTime::ZERO, Zone::Dc, Zone::Dc, 1000, &mut rng)
-            .unwrap();
-        // Second packet queues behind the first: one extra ms of tx delay.
-        assert_eq!(t1, SimTime::from_millis(2));
-        assert_eq!(t2, SimTime::from_millis(3));
+        assert_eq!(LinkSpec::blackhole().deliver(SimTime::ZERO, &mut rng), None);
+        assert_eq!(lossy(2.0).deliver(SimTime::ZERO, &mut rng), None);
+        assert_eq!(rng.next_u64(), Rng::seed_from_u64(1).next_u64());
     }
 
     #[test]
-    fn lossy_link_drops_deterministically() {
-        let mut topo = Topology::uniform(SimTime::from_millis(1));
-        topo.set_link(
-            Zone::Dc,
-            Zone::Dc,
-            LinkSpec {
-                latency: SimTime::from_millis(1),
-                jitter: SimTime::ZERO,
-                bandwidth_bps: None,
-                loss: 1.0,
-                duplicate: 0.0,
-            },
-        );
-        let mut rng = Rng::seed_from_u64(1);
-        assert!(topo
-            .delivery_time(SimTime::ZERO, Zone::Dc, Zone::Dc, 100, &mut rng)
-            .is_none());
+    fn loss_is_one_roll_against_the_probability() {
+        let link = lossy(0.5);
+        let (mut rng, mut replay) = (Rng::seed_from_u64(7), Rng::seed_from_u64(7));
+        let mut lost = 0;
+        for _ in 0..200 {
+            let kept = replay.gen_f64() >= 0.5;
+            let t = link.deliver(SimTime::ZERO, &mut rng);
+            assert_eq!(t, kept.then_some(SimTime::from_millis(1)));
+            lost += usize::from(!kept);
+        }
+        assert!((50..150).contains(&lost), "{lost} of 200 lost at 50 %");
+        // No jitter and no duplication knob: nothing else was drawn.
+        assert_eq!(rng.next_u64(), replay.next_u64());
+        assert!(!link.duplicates(&mut rng));
+        assert_eq!(rng.next_u64(), replay.next_u64());
     }
 
     #[test]
-    fn duplicating_link_duplicates_deterministically() {
-        let mut topo = Topology::uniform(SimTime::from_millis(1));
-        topo.set_link(
-            Zone::Dc,
-            Zone::Dc,
-            LinkSpec {
-                latency: SimTime::from_millis(1),
-                jitter: SimTime::ZERO,
-                bandwidth_bps: None,
-                loss: 0.0,
-                duplicate: 1.0,
-            },
-        );
-        let mut rng_a = Rng::seed_from_u64(1);
-        let mut rng_b = Rng::seed_from_u64(1);
-        assert!(topo.roll_duplicate(Zone::Dc, Zone::Dc, &mut rng_a));
-        assert!(topo.roll_duplicate(Zone::Dc, Zone::Dc, &mut rng_b));
-        // duplicate == 0.0 must not consume randomness at all.
-        let clean = Topology::uniform(SimTime::from_millis(1));
-        let before = rng_a.next_u64();
-        let mut rng_c = Rng::seed_from_u64(1);
-        let _ = rng_c.gen_f64(); // align with rng_a's consumed roll
-        assert!(!clean.roll_duplicate(Zone::Dc, Zone::Dc, &mut rng_c));
-        assert_eq!(before, rng_c.next_u64());
+    fn jitter_within_bounds() {
+        let link = Topology::azure_testbed().link(Zone::External, Zone::Dc);
+        let mut rng = Rng::seed_from_u64(42);
+        for _ in 0..100 {
+            let t = link.deliver(SimTime::ZERO, &mut rng).unwrap();
+            assert!(t >= link.latency && t <= link.latency + link.jitter);
+        }
+    }
+
+    #[test]
+    fn duplication_rolls_only_when_set() {
+        let dup = LinkSpec {
+            duplicate: 1.0,
+            ..LinkSpec::with_latency(SimTime::from_millis(1))
+        };
+        let (mut rng, mut replay) = (Rng::seed_from_u64(1), Rng::seed_from_u64(1));
+        assert!(dup.duplicates(&mut rng));
+        let _ = replay.gen_f64();
+        assert!(!lossy(0.0).duplicates(&mut rng));
+        assert_eq!(rng.next_u64(), replay.next_u64());
     }
 
     #[test]
     fn override_stack_wins_and_reveals_base_when_cleared() {
         let mut topo = Topology::uniform(SimTime::from_millis(1));
-        let burst = topo.apply_override(
-            Zone::External,
-            Zone::Dc,
-            LinkSpec {
-                latency: SimTime::from_millis(1),
-                jitter: SimTime::ZERO,
-                bandwidth_bps: None,
-                loss: 0.5,
-                duplicate: 0.0,
-            },
-        );
+        let burst = topo.apply_override(Zone::External, Zone::Dc, lossy(0.5));
         let spike = topo.apply_override(
             Zone::External,
             Zone::Dc,
@@ -404,38 +323,16 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_partition_blocks_one_direction_only() {
+    fn an_override_impairs_one_direction_only() {
         let mut topo = Topology::uniform(SimTime::from_millis(1));
         let id = topo.apply_override(Zone::External, Zone::Dc, LinkSpec::blackhole());
         let mut rng = Rng::seed_from_u64(1);
-        let before = rng.next_u64();
-        assert!(topo
-            .delivery_time(SimTime::ZERO, Zone::External, Zone::Dc, 100, &mut rng)
-            .is_none());
-        // Blackhole drop consumed no randomness.
-        let mut rng2 = Rng::seed_from_u64(1);
-        assert_eq!(before, rng2.next_u64());
-        // The reverse direction is untouched.
-        assert!(topo
-            .delivery_time(SimTime::ZERO, Zone::Dc, Zone::External, 100, &mut rng)
-            .is_some());
+        let send = |topo: &Topology, from, to, rng: &mut Rng| {
+            topo.effective(from, to).deliver(SimTime::ZERO, rng)
+        };
+        assert_eq!(send(&topo, Zone::External, Zone::Dc, &mut rng), None);
+        assert!(send(&topo, Zone::Dc, Zone::External, &mut rng).is_some());
         topo.clear_override(Zone::External, Zone::Dc, id);
-        assert!(topo
-            .delivery_time(SimTime::ZERO, Zone::External, Zone::Dc, 100, &mut rng)
-            .is_some());
-    }
-
-    #[test]
-    fn jitter_within_bounds() {
-        let mut topo = Topology::azure_testbed();
-        let mut rng = Rng::seed_from_u64(42);
-        let base = topo.link(Zone::External, Zone::Dc).latency;
-        let jit = topo.link(Zone::External, Zone::Dc).jitter;
-        for _ in 0..100 {
-            let t = topo
-                .delivery_time(SimTime::ZERO, Zone::External, Zone::Dc, 100, &mut rng)
-                .unwrap();
-            assert!(t >= base && t <= base + jit);
-        }
+        assert!(send(&topo, Zone::External, Zone::Dc, &mut rng).is_some());
     }
 }

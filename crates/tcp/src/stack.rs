@@ -587,13 +587,12 @@ mod tests {
     fn run_echo(blob_len: usize, loss: f64) -> (Engine, yoda_netsim::NodeId, Vec<u8>) {
         let mut topo = Topology::uniform(SimTime::from_millis(5));
         if loss > 0.0 {
-            topo.set_link_bidir(
+            topo.set_link(
                 Zone::Dc,
                 Zone::Dc,
                 yoda_netsim::LinkSpec {
                     latency: SimTime::from_millis(5),
                     jitter: SimTime::ZERO,
-                    bandwidth_bps: None,
                     loss,
                     duplicate: 0.0,
                 },
