@@ -10,7 +10,7 @@
 //! clock, environment, host I/O) and `Ctx` offers handlers no RNG but
 //! their own node's stream; this test catches the unknown ones.
 
-use yoda::chaos::{run_seed, ChaosScenario, FaultKind};
+use yoda::chaos::{run_seed, ChaosPlan, ChaosScenario, FaultKind, PlanBudget};
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
@@ -158,6 +158,115 @@ fn chaos_seed_2006_matches_pinned_digest() {
         (report.digest, report.events),
         (0xfa6b_c24d_4fb3_6922, 197_634),
         "chaos seed 2006 event sequence diverged (digest, events)"
+    );
+}
+
+/// FNV-1a over `text`'s bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The plan the chaos matrices generate for `seed` in one regime.
+fn chaos_plan(seed: u64, survivable: bool) -> ChaosPlan {
+    let budget = if survivable {
+        PlanBudget::survivable()
+    } else {
+        PlanBudget::unconstrained()
+    };
+    ChaosPlan::generate(seed, &budget)
+}
+
+/// One hash over the fault lists of `seeds`, in order.
+fn plans_hash(seeds: &[u64], survivable: bool) -> u64 {
+    let text: String = seeds
+        .iter()
+        .map(|&s| format!("{:?}\n", chaos_plan(s, survivable).faults))
+        .collect();
+    fnv1a(&text)
+}
+
+/// Every plan `tests/chaos_matrix.rs` runs, pinned group by group: the
+/// survivable seeds 0–19, the splicing seeds 500–504, the first 20 plans
+/// from seed 2000 on that draw a gray fault, and the unconstrained seeds
+/// 1000–1004. A change to the generator that moves one of them changes
+/// which faults the matrices inject.
+#[test]
+fn chaos_matrix_plans_match_pinned_hashes() {
+    let is_gray = |k: &FaultKind| {
+        matches!(
+            k,
+            FaultKind::NodeSlowdown { .. }
+                | FaultKind::LinkDegrade { .. }
+                | FaultKind::AsymmetricPartition { .. }
+        )
+    };
+    let gray: Vec<u64> = (2000..4000)
+        .filter(|&s| chaos_plan(s, true).faults.iter().any(|f| is_gray(&f.kind)))
+        .take(20)
+        .collect();
+    assert_eq!(
+        gray.len(),
+        20,
+        "seed range 2000..4000 yielded too few gray plans"
+    );
+    let survivable: Vec<u64> = (0..20).collect();
+    let splice: Vec<u64> = (500..505).collect();
+    let unconstrained: Vec<u64> = (1000..1005).collect();
+    assert_eq!(
+        [
+            plans_hash(&survivable, true),
+            plans_hash(&splice, true),
+            plans_hash(&gray, true),
+            plans_hash(&unconstrained, false),
+        ],
+        [
+            0xcafe_9107_008b_40c1,
+            0xe675_b2f2_a0cf_b577,
+            0x3a31_a25c_15ae_0d0e,
+            0xd3eb_b64b_2d94_2945,
+        ],
+        "a chaos matrix plan moved (survivable, splice, gray, unconstrained)"
+    );
+}
+
+/// Survivable seeds 8 and 17 together crash and restore an instance, a
+/// store, a mux and a backend, and partition an instance both ways and
+/// one way: their event sequences pin how the orchestrator schedules
+/// every crash, restart, partition and heal.
+#[test]
+fn chaos_seeds_8_and_17_match_pinned_digests() {
+    let kinds: Vec<FaultKind> = [8, 17]
+        .iter()
+        .flat_map(|&s| chaos_plan(s, true).faults)
+        .map(|f| f.kind)
+        .collect();
+    let draws = |f: fn(&FaultKind) -> bool| kinds.iter().any(f);
+    assert!(
+        draws(|k| matches!(k, FaultKind::InstanceCrash { .. }))
+            && draws(|k| matches!(k, FaultKind::StoreCrash { .. }))
+            && draws(|k| matches!(k, FaultKind::MuxCrash { .. }))
+            && draws(|k| matches!(k, FaultKind::BackendCrash { .. }))
+            && draws(|k| matches!(k, FaultKind::InstancePartition { .. }))
+            && draws(|k| matches!(k, FaultKind::AsymmetricPartition { .. })),
+        "seeds 8 and 17 no longer crash every role and partition an instance: {kinds:?}"
+    );
+    let sc = ChaosScenario::survivable();
+    let runs: Vec<(u64, u64)> = [8, 17]
+        .iter()
+        .map(|&s| {
+            let r = run_seed(s, &sc);
+            (r.digest, r.events)
+        })
+        .collect();
+    assert_eq!(
+        runs,
+        [
+            (0xf8ad_c6f6_1090_931e, 185_546),
+            (0x6de4_6cbe_6fae_548b, 199_536),
+        ],
+        "chaos seeds 8 and 17 event sequences diverged (digest, events)"
     );
 }
 
