@@ -1,9 +1,9 @@
 //! Store brownout: availability under a gray failure of the whole store
 //! tier.
 //!
-//! Every TCPStore server is slowed `factor`× for a window mid-run — none
-//! are killed, all keep answering pings, so classic liveness health
-//! checks see a healthy tier while every flow-record write crawls. The
+//! Every TCPStore server is slowed 10× for a window mid-run — none are
+//! killed, all keep answering pings, so classic liveness health checks
+//! see a healthy tier while every flow-record write crawls. The
 //! gray-failure machinery keeps the data path available anyway: hedged
 //! reads steer around slow replicas, bounded retries absorb stragglers,
 //! and instances that see consecutive write timeouts enter degraded mode
@@ -16,12 +16,16 @@
 
 use yoda_bench::report::{f2, pct, print_header, print_kv};
 use yoda_bench::storestats::StoreStatsSummary;
-use yoda_bench::{arg_f64, arg_usize};
 use yoda_core::instance::YodaInstance;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::{Histogram, SimTime};
 use yoda_tcpstore::StoreServerConfig;
+
+/// Slowdown applied to every store in the brownout run.
+const FACTOR: f64 = 10.0;
+/// Simulated run length in seconds.
+const SECS: u64 = 30;
 
 struct Out {
     completed: u64,
@@ -51,7 +55,7 @@ impl Out {
     }
 }
 
-fn run(factor: f64, browse_secs: u64) -> Out {
+fn run(factor: f64) -> Out {
     // A modest store tier (8 ms/op instead of the stock 50 µs) so a 10×
     // brownout saturates the tier and queues ops past the 100 ms timeout:
     // writes stop completing and the full hedge/retry/degraded-mode
@@ -82,12 +86,12 @@ fn run(factor: f64, browse_secs: u64) -> Out {
     // browsers ramp, heals well before the deadline so the write-behind
     // queues drain on camera.
     let at = SimTime::from_secs(4);
-    let heal = at + SimTime::from_secs(browse_secs / 2);
+    let heal = at + SimTime::from_secs(SECS / 2);
     for i in 0..tb.stores.len() {
         tb.slowdown_store_at(i, factor, at);
         tb.slowdown_store_at(i, 1.0, heal);
     }
-    tb.engine.run_for(SimTime::from_secs(browse_secs));
+    tb.engine.run_for(SimTime::from_secs(SECS));
 
     let mut lat = Histogram::new();
     let mut out = Out {
@@ -133,13 +137,11 @@ fn main() {
         "Store brownout",
         "gray failure of the whole store tier: hedged ops + degraded-mode instances",
     );
-    let factor = arg_f64("factor", 10.0);
-    let secs = arg_usize("secs", 30) as u64;
-    print_kv("slowdown factor (all stores)", factor);
-    print_kv("run length (sim s)", secs);
+    print_kv("slowdown factor (all stores)", FACTOR);
+    print_kv("run length (sim s)", SECS);
 
-    let healthy = run(1.0, secs);
-    let brown = run(factor, secs);
+    let healthy = run(1.0);
+    let brown = run(FACTOR);
 
     print_kv("healthy: success", pct(healthy.success()));
     print_kv(

@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use yoda_bench::arg_usize;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
@@ -70,6 +69,11 @@ impl Node for Driver {
     }
 }
 
+/// TCPStore servers in every run.
+const SERVERS: usize = 4;
+/// Simulated seconds of load per point.
+const SECS: u64 = 3;
+
 struct RunOut {
     get_ms: f64,
     set_ms: f64,
@@ -77,9 +81,9 @@ struct RunOut {
     cpu: f64,
 }
 
-fn run(ops_per_server: f64, replicas: usize, num_servers: usize, secs: u64) -> RunOut {
+fn run(ops_per_server: f64, replicas: usize) -> RunOut {
     let mut eng = Engine::with_topology(10, Topology::azure_testbed());
-    let servers: Vec<Addr> = (1..=num_servers as u8)
+    let servers: Vec<Addr> = (1..=SERVERS as u8)
         .map(|i| Addr::new(10, 0, 1, i))
         .collect();
     let server_ids: Vec<NodeId> = servers
@@ -96,11 +100,11 @@ fn run(ops_per_server: f64, replicas: usize, num_servers: usize, secs: u64) -> R
     // Client-side op rate, normalized per server; a K-replica op fans
     // out to K servers, so the *server-side* rate is K× this — exactly
     // Figure 11's doubling.
-    let total_rate = ops_per_server * num_servers as f64;
+    let total_rate = ops_per_server * SERVERS as f64;
     // Spread over several driver nodes, matching the paper's many Yoda
     // instances as clients.
     let drivers = 4;
-    let duration = SimTime::from_secs(secs);
+    let duration = SimTime::from_secs(SECS);
     let mut driver_ids = Vec::new();
     for d in 0..drivers {
         let addr = Addr::new(10, 0, 6, d + 1);
@@ -125,7 +129,7 @@ fn run(ops_per_server: f64, replicas: usize, num_servers: usize, secs: u64) -> R
         .iter()
         .map(|&s| eng.node_ref::<StoreServer>(s).cpu_utilization(now))
         .sum::<f64>()
-        / num_servers as f64;
+        / SERVERS as f64;
     let mut lat: HashMap<StoreOp, Vec<f64>> = HashMap::new();
     for &d in &driver_ids {
         let drv = eng.node_mut::<Driver>(d);
@@ -159,10 +163,8 @@ fn main() {
         "Figure 10 & 11",
         "TCPStore latency and CPU: default Memcached (K=1) vs persistent (K=2)",
     );
-    let servers = arg_usize("servers", 4);
-    let secs = arg_usize("secs", 3) as u64;
-    print_kv("store servers", servers);
-    print_kv("duration per point (sim s)", secs);
+    print_kv("store servers", SERVERS);
+    print_kv("duration per point (sim s)", SECS);
     let mut lat_table = Table::new(&[
         "client ops/s/server",
         "K",
@@ -175,7 +177,7 @@ fn main() {
     for &rate in &[8_000.0, 24_000.0, 36_000.0] {
         let mut set_k1 = 0.0;
         for &k in &[1usize, 2] {
-            let out = run(rate, k, servers, secs);
+            let out = run(rate, k);
             if k == 1 {
                 set_k1 = out.set_ms;
             } else if rate == 8_000.0 {

@@ -17,7 +17,7 @@
 //! instance), retransmit at +600 ms reaching a live instance, recovery.
 
 use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
-use yoda_bench::{arg_flag, arg_usize, run_failover, FailoverSetup, LbKind};
+use yoda_bench::{arg_flag, run_failover, FailoverSetup, LbKind};
 use yoda_netsim::SimTime;
 
 fn main() {
@@ -25,9 +25,6 @@ fn main() {
         "Figure 12",
         "End-to-end request latency under 2/10 LB instance failures",
     );
-    let browsers = arg_usize("browsers", 4);
-    let processes = arg_usize("processes", 20);
-    let pages = arg_usize("pages", 3) as u64;
     // Long transfers (the largest ~442 KB object), failed mid-flight:
     // this reproduces the paper's "breaking a single established
     // connection" condition, under which 2/10 dead instances strand
@@ -36,10 +33,10 @@ fn main() {
         num_instances: 10,
         fail: vec![0, 1],
         fail_at: SimTime::from_millis(3500),
-        browsers,
-        processes,
+        browsers: 4,
+        processes: 20,
         use_largest_object: true,
-        max_pages: Some(pages),
+        max_pages: Some(3),
         http_timeout: SimTime::from_secs(30),
         duration: SimTime::from_secs(150),
         ..FailoverSetup::default()

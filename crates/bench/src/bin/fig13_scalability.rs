@@ -7,27 +7,30 @@
 //! experiment", and latency shows no spike because queues only build once
 //! CPU saturates.
 //!
-//! The default run is scaled to 1/5 of the paper's rates (same CPU
-//! fractions — the instance capacity constant is scaled identically) so
-//! it completes in seconds; pass `--scale 1` for full scale.
+//! The run is scaled to a tenth of the paper's rates (same CPU fractions
+//! — the instance capacity constant is scaled identically) so it
+//! completes in seconds.
 
 use yoda_bench::report::{f1, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, TimeSeries};
+use yoda_bench::TimeSeries;
 use yoda_core::controller::ControllerConfig;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{RateClient as HttpRateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 
+/// Fraction of the paper's offered load (and inverse of the per-request
+/// CPU scale-up) the run uses.
+const SCALE: f64 = 0.1;
+
 fn main() {
     print_header(
         "Figure 13",
         "Scalability: autoscaler adds instances under load",
     );
-    let scale = arg_f64("scale", 0.1);
-    let base_rate = 5_000.0 * scale; // per-instance offered load, phase 1
-    let cpu_scale = 1.0 / scale;
-    print_kv("scale factor", scale);
+    let base_rate = 5_000.0 * SCALE; // per-instance offered load, phase 1
+    let cpu_scale = 1.0 / SCALE;
+    print_kv("scale factor", SCALE);
 
     let yoda = YodaConfig {
         // Per-request CPU scaled so the same *fraction* of capacity is

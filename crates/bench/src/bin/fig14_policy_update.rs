@@ -10,14 +10,16 @@
 //! apply new policies to new connections").
 
 use yoda_bench::report::{pct, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, TimeSeries};
+use yoda_bench::TimeSeries;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_http::{OriginServer, RateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 
+/// Total open-loop request rate across the four clients (requests/s).
+const RATE: f64 = 800.0;
+
 fn main() {
     print_header("Figure 14", "User policy update without breaking flows");
-    let rate = arg_f64("rate", 800.0);
     let mut tb = Testbed::build(TestbedConfig {
         seed: 14,
         num_instances: 4,
@@ -71,7 +73,7 @@ fn main() {
         clients.push(tb.add_rate_client(
             0,
             RateClientConfig {
-                rate_per_sec: rate / 4.0,
+                rate_per_sec: RATE / 4.0,
                 object_path: Some(obj.clone()),
                 duration: Some(SimTime::from_secs(39)),
                 ..RateClientConfig::default()

@@ -6,7 +6,6 @@
 //! dedicated (peak-provisioned) HAProxy deployment over-provisions
 //! relative to Yoda-as-a-service (which bills average usage).
 
-use yoda_bench::arg_usize;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_trace::{Trace, TraceConfig};
 
@@ -15,11 +14,7 @@ fn main() {
         "Figure 15",
         "Max-to-average traffic ratio for all VIPs (24h production-style trace)",
     );
-    let num_vips = arg_usize("vips", 110);
-    let trace = Trace::generate(&TraceConfig {
-        num_vips,
-        ..TraceConfig::default()
-    });
+    let trace = Trace::generate(&TraceConfig::default());
     print_kv("VIPs", trace.vips.len());
     print_kv("bins (10-min)", trace.bins());
     print_kv("total L7 rules", trace.total_rules());

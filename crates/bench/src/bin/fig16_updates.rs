@@ -18,7 +18,6 @@ use std::time::Instant;
 
 use yoda_assign::model::transition_stats;
 use yoda_assign::{all_to_all, solve_greedy, Assignment};
-use yoda_bench::arg_usize;
 use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
 use yoda_netsim::Histogram;
 use yoda_trace::{assign_input_for_bin, AssignParams, Trace, TraceConfig};
@@ -61,13 +60,8 @@ fn main() {
         "Figure 16",
         "VIP assignment update study (24h trace, 10-min rounds)",
     );
-    let bins = arg_usize("bins", 144);
-    let num_vips = arg_usize("vips", 110);
-    let trace = Trace::generate(&TraceConfig {
-        num_vips,
-        bins,
-        ..TraceConfig::default()
-    });
+    let trace = Trace::generate(&TraceConfig::default());
+    let bins = trace.bins();
     print_kv("VIPs", trace.vips.len());
     print_kv("rounds", bins);
     print_kv("rule capacity R_y (5ms target per Fig. 6)", "2000 rules");

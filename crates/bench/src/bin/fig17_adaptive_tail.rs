@@ -25,9 +25,9 @@
 use std::collections::BTreeMap;
 
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, arg_flag, arg_usize, TimeSeries};
+use yoda_bench::TimeSeries;
 use yoda_core::testbed::{Testbed, TestbedConfig};
-use yoda_core::{YodaConfig, YodaInstance};
+use yoda_core::YodaConfig;
 use yoda_http::{OriginServer, RateClient, RateClientConfig};
 use yoda_netsim::stats::Histogram;
 use yoda_netsim::{NodeId, SimTime};
@@ -35,6 +35,17 @@ use yoda_trace::{AdaptiveScenario, BurstyLoad};
 
 const NUM_BACKENDS: usize = 6;
 const CLIENTS: usize = 4;
+/// How long the clients send in each run.
+const RUN: SimTime = SimTime::from_secs(20);
+/// Service-time multiplier of the slow backend.
+const SLOW_FACTOR: f64 = 5.0;
+/// The offered load: a 4 s square wave, 30 % of it at the burst rate.
+const LOAD: BurstyLoad = BurstyLoad {
+    base_rps: 2_400.0,
+    burst_rps: 4_200.0,
+    period: SimTime::from_secs(4),
+    duty: 0.3,
+};
 
 struct RunOutcome {
     p50: f64,
@@ -66,12 +77,7 @@ fn policy_rules(name: &str, tb: &Testbed) -> String {
     }
 }
 
-fn run_one(
-    policy: &str,
-    scenario: &AdaptiveScenario,
-    load: BurstyLoad,
-    run: SimTime,
-) -> RunOutcome {
+fn run_one(policy: &str, scenario: &AdaptiveScenario) -> RunOutcome {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 17,
         num_instances: 4,
@@ -108,7 +114,7 @@ fn run_one(
         .expect("objects");
 
     // Open-loop clients start at t=1 s (control plane warm), stop at
-    // 1 s + run; the square wave is applied through `set_rate` at each
+    // 1 s + RUN; the square wave is applied through `set_rate` at each
     // load edge.
     let start = SimTime::from_secs(1);
     let clients: Vec<NodeId> = (0..CLIENTS)
@@ -116,16 +122,16 @@ fn run_one(
             tb.add_rate_client(
                 0,
                 RateClientConfig {
-                    rate_per_sec: load.rate_at(SimTime::ZERO) / CLIENTS as f64,
+                    rate_per_sec: LOAD.rate_at(SimTime::ZERO) / CLIENTS as f64,
                     object_path: Some(obj.clone()),
-                    duration: Some(start + run),
+                    duration: Some(start + RUN),
                     ..RateClientConfig::default()
                 },
             )
         })
         .collect();
-    for edge in load.edges(run) {
-        let rate = load.rate_at(edge) / CLIENTS as f64;
+    for edge in LOAD.edges(RUN) {
+        let rate = LOAD.rate_at(edge) / CLIENTS as f64;
         let ids = clients.clone();
         tb.engine.schedule(start + edge, move |eng| {
             for &id in &ids {
@@ -159,7 +165,7 @@ fn run_one(
         &mut tb.engine,
         start,
         SimTime::from_millis(100),
-        start + run,
+        start + RUN,
         move |eng| {
             let rifs: Vec<f64> = ids
                 .iter()
@@ -171,18 +177,7 @@ fn run_one(
         },
     );
 
-    tb.engine.run_for(start + run + SimTime::from_secs(4));
-
-    if arg_flag("probestats") {
-        for &id in &tb.instances {
-            let inst = tb.engine.node_ref::<YodaInstance>(id);
-            let p = inst.prober();
-            println!(
-                "  [{policy}] instance {id:?}: sent={} answered={} timed_out={} quarantines={}",
-                p.probes_sent, p.probes_answered, p.probes_timed_out, p.quarantines
-            );
-        }
-    }
+    tb.engine.run_for(start + RUN + SimTime::from_secs(4));
 
     let mut latencies = Histogram::new();
     let mut completed = 0;
@@ -222,19 +217,11 @@ fn main() {
         "Figure 17 (beyond the paper)",
         "Adaptive backend selection: tail latency under heterogeneous backends",
     );
-    let run = SimTime::from_secs(arg_usize("secs", 20) as u64);
-    let slow_factor = arg_f64("slow", 5.0);
-    let load = BurstyLoad {
-        base_rps: arg_f64("base", 2_400.0),
-        burst_rps: arg_f64("burst", 4_200.0),
-        period: SimTime::from_secs(4),
-        duty: 0.3,
-    };
     print_kv(
         "load",
         format!(
             "{}..{} req/s square wave (4 s period, 30% duty), {NUM_BACKENDS} backends",
-            load.base_rps, load.burst_rps
+            LOAD.base_rps, LOAD.burst_rps
         ),
     );
 
@@ -242,13 +229,13 @@ fn main() {
         ("uniform", AdaptiveScenario::uniform()),
         (
             "one-slow",
-            AdaptiveScenario::one_slow(0, slow_factor, SimTime::from_secs(3_600)),
+            AdaptiveScenario::one_slow(0, SLOW_FACTOR, SimTime::from_secs(3_600)),
         ),
         (
             "degrade-recover",
             AdaptiveScenario::degrade_recover(
                 0,
-                slow_factor,
+                SLOW_FACTOR,
                 SimTime::from_secs(6),
                 SimTime::from_secs(14),
             ),
@@ -271,7 +258,7 @@ fn main() {
             "rif imbalance",
         ]);
         for policy in policies {
-            let out = run_one(policy, scenario, load, run);
+            let out = run_one(policy, scenario);
             table.row(&[
                 policy.to_string(),
                 f2(out.p50),

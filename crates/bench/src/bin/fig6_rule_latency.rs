@@ -19,12 +19,15 @@
 
 use std::time::Instant;
 
+use yoda_bench::report;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::{arg_usize, report};
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
 use yoda_netsim::rng::Rng;
 use yoda_netsim::Histogram;
+
+/// Lookups timed per table size.
+const LOOKUPS: usize = 20_000;
 
 /// Builds a table of `n` rules, each matching a distinct URL pattern.
 fn build_table(n: usize) -> RuleTable {
@@ -39,7 +42,6 @@ fn build_table(n: usize) -> RuleTable {
 
 fn main() {
     print_header("Figure 6", "Look-up latency vs rules per instance");
-    let lookups = arg_usize("lookups", 20_000);
     // Fixed per-connection processing charged alongside the scan — the
     // same calibrated constant the simulated Yoda instance uses (§7.1).
     let fixed_us = yoda_core::YodaConfig::default().per_conn_cpu.as_micros() as f64;
@@ -56,7 +58,7 @@ fn main() {
         let ctx = SelectCtx::default();
         let mut rng = Rng::seed_from_u64(6);
         let mut hist = Histogram::new();
-        for _ in 0..lookups {
+        for _ in 0..LOOKUPS {
             // Random object: the matching rule sits at a uniform position.
             let obj = rng.gen_range(0..n);
             let req = HttpRequest::get(format!("/obj{obj}/x.jpg"));

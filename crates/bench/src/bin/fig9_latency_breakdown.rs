@@ -14,7 +14,6 @@
 
 use yoda_bench::failover::LbKind;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, arg_flag};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
 use yoda_http::{
@@ -22,6 +21,11 @@ use yoda_http::{
 };
 use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
 use yoda_proxy::ProxyInstance;
+
+/// Open-loop request rate of the latency runs (requests/s).
+const RATE: f64 = 400.0;
+/// How long the latency runs' clients send.
+const DURATION: SimTime = SimTime::from_secs(10);
 
 /// Finds an object of roughly 10 KB in site 0 of a catalog.
 fn small_object(catalog: &SiteCatalog) -> String {
@@ -39,7 +43,7 @@ struct RunResult {
     connection_ms: f64,
 }
 
-fn run_baseline(rate: f64, duration: SimTime) -> RunResult {
+fn run_baseline() -> RunResult {
     // Clients straight to one backend: Internet + server time only.
     let catalog = std::sync::Arc::new(SiteCatalog::generate(9, &[SiteConfig::default()]));
     let mut eng = Engine::with_topology(9, Topology::azure_testbed());
@@ -58,17 +62,17 @@ fn run_baseline(rate: f64, duration: SimTime) -> RunResult {
         Zone::External,
         Box::new(RateClient::new(
             RateClientConfig {
-                rate_per_sec: rate,
+                rate_per_sec: RATE,
                 target: server_ep,
                 object_path: Some(path),
-                duration: Some(duration),
+                duration: Some(DURATION),
                 ..RateClientConfig::default()
             },
             addr,
             catalog,
         )),
     );
-    eng.run_for(duration + SimTime::from_secs(5));
+    eng.run_for(DURATION + SimTime::from_secs(5));
     let c = eng.node_mut::<RateClient>(client);
     RunResult {
         median_ms: c.fetch_latencies.median().unwrap_or(0.0),
@@ -88,19 +92,19 @@ fn one_instance_testbed(lb: LbKind, num_backends: usize) -> Testbed {
     })
 }
 
-fn run_lb(lb: LbKind, rate: f64, duration: SimTime) -> RunResult {
+fn run_lb(lb: LbKind) -> RunResult {
     let mut tb = one_instance_testbed(lb, 4);
     let path = small_object(&tb.catalog);
     let client = tb.add_rate_client(
         0,
         RateClientConfig {
-            rate_per_sec: rate,
+            rate_per_sec: RATE,
             object_path: Some(path),
-            duration: Some(duration),
+            duration: Some(DURATION),
             ..RateClientConfig::default()
         },
     );
-    tb.engine.run_for(duration + SimTime::from_secs(5));
+    tb.engine.run_for(DURATION + SimTime::from_secs(5));
     // Storage and connection components exist only on a Yoda instance.
     let (storage_ms, connection_ms) = match tb.engine.try_node_mut::<YodaInstance>(tb.instances[0])
     {
@@ -178,11 +182,9 @@ fn main() {
         "Figure 9",
         "Latency breakdown, request->response (10 KB objects, WAN clients)",
     );
-    let rate = arg_f64("rate", 400.0);
-    let duration = SimTime::from_secs(arg_f64("secs", 10.0) as u64);
-    let baseline = run_baseline(rate, duration);
-    let yoda = run_lb(LbKind::Yoda, rate, duration);
-    let proxy = run_lb(LbKind::Proxy, rate, duration);
+    let baseline = run_baseline();
+    let yoda = run_lb(LbKind::Yoda);
+    let proxy = run_lb(LbKind::Proxy);
 
     let mut t = Table::new(&[
         "component",
@@ -234,7 +236,5 @@ fn main() {
         "decoupling flow state into TCPStore adds <1 ms to a ~150 ms request",
     );
 
-    if !arg_flag("no-cpu") {
-        cpu_sweep();
-    }
+    cpu_sweep();
 }

@@ -17,20 +17,6 @@ pub use report::{print_header, print_kv, print_row, Table};
 pub use sampler::TimeSeries;
 pub use storestats::StoreStatsSummary;
 
-/// Parses `--key value` style arguments with a default.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_str(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Integer variant of [`arg_f64`].
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_str(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Returns the value following `--name`, if present.
 pub fn arg_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();

@@ -89,7 +89,7 @@ pub fn check_invariants(
     }
 
     // --- Bounded resolution (drain) for finite workloads. --------------
-    if sc.max_pages.is_some() && total_in_flight != 0 {
+    if !sc.survivable && total_in_flight != 0 {
         v.push(format!(
             "{total_in_flight} fetches still unresolved at the deadline — a \
              finite workload must drain (bounded timeouts, never hung)"

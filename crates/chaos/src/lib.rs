@@ -8,9 +8,9 @@
 //! simulation-chaos harness:
 //!
 //! * [`plan`] — a [`ChaosPlan`] is a deterministic
-//!   function of a single seed plus a budget. *Survivable* budgets keep
+//!   function of a single seed plus a regime. *Survivable* plans keep
 //!   the schedule inside the availability preconditions; *unconstrained*
-//!   budgets deliberately violate them to test graceful degradation.
+//!   plans deliberately violate them to test graceful degradation.
 //! * [`orchestrator`] — maps each fault onto the testbed's injection
 //!   helpers (crash/restart, partition/heal) or onto time-windowed
 //!   topology overrides (loss bursts, latency spikes, WAN blackholes),
@@ -35,5 +35,5 @@ pub mod witness;
 
 pub use invariants::check_invariants;
 pub use orchestrator::{apply_plan, run_plan, run_seed, ChaosReport, ChaosScenario};
-pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget, PlanBudget};
+pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget};
 pub use witness::{StoreWitness, WITNESS_TICK_KIND};

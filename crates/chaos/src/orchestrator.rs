@@ -1,10 +1,11 @@
 //! Applies a [`ChaosPlan`] to a live [`Testbed`] and runs the scenario.
 //!
-//! Every fault maps onto the testbed's scheduled injection helpers
-//! (crash + fresh restart, partition + heal) or onto time-windowed
-//! topology overrides for the WAN impairments. Store faults additionally
-//! bump the [`StoreWitness`] epoch at both boundaries so read-after-write
-//! verdicts never span a membership change.
+//! Every fault maps onto engine calls scheduled at its start and end
+//! (crash + fresh restart through [`Testbed::restore_at`], partition +
+//! heal, link degrade + heal) or onto time-windowed topology overrides
+//! for the WAN impairments. Store faults additionally bump the
+//! [`StoreWitness`] epoch at both boundaries so read-after-write verdicts
+//! never span a membership change.
 
 use yoda_core::controller::Controller;
 use yoda_core::instance::{YodaConfig, YodaInstance};
@@ -14,30 +15,23 @@ use yoda_l4lb::Mux;
 use yoda_netsim::{Addr, LinkSpec, NodeId, SimTime, Zone};
 
 use crate::invariants::check_invariants;
-use crate::plan::{
-    ChaosPlan, FaultKind, GrayTarget, PlanBudget, BACKENDS, INSTANCES, MUXES, SERVICES, STORES,
-};
+use crate::plan::{ChaosPlan, FaultKind, GrayTarget, BACKENDS, INSTANCES, MUXES, SERVICES, STORES};
 use crate::witness::StoreWitness;
 
 /// Concurrent fetch processes per browser.
 const BROWSER_PROCESSES: usize = 2;
 
-/// Scenario knobs: client workload, run length, and the generation
-/// budget. The testbed shape is the plan module's constants: one VIP and
-/// one browser per service, and service 0 runs the prequal policy so the
-/// probe subsystem is exercised.
-#[derive(Debug, Clone)]
+/// A chaos run's two choices: the regime and the mux fast path. The
+/// testbed shape is the plan module's constants: one VIP and one browser
+/// per service, and service 0 runs the prequal policy so the probe
+/// subsystem is exercised. The client workload and the run length follow
+/// the regime.
+#[derive(Debug, Clone, Copy)]
 pub struct ChaosScenario {
-    /// Browser retries per object.
-    pub retries: u32,
-    /// Browser HTTP timeout.
-    pub http_timeout: SimTime,
-    /// Pages per browser process (`None` = browse until the deadline).
-    pub max_pages: Option<u64>,
-    /// Total simulated run length.
-    pub deadline: SimTime,
-    /// Fault-plan budget.
-    pub budget: PlanBudget,
+    /// Survivable (§6's preconditions hold, zero broken flows expected)
+    /// or unconstrained (floors lifted, every fetch must still resolve
+    /// in bounded time). Selects the plan's regime too.
+    pub survivable: bool,
     /// Enable the mux fast-path flow splicing on the instances, so
     /// steady-state forwarding (and its revocation/failover machinery)
     /// is under fire too.
@@ -45,30 +39,44 @@ pub struct ChaosScenario {
 }
 
 impl ChaosScenario {
-    /// Availability-preserving scenario: generous retries and timeout,
-    /// floors enforced — zero broken flows expected.
+    /// Availability-preserving scenario, without splicing.
     pub fn survivable() -> Self {
         ChaosScenario {
-            retries: 2,
-            http_timeout: SimTime::from_secs(10),
-            max_pages: None,
-            deadline: SimTime::from_secs(45),
-            budget: PlanBudget::survivable(),
+            survivable: true,
             splice: false,
         }
     }
 
-    /// Graceful-degradation scenario: no retries, short timeout, floors
-    /// lifted — every fetch must still resolve in bounded time.
+    /// Graceful-degradation scenario, without splicing.
     pub fn unconstrained() -> Self {
         ChaosScenario {
-            retries: 0,
-            http_timeout: SimTime::from_secs(5),
-            max_pages: Some(1),
-            deadline: SimTime::from_secs(100),
-            budget: PlanBudget::unconstrained(),
+            survivable: false,
             splice: false,
         }
+    }
+
+    /// The browsers' settings: survivable runs browse until the deadline
+    /// with two retries per object and a 10 s timeout; unconstrained runs
+    /// fetch one page each with no retry and a 5 s timeout, so every
+    /// fetch resolves (or fails) well before the deadline.
+    fn browser(&self) -> BrowserConfig {
+        let (retries, http_timeout, max_pages) = if self.survivable {
+            (2, SimTime::from_secs(10), None)
+        } else {
+            (0, SimTime::from_secs(5), Some(1))
+        };
+        BrowserConfig {
+            processes: BROWSER_PROCESSES,
+            retries,
+            http_timeout,
+            max_pages,
+            ..BrowserConfig::default()
+        }
+    }
+
+    /// Total simulated run length.
+    fn deadline(&self) -> SimTime {
+        SimTime::from_secs(if self.survivable { 45 } else { 100 })
     }
 }
 
@@ -172,9 +180,9 @@ impl ChaosReport {
     }
 }
 
-/// Generates the plan for `seed` under the scenario's budget and runs it.
+/// Generates the plan for `seed` in the scenario's regime and runs it.
 pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
-    let plan = ChaosPlan::generate(seed, &sc.budget);
+    let plan = ChaosPlan::generate(seed, sc.survivable);
     run_plan(&plan, sc)
 }
 
@@ -214,15 +222,8 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
         tb.set_policy_at(vip, &rules, SimTime::from_millis(100));
     }
 
-    let browser_cfg = BrowserConfig {
-        processes: BROWSER_PROCESSES,
-        retries: sc.retries,
-        http_timeout: sc.http_timeout,
-        max_pages: sc.max_pages,
-        ..BrowserConfig::default()
-    };
     let browsers: Vec<NodeId> = (0..SERVICES)
-        .map(|s| tb.add_browser(s, browser_cfg.clone()))
+        .map(|s| tb.add_browser(s, sc.browser()))
         .collect();
 
     let witness_addr = Addr::new(10, 0, 6, 1);
@@ -234,7 +235,7 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     );
 
     apply_plan(&mut tb, plan, Some(witness));
-    tb.engine.run_for(sc.deadline);
+    tb.engine.run_for(sc.deadline());
 
     let violations = check_invariants(&tb, plan, &browsers, witness, sc);
     let mut report = ChaosReport {
@@ -299,45 +300,38 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
 
 /// Schedules every fault of `plan` onto the testbed. `witness` (when
 /// present) gets its epoch bumped at each store-fault boundary, *before*
-/// the fault itself so in-flight pairs are disqualified first.
+/// the fault itself so in-flight pairs are disqualified first. A target
+/// index outside the testbed (generator indices always fit the shape;
+/// hand-built plans may not) schedules nothing.
 pub fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: Option<NodeId>) {
     for f in &plan.faults {
         let (at, end) = (f.at, f.end());
         match f.kind {
-            FaultKind::InstanceCrash { i } => {
-                tb.fail_instance_at(i, at);
-                tb.restore_instance_at(i, end);
-            }
+            FaultKind::InstanceCrash { i } => crash(tb, GrayTarget::Instance(i), at, end),
             FaultKind::InstancePartition { i } => {
-                if let Some(&id) = tb.instances.get(i) {
-                    tb.partition_at(id, at);
-                    tb.heal_at(id, end);
-                }
+                partition(tb, GrayTarget::Instance(i), (true, true), at, end);
             }
             FaultKind::StoreCrash { i } => {
-                bump_epoch_at(tb, witness, at);
-                tb.fail_store_at(i, at);
-                bump_epoch_at(tb, witness, end);
-                tb.restore_store_at(i, end);
-            }
-            FaultKind::StorePartition { i } => {
-                bump_epoch_at(tb, witness, at);
                 if let Some(&id) = tb.stores.get(i) {
-                    tb.partition_at(id, at);
+                    bump_epoch_at(tb, witness, at);
+                    tb.engine.schedule(at, move |eng| eng.fail_node(id));
                     bump_epoch_at(tb, witness, end);
-                    tb.heal_at(id, end);
+                    tb.restore_at(id, end);
                 }
             }
-            FaultKind::MuxCrash { i } => {
-                tb.fail_mux_at(i, at);
-                tb.restore_mux_at(i, end);
+            FaultKind::StorePartition { i } => {
+                if let Some(&id) = tb.stores.get(i) {
+                    bump_epoch_at(tb, witness, at);
+                    tb.engine.schedule(at, move |eng| eng.partition_node(id));
+                    bump_epoch_at(tb, witness, end);
+                    tb.engine.schedule(end, move |eng| eng.heal_node(id));
+                }
             }
-            FaultKind::BackendCrash { i } => {
-                tb.fail_backend_at(i, at);
-                tb.restore_backend_at(i, end);
-            }
+            FaultKind::MuxCrash { i } => crash(tb, GrayTarget::Mux(i), at, end),
+            FaultKind::BackendCrash { i } => crash(tb, GrayTarget::Backend(i), at, end),
             FaultKind::ControllerKill => {
-                tb.fail_controller_at(at);
+                let id = tb.controller;
+                tb.engine.schedule(at, move |eng| eng.fail_node(id));
             }
             FaultKind::WanLossBurst { loss_pct } => {
                 let loss = f64::from(loss_pct.min(100)) / 100.0;
@@ -378,39 +372,57 @@ pub fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: Option<NodeId>) {
                 loss_pct,
                 jitter_ms,
             } => {
-                if let Some(id) = gray_node(tb, node) {
+                if let Some(id) = node_of(tb, node) {
                     if matches!(node, GrayTarget::Store(_)) {
                         bump_epoch_at(tb, witness, at);
                         bump_epoch_at(tb, witness, end);
                     }
                     let loss = f64::from(loss_pct.min(100)) / 100.0;
                     let jitter = SimTime::from_millis(u64::from(jitter_ms));
-                    tb.degrade_links_at(id, loss, jitter, at);
-                    tb.degrade_links_at(id, 0.0, SimTime::ZERO, end);
+                    tb.engine
+                        .schedule(at, move |eng| eng.degrade_node_links(id, loss, jitter));
+                    tb.engine.schedule(end, move |eng| {
+                        eng.degrade_node_links(id, 0.0, SimTime::ZERO);
+                    });
                 }
             }
             FaultKind::AsymmetricPartition { node, inbound } => {
-                if let Some(id) = gray_node(tb, node) {
-                    if matches!(node, GrayTarget::Store(_)) {
-                        bump_epoch_at(tb, witness, at);
-                        bump_epoch_at(tb, witness, end);
-                    }
-                    tb.partition_dirs_at(id, inbound, !inbound, at);
-                    tb.heal_at(id, end);
+                if matches!(node, GrayTarget::Store(_)) && node_of(tb, node).is_some() {
+                    bump_epoch_at(tb, witness, at);
+                    bump_epoch_at(tb, witness, end);
                 }
+                partition(tb, node, (inbound, !inbound), at, end);
             }
         }
     }
 }
 
-/// Resolves a gray-fault target to its testbed node (generator indices
-/// always fit the shape; hand-built plans may not, so misses are no-ops).
-fn gray_node(tb: &Testbed, node: GrayTarget) -> Option<NodeId> {
-    match node {
+/// Resolves a fault target to its testbed node.
+fn node_of(tb: &Testbed, target: GrayTarget) -> Option<NodeId> {
+    match target {
         GrayTarget::Instance(i) => tb.instances.get(i).copied(),
         GrayTarget::Store(i) => tb.stores.get(i).copied(),
         GrayTarget::Mux(i) => tb.muxes.get(i).copied(),
         GrayTarget::Backend(i) => tb.backends.get(i).copied(),
+    }
+}
+
+/// Kills `target` at `at` and restarts it fresh at `end`.
+fn crash(tb: &mut Testbed, target: GrayTarget, at: SimTime, end: SimTime) {
+    if let Some(id) = node_of(tb, target) {
+        tb.engine.schedule(at, move |eng| eng.fail_node(id));
+        tb.restore_at(id, end);
+    }
+}
+
+/// Cuts `target`'s ingress and/or egress (`(cut_in, cut_out)`) at `at`
+/// and heals it at `end`. The node stays alive: its timers keep firing.
+fn partition(tb: &mut Testbed, target: GrayTarget, cut: (bool, bool), at: SimTime, end: SimTime) {
+    if let Some(id) = node_of(tb, target) {
+        let (cut_in, cut_out) = cut;
+        tb.engine
+            .schedule(at, move |eng| eng.partition_node_dirs(id, cut_in, cut_out));
+        tb.engine.schedule(end, move |eng| eng.heal_node(id));
     }
 }
 

@@ -1,15 +1,15 @@
 //! Seeded fault-plan generation (FoundationDB-style simulation chaos).
 //!
-//! A [`ChaosPlan`] is a pure function of `(seed, budget)` for the one
-//! testbed shape below: the same inputs always produce the identical
+//! A [`ChaosPlan`] is a pure function of `(seed, survivable)` for the
+//! one testbed shape below: the same inputs always produce the identical
 //! fault schedule, so a failing run reproduces bit-for-bit from the seed
 //! printed by the test harness.
-//! Plans come in two flavours, selected by the budget:
+//! Plans come in two regimes:
 //!
 //! * **survivable** — the generator enforces the availability
 //!   preconditions under which Yoda promises zero user-visible breakage
-//!   (§6): never fewer than `min_live_instances` instances or
-//!   `min_live_muxes` muxes, at most `max_stores_impaired`
+//!   (§6): never fewer than `MIN_LIVE_INSTANCES` instances or
+//!   `MIN_LIVE_MUXES` muxes, at most `MAX_STORES_IMPAIRED`
 //!   (replication factor − 1) store servers impaired at once, at least
 //!   one live backend per service, WAN partitions far shorter than the
 //!   browser timeout, and no controller kill.
@@ -140,7 +140,7 @@ pub enum FaultKind {
 
 /// Which component a gray fault degrades. Maps onto the same overlap
 /// targets as the crash faults, so a slow store counts against
-/// `max_stores_impaired` exactly like a dead one.
+/// `MAX_STORES_IMPAIRED` exactly like a dead one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GrayTarget {
     /// Yoda instance `i`.
@@ -237,141 +237,123 @@ impl Fault {
     }
 }
 
-/// Generation budget: how many faults, and which availability
-/// preconditions the schedule must respect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanBudget {
+/// Start of the injection window: fault start times fall in
+/// `[WINDOW_START, Regime::window_end]`.
+const WINDOW_START: SimTime = SimTime::from_secs(2);
+
+/// What the two regimes draw differently.
+struct Regime {
+    /// Whether the floors and caps (`MIN_LIVE_INSTANCES` …
+    /// `MAX_LINK_JITTER_MS`) bind and the controller is spared.
+    /// Unconstrained plans may kill it (permanently).
+    survivable: bool,
     /// Target number of faults (the generator may fall short when the
     /// constraints reject too many draws; it never exceeds this).
-    pub faults: usize,
+    faults: usize,
     /// Maximum faults active at any instant.
-    pub max_concurrent: usize,
-    /// Floor on live (unimpaired) Yoda instances.
-    pub min_live_instances: usize,
-    /// Floor on live muxes.
-    pub min_live_muxes: usize,
-    /// Ceiling on concurrently impaired store servers (replication
-    /// factor − 1 keeps every key readable).
-    pub max_stores_impaired: usize,
-    /// Floor on live backends per service.
-    pub min_live_backends_per_service: usize,
-    /// Ceiling on *client-visible* faults across the whole plan (WAN
-    /// impairments and backend crashes — faults no L7 LB can mask).
-    /// Each can consume one browser retry on an unlucky object: a WAN
-    /// burst kills the attempt in flight during it (a twice-lost SYN
-    /// already exceeds browser patience at the paper's 3 s SYN RTO), and
-    /// a backend crash resets the flows pinned to it. Yoda's own churn
-    /// (instances, muxes, stores) is masked by flow re-steering and
-    /// TCPStore recovery and costs nothing. Zero broken flows is
-    /// therefore only guaranteed when this count stays at or below the
-    /// browser's retry budget.
-    pub max_client_visible: usize,
-    /// Whether the controller may be killed (permanently).
-    pub allow_controller_kill: bool,
-    /// Fault injection window (start times fall inside it).
-    pub window: (SimTime, SimTime),
+    max_concurrent: usize,
+    /// End of the injection window.
+    window_end: SimTime,
     /// Maximum fault duration.
-    pub max_duration: SimTime,
+    max_duration: SimTime,
     /// Ceiling on WAN-partition duration (kept far below the browser
     /// timeout in survivable plans).
-    pub max_wan_partition: SimTime,
-    /// Ceiling on a [`FaultKind::NodeSlowdown`] factor.
-    pub max_slowdown_factor: u32,
-    /// Ceiling on `factor × duration_secs` for a slowdown — the total
-    /// "slowness budget" of one gray fault. Caps the backlog a browned-out
-    /// store can accumulate, so survivable runs drain it before the
-    /// deadline.
-    pub max_slowdown_factor_secs: u64,
-    /// Ceiling on [`FaultKind::LinkDegrade`] loss (percent).
-    pub max_link_loss_pct: u32,
-    /// Ceiling on [`FaultKind::LinkDegrade`] jitter (milliseconds).
-    pub max_link_jitter_ms: u32,
-    /// Whether the floors above are enforced. Mirrored into
-    /// [`ChaosPlan::survivable`].
-    pub survivable: bool,
+    max_wan_partition: SimTime,
 }
 
-impl PlanBudget {
-    /// Availability-preserving budget: Yoda's §6 preconditions hold at
-    /// every instant of the schedule.
-    pub fn survivable() -> Self {
-        PlanBudget {
-            faults: 5,
-            max_concurrent: 2,
-            min_live_instances: 1,
-            min_live_muxes: 1,
-            max_stores_impaired: 1,
-            min_live_backends_per_service: 1,
-            max_client_visible: 2,
-            allow_controller_kill: false,
-            window: (SimTime::from_secs(2), SimTime::from_secs(20)),
-            max_duration: SimTime::from_secs(6),
-            max_wan_partition: SimTime::from_secs(2),
-            max_slowdown_factor: 10,
-            max_slowdown_factor_secs: 60,
-            max_link_loss_pct: 30,
-            max_link_jitter_ms: 20,
-            survivable: true,
-        }
-    }
+/// Availability-preserving: Yoda's §6 preconditions hold at every
+/// instant of the schedule.
+const SURVIVABLE: Regime = Regime {
+    survivable: true,
+    faults: 5,
+    max_concurrent: 2,
+    window_end: SimTime::from_secs(20),
+    max_duration: SimTime::from_secs(6),
+    max_wan_partition: SimTime::from_secs(2),
+};
 
-    /// No floors: mass failures, permanent controller death, long WAN
-    /// blackholes. The run is only expected to degrade gracefully.
-    pub fn unconstrained() -> Self {
-        PlanBudget {
-            faults: 8,
-            max_concurrent: 4,
-            min_live_instances: 0,
-            min_live_muxes: 0,
-            max_stores_impaired: usize::MAX,
-            min_live_backends_per_service: 0,
-            max_client_visible: usize::MAX,
-            allow_controller_kill: true,
-            window: (SimTime::from_secs(2), SimTime::from_secs(30)),
-            max_duration: SimTime::from_secs(8),
-            max_wan_partition: SimTime::from_secs(5),
-            max_slowdown_factor: u32::MAX,
-            max_slowdown_factor_secs: u64::MAX,
-            max_link_loss_pct: 100,
-            max_link_jitter_ms: u32::MAX,
-            survivable: false,
-        }
-    }
-}
+/// No floors: mass failures, permanent controller death, long WAN
+/// blackholes. The run is only expected to degrade gracefully.
+const UNCONSTRAINED: Regime = Regime {
+    survivable: false,
+    faults: 8,
+    max_concurrent: 4,
+    window_end: SimTime::from_secs(30),
+    max_duration: SimTime::from_secs(8),
+    max_wan_partition: SimTime::from_secs(5),
+};
+
+// The floors and caps below bind survivable plans only; unconstrained
+// plans lift them all.
+
+/// Floor on live (unimpaired) Yoda instances.
+const MIN_LIVE_INSTANCES: usize = 1;
+/// Floor on live muxes.
+const MIN_LIVE_MUXES: usize = 1;
+/// Ceiling on concurrently impaired store servers (replication factor − 1
+/// keeps every key readable).
+const MAX_STORES_IMPAIRED: usize = 1;
+/// Floor on live backends per service.
+const MIN_LIVE_BACKENDS_PER_SERVICE: usize = 1;
+/// Ceiling on *client-visible* faults across the whole plan (WAN
+/// impairments and backend crashes — faults no L7 LB can mask). Each can
+/// consume one browser retry on an unlucky object: a WAN burst kills the
+/// attempt in flight during it (a twice-lost SYN already exceeds browser
+/// patience at the paper's 3 s SYN RTO), and a backend crash resets the
+/// flows pinned to it. Yoda's own churn (instances, muxes, stores) is
+/// masked by flow re-steering and TCPStore recovery and costs nothing.
+/// Zero broken flows is therefore only guaranteed when this count stays
+/// at or below the browser's retry budget.
+const MAX_CLIENT_VISIBLE: usize = 2;
+/// Ceiling on a [`FaultKind::NodeSlowdown`] factor.
+const MAX_SLOWDOWN_FACTOR: u32 = 10;
+/// Ceiling on `factor × duration_secs` for a slowdown — the total
+/// "slowness budget" of one gray fault. Caps the backlog a browned-out
+/// store can accumulate, so survivable runs drain it before the deadline.
+const MAX_SLOWDOWN_FACTOR_SECS: u64 = 60;
+/// Ceiling on [`FaultKind::LinkDegrade`] loss (percent).
+const MAX_LINK_LOSS_PCT: u32 = 30;
+/// Ceiling on [`FaultKind::LinkDegrade`] jitter (milliseconds).
+const MAX_LINK_JITTER_MS: u32 = 20;
 
 /// A complete seeded fault schedule, sorted by injection time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// The seed the plan (and the run) derives from.
     pub seed: u64,
-    /// Whether the generating budget enforced the availability floors.
+    /// Whether the schedule respects the availability floors.
     pub survivable: bool,
     /// The schedule, sorted by `(at, duration, kind)`.
     pub faults: Vec<Fault>,
 }
 
 impl ChaosPlan {
-    /// Generates the plan for `seed` by rejection sampling: draw a fault,
-    /// keep it only when the budget still admits it next to everything
-    /// already accepted. Attempts are bounded, so adversarial budgets
-    /// terminate with fewer faults instead of looping.
-    pub fn generate(seed: u64, budget: &PlanBudget) -> ChaosPlan {
+    /// Generates the plan for `seed` in one regime by rejection sampling:
+    /// draw a fault, keep it only when the regime still admits it next to
+    /// everything already accepted. Attempts are bounded, so a crowded
+    /// schedule ends with fewer faults instead of looping.
+    pub fn generate(seed: u64, survivable: bool) -> ChaosPlan {
+        let regime = if survivable {
+            &SURVIVABLE
+        } else {
+            &UNCONSTRAINED
+        };
         let mut rng = Rng::seed_from_u64(seed ^ 0xC4A0_5EED_0B57_AC1E);
         let mut faults: Vec<Fault> = Vec::new();
-        let max_attempts = budget.faults * 64 + 64;
+        let max_attempts = regime.faults * 64 + 64;
         for _ in 0..max_attempts {
-            if faults.len() >= budget.faults {
+            if faults.len() >= regime.faults {
                 break;
             }
-            let f = draw(&mut rng, budget);
-            if admissible(&faults, &f, budget) {
+            let f = draw(&mut rng, regime);
+            if admissible(&faults, &f, regime) {
                 faults.push(f);
             }
         }
         faults.sort();
         ChaosPlan {
             seed,
-            survivable: budget.survivable,
+            survivable,
             faults,
         }
     }
@@ -406,7 +388,7 @@ impl fmt::Display for ChaosPlan {
 }
 
 /// Draws one candidate fault from the weighted kind table.
-fn draw(rng: &mut Rng, budget: &PlanBudget) -> Fault {
+fn draw(rng: &mut Rng, regime: &Regime) -> Fault {
     // Class table: each tag repeated by weight. Built the same way every
     // call, so the draw sequence is a pure function of the RNG stream.
     let mut classes: Vec<u8> = Vec::new();
@@ -417,8 +399,8 @@ fn draw(rng: &mut Rng, budget: &PlanBudget) -> Fault {
     push(3, 2); // store partition
     push(4, 2); // mux crash
     push(5, 2); // backend crash
-    if budget.allow_controller_kill {
-        push(6, 1);
+    if !regime.survivable {
+        push(6, 1); // controller kill
     }
     push(7, 2); // WAN loss burst
     push(8, 2); // WAN latency spike
@@ -431,9 +413,9 @@ fn draw(rng: &mut Rng, budget: &PlanBudget) -> Fault {
         .copied()
         .unwrap_or(7);
 
-    let span = budget.window.1.saturating_sub(budget.window.0).as_micros();
-    let at = budget.window.0 + SimTime::from_micros(rng.gen_range(0..=span));
-    let dur_span = budget.max_duration.saturating_sub(MIN_DURATION).as_micros();
+    let span = regime.window_end.saturating_sub(WINDOW_START).as_micros();
+    let at = WINDOW_START + SimTime::from_micros(rng.gen_range(0..=span));
+    let dur_span = regime.max_duration.saturating_sub(MIN_DURATION).as_micros();
     let mut duration = MIN_DURATION + SimTime::from_micros(rng.gen_range(0..=dur_span));
 
     let pick = |rng: &mut Rng, n: usize| rng.gen_range(0..n.max(1) as u64) as usize;
@@ -464,7 +446,7 @@ fn draw(rng: &mut Rng, budget: &PlanBudget) -> Fault {
             extra_ms: 20 + rng.gen_range(0..=80u64) as u32,
         },
         9 => {
-            duration = duration.min(budget.max_wan_partition);
+            duration = duration.min(regime.max_wan_partition);
             match rng.gen_range(0..3u64) {
                 0 => FaultKind::WanPartition {
                     to_dc: true,
@@ -527,8 +509,8 @@ fn draw(rng: &mut Rng, budget: &PlanBudget) -> Fault {
     Fault { at, duration, kind }
 }
 
-/// Whether `f` can join `existing` without violating the budget.
-fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
+/// Whether `f` can join `existing` without breaking the regime's rules.
+fn admissible(existing: &[Fault], f: &Fault, regime: &Regime) -> bool {
     // At most one controller kill per plan, ever.
     if f.kind == FaultKind::ControllerKill
         && existing.iter().any(|e| e.kind == FaultKind::ControllerKill)
@@ -536,7 +518,7 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
         return false;
     }
     let overlapping: Vec<&Fault> = existing.iter().filter(|e| e.overlaps(f)).collect();
-    if overlapping.len() + 1 > budget.max_concurrent {
+    if overlapping.len() + 1 > regime.max_concurrent {
         return false;
     }
     // Never two concurrent faults on one target (this also serialises
@@ -547,7 +529,7 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
     {
         return false;
     }
-    if !budget.survivable {
+    if !regime.survivable {
         return true;
     }
     // Gray-fault intensity caps: a browned-out store must not accumulate
@@ -555,11 +537,11 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
     // inside what TCP retransmission + hedged store ops absorb.
     match f.kind {
         FaultKind::NodeSlowdown { factor, .. } => {
-            if factor > budget.max_slowdown_factor {
+            if factor > MAX_SLOWDOWN_FACTOR {
                 return false;
             }
             let factor_secs = u64::from(factor).saturating_mul(f.duration.as_micros()) / 1_000_000;
-            if factor_secs > budget.max_slowdown_factor_secs {
+            if factor_secs > MAX_SLOWDOWN_FACTOR_SECS {
                 return false;
             }
         }
@@ -567,7 +549,7 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
             loss_pct,
             jitter_ms,
             ..
-        } if loss_pct > budget.max_link_loss_pct || jitter_ms > budget.max_link_jitter_ms => {
+        } if loss_pct > MAX_LINK_LOSS_PCT || jitter_ms > MAX_LINK_JITTER_MS => {
             return false;
         }
         _ => {}
@@ -578,7 +560,7 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
     // fault potentially consumes a retry of the same unlucky object.
     if f.kind.client_visible() {
         let already = existing.iter().filter(|e| e.kind.client_visible()).count();
-        if already + 1 > budget.max_client_visible {
+        if already + 1 > MAX_CLIENT_VISIBLE {
             return false;
         }
     }
@@ -591,15 +573,15 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
             .count()
     };
     let instances_down = count(|t| matches!(t, Target::Instance(_)));
-    if INSTANCES < budget.min_live_instances + instances_down {
+    if INSTANCES < MIN_LIVE_INSTANCES + instances_down {
         return false;
     }
     let stores_down = count(|t| matches!(t, Target::Store(_)));
-    if stores_down > budget.max_stores_impaired {
+    if stores_down > MAX_STORES_IMPAIRED {
         return false;
     }
     let muxes_down = count(|t| matches!(t, Target::Mux(_)));
-    if MUXES < budget.min_live_muxes + muxes_down {
+    if MUXES < MIN_LIVE_MUXES + muxes_down {
         return false;
     }
     for s in 0..SERVICES {
@@ -609,13 +591,9 @@ fn admissible(existing: &[Fault], f: &Fault, budget: &PlanBudget) -> bool {
             .chain([f.kind.target()])
             .filter(|tg| matches!(tg, Target::Backend(b) if b % SERVICES == s))
             .count();
-        if backends_of_service(s) < budget.min_live_backends_per_service + down {
+        if backends_of_service(s) < MIN_LIVE_BACKENDS_PER_SERVICE + down {
             return false;
         }
-    }
-    // WAN partitions must stay far below the browser timeout.
-    if matches!(f.kind, FaultKind::WanPartition { .. }) && f.duration > budget.max_wan_partition {
-        return false;
     }
     true
 }
@@ -627,33 +605,32 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         for seed in 0..32 {
-            let a = ChaosPlan::generate(seed, &PlanBudget::survivable());
-            let b = ChaosPlan::generate(seed, &PlanBudget::survivable());
+            let a = ChaosPlan::generate(seed, true);
+            let b = ChaosPlan::generate(seed, true);
             assert_eq!(a, b, "seed {seed} regenerated differently");
-            let c = ChaosPlan::generate(seed, &PlanBudget::unconstrained());
-            let d = ChaosPlan::generate(seed, &PlanBudget::unconstrained());
+            let c = ChaosPlan::generate(seed, false);
+            let d = ChaosPlan::generate(seed, false);
             assert_eq!(c, d);
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = ChaosPlan::generate(1, &PlanBudget::survivable());
-        let b = ChaosPlan::generate(2, &PlanBudget::survivable());
+        let a = ChaosPlan::generate(1, true);
+        let b = ChaosPlan::generate(2, true);
         assert_ne!(a.faults, b.faults);
     }
 
     #[test]
     fn plans_are_sorted_and_inside_the_window() {
-        let budget = PlanBudget::survivable();
         for seed in 0..64 {
-            let plan = ChaosPlan::generate(seed, &budget);
+            let plan = ChaosPlan::generate(seed, true);
             assert!(!plan.faults.is_empty(), "seed {seed} produced no faults");
             for w in plan.faults.windows(2) {
                 assert!(w[0].at <= w[1].at);
             }
             for f in &plan.faults {
-                assert!(f.at >= budget.window.0 && f.at <= budget.window.1);
+                assert!(f.at >= WINDOW_START && f.at <= SURVIVABLE.window_end);
             }
         }
     }
@@ -662,9 +639,8 @@ mod tests {
     /// boundary (the generator's own accounting is not trusted here).
     #[test]
     fn survivable_plans_respect_floors() {
-        let budget = PlanBudget::survivable();
         for seed in 0..64 {
-            let plan = ChaosPlan::generate(seed, &budget);
+            let plan = ChaosPlan::generate(seed, true);
             assert!(plan.survivable);
             for f in &plan.faults {
                 assert_ne!(f.kind, FaultKind::ControllerKill);
@@ -678,14 +654,14 @@ mod tests {
                         .count()
                 };
                 let inst = live(&|t| matches!(t, Target::Instance(_)));
-                assert!(INSTANCES - inst >= budget.min_live_instances, "seed {seed}");
+                assert!(INSTANCES - inst >= MIN_LIVE_INSTANCES, "seed {seed}");
                 let stores = live(&|t| matches!(t, Target::Store(_)));
-                assert!(stores <= budget.max_stores_impaired, "seed {seed}");
+                assert!(stores <= MAX_STORES_IMPAIRED, "seed {seed}");
                 let muxes = live(&|t| matches!(t, Target::Mux(_)));
-                assert!(MUXES - muxes >= budget.min_live_muxes, "seed {seed}");
+                assert!(MUXES - muxes >= MIN_LIVE_MUXES, "seed {seed}");
                 assert!(live(&|t| t == Target::Wan) <= 1, "seed {seed}: WAN overlap");
                 if let FaultKind::WanPartition { .. } = f.kind {
-                    assert!(f.duration <= budget.max_wan_partition, "seed {seed}");
+                    assert!(f.duration <= SURVIVABLE.max_wan_partition, "seed {seed}");
                 }
             }
             // Client-visible faults never exceed the browser retry
@@ -696,7 +672,7 @@ mod tests {
                 .filter(|f| f.kind.client_visible())
                 .count();
             assert!(
-                visible <= budget.max_client_visible,
+                visible <= MAX_CLIENT_VISIBLE,
                 "seed {seed}: {visible} client-visible faults"
             );
         }
@@ -706,18 +682,17 @@ mod tests {
     /// factor, slowness budget (factor × seconds), link loss, and jitter.
     #[test]
     fn survivable_gray_faults_respect_intensity_caps() {
-        let budget = PlanBudget::survivable();
         let mut saw_gray = false;
         for seed in 0..256 {
-            let plan = ChaosPlan::generate(seed, &budget);
+            let plan = ChaosPlan::generate(seed, true);
             for f in &plan.faults {
                 match f.kind {
                     FaultKind::NodeSlowdown { factor, .. } => {
                         saw_gray = true;
-                        assert!(factor <= budget.max_slowdown_factor, "seed {seed}");
+                        assert!(factor <= MAX_SLOWDOWN_FACTOR, "seed {seed}");
                         let factor_secs = u64::from(factor) * f.duration.as_micros() / 1_000_000;
                         assert!(
-                            factor_secs <= budget.max_slowdown_factor_secs,
+                            factor_secs <= MAX_SLOWDOWN_FACTOR_SECS,
                             "seed {seed}: slowness budget {factor_secs}"
                         );
                     }
@@ -727,8 +702,8 @@ mod tests {
                         ..
                     } => {
                         saw_gray = true;
-                        assert!(loss_pct <= budget.max_link_loss_pct, "seed {seed}");
-                        assert!(jitter_ms <= budget.max_link_jitter_ms, "seed {seed}");
+                        assert!(loss_pct <= MAX_LINK_LOSS_PCT, "seed {seed}");
+                        assert!(jitter_ms <= MAX_LINK_JITTER_MS, "seed {seed}");
                     }
                     FaultKind::AsymmetricPartition { .. } => saw_gray = true,
                     _ => {}
@@ -738,12 +713,12 @@ mod tests {
         assert!(saw_gray, "no survivable seed in 0..256 drew a gray fault");
     }
 
-    /// Unconstrained budgets admit slowdowns past the survivable cap
+    /// Unconstrained plans admit slowdowns past the survivable cap
     /// (the generator draws up to 20×; survivable trims to ≤10×).
     #[test]
     fn unconstrained_plans_draw_harsher_gray_faults() {
         let hit = (0..256).any(|seed| {
-            ChaosPlan::generate(seed, &PlanBudget::unconstrained())
+            ChaosPlan::generate(seed, false)
                 .faults
                 .iter()
                 .any(|f| matches!(f.kind, FaultKind::NodeSlowdown { factor, .. } if factor > 10))
@@ -754,7 +729,7 @@ mod tests {
     #[test]
     fn unconstrained_plans_eventually_kill_the_controller() {
         let hit = (0..32).any(|seed| {
-            ChaosPlan::generate(seed, &PlanBudget::unconstrained())
+            ChaosPlan::generate(seed, false)
                 .faults
                 .iter()
                 .any(|f| f.kind == FaultKind::ControllerKill)
@@ -764,7 +739,7 @@ mod tests {
 
     #[test]
     fn render_names_the_seed() {
-        let plan = ChaosPlan::generate(7, &PlanBudget::survivable());
+        let plan = ChaosPlan::generate(7, true);
         let text = plan.render();
         assert!(text.contains("seed: 7"));
         assert!(text.lines().count() == plan.faults.len() + 1);

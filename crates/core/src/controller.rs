@@ -95,8 +95,6 @@ pub struct CpuSample {
     pub mean_cpu: f64,
     /// Number of active instances at that time.
     pub active_instances: usize,
-    /// Total requests/sec across instances since the previous poll.
-    pub request_rate: f64,
 }
 
 /// The controller node.
@@ -108,8 +106,8 @@ pub struct Controller {
     probes: Vec<Probe>,
     /// The last stats request's sequence number.
     stats_seq: u64,
-    cpu_replies: BTreeMap<u64, Vec<(Addr, f64, u64)>>,
-    last_stats_at: SimTime,
+    /// CPU utilisation (0..1) each instance reported, by stats round.
+    cpu_replies: BTreeMap<u64, Vec<f64>>,
     /// Recoveries detected by the monitor (a previously failed endpoint
     /// answering pings again).
     pub recoveries_detected: u64,
@@ -363,14 +361,11 @@ impl Controller {
         // Aggregate the previous round's replies first.
         let replies = self.cpu_replies.remove(&self.stats_seq).unwrap_or_default();
         if !replies.is_empty() {
-            let mean = replies.iter().map(|(_, c, _)| c).sum::<f64>() / replies.len() as f64;
-            let reqs: u64 = replies.iter().map(|(_, _, r)| r).sum();
-            let dt = ctx.now().saturating_sub(self.last_stats_at).as_secs_f64();
+            let mean = replies.iter().sum::<f64>() / replies.len() as f64;
             let sample = CpuSample {
                 time: ctx.now(),
                 mean_cpu: mean,
                 active_instances: replies.len(),
-                request_rate: if dt > 0.0 { reqs as f64 / dt } else { 0.0 },
             };
             self.cpu_history.push(sample);
             if self.cfg.autoscale && mean > HIGH_CPU {
@@ -380,7 +375,6 @@ impl Controller {
                 self.activate_spares(ctx, want.saturating_sub(replies.len()));
             }
         }
-        self.last_stats_at = ctx.now();
         self.stats_seq += 1;
         let seq = self.stats_seq;
         self.cpu_replies.insert(seq, Vec::new());
@@ -396,7 +390,6 @@ impl Node for Controller {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(PING_INTERVAL, TimerToken::new(PING_KIND));
         ctx.set_timer(STATS_INTERVAL, TimerToken::new(STATS_KIND));
-        self.last_stats_at = ctx.now();
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
@@ -406,16 +399,11 @@ impl Node for Controller {
                 self.on_pong(ctx, pkt.src, fresh);
             }
             PROTO_CTRL => {
-                if let Some(InstanceCtrl::StatsReply {
-                    seq,
-                    cpu_milli,
-                    per_vip_requests,
-                    ..
-                }) = pkt.message().and_then(InstanceCtrl::decode)
+                if let Some(InstanceCtrl::StatsReply { seq, cpu_milli, .. }) =
+                    pkt.message().and_then(InstanceCtrl::decode)
                 {
                     if let Some(bucket) = self.cpu_replies.get_mut(&seq) {
-                        let reqs: u64 = per_vip_requests.iter().map(|(_, r)| r).sum();
-                        bucket.push((pkt.src.addr, cpu_milli as f64 / 1000.0, reqs));
+                        bucket.push(cpu_milli as f64 / 1000.0);
                     }
                 }
             }

@@ -417,90 +417,42 @@ impl Testbed {
         self.engine.schedule(at, move |eng| eng.fail_node(id));
     }
 
-    /// Fails store server `i` at simulated time `at`.
-    pub fn fail_store_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.stores, i);
-        self.engine.schedule(at, move |eng| eng.fail_node(id));
-    }
-
-    /// Fails mux `i` at simulated time `at`.
-    pub fn fail_mux_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.muxes, i);
-        self.engine.schedule(at, move |eng| eng.fail_node(id));
-    }
-
-    /// Fails the controller at simulated time `at` (data plane keeps
-    /// forwarding; health monitoring and policy pushes stop).
-    pub fn fail_controller_at(&mut self, at: SimTime) {
-        let id = self.controller;
-        self.engine.schedule(at, move |eng| eng.fail_node(id));
-    }
-
-    /// Restarts L7 instance `i` at `at` **with fresh state** (empty flow
-    /// table, no VIPs). The controller re-detects it via pings and
-    /// reinstalls its rules and mux mappings.
-    pub fn restore_instance_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.instances, i);
-        let addr = *nth(&self.instance_addrs, i);
-        let make = self.tier.make.clone();
-        let store_addrs = self.store_addrs.clone();
-        let mux_addrs = self.mux_addrs.clone();
-        self.engine.schedule(at, move |eng| {
-            eng.restore_node(id, make(addr, &store_addrs, &mux_addrs));
-        });
-    }
-
-    /// Restarts store server `i` at `at` with an empty table. Keys it held
-    /// survive on their other replica as long as fewer than the
-    /// replication factor of stores are down at once.
-    pub fn restore_store_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.stores, i);
-        let addr = *nth(&self.store_addrs, i);
-        let cfg = self.store_cfg;
-        self.engine.schedule(at, move |eng| {
-            eng.restore_node(id, Box::new(StoreServer::new(cfg, addr)));
-        });
-    }
-
-    /// Restarts mux `i` at `at` with a cold flow table. The controller
-    /// re-detects it and pushes the current VIP maps before re-adding it
-    /// to the router's ECMP set.
-    pub fn restore_mux_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.muxes, i);
-        let addr = *nth(&self.mux_addrs, i);
-        self.engine.schedule(at, move |eng| {
-            eng.restore_node(id, Box::new(Mux::new(addr)));
-        });
-    }
-
-    /// Restarts backend `i` at `at`. The controller broadcasts
-    /// `BackendUp` once it sees pongs again.
-    pub fn restore_backend_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.backends, i);
-        let service = i % self.service_backends.len();
-        let group = nth(&self.service_backends, service);
-        let ep = *nth(group, i / self.service_backends.len());
-        let catalog = self.catalog.clone();
-        self.engine.schedule(at, move |eng| {
-            eng.restore_node(id, Box::new(OriginServer::new(ServerConfig, ep, catalog)));
-        });
-    }
-
-    /// Partitions a node (both directions) at `at` without killing it:
-    /// timers keep firing but no packets get in or out.
-    pub fn partition_at(&mut self, id: NodeId, at: SimTime) {
-        self.engine.schedule(at, move |eng| eng.partition_node(id));
-    }
-
-    /// Asymmetric partition: cut only ingress and/or egress.
-    pub fn partition_dirs_at(&mut self, id: NodeId, cut_in: bool, cut_out: bool, at: SimTime) {
+    /// Restarts node `id` at `at` **with fresh state**, built as its role
+    /// builds it: an instance with an empty flow table and no VIPs (the
+    /// controller re-detects it via pings and reinstalls its rules and
+    /// mux mappings), a store server with an empty table (keys it held
+    /// survive on their other replica while fewer than the replication
+    /// factor of stores are down at once), a mux with a cold flow table
+    /// (re-added to the router's ECMP set once the controller has pushed
+    /// it the current VIP maps), or a backend (the controller broadcasts
+    /// `BackendUp` once it sees pongs again). Any other node is left
+    /// alone.
+    pub fn restore_at(&mut self, id: NodeId, at: SimTime) {
+        let find = |list: &[NodeId]| list.iter().position(|&n| n == id);
+        let fresh: Box<dyn FnOnce() -> Box<dyn Node> + Send> =
+            if let Some(i) = find(&self.instances) {
+                let addr = *nth(&self.instance_addrs, i);
+                let make = self.tier.make.clone();
+                let store_addrs = self.store_addrs.clone();
+                let mux_addrs = self.mux_addrs.clone();
+                Box::new(move || make(addr, &store_addrs, &mux_addrs))
+            } else if let Some(i) = find(&self.stores) {
+                let (cfg, addr) = (self.store_cfg, *nth(&self.store_addrs, i));
+                Box::new(move || Box::new(StoreServer::new(cfg, addr)))
+            } else if let Some(i) = find(&self.muxes) {
+                let addr = *nth(&self.mux_addrs, i);
+                Box::new(move || Box::new(Mux::new(addr)))
+            } else if let Some(i) = find(&self.backends) {
+                let services = self.service_backends.len();
+                let group = nth(&self.service_backends, i % services);
+                let ep = *nth(group, i / services);
+                let catalog = self.catalog.clone();
+                Box::new(move || Box::new(OriginServer::new(ServerConfig, ep, catalog)))
+            } else {
+                return;
+            };
         self.engine
-            .schedule(at, move |eng| eng.partition_node_dirs(id, cut_in, cut_out));
-    }
-
-    /// Heals a node's partition at `at`.
-    pub fn heal_at(&mut self, id: NodeId, at: SimTime) {
-        self.engine.schedule(at, move |eng| eng.heal_node(id));
+            .schedule(at, move |eng| eng.restore_node(id, fresh()));
     }
 
     /// Scales store server `i`'s per-op CPU service time by `factor` at
@@ -524,14 +476,6 @@ impl Testbed {
                 s.set_speed_factor(factor);
             }
         });
-    }
-
-    /// Degrades every link touching `id` at `at`: `loss` per-packet drop
-    /// probability plus up to `jitter` of added seeded delay per packet,
-    /// both directions. Pass `(0.0, SimTime::ZERO)` to heal.
-    pub fn degrade_links_at(&mut self, id: NodeId, loss: f64, jitter: SimTime, at: SimTime) {
-        self.engine
-            .schedule(at, move |eng| eng.degrade_node_links(id, loss, jitter));
     }
 }
 

@@ -118,8 +118,6 @@ pub struct Mux {
     /// IP-in-IP packet that does not decapsulate, or a packet with no room
     /// for the IP-in-IP header (one encapsulated already).
     pub dropped: u64,
-    /// Mapping updates applied.
-    pub updates_applied: u64,
 }
 
 impl Mux {
@@ -135,7 +133,6 @@ impl Mux {
             spliced: 0,
             resteered: 0,
             dropped: 0,
-            updates_applied: 0,
         }
     }
 
@@ -147,7 +144,6 @@ impl Mux {
             _ => {}
         }
         self.vips.insert(vip, VipEntry { instances, version });
-        self.updates_applied += 1;
     }
 
     /// The current instance list for a VIP.
@@ -335,7 +331,6 @@ impl Node for Mux {
                         CtrlMsg::RemoveVip { vip, version } => {
                             if self.vips.get(&vip).is_none_or(|e| e.version < version) {
                                 self.vips.remove(&vip);
-                                self.updates_applied += 1;
                             }
                         }
                         CtrlMsg::SetMuxes { .. } => {}

@@ -54,8 +54,6 @@ pub struct ProxyInstance {
     pub requests: u64,
     /// Live sessions.
     pub active_sessions: u64,
-    /// Packets relayed between the two legs.
-    pub spliced_chunks: u64,
 }
 
 impl ProxyInstance {
@@ -79,7 +77,6 @@ impl ProxyInstance {
             table: Vec::new(),
             requests: 0,
             active_sessions: 0,
-            spliced_chunks: 0,
         }
     }
 
@@ -135,7 +132,6 @@ impl ProxyInstance {
         match session.server_conn {
             Some(server_conn) => {
                 // Splice client → server: the received slices, as they are.
-                self.spliced_chunks += 1;
                 self.stack
                     .send_vectored(ctx, server_conn, self.rx.drain(..));
             }
@@ -193,7 +189,6 @@ impl ProxyInstance {
             .and_then(|&idx| self.table.get(idx)?.as_ref())
             .map(|session| session.client_conn);
         if let Some(client_conn) = client_conn {
-            self.spliced_chunks += 1;
             self.stack
                 .send_vectored(ctx, client_conn, self.rx.drain(..));
         }

@@ -42,13 +42,18 @@ echo "==> cargo clippy"
 # panic gate too; a stale #[expect] fails it as well.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> chaos repro hook (pinned seed)"
+echo "==> chaos repro hook (pinned seeds)"
 # The full seeded matrix (20 survivable + 5 unconstrained plans) already
-# ran under `cargo test`; this replays one pinned seed through the
-# CHAOS_SEED one-command repro hook so the hook itself can't rot.
+# ran under `cargo test`; this replays one pinned seed of each regime
+# through the CHAOS_SEED one-command repro hook (CHAOS_UNCONSTRAINED
+# selects the unconstrained regime) so neither branch of the hook can rot.
 chaos_out="$(CHAOS_SEED=7 cargo test --release -q --test chaos_matrix one_seed -- --nocapture)"
-grep -m1 "ChaosPlan { seed: 7" <<< "$chaos_out" \
-    || { echo "chaos repro hook produced no plan output" >&2; exit 1; }
+grep -m1 "ChaosPlan { seed: 7, survivable: true" <<< "$chaos_out" \
+    || { echo "chaos repro hook produced no survivable plan output" >&2; exit 1; }
+chaos_out="$(CHAOS_SEED=1000 CHAOS_UNCONSTRAINED=1 \
+    cargo test --release -q --test chaos_matrix one_seed -- --nocapture)"
+grep -m1 "ChaosPlan { seed: 1000, survivable: false" <<< "$chaos_out" \
+    || { echo "chaos repro hook produced no unconstrained plan output" >&2; exit 1; }
 
 echo "==> every flow shape, failed at every step"
 # Tier-1 runs the failure sweep at 24 steps of each shape's life; this

@@ -10,7 +10,7 @@
 //! clock, environment, host I/O) and `Ctx` offers handlers no RNG but
 //! their own node's stream; this test catches the unknown ones.
 
-use yoda::chaos::{run_seed, ChaosPlan, ChaosScenario, FaultKind, PlanBudget};
+use yoda::chaos::{run_seed, ChaosPlan, ChaosScenario, FaultKind};
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
@@ -168,21 +168,11 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// The plan the chaos matrices generate for `seed` in one regime.
-fn chaos_plan(seed: u64, survivable: bool) -> ChaosPlan {
-    let budget = if survivable {
-        PlanBudget::survivable()
-    } else {
-        PlanBudget::unconstrained()
-    };
-    ChaosPlan::generate(seed, &budget)
-}
-
 /// One hash over the fault lists of `seeds`, in order.
 fn plans_hash(seeds: &[u64], survivable: bool) -> u64 {
     let text: String = seeds
         .iter()
-        .map(|&s| format!("{:?}\n", chaos_plan(s, survivable).faults))
+        .map(|&s| format!("{:?}\n", ChaosPlan::generate(s, survivable).faults))
         .collect();
     fnv1a(&text)
 }
@@ -203,7 +193,12 @@ fn chaos_matrix_plans_match_pinned_hashes() {
         )
     };
     let gray: Vec<u64> = (2000..4000)
-        .filter(|&s| chaos_plan(s, true).faults.iter().any(|f| is_gray(&f.kind)))
+        .filter(|&s| {
+            ChaosPlan::generate(s, true)
+                .faults
+                .iter()
+                .any(|f| is_gray(&f.kind))
+        })
         .take(20)
         .collect();
     assert_eq!(
@@ -239,7 +234,7 @@ fn chaos_matrix_plans_match_pinned_hashes() {
 fn chaos_seeds_8_and_17_match_pinned_digests() {
     let kinds: Vec<FaultKind> = [8, 17]
         .iter()
-        .flat_map(|&s| chaos_plan(s, true).faults)
+        .flat_map(|&s| ChaosPlan::generate(s, true).faults)
         .map(|f| f.kind)
         .collect();
     let draws = |f: fn(&FaultKind) -> bool| kinds.iter().any(f);
