@@ -30,14 +30,14 @@
     reason = "an offline planner over dense matrices the controller sizes itself; no packet or timer handler calls it"
 )]
 
-pub mod alltoall;
-pub mod bnb;
-pub mod greedy;
-pub mod model;
-pub mod simplex;
+mod alltoall;
+mod bnb;
+mod greedy;
+mod model;
+mod simplex;
 
 pub use alltoall::all_to_all;
 pub use bnb::solve_exact;
 pub use greedy::solve_greedy;
-pub use model::{AssignError, AssignInput, Assignment, TransitionStats, VipSpec};
-pub use simplex::{LinearProgram, LpError, LpResult};
+pub use model::{transition_stats, AssignInput, Assignment, VipSpec};
+pub use simplex::{Cmp, LinearProgram};

@@ -215,7 +215,12 @@ pub fn transition_stats(
 
 /// Transient load on instance `y` in Eq. 4–5's failure-adjusted units:
 /// Σ_v max(old share, new share).
-pub fn transient_load(old: &Assignment, new: &Assignment, vips: &[VipSpec], y: usize) -> f64 {
+pub(crate) fn transient_load(
+    old: &Assignment,
+    new: &Assignment,
+    vips: &[VipSpec],
+    y: usize,
+) -> f64 {
     let mut load = 0.0;
     for (v, spec) in vips.iter().enumerate() {
         let was = old.assigned(v, y);
@@ -229,7 +234,7 @@ pub fn transient_load(old: &Assignment, new: &Assignment, vips: &[VipSpec], y: u
 
 /// Transient load on instance `y` in *actually carried* traffic units
 /// (t_v/n_v per replica) — what Figure 16(d)'s overload measurement uses.
-pub fn transient_actual_load(
+pub(crate) fn transient_actual_load(
     old: &Assignment,
     new: &Assignment,
     vips: &[VipSpec],

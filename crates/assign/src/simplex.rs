@@ -60,7 +60,7 @@ pub struct LpResult {
 ///
 /// ```
 /// use yoda_assign::{LinearProgram};
-/// use yoda_assign::simplex::Cmp;
+/// use yoda_assign::Cmp;
 ///
 /// // maximize 3x + 2y s.t. x + y <= 4, x + 3y <= 6
 /// let mut lp = LinearProgram::new(2);

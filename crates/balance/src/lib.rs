@@ -25,10 +25,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod pool;
-pub mod probe;
-pub mod prober;
+mod pool;
+mod probe;
+mod prober;
 
-pub use pool::{PoolEntry, ProbePool, Signal};
+pub use pool::{ProbePool, Signal};
 pub use probe::{ProbeReply, ProbeRequest, PROBE_PORT};
 pub use prober::{Prober, PROBE_TIMEOUT};

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use yoda_netsim::rng::Rng;
+use yoda_netsim::Rng;
 use yoda_netsim::{Endpoint, SimTime};
 
 /// Backends sampled per rule per probe tick (the `d` of power-of-`d`).

@@ -40,10 +40,10 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use yoda_assign::{solve_greedy, AssignInput, VipSpec};
-use yoda_core::flowstate::FlowRecord;
-use yoda_core::rules::{Rule, RuleTable, SelectCtx};
+use yoda_core::FlowRecord;
+use yoda_core::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
-use yoda_netsim::rng::Rng;
+use yoda_netsim::Rng;
 use yoda_netsim::{Addr, Endpoint, FlowTable, Packet, SimTime};
 use yoda_tcp::{Segment, SeqNum, TcpSocket};
 use yoda_tcpstore::{StoreOp, StoreRequest, StoreResponse, StoreStatus};

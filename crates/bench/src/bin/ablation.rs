@@ -12,8 +12,8 @@
 //! only replica died; K=2 (the paper's choice) already survives;
 //! K=3 costs more store CPU for no extra benefit at this failure scale.
 
-use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_core::testbed::{Testbed, TestbedConfig};
+use yoda_bench::{f2, print_header, print_kv, Table};
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::SimTime;

@@ -14,10 +14,10 @@
 //! ≥99% with bounded p99 — against a baseline where SYN-ACKs block on
 //! store acks and the whole handshake path inherits the brownout.
 
-use yoda_bench::report::{f2, pct, print_header, print_kv};
-use yoda_bench::storestats::StoreStatsSummary;
-use yoda_core::instance::YodaInstance;
-use yoda_core::testbed::{Testbed, TestbedConfig};
+use yoda_bench::StoreStatsSummary;
+use yoda_bench::{f2, pct, print_header, print_kv};
+use yoda_core::YodaInstance;
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::{Histogram, SimTime};
 use yoda_tcpstore::StoreServerConfig;

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use yoda_bench::report::{f2, print_header, print_kv, Table};
+use yoda_bench::{f2, print_header, print_kv, Table};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
 };

@@ -16,8 +16,8 @@
 //! drop at failure, server retransmit at +300 ms (still to the dead
 //! instance), retransmit at +600 ms reaching a live instance, recovery.
 
-use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
 use yoda_bench::{arg_flag, run_failover, FailoverSetup, LbKind};
+use yoda_bench::{f2, pct, print_header, print_kv, Table};
 use yoda_netsim::SimTime;
 
 fn main() {

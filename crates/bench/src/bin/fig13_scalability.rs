@@ -11,10 +11,10 @@
 //! — the instance capacity constant is scaled identically) so it
 //! completes in seconds.
 
-use yoda_bench::report::{f1, print_header, print_kv, Table};
 use yoda_bench::TimeSeries;
-use yoda_core::controller::ControllerConfig;
-use yoda_core::testbed::{Testbed, TestbedConfig};
+use yoda_bench::{f1, print_header, print_kv, Table};
+use yoda_core::ControllerConfig;
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{RateClient as HttpRateClient, RateClientConfig};
 use yoda_netsim::SimTime;

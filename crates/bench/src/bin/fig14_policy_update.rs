@@ -9,9 +9,9 @@
 //! keep flowing to their previously-selected server ("YODA instances only
 //! apply new policies to new connections").
 
-use yoda_bench::report::{pct, print_header, print_kv, Table};
 use yoda_bench::TimeSeries;
-use yoda_core::testbed::{Testbed, TestbedConfig};
+use yoda_bench::{pct, print_header, print_kv, Table};
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_http::{OriginServer, RateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 

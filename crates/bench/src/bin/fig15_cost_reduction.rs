@@ -6,7 +6,7 @@
 //! dedicated (peak-provisioned) HAProxy deployment over-provisions
 //! relative to Yoda-as-a-service (which bills average usage).
 
-use yoda_bench::report::{f2, print_header, print_kv, Table};
+use yoda_bench::{f2, print_header, print_kv, Table};
 use yoda_trace::{Trace, TraceConfig};
 
 fn main() {

@@ -16,9 +16,9 @@
 
 use std::time::Instant;
 
-use yoda_assign::model::transition_stats;
+use yoda_assign::transition_stats;
 use yoda_assign::{all_to_all, solve_greedy, Assignment};
-use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
+use yoda_bench::{f2, pct, print_header, print_kv, Table};
 use yoda_netsim::Histogram;
 use yoda_trace::{assign_input_for_bin, AssignParams, Trace, TraceConfig};
 

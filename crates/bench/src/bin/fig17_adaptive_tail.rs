@@ -24,12 +24,12 @@
 
 use std::collections::BTreeMap;
 
-use yoda_bench::report::{f2, print_header, print_kv, Table};
 use yoda_bench::TimeSeries;
-use yoda_core::testbed::{Testbed, TestbedConfig};
+use yoda_bench::{f2, print_header, print_kv, Table};
 use yoda_core::YodaConfig;
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_http::{OriginServer, RateClient, RateClientConfig};
-use yoda_netsim::stats::Histogram;
+use yoda_netsim::Histogram;
 use yoda_netsim::{NodeId, SimTime};
 use yoda_trace::{AdaptiveScenario, BurstyLoad};
 

@@ -19,12 +19,11 @@
 
 use std::time::Instant;
 
-use yoda_bench::report;
-use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_core::rules::{Rule, RuleTable, SelectCtx};
+use yoda_bench::{f1, f2, print_header, print_kv, Table};
+use yoda_core::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
-use yoda_netsim::rng::Rng;
 use yoda_netsim::Histogram;
+use yoda_netsim::Rng;
 
 /// Lookups timed per table size.
 const LOOKUPS: usize = 20_000;
@@ -83,10 +82,10 @@ fn main() {
         ]);
     }
     table_out.print();
-    print_kv("fixed per-connection cost (us)", report::f1(fixed_us));
+    print_kv("fixed per-connection cost (us)", f1(fixed_us));
     print_kv(
         "selection P90 ratio 10K rules / 1K rules",
-        report::f2(sel_10k / sel_1k),
+        f2(sel_10k / sel_1k),
     );
     print_kv("paper claim", "latency grows ~linearly; 10K is ~3x 1K");
 }

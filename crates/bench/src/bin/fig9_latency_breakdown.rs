@@ -12,10 +12,10 @@
 //! rate). Storage and backend-connection components come from the Yoda
 //! instance's own histograms — the same vantage the paper used.
 
-use yoda_bench::failover::LbKind;
-use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_core::testbed::{Testbed, TestbedConfig};
+use yoda_bench::LbKind;
+use yoda_bench::{f2, print_header, print_kv, Table};
 use yoda_core::YodaInstance;
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_http::{
     OriginServer, RateClient, RateClientConfig, ServerConfig, SiteCatalog, SiteConfig,
 };

@@ -11,7 +11,7 @@
 //! retry) and a streaming profile (stall detector on a long transfer) —
 //! and runs each against the HAProxy-style baseline and against Yoda.
 
-use yoda_bench::report::{print_header, print_kv, Table};
+use yoda_bench::{print_header, print_kv, Table};
 use yoda_bench::{run_failover, FailoverSetup, LbKind};
 use yoda_netsim::SimTime;
 

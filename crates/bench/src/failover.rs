@@ -6,8 +6,8 @@
 //! flows, and (optionally) the packet timeline at the backends around the
 //! failure (Figure 12(b)).
 
-use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::{Endpoint, Fate, Histogram, Note, SimTime, What};
 
@@ -157,7 +157,7 @@ fn browser_cfg(
 }
 
 /// Path of the largest object of a site (a long transfer, ≈442 KB).
-pub fn largest_object(catalog: &yoda_http::SiteCatalog, site: usize) -> String {
+pub(crate) fn largest_object(catalog: &yoda_http::SiteCatalog, site: usize) -> String {
     catalog
         .site(site)
         .objects

@@ -7,13 +7,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod failover;
-pub mod report;
-pub mod sampler;
-pub mod storestats;
+mod failover;
+mod report;
+mod sampler;
+mod storestats;
 
-pub use failover::{run_failover, FailoverOutcome, FailoverSetup, LbKind};
-pub use report::{print_header, print_kv, print_row, Table};
+pub use failover::{run_failover, FailoverSetup, LbKind};
+pub use report::{f1, f2, pct, print_header, print_kv, Table};
 pub use sampler::TimeSeries;
 pub use storestats::StoreStatsSummary;
 

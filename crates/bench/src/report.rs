@@ -15,11 +15,6 @@ pub fn print_kv(key: &str, value: impl std::fmt::Display) {
     println!("  {key:<44} {value}");
 }
 
-/// Prints one row of whitespace-separated cells.
-pub fn print_row(cells: &[String]) {
-    println!("  {}", cells.join("  "));
-}
-
 /// A simple fixed-width text table.
 #[derive(Debug, Default)]
 pub struct Table {

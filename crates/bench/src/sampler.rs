@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use yoda_netsim::{Engine, SimTime};
 
 /// One sampled row: the time it was taken and the sampled values.
-pub type Row = (SimTime, Vec<f64>);
+pub(crate) type Row = (SimTime, Vec<f64>);
 
 /// A shared, periodically-appended series of `(time, values)` rows.
 ///

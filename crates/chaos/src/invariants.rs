@@ -6,10 +6,10 @@
 //! probe-liveness invariants only apply to survivable plans (whose
 //! schedules respect Yoda's availability preconditions).
 
-use yoda_core::controller::Controller;
-use yoda_core::instance::YodaInstance;
-use yoda_core::rules::RuleTable;
-use yoda_core::testbed::Testbed;
+use yoda_core::Controller;
+use yoda_core::RuleTable;
+use yoda_core::Testbed;
+use yoda_core::YodaInstance;
 use yoda_http::{BrowserClient, OriginServer};
 use yoda_netsim::NodeId;
 use yoda_tcpstore::StoreServer;
@@ -20,7 +20,7 @@ use crate::witness::StoreWitness;
 
 /// Runs every applicable invariant; returns human-readable violations
 /// (empty = the run passed).
-pub fn check_invariants(
+pub(crate) fn check_invariants(
     tb: &Testbed,
     plan: &ChaosPlan,
     browsers: &[NodeId],
@@ -66,7 +66,7 @@ pub fn check_invariants(
     // Every record that entered the write-behind buffer is either still
     // queued, replayed after a heal, or counted as dropped — and the
     // queue itself never exceeds its configured cap.
-    let wb_cap = yoda_core::instance::WRITE_BEHIND_CAP;
+    let wb_cap = yoda_core::WRITE_BEHIND_CAP;
     for (&id, addr) in tb.instances.iter().zip(&tb.instance_addrs) {
         let Some(inst) = tb.engine.try_node_ref::<YodaInstance>(id) else {
             continue;

@@ -28,12 +28,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod invariants;
-pub mod orchestrator;
-pub mod plan;
-pub mod witness;
+mod invariants;
+mod orchestrator;
+mod plan;
+mod witness;
 
-pub use invariants::check_invariants;
-pub use orchestrator::{apply_plan, run_plan, run_seed, ChaosReport, ChaosScenario};
-pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget};
-pub use witness::{StoreWitness, WITNESS_TICK_KIND};
+pub use orchestrator::{run_seed, ChaosReport, ChaosScenario};
+pub use plan::{ChaosPlan, Fault, FaultKind};
+pub use witness::StoreWitness;

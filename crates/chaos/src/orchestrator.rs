@@ -7,9 +7,9 @@
 //! [`StoreWitness`] epoch at both boundaries so read-after-write verdicts
 //! never span a membership change.
 
-use yoda_core::controller::Controller;
-use yoda_core::instance::{YodaConfig, YodaInstance};
-use yoda_core::testbed::{Testbed, TestbedConfig};
+use yoda_core::Controller;
+use yoda_core::{Testbed, TestbedConfig};
+use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_l4lb::Mux;
 use yoda_netsim::{Addr, LinkSpec, NodeId, SimTime, Zone};
@@ -188,7 +188,7 @@ pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
 
 /// Builds the testbed, schedules the plan, runs to the deadline, and
 /// checks the invariants.
-pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
+pub(crate) fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     let yoda = YodaConfig {
         splice: sc.splice,
         ..YodaConfig::default()
@@ -303,7 +303,7 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
 /// the fault itself so in-flight pairs are disqualified first. A target
 /// index outside the testbed (generator indices always fit the shape;
 /// hand-built plans may not) schedules nothing.
-pub fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: Option<NodeId>) {
+pub(crate) fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: Option<NodeId>) {
     for f in &plan.faults {
         let (at, end) = (f.at, f.end());
         match f.kind {

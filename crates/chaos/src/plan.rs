@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use yoda_netsim::rng::Rng;
+use yoda_netsim::Rng;
 use yoda_netsim::SimTime;
 
 /// Minimum spacing enforced between two faults that touch the same
@@ -30,16 +30,16 @@ use yoda_netsim::SimTime;
 const TARGET_GAP: SimTime = SimTime::from_millis(1);
 
 /// Active Yoda instances in the chaos testbed.
-pub const INSTANCES: usize = 3;
+pub(crate) const INSTANCES: usize = 3;
 /// TCPStore servers in the chaos testbed.
-pub const STORES: usize = 3;
+pub(crate) const STORES: usize = 3;
 /// L4 muxes in the chaos testbed.
-pub const MUXES: usize = 2;
+pub(crate) const MUXES: usize = 2;
 /// Backend servers in the chaos testbed (backend `i` serves service
 /// `i % SERVICES`).
-pub const BACKENDS: usize = 4;
+pub(crate) const BACKENDS: usize = 4;
 /// Online services in the chaos testbed.
-pub const SERVICES: usize = 2;
+pub(crate) const SERVICES: usize = 2;
 /// Minimum fault duration.
 const MIN_DURATION: SimTime = SimTime::from_secs(1);
 

@@ -19,7 +19,7 @@ use yoda_tcpstore::{StoreClient, StoreEvent, StoreOutcome};
 
 /// Timer discriminator for the witness's own pacing tick (distinct from
 /// the store client's `STORE_TIMER_KIND`).
-pub const WITNESS_TICK_KIND: u32 = 0xC4A0;
+pub(crate) const WITNESS_TICK_KIND: u32 = 0xC4A0;
 
 /// Port the witness's store client binds.
 const WITNESS_PORT: u16 = 7007;

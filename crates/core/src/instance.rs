@@ -39,14 +39,14 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use yoda_balance::Prober;
-use yoda_netsim::hash::hash_pair;
+use yoda_netsim::hash_pair;
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
     PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
 };
 /// MSS used when chunking the forwarded request and the certificate: the
 /// endpoints' own.
-pub use yoda_tcp::MSS;
+pub(crate) use yoda_tcp::MSS;
 use yoda_tcp::{Segment, SeqNum};
 use yoda_tcpstore::{StoreClient, StoreEvent, StoreOutcome};
 
@@ -55,8 +55,9 @@ use yoda_l4lb::{CtrlMsg as MuxCtrl, Steering};
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};
 use crate::rules::{RuleTable, SelectCtx};
 
+pub(crate) use durability::Durability;
 use durability::Waiter;
-pub use durability::{Durability, WRITE_BEHIND_CAP};
+pub use durability::WRITE_BEHIND_CAP;
 use flow::{Action, Counter, Ends, Env, Exit, Flow, Io, Slot, Step};
 pub use index::{FlowIndex, FlowKey, Found, Leg, Pair};
 use probing::{PROBE_TICK_KIND, PROBE_TIMEOUT_KIND};
@@ -76,7 +77,7 @@ const OVERLOAD_BACKLOG: SimTime = SimTime::from_millis(250);
 const CORES: usize = 8;
 
 /// The fixed TLS ClientHello stand-in an SSL client sends first (§5.2).
-pub const SSL_HELLO: &[u8] = b"CLIENTHELLO\n";
+pub(crate) const SSL_HELLO: &[u8] = b"CLIENTHELLO\n";
 
 /// Builds the deterministic certificate blob for an SSL VIP: a 19-byte
 /// header carrying the total length, padded to `len`. Determinism is what

@@ -9,7 +9,7 @@
 //! regenerate the exact ISN the (possibly dead) first instance used, which
 //! is what makes the SYN-ACK stateless.
 
-use yoda_netsim::hash::hash_bytes;
+use yoda_netsim::hash_bytes;
 use yoda_netsim::Endpoint;
 use yoda_tcp::SeqNum;
 
@@ -21,7 +21,7 @@ const ISN_SEED: u64 = 0x15A_D00D;
 /// # Examples
 ///
 /// ```
-/// use yoda_core::isn::syn_ack_isn;
+/// use yoda_core::syn_ack_isn;
 /// use yoda_netsim::{Addr, Endpoint};
 ///
 /// let client = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);

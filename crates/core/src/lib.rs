@@ -29,17 +29,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod controller;
-pub mod ctrl;
-pub mod flowstate;
-pub mod instance;
-pub mod isn;
-pub mod rules;
-pub mod testbed;
+mod controller;
+mod ctrl;
+mod flowstate;
+mod instance;
+mod isn;
+mod rules;
+mod testbed;
 
-pub use controller::{Controller, ControllerConfig, CpuSample};
+pub use controller::{Controller, ControllerConfig, Event, Fleet, Health, Msg, Out};
 pub use ctrl::{InstanceCtrl, CTRL_PORT};
 pub use flowstate::{FlowRecord, SynRecord};
-pub use instance::{YodaConfig, YodaInstance};
-pub use rules::{Action, Matcher, Rule, RuleTable, SelectCtx};
+pub use instance::{
+    make_cert, FlowIndex, FlowKey, Found, Leg, Pair, YodaConfig, YodaInstance, WRITE_BEHIND_CAP,
+};
+pub use isn::syn_ack_isn;
+pub use rules::{glob_match, Rule, RuleTable, SelectCtx};
 pub use testbed::{Testbed, TestbedConfig, Tier};

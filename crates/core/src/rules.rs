@@ -30,7 +30,7 @@ use std::fmt;
 
 use yoda_balance::{ProbePool, Signal};
 use yoda_http::HttpRequest;
-use yoda_netsim::rng::Rng;
+use yoda_netsim::Rng;
 use yoda_netsim::{Endpoint, SimTime};
 
 /// Glob matching with `*` (any run) and `?` (any one char).
@@ -541,7 +541,7 @@ fn apply(
             }
             // A fresh session lands by a keyed hash over the live set.
             let live = backends.iter().filter(alive).count();
-            let key_hash = yoda_netsim::hash::hash_bytes(0xC00C1E, value.as_bytes());
+            let key_hash = yoda_netsim::hash_bytes(0xC00C1E, value.as_bytes());
             let pick = *backends
                 .iter()
                 .filter(alive)

@@ -74,7 +74,7 @@ impl Default for TestbedConfig {
 
 /// Builds the L7 instance at an address, given the store and mux
 /// addresses (a tier with no use for them ignores them).
-pub type MakeInstance = dyn Fn(Addr, &[Addr], &[Addr]) -> Box<dyn Node> + Send + Sync;
+pub(crate) type MakeInstance = dyn Fn(Addr, &[Addr], &[Addr]) -> Box<dyn Node> + Send + Sync;
 
 /// What fills the testbed's L7 slot: everything else — router, muxes,
 /// stores, backends, controller, clients — is the same for every tier.

@@ -1,8 +1,8 @@
 //! End-to-end tests of the full Yoda testbed: real browser clients, edge
 //! router, muxes, Yoda instances, TCPStore, and backends.
 
-use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
+use yoda_core::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig, RateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 

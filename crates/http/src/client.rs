@@ -35,7 +35,7 @@ const TICK_KIND: u32 = 0xB03;
 
 /// The fixed ClientHello stand-in a TLS-mode browser sends before its
 /// HTTP request (must match the LB's expectation).
-pub const TLS_HELLO: &[u8] = b"CLIENTHELLO\n";
+pub(crate) const TLS_HELLO: &[u8] = b"CLIENTHELLO\n";
 /// How long a TLS client waits for the certificate before re-sending its
 /// hello (drives certificate re-transmission across an LB failover).
 const TLS_RETRY: SimTime = SimTime::from_secs(3);
@@ -233,7 +233,7 @@ impl Fetches {
     fn new(addr: Addr, catalog: Arc<SiteCatalog>, target: Endpoint, host: String) -> Self {
         let mut stack = TcpStack::new();
         stack.set_ephemeral_base(
-            (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
+            (yoda_netsim::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
         );
         Fetches {
             addr,

@@ -14,14 +14,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod client;
-pub mod message;
-pub mod server;
+mod client;
+mod message;
+mod server;
 pub mod site;
 
 pub use client::{
     BrowserClient, BrowserConfig, RateClient, RateClientConfig, TIMEOUT_KIND, TLS_RETRY_KIND,
 };
-pub use message::{parse_request, parse_response, parse_response_head, HttpRequest, HttpResponse};
+pub use message::{parse_request, parse_response, parse_response_head, HttpRequest};
 pub use server::{OriginServer, ServerConfig};
-pub use site::{ObjectId, Page, Site, SiteCatalog, SiteConfig};
+pub use site::{SiteCatalog, SiteConfig};

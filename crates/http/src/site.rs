@@ -11,7 +11,7 @@
 //! [1 KB, 442 KB] and calibrated to a 46 KB median.
 
 use bytes::Bytes;
-use yoda_netsim::rng::{Distribution, Rng};
+use yoda_netsim::{Distribution, Rng};
 
 /// Identifies an object within a catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -20,15 +20,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ctrl;
-pub mod mux;
-pub mod router;
+mod ctrl;
+mod mux;
+mod router;
 
 pub use ctrl::{CtrlMsg, CTRL_PORT};
 pub use mux::{FlowKey, Mux};
 pub use router::EdgeRouter;
 
-use yoda_netsim::hash::{hash_pair, hash_u32};
+use yoda_netsim::{hash_pair, hash_u32};
 use yoda_netsim::{Addr, Endpoint};
 
 /// Canonical, direction-insensitive key for a connection: both directions

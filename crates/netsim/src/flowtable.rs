@@ -44,7 +44,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// Not collision-resistant against crafted keys, which is fine: every key
 /// comes from the simulation itself.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FlowHasher(u64);
+pub(crate) struct FlowHasher(u64);
 
 /// Odd multiplier with no short bit patterns (from the PCG family).
 const K: u64 = 0xf135_7aea_2e62_a9c5;

@@ -33,7 +33,7 @@ fn finish(mut h: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use yoda_netsim::hash::hash_bytes;
+/// use yoda_netsim::hash_bytes;
 ///
 /// let a = hash_bytes(0, b"flow");
 /// let b = hash_bytes(1, b"flow");

@@ -38,34 +38,37 @@
 
 #![forbid(unsafe_code)]
 
-pub mod addr;
-pub mod addrmap;
-pub mod engine;
-pub mod flowtable;
-pub mod hash;
-pub mod node;
-pub mod packet;
-pub mod rng;
-pub mod service;
-pub mod slab;
-pub mod stats;
-pub mod time;
-pub mod topology;
-pub mod trace;
-pub mod wheel;
+mod addr;
+mod addrmap;
+mod engine;
+mod flowtable;
+mod hash;
+mod node;
+mod packet;
+mod rng;
+mod service;
+mod slab;
+mod stats;
+mod time;
+mod topology;
+mod trace;
+mod wheel;
 
 pub use addr::{Addr, Endpoint};
+pub use addrmap::AddrMap;
 pub use engine::{Ctx, Engine, NodeId};
 pub use flowtable::FlowTable;
+pub use hash::{hash_bytes, hash_pair, hash_u32};
 pub use node::{Node, TimerId, TimerToken};
 pub use packet::{
     Head, Packet, Protocol, HEAD_CAP, IPIP_HEADER_LEN, PROTO_CTRL, PROTO_IPIP, PROTO_PING,
     PROTO_PROBE, PROTO_RPC, PROTO_TCP,
 };
-pub use rng::Rng;
+pub use rng::{Distribution, Rng};
 pub use service::ServiceQueue;
-pub use slab::{Slab, SlabKey};
+pub use slab::{Slab, SlabKey, PAGE_LEN};
 pub use stats::Histogram;
 pub use time::SimTime;
-pub use topology::{LinkSpec, OverrideId, Topology, Zone};
+pub use topology::{LinkSpec, Topology, Zone};
 pub use trace::{DropCause, Fate, Note, TraceEvent, TraceSink, What};
+pub use wheel::{Fired, TimerWheel, WheelItem, L0_SLOTS, LEVEL_SHIFT};

@@ -16,7 +16,7 @@ use std::ops::{Range, RangeInclusive};
 /// SplitMix64 step: used to expand a 64-bit seed into generator state and
 /// as a standalone mixing function for hash-derived streams.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -29,7 +29,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use yoda_netsim::rng::Rng;
+/// use yoda_netsim::Rng;
 ///
 /// let mut a = Rng::seed_from_u64(7);
 /// let mut b = Rng::seed_from_u64(7);

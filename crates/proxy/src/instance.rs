@@ -3,8 +3,8 @@
 use std::collections::BTreeMap;
 
 use bytes::{Bytes, BytesMut};
-use yoda_core::rules::{RuleTable, SelectCtx};
 use yoda_core::InstanceCtrl;
+use yoda_core::{RuleTable, SelectCtx};
 use yoda_http::parse_request;
 use yoda_netsim::{
     Addr, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,

@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod instance;
+mod instance;
 mod testbed;
 
 pub use instance::ProxyInstance;

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use yoda_core::testbed::{Testbed, TestbedConfig, Tier};
+use yoda_core::{Testbed, TestbedConfig, Tier};
 
 use crate::instance::ProxyInstance;
 

@@ -21,11 +21,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod segment;
+mod segment;
 mod sendq;
-pub mod seq;
-pub mod socket;
-pub mod stack;
+mod seq;
+mod socket;
+mod stack;
 
 pub use segment::{Flags, Segment, Translation, SEGMENT_HEADER_LEN};
 pub use seq::SeqNum;

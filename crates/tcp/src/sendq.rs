@@ -131,7 +131,7 @@ fn parts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yoda_netsim::rng::Rng;
+    use yoda_netsim::Rng;
 
     /// Model test against the plain `Vec<u8>` of the stream: random
     /// chunks (empty ones included), interleaved cuts, retransmitted heads

@@ -1200,7 +1200,7 @@ mod tests {
     /// written, at the offset its sequence number names.
     #[test]
     fn chunked_send_buffer_matches_contiguous_oracle() {
-        use yoda_netsim::rng::Rng;
+        use yoda_netsim::Rng;
         const MSS: u32 = super::MSS as u32;
         for seed in 0..24u64 {
             let mut rng = Rng::seed_from_u64(seed);

@@ -21,10 +21,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod client;
-pub mod proto;
-pub mod ring;
-pub mod server;
+mod client;
+mod proto;
+mod ring;
+mod server;
 
 pub use client::{
     ReplicaStat, StoreClient, StoreEvent, StoreOutcome, OP_TIMEOUT, STORE_HEDGE_KIND,

@@ -9,7 +9,7 @@
 //! the ring from each digest, skipping duplicates so the K replicas land
 //! on K distinct servers whenever K ≤ N.
 
-use yoda_netsim::hash::hash_bytes;
+use yoda_netsim::hash_bytes;
 use yoda_netsim::Addr;
 
 /// A consistent-hashing ring over store servers.

@@ -1,6 +1,6 @@
 //! Trace synthesis.
 
-use yoda_netsim::rng::Rng;
+use yoda_netsim::Rng;
 
 /// Generator configuration.
 #[derive(Debug, Clone)]

@@ -28,11 +28,11 @@
     reason = "an offline trace generator over per-bin arrays it sizes itself; no packet or timer handler calls it"
 )]
 
-pub mod gen;
-pub mod scenario;
+mod gen;
+mod scenario;
 
-pub use gen::{Trace, TraceConfig, VipTrace};
-pub use scenario::{AdaptiveScenario, BurstyLoad, SpeedPhase};
+pub use gen::{Trace, TraceConfig};
+pub use scenario::{AdaptiveScenario, BurstyLoad};
 
 use yoda_assign::{AssignInput, Assignment, VipSpec};
 

@@ -12,8 +12,8 @@
 //! cargo run --release --example extensions
 //! ```
 
-use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig, OriginServer};
 use yoda::netsim::SimTime;
 

@@ -10,8 +10,8 @@
 //! cargo run --release --example failover
 //! ```
 
-use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 

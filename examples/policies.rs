@@ -11,10 +11,10 @@
 
 use std::collections::BTreeMap;
 
-use yoda::core::rules::{RuleTable, SelectCtx};
+use yoda::core::{RuleTable, SelectCtx};
 use yoda::http::HttpRequest;
 use yoda::netsim::{Addr, Endpoint};
-use yoda_netsim::rng::Rng;
+use yoda_netsim::Rng;
 
 fn main() {
     // The paper's Table 3, expressed in this crate's DSL. D1..D4 are

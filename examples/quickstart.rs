@@ -9,8 +9,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 

@@ -46,8 +46,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use yoda::core::rules::{RuleTable, SelectCtx};
-use yoda::core::testbed::{Testbed, TestbedConfig, Tier};
+use yoda::core::{RuleTable, SelectCtx};
+use yoda::core::{Testbed, TestbedConfig, Tier};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::site::MAX_OBJECT_BYTES;
 use yoda::http::{HttpRequest, SiteCatalog, SiteConfig};

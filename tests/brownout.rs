@@ -11,8 +11,8 @@
 //! the stock 50 µs) so the 10× brownout saturates it and ops queue past
 //! the 100 ms client op timeout — the regime degraded mode exists for.
 
-use yoda::core::instance::YodaInstance;
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::YodaInstance;
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 use yoda::tcpstore::StoreServerConfig;
@@ -119,7 +119,7 @@ fn brownout_run() -> (BrownoutPrint, f64) {
         print.broken += bc.broken_flows;
         lat.merge(&bc.request_latencies);
     }
-    let wb_cap = yoda::core::instance::WRITE_BEHIND_CAP as u64;
+    let wb_cap = yoda::core::WRITE_BEHIND_CAP as u64;
     for &i in &tb.instances {
         let inst = tb.engine.node_ref::<YodaInstance>(i);
         print.degraded_entries += inst.degraded_entries;

@@ -12,7 +12,7 @@
 //! `SiteCatalog::body(size)`.
 
 use bytes::Bytes;
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response_head, HttpRequest, SiteCatalog};
 use yoda::l4lb::rendezvous_pick;

@@ -29,8 +29,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::thread;
 
-use yoda::core::controller::{Controller, ControllerConfig, Event, Fleet, Health, Msg, Out};
 use yoda::core::InstanceCtrl;
+use yoda::core::{Controller, ControllerConfig, Event, Fleet, Health, Msg, Out};
 use yoda::l4lb::CtrlMsg;
 use yoda::netsim::{Addr, Endpoint};
 

@@ -6,8 +6,8 @@
 //! the down set a recovered instance is re-told, and who hears a verdict.
 
 use bytes::Bytes;
-use yoda::core::controller::{Controller, ControllerConfig};
 use yoda::core::InstanceCtrl;
+use yoda::core::{Controller, ControllerConfig};
 use yoda::netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
     PROTO_PING,

@@ -17,8 +17,8 @@
 //! mux whose VIP is pointed at a raw `TcpStack` server, and a raw client.
 
 use bytes::Bytes;
-use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::HttpRequest;
 use yoda::l4lb::{rendezvous_pick, Mux};
 use yoda::netsim::{

@@ -11,7 +11,7 @@
 //! their own node's stream; this test catches the unknown ones.
 
 use yoda::chaos::{run_seed, ChaosPlan, ChaosScenario, FaultKind};
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 

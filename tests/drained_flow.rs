@@ -20,7 +20,7 @@
 //! every client and backend segment and injects it as a mux would.
 
 use bytes::Bytes;
-use yoda::core::rules::RuleTable;
+use yoda::core::RuleTable;
 use yoda::core::{InstanceCtrl, YodaConfig, YodaInstance, CTRL_PORT};
 use yoda::netsim::Topology;
 use yoda::netsim::{Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Zone};

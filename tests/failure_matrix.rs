@@ -14,9 +14,9 @@
 
 use std::thread;
 
-use yoda::core::instance::make_cert;
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::make_cert;
 use yoda::core::{FlowRecord, YodaConfig, YodaInstance};
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig, OriginServer};
 use yoda::l4lb::{rendezvous_pick, Mux};
 use yoda::netsim::{

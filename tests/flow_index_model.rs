@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use yoda::core::instance::{FlowIndex, FlowKey, Found, Leg, Pair};
+use yoda::core::{FlowIndex, FlowKey, Found, Leg, Pair};
 use yoda::netsim::{Addr, Endpoint, Rng};
 
 const CLIENTS: [Endpoint; 3] = [

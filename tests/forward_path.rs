@@ -23,10 +23,10 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::l4lb::{EdgeRouter, Mux};
-use yoda::netsim::wheel::WheelItem;
+use yoda::netsim::WheelItem;
 use yoda::netsim::{
     Addr, Ctx, Endpoint, Engine, Head, LinkSpec, Node, Packet, Rng, SimTime, TimerToken, Topology,
     Zone, HEAD_CAP, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_TCP,

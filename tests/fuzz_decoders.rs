@@ -15,11 +15,11 @@
 use std::fmt::Debug;
 
 use bytes::Bytes;
-use yoda::core::flowstate::{FlowRecord, SynRecord};
-use yoda::core::rules::{Rule, RuleTable};
 use yoda::core::InstanceCtrl;
+use yoda::core::{FlowRecord, SynRecord};
+use yoda::core::{Rule, RuleTable};
 use yoda::l4lb::CtrlMsg;
-use yoda::netsim::rng::Rng;
+use yoda::netsim::Rng;
 use yoda::netsim::{
     Addr, Endpoint, Head, Packet, Protocol, HEAD_CAP, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_PING,
     PROTO_RPC, PROTO_TCP,

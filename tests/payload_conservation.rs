@@ -7,8 +7,8 @@
 //! body bytes of every completed request add up to exactly the bytes the
 //! origin servers say they served.
 
-use yoda::core::instance::{YodaConfig, YodaInstance};
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{BrowserClient, BrowserConfig, OriginServer, RateClient, RateClientConfig};
 use yoda::netsim::SimTime;
 

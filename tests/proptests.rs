@@ -6,10 +6,10 @@
 
 use bytes::Bytes;
 use yoda::assign::{solve_greedy, AssignInput, Assignment, VipSpec};
-use yoda::core::flowstate::{FlowRecord, SynRecord};
-use yoda::core::isn::syn_ack_isn;
-use yoda::core::rules::glob_match;
-use yoda::netsim::rng::Rng;
+use yoda::core::glob_match;
+use yoda::core::syn_ack_isn;
+use yoda::core::{FlowRecord, SynRecord};
+use yoda::netsim::Rng;
 use yoda::netsim::{Addr, Endpoint, Histogram, Packet, HEAD_CAP, PROTO_TCP};
 use yoda::tcp::{Flags, Segment, SeqNum, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::HashRing;
@@ -306,7 +306,7 @@ fn histogram_percentiles_monotone() {
 /// programs.
 #[test]
 fn simplex_solutions_are_feasible() {
-    use yoda::assign::simplex::Cmp;
+    use yoda::assign::Cmp;
     use yoda::assign::LinearProgram;
     let mut rng = rng_for("simplex_solutions_are_feasible");
     for _ in 0..CASES {

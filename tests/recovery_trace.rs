@@ -26,12 +26,12 @@
 //! overall: where a flow's two legs are steered to two survivors, each
 //! rebuilds it on its own.
 
-use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::{Endpoint, Fate, Node, NodeId, Note, SimTime, TraceEvent, What, PROTO_TCP};
 use yoda::tcp::{Flags, Segment, SeqNum};
-use yoda::tcpstore::client::OP_TIMEOUT;
+use yoda::tcpstore::OP_TIMEOUT;
 
 const KILL: SimTime = SimTime::from_millis(1_300);
 const END: SimTime = SimTime::from_secs(20);

@@ -16,8 +16,8 @@ use yoda::chaos::StoreWitness;
 use yoda::core::{Controller, YodaInstance};
 use yoda::http::{BrowserClient, OriginServer, RateClient};
 use yoda::l4lb::{EdgeRouter, Mux};
-use yoda::netsim::addrmap::AddrMap;
-use yoda::netsim::wheel::TimerWheel;
+use yoda::netsim::AddrMap;
+use yoda::netsim::TimerWheel;
 use yoda::netsim::{Endpoint, Engine, FlowTable, Head, Node, Packet, Slab, TraceEvent, TraceSink};
 use yoda::proxy::ProxyInstance;
 use yoda::tcpstore::StoreServer;

@@ -7,7 +7,7 @@
 //! flow's sequence space straddles the wrap point — a case that shows up
 //! in production roughly once per 4 GiB transferred per connection.
 
-use yoda::core::isn::syn_ack_isn;
+use yoda::core::syn_ack_isn;
 use yoda::netsim::{Addr, Endpoint};
 use yoda::tcp::SeqNum;
 

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use yoda::netsim::slab::PAGE_LEN;
+use yoda::netsim::PAGE_LEN;
 use yoda::netsim::{Rng, Slab, SlabKey};
 
 fn slot(key: SlabKey) -> u64 {

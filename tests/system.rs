@@ -3,7 +3,7 @@
 //! keep-alive connection (§5.2).
 
 use bytes::{Bytes, BytesMut};
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response, HttpRequest, OriginServer};
 use yoda::l4lb::{rendezvous_pick, Mux};

@@ -10,7 +10,7 @@
 //! exercises the same case set, so failures always reproduce.
 
 use bytes::Bytes;
-use yoda::netsim::rng::Rng;
+use yoda::netsim::Rng;
 use yoda::netsim::{Addr, Endpoint, SimTime};
 use yoda::tcp::{Segment, SeqNum, SocketState, TcpSocket};
 

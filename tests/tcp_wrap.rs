@@ -1,7 +1,7 @@
 //! Transfers that cross the 2³² sequence wrap: Yoda's tunneling-phase
 //! translation and the TCP state machine must both be wrap-clean.
 
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::{Addr, Endpoint, SimTime};
 use yoda::tcp::{SeqNum, TcpSocket};

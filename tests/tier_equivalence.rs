@@ -11,8 +11,8 @@
 //! browsers, so that this test compares content too, is still open
 //! (ROADMAP item 3(ii)).
 
-use yoda::core::instance::{YodaConfig, YodaInstance};
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 

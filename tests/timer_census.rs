@@ -9,7 +9,7 @@
 //! never fire, and no store, HTTP-timeout or hello-retry timer may fire
 //! idle: each one is cancelled when its work ends.
 
-use yoda::core::testbed::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::{
     BrowserClient, BrowserConfig, RateClient, RateClientConfig, TIMEOUT_KIND, TLS_RETRY_KIND,
 };

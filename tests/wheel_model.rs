@@ -17,8 +17,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
-use yoda::netsim::wheel::{Fired, TimerWheel, WheelItem, L0_SLOTS, LEVEL_SHIFT};
 use yoda::netsim::{Addr, Endpoint, Packet, Rng, TimerToken, PROTO_PING};
+use yoda::netsim::{Fired, TimerWheel, WheelItem, L0_SLOTS, LEVEL_SHIFT};
 
 const L0: u64 = L0_SLOTS as u64;
 const EPOCH: u64 = 1 << LEVEL_SHIFT[LEVEL_SHIFT.len() - 1];
