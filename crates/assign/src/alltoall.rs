@@ -13,7 +13,7 @@ use crate::model::{AssignInput, Assignment};
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllToAll {
     /// The assignment (every VIP on every used instance).
-    pub assignment: Assignment,
+    pub(crate) assignment: Assignment,
     /// Instances used: `ceil(total_traffic / capacity)`.
     pub instances: usize,
     /// Rules per instance: the total rule count across all VIPs.

@@ -8,18 +8,7 @@
 //! the combinatorial bound, mirroring the paper's 10% CPLEX gap.
 
 use crate::model::{AssignError, AssignInput, Assignment};
-use crate::simplex::{Cmp, LinearProgram, LpError};
-
-/// Outcome of the exact solver.
-#[derive(Debug, Clone)]
-pub struct ExactOutcome {
-    /// The best assignment found.
-    pub assignment: Assignment,
-    /// Whether optimality was proven within the node budget.
-    pub proven_optimal: bool,
-    /// LP/B&B nodes explored.
-    pub nodes: usize,
-}
+use crate::simplex::{Cmp, LinearProgram};
 
 /// Variable indexing for the ILP.
 struct VarMap {
@@ -199,9 +188,9 @@ fn most_fractional(input: &AssignInput, x: &[f64]) -> Option<usize> {
 /// Solves the Figure 7 ILP exactly via branch-and-bound (within
 /// `node_limit` LP nodes).
 ///
-/// Returns the best assignment found and whether optimality was proven.
-/// Uses the greedy solution as the initial incumbent.
-pub fn solve_exact(input: &AssignInput, node_limit: usize) -> Result<ExactOutcome, AssignError> {
+/// Returns the best assignment found. Uses the greedy solution as the
+/// initial incumbent.
+pub fn solve_exact(input: &AssignInput, node_limit: usize) -> Result<Assignment, AssignError> {
     // Incumbent from the greedy solver (upper bound).
     let mut incumbent: Option<Assignment> = crate::greedy::solve_greedy(input, None)
         .ok()
@@ -211,23 +200,17 @@ pub fn solve_exact(input: &AssignInput, node_limit: usize) -> Result<ExactOutcom
         .map(|a| a.num_instances() as f64)
         .unwrap_or(f64::INFINITY);
     let mut nodes = 0usize;
-    let mut proven = true;
     // DFS stack of variable fixings.
     let mut stack: Vec<Vec<(usize, f64)>> = vec![Vec::new()];
     while let Some(fixed) = stack.pop() {
         if nodes >= node_limit {
-            proven = false;
             break;
         }
         nodes += 1;
         let lp = build_lp(input, &fixed);
         let sol = match lp.solve() {
             Ok(s) => s,
-            Err(LpError::Infeasible) => continue,
-            Err(_) => {
-                proven = false;
-                continue;
-            }
+            Err(_) => continue,
         };
         let lower = -sol.objective; // minimized instance count
         if lower >= best_obj - 1e-6 {
@@ -253,14 +236,7 @@ pub fn solve_exact(input: &AssignInput, node_limit: usize) -> Result<ExactOutcom
         stack.push(zero);
         stack.push(one); // explore x=1 first (LIFO)
     }
-    match incumbent {
-        Some(assignment) => Ok(ExactOutcome {
-            assignment,
-            proven_optimal: proven,
-            nodes,
-        }),
-        None => Err(AssignError::Infeasible),
-    }
+    incumbent.ok_or(AssignError::Infeasible)
 }
 
 #[cfg(test)]
@@ -302,9 +278,8 @@ mod tests {
             4,
         );
         let out = solve_exact(&inp, 1000).unwrap();
-        assert!(out.proven_optimal);
-        assert_eq!(out.assignment.num_instances(), 2);
-        assert!(inp.validate(&out.assignment).is_ok());
+        assert_eq!(out.num_instances(), 2);
+        assert!(inp.validate(&out).is_ok());
     }
 
     #[test]
@@ -316,19 +291,18 @@ mod tests {
             4,
         );
         let out = solve_exact(&inp, 1000).unwrap();
-        assert!(out.proven_optimal);
-        assert_eq!(out.assignment.num_instances(), 3);
+        assert_eq!(out.num_instances(), 3);
     }
 
     #[test]
     fn exact_handles_replicas() {
         let inp = input(vec![vip(30.0, 10, 3), vip(30.0, 10, 2)], 5);
         let out = solve_exact(&inp, 500).unwrap();
-        assert_eq!(out.assignment.placement[0].len(), 3);
-        assert_eq!(out.assignment.placement[1].len(), 2);
+        assert_eq!(out.placement[0].len(), 3);
+        assert_eq!(out.placement[1].len(), 2);
         // 5 replica-slots, each 10-15 load → 3 instances suffice
         // (replica constraint forces ≥ 3).
-        assert_eq!(out.assignment.num_instances(), 3);
+        assert_eq!(out.num_instances(), 3);
     }
 
     #[test]
@@ -349,8 +323,8 @@ mod tests {
         );
         let greedy = crate::greedy::solve_greedy(&inp, None).unwrap();
         let exact = solve_exact(&inp, 2000).unwrap();
-        assert!(exact.assignment.num_instances() <= greedy.assignment.num_instances());
-        assert_eq!(exact.assignment.num_instances(), 2);
+        assert!(exact.num_instances() <= greedy.assignment.num_instances());
+        assert_eq!(exact.num_instances(), 2);
     }
 
     #[test]
@@ -369,10 +343,10 @@ mod tests {
         // δ=0: nothing may migrate, so the assignment must equal prev
         // (even though packing both on one instance would be cheaper).
         assert_eq!(
-            prev.migrated_fraction(&out.assignment, &inp.vips),
+            prev.migrated_fraction(&out, &inp.vips),
             0.0,
             "{:?}",
-            out.assignment.placement
+            out.placement
         );
     }
 

@@ -32,9 +32,6 @@ pub struct GreedyOutcome {
     pub assignment: Assignment,
     /// The δ actually used (≥ the requested δ when relaxation was needed).
     pub effective_delta: Option<f64>,
-    /// Optimality gap vs. the combinatorial lower bound:
-    /// `(used − LB) / LB`.
-    pub gap: f64,
 }
 
 struct Fleet<'a> {
@@ -147,12 +144,9 @@ pub fn solve_greedy(
         };
         match attempt(&relaxed, shuffle_seed) {
             Ok(assignment) => {
-                let lb = input.lower_bound();
-                let used = assignment.num_instances();
                 return Ok(GreedyOutcome {
                     assignment,
                     effective_delta: delta,
-                    gap: (used as f64 - lb as f64) / lb as f64,
                 });
             }
             Err(AssignError::MigrationBudget { .. }) | Err(AssignError::Infeasible)
@@ -366,7 +360,7 @@ mod tests {
         assert!(input.validate(&out.assignment).is_ok());
         // 200 total load / 100 per instance = 2 needed.
         assert_eq!(out.assignment.num_instances(), 2);
-        assert!(out.gap < 1e-9);
+        assert_eq!(out.assignment.num_instances(), input.lower_bound());
     }
 
     #[test]
@@ -475,6 +469,8 @@ mod tests {
         };
         let out = solve_greedy(&input, None).unwrap();
         assert!(input.validate(&out.assignment).is_ok());
-        assert!(out.gap < 0.5, "gap {}", out.gap);
+        let (used, lb) = (out.assignment.num_instances(), input.lower_bound());
+        let gap = (used as f64 - lb as f64) / lb as f64;
+        assert!(gap < 0.5, "gap {gap}");
     }
 }

@@ -17,11 +17,11 @@
 //!   migrate between instances per update (TCPStore throughput bound).
 //!
 //! The paper solves this with CPLEX at a 10% optimality gap. This crate
-//! provides: an exact solver (dense two-phase [`simplex`] + [`bnb`]
-//! branch-and-bound) for small/medium instances, the migration-aware
-//! [`greedy`] solver with local search for trace-scale inputs (gap
-//! reported against a combinatorial lower bound), and the [`alltoall`]
-//! baseline the paper compares against in Figure 16.
+//! provides: an exact solver ([`solve_exact`]: a dense two-phase simplex,
+//! [`LinearProgram`], under branch-and-bound) for small/medium instances,
+//! the migration-aware greedy solver with local search for trace-scale
+//! inputs ([`solve_greedy`]), and the all-to-all baseline the paper
+//! compares against in Figure 16 ([`all_to_all`]).
 
 #![forbid(unsafe_code)]
 #![expect(
@@ -36,8 +36,8 @@ mod greedy;
 mod model;
 mod simplex;
 
-pub use alltoall::all_to_all;
+pub use alltoall::{all_to_all, AllToAll};
 pub use bnb::solve_exact;
-pub use greedy::solve_greedy;
-pub use model::{transition_stats, AssignInput, Assignment, VipSpec};
-pub use simplex::{Cmp, LinearProgram};
+pub use greedy::{solve_greedy, GreedyOutcome};
+pub use model::{transition_stats, AssignError, AssignInput, Assignment, TransitionStats, VipSpec};
+pub use simplex::{Cmp, LinearProgram, LpError, LpResult};

@@ -29,14 +29,14 @@ impl VipSpec {
 
     /// Traffic carried by each replica after `f_v` failures:
     /// `t_v / (n_v − f_v)` (Eq. 1 numerator).
-    pub fn load_per_replica(&self) -> f64 {
+    pub(crate) fn load_per_replica(&self) -> f64 {
         self.traffic / (self.replicas - self.failures_tolerated()) as f64
     }
 
     /// Traffic each replica actually carries with all replicas healthy:
     /// `t_v / n_v`. Eq. 1 constrains the failure-adjusted load; what an
     /// instance *observes* (and what Figure 16(d) measures) is this.
-    pub fn actual_load_per_replica(&self) -> f64 {
+    pub(crate) fn actual_load_per_replica(&self) -> f64 {
         self.traffic / self.replicas as f64
     }
 }
@@ -66,7 +66,7 @@ pub struct AssignInput {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Assignment {
     /// Per-VIP instance lists, sorted ascending.
-    pub placement: Vec<Vec<usize>>,
+    pub(crate) placement: Vec<Vec<usize>>,
 }
 
 impl Assignment {
@@ -80,7 +80,7 @@ impl Assignment {
     }
 
     /// Whether VIP `v` is on instance `y`.
-    pub fn assigned(&self, v: usize, y: usize) -> bool {
+    pub(crate) fn assigned(&self, v: usize, y: usize) -> bool {
         self.placement
             .get(v)
             .map(|p| p.binary_search(&y).is_ok())
@@ -88,7 +88,7 @@ impl Assignment {
     }
 
     /// The set of instances used by any VIP.
-    pub fn instances_used(&self) -> Vec<usize> {
+    pub(crate) fn instances_used(&self) -> Vec<usize> {
         let mut used: Vec<usize> = self.placement.iter().flatten().copied().collect();
         used.sort_unstable();
         used.dedup();
@@ -120,7 +120,7 @@ impl Assignment {
     }
 
     /// Per-instance failure-adjusted load (Eq. 1 left side).
-    pub fn load_per_instance(&self, vips: &[VipSpec]) -> Vec<f64> {
+    pub(crate) fn load_per_instance(&self, vips: &[VipSpec]) -> Vec<f64> {
         let max = self
             .placement
             .iter()
@@ -170,7 +170,7 @@ pub struct TransitionStats {
     /// exceeds capacity.
     pub overloaded_fraction: f64,
     /// Number of instances transiently overloaded.
-    pub overloaded_instances: usize,
+    pub(crate) overloaded_instances: usize,
     /// Fraction of connections that migrate.
     pub migrated_fraction: f64,
 }
@@ -389,7 +389,7 @@ impl AssignInput {
 
     /// A combinatorial lower bound on the number of instances needed:
     /// max of the traffic bound, the rule bound, and the largest replica
-    /// requirement. Used for optimality-gap reporting at trace scale.
+    /// requirement; no feasible assignment uses fewer.
     pub fn lower_bound(&self) -> usize {
         let total_load: f64 = self
             .vips

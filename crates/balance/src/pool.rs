@@ -41,13 +41,13 @@ pub struct Signal {
 
 /// One pooled probe result.
 #[derive(Debug, Clone, Copy)]
-pub struct PoolEntry {
+pub(crate) struct PoolEntry {
     /// The probed backend.
-    pub backend: Endpoint,
+    pub(crate) backend: Endpoint,
     /// Its probed signal.
-    pub sig: Signal,
+    pub(crate) sig: Signal,
     /// Selections this entry has justified so far.
-    pub uses: u32,
+    pub(crate) uses: u32,
 }
 
 /// A bounded pool of recent probe results for one rule.
@@ -65,11 +65,6 @@ impl ProbePool {
     /// True when the pool holds nothing.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Read-only view of the entries (insertion order).
-    pub fn entries(&self) -> &[PoolEntry] {
-        &self.entries
     }
 
     /// Admits a fresh probe result, replacing any previous entry for the
@@ -175,7 +170,7 @@ mod tests {
         p.admit(ep(1), sig_at(3, 1, 0));
         p.admit(ep(1), sig_at(7, 1, 5));
         assert_eq!(p.len(), 1);
-        assert_eq!(p.entries()[0].sig.rif, 7);
+        assert_eq!(p.entries[0].sig.rif, 7);
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         }
         p.admit(ep(200), sig_at(3, 1, 0));
         assert_eq!(p.len(), CAPACITY);
-        assert!(p.entries().iter().all(|e| e.backend != ep(2)));
+        assert!(p.entries.iter().all(|e| e.backend != ep(2)));
     }
 
     #[test]
@@ -197,7 +192,7 @@ mod tests {
         p.admit(ep(2), sig_at(0, 1, 150));
         p.evict_stale(MAX_AGE + SimTime::from_millis(1));
         assert_eq!(p.len(), 1);
-        assert_eq!(p.entries()[0].backend, ep(2));
+        assert_eq!(p.entries[0].backend, ep(2));
     }
 
     #[test]

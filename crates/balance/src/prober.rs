@@ -34,7 +34,7 @@ pub struct Prober {
     /// Probes sent.
     pub probes_sent: u64,
     /// Probe replies matched.
-    pub probes_answered: u64,
+    pub(crate) probes_answered: u64,
     /// Probes that timed out.
     pub probes_timed_out: u64,
     /// Quarantine entries created.

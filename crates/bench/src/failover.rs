@@ -103,7 +103,7 @@ pub struct FailoverOutcome {
     /// their abandonment time.
     pub latencies: Histogram,
     /// Per-page latencies, ms.
-    pub page_latencies: Histogram,
+    pub(crate) page_latencies: Histogram,
     /// Completed object fetches.
     pub completed: u64,
     /// Flows abandoned (never completed).
@@ -111,7 +111,7 @@ pub struct FailoverOutcome {
     /// HTTP timeouts observed.
     pub timeouts: u64,
     /// TCP resets observed.
-    pub resets: u64,
+    pub(crate) resets: u64,
     /// Streaming sessions reset.
     pub session_resets: u64,
     /// Flows recovered from TCPStore by surviving instances (Yoda only).

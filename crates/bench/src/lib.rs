@@ -12,7 +12,7 @@ mod report;
 mod sampler;
 mod storestats;
 
-pub use failover::{run_failover, FailoverSetup, LbKind};
+pub use failover::{run_failover, FailoverOutcome, FailoverSetup, LbKind};
 pub use report::{f1, f2, pct, print_header, print_kv, Table};
 pub use sampler::TimeSeries;
 pub use storestats::StoreStatsSummary;

@@ -18,7 +18,7 @@ use crate::report::Table;
 #[derive(Debug, Default, Clone)]
 pub struct StoreStatsSummary {
     /// Per-replica stats, merged across clients (EWMA sample-weighted).
-    pub per_replica: BTreeMap<Addr, ReplicaStat>,
+    pub(crate) per_replica: BTreeMap<Addr, ReplicaStat>,
     /// Operations that timed out entirely (all retries exhausted).
     pub timeouts: u64,
     /// Hedged reads fired.
@@ -28,7 +28,7 @@ pub struct StoreStatsSummary {
     /// Replica quarantine entries.
     pub quarantines: u64,
     /// Under-acked writes abandoned after the retry budget.
-    pub repairs_abandoned: u64,
+    pub(crate) repairs_abandoned: u64,
 }
 
 impl StoreStatsSummary {

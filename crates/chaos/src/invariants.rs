@@ -14,7 +14,6 @@ use yoda_http::{BrowserClient, OriginServer};
 use yoda_netsim::NodeId;
 use yoda_tcpstore::StoreServer;
 
-use crate::orchestrator::ChaosScenario;
 use crate::plan::ChaosPlan;
 use crate::witness::StoreWitness;
 
@@ -25,7 +24,6 @@ pub(crate) fn check_invariants(
     plan: &ChaosPlan,
     browsers: &[NodeId],
     witness: NodeId,
-    sc: &ChaosScenario,
 ) -> Vec<String> {
     let mut v = Vec::new();
     let now = tb.engine.now();
@@ -89,7 +87,7 @@ pub(crate) fn check_invariants(
     }
 
     // --- Bounded resolution (drain) for finite workloads. --------------
-    if !sc.survivable && total_in_flight != 0 {
+    if !plan.survivable && total_in_flight != 0 {
         v.push(format!(
             "{total_in_flight} fetches still unresolved at the deadline — a \
              finite workload must drain (bounded timeouts, never hung)"

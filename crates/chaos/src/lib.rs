@@ -7,18 +7,18 @@
 //! crate turns that claim into a repeatable, FoundationDB-style
 //! simulation-chaos harness:
 //!
-//! * [`plan`] — a [`ChaosPlan`] is a deterministic
+//! * `plan` — a [`ChaosPlan`] is a deterministic
 //!   function of a single seed plus a regime. *Survivable* plans keep
 //!   the schedule inside the availability preconditions; *unconstrained*
 //!   plans deliberately violate them to test graceful degradation.
-//! * [`orchestrator`] — maps each fault onto the testbed's injection
+//! * `orchestrator` ([`run_seed`]) — maps each fault onto the testbed's injection
 //!   helpers (crash/restart, partition/heal) or onto time-windowed
 //!   topology overrides (loss bursts, latency spikes, WAN blackholes),
 //!   runs the scenario, and collects a [`ChaosReport`].
-//! * [`witness`] — an in-DC node that continuously verifies TCPStore
+//! * `witness` ([`StoreWitness`]) — an in-DC node that continuously verifies TCPStore
 //!   read-after-write on surviving replicas, with epoch guards so
 //!   verdicts never span a store-membership change.
-//! * [`invariants`] — post-run checks: flow conservation, zero broken
+//! * `invariants` — post-run checks: flow conservation, zero broken
 //!   flows (survivable), bounded resolution (unconstrained),
 //!   controller/instance rule convergence, and probe-pool liveness.
 //!
@@ -34,5 +34,5 @@ mod plan;
 mod witness;
 
 pub use orchestrator::{run_seed, ChaosReport, ChaosScenario};
-pub use plan::{ChaosPlan, Fault, FaultKind};
+pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget};
 pub use witness::StoreWitness;

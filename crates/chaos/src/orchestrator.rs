@@ -30,7 +30,8 @@ const BROWSER_PROCESSES: usize = 2;
 pub struct ChaosScenario {
     /// Survivable (§6's preconditions hold, zero broken flows expected)
     /// or unconstrained (floors lifted, every fetch must still resolve
-    /// in bounded time). Selects the plan's regime too.
+    /// in bounded time). Selects the regime of the plan `run_seed`
+    /// generates; the run reads it from the plan.
     pub survivable: bool,
     /// Enable the mux fast-path flow splicing on the instances, so
     /// steady-state forwarding (and its revocation/failover machinery)
@@ -54,30 +55,30 @@ impl ChaosScenario {
             splice: false,
         }
     }
+}
 
-    /// The browsers' settings: survivable runs browse until the deadline
-    /// with two retries per object and a 10 s timeout; unconstrained runs
-    /// fetch one page each with no retry and a 5 s timeout, so every
-    /// fetch resolves (or fails) well before the deadline.
-    fn browser(&self) -> BrowserConfig {
-        let (retries, http_timeout, max_pages) = if self.survivable {
-            (2, SimTime::from_secs(10), None)
-        } else {
-            (0, SimTime::from_secs(5), Some(1))
-        };
-        BrowserConfig {
-            processes: BROWSER_PROCESSES,
-            retries,
-            http_timeout,
-            max_pages,
-            ..BrowserConfig::default()
-        }
+/// The browsers' settings in a regime: survivable runs browse until the
+/// deadline with two retries per object and a 10 s timeout; unconstrained
+/// runs fetch one page each with no retry and a 5 s timeout, so every
+/// fetch resolves (or fails) well before the deadline.
+fn browser(survivable: bool) -> BrowserConfig {
+    let (retries, http_timeout, max_pages) = if survivable {
+        (2, SimTime::from_secs(10), None)
+    } else {
+        (0, SimTime::from_secs(5), Some(1))
+    };
+    BrowserConfig {
+        processes: BROWSER_PROCESSES,
+        retries,
+        http_timeout,
+        max_pages,
+        ..BrowserConfig::default()
     }
+}
 
-    /// Total simulated run length.
-    fn deadline(&self) -> SimTime {
-        SimTime::from_secs(if self.survivable { 45 } else { 100 })
-    }
+/// Total simulated run length in a regime.
+fn deadline(survivable: bool) -> SimTime {
+    SimTime::from_secs(if survivable { 45 } else { 100 })
 }
 
 /// Everything a chaos run produced: aggregate client counters, witness
@@ -86,9 +87,9 @@ impl ChaosScenario {
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// The generating seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Whether the plan was survivable.
-    pub survivable: bool,
+    pub(crate) survivable: bool,
     /// The full schedule (printed on failure for one-command repro).
     pub plan: ChaosPlan,
     /// Engine event digest at the deadline.
@@ -96,40 +97,40 @@ pub struct ChaosReport {
     /// Events processed.
     pub events: u64,
     /// Fetches completed across all browsers.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Broken flows (retries exhausted) across all browsers.
-    pub broken_flows: u64,
+    pub(crate) broken_flows: u64,
     /// Fetch attempts that timed out.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Fetch attempts reset by the server side.
-    pub resets: u64,
+    pub(crate) resets: u64,
     /// Pages fully fetched.
-    pub pages_completed: u64,
+    pub(crate) pages_completed: u64,
     /// Witness pairs that produced a verdict.
-    pub witness_checks: u64,
+    pub(crate) witness_checks: u64,
     /// Witness pairs skipped across store-fault boundaries.
-    pub witness_skipped: u64,
+    pub(crate) witness_skipped: u64,
     /// Component recoveries the controller re-integrated.
-    pub recoveries_detected: u64,
+    pub(crate) recoveries_detected: u64,
     /// Packets forwarded on the mux fast path (summed across muxes).
     pub spliced: u64,
     /// Splice installs the instances issued (first installs + re-installs
     /// after mux failover).
     pub splices_installed: u64,
     /// Times any instance entered store-brownout degraded mode.
-    pub degraded_entries: u64,
+    pub(crate) degraded_entries: u64,
     /// Write-behind records dropped on buffer overflow (summed).
-    pub write_behind_dropped: u64,
+    pub(crate) write_behind_dropped: u64,
     /// Hedged store reads fired across all instances.
-    pub store_hedges: u64,
+    pub(crate) store_hedges: u64,
     /// Store op retries fired across all instances.
-    pub store_retries: u64,
+    pub(crate) store_retries: u64,
     /// Store replica quarantine entries across all instances.
-    pub store_quarantines: u64,
+    pub(crate) store_quarantines: u64,
     /// Instance derates the controller issued (suspect, not dead).
-    pub derates: u64,
+    pub(crate) derates: u64,
     /// Invariant violations (empty = the run passed).
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
 }
 
 impl ChaosReport {
@@ -182,15 +183,15 @@ impl ChaosReport {
 
 /// Generates the plan for `seed` in the scenario's regime and runs it.
 pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
-    let plan = ChaosPlan::generate(seed, sc.survivable);
-    run_plan(&plan, sc)
+    run_plan(&ChaosPlan::generate(seed, sc.survivable), sc.splice)
 }
 
 /// Builds the testbed, schedules the plan, runs to the deadline, and
-/// checks the invariants.
-pub(crate) fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
+/// checks the invariants. The plan carries the regime: the browsers, the
+/// deadline and every invariant follow `plan.survivable`.
+fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
     let yoda = YodaConfig {
-        splice: sc.splice,
+        splice,
         ..YodaConfig::default()
     };
     let replicas = yoda.store_replicas;
@@ -223,7 +224,7 @@ pub(crate) fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     }
 
     let browsers: Vec<NodeId> = (0..SERVICES)
-        .map(|s| tb.add_browser(s, sc.browser()))
+        .map(|s| tb.add_browser(s, browser(plan.survivable)))
         .collect();
 
     let witness_addr = Addr::new(10, 0, 6, 1);
@@ -235,9 +236,9 @@ pub(crate) fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     );
 
     apply_plan(&mut tb, plan, Some(witness));
-    tb.engine.run_for(sc.deadline());
+    tb.engine.run_for(deadline(plan.survivable));
 
-    let violations = check_invariants(&tb, plan, &browsers, witness, sc);
+    let violations = check_invariants(&tb, plan, &browsers, witness);
     let mut report = ChaosReport {
         seed: plan.seed,
         survivable: plan.survivable,

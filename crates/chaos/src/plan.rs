@@ -218,16 +218,16 @@ impl FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Fault {
     /// Injection time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Impairment duration.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
     /// What to break.
     pub kind: FaultKind,
 }
 
 impl Fault {
     /// When the fault heals.
-    pub fn end(&self) -> SimTime {
+    pub(crate) fn end(&self) -> SimTime {
         self.at + self.duration
     }
 
@@ -320,9 +320,9 @@ const MAX_LINK_JITTER_MS: u32 = 20;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// The seed the plan (and the run) derives from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Whether the schedule respects the availability floors.
-    pub survivable: bool,
+    pub(crate) survivable: bool,
     /// The schedule, sorted by `(at, duration, kind)`.
     pub faults: Vec<Fault>,
 }
@@ -360,7 +360,7 @@ impl ChaosPlan {
 
     /// Multi-line rendering for failure output: paste the seed back into
     /// the harness and the identical schedule regenerates.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         self.to_string()
     }
 }

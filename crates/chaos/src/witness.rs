@@ -47,17 +47,17 @@ pub struct StoreWitness {
     epoch: u64,
     pending: Option<Pending>,
     /// Pairs judged (set acknowledged, get returned the written value).
-    pub checks: u64,
+    pub(crate) checks: u64,
     /// Pairs skipped because a store-fault boundary intersected them.
-    pub skipped: u64,
+    pub(crate) skipped: u64,
     /// Read-after-write violations observed (empty on a healthy run).
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
 }
 
 impl StoreWitness {
     /// A witness at `addr` writing every key to `replicas` of the given
     /// store servers (the deployment's replication factor).
-    pub fn new(addr: Addr, servers: &[Addr], replicas: usize) -> Self {
+    pub(crate) fn new(addr: Addr, servers: &[Addr], replicas: usize) -> Self {
         StoreWitness {
             client: StoreClient::new(replicas, Endpoint::new(addr, WITNESS_PORT), servers),
             period: SimTime::from_millis(250),
@@ -72,7 +72,7 @@ impl StoreWitness {
 
     /// Called by the orchestrator at every store-fault boundary (crash,
     /// partition, heal, restart): pairs spanning the bump are skipped.
-    pub fn bump_epoch(&mut self) {
+    pub(crate) fn bump_epoch(&mut self) {
         self.epoch += 1;
     }
 

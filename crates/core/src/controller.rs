@@ -94,7 +94,7 @@ pub struct CpuSample {
     /// Mean CPU across active instances (0..1).
     pub mean_cpu: f64,
     /// Number of active instances at that time.
-    pub active_instances: usize,
+    pub(crate) active_instances: usize,
 }
 
 /// The controller node.
@@ -117,7 +117,7 @@ pub struct Controller {
     /// Derated instances re-admitted after looking healthy again.
     pub underates: u64,
     /// Instances activated by the autoscaler.
-    pub instances_added: u64,
+    pub(crate) instances_added: u64,
     /// CPU/request-rate samples over time (Figure 13's series).
     pub cpu_history: Vec<CpuSample>,
     /// When each failure was detected, and of what.
@@ -175,7 +175,7 @@ impl Controller {
     }
 
     /// Whether a VIP is registered.
-    pub fn has_vip(&self, vip: Endpoint) -> bool {
+    pub(crate) fn has_vip(&self, vip: Endpoint) -> bool {
         self.fleet.vips.contains_key(&vip)
     }
 
@@ -183,11 +183,6 @@ impl Controller {
     pub fn is_derated(&self, addr: Addr) -> bool {
         let mut members = self.fleet.members();
         members.any(|(ep, h, _)| ep.addr == addr && h == Health::Derated)
-    }
-
-    /// Currently-active instances.
-    pub fn active_instances(&self) -> Vec<Addr> {
-        self.fleet.active_instances()
     }
 
     /// Adds (or replaces) a VIP: installs rules on `instances` and maps
@@ -205,7 +200,7 @@ impl Controller {
     /// [`Controller::add_vip`] with SSL termination: instances will serve
     /// a certificate of `ssl_cert_len` bytes to clients of this VIP
     /// (§5.2 "SSL support").
-    pub fn add_vip_ssl(
+    pub(crate) fn add_vip_ssl(
         &mut self,
         ctx: &mut Ctx<'_>,
         vip: Endpoint,
@@ -238,7 +233,7 @@ impl Controller {
 
     /// Updates a VIP's policy (rules) without touching placement; new
     /// rules apply to new connections only (§5.2).
-    pub fn update_policy(&mut self, ctx: &mut Ctx<'_>, vip: Endpoint, rules_text: &str) {
+    pub(crate) fn update_policy(&mut self, ctx: &mut Ctx<'_>, vip: Endpoint, rules_text: &str) {
         self.apply(ctx, Event::UpdatePolicy(vip, rules_text.to_string()));
     }
 
@@ -251,7 +246,7 @@ impl Controller {
     /// Activates `n` spare instances, most recently registered first:
     /// install every VIP's rules, then add them to the mux mappings.
     /// Returns how many were activated.
-    pub fn activate_spares(&mut self, ctx: &mut Ctx<'_>, n: usize) -> usize {
+    pub(crate) fn activate_spares(&mut self, ctx: &mut Ctx<'_>, n: usize) -> usize {
         let before = self.instances_added;
         self.apply(ctx, Event::ActivateSpares(n));
         (self.instances_added - before) as usize
@@ -399,7 +394,7 @@ impl Node for Controller {
                 self.on_pong(ctx, pkt.src, fresh);
             }
             PROTO_CTRL => {
-                if let Some(InstanceCtrl::StatsReply { seq, cpu_milli, .. }) =
+                if let Some(InstanceCtrl::StatsReply { seq, cpu_milli }) =
                     pkt.message().and_then(InstanceCtrl::decode)
                 {
                     if let Some(bucket) = self.cpu_replies.get_mut(&seq) {
@@ -433,7 +428,7 @@ mod tests {
         c.register_backend(Endpoint::new(Addr::new(10, 1, 0, 1), 80));
         c.register_store(Addr::new(10, 0, 1, 1));
         let active = vec![Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2)];
-        assert_eq!(c.active_instances(), active, "the spare is idle");
+        assert_eq!(c.fleet.active_instances(), active, "the spare is idle");
         assert_eq!(c.fleet.members().count(), 5);
     }
 

@@ -59,19 +59,12 @@ pub enum InstanceCtrl {
         seq: u64,
         /// CPU utilisation ×1000 over the last window.
         cpu_milli: u32,
-        /// Flows the instance tracks ([`YodaInstance::live_flows`]): drained
-        /// tunnels still lingering are counted too.
-        ///
-        /// [`YodaInstance::live_flows`]: crate::YodaInstance::live_flows
-        flows: u64,
-        /// Requests seen per VIP since the last stats request.
-        per_vip_requests: Vec<(Endpoint, u64)>,
     },
 }
 
 impl InstanceCtrl {
     /// Serializes to the wire text.
-    pub fn encode(&self) -> Bytes {
+    pub(crate) fn encode(&self) -> Bytes {
         let text = match self {
             InstanceCtrl::InstallVip {
                 vip,
@@ -89,17 +82,8 @@ impl InstanceCtrl {
                 format!("set-muxes {}", list.join(" "))
             }
             InstanceCtrl::StatsRequest { seq } => format!("stats-request {seq}"),
-            InstanceCtrl::StatsReply {
-                seq,
-                cpu_milli,
-                flows,
-                per_vip_requests,
-            } => {
-                let mut s = format!("stats-reply {seq} {cpu_milli} {flows}");
-                for (vip, reqs) in per_vip_requests {
-                    s.push_str(&format!("\n{vip} {reqs}"));
-                }
-                s
+            InstanceCtrl::StatsReply { seq, cpu_milli } => {
+                format!("stats-reply {seq} {cpu_milli}")
             }
         };
         Bytes::from(text)
@@ -147,25 +131,10 @@ impl InstanceCtrl {
             "stats-request" => Some(InstanceCtrl::StatsRequest {
                 seq: parts.next()?.parse().ok()?,
             }),
-            "stats-reply" => {
-                let seq = parts.next()?.parse().ok()?;
-                let cpu_milli = parts.next()?.parse().ok()?;
-                let flows = parts.next()?.parse().ok()?;
-                let mut per_vip_requests = Vec::new();
-                for line in rest.lines() {
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let (ep, n) = line.split_once(' ')?;
-                    per_vip_requests.push((ep.parse().ok()?, n.parse().ok()?));
-                }
-                Some(InstanceCtrl::StatsReply {
-                    seq,
-                    cpu_milli,
-                    flows,
-                    per_vip_requests,
-                })
-            }
+            "stats-reply" => Some(InstanceCtrl::StatsReply {
+                seq: parts.next()?.parse().ok()?,
+                cpu_milli: parts.next()?.parse().ok()?,
+            }),
             _ => None,
         }
     }
@@ -214,8 +183,6 @@ mod tests {
         roundtrip(InstanceCtrl::StatsReply {
             seq: 9,
             cpu_milli: 423,
-            flows: 812,
-            per_vip_requests: vec![(vip, 1000), (Endpoint::new(Addr::new(100, 0, 0, 2), 80), 5)],
         });
     }
 

@@ -37,7 +37,7 @@ pub struct SynRecord {
 
 impl SynRecord {
     /// TCPStore key for this record's flow.
-    pub fn key(client: Endpoint, vip: Endpoint) -> Bytes {
+    pub(crate) fn key(client: Endpoint, vip: Endpoint) -> Bytes {
         Bytes::concat([&b"syn:"[..], &client.to_bytes(), &vip.to_bytes()])
     }
 
@@ -90,15 +90,9 @@ impl FlowRecord {
     /// Reverse key: indexed by the server-side flow
     /// (backend → (VIP, client-port)), so server packets can find the
     /// record too.
-    pub fn rkey(backend: Endpoint, vip_client_side: Endpoint) -> Bytes {
+    pub(crate) fn rkey(backend: Endpoint, vip_client_side: Endpoint) -> Bytes {
         let (backend, vip) = (backend.to_bytes(), vip_client_side.to_bytes());
         Bytes::concat([&b"rflow:"[..], &backend, &vip])
-    }
-
-    /// The server-side VIP endpoint of this flow: (VIP addr, client port).
-    /// Yoda reuses the client's port on the backend connection.
-    pub fn vip_server_side(&self) -> Endpoint {
-        Endpoint::new(self.vip.addr, self.client.port)
     }
 
     /// Serializes the record.
@@ -173,13 +167,6 @@ mod tests {
         let backend = Endpoint::new(Addr::new(10, 1, 0, 3), 80);
         let vss = Endpoint::new(vip.addr, c1.port);
         assert_ne!(FlowRecord::key(c1, vip), FlowRecord::rkey(backend, vss));
-    }
-
-    #[test]
-    fn server_side_endpoint_uses_client_port() {
-        let r = sample_flow();
-        assert_eq!(r.vip_server_side().addr, r.vip.addr);
-        assert_eq!(r.vip_server_side().port, 40000);
     }
 
     #[test]

@@ -55,9 +55,8 @@ use yoda_l4lb::{CtrlMsg as MuxCtrl, Steering};
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};
 use crate::rules::{RuleTable, SelectCtx};
 
-pub(crate) use durability::Durability;
 use durability::Waiter;
-pub use durability::WRITE_BEHIND_CAP;
+pub use durability::{Durability, WRITE_BEHIND_CAP};
 use flow::{Action, Counter, Ends, Env, Exit, Flow, Io, Slot, Step};
 pub use index::{FlowIndex, FlowKey, Found, Leg, Pair};
 use probing::{PROBE_TICK_KIND, PROBE_TIMEOUT_KIND};
@@ -92,11 +91,11 @@ pub fn make_cert(len: u32) -> Bytes {
 
 /// Per-VIP configuration on an instance: the rule table plus SSL options.
 #[derive(Debug, Clone, Default)]
-pub struct VipConfig {
+pub(crate) struct VipConfig {
     /// The L7 rules.
-    pub rules: RuleTable,
+    pub(crate) rules: RuleTable,
     /// SSL termination: certificate length served to clients.
-    pub ssl_cert_len: Option<u32>,
+    pub(crate) ssl_cert_len: Option<u32>,
 }
 
 /// Instance tunables — only those some caller sets to a second value;
@@ -169,9 +168,6 @@ pub struct YodaInstance {
     pub requests: u64,
     /// Cumulative per-VIP request counters.
     pub per_vip_requests: BTreeMap<Endpoint, u64>,
-    /// Per-VIP request counters since the last stats poll (drained by the
-    /// controller's StatsRequest).
-    per_vip_window: BTreeMap<Endpoint, u64>,
     /// Flows recovered from TCPStore after another instance's failure.
     pub recoveries: u64,
     /// Packets forwarded in the tunneling phase.
@@ -245,7 +241,6 @@ impl YodaInstance {
             actions: Vec::new(),
             requests: 0,
             per_vip_requests: BTreeMap::new(),
-            per_vip_window: BTreeMap::new(),
             recoveries: 0,
             tunneled_packets: 0,
             dropped_overload: 0,
@@ -271,7 +266,7 @@ impl YodaInstance {
     }
 
     /// Installs a VIP with full options (rules + SSL).
-    pub fn install_vip_cfg(&mut self, vip: Endpoint, cfg: VipConfig) {
+    pub(crate) fn install_vip_cfg(&mut self, vip: Endpoint, cfg: VipConfig) {
         self.vips.insert(vip, cfg);
     }
 
@@ -291,7 +286,7 @@ impl YodaInstance {
     }
 
     /// Removes a VIP's rules (existing flows keep tunneling).
-    pub fn remove_vip(&mut self, vip: Endpoint) {
+    pub(crate) fn remove_vip(&mut self, vip: Endpoint) {
         self.vips.remove(&vip);
     }
 
@@ -308,7 +303,7 @@ impl YodaInstance {
     }
 
     /// Resets the CPU measurement window.
-    pub fn reset_cpu_window(&mut self, now: SimTime) {
+    pub(crate) fn reset_cpu_window(&mut self, now: SimTime) {
         self.cpu.reset_window(now);
     }
 
@@ -407,7 +402,6 @@ impl YodaInstance {
                 Action::Count(Counter::Request) => {
                     self.requests += 1;
                     *self.per_vip_requests.entry(key.1).or_insert(0) += 1;
-                    *self.per_vip_window.entry(key.1).or_insert(0) += 1;
                 }
                 Action::Count(Counter::BackendSwitch) => self.backend_switches += 1,
                 Action::Count(Counter::SpliceInstall) => self.splices_installed += 1,
@@ -618,14 +612,9 @@ impl YodaInstance {
             }
             InstanceCtrl::SetMuxes { muxes } => self.muxes.set(muxes),
             InstanceCtrl::StatsRequest { seq } => {
-                let per_vip: Vec<(Endpoint, u64)> = std::mem::take(&mut self.per_vip_window)
-                    .into_iter()
-                    .collect();
                 let reply = InstanceCtrl::StatsReply {
                     seq,
                     cpu_milli: (self.cpu_utilization(ctx.now()) * 1000.0) as u32,
-                    flows: self.index.len() as u64,
-                    per_vip_requests: per_vip,
                 };
                 self.reset_cpu_window(ctx.now());
                 let me = Endpoint::new(self.addr, CTRL_PORT);

@@ -113,12 +113,12 @@ impl Durability {
     }
 
     /// The embedded store client (latency and per-replica stats).
-    pub fn store(&self) -> &StoreClient {
+    pub(crate) fn store(&self) -> &StoreClient {
         &self.store
     }
 
     /// Mutable access to the embedded store client.
-    pub fn store_mut(&mut self) -> &mut StoreClient {
+    pub(crate) fn store_mut(&mut self) -> &mut StoreClient {
         &mut self.store
     }
 

@@ -35,13 +35,13 @@ const WINDOW: u32 = 1 << 20;
 /// What a transition may read besides the flow and its input.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Env {
-    pub now: SimTime,
+    pub(crate) now: SimTime,
     /// The instance is in degraded mode: do not wait on store acks.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
     /// `YodaConfig::optimistic_synack`.
-    pub optimistic_synack: bool,
+    pub(crate) optimistic_synack: bool,
     /// `YodaConfig::splice`.
-    pub splice: bool,
+    pub(crate) splice: bool,
 }
 
 /// One effect of a transition, applied by the shell in buffer order.
@@ -129,8 +129,8 @@ pub(crate) enum Exit {
 /// The two ends every address and sequence number of a flow derives from.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Ends {
-    pub client: Endpoint,
-    pub vip: Endpoint,
+    pub(crate) client: Endpoint,
+    pub(crate) vip: Endpoint,
 }
 
 impl Ends {
@@ -154,10 +154,10 @@ impl Ends {
 /// What a transition works through: the environment it reads, the delay
 /// its sends carry, and the buffer its effects go to.
 pub(crate) struct Io<'a> {
-    pub env: Env,
+    pub(crate) env: Env,
     /// Modelled processing delay of the packet being handled.
-    pub delay: SimTime,
-    pub out: &'a mut Vec<Action>,
+    pub(crate) delay: SimTime,
+    pub(crate) out: &'a mut Vec<Action>,
 }
 
 impl Io<'_> {

@@ -27,7 +27,7 @@ const SPLICE_REINSTALL: SimTime = SimTime::from_millis(10);
 /// Tunneling-phase per-flow state (Figure 4's translation constants).
 #[derive(Debug)]
 pub(super) struct Tunnel {
-    pub backend: Endpoint,
+    pub(crate) backend: Endpoint,
     /// Server→client sequence-space offset: added to the backend's
     /// sequence numbers, subtracted from the client's ack numbers.
     delta: u32,
@@ -39,27 +39,27 @@ pub(super) struct Tunnel {
     client_fin: Option<SeqNum>,
     server_fin: bool,
     /// Set once both FINs passed; entry is dropped after the linger.
-    pub drain_deadline: Option<SimTime>,
+    pub(crate) drain_deadline: Option<SimTime>,
     /// Whether HTTP/1.1 inspection is active for this flow (disabled on
     /// recovered flows, whose stream position is unknown).
-    pub inspect_enabled: bool,
+    pub(crate) inspect_enabled: bool,
     /// Next client-space (C) sequence number expected for inspection.
-    pub inspect_next: SeqNum,
+    pub(crate) inspect_next: SeqNum,
     /// Reassembly buffer for HTTP/1.1 request inspection.
     inspect_buf: BytesMut,
     /// Next Y-space sequence number the client expects (the furthest of
     /// forwarded response bytes and client acks; needed to splice a new
     /// backend in).
-    pub client_next: SeqNum,
+    pub(crate) client_next: SeqNum,
     /// In-progress backend switch (§5.2): SYN sent to the new backend.
     switching: Option<Box<SwitchState>>,
     /// Mirror race (§5.2): other backends still competing to answer
     /// first, with their ISNs once their SYN-ACKs arrive.
-    pub racing: Vec<(Endpoint, Option<SeqNum>)>,
+    pub(crate) racing: Vec<(Endpoint, Option<SeqNum>)>,
     /// The request bytes, kept while a race is live (to feed late racers).
-    pub race_request: Option<Bytes>,
+    pub(crate) race_request: Option<Bytes>,
     /// Client ISN, kept while a race is live (for racer handshakes/RSTs).
-    pub race_client_isn: SeqNum,
+    pub(crate) race_client_isn: SeqNum,
     /// Mux fast path: splice entries are believed installed for both legs
     /// (the client leg acks-only while inspection is on).
     spliced: bool,
@@ -483,11 +483,11 @@ impl Tunnel {
 /// [`Tunnel`] it replaces would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Drained {
-    pub backend: Endpoint,
+    pub(crate) backend: Endpoint,
     delta: u32,
     cert: u32,
     /// When gc retires it ([`super::flow::Exit::Drained`]).
-    pub deadline: SimTime,
+    pub(crate) deadline: SimTime,
 }
 
 impl Drained {

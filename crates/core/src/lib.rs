@@ -7,9 +7,9 @@
 //!
 //! 1. **Decoupled TCP state**: every piece of flow state a failing
 //!    instance would lose is persisted in TCPStore *before* the packet
-//!    that commits to it is sent ([`flowstate`], [`instance`]).
+//!    that commits to it is sent ([`FlowRecord`], [`YodaInstance`]).
 //! 2. **TCP state reuse across instances**: deterministic SYN-ACK ISNs
-//!    ([`isn`]) plus client-ISN reuse toward the backend make any
+//!    ([`syn_ack_isn`]) plus client-ISN reuse toward the backend make any
 //!    instance able to continue any other instance's connection.
 //! 3. **Front-and-back indirection**: instances speak to both clients and
 //!    servers *as the VIP* (via the L4 LB's splitting and SNAT), so
@@ -18,14 +18,14 @@
 //!
 //! Module map:
 //!
-//! * [`isn`] — deterministic SYN-ACK sequence numbers,
-//! * [`flowstate`] — storage-a / storage-b records and keys,
-//! * [`rules`] — the L7 rules engine (match/action/priority),
-//! * [`instance`] — the Yoda instance packet driver,
-//! * [`ctrl`] — controller↔instance messages,
-//! * [`controller`] — monitor, assignment updater, policy interface,
+//! * `isn` ([`syn_ack_isn`]) — deterministic SYN-ACK sequence numbers,
+//! * `flowstate` ([`FlowRecord`], [`SynRecord`]) — storage-a / storage-b records and keys,
+//! * `rules` ([`RuleTable`]) — the L7 rules engine (match/action/priority),
+//! * `instance` ([`YodaInstance`]) — the Yoda instance packet driver,
+//! * `ctrl` ([`InstanceCtrl`]) — controller↔instance messages,
+//! * `controller` ([`Controller`], [`Fleet`]) — monitor, assignment updater, policy interface,
 //!   autoscaler,
-//! * [`testbed`] — full-system assembly for experiments.
+//! * `testbed` ([`Testbed`]) — full-system assembly for experiments.
 
 #![forbid(unsafe_code)]
 
@@ -37,11 +37,12 @@ mod isn;
 mod rules;
 mod testbed;
 
-pub use controller::{Controller, ControllerConfig, Event, Fleet, Health, Msg, Out};
+pub use controller::{Controller, ControllerConfig, CpuSample, Event, Fleet, Health, Msg, Out};
 pub use ctrl::{InstanceCtrl, CTRL_PORT};
 pub use flowstate::{FlowRecord, SynRecord};
 pub use instance::{
-    make_cert, FlowIndex, FlowKey, Found, Leg, Pair, YodaConfig, YodaInstance, WRITE_BEHIND_CAP,
+    make_cert, Durability, FlowIndex, FlowKey, Found, Leg, Pair, YodaConfig, YodaInstance,
+    WRITE_BEHIND_CAP,
 };
 pub use isn::syn_ack_isn;
 pub use rules::{glob_match, Rule, RuleTable, SelectCtx};

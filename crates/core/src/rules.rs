@@ -64,21 +64,21 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
 
 /// What a rule matches on (all present parts must match).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Matcher {
+pub(crate) struct Matcher {
     /// Glob over the request path.
-    pub url: Option<String>,
+    pub(crate) url: Option<String>,
     /// Glob over the `Host` header.
-    pub host: Option<String>,
+    pub(crate) host: Option<String>,
     /// Cookie presence/name (`cookie=session` matches requests carrying a
     /// `session` cookie; `*` matches any cookie header).
-    pub cookie: Option<String>,
+    pub(crate) cookie: Option<String>,
     /// Header name/value-glob pair.
-    pub header: Option<(String, String)>,
+    pub(crate) header: Option<(String, String)>,
 }
 
 impl Matcher {
     /// True when this matcher accepts the request.
-    pub fn matches(&self, req: &HttpRequest) -> bool {
+    pub(crate) fn matches(&self, req: &HttpRequest) -> bool {
         if let Some(glob) = &self.url {
             if !glob_match(glob, req.path()) {
                 return false;
@@ -112,7 +112,7 @@ impl Matcher {
 
 /// What to do with a matched request.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Action {
+pub(crate) enum Action {
     /// Weighted split across backends.
     Split(Vec<(Endpoint, f64)>),
     /// Forward to the least-loaded live backend (the paper's "weights set
@@ -137,7 +137,7 @@ pub enum Action {
 
 impl Action {
     /// The backends this action can select.
-    pub fn backends(&self) -> Vec<Endpoint> {
+    pub(crate) fn backends(&self) -> Vec<Endpoint> {
         match self {
             Action::Split(ws) => ws.iter().map(|(b, _)| *b).collect(),
             Action::LeastLoaded(bs) => bs.clone(),
@@ -151,24 +151,24 @@ impl Action {
 /// The result of rule matching: one primary backend, plus the extra
 /// backends a mirror action races against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Selection {
+pub(crate) struct Selection {
     /// The backend the connection phase targets first.
-    pub primary: Endpoint,
+    pub(crate) primary: Endpoint,
     /// Additional mirror targets (empty for ordinary actions).
-    pub mirrors: Vec<Endpoint>,
+    pub(crate) mirrors: Vec<Endpoint>,
 }
 
 /// One L7 rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Operator-facing name.
-    pub name: String,
+    pub(crate) name: String,
     /// Higher priorities are consulted first.
-    pub priority: u32,
+    pub(crate) priority: u32,
     /// Match condition.
-    pub matcher: Matcher,
+    pub(crate) matcher: Matcher,
     /// Action on match.
-    pub action: Action,
+    pub(crate) action: Action,
 }
 
 impl Rule {
@@ -330,7 +330,7 @@ pub struct SelectCtx {
     /// Open-connection counts per backend (least-loaded policy).
     pub loads: BTreeMap<Endpoint, i64>,
     /// Current simulated time (probe-pool staleness eviction).
-    pub now: SimTime,
+    pub(crate) now: SimTime,
 }
 
 /// A per-VIP rule table.
@@ -349,7 +349,7 @@ pub struct RuleTable {
 
 impl RuleTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RuleTable::default()
     }
 
@@ -385,16 +385,9 @@ impl RuleTable {
     }
 
     /// Inserts a rule in priority position.
-    pub fn insert(&mut self, rule: Rule) {
+    pub(crate) fn insert(&mut self, rule: Rule) {
         let pos = self.rules.partition_point(|r| r.priority >= rule.priority);
         self.rules.insert(pos, rule);
-    }
-
-    /// Removes rules by name; returns how many were removed.
-    pub fn remove(&mut self, name: &str) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.name != name);
-        before - self.rules.len()
     }
 
     /// Number of rules.
@@ -405,11 +398,6 @@ impl RuleTable {
     /// True when the table has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// The rules in scan order.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
     }
 
     /// Selects a backend for `req`: linear scan in priority order; a
@@ -425,7 +413,7 @@ impl RuleTable {
     }
 
     /// Full selection including mirror targets (§5.2).
-    pub fn select_full(
+    pub(crate) fn select_full(
         &mut self,
         req: &HttpRequest,
         ctx: &SelectCtx,
@@ -459,7 +447,7 @@ impl RuleTable {
 
     /// Union of backends reachable through prequal rules (the probe
     /// candidate set).
-    pub fn prequal_backends(&self) -> BTreeSet<Endpoint> {
+    pub(crate) fn prequal_backends(&self) -> BTreeSet<Endpoint> {
         self.rules
             .iter()
             .filter(|r| matches!(r.action, Action::Prequal(_)))
@@ -469,7 +457,7 @@ impl RuleTable {
 
     /// Feeds one probe answer to every prequal rule pool that includes
     /// `backend`.
-    pub fn on_probe(&mut self, backend: Endpoint, sig: Signal) {
+    pub(crate) fn on_probe(&mut self, backend: Endpoint, sig: Signal) {
         for r in &self.rules {
             if let Action::Prequal(bs) = &r.action {
                 if bs.contains(&backend) {
@@ -483,15 +471,10 @@ impl RuleTable {
     }
 
     /// Drops `backend` from every probe pool (death or quarantine).
-    pub fn purge_backend(&mut self, backend: Endpoint) {
+    pub(crate) fn purge_backend(&mut self, backend: Endpoint) {
         for pool in self.pools.values_mut() {
             pool.purge(backend);
         }
-    }
-
-    /// Read-only view of one rule's probe pool (tests, debugging).
-    pub fn pool(&self, rule_name: &str) -> Option<&ProbePool> {
-        self.pools.get(rule_name)
     }
 }
 
@@ -752,16 +735,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_maintain_order() {
+    fn insert_keeps_priority_order() {
         let mut table = RuleTable::new();
         table.insert(Rule::parse("name=a priority=1 match * action=split 10.1.0.2:80=1").unwrap());
         table.insert(Rule::parse("name=b priority=9 match * action=split 10.1.0.3:80=1").unwrap());
         table.insert(Rule::parse("name=c priority=5 match * action=split 10.1.0.4:80=1").unwrap());
-        let prios: Vec<u32> = table.rules().iter().map(|r| r.priority).collect();
+        let prios: Vec<u32> = table.rules.iter().map(|r| r.priority).collect();
         assert_eq!(prios, vec![9, 5, 1]);
-        assert_eq!(table.remove("c"), 1);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.remove("zzz"), 0);
     }
 
     #[test]
@@ -819,7 +799,7 @@ mod tests {
             );
             assert_eq!(table.select(&req("/x"), &ctx, &mut rng), Some(ep(3)));
         }
-        assert!(table.pool("pq").is_some());
+        assert!(table.pools.contains_key("pq"));
     }
 
     #[test]
@@ -836,9 +816,9 @@ mod tests {
         };
         table.on_probe(ep(2), sig);
         table.on_probe(ep(3), sig);
-        assert_eq!(table.pool("pq").map(|p| p.len()), Some(2));
+        assert_eq!(table.pools.get("pq").map(|p| p.len()), Some(2));
         table.purge_backend(ep(2));
-        assert_eq!(table.pool("pq").map(|p| p.len()), Some(1));
+        assert_eq!(table.pools.get("pq").map(|p| p.len()), Some(1));
         // A dead backend with a pooled entry is never selected.
         let mut ctx = SelectCtx::default();
         ctx.dead.insert(ep(3));
@@ -857,6 +837,6 @@ mod tests {
         .unwrap();
         let text = table.to_text();
         let reparsed = RuleTable::parse(&text).unwrap();
-        assert_eq!(table.rules(), reparsed.rules());
+        assert_eq!(table.rules, reparsed.rules);
     }
 }

@@ -118,8 +118,6 @@ pub struct Testbed {
     pub instance_addrs: Vec<Addr>,
     /// Spare instance nodes.
     pub spares: Vec<NodeId>,
-    /// Spare addresses.
-    pub spare_addrs: Vec<Addr>,
     /// Store server nodes.
     pub stores: Vec<NodeId>,
     /// Store addresses.
@@ -135,7 +133,7 @@ pub struct Testbed {
     /// The L7 tier built (for instance restoration).
     tier: Tier,
     /// Store server configuration used (for store restoration).
-    pub store_cfg: StoreServerConfig,
+    pub(crate) store_cfg: StoreServerConfig,
     next_client_host: u8,
 }
 
@@ -290,7 +288,6 @@ impl Testbed {
             instances,
             instance_addrs,
             spares,
-            spare_addrs,
             stores,
             store_addrs,
             backends,

@@ -33,13 +33,13 @@ use bytes::Bytes;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Request target (path + query).
-    pub target: String,
+    pub(crate) target: String,
     /// Protocol version: `"HTTP/1.0"` or `"HTTP/1.1"`.
-    pub version: String,
+    pub(crate) version: String,
     /// Header name/value pairs in order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
 }
 
 impl HttpRequest {
@@ -94,7 +94,7 @@ impl HttpRequest {
 
     /// True when the connection should stay open after the response
     /// (HTTP/1.1 default, or explicit keep-alive).
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         match self.header("Connection") {
             Some(v) if v.eq_ignore_ascii_case("close") => false,
             Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
@@ -128,16 +128,16 @@ pub struct HttpResponse {
     /// Status code (200, 404, ...).
     pub status: u16,
     /// Protocol version.
-    pub version: String,
+    pub(crate) version: String,
     /// Header pairs (excluding `Content-Length`, added at encode time).
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Response body.
     pub body: Bytes,
 }
 
 impl HttpResponse {
     /// A 200 response with the given body.
-    pub fn ok(body: Bytes) -> Self {
+    pub(crate) fn ok(body: Bytes) -> Self {
         HttpResponse {
             status: 200,
             version: "HTTP/1.0".to_string(),
@@ -147,7 +147,7 @@ impl HttpResponse {
     }
 
     /// A 404 response.
-    pub fn not_found() -> Self {
+    pub(crate) fn not_found() -> Self {
         HttpResponse {
             status: 404,
             version: "HTTP/1.0".to_string(),
@@ -157,14 +157,14 @@ impl HttpResponse {
     }
 
     /// Appends a header.
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
 
     /// Serializes everything before the body (adds `Content-Length`). The
     /// wire form is this, then `self.body` — two chunks, no body copy.
-    pub fn encode_head(&self) -> Bytes {
+    pub(crate) fn encode_head(&self) -> Bytes {
         let reason = match self.status {
             200 => "OK",
             404 => "Not Found",

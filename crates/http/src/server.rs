@@ -68,7 +68,7 @@ pub struct OriginServer {
     /// Total body bytes served.
     pub bytes_served: u64,
     /// Probe requests answered (see `yoda-balance`).
-    pub probes_answered: u64,
+    pub(crate) probes_answered: u64,
 }
 
 impl OriginServer {
@@ -99,12 +99,6 @@ impl OriginServer {
         self.pending.len()
     }
 
-    /// EWMA of recent request latencies (arrival to reply). Zero until
-    /// the first request completes.
-    pub fn latency_ewma(&self) -> SimTime {
-        self.latency_ewma
-    }
-
     /// Scales all service times by `f` (e.g. `5.0` = a 5x-slower backend).
     /// Takes effect for requests arriving after the call, which lets
     /// scenarios degrade and recover a backend mid-run.
@@ -117,20 +111,10 @@ impl OriginServer {
         self.speed_factor
     }
 
-    /// CPU utilisation since the last [`OriginServer::reset_window`].
-    pub fn cpu_utilization(&self, now: SimTime) -> f64 {
-        self.cpu.utilization(now)
-    }
-
     /// Resets the windowed counters (requests and CPU).
     pub fn reset_window(&mut self, now: SimTime) {
         self.requests_window = 0;
         self.cpu.reset_window(now);
-    }
-
-    /// The endpoint this server listens on.
-    pub fn endpoint(&self) -> Endpoint {
-        self.listen
     }
 
     fn handle_request(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, req: HttpRequest) {
@@ -299,7 +283,7 @@ mod tests {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
         let srv = OriginServer::new(ServerConfig, ep, catalog);
-        assert_eq!(srv.endpoint(), ep);
+        assert_eq!(srv.listen, ep);
         assert_eq!(srv.requests, 0);
     }
 
@@ -326,7 +310,7 @@ mod tests {
         // by decoding what the server would have sent.
         let srv = eng.node_ref::<OriginServer>(id);
         assert_eq!(srv.in_flight(), 0);
-        assert_eq!(srv.latency_ewma(), SimTime::from_millis(4));
+        assert_eq!(srv.latency_ewma, SimTime::from_millis(4));
     }
 
     #[test]
@@ -335,10 +319,10 @@ mod tests {
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
         let mut srv = OriginServer::new(ServerConfig, ep, catalog);
         srv.record_latency(SimTime::from_micros(1000));
-        assert_eq!(srv.latency_ewma(), SimTime::from_micros(1000));
+        assert_eq!(srv.latency_ewma, SimTime::from_micros(1000));
         srv.record_latency(SimTime::from_micros(2000));
         // 0.7 * 1000 + 0.3 * 2000 = 1300.
-        assert_eq!(srv.latency_ewma(), SimTime::from_micros(1300));
+        assert_eq!(srv.latency_ewma, SimTime::from_micros(1300));
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //! [1 KB, 442 KB] and calibrated to a 46 KB median.
 
 use bytes::Bytes;
-use yoda_netsim::{Distribution, Rng};
+use yoda_netsim::Rng;
 
 /// Identifies an object within a catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjectId {
     /// Index of the site.
-    pub site: usize,
+    pub(crate) site: usize,
     /// Index of the object within the site.
-    pub object: usize,
+    pub(crate) object: usize,
 }
 
 /// One fetchable object.
@@ -69,7 +69,7 @@ pub struct Site {
     /// All objects.
     pub objects: Vec<Object>,
     /// Pages referencing the objects.
-    pub pages: Vec<Page>,
+    pub(crate) pages: Vec<Page>,
 }
 
 /// A set of sites, resolving request paths to objects.
@@ -108,7 +108,7 @@ static EMPTY_PAGE: Page = Page {
 };
 
 /// Median object size from the paper (46 KB).
-pub const MEDIAN_OBJECT_BYTES: usize = 46 * 1024;
+pub(crate) const MEDIAN_OBJECT_BYTES: usize = 46 * 1024;
 /// Smallest object size from the paper (1 KB).
 pub const MIN_OBJECT_BYTES: usize = 1024;
 /// Largest object size from the paper (442 KB).
@@ -116,7 +116,7 @@ pub const MAX_OBJECT_BYTES: usize = 442 * 1024;
 
 /// Byte `i` of every object body: `i % 251`. The period is prime, so no
 /// shift shorter than it reads the same bytes.
-pub fn filler_byte(i: usize) -> u8 {
+pub(crate) fn filler_byte(i: usize) -> u8 {
     (i % 251) as u8
 }
 
@@ -186,11 +186,6 @@ impl SiteCatalog {
         self.filler.slice(..size.min(self.filler.len()))
     }
 
-    /// Number of sites.
-    pub fn num_sites(&self) -> usize {
-        self.sites.len()
-    }
-
     /// A site by index; an empty site for out-of-range indices.
     pub fn site(&self, i: usize) -> &Site {
         self.sites.get(i).unwrap_or(&EMPTY_SITE)
@@ -240,25 +235,8 @@ impl SiteCatalog {
         self.object(id).map_or("", |o| o.path.as_str())
     }
 
-    /// The size of an object; 0 for a dangling id.
-    pub fn size_of(&self, id: ObjectId) -> usize {
-        self.object(id).map_or(0, |o| o.size)
-    }
-
     fn object(&self, id: ObjectId) -> Option<&Object> {
         self.sites.get(id.site)?.objects.get(id.object)
-    }
-
-    /// Median object size over the whole catalog (for sanity checks); 0
-    /// for an empty catalog.
-    pub fn median_object_size(&self) -> usize {
-        let mut sizes: Vec<usize> = self
-            .sites
-            .iter()
-            .flat_map(|s| s.objects.iter().map(|o| o.size))
-            .collect();
-        sizes.sort_unstable();
-        sizes.get(sizes.len() / 2).copied().unwrap_or(0)
     }
 }
 
@@ -269,41 +247,17 @@ fn sample_normal(rng: &mut Rng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// A distribution adapter so callers can sample object indexes zipfian-ly.
-#[derive(Debug, Clone)]
-pub struct ZipfIndex {
-    cdf: Vec<f64>,
-}
-
-impl ZipfIndex {
-    /// Builds a Zipf(α) distribution over `n` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, alpha: f64) -> Self {
-        assert!(n > 0, "empty support");
-        let mut weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(alpha)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
-        ZipfIndex { cdf: weights }
-    }
-}
-
-impl Distribution<usize> for ZipfIndex {
-    fn sample(&self, rng: &mut Rng) -> usize {
-        let u: f64 = rng.gen_f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Median object size over the whole catalog; 0 for an empty one.
+    fn median_object_size(c: &SiteCatalog) -> usize {
+        let objects = c.sites.iter().flat_map(|s| s.objects.iter());
+        let mut sizes: Vec<usize> = objects.map(|o| o.size).collect();
+        sizes.sort_unstable();
+        sizes.get(sizes.len() / 2).copied().unwrap_or(0)
+    }
 
     fn catalog() -> SiteCatalog {
         SiteCatalog::generate(
@@ -326,13 +280,13 @@ mod tests {
     fn sizes_match_paper_distribution() {
         let c = catalog();
         assert!(c.total_objects() > 5000, "got {}", c.total_objects());
-        let median = c.median_object_size();
+        let median = median_object_size(&c);
         // Median within 2x of the paper's 46 KB (html pages drag it down).
         assert!(
             median > MEDIAN_OBJECT_BYTES / 3 && median < MEDIAN_OBJECT_BYTES * 2,
             "median {median}"
         );
-        for site in 0..c.num_sites() {
+        for site in 0..c.sites.len() {
             for o in &c.site(site).objects {
                 assert!(o.size >= MIN_OBJECT_BYTES && o.size <= MAX_OBJECT_BYTES);
             }
@@ -353,7 +307,7 @@ mod tests {
     #[test]
     fn lookup_answers_exactly_the_generated_paths() {
         let c = catalog();
-        for site in 0..c.num_sites() {
+        for site in 0..c.sites.len() {
             for (object, o) in c.site(site).objects.iter().enumerate() {
                 let (id, found) = c.lookup(&o.path).unwrap();
                 assert_eq!(
@@ -388,7 +342,7 @@ mod tests {
         let a = catalog();
         let b = catalog();
         assert_eq!(a.total_objects(), b.total_objects());
-        assert_eq!(a.median_object_size(), b.median_object_size());
+        assert_eq!(median_object_size(&a), median_object_size(&b));
     }
 
     #[test]
@@ -408,25 +362,5 @@ mod tests {
             let p = c.page(0, pi);
             assert!(p.embedded.len() >= 4);
         }
-    }
-
-    #[test]
-    fn zipf_skews_to_head() {
-        let z = ZipfIndex::new(100, 1.2);
-        let mut rng = Rng::seed_from_u64(3);
-        let mut head = 0;
-        const N: usize = 10_000;
-        for _ in 0..N {
-            if z.sample(&mut rng) < 10 {
-                head += 1;
-            }
-        }
-        assert!(head > N / 2, "head got {head}/{N}");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty support")]
-    fn zipf_empty_panics() {
-        ZipfIndex::new(0, 1.0);
     }
 }

@@ -95,12 +95,6 @@ impl Steering {
         }
     }
 
-    /// The current candidate list.
-    #[inline]
-    pub fn candidates(&self) -> &[Addr] {
-        &self.candidates
-    }
-
     /// Replaces the candidate list and forgets every pick made from the
     /// old one.
     #[inline]
@@ -220,7 +214,7 @@ mod tests {
         assert!(lists.len() > 20);
         for list in lists {
             steering.set(list.clone());
-            assert_eq!(steering.candidates(), &list[..]);
+            assert_eq!(steering.candidates, &list[..]);
             for round in 0..2 {
                 for &(a, b) in &flows {
                     // Alternate directions between and within rounds.

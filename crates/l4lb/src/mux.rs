@@ -146,11 +146,6 @@ impl Mux {
         self.vips.insert(vip, VipEntry { instances, version });
     }
 
-    /// The current instance list for a VIP.
-    pub fn vip_map(&self, vip: Addr) -> Option<&[Addr]> {
-        self.vips.get(&vip).map(|e| e.instances.as_slice())
-    }
-
     /// Number of learned flow-table entries.
     pub fn flow_entries(&self) -> usize {
         self.flows.len()
@@ -511,7 +506,10 @@ mod tests {
         let newer = vec![Addr::new(10, 0, 0, 9)];
         mux.set_vip_map(vip, newer.clone(), 5);
         mux.set_vip_map(vip, vec![Addr::new(10, 0, 0, 1)], 3); // stale
-        assert_eq!(mux.vip_map(vip).unwrap(), newer.as_slice());
+        assert_eq!(
+            mux.vips.get(&vip).map(|e| e.instances.as_slice()).unwrap(),
+            newer.as_slice()
+        );
     }
 
     #[test]
@@ -902,7 +900,12 @@ mod tests {
         );
         t.eng.run_for(SimTime::from_millis(5));
         assert_eq!(
-            t.eng.node_ref::<Mux>(t.mux).vip_map(vip).unwrap(),
+            t.eng
+                .node_ref::<Mux>(t.mux)
+                .vips
+                .get(&vip)
+                .map(|e| e.instances.as_slice())
+                .unwrap(),
             &[Addr::new(10, 0, 0, 7)]
         );
     }

@@ -41,17 +41,6 @@ impl EdgeRouter {
             dropped: 0,
         }
     }
-
-    /// Replaces the live mux set (scenario scripting; the controller
-    /// normally sends [`CtrlMsg::SetMuxes`]).
-    pub fn set_muxes(&mut self, muxes: Vec<Addr>) {
-        self.muxes.set(muxes);
-    }
-
-    /// The live mux set.
-    pub fn muxes(&self) -> &[Addr] {
-        self.muxes.candidates()
-    }
 }
 
 impl Node for EdgeRouter {
@@ -302,12 +291,5 @@ mod tests {
         );
         eng.run_for(SimTime::from_millis(10));
         assert_eq!(eng.node_ref::<EdgeRouter>(router).dropped, 5);
-    }
-
-    #[test]
-    fn set_muxes_replaces_pool() {
-        let mut r = EdgeRouter::new(Addr::new(10, 0, 3, 1), vec![Addr::new(10, 0, 2, 1)]);
-        r.set_muxes(vec![Addr::new(10, 0, 2, 9)]);
-        assert_eq!(r.muxes(), &[Addr::new(10, 0, 2, 9)]);
     }
 }

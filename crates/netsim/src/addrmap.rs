@@ -56,23 +56,13 @@ fn pack(addr: u32, node: usize) -> u64 {
 
 impl AddrMap {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AddrMap::default()
-    }
-
-    /// Number of bound addresses.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no address is bound.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Returns the node index bound to `addr`, if any.
     #[inline]
-    pub fn get(&self, addr: Addr) -> Option<usize> {
+    pub(crate) fn get(&self, addr: Addr) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
@@ -95,7 +85,7 @@ impl AddrMap {
     /// `BTreeMap::insert` the engine used to rely on for its duplicate-
     /// address assert — except the old binding wins, since callers treat
     /// a duplicate as fatal anyway).
-    pub fn insert(&mut self, addr: Addr, node: usize) -> Option<usize> {
+    pub(crate) fn insert(&mut self, addr: Addr, node: usize) -> Option<usize> {
         debug_assert!(node < u32::MAX as usize, "node index exceeds packed width");
         if self.slots.len() < 2 * (self.len + 1) {
             self.grow();
@@ -149,7 +139,7 @@ mod tests {
         let m = AddrMap::new();
         assert_eq!(m.get(a(0)), None);
         assert_eq!(m.get(a(0x0A00_0001)), None);
-        assert!(m.is_empty());
+        assert!(m.len == 0);
     }
 
     #[test]
@@ -160,7 +150,7 @@ mod tests {
         assert_eq!(m.get(a(0x0A00_0001)), Some(0));
         assert_eq!(m.get(a(0x0A00_0002)), Some(7));
         assert_eq!(m.get(a(0x0A00_0003)), None);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.len, 2);
     }
 
     #[test]
@@ -170,7 +160,7 @@ mod tests {
         assert_eq!(m.insert(a(42), 9), Some(3));
         // The original binding wins; callers assert on Some and abort.
         assert_eq!(m.get(a(42)), Some(3));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.len, 1);
     }
 
     #[test]
@@ -189,7 +179,7 @@ mod tests {
         for i in 0..4096u32 {
             assert_eq!(m.insert(a(0x0A00_0000 + i), i as usize), None);
         }
-        assert_eq!(m.len(), 4096);
+        assert_eq!(m.len, 4096);
         for i in 0..4096u32 {
             assert_eq!(m.get(a(0x0A00_0000 + i)), Some(i as usize));
         }
@@ -203,10 +193,10 @@ mod tests {
             m.insert(a(i), i as usize);
         }
         assert!(
-            m.slots.len() >= 2 * m.len(),
+            m.slots.len() >= 2 * m.len,
             "table over-full: {} slots for {} entries",
             m.slots.len(),
-            m.len()
+            m.len
         );
     }
 }

@@ -318,12 +318,6 @@ impl Ctx<'_> {
         self.node
     }
 
-    /// This node's name.
-    #[inline]
-    pub fn node_name(&self) -> &str {
-        &self.core.meta(self.node.0).name
-    }
-
     /// This node's private RNG stream, split from the engine seed by
     /// [`NodeId`] at spawn. It cannot observe what other nodes draw or
     /// how their events interleave with this node's, and it is the only
@@ -388,16 +382,6 @@ impl Ctx<'_> {
     #[inline]
     pub fn trace(&mut self, note: Note) {
         self.core.trace_event(self.node, What::Note(note));
-    }
-
-    /// Looks up which node currently owns an address (if any, and alive).
-    #[inline]
-    pub fn resolve(&self, addr: Addr) -> Option<NodeId> {
-        self.core
-            .addr_map
-            .get(addr)
-            .filter(|&id| self.core.meta(id).alive)
-            .map(NodeId)
     }
 }
 

@@ -54,7 +54,7 @@ mod topology;
 mod trace;
 mod wheel;
 
-pub use addr::{Addr, Endpoint};
+pub use addr::{Addr, AddrParseError, Endpoint};
 pub use addrmap::AddrMap;
 pub use engine::{Ctx, Engine, NodeId};
 pub use flowtable::FlowTable;
@@ -64,11 +64,11 @@ pub use packet::{
     Head, Packet, Protocol, HEAD_CAP, IPIP_HEADER_LEN, PROTO_CTRL, PROTO_IPIP, PROTO_PING,
     PROTO_PROBE, PROTO_RPC, PROTO_TCP,
 };
-pub use rng::{Distribution, Rng};
+pub use rng::{Rng, SampleRange};
 pub use service::ServiceQueue;
 pub use slab::{Slab, SlabKey, PAGE_LEN};
 pub use stats::Histogram;
 pub use time::SimTime;
-pub use topology::{LinkSpec, Topology, Zone};
+pub use topology::{LinkSpec, OverrideId, Topology, Zone};
 pub use trace::{DropCause, Fate, Note, TraceEvent, TraceSink, What};
 pub use wheel::{Fired, TimerWheel, WheelItem, L0_SLOTS, LEVEL_SHIFT};

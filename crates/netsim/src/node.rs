@@ -59,12 +59,6 @@ impl TimerToken {
         self.a = a;
         self
     }
-
-    /// Sets the second operand.
-    pub const fn with_b(mut self, b: u64) -> Self {
-        self.b = b;
-        self
-    }
 }
 
 /// A simulated host.
@@ -97,8 +91,8 @@ mod tests {
 
     #[test]
     fn token_builders() {
-        let t = TimerToken::new(9).with_a(1).with_b(2);
-        assert_eq!((t.kind, t.a, t.b), (9, 1, 2));
+        let t = TimerToken::new(9).with_a(1);
+        assert_eq!((t.kind, t.a, t.b), (9, 1, 0));
     }
 
     #[test]

@@ -262,12 +262,6 @@ impl Packet {
         (self.src, self.dst, self.protocol) = (src, dst, protocol);
         Some(self)
     }
-
-    /// The flow key of this packet: the (src, dst) endpoint pair.
-    #[inline]
-    pub fn flow(&self) -> (Endpoint, Endpoint) {
-        (self.src, self.dst)
-    }
 }
 
 #[cfg(test)]
@@ -418,8 +412,8 @@ mod tests {
     fn a_message_rides_in_the_body_and_nests_twice() {
         // A message's head is empty, so a message nests twice (not used
         // by Yoda, but the codec is closed under it).
-        let ends = sample().flow();
-        let msg = Packet::new(ends.0, ends.1, PROTO_RPC, Bytes::from_static(b"msg"));
+        let ends = sample();
+        let msg = Packet::new(ends.src, ends.dst, PROTO_RPC, Bytes::from_static(b"msg"));
         assert_eq!(msg.message().map(|m| &m[..]), Some(&b"msg"[..]));
         let mid = msg
             .clone()

@@ -254,13 +254,6 @@ impl SampleRange<f64> for RangeInclusive<f64> {
     }
 }
 
-/// A distribution that can be sampled with an [`Rng`], mirroring
-/// `rand::distributions::Distribution`.
-pub trait Distribution<T> {
-    /// Draws one value.
-    fn sample(&self, rng: &mut Rng) -> T;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,11 +56,6 @@ impl ServiceQueue {
         }
     }
 
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Submits a job of length `service` arriving at `now` to the core
     /// selected by `affinity` (e.g. a flow hash, so packets of one
     /// connection stay ordered on one core). Returns its completion time.
@@ -81,7 +76,7 @@ impl ServiceQueue {
 
     /// Instantaneous queueing delay a job with `affinity` would see if
     /// submitted at `now` (0 when the core is idle).
-    pub fn backlog(&self, now: SimTime, affinity: u64) -> SimTime {
+    pub(crate) fn backlog(&self, now: SimTime, affinity: u64) -> SimTime {
         let idx = (affinity % self.cores.len().max(1) as u64) as usize;
         self.cores
             .get(idx)
@@ -103,11 +98,6 @@ impl ServiceQueue {
     pub fn reset_window(&mut self, now: SimTime) {
         self.window_start = now;
         self.window_busy = SimTime::ZERO;
-    }
-
-    /// Total jobs ever submitted.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Whether a job submitted at `now` with `affinity` would wait longer

@@ -91,25 +91,9 @@ impl SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, other: SimTime) -> Option<SimTime> {
-        self.0.checked_sub(other.0).map(SimTime)
-    }
-
-    /// Returns the minimum of two times.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
     /// Returns the maximum of two times.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
         } else {
@@ -189,8 +173,6 @@ mod tests {
         assert_eq!(b - a, a);
         assert_eq!(a.saturating_sub(b), SimTime::ZERO);
         assert_eq!(a * 4, SimTime::from_micros(1_200_000));
-        assert_eq!(a.checked_sub(b), None);
-        assert_eq!(b.checked_sub(a), Some(a));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct LinkSpec {
     pub loss: f64,
     /// Independent duplication probability applied per delivered packet
     /// (0.0 = never). A duplicated packet takes a second, independent
-    /// trip through [`LinkSpec::deliver`] (own loss and jitter rolls).
+    /// trip through `LinkSpec::deliver` (own loss and jitter rolls).
     pub duplicate: f64,
 }
 
@@ -77,7 +77,7 @@ impl LinkSpec {
     /// lost. The draws are the determinism contract: `loss >= 1.0` drops
     /// without a roll, then one loss roll if `loss > 0`, then one jitter
     /// roll if `jitter > 0`.
-    pub fn deliver(&self, now: SimTime, rng: &mut Rng) -> Option<SimTime> {
+    pub(crate) fn deliver(&self, now: SimTime, rng: &mut Rng) -> Option<SimTime> {
         if self.loss >= 1.0 || (self.loss > 0.0 && rng.gen_f64() < self.loss) {
             return None;
         }
@@ -209,7 +209,7 @@ impl Topology {
 
     /// The spec currently in force for a directed pair: the newest active
     /// override, or the base link when none is active.
-    pub fn effective(&self, from: Zone, to: Zone) -> LinkSpec {
+    pub(crate) fn effective(&self, from: Zone, to: Zone) -> LinkSpec {
         match self
             .overrides
             .get(from.index())

@@ -223,7 +223,7 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// Creates an enabled sink holding up to `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         TraceSink {
             events: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
@@ -232,12 +232,12 @@ impl TraceSink {
     }
 
     /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
 
     /// Records an event (no-op when disabled: nothing fits).
-    pub fn record(&mut self, ev: TraceEvent) {
+    pub(crate) fn record(&mut self, ev: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else if let Some(slot) = self.events.get_mut(self.head) {

@@ -178,7 +178,7 @@ pub struct Fired {
     /// Engine-wide timer id (0 for packets) — the digest-visible id.
     pub id: u64,
     /// What fired.
-    pub item: WheelItem,
+    pub(crate) item: WheelItem,
 }
 
 /// One slot's intrusive list: slab indices of its first and last entry,

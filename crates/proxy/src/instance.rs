@@ -51,14 +51,14 @@ pub struct ProxyInstance {
     by_server_conn: FlowTable<ConnId, usize>,
     table: Vec<Option<Session>>,
     /// Requests proxied (header parsed + backend connected).
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Live sessions.
-    pub active_sessions: u64,
+    pub(crate) active_sessions: u64,
 }
 
 impl ProxyInstance {
     /// Creates a proxy bound to `addr`.
-    pub fn new(addr: Addr) -> Self {
+    pub(crate) fn new(addr: Addr) -> Self {
         let mut stack = TcpStack::new();
         // An HAProxy instance that receives a packet for an unknown flow
         // (because the L4 LB re-steered a dead peer's traffic to it)
@@ -81,7 +81,7 @@ impl ProxyInstance {
     }
 
     /// Installs the rule table for a VIP; the proxy listens on it.
-    pub fn install_vip(&mut self, vip: Endpoint, rules: RuleTable) {
+    pub(crate) fn install_vip(&mut self, vip: Endpoint, rules: RuleTable) {
         self.stack.listen(vip);
         self.vips.insert(vip, rules);
     }
@@ -89,11 +89,6 @@ impl ProxyInstance {
     /// CPU utilisation since the last window reset.
     pub fn cpu_utilization(&self, now: SimTime) -> f64 {
         self.cpu.utilization(now)
-    }
-
-    /// Resets the CPU measurement window.
-    pub fn reset_cpu_window(&mut self, now: SimTime) {
-        self.cpu.reset_window(now);
     }
 
     fn charge(&mut self, now: SimTime, conn: ConnId, extra: SimTime) {

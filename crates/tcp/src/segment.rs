@@ -168,7 +168,7 @@ pub const SEGMENT_HEADER_LEN: usize = 21;
 impl Segment {
     /// Sequence-space length: payload bytes plus one for SYN and FIN.
     #[inline]
-    pub fn seq_len(&self) -> u32 {
+    pub(crate) fn seq_len(&self) -> u32 {
         self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
     }
 
@@ -243,18 +243,6 @@ impl Segment {
         let framed =
             pkt.protocol == PROTO_TCP && h.len() == SEGMENT_HEADER_LEN && pkt.body.len() == len;
         framed.then_some((Flags::from_byte(*h.get(12)?), len))
-    }
-
-    /// Short human-readable summary for traces, tcpdump-style.
-    #[inline]
-    pub fn summary(&self) -> String {
-        format!(
-            "{} seq={} ack={} len={}",
-            self.flags,
-            self.seq,
-            self.ack,
-            self.payload.len()
-        )
     }
 }
 
@@ -446,11 +434,5 @@ mod tests {
         let mut ping = pkt;
         ping.protocol = yoda_netsim::PROTO_PING;
         assert!(Segment::peek(&ping).is_none());
-    }
-
-    #[test]
-    fn summary_mentions_flags() {
-        let text = seg(Flags::SYN_ACK, b"").summary();
-        assert!(text.contains("SYN+ACK"), "{text}");
     }
 }

@@ -76,7 +76,7 @@ pub enum SocketState {
 
 impl SocketState {
     /// True for states where the connection has been fully torn down.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, SocketState::Closed | SocketState::Reset)
     }
 }
@@ -262,7 +262,7 @@ impl TcpSocket {
     }
 
     /// Remote endpoint.
-    pub fn remote(&self) -> Endpoint {
+    pub(crate) fn remote(&self) -> Endpoint {
         self.remote
     }
 
@@ -276,18 +276,13 @@ impl TcpSocket {
         self.irs
     }
 
-    /// Total segments this socket retransmitted.
-    pub fn retransmitted_segments(&self) -> u64 {
-        self.retransmitted_segments
-    }
-
     /// True once the peer's FIN has been fully received.
     pub fn peer_closed(&self) -> bool {
         self.peer_fin.map(|f| self.rcv_nxt.gt(f)).unwrap_or(false)
     }
 
     /// Bytes queued or in flight that the peer has not acknowledged.
-    pub fn bytes_outstanding(&self) -> usize {
+    pub(crate) fn bytes_outstanding(&self) -> usize {
         self.unacked.len()
     }
 
@@ -982,7 +977,7 @@ mod tests {
         let rtx = emit(|o| client.on_timer(deadline, o));
         assert_eq!(rtx.len(), 1);
         assert_eq!(&rtx[0].payload[..], b"hello");
-        assert_eq!(client.retransmitted_segments(), 1);
+        assert_eq!(client.retransmitted_segments, 1);
         // Second loss backs off to 600 ms (paper Fig. 12b timeline).
         let d2 = client.next_deadline().unwrap();
         assert_eq!(d2, deadline + SimTime::from_millis(600));
@@ -1103,7 +1098,7 @@ mod tests {
         let rtx = deliver(&mut client, &dup_acks, t);
         // The lost head was fast-retransmitted.
         assert!(rtx.iter().any(|s| s.seq == segs[0].seq));
-        assert!(client.retransmitted_segments() >= 1);
+        assert!(client.retransmitted_segments >= 1);
         // Deliver it; the server reassembles everything.
         pump(&mut client, &mut server, rtx, t);
         assert_eq!(read(&mut server).len(), 1460 * 5);

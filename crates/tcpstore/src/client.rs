@@ -264,16 +264,6 @@ impl StoreClient {
         &self.ring
     }
 
-    /// Number of operations still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Number of under-acked writes still being repaired.
-    pub fn repairs_in_flight(&self) -> usize {
-        self.repairs.len()
-    }
-
     /// Per-replica health and traffic stats.
     pub fn replica_stats(&self) -> &BTreeMap<Addr, ReplicaStat> {
         &self.replica_stats
@@ -914,7 +904,7 @@ mod tests {
         assert_eq!(node.events[0].outcome, StoreOutcome::TimedOut);
         assert_eq!(node.client.timeouts, 1);
         // The repair gave up after its bounded rounds; nothing lingers.
-        assert_eq!(node.client.repairs_in_flight(), 0);
+        assert_eq!(node.client.repairs.len(), 0);
         assert_eq!(node.client.repairs_abandoned, 1);
         assert!(node.client.retries > 0);
     }
@@ -1113,7 +1103,7 @@ mod tests {
                 .expect("set completed");
             assert_eq!(ev.outcome, StoreOutcome::Done { acks: 1 });
             assert!(node.client.retries >= 1, "repair rounds fired");
-            assert_eq!(node.client.repairs_in_flight(), 0, "repair settled");
+            assert_eq!(node.client.repairs.len(), 0, "repair settled");
         }
         // The repaired replica now holds the value: a primary-only read
         // hits it directly.

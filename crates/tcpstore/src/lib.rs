@@ -6,12 +6,12 @@
 //! ring, issuing the replica operations in parallel. This crate implements
 //! exactly that split:
 //!
-//! * [`proto`] — the get/set/delete wire protocol,
-//! * [`ring`] — consistent hashing with virtual nodes and K-replica
+//! * `proto` ([`StoreRequest`], [`StoreResponse`]) — the get/set/delete wire protocol,
+//! * `ring` ([`HashRing`]) — consistent hashing with virtual nodes and K-replica
 //!   selection,
-//! * [`server`] — a Memcached-style server node with a CPU service-time
+//! * `server` ([`StoreServer`]) — a Memcached-style server node with a CPU service-time
 //!   model (for the Figure 10 latency and Figure 11 CPU experiments),
-//! * [`client`] — the replicating client library embedded in every Yoda
+//! * `client` ([`StoreClient`]) — the replicating client library embedded in every Yoda
 //!   instance: decentralized server selection, parallel replica fan-out,
 //!   first-response-wins reads.
 //!

@@ -94,7 +94,7 @@ impl StoreRequest {
     }
 
     /// Wraps the request in a packet.
-    pub fn into_packet(self, src: Endpoint, dst: Endpoint) -> Packet {
+    pub(crate) fn into_packet(self, src: Endpoint, dst: Endpoint) -> Packet {
         Packet::new(src, dst, PROTO_RPC, self.encode())
     }
 }
@@ -154,7 +154,7 @@ impl StoreResponse {
     }
 
     /// Wraps the response in a packet.
-    pub fn into_packet(self, src: Endpoint, dst: Endpoint) -> Packet {
+    pub(crate) fn into_packet(self, src: Endpoint, dst: Endpoint) -> Packet {
         Packet::new(src, dst, PROTO_RPC, self.encode())
     }
 }

@@ -60,11 +60,6 @@ impl HashRing {
         }
     }
 
-    /// The servers on the ring.
-    pub fn servers(&self) -> &[Addr] {
-        &self.servers
-    }
-
     /// The server owning `digest`'s position.
     fn successor(&self, digest: u64) -> Addr {
         // partition_point yields idx <= len; len wraps to the ring's start.

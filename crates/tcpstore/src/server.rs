@@ -45,7 +45,7 @@ pub struct StoreServer {
     /// Total `get` operations served.
     pub gets: u64,
     /// Total `set` operations served.
-    pub sets: u64,
+    pub(crate) sets: u64,
     /// Total `delete` operations served.
     pub deletes: u64,
     /// `get` operations that missed.
@@ -81,11 +81,6 @@ impl StoreServer {
     /// CPU utilisation since the last window reset.
     pub fn cpu_utilization(&self, now: SimTime) -> f64 {
         self.cpu.utilization(now)
-    }
-
-    /// Starts a new CPU measurement window.
-    pub fn reset_window(&mut self, now: SimTime) {
-        self.cpu.reset_window(now);
     }
 
     /// Scales per-op service time by `f` (e.g. `10.0` = a browning-out

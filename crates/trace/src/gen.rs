@@ -6,19 +6,19 @@ use yoda_netsim::Rng;
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Number of VIPs (paper: 100+).
-    pub num_vips: usize,
+    pub(crate) num_vips: usize,
     /// Time bins (paper: 24 h at 10-minute granularity = 144).
-    pub bins: usize,
+    pub(crate) bins: usize,
     /// Seconds per bin.
-    pub bin_secs: u64,
+    pub(crate) bin_secs: u64,
     /// Approximate total rule count across VIPs (paper: 50K+).
-    pub total_rules: u64,
+    pub(crate) total_rules: u64,
     /// Zipf exponent for per-VIP traffic volumes.
-    pub zipf_alpha: f64,
+    pub(crate) zipf_alpha: f64,
     /// Peak aggregate traffic across all VIPs (req/s) at the diurnal peak.
-    pub peak_total_traffic: f64,
+    pub(crate) peak_total_traffic: f64,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for TraceConfig {
@@ -39,18 +39,18 @@ impl Default for TraceConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VipTrace {
     /// VIP index.
-    pub vip_id: usize,
+    pub(crate) vip_id: usize,
     /// L7 rule count for this VIP.
-    pub rules: u64,
+    pub(crate) rules: u64,
     /// Per-bin average traffic (req/s).
     pub traffic: Vec<f64>,
     /// Per-bin concurrent connection counts.
-    pub connections: Vec<f64>,
+    pub(crate) connections: Vec<f64>,
 }
 
 impl VipTrace {
     /// max/average traffic ratio over the day (Figure 15's metric).
-    pub fn max_avg_ratio(&self) -> f64 {
+    pub(crate) fn max_avg_ratio(&self) -> f64 {
         let avg = self.traffic.iter().sum::<f64>() / self.traffic.len() as f64;
         if avg == 0.0 {
             return 1.0;
@@ -72,7 +72,7 @@ pub struct Trace {
     /// x-axis order).
     pub vips: Vec<VipTrace>,
     /// Seconds per bin.
-    pub bin_secs: u64,
+    pub(crate) bin_secs: u64,
 }
 
 impl Trace {
@@ -161,11 +161,6 @@ impl Trace {
     /// Total rules across VIPs.
     pub fn total_rules(&self) -> u64 {
         self.vips.iter().map(|v| v.rules).sum()
-    }
-
-    /// Aggregate traffic in one bin.
-    pub fn total_traffic(&self, bin: usize) -> f64 {
-        self.vips.iter().map(|v| v.traffic[bin]).sum()
     }
 
     /// Per-VIP max/avg ratios in VIP order (Figure 15's series).

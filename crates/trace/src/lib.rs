@@ -31,7 +31,7 @@
 mod gen;
 mod scenario;
 
-pub use gen::{Trace, TraceConfig};
+pub use gen::{Trace, TraceConfig, VipTrace};
 pub use scenario::{AdaptiveScenario, BurstyLoad};
 
 use yoda_assign::{AssignInput, Assignment, VipSpec};

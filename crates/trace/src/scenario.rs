@@ -19,16 +19,16 @@ use yoda_netsim::SimTime;
 
 /// One scripted capacity phase for one backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedPhase {
+pub(crate) struct SpeedPhase {
     /// Index of the backend this phase applies to.
-    pub backend: usize,
+    pub(crate) backend: usize,
     /// Phase start (inclusive).
-    pub from: SimTime,
+    pub(crate) from: SimTime,
     /// Phase end (exclusive); `SimTime::MAX`-like sentinels are fine.
-    pub until: SimTime,
+    pub(crate) until: SimTime,
     /// Service-time multiplier during the phase (1.0 = nominal,
     /// 5.0 = five times slower).
-    pub factor: f64,
+    pub(crate) factor: f64,
 }
 
 /// A scripted heterogeneous-backend scenario: phases override the
@@ -67,11 +67,6 @@ impl AdaptiveScenario {
                 factor,
             }],
         }
-    }
-
-    /// The scripted phases.
-    pub fn phases(&self) -> &[SpeedPhase] {
-        &self.phases
     }
 
     /// The speed factor of `backend` at `now` (1.0 when no phase applies).

@@ -10,9 +10,13 @@ use std::path::Path;
 const BANNED: &str = "std::collections::HashMap std::collections::HashSet std::time::Instant \
     std::time::SystemTime std::fs::File std::env::var std::env::var_os std::env::vars \
     std::env::args std::fs::read std::fs::read_to_string std::fs::write std::io::stdin";
-/// Lints the workspace denies: `warnings`, then the panic and print lints.
-const DENIED: &str = "warnings unwrap_used expect_used panic unreachable todo unimplemented \
-    indexing_slicing print_stdout print_stderr dbg_macro";
+/// Lints the workspace denies: `warnings`, the API lints (a crate exports
+/// only what its root re-exports, and names every type it exposes), then
+/// the panic and print lints.
+const DENIED: &str = "warnings unreachable_pub unnameable_types unwrap_used expect_used panic \
+    unreachable todo unimplemented indexing_slicing print_stdout print_stderr dbg_macro";
+/// The rustc lints the bench harness's own table denies (DESIGN.md "Lints").
+const BENCH_DENIED: &str = "warnings unreachable_pub unnameable_types";
 
 #[expect(
     clippy::disallowed_methods,
@@ -78,6 +82,12 @@ fn lint_configuration_holds() {
             assert!(!off, "{header} sets `{line}`");
         }
     }
+    let bench = read("crates/bench/Cargo.toml");
+    for lint in BENCH_DENIED.split_whitespace() {
+        let line = format!("{lint} = \"deny\"");
+        let denied = table(&bench, "[lints.rust]").contains(&line.as_str());
+        assert!(denied, "crates/bench/Cargo.toml [lints.rust] lacks `{line}`");
+    }
     for m in find("crates", "Cargo.toml") {
         if !m.starts_with("crates/bench/") {
             assert_eq!(table(&read(&m), "[lints]"), ["workspace = true"], "{m}");
@@ -134,6 +144,7 @@ fn has_attr(lines: &[&str], at: usize, attr: &str) -> bool {
 fn assert_inlined(file: &str, lines: &[&str], range: std::ops::Range<usize>) {
     for at in range {
         let l = lines[at].trim_start();
+        let l = l.strip_prefix("pub(crate) ").unwrap_or(l);
         let l = l.strip_prefix("pub ").unwrap_or(l);
         let l = l.strip_prefix("const ").unwrap_or(l);
         if l.starts_with("fn ") {
