@@ -93,8 +93,6 @@ pub struct CpuSample {
     pub time: SimTime,
     /// Mean CPU across active instances (0..1).
     pub mean_cpu: f64,
-    /// Number of active instances at that time.
-    pub(crate) active_instances: usize,
 }
 
 /// The controller node.
@@ -360,7 +358,6 @@ impl Controller {
             let sample = CpuSample {
                 time: ctx.now(),
                 mean_cpu: mean,
-                active_instances: replies.len(),
             };
             self.cpu_history.push(sample);
             if self.cfg.autoscale && mean > HIGH_CPU {

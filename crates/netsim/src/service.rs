@@ -30,8 +30,6 @@ pub struct ServiceQueue {
     cores: Vec<CoreState>,
     window_start: SimTime,
     window_busy: SimTime,
-    total_busy: SimTime,
-    jobs: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,8 +49,6 @@ impl ServiceQueue {
             cores: vec![CoreState::default(); cores],
             window_start: SimTime::ZERO,
             window_busy: SimTime::ZERO,
-            total_busy: SimTime::ZERO,
-            jobs: 0,
         }
     }
 
@@ -69,8 +65,6 @@ impl ServiceQueue {
         let done = start + service;
         core.free_at = done;
         self.window_busy += service;
-        self.total_busy += service;
-        self.jobs += 1;
         done
     }
 

@@ -38,8 +38,6 @@ impl Default for TraceConfig {
 /// One VIP's 24-hour series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VipTrace {
-    /// VIP index.
-    pub(crate) vip_id: usize,
     /// L7 rule count for this VIP.
     pub(crate) rules: u64,
     /// Per-bin average traffic (req/s).
@@ -133,7 +131,6 @@ impl Trace {
                 .map(|t| t * rng.gen_range(0.8..1.4))
                 .collect();
             vips.push(VipTrace {
-                vip_id: v,
                 rules: rules_raw[v].round() as u64,
                 traffic,
                 connections,
@@ -144,9 +141,6 @@ impl Trace {
                 .partial_cmp(&a.mean_traffic())
                 .expect("finite traffic")
         });
-        for (i, v) in vips.iter_mut().enumerate() {
-            v.vip_id = i;
-        }
         Trace {
             vips,
             bin_secs: cfg.bin_secs,
