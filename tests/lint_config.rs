@@ -86,7 +86,10 @@ fn lint_configuration_holds() {
     for lint in BENCH_DENIED.split_whitespace() {
         let line = format!("{lint} = \"deny\"");
         let denied = table(&bench, "[lints.rust]").contains(&line.as_str());
-        assert!(denied, "crates/bench/Cargo.toml [lints.rust] lacks `{line}`");
+        assert!(
+            denied,
+            "crates/bench/Cargo.toml [lints.rust] lacks `{line}`"
+        );
     }
     for m in find("crates", "Cargo.toml") {
         if !m.starts_with("crates/bench/") {
