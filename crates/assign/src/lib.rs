@@ -1,4 +1,5 @@
-//! VIP→instance assignment (paper §4.4–4.5, Figure 7).
+//! VIP→instance assignment (paper §4.4–4.5, Figure 7) and the synthetic
+//! trace that drives it (§8).
 //!
 //! The Yoda controller decides which VIPs (and hence which rule sets) live
 //! on which L7 instances. The paper formulates this as an ILP:
@@ -17,27 +18,27 @@
 //!   migrate between instances per update (TCPStore throughput bound).
 //!
 //! The paper solves this with CPLEX at a 10% optimality gap. This crate
-//! provides: an exact solver ([`solve_exact`]: a dense two-phase simplex,
-//! [`LinearProgram`], under branch-and-bound) for small/medium instances,
-//! the migration-aware greedy solver with local search for trace-scale
-//! inputs ([`solve_greedy`]), and the all-to-all baseline the paper
-//! compares against in Figure 16 ([`all_to_all`]).
+//! provides the constraint checker ([`AssignInput::validate`]) and a
+//! combinatorial lower bound ([`AssignInput::lower_bound`]), the
+//! migration-aware greedy solver with local search ([`solve_greedy`]), the
+//! all-to-all baseline the paper compares against in Figure 16
+//! ([`all_to_all`]), and the synthetic 24-hour trace of Figures 15–16
+//! ([`Trace`], [`assign_input_for_bin`]). `tests/assign_oracle.rs` checks
+//! the checker and the greedy against exhaustive enumeration of tiny inputs.
 
 #![forbid(unsafe_code)]
 #![expect(
     clippy::indexing_slicing,
     clippy::expect_used,
-    reason = "an offline planner over dense matrices the controller sizes itself; no packet or timer handler calls it"
+    reason = "an offline planner and trace generator over arrays they size themselves; no packet or timer handler calls them"
 )]
 
 mod alltoall;
-mod bnb;
 mod greedy;
 mod model;
-mod simplex;
+mod trace;
 
 pub use alltoall::{all_to_all, AllToAll};
-pub use bnb::solve_exact;
 pub use greedy::{solve_greedy, GreedyOutcome};
 pub use model::{transition_stats, AssignError, AssignInput, Assignment, TransitionStats, VipSpec};
-pub use simplex::{Cmp, LinearProgram, LpError, LpResult};
+pub use trace::{assign_input_for_bin, Trace, VipTrace, TRAFFIC_CAPACITY};

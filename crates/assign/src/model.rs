@@ -169,8 +169,6 @@ pub struct TransitionStats {
     /// Fraction of instances whose transient (max-of-old-and-new) load
     /// exceeds capacity.
     pub overloaded_fraction: f64,
-    /// Number of instances transiently overloaded.
-    pub(crate) overloaded_instances: usize,
     /// Fraction of connections that migrate.
     pub migrated_fraction: f64,
 }
@@ -208,7 +206,6 @@ pub fn transition_stats(
         } else {
             overloaded as f64 / active as f64
         },
-        overloaded_instances: overloaded,
         migrated_fraction: old.migrated_fraction(new, vips),
     }
 }
@@ -547,7 +544,7 @@ mod tests {
             Err(AssignError::TransientOverload { .. })
         ));
         let stats = transition_stats(&old, &new, &vips, 100.0);
-        assert_eq!(stats.overloaded_instances, 2);
+        assert_eq!(stats.overloaded_fraction, 1.0, "both instances");
         assert!((stats.migrated_fraction - 1.0).abs() < 1e-9);
     }
 

@@ -33,8 +33,6 @@ pub struct Prober {
     next_tag: u64,
     /// Probes sent.
     pub probes_sent: u64,
-    /// Probe replies matched.
-    pub(crate) probes_answered: u64,
     /// Probes that timed out.
     pub probes_timed_out: u64,
     /// Quarantine entries created.
@@ -48,7 +46,6 @@ impl Default for Prober {
             quarantined: BTreeMap::new(),
             next_tag: 1,
             probes_sent: 0,
-            probes_answered: 0,
             probes_timed_out: 0,
             quarantines: 0,
         }
@@ -106,7 +103,6 @@ impl Prober {
     /// is alive). `None` for unknown or already-expired tags.
     pub fn on_reply(&mut self, tag: u64, _now: SimTime) -> Option<Endpoint> {
         let backend = self.outstanding.remove(&tag)?;
-        self.probes_answered += 1;
         self.quarantined.remove(&backend);
         Some(backend)
     }
@@ -174,7 +170,6 @@ mod tests {
         assert_eq!(p.on_reply(tag, t0), Some(ep(1)));
         assert_eq!(p.on_reply(tag, t0), None, "tag consumed");
         assert_eq!(p.on_timeout(tag, t0), None, "reply beat the timeout");
-        assert_eq!(p.probes_answered, 1);
         assert_eq!(p.probes_timed_out, 0);
     }
 

@@ -230,25 +230,6 @@ fn bench_assign() {
     bench("assign_greedy_110_vips", || {
         let _ = black_box(solve_greedy(&input.clone(), None));
     });
-    let small = AssignInput {
-        vips: (0..4)
-            .map(|i| VipSpec {
-                traffic: 40.0 + i as f64 * 10.0,
-                rules: 100,
-                replicas: 1,
-                oversub: 0.0,
-                connections: 10.0,
-            })
-            .collect(),
-        max_instances: 4,
-        traffic_capacity: 100.0,
-        rule_capacity: 2_000,
-        migration_limit: None,
-        previous: None,
-    };
-    bench("assign_exact_4x4", || {
-        let _ = black_box(yoda_assign::solve_exact(&small.clone(), 200));
-    });
 }
 
 fn bench_tcp_transfer() {

@@ -6,15 +6,15 @@
 //! dedicated (peak-provisioned) HAProxy deployment over-provisions
 //! relative to Yoda-as-a-service (which bills average usage).
 
+use yoda_assign::Trace;
 use yoda_bench::{f2, print_header, print_kv, Table};
-use yoda_trace::{Trace, TraceConfig};
 
 fn main() {
     print_header(
         "Figure 15",
         "Max-to-average traffic ratio for all VIPs (24h production-style trace)",
     );
-    let trace = Trace::generate(&TraceConfig::default());
+    let trace = Trace::generate();
     print_kv("VIPs", trace.vips.len());
     print_kv("bins (10-min)", trace.bins());
     print_kv("total L7 rules", trace.total_rules());

@@ -16,11 +16,12 @@
 
 use std::time::Instant;
 
-use yoda_assign::transition_stats;
-use yoda_assign::{all_to_all, solve_greedy, Assignment};
+use yoda_assign::{
+    all_to_all, assign_input_for_bin, solve_greedy, transition_stats, Assignment, Trace,
+    TRAFFIC_CAPACITY,
+};
 use yoda_bench::{f2, pct, print_header, print_kv, Table};
 use yoda_netsim::Histogram;
-use yoda_trace::{assign_input_for_bin, AssignParams, Trace, TraceConfig};
 
 struct SchemeState {
     prev: Option<Assignment>,
@@ -60,7 +61,7 @@ fn main() {
         "Figure 16",
         "VIP assignment update study (24h trace, 10-min rounds)",
     );
-    let trace = Trace::generate(&TraceConfig::default());
+    let trace = Trace::generate();
     let bins = trace.bins();
     print_kv("VIPs", trace.vips.len());
     print_kv("rounds", bins);
@@ -71,26 +72,21 @@ fn main() {
         "10% (+10% steps when infeasible)",
     );
 
-    let base = AssignParams::default();
     let mut limit = SchemeState::new();
     let mut nolimit = SchemeState::new();
     let mut a2a_instances = Histogram::new();
 
     for bin in 0..bins {
         // All-to-all baseline.
-        let input_a2a = assign_input_for_bin(&trace, bin, &base, None);
+        let input_a2a = assign_input_for_bin(&trace, bin, None, None);
         let a2a = all_to_all(&input_a2a);
         a2a_instances.record(a2a.instances as f64);
         let a2a_rules = a2a.rules_per_instance as f64;
 
         for (scheme, delta) in [(&mut nolimit, None), (&mut limit, Some(0.10))] {
-            let params = AssignParams {
-                migration_limit: delta,
-                ..base
-            };
             // No-limit: nothing anchors the optimizer round-to-round.
             let shuffle_seed = delta.is_none().then_some(bin as u64);
-            let input = assign_input_for_bin(&trace, bin, &params, scheme.prev.clone());
+            let input = assign_input_for_bin(&trace, bin, delta, scheme.prev.clone());
             let t0 = Instant::now();
             let out = solve_greedy(&input, shuffle_seed).expect("feasible assignment");
             scheme.solve_ms.record(t0.elapsed().as_secs_f64() * 1000.0);
@@ -101,8 +97,7 @@ fn main() {
                 .rules_ratio
                 .record(median_nonzero(&rules) / a2a_rules);
             if let Some(prev) = &scheme.prev {
-                let stats =
-                    transition_stats(prev, &out.assignment, &input.vips, base.traffic_capacity);
+                let stats = transition_stats(prev, &out.assignment, &input.vips, TRAFFIC_CAPACITY);
                 scheme.overload.record(stats.overloaded_fraction);
                 scheme.migrated.record(stats.migrated_fraction);
             }

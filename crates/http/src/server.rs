@@ -67,8 +67,6 @@ pub struct OriginServer {
     pub requests_window: u64,
     /// Total body bytes served.
     pub bytes_served: u64,
-    /// Probe requests answered (see `yoda-balance`).
-    pub(crate) probes_answered: u64,
 }
 
 impl OriginServer {
@@ -89,7 +87,6 @@ impl OriginServer {
             requests: 0,
             requests_window: 0,
             bytes_served: 0,
-            probes_answered: 0,
         }
     }
 
@@ -209,7 +206,6 @@ impl Node for OriginServer {
             // Load probe (Prequal-style): answer with requests-in-flight
             // and the recent-latency estimate, piggybacked in one datagram.
             if let Some(req) = pkt.message().and_then(|m| ProbeRequest::decode(m)) {
-                self.probes_answered += 1;
                 let reply = ProbeReply {
                     tag: req.tag,
                     rif: self.pending.len() as u32,
@@ -287,6 +283,17 @@ mod tests {
         assert_eq!(srv.requests, 0);
     }
 
+    /// Keeps the last probe reply delivered to it.
+    struct ProbeSink(Option<ProbeReply>);
+
+    impl Node for ProbeSink {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
+            assert_eq!(pkt.protocol, yoda_netsim::PROTO_PROBE);
+            self.0 = pkt.message().and_then(|m| ProbeReply::decode(m));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
+    }
+
     #[test]
     fn probe_reply_carries_rif_and_latency() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
@@ -295,22 +302,28 @@ mod tests {
         srv.record_latency(SimTime::from_millis(4));
         let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::from_millis(1)));
 
-        // Drive the probe handler directly through a scratch engine ctx.
+        // Drive the probe handler directly through a scratch engine ctx,
+        // then let the reply reach the prober's address.
         let id = eng.add_node("origin", ep.addr, Zone::Dc, Box::new(srv));
         let prober = Endpoint::new(Addr::new(10, 0, 0, 9), yoda_balance::PROBE_PORT);
+        let sink = eng.add_node("prober", prober.addr, Zone::Dc, Box::new(ProbeSink(None)));
         eng.with_node_ctx::<OriginServer>(id, |srv, ctx| {
             let req = ProbeRequest { tag: 55 };
             srv.on_packet(
                 ctx,
                 Packet::new(prober, ep, yoda_netsim::PROTO_PROBE, req.encode()),
             );
-            assert_eq!(srv.probes_answered, 1);
         });
-        // The reply is in flight; let it propagate and check the wire form
-        // by decoding what the server would have sent.
-        let srv = eng.node_ref::<OriginServer>(id);
-        assert_eq!(srv.in_flight(), 0);
-        assert_eq!(srv.latency_ewma, SimTime::from_millis(4));
+        eng.run_for(SimTime::from_millis(10));
+        let reply = eng.node_ref::<ProbeSink>(sink).0;
+        assert_eq!(
+            reply,
+            Some(ProbeReply {
+                tag: 55,
+                rif: 0,
+                latency: SimTime::from_millis(4),
+            })
+        );
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub struct ProxyInstance {
     table: Vec<Option<Session>>,
     /// Requests proxied (header parsed + backend connected).
     pub(crate) requests: u64,
-    /// Live sessions.
-    pub(crate) active_sessions: u64,
 }
 
 impl ProxyInstance {
@@ -76,7 +74,6 @@ impl ProxyInstance {
             by_server_conn: FlowTable::new(),
             table: Vec::new(),
             requests: 0,
-            active_sessions: 0,
         }
     }
 
@@ -109,7 +106,6 @@ impl ProxyInstance {
             server_closed: false,
         }));
         self.sessions.insert(conn, idx);
-        self.active_sessions += 1;
         idx
     }
 
@@ -225,7 +221,6 @@ impl ProxyInstance {
             if let Some(sc) = s.server_conn {
                 self.by_server_conn.remove(&sc);
             }
-            self.active_sessions -= 1;
         }
     }
 
@@ -347,7 +342,7 @@ mod tests {
             RuleTable::parse("name=r priority=1 match * action=split 10.1.0.1:80=1").unwrap();
         p.install_vip(vip, rules);
         assert_eq!(p.requests, 0);
-        assert_eq!(p.active_sessions, 0);
+        assert!(p.sessions.is_empty(), "no live session");
     }
 
     #[test]

@@ -153,9 +153,6 @@ pub struct TcpSocket {
     out_of_order: BTreeMap<u32, Bytes>,
     peer_fin: Option<SeqNum>,
     time_wait_deadline: Option<SimTime>,
-
-    // Counters for experiments.
-    retransmitted_segments: u64,
 }
 
 impl TcpSocket {
@@ -231,7 +228,6 @@ impl TcpSocket {
             out_of_order: BTreeMap::new(),
             peer_fin: None,
             time_wait_deadline: None,
-            retransmitted_segments: 0,
         }
     }
 
@@ -396,7 +392,6 @@ impl TcpSocket {
         self.dup_acks = 0;
         self.rto = SimTime::from_micros((self.rto.as_micros() * 2).min(MAX_RTO.as_micros()));
         self.rtx_deadline = Some(now + self.rto);
-        self.retransmitted_segments += 1;
         match self.state {
             SocketState::SynSent => out.push(self.make_segment(self.iss, Flags::SYN, Bytes::new())),
             SocketState::SynReceived => {
@@ -571,7 +566,6 @@ impl TcpSocket {
                     // Fast retransmit.
                     self.ssthresh = (self.inflight_bytes() / 2).max(2 * MSS as u32);
                     self.cwnd = self.ssthresh + 3 * MSS as u32;
-                    self.retransmitted_segments += 1;
                     self.rtt_probe = None;
                     self.retransmit_head(out);
                 }
@@ -617,7 +611,6 @@ impl TcpSocket {
         // estimator during the episode, so `rto` never decays on its own).
         if let Some(rec) = self.recover {
             if ack.lt(rec) {
-                self.retransmitted_segments += 1;
                 self.rtt_probe = None;
                 self.retransmit_head(out);
             } else {
@@ -971,13 +964,14 @@ mod tests {
         let t0 = SimTime::from_millis(1);
         let segs = emit(|o| client.send(Bytes::from_static(b"hello"), t0, o));
         // Segments lost: nothing delivered. RTO fires at min_rto (300 ms).
+        let lost = segs[0].seq;
         drop(segs);
         let deadline = client.next_deadline().expect("rtx armed");
         assert_eq!(deadline, t0 + SimTime::from_millis(300));
         let rtx = emit(|o| client.on_timer(deadline, o));
         assert_eq!(rtx.len(), 1);
         assert_eq!(&rtx[0].payload[..], b"hello");
-        assert_eq!(client.retransmitted_segments, 1);
+        assert_eq!(rtx[0].seq, lost, "the lost segment is sent again");
         // Second loss backs off to 600 ms (paper Fig. 12b timeline).
         let d2 = client.next_deadline().unwrap();
         assert_eq!(d2, deadline + SimTime::from_millis(600));
@@ -1098,7 +1092,6 @@ mod tests {
         let rtx = deliver(&mut client, &dup_acks, t);
         // The lost head was fast-retransmitted.
         assert!(rtx.iter().any(|s| s.seq == segs[0].seq));
-        assert!(client.retransmitted_segments >= 1);
         // Deliver it; the server reassembles everything.
         pump(&mut client, &mut server, rtx, t);
         assert_eq!(read(&mut server).len(), 1460 * 5);

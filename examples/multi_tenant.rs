@@ -10,11 +10,10 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use yoda::assign::solve_greedy;
-use yoda::trace::{assign_input_for_bin, AssignParams, Trace, TraceConfig};
+use yoda::assign::{assign_input_for_bin, solve_greedy, Trace, TRAFFIC_CAPACITY};
 
 fn main() {
-    let trace = Trace::generate(&TraceConfig::default());
+    let trace = Trace::generate();
     println!(
         "trace: {} VIPs, {} bins, {} total rules",
         trace.vips.len(),
@@ -24,13 +23,12 @@ fn main() {
 
     // Per-tenant peak provisioning (the HAProxy world): each tenant holds
     // enough instances for its own peak, all day.
-    let params = AssignParams::default();
     let per_tenant_cost: f64 = trace
         .vips
         .iter()
         .map(|v| {
             let peak = v.traffic.iter().copied().fold(0.0f64, f64::max);
-            (peak / params.traffic_capacity).ceil().max(1.0)
+            (peak / TRAFFIC_CAPACITY).ceil().max(1.0)
         })
         .sum();
 
@@ -39,7 +37,7 @@ fn main() {
     let mut shared_inst_hours = 0.0;
     let mut max_fleet = 0usize;
     for bin in 0..trace.bins() {
-        let input = assign_input_for_bin(&trace, bin, &params, prev.clone());
+        let input = assign_input_for_bin(&trace, bin, Some(0.10), prev.clone());
         let out = solve_greedy(&input, None).expect("feasible");
         let used = out.assignment.num_instances();
         shared_inst_hours += used as f64 / 6.0; // 10-min bins

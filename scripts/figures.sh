@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Figure and digest byte-identity: regenerates all nine deterministic
 # figures from the release binaries and byte-compares each to its
-# committed copy in results/, then checks the four seed-42 bench_e2e
+# committed copy in results/ (fig16 up to its solve times), then checks the four seed-42 bench_e2e
 # event digests against the ones pinned below (DESIGN.md "Digests").
 # Exits non-zero, with a diff or both digests, on the first that differs.
 # Needs `cargo build --release --workspace` first (bench_e2e, a package
@@ -11,9 +11,10 @@
 #
 # A change that claims to move no simulated behaviour must keep every
 # figure and digest identical, and a figure nobody re-ran must not sit
-# stale in results/. fig6 and fig16 measure host wall-clock and never
-# reproduce byte-for-byte, so they are not compared. ~2 min, about half
-# of it fig17; the digests take ~10 s more.
+# stale in results/. fig6 measures host wall-clock and never reproduces
+# byte-for-byte, so it is not compared; fig16 is compared up to its
+# wall-clock solve-time table. ~2 min, about half of it fig17; the
+# digests take ~10 s more.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +33,16 @@ for fig in table1_website_impact fig9_latency_breakdown fig10_tcpstore_latency \
     fi
     echo "$bin: byte-identical to committed results/"
 done
+
+# Everything fig16 prints before its solve-time table is simulated.
+before_solve_times() { sed '/^assignment solve time/,$d' "$1"; }
+./target/release/fig16_updates > "$fig_tmp"
+if ! cmp -s <(before_solve_times "$fig_tmp") <(before_solve_times results/fig16_updates.txt); then
+    echo "figure drift: fig16_updates output differs from committed results/" >&2
+    diff <(before_solve_times results/fig16_updates.txt) <(before_solve_times "$fig_tmp") | head -20 >&2 || true
+    exit 1
+fi
+echo "fig16_updates: identical to committed results/ up to the solve times"
 
 # A deliberate digest move updates these pins and DESIGN.md "Digests" in
 # the same change.

@@ -8,8 +8,8 @@
 //! * [`http`] — HTTP codec, origin servers, browser emulator
 //! * [`tcpstore`] — replicated memcached-style flow-state store
 //! * [`l4lb`] — Ananta-style L4 load balancer (muxes + edge router)
-//! * [`assign`] — VIP→instance assignment (ILP + heuristics)
-//! * [`trace`] — synthetic production traffic trace generator
+//! * [`assign`] — VIP→instance assignment (the Fig. 7 constraints, greedy
+//!   solver, all-to-all baseline) and the synthetic §8 trace
 //! * [`core`] — the Yoda L7 LB itself (instances, rules, controller, scenarios)
 //! * [`chaos`] — seeded fault-plan generation, orchestration, invariants
 //! * [`proxy`] — HAProxy-style baseline L7 proxy
@@ -23,4 +23,3 @@ pub use yoda_netsim as netsim;
 pub use yoda_proxy as proxy;
 pub use yoda_tcp as tcp;
 pub use yoda_tcpstore as tcpstore;
-pub use yoda_trace as trace;

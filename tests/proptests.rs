@@ -300,47 +300,3 @@ fn histogram_percentiles_monotone() {
         }
     }
 }
-
-/// Simplex feasibility: every solution the LP solver returns satisfies
-/// the constraints it was given (within tolerance), for random bounded
-/// programs.
-#[test]
-fn simplex_solutions_are_feasible() {
-    use yoda::assign::Cmp;
-    use yoda::assign::LinearProgram;
-    let mut rng = rng_for("simplex_solutions_are_feasible");
-    for _ in 0..CASES {
-        let n = rng.gen_range(1usize..5);
-        let c: Vec<f64> = (0..4).map(|_| rng.gen_range(-3.0f64..3.0)).collect();
-        let mut lp = LinearProgram::new(n);
-        lp.set_objective(&c[..n]);
-        // Box the variables so the program is never unbounded.
-        for v in 0..n {
-            let mut row = vec![0.0; n];
-            row[v] = 1.0;
-            lp.add_constraint(&row, Cmp::Le, 50.0);
-        }
-        let mut cons = Vec::new();
-        for _ in 0..rng.gen_range(1usize..6) {
-            let coeffs: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
-            let cmp = if rng.gen_bool(0.5) { Cmp::Le } else { Cmp::Ge };
-            let rhs = rng.gen_range(0.5f64..20.0);
-            lp.add_constraint(&coeffs, cmp, rhs);
-            cons.push((coeffs, cmp, rhs));
-        }
-        // An infeasible or iteration-limited program has nothing to check.
-        if let Ok(sol) = lp.solve() {
-            for (coeffs, cmp, rhs) in cons {
-                let lhs: f64 = coeffs.iter().zip(&sol.x).map(|(a, x)| a * x).sum();
-                match cmp {
-                    Cmp::Le => assert!(lhs <= rhs + 1e-6, "{lhs} </= {rhs}"),
-                    Cmp::Ge => assert!(lhs >= rhs - 1e-6, "{lhs} >/= {rhs}"),
-                    Cmp::Eq => assert!((lhs - rhs).abs() < 1e-6),
-                }
-            }
-            for &x in &sol.x {
-                assert!(x >= -1e-9, "negative variable {x}");
-            }
-        }
-    }
-}
