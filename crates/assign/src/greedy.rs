@@ -11,10 +11,9 @@
 //!    instance only when none fits.
 //! 3. Local search: repeatedly try to drain the least-loaded instance by
 //!    re-homing its VIP replicas onto other open instances.
-//! 4. If the migration budget δ is exceeded, retry with stronger
-//!    stickiness; if still infeasible, relax δ in +10% steps — exactly the
-//!    paper's fallback ("we increased the limit by increments of 10%",
-//!    §8.2).
+//! 4. If the migration budget δ is exceeded, relax δ in +10% steps and
+//!    retry — the paper's fallback ("we increased the limit by increments
+//!    of 10%", §8.2).
 
 use crate::model::{AssignError, AssignInput, Assignment, VipSpec};
 
@@ -125,8 +124,8 @@ impl<'a> Fleet<'a> {
 
 /// Solves with the greedy + local-search strategy.
 ///
-/// Honours all Figure 7 constraints; relaxes δ in +10% increments when the
-/// migration budget alone makes the input infeasible.
+/// Honours all Figure 7 constraints; relaxes δ in +10% increments while the
+/// migration budget is what fails.
 ///
 /// `shuffle_seed` perturbs instance ordering when no migration limit is
 /// set, emulating an unconstrained optimizer's solution churn between
@@ -149,9 +148,10 @@ pub fn solve_greedy(
                     effective_delta: delta,
                 });
             }
-            Err(AssignError::MigrationBudget { .. }) | Err(AssignError::Infeasible)
-                if delta.is_some() && step < MAX_DELTA_STEPS =>
-            {
+            // Only the migration budget (Eq. 6–7, which binds only with a
+            // previous placement) reads δ's value; every other failure would
+            // repeat at any δ.
+            Err(AssignError::MigrationBudget { .. }) if step < MAX_DELTA_STEPS => {
                 delta = delta.map(|d| d + DELTA_STEP);
             }
             Err(e) => return Err(e),

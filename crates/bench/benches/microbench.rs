@@ -1,5 +1,5 @@
 //! Microbenchmarks for the hot paths of the Yoda data plane and the
-//! assignment solvers, on a small in-tree harness (no criterion: the
+//! assignment solver, on a small in-tree harness (no criterion: the
 //! build is hermetic, see DESIGN.md "Determinism invariants").
 //!
 //! * `rule_lookup/*` — the Figure 6 linear rule scan at several table
@@ -15,8 +15,7 @@
 //! * `store_rpc_codec` — encode and decode of a 2-replica `set` request
 //!   for a flow record and of its response (every connection set-up
 //!   sends two of each per record).
-//! * `assign/*` — greedy assignment at trace scale and the exact B&B on a
-//!   small instance.
+//! * `assign_greedy_110_vips` — greedy assignment at trace scale.
 //! * `tcp_transfer` — a 442 KB object (the catalog's largest) moved
 //!   between two in-memory sockets with every data segment acknowledged
 //!   on its own, so ~300 ACKs each find most of the object still unacked:
@@ -28,8 +27,8 @@
 //! * `flow_lookup_hit/*`, `flow_lookup_miss/*`, `flow_insert_remove/*` —
 //!   the `FlowTable` every per-packet lookup goes through, keyed by
 //!   `(Endpoint, Endpoint)`, at 5,000 live flows (one mux) and 50,000 (the
-//!   whole tier on the open-loop workload). The same loops over a
-//!   `BTreeMap` are in EXPERIMENTS.md "Flow tables".
+//!   whole tier on the open-loop workload); DESIGN.md "Flow tables" says
+//!   why the table is hashed and not ordered.
 //!
 //! Run with `cargo bench -p yoda-bench`. Wall-clock timing lives only in
 //! this binary; simulation code must never read the host clock.

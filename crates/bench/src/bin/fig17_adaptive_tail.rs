@@ -46,84 +46,10 @@ const LOAD: BurstyLoad = BurstyLoad {
     duty: 0.3,
 };
 
-// The two scripted ingredients of a run, pure functions of time so a
-// run is reproducible from its parameters alone: per-backend speed-factor
-// phases (every backend serves at factor 1.0 except where a phase says
-// otherwise; 5.0 means 5×-slower service) and a square-wave open-loop
-// request rate.
-
-/// One scripted capacity phase for one backend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SpeedPhase {
-    /// Index of the backend this phase applies to.
-    backend: usize,
-    /// Phase start (inclusive).
-    from: SimTime,
-    /// Phase end (exclusive); `SimTime::MAX`-like sentinels are fine.
-    until: SimTime,
-    /// Service-time multiplier during the phase (1.0 = nominal,
-    /// 5.0 = five times slower).
-    factor: f64,
-}
-
-/// A scripted heterogeneous-backend scenario: phases override the
-/// nominal speed factor of individual backends over time windows.
-#[derive(Debug, Clone, Default)]
-struct AdaptiveScenario {
-    phases: Vec<SpeedPhase>,
-}
-
-impl AdaptiveScenario {
-    /// A scenario where every backend is nominal forever.
-    fn uniform() -> Self {
-        AdaptiveScenario::default()
-    }
-
-    /// A scenario where `backend` is `factor`× slower for the whole run.
-    fn one_slow(backend: usize, factor: f64, run: SimTime) -> Self {
-        AdaptiveScenario {
-            phases: vec![SpeedPhase {
-                backend,
-                from: SimTime::ZERO,
-                until: run,
-                factor,
-            }],
-        }
-    }
-
-    /// A scenario where `backend` degrades to `factor`× at `from` and
-    /// recovers at `until` (the mid-run brownout case).
-    fn degrade_recover(backend: usize, factor: f64, from: SimTime, until: SimTime) -> Self {
-        AdaptiveScenario {
-            phases: vec![SpeedPhase {
-                backend,
-                from,
-                until,
-                factor,
-            }],
-        }
-    }
-
-    /// The speed factor of `backend` at `now` (1.0 when no phase applies).
-    fn factor_at(&self, backend: usize, now: SimTime) -> f64 {
-        self.phases
-            .iter()
-            .rev()
-            .find(|p| p.backend == backend && p.from <= now && now < p.until)
-            .map(|p| p.factor)
-            .unwrap_or(1.0)
-    }
-
-    /// The times at which any backend's factor changes (phase edges),
-    /// deduplicated and sorted — the moments a harness must reapply
-    /// factors to the simulated servers.
-    fn edges(&self) -> Vec<SimTime> {
-        let mut edges: Vec<SimTime> = self.phases.iter().flat_map(|p| [p.from, p.until]).collect();
-        edges.sort_unstable();
-        edges.dedup();
-        edges
-    }
-}
+/// When backend 0 serves `SLOW_FACTOR`× slower: `[from, until)`, or
+/// never. Every other backend, and backend 0 outside the window, serves
+/// at the nominal factor 1.0.
+type SlowWindow = Option<(SimTime, SimTime)>;
 
 /// A square-wave open-loop request rate: `base_rps` normally,
 /// `burst_rps` during the first `duty` fraction of every `period`.
@@ -149,24 +75,6 @@ impl BurstyLoad {
         } else {
             self.base_rps
         }
-    }
-
-    /// The times in `[0, run)` at which the rate changes (period and
-    /// duty edges), sorted.
-    fn edges(&self, run: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let period = self.period.as_micros().max(1);
-        let duty_off = (period as f64 * self.duty.clamp(0.0, 1.0)) as u64;
-        let mut start = 0u64;
-        while start < run.as_micros() {
-            out.push(SimTime::from_micros(start));
-            let off = start + duty_off;
-            if duty_off > 0 && off < run.as_micros() {
-                out.push(SimTime::from_micros(off));
-            }
-            start += period;
-        }
-        out
     }
 }
 
@@ -200,7 +108,7 @@ fn policy_rules(name: &str, tb: &Testbed) -> String {
     }
 }
 
-fn run_one(policy: &str, scenario: &AdaptiveScenario) -> RunOutcome {
+fn run_one(policy: &str, slow: SlowWindow) -> RunOutcome {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 17,
         num_instances: 4,
@@ -253,30 +161,35 @@ fn run_one(policy: &str, scenario: &AdaptiveScenario) -> RunOutcome {
             )
         })
         .collect();
-    for edge in LOAD.edges(RUN) {
-        let rate = LOAD.rate_at(edge) / CLIENTS as f64;
-        let ids = clients.clone();
-        tb.engine.schedule(start + edge, move |eng| {
-            for &id in &ids {
-                eng.node_mut::<RateClient>(id).set_rate(rate);
-            }
-        });
+    // The rate changes at the start of each period and at its duty edge.
+    let period = LOAD.period.as_micros();
+    let duty_end = (period as f64 * LOAD.duty) as u64;
+    for period_start in (0..RUN.as_micros()).step_by(period as usize) {
+        for edge in [period_start, period_start + duty_end].map(SimTime::from_micros) {
+            let rate = LOAD.rate_at(edge) / CLIENTS as f64;
+            let ids = clients.clone();
+            tb.engine.schedule(start + edge, move |eng| {
+                for &id in &ids {
+                    eng.node_mut::<RateClient>(id).set_rate(rate);
+                }
+            });
+        }
     }
 
-    // Scripted backend capacity: apply the scenario's speed factors at
-    // t=0 and at every phase edge.
+    // Scripted backend capacity: apply the speed factors at t=0 and at
+    // both ends of the slow window.
     let backend_ids = tb.backends.clone();
-    let mut edges = scenario.edges();
-    edges.insert(0, SimTime::ZERO);
+    let mut edges = vec![SimTime::ZERO];
+    edges.extend(slow.iter().flat_map(|&(from, until)| [from, until]));
     edges.dedup();
     for edge in edges {
         let ids = backend_ids.clone();
-        let sc = scenario.clone();
         tb.engine.schedule(edge, move |eng| {
             let now = eng.now();
+            let slowed = slow.is_some_and(|(from, until)| from <= now && now < until);
             for (i, &id) in ids.iter().enumerate() {
-                eng.node_mut::<OriginServer>(id)
-                    .set_speed_factor(sc.factor_at(i, now));
+                let factor = if i == 0 && slowed { SLOW_FACTOR } else { 1.0 };
+                eng.node_mut::<OriginServer>(id).set_speed_factor(factor);
             }
         });
     }
@@ -348,26 +261,19 @@ fn main() {
         ),
     );
 
-    let scenarios: Vec<(&str, AdaptiveScenario)> = vec![
-        ("uniform", AdaptiveScenario::uniform()),
-        (
-            "one-slow",
-            AdaptiveScenario::one_slow(0, SLOW_FACTOR, SimTime::from_secs(3_600)),
-        ),
+    let scenarios: [(&str, SlowWindow); 3] = [
+        ("uniform", None),
+        // An hour: slow past the end of the run.
+        ("one-slow", Some((SimTime::ZERO, SimTime::from_secs(3_600)))),
         (
             "degrade-recover",
-            AdaptiveScenario::degrade_recover(
-                0,
-                SLOW_FACTOR,
-                SimTime::from_secs(6),
-                SimTime::from_secs(14),
-            ),
+            Some((SimTime::from_secs(6), SimTime::from_secs(14))),
         ),
     ];
     let policies = ["roundrobin", "leastload", "prequal"];
 
     let mut outcomes: BTreeMap<(String, String), RunOutcome> = BTreeMap::new();
-    for (sname, scenario) in &scenarios {
+    for (sname, slow) in scenarios {
         println!();
         println!("scenario: {sname}");
         let mut table = Table::new(&[
@@ -381,7 +287,7 @@ fn main() {
             "rif imbalance",
         ]);
         for policy in policies {
-            let out = run_one(policy, scenario);
+            let out = run_one(policy, slow);
             table.row(&[
                 policy.to_string(),
                 f2(out.p50),
@@ -422,42 +328,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_is_nominal_everywhere() {
-        let s = AdaptiveScenario::uniform();
-        for b in 0..6 {
-            assert_eq!(s.factor_at(b, SimTime::from_secs(3)), 1.0);
-        }
-        assert!(s.edges().is_empty());
-    }
-
-    #[test]
-    fn one_slow_applies_to_one_backend() {
-        let run = SimTime::from_secs(20);
-        let s = AdaptiveScenario::one_slow(2, 5.0, run);
-        assert_eq!(s.factor_at(2, SimTime::from_secs(1)), 5.0);
-        assert_eq!(s.factor_at(1, SimTime::from_secs(1)), 1.0);
-        assert_eq!(s.factor_at(2, run), 1.0, "phase end is exclusive");
-    }
-
-    #[test]
-    fn degrade_recover_windows() {
-        let s = AdaptiveScenario::degrade_recover(
-            0,
-            4.0,
-            SimTime::from_secs(6),
-            SimTime::from_secs(14),
-        );
-        assert_eq!(s.factor_at(0, SimTime::from_secs(5)), 1.0);
-        assert_eq!(s.factor_at(0, SimTime::from_secs(6)), 4.0);
-        assert_eq!(s.factor_at(0, SimTime::from_secs(13)), 4.0);
-        assert_eq!(s.factor_at(0, SimTime::from_secs(14)), 1.0);
-        assert_eq!(
-            s.edges(),
-            vec![SimTime::from_secs(6), SimTime::from_secs(14)]
-        );
-    }
-
-    #[test]
     fn bursty_square_wave() {
         let l = BurstyLoad {
             base_rps: 100.0,
@@ -470,15 +340,5 @@ mod tests {
         assert_eq!(l.rate_at(SimTime::from_secs(1)), 100.0);
         assert_eq!(l.rate_at(SimTime::from_secs(3)), 100.0);
         assert_eq!(l.rate_at(SimTime::from_secs(4)), 400.0, "wave repeats");
-        let edges = l.edges(SimTime::from_secs(8));
-        assert_eq!(
-            edges,
-            vec![
-                SimTime::ZERO,
-                SimTime::from_secs(1),
-                SimTime::from_secs(4),
-                SimTime::from_secs(5),
-            ]
-        );
     }
 }

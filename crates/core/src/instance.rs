@@ -166,8 +166,6 @@ pub struct YodaInstance {
     actions: Vec<Action>,
     /// Requests served (header parsed + backend selected).
     pub requests: u64,
-    /// Cumulative per-VIP request counters.
-    pub per_vip_requests: BTreeMap<Endpoint, u64>,
     /// Flows recovered from TCPStore after another instance's failure.
     pub recoveries: u64,
     /// Packets forwarded in the tunneling phase.
@@ -240,7 +238,6 @@ impl YodaInstance {
             recovering: BTreeMap::new(),
             actions: Vec::new(),
             requests: 0,
-            per_vip_requests: BTreeMap::new(),
             recoveries: 0,
             tunneled_packets: 0,
             dropped_overload: 0,
@@ -399,10 +396,7 @@ impl YodaInstance {
                 Action::Map(backend) => self.index.map(key, backend),
                 Action::Unmap(backend) => self.index.unmap(key, backend),
                 Action::ConnLatency(d) => self.conn_latency.record_time_ms(d),
-                Action::Count(Counter::Request) => {
-                    self.requests += 1;
-                    *self.per_vip_requests.entry(key.1).or_insert(0) += 1;
-                }
+                Action::Count(Counter::Request) => self.requests += 1,
                 Action::Count(Counter::BackendSwitch) => self.backend_switches += 1,
                 Action::Count(Counter::SpliceInstall) => self.splices_installed += 1,
                 Action::Count(Counter::DroppedUnknown) => self.dropped_unknown += 1,

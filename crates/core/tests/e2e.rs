@@ -3,7 +3,7 @@
 
 use yoda_core::YodaInstance;
 use yoda_core::{Testbed, TestbedConfig};
-use yoda_http::{BrowserClient, BrowserConfig, RateClient, RateClientConfig};
+use yoda_http::{BrowserClient, BrowserConfig, OriginServer, RateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 
 fn small_testbed(seed: u64) -> Testbed {
@@ -104,18 +104,17 @@ fn two_services_are_isolated() {
         assert_eq!(b.pages_completed, 4);
         assert_eq!(b.broken_flows, 0);
     }
-    // Requests for service 0 went only to service-0 backends: check via
-    // per-VIP counters on the instances.
-    let vip0 = tb.vips[0];
-    let vip1 = tb.vips[1];
-    let mut v0 = 0;
-    let mut v1 = 0;
-    for &i in &tb.instances {
-        let inst = tb.engine.node_ref::<YodaInstance>(i);
-        v0 += inst.per_vip_requests.get(&vip0).copied().unwrap_or(0);
-        v1 += inst.per_vip_requests.get(&vip1).copied().unwrap_or(0);
+    // Each service's backends served exactly its own browser's requests.
+    for (service, id) in [b0, b1].into_iter().enumerate() {
+        let served: u64 = tb.service_backends[service]
+            .iter()
+            .filter_map(|ep| tb.engine.node_by_addr(ep.addr))
+            .map(|b| tb.engine.node_ref::<OriginServer>(b).requests)
+            .sum();
+        let completed = tb.engine.node_ref::<BrowserClient>(id).completed;
+        assert!(served > 0);
+        assert_eq!(served, completed, "service {service}");
     }
-    assert!(v0 > 0 && v1 > 0);
 }
 
 #[test]

@@ -24,16 +24,27 @@ const PER_PKT_CPU: SimTime = SimTime::from_micros(32);
 /// Extra CPU per new connection.
 const PER_CONN_CPU: SimTime = SimTime::from_micros(170);
 
-/// Per-client-connection proxy state.
+/// Per-client-connection proxy state, keyed by the client's `ConnId`.
 struct Session {
-    client_conn: ConnId,
     server_conn: Option<ConnId>,
+    /// Request bytes held until the head parses and a backend is chosen.
     header: BytesMut,
-    /// Bytes from the server not yet relayed (server connected but data
-    /// arrived before Established is reported — rare; kept for safety).
+    /// The VIP the client connected to.
     vip: Endpoint,
     client_closed: bool,
     server_closed: bool,
+}
+
+impl Session {
+    fn new(vip: Endpoint) -> Self {
+        Session {
+            server_conn: None,
+            header: BytesMut::new(),
+            vip,
+            client_closed: false,
+            server_closed: false,
+        }
+    }
 }
 
 /// An HAProxy-like L7 proxy instance.
@@ -47,9 +58,10 @@ pub struct ProxyInstance {
     vips: BTreeMap<Endpoint, RuleTable>,
     select_ctx: SelectCtx,
     cpu: ServiceQueue,
-    sessions: FlowTable<ConnId, usize>,
-    by_server_conn: FlowTable<ConnId, usize>,
-    table: Vec<Option<Session>>,
+    /// Live sessions by client conn; a session goes when both legs close.
+    sessions: FlowTable<ConnId, Session>,
+    /// The client conn of each backend conn.
+    by_server_conn: FlowTable<ConnId, ConnId>,
     /// Requests proxied (header parsed + backend connected).
     pub(crate) requests: u64,
 }
@@ -72,7 +84,6 @@ impl ProxyInstance {
             cpu: ServiceQueue::new(CORES),
             sessions: FlowTable::new(),
             by_server_conn: FlowTable::new(),
-            table: Vec::new(),
             requests: 0,
         }
     }
@@ -92,75 +103,51 @@ impl ProxyInstance {
         self.cpu.submit(now, PER_PKT_CPU + extra, conn.serial());
     }
 
-    fn session_of_client(&mut self, conn: ConnId, vip: Endpoint) -> usize {
-        if let Some(&idx) = self.sessions.get(&conn) {
-            return idx;
-        }
-        let idx = self.table.len();
-        self.table.push(Some(Session {
-            client_conn: conn,
-            server_conn: None,
-            header: BytesMut::new(),
-            vip,
-            client_closed: false,
-            server_closed: false,
-        }));
-        self.sessions.insert(conn, idx);
-        idx
-    }
-
     fn on_client_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, vip: Endpoint) {
         self.stack.recv(conn, &mut self.rx);
         if self.rx.is_empty() {
             return;
         }
         self.charge(ctx.now(), conn, SimTime::ZERO);
-        let idx = self.session_of_client(conn, vip);
-        let Some(session) = self.table.get_mut(idx).and_then(|s| s.as_mut()) else {
-            self.rx.clear();
+        let session = self.sessions.get_or_insert_with(conn, || Session::new(vip));
+        if let Some(server_conn) = session.server_conn {
+            // Splice client → server: the received slices, as they are.
+            self.stack
+                .send_vectored(ctx, server_conn, self.rx.drain(..));
+            return;
+        }
+        for data in self.rx.drain(..) {
+            session.header.extend_from_slice(&data);
+        }
+        let Some((req, _)) = parse_request(&session.header) else {
             return;
         };
-        match session.server_conn {
-            Some(server_conn) => {
-                // Splice client → server: the received slices, as they are.
-                self.stack
-                    .send_vectored(ctx, server_conn, self.rx.drain(..));
-            }
-            None => {
-                for data in self.rx.drain(..) {
-                    session.header.extend_from_slice(&data);
-                }
-                let Some((req, _)) = parse_request(&session.header) else {
-                    return;
-                };
-                let Some(table) = self.vips.get_mut(&vip) else {
-                    return;
-                };
-                let Some(backend) = table.select(&req, &self.select_ctx, ctx.node_rng()) else {
-                    return;
-                };
-                self.requests += 1;
-                self.charge(ctx.now(), conn, PER_CONN_CPU);
-                let Some(session) = self.table.get_mut(idx).and_then(|s| s.as_mut()) else {
-                    return;
-                };
-                // Proxy-style: the backend connection uses the proxy's OWN
-                // address (this is why backends see the proxy, not the
-                // client, and why state is unrecoverable after a crash).
-                let port = self.stack.ephemeral_port();
-                let local = Endpoint::new(self.addr, port);
-                let server_conn = self.stack.connect(ctx, local, backend);
-                session.server_conn = Some(server_conn);
-                self.by_server_conn.insert(server_conn, idx);
-            }
+        let Some(table) = self.vips.get_mut(&vip) else {
+            return;
+        };
+        let Some(backend) = table.select(&req, &self.select_ctx, ctx.node_rng()) else {
+            return;
+        };
+        self.requests += 1;
+        self.charge(ctx.now(), conn, PER_CONN_CPU);
+        // Proxy-style: the backend connection uses the proxy's OWN
+        // address (this is why backends see the proxy, not the
+        // client, and why state is unrecoverable after a crash).
+        let port = self.stack.ephemeral_port();
+        let local = Endpoint::new(self.addr, port);
+        let server_conn = self.stack.connect(ctx, local, backend);
+        if let Some(session) = self.sessions.get_mut(&conn) {
+            session.server_conn = Some(server_conn);
         }
+        self.by_server_conn.insert(server_conn, conn);
     }
 
     fn on_server_connected(&mut self, ctx: &mut Ctx<'_>, server_conn: ConnId) {
-        let Some(&idx) = self.by_server_conn.get(&server_conn) else {
-            return;
-        };
-        let Some(session) = self.table.get_mut(idx).and_then(|s| s.as_mut()) else {
+        let Some(session) = self
+            .by_server_conn
+            .get(&server_conn)
+            .and_then(|client_conn| self.sessions.get_mut(client_conn))
+        else {
             return;
         };
         // Forward the buffered request.
@@ -174,12 +161,7 @@ impl ProxyInstance {
             return;
         }
         self.charge(ctx.now(), server_conn, SimTime::ZERO);
-        let client_conn = self
-            .by_server_conn
-            .get(&server_conn)
-            .and_then(|&idx| self.table.get(idx)?.as_ref())
-            .map(|session| session.client_conn);
-        if let Some(client_conn) = client_conn {
+        if let Some(&client_conn) = self.by_server_conn.get(&server_conn) {
             self.stack
                 .send_vectored(ctx, client_conn, self.rx.drain(..));
         }
@@ -187,15 +169,15 @@ impl ProxyInstance {
     }
 
     fn propagate_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, from_client: bool) {
-        let idx = if from_client {
-            self.sessions.get(&conn).copied()
+        let client_conn = if from_client {
+            conn
         } else {
-            self.by_server_conn.get(&conn).copied()
+            match self.by_server_conn.get(&conn) {
+                Some(&client_conn) => client_conn,
+                None => return,
+            }
         };
-        let Some(idx) = idx else {
-            return;
-        };
-        let Some(session) = self.table.get_mut(idx).and_then(|s| s.as_mut()) else {
+        let Some(session) = self.sessions.get_mut(&client_conn) else {
             return;
         };
         if from_client {
@@ -205,22 +187,13 @@ impl ProxyInstance {
             }
         } else {
             session.server_closed = true;
-            let client_conn = session.client_conn;
             self.stack.close(ctx, client_conn);
         }
-        let done = self
-            .table
-            .get(idx)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|s| s.client_closed && s.server_closed);
-        if done {
-            let Some(s) = self.table.get_mut(idx).and_then(|s| s.take()) else {
-                return;
-            };
-            self.sessions.remove(&s.client_conn);
-            if let Some(sc) = s.server_conn {
-                self.by_server_conn.remove(&sc);
+        if session.client_closed && session.server_closed {
+            if let Some(server_conn) = session.server_conn {
+                self.by_server_conn.remove(&server_conn);
             }
+            self.sessions.remove(&client_conn);
         }
     }
 
@@ -229,7 +202,7 @@ impl ProxyInstance {
             match ev {
                 TcpEvent::Incoming(conn, _from) => {
                     if let Some(vip) = inner_dst {
-                        self.session_of_client(conn, vip);
+                        self.sessions.get_or_insert_with(conn, || Session::new(vip));
                     }
                 }
                 TcpEvent::Connected(conn) => {
@@ -241,13 +214,7 @@ impl ProxyInstance {
                     if self.by_server_conn.contains_key(&conn) {
                         self.on_server_data(ctx, conn);
                     } else {
-                        let vip = self
-                            .sessions
-                            .get(&conn)
-                            .and_then(|&i| self.table.get(i))
-                            .and_then(|s| s.as_ref())
-                            .map(|s| s.vip)
-                            .or(inner_dst);
+                        let vip = self.sessions.get(&conn).map(|s| s.vip).or(inner_dst);
                         if let Some(vip) = vip {
                             self.on_client_data(ctx, conn, vip);
                         }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of bench_e2e in driver form — the
-# protocol every perf PR's claim is judged by (EXPERIMENTS.md, PRs 13+):
+# protocol every perf PR's claim is judged by (EXPERIMENTS.md "Ledger"):
 #
 #   scripts/bench_pairs.sh A_DIR B_DIR WORKLOAD PAIRS SEED0
 #
