@@ -11,8 +11,7 @@
 //! probe! 42 rif=3 lat_us=1200
 //! ```
 
-use bytes::Bytes;
-use yoda_netsim::SimTime;
+use yoda_netsim::{Bytes, SimTime};
 
 /// Source port probes are sent from (identifies probe traffic in
 /// traces; probes are otherwise portless like pings).

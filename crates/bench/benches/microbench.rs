@@ -37,13 +37,12 @@ use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
 
-use bytes::Bytes;
 use yoda_assign::{solve_greedy, AssignInput, VipSpec};
 use yoda_core::FlowRecord;
 use yoda_core::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
-use yoda_netsim::Rng;
 use yoda_netsim::{Addr, Endpoint, FlowTable, Packet, SimTime};
+use yoda_netsim::{Bytes, Rng};
 use yoda_tcp::{Segment, SeqNum, TcpSocket};
 use yoda_tcpstore::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 
@@ -116,7 +115,7 @@ fn bench_seq_translate() {
         ack: SeqNum::new(2_000_000),
         flags: yoda_tcp::Flags::ACK,
         window: 65535,
-        payload: bytes::Bytes::from(vec![0u8; 1460]),
+        payload: yoda_netsim::Bytes::from(vec![0u8; 1460]),
     };
     let delta = 0x55AA55AAu32;
     let src = Endpoint::new(Addr::new(100, 0, 0, 1), 80);

@@ -39,10 +39,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bytes::Bytes;
 use yoda_bench::{arg_flag, arg_str};
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, Engine, Node, Packet, SimTime, TimerToken, Topology, Zone, PROTO_PING,
+    Addr, Bytes, Ctx, Endpoint, Engine, Node, Packet, SimTime, TimerToken, Topology, Zone,
+    PROTO_PING,
 };
 
 /// One node of the ping-pong mesh: pings `fanout` successors on start,

@@ -10,10 +10,9 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
 use yoda_bench::{f2, print_header, print_kv, Table};
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
+    Addr, Bytes, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
 };
 use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreServer, StoreServerConfig};
 

@@ -13,8 +13,7 @@
 //! pair that observes two different epochs is skipped instead of
 //! judged.
 
-use bytes::Bytes;
-use yoda_netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken};
+use yoda_netsim::{Addr, Bytes, Ctx, Endpoint, Node, Packet, SimTime, TimerToken};
 use yoda_tcpstore::{StoreClient, StoreEvent, StoreOutcome};
 
 /// Timer discriminator for the witness's own pacing tick (distinct from

@@ -28,9 +28,8 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, Node, Note, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_PING,
+    Addr, Bytes, Ctx, Endpoint, Node, Note, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_PING,
 };
 
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};

@@ -7,8 +7,7 @@
 //! component "converts the user policies expressed using the YODA
 //! interface into the rules and sends them to the YODA instances".
 
-use bytes::Bytes;
-use yoda_netsim::{Addr, Endpoint, Packet, PROTO_CTRL};
+use yoda_netsim::{Addr, Bytes, Endpoint, Packet, PROTO_CTRL};
 
 use crate::rules::RuleTable;
 

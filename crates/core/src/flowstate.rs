@@ -20,8 +20,7 @@
 //! Every key and record has a fixed layout and is written as one
 //! exact-size block (`Bytes::concat`).
 
-use bytes::Bytes;
-use yoda_netsim::Endpoint;
+use yoda_netsim::{Bytes, Endpoint};
 use yoda_tcp::SeqNum;
 
 /// storage-a: the client SYN header.
@@ -55,9 +54,9 @@ impl SynRecord {
         if b.len() != 16 {
             return None;
         }
-        let client = Endpoint::from_bytes(&bytes::array_at::<6>(b, 0)?);
-        let vip = Endpoint::from_bytes(&bytes::array_at::<6>(b, 6)?);
-        let client_isn = SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(b, 12)?));
+        let client = Endpoint::from_bytes(&yoda_netsim::array_at::<6>(b, 0)?);
+        let vip = Endpoint::from_bytes(&yoda_netsim::array_at::<6>(b, 6)?);
+        let client_isn = SeqNum::new(u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 12)?));
         Some(SynRecord {
             client,
             vip,
@@ -111,11 +110,11 @@ impl FlowRecord {
         if b.len() != 26 {
             return None;
         }
-        let client = Endpoint::from_bytes(&bytes::array_at::<6>(b, 0)?);
-        let vip = Endpoint::from_bytes(&bytes::array_at::<6>(b, 6)?);
-        let backend = Endpoint::from_bytes(&bytes::array_at::<6>(b, 12)?);
-        let client_isn = SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(b, 18)?));
-        let server_isn = SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(b, 22)?));
+        let client = Endpoint::from_bytes(&yoda_netsim::array_at::<6>(b, 0)?);
+        let vip = Endpoint::from_bytes(&yoda_netsim::array_at::<6>(b, 6)?);
+        let backend = Endpoint::from_bytes(&yoda_netsim::array_at::<6>(b, 12)?);
+        let client_isn = SeqNum::new(u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 18)?));
+        let server_isn = SeqNum::new(u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 22)?));
         Some(FlowRecord {
             client,
             vip,

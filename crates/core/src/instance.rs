@@ -37,9 +37,8 @@ mod tunnel;
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use yoda_balance::Prober;
-use yoda_netsim::hash_pair;
+use yoda_netsim::{hash_pair, Bytes};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
     PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,

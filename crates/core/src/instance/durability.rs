@@ -9,8 +9,7 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
-use yoda_netsim::{Addr, Ctx, Endpoint, FlowTable, Note, Packet, SimTime, TimerToken};
+use yoda_netsim::{Addr, Bytes, Ctx, Endpoint, FlowTable, Note, Packet, SimTime, TimerToken};
 use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreOutcome, OP_TIMEOUT};
 
 use super::index::{FlowKey, Pair};

@@ -13,10 +13,9 @@
 //! the actions in order and retires flows. That keeps every
 //! (phase × input) pair checkable without an engine.
 
-use bytes::{Bytes, BytesMut};
 use yoda_http::{parse_request, HttpRequest};
 use yoda_l4lb::CtrlMsg as MuxCtrl;
-use yoda_netsim::{Endpoint, SimTime};
+use yoda_netsim::{Bytes, Endpoint, SimTime};
 use yoda_tcp::{Flags, Segment, SeqNum};
 
 use super::durability::{Waiter, WriteOp};
@@ -290,7 +289,7 @@ fn chunked(data: &Bytes, base: SeqNum) -> impl Iterator<Item = (SeqNum, Bytes)> 
 #[derive(Debug)]
 struct Header {
     client_isn: SeqNum,
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Next expected C-space sequence number.
     next_seq: SeqNum,
     /// SSL: the ClientHello was consumed and the certificate sent.
@@ -361,7 +360,7 @@ impl Flow {
         };
         Phase::AwaitHeader(Header {
             client_isn,
-            buf: BytesMut::new(),
+            buf: Vec::new(),
             next_seq: client_isn + 1 + hello,
             hello_done,
         })
@@ -751,7 +750,7 @@ impl Header {
         if let Some(cert_len) = cert_len {
             let mut send_cert = stale_retransmit && self.hello_done;
             while self.buf.starts_with(SSL_HELLO) {
-                let _ = self.buf.split_to(SSL_HELLO.len());
+                self.buf.drain(..SSL_HELLO.len());
                 self.hello_done = true;
                 send_cert = true;
             }

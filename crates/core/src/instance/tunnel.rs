@@ -5,10 +5,9 @@
 //! half of the `flow` state machine — same rules: one input, effects
 //! into the [`Io`] buffer, nothing else touched.
 
-use bytes::{Bytes, BytesMut};
 use yoda_http::{parse_request, HttpRequest};
 use yoda_l4lb::CtrlMsg as MuxCtrl;
-use yoda_netsim::{Endpoint, SimTime};
+use yoda_netsim::{Bytes, Endpoint, SimTime};
 use yoda_tcp::{Segment, SeqNum, Translation};
 
 use super::flow::{Action, Counter, Ends, Io, Resume, Step};
@@ -46,7 +45,7 @@ pub(super) struct Tunnel {
     /// Next client-space (C) sequence number expected for inspection.
     pub(crate) inspect_next: SeqNum,
     /// Reassembly buffer for HTTP/1.1 request inspection.
-    inspect_buf: BytesMut,
+    inspect_buf: Vec<u8>,
     /// Next Y-space sequence number the client expects (the furthest of
     /// forwarded response bytes and client acks; needed to splice a new
     /// backend in).
@@ -101,7 +100,7 @@ impl Tunnel {
             drain_deadline: None,
             inspect_enabled: false,
             inspect_next: rec.client_isn + 1 + hello_len(cert),
-            inspect_buf: BytesMut::new(),
+            inspect_buf: Vec::new(),
             client_next: Tunnel::start(e, cert),
             switching: None,
             racing: Vec::new(),
@@ -356,7 +355,7 @@ impl Tunnel {
         // `inspect_next` is the end of the buffered data.
         let buffered = self.inspect_buf.len() as u32;
         let request_seq = self.inspect_next - buffered;
-        Some((req, request_seq, self.inspect_buf.split_to(used).freeze()))
+        Some((req, request_seq, self.inspect_buf.drain(..used).collect()))
     }
 
     /// A later request picked a different backend: close the old

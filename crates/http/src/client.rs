@@ -16,9 +16,8 @@
 
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, SimTime, TimerId, TimerToken,
+    Addr, Bytes, Ctx, Endpoint, FlowTable, Histogram, Node, Packet, SimTime, TimerId, TimerToken,
 };
 use yoda_tcp::{ConnId, TcpEvent, TcpEvents, TcpStack};
 
@@ -118,7 +117,7 @@ struct Fetch {
     object: ObjectId,
     conn: ConnId,
     /// Unparsed arrivals: a TLS certificate or an incomplete response head.
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Once the response head has arrived: its `Content-Length` and the
     /// response bytes still to come, which are counted, not kept.
     body: Option<(usize, usize)>,
@@ -154,7 +153,7 @@ impl Fetch {
         let Some(len) = len.filter(|&len| self.buf.len() >= len) else {
             return false; // Certificate still arriving.
         };
-        let _ = self.buf.split_to(len);
+        self.buf.drain(..len);
         true
     }
 
@@ -274,7 +273,7 @@ impl Fetches {
             process,
             object,
             conn,
-            buf: BytesMut::new(),
+            buf: Vec::new(),
             body: None,
             started,
             request_sent_at: None,

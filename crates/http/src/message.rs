@@ -11,7 +11,7 @@
 
 use std::io::Write;
 
-use bytes::Bytes;
+use yoda_netsim::Bytes;
 
 /// An HTTP request.
 ///

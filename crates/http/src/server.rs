@@ -7,9 +7,10 @@
 
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
 use yoda_balance::{ProbeReply, ProbeRequest};
-use yoda_netsim::{Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken};
+use yoda_netsim::{
+    Bytes, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken,
+};
 use yoda_tcp::{ConnId, TcpEvent, TcpStack};
 
 use crate::message::{parse_request, HttpRequest, HttpResponse};
@@ -55,7 +56,7 @@ pub struct OriginServer {
     /// What the stack hands over on `Data`: kept, drained after each read.
     rx: Vec<Bytes>,
     cpu: ServiceQueue,
-    buffers: FlowTable<ConnId, BytesMut>,
+    buffers: FlowTable<ConnId, Vec<u8>>,
     pending: FlowTable<u64, PendingReply>,
     next_reply: u64,
     speed_factor: f64,
@@ -171,7 +172,7 @@ impl OriginServer {
         if self.rx.is_empty() {
             return;
         }
-        let buf = self.buffers.get_or_insert_with(conn, BytesMut::default);
+        let buf = self.buffers.get_or_insert_with(conn, Vec::new);
         for data in self.rx.drain(..) {
             buf.extend_from_slice(&data);
         }
@@ -184,7 +185,7 @@ impl OriginServer {
             let Some((req, used)) = parse_request(buf) else {
                 return;
             };
-            let _ = buf.split_to(used);
+            buf.drain(..used);
             self.handle_request(ctx, conn, req);
         }
     }

@@ -10,8 +10,7 @@
 //! embedded objects whose sizes follow a log-normal distribution clipped to
 //! [1 KB, 442 KB] and calibrated to a 46 KB median.
 
-use bytes::Bytes;
-use yoda_netsim::Rng;
+use yoda_netsim::{Bytes, Rng};
 
 /// Identifies an object within a catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -6,8 +6,7 @@
 //! asynchronous and can be staggered per mux — reproducing the paper's
 //! "changing the mapping on multiple L4 LB instances ... is not atomic".
 
-use bytes::{put_be, Bytes};
-use yoda_netsim::{Addr, Endpoint, Packet, PROTO_CTRL};
+use yoda_netsim::{put_be, Addr, Bytes, Endpoint, Packet, PROTO_CTRL};
 use yoda_tcp::Translation;
 
 /// Port control messages are addressed to.
@@ -65,8 +64,8 @@ pub enum CtrlMsg {
 }
 
 fn endpoint_at(b: &Bytes, off: usize) -> Option<Endpoint> {
-    let addr = Addr::from_u32(u32::from_be_bytes(bytes::array_at::<4>(b, off)?));
-    let port = u16::from_be_bytes(bytes::array_at::<2>(b, off + 4)?);
+    let addr = Addr::from_u32(u32::from_be_bytes(yoda_netsim::array_at::<4>(b, off)?));
+    let port = u16::from_be_bytes(yoda_netsim::array_at::<2>(b, off + 4)?);
     Some(Endpoint::new(addr, port))
 }
 
@@ -136,15 +135,15 @@ impl CtrlMsg {
         let tag = *b.first()?;
         match tag {
             1 => {
-                let vip = Addr::from_u32(u32::from_be_bytes(bytes::array_at::<4>(b, 1)?));
-                let version = u64::from_be_bytes(bytes::array_at::<8>(b, 5)?);
-                let n = u16::from_be_bytes(bytes::array_at::<2>(b, 13)?) as usize;
+                let vip = Addr::from_u32(u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 1)?));
+                let version = u64::from_be_bytes(yoda_netsim::array_at::<8>(b, 5)?);
+                let n = u16::from_be_bytes(yoda_netsim::array_at::<2>(b, 13)?) as usize;
                 if b.len() != 15 + 4 * n {
                     return None;
                 }
                 let mut instances = Vec::with_capacity(n);
                 for i in 0..n {
-                    let word = bytes::array_at::<4>(b, 15 + 4 * i)?;
+                    let word = yoda_netsim::array_at::<4>(b, 15 + 4 * i)?;
                     instances.push(Addr::from_u32(u32::from_be_bytes(word)));
                 }
                 Some(CtrlMsg::SetVipMap {
@@ -157,18 +156,18 @@ impl CtrlMsg {
                 if b.len() != 13 {
                     return None;
                 }
-                let vip = Addr::from_u32(u32::from_be_bytes(bytes::array_at::<4>(b, 1)?));
-                let version = u64::from_be_bytes(bytes::array_at::<8>(b, 5)?);
+                let vip = Addr::from_u32(u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 1)?));
+                let version = u64::from_be_bytes(yoda_netsim::array_at::<8>(b, 5)?);
                 Some(CtrlMsg::RemoveVip { vip, version })
             }
             3 => {
-                let n = u16::from_be_bytes(bytes::array_at::<2>(b, 1)?) as usize;
+                let n = u16::from_be_bytes(yoda_netsim::array_at::<2>(b, 1)?) as usize;
                 if b.len() != 3 + 4 * n {
                     return None;
                 }
                 let mut muxes = Vec::with_capacity(n);
                 for i in 0..n {
-                    let word = bytes::array_at::<4>(b, 3 + 4 * i)?;
+                    let word = yoda_netsim::array_at::<4>(b, 3 + 4 * i)?;
                     muxes.push(Addr::from_u32(u32::from_be_bytes(word)));
                 }
                 Some(CtrlMsg::SetMuxes { muxes })
@@ -183,8 +182,8 @@ impl CtrlMsg {
                     xlate: Translation {
                         src: endpoint_at(b, 13)?,
                         dst: endpoint_at(b, 19)?,
-                        seq_add: u32::from_be_bytes(bytes::array_at::<4>(b, 25)?),
-                        ack_add: u32::from_be_bytes(bytes::array_at::<4>(b, 29)?),
+                        seq_add: u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 25)?),
+                        ack_add: u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 29)?),
                     },
                     acks_only: *b.get(33)? != 0,
                 })

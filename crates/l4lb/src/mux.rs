@@ -15,9 +15,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::Bytes;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, FlowTable, Node, Packet, SimTime, TimerToken, PROTO_CTRL, PROTO_IPIP,
+    Addr, Bytes, Ctx, Endpoint, FlowTable, Node, Packet, SimTime, TimerToken, PROTO_CTRL,
+    PROTO_IPIP,
 };
 use yoda_tcp::{Flags, Segment, Translation};
 
@@ -371,8 +371,7 @@ impl Node for Mux {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use yoda_netsim::{Engine, SimTime, Topology, Zone, PROTO_TCP};
+    use yoda_netsim::{Bytes, Engine, SimTime, Topology, Zone, PROTO_TCP};
     use yoda_tcp::SeqNum;
 
     /// Sink node that records everything it receives.

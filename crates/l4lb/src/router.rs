@@ -73,8 +73,7 @@ impl Node for EdgeRouter {
 mod tests {
     use super::*;
     use crate::rendezvous_pick;
-    use bytes::Bytes;
-    use yoda_netsim::{Endpoint, Engine, SimTime, Topology, Zone, PROTO_IPIP, PROTO_TCP};
+    use yoda_netsim::{Bytes, Endpoint, Engine, SimTime, Topology, Zone, PROTO_IPIP, PROTO_TCP};
 
     struct Sink {
         received: Vec<Packet>,

@@ -1,16 +1,9 @@
-//! Hermetic, in-tree replacement for the `bytes` crate.
+//! The byte buffer every packet body rides in, and the panic-free
+//! readers and writers for the headers around it.
 //!
-//! Yoda's build must succeed with no network access (DESIGN.md,
-//! "Determinism invariants"), so the workspace cannot pull `bytes` from a
-//! registry. This crate re-implements exactly the subset of the `bytes`
-//! 1.x API the workspace uses — [`Bytes`] and [`BytesMut`] — with the
-//! same semantics (cheap clones and zero-copy slicing via a shared,
-//! immutable backing buffer).
-//!
-//! It is intentionally *not* a drop-in for all of `bytes`: no `Buf` read
-//! trait, no vectored IO, no `split`-and-unsplit tricks. If a new call
-//! site needs more surface, add it here rather than reaching for the
-//! registry crate.
+//! A [`Bytes`] is an immutable view of a reference-counted buffer: clones
+//! and [`Bytes::slice`] share the block, so a segment's data is a view of
+//! its sender's buffer from socket to socket and no hop copies it.
 //!
 //! A [`Bytes`] is never written after construction: the headers a hop
 //! rewrites ride by value in the packet, outside any buffer (DESIGN.md
@@ -19,18 +12,17 @@
 //!
 //! Every buffer is one allocation: the reference counts and the bytes
 //! share a single `Arc<[u8]>` block. [`Bytes::concat`] and
-//! [`Bytes::copy_from_slice`] write that block directly;
-//! `From<Vec<u8>>` and [`BytesMut::freeze`] copy the vector into one, so
-//! they belong on cold paths (set-up, tests, control messages).
+//! [`Bytes::copy_from_slice`] write that block directly; `From<Vec<u8>>`
+//! copies the vector into one, so it belongs on cold paths (set-up,
+//! tests, control messages).
 
-#![forbid(unsafe_code)]
 // Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
 #![deny(clippy::missing_inline_in_public_items)]
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
@@ -61,9 +53,8 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wraps a static slice. (The name mirrors `bytes::Bytes::from_static`;
-    /// this implementation copies once into a shared allocation, trading
-    /// the copy for a much simpler representation.)
+    /// Copies a static slice into one fresh block: a copy, so that every
+    /// `Bytes` has the one representation.
     #[inline]
     pub fn from_static(slice: &'static [u8]) -> Self {
         Bytes::copy_from_slice(slice)
@@ -121,34 +112,9 @@ impl Bytes {
         }
     }
 
-    /// Splits off and returns the first `at` bytes; `self` keeps the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    #[inline]
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        let head = self.slice(..at);
-        self.start += at as u32;
-        head
-    }
-
-    /// Splits off and returns everything from `at` on; `self` keeps the
-    /// first `at` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    #[inline]
-    pub fn split_off(&mut self, at: usize) -> Bytes {
-        let tail = self.slice(at..);
-        self.end = self.start + at as u32;
-        tail
-    }
-
     /// The bytes as a plain slice.
     #[inline]
-    pub fn as_slice(&self) -> &[u8] {
+    fn as_slice(&self) -> &[u8] {
         self.data
             .as_deref()
             .and_then(|block| block.get(self.start as usize..self.end as usize))
@@ -227,17 +193,17 @@ impl Deref for Bytes {
     }
 }
 
-impl AsRef<[u8]> for Bytes {
-    #[inline]
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 impl Borrow<[u8]> for Bytes {
     #[inline]
     fn borrow(&self) -> &[u8] {
         self.as_slice()
+    }
+}
+
+impl Hash for Bytes {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
@@ -262,56 +228,6 @@ impl PartialEq for Bytes {
 }
 impl Eq for Bytes {}
 
-impl PartialOrd for Bytes {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Bytes {
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Hash for Bytes {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl PartialEq<[u8]> for Bytes {
-    #[inline]
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-impl PartialEq<&[u8]> for Bytes {
-    #[inline]
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-impl<const N: usize> PartialEq<[u8; N]> for Bytes {
-    #[inline]
-    fn eq(&self, other: &[u8; N]) -> bool {
-        self.as_slice() == other
-    }
-}
-impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
-    #[inline]
-    fn eq(&self, other: &&[u8; N]) -> bool {
-        self.as_slice() == *other
-    }
-}
-impl PartialEq<str> for Bytes {
-    #[inline]
-    fn eq(&self, other: &str) -> bool {
-        self.as_slice() == other.as_bytes()
-    }
-}
 impl PartialEq<&str> for Bytes {
     #[inline]
     fn eq(&self, other: &&str) -> bool {
@@ -319,7 +235,7 @@ impl PartialEq<&str> for Bytes {
     }
 }
 
-/// Copies the vector into one block (cold paths only: see the crate docs).
+/// Copies the vector into one block (cold paths only: see the module docs).
 impl From<Vec<u8>> for Bytes {
     #[inline]
     fn from(v: Vec<u8>) -> Self {
@@ -331,27 +247,6 @@ impl From<String> for Bytes {
     #[inline]
     fn from(s: String) -> Self {
         Bytes::from(s.into_bytes())
-    }
-}
-
-impl From<&'static str> for Bytes {
-    #[inline]
-    fn from(s: &'static str) -> Self {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    #[inline]
-    fn from(s: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(s)
-    }
-}
-
-impl From<BytesMut> for Bytes {
-    #[inline]
-    fn from(m: BytesMut) -> Self {
-        m.freeze()
     }
 }
 
@@ -373,186 +268,17 @@ impl FromIterator<u8> for Bytes {
     }
 }
 
-impl<'a> IntoIterator for &'a Bytes {
-    type Item = &'a u8;
-    type IntoIter = std::slice::Iter<'a, u8>;
-    #[inline]
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-/// A growable byte buffer, frozen into a [`Bytes`] when complete.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    #[inline]
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// An empty buffer with `cap` bytes pre-allocated.
-    #[inline]
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of bytes written so far.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Ensures space for `additional` more bytes.
-    #[inline]
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
-    }
-
-    /// Appends a slice.
-    #[inline]
-    pub fn extend_from_slice(&mut self, slice: &[u8]) {
-        self.data.extend_from_slice(slice);
-    }
-
-    /// Removes all bytes.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Splits off and returns the first `at` bytes; `self` keeps the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    #[inline]
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let rest = self.data.split_off(at);
-        let head = std::mem::replace(&mut self.data, rest);
-        BytesMut { data: head }
-    }
-
-    /// Takes the entire buffer, leaving `self` empty.
-    #[inline]
-    pub fn split(&mut self) -> BytesMut {
-        BytesMut {
-            data: std::mem::take(&mut self.data),
-        }
-    }
-
-    /// Splits off and returns everything from `at` on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    #[inline]
-    pub fn split_off(&mut self, at: usize) -> BytesMut {
-        BytesMut {
-            data: self.data.split_off(at),
-        }
-    }
-
-    /// Converts the accumulated bytes into an immutable [`Bytes`], copying
-    /// them once into its block.
-    #[inline]
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-
-    /// The bytes as a plain slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    #[inline]
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl DerefMut for BytesMut {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    #[inline]
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    #[inline]
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BytesMut({:?})", Bytes::copy_from_slice(&self.data))
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    #[inline]
-    fn from(v: Vec<u8>) -> Self {
-        BytesMut { data: v }
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    #[inline]
-    fn from(s: &[u8]) -> Self {
-        BytesMut { data: s.to_vec() }
-    }
-}
-
-impl Extend<u8> for BytesMut {
-    #[inline]
-    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
-        self.data.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn slice_and_split_share_backing() {
+    fn slices_share_backing() {
         let b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
         let mid = b.slice(1..4);
-        assert_eq!(mid, [2, 3, 4]);
-        let mut c = b.clone();
-        let head = c.split_to(2);
-        assert_eq!(head, [1, 2]);
-        assert_eq!(c, [3, 4, 5]);
-        let tail = c.split_off(1);
-        assert_eq!(c, [3]);
-        assert_eq!(tail, [4, 5]);
-    }
-
-    #[test]
-    fn split_to_on_mut() {
-        let mut m = BytesMut::from(&b"abcdef"[..]);
-        let head = m.split_to(2);
-        assert_eq!(head.as_slice(), b"ab");
-        assert_eq!(m.as_slice(), b"cdef");
+        assert_eq!(*mid, [2, 3, 4]);
+        assert_eq!(*mid.slice(2..), [4]);
+        assert!(matches!((&b.data, &mid.data), (Some(x), Some(y)) if Arc::ptr_eq(x, y)));
     }
 
     #[test]
@@ -583,7 +309,7 @@ mod tests {
         // Two words of block pointer and length, two `u32` view bounds.
         assert_eq!(std::mem::size_of::<Bytes>(), 24);
         let b = Bytes::concat([&b"head"[..], b"", b"body"]);
-        assert_eq!(b, b"headbody");
+        assert_eq!(*b, *b"headbody");
         assert_eq!(b.data.as_deref().map(<[u8]>::len), Some(8));
         // No bytes: no block at all.
         assert!(Bytes::concat([&b""[..]]).data.is_none());
@@ -591,23 +317,18 @@ mod tests {
     }
 
     #[test]
-    fn freeze_and_from_vec_copy_by_value() {
-        let mut m = BytesMut::with_capacity(64);
-        m.extend_from_slice(b"header+payload");
-        let frozen = m.clone().freeze();
-        assert_eq!(frozen, m.as_slice());
+    fn from_vec_copies_by_value() {
         let v = vec![5u8; 1000];
         let from_vec = Bytes::from(v.clone());
-        assert_eq!(from_vec, v.as_slice());
+        assert_eq!(*from_vec, *v);
         assert_eq!(from_vec, Bytes::copy_from_slice(&v));
         assert_eq!(Bytes::from(Vec::new()), Bytes::new());
     }
 
     #[test]
-    fn eq_against_str_and_slices() {
+    fn eq_against_str() {
         let b = Bytes::from_static(b"hello");
         assert_eq!(b, "hello");
-        assert_eq!(b, b"hello");
-        assert_eq!(b, &b"hello"[..]);
+        assert_ne!(b, "hell");
     }
 }

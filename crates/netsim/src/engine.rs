@@ -901,8 +901,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::packet::{Packet, PROTO_PING};
-    use crate::Endpoint;
-    use bytes::Bytes;
+    use crate::{Bytes, Endpoint};
 
     /// Test node: replies to every ping and counts deliveries.
     struct Ponger {

@@ -40,6 +40,7 @@
 
 mod addr;
 mod addrmap;
+mod bytes;
 mod engine;
 mod flowtable;
 mod hash;
@@ -56,6 +57,7 @@ mod wheel;
 
 pub use addr::{Addr, AddrParseError, Endpoint};
 pub use addrmap::AddrMap;
+pub use bytes::{add_be32, array_at, put_be, Bytes};
 pub use engine::{Ctx, Engine, NodeId};
 pub use flowtable::FlowTable;
 pub use hash::{hash_bytes, hash_pair, hash_u32};

@@ -27,9 +27,8 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-use bytes::Bytes;
-
 use crate::addr::{Addr, Endpoint};
+use crate::bytes::{array_at, put_be, Bytes};
 
 /// Protocol number carried in the packet header (IANA-flavoured).
 pub type Protocol = u8;
@@ -105,7 +104,7 @@ impl Head {
         let Some(start) = self.room().checked_sub(bytes.len()) else {
             return false;
         };
-        bytes::put_be(&mut self.buf, start, bytes);
+        put_be(&mut self.buf, start, bytes);
         self.start = start as u8;
         true
     }
@@ -161,8 +160,7 @@ impl fmt::Debug for Head {
 /// # Examples
 ///
 /// ```
-/// use yoda_netsim::{Addr, Endpoint, Head, Packet, PROTO_RPC};
-/// use bytes::Bytes;
+/// use yoda_netsim::{Addr, Bytes, Endpoint, Head, Packet, PROTO_RPC};
 ///
 /// let src = Endpoint::new(Addr::new(172, 16, 0, 1), 40000);
 /// let dst = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
@@ -223,10 +221,10 @@ impl Packet {
     pub fn encapsulate(mut self, outer_src: Addr, outer_dst: Addr) -> Option<Packet> {
         let inner_len = self.head.len() + self.body.len();
         let mut h = [0u8; IPIP_HEADER_LEN];
-        bytes::put_be(&mut h, 0, &self.src.to_bytes());
-        bytes::put_be(&mut h, 6, &self.dst.to_bytes());
-        bytes::put_be(&mut h, 12, &[self.protocol]);
-        bytes::put_be(&mut h, 13, &(inner_len as u32).to_be_bytes());
+        put_be(&mut h, 0, &self.src.to_bytes());
+        put_be(&mut h, 6, &self.dst.to_bytes());
+        put_be(&mut h, 12, &[self.protocol]);
+        put_be(&mut h, 13, &(inner_len as u32).to_be_bytes());
         if !self.head.push(&h) {
             return None;
         }
@@ -251,10 +249,10 @@ impl Packet {
             return None;
         }
         let h = &self.head;
-        let src = Endpoint::from_bytes(&bytes::array_at::<6>(h, 0)?);
-        let dst = Endpoint::from_bytes(&bytes::array_at::<6>(h, 6)?);
+        let src = Endpoint::from_bytes(&array_at::<6>(h, 0)?);
+        let dst = Endpoint::from_bytes(&array_at::<6>(h, 6)?);
         let protocol = *h.get(12)?;
-        let len = u32::from_be_bytes(bytes::array_at::<4>(h, 13)?) as usize;
+        let len = u32::from_be_bytes(array_at::<4>(h, 13)?) as usize;
         if h.len() + self.body.len() != IPIP_HEADER_LEN + len {
             return None;
         }
@@ -359,7 +357,7 @@ mod tests {
         assert_eq!(outer.head.len(), IPIP_HEADER_LEN + inner.head.len());
         assert_eq!(&outer.head[IPIP_HEADER_LEN..], &inner.head[..]);
         // The declared length counts head and body.
-        let declared = u32::from_be_bytes(bytes::array_at::<4>(&outer.head, 13).unwrap());
+        let declared = u32::from_be_bytes(array_at::<4>(&outer.head, 13).unwrap());
         assert_eq!(declared as usize, inner.head.len() + inner.body.len());
         assert_eq!(outer.decapsulate().expect("inner"), inner);
     }

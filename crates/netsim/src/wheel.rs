@@ -651,7 +651,7 @@ mod tests {
                 Endpoint::new(Addr::new(10, 0, 0, 1), 1),
                 Endpoint::new(Addr::new(10, 0, 0, 2), 80),
                 crate::packet::PROTO_PING,
-                bytes::Bytes::new(),
+                crate::Bytes::new(),
             );
             let slot = self
                 .wheel

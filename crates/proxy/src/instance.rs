@@ -2,13 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Bytes, BytesMut};
 use yoda_core::InstanceCtrl;
 use yoda_core::{RuleTable, SelectCtx};
 use yoda_http::parse_request;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
-    PROTO_IPIP, PROTO_PING,
+    Addr, Bytes, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken,
+    PROTO_CTRL, PROTO_IPIP, PROTO_PING,
 };
 use yoda_tcp::{ConnId, TcpEvent, TcpEvents, TcpStack};
 
@@ -28,7 +27,7 @@ const PER_CONN_CPU: SimTime = SimTime::from_micros(170);
 struct Session {
     server_conn: Option<ConnId>,
     /// Request bytes held until the head parses and a backend is chosen.
-    header: BytesMut,
+    header: Vec<u8>,
     /// The VIP the client connected to.
     vip: Endpoint,
     client_closed: bool,
@@ -39,7 +38,7 @@ impl Session {
     fn new(vip: Endpoint) -> Self {
         Session {
             server_conn: None,
-            header: BytesMut::new(),
+            header: Vec::new(),
             vip,
             client_closed: false,
             server_closed: false,
@@ -151,7 +150,7 @@ impl ProxyInstance {
             return;
         };
         // Forward the buffered request.
-        let header = session.header.split().freeze();
+        let header = Bytes::from(std::mem::take(&mut session.header));
         self.stack.send(ctx, server_conn, header);
     }
 

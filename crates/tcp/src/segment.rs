@@ -13,8 +13,7 @@
 // Per-packet vocabulary, inlined across crates (DESIGN.md "Cross-crate inlining").
 #![deny(clippy::missing_inline_in_public_items)]
 
-use bytes::{add_be32, put_be, Bytes};
-use yoda_netsim::{Endpoint, Head, Packet, PROTO_TCP};
+use yoda_netsim::{add_be32, put_be, Bytes, Endpoint, Head, Packet, PROTO_TCP};
 
 use crate::seq::SeqNum;
 
@@ -127,7 +126,7 @@ impl std::fmt::Display for Flags {
 /// ```
 /// use yoda_tcp::{Segment, Flags, SeqNum};
 /// use yoda_netsim::{Addr, Endpoint};
-/// use bytes::Bytes;
+/// use yoda_netsim::Bytes;
 ///
 /// let seg = Segment {
 ///     src_port: 40000,
@@ -221,12 +220,12 @@ impl Segment {
         let (flags, _) = Segment::peek(&pkt)?;
         let h = &pkt.head;
         Some(Segment {
-            src_port: u16::from_be_bytes(bytes::array_at::<2>(h, 0)?),
-            dst_port: u16::from_be_bytes(bytes::array_at::<2>(h, 2)?),
-            seq: SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(h, 4)?)),
-            ack: SeqNum::new(u32::from_be_bytes(bytes::array_at::<4>(h, 8)?)),
+            src_port: u16::from_be_bytes(yoda_netsim::array_at::<2>(h, 0)?),
+            dst_port: u16::from_be_bytes(yoda_netsim::array_at::<2>(h, 2)?),
+            seq: SeqNum::new(u32::from_be_bytes(yoda_netsim::array_at::<4>(h, 4)?)),
+            ack: SeqNum::new(u32::from_be_bytes(yoda_netsim::array_at::<4>(h, 8)?)),
             flags,
-            window: u32::from_be_bytes(bytes::array_at::<4>(h, 13)?),
+            window: u32::from_be_bytes(yoda_netsim::array_at::<4>(h, 13)?),
             payload: pkt.body,
         })
     }
@@ -239,7 +238,7 @@ impl Segment {
     #[inline]
     pub fn peek(pkt: &Packet) -> Option<(Flags, usize)> {
         let h = &pkt.head;
-        let len = u32::from_be_bytes(bytes::array_at::<4>(h, 17)?) as usize;
+        let len = u32::from_be_bytes(yoda_netsim::array_at::<4>(h, 17)?) as usize;
         let framed =
             pkt.protocol == PROTO_TCP && h.len() == SEGMENT_HEADER_LEN && pkt.body.len() == len;
         framed.then_some((Flags::from_byte(*h.get(12)?), len))

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
+use yoda_netsim::Bytes;
 
 /// Sent-but-unacked bytes followed by queued-unsent bytes.
 #[derive(Debug, Clone, Default)]

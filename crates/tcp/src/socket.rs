@@ -20,8 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
-use yoda_netsim::{Endpoint, SimTime};
+use yoda_netsim::{Bytes, Endpoint, SimTime};
 
 use crate::segment::{Flags, Segment};
 use crate::sendq::SendQueue;

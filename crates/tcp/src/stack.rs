@@ -5,8 +5,9 @@
 //! arrival. The stack handles demultiplexing by flow, listener sockets,
 //! timer (re)arming against the simulator clock, and ISN generation.
 
-use bytes::Bytes;
-use yoda_netsim::{Ctx, Endpoint, FlowTable, Packet, SimTime, Slab, SlabKey, TimerId, TimerToken};
+use yoda_netsim::{
+    Bytes, Ctx, Endpoint, FlowTable, Packet, SimTime, Slab, SlabKey, TimerId, TimerToken,
+};
 
 use crate::segment::{Flags, Segment};
 use crate::seq::SeqNum;

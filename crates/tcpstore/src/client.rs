@@ -45,9 +45,8 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, FlowTable, Histogram, Packet, SimTime, TimerId, TimerToken,
+    Addr, Bytes, Ctx, Endpoint, FlowTable, Histogram, Packet, SimTime, TimerId, TimerToken,
 };
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus, STORE_PORT};

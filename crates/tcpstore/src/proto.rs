@@ -6,8 +6,7 @@
 //! connections as datagram exchanges with the same one-round-trip cost
 //! (no per-op handshake, exactly like a pooled connection).
 
-use bytes::{put_be, Bytes};
-use yoda_netsim::{Endpoint, Packet, PROTO_RPC};
+use yoda_netsim::{put_be, Bytes, Endpoint, Packet, PROTO_RPC};
 
 /// The port every store server answers on (Memcached's).
 pub(crate) const STORE_PORT: u16 = 11211;
@@ -79,9 +78,9 @@ impl StoreRequest {
     /// Parses a request; `None` on malformed input.
     pub fn decode(b: &Bytes) -> Option<StoreRequest> {
         let op = StoreOp::from_byte(*b.first()?)?;
-        let req_id = u64::from_be_bytes(bytes::array_at::<8>(b, 1)?);
-        let key_len = u16::from_be_bytes(bytes::array_at::<2>(b, 9)?) as usize;
-        let val_len = u32::from_be_bytes(bytes::array_at::<4>(b, 11)?) as usize;
+        let req_id = u64::from_be_bytes(yoda_netsim::array_at::<8>(b, 1)?);
+        let key_len = u16::from_be_bytes(yoda_netsim::array_at::<2>(b, 9)?) as usize;
+        let val_len = u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 11)?) as usize;
         if b.len() != 15 + key_len + val_len {
             return None;
         }
@@ -135,13 +134,13 @@ impl StoreResponse {
             return None;
         }
         let op = StoreOp::from_byte(tag & 0x7F)?;
-        let req_id = u64::from_be_bytes(bytes::array_at::<8>(b, 1)?);
+        let req_id = u64::from_be_bytes(yoda_netsim::array_at::<8>(b, 1)?);
         let status = match *b.get(9)? {
             0 => StoreStatus::Ok,
             1 => StoreStatus::Miss,
             _ => return None,
         };
-        let val_len = u32::from_be_bytes(bytes::array_at::<4>(b, 10)?) as usize;
+        let val_len = u32::from_be_bytes(yoda_netsim::array_at::<4>(b, 10)?) as usize;
         if b.len() != 14 + val_len {
             return None;
         }

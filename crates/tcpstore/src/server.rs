@@ -5,9 +5,8 @@
 //! measured with the same windowed [`ServiceQueue`] model used everywhere,
 //! which is what the Figure 11 CPU-utilisation experiment reads.
 
-use bytes::Bytes;
 use yoda_netsim::{
-    Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_RPC,
+    Bytes, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_RPC,
 };
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus, STORE_PORT};

@@ -45,7 +45,6 @@ use std::cell::Cell;
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use yoda::core::{RuleTable, SelectCtx};
 use yoda::core::{Testbed, TestbedConfig, Tier};
 use yoda::core::{YodaConfig, YodaInstance};
@@ -53,7 +52,7 @@ use yoda::http::site::MAX_OBJECT_BYTES;
 use yoda::http::{HttpRequest, SiteCatalog, SiteConfig};
 use yoda::l4lb::{CtrlMsg, EdgeRouter, Mux};
 use yoda::netsim::{
-    Addr, Ctx, DropCause, Endpoint, Engine, Fate, Node, NodeId, Note, Packet, Rng, SimTime,
+    Addr, Bytes, Ctx, DropCause, Endpoint, Engine, Fate, Node, NodeId, Note, Packet, Rng, SimTime,
     TimerToken, Topology, TraceEvent, What, Zone, PROTO_IPIP, PROTO_TCP,
 };
 use yoda::tcp::{

@@ -11,12 +11,11 @@
 //! from TCPStore mid-body. Each response is compared byte for byte with
 //! `SiteCatalog::body(size)`.
 
-use bytes::Bytes;
 use yoda::core::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response_head, HttpRequest, SiteCatalog};
 use yoda::l4lb::rendezvous_pick;
-use yoda::netsim::{Addr, Ctx, Endpoint, Node, NodeId, Packet, SimTime, TimerToken, Zone};
+use yoda::netsim::{Addr, Bytes, Ctx, Endpoint, Node, NodeId, Packet, SimTime, TimerToken, Zone};
 use yoda::tcp::{ConnId, TcpEvent, TcpStack, TCP_TIMER_KIND};
 
 /// The getter's own timer: start the first fetch.

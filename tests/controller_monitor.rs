@@ -5,11 +5,10 @@
 //! latency, administrative removal, a backend on a port other than 80,
 //! the down set a recovered instance is re-told, and who hears a verdict.
 
-use bytes::Bytes;
 use yoda::core::InstanceCtrl;
 use yoda::core::{Controller, ControllerConfig};
 use yoda::netsim::{
-    Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
+    Addr, Bytes, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
     PROTO_PING,
 };
 

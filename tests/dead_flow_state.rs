@@ -16,13 +16,12 @@
 //! The mux tests run a raw-TCP bed: a testbed of three instances and one
 //! mux whose VIP is pointed at a raw `TcpStack` server, and a raw client.
 
-use bytes::Bytes;
 use yoda::core::YodaInstance;
 use yoda::core::{Testbed, TestbedConfig};
 use yoda::http::HttpRequest;
 use yoda::l4lb::{rendezvous_pick, Mux};
 use yoda::netsim::{
-    Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
+    Addr, Bytes, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
 };
 use yoda::tcp::{
     ConnId, Flags, Segment, SeqNum, SocketState, TcpEvent, TcpSocket, TcpStack, TCP_TIMER_KIND,

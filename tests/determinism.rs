@@ -300,7 +300,12 @@ mod golden {
 
     impl Node for Mixer {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let pkt = Packet::new(self.me(), self.peer(1), PROTO_PING, bytes::Bytes::new());
+            let pkt = Packet::new(
+                self.me(),
+                self.peer(1),
+                PROTO_PING,
+                yoda::netsim::Bytes::new(),
+            );
             ctx.send(pkt);
             // Two timers landing on the same microsecond tick, plus one
             // cancelled before it can fire.
@@ -324,7 +329,7 @@ mod golden {
                 self.me(),
                 self.peer(offset),
                 PROTO_PING,
-                bytes::Bytes::new(),
+                yoda::netsim::Bytes::new(),
             );
             ctx.send(pkt);
         }
@@ -332,7 +337,12 @@ mod golden {
             self.fires += 1;
             if token.kind == 1 && self.fires < 8 {
                 ctx.set_timer(SimTime::from_millis(2), TimerToken::new(1));
-                let pkt = Packet::new(self.me(), self.peer(2), PROTO_PING, bytes::Bytes::new());
+                let pkt = Packet::new(
+                    self.me(),
+                    self.peer(2),
+                    PROTO_PING,
+                    yoda::netsim::Bytes::new(),
+                );
                 ctx.send(pkt);
             }
         }
@@ -371,7 +381,12 @@ mod golden {
         });
         eng.schedule(SimTime::from_millis(21), move |eng| {
             eng.with_node_ctx::<Mixer>(victim, |node, ctx| {
-                let pkt = Packet::new(node.me(), node.peer(1), PROTO_PING, bytes::Bytes::new());
+                let pkt = Packet::new(
+                    node.me(),
+                    node.peer(1),
+                    PROTO_PING,
+                    yoda::netsim::Bytes::new(),
+                );
                 ctx.send(pkt);
             });
         });

@@ -19,11 +19,10 @@
 //! One instance, one store and two recording endpoints; the test crafts
 //! every client and backend segment and injects it as a mux would.
 
-use bytes::Bytes;
 use yoda::core::RuleTable;
 use yoda::core::{InstanceCtrl, YodaConfig, YodaInstance, CTRL_PORT};
-use yoda::netsim::Topology;
 use yoda::netsim::{Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Zone};
+use yoda::netsim::{Bytes, Topology};
 use yoda::tcp::{Flags, Segment, SeqNum};
 use yoda::tcpstore::{StoreServer, StoreServerConfig};
 

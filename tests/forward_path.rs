@@ -22,15 +22,14 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use yoda::core::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::l4lb::{EdgeRouter, Mux};
-use yoda::netsim::WheelItem;
 use yoda::netsim::{
     Addr, Ctx, Endpoint, Engine, Head, LinkSpec, Node, Packet, Rng, SimTime, TimerToken, Topology,
     Zone, HEAD_CAP, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_TCP,
 };
+use yoda::netsim::{Bytes, WheelItem};
 use yoda::tcp::{Flags, Segment, SeqNum, Translation, SEGMENT_HEADER_LEN};
 
 // ----------------------------------------------------------------------

@@ -14,16 +14,15 @@
 
 use std::fmt::Debug;
 
-use bytes::Bytes;
 use yoda::core::InstanceCtrl;
 use yoda::core::{FlowRecord, SynRecord};
 use yoda::core::{Rule, RuleTable};
 use yoda::l4lb::CtrlMsg;
-use yoda::netsim::Rng;
 use yoda::netsim::{
     Addr, Endpoint, Head, Packet, Protocol, HEAD_CAP, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_PING,
     PROTO_RPC, PROTO_TCP,
 };
+use yoda::netsim::{Bytes, Rng};
 use yoda::tcp::{Segment, Translation, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::{StoreRequest, StoreResponse};
 use yoda_balance::{ProbeReply, ProbeRequest};

@@ -116,7 +116,7 @@ fn lint_configuration_holds() {
 const INLINE_LINT: &str = "clippy::missing_inline_in_public_items";
 /// Modules under a module-wide deny of [`INLINE_LINT`].
 const INLINED_MODULES: [&str; 7] = [
-    "crates/bytes/src/lib.rs",
+    "crates/netsim/src/bytes.rs",
     "crates/netsim/src/packet.rs",
     "crates/netsim/src/addr.rs",
     "crates/netsim/src/time.rs",

@@ -4,13 +4,12 @@
 //! in-tree deterministic PRNG so the workspace builds with no registry
 //! dependencies and every failure replays from the fixed seed below.
 
-use bytes::Bytes;
 use yoda::assign::{solve_greedy, AssignInput, Assignment, VipSpec};
 use yoda::core::glob_match;
 use yoda::core::syn_ack_isn;
 use yoda::core::{FlowRecord, SynRecord};
-use yoda::netsim::Rng;
 use yoda::netsim::{Addr, Endpoint, Histogram, Packet, HEAD_CAP, PROTO_TCP};
+use yoda::netsim::{Bytes, Rng};
 use yoda::tcp::{Flags, Segment, SeqNum, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::HashRing;
 

@@ -130,7 +130,7 @@ fn race_the_other_leg(tb: &mut Testbed, survivor: NodeId) {
         ack: SeqNum::new(1),
         flags: Flags::ACK,
         window: 1 << 16,
-        payload: bytes::Bytes::new(),
+        payload: yoda::netsim::Bytes::new(),
     };
     let pkt = seg
         .into_packet(other.0, other.1)

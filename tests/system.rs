@@ -2,12 +2,11 @@
 //! policy updates mid-flow, and HTTP/1.1 backend switching on a single
 //! keep-alive connection (§5.2).
 
-use bytes::{Bytes, BytesMut};
 use yoda::core::{Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response, HttpRequest, OriginServer};
 use yoda::l4lb::{rendezvous_pick, Mux};
-use yoda::netsim::{Addr, Ctx, Endpoint, Node, NodeId, Packet, SimTime, TimerToken, Zone};
+use yoda::netsim::{Addr, Bytes, Ctx, Endpoint, Node, NodeId, Packet, SimTime, TimerToken, Zone};
 use yoda::tcp::{ConnId, Flags, Segment, SeqNum, TcpEvent, TcpStack};
 
 /// Client that sends two HTTP/1.1 requests for different content types on
@@ -18,7 +17,7 @@ struct KeepAliveClient {
     target: Endpoint,
     paths: Vec<String>,
     conn: Option<ConnId>,
-    buf: BytesMut,
+    buf: Vec<u8>,
     responses: Vec<usize>,
     next_req: usize,
     /// Length of each request sent, and response bytes received: with the
@@ -63,7 +62,7 @@ impl Node for KeepAliveClient {
                         self.buf.extend_from_slice(&slice);
                     }
                     while let Some((resp, used)) = parse_response(&self.buf) {
-                        let _ = self.buf.split_to(used);
+                        self.buf.drain(..used);
                         self.responses.push(resp.body.len());
                         self.send_next(ctx);
                     }
@@ -135,7 +134,7 @@ impl SwitchBed {
                 target: vip,
                 paths: vec![jpg.path.clone(), css.path.clone()],
                 conn: None,
-                buf: BytesMut::new(),
+                buf: Vec::new(),
                 responses: Vec::new(),
                 next_req: 0,
                 sent: Vec::new(),

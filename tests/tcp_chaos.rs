@@ -9,9 +9,8 @@
 //! Runs on the in-tree deterministic PRNG with fixed seeds — every run
 //! exercises the same case set, so failures always reproduce.
 
-use bytes::Bytes;
-use yoda::netsim::Rng;
 use yoda::netsim::{Addr, Endpoint, SimTime};
+use yoda::netsim::{Bytes, Rng};
 use yoda::tcp::{Segment, SeqNum, SocketState, TcpSocket};
 
 /// `data` cut into chunks of 1 B to 3 KB, queued back to back, so segments

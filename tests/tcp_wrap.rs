@@ -19,7 +19,7 @@ fn socket_transfer_across_seq_wrap() {
     let mut to_server = Vec::new();
     client.on_segment(&synack, t, &mut to_server);
     let data: Vec<u8> = (0..100_000).map(|i| (i % 249) as u8).collect();
-    client.send(bytes::Bytes::from(data.clone()), t, &mut to_server);
+    client.send(yoda::netsim::Bytes::from(data.clone()), t, &mut to_server);
     loop {
         let mut to_client = Vec::new();
         for s in &to_server {
@@ -59,7 +59,7 @@ fn out_of_order_segments_reassemble_across_seq_wrap() {
     }
     let data: Vec<u8> = (0..3 * yoda::tcp::MSS).map(|i| (i % 251) as u8).collect();
     let mut segs = Vec::new();
-    client.send(bytes::Bytes::from(data.clone()), t, &mut segs);
+    client.send(yoda::netsim::Bytes::from(data.clone()), t, &mut segs);
     assert_eq!(segs.len(), 3);
     for s in segs.iter().rev() {
         server.on_segment(s, t, &mut replies);

@@ -16,8 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::Bytes;
-use yoda::netsim::{Addr, Endpoint, Packet, Rng, TimerToken, PROTO_PING};
+use yoda::netsim::{Addr, Bytes, Endpoint, Packet, Rng, TimerToken, PROTO_PING};
 use yoda::netsim::{Fired, TimerWheel, WheelItem, L0_SLOTS, LEVEL_SHIFT};
 
 const L0: u64 = L0_SLOTS as u64;
