@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The full local gate: build, test, lint. Exits non-zero on the first
-# failure. Run before pushing.
+# The full gate: build, test, lint, the long runs and the figures. Exits
+# non-zero on the first failure. Run before pushing; CI's check job runs
+# this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +27,9 @@ echo "==> bench_e2e unit tests"
 cargo test --release --offline --quiet --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
 
 echo "==> cargo test"
-cargo test -q --workspace
+# Tier-1: the root manifest's default-members make this every workspace
+# package's unit tests, doctests and integration tests.
+cargo test -q
 
 echo "==> cargo doc"
 # The workspace lints deny warnings, rustdoc's broken and redundant
@@ -42,11 +45,17 @@ echo "==> cargo clippy"
 # panic gate too; a stale #[expect] fails it as well.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> chaos soak"
+# Tier-1 runs 20 survivable, 5 unconstrained and 20 gray plans; the soak
+# runs 40, 10 and 40 (tests/chaos_matrix.rs). A failing seed prints its
+# plan, which regenerates from the seed alone.
+cargo test --release -q --test chaos_matrix -- --ignored
+
 echo "==> chaos repro hook (pinned seeds)"
-# The full seeded matrix (20 survivable + 5 unconstrained plans) already
-# ran under `cargo test`; this replays one pinned seed of each regime
-# through the CHAOS_SEED one-command repro hook (CHAOS_UNCONSTRAINED
-# selects the unconstrained regime) so neither branch of the hook can rot.
+# The seeded matrices already ran; this replays one pinned seed of each
+# regime through the CHAOS_SEED one-command repro hook
+# (CHAOS_UNCONSTRAINED selects the unconstrained regime) so neither
+# branch of the hook can rot.
 chaos_out="$(CHAOS_SEED=7 cargo test --release -q --test chaos_matrix one_seed -- --nocapture)"
 grep -m1 "ChaosPlan { seed: 7, survivable: true" <<< "$chaos_out" \
     || { echo "chaos repro hook produced no survivable plan output" >&2; exit 1; }

@@ -9,21 +9,9 @@
 //!
 //! A failing seed prints its full plan; rerun just that seed with e.g.
 //! `CHAOS_SEED=13 cargo test --release --test chaos_matrix one_seed`.
-//! Seed counts scale up via `CHAOS_SURVIVABLE_SEEDS` /
-//! `CHAOS_UNCONSTRAINED_SEEDS` for longer local or CI soak runs.
+//! The ignored `soak` runs each matrix longer (`scripts/check.sh` does).
 
 use yoda::chaos::{run_seed, ChaosPlan, ChaosReport, ChaosScenario, FaultKind};
-
-#[allow(
-    clippy::disallowed_methods,
-    reason = "CHAOS_*_SEEDS soak knobs scale seed counts in CI/local runs; each seed's plan is still a pure function of the seed"
-)]
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 fn assert_seed_ok(seed: u64, sc: &ChaosScenario) -> ChaosReport {
     let report = run_seed(seed, sc);
@@ -36,24 +24,32 @@ fn assert_seed_ok(seed: u64, sc: &ChaosScenario) -> ChaosReport {
     report
 }
 
-#[test]
-fn survivable_seeds_keep_every_flow_alive() {
-    let n = env_u64("CHAOS_SURVIVABLE_SEEDS", 20);
+/// The first `n` survivable plans, from seed 0.
+fn survivable(n: u64) {
     let sc = ChaosScenario::survivable();
     for seed in 0..n {
         assert_seed_ok(seed, &sc);
     }
 }
 
-#[test]
-fn unconstrained_seeds_degrade_gracefully() {
-    let n = env_u64("CHAOS_UNCONSTRAINED_SEEDS", 5);
+/// The first `n` unconstrained plans, from seed 1000: a range disjoint
+/// from the survivable matrix, so the two never mistake one another's
+/// plans.
+fn unconstrained(n: u64) {
     let sc = ChaosScenario::unconstrained();
-    // Disjoint seed range from the survivable matrix, so the two tests
-    // never mistake one another's plans.
     for seed in 1000..1000 + n {
         assert_seed_ok(seed, &sc);
     }
+}
+
+#[test]
+fn survivable_seeds_keep_every_flow_alive() {
+    survivable(20);
+}
+
+#[test]
+fn unconstrained_seeds_degrade_gracefully() {
+    unconstrained(5);
 }
 
 /// One-command repro hook: replays exactly one seed (survivable by
@@ -115,16 +111,14 @@ fn survivable_seeds_hold_with_splicing() {
     );
 }
 
-/// Gray-fault matrix: the first `CHAOS_GRAY_SEEDS` (default 20)
-/// survivable plans that actually contain a gray fault (slowdown, link
-/// degrade, or asymmetric partition) must hold the zero-breakage
-/// invariants — slow-but-alive components are routed around, never
-/// surfaced to clients. The generator's survivable regime caps the
-/// slowdown intensity (factor and factor×duration), so these plans are
-/// harsh but inside §6's availability preconditions.
-#[test]
-fn gray_fault_seeds_keep_every_flow_alive() {
-    let n = env_u64("CHAOS_GRAY_SEEDS", 20);
+/// Gray-fault matrix: the first `n` survivable plans that actually
+/// contain a gray fault (slowdown, link degrade, or asymmetric
+/// partition) must hold the zero-breakage invariants — slow-but-alive
+/// components are routed around, never surfaced to clients. The
+/// generator's survivable regime caps the slowdown intensity (factor and
+/// factor×duration), so these plans are harsh but inside §6's
+/// availability preconditions.
+fn gray(n: u64) {
     let sc = ChaosScenario::survivable();
     let is_gray = |k: FaultKind| {
         matches!(
@@ -150,6 +144,21 @@ fn gray_fault_seeds_keep_every_flow_alive() {
         ran += 1;
     }
     assert_eq!(ran, n, "seed range 2000..4000 yielded too few gray plans");
+}
+
+#[test]
+fn gray_fault_seeds_keep_every_flow_alive() {
+    gray(20);
+}
+
+/// The soak: each matrix at twice its tier-1 length (the unconstrained
+/// one at ten plans). `scripts/check.sh` runs it.
+#[test]
+#[ignore = "soak, ~7 s in release: scripts/check.sh runs it with --ignored"]
+fn soak() {
+    survivable(40);
+    unconstrained(10);
+    gray(40);
 }
 
 /// The same seed must replay byte-identically: identical engine digest,
