@@ -14,27 +14,33 @@ use yoda_bench::{f2, print_header, print_kv, Table};
 use yoda_netsim::{
     Addr, Bytes, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
 };
-use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreServer, StoreServerConfig};
+use yoda_tcpstore::{
+    StoreClient, StoreEvent, StoreOp, StoreOutcome, StoreServer, StoreServerConfig, OP_TIMEOUT,
+};
 
 const TICK: u32 = 0xA1;
 
-/// Load driver: issues set → get → delete rotations at a fixed rate.
+/// Load driver: issues set → get → delete rotations, one op a tick.
+/// Rotation r sets key r, gets key r - lag and deletes key r - 2 lag, so
+/// a get reads a key whose set went out at least one `OP_TIMEOUT`
+/// earlier and whose delete goes out one `OP_TIMEOUT` later, as an
+/// instance's recovery read does: it times the hit path. (A delete right
+/// behind its get can overtake it on a jittered link.)
 struct Driver {
     client: StoreClient,
-    rate_per_sec: f64,
+    tick: SimTime,
     duration: SimTime,
     started: SimTime,
     seq: u64,
+    /// Rotations in one `OP_TIMEOUT`, rounded up.
+    lag: u64,
     events: Vec<StoreEvent>,
 }
 
 impl Node for Driver {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.started = ctx.now();
-        ctx.set_timer(
-            SimTime::from_secs_f64(1.0 / self.rate_per_sec),
-            TimerToken::new(TICK),
-        );
+        ctx.set_timer(self.tick, TimerToken::new(TICK));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
@@ -49,7 +55,11 @@ impl Node for Driver {
                 self.events.extend(evs);
             }
             TICK if ctx.now().saturating_sub(self.started) < self.duration => {
-                let key = Bytes::from(format!("flow:{}", self.seq % 5_000));
+                // Op k of a rotation touches key rotation - k lag; the
+                // first `lag` rotations get keys never set.
+                let rotation = self.seq / 3;
+                let r = rotation.wrapping_sub(self.seq % 3 * self.lag);
+                let key = Bytes::from(format!("flow:{r}"));
                 match self.seq % 3 {
                     0 => self
                         .client
@@ -58,10 +68,7 @@ impl Node for Driver {
                     _ => self.client.delete(ctx, key, self.seq),
                 }
                 self.seq += 1;
-                ctx.set_timer(
-                    SimTime::from_secs_f64(1.0 / self.rate_per_sec),
-                    TimerToken::new(TICK),
-                );
+                ctx.set_timer(self.tick, TimerToken::new(TICK));
             }
             _ => {}
         }
@@ -75,6 +82,8 @@ const SECS: u64 = 3;
 
 struct RunOut {
     get_ms: f64,
+    /// Share of gets that found their value.
+    get_hits: f64,
     set_ms: f64,
     delete_ms: f64,
     cpu: f64,
@@ -104,6 +113,8 @@ fn run(ops_per_server: f64, replicas: usize) -> RunOut {
     // instances as clients.
     let drivers = 4;
     let duration = SimTime::from_secs(SECS);
+    let tick = SimTime::from_secs_f64(drivers as f64 / total_rate);
+    let lag = OP_TIMEOUT.as_micros().div_ceil(3 * tick.as_micros());
     let mut driver_ids = Vec::new();
     for d in 0..drivers {
         let addr = Addr::new(10, 0, 6, d + 1);
@@ -114,10 +125,11 @@ fn run(ops_per_server: f64, replicas: usize) -> RunOut {
             Zone::Dc,
             Box::new(Driver {
                 client: StoreClient::new(replicas, me, &servers),
-                rate_per_sec: total_rate / drivers as f64,
+                tick,
                 duration,
                 started: SimTime::ZERO,
                 seq: d as u64 * 1_000_000,
+                lag,
                 events: Vec::new(),
             }),
         ));
@@ -130,8 +142,13 @@ fn run(ops_per_server: f64, replicas: usize) -> RunOut {
         .sum::<f64>()
         / SERVERS as f64;
     let mut lat: HashMap<StoreOp, Vec<f64>> = HashMap::new();
+    let (mut gets, mut hits) = (0, 0);
     for &d in &driver_ids {
         let drv = eng.node_mut::<Driver>(d);
+        for ev in drv.events.iter().filter(|ev| ev.op == StoreOp::Get) {
+            gets += 1;
+            hits += matches!(ev.outcome, StoreOutcome::Value(_)) as u64;
+        }
         for (op, hist) in [
             (StoreOp::Get, &drv.client.get_latency),
             (StoreOp::Set, &drv.client.set_latency),
@@ -151,6 +168,7 @@ fn run(ops_per_server: f64, replicas: usize) -> RunOut {
     };
     RunOut {
         get_ms: med(StoreOp::Get),
+        get_hits: hits as f64 / gets.max(1) as f64,
         set_ms: med(StoreOp::Set),
         delete_ms: med(StoreOp::Delete),
         cpu,
@@ -168,6 +186,7 @@ fn main() {
         "client ops/s/server",
         "K",
         "get (ms)",
+        "get hits",
         "set (ms)",
         "delete (ms)",
         "CPU",
@@ -186,6 +205,7 @@ fn main() {
                 format!("{rate:.0}"),
                 k.to_string(),
                 f2(out.get_ms),
+                format!("{:.1}%", out.get_hits * 100.0),
                 f2(out.set_ms),
                 f2(out.delete_ms),
                 format!("{:.0}%", out.cpu * 100.0),
