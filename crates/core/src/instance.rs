@@ -38,10 +38,9 @@ mod tunnel;
 use std::collections::BTreeMap;
 
 use yoda_balance::Prober;
-use yoda_netsim::{hash_pair, Bytes};
 use yoda_netsim::{
-    Addr, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
-    PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
+    hash_pair, Addr, Bytes, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime,
+    TimerToken, PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
 };
 /// MSS used when chunking the forwarded request and the certificate: the
 /// endpoints' own.

@@ -55,9 +55,9 @@ mod topology;
 mod trace;
 mod wheel;
 
+pub use crate::bytes::{add_be32, array_at, put_be, Bytes};
 pub use addr::{Addr, AddrParseError, Endpoint};
 pub use addrmap::AddrMap;
-pub use bytes::{add_be32, array_at, put_be, Bytes};
 pub use engine::{Ctx, Engine, NodeId};
 pub use flowtable::FlowTable;
 pub use hash::{hash_bytes, hash_pair, hash_u32};

@@ -125,8 +125,7 @@ impl std::fmt::Display for Flags {
 ///
 /// ```
 /// use yoda_tcp::{Segment, Flags, SeqNum};
-/// use yoda_netsim::{Addr, Endpoint};
-/// use yoda_netsim::Bytes;
+/// use yoda_netsim::{Addr, Bytes, Endpoint};
 ///
 /// let seg = Segment {
 ///     src_port: 40000,

@@ -135,8 +135,7 @@ awk -v d="$delta_pct" 'BEGIN {
 
 echo "==> figure byte-identity (all nine deterministic figures)"
 # Engine changes must be pure perf wins unless they say otherwise: every
-# simulation-driven figure must reproduce its committed bytes exactly
-# (CI runs the same script).
+# simulation-driven figure must reproduce its committed bytes exactly.
 scripts/figures.sh
 
 echo "==> all checks passed"
