@@ -14,13 +14,12 @@
 
 use yoda_bench::LbKind;
 use yoda_bench::{f2, print_header, print_kv, Table};
-use yoda_core::YodaInstance;
+use yoda_core::{ProxyInstance, YodaInstance};
 use yoda_core::{Testbed, TestbedConfig};
 use yoda_http::{
     OriginServer, RateClient, RateClientConfig, ServerConfig, SiteCatalog, SiteConfig,
 };
 use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
-use yoda_proxy::ProxyInstance;
 
 /// Open-loop request rate of the latency runs (requests/s).
 const RATE: f64 = 400.0;

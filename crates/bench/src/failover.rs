@@ -27,7 +27,7 @@ impl LbKind {
     pub fn testbed(self, cfg: TestbedConfig) -> Testbed {
         match self {
             LbKind::Yoda => Testbed::build(cfg),
-            LbKind::Proxy => yoda_proxy::testbed(cfg),
+            LbKind::Proxy => Testbed::build_proxy(cfg),
         }
     }
 }

@@ -37,7 +37,6 @@ mod tunnel;
 
 use std::collections::BTreeMap;
 
-use yoda_balance::Prober;
 use yoda_netsim::{
     hash_pair, Addr, Bytes, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime,
     TimerToken, PROTO_CTRL, PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
@@ -51,6 +50,7 @@ use yoda_tcpstore::{StoreClient, StoreEvent, StoreOutcome};
 use yoda_l4lb::{CtrlMsg as MuxCtrl, Steering};
 
 use crate::ctrl::{InstanceCtrl, CTRL_PORT};
+use crate::prober::Prober;
 use crate::rules::{RuleTable, SelectCtx};
 
 use durability::Waiter;

@@ -1,15 +1,17 @@
-//! The shell's probe driver for `action=prequal` rules (`yoda-balance`):
+//! The shell's probe driver for `action=prequal` rules (Prequal):
 //! ticks, replies and timeouts. Probing only runs while at least one
 //! installed rule is prequal.
 
 use std::collections::BTreeSet;
 
-use yoda_balance::{ProbeReply, ProbeRequest, Signal, PROBE_PORT, PROBE_TIMEOUT};
+use yoda_http::{ProbeReply, ProbeRequest, PROBE_PORT};
 use yoda_netsim::{Ctx, Endpoint, Note, Packet, TimerToken, PROTO_PROBE};
 
 use super::YodaInstance;
+use crate::pool::Signal;
+use crate::prober::PROBE_TIMEOUT;
 
-/// Probe tick timer (`yoda-balance` driver).
+/// Probe tick timer.
 pub(super) const PROBE_TICK_KIND: u32 = 0x9E0;
 /// Per-probe timeout timer; `token.a` carries the probe tag.
 pub(super) const PROBE_TIMEOUT_KIND: u32 = 0x9E1;

@@ -1,6 +1,7 @@
 //! **Yoda**: a highly available layer-7 load balancer (EuroSys 2016).
 //!
-//! This crate is the paper's primary contribution — the rest of the
+//! This crate is the paper's primary contribution, with the baseline it is
+//! measured against and the testbed that runs both — the rest of the
 //! workspace provides the substrates (network simulation, TCP, HTTP,
 //! TCPStore, the Ananta-style L4 LB, the assignment solvers, the traffic
 //! trace). Yoda's availability rests on three design choices (§11):
@@ -21,11 +22,39 @@
 //! * `isn` ([`syn_ack_isn`]) — deterministic SYN-ACK sequence numbers,
 //! * `flowstate` ([`FlowRecord`], [`SynRecord`]) — storage-a / storage-b records and keys,
 //! * `rules` ([`RuleTable`]) — the L7 rules engine (match/action/priority),
+//! * `pool` and `prober` ([`Prober`]) — Prequal-style adaptive selection
+//!   (below): the per-rule probe pool `action=prequal` selects from, and
+//!   the probe bookkeeping the instance drives,
 //! * `instance` ([`YodaInstance`]) — the Yoda instance packet driver,
 //! * `ctrl` ([`InstanceCtrl`]) — controller↔instance messages,
 //! * `controller` ([`Controller`], [`Fleet`]) — monitor, assignment updater, policy interface,
 //!   autoscaler,
-//! * `testbed` ([`Testbed`]) — full-system assembly for experiments.
+//! * `testbed` ([`Testbed`], [`Tier`]) — full-system assembly for experiments,
+//! * `proxy` ([`ProxyInstance`]) — the HAProxy-style baseline the testbed
+//!   measures Yoda against (`Testbed::build_proxy`).
+//!
+//! **Beyond the paper: Prequal.** Yoda §5.1 ships only *static* policies
+//! — weighted round-robin, least-open-connections, and sticky sessions —
+//! which cannot react to a heterogeneous or transiently slow backend.
+//! `pool` and `prober` add the missing adaptive layer, modelled on
+//! Prequal (*Load is not what you should balance*, NSDI 2024):
+//!
+//! * `ProbePool` — a per-rule pool of recent probe results (RIF =
+//!   requests-in-flight, plus a latency estimate), with entries evicted
+//!   by staleness and by reuse count (Prequal §4), and hot-cold
+//!   lexicographic selection over it: avoid backends whose RIF sits above
+//!   the pool's quantile threshold, then pick the lowest latency estimate
+//!   among the cold ones. [`RuleTable`] runs it for `action=prequal`
+//!   rules, next to the three static policies.
+//! * [`Prober`] — power-of-`d` sampling of probe targets,
+//!   outstanding-probe bookkeeping, and quarantine of backends whose
+//!   probes time out (failed nodes in `yoda-netsim` drop packets, so a
+//!   dead backend is quarantined within one probe timeout). The wire
+//!   format is `yoda-http`'s, whose origin server answers it.
+//!
+//! Both are driven by the discrete-event clock and the instance's seeded
+//! RNG, and keep all state in ordered containers, so runs that use them
+//! stay bit-for-bit deterministic.
 
 #![forbid(unsafe_code)]
 
@@ -34,6 +63,9 @@ mod ctrl;
 mod flowstate;
 mod instance;
 mod isn;
+mod pool;
+mod prober;
+mod proxy;
 mod rules;
 mod testbed;
 
@@ -45,5 +77,7 @@ pub use instance::{
     WRITE_BEHIND_CAP,
 };
 pub use isn::syn_ack_isn;
+pub use prober::Prober;
+pub use proxy::ProxyInstance;
 pub use rules::{glob_match, Rule, RuleTable, SelectCtx};
 pub use testbed::{Testbed, TestbedConfig, Tier};

@@ -1,4 +1,5 @@
-//! The per-rule probe pool (Prequal §4).
+//! The per-rule probe pool (Prequal §4), run by [`RuleTable`](crate::RuleTable)'s
+//! `action=prequal` arm.
 //!
 //! A small bounded pool of the freshest probe results. Three eviction
 //! paths keep it honest:
@@ -29,48 +30,44 @@ const HOT_QUANTILE: f64 = 0.84;
 
 /// What a probe learned about one backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Signal {
+pub(crate) struct Signal {
     /// Requests in flight at the backend.
-    pub rif: u32,
+    pub(crate) rif: u32,
     /// Latency estimate for a request sent now (the origin server's
     /// service-latency EWMA, piggybacked on probe replies).
-    pub latency_est: SimTime,
+    pub(crate) latency_est: SimTime,
     /// When this signal was sampled.
-    pub last_probe: SimTime,
+    pub(crate) last_probe: SimTime,
 }
 
 /// One pooled probe result.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PoolEntry {
+struct PoolEntry {
     /// The probed backend.
-    pub(crate) backend: Endpoint,
+    backend: Endpoint,
     /// Its probed signal.
-    pub(crate) sig: Signal,
+    sig: Signal,
     /// Selections this entry has justified so far.
-    pub(crate) uses: u32,
+    uses: u32,
 }
 
 /// A bounded pool of recent probe results for one rule.
 #[derive(Debug, Clone, Default)]
-pub struct ProbePool {
+pub(crate) struct ProbePool {
     entries: Vec<PoolEntry>,
 }
 
 impl ProbePool {
     /// Number of pooled entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when the pool holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Admits a fresh probe result, replacing any previous entry for the
     /// same backend. When the pool is full, the hottest entry (highest
     /// RIF, oldest on ties) is evicted to make room.
-    pub fn admit(&mut self, backend: Endpoint, sig: Signal) {
+    pub(crate) fn admit(&mut self, backend: Endpoint, sig: Signal) {
         self.entries.retain(|e| e.backend != backend);
         if self.entries.len() >= CAPACITY {
             if let Some(worst) = self
@@ -91,13 +88,13 @@ impl ProbePool {
     }
 
     /// Drops entries older than the staleness bound.
-    pub fn evict_stale(&mut self, now: SimTime) {
+    pub(crate) fn evict_stale(&mut self, now: SimTime) {
         self.entries
             .retain(|e| now.saturating_sub(e.sig.last_probe) <= MAX_AGE);
     }
 
     /// Removes every entry for `backend` (death or quarantine).
-    pub fn purge(&mut self, backend: Endpoint) {
+    pub(crate) fn purge(&mut self, backend: Endpoint) {
         self.entries.retain(|e| e.backend != backend);
     }
 
@@ -107,7 +104,7 @@ impl ProbePool {
     /// latency estimate (ties: lowest RIF, then backend order). The
     /// chosen entry's reuse counter is charged; at `MAX_USES` it is
     /// evicted. Returns `None` when no live entry is pooled.
-    pub fn pick_hot_cold(&mut self, live: &[Endpoint]) -> Option<Endpoint> {
+    pub(crate) fn pick_hot_cold(&mut self, live: &[Endpoint]) -> Option<Endpoint> {
         let candidates: Vec<usize> = self
             .entries
             .iter()
@@ -205,7 +202,7 @@ mod tests {
             assert_eq!(p.len(), 1, "use {used} keeps the entry");
         }
         assert_eq!(p.pick_hot_cold(&live), Some(ep(1)));
-        assert!(p.is_empty(), "the last use exhausts it");
+        assert_eq!(p.len(), 0, "the last use exhausts it");
         assert_eq!(p.pick_hot_cold(&live), None);
     }
 

@@ -1,6 +1,6 @@
-//! The asynchronous probe driver.
+//! The asynchronous probe driver (Prequal).
 //!
-//! [`Prober`] is pure bookkeeping — the owning node (a Yoda instance)
+//! [`Prober`] is pure bookkeeping — the instance's `probing` module
 //! sends the packets and arms the timers; the prober decides *whom* to
 //! probe (power-of-`d` sampling), matches replies to outstanding probes,
 //! and quarantines backends whose probes time out. Quarantine is the
@@ -18,7 +18,7 @@ use yoda_netsim::{Endpoint, SimTime};
 /// Backends sampled per rule per probe tick (the `d` of power-of-`d`).
 const D: usize = 3;
 /// A probe unanswered for this long quarantines its backend.
-pub const PROBE_TIMEOUT: SimTime = SimTime::from_millis(50);
+pub(crate) const PROBE_TIMEOUT: SimTime = SimTime::from_millis(50);
 /// How long a quarantined backend is excluded from sampling and selection
 /// before probing retries it.
 const QUARANTINE: SimTime = SimTime::from_secs(1);
@@ -54,7 +54,7 @@ impl Default for Prober {
 
 impl Prober {
     /// True while `backend` is quarantined at `now`.
-    pub fn is_quarantined(&self, backend: Endpoint, now: SimTime) -> bool {
+    pub(crate) fn is_quarantined(&self, backend: Endpoint, now: SimTime) -> bool {
         self.quarantined
             .get(&backend)
             .map(|&until| now < until)
@@ -71,14 +71,14 @@ impl Prober {
     }
 
     /// Drops lapsed quarantine entries so probing retries those backends.
-    pub fn release_expired(&mut self, now: SimTime) {
+    pub(crate) fn release_expired(&mut self, now: SimTime) {
         self.quarantined.retain(|_, &mut until| now < until);
     }
 
     /// Samples up to `D` distinct probe targets from `candidates`
     /// (power-of-`d` choices), via a partial Fisher–Yates shuffle on the
     /// engine's seeded RNG.
-    pub fn sample(&self, candidates: &[Endpoint], rng: &mut Rng) -> Vec<Endpoint> {
+    pub(crate) fn sample(&self, candidates: &[Endpoint], rng: &mut Rng) -> Vec<Endpoint> {
         let mut pool: Vec<Endpoint> = candidates.to_vec();
         let d = D.min(pool.len());
         for i in 0..d {
@@ -90,7 +90,7 @@ impl Prober {
     }
 
     /// Registers an outgoing probe to `backend`; returns its tag.
-    pub fn begin(&mut self, backend: Endpoint) -> u64 {
+    pub(crate) fn begin(&mut self, backend: Endpoint) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.outstanding.insert(tag, backend);
@@ -101,7 +101,7 @@ impl Prober {
     /// Matches a reply to its outstanding probe. Returns the probed
     /// backend (and clears any quarantine on it — an answering backend
     /// is alive). `None` for unknown or already-expired tags.
-    pub fn on_reply(&mut self, tag: u64, _now: SimTime) -> Option<Endpoint> {
+    pub(crate) fn on_reply(&mut self, tag: u64, _now: SimTime) -> Option<Endpoint> {
         let backend = self.outstanding.remove(&tag)?;
         self.quarantined.remove(&backend);
         Some(backend)
@@ -110,7 +110,7 @@ impl Prober {
     /// Handles a probe-timeout timer. If the probe is still outstanding,
     /// its backend is quarantined and returned; `None` when the reply
     /// already arrived.
-    pub fn on_timeout(&mut self, tag: u64, now: SimTime) -> Option<Endpoint> {
+    pub(crate) fn on_timeout(&mut self, tag: u64, now: SimTime) -> Option<Endpoint> {
         let backend = self.outstanding.remove(&tag)?;
         self.probes_timed_out += 1;
         self.quarantines += 1;

@@ -1,15 +1,32 @@
-//! The proxy instance node.
+//! The HAProxy-style baseline L7 proxy (paper §2.2–2.3): the instance
+//! the testbed puts in the L7 slot to measure Yoda against
+//! ([`Testbed::build_proxy`](crate::Testbed::build_proxy)).
+//!
+//! A classic proxy that **terminates TCP on both sides** and keeps all
+//! flow state locally. "First, each proxy LB instance establishes a TCP
+//! connection with the client and receives the HTTP content. Next, it
+//! inspects the HTTP content and selects a server based on the user
+//! policies. Once the server is selected, it establishes a TCP connection
+//! with the server and simply copies the data between these two
+//! connections."
+//!
+//! Its defining weakness (Problem 1, §2.3): **each instance is a single
+//! point of failure** — when it dies, both TCP connections' state dies
+//! with it. Packets re-steered to a surviving proxy hit a stack with no
+//! matching flow and are silently dropped, so the client stalls until its
+//! HTTP timeout (Table 1, Figure 12).
 
 use std::collections::BTreeMap;
 
-use yoda_core::InstanceCtrl;
-use yoda_core::{RuleTable, SelectCtx};
 use yoda_http::parse_request;
 use yoda_netsim::{
     Addr, Bytes, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken,
     PROTO_CTRL, PROTO_IPIP, PROTO_PING,
 };
 use yoda_tcp::{ConnId, TcpEvent, TcpEvents, TcpStack};
+
+use crate::ctrl::InstanceCtrl;
+use crate::rules::{RuleTable, SelectCtx};
 
 // CPU calibration follows the paper's §7.1 HAProxy numbers: at the load
 // where Yoda saturates (12K req/s) HAProxy sits at ~46% CPU, i.e. roughly
@@ -316,7 +333,7 @@ mod tests {
         // §7.1: HAProxy uses ~2.2x less CPU than (Python) Yoda per
         // request. Yoda touches every packet (~20/request); the proxy's
         // kernel splicing is charged per data chunk (~5/request).
-        let y = yoda_core::YodaConfig::default();
+        let y = crate::YodaConfig::default();
         let yoda_req = y.per_pkt_cpu.as_micros() as f64 * 20.0 + y.per_conn_cpu.as_micros() as f64;
         let proxy_req = PER_PKT_CPU.as_micros() as f64 * 5.0 + PER_CONN_CPU.as_micros() as f64;
         let ratio = yoda_req / proxy_req;

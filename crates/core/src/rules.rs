@@ -12,7 +12,7 @@
 //! Supported policies (Table 3): **weighted-split**, **primary-backup**
 //! (via priorities), **sticky-sessions** (cookie table), and
 //! **least-loaded** (the paper's "weights set to −1" convention). Beyond
-//! the paper, **prequal** selects via the `yoda-balance` probe pool
+//! the paper, **prequal** selects via its rule's probe pool (`pool`)
 //! (hot-cold lexicographic order over probed RIF and latency).
 //!
 //! Rules parse from / print to a one-line DSL so the controller can ship
@@ -28,10 +28,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use yoda_balance::{ProbePool, Signal};
 use yoda_http::HttpRequest;
 use yoda_netsim::Rng;
 use yoda_netsim::{Endpoint, SimTime};
+
+use crate::pool::{ProbePool, Signal};
 
 /// Glob matching with `*` (any run) and `?` (any one char).
 pub fn glob_match(pattern: &str, text: &str) -> bool {
@@ -129,7 +130,7 @@ pub(crate) enum Action {
     /// Mirror the request to every backend and serve whichever responds
     /// first (§5.2 "Sending the same request to multiple servers").
     Mirror(Vec<Endpoint>),
-    /// Probe-driven adaptive selection (`yoda-balance`, Prequal-style):
+    /// Probe-driven adaptive selection (Prequal-style, `pool`):
     /// hot-cold lexicographic order over the rule's probe pool, falling
     /// back to a uniform-random live backend while the pool is empty.
     Prequal(Vec<Endpoint>),
@@ -756,7 +757,6 @@ mod tests {
 
     #[test]
     fn prequal_uses_pool_and_falls_back_to_random() {
-        use yoda_balance::Signal;
         let mut table = RuleTable::from_rules(vec![Rule::parse(
             "name=pq priority=1 match * action=prequal 10.1.0.2:80 10.1.0.3:80 10.1.0.4:80",
         )
@@ -804,7 +804,6 @@ mod tests {
 
     #[test]
     fn prequal_purge_backend_empties_pool() {
-        use yoda_balance::Signal;
         let mut table = RuleTable::from_rules(vec![Rule::parse(
             "name=pq priority=1 match * action=prequal 10.1.0.2:80 10.1.0.3:80",
         )

@@ -18,6 +18,7 @@ use yoda_tcpstore::{StoreServer, StoreServerConfig};
 
 use crate::controller::{Controller, ControllerConfig};
 use crate::instance::{YodaConfig, YodaInstance};
+use crate::proxy::ProxyInstance;
 
 /// Testbed shape. Defaults mirror the paper's 60-VM deployment: 10 Yoda
 /// instances, 10 Memcached servers, 30 backends over 4 online services,
@@ -84,6 +85,17 @@ pub struct Tier {
     pub prefix: &'static str,
     /// Instance constructor, kept by the testbed to restore instances.
     pub make: Arc<MakeInstance>,
+}
+
+impl Tier {
+    /// The HAProxy-style baseline's tier: its instances keep all flow
+    /// state locally, so the store and mux addresses go unused.
+    pub fn proxy() -> Tier {
+        Tier {
+            prefix: "haproxy",
+            make: Arc::new(|addr, _stores, _muxes| Box::new(ProxyInstance::new(addr))),
+        }
+    }
 }
 
 /// `n` host addresses `a.b.c.1 ..= a.b.c.n`.
@@ -161,6 +173,20 @@ impl Testbed {
             .node_mut::<Controller>(tb.controller)
             .monitor_muxes();
         tb
+    }
+
+    /// Assembles the baseline deployment (§7 *Setup*): the same router,
+    /// muxes, backends, controller and clients as [`Testbed::build`],
+    /// with HAProxy-style instances in the L7 slot ([`Tier::proxy`]), no
+    /// store servers and no spares (`cfg.yoda` and `cfg.store` go
+    /// unread).
+    pub fn build_proxy(cfg: TestbedConfig) -> Testbed {
+        let cfg = TestbedConfig {
+            num_stores: 0,
+            num_spares: 0,
+            ..cfg
+        };
+        Testbed::build_with(cfg, Tier::proxy())
     }
 
     /// Assembles the testbed around `tier` and installs the default
@@ -521,5 +547,67 @@ mod tests {
             num_backends: 300,
             ..TestbedConfig::default()
         });
+    }
+
+    #[test]
+    fn proxy_serves_pages() {
+        let mut tb = Testbed::build_proxy(TestbedConfig {
+            num_instances: 3,
+            num_backends: 6,
+            num_muxes: 2,
+            num_services: 1,
+            pages_per_site: 10,
+            ..TestbedConfig::default()
+        });
+        let browser = tb.add_browser(
+            0,
+            BrowserConfig {
+                processes: 3,
+                max_pages: Some(2),
+                ..BrowserConfig::default()
+            },
+        );
+        tb.engine.run_for(SimTime::from_secs(60));
+        let b = tb.engine.node_ref::<BrowserClient>(browser);
+        assert_eq!(b.pages_completed, 6);
+        assert_eq!(b.broken_flows, 0);
+        let total: u64 = tb
+            .instances
+            .iter()
+            .map(|&i| tb.engine.node_ref::<ProxyInstance>(i).requests)
+            .sum();
+        assert_eq!(total, b.completed);
+    }
+
+    #[test]
+    fn proxy_failure_breaks_flows() {
+        // The paper's Problem 1: kill a proxy mid-run; its flows hang and
+        // (with no browser retry) time out.
+        let mut tb = Testbed::build_proxy(TestbedConfig {
+            num_instances: 2,
+            num_backends: 4,
+            num_muxes: 2,
+            num_services: 1,
+            pages_per_site: 10,
+            ..TestbedConfig::default()
+        });
+        let browser = tb.add_browser(
+            0,
+            BrowserConfig {
+                processes: 6,
+                max_pages: Some(4),
+                http_timeout: SimTime::from_secs(10),
+                retries: 0,
+                ..BrowserConfig::default()
+            },
+        );
+        tb.fail_instance_at(0, SimTime::from_secs(3));
+        tb.engine.run_for(SimTime::from_secs(240));
+        let b = tb.engine.node_ref::<BrowserClient>(browser);
+        assert!(
+            b.timeouts > 0,
+            "flows through the dead proxy must hit the HTTP timeout"
+        );
+        assert!(b.broken_flows > 0, "noretry leaves flows broken");
     }
 }

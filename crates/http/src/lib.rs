@@ -8,6 +8,9 @@
 //! * [`site`] — the emulated university-website object catalog (10K+
 //!   objects, 1 KB–442 KB, median 46 KB; paper §7 *Setup*),
 //! * `server` ([`OriginServer`]) — an Apache-style origin server node,
+//! * `probe` ([`ProbeRequest`], [`ProbeReply`]) — the load-probe wire
+//!   format the origin server answers (RIF and latency, for the
+//!   instance's Prequal-style selection),
 //! * `client` ([`BrowserClient`], [`RateClient`]) — workload generators: a browser emulator with page +
 //!   embedded-object fetches, HTTP timeouts and retry policy (Fig. 12,
 //!   Table 1), and an open-loop rate client (Apache-bench style; Fig. 13).
@@ -16,6 +19,7 @@
 
 mod client;
 mod message;
+mod probe;
 mod server;
 pub mod site;
 
@@ -23,5 +27,6 @@ pub use client::{
     BrowserClient, BrowserConfig, RateClient, RateClientConfig, TIMEOUT_KIND, TLS_RETRY_KIND,
 };
 pub use message::{parse_request, parse_response, parse_response_head, HttpRequest, HttpResponse};
+pub use probe::{ProbeReply, ProbeRequest, PROBE_PORT};
 pub use server::{OriginServer, ServerConfig};
 pub use site::{SiteCatalog, SiteConfig};

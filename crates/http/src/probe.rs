@@ -1,4 +1,5 @@
-//! Probe wire format.
+//! Probe wire format: what an instance's prober sends and what
+//! [`OriginServer`](crate::OriginServer) answers.
 //!
 //! Probes ride their own protocol number (`PROTO_PROBE` in
 //! `yoda-netsim`) as single datagrams — no TCP handshake, so a probe

@@ -7,13 +7,13 @@
 
 use std::sync::Arc;
 
-use yoda_balance::{ProbeReply, ProbeRequest};
 use yoda_netsim::{
     Bytes, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken,
 };
 use yoda_tcp::{ConnId, TcpEvent, TcpStack};
 
 use crate::message::{parse_request, HttpRequest, HttpResponse};
+use crate::probe::{ProbeReply, ProbeRequest};
 use crate::site::SiteCatalog;
 
 /// Timer kind for deferred responses.
@@ -306,7 +306,7 @@ mod tests {
         // Drive the probe handler directly through a scratch engine ctx,
         // then let the reply reach the prober's address.
         let id = eng.add_node("origin", ep.addr, Zone::Dc, Box::new(srv));
-        let prober = Endpoint::new(Addr::new(10, 0, 0, 9), yoda_balance::PROBE_PORT);
+        let prober = Endpoint::new(Addr::new(10, 0, 0, 9), crate::PROBE_PORT);
         let sink = eng.add_node("prober", prober.addr, Zone::Dc, Box::new(ProbeSink(None)));
         eng.with_node_ctx::<OriginServer>(id, |srv, ctx| {
             let req = ProbeRequest { tag: 55 };

@@ -43,7 +43,7 @@ pub const PROTO_IPIP: Protocol = 4;
 pub const PROTO_RPC: Protocol = 17;
 /// Control-plane messages (mux map updates, rule installs).
 pub const PROTO_CTRL: Protocol = 42;
-/// Load-balancer probes (RIF + latency sampling, `yoda-balance`) —
+/// Load-balancer probes (RIF + latency sampling, Prequal-style) —
 /// IANA's "use for experimentation" number.
 pub const PROTO_PROBE: Protocol = 253;
 

@@ -30,7 +30,7 @@ fn main() {
         let mut tb = if yoda {
             Testbed::build(cfg)
         } else {
-            yoda::proxy::testbed(cfg)
+            Testbed::build_proxy(cfg)
         };
         let largest = tb
             .catalog

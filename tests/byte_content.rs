@@ -11,7 +11,7 @@
 //! from TCPStore mid-body. Each response is compared byte for byte with
 //! `SiteCatalog::body(size)`.
 
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig, Tier};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response_head, HttpRequest, SiteCatalog};
 use yoda::l4lb::rendezvous_pick;
@@ -158,7 +158,7 @@ fn bed(splice: Option<bool>) -> (Testbed, Vec<String>) {
     };
     let mut tb = match splice {
         Some(_) => Testbed::build(cfg),
-        None => Testbed::build_with(cfg, yoda::proxy::tier()),
+        None => Testbed::build_with(cfg, Tier::proxy()),
     };
     tb.engine.run_for(SimTime::from_secs(1));
     let mut objects: Vec<(usize, String)> = tb

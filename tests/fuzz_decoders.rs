@@ -17,6 +17,7 @@ use std::fmt::Debug;
 use yoda::core::InstanceCtrl;
 use yoda::core::{FlowRecord, SynRecord};
 use yoda::core::{Rule, RuleTable};
+use yoda::http::{ProbeReply, ProbeRequest};
 use yoda::l4lb::CtrlMsg;
 use yoda::netsim::{
     Addr, Endpoint, Head, Packet, Protocol, HEAD_CAP, IPIP_HEADER_LEN, PROTO_IPIP, PROTO_PING,
@@ -25,7 +26,6 @@ use yoda::netsim::{
 use yoda::netsim::{Bytes, Rng};
 use yoda::tcp::{Segment, Translation, SEGMENT_HEADER_LEN};
 use yoda::tcpstore::{StoreRequest, StoreResponse};
-use yoda_balance::{ProbeReply, ProbeRequest};
 
 const SRC: Endpoint = Endpoint::new(Addr::new(172, 16, 0, 1), 40_000);
 const DST: Endpoint = Endpoint::new(Addr::new(100, 0, 0, 1), 80);

@@ -13,13 +13,12 @@
 //! only proves the file compiled.
 
 use yoda::chaos::StoreWitness;
-use yoda::core::{Controller, YodaInstance};
+use yoda::core::{Controller, ProxyInstance, YodaInstance};
 use yoda::http::{BrowserClient, OriginServer, RateClient};
 use yoda::l4lb::{EdgeRouter, Mux};
 use yoda::netsim::AddrMap;
 use yoda::netsim::TimerWheel;
 use yoda::netsim::{Endpoint, Engine, FlowTable, Head, Node, Packet, Slab, TraceEvent, TraceSink};
-use yoda::proxy::ProxyInstance;
 use yoda::tcpstore::StoreServer;
 
 fn assert_send<T: Send>() {}

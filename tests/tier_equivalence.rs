@@ -11,7 +11,7 @@
 //! browsers, so that this test compares content too, is still open
 //! (ROADMAP item 3(ii)).
 
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Testbed, TestbedConfig, Tier};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
@@ -37,7 +37,7 @@ fn browse(splice: Option<bool>) -> Vec<(u64, u64, u64, u64)> {
     // node ids — hence the same per-node RNG streams — on every side.
     let mut tb = match splice {
         Some(_) => Testbed::build(cfg),
-        None => Testbed::build_with(cfg, yoda::proxy::tier()),
+        None => Testbed::build_with(cfg, Tier::proxy()),
     };
     tb.engine.run_for(SimTime::from_secs(1));
     let browser = BrowserConfig {
