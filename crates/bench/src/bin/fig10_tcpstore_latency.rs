@@ -34,7 +34,18 @@ struct Driver {
     seq: u64,
     /// Rotations in one `OP_TIMEOUT`, rounded up.
     lag: u64,
-    events: Vec<StoreEvent>,
+    /// Gets answered, and those that found their value.
+    gets: u64,
+    get_hits: u64,
+}
+
+impl Driver {
+    fn count(&mut self, ev: Option<StoreEvent>) {
+        if let Some(ev) = ev.filter(|ev| ev.op == StoreOp::Get) {
+            self.gets += 1;
+            self.get_hits += matches!(ev.outcome, StoreOutcome::Value(_)) as u64;
+        }
+    }
 }
 
 impl Node for Driver {
@@ -44,15 +55,15 @@ impl Node for Driver {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let evs = self.client.on_packet(ctx, &pkt);
-        self.events.extend(evs);
+        let ev = self.client.on_packet(ctx, &pkt);
+        self.count(ev);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
         match token.kind {
             k if StoreClient::owns_timer_kind(k) => {
-                let evs = self.client.on_timer(ctx, token);
-                self.events.extend(evs);
+                let ev = self.client.on_timer(ctx, token);
+                self.count(ev);
             }
             TICK if ctx.now().saturating_sub(self.started) < self.duration => {
                 // Op k of a rotation touches key rotation - k lag; the
@@ -130,7 +141,8 @@ fn run(ops_per_server: f64, replicas: usize) -> RunOut {
                 started: SimTime::ZERO,
                 seq: d as u64 * 1_000_000,
                 lag,
-                events: Vec::new(),
+                gets: 0,
+                get_hits: 0,
             }),
         ));
     }
@@ -145,10 +157,8 @@ fn run(ops_per_server: f64, replicas: usize) -> RunOut {
     let (mut gets, mut hits) = (0, 0);
     for &d in &driver_ids {
         let drv = eng.node_mut::<Driver>(d);
-        for ev in drv.events.iter().filter(|ev| ev.op == StoreOp::Get) {
-            gets += 1;
-            hits += matches!(ev.outcome, StoreOutcome::Value(_)) as u64;
-        }
+        gets += drv.gets;
+        hits += drv.get_hits;
         for (op, hist) in [
             (StoreOp::Get, &drv.client.get_latency),
             (StoreOp::Set, &drv.client.set_latency),
