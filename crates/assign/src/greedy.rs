@@ -4,7 +4,11 @@
 //! day). Strategy:
 //!
 //! 1. Sort VIPs by per-replica load, heaviest first (first-fit-decreasing,
-//!    the classic bin-packing heuristic).
+//!    the classic bin-packing heuristic). Only when that order finds no
+//!    placement at any δ does the solver retry it all with the VIPs that
+//!    take the most instances, then the most rules, first: where Eq. 2's
+//!    rule capacity binds, a heavy VIP placed early can take the only
+//!    room a many-replica VIP had.
 //! 2. For each VIP, keep as many of its *previous* instances as remain
 //!    feasible (minimizing Eq. 6–7 migration), then fill the remaining
 //!    replicas with the least-loaded feasible open instances; open a new
@@ -135,13 +139,32 @@ pub fn solve_greedy(
     input: &AssignInput,
     shuffle_seed: Option<u64>,
 ) -> Result<GreedyOutcome, AssignError> {
+    relaxing(input, shuffle_seed, Order::Load)
+        .or_else(|e| relaxing(input, shuffle_seed, Order::Footprint).map_err(|_| e))
+}
+
+/// The order VIPs are placed in.
+#[derive(Clone, Copy)]
+enum Order {
+    /// Per-replica load, heaviest first (first-fit-decreasing).
+    Load,
+    /// Most replicas first, then most rules, then heaviest.
+    Footprint,
+}
+
+/// One placement order through every δ relaxation.
+fn relaxing(
+    input: &AssignInput,
+    shuffle_seed: Option<u64>,
+    order: Order,
+) -> Result<GreedyOutcome, AssignError> {
     let mut delta = input.migration_limit;
     for step in 0..=MAX_DELTA_STEPS {
         let relaxed = AssignInput {
             migration_limit: delta,
             ..input.clone()
         };
-        match attempt(&relaxed, shuffle_seed) {
+        match attempt(&relaxed, shuffle_seed, order) {
             Ok(assignment) => {
                 return Ok(GreedyOutcome {
                     assignment,
@@ -160,17 +183,30 @@ pub fn solve_greedy(
     Err(AssignError::Infeasible)
 }
 
-fn attempt(input: &AssignInput, shuffle_seed: Option<u64>) -> Result<Assignment, AssignError> {
+fn attempt(
+    input: &AssignInput,
+    shuffle_seed: Option<u64>,
+    order: Order,
+) -> Result<Assignment, AssignError> {
     let mut fleet = Fleet::new(input);
-    // Heaviest-first order.
-    let mut order: Vec<usize> = (0..input.vips.len()).collect();
-    order.sort_by(|&a, &b| {
-        let la = input.vips[a].load_per_replica();
-        let lb = input.vips[b].load_per_replica();
-        lb.partial_cmp(&la).expect("finite loads")
+    let mut vips: Vec<usize> = (0..input.vips.len()).collect();
+    vips.sort_by(|&a, &b| {
+        let (a, b) = (&input.vips[a], &input.vips[b]);
+        let by_load = b
+            .load_per_replica()
+            .partial_cmp(&a.load_per_replica())
+            .expect("finite loads");
+        match order {
+            Order::Load => by_load,
+            Order::Footprint => b
+                .replicas
+                .cmp(&a.replicas)
+                .then(b.rules.cmp(&a.rules))
+                .then(by_load),
+        }
     });
     let mut placement = vec![Vec::new(); input.vips.len()];
-    for &v in &order {
+    for &v in &vips {
         let spec = &input.vips[v];
         let mut chosen: Vec<usize> = Vec::with_capacity(spec.replicas);
         // 1. Stickiness: keep previous instances that still fit. Always
@@ -376,6 +412,22 @@ mod tests {
             3,
             "rules don't fit together"
         );
+    }
+
+    #[test]
+    fn a_many_replica_vip_placed_late_gets_a_second_order() {
+        // Heaviest first puts the 60-rule VIP and then the 50-rule one on
+        // instance 0, which leaves the three-replica VIP no third
+        // instance; placing it first fits all three.
+        let input = AssignInput {
+            max_instances: 3,
+            rule_capacity: 120,
+            ..base_input(vec![vip(10.0, 50, 1), vip(5.0, 30, 3), vip(50.0, 60, 2)])
+        };
+        assert!(attempt(&input, None, Order::Load).is_err());
+        let out = solve_greedy(&input, None).unwrap();
+        assert!(input.validate(&out.assignment).is_ok());
+        assert_eq!(out.assignment.num_instances(), 3);
     }
 
     #[test]
