@@ -12,12 +12,12 @@
 //!   (the 600 ms detection + mux re-steer + TCPStore recovery),
 //! * Yoda-retry is never exercised ("there was never any retry made").
 //!
-//! `--timeline` also prints the Figure 12(b) packet trace at the backend:
+//! It also prints the Figure 12(b) packet trace at the backend:
 //! drop at failure, server retransmit at +300 ms (still to the dead
 //! instance), retransmit at +600 ms reaching a live instance, recovery.
 
-use yoda_bench::{arg_flag, run_failover, FailoverSetup, LbKind};
 use yoda_bench::{f2, pct, print_header, print_kv, Table};
+use yoda_bench::{run_failover, FailoverSetup, LbKind};
 use yoda_netsim::SimTime;
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
         let mut out = run_failover(&FailoverSetup {
             lb,
             retries,
-            timeline: arg_flag("timeline") && lb == LbKind::Yoda && retries == 0,
+            timeline: lb == LbKind::Yoda && retries == 0,
             ..base.clone()
         });
         table.row(&[
@@ -123,12 +123,10 @@ fn main() {
     }
     cdf_table.print();
 
-    if arg_flag("timeline") {
-        println!();
-        println!("(b) packet timeline at the backend around the failure (Yoda-noretry):");
-        let (_, yoda) = &cdf_sets[0];
-        for line in yoda.timeline.iter().take(60) {
-            println!("    {line}");
-        }
+    println!();
+    println!("(b) packet timeline at the backend around the failure (Yoda-noretry):");
+    let (_, yoda) = &cdf_sets[0];
+    for line in yoda.timeline.iter().take(60) {
+        println!("    {line}");
     }
 }

@@ -63,10 +63,8 @@ fn impact(lb: LbKind, streaming: bool, seed: u64) -> String {
         stall_timeout: streaming.then(|| SimTime::from_secs(10)),
         use_largest_object: true,
         max_pages: Some(1),
-        warmup: SimTime::from_secs(1),
         duration: SimTime::from_secs(400),
         timeline: false,
-        fixed_object: None,
     };
     // For Yoda nothing fails permanently if at least one instance lives;
     // here we only fail instances for the proxy runs (the paper breaks

@@ -13,6 +13,10 @@ use yoda_netsim::{Endpoint, Fate, Histogram, Note, SimTime, What};
 
 use crate::storestats::StoreStatsSummary;
 
+/// Control-plane warmup before clients start (VIP maps must reach all
+/// muxes; the paper's testbed was long-running before each experiment).
+const WARMUP: SimTime = SimTime::from_secs(1);
+
 /// Which load balancer to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LbKind {
@@ -55,18 +59,12 @@ pub struct FailoverSetup {
     pub http_timeout: SimTime,
     /// Streaming stall timeout (Table 1 session profiles).
     pub stall_timeout: Option<SimTime>,
-    /// Fixed object path instead of page fetches.
-    pub fixed_object: Option<String>,
     /// Fetch the catalog's largest object instead of pages (long
     /// transfers, so the failure strikes mid-flight — the paper's
     /// "breaking a single established connection" setting).
     pub use_largest_object: bool,
     /// Pages per process before stopping.
     pub max_pages: Option<u64>,
-    /// Control-plane warmup before clients start (VIP maps must reach
-    /// all muxes; the paper's testbed was long-running before each
-    /// experiment).
-    pub warmup: SimTime,
     /// Total simulated duration.
     pub duration: SimTime,
     /// Record the packet timeline (Figure 12(b)).
@@ -86,10 +84,8 @@ impl Default for FailoverSetup {
             retries: 0,
             http_timeout: SimTime::from_secs(30),
             stall_timeout: None,
-            fixed_object: None,
             use_largest_object: false,
             max_pages: Some(3),
-            warmup: SimTime::from_secs(1),
             duration: SimTime::from_secs(120),
             timeline: false,
         }
@@ -140,11 +136,9 @@ fn browser_cfg(
     catalog: &yoda_http::SiteCatalog,
     site: usize,
 ) -> BrowserConfig {
-    let fixed_object = if setup.use_largest_object {
-        Some(largest_object(catalog, site))
-    } else {
-        setup.fixed_object.clone()
-    };
+    let fixed_object = setup
+        .use_largest_object
+        .then(|| largest_object(catalog, site));
     BrowserConfig {
         processes: setup.processes,
         retries: setup.retries,
@@ -281,7 +275,7 @@ pub fn run_failover(setup: &FailoverSetup) -> FailoverOutcome {
     if setup.timeline {
         tb.engine.enable_trace(4_000_000);
     }
-    tb.engine.run_for(setup.warmup);
+    tb.engine.run_for(WARMUP);
     let ids: Vec<_> = (0..setup.browsers)
         .map(|i| {
             let site = i % tb.vips.len();

@@ -21,18 +21,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Every figure binary, with the flags its results/ file was made with.
+# Every figure binary; each results/<bin>.txt is its output with no arguments.
 figures=(table1_website_impact fig6_rule_latency fig9_latency_breakdown
-         fig10_tcpstore_latency "fig12_failure_recovery --timeline" fig13_scalability
+         fig10_tcpstore_latency fig12_failure_recovery fig13_scalability
          fig14_policy_update fig15_cost_reduction fig16_updates fig17_adaptive_tail ablation)
 
 if [[ "${1:-}" == "--update" ]]; then
     cargo build --release --workspace
-    for fig in "${figures[@]}"; do
-        read -r bin args <<< "$fig"
-        echo "==> $fig"
-        # shellcheck disable=SC2086  # $args is zero or one flag, split on purpose
-        ./target/release/"$bin" $args > "results/$bin.txt"
+    for bin in "${figures[@]}"; do
+        echo "==> $bin"
+        ./target/release/"$bin" > "results/$bin.txt"
     done
     echo "==> results/ regenerated"
     exit 0
@@ -43,11 +41,9 @@ before_solve_times() { sed '/^assignment solve time/,$d' "$1"; }
 
 fig_tmp="$(mktemp)"
 trap 'rm -f "$fig_tmp"' EXIT
-for fig in "${figures[@]}"; do
-    read -r bin args <<< "$fig"
+for bin in "${figures[@]}"; do
     [[ "$bin" == fig6_rule_latency ]] && continue
-    # shellcheck disable=SC2086  # $args is zero or one flag, split on purpose
-    ./target/release/"$bin" $args > "$fig_tmp"
+    ./target/release/"$bin" > "$fig_tmp"
     if [[ "$bin" == fig16_updates ]]; then
         if ! cmp -s <(before_solve_times "$fig_tmp") <(before_solve_times results/fig16_updates.txt); then
             echo "figure drift: fig16_updates output differs from committed results/" >&2
@@ -56,7 +52,7 @@ for fig in "${figures[@]}"; do
         fi
         echo "fig16_updates: identical to committed results/ up to the solve times"
     elif ! cmp -s "$fig_tmp" "results/$bin.txt"; then
-        echo "figure drift: $fig output differs from committed results/" >&2
+        echo "figure drift: $bin output differs from committed results/" >&2
         diff "results/$bin.txt" "$fig_tmp" | head -20 >&2 || true
         exit 1
     else
