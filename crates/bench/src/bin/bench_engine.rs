@@ -66,7 +66,6 @@ impl Node for Seeder {
         let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, Bytes::new());
         ctx.send(reply);
     }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 /// Timer-churn node: every tick re-arms a fan of staggered timers and
@@ -123,7 +122,6 @@ impl Node for JitterSeeder {
         }
         self.seeder.on_packet(ctx, pkt);
     }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 fn mesh_addr(i: u32) -> Addr {

@@ -292,7 +292,6 @@ mod tests {
             assert_eq!(pkt.protocol, yoda_netsim::PROTO_PROBE);
             self.0 = pkt.message().and_then(|m| ProbeReply::decode(m));
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
     }
 
     #[test]

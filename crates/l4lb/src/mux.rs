@@ -16,8 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use yoda_netsim::{
-    Addr, Bytes, Ctx, Endpoint, FlowTable, Node, Packet, SimTime, TimerToken, PROTO_CTRL,
-    PROTO_IPIP,
+    Addr, Bytes, Ctx, Endpoint, FlowTable, Node, Packet, SimTime, PROTO_CTRL, PROTO_IPIP,
 };
 use yoda_tcp::{Flags, Segment, Translation};
 
@@ -364,8 +363,6 @@ impl Node for Mux {
             }
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
 }
 
 #[cfg(test)]
@@ -382,7 +379,6 @@ mod tests {
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
             self.received.push(pkt);
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
     }
 
     fn vip_pkt(client_port: u16) -> Packet {
@@ -449,7 +445,6 @@ mod tests {
                 ctx.send(Packet::new(me, to, yoda_netsim::PROTO_PING, Bytes::new()));
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
         }
         t.eng.add_node(
             "prod",
@@ -528,7 +523,6 @@ mod tests {
                 }
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
         }
         let mut t = setup();
         let mux_addr = Addr::new(10, 0, 2, 1);
@@ -579,7 +573,6 @@ mod tests {
                 ctx.send(outer);
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
         }
         t.eng.add_node(
             "oneshot",
@@ -682,7 +675,6 @@ mod tests {
                 );
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
         }
         t.eng.add_node(
             "driver",
@@ -887,7 +879,6 @@ mod tests {
                 ctx.send(msg.into_packet(me, self.mux));
             }
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
         }
         t.eng.add_node(
             "ctrl",

@@ -12,7 +12,7 @@
 //! the affected connections then re-steer by rendezvous hash, and Yoda
 //! instances recover any that land somewhere new from TCPStore.
 
-use yoda_netsim::{Addr, Ctx, Node, Packet, TimerToken, PROTO_CTRL};
+use yoda_netsim::{Addr, Ctx, Node, Packet, PROTO_CTRL};
 
 use crate::ctrl::CtrlMsg;
 use crate::Steering;
@@ -65,15 +65,15 @@ impl Node for EdgeRouter {
             None => self.dropped += 1,
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rendezvous_pick;
-    use yoda_netsim::{Bytes, Endpoint, Engine, SimTime, Topology, Zone, PROTO_IPIP, PROTO_TCP};
+    use yoda_netsim::{
+        Bytes, Endpoint, Engine, SimTime, TimerToken, Topology, Zone, PROTO_IPIP, PROTO_TCP,
+    };
 
     struct Sink {
         received: Vec<Packet>,
@@ -82,7 +82,6 @@ mod tests {
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
             self.received.push(pkt);
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
     }
 
     /// Sends one packet on each of `count` flows, `waves` times 1 ms

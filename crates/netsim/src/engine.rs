@@ -913,7 +913,6 @@ mod tests {
             let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, Bytes::new());
             ctx.send(reply);
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
     }
 
     /// Test node: pings a peer on start, counts replies, re-arms a timer.
@@ -1054,7 +1053,6 @@ mod tests {
             ctx.cancel_timer(first);
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! # Examples
 //!
 //! ```
-//! use yoda_netsim::{Engine, Node, Ctx, Packet, SimTime, Addr, TimerToken, Zone};
+//! use yoda_netsim::{Engine, Node, Ctx, Packet, SimTime, Addr, Zone};
 //!
 //! struct Echo;
 //! impl Node for Echo {
@@ -27,7 +27,6 @@
 //!         let reply = Packet::new(pkt.dst, pkt.src, pkt.protocol, pkt.body.clone());
 //!         ctx.send(reply);
 //!     }
-//!     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 //! }
 //!
 //! let mut engine = Engine::new(7);

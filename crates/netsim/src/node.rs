@@ -82,7 +82,8 @@ pub trait Node: Any + Send {
 
     /// Invoked when a timer armed via [`Ctx::set_timer`](crate::engine::Ctx::set_timer)
     /// fires. Cancelled timers and timers armed before a crash never fire.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken);
+    /// The default does nothing, for a node that arms no timer.
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
 }
 
 #[cfg(test)]

@@ -912,7 +912,6 @@ mod tests {
                     }
                 }
             }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
         }
         let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::from_millis(1)));
         let server_ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);

@@ -6,7 +6,7 @@
 //! which is what the Figure 11 CPU-utilisation experiment reads.
 
 use yoda_netsim::{
-    Bytes, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_RPC,
+    Bytes, Ctx, Endpoint, FlowTable, Node, Packet, ServiceQueue, SimTime, PROTO_RPC,
 };
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus, STORE_PORT};
@@ -159,8 +159,6 @@ impl Node for StoreServer {
         let me = Endpoint::new(self.addr, STORE_PORT);
         ctx.send_after(delay, resp.into_packet(me, pkt.src));
     }
-
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
 }
 
 #[cfg(test)]
@@ -187,7 +185,6 @@ mod tests {
                 self.responses.push(resp);
             }
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
     }
 
     fn req(id: u64, op: StoreOp, key: &'static [u8], value: &'static [u8]) -> StoreRequest {

@@ -161,7 +161,6 @@ impl Node for Sink {
         self.got += 1;
         self.last = Some(pkt);
     }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 fn sink() -> Box<Sink> {

@@ -8,8 +8,7 @@
 use yoda::core::InstanceCtrl;
 use yoda::core::{Controller, ControllerConfig};
 use yoda::netsim::{
-    Addr, Bytes, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
-    PROTO_PING,
+    Addr, Bytes, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, Topology, Zone, PROTO_PING,
 };
 
 const CTRL: Addr = Addr::new(10, 0, 4, 1);
@@ -52,7 +51,6 @@ impl Node for Ponger {
         let reply = Packet::new(pkt.dst, pkt.src, PROTO_PING, body);
         ctx.send_after(delay, reply);
     }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 fn ponger(drop_first: u32, dead: bool, delay: SimTime, fast_after: Option<u32>) -> Box<Ponger> {

@@ -64,7 +64,6 @@ impl Node for Recorder {
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
         self.got.extend(Segment::from_packet(pkt));
     }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 /// What one input made each side do: the segments it sent and the

@@ -21,7 +21,7 @@
 
 use yoda::core::RuleTable;
 use yoda::core::{InstanceCtrl, YodaConfig, YodaInstance, CTRL_PORT};
-use yoda::netsim::{Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Zone};
+use yoda::netsim::{Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, Zone};
 use yoda::netsim::{Bytes, Topology};
 use yoda::tcp::{Flags, Segment, SeqNum};
 use yoda::tcpstore::{StoreServer, StoreServerConfig};
@@ -74,7 +74,6 @@ impl Node for Recorder {
             self.got.push((src, dst, s));
         }
     }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 struct Rig {

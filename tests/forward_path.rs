@@ -393,7 +393,6 @@ impl Node for Sink {
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
         self.received.push(pkt);
     }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
 }
 
 fn tagged_segment(from: Endpoint, to: Endpoint, tag: u32, len: usize) -> Segment {
@@ -433,7 +432,6 @@ fn duplicated_packets_both_arrive_intact() {
             }
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: TimerToken) {}
     }
     // Every packet entering the datacenter is delivered twice; the two
     // deliveries are clones, i.e. one shared buffer.
