@@ -415,22 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn a_many_replica_vip_placed_late_gets_a_second_order() {
-        // Heaviest first puts the 60-rule VIP and then the 50-rule one on
-        // instance 0, which leaves the three-replica VIP no third
-        // instance; placing it first fits all three.
-        let input = AssignInput {
-            max_instances: 3,
-            rule_capacity: 120,
-            ..base_input(vec![vip(10.0, 50, 1), vip(5.0, 30, 3), vip(50.0, 60, 2)])
-        };
-        assert!(attempt(&input, None, Order::Load).is_err());
-        let out = solve_greedy(&input, None).unwrap();
-        assert!(input.validate(&out.assignment).is_ok());
-        assert_eq!(out.assignment.num_instances(), 3);
-    }
-
-    #[test]
     fn replicas_spread_across_instances() {
         let input = base_input(vec![vip(90.0, 100, 3)]);
         let out = solve_greedy(&input, None).unwrap();

@@ -1,7 +1,7 @@
 //! Figure 17 (beyond the paper): adaptive backend selection tail latency.
 //!
 //! The paper's policies are static (weighted split / least-loaded over
-//! the instance's own connection counts). `yoda-balance` adds a
+//! the instance's own connection counts). `yoda-core` adds a
 //! Prequal-style probing policy (`action=prequal`): instances probe a
 //! power-of-d sample of backends for requests-in-flight and service
 //! latency, keep a small reuse-bounded pool of fresh probes, and pick

@@ -22,9 +22,11 @@
 //! * `isn` ([`syn_ack_isn`]) — deterministic SYN-ACK sequence numbers,
 //! * `flowstate` ([`FlowRecord`], [`SynRecord`]) — storage-a / storage-b records and keys,
 //! * `rules` ([`RuleTable`]) — the L7 rules engine (match/action/priority),
-//! * `pool` and `prober` ([`Prober`]) — Prequal-style adaptive selection
-//!   (below): the per-rule probe pool `action=prequal` selects from, and
-//!   the probe bookkeeping the instance drives,
+//! * `pool` and `prober` ([`Prober`]) — beyond the paper, Prequal-style
+//!   load-aware selection (§5.1's policies are static, so they cannot
+//!   react to a slow backend): the per-rule probe pool `action=prequal`
+//!   selects from, and the probe sampling and quarantine bookkeeping the
+//!   instance drives, on the simulated clock and its seeded RNG,
 //! * `instance` ([`YodaInstance`]) — the Yoda instance packet driver,
 //! * `ctrl` ([`InstanceCtrl`]) — controller↔instance messages,
 //! * `controller` ([`Controller`], [`Fleet`]) — monitor, assignment updater, policy interface,
@@ -32,29 +34,6 @@
 //! * `testbed` ([`Testbed`], [`Tier`]) — full-system assembly for experiments,
 //! * `proxy` ([`ProxyInstance`]) — the HAProxy-style baseline the testbed
 //!   measures Yoda against (`Testbed::build_proxy`).
-//!
-//! **Beyond the paper: Prequal.** Yoda §5.1 ships only *static* policies
-//! — weighted round-robin, least-open-connections, and sticky sessions —
-//! which cannot react to a heterogeneous or transiently slow backend.
-//! `pool` and `prober` add the missing adaptive layer, modelled on
-//! Prequal (*Load is not what you should balance*, NSDI 2024):
-//!
-//! * `ProbePool` — a per-rule pool of recent probe results (RIF =
-//!   requests-in-flight, plus a latency estimate), with entries evicted
-//!   by staleness and by reuse count (Prequal §4), and hot-cold
-//!   lexicographic selection over it: avoid backends whose RIF sits above
-//!   the pool's quantile threshold, then pick the lowest latency estimate
-//!   among the cold ones. [`RuleTable`] runs it for `action=prequal`
-//!   rules, next to the three static policies.
-//! * [`Prober`] — power-of-`d` sampling of probe targets,
-//!   outstanding-probe bookkeeping, and quarantine of backends whose
-//!   probes time out (failed nodes in `yoda-netsim` drop packets, so a
-//!   dead backend is quarantined within one probe timeout). The wire
-//!   format is `yoda-http`'s, whose origin server answers it.
-//!
-//! Both are driven by the discrete-event clock and the instance's seeded
-//! RNG, and keep all state in ordered containers, so runs that use them
-//! stay bit-for-bit deterministic.
 
 #![forbid(unsafe_code)]
 

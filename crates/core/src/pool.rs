@@ -1,5 +1,7 @@
-//! The per-rule probe pool (Prequal §4), run by [`RuleTable`](crate::RuleTable)'s
-//! `action=prequal` arm.
+//! The per-rule probe pool of Prequal (*Load is not what you should
+//! balance*, NSDI 2024, §4), run by [`RuleTable`](crate::RuleTable)'s
+//! `action=prequal` arm: skip backends whose requests-in-flight sit above
+//! the pool's hot quantile, then pick the lowest latency estimate.
 //!
 //! A small bounded pool of the freshest probe results. Three eviction
 //! paths keep it honest:
