@@ -1,6 +1,6 @@
-//! The shell's probe driver for `action=prequal` rules (Prequal):
-//! ticks, replies and timeouts. Probing only runs while at least one
-//! installed rule is prequal.
+//! The shell's probe driver for `action=prequal` rules: ticks, replies
+//! and timeouts, bookkept by the crate's `prober` and fed to each rule's
+//! `pool`. Probing only runs while at least one installed rule is prequal.
 
 use std::collections::BTreeSet;
 
