@@ -46,10 +46,23 @@ echo "==> cargo clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> chaos soak"
-# Tier-1 runs 20 survivable, 5 unconstrained and 20 gray plans; the soak
-# runs 40, 10 and 40 (tests/chaos_matrix.rs). A failing seed prints its
-# plan, which regenerates from the seed alone.
-cargo test --release -q --test chaos_matrix -- --ignored
+# Tier-1 runs 20 survivable, 5 unconstrained, 20 gray and 5 splicing
+# plans; the soak runs 40, 10, 40 and 5 (tests/chaos_matrix.rs). A failing
+# seed prints its plan, which regenerates from the seed alone. Each run's
+# line (matrix, seed, event digest, event count, invariants held) is
+# compared with the committed results/chaos_runs.txt, byte for byte, so a
+# change that moves any chaos run's events is caught here.
+chaos_runs="$(mktemp)"
+cargo test --release -q --test chaos_matrix -- --ignored --nocapture \
+    | sed -n 's/^.*chaos-run: //p' > "$chaos_runs"
+if ! cmp -s "$chaos_runs" results/chaos_runs.txt; then
+    echo "chaos run drift: soak differs from results/chaos_runs.txt" >&2
+    diff results/chaos_runs.txt "$chaos_runs" >&2 || true
+    rm -f "$chaos_runs"
+    exit 1
+fi
+rm -f "$chaos_runs"
+echo "chaos soak: all 95 runs byte-identical to results/chaos_runs.txt"
 
 echo "==> chaos repro hook (pinned seeds)"
 # The seeded matrices already ran; this replays one pinned seed of each

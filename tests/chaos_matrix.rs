@@ -9,12 +9,22 @@
 //!
 //! A failing seed prints its full plan; rerun just that seed with e.g.
 //! `CHAOS_SEED=13 cargo test --release --test chaos_matrix one_seed`.
-//! The ignored `soak` runs each matrix longer (`scripts/check.sh` does).
+//! The ignored `soak` runs each matrix longer and prints one
+//! `chaos-run: matrix seed digest events ok` line per run;
+//! `scripts/check.sh` compares those lines with `results/chaos_runs.txt`.
 
 use yoda::chaos::{run_seed, ChaosPlan, ChaosReport, ChaosScenario, FaultKind};
 
-fn assert_seed_ok(seed: u64, sc: &ChaosScenario) -> ChaosReport {
+/// Runs `seed`, prints its `chaos-run:` line (shown with `--nocapture`)
+/// and requires every invariant to hold.
+fn assert_seed_ok(matrix: &str, seed: u64, sc: &ChaosScenario) -> ChaosReport {
     let report = run_seed(seed, sc);
+    println!(
+        "chaos-run: {matrix} {seed} {:#018x} {} {}",
+        report.digest,
+        report.events,
+        report.ok()
+    );
     assert!(
         report.ok(),
         "chaos seed {seed} violated invariants — the plan below regenerates \
@@ -28,7 +38,7 @@ fn assert_seed_ok(seed: u64, sc: &ChaosScenario) -> ChaosReport {
 fn survivable(n: u64) {
     let sc = ChaosScenario::survivable();
     for seed in 0..n {
-        assert_seed_ok(seed, &sc);
+        assert_seed_ok("survivable", seed, &sc);
     }
 }
 
@@ -38,7 +48,7 @@ fn survivable(n: u64) {
 fn unconstrained(n: u64) {
     let sc = ChaosScenario::unconstrained();
     for seed in 1000..1000 + n {
-        assert_seed_ok(seed, &sc);
+        assert_seed_ok("unconstrained", seed, &sc);
     }
 }
 
@@ -85,15 +95,14 @@ fn one_seed() {
 /// same generator, just replayed over spliced steady-state forwarding).
 /// Every run carries traffic on the fast path, and the slice's plans
 /// crash both an instance and a mux.
-#[test]
-fn survivable_seeds_hold_with_splicing() {
+fn splicing() {
     let sc = ChaosScenario {
         survivable: true,
         splice: true,
     };
     let (mut instance, mut mux) = (false, false);
     for seed in 500..505 {
-        let report = assert_seed_ok(seed, &sc);
+        let report = assert_seed_ok("splicing", seed, &sc);
         let spliced = report.spliced > 0 && report.splices_installed > 0;
         assert!(
             spliced,
@@ -109,6 +118,11 @@ fn survivable_seeds_hold_with_splicing() {
         instance && mux,
         "no instance crash ({instance}) or mux crash ({mux})"
     );
+}
+
+#[test]
+fn survivable_seeds_hold_with_splicing() {
+    splicing();
 }
 
 /// Gray-fault matrix: the first `n` survivable plans that actually
@@ -140,7 +154,7 @@ fn gray(n: u64) {
         if !plan.faults.iter().any(|f| is_gray(f.kind)) {
             continue;
         }
-        assert_seed_ok(seed, &sc);
+        assert_seed_ok("gray", seed, &sc);
         ran += 1;
     }
     assert_eq!(ran, n, "seed range 2000..4000 yielded too few gray plans");
@@ -152,13 +166,16 @@ fn gray_fault_seeds_keep_every_flow_alive() {
 }
 
 /// The soak: each matrix at twice its tier-1 length (the unconstrained
-/// one at ten plans). `scripts/check.sh` runs it.
+/// one at ten plans), and the splicing slice as in tier-1: 95 runs.
+/// `scripts/check.sh` runs it and compares its `chaos-run:` lines with
+/// `results/chaos_runs.txt`.
 #[test]
-#[ignore = "soak, ~7 s in release: scripts/check.sh runs it with --ignored"]
+#[ignore = "soak, ~8 s in release: scripts/check.sh runs it with --ignored"]
 fn soak() {
     survivable(40);
     unconstrained(10);
     gray(40);
+    splicing();
 }
 
 /// The same seed must replay byte-identically: identical engine digest,
