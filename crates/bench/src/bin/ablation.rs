@@ -13,7 +13,7 @@
 //! K=3 costs more store CPU for no extra benefit at this failure scale.
 
 use yoda_bench::{f2, print_header, print_kv, Table};
-use yoda_core::{Testbed, TestbedConfig};
+use yoda_core::{Target, Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::SimTime;
@@ -75,7 +75,7 @@ fn run(
         }
     }
     if let Some(ms) = fail_instance_ms {
-        tb.fail_instance_at(0, SimTime::from_millis(ms));
+        tb.fail_at(Target::Instance(0), SimTime::from_millis(ms));
     }
     tb.engine.run_for(SimTime::from_secs(120));
     let conn_ms = {

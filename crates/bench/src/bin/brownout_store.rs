@@ -17,7 +17,7 @@
 use yoda_bench::StoreStatsSummary;
 use yoda_bench::{f2, pct, print_header, print_kv};
 use yoda_core::YodaInstance;
-use yoda_core::{Testbed, TestbedConfig};
+use yoda_core::{Target, Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::{Histogram, SimTime};
 use yoda_tcpstore::StoreServerConfig;
@@ -88,8 +88,8 @@ fn run(factor: f64) -> Out {
     let at = SimTime::from_secs(4);
     let heal = at + SimTime::from_secs(SECS / 2);
     for i in 0..tb.stores.len() {
-        tb.slowdown_store_at(i, factor, at);
-        tb.slowdown_store_at(i, 1.0, heal);
+        tb.slowdown_at(Target::Store(i), factor, at);
+        tb.slowdown_at(Target::Store(i), 1.0, heal);
     }
     tb.engine.run_for(SimTime::from_secs(SECS));
 

@@ -7,7 +7,7 @@
 //! failure (Figure 12(b)).
 
 use yoda_core::YodaInstance;
-use yoda_core::{Testbed, TestbedConfig};
+use yoda_core::{Target, Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::{Endpoint, Fate, Histogram, Note, SimTime, What};
 
@@ -284,7 +284,7 @@ pub fn run_failover(setup: &FailoverSetup) -> FailoverOutcome {
         })
         .collect();
     for &i in &setup.fail {
-        tb.fail_instance_at(i, setup.fail_at);
+        tb.fail_at(Target::Instance(i), setup.fail_at);
     }
     tb.engine.run_for(setup.duration);
     let mut out = collect_browsers(&mut tb.engine, &ids);

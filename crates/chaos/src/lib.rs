@@ -11,10 +11,11 @@
 //!   function of a single seed plus a regime. *Survivable* plans keep
 //!   the schedule inside the availability preconditions; *unconstrained*
 //!   plans deliberately violate them to test graceful degradation.
-//! * `orchestrator` ([`run_seed`]) — maps each fault onto the testbed's injection
-//!   helpers (crash/restart, partition/heal) or onto time-windowed
-//!   topology overrides (loss bursts, latency spikes, WAN blackholes),
-//!   runs the scenario, and collects a [`ChaosReport`].
+//! * `orchestrator` ([`run_seed`]) — maps each fault onto the testbed
+//!   node it names (crash/restart, partition/heal, slowdown, link
+//!   degrade) or onto time-windowed topology overrides (loss bursts,
+//!   latency spikes, WAN blackholes), runs the scenario, and collects a
+//!   [`ChaosReport`].
 //! * `witness` ([`StoreWitness`]) — an in-DC node that continuously verifies TCPStore
 //!   read-after-write on surviving replicas, with epoch guards so
 //!   verdicts never span a store-membership change.
@@ -34,5 +35,5 @@ mod plan;
 mod witness;
 
 pub use orchestrator::{run_seed, ChaosReport, ChaosScenario};
-pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget};
+pub use plan::{ChaosPlan, Fault, FaultKind};
 pub use witness::StoreWitness;

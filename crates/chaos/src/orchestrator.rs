@@ -1,21 +1,22 @@
 //! Applies a [`ChaosPlan`] to a live [`Testbed`] and runs the scenario.
 //!
-//! Every fault maps onto engine calls scheduled at its start and end
-//! (crash + fresh restart through [`Testbed::restore_at`], partition +
-//! heal, link degrade + heal) or onto time-windowed topology overrides
-//! for the WAN impairments. Store faults additionally bump the
-//! [`StoreWitness`] epoch at both boundaries so read-after-write verdicts
-//! never span a membership change.
+//! A node fault resolves its [`Target`] through [`Testbed::node`] and
+//! schedules its start and end (crash + fresh restart through
+//! [`Testbed::restore_at`], partition + heal, slowdown + heal, link
+//! degrade + heal); the WAN impairments are time-windowed topology
+//! overrides. Store faults additionally bump the [`StoreWitness`] epoch
+//! at both boundaries so read-after-write verdicts never span a
+//! membership change.
 
 use yoda_core::Controller;
-use yoda_core::{Testbed, TestbedConfig};
+use yoda_core::{Target, Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_l4lb::Mux;
 use yoda_netsim::{Addr, LinkSpec, NodeId, SimTime, Zone};
 
 use crate::invariants::check_invariants;
-use crate::plan::{ChaosPlan, FaultKind, GrayTarget, BACKENDS, INSTANCES, MUXES, SERVICES, STORES};
+use crate::plan::{ChaosPlan, FaultKind, BACKENDS, INSTANCES, MUXES, SERVICES, STORES};
 use crate::witness::StoreWitness;
 
 /// Concurrent fetch processes per browser.
@@ -81,56 +82,28 @@ fn deadline(survivable: bool) -> SimTime {
     SimTime::from_secs(if survivable { 45 } else { 100 })
 }
 
-/// Everything a chaos run produced: aggregate client counters, witness
-/// verdicts, the engine digest (for byte-identity checks), and the
+/// Everything a chaos run produced: the plan, the engine digest (for
+/// byte-identity checks), the fast-path counters, a one-line summary of
+/// the client, witness, controller and instance counters, and the
 /// invariant violations (empty = pass).
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
-    /// The generating seed.
-    pub(crate) seed: u64,
-    /// Whether the plan was survivable.
-    pub(crate) survivable: bool,
     /// The full schedule (printed on failure for one-command repro).
     pub plan: ChaosPlan,
     /// Engine event digest at the deadline.
     pub digest: u64,
     /// Events processed.
     pub events: u64,
-    /// Fetches completed across all browsers.
-    pub(crate) completed: u64,
-    /// Broken flows (retries exhausted) across all browsers.
-    pub(crate) broken_flows: u64,
-    /// Fetch attempts that timed out.
-    pub(crate) timeouts: u64,
-    /// Fetch attempts reset by the server side.
-    pub(crate) resets: u64,
-    /// Pages fully fetched.
-    pub(crate) pages_completed: u64,
-    /// Witness pairs that produced a verdict.
-    pub(crate) witness_checks: u64,
-    /// Witness pairs skipped across store-fault boundaries.
-    pub(crate) witness_skipped: u64,
-    /// Component recoveries the controller re-integrated.
-    pub(crate) recoveries_detected: u64,
     /// Packets forwarded on the mux fast path (summed across muxes).
     pub spliced: u64,
     /// Splice installs the instances issued (first installs + re-installs
     /// after mux failover).
     pub splices_installed: u64,
-    /// Times any instance entered store-brownout degraded mode.
-    pub(crate) degraded_entries: u64,
-    /// Write-behind records dropped on buffer overflow (summed).
-    pub(crate) write_behind_dropped: u64,
-    /// Hedged store reads fired across all instances.
-    pub(crate) store_hedges: u64,
-    /// Store op retries fired across all instances.
-    pub(crate) store_retries: u64,
-    /// Store replica quarantine entries across all instances.
-    pub(crate) store_quarantines: u64,
-    /// Instance derates the controller issued (suspect, not dead).
-    pub(crate) derates: u64,
+    /// `seed … digest=…`: the run's counters, as [`ChaosReport::render`]
+    /// prints them first.
+    summary: String,
     /// Invariant violations (empty = the run passed).
-    pub(crate) violations: Vec<String>,
+    violations: Vec<String>,
 }
 
 impl ChaosReport {
@@ -142,36 +115,7 @@ impl ChaosReport {
     /// One-line summary plus the plan and any violations — the string a
     /// failing test prints.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "seed {} ({}): completed={} broken={} timeouts={} resets={} pages={} \
-             witness(ok={} skipped={}) recoveries={} spliced={}/{} \
-             gray(degraded={} wb_dropped={} hedges={} retries={} quarantines={} derates={}) \
-             digest={:#018x}\n{}",
-            self.seed,
-            if self.survivable {
-                "survivable"
-            } else {
-                "unconstrained"
-            },
-            self.completed,
-            self.broken_flows,
-            self.timeouts,
-            self.resets,
-            self.pages_completed,
-            self.witness_checks,
-            self.witness_skipped,
-            self.recoveries_detected,
-            self.spliced,
-            self.splices_installed,
-            self.degraded_entries,
-            self.write_behind_dropped,
-            self.store_hedges,
-            self.store_retries,
-            self.store_quarantines,
-            self.derates,
-            self.digest,
-            self.plan.render(),
-        );
+        let mut out = format!("{}\n{}", self.summary, self.plan.render());
         for v in &self.violations {
             out.push_str("  VIOLATION: ");
             out.push_str(v);
@@ -235,101 +179,127 @@ fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
         Box::new(StoreWitness::new(witness_addr, &tb.store_addrs, replicas)),
     );
 
-    apply_plan(&mut tb, plan, Some(witness));
+    apply_plan(&mut tb, plan, witness);
     tb.engine.run_for(deadline(plan.survivable));
 
-    let violations = check_invariants(&tb, plan, &browsers, witness);
-    let mut report = ChaosReport {
-        seed: plan.seed,
-        survivable: plan.survivable,
-        plan: plan.clone(),
-        digest: tb.engine.event_digest(),
-        events: tb.engine.events_processed(),
-        completed: 0,
-        broken_flows: 0,
-        timeouts: 0,
-        resets: 0,
-        pages_completed: 0,
-        witness_checks: 0,
-        witness_skipped: 0,
-        recoveries_detected: 0,
-        spliced: 0,
-        splices_installed: 0,
-        degraded_entries: 0,
-        write_behind_dropped: 0,
-        store_hedges: 0,
-        store_retries: 0,
-        store_quarantines: 0,
-        derates: 0,
-        violations,
+    let eng = &tb.engine;
+    let sum = |ids: &[NodeId], f: &dyn Fn(NodeId) -> Option<u64>| -> u64 {
+        ids.iter().filter_map(|&id| f(id)).sum()
     };
-    for &b in &browsers {
-        if let Some(bc) = tb.engine.try_node_ref::<BrowserClient>(b) {
-            report.completed += bc.completed;
-            report.broken_flows += bc.broken_flows;
-            report.timeouts += bc.timeouts;
-            report.resets += bc.resets;
-            report.pages_completed += bc.pages_completed;
-        }
+    let browser = |f: fn(&BrowserClient) -> u64| {
+        sum(&browsers, &|b| eng.try_node_ref::<BrowserClient>(b).map(f))
+    };
+    let instance = |f: fn(&YodaInstance) -> u64| {
+        sum(&tb.instances, &|i| {
+            eng.try_node_ref::<YodaInstance>(i).map(f)
+        })
+    };
+    let spliced = sum(&tb.muxes, &|m| {
+        eng.try_node_ref::<Mux>(m).map(|mx| mx.spliced)
+    });
+    let splices_installed = instance(|i| i.splices_installed);
+    let w = eng.try_node_ref::<StoreWitness>(witness);
+    let controller = eng.try_node_ref::<Controller>(tb.controller);
+    let summary = format!(
+        "seed {} ({}): completed={} broken={} timeouts={} resets={} pages={} \
+         witness(ok={} skipped={}) recoveries={} spliced={spliced}/{splices_installed} \
+         gray(degraded={} wb_dropped={} hedges={} retries={} quarantines={} derates={}) \
+         digest={:#018x}",
+        plan.seed,
+        if plan.survivable {
+            "survivable"
+        } else {
+            "unconstrained"
+        },
+        browser(|b| b.completed),
+        browser(|b| b.broken_flows),
+        browser(|b| b.timeouts),
+        browser(|b| b.resets),
+        browser(|b| b.pages_completed),
+        w.map_or(0, |w| w.checks),
+        w.map_or(0, |w| w.skipped),
+        controller.map_or(0, |c| c.recoveries_detected),
+        instance(|i| i.degraded_entries),
+        instance(|i| i.durability().wb_dropped),
+        instance(|i| i.store_client().hedges),
+        instance(|i| i.store_client().retries),
+        instance(|i| i.store_client().quarantines),
+        controller.map_or(0, |c| c.derates),
+        eng.event_digest(),
+    );
+    ChaosReport {
+        plan: plan.clone(),
+        digest: eng.event_digest(),
+        events: eng.events_processed(),
+        spliced,
+        splices_installed,
+        summary,
+        violations: check_invariants(&tb, plan, &browsers, witness),
     }
-    if let Some(w) = tb.engine.try_node_ref::<StoreWitness>(witness) {
-        report.witness_checks = w.checks;
-        report.witness_skipped = w.skipped;
-    }
-    for &m in &tb.muxes {
-        if let Some(mx) = tb.engine.try_node_ref::<Mux>(m) {
-            report.spliced += mx.spliced;
-        }
-    }
-    for &i in &tb.instances {
-        if let Some(inst) = tb.engine.try_node_ref::<YodaInstance>(i) {
-            report.splices_installed += inst.splices_installed;
-            report.degraded_entries += inst.degraded_entries;
-            report.write_behind_dropped += inst.durability().wb_dropped;
-            let sc = inst.store_client();
-            report.store_hedges += sc.hedges;
-            report.store_retries += sc.retries;
-            report.store_quarantines += sc.quarantines;
-        }
-    }
-    if let Some(c) = tb.engine.try_node_ref::<Controller>(tb.controller) {
-        report.recoveries_detected = c.recoveries_detected;
-        report.derates = c.derates;
-    }
-    report
 }
 
-/// Schedules every fault of `plan` onto the testbed. `witness` (when
-/// present) gets its epoch bumped at each store-fault boundary, *before*
-/// the fault itself so in-flight pairs are disqualified first. A target
-/// index outside the testbed (generator indices always fit the shape;
-/// hand-built plans may not) schedules nothing.
-pub(crate) fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: Option<NodeId>) {
+/// Schedules every fault of `plan` onto the testbed. `witness` gets its
+/// epoch bumped at each boundary of a store fault. A node index outside
+/// the testbed (generator indices always fit the shape; hand-built plans
+/// may not) schedules nothing.
+fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: NodeId) {
     for f in &plan.faults {
         let (at, end) = (f.at, f.end());
         match f.kind {
-            FaultKind::InstanceCrash { i } => crash(tb, GrayTarget::Instance(i), at, end),
-            FaultKind::InstancePartition { i } => {
-                partition(tb, GrayTarget::Instance(i), (true, true), at, end);
+            FaultKind::Crash(node) => on_node(
+                tb,
+                witness,
+                node,
+                (at, end),
+                |tb, _| tb.fail_at(node, at),
+                |tb, _| tb.restore_at(node, end),
+            ),
+            FaultKind::Partition {
+                node,
+                cut_in,
+                cut_out,
+            } => on_node(
+                tb,
+                witness,
+                node,
+                (at, end),
+                |tb, id| {
+                    tb.engine
+                        .schedule(at, move |eng| eng.partition_node_dirs(id, cut_in, cut_out));
+                },
+                |tb, id| tb.engine.schedule(end, move |eng| eng.heal_node(id)),
+            ),
+            FaultKind::Slowdown { node, factor } => on_node(
+                tb,
+                witness,
+                node,
+                (at, end),
+                |tb, _| tb.slowdown_at(node, f64::from(factor), at),
+                |tb, _| tb.slowdown_at(node, 1.0, end),
+            ),
+            FaultKind::LinkDegrade {
+                node,
+                loss_pct,
+                jitter_ms,
+            } => {
+                let loss = f64::from(loss_pct.min(100)) / 100.0;
+                let jitter = SimTime::from_millis(u64::from(jitter_ms));
+                on_node(
+                    tb,
+                    witness,
+                    node,
+                    (at, end),
+                    |tb, id| {
+                        tb.engine
+                            .schedule(at, move |eng| eng.degrade_node_links(id, loss, jitter));
+                    },
+                    |tb, id| {
+                        tb.engine.schedule(end, move |eng| {
+                            eng.degrade_node_links(id, 0.0, SimTime::ZERO);
+                        });
+                    },
+                );
             }
-            FaultKind::StoreCrash { i } => {
-                if let Some(&id) = tb.stores.get(i) {
-                    bump_epoch_at(tb, witness, at);
-                    tb.engine.schedule(at, move |eng| eng.fail_node(id));
-                    bump_epoch_at(tb, witness, end);
-                    tb.restore_at(id, end);
-                }
-            }
-            FaultKind::StorePartition { i } => {
-                if let Some(&id) = tb.stores.get(i) {
-                    bump_epoch_at(tb, witness, at);
-                    tb.engine.schedule(at, move |eng| eng.partition_node(id));
-                    bump_epoch_at(tb, witness, end);
-                    tb.engine.schedule(end, move |eng| eng.heal_node(id));
-                }
-            }
-            FaultKind::MuxCrash { i } => crash(tb, GrayTarget::Mux(i), at, end),
-            FaultKind::BackendCrash { i } => crash(tb, GrayTarget::Backend(i), at, end),
             FaultKind::ControllerKill => {
                 let id = tb.controller;
                 tb.engine.schedule(at, move |eng| eng.fail_node(id));
@@ -355,76 +325,36 @@ pub(crate) fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: Option<Nod
                 .collect();
                 wan_override_dirs(tb, at, end, dirs, |_| LinkSpec::blackhole());
             }
-            FaultKind::NodeSlowdown { node, factor } => match node {
-                GrayTarget::Store(i) if i < tb.stores.len() => {
-                    bump_epoch_at(tb, witness, at);
-                    tb.slowdown_store_at(i, f64::from(factor), at);
-                    bump_epoch_at(tb, witness, end);
-                    tb.slowdown_store_at(i, 1.0, end);
-                }
-                GrayTarget::Backend(i) if i < tb.backends.len() => {
-                    tb.slowdown_backend_at(i, f64::from(factor), at);
-                    tb.slowdown_backend_at(i, 1.0, end);
-                }
-                _ => {}
-            },
-            FaultKind::LinkDegrade {
-                node,
-                loss_pct,
-                jitter_ms,
-            } => {
-                if let Some(id) = node_of(tb, node) {
-                    if matches!(node, GrayTarget::Store(_)) {
-                        bump_epoch_at(tb, witness, at);
-                        bump_epoch_at(tb, witness, end);
-                    }
-                    let loss = f64::from(loss_pct.min(100)) / 100.0;
-                    let jitter = SimTime::from_millis(u64::from(jitter_ms));
-                    tb.engine
-                        .schedule(at, move |eng| eng.degrade_node_links(id, loss, jitter));
-                    tb.engine.schedule(end, move |eng| {
-                        eng.degrade_node_links(id, 0.0, SimTime::ZERO);
-                    });
-                }
-            }
-            FaultKind::AsymmetricPartition { node, inbound } => {
-                if matches!(node, GrayTarget::Store(_)) && node_of(tb, node).is_some() {
-                    bump_epoch_at(tb, witness, at);
-                    bump_epoch_at(tb, witness, end);
-                }
-                partition(tb, node, (inbound, !inbound), at, end);
-            }
         }
     }
 }
 
-/// Resolves a fault target to its testbed node.
-fn node_of(tb: &Testbed, target: GrayTarget) -> Option<NodeId> {
-    match target {
-        GrayTarget::Instance(i) => tb.instances.get(i).copied(),
-        GrayTarget::Store(i) => tb.stores.get(i).copied(),
-        GrayTarget::Mux(i) => tb.muxes.get(i).copied(),
-        GrayTarget::Backend(i) => tb.backends.get(i).copied(),
+/// Schedules a fault on `node` over `[at, end)`: `start` schedules its
+/// injection and `stop` its heal, each given the node's id. A fault on a
+/// store is bracketed by witness epoch bumps, each scheduled just before
+/// the closure it guards, so pairs in flight across the boundary are
+/// disqualified before the store changes. Nothing is scheduled for a
+/// node the testbed does not have.
+fn on_node(
+    tb: &mut Testbed,
+    witness: NodeId,
+    node: Target,
+    (at, end): (SimTime, SimTime),
+    start: impl FnOnce(&mut Testbed, NodeId),
+    stop: impl FnOnce(&mut Testbed, NodeId),
+) {
+    let Some(id) = tb.node(node) else {
+        return;
+    };
+    let store = matches!(node, Target::Store(_));
+    if store {
+        bump_epoch_at(tb, witness, at);
     }
-}
-
-/// Kills `target` at `at` and restarts it fresh at `end`.
-fn crash(tb: &mut Testbed, target: GrayTarget, at: SimTime, end: SimTime) {
-    if let Some(id) = node_of(tb, target) {
-        tb.engine.schedule(at, move |eng| eng.fail_node(id));
-        tb.restore_at(id, end);
+    start(tb, id);
+    if store {
+        bump_epoch_at(tb, witness, end);
     }
-}
-
-/// Cuts `target`'s ingress and/or egress (`(cut_in, cut_out)`) at `at`
-/// and heals it at `end`. The node stays alive: its timers keep firing.
-fn partition(tb: &mut Testbed, target: GrayTarget, cut: (bool, bool), at: SimTime, end: SimTime) {
-    if let Some(id) = node_of(tb, target) {
-        let (cut_in, cut_out) = cut;
-        tb.engine
-            .schedule(at, move |eng| eng.partition_node_dirs(id, cut_in, cut_out));
-        tb.engine.schedule(end, move |eng| eng.heal_node(id));
-    }
+    stop(tb, id);
 }
 
 /// Symmetric WAN override (both directions) for the window `[at, end)`.
@@ -466,12 +396,8 @@ fn wan_override_dirs(
     });
 }
 
-/// Bumps the witness epoch at `at` (scheduled before the co-timed fault
-/// so the bump runs first).
-fn bump_epoch_at(tb: &mut Testbed, witness: Option<NodeId>, at: SimTime) {
-    let Some(w) = witness else {
-        return;
-    };
+/// Bumps the witness epoch at `at`.
+fn bump_epoch_at(tb: &mut Testbed, w: NodeId, at: SimTime) {
     tb.engine.schedule(at, move |eng| {
         if let Some(node) = eng.try_node_mut::<StoreWitness>(w) {
             node.bump_epoch();

@@ -59,4 +59,4 @@ pub use isn::syn_ack_isn;
 pub use prober::Prober;
 pub use proxy::ProxyInstance;
 pub use rules::{glob_match, Rule, RuleTable, SelectCtx};
-pub use testbed::{Testbed, TestbedConfig, Tier};
+pub use testbed::{Target, Testbed, TestbedConfig, Tier};

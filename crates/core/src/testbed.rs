@@ -112,6 +112,21 @@ fn addrs(n: usize, a: u8, b: u8, c: u8) -> Vec<Addr> {
     (1..=n as u8).map(|i| Addr::new(a, b, c, i)).collect()
 }
 
+/// One testbed node by role and index: `Instance(i)` is
+/// `Testbed::instances[i]`, and so on. Chaos plans and the testbed's
+/// fault methods name nodes this way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Target {
+    /// Active L7 instance `i`.
+    Instance(usize),
+    /// Store server `i`.
+    Store(usize),
+    /// Mux `i`.
+    Mux(usize),
+    /// Backend server `i`.
+    Backend(usize),
+}
+
 /// A built testbed: the engine plus handles to every component.
 pub struct Testbed {
     /// The simulation engine.
@@ -428,19 +443,34 @@ impl Testbed {
         Addr::new(172, 16, 1, host)
     }
 
-    /// Fails L7 instance `i` at simulated time `at`.
-    pub fn fail_instance_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.instances, i);
+    /// The node `target` names, or `None` when its index is past the end
+    /// of its role's list.
+    pub fn node(&self, target: Target) -> Option<NodeId> {
+        match target {
+            Target::Instance(i) => self.instances.get(i),
+            Target::Store(i) => self.stores.get(i),
+            Target::Mux(i) => self.muxes.get(i),
+            Target::Backend(i) => self.backends.get(i),
+        }
+        .copied()
+    }
+
+    /// [`Testbed::node`], refusing a target the testbed does not have:
+    /// scenarios name nodes of the shape their own config sized, so a
+    /// missing one is a script bug.
+    #[track_caller]
+    fn known(&self, target: Target) -> NodeId {
+        *nth(self.node(target).as_slice(), 0)
+    }
+
+    /// Kills `target` at simulated time `at`.
+    #[track_caller]
+    pub fn fail_at(&mut self, target: Target, at: SimTime) {
+        let id = self.known(target);
         self.engine.schedule(at, move |eng| eng.fail_node(id));
     }
 
-    /// Fails backend `i` at simulated time `at`.
-    pub fn fail_backend_at(&mut self, i: usize, at: SimTime) {
-        let id = *nth(&self.backends, i);
-        self.engine.schedule(at, move |eng| eng.fail_node(id));
-    }
-
-    /// Restarts node `id` at `at` **with fresh state**, built as its role
+    /// Restarts `target` at `at` **with fresh state**, built as its role
     /// builds it: an instance with an empty flow table and no VIPs (the
     /// controller re-detects it via pings and reinstalls its rules and
     /// mux mappings), a store server with an empty table (keys it held
@@ -448,54 +478,49 @@ impl Testbed {
     /// factor of stores are down at once), a mux with a cold flow table
     /// (re-added to the router's ECMP set once the controller has pushed
     /// it the current VIP maps), or a backend (the controller broadcasts
-    /// `BackendUp` once it sees pongs again). Any other node is left
-    /// alone.
-    pub fn restore_at(&mut self, id: NodeId, at: SimTime) {
-        let find = |list: &[NodeId]| list.iter().position(|&n| n == id);
-        let fresh: Box<dyn FnOnce() -> Box<dyn Node> + Send> =
-            if let Some(i) = find(&self.instances) {
+    /// `BackendUp` once it sees pongs again).
+    #[track_caller]
+    pub fn restore_at(&mut self, target: Target, at: SimTime) {
+        let id = self.known(target);
+        let fresh: Box<dyn FnOnce() -> Box<dyn Node> + Send> = match target {
+            Target::Instance(i) => {
                 let addr = *nth(&self.instance_addrs, i);
                 let make = self.tier.make.clone();
                 let store_addrs = self.store_addrs.clone();
                 let mux_addrs = self.mux_addrs.clone();
                 Box::new(move || make(addr, &store_addrs, &mux_addrs))
-            } else if let Some(i) = find(&self.stores) {
+            }
+            Target::Store(i) => {
                 let (cfg, addr) = (self.store_cfg, *nth(&self.store_addrs, i));
                 Box::new(move || Box::new(StoreServer::new(cfg, addr)))
-            } else if let Some(i) = find(&self.muxes) {
+            }
+            Target::Mux(i) => {
                 let addr = *nth(&self.mux_addrs, i);
                 Box::new(move || Box::new(Mux::new(addr)))
-            } else if let Some(i) = find(&self.backends) {
+            }
+            Target::Backend(i) => {
                 let services = self.service_backends.len();
                 let group = nth(&self.service_backends, i % services);
                 let ep = *nth(group, i / services);
                 let catalog = self.catalog.clone();
                 Box::new(move || Box::new(OriginServer::new(ServerConfig, ep, catalog)))
-            } else {
-                return;
-            };
+            }
+        };
         self.engine
             .schedule(at, move |eng| eng.restore_node(id, fresh()));
     }
 
-    /// Scales store server `i`'s per-op CPU service time by `factor` at
-    /// `at` (gray failure: the store stays alive and answers pings, just
-    /// slowly). Pass `1.0` to heal.
-    pub fn slowdown_store_at(&mut self, i: usize, factor: f64, at: SimTime) {
-        let id = *nth(&self.stores, i);
+    /// Scales `target`'s per-request CPU service time by `factor` at `at`
+    /// (gray failure: it stays alive and answers pings, just slowly).
+    /// Pass `1.0` to heal. Store servers and backends carry the
+    /// service-time models; an instance or a mux is left as it is.
+    #[track_caller]
+    pub fn slowdown_at(&mut self, target: Target, factor: f64, at: SimTime) {
+        let id = self.known(target);
         self.engine.schedule(at, move |eng| {
             if let Some(s) = eng.try_node_mut::<StoreServer>(id) {
                 s.set_speed_factor(factor);
-            }
-        });
-    }
-
-    /// Scales backend `i`'s service time by `factor` at `at`. Pass `1.0`
-    /// to heal.
-    pub fn slowdown_backend_at(&mut self, i: usize, factor: f64, at: SimTime) {
-        let id = *nth(&self.backends, i);
-        self.engine.schedule(at, move |eng| {
-            if let Some(s) = eng.try_node_mut::<OriginServer>(id) {
+            } else if let Some(s) = eng.try_node_mut::<OriginServer>(id) {
                 s.set_speed_factor(factor);
             }
         });
@@ -601,7 +626,7 @@ mod tests {
                 ..BrowserConfig::default()
             },
         );
-        tb.fail_instance_at(0, SimTime::from_secs(3));
+        tb.fail_at(Target::Instance(0), SimTime::from_secs(3));
         tb.engine.run_for(SimTime::from_secs(240));
         let b = tb.engine.node_ref::<BrowserClient>(browser);
         assert!(

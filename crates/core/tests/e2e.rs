@@ -2,7 +2,7 @@
 //! router, muxes, Yoda instances, TCPStore, and backends.
 
 use yoda_core::YodaInstance;
-use yoda_core::{Testbed, TestbedConfig};
+use yoda_core::{Target, Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig, OriginServer, RateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 
@@ -130,8 +130,8 @@ fn instance_failure_is_transparent_to_clients() {
             ..BrowserConfig::default()
         },
     );
-    tb.fail_instance_at(0, SimTime::from_secs(5));
-    tb.fail_instance_at(1, SimTime::from_secs(5));
+    tb.fail_at(Target::Instance(0), SimTime::from_secs(5));
+    tb.fail_at(Target::Instance(1), SimTime::from_secs(5));
     tb.engine.run_for(SimTime::from_secs(180));
     let recovered: u64 = tb
         .instances
@@ -190,7 +190,7 @@ fn prequal_quarantines_failed_backend_and_keeps_serving() {
     // Kill one prequal backend mid-run: in-flight probes to it time
     // out, every instance quarantines it, and selection shifts to the
     // survivors well before the controller's slower failure broadcast.
-    tb.fail_backend_at(0, SimTime::from_secs(3));
+    tb.fail_at(Target::Backend(0), SimTime::from_secs(3));
     tb.engine.run_for(SimTime::from_secs(14));
 
     let mut sent = 0;

@@ -39,7 +39,7 @@ pub struct StoreServer {
     addr: yoda_netsim::Addr,
     data: FlowTable<Bytes, Bytes>,
     cpu: ServiceQueue,
-    /// Service-time multiplier (chaos `NodeSlowdown`): 1.0 = healthy.
+    /// Service-time multiplier (chaos `Slowdown`): 1.0 = healthy.
     speed_factor: f64,
     /// Total `get` operations served.
     pub gets: u64,

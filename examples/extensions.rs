@@ -13,7 +13,7 @@
 //! ```
 
 use yoda::core::YodaInstance;
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Target, Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig, OriginServer};
 use yoda::netsim::SimTime;
 
@@ -45,7 +45,7 @@ fn main() {
             },
         );
         // Kill an instance right as the first hellos land.
-        tb.fail_instance_at(0, SimTime::from_millis(1070));
+        tb.fail_at(Target::Instance(0), SimTime::from_millis(1070));
         tb.engine.run_for(SimTime::from_secs(60));
         let b = tb.engine.node_ref::<BrowserClient>(browser);
         println!("  TLS pages completed : {}", b.pages_completed);

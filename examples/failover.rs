@@ -11,7 +11,7 @@
 //! ```
 
 use yoda::core::YodaInstance;
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Target, Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 
@@ -51,8 +51,8 @@ fn main() {
                 ..BrowserConfig::default()
             },
         );
-        tb.fail_instance_at(0, SimTime::from_millis(3000));
-        tb.fail_instance_at(1, SimTime::from_millis(3000));
+        tb.fail_at(Target::Instance(0), SimTime::from_millis(3000));
+        tb.fail_at(Target::Instance(1), SimTime::from_millis(3000));
         tb.engine.run_for(SimTime::from_secs(60));
         // Only Yoda instances have a TCPStore to recover flows from.
         let recovered: u64 = tb

@@ -12,7 +12,7 @@
 //! the 100 ms client op timeout — the regime degraded mode exists for.
 
 use yoda::core::YodaInstance;
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Target, Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 use yoda::tcpstore::StoreServerConfig;
@@ -86,8 +86,8 @@ fn brownout_run() -> (BrownoutPrint, f64) {
     // ALL stores brown out at 3 s and heal at 11 s; the run continues to
     // 20 s so the write-behind buffers drain on camera.
     for i in 0..tb.stores.len() {
-        tb.slowdown_store_at(i, FACTOR, SimTime::from_secs(3));
-        tb.slowdown_store_at(i, 1.0, SimTime::from_secs(11));
+        tb.slowdown_at(Target::Store(i), FACTOR, SimTime::from_secs(3));
+        tb.slowdown_at(Target::Store(i), 1.0, SimTime::from_secs(11));
     }
     tb.engine.run_for(SimTime::from_secs(20));
 

@@ -14,6 +14,7 @@
 //! `scripts/check.sh` compares those lines with `results/chaos_runs.txt`.
 
 use yoda::chaos::{run_seed, ChaosPlan, ChaosReport, ChaosScenario, FaultKind};
+use yoda::core::Target;
 
 /// Runs `seed`, prints its `chaos-run:` line (shown with `--nocapture`)
 /// and requires every invariant to hold.
@@ -110,8 +111,8 @@ fn splicing() {
             report.render()
         );
         for f in &report.plan.faults {
-            instance |= matches!(f.kind, FaultKind::InstanceCrash { .. });
-            mux |= matches!(f.kind, FaultKind::MuxCrash { .. });
+            instance |= matches!(f.kind, FaultKind::Crash(Target::Instance(_)));
+            mux |= matches!(f.kind, FaultKind::Crash(Target::Mux(_)));
         }
     }
     assert!(
@@ -134,14 +135,6 @@ fn survivable_seeds_hold_with_splicing() {
 /// availability preconditions.
 fn gray(n: u64) {
     let sc = ChaosScenario::survivable();
-    let is_gray = |k: FaultKind| {
-        matches!(
-            k,
-            FaultKind::NodeSlowdown { .. }
-                | FaultKind::LinkDegrade { .. }
-                | FaultKind::AsymmetricPartition { .. }
-        )
-    };
     // Disjoint seed range (2000..) from the other matrices; seeds whose
     // plan drew no gray fault are skipped, so every run here exercises
     // the gray machinery.
@@ -151,7 +144,7 @@ fn gray(n: u64) {
             break;
         }
         let plan = ChaosPlan::generate(seed, true);
-        if !plan.faults.iter().any(|f| is_gray(f.kind)) {
+        if !plan.faults.iter().any(|f| f.kind.is_gray()) {
             continue;
         }
         assert_seed_ok("gray", seed, &sc);

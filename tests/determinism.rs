@@ -11,7 +11,7 @@
 //! their own node's stream; this test catches the unknown ones.
 
 use yoda::chaos::{run_seed, ChaosPlan, ChaosScenario, FaultKind};
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Target, Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
 
@@ -49,7 +49,7 @@ fn run_scenario(seed: u64) -> (u64, u64, u64, u64) {
     );
     // An instance failure mid-traffic exercises the recovery machinery,
     // which leans on timer ordering and TCPStore quorum scheduling.
-    tb.fail_instance_at(0, SimTime::from_millis(2500));
+    tb.fail_at(Target::Instance(0), SimTime::from_millis(2500));
     tb.engine.run_for(SimTime::from_secs(60));
     let completed = tb.engine.node_ref::<BrowserClient>(b0).completed
         + tb.engine.node_ref::<BrowserClient>(b1).completed;
@@ -184,20 +184,12 @@ fn plans_hash(seeds: &[u64], survivable: bool) -> u64 {
 /// which faults the matrices inject.
 #[test]
 fn chaos_matrix_plans_match_pinned_hashes() {
-    let is_gray = |k: &FaultKind| {
-        matches!(
-            k,
-            FaultKind::NodeSlowdown { .. }
-                | FaultKind::LinkDegrade { .. }
-                | FaultKind::AsymmetricPartition { .. }
-        )
-    };
     let gray: Vec<u64> = (2000..4000)
         .filter(|&s| {
             ChaosPlan::generate(s, true)
                 .faults
                 .iter()
-                .any(|f| is_gray(&f.kind))
+                .any(|f| f.kind.is_gray())
         })
         .take(20)
         .collect();
@@ -217,10 +209,10 @@ fn chaos_matrix_plans_match_pinned_hashes() {
             plans_hash(&unconstrained, false),
         ],
         [
-            0xcafe_9107_008b_40c1,
-            0xe675_b2f2_a0cf_b577,
-            0x3a31_a25c_15ae_0d0e,
-            0xd3eb_b64b_2d94_2945,
+            0x8d6f_88e3_1460_382b,
+            0x9413_0dee_c272_7a17,
+            0xc446_620d_59ef_be82,
+            0x83e5_651d_246b_8bc6,
         ],
         "a chaos matrix plan moved (survivable, splice, gray, unconstrained)"
     );
@@ -239,12 +231,23 @@ fn chaos_seeds_8_and_17_match_pinned_digests() {
         .collect();
     let draws = |f: fn(&FaultKind) -> bool| kinds.iter().any(f);
     assert!(
-        draws(|k| matches!(k, FaultKind::InstanceCrash { .. }))
-            && draws(|k| matches!(k, FaultKind::StoreCrash { .. }))
-            && draws(|k| matches!(k, FaultKind::MuxCrash { .. }))
-            && draws(|k| matches!(k, FaultKind::BackendCrash { .. }))
-            && draws(|k| matches!(k, FaultKind::InstancePartition { .. }))
-            && draws(|k| matches!(k, FaultKind::AsymmetricPartition { .. })),
+        draws(|k| matches!(k, FaultKind::Crash(Target::Instance(_))))
+            && draws(|k| matches!(k, FaultKind::Crash(Target::Store(_))))
+            && draws(|k| matches!(k, FaultKind::Crash(Target::Mux(_))))
+            && draws(|k| matches!(k, FaultKind::Crash(Target::Backend(_))))
+            && draws(|k| {
+                matches!(
+                    k,
+                    FaultKind::Partition {
+                        node: Target::Instance(_),
+                        cut_in: true,
+                        cut_out: true
+                    }
+                )
+            })
+            && draws(|k| {
+                matches!(k, FaultKind::Partition { node: Target::Instance(_), .. } if k.is_gray())
+            }),
         "seeds 8 and 17 no longer crash every role and partition an instance: {kinds:?}"
     );
     let sc = ChaosScenario::survivable();

@@ -16,7 +16,7 @@ use std::thread;
 
 use yoda::core::make_cert;
 use yoda::core::{FlowRecord, YodaConfig, YodaInstance};
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Target, Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig, OriginServer};
 use yoda::l4lb::{rendezvous_pick, Mux};
 use yoda::netsim::{
@@ -491,7 +491,7 @@ fn backend_failure_terminates_its_flows_quickly() {
         ..largest(&tb, 2)
     };
     let browser = tb.add_browser(0, fetch);
-    tb.fail_backend_at(0, SimTime::from_millis(2500));
+    tb.fail_at(Target::Backend(0), SimTime::from_millis(2500));
     tb.engine.run_for(SimTime::from_secs(120));
     let b = tb.engine.node_mut::<BrowserClient>(browser);
     // Flows through the dead backend were reset and retried; nothing hung

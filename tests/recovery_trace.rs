@@ -27,7 +27,7 @@
 //! rebuilds it on its own.
 
 use yoda::core::YodaInstance;
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Target, Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::{Endpoint, Fate, Node, NodeId, Note, SimTime, TraceEvent, What, PROTO_TCP};
 use yoda::tcp::{Flags, Segment, SeqNum};
@@ -61,7 +61,7 @@ fn bed(kill: bool) -> (Testbed, NodeId) {
         },
     );
     if kill {
-        tb.fail_instance_at(0, KILL);
+        tb.fail_at(Target::Instance(0), KILL);
     }
     (tb, browser)
 }

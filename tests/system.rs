@@ -2,7 +2,7 @@
 //! policy updates mid-flow, and HTTP/1.1 backend switching on a single
 //! keep-alive connection (§5.2).
 
-use yoda::core::{Testbed, TestbedConfig};
+use yoda::core::{Target, Testbed, TestbedConfig};
 use yoda::core::{YodaConfig, YodaInstance};
 use yoda::http::{parse_response, HttpRequest, OriginServer};
 use yoda::l4lb::{rendezvous_pick, Mux};
@@ -408,7 +408,7 @@ fn deterministic_replay() {
                 ..yoda::http::BrowserConfig::default()
             },
         );
-        tb.fail_instance_at(0, SimTime::from_secs(2));
+        tb.fail_at(Target::Instance(0), SimTime::from_secs(2));
         tb.engine.run_for(SimTime::from_secs(60));
         let b = tb.engine.node_mut::<yoda::http::BrowserClient>(browser);
         (
@@ -453,7 +453,7 @@ fn mirror_action_races_backends_and_serves_one_response() {
         );
         if ssl {
             tb.set_ssl_policy_at(vip, &rules, 3000, SimTime::from_millis(500));
-            tb.slowdown_backend_at(0, 200.0, SimTime::ZERO);
+            tb.slowdown_at(Target::Backend(0), 200.0, SimTime::ZERO);
         } else {
             tb.set_policy_at(vip, &rules, SimTime::from_millis(500));
         }
@@ -531,7 +531,7 @@ fn ssl_termination_and_cert_resend_across_failover() {
                 ..yoda::http::BrowserConfig::default()
             },
         );
-        tb.fail_instance_at(0, SimTime::from_millis(fail_ms));
+        tb.fail_at(Target::Instance(0), SimTime::from_millis(fail_ms));
         tb.engine.run_for(SimTime::from_secs(120));
         let b = tb.engine.node_ref::<yoda::http::BrowserClient>(browser);
         assert_eq!(
