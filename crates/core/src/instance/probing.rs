@@ -56,7 +56,7 @@ impl YodaInstance {
             return;
         };
         let now = ctx.now();
-        let Some(backend) = self.prober.on_reply(reply.tag, now) else {
+        let Some(backend) = self.prober.on_reply(reply.tag) else {
             return; // Late reply; the timeout already fired.
         };
         let sig = Signal {

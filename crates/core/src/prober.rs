@@ -101,7 +101,7 @@ impl Prober {
     /// Matches a reply to its outstanding probe. Returns the probed
     /// backend (and clears any quarantine on it — an answering backend
     /// is alive). `None` for unknown or already-expired tags.
-    pub(crate) fn on_reply(&mut self, tag: u64, _now: SimTime) -> Option<Endpoint> {
+    pub(crate) fn on_reply(&mut self, tag: u64) -> Option<Endpoint> {
         let backend = self.outstanding.remove(&tag)?;
         self.quarantined.remove(&backend);
         Some(backend)
@@ -167,8 +167,8 @@ mod tests {
         let mut p = prober();
         let t0 = SimTime::ZERO;
         let tag = p.begin(ep(1));
-        assert_eq!(p.on_reply(tag, t0), Some(ep(1)));
-        assert_eq!(p.on_reply(tag, t0), None, "tag consumed");
+        assert_eq!(p.on_reply(tag), Some(ep(1)));
+        assert_eq!(p.on_reply(tag), None, "tag consumed");
         assert_eq!(p.on_timeout(tag, t0), None, "reply beat the timeout");
         assert_eq!(p.probes_timed_out, 0);
     }
@@ -198,7 +198,7 @@ mod tests {
         assert!(p.is_quarantined(ep(3), t0 + PROBE_TIMEOUT));
         // A later probe answered by the backend readmits it immediately.
         let tag2 = p.begin(ep(3));
-        assert_eq!(p.on_reply(tag2, t0 + QUARANTINE), Some(ep(3)));
+        assert_eq!(p.on_reply(tag2), Some(ep(3)));
         assert!(!p.is_quarantined(ep(3), t0 + QUARANTINE));
     }
 }
