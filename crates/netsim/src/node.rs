@@ -24,9 +24,9 @@ pub struct TimerId {
 
 /// Application-defined timer payload.
 ///
-/// `kind` discriminates timer purposes within a node; `a` and `b` carry
-/// small operands (e.g. a connection id) so nodes rarely need side tables
-/// keyed by timer.
+/// `kind` discriminates timer purposes within a node; `a` carries a small
+/// operand (e.g. a connection id) so nodes rarely need side tables keyed
+/// by timer.
 ///
 /// # Examples
 ///
@@ -42,19 +42,17 @@ pub struct TimerId {
 pub struct TimerToken {
     /// Application-defined discriminator.
     pub kind: u32,
-    /// First operand.
+    /// Operand.
     pub a: u64,
-    /// Second operand.
-    pub b: u64,
 }
 
 impl TimerToken {
-    /// Creates a token with both operands zero.
+    /// Creates a token with its operand zero.
     pub const fn new(kind: u32) -> Self {
-        TimerToken { kind, a: 0, b: 0 }
+        TimerToken { kind, a: 0 }
     }
 
-    /// Sets the first operand.
+    /// Sets the operand.
     pub const fn with_a(mut self, a: u64) -> Self {
         self.a = a;
         self
@@ -93,12 +91,12 @@ mod tests {
     #[test]
     fn token_builders() {
         let t = TimerToken::new(9).with_a(1);
-        assert_eq!((t.kind, t.a, t.b), (9, 1, 0));
+        assert_eq!((t.kind, t.a), (9, 1));
     }
 
     #[test]
     fn token_default_is_zero() {
         let t = TimerToken::default();
-        assert_eq!((t.kind, t.a, t.b), (0, 0, 0));
+        assert_eq!((t.kind, t.a), (0, 0));
     }
 }
