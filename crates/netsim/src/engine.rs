@@ -8,8 +8,7 @@
 //! t = 5 s").
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 use crate::addr::Addr;
 // AddrMap (not Hash*): deterministic fixed-hash table with a lookup-only
@@ -49,7 +48,6 @@ struct NodeMeta {
     /// Extra per-packet jitter on this node's links, added on top of the
     /// base link latency (never delivering earlier).
     degrade_jitter: SimTime,
-    addrs: Vec<Addr>,
     /// This node's private RNG stream, split from the engine seed by
     /// [`NodeId`] at `add_node`. Handlers draw from it via
     /// [`Ctx::node_rng`]: because it is keyed by node, a node's draw
@@ -60,27 +58,14 @@ struct NodeMeta {
     rng: Rng,
 }
 
-/// Payload of a heap-scheduled event. Only the rare control closure
-/// rides the heap now: timers AND packets live inline in the
-/// [`TimerWheel`], so the hot path allocates nothing per event.
+/// A control closure ([`Engine::schedule`], a node's `on_start`): the
+/// rare event that is neither a timer nor a packet, which live inline in
+/// the [`TimerWheel`], so the hot path allocates nothing per event.
 ///
 /// `Send` so the engine as a whole is `Send` — independent engines (one
 /// per seed) can run on separate threads — which a scheduled closure
 /// capturing `Rc`/`RefCell` state would break.
 type Control = Box<dyn FnOnce(&mut Engine) + Send>;
-
-/// What the binary heap actually sorts: a 24-byte key instead of a full
-/// event, so sift operations move 24 bytes rather than ~100. The payload
-/// sits in `EngineCore::payloads[slot]` until the key pops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapEntry {
-    /// Absolute time, µs.
-    time: u64,
-    /// Global insertion sequence — the deterministic tie-breaker.
-    seq: u64,
-    /// Payload slab index.
-    slot: u32,
-}
 
 /// Engine internals shared with [`Ctx`]; split from the node storage so a
 /// node can borrow the core mutably while the engine holds the node.
@@ -89,12 +74,9 @@ struct EngineCore {
     /// One global sequence counter shared by packets, timers, and control
     /// events: allocation order IS the deterministic tie-break order.
     seq: u64,
-    events: BinaryHeap<Reverse<HeapEntry>>,
-    /// Control closures for heap entries, indexed by `HeapEntry::slot`;
-    /// slots are recycled through `free_payloads` in LIFO order
-    /// (deterministic).
-    payloads: Vec<Option<Control>>,
-    free_payloads: Vec<u32>,
+    /// Pending control closures keyed by `(time µs, seq)`: `seq` is
+    /// unique, so the map's order is the events' `(time, seq)` order.
+    controls: BTreeMap<(u64, u64), Control>,
     /// All pending timers and in-flight packets; O(1) arm and cancel,
     /// pops in exact `(deadline, seq)` order. Its clock trails
     /// `time` — it is never past the next event `step_bounded` will
@@ -154,33 +136,12 @@ impl EngineCore {
         &mut self.meta[id]
     }
 
-    /// Stores a control closure in the slab, returning its slot.
-    fn alloc_payload(&mut self, payload: Control) -> u32 {
-        match self.free_payloads.pop() {
-            Some(s) => {
-                if let Some(p) = self.payloads.get_mut(s as usize) {
-                    *p = Some(payload);
-                }
-                s
-            }
-            None => {
-                self.payloads.push(Some(payload));
-                (self.payloads.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Schedules a heap event (control closures; packets go through the
-    /// wheel via [`EngineCore::send_from`]).
+    /// Schedules a control closure (packets and timers go through the
+    /// wheel).
     fn push(&mut self, time: SimTime, payload: Control) {
         let seq = self.seq;
         self.seq += 1;
-        let slot = self.alloc_payload(payload);
-        self.events.push(Reverse(HeapEntry {
-            time: time.as_micros(),
-            seq,
-            slot,
-        }));
+        self.controls.insert((time.as_micros(), seq), payload);
     }
 
     /// Traces a packet event; the packet is read only when tracing is on.
@@ -262,7 +223,7 @@ impl EngineCore {
 
     /// Arms an in-flight packet into the timing wheel, stored inline in
     /// the wheel's slab. The shared seq counter keeps the global
-    /// `(time, seq)` order with heap events; the wheel requires strictly
+    /// `(time, seq)` order with control events; the wheel requires strictly
     /// increasing seq at arm time, so a duplicate is armed after its
     /// primary.
     fn arm_packet(&mut self, at: SimTime, pkt: Packet, dst: u32) {
@@ -350,9 +311,8 @@ impl Ctx<'_> {
         core.next_timer_id += 1;
         let generation = core.meta(self.node.0).generation;
         let at = core.time + delay;
-        // Timers share the packet/control sequence counter so the
-        // total event order is identical to scheduling them
-        // through the heap.
+        // Timers share the packet/control sequence counter, so one
+        // `(time, seq)` order runs across the wheel and the controls.
         let seq = core.seq;
         core.seq += 1;
         let slot = core.wheel.arm(
@@ -409,9 +369,7 @@ impl Engine {
             core: EngineCore {
                 time: SimTime::ZERO,
                 seq: 0,
-                events: BinaryHeap::new(),
-                payloads: Vec::new(),
-                free_payloads: Vec::new(),
+                controls: BTreeMap::new(),
                 wheel: TimerWheel::new(),
                 meta: Vec::new(),
                 addr_map: AddrMap::new(),
@@ -525,7 +483,6 @@ impl Engine {
             generation: 0,
             degrade_loss: 0.0,
             degrade_jitter: SimTime::ZERO,
-            addrs: vec![addr],
             rng,
         });
         self.nodes.push(Some(node));
@@ -547,7 +504,6 @@ impl Engine {
     pub fn add_addr(&mut self, id: NodeId, addr: Addr) {
         let prev = self.core.addr_map.insert(addr, id.0);
         assert!(prev.is_none(), "address {addr} already in use");
-        self.core.meta_mut(id.0).addrs.push(addr);
     }
 
     /// Looks up the node owning an address, if any.
@@ -757,20 +713,21 @@ impl Engine {
     }
 
     /// Processes the globally next event — the `(time, seq)` minimum
-    /// across the control heap and the wheel — unless its time exceeds
+    /// across the controls and the wheel — unless its time exceeds
     /// `limit_us`; returns `false`, with nothing popped, when nothing
-    /// eligible is pending. One heap peek and one
+    /// eligible is pending. One look at the first control and one
     /// [`TimerWheel::pop_before`] per event: the wheel is asked only for
-    /// an entry strictly below the heap top and at or below the limit,
-    /// so it never moves its clock past the time of the event processed
-    /// next (or past the limit), and no arm a handler makes is clamped.
+    /// an entry strictly below the first control and at or below the
+    /// limit, so it never moves its clock past the time of the event
+    /// processed next (or past the limit), and no arm a handler makes is
+    /// clamped.
     fn step_bounded(&mut self, limit_us: Option<u64>) -> bool {
-        let heap_key = self.core.events.peek().map(|&Reverse(e)| (e.time, e.seq));
+        let control_key = self.core.controls.first_key_value().map(|(&k, _)| k);
         let within_limit = match limit_us {
             Some(limit) => (limit.saturating_add(1), 0),
             None => (u64::MAX, u64::MAX),
         };
-        let bound = heap_key.map_or(within_limit, |h| h.min(within_limit));
+        let bound = control_key.map_or(within_limit, |c| c.min(within_limit));
         if let Some(fired) = self.core.wheel.pop_before(bound.0, bound.1) {
             debug_assert!(
                 fired.time >= self.core.time.as_micros(),
@@ -822,36 +779,24 @@ impl Engine {
             return true;
         }
 
-        // Nothing in the wheel precedes the heap top, so it is next —
-        // if it is within the limit.
-        if heap_key.is_none_or(|h| h >= within_limit) {
+        // Nothing in the wheel precedes the first control, so it is
+        // next — if it is within the limit.
+        if control_key.is_none_or(|c| c >= within_limit) {
             return false;
         }
-        let Some(Reverse(entry)) = self.core.events.pop() else {
-            return false; // unreachable: peek said non-empty
+        let Some(((time, _), f)) = self.core.controls.pop_first() else {
+            return false; // unreachable: the map was non-empty
         };
-        debug_assert!(
-            entry.time >= self.core.time.as_micros(),
-            "time went backwards"
-        );
-        self.core.time = SimTime::from_micros(entry.time);
+        debug_assert!(time >= self.core.time.as_micros(), "time went backwards");
+        self.core.time = SimTime::from_micros(time);
         // Bring the wheel's clock along (everything pending is at or
         // after this event), so the control's arms place at full
         // resolution.
-        self.core.wheel.advance(entry.time);
+        self.core.wheel.advance(time);
         self.core.events_processed += 1;
-        let payload = self
-            .core
-            .payloads
-            .get_mut(entry.slot as usize)
-            .and_then(Option::take);
-        self.core.free_payloads.push(entry.slot);
-        // Always `Some`: every heap entry owns its payload slot.
-        if let Some(f) = payload {
-            self.core.digest = fnv_fold(self.core.digest, entry.time);
-            self.core.digest = fnv_fold(self.core.digest, 3u64);
-            f(self);
-        }
+        self.core.digest = fnv_fold(self.core.digest, time);
+        self.core.digest = fnv_fold(self.core.digest, 3u64);
+        f(self);
         true
     }
 

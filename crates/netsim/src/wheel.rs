@@ -5,7 +5,7 @@
 //! global `BinaryHeap` — O(log n) per operation plus allocation churn.
 //! This wheel delivers the same *exact* event order at O(1) amortized
 //! cost and carries both event classes ([`WheelItem`]); only rare
-//! control closures remain in the heap.
+//! control closures stay out, in the engine's `(time, seq)`-keyed map.
 //!
 //! | level    | slots | slot width              | window                    |
 //! |----------|-------|-------------------------|---------------------------|
@@ -39,11 +39,11 @@
 //! **The clock never passes the bound.** `pop_before(t, s)` cascades a
 //! slot starting at `start` only when `(start, 0) < (t, s)`, and
 //! otherwise returns `None` with nothing moved. The engine passes the
-//! key of the next event it would process instead (the control-heap top,
-//! or one past its run limit), so after any call the wheel clock is at
-//! or before the time of the next event the engine handles — and an
-//! [`TimerWheel::arm`] made while handling it (deadline ≥ that time) is
-//! never clamped forward.
+//! key of the next event it would process instead (the first pending
+//! control, or one past its run limit), so after any call the wheel
+//! clock is at or before the time of the next event the engine handles
+//! — and an [`TimerWheel::arm`] made while handling it (deadline ≥ that
+//! time) is never clamped forward.
 //!
 //! Every slot skipped by a clock move is provably empty (the clock only
 //! moves to the deadline of a popped minimum, to the start of the first
