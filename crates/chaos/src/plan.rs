@@ -518,16 +518,14 @@ fn admissible(existing: &[Fault], f: &Fault, regime: &Regime) -> bool {
             return false;
         }
     }
-    let impaired: Vec<Target> = overlapping
-        .iter()
-        .map(|e| e.kind.impaired())
-        .chain([f.kind.impaired()])
-        .filter_map(|i| match i {
-            Impaired::Node(node) => Some(node),
-            Impaired::Controller | Impaired::Wan => None,
-        })
-        .collect();
-    let count = |t: &dyn Fn(Target) -> bool| impaired.iter().filter(|&&n| t(n)).count();
+    let count = |t: &dyn Fn(Target) -> bool| {
+        overlapping
+            .iter()
+            .map(|e| e.kind.impaired())
+            .chain([f.kind.impaired()])
+            .filter(|&i| matches!(i, Impaired::Node(node) if t(node)))
+            .count()
+    };
     let instances_down = count(&|t| matches!(t, Target::Instance(_)));
     if INSTANCES < MIN_LIVE_INSTANCES + instances_down {
         return false;
