@@ -127,9 +127,10 @@ fn survivable_seeds_hold_with_splicing() {
 }
 
 /// Gray-fault matrix: the first `n` survivable plans that actually
-/// contain a gray fault (slowdown, link degrade, or asymmetric
-/// partition) must hold the zero-breakage invariants — slow-but-alive
-/// components are routed around, never surfaced to clients. The
+/// contain a gray fault ([`FaultKind::is_gray`]: a slowdown, a link
+/// degrade or a one-way partition) must hold the zero-breakage
+/// invariants — slow-but-alive components are routed around, never
+/// surfaced to clients. The
 /// generator's survivable regime caps the slowdown intensity (factor and
 /// factor×duration), so these plans are harsh but inside §6's
 /// availability preconditions.
