@@ -138,7 +138,8 @@ echo "==> store brownout availability delta"
 # Gray-failure headline: all stores slowed 10x, none killed. The bench
 # prints healthy-vs-brownout new-connection success; the delta must stay
 # under 1 point (the brownout test under `cargo test` asserts the >= 99%
-# floor — this readout puts the number in the gate log).
+# floor — this readout puts the number in the gate log). figures.sh below
+# also byte-compares its whole output with results/brownout_store.txt.
 brownout_out="$(./target/release/brownout_store)"
 grep -E "success|availability delta|degraded-mode entries" <<< "$brownout_out"
 delta_pct=$(grep "availability delta" <<< "$brownout_out" | grep -o '[0-9.]*%' | tr -d '%')
@@ -146,7 +147,7 @@ awk -v d="$delta_pct" 'BEGIN {
     if (d > 1.0) { print "brownout: availability delta " d "% exceeds 1 point" ; exit 1 }
 }' || exit 1
 
-echo "==> figure byte-identity (all nine deterministic figures)"
+echo "==> figure byte-identity (all ten deterministic figures)"
 # Engine changes must be pure perf wins unless they say otherwise: every
 # simulation-driven figure must reproduce its committed bytes exactly.
 scripts/figures.sh

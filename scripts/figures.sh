@@ -4,7 +4,7 @@
 #   scripts/figures.sh            # compare (needs `cargo build --release --workspace`)
 #   scripts/figures.sh --update   # build, then regenerate every results/<bin>.txt
 #
-# Compare mode regenerates all nine deterministic figures from the release
+# Compare mode regenerates all ten deterministic figures from the release
 # binaries and byte-compares each to its committed copy (fig16 up to its
 # solve times), then checks the four seed-42 bench_e2e event digests
 # against the ones pinned below (DESIGN.md "Digests"). It exits non-zero,
@@ -24,7 +24,8 @@ cd "$(dirname "$0")/.."
 # Every figure binary; each results/<bin>.txt is its output with no arguments.
 figures=(table1_website_impact fig6_rule_latency fig9_latency_breakdown
          fig10_tcpstore_latency fig12_failure_recovery fig13_scalability
-         fig14_policy_update fig15_cost_reduction fig16_updates fig17_adaptive_tail ablation)
+         fig14_policy_update fig15_cost_reduction fig16_updates fig17_adaptive_tail ablation
+         brownout_store)
 
 if [[ "${1:-}" == "--update" ]]; then
     cargo build --release --workspace
