@@ -5,10 +5,10 @@
 //! killed, all keep answering pings, so classic liveness health checks
 //! see a healthy tier while every flow-record write crawls. The
 //! gray-failure machinery keeps the data path available anyway: hedged
-//! reads steer around slow replicas, bounded retries absorb stragglers,
-//! and instances that see consecutive write timeouts enter degraded mode
-//! (serve flows immediately, queue records in a bounded write-behind
-//! buffer, drain after the heal).
+//! reads steer around slow replicas, and instances that see consecutive
+//! write timeouts enter degraded mode (serve flows immediately, queue
+//! records in a bounded write-behind buffer, drain after the heal). A
+//! write is sent once to each replica and never re-sent.
 //!
 //! The headline: with all stores 10× slow, new-connection success stays
 //! ≥99% with bounded p99 — against a baseline where SYN-ACKs block on
@@ -171,13 +171,10 @@ fn main() {
     );
     print_kv("brownout: recovery reads shed", brown.shed_reads);
     print_kv(
-        "brownout: store ops timeouts/hedges/retries/quarantines",
+        "brownout: store ops timeouts/hedges/quarantines",
         format!(
-            "{} / {} / {} / {}",
-            brown.store_stats.timeouts,
-            brown.store_stats.hedges,
-            brown.store_stats.retries,
-            brown.store_stats.quarantines
+            "{} / {} / {}",
+            brown.store_stats.timeouts, brown.store_stats.hedges, brown.store_stats.quarantines
         ),
     );
     println!("  per-replica store-client view (brownout run):");

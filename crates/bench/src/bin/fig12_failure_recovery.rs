@@ -91,13 +91,10 @@ fn main() {
     let (_, yoda) = &cdf_sets[0];
     yoda.store_stats.table().print();
     print_kv(
-        "store ops: timeouts/hedges/retries/quarantines",
+        "store ops: timeouts/hedges/quarantines",
         format!(
-            "{} / {} / {} / {}",
-            yoda.store_stats.timeouts,
-            yoda.store_stats.hedges,
-            yoda.store_stats.retries,
-            yoda.store_stats.quarantines
+            "{} / {} / {}",
+            yoda.store_stats.timeouts, yoda.store_stats.hedges, yoda.store_stats.quarantines
         ),
     );
 

@@ -1,10 +1,10 @@
 //! Aggregated TCPStore-client statistics for the experiment binaries.
 //!
 //! Every Yoda instance embeds a [`StoreClient`] whose per-replica health
-//! view (latency EWMA, timeouts, hedges, retries, quarantines) drives the
+//! view (latency EWMA, timeouts, hedges, quarantines) drives the
 //! gray-failure machinery. The benches fold the views of all instances
 //! into one [`StoreStatsSummary`] so a run can print which replica was
-//! slow, how often the hedge fired, and what the retry traffic cost.
+//! slow and how often the hedge fired.
 
 use std::collections::BTreeMap;
 
@@ -19,16 +19,12 @@ use crate::report::Table;
 pub struct StoreStatsSummary {
     /// Per-replica stats, merged across clients (EWMA sample-weighted).
     pub(crate) per_replica: BTreeMap<Addr, ReplicaStat>,
-    /// Operations that timed out entirely (all retries exhausted).
+    /// Operations that no replica answered within the op timeout.
     pub timeouts: u64,
     /// Hedged reads fired.
     pub hedges: u64,
-    /// Background repair sends fired.
-    pub retries: u64,
     /// Replica quarantine entries.
     pub quarantines: u64,
-    /// Under-acked writes abandoned after the retry budget.
-    pub(crate) repairs_abandoned: u64,
 }
 
 impl StoreStatsSummary {
@@ -36,16 +32,13 @@ impl StoreStatsSummary {
     pub fn absorb(&mut self, client: &StoreClient) {
         self.timeouts += client.timeouts;
         self.hedges += client.hedges;
-        self.retries += client.retries;
         self.quarantines += client.quarantines;
-        self.repairs_abandoned += client.repairs_abandoned;
         for (&addr, s) in client.replica_stats() {
             let e = self.per_replica.entry(addr).or_insert_with(|| ReplicaStat {
                 ewma: SimTime::ZERO,
                 samples: 0,
                 timeouts: 0,
                 hedges: 0,
-                retries: 0,
                 quarantines: 0,
                 misses_in_a_row: 0,
                 quarantined_until: SimTime::ZERO,
@@ -60,7 +53,6 @@ impl StoreStatsSummary {
             e.samples = total;
             e.timeouts += s.timeouts;
             e.hedges += s.hedges;
-            e.retries += s.retries;
             e.quarantines += s.quarantines;
         }
     }
@@ -73,7 +65,6 @@ impl StoreStatsSummary {
             "samples",
             "timeouts",
             "hedges",
-            "retries",
             "quarantines",
         ]);
         for (addr, s) in &self.per_replica {
@@ -83,7 +74,6 @@ impl StoreStatsSummary {
                 s.samples.to_string(),
                 s.timeouts.to_string(),
                 s.hedges.to_string(),
-                s.retries.to_string(),
                 s.quarantines.to_string(),
             ]);
         }
@@ -105,13 +95,13 @@ mod tests {
         a.timeouts = 2;
         a.hedges = 3;
         b.timeouts = 1;
-        b.retries = 5;
+        b.quarantines = 5;
         let mut sum = StoreStatsSummary::default();
         sum.absorb(&a);
         sum.absorb(&b);
         assert_eq!(sum.timeouts, 3);
         assert_eq!(sum.hedges, 3);
-        assert_eq!(sum.retries, 5);
+        assert_eq!(sum.quarantines, 5);
         // Fresh clients have no replica samples yet; the table still
         // renders (possibly empty) without panicking.
         sum.table().print();

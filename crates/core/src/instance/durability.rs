@@ -200,8 +200,8 @@ impl Durability {
             } else {
                 // Resets the streak but deliberately does NOT exit
                 // degraded mode — a write issued before the brownout can
-                // still limp home through retries and late acks, and
-                // healing on such a straggler flaps the instance in and
+                // still complete on one ack at its deadline, and healing
+                // on such a straggler flaps the instance in and
                 // out of degraded mode (each re-entry blocks
                 // `DEGRADED_AFTER` more SYN-ACKs on a store that is still
                 // slow). Only a fast heal probe heals.
@@ -210,18 +210,18 @@ impl Durability {
         }
         match self.waiting.remove(&ev.tag)? {
             Waiter::Drain => {
-                // Whatever the outcome, the slot frees up: a timed-out
-                // drain write already has a background repair round, and
-                // blocking the drain on it would starve the rest of the
-                // buffer.
+                // Whatever the outcome, the slot frees up: blocking the
+                // drain would starve the rest of the buffer. A drain write
+                // that no replica acked in time is not re-sent. On a slow
+                // store it was applied on arrival and only its acks were
+                // late; on dead or cut-off replicas its record is lost.
                 self.drain_inflight = self.drain_inflight.saturating_sub(1);
                 self.drain_step(ctx);
                 None
             }
             Waiter::HealProbe => {
                 // The heal decision requires *consecutive fast* successes
-                // — each within one op-timeout window, i.e. no retries
-                // and no late acks — so a store hovering at the timeout
+                // — each within one op-timeout window — so a store hovering at the timeout
                 // boundary (one lucky probe between queue spikes) does
                 // not flap the instance out of and back into degraded
                 // mode.

@@ -16,12 +16,15 @@
 //!
 //! A per-operation timeout handles dead replica servers: the op completes
 //! with whatever succeeded, matching the paper's choice not to block flows
-//! on a failed Memcached instance.
+//! on a failed Memcached instance. A write is sent once to each replica
+//! and never re-sent: a replica that missed it stays without it, and a
+//! read still finds the value on the other (a miss asks the backup at
+//! once, below).
 //!
 //! # Gray-failure hardening
 //!
 //! Dead servers are the easy case; browning-out ones (slow CPU, lossy
-//! links) are what actually erode tail latency. Three defenses, all
+//! links) are what actually erode tail latency. Two defenses, both
 //! deterministic:
 //!
 //! - **Per-replica suspicion.** Every replica carries a latency EWMA and
@@ -34,14 +37,6 @@
 //!   HEDGE_MAX)` the backup is contacted without giving up on the first.
 //!   A miss reply fires the backup immediately (a miss on one replica
 //!   must never conclude the op while the other may hold the value).
-//! - **Background write repair.** A write that completes with fewer
-//!   than K acks is re-sent to the silent replicas with bounded,
-//!   exponentially backed-off retries (jitter drawn from the owning
-//!   node's seeded RNG stream, so repair traffic replays bit-for-bit).
-//!   The caller's [`StoreEvent`] is never delayed by repair — it fires
-//!   at the original deadline with the acks observed then — and a newer
-//!   write to the same key supersedes any pending repair so stale
-//!   values can never resurrect.
 
 use std::collections::BTreeMap;
 
@@ -56,8 +51,6 @@ use crate::ring::HashRing;
 pub const STORE_TIMER_KIND: u32 = 0x5709;
 /// Timer-token kind for hedged-read triggers.
 pub const STORE_HEDGE_KIND: u32 = 0x570A;
-/// Timer-token kind for background write-repair retries.
-pub const STORE_RETRY_KIND: u32 = 0x570B;
 
 /// Per-operation timeout (covers dead servers). Also the yardstick a
 /// degraded instance's heal probe must beat to count as "fast".
@@ -69,11 +62,6 @@ const HEDGE_MAX: SimTime = SimTime::from_millis(50);
 /// Hedge delay = `HEDGE_MULT ×` the preferred replica's latency EWMA,
 /// clamped into `[HEDGE_MIN, HEDGE_MAX]`.
 const HEDGE_MULT: f64 = 3.0;
-/// Background repair rounds for under-acked writes.
-const MAX_RETRIES: u32 = 2;
-/// Backoff before the first repair round; doubles each round, plus
-/// seeded jitter of up to half the round's backoff.
-const RETRY_BACKOFF: SimTime = SimTime::from_millis(25);
 /// Consecutive unanswered ops before a replica is quarantined.
 const SUSPECT_AFTER: u32 = 3;
 /// How long a quarantined replica is deprioritized for reads.
@@ -125,8 +113,6 @@ pub struct ReplicaStat {
     pub timeouts: u64,
     /// Hedged reads fired because this replica sat on the request.
     pub hedges: u64,
-    /// Background repair sends directed at this replica.
-    pub retries: u64,
     /// Times this replica entered quarantine.
     pub quarantines: u64,
     /// Consecutive deadline misses (reset by any answer).
@@ -142,7 +128,6 @@ impl ReplicaStat {
             samples: 0,
             timeouts: 0,
             hedges: 0,
-            retries: 0,
             quarantines: 0,
             misses_in_a_row: 0,
             quarantined_until: SimTime::ZERO,
@@ -160,7 +145,7 @@ struct PendingOp {
     tag: u64,
     op: StoreOp,
     key: Bytes,
-    /// Kept so hedged sends (and repair enqueue) can rebuild the request.
+    /// Kept so hedged sends can rebuild the request.
     value: Bytes,
     issued: SimTime,
     /// Full replica set in contact-preference order; `targets[..contacted]`
@@ -182,21 +167,6 @@ impl PendingOp {
     }
 }
 
-/// A background repair of an under-acked write: the value is re-sent to
-/// the replicas that never acknowledged, with bounded backed-off rounds.
-struct Repair {
-    op: StoreOp,
-    key: Bytes,
-    value: Bytes,
-    /// Replicas still missing the write.
-    servers: Vec<Addr>,
-    /// Rounds already sent.
-    attempt: u32,
-    /// The next round's timer, cancelled when the repair settles or a
-    /// newer write to the key supersedes it.
-    retry: TimerId,
-}
-
 /// The client library: embed in a node, route RPC packets and timers
 /// whose kind passes [`StoreClient::owns_timer_kind`] to it.
 pub struct StoreClient {
@@ -209,10 +179,6 @@ pub struct StoreClient {
     /// The ring's answer for the op being issued, in a buffer reused op
     /// after op: a pending op's one allocation is its `targets`.
     replica_buf: Vec<Addr>,
-    /// Under-acked writes being repaired in the background, keyed by the
-    /// original request id (so a late ack from the original send settles
-    /// the repair).
-    repairs: FlowTable<u64, Repair>,
     next_req: u64,
     /// Per-replica health/traffic stats.
     replica_stats: BTreeMap<Addr, ReplicaStat>,
@@ -226,12 +192,12 @@ pub struct StoreClient {
     pub timeouts: u64,
     /// Hedged reads fired.
     pub hedges: u64,
-    /// Background repair sends fired.
+    /// Always 0: the client sends each write once and re-sends none.
+    /// Kept because the frozen `bench_e2e` reads it by name; ROADMAP
+    /// item 2(b) removes it with that read.
     pub retries: u64,
     /// Quarantine entries across all replicas.
     pub quarantines: u64,
-    /// Repairs abandoned after exhausting the retry budget.
-    pub repairs_abandoned: u64,
 }
 
 impl StoreClient {
@@ -244,7 +210,6 @@ impl StoreClient {
             local,
             pending: FlowTable::new(),
             replica_buf: Vec::new(),
-            repairs: FlowTable::new(),
             next_req: 1,
             replica_stats: BTreeMap::new(),
             get_latency: Histogram::new(),
@@ -254,7 +219,6 @@ impl StoreClient {
             hedges: 0,
             retries: 0,
             quarantines: 0,
-            repairs_abandoned: 0,
         }
     }
 
@@ -271,7 +235,7 @@ impl StoreClient {
     /// Whether `kind` is one of the client's timer kinds; owners route
     /// matching [`TimerToken`]s to [`StoreClient::on_timer`].
     pub fn owns_timer_kind(kind: u32) -> bool {
-        matches!(kind, STORE_TIMER_KIND | STORE_HEDGE_KIND | STORE_RETRY_KIND)
+        matches!(kind, STORE_TIMER_KIND | STORE_HEDGE_KIND)
     }
 
     /// Issues a `get`. The result arrives later as a [`StoreEvent`] with
@@ -372,15 +336,6 @@ impl StoreClient {
         self.ring
             .replicas(&key, self.replicas, &mut self.replica_buf);
         let is_write = !matches!(op, StoreOp::Get);
-        if is_write {
-            // A newer write supersedes any pending repair of the same key:
-            // re-sending the stale value after this would resurrect it.
-            for id in self.repairs.sorted_keys(|_, r| r.key == key) {
-                if let Some(r) = self.repairs.remove(&id) {
-                    ctx.cancel_timer(r.retry);
-                }
-            }
-        }
         // Reads steer around quarantined replicas: healthy ones first, then
         // suspect ones, ring order within each class (which keeps the
         // preference deterministic). Writes always fan out to the full set
@@ -456,56 +411,38 @@ impl StoreClient {
         let now = ctx.now();
         let from = pkt.src.addr;
         // First pass under the pending borrow: settle the target and
-        // decide what to do; act after the borrow ends.
-        let settled = match self.pending.get_mut(&resp.req_id) {
-            Some(op) => {
-                let mut latency = None;
-                for t in op.targets.iter_mut().take(op.contacted) {
-                    if t.server == from && !t.answered {
-                        t.answered = true;
-                        latency = Some(now.saturating_sub(t.sent_at));
-                        break;
+        // decide what to do; act after the borrow ends. A response to an
+        // op no longer pending (a late ack after its deadline) is dropped.
+        let (latency, miss_reply, complete) = {
+            let op = self.pending.get_mut(&resp.req_id)?;
+            let mut latency = None;
+            for t in op.targets.iter_mut().take(op.contacted) {
+                if t.server == from && !t.answered {
+                    t.answered = true;
+                    latency = Some(now.saturating_sub(t.sent_at));
+                    break;
+                }
+            }
+            // None: a duplicate or stray response; the op's accounting
+            // already settled this replica.
+            let latency = latency?;
+            match resp.status {
+                StoreStatus::Ok => {
+                    op.acks += 1;
+                    if resp.op == StoreOp::Get && op.hit.is_none() {
+                        op.hit = Some(resp.value.clone());
                     }
                 }
-                let Some(latency) = latency else {
-                    // A duplicate or stray response; the op's accounting
-                    // already settled this replica.
-                    return None;
-                };
-                match resp.status {
-                    StoreStatus::Ok => {
-                        op.acks += 1;
-                        if resp.op == StoreOp::Get && op.hit.is_none() {
-                            op.hit = Some(resp.value.clone());
-                        }
-                    }
-                    StoreStatus::Miss => {}
-                }
-                let is_get = matches!(op.op, StoreOp::Get);
-                let miss_reply = is_get && op.hit.is_none();
-                let complete = if is_get {
-                    op.hit.is_some() || op.all_answered()
-                } else {
-                    op.all_answered()
-                };
-                Some((latency, miss_reply, complete))
+                StoreStatus::Miss => {}
             }
-            None => None,
-        };
-        let Some((latency, miss_reply, complete)) = settled else {
-            // Not pending: maybe a (late or retried) ack settling a repair.
-            if let Some(rep) = self.repairs.get_mut(&resp.req_id) {
-                rep.servers.retain(|&s| s != from);
-                if rep.servers.is_empty() {
-                    ctx.cancel_timer(rep.retry);
-                    self.repairs.remove(&resp.req_id);
-                }
-                self.replica_stats
-                    .entry(from)
-                    .or_insert_with(ReplicaStat::new)
-                    .misses_in_a_row = 0;
-            }
-            return None;
+            let is_get = matches!(op.op, StoreOp::Get);
+            let miss_reply = is_get && op.hit.is_none();
+            let complete = if is_get {
+                op.hit.is_some() || op.all_answered()
+            } else {
+                op.all_answered()
+            };
+            (latency, miss_reply, complete)
         };
         self.replica_answered(from, latency);
         if miss_reply && !complete {
@@ -533,14 +470,13 @@ impl StoreClient {
         Some(self.finish(op, now))
     }
 
-    /// Handles the client's timers: op deadlines, hedge triggers, and
-    /// repair rounds. Returns the operation a deadline completed (timed
-    /// out or partially acked), if any.
+    /// Handles the client's timers: op deadlines and hedge triggers.
+    /// Returns the operation a deadline completed (timed out or partially
+    /// acked), if any.
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) -> Option<StoreEvent> {
         match token.kind {
             STORE_TIMER_KIND => return self.on_deadline(ctx, token.a),
             STORE_HEDGE_KIND => self.on_hedge(ctx, token.a),
-            STORE_RETRY_KIND => self.on_repair_round(ctx, token.a),
             _ => debug_assert!(false, "unexpected timer kind {:#x}", token.kind),
         }
         None
@@ -584,76 +520,14 @@ impl StoreClient {
         }
         let now = ctx.now();
         // Charge the deadline to every contacted replica that sat silent.
-        let silent: Vec<Addr> = op
-            .targets
-            .iter()
-            .take(op.contacted)
-            .filter(|t| !t.answered)
-            .map(|t| t.server)
-            .collect();
-        for &server in &silent {
-            self.replica_missed(server, now);
-        }
-        // Under-acked write: repair the silent replicas in the background.
-        // The caller's event is NOT delayed — it reports the acks observed
-        // at the deadline, same as before repair existed.
-        if !matches!(op.op, StoreOp::Get) && !silent.is_empty() {
-            let delay = self.repair_backoff(ctx, 0);
-            let retry = ctx.set_timer(delay, TimerToken::new(STORE_RETRY_KIND).with_a(req_id));
-            self.repairs.insert(
-                req_id,
-                Repair {
-                    op: op.op,
-                    key: op.key.clone(),
-                    value: op.value.clone(),
-                    servers: silent,
-                    attempt: 0,
-                    retry,
-                },
-            );
+        // An under-acked write is not re-sent: it reports the acks
+        // observed at the deadline, and reads find the value on a replica
+        // that has it.
+        let silent = op.targets.iter().take(op.contacted).filter(|t| !t.answered);
+        for t in silent {
+            self.replica_missed(t.server, now);
         }
         Some(self.finish(op, now))
-    }
-
-    /// Deterministic exponential backoff with seeded jitter: base × 2^round
-    /// plus up to half of that again, drawn from the owning node's RNG
-    /// stream (bit-for-bit reproducible, whatever other nodes draw).
-    fn repair_backoff(&self, ctx: &mut Ctx<'_>, round: u32) -> SimTime {
-        let base = RETRY_BACKOFF.as_micros() << round.min(16);
-        let jitter = ctx.node_rng().gen_range(0..=base / 2);
-        SimTime::from_micros(base + jitter)
-    }
-
-    fn on_repair_round(&mut self, ctx: &mut Ctx<'_>, req_id: u64) {
-        let (op, key, value, servers, attempt) = {
-            let Some(rep) = self.repairs.get_mut(&req_id) else {
-                // Acked in the meantime or superseded by a newer write.
-                return;
-            };
-            if rep.attempt >= MAX_RETRIES {
-                self.repairs.remove(&req_id);
-                self.repairs_abandoned += 1;
-                return;
-            }
-            rep.attempt += 1;
-            (
-                rep.op,
-                rep.key.clone(),
-                rep.value.clone(),
-                rep.servers.clone(),
-                rep.attempt,
-            )
-        };
-        for &server in &servers {
-            self.send_to(ctx, server, req_id, op, &key, &value);
-            self.retries += 1;
-            self.stat(server).retries += 1;
-        }
-        let delay = self.repair_backoff(ctx, attempt);
-        let retry = ctx.set_timer(delay, TimerToken::new(STORE_RETRY_KIND).with_a(req_id));
-        if let Some(rep) = self.repairs.get_mut(&req_id) {
-            rep.retry = retry;
-        }
     }
 
     fn finish(&mut self, op: PendingOp, now: SimTime) -> StoreEvent {
@@ -902,10 +776,8 @@ mod tests {
         assert_eq!(node.events.len(), 1);
         assert_eq!(node.events[0].outcome, StoreOutcome::TimedOut);
         assert_eq!(node.client.timeouts, 1);
-        // The repair gave up after its bounded rounds; nothing lingers.
-        assert_eq!(node.client.repairs.len(), 0);
-        assert_eq!(node.client.repairs_abandoned, 1);
-        assert!(node.client.retries > 0);
+        // The timed-out write leaves nothing behind.
+        assert!(node.client.pending.is_empty());
     }
 
     #[test]
@@ -985,8 +857,8 @@ mod tests {
         let after = ev(11);
         assert_eq!(after.outcome, StoreOutcome::Done { acks: 2 });
         assert!(after.latency < SimTime::from_millis(10));
-        // Reads see the healed write — the superseding rule guarantees the
-        // background repair of P1 can never overwrite P2.
+        // Reads see the write made after the heal, which reached both
+        // replicas.
         assert_eq!(
             ev(12).outcome,
             StoreOutcome::Value(Bytes::from_static(b"P2"))
@@ -1062,7 +934,7 @@ mod tests {
     }
 
     #[test]
-    fn under_acked_write_is_repaired_in_background() {
+    fn missed_write_is_not_resent_and_reads_find_it_via_the_backup() {
         let (mut eng, id, server_ids) = build(2, 3);
         eng.run_for(SimTime::from_millis(5));
         let primary = {
@@ -1073,8 +945,9 @@ mod tests {
             .iter()
             .find(|&&sid| eng.node_name(sid).contains(&primary.to_string()))
             .expect("primary exists");
-        // Drop the victim's packets only briefly: the original send is
-        // lost, but the first repair round lands.
+        let sets_before = eng.node_ref::<StoreServer>(victim).sets;
+        // The primary is cut off while the write is sent, and heals just
+        // after the op deadline (10 ms + 100 ms).
         eng.partition_node(victim);
         eng.schedule(SimTime::from_millis(10), move |eng| {
             eng.with_node_ctx::<ClientNode>(id, |n, ctx| {
@@ -1086,10 +959,7 @@ mod tests {
                 );
             });
         });
-        // Heal right after the op deadline (10 ms + 100 ms), before the
-        // first repair round can fire.
         eng.schedule(SimTime::from_millis(112), move |eng| {
-            let victim = victim;
             eng.heal_node(victim);
         });
         eng.run_for(SimTime::from_secs(1));
@@ -1101,11 +971,15 @@ mod tests {
                 .find(|e| e.tag == 40)
                 .expect("set completed");
             assert_eq!(ev.outcome, StoreOutcome::Done { acks: 1 });
-            assert!(node.client.retries >= 1, "repair rounds fired");
-            assert_eq!(node.client.repairs.len(), 0, "repair settled");
         }
-        // The repaired replica now holds the value: a primary-only read
-        // hits it directly.
+        // Nothing re-sent the write to the healed replica.
+        assert_eq!(eng.node_ref::<StoreServer>(victim).sets, sets_before);
+        // A read asks the empty primary, which answers Miss; the miss
+        // asks the backup at once, before any hedge would.
+        let (hedges, misses) = (
+            eng.node_ref::<ClientNode>(id).client.hedges,
+            eng.node_ref::<StoreServer>(victim).misses,
+        );
         eng.schedule(SimTime::ZERO, move |eng| {
             eng.with_node_ctx::<ClientNode>(id, |n, ctx| {
                 n.client.get(ctx, Bytes::from_static(b"flow:r"), 41);
@@ -1119,6 +993,8 @@ mod tests {
             .find(|e| e.tag == 41)
             .expect("get completed");
         assert_eq!(ev.outcome, StoreOutcome::Value(Bytes::from_static(b"R1")));
+        assert_eq!(eng.node_ref::<StoreServer>(victim).misses, misses + 1);
+        assert_eq!(node.client.hedges, hedges, "the miss, not a hedge");
     }
 
     #[test]

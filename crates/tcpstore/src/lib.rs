@@ -17,7 +17,10 @@
 //!
 //! When a store server fails, key-value pairs are *not* re-replicated
 //! ("flows finish quicker than the replication latency", §6); reads simply
-//! fall back to the surviving replicas.
+//! fall back to the surviving replicas. Likewise a write is sent once to
+//! each replica and never re-sent: a replica that missed it (dead, cut off
+//! or past the op timeout) stays without it, and a read that misses there
+//! asks the next replica at once.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +31,7 @@ mod server;
 
 pub use client::{
     ReplicaStat, StoreClient, StoreEvent, StoreOutcome, OP_TIMEOUT, STORE_HEDGE_KIND,
-    STORE_RETRY_KIND, STORE_TIMER_KIND,
+    STORE_TIMER_KIND,
 };
 pub use proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 pub use ring::HashRing;

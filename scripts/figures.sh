@@ -64,7 +64,7 @@ done
 # A deliberate digest move updates these pins and DESIGN.md "Digests" in
 # the same change.
 for pinned in browse_closed:c91e8019f54d54ea api_open:347480207a2d96b1 \
-              bulk_splice:dc7d7fa4183f81f8 failover_closed:e4e950e843764a82; do
+              bulk_splice:dc7d7fa4183f81f8 failover_closed:426e84945dd5cc49; do
     workload="${pinned%%:*}"
     want="${pinned##*:}"
     got="$(cargo run --release --offline --quiet \

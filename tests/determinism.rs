@@ -156,7 +156,7 @@ fn chaos_seed_2006_matches_pinned_digest() {
     );
     assert_eq!(
         (report.digest, report.events),
-        (0xfa6b_c24d_4fb3_6922, 197_634),
+        (0xf105_1b7a_61e8_92c6, 204_879),
         "chaos seed 2006 event sequence diverged (digest, events)"
     );
 }
@@ -262,7 +262,7 @@ fn chaos_seeds_8_and_17_match_pinned_digests() {
         runs,
         [
             (0xf8ad_c6f6_1090_931e, 185_546),
-            (0x6de4_6cbe_6fae_548b, 199_536),
+            (0x0440_a0f1_5c0d_2bfb, 195_152),
         ],
         "chaos seeds 8 and 17 event sequences diverged (digest, events)"
     );

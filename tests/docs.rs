@@ -16,7 +16,7 @@ use std::path::Path;
 /// The documents whose headings are cited and whose length is pinned,
 /// by stem, with their line ceilings: the counts they were cut to. Lower
 /// a ceiling when a document shrinks; never raise one.
-const DOCS: [(&str, usize); 2] = [("DESIGN", 896), ("EXPERIMENTS", 598)];
+const DOCS: [(&str, usize); 2] = [("DESIGN", 895), ("EXPERIMENTS", 598)];
 /// Where section references are looked for: directories, then files.
 const REF_DIRS: [&str; 5] = ["crates", "tests", "scripts", ".github", ".claude"];
 const REF_FILES: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];

@@ -14,7 +14,7 @@ use yoda::http::{
     BrowserClient, BrowserConfig, RateClient, RateClientConfig, TIMEOUT_KIND, TLS_RETRY_KIND,
 };
 use yoda::netsim::SimTime;
-use yoda::tcpstore::{STORE_HEDGE_KIND, STORE_RETRY_KIND, STORE_TIMER_KIND};
+use yoda::tcpstore::{STORE_HEDGE_KIND, STORE_TIMER_KIND};
 
 /// `(fires, idle fires)` of one timer kind in the census.
 fn census_row(tb: &Testbed, kind: u32) -> (u64, u64) {
@@ -62,7 +62,7 @@ fn healthy_open_loop_fires_no_dead_store_or_http_timer() {
         (0, 0),
         "an op deadline fired: {census:x?}"
     );
-    for kind in [STORE_HEDGE_KIND, STORE_RETRY_KIND, TIMEOUT_KIND] {
+    for kind in [STORE_HEDGE_KIND, TIMEOUT_KIND] {
         let idle = census_row(&tb, kind).1;
         assert_eq!(idle, 0, "kind {kind:#x} fired idle: {census:x?}");
     }
