@@ -117,8 +117,10 @@ pub struct YodaConfig {
     /// instance stores all the packets it ACKes ... so that no state is
     /// lost on failures").
     pub optimistic_synack: bool,
-    /// Probe tick period (`action=prequal` rules; probing only runs
-    /// while at least one installed rule is prequal).
+    /// Probe tick period (`action=prequal` rules). Every instance arms
+    /// the tick at start and re-arms it every period, prequal rule or
+    /// not; a tick with no prequal backend sends nothing (ROADMAP item
+    /// 14(e)).
     pub probe_period: SimTime,
     /// Mux fast path: once a flow enters tunneling, hand its muxes what
     /// the instance no longer needs to see — splice entries on both legs,

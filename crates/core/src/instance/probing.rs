@@ -1,6 +1,8 @@
 //! The shell's probe driver for `action=prequal` rules: ticks, replies
 //! and timeouts, bookkept by the crate's `prober` and fed to each rule's
-//! `pool`. Probing only runs while at least one installed rule is prequal.
+//! `pool`. The tick runs on every instance from its start, whether or not
+//! a rule is prequal; only a tick that finds prequal backends probes and
+//! draws from the node's RNG (ROADMAP item 14(e)).
 
 use std::collections::BTreeSet;
 
