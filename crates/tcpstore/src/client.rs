@@ -145,8 +145,6 @@ struct PendingOp {
     tag: u64,
     op: StoreOp,
     key: Bytes,
-    /// Kept so hedged sends can rebuild the request.
-    value: Bytes,
     issued: SimTime,
     /// Full replica set in contact-preference order; `targets[..contacted]`
     /// have been sent the request.
@@ -376,7 +374,6 @@ impl StoreClient {
                 tag,
                 op,
                 key,
-                value,
                 issued: now,
                 targets,
                 contacted: contact,
@@ -388,20 +385,21 @@ impl StoreClient {
         );
     }
 
-    /// Contacts the next uncontacted replica of a pending read, if any.
+    /// Contacts the next uncontacted replica of a pending read, if any
+    /// (a write contacts every replica at issue, so only reads get here).
     /// Returns the server hedged to.
     fn contact_next(&mut self, ctx: &mut Ctx<'_>, req_id: u64) -> Option<Addr> {
         let now = ctx.now();
-        let (server, op, key, value) = {
+        let (server, op, key) = {
             let pend = self.pending.get_mut(&req_id)?;
             let idx = pend.contacted;
             let target = pend.targets.get_mut(idx)?;
             target.sent_at = now;
             let server = target.server;
             pend.contacted += 1;
-            (server, pend.op, pend.key.clone(), pend.value.clone())
+            (server, pend.op, pend.key.clone())
         };
-        self.send_to(ctx, server, req_id, op, &key, &value);
+        self.send_to(ctx, server, req_id, op, &key, &Bytes::new());
         Some(server)
     }
 
@@ -520,9 +518,6 @@ impl StoreClient {
         }
         let now = ctx.now();
         // Charge the deadline to every contacted replica that sat silent.
-        // An under-acked write is not re-sent: it reports the acks
-        // observed at the deadline, and reads find the value on a replica
-        // that has it.
         let silent = op.targets.iter().take(op.contacted).filter(|t| !t.answered);
         for t in silent {
             self.replica_missed(t.server, now);
