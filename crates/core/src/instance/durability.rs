@@ -201,10 +201,10 @@ impl Durability {
                 // Resets the streak but deliberately does NOT exit
                 // degraded mode — a write issued before the brownout can
                 // still complete on one ack at its deadline, and healing
-                // on such a straggler flaps the instance in and
-                // out of degraded mode (each re-entry blocks
-                // `DEGRADED_AFTER` more SYN-ACKs on a store that is still
-                // slow). Only a fast heal probe heals.
+                // on such a straggler flaps the instance in and out of
+                // degraded mode (each re-entry blocks `DEGRADED_AFTER`
+                // more SYN-ACKs on a store that is still slow). Only a
+                // fast heal probe heals.
                 self.consec_write_timeouts = 0;
             }
         }
@@ -221,10 +221,10 @@ impl Durability {
             }
             Waiter::HealProbe => {
                 // The heal decision requires *consecutive fast* successes
-                // — each within one op-timeout window — so a store hovering at the timeout
-                // boundary (one lucky probe between queue spikes) does
-                // not flap the instance out of and back into degraded
-                // mode.
+                // — each within one op-timeout window — so a store
+                // hovering at the timeout boundary (one lucky probe
+                // between queue spikes) does not flap the instance out of
+                // and back into degraded mode.
                 if self.degraded {
                     if ev.outcome != StoreOutcome::TimedOut && ev.latency <= OP_TIMEOUT {
                         self.fast_probes += 1;

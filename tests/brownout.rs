@@ -2,9 +2,10 @@
 //! none killed.
 //!
 //! The gray-failure machinery — hedged reads, replica quarantine, and
-//! degraded-mode instances with a bounded write-behind buffer — must keep new connections succeeding (≥ 99%) with bounded
-//! tail latency, drain the buffer after the heal, and do all of it
-//! bit-for-bit reproducibly.
+//! degraded-mode instances with a bounded write-behind buffer — must
+//! keep new connections succeeding (≥ 99%) with bounded tail latency,
+//! drain the buffer after the heal, and do all of it bit-for-bit
+//! reproducibly.
 //!
 //! The testbed uses a deliberately modest store tier (8 ms/op instead of
 //! the stock 50 µs) so the 10× brownout saturates it and ops queue past
