@@ -4,11 +4,12 @@
 //! Every TCPStore server is slowed 10× for a window mid-run — none are
 //! killed, all keep answering pings, so classic liveness health checks
 //! see a healthy tier while every flow-record write crawls. The
-//! gray-failure machinery keeps the data path available anyway: hedged
-//! reads steer around slow replicas, and instances that see consecutive
-//! write timeouts enter degraded mode (serve flows immediately, queue
-//! records in a bounded write-behind buffer, drain after the heal). A
-//! write is sent once to each replica and never re-sent.
+//! gray-failure machinery keeps the data path available anyway: every
+//! store op fans out to all replicas and a read completes on the first
+//! hit, and instances that see consecutive write timeouts enter degraded
+//! mode (serve flows immediately, queue records in a bounded
+//! write-behind buffer, drain after the heal). A write is sent once to
+//! each replica and never re-sent.
 //!
 //! The headline: with all stores 10× slow, new-connection success stays
 //! ≥99% with bounded p99 — against a baseline where SYN-ACKs block on
@@ -58,9 +59,8 @@ impl Out {
 fn run(factor: f64) -> Out {
     // A modest store tier (8 ms/op instead of the stock 50 µs) so a 10×
     // brownout saturates the tier and queues ops past the 100 ms timeout:
-    // writes stop completing and the full hedge/retry/degraded-mode
-    // machinery engages. At factor 1 the tier is comfortably
-    // over-provisioned for this load.
+    // writes stop completing and degraded mode engages. At factor 1 the
+    // tier is comfortably over-provisioned for this load.
     let mut tb = Testbed::build(TestbedConfig {
         num_instances: 4,
         num_stores: 3,
@@ -135,7 +135,7 @@ fn run(factor: f64) -> Out {
 fn main() {
     print_header(
         "Store brownout",
-        "gray failure of the whole store tier: hedged ops + degraded-mode instances",
+        "gray failure of the whole store tier: fanned-out ops + degraded-mode instances",
     );
     print_kv("slowdown factor (all stores)", FACTOR);
     print_kv("run length (sim s)", SECS);
@@ -170,13 +170,7 @@ fn main() {
         ),
     );
     print_kv("brownout: recovery reads shed", brown.shed_reads);
-    print_kv(
-        "brownout: store ops timeouts/hedges/quarantines",
-        format!(
-            "{} / {} / {}",
-            brown.store_stats.timeouts, brown.store_stats.hedges, brown.store_stats.quarantines
-        ),
-    );
+    print_kv("brownout: store ops timeouts", brown.store_stats.timeouts);
     println!("  per-replica store-client view (brownout run):");
     brown.store_stats.table().print();
 }

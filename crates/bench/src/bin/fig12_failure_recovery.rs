@@ -85,18 +85,12 @@ fn main() {
     );
 
     // TCPStore health as the surviving instances saw it: recovery reads
-    // land here, so a browning replica would show up as hedges/timeouts.
+    // land here, so a silent replica would show up as timeouts.
     println!();
     println!("TCPStore per-replica client stats (Yoda-noretry):");
     let (_, yoda) = &cdf_sets[0];
     yoda.store_stats.table().print();
-    print_kv(
-        "store ops: timeouts/hedges/quarantines",
-        format!(
-            "{} / {} / {}",
-            yoda.store_stats.timeouts, yoda.store_stats.hedges, yoda.store_stats.quarantines
-        ),
-    );
+    print_kv("store ops: timeouts", yoda.store_stats.timeouts);
 
     println!();
     println!("(a) request-latency CDF points (fraction of requests <= x ms):");

@@ -113,7 +113,7 @@ pub struct FailoverOutcome {
     /// Flows recovered from TCPStore by surviving instances (Yoda only).
     pub recoveries: u64,
     /// Store-client statistics summed across surviving instances (Yoda
-    /// only): per-replica EWMA, timeouts, hedges, quarantines.
+    /// only): op timeouts, and per-replica responses and timeouts.
     pub store_stats: StoreStatsSummary,
     /// Timeline lines around the failure (when requested).
     pub timeline: Vec<String>,

@@ -203,7 +203,7 @@ fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
     let summary = format!(
         "seed {} ({}): completed={} broken={} timeouts={} resets={} pages={} \
          witness(ok={} skipped={}) recoveries={} spliced={spliced}/{splices_installed} \
-         gray(degraded={} wb_dropped={} hedges={} quarantines={} derates={}) \
+         gray(degraded={} wb_dropped={} derates={}) \
          digest={:#018x}",
         plan.seed,
         if plan.survivable {
@@ -221,8 +221,6 @@ fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
         controller.map_or(0, |c| c.recoveries_detected),
         instance(|i| i.degraded_entries),
         instance(|i| i.durability().wb_dropped),
-        instance(|i| i.store_client().hedges),
-        instance(|i| i.store_client().quarantines),
         controller.map_or(0, |c| c.derates),
         eng.event_digest(),
     );

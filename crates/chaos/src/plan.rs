@@ -153,8 +153,9 @@ impl FaultKind {
     /// perfectly behaving L7 LB. WAN impairments and anything that slows
     /// or breaks the backend/data path for client bytes count; Yoda's own
     /// churn (instances, muxes, stores — crashed, partitioned, slowed, or
-    /// lossy) is masked by flow re-steering, TCPStore recovery, hedged
-    /// store reads, and degraded-mode admission, and costs nothing.
+    /// lossy) is masked by flow re-steering, TCPStore recovery, store
+    /// reads fanned out to every replica, and degraded-mode admission,
+    /// and costs nothing.
     /// Exception: packet loss on an instance or mux link sits on the
     /// client byte path itself, which no LB logic can mask.
     fn client_visible(self) -> bool {
@@ -488,7 +489,7 @@ fn admissible(existing: &[Fault], f: &Fault, regime: &Regime) -> bool {
     }
     // Gray-fault intensity caps: a browned-out store must not accumulate
     // more backlog than the run can drain, and degraded links must stay
-    // inside what TCP retransmission + hedged store ops absorb.
+    // inside what TCP retransmission + fanned-out store ops absorb.
     match f.kind {
         FaultKind::Slowdown { factor, .. } => {
             if factor > MAX_SLOWDOWN_FACTOR {

@@ -19,8 +19,8 @@
 //! ("flows finish quicker than the replication latency", §6); reads simply
 //! fall back to the surviving replicas. Likewise a write is sent once to
 //! each replica and never re-sent: a replica that missed it (dead, cut off
-//! or past the op timeout) stays without it, and a read that misses there
-//! asks the next replica at once.
+//! or past the op timeout) stays without it, and a read, sent to every
+//! replica, takes the first hit.
 
 #![forbid(unsafe_code)]
 
@@ -30,8 +30,7 @@ mod ring;
 mod server;
 
 pub use client::{
-    ReplicaStat, StoreClient, StoreEvent, StoreOutcome, OP_TIMEOUT, STORE_HEDGE_KIND,
-    STORE_TIMER_KIND,
+    ReplicaStat, StoreClient, StoreEvent, StoreOutcome, OP_TIMEOUT, STORE_TIMER_KIND,
 };
 pub use proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 pub use ring::HashRing;

@@ -28,8 +28,10 @@ cargo test --release --offline --quiet --manifest-path crates/bench/src/bin/benc
 
 echo "==> cargo test"
 # Tier-1: the root manifest's default-members make this every workspace
-# package's unit tests, doctests and integration tests.
-cargo test -q
+# package's unit tests, doctests and integration tests. --no-fail-fast
+# runs every test binary even after one fails, so one failure cannot
+# hide the others; the step still fails if any test did.
+cargo test -q --no-fail-fast
 
 echo "==> cargo doc"
 # The workspace lints deny warnings, rustdoc's broken and redundant

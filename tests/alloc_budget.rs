@@ -901,12 +901,12 @@ fn a_store_op_keeps_one_vector() {
         }
     }
     assert_eq!(eng.node_ref::<Requester>(requester).done, 64);
-    // A set goes to both replicas, a get to the preferred one: one block
-    // per request, plus the op's `targets`.
+    // Every op, a get as much as a set, goes to both replicas at issue:
+    // one block per request, plus the op's `targets`.
     let (allocs, packets) = op(&mut eng, 100, true);
-    assert_eq!((allocs, packets), (1 + 2, 2), "set");
+    assert_eq!((allocs, packets), (2 + 1, 2), "set");
     let (allocs, packets) = op(&mut eng, 101, false);
-    assert_eq!((allocs, packets), (1 + 1, 1), "get");
+    assert_eq!((allocs, packets), (2 + 1, 2), "get");
     eng.run_for(SimTime::from_millis(5));
     assert_eq!(eng.node_ref::<Requester>(requester).done, 66);
 }

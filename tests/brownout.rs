@@ -1,11 +1,11 @@
 //! Store-brownout headline (tier-1): every TCPStore server slowed 10×,
 //! none killed.
 //!
-//! The gray-failure machinery — hedged reads, replica quarantine, and
-//! degraded-mode instances with a bounded write-behind buffer — must
-//! keep new connections succeeding (≥ 99%) with bounded tail latency,
-//! drain the buffer after the heal, and do all of it bit-for-bit
-//! reproducibly.
+//! The gray-failure machinery — store ops fanned out to every replica,
+//! reads completing on the first hit, and degraded-mode instances with a
+//! bounded write-behind buffer — must keep new connections succeeding
+//! (≥ 99%) with bounded tail latency, drain the buffer after the heal,
+//! and do all of it bit-for-bit reproducibly.
 //!
 //! The testbed uses a deliberately modest store tier (8 ms/op instead of
 //! the stock 50 µs) so the 10× brownout saturates it and ops queue past
@@ -38,8 +38,6 @@ struct BrownoutPrint {
     degraded_end: u64,
     shed_reads: u64,
     store_timeouts: u64,
-    store_hedges: u64,
-    store_quarantines: u64,
 }
 
 impl BrownoutPrint {
@@ -105,8 +103,6 @@ fn brownout_run() -> (BrownoutPrint, f64) {
         degraded_end: 0,
         shed_reads: 0,
         store_timeouts: 0,
-        store_hedges: 0,
-        store_quarantines: 0,
     };
     let mut lat = yoda::netsim::Histogram::new();
     for &b in &browsers {
@@ -135,8 +131,6 @@ fn brownout_run() -> (BrownoutPrint, f64) {
         print.shed_reads += inst.shed_reads;
         let sc = inst.store_client();
         print.store_timeouts += sc.timeouts;
-        print.store_hedges += sc.hedges;
-        print.store_quarantines += sc.quarantines;
     }
     // Write-behind conservation: every enqueued record is drained,
     // dropped, or still queued — no silent losses.
@@ -191,10 +185,9 @@ fn all_stores_10x_slow_keeps_serving() {
     );
 }
 
-/// Hedged and timed-out store traffic is bit-for-bit reproducible: two
-/// identical runs produce the same digest, event count, and counters.
-/// (Hedge delays come from latency EWMAs — nothing wall-clock ever leaks
-/// in.)
+/// Timed-out store traffic is bit-for-bit reproducible: two identical
+/// runs produce the same digest, event count, and counters (nothing
+/// wall-clock ever leaks in).
 #[test]
 fn brownout_run_is_byte_identical() {
     let (a, _) = brownout_run();
@@ -204,4 +197,58 @@ fn brownout_run_is_byte_identical() {
         "determinism run never exercised the store timeout path\n{a:#?}"
     );
     assert_eq!(a, b, "brownout run diverged across identical replays");
+}
+
+/// Every store dead before the flows start: store-first connections
+/// cannot write their records anywhere, so without degraded mode each
+/// SYN waits on a write that only times out and the flows break. With
+/// it, every instance stops waiting after its third write timeout and
+/// new connections complete.
+#[test]
+fn every_store_dead_still_completes_new_connections() {
+    let mut tb = Testbed::build(TestbedConfig {
+        seed: 77,
+        num_instances: 2,
+        num_stores: 3,
+        num_backends: 4,
+        num_muxes: 2,
+        num_services: 1,
+        pages_per_site: 10,
+        ..TestbedConfig::default()
+    });
+    for i in 0..tb.stores.len() {
+        tb.fail_at(Target::Store(i), SimTime::from_millis(900));
+    }
+    tb.engine.run_for(SimTime::from_secs(1));
+    let browser = tb.add_browser(
+        0,
+        BrowserConfig {
+            processes: 4,
+            max_pages: Some(2),
+            http_timeout: SimTime::from_secs(20),
+            ..BrowserConfig::default()
+        },
+    );
+    tb.engine.run_for(SimTime::from_secs(30));
+    let b = tb.engine.node_ref::<BrowserClient>(browser);
+    let degraded: Vec<bool> = tb
+        .instances
+        .iter()
+        .map(|&i| {
+            let inst = tb.engine.node_ref::<YodaInstance>(i);
+            inst.durability().is_degraded()
+        })
+        .collect();
+    assert!(
+        b.completed > 0 && b.pages_completed == 8,
+        "completed {} objects, {} pages",
+        b.completed,
+        b.pages_completed
+    );
+    assert_eq!(
+        (b.broken_flows, b.timeouts, b.resets),
+        (0, 0, 0),
+        "with every store dead, flows broke"
+    );
+    assert_eq!(degraded, [true, true], "every instance degraded");
 }

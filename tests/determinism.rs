@@ -156,7 +156,7 @@ fn chaos_seed_2006_matches_pinned_digest() {
     );
     assert_eq!(
         (report.digest, report.events),
-        (0xf105_1b7a_61e8_92c6, 204_879),
+        (0x4a8e_a279_45fe_e0fb, 202_082),
         "chaos seed 2006 event sequence diverged (digest, events)"
     );
 }
@@ -261,8 +261,8 @@ fn chaos_seeds_8_and_17_match_pinned_digests() {
     assert_eq!(
         runs,
         [
-            (0xf8ad_c6f6_1090_931e, 185_546),
-            (0x0440_a0f1_5c0d_2bfb, 195_152),
+            (0xc5b1_0322_47f3_043f, 188_192),
+            (0x51e4_ec81_3af4_9a21, 195_300),
         ],
         "chaos seeds 8 and 17 event sequences diverged (digest, events)"
     );

@@ -9,7 +9,7 @@
 //! position-dependent, and a raw client compares every body byte it
 //! receives through each tier with the catalog's. A body checksum in the
 //! browsers, so that this test compares content too, is still open
-//! (ROADMAP item 3(ii)).
+//! (ROADMAP item 6(ii)).
 
 use yoda::core::{Testbed, TestbedConfig, Tier};
 use yoda::core::{YodaConfig, YodaInstance};

@@ -1,8 +1,8 @@
 //! Timers that would fire into nothing are cancelled, not delivered.
 //!
-//! Every TCPStore op arms a deadline (and a read a hedge), every HTTP
-//! fetch a timeout, and every TLS hello a retry; once the op, the fetch or
-//! the handshake is done, that timer has nothing left to do. The engine's
+//! Every TCPStore op arms a deadline, every HTTP fetch a timeout, and
+//! every TLS hello a retry; once the op, the fetch or the handshake is
+//! done, that timer has nothing left to do. The engine's
 //! timer census counts, per timer kind, the fires a handler saw and the
 //! idle ones among them (nothing sent, nothing armed). On a healthy bed
 //! through Yoda no op runs into its deadline, so the deadline kind must
@@ -14,7 +14,7 @@ use yoda::http::{
     BrowserClient, BrowserConfig, RateClient, RateClientConfig, TIMEOUT_KIND, TLS_RETRY_KIND,
 };
 use yoda::netsim::SimTime;
-use yoda::tcpstore::{STORE_HEDGE_KIND, STORE_TIMER_KIND};
+use yoda::tcpstore::STORE_TIMER_KIND;
 
 /// `(fires, idle fires)` of one timer kind in the census.
 fn census_row(tb: &Testbed, kind: u32) -> (u64, u64) {
@@ -62,10 +62,8 @@ fn healthy_open_loop_fires_no_dead_store_or_http_timer() {
         (0, 0),
         "an op deadline fired: {census:x?}"
     );
-    for kind in [STORE_HEDGE_KIND, TIMEOUT_KIND] {
-        let idle = census_row(&tb, kind).1;
-        assert_eq!(idle, 0, "kind {kind:#x} fired idle: {census:x?}");
-    }
+    let idle = census_row(&tb, TIMEOUT_KIND).1;
+    assert_eq!(idle, 0, "an HTTP timeout fired idle: {census:x?}");
     // The census saw the bed at all: TCP timers and the client's ticks.
     assert!(census.iter().map(|r| r.1).sum::<u64>() > c.issued);
 }
