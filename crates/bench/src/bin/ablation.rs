@@ -24,7 +24,8 @@ struct Outcome {
     broken: u64,
     timeouts: u64,
     conn_ms: f64,
-    store_cpu: f64,
+    /// Mean of `StoreServer::total_ops()` over the stores alive at the end.
+    ops_per_live_store: f64,
 }
 
 fn run(
@@ -93,18 +94,13 @@ fn run(
             samples[samples.len() / 2]
         }
     };
-    let now = tb.engine.now();
-    let store_cpu = {
+    let ops_per_live_store = {
         let live: Vec<f64> = tb
             .stores
             .iter()
             .filter(|&&s| tb.engine.is_alive(s))
-            .map(|&s| {
-                let srv = tb.engine.node_ref::<StoreServer>(s);
-                srv.total_ops() as f64
-            })
+            .map(|&s| tb.engine.node_ref::<StoreServer>(s).total_ops() as f64)
             .collect();
-        let _ = now;
         live.iter().sum::<f64>() / live.len().max(1) as f64
     };
     let b = tb.engine.node_ref::<BrowserClient>(browser);
@@ -113,7 +109,7 @@ fn run(
         broken: b.broken_flows,
         timeouts: b.timeouts,
         conn_ms,
-        store_cpu,
+        ops_per_live_store,
     }
 }
 
@@ -211,7 +207,7 @@ fn main() {
             out.completed.to_string(),
             out.broken.to_string(),
             out.timeouts.to_string(),
-            format!("{:.0}", out.store_cpu),
+            format!("{:.0}", out.ops_per_live_store),
         ]);
     }
     t.print();

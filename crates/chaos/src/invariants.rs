@@ -118,7 +118,7 @@ pub(crate) fn check_invariants(
         None => v.push("store witness node unreadable".to_string()),
     }
 
-    // --- Every component healed and back alive. ------------------------
+    // --- Every component healed, back alive and at full speed. ---------
     let all = tb
         .instances
         .iter()
@@ -127,51 +127,33 @@ pub(crate) fn check_invariants(
         .chain(&tb.backends)
         .chain([&tb.controller]);
     for &id in all {
-        if !tb.engine.is_alive(id) {
-            v.push(format!(
-                "{} still dead after every fault healed",
-                tb.engine.node_name(id)
-            ));
-        } else if tb.engine.is_partitioned(id) {
-            v.push(format!(
-                "{} still partitioned after every fault healed",
-                tb.engine.node_name(id)
-            ));
-        } else if tb.engine.is_link_degraded(id) {
-            v.push(format!(
-                "{} links still degraded after every fault healed",
-                tb.engine.node_name(id)
-            ));
-        }
+        let eng = &tb.engine;
+        let speed = eng
+            .try_node_ref::<StoreServer>(id)
+            .map(|s| s.speed_factor());
+        let speed = speed.or(eng
+            .try_node_ref::<OriginServer>(id)
+            .map(|s| s.speed_factor()));
+        let still = if !eng.is_alive(id) {
+            "dead".to_string()
+        } else if eng.is_partitioned(id) {
+            "partitioned".to_string()
+        } else if eng.is_link_degraded(id) {
+            "on degraded links".to_string()
+        } else if let Some(factor) = speed.filter(|&f| f != 1.0) {
+            format!("slowed ({factor}x)")
+        } else {
+            continue;
+        };
+        let name = eng.node_name(id);
+        v.push(format!("{name} still {still} after every fault healed"));
     }
 
-    // --- Slowdowns healed: every speed factor back to 1.0. -------------
-    for (&id, addr) in tb.stores.iter().zip(&tb.store_addrs) {
-        if let Some(s) = tb.engine.try_node_ref::<StoreServer>(id) {
-            if s.speed_factor() != 1.0 {
-                v.push(format!(
-                    "store {addr} still slowed ({}x) after every fault healed",
-                    s.speed_factor()
-                ));
-            }
-        }
-    }
-    for &id in &tb.backends {
-        if let Some(s) = tb.engine.try_node_ref::<OriginServer>(id) {
-            if s.speed_factor() != 1.0 {
-                v.push(format!(
-                    "backend {} still slowed ({}x) after every fault healed",
-                    tb.engine.node_name(id),
-                    s.speed_factor()
-                ));
-            }
-        }
-    }
-
-    // --- Brownout heal ⇒ write-behind drains. --------------------------
+    // --- Brownout heal ⇒ write-behind drains; quarantines lapse. -------
     // Survivable schedules heal every gray fault well before the
-    // deadline, so no instance may still be running degraded, and every
-    // queued write-behind record must have replayed to the store.
+    // deadline, so no instance may still be running degraded, every
+    // queued write-behind record must have replayed to the store, and
+    // every probe quarantine must have lapsed.
     for (&id, addr) in tb.instances.iter().zip(&tb.instance_addrs) {
         if !tb.engine.is_alive(id) {
             continue;
@@ -187,6 +169,14 @@ pub(crate) fn check_invariants(
             v.push(format!(
                 "instance {addr}: {} write-behind records never drained after heal",
                 inst.durability().write_behind_len()
+            ));
+        }
+        let quarantined = inst.prober().quarantined(now);
+        if !quarantined.is_empty() {
+            v.push(format!(
+                "instance {addr}: {} backends still quarantined at the deadline: {:?}",
+                quarantined.len(),
+                quarantined
             ));
         }
     }
@@ -226,24 +216,6 @@ pub(crate) fn check_invariants(
                     "{vip}: instance {addr} is assigned but has no rules installed"
                 )),
             }
-        }
-    }
-
-    // --- Probe-pool liveness: quarantines lapse after heal. ------------
-    for (&id, addr) in tb.instances.iter().zip(&tb.instance_addrs) {
-        if !tb.engine.is_alive(id) {
-            continue;
-        }
-        let Some(inst) = tb.engine.try_node_ref::<YodaInstance>(id) else {
-            continue;
-        };
-        let quarantined = inst.prober().quarantined(now);
-        if !quarantined.is_empty() {
-            v.push(format!(
-                "instance {addr}: {} backends still quarantined at the deadline: {:?}",
-                quarantined.len(),
-                quarantined
-            ));
         }
     }
 

@@ -15,48 +15,16 @@ use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_l4lb::Mux;
 use yoda_netsim::{Addr, LinkSpec, NodeId, SimTime, Zone};
 
+use crate::cases::{Case, Outcome};
 use crate::invariants::check_invariants;
 use crate::plan::{ChaosPlan, FaultKind, BACKENDS, INSTANCES, MUXES, SERVICES, STORES};
 use crate::witness::StoreWitness;
 
+/// Both directions of the WAN: client→DC, DC→client.
+const BOTH_WAYS: [(Zone, Zone); 2] = [(Zone::External, Zone::Dc), (Zone::Dc, Zone::External)];
+
 /// Concurrent fetch processes per browser.
 const BROWSER_PROCESSES: usize = 2;
-
-/// A chaos run's two choices: the regime and the mux fast path. The
-/// testbed shape is the plan module's constants: one VIP and one browser
-/// per service, and service 0 runs the prequal policy so the probe
-/// subsystem is exercised. The client workload and the run length follow
-/// the regime.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosScenario {
-    /// Survivable (§6's preconditions hold, zero broken flows expected)
-    /// or unconstrained (floors lifted, every fetch must still resolve
-    /// in bounded time). Selects the regime of the plan `run_seed`
-    /// generates; the run reads it from the plan.
-    pub survivable: bool,
-    /// Enable the mux fast-path flow splicing on the instances, so
-    /// steady-state forwarding (and its revocation/failover machinery)
-    /// is under fire too.
-    pub splice: bool,
-}
-
-impl ChaosScenario {
-    /// Availability-preserving scenario, without splicing.
-    pub fn survivable() -> Self {
-        ChaosScenario {
-            survivable: true,
-            splice: false,
-        }
-    }
-
-    /// Graceful-degradation scenario, without splicing.
-    pub fn unconstrained() -> Self {
-        ChaosScenario {
-            survivable: false,
-            splice: false,
-        }
-    }
-}
 
 /// The browsers' settings in a regime: survivable runs browse until the
 /// deadline with two retries per object and a 10 s timeout; unconstrained
@@ -82,58 +50,13 @@ fn deadline(survivable: bool) -> SimTime {
     SimTime::from_secs(if survivable { 45 } else { 100 })
 }
 
-/// Everything a chaos run produced: the plan, the engine digest (for
-/// byte-identity checks), the fast-path counters, a one-line summary of
-/// the client, witness, controller and instance counters, and the
-/// invariant violations (empty = pass).
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// The full schedule (printed on failure for one-command repro).
-    pub plan: ChaosPlan,
-    /// Engine event digest at the deadline.
-    pub digest: u64,
-    /// Events processed.
-    pub events: u64,
-    /// Packets forwarded on the mux fast path (summed across muxes).
-    pub spliced: u64,
-    /// Splice installs the instances issued (first installs + re-installs
-    /// after mux failover).
-    pub splices_installed: u64,
-    /// `seed … digest=…`: the run's counters, as [`ChaosReport::render`]
-    /// prints them first.
-    summary: String,
-    /// Invariant violations (empty = the run passed).
-    violations: Vec<String>,
-}
-
-impl ChaosReport {
-    /// True when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// One-line summary plus the plan and any violations — the string a
-    /// failing test prints.
-    pub fn render(&self) -> String {
-        let mut out = format!("{}\n{}", self.summary, self.plan.render());
-        for v in &self.violations {
-            out.push_str("  VIOLATION: ");
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Generates the plan for `seed` in the scenario's regime and runs it.
-pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
-    run_plan(&ChaosPlan::generate(seed, sc.survivable), sc.splice)
-}
-
 /// Builds the testbed, schedules the plan, runs to the deadline, and
 /// checks the invariants. The plan carries the regime: the browsers, the
-/// deadline and every invariant follow `plan.survivable`.
-fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
+/// deadline and every invariant follow `plan.survivable`; with `splice`
+/// on, some traffic must also take the mux fast path. The report is a
+/// one-line summary of the client, witness, controller and instance
+/// counters, then the plan.
+pub(crate) fn run_plan(case: Case, plan: &ChaosPlan, splice: bool) -> Outcome {
     let yoda = YodaConfig {
         splice,
         ..YodaConfig::default()
@@ -154,18 +77,7 @@ fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
 
     // Service 0 switches to the probe-driven prequal policy shortly
     // after start, so quarantine/readmission is part of every run.
-    if let Some(&vip) = tb.vips.first() {
-        let backends: Vec<String> = tb
-            .service_backends
-            .first()
-            .map(|sb| sb.iter().map(|b| b.to_string()).collect())
-            .unwrap_or_default();
-        let rules = format!(
-            "name=pq-0 priority=1 match * action=prequal {}",
-            backends.join(" ")
-        );
-        tb.set_policy_at(vip, &rules, SimTime::from_millis(100));
-    }
+    prequal_on_service_0(&mut tb);
 
     let browsers: Vec<NodeId> = (0..SERVICES)
         .map(|s| tb.add_browser(s, browser(plan.survivable)))
@@ -201,16 +113,10 @@ fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
     let w = eng.try_node_ref::<StoreWitness>(witness);
     let controller = eng.try_node_ref::<Controller>(tb.controller);
     let summary = format!(
-        "seed {} ({}): completed={} broken={} timeouts={} resets={} pages={} \
+        "{case}: completed={} broken={} timeouts={} resets={} pages={} \
          witness(ok={} skipped={}) recoveries={} spliced={spliced}/{splices_installed} \
          gray(degraded={} wb_dropped={} derates={}) \
          digest={:#018x}",
-        plan.seed,
-        if plan.survivable {
-            "survivable"
-        } else {
-            "unconstrained"
-        },
         browser(|b| b.completed),
         browser(|b| b.broken_flows),
         browser(|b| b.timeouts),
@@ -224,15 +130,35 @@ fn run_plan(plan: &ChaosPlan, splice: bool) -> ChaosReport {
         controller.map_or(0, |c| c.derates),
         eng.event_digest(),
     );
-    ChaosReport {
-        plan: plan.clone(),
-        digest: eng.event_digest(),
-        events: eng.events_processed(),
-        spliced,
-        splices_installed,
-        summary,
-        violations: check_invariants(&tb, plan, &browsers, witness),
+    let mut violations = check_invariants(&tb, plan, &browsers, witness);
+    if splice && (spliced == 0 || splices_installed == 0) {
+        violations.push("no splice carried traffic".to_string());
     }
+    let verdict = violations.iter().map(|v| format!("  VIOLATION: {v}\n"));
+    let verdict: String = verdict.collect();
+    Outcome {
+        verdict: if verdict.is_empty() {
+            Ok(())
+        } else {
+            Err(verdict)
+        },
+        report: format!("{summary}\n{plan}"),
+        ..Outcome::at_end(case, eng)
+    }
+}
+
+/// Switches service 0 to a prequal policy over its backends at 100 ms.
+pub(crate) fn prequal_on_service_0(tb: &mut Testbed) {
+    let Some(&vip) = tb.vips.first() else {
+        return;
+    };
+    let backends = tb.service_backends.first().into_iter().flatten();
+    let backends: Vec<String> = backends.map(|b| b.to_string()).collect();
+    let rules = format!(
+        "name=pq-0 priority=1 match * action=prequal {}",
+        backends.join(" ")
+    );
+    tb.set_policy_at(vip, &rules, SimTime::from_millis(100));
 }
 
 /// Schedules every fault of `plan` onto the testbed. `witness` gets its
@@ -303,24 +229,22 @@ fn apply_plan(tb: &mut Testbed, plan: &ChaosPlan, witness: NodeId) {
             }
             FaultKind::WanLossBurst { loss_pct } => {
                 let loss = f64::from(loss_pct.min(100)) / 100.0;
-                wan_override(tb, at, end, move |base| LinkSpec { loss, ..base });
+                wan_override(tb, at, end, BOTH_WAYS.to_vec(), move |base| LinkSpec {
+                    loss,
+                    ..base
+                });
             }
             FaultKind::WanLatencySpike { extra_ms } => {
                 let extra = SimTime::from_millis(u64::from(extra_ms));
-                wan_override(tb, at, end, move |base| LinkSpec {
+                wan_override(tb, at, end, BOTH_WAYS.to_vec(), move |base| LinkSpec {
                     latency: base.latency + extra,
                     ..base
                 });
             }
             FaultKind::WanPartition { to_dc, to_ext } => {
-                let dirs: Vec<(Zone, Zone)> = [
-                    (to_dc, (Zone::External, Zone::Dc)),
-                    (to_ext, (Zone::Dc, Zone::External)),
-                ]
-                .into_iter()
-                .filter_map(|(on, d)| on.then_some(d))
-                .collect();
-                wan_override_dirs(tb, at, end, dirs, |_| LinkSpec::blackhole());
+                let dirs = BOTH_WAYS.into_iter().zip([to_dc, to_ext]);
+                let dirs = dirs.filter_map(|(d, on)| on.then_some(d)).collect();
+                wan_override(tb, at, end, dirs, |_| LinkSpec::blackhole());
             }
         }
     }
@@ -354,23 +278,12 @@ fn on_node(
     stop(tb, id);
 }
 
-/// Symmetric WAN override (both directions) for the window `[at, end)`.
-fn wan_override(
-    tb: &mut Testbed,
-    at: SimTime,
-    end: SimTime,
-    mk: impl Fn(LinkSpec) -> LinkSpec + Send + 'static,
-) {
-    let dirs = vec![(Zone::External, Zone::Dc), (Zone::Dc, Zone::External)];
-    wan_override_dirs(tb, at, end, dirs, mk);
-}
-
 /// Applies `mk(base_link)` as a stacked override on each directed zone
 /// pair at `at` and clears it at `end`. The apply closure schedules the
 /// clear closure itself, passing the override ids by value — message
 /// passing through the event queue, where a shared `Rc<RefCell<…>>` cell
 /// would make both closures non-`Send`, which `Engine::schedule` rejects.
-fn wan_override_dirs(
+fn wan_override(
     tb: &mut Testbed,
     at: SimTime,
     end: SimTime,

@@ -44,11 +44,6 @@ pub(crate) const SERVICES: usize = 2;
 /// Minimum fault duration.
 const MIN_DURATION: SimTime = SimTime::from_secs(1);
 
-/// Backends belonging to service `s`.
-fn backends_of_service(s: usize) -> usize {
-    (0..BACKENDS).filter(|b| b % SERVICES == s).count()
-}
-
 /// One injectable fault. A node fault names its victim by its index in
 /// the testbed's role lists ([`Target`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -317,14 +312,10 @@ impl ChaosPlan {
             faults,
         }
     }
-
-    /// Multi-line rendering for failure output: paste the seed back into
-    /// the harness and the identical schedule regenerates.
-    pub(crate) fn render(&self) -> String {
-        self.to_string()
-    }
 }
 
+/// Multi-line rendering for failure output: `run chaos/<matrix>/<seed>`
+/// regenerates the identical schedule from the seed.
 impl fmt::Display for ChaosPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -400,20 +391,12 @@ fn draw(rng: &mut Rng, regime: &Regime) -> Fault {
         },
         9 => {
             duration = duration.min(regime.max_wan_partition);
-            match rng.gen_range(0..3u64) {
-                0 => FaultKind::WanPartition {
-                    to_dc: true,
-                    to_ext: true,
-                },
-                1 => FaultKind::WanPartition {
-                    to_dc: true,
-                    to_ext: false,
-                },
-                _ => FaultKind::WanPartition {
-                    to_dc: false,
-                    to_ext: true,
-                },
-            }
+            let (to_dc, to_ext) = match rng.gen_range(0..3u64) {
+                0 => (true, true),
+                1 => (true, false),
+                _ => (false, true),
+            };
+            FaultKind::WanPartition { to_dc, to_ext }
         }
         10 => {
             // Stores are the preferred brownout victims (the paper's
@@ -541,7 +524,8 @@ fn admissible(existing: &[Fault], f: &Fault, regime: &Regime) -> bool {
     }
     (0..SERVICES).all(|s| {
         let down = count(&|t| matches!(t, Target::Backend(b) if b % SERVICES == s));
-        backends_of_service(s) >= MIN_LIVE_BACKENDS_PER_SERVICE + down
+        let backends = (0..BACKENDS).filter(|b| b % SERVICES == s).count();
+        backends >= MIN_LIVE_BACKENDS_PER_SERVICE + down
     })
 }
 
@@ -688,7 +672,7 @@ mod tests {
     #[test]
     fn render_names_the_seed() {
         let plan = ChaosPlan::generate(7, true);
-        let text = plan.render();
+        let text = plan.to_string();
         assert!(text.contains("seed: 7"));
         assert!(text.lines().count() == plan.faults.len() + 1);
     }

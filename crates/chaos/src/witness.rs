@@ -126,34 +126,23 @@ impl StoreWitness {
                     self.violation(now, "set got zero acks with stable store membership", p.seq);
                     self.pending = None;
                 }
-                _ => {
-                    self.pending = None;
-                }
+                _ => self.pending = None,
             },
             Phase::Get => {
-                match ev.outcome {
-                    StoreOutcome::Value(v) => {
-                        if v == Self::value(p.seq) {
-                            self.checks += 1;
-                        } else {
-                            self.violation(
-                                now,
-                                "read-after-write returned a different value",
-                                p.seq,
-                            );
-                        }
+                let broken = match ev.outcome {
+                    StoreOutcome::Value(v) if v == Self::value(p.seq) => {
+                        self.checks += 1;
+                        None
                     }
-                    StoreOutcome::Miss => {
-                        self.violation(now, "read-after-write miss", p.seq);
-                    }
+                    StoreOutcome::Value(_) => Some("read-after-write returned a different value"),
+                    StoreOutcome::Miss => Some("read-after-write miss"),
                     StoreOutcome::TimedOut => {
-                        self.violation(
-                            now,
-                            "read-after-write get timed out with stable store membership",
-                            p.seq,
-                        );
+                        Some("read-after-write get timed out with stable store membership")
                     }
-                    StoreOutcome::Done { .. } => {}
+                    StoreOutcome::Done { .. } => None,
+                };
+                if let Some(what) = broken {
+                    self.violation(now, what, p.seq);
                 }
                 self.pending = None;
             }

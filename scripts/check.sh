@@ -47,37 +47,24 @@ echo "==> cargo clippy"
 # panic gate too; a stale #[expect] fails it as well.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> chaos soak"
-# Tier-1 runs 20 survivable, 5 unconstrained, 20 gray and 5 splicing
-# plans; the soak runs 40, 10, 40 and 5 (tests/chaos_matrix.rs). A failing
-# seed prints its plan, which regenerates from the seed alone. Each run's
-# line (matrix, seed, event digest, event count, invariants held) is
-# compared with the committed results/chaos_runs.txt, byte for byte, so a
-# change that moves any chaos run's events is caught here.
-chaos_runs="$(mktemp)"
-cargo test --release -q --test chaos_matrix -- --ignored --nocapture \
-    | sed -n 's/^.*chaos-run: //p' > "$chaos_runs"
-if ! cmp -s "$chaos_runs" results/chaos_runs.txt; then
-    echo "chaos run drift: soak differs from results/chaos_runs.txt" >&2
-    diff results/chaos_runs.txt "$chaos_runs" >&2 || true
-    rm -f "$chaos_runs"
+echo "==> pinned runs"
+# Every pinned run (yoda_chaos::cases): the golden engine fixture, the
+# full testbed and the chaos soak — 40 survivable, 10 unconstrained, 40
+# gray and 5 splicing plans, where tier-1 runs 20, 5, 20 and 5. `run
+# --pinned` prints each run's line (case, event digest, event count,
+# checks held), compared with the committed results/pins.txt byte for
+# byte, so a change that moves any pinned run's events is caught here. A
+# failing case prints its report with `run CASE`.
+pins="$(mktemp)"
+./target/release/run --pinned > "$pins" || true
+if ! cmp -s "$pins" results/pins.txt; then
+    echo "pin drift: run --pinned differs from results/pins.txt" >&2
+    diff results/pins.txt "$pins" >&2 || true
+    rm -f "$pins"
     exit 1
 fi
-rm -f "$chaos_runs"
-echo "chaos soak: all 95 runs byte-identical to results/chaos_runs.txt"
-
-echo "==> chaos repro hook (pinned seeds)"
-# The seeded matrices already ran; this replays one pinned seed of each
-# regime through the CHAOS_SEED one-command repro hook
-# (CHAOS_UNCONSTRAINED selects the unconstrained regime) so neither
-# branch of the hook can rot.
-chaos_out="$(CHAOS_SEED=7 cargo test --release -q --test chaos_matrix one_seed -- --nocapture)"
-grep -m1 "ChaosPlan { seed: 7, survivable: true" <<< "$chaos_out" \
-    || { echo "chaos repro hook produced no survivable plan output" >&2; exit 1; }
-chaos_out="$(CHAOS_SEED=1000 CHAOS_UNCONSTRAINED=1 \
-    cargo test --release -q --test chaos_matrix one_seed -- --nocapture)"
-grep -m1 "ChaosPlan { seed: 1000, survivable: false" <<< "$chaos_out" \
-    || { echo "chaos repro hook produced no unconstrained plan output" >&2; exit 1; }
+rm -f "$pins"
+echo "pinned runs: all $(wc -l < results/pins.txt) byte-identical to results/pins.txt"
 
 echo "==> every flow shape, failed at every step"
 # Tier-1 runs the failure sweep at 24 steps of each shape's life; this

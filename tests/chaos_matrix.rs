@@ -1,116 +1,66 @@
 //! Seeded chaos matrix (tier-1).
 //!
 //! Each seed deterministically generates a fault plan and replays it
-//! against the full testbed. Survivable plans respect Yoda's §6
-//! availability preconditions and must produce **zero** user-visible
-//! breakage; unconstrained plans violate them on purpose and must only
-//! degrade gracefully (every fetch resolves in bounded time, nothing
-//! hangs, no flow vanishes from the conservation counters).
+//! against the full testbed (`yoda_chaos::cases`). Survivable plans
+//! respect Yoda's §6 availability preconditions and must produce **zero**
+//! user-visible breakage; unconstrained plans violate them on purpose and
+//! must only degrade gracefully (every fetch resolves in bounded time,
+//! nothing hangs, no flow vanishes from the conservation counters).
 //!
-//! A failing seed prints its full plan; rerun just that seed with e.g.
-//! `CHAOS_SEED=13 cargo test --release --test chaos_matrix one_seed`.
-//! The ignored `soak` runs each matrix longer and prints one
-//! `chaos-run: matrix seed digest events ok` line per run;
-//! `scripts/check.sh` compares those lines with `results/chaos_runs.txt`.
+//! Every run here is one of the soak's pinned runs, and its line must be
+//! its line in `results/pins.txt`, which `run --pinned` regenerates in
+//! full (`scripts/check.sh` compares the two). A failing seed prints its
+//! full plan; `run chaos/<matrix>/<seed>` replays just that seed.
 
-use yoda::chaos::{run_seed, ChaosPlan, ChaosReport, ChaosScenario, FaultKind};
+use yoda::chaos::cases::{Case, Matrix};
+use yoda::chaos::{ChaosPlan, FaultKind};
 use yoda::core::Target;
 
-/// Runs `seed`, prints its `chaos-run:` line (shown with `--nocapture`)
-/// and requires every invariant to hold.
-fn assert_seed_ok(matrix: &str, seed: u64, sc: &ChaosScenario) -> ChaosReport {
-    let report = run_seed(seed, sc);
-    println!(
-        "chaos-run: {matrix} {seed} {:#018x} {} {}",
-        report.digest,
-        report.events,
-        report.ok()
-    );
-    assert!(
-        report.ok(),
-        "chaos seed {seed} violated invariants — the plan below regenerates \
-         bit-for-bit from the seed alone\n{}",
-        report.render()
-    );
-    report
-}
+/// `results/pins.txt`: one `case digest events ok` line per pinned case.
+const PINS: &str = include_str!("../results/pins.txt");
 
-/// The first `n` survivable plans, from seed 0.
-fn survivable(n: u64) {
-    let sc = ChaosScenario::survivable();
-    for seed in 0..n {
-        assert_seed_ok("survivable", seed, &sc);
+/// Runs the first `n` seeds of `matrix`, requires every invariant to hold
+/// and each run's line to be its pinned one, and returns the seeds.
+fn run_matrix(matrix: Matrix, n: usize) -> Vec<u64> {
+    let seeds = matrix.seeds(n);
+    assert_eq!(seeds.len(), n, "{}: too few seeds", matrix.name());
+    for &seed in &seeds {
+        let o = Case::Chaos(matrix, seed).run();
+        if let Err(e) = &o.verdict {
+            panic!(
+                "chaos seed {seed} violated invariants — the plan below regenerates \
+                 bit-for-bit from the seed alone\n{}{e}",
+                o.report
+            );
+        }
+        let (line, case) = (o.to_string(), o.case.to_string());
+        let pin = PINS.lines().find(|l| l.split(' ').next() == Some(&case));
+        assert_eq!(Some(line.as_str()), pin, "{case} diverged from its pin");
     }
-}
-
-/// The first `n` unconstrained plans, from seed 1000: a range disjoint
-/// from the survivable matrix, so the two never mistake one another's
-/// plans.
-fn unconstrained(n: u64) {
-    let sc = ChaosScenario::unconstrained();
-    for seed in 1000..1000 + n {
-        assert_seed_ok("unconstrained", seed, &sc);
-    }
+    seeds
 }
 
 #[test]
 fn survivable_seeds_keep_every_flow_alive() {
-    survivable(20);
+    run_matrix(Matrix::Survivable, 20);
 }
 
 #[test]
 fn unconstrained_seeds_degrade_gracefully() {
-    unconstrained(5);
-}
-
-/// One-command repro hook: replays exactly one seed (survivable by
-/// default, unconstrained when `CHAOS_UNCONSTRAINED=1`).
-#[test]
-fn one_seed() {
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "one-command failing-seed repro hook; the replayed run is fully determined by the seed"
-    )]
-    let Ok(seed) = std::env::var("CHAOS_SEED") else {
-        return;
-    };
-    let Ok(seed) = seed.parse::<u64>() else {
-        panic!("CHAOS_SEED must be an integer");
-    };
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "selects which preset the repro hook replays; does not affect determinism of the run itself"
-    )]
-    let sc = if std::env::var("CHAOS_UNCONSTRAINED").is_ok() {
-        ChaosScenario::unconstrained()
-    } else {
-        ChaosScenario::survivable()
-    };
-    let report = run_seed(seed, &sc);
-    println!("{}", report.render());
-    assert!(report.ok(), "seed {seed} failed\n{}", report.render());
+    run_matrix(Matrix::Unconstrained, 5);
 }
 
 /// The seeded survivable matrix also holds with the fast path on (five
 /// seeds, a smaller slice than the default matrix — the faults are the
 /// same generator, just replayed over spliced steady-state forwarding).
-/// Every run carries traffic on the fast path, and the slice's plans
-/// crash both an instance and a mux.
-fn splicing() {
-    let sc = ChaosScenario {
-        survivable: true,
-        splice: true,
-    };
+/// Every run must carry traffic on the fast path (a run that carries
+/// none fails its invariants), and the slice's plans crash both an
+/// instance and a mux.
+#[test]
+fn survivable_seeds_hold_with_splicing() {
     let (mut instance, mut mux) = (false, false);
-    for seed in 500..505 {
-        let report = assert_seed_ok("splicing", seed, &sc);
-        let spliced = report.spliced > 0 && report.splices_installed > 0;
-        assert!(
-            spliced,
-            "seed {seed}: no splice carried traffic\n{}",
-            report.render()
-        );
-        for f in &report.plan.faults {
+    for seed in run_matrix(Matrix::Splicing, 5) {
+        for f in ChaosPlan::generate(seed, true).faults {
             instance |= matches!(f.kind, FaultKind::Crash(Target::Instance(_)));
             mux |= matches!(f.kind, FaultKind::Crash(Target::Mux(_)));
         }
@@ -121,65 +71,14 @@ fn splicing() {
     );
 }
 
-#[test]
-fn survivable_seeds_hold_with_splicing() {
-    splicing();
-}
-
-/// Gray-fault matrix: the first `n` survivable plans that actually
+/// Gray-fault matrix: the first survivable plans from seed 2000 that
 /// contain a gray fault ([`FaultKind::is_gray`]: a slowdown, a link
 /// degrade or a one-way partition) must hold the zero-breakage
 /// invariants — slow-but-alive components are routed around, never
-/// surfaced to clients. The
-/// generator's survivable regime caps the slowdown intensity (factor and
-/// factor×duration), so these plans are harsh but inside §6's
-/// availability preconditions.
-fn gray(n: u64) {
-    let sc = ChaosScenario::survivable();
-    // Disjoint seed range (2000..) from the other matrices; seeds whose
-    // plan drew no gray fault are skipped, so every run here exercises
-    // the gray machinery.
-    let mut ran = 0;
-    for seed in 2000..4000 {
-        if ran >= n {
-            break;
-        }
-        let plan = ChaosPlan::generate(seed, true);
-        if !plan.faults.iter().any(|f| f.kind.is_gray()) {
-            continue;
-        }
-        assert_seed_ok("gray", seed, &sc);
-        ran += 1;
-    }
-    assert_eq!(ran, n, "seed range 2000..4000 yielded too few gray plans");
-}
-
+/// surfaced to clients. The generator's survivable regime caps the
+/// slowdown intensity (factor and factor×duration), so these plans are
+/// harsh but inside §6's availability preconditions.
 #[test]
 fn gray_fault_seeds_keep_every_flow_alive() {
-    gray(20);
-}
-
-/// The soak: each matrix at twice its tier-1 length (the unconstrained
-/// one at ten plans), and the splicing slice as in tier-1: 95 runs.
-/// `scripts/check.sh` runs it and compares its `chaos-run:` lines with
-/// `results/chaos_runs.txt`.
-#[test]
-#[ignore = "soak, ~8 s in release: scripts/check.sh runs it with --ignored"]
-fn soak() {
-    survivable(40);
-    unconstrained(10);
-    gray(40);
-    splicing();
-}
-
-/// The same seed must replay byte-identically: identical engine digest,
-/// identical event count, identical rendered report.
-#[test]
-fn fixed_seed_chaos_run_is_byte_identical() {
-    let sc = ChaosScenario::survivable();
-    let a = run_seed(7, &sc);
-    let b = run_seed(7, &sc);
-    assert_eq!(a.digest, b.digest, "digest diverged across identical runs");
-    assert_eq!(a.events, b.events);
-    assert_eq!(a.render(), b.render());
+    run_matrix(Matrix::Gray, 20);
 }

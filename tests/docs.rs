@@ -1,15 +1,17 @@
 //! The two long documents keep one copy of every number and stay small.
 //!
-//! * EXPERIMENTS.md quotes measured numbers only as excerpts of the
-//!   committed `results/` files: a marker line `<!-- results/NAME.txt -->`
-//!   followed by a fenced block, which must be a run of consecutive lines
-//!   of that file (trailing blanks aside). Every table and figure section
-//!   carries at least one.
+//! * Both documents quote measured numbers and pinned digests only as
+//!   excerpts of the committed `results/` files: a marker line
+//!   `<!-- results/NAME.txt -->` followed by a fenced block, which must be
+//!   a run of consecutive lines of that file (trailing blanks aside).
+//!   Every table and figure section of EXPERIMENTS.md carries at least one.
 //! * A section reference, the name of one of the two documents followed
 //!   by a quoted heading, anywhere in the code, scripts, CI, the verify
 //!   notes or the documents themselves, must name a heading or a bold
 //!   label that exists in that document.
 //! * Each document stays at or under the line count pinned below.
+//! * Every `yoda-<name>` that README.md or either document names is a
+//!   package under `crates/` (the root package is plain `yoda`).
 
 use std::path::Path;
 
@@ -235,5 +237,36 @@ fn the_docs_stay_under_their_line_ceilings() {
             "{stem}.md has {lines} lines, over its ceiling of {ceiling}: \
              say it in fewer, or move history to CHANGES.md"
         );
+    }
+}
+
+#[test]
+fn every_named_crate_is_a_package() {
+    let packages: Vec<String> = find("crates")
+        .iter()
+        .filter(|f| f.matches('/').count() == 2 && f.ends_with("/Cargo.toml"))
+        .filter_map(|f| {
+            let text = read(f);
+            let name = text.lines().find_map(|l| l.strip_prefix("name = \""))?;
+            Some(name.trim_end_matches('"').to_string())
+        })
+        .collect();
+    assert!(packages.len() >= 9, "only {packages:?} under crates/");
+    for doc in REF_FILES {
+        let text = read(doc);
+        for (at, _) in text.match_indices("yoda-") {
+            let rest = &text[at + 5..];
+            let len = rest
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(rest.len());
+            // A node name (`yoda-10.0.0.4`) starts with a digit.
+            if rest.starts_with(|c: char| c.is_ascii_lowercase()) {
+                let name = format!("yoda-{}", &rest[..len]);
+                assert!(
+                    packages.contains(&name),
+                    "{doc} names `{name}`, which is no package under crates/ ({packages:?})"
+                );
+            }
+        }
     }
 }
